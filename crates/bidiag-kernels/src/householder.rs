@@ -19,6 +19,12 @@ pub struct Reflector {
 /// This mirrors LAPACK `dlarfg`.
 pub fn larfg(alpha: f64, x: &mut [f64]) -> Reflector {
     let xnorm = norm2(x);
+    larfg_with_norm(alpha, x, xnorm)
+}
+
+/// [`larfg`] for a caller that already knows `xnorm = ||x||_2` (the tile
+/// factorizations take it from a vectorized sum of squares).
+pub(crate) fn larfg_with_norm(alpha: f64, x: &mut [f64], xnorm: f64) -> Reflector {
     if xnorm == 0.0 {
         // Already in the desired form, H = I.
         return Reflector {

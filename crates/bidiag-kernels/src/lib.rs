@@ -8,9 +8,11 @@
 //!   blocked compact-WY production variant and an unblocked reference
 //!   variant,
 //! * [`lq`] — their LQ duals (GELQT/UNMLQ/TSLQT/TSMLQ/TTLQT/TTMLQ),
-//! * [`wy`] — the compact-WY machinery the blocked kernels share:
-//!   [`wy::TFactor`] (`tau` scalars + triangular `T`) and [`wy::Workspace`]
-//!   (reusable scratch making the kernels allocation-free in steady state),
+//! * [`wy`] — the compact-WY machinery the blocked kernels share: the
+//!   fused chunk kernel under the six QR-side kernels, [`wy::TFactor`]
+//!   (`tau` scalars + the diagonal blocks of `T`) and [`wy::Workspace`]
+//!   (reusable scratch of the LQ side; in steady state a kernel allocates
+//!   nothing but the `TFactor` a factorization returns),
 //! * [`gebd2`] — the scalar (Level-2) Golub–Kahan bidiagonalization used by
 //!   the one-stage baselines,
 //! * [`band`] — band storage and the Givens bulge-chasing band-to-bidiagonal

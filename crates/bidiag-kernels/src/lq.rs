@@ -9,8 +9,9 @@
 //! The *factorization* kernels (`gelqt`/`tslqt`/`ttlqt`) are thin transpose
 //! wrappers over the blocked QR factorizations of [`crate::qr`]: the LQ
 //! factorization of `A` is the QR factorization of `A^T`, and the compact-WY
-//! [`TFactor`] carries over unchanged.  The transposes cost `O(nb^2)` per
-//! `O(nb^3)` kernel and keep one heavily-tested numerical code path.
+//! [`TFactor`] carries over unchanged.  The transposes go through two tiles
+//! owned by the [`Workspace`] (no allocation), cost `O(nb^2)` per `O(nb^3)`
+//! kernel and keep one heavily-tested numerical code path.
 //!
 //! The *apply* kernels (`unmlq`/`tsmlq`/`ttmlq`) — which run once per
 //! trailing tile and dominate the LQ steps — do **not** transpose.  They
@@ -24,11 +25,12 @@
 //! the unblocked QR kernels and remain the oracle for the property tests.
 
 use crate::qr::{
-    geqrt, geqrt_unblocked, tsmqr_unblocked, tsqrt, tsqrt_unblocked, ttmqr_unblocked, ttqrt,
-    ttqrt_unblocked, unmqr_unblocked, Trans,
+    geqrt_unblocked, tsmqr_unblocked, tsqrt_unblocked, ttmqr_unblocked, ttqrt_unblocked,
+    unmqr_unblocked, Trans,
 };
 use crate::wy::{
-    apply_t_right, chunk_order, grow, lq_cv, lq_cwv, lq_tri_cv, lq_tri_cwv, TFactor, Workspace,
+    self, apply_t_right, chunk_order, grow, lq_cv, lq_cwv, lq_tri_cv, lq_tri_cwv, Shape, TFactor,
+    Workspace,
 };
 use bidiag_matrix::gemm::{gemm_nn_scratch, gemm_nt_scratch};
 use bidiag_matrix::{Matrix, MatrixViewMut};
@@ -39,9 +41,10 @@ use bidiag_matrix::{Matrix, MatrixViewMut};
 /// the strictly upper part holds the Householder vectors stored row-wise.
 /// Returns the compact-WY [`TFactor`] consumed by [`unmlq`].
 pub fn gelqt(a: &mut Matrix, ws: &mut Workspace) -> TFactor {
-    let mut at = a.transpose();
-    let tf = geqrt(&mut at, ws);
-    *a = at.transpose();
+    let [at, _] = ws.transposed();
+    at.copy_transposed_from(a);
+    let tf = wy::factor(Shape::Trapezoid, None, at);
+    a.copy_transposed_from(at);
     tf
 }
 
@@ -68,7 +71,7 @@ pub fn unmlq(v: &Matrix, tf: &TFactor, c: &mut Matrix, trans: Trans, ws: &mut Wo
     if k == 0 || r == 0 {
         return;
     }
-    let (panel, _, _) = ws.bufs();
+    let (panel, _) = ws.apply_bufs();
     // With A = L Q_lq, A^T = Q_qr R and Q_lq = Q_qr^T:
     //   C Q_lq^T = C Q_qr   = C - (C V) T   V^T   (Transpose),
     //   C Q_lq   = C Q_qr^T = C - (C V) T^T V^T   (NoTranspose).
@@ -76,11 +79,7 @@ pub fn unmlq(v: &Matrix, tf: &TFactor, c: &mut Matrix, trans: Trans, ws: &mut Wo
         let mut w = MatrixViewMut::new(grow(panel, r * ibp), r, ibp, r);
         let vp = v.view(p, p, ibp, n - p);
         lq_cv(vp, c.view(0, p, r, n - p), &mut w);
-        apply_t_right(
-            &mut w,
-            tf.t().view(p, p, ibp, ibp),
-            matches!(trans, Trans::NoTranspose),
-        );
+        apply_t_right(&mut w, tf.t_block(p), matches!(trans, Trans::NoTranspose));
         let mut cv = c.as_view_mut();
         let mut cp = cv.submatrix_mut(0, p, r, n - p);
         lq_cwv(vp, w.as_view(), &mut cp);
@@ -102,12 +101,8 @@ pub fn unmlq_unblocked(v: &Matrix, taus: &[f64], c: &mut Matrix, trans: Trans) {
 /// and `a2` holds the Householder vectors (row-wise).  Returns the
 /// [`TFactor`].
 pub fn tslqt(l1: &mut Matrix, a2: &mut Matrix, ws: &mut Workspace) -> TFactor {
-    let mut l1t = l1.transpose();
-    let mut a2t = a2.transpose();
-    let tf = tsqrt(&mut l1t, &mut a2t, ws);
-    *l1 = l1t.transpose();
-    *a2 = a2t.transpose();
-    tf
+    assert_eq!(a2.rows(), l1.rows(), "TSLQT: row mismatch");
+    factor_transposed(Shape::Square, l1, a2, ws)
 }
 
 /// TSLQT, unblocked reference.
@@ -147,7 +142,7 @@ pub fn tsmlq(
         c1.cols() >= k,
         "TSMLQ: C1 has fewer columns than reflectors"
     );
-    let (panel, _, gemm) = ws.bufs();
+    let (panel, gemm) = ws.apply_bufs();
     for (p, ibp) in chunk_order(k, trans) {
         let mut w = MatrixViewMut::new(grow(panel, r * ibp), r, ibp, r);
         let v2p = v2.view(p, 0, ibp, n2);
@@ -157,11 +152,7 @@ pub fn tsmlq(
         }
         gemm_nt_scratch(&mut w, 1.0, c2.as_view(), v2p, gemm);
         // W = W op(T_pp).
-        apply_t_right(
-            &mut w,
-            tf.t().view(p, p, ibp, ibp),
-            matches!(trans, Trans::NoTranspose),
-        );
+        apply_t_right(&mut w, tf.t_block(p), matches!(trans, Trans::NoTranspose));
         // C1[:, p..p+ib] -= W;  C2 -= W V2_p^T.
         for kk in 0..ibp {
             let wcol = w.col(kk);
@@ -191,11 +182,24 @@ pub fn tsmlq_unblocked(c1: &mut Matrix, c2: &mut Matrix, v2: &Matrix, taus: &[f6
 /// Householder vectors (row `k` has non-zeros only in columns `0..=k`; the
 /// strictly upper part of `l2` is never touched).  Returns the [`TFactor`].
 pub fn ttlqt(l1: &mut Matrix, l2: &mut Matrix, ws: &mut Workspace) -> TFactor {
-    let mut l1t = l1.transpose();
-    let mut l2t = l2.transpose();
-    let tf = ttqrt(&mut l1t, &mut l2t, ws);
-    *l1 = l1t.transpose();
-    *l2 = l2t.transpose();
+    assert_eq!(l2.rows(), l1.rows(), "TTLQT: row mismatch");
+    factor_transposed(Shape::Triangle, l1, l2, ws)
+}
+
+/// TSLQT / TTLQT as the QR factorization of the transposed pair, through
+/// the workspace's two transposed tiles.
+fn factor_transposed(
+    shape: Shape,
+    l1: &mut Matrix,
+    a2: &mut Matrix,
+    ws: &mut Workspace,
+) -> TFactor {
+    let [l1t, a2t] = ws.transposed();
+    l1t.copy_transposed_from(l1);
+    a2t.copy_transposed_from(a2);
+    let tf = wy::factor(shape, Some(l1t), a2t);
+    l1.copy_transposed_from(l1t);
+    a2.copy_transposed_from(a2t);
     tf
 }
 
@@ -234,7 +238,7 @@ pub fn ttmlq(
         c1.cols() >= k,
         "TTMLQ: C1 has fewer columns than reflectors"
     );
-    let (panel, _, _) = ws.bufs();
+    let (panel, _) = ws.apply_bufs();
     for (p, ibp) in chunk_order(k, trans) {
         let mut w = MatrixViewMut::new(grow(panel, r * ibp), r, ibp, r);
         let v2p = v2.view(p, 0, ibp, n2);
@@ -243,11 +247,7 @@ pub fn ttmlq(
             wcol.copy_from_slice(c1.col(p + kk));
         }
         lq_tri_cv(v2p, c2.as_view(), &mut w, p);
-        apply_t_right(
-            &mut w,
-            tf.t().view(p, p, ibp, ibp),
-            matches!(trans, Trans::NoTranspose),
-        );
+        apply_t_right(&mut w, tf.t_block(p), matches!(trans, Trans::NoTranspose));
         for kk in 0..ibp {
             let wcol = w.col(kk);
             let ccol = c1.col_mut(p + kk);

@@ -15,18 +15,19 @@
 //! Two implementations live side by side:
 //!
 //! * The **blocked** kernels (`geqrt`, `unmqr`, ...) are the production data
-//!   plane.  Factorization kernels generate their reflectors in place on
-//!   contiguous column slices (no per-reflector heap `Vec`s) and build the
-//!   `IB`-block-diagonal of the compact-WY `T` factor incrementally with the
-//!   chunk-local `xLARFT` recurrence (the only part of `T` the chunked
-//!   applies consume — see [`TFactor`]), returned as a [`TFactor`].  Apply
-//!   kernels run the compact-WY sweep `W = C^T V; W = W op(T)^T; C -= V W^T`
-//!   on a transposed `n x IB` panel (LAPACK `xLARFB`'s layout): `TSMQR`, the
-//!   hottest kernel, is two dense calls into [`bidiag_matrix::gemm`] around
-//!   a trmm-style `T` product, while `UNMQR`/`TTMQR` read their structured
-//!   `V` (unit-lower trapezoid / triangle) in place through the fused sweeps
-//!   of [`crate::wy`] instead of densifying it into scratch.  All scratch
-//!   comes from a caller-provided [`Workspace`].
+//!   plane, and thin callers of one fused compact-WY chunk kernel
+//!   ([`crate::wy`]): they differ only in the `Shape` of the stored
+//!   reflector tails — unit-lower trapezoid in the tile itself (GEQRT /
+//!   UNMQR), full columns of the second tile (TS), upper triangle of the
+//!   second tile (TT).  Factorizations are level 3: an `IB`-wide panel is
+//!   factored unblocked on contiguous column slices, its block of the
+//!   compact-WY `T` factor built by the chunk-local `xLARFT` recurrence
+//!   (the only part of `T` the chunked applies consume — see [`TFactor`]),
+//!   and the trailing columns updated by the same chunk apply the apply
+//!   kernels run, `W = V_p^T C; W = op(T) W; C -= V_p W`, straight off the
+//!   column-major tiles.  Nothing is packed, transposed or allocated
+//!   besides the returned [`TFactor`], and the SIMD backend is dispatched
+//!   once per kernel call.
 //! * The **unblocked** references (`geqrt_unblocked`, `unmqr_unblocked`, ...)
 //!   apply the Householder reflectors one by one, exactly mirroring LAPACK
 //!   `xGEQRT2`/`xTPQRT2`.  They are the numerical oracle the property tests
@@ -34,14 +35,13 @@
 //!   convention both share: `R` in the upper triangle, Householder vectors
 //!   below (GEQRT), dense vectors in the second tile (TSQRT), triangular
 //!   vectors in the second tile (TTQRT).
+//!
+//! The blocked kernels take a [`Workspace`] so that all twelve tile kernels
+//! are called alike; only the LQ side uses it.
 
-use crate::householder::{axpy, dot, larfg};
-use crate::wy::{
-    apply_t_left, apply_t_right, chunk_order, grow, trap_ctv, trap_cvwt, tri_ctv, tri_cvwt,
-    TFactor, Workspace,
-};
-use bidiag_matrix::gemm::{dot as fdot, gemm_nn_scratch, gemm_tn_scratch};
-use bidiag_matrix::{simd, Matrix, MatrixViewMut};
+use crate::householder::larfg;
+use crate::wy::{self, Shape, TFactor, Workspace};
+use bidiag_matrix::Matrix;
 
 /// Whether an apply kernel applies `Q^T` (used by factorizations) or `Q`
 /// (used when reconstructing / applying backward transformations).
@@ -53,169 +53,26 @@ pub enum Trans {
     NoTranspose,
 }
 
-/// Apply one reflector `H = I - tau v v^T`, `v = (1, vtail)`, to every
-/// column of `c` (`c.rows() == vtail.len() + 1`), four columns per pass.
-fn larf_left(tau: f64, vtail: &[f64], c: &mut MatrixViewMut<'_>) {
-    let mlen = vtail.len();
-    debug_assert_eq!(c.rows(), mlen + 1);
-    let n = c.cols();
-    let be = simd::backend();
-    let mut cols = c.cols_mut();
-    let mut j = 0;
-    while j < n {
-        if j + 4 <= n {
-            let c0 = cols.next().unwrap();
-            let c1 = cols.next().unwrap();
-            let c2 = cols.next().unwrap();
-            let c3 = cols.next().unwrap();
-            let d = simd::dot4(be, vtail, &c0[1..], &c1[1..], &c2[1..], &c3[1..]);
-            let w0 = tau * (c0[0] + d[0]);
-            let w1 = tau * (c1[0] + d[1]);
-            let w2 = tau * (c2[0] + d[2]);
-            let w3 = tau * (c3[0] + d[3]);
-            c0[0] -= w0;
-            c1[0] -= w1;
-            c2[0] -= w2;
-            c3[0] -= w3;
-            simd::axpy(be, &mut c0[1..], -w0, vtail);
-            simd::axpy(be, &mut c1[1..], -w1, vtail);
-            simd::axpy(be, &mut c2[1..], -w2, vtail);
-            simd::axpy(be, &mut c3[1..], -w3, vtail);
-            j += 4;
-        } else {
-            let c0 = cols.next().unwrap();
-            let mut w = c0[0];
-            for i in 0..mlen {
-                w += vtail[i] * c0[i + 1];
-            }
-            w *= tau;
-            c0[0] -= w;
-            for i in 0..mlen {
-                c0[i + 1] -= vtail[i] * w;
-            }
-            j += 1;
-        }
-    }
-}
-
-/// Apply one TS/TT reflector — head `e_k` in the `r1` row, tail `v` in the
-/// prefix of the second tile's columns — to `r1` row `k` (columns `k+1..`)
-/// and the matching prefix of every `trail` column, four columns per pass.
-fn ts_update(tau: f64, v: &[f64], r1: &mut Matrix, k: usize, trail: &mut MatrixViewMut<'_>) {
-    let rl = v.len();
-    let n = trail.cols();
-    let be = simd::backend();
-    let mut cols = trail.cols_mut();
-    let mut jj = 0;
-    while jj < n {
-        let j = k + 1 + jj;
-        if jj + 4 <= n {
-            let c0 = cols.next().unwrap();
-            let c1 = cols.next().unwrap();
-            let c2 = cols.next().unwrap();
-            let c3 = cols.next().unwrap();
-            let d = simd::dot4(be, v, &c0[..rl], &c1[..rl], &c2[..rl], &c3[..rl]);
-            let w0 = tau * (r1.get(k, j) + d[0]);
-            let w1 = tau * (r1.get(k, j + 1) + d[1]);
-            let w2 = tau * (r1.get(k, j + 2) + d[2]);
-            let w3 = tau * (r1.get(k, j + 3) + d[3]);
-            r1.set(k, j, r1.get(k, j) - w0);
-            r1.set(k, j + 1, r1.get(k, j + 1) - w1);
-            r1.set(k, j + 2, r1.get(k, j + 2) - w2);
-            r1.set(k, j + 3, r1.get(k, j + 3) - w3);
-            simd::axpy(be, &mut c0[..rl], -w0, v);
-            simd::axpy(be, &mut c1[..rl], -w1, v);
-            simd::axpy(be, &mut c2[..rl], -w2, v);
-            simd::axpy(be, &mut c3[..rl], -w3, v);
-            jj += 4;
-        } else {
-            let c0 = cols.next().unwrap();
-            let mut w = r1.get(k, j);
-            for i in 0..rl {
-                w += v[i] * c0[i];
-            }
-            w *= tau;
-            r1.set(k, j, r1.get(k, j) - w);
-            for i in 0..rl {
-                c0[i] -= v[i] * w;
-            }
-            jj += 1;
-        }
-    }
-}
-
 /// GEQRT: in-place Householder QR of a tile, with the compact-WY `T` factor
 /// built alongside.
 ///
 /// On exit the upper triangle of `a` holds `R` and the strictly lower part
 /// holds the Householder vectors (unit diagonal implicit).  Returns the
-/// [`TFactor`] (`tau` scalars + upper-triangular `T`) consumed by [`unmqr`].
-pub fn geqrt(a: &mut Matrix, ws: &mut Workspace) -> TFactor {
-    let m = a.rows();
-    let n = a.cols();
-    let kmax = m.min(n);
-    let mut tf = TFactor::with_kmax(kmax);
-    let (_, aux, _) = ws.bufs();
-    for k in 0..kmax {
-        let tau;
-        {
-            let mut av = a.as_view_mut();
-            let (mut head, mut trail_cols) = av.split_cols_at_mut(k + 1);
-            let colk = head.col_mut(k);
-            let r = larfg(colk[k], &mut colk[k + 1..]);
-            colk[k] = r.beta;
-            tau = r.tau;
-            if tau != 0.0 && k + 1 < n {
-                let vtail = &head.col(k)[k + 1..];
-                let mut trail = trail_cols.submatrix_mut(k, 0, m - k, n - k - 1);
-                larf_left(tau, vtail, &mut trail);
-            }
-        }
-        // T column k, chunk-local (only the IB-diagonal block of T is ever
-        // consumed): vdots[l - k0] = v_l^T v_k = a[k, l] + a[k+1.., l] . a[k+1.., k].
-        let k0 = TFactor::chunk_start(k);
-        let vd = grow(aux, k - k0);
-        let ck = a.col(k);
-        for (l, slot) in vd.iter_mut().enumerate() {
-            let cl = a.col(k0 + l);
-            *slot = cl[k] + fdot(&cl[k + 1..m], &ck[k + 1..m]);
-        }
-        tf.append(tau, vd);
-    }
-    tf
+/// [`TFactor`] (`tau` scalars + upper-triangular `T` blocks) consumed by
+/// [`unmqr`].
+pub fn geqrt(a: &mut Matrix, _ws: &mut Workspace) -> TFactor {
+    wy::factor(Shape::Trapezoid, None, a)
 }
 
 /// UNMQR: apply the orthogonal factor of a GEQRT'd tile to `c` from the left
-/// as the three-sweep compact-WY product `C -= V op(T) (V^T C)`.
+/// as the chunked compact-WY product `C -= V op(T) (V^T C)`.
 ///
 /// `v` is the factored tile (Householder vectors in its strictly lower
-/// part), `tf` the factor returned by [`geqrt`].
-pub fn unmqr(v: &Matrix, tf: &TFactor, c: &mut Matrix, trans: Trans, ws: &mut Workspace) {
-    let m = c.rows();
-    assert_eq!(v.rows(), m, "UNMQR: V and C row mismatch");
-    let n = c.cols();
-    let k = tf.len();
-    if k == 0 || n == 0 {
-        return;
-    }
-    let (panel, _, gemm) = ws.bufs();
-    for (p, ibp) in chunk_order(k, trans) {
-        // Structure-aware xLARFB sweep on the transposed panel
-        // W = C^T V_p (n x ib): the chunk's unit-lower-triangular top runs
-        // as trmm-style contiguous axpys, the dense rows below as a GEMM —
-        // V is read in place, never densified into scratch.  In the
-        // transposed layout the T product applies from the right:
-        //   Q^T C = C - V T^T V^T C  <=>  W := W T,
-        //   Q   C = C - V T   V^T C  <=>  W := W T^T.
-        let mut w = MatrixViewMut::new(grow(panel, ibp * n), n, ibp, n);
-        trap_ctv(v.as_view(), p, ibp, c.as_view(), &mut w, gemm);
-        apply_t_right(
-            &mut w,
-            tf.t().view(p, p, ibp, ibp),
-            matches!(trans, Trans::NoTranspose),
-        );
-        trap_cvwt(v.as_view(), p, ibp, &mut w, &mut c.as_view_mut(), gemm);
-    }
+/// part — its upper triangle, `R`, is never read), `tf` the factor returned
+/// by [`geqrt`].
+pub fn unmqr(v: &Matrix, tf: &TFactor, c: &mut Matrix, trans: Trans, _ws: &mut Workspace) {
+    assert_eq!(v.rows(), c.rows(), "UNMQR: V and C row mismatch");
+    wy::apply(Shape::Trapezoid, v, tf, None, c, trans);
 }
 
 /// TSQRT: QR of a triangle stacked on top of a square tile, with the
@@ -224,37 +81,9 @@ pub fn unmqr(v: &Matrix, tf: &TFactor, c: &mut Matrix, trans: Trans, ws: &mut Wo
 /// `r1` is an upper-triangular tile (the current `R` of the pivot row) and
 /// `a2` a full tile below it.  On exit `r1` holds the updated `R` and `a2`
 /// holds the (dense) Householder vectors.  Returns the [`TFactor`].
-pub fn tsqrt(r1: &mut Matrix, a2: &mut Matrix, ws: &mut Workspace) -> TFactor {
-    let n = r1.cols();
-    assert_eq!(a2.cols(), n, "TSQRT: column mismatch");
-    let m2 = a2.rows();
-    let kmax = n.min(r1.rows());
-    let mut tf = TFactor::with_kmax(kmax);
-    let (_, aux, _) = ws.bufs();
-    for k in 0..kmax {
-        let tau;
-        {
-            let mut a2v = a2.as_view_mut();
-            let (mut head, mut trail) = a2v.split_cols_at_mut(k + 1);
-            let colk = head.col_mut(k);
-            let r = larfg(r1.get(k, k), colk);
-            r1.set(k, k, r.beta);
-            tau = r.tau;
-            if tau != 0.0 && k + 1 < n {
-                ts_update(tau, head.col(k), r1, k, &mut trail);
-            }
-        }
-        // T column k, chunk-local: the e_k heads are orthogonal, so only
-        // the dense tails contribute: vdots[l - k0] = a2[:, l] . a2[:, k].
-        let k0 = TFactor::chunk_start(k);
-        let vd = grow(aux, k - k0);
-        let ck = a2.col(k);
-        for (l, slot) in vd.iter_mut().enumerate() {
-            *slot = fdot(a2.col(k0 + l), &ck[..m2]);
-        }
-        tf.append(tau, vd);
-    }
-    tf
+pub fn tsqrt(r1: &mut Matrix, a2: &mut Matrix, _ws: &mut Workspace) -> TFactor {
+    assert_eq!(a2.cols(), r1.cols(), "TSQRT: column mismatch");
+    wy::factor(Shape::Square, Some(r1), a2)
 }
 
 /// TSMQR: apply the reflectors produced by [`tsqrt`] to the tile pair
@@ -262,46 +91,22 @@ pub fn tsqrt(r1: &mut Matrix, a2: &mut Matrix, ws: &mut Workspace) -> TFactor {
 /// the eliminated tile row; `v2` is the tile holding the dense Householder
 /// vectors (the `a2` output of [`tsqrt`]).
 ///
-/// This is the hottest kernel of the factorization (Table I weight 12) and
-/// runs as two dense GEMMs around the small triangular `T` product.
+/// This is the heaviest kernel of the factorization (Table I weight 12).
 pub fn tsmqr(
     a1: &mut Matrix,
     a2: &mut Matrix,
     v2: &Matrix,
     tf: &TFactor,
     trans: Trans,
-    ws: &mut Workspace,
+    _ws: &mut Workspace,
 ) {
-    let n = a1.cols();
-    assert_eq!(a2.cols(), n, "TSMQR: column mismatch");
-    let m2 = a2.rows();
-    assert_eq!(v2.rows(), m2, "TSMQR: V2 row mismatch");
-    let k = tf.len();
-    if k == 0 || n == 0 {
-        return;
-    }
-    assert!(a1.rows() >= k, "TSMQR: A1 has fewer rows than reflectors");
-    let (panel, aux, gemm) = ws.bufs();
-    for (p, ibp) in chunk_order(k, trans) {
-        let mut w = MatrixViewMut::new(grow(panel, ibp * n), ibp, n, ibp);
-        let v2p = v2.view(0, p, m2, ibp);
-        // W = A1[p..p+ib, :] + V2_p^T A2.
-        for (j, wcol) in w.cols_mut().enumerate() {
-            wcol.copy_from_slice(&a1.col(j)[p..p + ibp]);
-        }
-        gemm_tn_scratch(&mut w, 1.0, v2p, a2.as_view(), gemm);
-        // W = op(T_pp) W.
-        apply_t_left(&mut w, tf.t().view(p, p, ibp, ibp), trans, aux);
-        // A1[p..p+ib, :] -= W;  A2 -= V2_p W.
-        for j in 0..n {
-            let wcol = w.col(j);
-            let acol = &mut a1.col_mut(j)[p..p + ibp];
-            for i in 0..ibp {
-                acol[i] -= wcol[i];
-            }
-        }
-        gemm_nn_scratch(&mut a2.as_view_mut(), -1.0, v2p, w.as_view(), gemm);
-    }
+    assert_eq!(a2.cols(), a1.cols(), "TSMQR: column mismatch");
+    assert_eq!(v2.rows(), a2.rows(), "TSMQR: V2 row mismatch");
+    assert!(
+        a1.rows() >= tf.len(),
+        "TSMQR: A1 has fewer rows than reflectors"
+    );
+    wy::apply(Shape::Square, v2, tf, Some(a1), a2, trans);
 }
 
 /// TTQRT: QR of a triangle stacked on top of another triangle, with the
@@ -310,42 +115,10 @@ pub fn tsmqr(
 /// Both `r1` and `r2` are upper-triangular tiles.  On exit `r1` holds the
 /// combined `R` and `r2` holds the Householder vectors (column `k` has
 /// non-zeros only in rows `0..=k`, preserving the triangular storage — the
-/// strictly lower part of `r2` is never touched).
-pub fn ttqrt(r1: &mut Matrix, r2: &mut Matrix, ws: &mut Workspace) -> TFactor {
-    let n = r1.cols();
-    assert_eq!(r2.cols(), n, "TTQRT: column mismatch");
-    let m2 = r2.rows();
-    let kmax = n.min(r1.rows());
-    let mut tf = TFactor::with_kmax(kmax);
-    let (_, aux, _) = ws.bufs();
-    for k in 0..kmax {
-        let rl = (k + 1).min(m2);
-        let tau;
-        {
-            let mut r2v = r2.as_view_mut();
-            let (mut head, mut trail) = r2v.split_cols_at_mut(k + 1);
-            let colk = head.col_mut(k);
-            let r = larfg(r1.get(k, k), &mut colk[..rl]);
-            r1.set(k, k, r.beta);
-            tau = r.tau;
-            if tau != 0.0 && k + 1 < n {
-                ts_update(tau, &head.col(k)[..rl], r1, k, &mut trail);
-            }
-        }
-        // T column k, chunk-local: vdots over the overlap of the two
-        // triangular tails.  Restricting to the chunk is what makes the
-        // "fused" TTQRT cheaper than its unblocked reference: the T build
-        // costs O(IB) short dots per reflector instead of O(k).
-        let k0 = TFactor::chunk_start(k);
-        let vd = grow(aux, k - k0);
-        let ck = r2.col(k);
-        for (l, slot) in vd.iter_mut().enumerate() {
-            let rll = (k0 + l + 1).min(m2);
-            *slot = fdot(&r2.col(k0 + l)[..rll], &ck[..rll]);
-        }
-        tf.append(tau, vd);
-    }
-    tf
+/// strictly lower part of `r2` is neither read nor written).
+pub fn ttqrt(r1: &mut Matrix, r2: &mut Matrix, _ws: &mut Workspace) -> TFactor {
+    assert_eq!(r2.cols(), r1.cols(), "TTQRT: column mismatch");
+    wy::factor(Shape::Triangle, Some(r1), r2)
 }
 
 /// TTMQR: apply the reflectors produced by [`ttqrt`] to the tile pair
@@ -359,53 +132,15 @@ pub fn ttmqr(
     v2: &Matrix,
     tf: &TFactor,
     trans: Trans,
-    ws: &mut Workspace,
+    _ws: &mut Workspace,
 ) {
-    let n = a1.cols();
-    assert_eq!(a2.cols(), n, "TTMQR: column mismatch");
-    let m2 = a2.rows();
-    assert_eq!(v2.rows(), m2, "TTMQR: V2 row mismatch");
-    let k = tf.len();
-    if k == 0 || n == 0 {
-        return;
-    }
-    assert!(a1.rows() >= k, "TTMQR: A1 has fewer rows than reflectors");
-    let (panel, aux, gemm) = ws.bufs();
-    for (p, ibp) in chunk_order(k, trans) {
-        // Structure-aware sweep on the transposed panel W = A1^T + A2^T V2_p
-        // (n x ib): the triangular V2 chunk is read in place — common
-        // prefix rows as a GEMM, ragged remainder as contiguous row-axpys
-        // through a transposed strip (see `tri_ctv`) — no densified copy.
-        // T applies from the right exactly as in `unmqr`.
-        let mut w = MatrixViewMut::new(grow(panel, ibp * n), n, ibp, n);
-        for j in 0..n {
-            let acol = a1.col(j);
-            for kk in 0..ibp {
-                w.set(j, kk, acol[p + kk]);
-            }
-        }
-        tri_ctv(v2.as_view(), p, ibp, a2.as_view(), &mut w, gemm, aux);
-        apply_t_right(
-            &mut w,
-            tf.t().view(p, p, ibp, ibp),
-            matches!(trans, Trans::NoTranspose),
-        );
-        for j in 0..n {
-            let acol = a1.col_mut(j);
-            for kk in 0..ibp {
-                acol[p + kk] -= w.get(j, kk);
-            }
-        }
-        tri_cvwt(
-            v2.as_view(),
-            p,
-            ibp,
-            w.as_view(),
-            &mut a2.as_view_mut(),
-            gemm,
-            aux,
-        );
-    }
+    assert_eq!(a2.cols(), a1.cols(), "TTMQR: column mismatch");
+    assert_eq!(v2.rows(), a2.rows(), "TTMQR: V2 row mismatch");
+    assert!(
+        a1.rows() >= tf.len(),
+        "TTMQR: A1 has fewer rows than reflectors"
+    );
+    wy::apply(Shape::Triangle, v2, tf, Some(a1), a2, trans);
 }
 
 /// GEQRT, unblocked reference: apply the Householder reflectors one by one.
@@ -610,13 +345,6 @@ pub fn build_q(v: &Matrix, taus: &[f64]) -> Matrix {
     q
 }
 
-/// Helper used by tests: apply a reflector stored as a full vector.
-#[allow(dead_code)]
-fn apply_full_reflector(tau: f64, v: &[f64], x: &mut [f64]) {
-    let w = dot(v, x);
-    axpy(-tau * w, v, x);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -670,6 +398,34 @@ mod tests {
                 tf.taus(),
                 taus
             );
+        }
+    }
+
+    #[test]
+    fn factorizations_survive_extreme_scales() {
+        // The panel takes reflector norms from a plain sum of squares and
+        // falls back to the scaled norm when that leaves the safe range.
+        let mut ws = Workspace::new();
+        for scale in [1e150, 1e-150] {
+            let mut a0 = random_gaussian(12, 9, 5);
+            a0.scale(scale);
+            let mut ab = a0.clone();
+            let tf = geqrt(&mut ab, &mut ws);
+            let mut au = a0.clone();
+            let taus = geqrt_unblocked(&mut au);
+            assert!(relative_error(&au, &ab) < 1e-13, "scale {scale:e}");
+            assert!(taus_close(tf.taus(), &taus), "scale {scale:e}");
+
+            let r1_0 = upper_triangle_of(&ab);
+            let mut r2_0 = upper_triangle_of(&random_gaussian(9, 9, 6));
+            r2_0.scale(scale);
+            let (mut r1b, mut r2b) = (r1_0.clone(), r2_0.clone());
+            let tf = ttqrt(&mut r1b, &mut r2b, &mut ws);
+            let (mut r1u, mut r2u) = (r1_0.clone(), r2_0.clone());
+            let taus = ttqrt_unblocked(&mut r1u, &mut r2u);
+            assert!(relative_error(&r1u, &r1b) < 1e-13, "scale {scale:e}");
+            assert!(relative_error(&r2u, &r2b) < 1e-13, "scale {scale:e}");
+            assert!(taus_close(tf.taus(), &taus), "scale {scale:e}");
         }
     }
 

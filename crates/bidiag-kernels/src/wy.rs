@@ -2,63 +2,88 @@
 //!
 //! A sequence of `k` Householder reflectors `H_0 H_1 ... H_{k-1}` equals
 //! `I - V T V^T`, where `V` holds the reflector vectors column-wise and `T`
-//! is the `k x k` upper-triangular *compact-WY factor* (LAPACK `xLARFT`).
-//! The factorization kernels of [`crate::qr`] build `T` incrementally — one
-//! column per reflector, via the `larft_append` column recurrence — so the
-//! apply kernels can run as three GEMM-shaped sweeps
+//! is the `k x k` upper-triangular *compact-WY factor* (LAPACK `xLARFT`), so
+//! a block of reflectors is applied as
 //!
 //! ```text
 //! W = V^T C;   W = op(T) W;   C -= V W
 //! ```
 //!
-//! instead of `k` rank-one updates.  This module provides:
+//! instead of `k` rank-one updates.  Reflectors are processed in chunks of
+//! `IB`; this module provides:
 //!
-//! * [`TFactor`] — the `tau` scalars plus the *`IB`-block-diagonal* of the
-//!   `T` matrix of one factorization kernel (what tau stores carry per
-//!   tile).  The apply kernels consume `T` exclusively through its `IB x IB`
-//!   diagonal blocks — chunking through the diagonal blocks of a forward
-//!   `larft` factor is an exact regrouping of the reflector product — so
-//!   the off-diagonal blocks are never materialised and the `larft`
-//!   recurrence runs chunk-locally (`O(k * IB)` dots instead of `O(k^2)`).
-//! * [`Workspace`] — reusable scratch (the `W` panel, an auxiliary buffer
-//!   and the GEMM pack buffers) so the apply kernels allocate nothing in
-//!   steady state (the factorization kernels still allocate the
-//!   [`TFactor`] they return),
-//! * the `T` application routines (trmm-style triangular sweeps, never a
-//!   dense product) and the structure-aware `V` panel products: fused
-//!   trapezoid sweeps for GEQRT-style `V` (`trap_ctv` / `trap_cvwt`,
-//!   LAPACK `xLARFB`'s transposed-`W` scheme), fused triangle sweeps for
-//!   TTQRT-style `V` (`tri_ctv` / `tri_cvwt`) and their row-wise LQ
-//!   duals — each splits the structured top of the panel into an exact
-//!   trmm-style sweep of contiguous axpys and hands the dense remainder to
-//!   [`bidiag_matrix::gemm`], instead of densifying `V` into scratch.
+//! * [`TFactor`] — the `tau` scalars plus the *`IB`-block-diagonal* of `T`
+//!   of one factorization kernel, stored compactly as an `IB x k` array in
+//!   one allocation (what the tau store keeps per factorization).  The
+//!   apply kernels consume `T` exclusively through its `IB x IB` diagonal
+//!   blocks — chunking through the diagonal blocks of a forward `larft`
+//!   factor is an exact regrouping of the reflector product — so the
+//!   off-diagonal blocks are never materialised and the `larft` recurrence
+//!   runs chunk-locally (`O(k * IB)` dots instead of `O(k^2)`).
+//! * the **fused chunk kernel** under the six QR-side tile kernels
+//!   (`factor` and `apply`), in the style of LAPACK's
+//!   triangular-pentagonal `xTPQRT`/`xTPMQRT`.  One `Shape` says which
+//!   rows of the reflector tile are stored (unit-lower trapezoid for
+//!   GEQRT/UNMQR, full columns for TS, upper triangle for TT); for one
+//!   chunk that splits the tile into *dense* rows, read in place, and an
+//!   at most `IB x IB` structured *corner*, densified once per chunk into
+//!   a 64-double stack array so both run through the same vector loops.
+//!   For a block of four `C` columns the kernel then forms `W = V_p^T C`
+//!   as register-blocked dot products straight off the column-major tiles
+//!   (2 reflectors x 4 columns = 8 accumulators, nothing packed or
+//!   transposed), applies the `IB x IB` block of `T`/`T^T` with the four
+//!   columns as SIMD lanes, and updates `C -= V_p W` two columns x four
+//!   reflectors at a time.  The `e_k` heads of the TS/TT reflectors act on
+//!   rows `p..p+IB` of the pivot tile; UNMQR's unit diagonal lives in its
+//!   corner — the three applies differ in nothing else.  The
+//!   factorizations are level 3 the way PLASMA's `CORE_dgeqrt`/
+//!   `CORE_dttqrt` are: an `IB`-wide panel is factored unblocked, its `T`
+//!   block built by the chunk-local `larft` recurrence, and the trailing
+//!   columns updated with the same chunk apply.  Ragged shapes take the
+//!   same arithmetic down slower paths: a last chunk narrower than `IB`,
+//!   a corner clipped by a short tile and the `n mod 4` leftover columns
+//!   go one column at a time; a row count that is not a multiple of the
+//!   vector width ends in a zero-padded vector step or a scalar tail.
+//! * [`Workspace`] — reusable scratch of the LQ side (the `W` panel and
+//!   GEMM pack buffers of its applies, the two transposed tiles of its
+//!   factorization wrappers), so that in steady state the only allocation
+//!   any kernel makes is the one [`TFactor`] a factorization returns.  The
+//!   QR side needs none: `W` and the corner live on the stack.
+//! * the LQ-side apply sweeps: `apply_t_right` (a trmm-style triangular
+//!   sweep, never a dense product) and the row-wise `V` panel products
+//!   `lq_cv` / `lq_cwv` / `lq_tri_cv` / `lq_tri_cwv`, whose inner loops run
+//!   down contiguous column slices as dispatched
+//!   [`bidiag_matrix::simd`] `axpy`/`axpy4` calls.
 //!
-//! Every inner loop runs down a contiguous column slice as a
-//! [`bidiag_matrix::simd`] `axpy`/`axpy4` (backend fetched once per kernel
-//! call, AVX2-FMA or the scalar fallback), so one pass over the shared
-//! operand feeds four independent accumulators — the same discipline as
-//! [`bidiag_matrix::gemm`].  The only dots kept on the order-exact scalar
-//! [`fdot`] are the `T`-application ones in `apply_t_left`: they are
-//! length `<= IB = 8`, below every vector step, where dispatch overhead
-//! costs more than it saves.
+//! # SIMD dispatch and safety
+//!
+//! The chunk kernel is written once over [`SimdLane`] and instantiated
+//! twice: with [`ScalarLane`] (the `BIDIAG_SIMD=scalar` fallback, unfused
+//! multiply-adds) and, behind **one** `#[target_feature(enable =
+//! "avx2,fma")]` shell per tile-kernel call, with `Avx2Lane`.  The lane
+//! bodies are `unsafe fn` for one reason only — the lane's instruction-set
+//! contract, discharged by [`simd::check_avx2`] at the dispatch in
+//! `factor` / `apply`.  Every slice they touch is cut with checked
+//! range indexing, and the two inner loops that use the lanes' unchecked
+//! `load`/`store` assert that all their operands have one common length
+//! first.
 
+use crate::householder::{larfg_with_norm, norm2};
 use crate::qr::Trans;
-use bidiag_matrix::gemm::{dot as fdot, gemm_nt_scratch, gemm_tn_scratch, GemmScratch};
-use bidiag_matrix::{simd, Matrix, MatrixView, MatrixViewMut};
+use bidiag_matrix::gemm::GemmScratch;
+use bidiag_matrix::simd::{self, ScalarLane, SimdBackend, SimdLane};
+use bidiag_matrix::{Matrix, MatrixView, MatrixViewMut};
+use std::ops::Range;
 
-/// Inner blocking factor of the apply kernels (PLASMA's `ib`): reflectors
-/// are applied in chunks of `IB`, each through the corresponding diagonal
+/// Inner blocking factor (PLASMA's `ib`): reflectors are generated and
+/// applied in chunks of `IB`, each through the corresponding diagonal
 /// block of the full `T` factor.  The diagonal blocks of a forward larft
 /// `T` are exactly the larft factors of the chunk's reflectors alone, so
 /// chunking is an exact regrouping — it cuts the `T`-application overhead
-/// from `k^2 n` to `k * IB * n` flops and turns the bulk of the structured
-/// panel products into dense GEMM calls.  The `T`-application flops, the
-/// chunk-local `larft` dots and the trmm sweeps of the structured panels
-/// all scale linearly with `IB`, so smaller is cheaper until per-chunk
-/// overheads dominate; 8 measured fastest on the `kernels` bench sweep
-/// (vs 6/10/12 in the densified-panel era, re-validated against 16 after
-/// the structure-aware rewrite) and divides the reference `nb = 64`
-/// evenly.
+/// from `k^2 n` to `k * IB * n` flops.  Eight is what the chunk kernel's
+/// register blocking is built around (the `W` block of four columns is
+/// eight vectors, the corner scratch 64 doubles) and divides the reference
+/// `nb = 64` evenly.
 pub(crate) const IB: usize = 8;
 
 /// Iterate the reflector chunks of a `k`-reflector apply in the order the
@@ -76,329 +101,832 @@ pub(crate) fn chunk_order(k: usize, trans: Trans) -> impl Iterator<Item = (usize
     })
 }
 
-/// `W = C[p.., :]^T V_p` for one `IB`-chunk of a GEQRT-style
-/// unit-lower-trapezoid `V`, into the *transposed* `n x ib` panel `w`
-/// (LAPACK `xLARFB`'s `WORK` layout).  The transposed layout is what makes
-/// the structure-aware path fast: the chunk's unit-lower-triangular top
-/// becomes a trmm-style sweep of *contiguous length-`n` axpys*
-/// (`W[:, kk] += v[p+i, p+kk] * W[:, i]`), and the dense rows below it one
-/// GEMM — `V` is read in place, never densified, and no zero-padded flop
-/// is spent.  Overwrites `w`.
-pub(crate) fn trap_ctv(
-    v: MatrixView<'_>,
-    p: usize,
-    ibp: usize,
-    c: MatrixView<'_>,
-    w: &mut MatrixViewMut<'_>,
-    gemm: &mut GemmScratch,
-) {
-    let m = v.rows();
-    debug_assert_eq!(c.rows(), m);
-    debug_assert!(w.cols() == ibp && p + ibp <= m);
-    let n = c.cols();
-    // W = C1^T: column kk of W is row p + kk of C.
-    for j in 0..n {
-        let ccol = c.col(j);
-        for kk in 0..ibp {
-            w.set(j, kk, ccol[p + kk]);
-        }
-    }
-    // W := W * V1 (V1 the ib x ib unit-lower-triangular top): ascending kk
-    // reads only not-yet-updated columns i > kk.
-    let be = simd::backend();
-    for kk in 0..ibp {
-        let vcol = v.col(p + kk);
-        let (mut head, tail) = w.split_cols_at_mut(kk + 1);
-        let wk = head.col_mut(kk);
-        for i in kk + 1..ibp {
-            let s = vcol[p + i];
-            if s != 0.0 {
-                simd::axpy(be, wk, s, tail.col(i - kk - 1));
-            }
-        }
-    }
-    // W += C2^T V2 (dense rows below the trapezoid's triangle).
-    let r = m - p - ibp;
-    if r > 0 {
-        gemm_tn_scratch(
-            w,
-            1.0,
-            c.submatrix(p + ibp, 0, r, n),
-            v.submatrix(p + ibp, p, r, ibp),
-            gemm,
-        );
-    }
+// ---------------------------------------------------------------------------
+// The fused chunk kernel of the QR side
+// ---------------------------------------------------------------------------
+
+/// Which rows of the reflector tile hold the stored tail of reflector `k`
+/// — the only thing the six QR-side kernels differ in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Shape {
+    /// GEQRT / UNMQR: `v_k = e_k +` rows `k+1..m` of column `k`, all in
+    /// the rows of the one tile the reflectors act on.
+    Trapezoid,
+    /// TSQRT / TSMQR: `v_k = e_k` in the pivot tile `+` the whole column
+    /// `k` of the second tile.
+    Square,
+    /// TTQRT / TTMQR: `v_k = e_k` in the pivot tile `+` rows `0..=k` of
+    /// column `k` of the second tile.
+    Triangle,
 }
 
-/// `C[p.., :] -= V_p W^T` for the same unit-lower-trapezoid chunk and
-/// transposed `n x ib` panel as [`trap_ctv`]: dense bottom as one GEMM
-/// (using `W` as-is), then the triangular top as the trmm sweep
-/// `W := W V1^T` followed by a row subtraction.  Consumes `w`.
-pub(crate) fn trap_cvwt(
-    v: MatrixView<'_>,
-    p: usize,
-    ibp: usize,
-    w: &mut MatrixViewMut<'_>,
-    c: &mut MatrixViewMut<'_>,
-    gemm: &mut GemmScratch,
-) {
-    let m = v.rows();
-    debug_assert_eq!(c.rows(), m);
-    debug_assert!(w.cols() == ibp && p + ibp <= m);
-    let n = c.cols();
-    // C2 -= V2 W^T first: the GEMM must see W before the trmm rewrites it.
-    let r = m - p - ibp;
-    if r > 0 {
-        let mut cb = c.submatrix_mut(p + ibp, 0, r, n);
-        gemm_nt_scratch(
-            &mut cb,
-            -1.0,
-            v.submatrix(p + ibp, p, r, ibp),
-            w.as_view(),
-            gemm,
-        );
-    }
-    // W := W * V1^T: descending kk reads only original columns i < kk.
-    let be = simd::backend();
-    for kk in (0..ibp).rev() {
-        let (head, mut tail) = w.split_cols_at_mut(kk);
-        let wk = tail.col_mut(0);
-        for i in 0..kk {
-            let s = v.get(p + kk, p + i);
-            if s != 0.0 {
-                simd::axpy(be, wk, s, head.col(i));
-            }
+impl Shape {
+    /// Stored tail rows of reflector `k` in an `m`-row tile.
+    fn tail(self, k: usize, m: usize) -> Range<usize> {
+        match self {
+            Shape::Trapezoid => k + 1..m,
+            Shape::Square => 0..m,
+            Shape::Triangle => 0..(k + 1).min(m),
         }
     }
-    // C1 -= W^T: row p + kk of C gets column kk of W.
-    for j in 0..n {
-        let ccol = c.col_mut(j);
-        for kk in 0..ibp {
-            ccol[p + kk] -= w.get(j, kk);
+
+    /// `(dense, corner)` rows of the chunk `p..p+ib` in an `m`-row tile:
+    /// the rows every reflector of the chunk stores, and the at most `IB`
+    /// rows where the stored part is a triangle.
+    fn chunk_rows(self, p: usize, ib: usize, m: usize) -> (Range<usize>, Range<usize>) {
+        match self {
+            Shape::Trapezoid => (p + ib..m, p..p + ib),
+            Shape::Square => (0..m, 0..0),
+            Shape::Triangle => (0..p.min(m), p.min(m)..(p + ib).min(m)),
         }
     }
 }
 
-/// `W += C2^T V2_p` for one `IB`-chunk of a TTQRT-style upper-triangular
-/// `V2` into the transposed `n x ib` panel `w` (column `kk` of the chunk
-/// has its stored prefix of length `min(p + kk + 1, m2)`; whatever the
-/// tile holds below the triangle — typically an earlier GEQRT's vectors —
-/// is never read).  The common prefix rows `0..min(p, m2)` run as one
-/// dense GEMM; the ragged triangular remainder first transposes the
-/// `<= ib` touched `C2` rows into `aux` (an L1-resident strip) so the
-/// per-reflector updates are contiguous length-`n` axpys, not strided
-/// gathers.  `w` must already hold the `C1` contribution.
-pub(crate) fn tri_ctv(
-    v2: MatrixView<'_>,
+/// One `IB`-chunk of reflectors, ready to be applied: its dense and
+/// corner rows, the reflectors' dense parts, the densified corner and the
+/// chunk's `T` block.
+struct Chunk<'a> {
+    /// First reflector and width of the chunk.
     p: usize,
-    ibp: usize,
-    c: MatrixView<'_>,
-    w: &mut MatrixViewMut<'_>,
-    gemm: &mut GemmScratch,
-    aux: &mut Vec<f64>,
-) {
-    let m2 = v2.rows();
-    debug_assert_eq!(c.rows(), m2);
-    debug_assert!(w.cols() == ibp);
-    let n = c.cols();
-    let rl0 = p.min(m2);
-    if rl0 > 0 {
-        gemm_tn_scratch(
-            w,
-            1.0,
-            c.submatrix(0, 0, rl0, n),
-            v2.submatrix(0, p, rl0, ibp),
-            gemm,
-        );
-    }
-    let rmax = (p + ibp).min(m2);
-    if rmax > rl0 {
-        let nrows = rmax - rl0;
-        // strip row i (contiguous, length n) = C2 row rl0 + i.
-        let strip = grow(aux, nrows * n);
-        for j in 0..n {
-            let ccol = c.col(j);
-            for i in 0..nrows {
-                strip[i * n + j] = ccol[rl0 + i];
+    ib: usize,
+    dense: Range<usize>,
+    corner: Range<usize>,
+    /// Dense rows of reflector `kk`, read in place from the reflector tile
+    /// (empty beyond `ib`).
+    vd: [&'a [f64]; IB],
+    /// Corner rows of reflector `kk` with the structure made explicit
+    /// (zeros, and UNMQR's unit diagonal; rows beyond the corner zero).
+    /// Only the stored part of the tile is read to fill it, so whatever
+    /// else the tile holds never enters the arithmetic.
+    kc: [[f64; IB]; IB],
+    /// The chunk's `IB x ib` block of `T`, column-major, leading dimension `IB`.
+    t: &'a [f64],
+    trans: Trans,
+}
+
+impl<'a> Chunk<'a> {
+    /// Chunk `p..p+ib` of the reflectors of `shape` stored in the `m`-row
+    /// column-major tile `v` (leading dimension `m`).
+    fn new(
+        shape: Shape,
+        v: &'a [f64],
+        m: usize,
+        p: usize,
+        ib: usize,
+        t: &'a [f64],
+        trans: Trans,
+    ) -> Self {
+        let (dense, corner) = shape.chunk_rows(p, ib, m);
+        let mut vd: [&[f64]; IB] = [&[]; IB];
+        let mut kc = [[0.0; IB]; IB];
+        for kk in 0..ib {
+            let vcol = &v[(p + kk) * m..][..m];
+            vd[kk] = &vcol[dense.clone()];
+            match shape {
+                Shape::Trapezoid => {
+                    kc[kk][kk] = 1.0;
+                    kc[kk][kk + 1..ib].copy_from_slice(&vcol[p + kk + 1..p + ib]);
+                }
+                Shape::Square => {}
+                Shape::Triangle => {
+                    let stored = corner.len().min(kk + 1);
+                    kc[kk][..stored].copy_from_slice(&vcol[corner.start..][..stored]);
+                }
             }
         }
-        let be = simd::backend();
-        for kk in 0..ibp {
-            let rl = (p + kk + 1).min(m2);
-            let vcol = v2.col(p + kk);
-            let wk = w.col_mut(kk);
-            for i in rl0..rl {
-                let s = vcol[i];
-                if s != 0.0 {
-                    simd::axpy(be, wk, s, &strip[(i - rl0) * n..(i - rl0) * n + n]);
+        Chunk {
+            p,
+            ib,
+            dense,
+            corner,
+            vd,
+            kc,
+            t,
+            trans,
+        }
+    }
+}
+
+/// Split the first four columns off a column-major slice.
+#[inline(always)]
+fn four_cols(x: &mut [f64], ld: usize) -> [&mut [f64]; 4] {
+    let (a, x) = x.split_at_mut(ld);
+    let (b, x) = x.split_at_mut(ld);
+    let (c, x) = x.split_at_mut(ld);
+    [a, b, c, &mut x[..ld]]
+}
+
+/// One vector step of [`vtc`]: `acc[r][j] += v[r][i..] * c[j][i..]`.
+///
+/// # Safety
+/// The lane's ISA contract (see [`SimdLane`]) and `i + LANES <= x.len()`
+/// for every operand `x`.
+#[inline(always)]
+unsafe fn vtc_step<S: SimdLane, const R: usize>(
+    s: S,
+    v: [&[f64]; R],
+    c: [&[f64]; 4],
+    i: usize,
+    mut acc: [[S::V; 4]; R],
+) -> [[S::V; 4]; R] {
+    // SAFETY: forwarded contract.
+    unsafe {
+        let cv = [
+            s.load(c[0], i),
+            s.load(c[1], i),
+            s.load(c[2], i),
+            s.load(c[3], i),
+        ];
+        for r in 0..R {
+            let vv = s.load(v[r], i);
+            for j in 0..4 {
+                acc[r][j] = s.mul_add(vv, cv[j], acc[r][j]);
+            }
+        }
+    }
+    acc
+}
+
+/// `acc[r][j] + v[r] . c[j]` over one row segment: `R` reflectors against
+/// four columns in one pass.  A remainder shorter than a vector is taken
+/// as one more vector step on zero-padded copies, so the partial sums
+/// never leave the accumulators.
+///
+/// # Safety
+/// The lane's ISA contract (see [`SimdLane`]).
+#[inline(always)]
+unsafe fn vtc<S: SimdLane, const R: usize>(
+    s: S,
+    v: [&[f64]; R],
+    c: [&[f64]; 4],
+    mut acc: [[S::V; 4]; R],
+) -> [[S::V; 4]; R] {
+    const PAD: usize = 4;
+    assert!(S::LANES <= PAD);
+    // The length is taken from `v`: where the caller passes whole corner
+    // columns it is the constant `IB` and the loop unrolls.
+    let len = v[0].len();
+    assert!(v.iter().all(|x| x.len() == len) && c.iter().all(|x| x.len() == len));
+    let mut i = 0;
+    // SAFETY: the caller upholds the lane's ISA contract; every operand has
+    // length `len` (asserted above) and `i + LANES <= len` in the loop, and
+    // the padded copies have length `PAD >= LANES`.
+    unsafe {
+        while i + S::LANES <= len {
+            acc = vtc_step(s, v, c, i, acc);
+            i += S::LANES;
+        }
+        if i < len {
+            let pad = |x: &[f64]| {
+                let mut b = [0.0f64; PAD];
+                b[..len - i].copy_from_slice(&x[i..]);
+                b
+            };
+            let (vp, cp) = (v.map(pad), c.map(pad));
+            let (vp, cp) = (vp.each_ref().map(|b| &b[..]), cp.each_ref().map(|b| &b[..]));
+            acc = vtc_step(s, vp, cp, 0, acc);
+        }
+    }
+    acc
+}
+
+/// `c[j] += sum_r v[r] * nw[r][j]` over one row segment: `R` reflectors
+/// into two columns in one pass (`nw` holds the negated `W` entries).
+///
+/// # Safety
+/// The lane's ISA contract (see [`SimdLane`]).
+#[inline(always)]
+unsafe fn cvw<S: SimdLane, const R: usize>(
+    s: S,
+    v: [&[f64]; R],
+    nw: [[f64; 2]; R],
+    c: [&mut [f64]; 2],
+) {
+    let [ca, cb] = c;
+    // As in `vtc`, a constant where `v` are whole corner columns.
+    let len = v[0].len();
+    assert!(v.iter().all(|x| x.len() == len) && ca.len() == len && cb.len() == len);
+    let mut i = 0;
+    // SAFETY: the caller upholds the lane's ISA contract; every slice has
+    // length `len` (asserted above) and `i + LANES <= len` in the loop.
+    unsafe {
+        let mut wv = [[s.zero(); 2]; R];
+        for r in 0..R {
+            wv[r] = [s.splat(nw[r][0]), s.splat(nw[r][1])];
+        }
+        while i + S::LANES <= len {
+            let mut a = s.load(ca, i);
+            let mut b = s.load(cb, i);
+            for r in 0..R {
+                let vv = s.load(v[r], i);
+                a = s.mul_add(vv, wv[r][0], a);
+                b = s.mul_add(vv, wv[r][1], b);
+            }
+            s.store(ca, i, a);
+            s.store(cb, i, b);
+            i += S::LANES;
+        }
+    }
+    while i < len {
+        for r in 0..R {
+            ca[i] += v[r][i] * nw[r][0];
+            cb[i] += v[r][i] * nw[r][1];
+        }
+        i += 1;
+    }
+}
+
+/// Apply a full-width chunk (`ib == IB`, corner absent or `IB` rows) to
+/// four columns: `c` are the columns of the tile the reflector tails act
+/// on, `h` rows `p..p+IB` of the matching pivot-tile columns (TS/TT heads;
+/// `None` for the trapezoid, whose unit diagonal is part of the corner).
+///
+/// # Safety
+/// The lane's ISA contract (see [`SimdLane`]).
+#[inline(always)]
+unsafe fn apply_block4<S: SimdLane>(
+    s: S,
+    ch: &Chunk<'_>,
+    mut h: Option<[&mut [f64]; 4]>,
+    c: [&mut [f64]; 4],
+) {
+    let (dense, corner) = (ch.dense.clone(), ch.corner.clone());
+    let has_corner = !corner.is_empty();
+    assert!(ch.ib == IB && (!has_corner || corner.len() == IB));
+    let [c0, c1, c2, c3] = c;
+    // W[kk][j], the four columns of one reflector adjacent so that they
+    // form the SIMD lanes of the T product.
+    let mut w = [0.0f64; 4 * IB];
+    if let Some(h) = h.as_ref() {
+        for (j, hj) in h.iter().enumerate() {
+            for kk in 0..IB {
+                w[kk * 4 + j] = hj[kk];
+            }
+        }
+    }
+    // SAFETY (whole body): the caller upholds the lane's ISA contract,
+    // which is all `vtc`/`cvw` and the register ops need; the `load`/
+    // `store` calls on `w` stay below `4 * IB` (`l < IB`, `j + LANES <= 4`).
+    unsafe {
+        // (1) W = H + V_p^T C, two reflectors at a time.
+        {
+            let cd = [
+                &c0[dense.clone()],
+                &c1[dense.clone()],
+                &c2[dense.clone()],
+                &c3[dense.clone()],
+            ];
+            let cc = [
+                &c0[corner.clone()],
+                &c1[corner.clone()],
+                &c2[corner.clone()],
+                &c3[corner.clone()],
+            ];
+            for kk in (0..IB).step_by(2) {
+                let mut acc = vtc(s, [ch.vd[kk], ch.vd[kk + 1]], cd, [[s.zero(); 4]; 2]);
+                if has_corner {
+                    acc = vtc(s, [&ch.kc[kk][..], &ch.kc[kk + 1][..]], cc, acc);
+                }
+                for (r, a) in acc.into_iter().enumerate() {
+                    for (j, aj) in a.into_iter().enumerate() {
+                        w[(kk + r) * 4 + j] += s.reduce_sum(aj);
+                    }
+                }
+            }
+        }
+        // (2) W = op(T) W, in registers: constant trip counts so the
+        // triangular product unrolls into 36 independent-by-row FMAs.
+        let t: &[f64; IB * IB] =
+            ch.t.try_into()
+                .expect("full-width chunk has a full T block");
+        for j in (0..4).step_by(S::LANES) {
+            let mut wv = [s.zero(); IB];
+            for (l, x) in wv.iter_mut().enumerate() {
+                *x = s.load(&w, l * 4 + j);
+            }
+            let mut out = [s.zero(); IB];
+            for i in 0..IB {
+                for l in 0..IB {
+                    // (T^T W)[i] = sum_{l <= i} T[l, i] W[l];
+                    // (T W)[i] = sum_{l >= i} T[i, l] W[l].
+                    let tij = match ch.trans {
+                        Trans::Transpose if l <= i => t[i * IB + l],
+                        Trans::NoTranspose if l >= i => t[l * IB + i],
+                        _ => continue,
+                    };
+                    out[i] = s.mul_add(s.splat(tij), wv[l], out[i]);
+                }
+            }
+            for (l, x) in out.iter().enumerate() {
+                s.store(&mut w, l * 4 + j, *x);
+            }
+        }
+        // (3) H -= W;  C -= V_p W, two columns x four reflectors at a time.
+        if let Some(h) = h.as_mut() {
+            for (j, hj) in h.iter_mut().enumerate() {
+                for kk in 0..IB {
+                    hj[kk] -= w[kk * 4 + j];
+                }
+            }
+        }
+        for (j, ca, cb) in [(0, c0, c1), (2, c2, c3)] {
+            for kk in (0..IB).step_by(4) {
+                let mut nw = [[0.0f64; 2]; 4];
+                for (r, x) in nw.iter_mut().enumerate() {
+                    *x = [-w[(kk + r) * 4 + j], -w[(kk + r) * 4 + j + 1]];
+                }
+                cvw(
+                    s,
+                    [ch.vd[kk], ch.vd[kk + 1], ch.vd[kk + 2], ch.vd[kk + 3]],
+                    nw,
+                    [&mut ca[dense.clone()], &mut cb[dense.clone()]],
+                );
+                if has_corner {
+                    cvw(
+                        s,
+                        [
+                            &ch.kc[kk][..],
+                            &ch.kc[kk + 1][..],
+                            &ch.kc[kk + 2][..],
+                            &ch.kc[kk + 3][..],
+                        ],
+                        nw,
+                        [&mut ca[corner.clone()], &mut cb[corner.clone()]],
+                    );
                 }
             }
         }
     }
 }
 
-/// `C2 -= V2_p W^T` for the same upper-triangular chunk and transposed
-/// panel as [`tri_ctv`]: dense prefix as one GEMM, ragged remainder
-/// accumulated into the transposed `aux` strip with contiguous axpys and
-/// folded back into the `C2` rows afterwards.
-pub(crate) fn tri_cvwt(
-    v2: MatrixView<'_>,
-    p: usize,
-    ibp: usize,
-    w: MatrixView<'_>,
-    c: &mut MatrixViewMut<'_>,
-    gemm: &mut GemmScratch,
-    aux: &mut Vec<f64>,
-) {
-    let m2 = v2.rows();
-    debug_assert_eq!(c.rows(), m2);
-    debug_assert!(w.cols() == ibp);
-    let n = c.cols();
-    let rl0 = p.min(m2);
-    if rl0 > 0 {
-        let mut cb = c.submatrix_mut(0, 0, rl0, n);
-        gemm_nt_scratch(&mut cb, -1.0, v2.submatrix(0, p, rl0, ibp), w, gemm);
+/// Apply a chunk of any width to one column (`c`, and the column's
+/// pivot-tile rows `p..p+ib` in `h`): the path of the ragged last chunk
+/// and of the `n mod 4` columns left over by [`apply_block4`].
+///
+/// # Safety
+/// The lane's ISA contract (see [`SimdLane`]).
+#[inline(always)]
+unsafe fn apply_col<S: SimdLane>(s: S, ch: &Chunk<'_>, mut h: Option<&mut [f64]>, c: &mut [f64]) {
+    let ib = ch.ib;
+    let (dense, corner) = (ch.dense.clone(), ch.corner.clone());
+    let mut w = [0.0f64; IB];
+    for kk in 0..ib {
+        let head = h.as_ref().map_or(0.0, |h| h[kk]);
+        // SAFETY: the caller upholds the lane's ISA contract; `vd` and the
+        // `kc` prefix span the same `dense`/`corner` rows as the `c` operands.
+        w[kk] = head
+            + unsafe {
+                simd::dot_body(s, ch.vd[kk], &c[dense.clone()])
+                    + simd::dot_body(s, &ch.kc[kk][..corner.len()], &c[corner.clone()])
+            };
     }
-    let rmax = (p + ibp).min(m2);
-    if rmax > rl0 {
-        let nrows = rmax - rl0;
-        // strip row i accumulates the update of C2 row rl0 + i.
-        let strip = grow(aux, nrows * n);
-        strip[..nrows * n].fill(0.0);
-        let be = simd::backend();
-        for kk in 0..ibp {
-            let rl = (p + kk + 1).min(m2);
-            let vcol = v2.col(p + kk);
-            let wk = w.col(kk);
-            for i in rl0..rl {
-                let s = vcol[i];
-                if s != 0.0 {
-                    simd::axpy(be, &mut strip[(i - rl0) * n..(i - rl0) * n + n], s, wk);
-                }
+    match ch.trans {
+        Trans::Transpose => {
+            for i in (0..ib).rev() {
+                let tc = &ch.t[i * IB..][..=i];
+                w[i] = tc.iter().zip(&w).map(|(t, w)| t * w).sum();
             }
         }
-        for (j, ccol) in c.cols_mut().enumerate() {
-            for i in 0..nrows {
-                ccol[rl0 + i] -= strip[i * n + j];
+        Trans::NoTranspose => {
+            for i in 0..ib {
+                w[i] = (i..ib).map(|l| ch.t[l * IB + i] * w[l]).sum();
             }
+        }
+    }
+    for kk in 0..ib {
+        if let Some(h) = h.as_mut() {
+            h[kk] -= w[kk];
+        }
+        // SAFETY: as above.
+        unsafe {
+            simd::axpy_body(s, &mut c[dense.clone()], -w[kk], ch.vd[kk]);
+            simd::axpy_body(s, &mut c[corner.clone()], -w[kk], &ch.kc[kk]);
         }
     }
 }
+
+/// Apply one chunk to the `n` columns of the column-major `c` (leading
+/// dimension `ldc`, as many rows as the reflector tile) and, for TS/TT, to
+/// rows `p..p+ib` of the matching columns of the pivot tile `head`
+/// (`(data, ld)`).
+///
+/// # Safety
+/// The lane's ISA contract (see [`SimdLane`]).
+#[inline(always)]
+unsafe fn apply_chunk<S: SimdLane>(
+    s: S,
+    ch: &Chunk<'_>,
+    mut head: Option<(&mut [f64], usize)>,
+    c: &mut [f64],
+    ldc: usize,
+    n: usize,
+) {
+    let hrows = ch.p..ch.p + ch.ib;
+    let mut j = 0;
+    if ch.ib == IB && (ch.corner.is_empty() || ch.corner.len() == IB) {
+        while j + 4 <= n {
+            let h = match head.as_mut() {
+                None => None,
+                Some((h, ldh)) => {
+                    let [h0, h1, h2, h3] = four_cols(&mut h[j * *ldh..], *ldh);
+                    Some([
+                        &mut h0[hrows.clone()],
+                        &mut h1[hrows.clone()],
+                        &mut h2[hrows.clone()],
+                        &mut h3[hrows.clone()],
+                    ])
+                }
+            };
+            // SAFETY: the caller upholds the lane's ISA contract.
+            unsafe { apply_block4(s, ch, h, four_cols(&mut c[j * ldc..], ldc)) };
+            j += 4;
+        }
+    }
+    while j < n {
+        let h = head
+            .as_mut()
+            .map(|(h, ldh)| &mut h[j * *ldh..][hrows.clone()]);
+        // SAFETY: the caller upholds the lane's ISA contract.
+        unsafe { apply_col(s, ch, h, &mut c[j * ldc..][..ldc]) };
+        j += 1;
+    }
+}
+
+/// Lane-generic body of [`apply`].
+///
+/// # Safety
+/// The lane's ISA contract (see [`SimdLane`]).
+#[inline(always)]
+unsafe fn apply_body<S: SimdLane>(
+    s: S,
+    shape: Shape,
+    v: &Matrix,
+    tf: &TFactor,
+    mut head: Option<&mut Matrix>,
+    c: &mut Matrix,
+    trans: Trans,
+) {
+    let (m, n) = (c.rows(), c.cols());
+    for (p, ib) in chunk_order(tf.len(), trans) {
+        let ch = Chunk::new(shape, v.data(), m, p, ib, tf.t_block_data(p), trans);
+        let h = head.as_deref_mut().map(|h| {
+            let ldh = h.rows();
+            (h.data_mut(), ldh)
+        });
+        // SAFETY: the caller upholds the lane's ISA contract.
+        unsafe { apply_chunk(s, &ch, h, c.data_mut(), m, n) };
+    }
+}
+
+/// The entry the `e_k` head of reflector `k` meets in column `j`, and the
+/// rows of that column (`col`, of the reflector tile) its tail meets: row
+/// `k` of the column itself and what lies below it for the trapezoid
+/// (`r1 == None`), entry `(k, j)` of the pivot tile and `tail` otherwise.
+fn head_and_tail<'a>(
+    r1: Option<&'a mut Matrix>,
+    col: &'a mut [f64],
+    k: usize,
+    j: usize,
+    tail: Range<usize>,
+) -> (&'a mut f64, &'a mut [f64]) {
+    match r1 {
+        None => {
+            let (head, below) = col.split_at_mut(k + 1);
+            (&mut head[k], below)
+        }
+        Some(r1) => {
+            let ld = r1.rows();
+            (&mut r1.data_mut()[j * ld + k], &mut col[tail])
+        }
+    }
+}
+
+/// Lane-generic body of [`factor`].
+///
+/// # Safety
+/// The lane's ISA contract (see [`SimdLane`]).
+#[inline(always)]
+unsafe fn factor_body<S: SimdLane>(
+    s: S,
+    shape: Shape,
+    mut r1: Option<&mut Matrix>,
+    a: &mut Matrix,
+) -> TFactor {
+    let (m, n) = (a.rows(), a.cols());
+    let (kmax, ld1) = match &r1 {
+        None => (m.min(n), 0),
+        Some(r1) => (n.min(r1.rows()), r1.rows()),
+    };
+    let mut tf = TFactor::with_kmax(kmax);
+    for p in (0..kmax).step_by(IB) {
+        let ib = IB.min(kmax - p);
+        // Unblocked factorization of the panel `p..p+ib`.
+        for k in p..p + ib {
+            let tail = shape.tail(k, m);
+            let (left, right) = a.data_mut().split_at_mut((k + 1) * m);
+            let (done, colk) = left.split_at_mut(k * m);
+            let tau = {
+                let (alpha, vk) = head_and_tail(r1.as_deref_mut(), colk, k, k, tail.clone());
+                // SAFETY: the caller upholds the lane's ISA contract.
+                let ss = unsafe { simd::dot_body(s, vk, vk) };
+                // A sum of squares in this range neither overflowed nor
+                // lost anything to underflow that matters at working
+                // precision (the window `band::fast_givens` guards its
+                // plain `sqrt(f^2 + g^2)` with); anything else takes the
+                // scaled norm, whose per-element division would otherwise
+                // be a fifth of the factorization.
+                let xnorm = if (1e-280..1e280).contains(&ss) {
+                    ss.sqrt()
+                } else {
+                    norm2(vk)
+                };
+                let r = larfg_with_norm(*alpha, vk, xnorm);
+                *alpha = r.beta;
+                r.tau
+            };
+            let vk = &colk[tail.clone()];
+            if tau != 0.0 {
+                for j in k + 1..p + ib {
+                    let cj = &mut right[(j - k - 1) * m..][..m];
+                    let (head, ct) = head_and_tail(r1.as_deref_mut(), cj, k, j, tail.clone());
+                    // SAFETY: the caller upholds the lane's ISA contract;
+                    // `ct` and `vk` are the same `tail` rows of two columns.
+                    unsafe {
+                        let w = tau * (*head + simd::dot_body(s, vk, ct));
+                        *head -= w;
+                        simd::axpy_body(s, ct, -w, vk);
+                    }
+                }
+            }
+            // Column k of the chunk's T block: vdots[l - p] = v_l^T v_k over
+            // the rows both reflectors store (the `e` heads of two TS/TT
+            // reflectors are orthogonal; the trapezoid's `e_k` meets row
+            // `k` of `v_l`).
+            let mut vdots = [0.0f64; IB];
+            for l in p..k {
+                let both = tail.start..tail.end.min(shape.tail(l, m).end);
+                let cl = &done[l * m..][..m];
+                // SAFETY: as above; both operands are cut to `both`.
+                let d = unsafe { simd::dot_body(s, &cl[both.clone()], &colk[both]) };
+                vdots[l - p] = match shape {
+                    Shape::Trapezoid => cl[k] + d,
+                    Shape::Square | Shape::Triangle => d,
+                };
+            }
+            tf.append(tau, &vdots[..k - p]);
+        }
+        // Level-3 update of the trailing columns with the panel's chunk.
+        if p + ib < n {
+            let (panel, trailing) = a.data_mut().split_at_mut((p + ib) * m);
+            let ch = Chunk::new(shape, panel, m, p, ib, tf.t_block_data(p), Trans::Transpose);
+            let h = r1
+                .as_deref_mut()
+                .map(|r1| (&mut r1.data_mut()[(p + ib) * ld1..], ld1));
+            // SAFETY: the caller upholds the lane's ISA contract.
+            unsafe { apply_chunk(s, &ch, h, trailing, m, n - p - ib) };
+        }
+    }
+    tf
+}
+
+#[cfg(target_arch = "x86_64")]
+mod avx2_shells {
+    use super::*;
+    use bidiag_matrix::simd::Avx2Lane;
+
+    /// # Safety
+    /// Caller must guarantee AVX2+FMA.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn apply(
+        shape: Shape,
+        v: &Matrix,
+        tf: &TFactor,
+        head: Option<&mut Matrix>,
+        c: &mut Matrix,
+        trans: Trans,
+    ) {
+        // SAFETY: inside this target_feature fn AVX2+FMA are enabled, so
+        // constructing the lane token is sound.
+        unsafe { apply_body(Avx2Lane::new_unchecked(), shape, v, tf, head, c, trans) }
+    }
+
+    /// # Safety
+    /// Caller must guarantee AVX2+FMA.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn factor(shape: Shape, r1: Option<&mut Matrix>, a: &mut Matrix) -> TFactor {
+        // SAFETY: as in `apply`.
+        unsafe { factor_body(Avx2Lane::new_unchecked(), shape, r1, a) }
+    }
+}
+
+/// Apply the `tf.len()` reflectors of `shape` stored in `v` from the left:
+/// `Q^T` ([`Trans::Transpose`]) or `Q` to `c` (as many rows as `v`) and,
+/// for the TS/TT shapes, to rows `0..tf.len()` of the pivot tile `head`
+/// (as many columns as `c`; `None` exactly for the trapezoid).  The tile
+/// kernels of [`crate::qr`] check the operand shapes; a mismatch that got
+/// past them would panic in a slice index here.  One backend dispatch per
+/// call.
+pub(crate) fn apply(
+    shape: Shape,
+    v: &Matrix,
+    tf: &TFactor,
+    head: Option<&mut Matrix>,
+    c: &mut Matrix,
+    trans: Trans,
+) {
+    debug_assert_eq!(shape == Shape::Trapezoid, head.is_none());
+    match simd::backend() {
+        // SAFETY: the scalar lane has no ISA requirements.
+        SimdBackend::Scalar => unsafe { apply_body(ScalarLane, shape, v, tf, head, c, trans) },
+        #[cfg(target_arch = "x86_64")]
+        SimdBackend::Avx2 => {
+            simd::check_avx2();
+            // SAFETY: check_avx2 verified AVX2+FMA.
+            unsafe { avx2_shells::apply(shape, v, tf, head, c, trans) }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        SimdBackend::Avx2 => {
+            simd::check_avx2();
+            unreachable!()
+        }
+    }
+}
+
+/// Factor `a` in place into reflectors of `shape` — on its own
+/// ([`Shape::Trapezoid`], `r1 == None`) or stacked under the upper
+/// triangle `r1` (as many columns as `a`, checked by the callers) — and
+/// return their [`TFactor`].  One backend dispatch per call.
+pub(crate) fn factor(shape: Shape, r1: Option<&mut Matrix>, a: &mut Matrix) -> TFactor {
+    debug_assert_eq!(shape == Shape::Trapezoid, r1.is_none());
+    match simd::backend() {
+        // SAFETY: the scalar lane has no ISA requirements.
+        SimdBackend::Scalar => unsafe { factor_body(ScalarLane, shape, r1, a) },
+        #[cfg(target_arch = "x86_64")]
+        SimdBackend::Avx2 => {
+            simd::check_avx2();
+            // SAFETY: check_avx2 verified AVX2+FMA.
+            unsafe { avx2_shells::factor(shape, r1, a) }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        SimdBackend::Avx2 => {
+            simd::check_avx2();
+            unreachable!()
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// T factor and workspace
+// ---------------------------------------------------------------------------
 
 /// The compact-WY representation of one factorization kernel's reflectors:
 /// the `tau` scalars and the `IB`-block-diagonal of the upper-triangular
 /// `T` such that `H_0 ... H_{k-1} = I - V T V^T`.
 ///
-/// Only the `IB x IB` diagonal blocks of `T` are stored (the off-diagonal
-/// entries of [`t`](TFactor::t) are zero): because `T` is upper
+/// Only the `IB x IB` diagonal blocks of `T` exist, side by side in an
+/// `IB x k` array ([`t_block`](TFactor::t_block)): because `T` is upper
 /// triangular, rows `k0..k` of its `larft` column recurrence only involve
 /// columns `k0..k`, so each diagonal block equals the `larft` factor of
 /// its chunk's reflectors alone — exactly what the `IB`-chunked apply
 /// kernels consume.  Skipping the off-diagonal blocks turns the `O(k^2)`
-/// reflector-dot sweep per column into an `O(IB)` one and is what makes
-/// the triangle-on-triangle factorizations (TTQRT/TTLQT) cheaper than
-/// their unblocked references.
+/// reflector-dot sweep per column into an `O(IB)` one, and keeps a factor
+/// at `(IB + 1) k` doubles in one allocation — the tau store holds one per
+/// factorization for the whole DAG.
 ///
-/// `tau[i] == T[(i, i)]`; the scalars are kept alongside `T` so the
+/// `tau[i]` is the diagonal of `T`; the scalars are kept alongside so the
 /// unblocked reference kernels (and diagnostics like
 /// [`build_q`](crate::qr::build_q)) can consume the same object.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TFactor {
-    taus: Vec<f64>,
-    t: Matrix,
+    /// `kmax` taus, then the `IB x kmax` block array (column `k` of `T`,
+    /// rows of its chunk, at `kmax + k * IB`).
+    data: Vec<f64>,
+    kmax: usize,
+    len: usize,
 }
 
 impl TFactor {
     /// An empty factor for up to `kmax` reflectors.
     pub(crate) fn with_kmax(kmax: usize) -> Self {
         TFactor {
-            taus: Vec::with_capacity(kmax),
-            t: Matrix::zeros(kmax, kmax),
+            data: vec![0.0; kmax * (IB + 1)],
+            kmax,
+            len: 0,
         }
-    }
-
-    /// Build a factor from parts (used by tests and by the LQ transpose
-    /// wrappers).  `t` must be `taus.len()` square.
-    pub fn from_parts(taus: Vec<f64>, t: Matrix) -> Self {
-        assert_eq!(t.rows(), taus.len());
-        assert_eq!(t.cols(), taus.len());
-        TFactor { taus, t }
     }
 
     /// Number of reflectors.
     pub fn len(&self) -> usize {
-        self.taus.len()
+        self.len
     }
 
     /// True when there are no reflectors.
     pub fn is_empty(&self) -> bool {
-        self.taus.is_empty()
+        self.len == 0
     }
 
     /// The `tau` scalars (diagonal of `T`).
     pub fn taus(&self) -> &[f64] {
-        &self.taus
+        &self.data[..self.len]
     }
 
-    /// The `IB`-block-diagonal of the upper-triangular `T` matrix (see the
-    /// type-level docs: off-diagonal blocks are identically zero and never
-    /// consumed).
-    pub fn t(&self) -> &Matrix {
-        &self.t
+    /// The upper-triangular diagonal block of `T` of the chunk starting at
+    /// reflector `p` (a multiple of the chunk width; the last block may be
+    /// narrower).  Entries below the diagonal are zero.
+    pub fn t_block(&self, p: usize) -> MatrixView<'_> {
+        let ib = IB.min(self.len - p);
+        MatrixView::new(self.t_block_data(p), ib, ib, IB)
     }
 
-    /// Chunk start of reflector `k`: the first reflector of its `IB`-chunk.
-    #[inline]
-    pub(crate) fn chunk_start(k: usize) -> usize {
-        k - (k % IB)
+    /// The columns of [`t_block`](TFactor::t_block) as a column-major slice
+    /// with leading dimension `IB`.
+    fn t_block_data(&self, p: usize) -> &[f64] {
+        assert!(
+            p.is_multiple_of(IB) && p < self.len,
+            "no T block starts at {p}"
+        );
+        &self.data[self.kmax + p * IB..self.kmax + IB * self.len.min(p + IB)]
     }
 
-    /// Append reflector `k` (its `tau` and the chunk-local dot products
-    /// `vdots[l - k0] = v_l^T v_k` for `l in k0..k`, where
-    /// `k0 = chunk_start(k)`) to the factor; see [`larft_append`].
+    /// Append a reflector: its `tau` and the dot products
+    /// `vdots[l - k0] = v_l^T v_k` with the earlier reflectors `k0..k` of
+    /// its chunk.  Writes column `k` of the chunk's `T` block by the
+    /// LAPACK `xLARFT` column recurrence
+    /// `T[k0..k, k] = -tau * T[k0..k, k0..k] * vdots`, `T[k, k] = tau`.
+    ///
+    /// The chunk-local recurrence is exact for the block diagonal of the
+    /// full factor: `T` is upper triangular, so rows `k0..k` of the full
+    /// recurrence read zeros from every column before `k0`.
     pub(crate) fn append(&mut self, tau: f64, vdots: &[f64]) {
-        let k = self.taus.len();
-        larft_append(&mut self.t, Self::chunk_start(k), k, tau, vdots);
-        self.taus.push(tau);
+        let k = self.len;
+        assert!(k < self.kmax, "TFactor is full");
+        let kl = k % IB;
+        assert_eq!(vdots.len(), kl);
+        let (earlier, tcol) = self.data[self.kmax + (k - kl) * IB..].split_at_mut(kl * IB);
+        let tcol = &mut tcol[..IB];
+        tcol[..kl].fill(0.0);
+        for (c, &vd) in vdots.iter().enumerate() {
+            let s = -tau * vd;
+            if s != 0.0 {
+                let ecol = &earlier[c * IB..];
+                for l in 0..=c {
+                    tcol[l] += s * ecol[l];
+                }
+            }
+        }
+        tcol[kl] = tau;
+        self.data[k] = tau;
+        self.len += 1;
     }
 }
 
-/// Reusable scratch of the blocked kernels: the `W` panel of the three-GEMM
-/// apply, an auxiliary buffer (reflector dot products during factorization,
-/// `T` transposes during `NoTranspose` applies) and the pack buffers of the
-/// packed GEMM path.  Buffers grow on first use and are reused afterwards,
-/// so a long-lived workspace — one per runtime worker — makes the kernels
-/// allocation-free in steady state.
-#[derive(Default, Debug)]
+/// Reusable scratch of the blocked LQ kernels: the `W` panel and GEMM pack
+/// buffers of the applies and the two transposed tiles of the
+/// factorization wrappers.  Buffers grow on first use and are reused
+/// afterwards, so a long-lived workspace — one per runtime worker — makes
+/// the kernels allocation-free in steady state.  The QR-side kernels take
+/// one for call compatibility and never touch it.
+#[derive(Debug)]
 pub struct Workspace {
     panel: Vec<f64>,
-    aux: Vec<f64>,
     gemm: GemmScratch,
+    transposed: [Matrix; 2],
 }
 
 impl Workspace {
     /// Empty workspace (buffers grow on first kernel call).
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Workspace pre-sized for tiles up to `nb x nb`: the `W` panel, the
-    /// auxiliary buffer (large enough for the `T` transpose, the chunk
-    /// vdots and the `IB x nb` triangle strip of `tri_ctv`/`tri_cvwt`) and
-    /// the GEMM pack buffers are allocated up front, so the first kernel
-    /// call is as allocation-free as the steady state.
-    pub fn for_tile(nb: usize) -> Self {
         Workspace {
-            panel: vec![0.0; IB * nb.max(1)],
-            aux: vec![0.0; (IB * IB).max(IB * nb)],
-            gemm: GemmScratch::for_tile(nb),
+            panel: Vec::new(),
+            gemm: GemmScratch::new(),
+            transposed: [Matrix::zeros(0, 0), Matrix::zeros(0, 0)],
         }
     }
 
-    /// The scratch buffers (`W` panel, auxiliary, GEMM pack scratch), split
-    /// so they can be borrowed independently.
-    pub(crate) fn bufs(&mut self) -> (&mut Vec<f64>, &mut Vec<f64>, &mut GemmScratch) {
-        (&mut self.panel, &mut self.aux, &mut self.gemm)
+    /// Workspace pre-sized for tiles up to `nb x nb`, so the first kernel
+    /// call is as allocation-free as the steady state.
+    pub fn for_tile(nb: usize) -> Self {
+        Workspace {
+            panel: vec![0.0; IB * nb],
+            gemm: GemmScratch::for_tile(nb),
+            transposed: [Matrix::zeros(nb, nb), Matrix::zeros(nb, nb)],
+        }
+    }
+
+    /// The `W` panel and the GEMM pack scratch of the LQ applies.
+    pub(crate) fn apply_bufs(&mut self) -> (&mut Vec<f64>, &mut GemmScratch) {
+        (&mut self.panel, &mut self.gemm)
+    }
+
+    /// The two tiles the LQ factorizations transpose their operands into.
+    pub(crate) fn transposed(&mut self) -> &mut [Matrix; 2] {
+        &mut self.transposed
+    }
+}
+
+impl Default for Workspace {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -408,82 +936,6 @@ pub(crate) fn grow(v: &mut Vec<f64>, len: usize) -> &mut [f64] {
         v.resize(len, 0.0);
     }
     &mut v[..len]
-}
-
-/// Append column `k` to the forward compact-WY factor `t`, restricted to
-/// the `IB`-diagonal block starting at `k0` (LAPACK `xLARFT` column
-/// recurrence): `T[k0..k, k] = -tau * T[k0..k, k0..k] * vdots` and
-/// `T[k, k] = tau`, where `vdots[l - k0] = v_l^T v_k` for `l in k0..k`.
-///
-/// The restriction is exact for the block-diagonal of the full factor:
-/// `T` is upper triangular, so rows `k0..k` of the full recurrence
-/// `T[0..k, k] = -tau * T[0..k, 0..k] * vdots_full` read zeros from every
-/// column below `k0` — the chunk-local recurrence reproduces the diagonal
-/// block of the full `larft` bit for bit.
-pub(crate) fn larft_append(t: &mut Matrix, k0: usize, k: usize, tau: f64, vdots: &[f64]) {
-    debug_assert!(k0 <= k && vdots.len() >= k - k0);
-    let mut tv = t.as_view_mut();
-    let (head, mut tail) = tv.split_cols_at_mut(k);
-    let tcol = tail.col_mut(0);
-    for x in tcol[k0..k].iter_mut() {
-        *x = 0.0;
-    }
-    for (c, &vd) in vdots[..k - k0].iter().enumerate() {
-        let s = -tau * vd;
-        if s != 0.0 {
-            let hcol = head.col(k0 + c);
-            for l in k0..=(k0 + c) {
-                tcol[l] += s * hcol[l];
-            }
-        }
-    }
-    tcol[k] = tau;
-}
-
-/// In-place `W <- T^T W` (`Trans::Transpose`, the factorization direction)
-/// or `W <- T W` (`Trans::NoTranspose`), with `T` the upper-triangular
-/// compact-WY factor and `W` a `k x n` panel.
-///
-/// Both directions process one contiguous `W` column at a time.  The
-/// transposed direction reads contiguous columns of `T` directly; the
-/// non-transposed one first transposes `T` into `aux` so its inner loops
-/// are contiguous too.
-pub(crate) fn apply_t_left(
-    w: &mut MatrixViewMut<'_>,
-    t: MatrixView<'_>,
-    trans: Trans,
-    aux: &mut Vec<f64>,
-) {
-    let k = t.rows();
-    debug_assert_eq!(w.rows(), k);
-    match trans {
-        Trans::Transpose => {
-            // (T^T W)[i] = sum_{l <= i} T[l, i] * w[l]: descending i keeps
-            // the not-yet-overwritten entries it reads.
-            for wcol in w.cols_mut() {
-                for i in (0..k).rev() {
-                    wcol[i] = fdot(&t.col(i)[..=i], &wcol[..=i]);
-                }
-            }
-        }
-        Trans::NoTranspose => {
-            // (T W)[i] = sum_{l >= i} T[i, l] * w[l]: ascending i is
-            // in-place safe; read rows of T as columns of T^T.
-            let tt = grow(aux, k * k);
-            for l in 0..k {
-                let tcol = t.col(l);
-                for i in 0..k {
-                    tt[i * k + l] = tcol[i];
-                }
-            }
-            for wcol in w.cols_mut() {
-                for i in 0..k {
-                    let trow = &tt[i * k..(i + 1) * k];
-                    wcol[i] = fdot(&trow[i..], &wcol[i..]);
-                }
-            }
-        }
-    }
 }
 
 /// In-place right multiply of the `r x k` panel `W` by `T`
@@ -682,35 +1134,28 @@ pub(crate) fn lq_tri_cwv(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bidiag_matrix::gemm::dot as fdot;
     use bidiag_matrix::gen::random_gaussian;
 
     #[test]
-    fn larft_append_matches_explicit_product() {
+    fn appended_t_matches_explicit_product() {
         // Two reflectors with hand-picked vectors: check
         // H0 H1 = I - V T V^T entry-wise.
         let m = 5;
         let v = random_gaussian(m, 2, 3);
-        // Normalize to unit-diagonal column vectors v0, v1 (v1 zero above row 1).
-        let mut vm = Matrix::zeros(m, 2);
-        for i in 0..m {
-            vm.set(i, 0, if i == 0 { 1.0 } else { v.get(i, 0) });
-            vm.set(
-                i,
-                1,
-                if i == 1 {
-                    1.0
-                } else if i > 1 {
-                    v.get(i, 1)
-                } else {
-                    0.0
-                },
-            );
-        }
+        // Unit-diagonal column vectors v0, v1 (v1 zero above row 1).
+        let vm = Matrix::from_fn(m, 2, |i, j| match i.cmp(&j) {
+            std::cmp::Ordering::Equal => 1.0,
+            std::cmp::Ordering::Greater => v.get(i, j),
+            std::cmp::Ordering::Less => 0.0,
+        });
         let (tau0, tau1) = (0.7, 1.2);
-        let mut t = Matrix::zeros(2, 2);
-        larft_append(&mut t, 0, 0, tau0, &[]);
-        let vdot = (0..m).map(|i| vm.get(i, 0) * vm.get(i, 1)).sum::<f64>();
-        larft_append(&mut t, 0, 1, tau1, &[vdot]);
+        let mut tf = TFactor::with_kmax(2);
+        tf.append(tau0, &[]);
+        tf.append(tau1, &[fdot(vm.col(0), vm.col(1))]);
+        assert_eq!(tf.taus(), &[tau0, tau1]);
+        let tb = tf.t_block(0);
+        let t = Matrix::from_fn(2, 2, |i, j| tb.get(i, j));
 
         let h = |tau: f64, col: usize| -> Matrix {
             Matrix::from_fn(m, m, |i, j| {
@@ -729,20 +1174,16 @@ mod tests {
     fn chunk_local_larft_matches_the_diagonal_blocks_of_the_full_factor() {
         // Build a full forward larft T with a local reference recurrence
         // from synthetic V columns spanning two IB-chunks, then check the
-        // chunk-local recurrence reproduces its diagonal blocks exactly.
+        // chunk-local recurrence reproduces its diagonal blocks.
         let k = IB + 3;
         let m = k + 5;
         let v = {
             let g = random_gaussian(m, k, 17);
             // Unit-lower-trapezoid V like a factored tile stores.
-            Matrix::from_fn(m, k, |i, j| {
-                if i == j {
-                    1.0
-                } else if i > j {
-                    g.get(i, j)
-                } else {
-                    0.0
-                }
+            Matrix::from_fn(m, k, |i, j| match i.cmp(&j) {
+                std::cmp::Ordering::Equal => 1.0,
+                std::cmp::Ordering::Greater => g.get(i, j),
+                std::cmp::Ordering::Less => 0.0,
             })
         };
         let taus: Vec<f64> = (0..k).map(|i| 0.3 + 0.1 * i as f64).collect();
@@ -761,56 +1202,31 @@ mod tests {
             tfull.set(kk, kk, tau);
         }
 
-        // Chunk-local recurrence (what TFactor::append runs).
-        let mut tblk = Matrix::zeros(k, k);
+        let mut tf = TFactor::with_kmax(k);
         for (kk, &tau) in taus.iter().enumerate() {
-            let k0 = TFactor::chunk_start(kk);
-            let vd: Vec<f64> = (k0..kk).map(|l| vdot(l, kk)).collect();
-            larft_append(&mut tblk, k0, kk, tau, &vd);
+            let vd: Vec<f64> = (kk - kk % IB..kk).map(|l| vdot(l, kk)).collect();
+            tf.append(tau, &vd);
         }
+        assert_eq!(tf.taus(), &taus[..]);
 
-        for kk in 0..k {
-            let k0 = TFactor::chunk_start(kk);
-            for l in 0..k {
-                if l >= k0 && l <= kk {
-                    let d = (tblk.get(l, kk) - tfull.get(l, kk)).abs();
-                    let tol = 1e-12 * (1.0 + tfull.get(l, kk).abs());
-                    assert!(d < tol, "diag-block entry ({l}, {kk}) differs by {d}");
-                } else {
-                    assert_eq!(tblk.get(l, kk), 0.0, "off-block entry ({l}, {kk}) set");
+        for p in (0..k).step_by(IB) {
+            let tb = tf.t_block(p);
+            assert_eq!(tb.rows(), IB.min(k - p));
+            for kk in 0..tb.cols() {
+                for l in 0..tb.rows() {
+                    let want = if l <= kk {
+                        tfull.get(p + l, p + kk)
+                    } else {
+                        0.0
+                    };
+                    let d = (tb.get(l, kk) - want).abs();
+                    assert!(
+                        d < 1e-12 * (1.0 + want.abs()),
+                        "block {p} entry ({l}, {kk})"
+                    );
                 }
             }
         }
-    }
-
-    #[test]
-    fn apply_t_left_matches_dense_products() {
-        let k = 6;
-        let n = 5;
-        let t = {
-            let g = random_gaussian(k, k, 9);
-            Matrix::from_fn(k, k, |i, j| if j >= i { g.get(i, j) } else { 0.0 })
-        };
-        let w0 = random_gaussian(k, n, 10);
-        let mut aux = Vec::new();
-
-        let mut w = w0.clone();
-        apply_t_left(
-            &mut w.as_view_mut(),
-            t.as_view(),
-            Trans::Transpose,
-            &mut aux,
-        );
-        assert!(w.sub(&t.transpose().matmul(&w0)).norm_max() < 1e-13);
-
-        let mut w = w0.clone();
-        apply_t_left(
-            &mut w.as_view_mut(),
-            t.as_view(),
-            Trans::NoTranspose,
-            &mut aux,
-        );
-        assert!(w.sub(&t.matmul(&w0)).norm_max() < 1e-13);
     }
 
     #[test]

@@ -6,13 +6,17 @@
 //!   (Householder reflector orthogonality, Givens determinant / norm
 //!   preservation) on random inputs;
 //! * exhaustive blocked-vs-unblocked equivalence: every blocked compact-WY
-//!   tile kernel must match its unblocked reference to `1e-13` (relative)
-//!   on square, tall, wide and ragged last-tile shapes for
-//!   `nb in {1, 3, 5, 8, 9, 17, 64}` — the sizes straddling the `IB = 8`
-//!   chunk boundaries (8, 9, 17) pin the fused chunk-local `T` build and
-//!   the structure-aware trapezoid/triangle sweeps of the TT kernels
-//!   against the reflector-by-reflector oracles exactly where an
-//!   off-by-one in the chunking would surface.
+//!   tile kernel must match its unblocked reference to `1e-13` (relative).
+//!   The QR side — one fused chunk kernel under six tile kernels — is swept
+//!   over every pair of row and column counts around the vector step (4),
+//!   the chunk width (`IB = 8`) and the reference tile (64), with one and
+//!   two ragged chunks of reflectors, both directions, and both SIMD
+//!   backends; further tests pin what the kernel must *not* read (NaNs in
+//!   the unstored part of the reflector tile) and that its `T` blocks are
+//!   the chunk-local `larft` of the unblocked vectors.  Both sides are
+//!   also swept over square, tall, wide and ragged last-tile shapes for
+//!   `nb in {1, 3, 5, 8, 9, 17, 64}` — full-width reflector tiles from
+//!   one reflector to the eight chunks of the reference tile.
 
 use bidiag_kernels::givens::givens;
 use bidiag_kernels::householder::larfg;
@@ -29,12 +33,21 @@ use bidiag_matrix::checks::{
     lower_triangle_of, orthogonality_error, relative_error, upper_triangle_of,
 };
 use bidiag_matrix::gen::random_gaussian;
+use bidiag_matrix::simd::{self, SimdBackend};
 use bidiag_matrix::Matrix;
 use proptest::prelude::*;
 
-/// Tile sizes exercised by the blocked-vs-unblocked sweeps; 8/9/17
-/// straddle the `IB = 8` chunk boundaries of the fused kernels.
+/// Tile sizes exercised by the per-tile-size blocked-vs-unblocked sweeps;
+/// 8/9/17 straddle the `IB = 8` chunk boundaries.
 const NBS: [usize; 7] = [1, 3, 5, 8, 9, 17, 64];
+/// Row / column counts of the QR-side sweeps: around the 4-lane vector
+/// step, the `IB = 8` chunk and the reference tile size.
+const DIMS: [usize; 13] = [1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65];
+/// Reflector-tile widths straddling one and two chunks.
+const KS: [usize; 5] = [7, 8, 9, 15, 17];
+/// Signature shared by `tsmqr` and `ttmqr`.
+type ApplyPair =
+    fn(&mut Matrix, &mut Matrix, &Matrix, &bidiag_kernels::TFactor, Trans, &mut Workspace);
 /// Matching tolerance (relative) between blocked and unblocked results.
 const TOL: f64 = 1e-13;
 
@@ -60,6 +73,39 @@ fn shapes(nb: usize) -> Vec<(usize, usize)> {
         s.push((nb, nb.div_ceil(2))); // ragged last tile column
     }
     s
+}
+
+/// Run `f` under every available SIMD backend (scalar, and AVX2 where the
+/// host has it), check each result against `oracle` and the backends
+/// against each other at [`TOL`].
+fn check_on_backends(what: &str, oracle: &[&Matrix], f: impl Fn() -> Vec<Matrix>) {
+    let mut results = vec![simd::with_forced_backend(SimdBackend::Scalar, &f)];
+    if simd::avx2_available() {
+        results.push(simd::with_forced_backend(SimdBackend::Avx2, &f));
+    }
+    for got in &results {
+        assert_eq!(got.len(), oracle.len());
+        for (i, (want, got)) in oracle.iter().zip(got).enumerate() {
+            assert!(
+                relative_error(want, got) < TOL,
+                "{what}: output {i} differs from the unblocked reference"
+            );
+        }
+    }
+    if let [scalar, avx2] = &results[..] {
+        for (i, (s, v)) in scalar.iter().zip(avx2).enumerate() {
+            assert!(
+                relative_error(s, v) < TOL,
+                "{what}: backends disagree on output {i}"
+            );
+        }
+    }
+}
+
+/// A vector of scalars as a one-column matrix, so taus go through the same
+/// comparisons as tiles.
+fn as_column(x: &[f64]) -> Matrix {
+    Matrix::from_fn(x.len(), 1, |i, _| x[i])
 }
 
 #[test]
@@ -185,6 +231,270 @@ fn blocked_ttqrt_and_ttmqr_match_unblocked() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn qr_side_kernels_match_unblocked_on_ragged_shapes() {
+    // For every row count m: factor with k columns (k straddling IB), check
+    // the TS/TT tiles and taus against the oracle; then apply all three
+    // shapes to every column count n in both directions, and check that Q^T
+    // followed by Q restores C.
+    let mut ws = Workspace::new();
+    for &m in &DIMS {
+        for &k in &KS {
+            let seed = (m * 100 + k) as u64;
+            // UNMQR: the reflectors of an m x k tile (GEQRT itself is swept
+            // over every shape pair in its own test).
+            let a0 = random_gaussian(m, k, seed);
+            let mut vu = a0.clone();
+            let taus = geqrt_unblocked(&mut vu);
+            // TSQRT / TTQRT: a k x k triangle on top of an m-row tile.
+            let r1_0 = upper_triangle_of(&random_gaussian(k, k, seed + 1));
+            let a2_0 = random_gaussian(m, k, seed + 2);
+            let t2_0 = upper_triangle_of(&a2_0);
+            let (mut s1u, mut s2u) = (r1_0.clone(), a2_0.clone());
+            let ts_taus = tsqrt_unblocked(&mut s1u, &mut s2u);
+            check_on_backends(
+                &format!("TSQRT {m}x{k}"),
+                &[&s1u, &s2u, &as_column(&ts_taus)],
+                || {
+                    let (mut r1, mut a2) = (r1_0.clone(), a2_0.clone());
+                    let tf = tsqrt(&mut r1, &mut a2, &mut Workspace::new());
+                    vec![r1, a2, as_column(tf.taus())]
+                },
+            );
+            let (mut t1u, mut t2u) = (r1_0.clone(), t2_0.clone());
+            let tt_taus = ttqrt_unblocked(&mut t1u, &mut t2u);
+            check_on_backends(
+                &format!("TTQRT {m}x{k}"),
+                &[&t1u, &t2u, &as_column(&tt_taus)],
+                || {
+                    let (mut r1, mut r2) = (r1_0.clone(), t2_0.clone());
+                    let tf = ttqrt(&mut r1, &mut r2, &mut Workspace::new());
+                    vec![r1, r2, as_column(tf.taus())]
+                },
+            );
+
+            let mut vb = a0.clone();
+            let tf = geqrt(&mut vb, &mut ws);
+            let (mut s1b, mut s2b) = (r1_0.clone(), a2_0.clone());
+            let ts_tf = tsqrt(&mut s1b, &mut s2b, &mut ws);
+            let (mut t1b, mut t2b) = (r1_0.clone(), t2_0.clone());
+            let tt_tf = ttqrt(&mut t1b, &mut t2b, &mut ws);
+            for &n in &DIMS {
+                let c0 = random_gaussian(m, n, seed + 3);
+                let h0 = random_gaussian(k, n, seed + 4);
+                for trans in [Trans::Transpose, Trans::NoTranspose] {
+                    let what = format!("m={m} k={k} n={n} {trans:?}");
+                    let mut cu = c0.clone();
+                    unmqr_unblocked(&vu, &taus, &mut cu, trans);
+                    check_on_backends(&format!("UNMQR {what}"), &[&cu], || {
+                        let mut c = c0.clone();
+                        unmqr(&vb, &tf, &mut c, trans, &mut Workspace::new());
+                        vec![c]
+                    });
+                    let (mut h, mut c) = (h0.clone(), c0.clone());
+                    tsmqr_unblocked(&mut h, &mut c, &s2u, &ts_taus, trans);
+                    check_on_backends(&format!("TSMQR {what}"), &[&h, &c], || {
+                        let (mut h, mut c) = (h0.clone(), c0.clone());
+                        tsmqr(&mut h, &mut c, &s2b, &ts_tf, trans, &mut Workspace::new());
+                        vec![h, c]
+                    });
+                    let (mut h, mut c) = (h0.clone(), c0.clone());
+                    ttmqr_unblocked(&mut h, &mut c, &t2u, &tt_taus, trans);
+                    check_on_backends(&format!("TTMQR {what}"), &[&h, &c], || {
+                        let (mut h, mut c) = (h0.clone(), c0.clone());
+                        ttmqr(&mut h, &mut c, &t2b, &tt_tf, trans, &mut Workspace::new());
+                        vec![h, c]
+                    });
+                }
+
+                // Q^T then Q is the identity.
+                let mut c = c0.clone();
+                unmqr(&vb, &tf, &mut c, Trans::Transpose, &mut ws);
+                unmqr(&vb, &tf, &mut c, Trans::NoTranspose, &mut ws);
+                assert!(
+                    relative_error(&c0, &c) < TOL,
+                    "UNMQR round trip m={m} k={k} n={n}"
+                );
+                for (name, apply, v2, tf2) in [
+                    ("TSMQR", tsmqr as ApplyPair, &s2b, &ts_tf),
+                    ("TTMQR", ttmqr as ApplyPair, &t2b, &tt_tf),
+                ] {
+                    let (mut h, mut c) = (h0.clone(), c0.clone());
+                    apply(&mut h, &mut c, v2, tf2, Trans::Transpose, &mut ws);
+                    apply(&mut h, &mut c, v2, tf2, Trans::NoTranspose, &mut ws);
+                    assert!(
+                        relative_error(&h0, &h) < TOL && relative_error(&c0, &c) < TOL,
+                        "{name} round trip m={m} k={k} n={n}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn geqrt_matches_unblocked_on_every_shape_pair() {
+    for &m in &DIMS {
+        for &n in &DIMS {
+            let a0 = random_gaussian(m, n, (m * 1000 + n) as u64);
+            let mut au = a0.clone();
+            let taus = geqrt_unblocked(&mut au);
+            check_on_backends(&format!("GEQRT {m}x{n}"), &[&au, &as_column(&taus)], || {
+                let mut a = a0.clone();
+                let tf = geqrt(&mut a, &mut Workspace::new());
+                vec![a, as_column(tf.taus())]
+            });
+        }
+    }
+}
+
+#[test]
+fn never_read_parts_of_the_reflector_tile_may_hold_nan() {
+    // Clean and poisoned runs are compared bitwise, so each backend is
+    // forced for the whole comparison (sibling tests flip the process-wide
+    // backend while they run).
+    simd::with_forced_backend(
+        SimdBackend::Scalar,
+        nan_poisoned_tiles_give_identical_output,
+    );
+    if simd::avx2_available() {
+        simd::with_forced_backend(SimdBackend::Avx2, nan_poisoned_tiles_give_identical_output);
+    }
+}
+
+fn nan_poisoned_tiles_give_identical_output() {
+    // The strictly lower part of a TTMQR `v2` tile holds an earlier GEQRT's
+    // vectors, the upper triangle of an UNMQR `v` tile holds `R`: neither
+    // belongs to the reflectors, so NaNs there must not reach the output.
+    let mut ws = Workspace::new();
+    for &(m, k) in &[
+        (5usize, 7usize),
+        (8, 8),
+        (17, 9),
+        (64, 64),
+        (65, 17),
+        (9, 15),
+    ] {
+        let kk = m.min(k);
+        let mut v = random_gaussian(m, k, 7);
+        let tf = geqrt(&mut v, &mut ws);
+        let poisoned_v = Matrix::from_fn(m, k, |i, j| if i <= j { f64::NAN } else { v.get(i, j) });
+        let mut r1 = upper_triangle_of(&random_gaussian(k, k, 8));
+        let mut v2 = upper_triangle_of(&random_gaussian(m, k, 9));
+        let tt_tf = ttqrt(&mut r1, &mut v2, &mut ws);
+        let poisoned_v2 = Matrix::from_fn(m, k, |i, j| if i > j { f64::NAN } else { v2.get(i, j) });
+        for n in [1usize, 4, 7, 64] {
+            let c0 = random_gaussian(m, n, 10);
+            let h0 = random_gaussian(k, n, 11);
+            for trans in [Trans::Transpose, Trans::NoTranspose] {
+                let mut clean = c0.clone();
+                unmqr(&v, &tf, &mut clean, trans, &mut ws);
+                let mut c = c0.clone();
+                unmqr(&poisoned_v, &tf, &mut c, trans, &mut ws);
+                assert!(c.data().iter().all(|x| x.is_finite()));
+                assert_eq!(c, clean, "UNMQR read R, {m}x{k} ({kk} reflectors) n={n}");
+
+                let (mut h_clean, mut c_clean) = (h0.clone(), c0.clone());
+                ttmqr(&mut h_clean, &mut c_clean, &v2, &tt_tf, trans, &mut ws);
+                let (mut h, mut c) = (h0.clone(), c0.clone());
+                ttmqr(&mut h, &mut c, &poisoned_v2, &tt_tf, trans, &mut ws);
+                assert!(h.data().iter().chain(c.data()).all(|x| x.is_finite()));
+                assert!(
+                    h == h_clean && c == c_clean,
+                    "TTMQR read below the triangle, {m}x{k} n={n}"
+                );
+            }
+        }
+    }
+}
+
+/// The `ib x ib` `larft` factor of reflectors `p..p+ib` alone, from their
+/// explicit vectors (columns of `v`) and taus.
+fn chunk_larft(v: &Matrix, taus: &[f64], p: usize, ib: usize) -> Matrix {
+    let mut t = Matrix::zeros(ib, ib);
+    for kk in 0..ib {
+        let tau = taus[p + kk];
+        for l in 0..kk {
+            let mut s = 0.0;
+            for c in l..kk {
+                let vdot: f64 = (0..v.rows())
+                    .map(|i| v.get(i, p + c) * v.get(i, p + kk))
+                    .sum();
+                s += t.get(l, c) * vdot;
+            }
+            t.set(l, kk, -tau * s);
+        }
+        t.set(kk, kk, tau);
+    }
+    t
+}
+
+#[test]
+fn t_blocks_are_the_chunk_local_larft_of_the_unblocked_vectors() {
+    let mut ws = Workspace::new();
+    let check = |what: &str, tf: &bidiag_kernels::TFactor, v: &Matrix, taus: &[f64]| {
+        assert!(taus_close(tf.taus(), taus), "{what}: taus");
+        for p in (0..taus.len()).step_by(8) {
+            let tb = tf.t_block(p);
+            let want = chunk_larft(v, taus, p, tb.cols());
+            let got = Matrix::from_fn(tb.rows(), tb.cols(), |i, j| tb.get(i, j));
+            assert!(relative_error(&want, &got) < TOL, "{what}: T block at {p}");
+        }
+    };
+    for &(m, n) in &[
+        (7usize, 7usize),
+        (9, 8),
+        (17, 17),
+        (64, 64),
+        (65, 15),
+        (15, 65),
+        (3, 9),
+    ] {
+        // GEQRT: vectors are the unit-lower trapezoid of the factored tile.
+        let a0 = random_gaussian(m, n, (m * 10 + n) as u64);
+        let mut ab = a0.clone();
+        let tf = geqrt(&mut ab, &mut ws);
+        let mut au = a0.clone();
+        let taus = geqrt_unblocked(&mut au);
+        assert!(
+            relative_error(&au, &ab) < TOL,
+            "GEQRT {m}x{n}: R and vectors"
+        );
+        let v = Matrix::from_fn(m, taus.len(), |i, j| match i.cmp(&j) {
+            std::cmp::Ordering::Less => 0.0,
+            std::cmp::Ordering::Equal => 1.0,
+            std::cmp::Ordering::Greater => au.get(i, j),
+        });
+        check(&format!("GEQRT {m}x{n}"), &tf, &v, &taus);
+
+        // TTQRT: e_k on top of the upper triangle of the second tile.
+        let r1_0 = upper_triangle_of(&random_gaussian(n, n, 3));
+        let r2_0 = upper_triangle_of(&random_gaussian(m, n, 4));
+        let (mut r1b, mut r2b) = (r1_0.clone(), r2_0.clone());
+        let tf = ttqrt(&mut r1b, &mut r2b, &mut ws);
+        let (mut r1u, mut r2u) = (r1_0.clone(), r2_0.clone());
+        let taus = ttqrt_unblocked(&mut r1u, &mut r2u);
+        assert!(
+            relative_error(&r1u, &r1b) < TOL && relative_error(&r2u, &r2b) < TOL,
+            "TTQRT {m}x{n}: R and vectors"
+        );
+        let v = Matrix::from_fn(n + m, n, |i, j| {
+            if i < n {
+                if i == j {
+                    1.0
+                } else {
+                    0.0
+                }
+            } else if i - n <= j {
+                r2u.get(i - n, j)
+            } else {
+                0.0
+            }
+        });
+        check(&format!("TTQRT {m}x{n}"), &tf, &v, &taus);
     }
 }
 

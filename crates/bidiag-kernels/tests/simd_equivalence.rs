@@ -1,10 +1,12 @@
 //! Forced-backend equivalence of the SIMD-ported kernel layer.
 //!
-//! The compact-WY tile kernels route their trapezoid/triangle axpy sweeps
-//! through `bidiag_matrix::simd`, and the band bulge chaser routes its
-//! fused column-rotation strips the same way. This suite pins the scalar
-//! and AVX2 backends to each other through the *real* dispatch path
-//! ([`simd::with_forced_backend`] + [`simd::backend`]), at two levels:
+//! The QR tile kernels run one lane-generic compact-WY chunk kernel (the
+//! LQ factorizations reach it through transposes), the LQ applies route
+//! their row-wise axpy sweeps through `bidiag_matrix::simd`, and the band
+//! bulge chaser routes its fused column-rotation strips the same way. This
+//! suite pins the scalar and AVX2 backends to each other through the *real*
+//! dispatch path ([`simd::with_forced_backend`] + [`simd::backend`]), at
+//! two levels:
 //!
 //! * **Tile kernels** — outputs compared normwise at `1e-13`: a composite
 //!   kernel runs thousands of fused-vs-unfused multiply-adds through
@@ -108,7 +110,7 @@ fn ts_and_tt_qr_kernels_agree_across_backends() {
             assert!(relative_error(&s.3, &v.3) < TOL, "TSMQR C2 nb={nb} m2={m2}");
 
             // TT variants: the triangle-on-triangle kernels exercise the
-            // structure-aware tri_ctv / tri_cvwt sweeps.
+            // clipped upper-triangular corner of the chunk kernel.
             let r2_0 = upper_triangle_of(&random_gaussian(m2.min(nb), nb, (nb * 347) as u64));
             let Some((s, v)) = under_both(|| {
                 let mut ws = Workspace::new();

@@ -1,8 +1,9 @@
 //! Packed, cache-blocked GEMM on column-major views.
 //!
-//! These are the Level-3 building blocks of the compact-WY tile kernels in
-//! `bidiag-kernels`: every blocked apply kernel (`UNMQR`, `TSMQR`, ... and
-//! their LQ duals) is a handful of calls into this module.  All three
+//! The Level-3 building blocks of the workspace.  Among the tile kernels of
+//! `bidiag-kernels` only `TSMLQ` is built on them (its two `r x IB` panel
+//! products); the QR-side kernels read their operands in place through the
+//! fused chunk kernel of `bidiag_kernels::wy` and never pack.  All three
 //! variants compute `C += alpha * op(A) * op(B)` in place:
 //!
 //! * [`gemm_nn`] — `C += alpha * A * B`,
@@ -31,10 +32,9 @@
 //! The dispatch crossover ([`PACK_CROSSOVER_MNK`]) was picked by the
 //! packed-vs-unpacked sweep in the `kernels` bench (`--gemm-sweep`) plus a
 //! thin-shape sweep: on the reference host the packed path wins from `8^3`
-//! multiply-adds up — including the `IB`-thin panel products of the WY
-//! apply kernels (1.2x–2.8x), which therefore run packed at the reference
-//! `nb = 64` — so only tiny products (where the pack setup dominates) take
-//! the unpacked path.
+//! multiply-adds up — including `IB`-thin panel products like `TSMLQ`'s
+//! (1.2x–2.8x) — so only tiny products (where the pack setup dominates)
+//! take the unpacked path.
 
 use crate::simd::{self, SimdBackend};
 use crate::view::{MatrixView, MatrixViewMut};
@@ -52,10 +52,9 @@ const NC: usize = 512;
 /// unpacked in-place path wins (no packing traffic), above it the packed
 /// path wins (stride-1 microkernel reads).  Picked by the `--gemm-sweep`
 /// mode of the `kernels` bench plus a thin-shape sweep on the reference
-/// host: the packed path wins from `8^3` up — including the `IB`-thin
-/// panel products of the WY applies (1.2x–2.8x) — and only loses on tiny
-/// products (`5^3` ran at 0.7x) where the pack setup dominates (see
-/// BENCHMARKING.md).
+/// host: the packed path wins from `8^3` up — including `IB`-thin panel
+/// products (1.2x–2.8x) — and only loses on tiny products (`5^3` ran at
+/// 0.7x) where the pack setup dominates (see BENCHMARKING.md).
 pub const PACK_CROSSOVER_MNK: usize = 8 * 8 * 8;
 
 /// Reusable pack buffers of the packed GEMM path.  One long-lived scratch

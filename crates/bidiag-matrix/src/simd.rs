@@ -449,9 +449,14 @@ pub fn check_avx2() {
 // Generic kernel bodies (one body per kernel, instantiated per lane)
 // ---------------------------------------------------------------------------
 
-/// `y[i] += a * x[i]`. Contract: `x.len() >= y.len()`.
+/// `y[i] += a * x[i]`, lane-generic body: callable from another crate's
+/// generic kernel body so that it is compiled inside that kernel's own
+/// `#[target_feature]` shell (no dispatch of its own).
+///
+/// # Safety
+/// The lane's ISA contract (see [`SimdLane`]) and `x.len() >= y.len()`.
 #[inline(always)]
-unsafe fn axpy_body<S: SimdLane>(s: S, y: &mut [f64], a: f64, x: &[f64]) {
+pub unsafe fn axpy_body<S: SimdLane>(s: S, y: &mut [f64], a: f64, x: &[f64]) {
     let n = y.len();
     debug_assert!(x.len() >= n);
     // SAFETY (whole body): caller upholds the lane's ISA contract and
@@ -510,10 +515,13 @@ unsafe fn axpy4_body<S: SimdLane>(
 }
 
 /// Dot product with 4 independent accumulators (ILP), reduced as
-/// `(a0 + a1) + (a2 + a3)` plus a sequential tail.
-/// Contract: `b.len() >= a.len()`.
+/// `(a0 + a1) + (a2 + a3)` plus a sequential tail; lane-generic body,
+/// public for the same reason as [`axpy_body`].
+///
+/// # Safety
+/// The lane's ISA contract (see [`SimdLane`]) and `b.len() >= a.len()`.
 #[inline(always)]
-unsafe fn dot_body<S: SimdLane>(s: S, a: &[f64], b: &[f64]) -> f64 {
+pub unsafe fn dot_body<S: SimdLane>(s: S, a: &[f64], b: &[f64]) -> f64 {
     let n = a.len();
     debug_assert!(b.len() >= n);
     // SAFETY (whole body): caller upholds the lane's ISA contract and
@@ -546,53 +554,6 @@ unsafe fn dot_body<S: SimdLane>(s: S, a: &[f64], b: &[f64]) -> f64 {
             i += 1;
         }
         sum
-    }
-}
-
-/// Four simultaneous dot products of `v` against `c0..c3` (one pass over
-/// `v`). Contract: all `ck.len() >= v.len()`.
-#[inline(always)]
-unsafe fn dot4_body<S: SimdLane>(
-    s: S,
-    v: &[f64],
-    c0: &[f64],
-    c1: &[f64],
-    c2: &[f64],
-    c3: &[f64],
-) -> [f64; 4] {
-    let n = v.len();
-    debug_assert!(c0.len() >= n && c1.len() >= n && c2.len() >= n && c3.len() >= n);
-    // SAFETY (whole body): caller upholds the lane's ISA contract and
-    // ck.len() >= v.len() = n; every index below is < n.
-    unsafe {
-        let mut a0 = s.zero();
-        let mut a1 = s.zero();
-        let mut a2 = s.zero();
-        let mut a3 = s.zero();
-        let mut i = 0;
-        while i + S::LANES <= n {
-            let vv = s.load(v, i);
-            a0 = s.mul_add(s.load(c0, i), vv, a0);
-            a1 = s.mul_add(s.load(c1, i), vv, a1);
-            a2 = s.mul_add(s.load(c2, i), vv, a2);
-            a3 = s.mul_add(s.load(c3, i), vv, a3);
-            i += S::LANES;
-        }
-        let mut out = [
-            s.reduce_sum(a0),
-            s.reduce_sum(a1),
-            s.reduce_sum(a2),
-            s.reduce_sum(a3),
-        ];
-        while i < n {
-            let vi = v[i];
-            out[0] += c0[i] * vi;
-            out[1] += c1[i] * vi;
-            out[2] += c2[i] * vi;
-            out[3] += c3[i] * vi;
-            i += 1;
-        }
-        out
     }
 }
 
@@ -708,14 +669,6 @@ mod avx2_shells {
     }
 
     /// # Safety
-    /// Caller must guarantee AVX2+FMA and `ck.len() >= v.len()` for all k.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn dot4(v: &[f64], c0: &[f64], c1: &[f64], c2: &[f64], c3: &[f64]) -> [f64; 4] {
-        // SAFETY: as in `axpy`.
-        unsafe { dot4_body(Avx2Lane::new_unchecked(), v, c0, c1, c2, c3) }
-    }
-
-    /// # Safety
     /// Caller must guarantee AVX2+FMA and `xs.len() == ys.len()`.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn rot_strips(xs: &mut [f64], ys: &mut [f64], c: f64, sn: f64) {
@@ -802,36 +755,6 @@ pub fn dot(be: SimdBackend, a: &[f64], b: &[f64]) -> f64 {
         SimdBackend::Avx2 => {
             check_avx2();
             unsafe { avx2_shells::dot(a, b) }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        SimdBackend::Avx2 => {
-            check_avx2();
-            unreachable!()
-        }
-    }
-}
-
-/// Four dot products of `v` against `c0..c3` in one pass over `v`.
-/// Panics unless every `ck.len() >= v.len()`.
-#[inline]
-pub fn dot4(
-    be: SimdBackend,
-    v: &[f64],
-    c0: &[f64],
-    c1: &[f64],
-    c2: &[f64],
-    c3: &[f64],
-) -> [f64; 4] {
-    let n = v.len();
-    assert!(c0.len() >= n && c1.len() >= n && c2.len() >= n && c3.len() >= n);
-    match be {
-        // SAFETY: scalar lane has no ISA requirements; lengths checked above.
-        SimdBackend::Scalar => unsafe { dot4_body(ScalarLane, v, c0, c1, c2, c3) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: check_avx2 verifies AVX2+FMA; lengths checked above.
-        SimdBackend::Avx2 => {
-            check_avx2();
-            unsafe { avx2_shells::dot4(v, c0, c1, c2, c3) }
         }
         #[cfg(not(target_arch = "x86_64"))]
         SimdBackend::Avx2 => {
@@ -1037,12 +960,6 @@ mod tests {
                 rel(dot(Avx2, &x, &y0), dot(Scalar, &x, &y0)) < acc_tol(n),
                 "dot n={n}"
             );
-
-            let ds = dot4(Scalar, &y0, &x, &x1, &x2, &x3);
-            let dv = dot4(Avx2, &y0, &x, &x1, &x2, &x3);
-            for k in 0..4 {
-                assert!(rel(dv[k], ds[k]) < acc_tol(n), "dot4 n={n} k={k}");
-            }
 
             let (gc, gs) = (0.8, 0.6);
             let mut xs_s = x.clone();

@@ -68,11 +68,10 @@ fn primitive_kernels_agree_across_backends_on_size_ladder() {
             let mut y4 = y0.clone();
             simd::axpy4(be, &mut y4, [0.3, -0.7, 1.1, 0.05], &x0, &x1, &x2, &x3);
             let d = simd::dot(be, &x0, &x1);
-            let d4 = simd::dot4(be, &y0, &x0, &x1, &x2, &x3);
             let mut xs = x2.clone();
             let mut ys = x3.clone();
             simd::rot_strips(be, &mut xs, &mut ys, 0.8, 0.6);
-            (y, y4, d, d4, xs, ys)
+            (y, y4, d, xs, ys)
         });
         let Some(v) = v else {
             eprintln!("skipping AVX2 half: not available on this host");
@@ -91,11 +90,11 @@ fn primitive_kernels_agree_across_backends_on_size_ladder() {
                 "axpy4 n={n} i={i}"
             );
             assert!(
-                (s.4[i] - v.4[i]).abs() <= 1e-15 * s.4[i].abs().max(1.0),
+                (s.3[i] - v.3[i]).abs() <= 1e-15 * s.3[i].abs().max(1.0),
                 "rot xs n={n} i={i}"
             );
             assert!(
-                (s.5[i] - v.5[i]).abs() <= 1e-15 * s.5[i].abs().max(1.0),
+                (s.4[i] - v.4[i]).abs() <= 1e-15 * s.4[i].abs().max(1.0),
                 "rot ys n={n} i={i}"
             );
         }
@@ -105,12 +104,6 @@ fn primitive_kernels_agree_across_backends_on_size_ladder() {
             s.2,
             v.2
         );
-        for j in 0..4 {
-            assert!(
-                (s.3[j] - v.3[j]).abs() <= acc_tol(n) * s.3[j].abs().max(1.0),
-                "dot4 n={n} j={j}"
-            );
-        }
     }
 }
 
