@@ -27,11 +27,11 @@
 //!   slot the DAG ordered before them, and no global map or lock is ever
 //!   contended; the same table backs the sequential driver;
 //! * every worker thread owns a [`KernelScratch`] (kernel workspace +
-//!   GEMM pack buffers + operand snapshot buffer) pre-sized for the tile
-//!   size at spawn and lent to each task body it runs, so the apply
-//!   kernels' scratch is never reallocated — not even on a worker's first
-//!   task; the only per-task heap traffic left is the `TFactor` each
-//!   factorization kernel produces into its table slot.
+//!   operand snapshot buffer) pre-sized for the tile size at spawn and lent
+//!   to each task body it runs, so the kernels' scratch is never
+//!   reallocated — not even on a worker's first task; the only per-task
+//!   heap traffic left is the `TFactor` each factorization kernel produces
+//!   into its table slot.
 
 use crate::ops::{KernelScratch, TauTable, TileOp};
 use bidiag_kernels::band::{bulge_wavefronts, BandMatrix};

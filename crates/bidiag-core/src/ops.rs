@@ -195,9 +195,9 @@ impl KernelScratch {
         }
     }
 
-    /// Scratch pre-sized for `nb x nb` tiles: the kernel workspace panels
-    /// and the snapshot buffer are allocated up front, so even the first
-    /// kernel a worker runs is allocation-free.
+    /// Scratch pre-sized for `nb x nb` tiles: the kernel workspace's
+    /// transposed tiles and the snapshot buffer are allocated up front, so
+    /// even the first kernel a worker runs is allocation-free.
     pub fn for_tile(nb: usize) -> Self {
         KernelScratch {
             ws: Workspace::for_tile(nb),

@@ -5,7 +5,9 @@
 //!
 //! Gated behind the `failpoints` cargo feature so the process-global
 //! failpoint registry is only armed in the dedicated CI leg; within this
-//! binary every test serializes through `failpoint::scoped`.
+//! binary every test holds the `failpoint::scoped` lock whenever it may run
+//! pool bodies (`scoped(&[])` where it arms nothing), so a `pool::body`
+//! armed by one test cannot fire inside a sibling's pool.
 
 #![cfg(feature = "failpoints")]
 
@@ -26,6 +28,7 @@ fn small_session(threads: usize) -> SvdSession {
 
 #[test]
 fn non_finite_input_is_rejected_at_every_entry_point() {
+    let _quiet = failpoint::scoped(&[]);
     let mut a = random_gaussian(8, 8, 1);
     a.set(5, 1, f64::NEG_INFINITY);
     let opts = Ge2Options::new(8);
@@ -42,6 +45,7 @@ fn non_finite_input_is_rejected_at_every_entry_point() {
 
 #[test]
 fn dimension_mismatch_names_the_violated_contract() {
+    let _quiet = failpoint::scoped(&[]);
     let wide = random_gaussian(3, 9, 2);
     match try_ge2bnd(&wide, &Ge2Options::new(4)) {
         Err(SvdError::DimensionMismatch {
@@ -77,6 +81,7 @@ fn injected_body_panic_surfaces_as_solver_failure_and_the_pool_survives() {
 
     // The poisoned submission is contained: the same pool keeps serving,
     // and its results are bitwise what per-call ge2val computes.
+    let _quiet = failpoint::scoped(&[]);
     for seed in 4..8u64 {
         let b = random_gaussian(12, 12, seed);
         assert_eq!(
@@ -160,6 +165,7 @@ fn expired_deadline_reports_timed_out() {
 
 #[test]
 fn closed_session_reports_pool_shutdown() {
+    let _quiet = failpoint::scoped(&[]);
     let session = small_session(1);
     session.close();
     let a = random_gaussian(8, 8, 14);
@@ -174,10 +180,13 @@ fn poison_panic_and_cancel_never_change_subsequent_arithmetic() {
     let session = small_session(2);
     let mut poison = random_gaussian(10, 10, 20);
     poison.set(0, 0, f64::NAN);
-    assert!(matches!(
-        session.submit(&poison),
-        Err(SvdError::NonFiniteInput { .. })
-    ));
+    {
+        let _quiet = failpoint::scoped(&[]);
+        assert!(matches!(
+            session.submit(&poison),
+            Err(SvdError::NonFiniteInput { .. })
+        ));
+    }
     {
         let _guard = failpoint::scoped(&[("pool::body", FailAction::Panic("boom".into()))]);
         let job = session.submit(&random_gaussian(10, 10, 21)).unwrap();
@@ -190,6 +199,7 @@ fn poison_panic_and_cancel_never_change_subsequent_arithmetic() {
         job.cancel();
         let _ = job.wait(); // Cancelled or Ok depending on timing; both contained
     }
+    let _quiet = failpoint::scoped(&[]);
     for (seed, n) in [(23u64, 8usize), (24, 33), (25, 72)] {
         let a = random_gaussian(n, n, seed);
         assert_eq!(

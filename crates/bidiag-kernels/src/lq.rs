@@ -15,11 +15,13 @@
 //!
 //! The *apply* kernels (`unmlq`/`tsmlq`/`ttmlq`) — which run once per
 //! trailing tile and dominate the LQ steps — do **not** transpose.  They
-//! apply the compact-WY product directly from the right,
-//! `C -= (C V) op(T) V^T`, reading the row-wise stored Householder vectors
-//! through column-contiguous sweeps; `TSMLQ` (Table I weight 12) is two
-//! dense GEMMs around the small triangular `T` product, exactly like its
-//! QR twin.
+//! are thin callers of the right-sided chunk kernel of [`crate::wy`],
+//! `C -= (C V) op(T) V^T` with the rows of `C` as SIMD lanes, and differ
+//! only in the `Shape` of the row-wise stored reflectors: unit-upper
+//! trapezoid in the tile itself (UNMLQ), full rows of the second tile (TS),
+//! lower triangle of the second tile (TT).  Nothing is packed, transposed
+//! or allocated, the SIMD backend is dispatched once per kernel call, and
+//! the [`Workspace`] they take for call compatibility is never touched.
 //!
 //! The unblocked `*_unblocked` references mirror LAPACK via transposition of
 //! the unblocked QR kernels and remain the oracle for the property tests.
@@ -28,12 +30,8 @@ use crate::qr::{
     geqrt_unblocked, tsmqr_unblocked, tsqrt_unblocked, ttmqr_unblocked, ttqrt_unblocked,
     unmqr_unblocked, Trans,
 };
-use crate::wy::{
-    self, apply_t_right, chunk_order, grow, lq_cv, lq_cwv, lq_tri_cv, lq_tri_cwv, Shape, TFactor,
-    Workspace,
-};
-use bidiag_matrix::gemm::{gemm_nn_scratch, gemm_nt_scratch};
-use bidiag_matrix::{Matrix, MatrixViewMut};
+use crate::wy::{self, Shape, TFactor, Workspace};
+use bidiag_matrix::Matrix;
 
 /// GELQT: in-place LQ factorization of a tile.
 ///
@@ -61,29 +59,16 @@ pub fn gelqt_unblocked(a: &mut Matrix) -> Vec<f64> {
 /// is the update used by the LQ steps of the bidiagonalization; with
 /// [`Trans::NoTranspose`] it computes `C <- C * Q_lq`.
 ///
-/// Runs the right-sided compact-WY sweep `C -= (C V) op(T) V^T` without
-/// forming any transpose.
-pub fn unmlq(v: &Matrix, tf: &TFactor, c: &mut Matrix, trans: Trans, ws: &mut Workspace) {
-    let n = c.cols();
-    assert_eq!(v.cols(), n, "UNMLQ: V and C column mismatch");
-    let r = c.rows();
-    let k = tf.len();
-    if k == 0 || r == 0 {
-        return;
-    }
-    let (panel, _) = ws.apply_bufs();
-    // With A = L Q_lq, A^T = Q_qr R and Q_lq = Q_qr^T:
-    //   C Q_lq^T = C Q_qr   = C - (C V) T   V^T   (Transpose),
-    //   C Q_lq   = C Q_qr^T = C - (C V) T^T V^T   (NoTranspose).
-    for (p, ibp) in chunk_order(k, trans) {
-        let mut w = MatrixViewMut::new(grow(panel, r * ibp), r, ibp, r);
-        let vp = v.view(p, p, ibp, n - p);
-        lq_cv(vp, c.view(0, p, r, n - p), &mut w);
-        apply_t_right(&mut w, tf.t_block(p), matches!(trans, Trans::NoTranspose));
-        let mut cv = c.as_view_mut();
-        let mut cp = cv.submatrix_mut(0, p, r, n - p);
-        lq_cwv(vp, w.as_view(), &mut cp);
-    }
+/// `v` is the factored tile (Householder vectors row-wise in its strictly
+/// upper part — its lower triangle, `L`, is never read), `tf` the factor
+/// returned by [`gelqt`].
+pub fn unmlq(v: &Matrix, tf: &TFactor, c: &mut Matrix, trans: Trans, _ws: &mut Workspace) {
+    assert_eq!(v.cols(), c.cols(), "UNMLQ: V and C column mismatch");
+    assert!(
+        v.rows() >= tf.len(),
+        "UNMLQ: V has fewer rows than reflectors"
+    );
+    wy::apply_right(Shape::Trapezoid, v, tf, None, c, trans);
 }
 
 /// UNMLQ, unblocked reference (transpose wrapper over the unblocked UNMQR).
@@ -120,49 +105,18 @@ pub fn tslqt_unblocked(l1: &mut Matrix, a2: &mut Matrix) -> Vec<f64> {
 /// in the annihilated tile column; `v2` is the tile holding the Householder
 /// vectors (the `a2` output of [`tslqt`]).
 ///
-/// Like its QR twin this is a Table I weight-12 kernel and runs as two dense
-/// GEMMs around the small triangular `T` product.
+/// Like its QR twin this is the heaviest kernel of the factorization
+/// (Table I weight 12).
 pub fn tsmlq(
     c1: &mut Matrix,
     c2: &mut Matrix,
     v2: &Matrix,
     tf: &TFactor,
     trans: Trans,
-    ws: &mut Workspace,
+    _ws: &mut Workspace,
 ) {
-    let r = c1.rows();
-    assert_eq!(c2.rows(), r, "TSMLQ: row mismatch");
-    let n2 = c2.cols();
-    assert_eq!(v2.cols(), n2, "TSMLQ: V2 column mismatch");
-    let k = tf.len();
-    if k == 0 || r == 0 {
-        return;
-    }
-    assert!(
-        c1.cols() >= k,
-        "TSMLQ: C1 has fewer columns than reflectors"
-    );
-    let (panel, gemm) = ws.apply_bufs();
-    for (p, ibp) in chunk_order(k, trans) {
-        let mut w = MatrixViewMut::new(grow(panel, r * ibp), r, ibp, r);
-        let v2p = v2.view(p, 0, ibp, n2);
-        // W = C1[:, p..p+ib] + C2 V2_p  (V2[j, kk] = v2[kk, j], dense).
-        for (kk, wcol) in w.cols_mut().enumerate() {
-            wcol.copy_from_slice(c1.col(p + kk));
-        }
-        gemm_nt_scratch(&mut w, 1.0, c2.as_view(), v2p, gemm);
-        // W = W op(T_pp).
-        apply_t_right(&mut w, tf.t_block(p), matches!(trans, Trans::NoTranspose));
-        // C1[:, p..p+ib] -= W;  C2 -= W V2_p^T.
-        for kk in 0..ibp {
-            let wcol = w.col(kk);
-            let ccol = c1.col_mut(p + kk);
-            for i in 0..r {
-                ccol[i] -= wcol[i];
-            }
-        }
-        gemm_nn_scratch(&mut c2.as_view_mut(), -1.0, w.as_view(), v2p, gemm);
-    }
+    check_pair("TSMLQ", c1, c2, v2, tf);
+    wy::apply_right(Shape::Square, v2, tf, Some(c1), c2, trans);
 }
 
 /// TSMLQ, unblocked reference.
@@ -224,39 +178,24 @@ pub fn ttmlq(
     v2: &Matrix,
     tf: &TFactor,
     trans: Trans,
-    ws: &mut Workspace,
+    _ws: &mut Workspace,
 ) {
-    let r = c1.rows();
-    assert_eq!(c2.rows(), r, "TTMLQ: row mismatch");
-    let n2 = c2.cols();
-    assert_eq!(v2.cols(), n2, "TTMLQ: V2 column mismatch");
-    let k = tf.len();
-    if k == 0 || r == 0 {
-        return;
-    }
+    check_pair("TTMLQ", c1, c2, v2, tf);
+    wy::apply_right(Shape::Triangle, v2, tf, Some(c1), c2, trans);
+}
+
+/// Operand shapes of TSMLQ / TTMLQ.
+fn check_pair(name: &str, c1: &Matrix, c2: &Matrix, v2: &Matrix, tf: &TFactor) {
+    assert_eq!(c2.rows(), c1.rows(), "{name}: row mismatch");
+    assert_eq!(v2.cols(), c2.cols(), "{name}: V2 column mismatch");
     assert!(
-        c1.cols() >= k,
-        "TTMLQ: C1 has fewer columns than reflectors"
+        v2.rows() >= tf.len(),
+        "{name}: V2 has fewer rows than reflectors"
     );
-    let (panel, _) = ws.apply_bufs();
-    for (p, ibp) in chunk_order(k, trans) {
-        let mut w = MatrixViewMut::new(grow(panel, r * ibp), r, ibp, r);
-        let v2p = v2.view(p, 0, ibp, n2);
-        // W = C1[:, p..p+ib] + C2 V2_p  (triangular V2).
-        for (kk, wcol) in w.cols_mut().enumerate() {
-            wcol.copy_from_slice(c1.col(p + kk));
-        }
-        lq_tri_cv(v2p, c2.as_view(), &mut w, p);
-        apply_t_right(&mut w, tf.t_block(p), matches!(trans, Trans::NoTranspose));
-        for kk in 0..ibp {
-            let wcol = w.col(kk);
-            let ccol = c1.col_mut(p + kk);
-            for i in 0..r {
-                ccol[i] -= wcol[i];
-            }
-        }
-        lq_tri_cwv(v2p, w.as_view(), &mut c2.as_view_mut(), p);
-    }
+    assert!(
+        c1.cols() >= tf.len(),
+        "{name}: C1 has fewer columns than reflectors"
+    );
 }
 
 /// TTMLQ, unblocked reference.
@@ -483,7 +422,7 @@ mod tests {
         let mut poisoned = l2.clone();
         for j in 0..nb {
             for i in 0..j {
-                poisoned.set(i, j, 1e30);
+                poisoned.set(i, j, f64::NAN);
             }
         }
         let c1_0 = random_gaussian(3, nb, 92);

@@ -37,7 +37,7 @@
 //!   vectors in the second tile (TTQRT).
 //!
 //! The blocked kernels take a [`Workspace`] so that all twelve tile kernels
-//! are called alike; only the LQ side uses it.
+//! are called alike; only the LQ factorizations use it.
 
 use crate::householder::larfg;
 use crate::wy::{self, Shape, TFactor, Workspace};

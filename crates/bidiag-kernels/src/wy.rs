@@ -21,7 +21,8 @@
 //!   off-diagonal blocks are never materialised and the `larft` recurrence
 //!   runs chunk-locally (`O(k * IB)` dots instead of `O(k^2)`).
 //! * the **fused chunk kernel** under the six QR-side tile kernels
-//!   (`factor` and `apply`), in the style of LAPACK's
+//!   (`factor` and `apply`, columns of `C` as SIMD lanes of the `T`
+//!   product, dot products down the rows), in the style of LAPACK's
 //!   triangular-pentagonal `xTPQRT`/`xTPMQRT`.  One `Shape` says which
 //!   rows of the reflector tile are stored (unit-lower trapezoid for
 //!   GEQRT/UNMQR, full columns for TS, upper triangle for TT); for one
@@ -44,35 +45,47 @@
 //!   a corner clipped by a short tile and the `n mod 4` leftover columns
 //!   go one column at a time; a row count that is not a multiple of the
 //!   vector width ends in a zero-padded vector step or a scalar tail.
-//! * [`Workspace`] — reusable scratch of the LQ side (the `W` panel and
-//!   GEMM pack buffers of its applies, the two transposed tiles of its
-//!   factorization wrappers), so that in steady state the only allocation
-//!   any kernel makes is the one [`TFactor`] a factorization returns.  The
-//!   QR side needs none: `W` and the corner live on the stack.
-//! * the LQ-side apply sweeps: `apply_t_right` (a trmm-style triangular
-//!   sweep, never a dense product) and the row-wise `V` panel products
-//!   `lq_cv` / `lq_cwv` / `lq_tri_cv` / `lq_tri_cwv`, whose inner loops run
-//!   down contiguous column slices as dispatched
-//!   [`bidiag_matrix::simd`] `axpy`/`axpy4` calls.
+//! * its mirror image under the three LQ applies (`apply_right`).  The LQ
+//!   kernels store reflector `k` as *row* `k` of the tile, so the chunk's
+//!   coefficients at one column of `C` — `v[p..p+IB, j]` — are contiguous,
+//!   and for a right-sided apply the natural vector axis is the rows of
+//!   `C`: per chunk and group of `LANES` rows, `W = H + C V_p` is `IB`
+//!   register accumulators fed by one load of `C[i0.., j]` and `IB`
+//!   coefficient broadcasts per column, `W op(T)` the same unrolled
+//!   triangular product with rows instead of columns as lanes, and
+//!   `C[:, j] -= W v[p..p+IB, j]` a second sweep over the row group.  No
+//!   horizontal reductions, and every vector is full whatever the shape.
+//!   The same `Shape` splits the *columns* into dense ones and the corner
+//!   (unit-upper for UNMLQ, lower for TT, absent for TS); a corner clipped
+//!   by a narrow tile is just fewer columns, a last chunk narrower than
+//!   `IB` runs the same body with a runtime width, and the `r mod LANES`
+//!   leftover rows go one at a time.
+//! * [`Workspace`] — the two tiles the LQ *factorizations* transpose their
+//!   operands into, so that in steady state the only allocation any kernel
+//!   makes is the one [`TFactor`] a factorization returns.  Every other
+//!   kernel needs none: `W` and the corner live in registers and on the
+//!   stack.
 //!
 //! # SIMD dispatch and safety
 //!
-//! The chunk kernel is written once over [`SimdLane`] and instantiated
-//! twice: with [`ScalarLane`] (the `BIDIAG_SIMD=scalar` fallback, unfused
-//! multiply-adds) and, behind **one** `#[target_feature(enable =
-//! "avx2,fma")]` shell per tile-kernel call, with `Avx2Lane`.  The lane
-//! bodies are `unsafe fn` for one reason only — the lane's instruction-set
-//! contract, discharged by [`simd::check_avx2`] at the dispatch in
-//! `factor` / `apply`.  Every slice they touch is cut with checked
-//! range indexing, and the two inner loops that use the lanes' unchecked
-//! `load`/`store` assert that all their operands have one common length
-//! first.
+//! The chunk kernels are written once over [`SimdLane`] and instantiated
+//! twice: for the `BIDIAG_SIMD=scalar` fallback (unfused multiply-adds)
+//! with [`ScalarLane`] — the right kernel with eight of them side by side,
+//! so that a coefficient load feeds eight rows there too — and, behind
+//! **one** `#[target_feature(enable = "avx2,fma")]` shell per tile-kernel
+//! call, with `Avx2Lane`.  The lane bodies are `unsafe fn` for one reason
+//! only — the lane's instruction-set contract, discharged by
+//! [`simd::check_avx2`] at the dispatch in `factor` / `apply` /
+//! `apply_right`.  Every slice they touch is cut with checked range
+//! indexing, and the inner loops that use the lanes' unchecked
+//! `load`/`store` assert first what bounds their operands: one common
+//! length on the left, the column count and leading dimension of the row
+//! group on the right.
 
 use crate::householder::{larfg_with_norm, norm2};
 use crate::qr::Trans;
-use bidiag_matrix::gemm::GemmScratch;
 use bidiag_matrix::simd::{self, ScalarLane, SimdBackend, SimdLane};
-use bidiag_matrix::{Matrix, MatrixView, MatrixViewMut};
+use bidiag_matrix::{Matrix, MatrixView};
 use std::ops::Range;
 
 /// Inner blocking factor (PLASMA's `ib`): reflectors are generated and
@@ -102,11 +115,12 @@ pub(crate) fn chunk_order(k: usize, trans: Trans) -> impl Iterator<Item = (usize
 }
 
 // ---------------------------------------------------------------------------
-// The fused chunk kernel of the QR side
+// The fused chunk kernel of the QR side (left side, dot products down the rows)
 // ---------------------------------------------------------------------------
 
 /// Which rows of the reflector tile hold the stored tail of reflector `k`
-/// — the only thing the six QR-side kernels differ in.
+/// — the only thing the six QR-side kernels differ in.  The LQ side stores
+/// the transpose: read "column" for "row" there.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Shape {
     /// GEQRT / UNMQR: `v_k = e_k +` rows `k+1..m` of column `k`, all in
@@ -130,10 +144,11 @@ impl Shape {
         }
     }
 
-    /// `(dense, corner)` rows of the chunk `p..p+ib` in an `m`-row tile:
-    /// the rows every reflector of the chunk stores, and the at most `IB`
-    /// rows where the stored part is a triangle.
-    fn chunk_rows(self, p: usize, ib: usize, m: usize) -> (Range<usize>, Range<usize>) {
+    /// `(dense, corner)` rows of the chunk `p..p+ib` in an `m`-row tile
+    /// (columns, of an `m`-column tile, on the LQ side): the rows every
+    /// reflector of the chunk stores, and the at most `IB` rows where the
+    /// stored part is a triangle.
+    fn chunk_split(self, p: usize, ib: usize, m: usize) -> (Range<usize>, Range<usize>) {
         match self {
             Shape::Trapezoid => (p + ib..m, p..p + ib),
             Shape::Square => (0..m, 0..0),
@@ -176,7 +191,7 @@ impl<'a> Chunk<'a> {
         t: &'a [f64],
         trans: Trans,
     ) -> Self {
-        let (dense, corner) = shape.chunk_rows(p, ib, m);
+        let (dense, corner) = shape.chunk_split(p, ib, m);
         let mut vd: [&[f64]; IB] = [&[]; IB];
         let mut kc = [[0.0; IB]; IB];
         for kk in 0..ib {
@@ -336,6 +351,44 @@ unsafe fn cvw<S: SimdLane, const R: usize>(
     }
 }
 
+/// The `T` product of one chunk with the second index of `W` as SIMD
+/// lanes: `out[i] = sum_l op(T)[i, l] w[l]` for the left kernel (lanes =
+/// columns of `C`), which is also `(W op(T)^T)[:, i]` — what the right
+/// kernel needs, its `Q^T` being `C - (C V) T V^T` (lanes = rows of `C`).
+/// `t` is the chunk's `IB x ib` block, leading dimension `IB`; called with
+/// the constant `ib == IB` the triangular product unrolls into 36
+/// independent-by-row FMAs.
+///
+/// # Safety
+/// The lane's ISA contract (see [`SimdLane`]).
+#[inline(always)]
+unsafe fn t_product<S: SimdLane>(
+    s: S,
+    t: &[f64],
+    trans: Trans,
+    ib: usize,
+    w: &[S::V; IB],
+) -> [S::V; IB] {
+    let t = &t[..IB * ib];
+    // SAFETY: the caller upholds the lane's ISA contract (register ops only).
+    unsafe {
+        let mut out = [s.zero(); IB];
+        for i in 0..ib {
+            for l in 0..ib {
+                // (T^T W)[i] = sum_{l <= i} T[l, i] W[l];
+                // (T W)[i] = sum_{l >= i} T[i, l] W[l].
+                let tij = match trans {
+                    Trans::Transpose if l <= i => t[i * IB + l],
+                    Trans::NoTranspose if l >= i => t[l * IB + i],
+                    _ => continue,
+                };
+                out[i] = s.mul_add(s.splat(tij), w[l], out[i]);
+            }
+        }
+        out
+    }
+}
+
 /// Apply a full-width chunk (`ib == IB`, corner absent or `IB` rows) to
 /// four columns: `c` are the columns of the tile the reflector tails act
 /// on, `h` rows `p..p+IB` of the matching pivot-tile columns (TS/TT heads;
@@ -394,30 +447,13 @@ unsafe fn apply_block4<S: SimdLane>(
                 }
             }
         }
-        // (2) W = op(T) W, in registers: constant trip counts so the
-        // triangular product unrolls into 36 independent-by-row FMAs.
-        let t: &[f64; IB * IB] =
-            ch.t.try_into()
-                .expect("full-width chunk has a full T block");
+        // (2) W = op(T) W, in registers.
         for j in (0..4).step_by(S::LANES) {
             let mut wv = [s.zero(); IB];
             for (l, x) in wv.iter_mut().enumerate() {
                 *x = s.load(&w, l * 4 + j);
             }
-            let mut out = [s.zero(); IB];
-            for i in 0..IB {
-                for l in 0..IB {
-                    // (T^T W)[i] = sum_{l <= i} T[l, i] W[l];
-                    // (T W)[i] = sum_{l >= i} T[i, l] W[l].
-                    let tij = match ch.trans {
-                        Trans::Transpose if l <= i => t[i * IB + l],
-                        Trans::NoTranspose if l >= i => t[l * IB + i],
-                        _ => continue,
-                    };
-                    out[i] = s.mul_add(s.splat(tij), wv[l], out[i]);
-                }
-            }
-            for (l, x) in out.iter().enumerate() {
+            for (l, x) in t_product(s, ch.t, ch.trans, IB, &wv).iter().enumerate() {
                 s.store(&mut w, l * 4 + j, *x);
             }
         }
@@ -689,6 +725,272 @@ unsafe fn factor_body<S: SimdLane>(
     tf
 }
 
+// ---------------------------------------------------------------------------
+// The fused chunk kernel of the LQ applies (right side, rows of C as lanes)
+// ---------------------------------------------------------------------------
+
+/// [`ScalarLane`]s side by side: the lane the right-side kernel runs on
+/// under the scalar backend, so that one coefficient load feeds `ROWS` rows
+/// of `C` there as well (unfused multiply-adds, like [`ScalarLane`]).
+/// Eight measured best on the SSE2 baseline: the loop is bound by the
+/// shuffles that broadcast the coefficients, one per reflector and group.
+#[derive(Clone, Copy)]
+struct ScalarRows;
+
+const ROWS: usize = 8;
+
+impl SimdLane for ScalarRows {
+    const LANES: usize = ROWS;
+    type V = [f64; ROWS];
+
+    #[inline(always)]
+    unsafe fn splat(self, x: f64) -> Self::V {
+        [x; ROWS]
+    }
+    #[inline(always)]
+    unsafe fn zero(self) -> Self::V {
+        [0.0; ROWS]
+    }
+    #[inline(always)]
+    unsafe fn load(self, p: &[f64], i: usize) -> Self::V {
+        debug_assert!(i + ROWS <= p.len());
+        // SAFETY: caller guarantees i + LANES <= p.len().
+        unsafe { *p.as_ptr().add(i).cast() }
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: &mut [f64], i: usize, v: Self::V) {
+        debug_assert!(i + ROWS <= p.len());
+        // SAFETY: caller guarantees i + LANES <= p.len().
+        unsafe { *p.as_mut_ptr().add(i).cast() = v }
+    }
+    #[inline(always)]
+    unsafe fn add(self, a: Self::V, b: Self::V) -> Self::V {
+        std::array::from_fn(|l| a[l] + b[l])
+    }
+    #[inline(always)]
+    unsafe fn mul(self, a: Self::V, b: Self::V) -> Self::V {
+        std::array::from_fn(|l| a[l] * b[l])
+    }
+    #[inline(always)]
+    unsafe fn mul_add(self, a: Self::V, b: Self::V, c: Self::V) -> Self::V {
+        std::array::from_fn(|l| a[l] * b[l] + c[l])
+    }
+    #[inline(always)]
+    unsafe fn reduce_sum(self, a: Self::V) -> f64 {
+        a.iter().sum()
+    }
+}
+
+/// One `IB`-chunk of *row-wise* stored reflectors (reflector `k` is row `k`
+/// of the tile), ready to be applied from the right.  The coefficients of
+/// the chunk at one column of `C` — `v[p..p+ib, j]` — are contiguous in the
+/// column-major tile, so dense columns are read in place and the corner is
+/// densified per column.
+struct RowChunk<'a> {
+    /// Width of the chunk.
+    ib: usize,
+    /// The columns of `C` the chunk touches: the dense ones, which every
+    /// reflector of the chunk stores, and the at most `IB` of the corner.
+    dense: Range<usize>,
+    corner: Range<usize>,
+    /// The reflector tile from `v[p, dense.start]` on (empty without dense
+    /// columns) and its leading dimension.
+    vd: &'a [f64],
+    ldv: usize,
+    /// `kc[jj][kk]`: the coefficient of reflector `p + kk` at corner column
+    /// `jj` with the structure made explicit (zeros, and UNMLQ's unit
+    /// diagonal).  Only the stored part of the tile is read to fill it.
+    kc: [[f64; IB]; IB],
+    /// The chunk's `IB x ib` block of `T`, column-major, leading dimension `IB`.
+    t: &'a [f64],
+    trans: Trans,
+}
+
+impl<'a> RowChunk<'a> {
+    /// Chunk `p..p+ib` of the reflectors of `shape` stored in the rows of
+    /// the `n`-column column-major tile `v` (leading dimension `ldv`).
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        shape: Shape,
+        v: &'a [f64],
+        ldv: usize,
+        n: usize,
+        p: usize,
+        ib: usize,
+        t: &'a [f64],
+        trans: Trans,
+    ) -> Self {
+        let (dense, corner) = shape.chunk_split(p, ib, n);
+        let mut kc = [[0.0; IB]; IB];
+        for (jj, j) in corner.clone().enumerate() {
+            let vcol = &v[j * ldv + p..][..ib];
+            match shape {
+                // Unit upper: reflector kk reaches column p + jj for jj >= kk.
+                Shape::Trapezoid => {
+                    kc[jj][..jj].copy_from_slice(&vcol[..jj]);
+                    kc[jj][jj] = 1.0;
+                }
+                Shape::Square => {}
+                // Lower: reflector kk reaches column p + jj for jj <= kk.
+                Shape::Triangle => kc[jj][jj..ib].copy_from_slice(&vcol[jj..]),
+            }
+        }
+        RowChunk {
+            ib,
+            vd: v.get(dense.start * ldv + p..).unwrap_or(&[]),
+            dense,
+            corner,
+            ldv,
+            kc,
+            t,
+            trans,
+        }
+    }
+
+    /// The chunk's coefficients as `(array, stride, columns of C)`: those of
+    /// the `n`-th column of `columns` are `array[n * stride..][..ib]`.  The
+    /// dense columns come straight off the tile, the corner's off `kc`.
+    #[inline(always)]
+    fn parts(&self) -> [(&[f64], usize, Range<usize>); 2] {
+        [
+            (self.vd, self.ldv, self.dense.clone()),
+            (self.kc.as_flattened(), IB, self.corner.clone()),
+        ]
+    }
+}
+
+/// Apply one chunk to rows `i0..i0+LANES` of `c` (leading dimension `ld`)
+/// and, for TS/TT, of `head` — columns `p..p+ib` of the pivot tile, same
+/// leading dimension.  `W = H + C V_p` accumulates in `ib` registers from
+/// one load of `C[i0.., j]` and `ib` coefficient broadcasts per column,
+/// `W op(T)` is [`t_product`], and `C[:, j] -= W v[p.., j]` re-reads the
+/// row group; `FULL` makes `ib` the constant `IB`, so everything unrolls
+/// and `W` never leaves the registers.
+///
+/// # Safety
+/// The lane's ISA contract (see [`SimdLane`]).
+#[inline(always)]
+unsafe fn right_rows<S: SimdLane, const FULL: bool>(
+    s: S,
+    ch: &RowChunk<'_>,
+    mut head: Option<&mut [f64]>,
+    c: &mut [f64],
+    ld: usize,
+    i0: usize,
+) {
+    let ib = if FULL { IB } else { ch.ib };
+    assert!(ib == ch.ib && i0 + S::LANES <= ld);
+    assert!(ch.dense.end.max(ch.corner.end) * ld <= c.len());
+    assert!(head.as_ref().is_none_or(|h| ib * ld <= h.len()));
+    // SAFETY (whole body): the caller upholds the lane's ISA contract; every
+    // `load`/`store` is at `j * ld + i0` with `i0 + LANES <= ld` and `j`
+    // below the column count the asserts above checked the slice against.
+    unsafe {
+        let mut w = [s.zero(); IB];
+        if let Some(h) = head.as_ref() {
+            for (kk, wk) in w.iter_mut().enumerate().take(ib) {
+                *wk = s.load(h, kk * ld + i0);
+            }
+        }
+        for (coef, stride, cols) in ch.parts() {
+            for (n, j) in cols.enumerate() {
+                let (cj, vj) = (s.load(c, j * ld + i0), &coef[n * stride..][..ib]);
+                for (wk, &v) in w.iter_mut().zip(vj) {
+                    *wk = s.mul_add(cj, s.splat(v), *wk);
+                }
+            }
+        }
+        let mut w = t_product(s, ch.t, ch.trans, ib, &w);
+        let minus = s.splat(-1.0);
+        for wk in w.iter_mut().take(ib) {
+            *wk = s.mul(*wk, minus);
+        }
+        if let Some(h) = head.as_mut() {
+            for (kk, &wk) in w.iter().enumerate().take(ib) {
+                let hk = s.add(s.load(h, kk * ld + i0), wk);
+                s.store(h, kk * ld + i0, hk);
+            }
+        }
+        for (coef, stride, cols) in ch.parts() {
+            for (n, j) in cols.enumerate() {
+                let (mut cj, vj) = (s.load(c, j * ld + i0), &coef[n * stride..][..ib]);
+                for (&wk, &v) in w.iter().zip(vj) {
+                    cj = s.mul_add(wk, s.splat(v), cj);
+                }
+                s.store(c, j * ld + i0, cj);
+            }
+        }
+    }
+}
+
+/// Apply one chunk to all `r` rows: full lane groups, then the `r mod
+/// LANES` leftover rows one at a time through the same arithmetic.
+///
+/// # Safety
+/// The lane's ISA contract (see [`SimdLane`]).
+#[inline(always)]
+unsafe fn right_chunk<S: SimdLane, const FULL: bool>(
+    s: S,
+    ch: &RowChunk<'_>,
+    mut head: Option<&mut [f64]>,
+    c: &mut [f64],
+    r: usize,
+) {
+    let mut i0 = 0;
+    // SAFETY: the caller upholds the lane's ISA contract; the scalar lane
+    // has none.
+    unsafe {
+        while i0 + S::LANES <= r {
+            right_rows::<S, FULL>(s, ch, head.as_deref_mut(), c, r, i0);
+            i0 += S::LANES;
+        }
+        while i0 < r {
+            right_rows::<ScalarLane, FULL>(ScalarLane, ch, head.as_deref_mut(), c, r, i0);
+            i0 += 1;
+        }
+    }
+}
+
+/// Lane-generic body of [`apply_right`].
+///
+/// # Safety
+/// The lane's ISA contract (see [`SimdLane`]).
+#[inline(always)]
+unsafe fn apply_right_body<S: SimdLane>(
+    s: S,
+    shape: Shape,
+    v: &Matrix,
+    tf: &TFactor,
+    mut head: Option<&mut Matrix>,
+    c: &mut Matrix,
+    trans: Trans,
+) {
+    let (r, n) = (c.rows(), c.cols());
+    for (p, ib) in chunk_order(tf.len(), trans) {
+        let ch = RowChunk::new(
+            shape,
+            v.data(),
+            v.rows(),
+            n,
+            p,
+            ib,
+            tf.t_block_data(p),
+            trans,
+        );
+        let h = head
+            .as_deref_mut()
+            .map(|h| &mut h.data_mut()[p * r..(p + ib) * r]);
+        // SAFETY: the caller upholds the lane's ISA contract.
+        unsafe {
+            if ib == IB {
+                right_chunk::<S, true>(s, &ch, h, c.data_mut(), r);
+            } else {
+                right_chunk::<S, false>(s, &ch, h, c.data_mut(), r);
+            }
+        }
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod avx2_shells {
     use super::*;
@@ -708,6 +1010,21 @@ mod avx2_shells {
         // SAFETY: inside this target_feature fn AVX2+FMA are enabled, so
         // constructing the lane token is sound.
         unsafe { apply_body(Avx2Lane::new_unchecked(), shape, v, tf, head, c, trans) }
+    }
+
+    /// # Safety
+    /// Caller must guarantee AVX2+FMA.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn apply_right(
+        shape: Shape,
+        v: &Matrix,
+        tf: &TFactor,
+        head: Option<&mut Matrix>,
+        c: &mut Matrix,
+        trans: Trans,
+    ) {
+        // SAFETY: as in `apply`.
+        unsafe { apply_right_body(Avx2Lane::new_unchecked(), shape, v, tf, head, c, trans) }
     }
 
     /// # Safety
@@ -743,6 +1060,40 @@ pub(crate) fn apply(
             simd::check_avx2();
             // SAFETY: check_avx2 verified AVX2+FMA.
             unsafe { avx2_shells::apply(shape, v, tf, head, c, trans) }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        SimdBackend::Avx2 => {
+            simd::check_avx2();
+            unreachable!()
+        }
+    }
+}
+
+/// Apply the `tf.len()` *row-wise* stored reflectors of `shape` in `v` from
+/// the right: `C Q_lq^T` ([`Trans::Transpose`]) or `C Q_lq` to `c` (as many
+/// columns as `v`) and, for the TS/TT shapes, to columns `0..tf.len()` of
+/// the pivot tile `head` (as many rows as `c`; `None` exactly for the
+/// trapezoid).  The tile kernels of [`crate::lq`] check the operand
+/// shapes.  One backend dispatch per call.
+pub(crate) fn apply_right(
+    shape: Shape,
+    v: &Matrix,
+    tf: &TFactor,
+    head: Option<&mut Matrix>,
+    c: &mut Matrix,
+    trans: Trans,
+) {
+    debug_assert_eq!(shape == Shape::Trapezoid, head.is_none());
+    match simd::backend() {
+        // SAFETY: the scalar lanes have no ISA requirements.
+        SimdBackend::Scalar => unsafe {
+            apply_right_body(ScalarRows, shape, v, tf, head, c, trans)
+        },
+        #[cfg(target_arch = "x86_64")]
+        SimdBackend::Avx2 => {
+            simd::check_avx2();
+            // SAFETY: check_avx2 verified AVX2+FMA.
+            unsafe { avx2_shells::apply_right(shape, v, tf, head, c, trans) }
         }
         #[cfg(not(target_arch = "x86_64"))]
         SimdBackend::Avx2 => {
@@ -880,42 +1231,30 @@ impl TFactor {
     }
 }
 
-/// Reusable scratch of the blocked LQ kernels: the `W` panel and GEMM pack
-/// buffers of the applies and the two transposed tiles of the
-/// factorization wrappers.  Buffers grow on first use and are reused
-/// afterwards, so a long-lived workspace — one per runtime worker — makes
-/// the kernels allocation-free in steady state.  The QR-side kernels take
-/// one for call compatibility and never touch it.
+/// Reusable scratch of the blocked LQ factorizations: the two tiles
+/// `gelqt`/`tslqt`/`ttlqt` transpose their operands into.  The tiles grow
+/// on first use and are reused afterwards, so a long-lived workspace — one
+/// per runtime worker — makes those kernels allocation-free in steady
+/// state.  The apply kernels of both sides and the QR factorizations take
+/// one for call compatibility and never touch it: their `W` block and
+/// corner live in registers and on the stack.
 #[derive(Debug)]
 pub struct Workspace {
-    panel: Vec<f64>,
-    gemm: GemmScratch,
     transposed: [Matrix; 2],
 }
 
 impl Workspace {
-    /// Empty workspace (buffers grow on first kernel call).
+    /// Empty workspace (the tiles grow on the first LQ factorization).
     pub fn new() -> Self {
-        Workspace {
-            panel: Vec::new(),
-            gemm: GemmScratch::new(),
-            transposed: [Matrix::zeros(0, 0), Matrix::zeros(0, 0)],
-        }
+        Self::for_tile(0)
     }
 
     /// Workspace pre-sized for tiles up to `nb x nb`, so the first kernel
     /// call is as allocation-free as the steady state.
     pub fn for_tile(nb: usize) -> Self {
         Workspace {
-            panel: vec![0.0; IB * nb],
-            gemm: GemmScratch::for_tile(nb),
             transposed: [Matrix::zeros(nb, nb), Matrix::zeros(nb, nb)],
         }
-    }
-
-    /// The `W` panel and the GEMM pack scratch of the LQ applies.
-    pub(crate) fn apply_bufs(&mut self) -> (&mut Vec<f64>, &mut GemmScratch) {
-        (&mut self.panel, &mut self.gemm)
     }
 
     /// The two tiles the LQ factorizations transpose their operands into.
@@ -927,207 +1266,6 @@ impl Workspace {
 impl Default for Workspace {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Grow `v` to at least `len` and return the first `len` elements.
-pub(crate) fn grow(v: &mut Vec<f64>, len: usize) -> &mut [f64] {
-    if v.len() < len {
-        v.resize(len, 0.0);
-    }
-    &mut v[..len]
-}
-
-/// In-place right multiply of the `r x k` panel `W` by `T`
-/// (`transpose_t == false`) or `T^T` (`transpose_t == true`), columns of
-/// `W` combined by axpys over contiguous slices.
-pub(crate) fn apply_t_right(w: &mut MatrixViewMut<'_>, t: MatrixView<'_>, transpose_t: bool) {
-    let k = t.rows();
-    debug_assert_eq!(w.cols(), k);
-    let be = simd::backend();
-    if !transpose_t {
-        // (W T)[:, j] = sum_{l <= j} T[l, j] * W[:, l]: descending j.
-        for j in (0..k).rev() {
-            let tcol = t.col(j);
-            let (left, mut right) = w.split_cols_at_mut(j);
-            let wj = right.col_mut(0);
-            let d = tcol[j];
-            for x in wj.iter_mut() {
-                *x *= d;
-            }
-            for (l, &s) in tcol[..j].iter().enumerate() {
-                if s != 0.0 {
-                    simd::axpy(be, wj, s, left.col(l));
-                }
-            }
-        }
-    } else {
-        // (W T^T)[:, j] = sum_{l >= j} T[j, l] * W[:, l]: ascending j.
-        for j in 0..k {
-            let (mut left, right) = w.split_cols_at_mut(j + 1);
-            let wj = left.col_mut(j);
-            let d = t.get(j, j);
-            for x in wj.iter_mut() {
-                *x *= d;
-            }
-            for l in (j + 1)..k {
-                let s = t.get(j, l);
-                if s != 0.0 {
-                    simd::axpy(be, wj, s, right.col(l - j - 1));
-                }
-            }
-        }
-    }
-}
-
-/// `W = C V` for the row-wise unit trapezoid `V` of a GELQT'd tile:
-/// `V[j, kk]` is `1` at `j == kk`, `v[kk, j]` for `j > kk`, `0` above.
-/// `c` is `r x n`, `w` is `r x k`.
-pub(crate) fn lq_cv(v: MatrixView<'_>, c: MatrixView<'_>, w: &mut MatrixViewMut<'_>) {
-    let n = c.cols();
-    let r = c.rows();
-    let k = w.cols();
-    debug_assert_eq!(v.cols(), n);
-    debug_assert!(v.rows() >= k && w.rows() == r);
-    let be = simd::backend();
-    for (kk, wcol) in w.cols_mut().enumerate() {
-        wcol.copy_from_slice(c.col(kk));
-        let mut j = kk + 1;
-        while j + 4 <= n {
-            let s = [
-                v.get(kk, j),
-                v.get(kk, j + 1),
-                v.get(kk, j + 2),
-                v.get(kk, j + 3),
-            ];
-            simd::axpy4(
-                be,
-                wcol,
-                s,
-                c.col(j),
-                c.col(j + 1),
-                c.col(j + 2),
-                c.col(j + 3),
-            );
-            j += 4;
-        }
-        while j < n {
-            let s = v.get(kk, j);
-            if s != 0.0 {
-                simd::axpy(be, wcol, s, c.col(j));
-            }
-            j += 1;
-        }
-    }
-}
-
-/// `C -= W V^T` for the same row-wise unit trapezoid `V` as [`lq_cv`]:
-/// `c` is `r x n`, `w` is `r x k`.
-pub(crate) fn lq_cwv(v: MatrixView<'_>, w: MatrixView<'_>, c: &mut MatrixViewMut<'_>) {
-    let n = c.cols();
-    let r = c.rows();
-    let k = w.cols();
-    debug_assert_eq!(v.cols(), n);
-    debug_assert!(v.rows() >= k && w.rows() == r);
-    let be = simd::backend();
-    for (j, ccol) in c.cols_mut().enumerate() {
-        if j < k {
-            simd::axpy(be, ccol, -1.0, w.col(j));
-        }
-        let vcol = v.col(j);
-        let kend = j.min(k);
-        let mut kk = 0;
-        while kk + 4 <= kend {
-            let s = [-vcol[kk], -vcol[kk + 1], -vcol[kk + 2], -vcol[kk + 3]];
-            simd::axpy4(
-                be,
-                ccol,
-                s,
-                w.col(kk),
-                w.col(kk + 1),
-                w.col(kk + 2),
-                w.col(kk + 3),
-            );
-            kk += 4;
-        }
-        while kk < kend {
-            let s = vcol[kk];
-            if s != 0.0 {
-                simd::axpy(be, ccol, -s, w.col(kk));
-            }
-            kk += 1;
-        }
-    }
-}
-
-/// `W += C2 V2` for the row-wise lower-triangular `V2` of a TTLQT'd tile:
-/// row `kk` of the stored tile (a chunk starting at global reflector index
-/// `off`) is non-zero only in columns `0..min(off + kk + 1, n2)`.  `W`
-/// must already hold the `C1` contribution.
-pub(crate) fn lq_tri_cv(
-    v2: MatrixView<'_>,
-    c2: MatrixView<'_>,
-    w: &mut MatrixViewMut<'_>,
-    off: usize,
-) {
-    let n2 = c2.cols();
-    let r = c2.rows();
-    let k = w.cols();
-    debug_assert!(v2.rows() >= k && w.rows() == r);
-    let be = simd::backend();
-    for (kk, wcol) in w.cols_mut().enumerate() {
-        let rl = (off + kk + 1).min(n2);
-        let mut j = 0;
-        while j + 4 <= rl {
-            let s = [
-                v2.get(kk, j),
-                v2.get(kk, j + 1),
-                v2.get(kk, j + 2),
-                v2.get(kk, j + 3),
-            ];
-            simd::axpy4(
-                be,
-                wcol,
-                s,
-                c2.col(j),
-                c2.col(j + 1),
-                c2.col(j + 2),
-                c2.col(j + 3),
-            );
-            j += 4;
-        }
-        while j < rl {
-            let s = v2.get(kk, j);
-            if s != 0.0 {
-                simd::axpy(be, wcol, s, c2.col(j));
-            }
-            j += 1;
-        }
-    }
-}
-
-/// `C2 -= W V2^T` for the same row-wise lower-triangular `V2` as
-/// [`lq_tri_cv`].
-pub(crate) fn lq_tri_cwv(
-    v2: MatrixView<'_>,
-    w: MatrixView<'_>,
-    c2: &mut MatrixViewMut<'_>,
-    off: usize,
-) {
-    let r = w.rows();
-    let k = w.cols();
-    debug_assert!(v2.rows() >= k && c2.rows() == r);
-    let be = simd::backend();
-    for (j, ccol) in c2.cols_mut().enumerate() {
-        let vcol = v2.col(j);
-        // Row kk of the stored tile (global index off + kk) reaches column
-        // j iff j < min(off + kk + 1, n2), i.e. off + kk >= j.
-        let kk0 = j.saturating_sub(off);
-        for (kk, &s) in vcol.iter().enumerate().take(k).skip(kk0) {
-            if s != 0.0 {
-                simd::axpy(be, ccol, -s, w.col(kk));
-            }
-        }
     }
 }
 
@@ -1227,24 +1365,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn apply_t_right_matches_dense_products() {
-        let k = 5;
-        let r = 4;
-        let t = {
-            let g = random_gaussian(k, k, 11);
-            Matrix::from_fn(k, k, |i, j| if j >= i { g.get(i, j) } else { 0.0 })
-        };
-        let w0 = random_gaussian(r, k, 12);
-
-        let mut w = w0.clone();
-        apply_t_right(&mut w.as_view_mut(), t.as_view(), false);
-        assert!(w.sub(&w0.matmul(&t)).norm_max() < 1e-13);
-
-        let mut w = w0.clone();
-        apply_t_right(&mut w.as_view_mut(), t.as_view(), true);
-        assert!(w.sub(&w0.matmul_nt(&t)).norm_max() < 1e-13);
     }
 }

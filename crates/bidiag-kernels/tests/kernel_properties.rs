@@ -7,13 +7,14 @@
 //!   preservation) on random inputs;
 //! * exhaustive blocked-vs-unblocked equivalence: every blocked compact-WY
 //!   tile kernel must match its unblocked reference to `1e-13` (relative).
-//!   The QR side — one fused chunk kernel under six tile kernels — is swept
-//!   over every pair of row and column counts around the vector step (4),
-//!   the chunk width (`IB = 8`) and the reference tile (64), with one and
-//!   two ragged chunks of reflectors, both directions, and both SIMD
-//!   backends; further tests pin what the kernel must *not* read (NaNs in
-//!   the unstored part of the reflector tile) and that its `T` blocks are
-//!   the chunk-local `larft` of the unblocked vectors.  Both sides are
+//!   The QR side — one fused chunk kernel under six tile kernels — and the
+//!   three LQ applies — its right-sided mirror image — are swept over every
+//!   pair of row and column counts around the vector step (4), the chunk
+//!   width (`IB = 8`) and the reference tile (64), with one and two ragged
+//!   chunks of reflectors, both directions, and both SIMD backends;
+//!   further tests pin what the kernels must *not* read (NaNs in the
+//!   unstored part of the reflector tile) and that the `T` blocks are the
+//!   chunk-local `larft` of the unblocked vectors.  Both sides are
 //!   also swept over square, tall, wide and ragged last-tile shapes for
 //!   `nb in {1, 3, 5, 8, 9, 17, 64}` — full-width reflector tiles from
 //!   one reflector to the eight chunks of the reference tile.
@@ -45,7 +46,7 @@ const NBS: [usize; 7] = [1, 3, 5, 8, 9, 17, 64];
 const DIMS: [usize; 13] = [1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65];
 /// Reflector-tile widths straddling one and two chunks.
 const KS: [usize; 5] = [7, 8, 9, 15, 17];
-/// Signature shared by `tsmqr` and `ttmqr`.
+/// Signature shared by `tsmqr`, `ttmqr`, `tsmlq` and `ttmlq`.
 type ApplyPair =
     fn(&mut Matrix, &mut Matrix, &Matrix, &bidiag_kernels::TFactor, Trans, &mut Workspace);
 /// Matching tolerance (relative) between blocked and unblocked results.
@@ -336,6 +337,87 @@ fn qr_side_kernels_match_unblocked_on_ragged_shapes() {
 }
 
 #[test]
+fn lq_side_applies_match_unblocked_on_ragged_shapes() {
+    // The mirror image of the QR-side sweep: for every column count n,
+    // factor k rows (k straddling IB), then apply all three shapes from the
+    // right to every row count r in both directions, and check that Q^T
+    // followed by Q restores C.
+    let mut ws = Workspace::new();
+    for &n in &DIMS {
+        for &k in &KS {
+            let seed = (n * 100 + k) as u64;
+            // UNMLQ: the reflectors of a k x n tile.
+            let mut vu = random_gaussian(k, n, seed);
+            let mut vb = vu.clone();
+            let taus = gelqt_unblocked(&mut vu);
+            let tf = gelqt(&mut vb, &mut ws);
+            // TSLQT / TTLQT: a k x k triangle next to an n-column tile.
+            let l1_0 = lower_triangle_of(&random_gaussian(k, k, seed + 1));
+            let a2_0 = random_gaussian(k, n, seed + 2);
+            let t2_0 = lower_triangle_of(&a2_0);
+            let (mut s1u, mut s2u) = (l1_0.clone(), a2_0.clone());
+            let ts_taus = tslqt_unblocked(&mut s1u, &mut s2u);
+            let (mut s1b, mut s2b) = (l1_0.clone(), a2_0.clone());
+            let ts_tf = tslqt(&mut s1b, &mut s2b, &mut ws);
+            let (mut t1u, mut t2u) = (l1_0.clone(), t2_0.clone());
+            let tt_taus = ttlqt_unblocked(&mut t1u, &mut t2u);
+            let (mut t1b, mut t2b) = (l1_0.clone(), t2_0.clone());
+            let tt_tf = ttlqt(&mut t1b, &mut t2b, &mut ws);
+
+            for &r in &DIMS {
+                let c0 = random_gaussian(r, n, seed + 3);
+                let h0 = random_gaussian(r, k, seed + 4);
+                for trans in [Trans::Transpose, Trans::NoTranspose] {
+                    let what = format!("n={n} k={k} r={r} {trans:?}");
+                    let mut cu = c0.clone();
+                    unmlq_unblocked(&vu, &taus, &mut cu, trans);
+                    check_on_backends(&format!("UNMLQ {what}"), &[&cu], || {
+                        let mut c = c0.clone();
+                        unmlq(&vb, &tf, &mut c, trans, &mut Workspace::new());
+                        vec![c]
+                    });
+                    let (mut h, mut c) = (h0.clone(), c0.clone());
+                    tsmlq_unblocked(&mut h, &mut c, &s2u, &ts_taus, trans);
+                    check_on_backends(&format!("TSMLQ {what}"), &[&h, &c], || {
+                        let (mut h, mut c) = (h0.clone(), c0.clone());
+                        tsmlq(&mut h, &mut c, &s2b, &ts_tf, trans, &mut Workspace::new());
+                        vec![h, c]
+                    });
+                    let (mut h, mut c) = (h0.clone(), c0.clone());
+                    ttmlq_unblocked(&mut h, &mut c, &t2u, &tt_taus, trans);
+                    check_on_backends(&format!("TTMLQ {what}"), &[&h, &c], || {
+                        let (mut h, mut c) = (h0.clone(), c0.clone());
+                        ttmlq(&mut h, &mut c, &t2b, &tt_tf, trans, &mut Workspace::new());
+                        vec![h, c]
+                    });
+                }
+
+                // Q^T then Q is the identity.
+                let mut c = c0.clone();
+                unmlq(&vb, &tf, &mut c, Trans::Transpose, &mut ws);
+                unmlq(&vb, &tf, &mut c, Trans::NoTranspose, &mut ws);
+                assert!(
+                    relative_error(&c0, &c) < TOL,
+                    "UNMLQ round trip n={n} k={k} r={r}"
+                );
+                for (name, apply, v2, tf2) in [
+                    ("TSMLQ", tsmlq as ApplyPair, &s2b, &ts_tf),
+                    ("TTMLQ", ttmlq as ApplyPair, &t2b, &tt_tf),
+                ] {
+                    let (mut h, mut c) = (h0.clone(), c0.clone());
+                    apply(&mut h, &mut c, v2, tf2, Trans::Transpose, &mut ws);
+                    apply(&mut h, &mut c, v2, tf2, Trans::NoTranspose, &mut ws);
+                    assert!(
+                        relative_error(&h0, &h) < TOL && relative_error(&c0, &c) < TOL,
+                        "{name} round trip n={n} k={k} r={r}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn geqrt_matches_unblocked_on_every_shape_pair() {
     for &m in &DIMS {
         for &n in &DIMS {
@@ -369,6 +451,7 @@ fn nan_poisoned_tiles_give_identical_output() {
     // The strictly lower part of a TTMQR `v2` tile holds an earlier GEQRT's
     // vectors, the upper triangle of an UNMQR `v` tile holds `R`: neither
     // belongs to the reflectors, so NaNs there must not reach the output.
+    // Likewise for the transposed storage of the LQ side.
     let mut ws = Workspace::new();
     for &(m, k) in &[
         (5usize, 7usize),
@@ -405,6 +488,40 @@ fn nan_poisoned_tiles_give_identical_output() {
                 assert!(
                     h == h_clean && c == c_clean,
                     "TTMQR read below the triangle, {m}x{k} n={n}"
+                );
+            }
+        }
+
+        // The LQ side stores the transposes: the lower triangle of an UNMLQ
+        // `v` tile (diagonal included) holds `L`, the strictly upper part
+        // of a TTMLQ `v2` tile an earlier GELQT's vectors.
+        let n = m;
+        let mut v = random_gaussian(k, n, 12);
+        let tf = gelqt(&mut v, &mut ws);
+        let poisoned_v = Matrix::from_fn(k, n, |i, j| if i >= j { f64::NAN } else { v.get(i, j) });
+        let mut l1 = lower_triangle_of(&random_gaussian(k, k, 13));
+        let mut v2 = lower_triangle_of(&random_gaussian(k, n, 14));
+        let tt_tf = ttlqt(&mut l1, &mut v2, &mut ws);
+        let poisoned_v2 = Matrix::from_fn(k, n, |i, j| if i < j { f64::NAN } else { v2.get(i, j) });
+        for r in [1usize, 4, 7, 64] {
+            let c0 = random_gaussian(r, n, 15);
+            let h0 = random_gaussian(r, k, 16);
+            for trans in [Trans::Transpose, Trans::NoTranspose] {
+                let mut clean = c0.clone();
+                unmlq(&v, &tf, &mut clean, trans, &mut ws);
+                let mut c = c0.clone();
+                unmlq(&poisoned_v, &tf, &mut c, trans, &mut ws);
+                assert!(c.data().iter().all(|x| x.is_finite()));
+                assert_eq!(c, clean, "UNMLQ read L, {k}x{n} r={r}");
+
+                let (mut h_clean, mut c_clean) = (h0.clone(), c0.clone());
+                ttmlq(&mut h_clean, &mut c_clean, &v2, &tt_tf, trans, &mut ws);
+                let (mut h, mut c) = (h0.clone(), c0.clone());
+                ttmlq(&mut h, &mut c, &poisoned_v2, &tt_tf, trans, &mut ws);
+                assert!(h.data().iter().chain(c.data()).all(|x| x.is_finite()));
+                assert!(
+                    h == h_clean && c == c_clean,
+                    "TTMLQ read above the triangle, {k}x{n} r={r}"
                 );
             }
         }

@@ -1,9 +1,9 @@
 //! Forced-backend equivalence of the SIMD-ported kernel layer.
 //!
 //! The QR tile kernels run one lane-generic compact-WY chunk kernel (the
-//! LQ factorizations reach it through transposes), the LQ applies route
-//! their row-wise axpy sweeps through `bidiag_matrix::simd`, and the band
-//! bulge chaser routes its fused column-rotation strips the same way. This
+//! LQ factorizations reach it through transposes), the LQ applies its
+//! right-sided mirror image, and the band bulge chaser routes its fused
+//! column-rotation strips through `bidiag_matrix::simd`. This
 //! suite pins the scalar and AVX2 backends to each other through the *real*
 //! dispatch path ([`simd::with_forced_backend`] + [`simd::backend`]), at
 //! two levels:
@@ -145,48 +145,57 @@ fn lq_tile_kernels_agree_across_backends() {
             let tf = gelqt(&mut a, &mut ws);
             let mut ct = c0.clone();
             unmlq(&a, &tf, &mut ct, Trans::Transpose, &mut ws);
-            (a, tf.taus().to_vec(), ct)
+            let mut cn = c0.clone();
+            unmlq(&a, &tf, &mut cn, Trans::NoTranspose, &mut ws);
+            (a, tf.taus().to_vec(), ct, cn)
         }) else {
             return;
         };
         assert!(relative_error(&s.0, &v.0) < TOL, "GELQT factor nb={nb}");
         assert_taus_close(&s.1, &v.1, "GELQT");
-        assert!(relative_error(&s.2, &v.2) < TOL, "UNMLQ nb={nb}");
+        assert!(relative_error(&s.2, &v.2) < TOL, "UNMLQ^T nb={nb}");
+        assert!(relative_error(&s.3, &v.3) < TOL, "UNMLQ nb={nb}");
 
         for n2 in [nb, nb.div_ceil(2)] {
             let l1_0 = lower_triangle_of(&random_gaussian(nb, nb, (nb * 367 + n2) as u64));
             let a2_0 = random_gaussian(nb, n2, (nb * 373 + n2) as u64);
             let t2_0 = lower_triangle_of(&random_gaussian(nb, n2, (nb * 379 + n2) as u64));
-            let c1_0 = random_gaussian(nb, nb, 53);
-            let c2_0 = random_gaussian(nb, n2, 59);
+            // Row counts off the 4-lane step: the right-sided chunk kernel
+            // vectorizes over the rows of C and finishes one row at a time.
+            let c1_0 = random_gaussian(nb + 2, nb, 53);
+            let c2_0 = random_gaussian(nb + 2, n2, 59);
 
-            let Some((s, v)) = under_both(|| {
-                let mut ws = Workspace::new();
-                let mut l1 = l1_0.clone();
-                let mut a2 = a2_0.clone();
-                let tf = tslqt(&mut l1, &mut a2, &mut ws);
-                let mut b1 = c1_0.clone();
-                let mut b2 = c2_0.clone();
-                tsmlq(&mut b1, &mut b2, &a2, &tf, Trans::NoTranspose, &mut ws);
+            for trans in [Trans::Transpose, Trans::NoTranspose] {
+                let Some((s, v)) = under_both(|| {
+                    let mut ws = Workspace::new();
+                    let mut l1 = l1_0.clone();
+                    let mut a2 = a2_0.clone();
+                    let tf = tslqt(&mut l1, &mut a2, &mut ws);
+                    let mut b1 = c1_0.clone();
+                    let mut b2 = c2_0.clone();
+                    tsmlq(&mut b1, &mut b2, &a2, &tf, trans, &mut ws);
 
-                let mut t1 = l1_0.clone();
-                let mut t2 = t2_0.clone();
-                let tg = ttlqt(&mut t1, &mut t2, &mut ws);
-                let mut d1 = c1_0.clone();
-                let mut d2 = c2_0.clone();
-                ttmlq(&mut d1, &mut d2, &t2, &tg, Trans::NoTranspose, &mut ws);
-                (l1, a2, b1, b2, t1, t2, d1, d2)
-            }) else {
-                return;
-            };
-            assert!(relative_error(&s.0, &v.0) < TOL, "TSLQT L1 nb={nb} n2={n2}");
-            assert!(relative_error(&s.1, &v.1) < TOL, "TSLQT V2 nb={nb} n2={n2}");
-            assert!(relative_error(&s.2, &v.2) < TOL, "TSMLQ C1 nb={nb} n2={n2}");
-            assert!(relative_error(&s.3, &v.3) < TOL, "TSMLQ C2 nb={nb} n2={n2}");
-            assert!(relative_error(&s.4, &v.4) < TOL, "TTLQT L1 nb={nb} n2={n2}");
-            assert!(relative_error(&s.5, &v.5) < TOL, "TTLQT V2 nb={nb} n2={n2}");
-            assert!(relative_error(&s.6, &v.6) < TOL, "TTMLQ C1 nb={nb} n2={n2}");
-            assert!(relative_error(&s.7, &v.7) < TOL, "TTMLQ C2 nb={nb} n2={n2}");
+                    let mut t1 = l1_0.clone();
+                    let mut t2 = t2_0.clone();
+                    let tg = ttlqt(&mut t1, &mut t2, &mut ws);
+                    let mut d1 = c1_0.clone();
+                    let mut d2 = c2_0.clone();
+                    ttmlq(&mut d1, &mut d2, &t2, &tg, trans, &mut ws);
+                    [l1, a2, b1, b2, t1, t2, d1, d2]
+                }) else {
+                    return;
+                };
+                let names = [
+                    "TSLQT L1", "TSLQT V2", "TSMLQ C1", "TSMLQ C2", "TTLQT L1", "TTLQT V2",
+                    "TTMLQ C1", "TTMLQ C2",
+                ];
+                for ((s, v), name) in s.iter().zip(&v).zip(names) {
+                    assert!(
+                        relative_error(s, v) < TOL,
+                        "{name} nb={nb} n2={n2} {trans:?}"
+                    );
+                }
+            }
         }
     }
 }

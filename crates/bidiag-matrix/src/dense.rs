@@ -136,7 +136,8 @@ impl Matrix {
     pub fn copy_transposed_from(&mut self, other: &Matrix) {
         self.rows = other.cols;
         self.cols = other.rows;
-        self.data.clear();
+        // Every element is overwritten below: no zero-fill unless the size
+        // changes.
         self.data.resize(other.data.len(), 0.0);
         const BS: usize = 32;
         let (m, n) = (other.rows, other.cols);

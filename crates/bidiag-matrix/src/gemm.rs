@@ -58,9 +58,9 @@ const NC: usize = 512;
 pub const PACK_CROSSOVER_MNK: usize = 8 * 8 * 8;
 
 /// Reusable pack buffers of the packed GEMM path.  One long-lived scratch
-/// per worker (the kernel `Workspace` of `bidiag-kernels` embeds one) makes
-/// every call allocation-free in steady state; buffers grow to
-/// `(MC + MR) * KC` and `(NC + NR) * KC` doubles and are then reused.
+/// per caller makes every call allocation-free in steady state; buffers
+/// grow to `(MC + MR) * KC` and `(NC + NR) * KC` doubles and are then
+/// reused.
 #[derive(Default, Debug)]
 pub struct GemmScratch {
     apack: Vec<f64>,
@@ -71,18 +71,6 @@ impl GemmScratch {
     /// Empty scratch; the pack buffers grow on first packed call.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Scratch pre-sized for products whose dimensions are all at most
-    /// `nb` (one tile-kernel workload), so even the first packed call
-    /// allocates nothing.
-    pub fn for_tile(nb: usize) -> Self {
-        let d = nb.max(1);
-        let kc = KC.min(d);
-        GemmScratch {
-            apack: vec![0.0; MC.min(d).div_ceil(MR) * MR * kc],
-            bpack: vec![0.0; NC.min(d).div_ceil(NR) * NR * kc],
-        }
     }
 }
 
@@ -254,7 +242,7 @@ pub fn gemm_nn_unpacked(
     let k = a.cols();
     for (j, ccol) in c.cols_mut().enumerate() {
         let bcol = b.col(j);
-        axpy4(ccol, alpha, &a, |kk| bcol[kk], k);
+        rank_k_column(ccol, alpha, &a, |kk| bcol[kk], k);
     }
 }
 
@@ -293,14 +281,20 @@ pub fn gemm_nt_unpacked(
 ) {
     let k = a.cols();
     for (j, ccol) in c.cols_mut().enumerate() {
-        axpy4(ccol, alpha, &a, |kk| b.get(j, kk), k);
+        rank_k_column(ccol, alpha, &a, |kk| b.get(j, kk), k);
     }
 }
 
 /// `ccol += alpha * sum_kk a[:, kk] * scale(kk)`, the shared rank-k update
 /// of one output column, unrolled four columns of `A` at a time.
 #[inline]
-fn axpy4(ccol: &mut [f64], alpha: f64, a: &MatrixView<'_>, scale: impl Fn(usize) -> f64, k: usize) {
+fn rank_k_column(
+    ccol: &mut [f64],
+    alpha: f64,
+    a: &MatrixView<'_>,
+    scale: impl Fn(usize) -> f64,
+    k: usize,
+) {
     let m = ccol.len();
     let mut kk = 0;
     while kk + 4 <= k {

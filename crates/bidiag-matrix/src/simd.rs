@@ -476,44 +476,6 @@ pub unsafe fn axpy_body<S: SimdLane>(s: S, y: &mut [f64], a: f64, x: &[f64]) {
     }
 }
 
-/// `y[i] += s0*x0[i] + s1*x1[i] + s2*x2[i] + s3*x3[i]`.
-/// Contract: all `xk.len() >= y.len()`.
-#[inline(always)]
-unsafe fn axpy4_body<S: SimdLane>(
-    s: S,
-    y: &mut [f64],
-    c: [f64; 4],
-    x0: &[f64],
-    x1: &[f64],
-    x2: &[f64],
-    x3: &[f64],
-) {
-    let n = y.len();
-    debug_assert!(x0.len() >= n && x1.len() >= n && x2.len() >= n && x3.len() >= n);
-    // SAFETY (whole body): caller upholds the lane's ISA contract and
-    // xk.len() >= y.len() = n; every index below is < n.
-    unsafe {
-        let c0 = s.splat(c[0]);
-        let c1 = s.splat(c[1]);
-        let c2 = s.splat(c[2]);
-        let c3 = s.splat(c[3]);
-        let mut i = 0;
-        while i + S::LANES <= n {
-            let mut yv = s.load(y, i);
-            yv = s.mul_add(s.load(x0, i), c0, yv);
-            yv = s.mul_add(s.load(x1, i), c1, yv);
-            yv = s.mul_add(s.load(x2, i), c2, yv);
-            yv = s.mul_add(s.load(x3, i), c3, yv);
-            s.store(y, i, yv);
-            i += S::LANES;
-        }
-        while i < n {
-            y[i] += c[0] * x0[i] + c[1] * x1[i] + c[2] * x2[i] + c[3] * x3[i];
-            i += 1;
-        }
-    }
-}
-
 /// Dot product with 4 independent accumulators (ILP), reduced as
 /// `(a0 + a1) + (a2 + a3)` plus a sequential tail; lane-generic body,
 /// public for the same reason as [`axpy_body`].
@@ -646,21 +608,6 @@ mod avx2_shells {
     }
 
     /// # Safety
-    /// Caller must guarantee AVX2+FMA and `xk.len() >= y.len()` for all k.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn axpy4(
-        y: &mut [f64],
-        c: [f64; 4],
-        x0: &[f64],
-        x1: &[f64],
-        x2: &[f64],
-        x3: &[f64],
-    ) {
-        // SAFETY: as in `axpy`.
-        unsafe { axpy4_body(Avx2Lane::new_unchecked(), y, c, x0, x1, x2, x3) }
-    }
-
-    /// # Safety
     /// Caller must guarantee AVX2+FMA and `b.len() >= a.len()`.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn dot(a: &[f64], b: &[f64]) -> f64 {
@@ -702,37 +649,6 @@ pub fn axpy(be: SimdBackend, y: &mut [f64], a: f64, x: &[f64]) {
         SimdBackend::Avx2 => {
             check_avx2();
             unsafe { avx2_shells::axpy(y, a, x) }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        SimdBackend::Avx2 => {
-            check_avx2();
-            unreachable!()
-        }
-    }
-}
-
-/// `y += c[0]*x0 + c[1]*x1 + c[2]*x2 + c[3]*x3` over the dispatched backend.
-/// Panics unless every `xk.len() >= y.len()`.
-#[inline]
-pub fn axpy4(
-    be: SimdBackend,
-    y: &mut [f64],
-    c: [f64; 4],
-    x0: &[f64],
-    x1: &[f64],
-    x2: &[f64],
-    x3: &[f64],
-) {
-    let n = y.len();
-    assert!(x0.len() >= n && x1.len() >= n && x2.len() >= n && x3.len() >= n);
-    match be {
-        // SAFETY: scalar lane has no ISA requirements; lengths checked above.
-        SimdBackend::Scalar => unsafe { axpy4_body(ScalarLane, y, c, x0, x1, x2, x3) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: check_avx2 verifies AVX2+FMA; lengths checked above.
-        SimdBackend::Avx2 => {
-            check_avx2();
-            unsafe { avx2_shells::axpy4(y, c, x0, x1, x2, x3) }
         }
         #[cfg(not(target_arch = "x86_64"))]
         SimdBackend::Avx2 => {
@@ -934,9 +850,6 @@ mod tests {
         use SimdBackend::{Avx2, Scalar};
         for &n in &SIZES {
             let x = test_vec(n, 3);
-            let x1 = test_vec(n, 4);
-            let x2 = test_vec(n, 5);
-            let x3 = test_vec(n, 6);
             let y0 = test_vec(n, 7);
 
             let mut ys = y0.clone();
@@ -945,15 +858,6 @@ mod tests {
             axpy(Avx2, &mut yv, 0.73, &x);
             for i in 0..n {
                 assert!(rel(yv[i], ys[i]) < 1e-15, "axpy n={n} i={i}");
-            }
-
-            let c = [0.11, -0.23, 0.51, -0.77];
-            let mut ys = y0.clone();
-            let mut yv = y0.clone();
-            axpy4(Scalar, &mut ys, c, &x, &x1, &x2, &x3);
-            axpy4(Avx2, &mut yv, c, &x, &x1, &x2, &x3);
-            for i in 0..n {
-                assert!(rel(yv[i], ys[i]) < 1e-15, "axpy4 n={n} i={i}");
             }
 
             assert!(
