@@ -21,11 +21,9 @@
 //! its unblocked reference at the measured tile size — the check that
 //! would have caught the PR 3 TTQRT/TTLQT regression — the BD2VAL
 //! dqds solver must beat per-value bisection by at least 3x on the
-//! reference bidiagonal (n = 512), the pipelined BND2BD wavefront
-//! reduction must beat the retained single-bulge chase by at least 2x on
-//! the reference band (n = 512, bw = 64), and (when the host has AVX2+FMA)
-//! the AVX2 backend must run the reference GE2BND at least 1.3x faster
-//! than the forced-scalar backend.  All gates *assert* (non-zero exit) in
+//! reference bidiagonal (n = 512), and (when the host has AVX2+FMA) the
+//! AVX2 backend must run the reference GE2BND at least 1.3x faster than
+//! the forced-scalar backend.  All gates *assert* (non-zero exit) in
 //! `--test` mode so CI enforces them.
 //!
 //! Results are emitted machine-readably to `BENCH_kernels.json` (fields:
@@ -37,13 +35,11 @@
 //! Modes: no flag = full sweep; `--test` = CI gate (nb = 64 only, shorter
 //! rounds, JSON to a temp path, no end-to-end run, but all acceptance
 //! gates); `--gemm-sweep` = only the packed-vs-unpacked GEMM crossover
-//! table; `--bd2val` = only the BD2VAL solver comparison; `--bnd2bd` =
-//! only the BND2BD pipelined-vs-single-bulge comparison; `--simd` = only
+//! table; `--bd2val` = only the BD2VAL solver comparison; `--simd` = only
 //! the SIMD backend comparison plus the GE2BND backend gate.
 
 use bidiag_bench::{
-    measure_bd2val_solvers, measure_bnd2bd, measure_ge2bnd_backends, measure_ge2bnd_scaling,
-    measure_ge2val_stages,
+    measure_bd2val_solvers, measure_ge2bnd_backends, measure_ge2bnd_scaling, measure_ge2val_stages,
 };
 use bidiag_core::flops::bidiag_flops;
 use bidiag_core::pipeline::{AlgorithmChoice, Ge2Options};
@@ -450,37 +446,6 @@ fn bd2val_comparison(h: &mut Harness, samples: usize) -> bidiag_bench::Bd2ValTim
     t
 }
 
-/// BND2BD back-end comparison on the reference band (512 x 512, bw = 64,
-/// from the 768x512 nb=64 GE2BND): the pipelined cache-blocked wavefront
-/// reduction against the retained single-bulge oracle.  Prints the table,
-/// records the timings, and returns them for the gate/JSON writers.  The
-/// GFlop/s rate uses the [`bidiag_kernels::band::bnd2bd_flops`] count.
-fn bnd2bd_comparison(h: &mut Harness, samples: usize) -> bidiag_bench::Bnd2BdTimings {
-    let t = measure_bnd2bd(768, 512, 64, samples);
-    let flops = bidiag_kernels::band::bnd2bd_flops(t.n, t.bw);
-    println!(
-        "# BND2BD back-ends on the reference band, n={} bw={} (768x512 nb=64 pipeline; best of {samples})",
-        t.n, t.bw
-    );
-    println!("backend\ttime_ms\tspeedup_vs_single_bulge\tGFlop/s");
-    for (name, secs) in [("single_bulge", t.single_bulge), ("pipelined", t.pipelined)] {
-        println!(
-            "{name}\t{:.2}\t{:.2}x\t{:.2}",
-            secs * 1.0e3,
-            t.single_bulge / secs,
-            flops / secs / 1.0e9
-        );
-        h.records.push(Record {
-            name: "bnd2bd_n512",
-            nb: 64,
-            variant: name,
-            ns_per_iter: secs * 1.0e9,
-            gflops: flops / secs / 1.0e9,
-        });
-    }
-    t
-}
-
 /// Nominal machine FMA peak, modelled as `cores x freq x lanes x 2`
 /// (one 4-lane f64 FMA issued per cycle = 8 flops; hosts with two FMA
 /// ports can double this, so measured rates are reported against the
@@ -834,17 +799,14 @@ fn write_json(path: &std::path::Path, records: &[Record]) {
 }
 
 /// Write the top-level BENCH.json: end-to-end numbers on the reference
-/// case, the BD2VAL solver and BND2BD back-end comparisons, the machine
-/// they were measured on, and the cross-PR trajectory (GE2BND plus, from
-/// PR 4 on, the BD2VAL stage time the singular-value subsystem was built
-/// to attack, and from PR 5 on the BND2BD stage time the pipelined bulge
-/// chase was built to attack).
+/// case, the BD2VAL solver comparison, the machine they were measured on,
+/// and the cross-PR trajectory (GE2BND plus, from PR 4 on, the BD2VAL
+/// stage time and, from PR 5 on, the BND2BD stage time).
 #[allow(clippy::too_many_arguments)] // one call site; mirrors the BENCH.json block list
 fn write_top_level_bench(
     ge2bnd_ms: f64,
     stages: &bidiag_bench::StageTimes,
     bd2val: &bidiag_bench::Bd2ValTimings,
-    bnd2bd: &bidiag_bench::Bnd2BdTimings,
     peak: &FmaPeak,
     sg: &SimdGflops,
     backend_points: &[bidiag_bench::BackendPoint],
@@ -1055,13 +1017,6 @@ fn write_top_level_bench(
     "dqds_ms": {bq:.2},
     "dqds_speedup_vs_bisection": {bx:.2}
   }},
-  "bnd2bd_backends": {{
-    "n": {cn},
-    "bw": {cbw},
-    "single_bulge_ms": {cs:.2},
-    "pipelined_ms": {cp:.2},
-    "pipelined_speedup_vs_single_bulge": {cx:.2}
-  }},
 {batch_block}
 {simd_block}
   "history": [
@@ -1080,11 +1035,6 @@ fn write_top_level_bench(
         bs = bd2val.sliced * 1.0e3,
         bq = bd2val.dqds * 1.0e3,
         bx = bd2val.bisection / bd2val.dqds,
-        cn = bnd2bd.n,
-        cbw = bnd2bd.bw,
-        cs = bnd2bd.single_bulge * 1.0e3,
-        cp = bnd2bd.pipelined * 1.0e3,
-        cx = bnd2bd.speedup(),
     );
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH.json");
     std::fs::write(&path, out).expect("writing BENCH.json");
@@ -1095,7 +1045,6 @@ fn main() {
     let test_mode = std::env::args().any(|a| a == "--test");
     let sweep_only = std::env::args().any(|a| a == "--gemm-sweep");
     let bd2val_only = std::env::args().any(|a| a == "--bd2val");
-    let bnd2bd_only = std::env::args().any(|a| a == "--bnd2bd");
     let simd_only = std::env::args().any(|a| a == "--simd");
     let batch_only = std::env::args().any(|a| a == "--batch");
     let (nbs, rounds, min_round_secs): (&[usize], usize, f64) = if test_mode {
@@ -1117,10 +1066,6 @@ fn main() {
     }
     if bd2val_only {
         bd2val_comparison(&mut h, 3);
-        return;
-    }
-    if bnd2bd_only {
-        bnd2bd_comparison(&mut h, 3);
         return;
     }
     if simd_only {
@@ -1205,27 +1150,6 @@ fn main() {
         );
     }
 
-    // BND2BD acceptance: the pipelined cache-blocked wavefront reduction
-    // must beat the retained single-bulge chase by >= 2x on the reference
-    // band (n = 512, bw = 64).  Asserted in --test mode so CI catches a
-    // pipeline regression; the margin is wide on the reference host so
-    // scheduler noise cannot flip the gate.
-    let bnd2bd = bnd2bd_comparison(&mut h, if test_mode { 2 } else { 3 });
-    let b2b_speedup = bnd2bd.speedup();
-    let verdict = if b2b_speedup >= 2.0 { "PASS" } else { "FAIL" };
-    println!(
-        "# check: bnd2bd pipelined >= 2x single-bulge @ n={} bw={}: {b2b_speedup:.2}x [{verdict}]",
-        bnd2bd.n, bnd2bd.bw
-    );
-    if test_mode {
-        assert!(
-            b2b_speedup >= 2.0,
-            "bnd2bd acceptance: pipelined only {b2b_speedup:.2}x over single-bulge at n={} bw={}",
-            bnd2bd.n,
-            bnd2bd.bw
-        );
-    }
-
     // SIMD layer: flagship-kernel GFlop/s vs peak under both forced
     // backends, plus the end-to-end GE2BND backend split with the PR 7
     // acceptance gate (avx2 >= 1.3x scalar, asserted in --test mode when
@@ -1291,7 +1215,6 @@ fn main() {
             secs * 1.0e3,
             &stages,
             &bd2val,
-            &bnd2bd,
             &peak,
             &sg,
             &backend_points,

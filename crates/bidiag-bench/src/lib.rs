@@ -34,8 +34,13 @@ pub const TS_KERNEL_EFFICIENCY: f64 = 0.85;
 /// Kernel efficiency of the TT-family kernels: the paper stresses that they
 /// "reach only a fraction of the performance of TS kernels".
 pub const TT_KERNEL_EFFICIENCY: f64 = 0.45;
-/// Sequential Level-2/memory-bound rate (GFlop/s) used for the BND2BD stage.
-pub const BND2BD_GFLOPS: f64 = 12.0;
+/// Sequential Level-2/memory-bound rate (GFlop/s) used for the BND2BD stage,
+/// in the units of [`bnd2bd_flops`]: 15.21 charges the stage of an
+/// order-`n` band at the paper's `nb = 160` the `84.16 n^2` ns the figures
+/// were calibrated with.
+pub const BND2BD_GFLOPS: f64 = 15.21;
+/// Sequential Level-2/memory-bound rate (GFlop/s) used for the BD2VAL stage.
+pub const BD2VAL_GFLOPS: f64 = 12.0;
 
 /// Per-core GEMM rate of the reference machine (GFlop/s).
 pub const CORE_GFLOPS: f64 = 37.0;
@@ -150,7 +155,7 @@ pub fn ge2val_sim_gflops(
     let t1 = ge2bnd_sim_seconds(m, n, nb, tree, algorithm, nodes, grid);
     let t2 = bnd2bd_flops(n.min(m), nb) / (BND2BD_GFLOPS * 1.0e9);
     // BD2VAL is O(n^2) on the bidiagonal: negligible but accounted for.
-    let t3 = 30.0 * (n.min(m) as f64).powi(2) / (BND2BD_GFLOPS * 1.0e9);
+    let t3 = 30.0 * (n.min(m) as f64).powi(2) / (BD2VAL_GFLOPS * 1.0e9);
     bidiag_core::flops::gflops(bidiag_core::flops::reporting_flops(m, n), t1 + t2 + t3)
 }
 
@@ -159,7 +164,7 @@ pub fn ge2val_sim_gflops(
 /// fast GE2BND, the serial BND2BD + BD2VAL stages cap the rate.
 pub fn ge2val_upper_bound_gflops(m: usize, n: usize, nb: usize) -> f64 {
     let t2 = bnd2bd_flops(n.min(m), nb) / (BND2BD_GFLOPS * 1.0e9);
-    let t3 = 30.0 * (n.min(m) as f64).powi(2) / (BND2BD_GFLOPS * 1.0e9);
+    let t3 = 30.0 * (n.min(m) as f64).powi(2) / (BD2VAL_GFLOPS * 1.0e9);
     bidiag_core::flops::gflops(bidiag_core::flops::reporting_flops(m, n), t2 + t3)
 }
 
@@ -351,9 +356,7 @@ impl StageTimes {
 /// `ge2val` executes — solver-vs-solver comparisons live in
 /// [`measure_bd2val_solvers`].
 ///
-/// This is the breakdown that picks the next perf target: GE2BND dominated
-/// through PR 4, then BND2BD became the wall (101.3 ms of 177.0 ms) until
-/// the pipelined bulge chase of PR 6 — see [`measure_bnd2bd`].
+/// This is the breakdown that picks the next perf target.
 pub fn measure_ge2val_stages(m: usize, n: usize, nb: usize, samples: usize) -> StageTimes {
     use bidiag_core::pipeline::{ge2bnd, AlgorithmChoice, Ge2Options};
     use bidiag_svd::{singular_values_with, Bd2ValOptions};
@@ -477,85 +480,6 @@ pub fn measure_bd2val_solvers(m: usize, n: usize, nb: usize, samples: usize) -> 
         sliced: t_sliced,
         dqds: t_dqds,
         dqds_stats,
-    }
-}
-
-/// Best-of-`samples` wall times (seconds) of the two BND2BD back-ends on
-/// one band matrix.
-#[derive(Clone, Copy, Debug)]
-pub struct Bnd2BdTimings {
-    /// Order of the band matrix.
-    pub n: usize,
-    /// Upper bandwidth of the band matrix.
-    pub bw: usize,
-    /// The pipelined cache-blocked wavefront reduction (production path).
-    pub pipelined: f64,
-    /// The historical one-bulge-at-a-time chase (the oracle).
-    pub single_bulge: f64,
-}
-
-impl Bnd2BdTimings {
-    /// Speedup of the pipelined path over the single-bulge oracle.
-    pub fn speedup(&self) -> f64 {
-        self.single_bulge / self.pipelined.max(1e-12)
-    }
-}
-
-/// Measure the BND2BD stage on the band produced by GE2BND on the reference
-/// input (latms, geometric spectrum cond 1e4, seed 7): the pipelined
-/// wavefront reduction against the retained single-bulge oracle, each
-/// best-of-`samples` on identical clones of the band.  Before any timing,
-/// the two reductions are cross-checked against each other (singular values
-/// of the resulting bidiagonals via dqds, 1e-10 relative on sigma_max) so
-/// the fast path can never "win" by being wrong.
-pub fn measure_bnd2bd(m: usize, n: usize, nb: usize, samples: usize) -> Bnd2BdTimings {
-    use bidiag_core::pipeline::{ge2bnd, AlgorithmChoice, Ge2Options};
-    use std::time::Instant;
-
-    let (a, _) = bidiag_matrix::gen::latms(
-        m,
-        n,
-        &bidiag_matrix::gen::SpectrumKind::Geometric { cond: 1.0e4 },
-        7,
-    );
-    let opts = Ge2Options::new(nb)
-        .with_tree(NamedTree::Greedy)
-        .with_algorithm(AlgorithmChoice::Bidiag);
-    let band = ge2bnd(&a, &opts).band;
-
-    // Correctness cross-check before any timing.
-    let bd_pipe = band.clone().reduce_to_bidiagonal();
-    let bd_oracle = band.clone().reduce_to_bidiagonal_single_bulge();
-    let sv_pipe = bidiag_svd::dqds_singular_values(&bd_pipe.diag, &bd_pipe.superdiag);
-    let sv_oracle = bidiag_svd::dqds_singular_values(&bd_oracle.diag, &bd_oracle.superdiag);
-    let smax = sv_oracle.first().copied().unwrap_or(0.0);
-    for (j, (s, o)) in sv_pipe.iter().zip(&sv_oracle).enumerate() {
-        assert!(
-            (s - o).abs() <= 1e-10 * smax,
-            "pipelined BND2BD disagrees with the single-bulge oracle at value {j}: {s} vs {o}"
-        );
-    }
-
-    let mut pipelined = f64::INFINITY;
-    let mut single_bulge = f64::INFINITY;
-    for _ in 0..samples.max(1) {
-        let mut b = band.clone();
-        let t0 = Instant::now();
-        let bd = b.reduce_to_bidiagonal();
-        pipelined = pipelined.min(t0.elapsed().as_secs_f64());
-        assert_eq!(bd.diag.len(), band.order());
-
-        let mut b = band.clone();
-        let t0 = Instant::now();
-        let bd = b.reduce_to_bidiagonal_single_bulge();
-        single_bulge = single_bulge.min(t0.elapsed().as_secs_f64());
-        assert_eq!(bd.diag.len(), band.order());
-    }
-    Bnd2BdTimings {
-        n: band.order(),
-        bw: band.bandwidth(),
-        pipelined,
-        single_bulge,
     }
 }
 

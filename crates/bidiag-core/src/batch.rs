@@ -587,7 +587,7 @@ impl SvdSession {
                 // Identical to ge2bnd + the sequential BND2BD / BD2VAL
                 // stages of ge2val — same arithmetic, same sort.
                 let bw = nb.min(n.saturating_sub(1)).max(1);
-                let mut band = BandMatrix::from_dense(&tiled.extract_upper_band(bw), bw);
+                let mut band = BandMatrix::from_tiled(&tiled, bw);
                 let bidiag = band.reduce_to_bidiagonal();
                 let mut sv = singular_values_with(&bidiag.diag, &bidiag.superdiag, &bd2val);
                 // total_cmp: identical order on finite spectra, no panic on

@@ -7,11 +7,10 @@
 //!   measurements and machine simulation,
 //! * [`bnd2bd_on_runtime`] / [`bd2val_on_runtime`] — run the second and
 //!   third pipeline stages through the same runtime, so every stage of
-//!   GE2VAL is scheduled by one executor.  BND2BD fans out one task per
-//!   bulge-chasing *wavefront* (row-block dependencies let wavefronts of
-//!   different groups and passes overlap); BD2VAL fans out one task per
-//!   *spectrum interval* (Sturm-count slicing from `bidiag-svd`), or runs
-//!   the serial dqds fast path as a single task — see [`bd2val_task_count`].
+//!   GE2VAL is scheduled by one executor.  BND2BD runs its sequential bulge
+//!   chase as a single task; BD2VAL fans out one task per *spectrum
+//!   interval* (Sturm-count slicing from `bidiag-svd`), or runs the serial
+//!   dqds fast path as a single task — see [`bd2val_task_count`].
 //!
 //! # Parallel data plane
 //!
@@ -34,7 +33,7 @@
 //!   into its table slot.
 
 use crate::ops::{KernelScratch, TauTable, TileOp};
-use bidiag_kernels::band::{bulge_wavefronts, BandMatrix};
+use bidiag_kernels::band::BandMatrix;
 use bidiag_kernels::gebd2::Bidiagonal;
 use bidiag_matrix::{BlockCyclic, Matrix, TiledMatrix};
 use bidiag_obs as obs;
@@ -119,83 +118,34 @@ pub fn build_graph(ops: &[TileOp], q: usize, dist: &BlockCyclic) -> TaskGraph {
     g
 }
 
-/// The band matrix shared across BND2BD wavefront tasks.
+/// Run the BND2BD stage (band to bidiagonal) through the task runtime as
+/// **one** task running [`BandMatrix::reduce_to_bidiagonal`] — like the
+/// dqds path of [`bd2val_on_runtime`], so the stage shows up in the
+/// runtime's traces and counters and every thread count returns the
+/// sequential result bit for bit.
 ///
-/// # Safety
-///
-/// The wavefront task graph declares `Write` accesses on every band row
-/// block a task may touch ([`bidiag_kernels::band::Wavefront::row_blocks`]),
-/// so the runtime
-/// orders every pair of tasks whose blocks intersect; tasks it lets run
-/// concurrently have disjoint row sets, and in the packed band layout every
-/// element belongs to exactly one row — concurrent tasks therefore touch
-/// disjoint memory and the unsynchronised access is race-free.
-struct SharedBand(std::cell::UnsafeCell<BandMatrix>);
-
-unsafe impl Sync for SharedBand {}
-
-/// Run the BND2BD stage (band to bidiagonal) through the task runtime: one
-/// task per pipelined bulge-chasing *wavefront* (see
-/// [`bulge_wavefronts`]), with dependencies inferred from the band row
-/// blocks each wavefront touches.
-///
-/// Wavefronts of one group conflict on their shared window of the band and
-/// execute in pipeline order, but wavefronts of *different* groups — and of
-/// different superdiagonal passes — overlap whenever their row blocks are
-/// disjoint, so the stage scales with threads like GE2BND (the paper
-/// delegates this stage to PLASMA's multi-threaded bulge-chasing kernel).
-///
-/// The deflation threshold is computed once up front, exactly as
-/// [`BandMatrix::reduce_to_bidiagonal`] does, and conflicting wavefronts
-/// execute in program order, so the result is bitwise identical to the
-/// sequential reduction at every thread count.
+/// The chase is a chain of ~`n^2 / (2 bw)` block-steps of a few
+/// microseconds each in which step `k + 1` of a sweep needs step `k`;
+/// one task per step costs more in scheduling than the step itself, so the
+/// stage is not split until steps are grouped into coarser tasks.
 pub fn bnd2bd_on_runtime(band: &mut BandMatrix, threads: usize) -> Bidiagonal {
-    let bw = band.bandwidth();
-    let n = band.order();
-    if bw < 2 || n < 3 {
-        return band.bidiagonal_factor();
-    }
-    let wavefronts = bulge_wavefronts(n, bw);
-    let tol = band.deflation_tolerance();
-    let block_rows = bw.max(2);
     let mut g = TaskGraph::new();
-    let mut accesses: Vec<(u64, AccessMode)> = Vec::new();
-    for wf in &wavefronts {
-        accesses.clear();
-        accesses.extend(
-            wf.row_blocks(n, block_rows)
-                .into_iter()
-                .map(|blk| (blk, AccessMode::Write)),
-        );
-        g.add_task(
-            wf.steps(n).count().max(1) as f64,
-            0,
-            obs::KIND_BND2BD,
-            &accesses,
-        );
-    }
-    let shared = Arc::new(SharedBand(std::cell::UnsafeCell::new(std::mem::replace(
-        band,
-        BandMatrix::zeros(1, 1),
-    ))));
-    let bodies: Vec<TaskBody> = wavefronts
-        .iter()
-        .map(|&wf| {
-            let shared = Arc::clone(&shared);
-            Box::new(move || {
-                // SAFETY: see [`SharedBand`] — the graph orders every pair
-                // of wavefronts with intersecting row blocks, and a
-                // wavefront only writes rows inside its declared blocks.
-                unsafe { (*shared.0.get()).run_wavefront(&wf, tol) };
-            }) as TaskBody
-        })
-        .collect();
+    g.add_task(1.0, 0, obs::KIND_BND2BD, &[(0, AccessMode::Write)]);
+    let result: Arc<std::sync::OnceLock<(BandMatrix, Bidiagonal)>> =
+        Arc::new(std::sync::OnceLock::new());
+    let slot = Arc::clone(&result);
+    let mut work = std::mem::replace(band, BandMatrix::zeros(1, 1));
+    let bodies: Vec<TaskBody> = vec![Box::new(move || {
+        let bidiag = work.reduce_to_bidiagonal();
+        slot.set((work, bidiag)).expect("BND2BD task ran twice");
+    }) as TaskBody];
     runtime_execute(&g, bodies, threads);
-    let Ok(cell) = Arc::try_unwrap(shared) else {
-        unreachable!("all workers joined");
-    };
-    *band = cell.0.into_inner();
-    band.bidiagonal_factor()
+    let (work, bidiag) = Arc::try_unwrap(result)
+        .expect("all workers joined")
+        .into_inner()
+        .expect("BND2BD task never ran");
+    *band = work;
+    bidiag
 }
 
 /// Number of runtime tasks [`bd2val_on_runtime`] fans out for this
@@ -445,10 +395,9 @@ mod tests {
     }
 
     #[test]
-    fn bnd2bd_wavefront_tasks_are_deterministic_across_thread_counts() {
-        // Conflicting wavefronts are graph-ordered and concurrent ones
-        // touch disjoint rows, so every thread count must reproduce the
-        // sequential reduction bit for bit.
+    fn bnd2bd_on_runtime_is_deterministic_across_thread_counts() {
+        // One task runs the sequential chase, so every thread count must
+        // reproduce `reduce_to_bidiagonal` bit for bit.
         for (n, bw, seed) in [(100usize, 8usize, 13u64), (61, 3, 14), (40, 17, 15)] {
             let mut reference = random_band(n, bw, seed);
             let band0 = reference.clone();

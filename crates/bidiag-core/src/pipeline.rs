@@ -8,13 +8,12 @@
 //!   threading knobs.
 //!
 //! With `threads > 1` every stage runs on the work-stealing task runtime of
-//! `bidiag-runtime`: GE2BND as the tile-kernel DAG, BND2BD as one task per
-//! pipelined bulge-chasing *wavefront* (row-block dependencies let
-//! memory-disjoint wavefronts overlap — the paper delegates this stage to
-//! PLASMA's multi-threaded bulge-chasing kernel),
-//! and BD2VAL through the `bidiag-svd` solver subsystem — the dqds fast
-//! path as a single task, or Sturm spectrum slicing as one task per
-//! multi-value interval ([`Bd2ValOptions`] selects).  The thread count
+//! `bidiag-runtime`: GE2BND as the tile-kernel DAG, BND2BD as a single
+//! task running the sequential Householder bulge chase (the paper delegates
+//! this stage to PLASMA's bulge-chasing kernel; this one does not scale
+//! with threads), and BD2VAL through the `bidiag-svd` solver subsystem —
+//! the dqds fast path as a single task, or Sturm spectrum slicing as one
+//! task per multi-value interval ([`Bd2ValOptions`] selects).  The thread count
 //! never changes the numerical result — the task graphs encode every data
 //! conflict of the sequential order and the spectrum slicing is
 //! thread-count independent, so any schedule executes the same arithmetic
@@ -186,7 +185,7 @@ pub fn ge2bnd(a: &Matrix, opts: &Ge2Options) -> Ge2BndResult {
         execute_sequential(&ops, &mut tiled);
     }
     let bw = opts.nb.min(a.cols().saturating_sub(1)).max(1);
-    let band = BandMatrix::from_dense(&tiled.extract_upper_band(bw), bw);
+    let band = BandMatrix::from_tiled(&tiled, bw);
     Ge2BndResult {
         band,
         algorithm,
@@ -280,8 +279,8 @@ pub fn ge2val(a: &Matrix, opts: &Ge2Options) -> Ge2ValResult {
     let t0 = if run_id != 0 { obs::now_ns() } else { 0 };
     let stage1 = ge2bnd(a_ref, opts);
     stage_span(0, obs::KIND_STAGE_GE2BND, t0);
-    // BND2BD: pipelined bulge chasing on the band (one runtime task per
-    // wavefront when threaded; same wavefront schedule either way).
+    // BND2BD: the sequential bulge chase on the band (as one runtime task
+    // when threaded).
     let mut band = stage1.band.clone();
     let t1 = if run_id != 0 { obs::now_ns() } else { 0 };
     let bidiag = if opts.threads > 1 {

@@ -15,8 +15,8 @@
 //!   nothing but the `TFactor` a factorization returns),
 //! * [`gebd2`] — the scalar (Level-2) Golub–Kahan bidiagonalization used by
 //!   the one-stage baselines,
-//! * [`band`] — band storage and the Givens bulge-chasing band-to-bidiagonal
-//!   reduction (the BND2BD stage),
+//! * [`band`] — packed band storage and the Householder bulge-chasing
+//!   band-to-bidiagonal reduction (the BND2BD stage),
 //! * [`svd`] — the BD2VAL stage: the `bidiag-svd` solver subsystem (dqds
 //!   fast path, Sturm spectrum slicing, bisection oracle) re-exported at
 //!   the kernel level,

@@ -667,10 +667,9 @@ unsafe fn factor_body<S: SimdLane>(
                 let ss = unsafe { simd::dot_body(s, vk, vk) };
                 // A sum of squares in this range neither overflowed nor
                 // lost anything to underflow that matters at working
-                // precision (the window `band::fast_givens` guards its
-                // plain `sqrt(f^2 + g^2)` with); anything else takes the
-                // scaled norm, whose per-element division would otherwise
-                // be a fifth of the factorization.
+                // precision; anything else takes the scaled norm, whose
+                // per-element division would otherwise be a fifth of the
+                // factorization.
                 let xnorm = if (1e-280..1e280).contains(&ss) {
                     ss.sqrt()
                 } else {

@@ -2,9 +2,9 @@
 //!
 //! The QR tile kernels run one lane-generic compact-WY chunk kernel (the
 //! LQ factorizations reach it through transposes), the LQ applies its
-//! right-sided mirror image, and the band bulge chaser routes its fused
-//! column-rotation strips through `bidiag_matrix::simd`. This
-//! suite pins the scalar and AVX2 backends to each other through the *real*
+//! right-sided mirror image, and the band bulge chase applies its
+//! reflectors through one lane-generic body of its own. This suite pins
+//! the scalar and AVX2 backends to each other through the *real*
 //! dispatch path ([`simd::with_forced_backend`] + [`simd::backend`]), at
 //! two levels:
 //!
@@ -14,9 +14,9 @@
 //!   the flat `1e-15` the primitive kernels are held to (the same reason
 //!   the blocked-vs-unblocked suite uses `1e-13`).
 //! * **BND2BD** — compared via the singular values of the resulting
-//!   bidiagonal at `1e-12`: a bulge chase is a long *chain* of rotations
-//!   where each Givens pair is computed from entries already perturbed by
-//!   the previous sweep, so the factors themselves may diverge entry-wise
+//!   bidiagonal at `1e-12`: a bulge chase is a long *chain* of reflectors
+//!   each computed from entries already perturbed by the previous ones,
+//!   so the factors themselves may diverge entry-wise
 //!   while the spectrum (the quantity BND2BD exists to preserve) stays
 //!   pinned. The spectra are extracted with the bisection oracle, which
 //!   has no SIMD dispatch of its own.
@@ -222,10 +222,8 @@ fn spectra_close(s: &[f64], v: &[f64], tol: f64, what: &str) {
 
 #[test]
 fn bnd2bd_spectra_agree_across_backends() {
-    for &(n, bw) in &[(24usize, 3usize), (40, 5), (64, 8), (33, 2)] {
+    for &(n, bw) in &[(24usize, 3usize), (40, 5), (64, 8), (33, 2), (150, 37)] {
         let band0 = random_band(n, bw, (n * 389 + bw) as u64);
-
-        // Wavefront-pipelined chase (the production path; drives rot_cols).
         let Some((s, v)) = under_both(|| {
             let mut band = band0.clone();
             let bd = band.reduce_to_bidiagonal();
@@ -234,16 +232,5 @@ fn bnd2bd_spectra_agree_across_backends() {
             return;
         };
         spectra_close(&s, &v, 1e-12, &format!("BND2BD n={n} bw={bw}"));
-
-        // Single-bulge reference chase: same rotation kernels, different
-        // schedule — keeps the slow path pinned too.
-        let Some((s, v)) = under_both(|| {
-            let mut band = band0.clone();
-            let bd = band.reduce_to_bidiagonal_single_bulge();
-            bidiagonal_singular_values(&bd.diag, &bd.superdiag)
-        }) else {
-            return;
-        };
-        spectra_close(&s, &v, 1e-12, &format!("single-bulge n={n} bw={bw}"));
     }
 }

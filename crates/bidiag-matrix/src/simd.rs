@@ -519,37 +519,6 @@ pub unsafe fn dot_body<S: SimdLane>(s: S, a: &[f64], b: &[f64]) -> f64 {
     }
 }
 
-/// Fused Givens rotation over two equal-length strips:
-/// `xs[i], ys[i] <- c*xs[i] + sn*ys[i], c*ys[i] - sn*xs[i]`.
-/// Contract: `xs.len() == ys.len()`.
-#[inline(always)]
-unsafe fn rot_strips_body<S: SimdLane>(s: S, xs: &mut [f64], ys: &mut [f64], c: f64, sn: f64) {
-    let n = xs.len();
-    debug_assert_eq!(ys.len(), n);
-    // SAFETY (whole body): caller upholds the lane's ISA contract and
-    // xs.len() == ys.len() = n; every index below is < n.
-    unsafe {
-        let cv = s.splat(c);
-        let sv = s.splat(sn);
-        let nsv = s.splat(-sn);
-        let mut i = 0;
-        while i + S::LANES <= n {
-            let xv = s.load(xs, i);
-            let yv = s.load(ys, i);
-            s.store(xs, i, s.mul_add(xv, cv, s.mul(sv, yv)));
-            s.store(ys, i, s.mul_add(yv, cv, s.mul(nsv, xv)));
-            i += S::LANES;
-        }
-        while i < n {
-            let x = xs[i];
-            let y = ys[i];
-            xs[i] = c * x + sn * y;
-            ys[i] = c * y - sn * x;
-            i += 1;
-        }
-    }
-}
-
 /// The packed-GEMM register microkernel: `RV` registers of `S::LANES` rows
 /// cover the `MR`-row tile; `NR` broadcast-FMA columns. `RV * LANES == MR`.
 /// Contract: `ap.len() >= kc * MR`, `bp.len() >= kc * NR`.
@@ -616,14 +585,6 @@ mod avx2_shells {
     }
 
     /// # Safety
-    /// Caller must guarantee AVX2+FMA and `xs.len() == ys.len()`.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn rot_strips(xs: &mut [f64], ys: &mut [f64], c: f64, sn: f64) {
-        // SAFETY: as in `axpy`.
-        unsafe { rot_strips_body(Avx2Lane::new_unchecked(), xs, ys, c, sn) }
-    }
-
-    /// # Safety
     /// Caller must guarantee AVX2+FMA, `ap.len() >= kc*MR`, `bp.len() >= kc*NR`.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn microkernel(kc: usize, ap: &[f64], bp: &[f64]) -> [[f64; MR]; NR] {
@@ -671,34 +632,6 @@ pub fn dot(be: SimdBackend, a: &[f64], b: &[f64]) -> f64 {
         SimdBackend::Avx2 => {
             check_avx2();
             unsafe { avx2_shells::dot(a, b) }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        SimdBackend::Avx2 => {
-            check_avx2();
-            unreachable!()
-        }
-    }
-}
-
-/// Apply a Givens rotation `(c, sn)` across two equal-length contiguous
-/// strips. Panics unless `xs.len() == ys.len()`.
-#[inline]
-pub fn rot_strips(be: SimdBackend, xs: &mut [f64], ys: &mut [f64], c: f64, sn: f64) {
-    assert_eq!(xs.len(), ys.len());
-    // Short strips (narrow bands) cannot fill a vector step; skip the
-    // dispatch + target_feature call overhead entirely.
-    if xs.len() < 4 || be == SimdBackend::Scalar {
-        // SAFETY: scalar lane has no ISA requirements; lengths checked above.
-        unsafe { rot_strips_body(ScalarLane, xs, ys, c, sn) };
-        return;
-    }
-    match be {
-        SimdBackend::Scalar => unreachable!(),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: check_avx2 verifies AVX2+FMA; lengths checked above.
-        SimdBackend::Avx2 => {
-            check_avx2();
-            unsafe { avx2_shells::rot_strips(xs, ys, c, sn) }
         }
         #[cfg(not(target_arch = "x86_64"))]
         SimdBackend::Avx2 => {
@@ -864,18 +797,6 @@ mod tests {
                 rel(dot(Avx2, &x, &y0), dot(Scalar, &x, &y0)) < acc_tol(n),
                 "dot n={n}"
             );
-
-            let (gc, gs) = (0.8, 0.6);
-            let mut xs_s = x.clone();
-            let mut ys_s = y0.clone();
-            let mut xs_v = x.clone();
-            let mut ys_v = y0.clone();
-            rot_strips(Scalar, &mut xs_s, &mut ys_s, gc, gs);
-            rot_strips(Avx2, &mut xs_v, &mut ys_v, gc, gs);
-            for i in 0..n {
-                assert!(rel(xs_v[i], xs_s[i]) < 1e-15, "rot xs n={n} i={i}");
-                assert!(rel(ys_v[i], ys_s[i]) < 1e-15, "rot ys n={n} i={i}");
-            }
         }
     }
 

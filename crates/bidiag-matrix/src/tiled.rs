@@ -209,7 +209,8 @@ impl TiledMatrix {
 
     /// Extract the `band` of the matrix as a dense `min(m,n) x min(m,n)`
     /// matrix keeping only entries with `0 <= j - i <= bw` (upper band).
-    /// This is what GE2BND hands over to the BND2BD stage.
+    /// A dense view of what GE2BND hands over to the BND2BD stage, for
+    /// checks; the pipeline packs the band straight from the tiles.
     pub fn extract_upper_band(&self, bw: usize) -> Matrix {
         let k = self.m.min(self.n);
         let mut b = Matrix::zeros(k, k);

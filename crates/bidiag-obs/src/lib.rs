@@ -158,7 +158,7 @@ pub const KERNEL_KIND_NAMES: [&str; 13] = [
     "TTLQT", "TTMLQ", "LASET",
 ];
 
-/// One BND2BD bulge-chasing wavefront task.
+/// The BND2BD bulge-chasing task.
 pub const KIND_BND2BD: u32 = 16;
 /// One BD2VAL solver task (dqds / sliced dqds / bisection).
 pub const KIND_BD2VAL: u32 = 17;
