@@ -291,21 +291,37 @@ mod tests {
     use bidiag_matrix::gen::random_gaussian;
     use bidiag_trees::NamedTree;
 
-    #[test]
-    fn parallel_execution_matches_sequential_exactly() {
-        let a0 = random_gaussian(18, 12, 77);
-        let nb = 3;
-        let cfg = GenConfig::shared(NamedTree::Greedy);
-        let ops = bidiag_ops(6, 4, &cfg);
+    /// GREEDY pairs tiles off with TT kernels; FLATTS chains every TS
+    /// kernel of a panel through one pivot tile, the case the graph's
+    /// write ordering must get exactly right; the default (AUTO at one
+    /// core) is FLATTS domains joined by TT kernels on the last panels.
+    const TREES: [NamedTree; 3] = [
+        NamedTree::Greedy,
+        NamedTree::FlatTs,
+        NamedTree::Auto {
+            gamma: 2.0,
+            ncores: 1,
+        },
+    ];
 
-        let mut seq = TiledMatrix::from_dense(&a0, nb);
-        execute_sequential(&ops, &mut seq);
+    fn assert_parallel_matches_sequential(ops: &[TileOp], a0: &Matrix, nb: usize) {
+        let mut seq = TiledMatrix::from_dense(a0, nb);
+        execute_sequential(ops, &mut seq);
 
-        let mut par = TiledMatrix::from_dense(&a0, nb);
-        execute_parallel(&ops, &mut par, 4);
+        let mut par = TiledMatrix::from_dense(a0, nb);
+        execute_parallel(ops, &mut par, 4);
 
         // Same kernels on the same operands: results are bitwise identical.
         assert_eq!(seq.to_dense(), par.to_dense());
+    }
+
+    #[test]
+    fn parallel_execution_matches_sequential_exactly() {
+        let a0 = random_gaussian(18, 12, 77);
+        for tree in TREES {
+            let ops = bidiag_ops(6, 4, &GenConfig::shared(tree));
+            assert_parallel_matches_sequential(&ops, &a0, 3);
+        }
     }
 
     #[test]
@@ -313,16 +329,10 @@ mod tests {
         // R-BIDIAG produces the same TauKey twice (preQR phase + square
         // bidiagonalization); the per-op-id TauTable must keep both.
         let a0 = random_gaussian(20, 10, 3);
-        let nb = 2;
-        let cfg = GenConfig::shared(NamedTree::Greedy);
-        let ops = rbidiag_ops(10, 5, &cfg);
-
-        let mut seq = TiledMatrix::from_dense(&a0, nb);
-        execute_sequential(&ops, &mut seq);
-
-        let mut par = TiledMatrix::from_dense(&a0, nb);
-        execute_parallel(&ops, &mut par, 4);
-        assert_eq!(seq.to_dense(), par.to_dense());
+        for tree in TREES {
+            let ops = rbidiag_ops(10, 5, &GenConfig::shared(tree));
+            assert_parallel_matches_sequential(&ops, &a0, 2);
+        }
     }
 
     #[test]

@@ -35,17 +35,25 @@ use bidiag_trees::NamedTree;
 /// `ge2val_batch`): problems whose larger dimension is at most this run the
 /// scalar `gebd2` direct path instead of the tiled three-stage pipeline.
 ///
-/// Below this size the blocked machinery (tiling, T-factors, band
-/// extraction, bulge chasing) costs more than it saves.  The sweep that
-/// picked the value (`crossover_sweep_direct_vs_blocked`, run with
-/// `--ignored --nocapture`) measures, single-threaded on the reference
-/// container: direct wins 2.5x at n = 32, 2.1x at n = 64, 1.8x at n = 96,
-/// and breaks even near n = 128.  64 is the conservative choice because the
-/// direct path is strictly sequential while the blocked DAG can occupy
-/// several workers from n ~ 2nb up.  Plain [`ge2val`] keeps the crossover
-/// *disabled* by default (`direct_crossover = 0`) so existing callers
-/// exercise the blocked pipeline at every size; opt in with
-/// [`Ge2Options::with_direct_crossover`].
+/// Below some size the blocked machinery (tiling, T-factors, band
+/// extraction, bulge chasing) costs more than it saves.  The committed
+/// sweep (`crossover_sweep_direct_vs_blocked`, run with `--ignored
+/// --nocapture`) times per-call [`ge2val`], single-threaded at `nb = 64`
+/// on the reference container, and now reads the direct path 1.2–1.5x
+/// faster at n = 16 and slower from there up: 0.8–0.95x at n = 32, 0.75x
+/// at n = 48, 0.65–0.75x at n = 64, 0.55–0.6x at n = 96, 0.4–0.55x at
+/// n = 128.
+/// (It read 2.5x at n = 32 and 2.1x at n = 64 when 64 was picked; the
+/// fused compact-WY tile kernels and the Householder bulge chase have
+/// since made the blocked side 3–4x faster and `gebd2` is still scalar.)
+/// The constant stays at 64 all the same: that sweep cannot see what the
+/// direct path saves *in a session* — it allocates nothing, and
+/// `SvdSession::compute_into` runs it inline, without the hand-off to a
+/// pool worker — and no session-level measurement between 33 and 64 has
+/// been made yet (ROADMAP, batched-driver item).  Plain [`ge2val`] keeps
+/// the crossover *disabled* by default (`direct_crossover = 0`) so
+/// existing callers exercise the blocked pipeline at every size; opt in
+/// with [`Ge2Options::with_direct_crossover`].
 pub const DIRECT_CROSSOVER: usize = 64;
 
 /// How the GE2BND algorithm is chosen.
@@ -81,12 +89,36 @@ pub struct Ge2Options {
 }
 
 impl Ge2Options {
-    /// Reasonable defaults for small/medium problems: greedy tree, automatic
-    /// algorithm selection, sequential execution, `nb = 32`.
+    /// Defaults for tile size `nb`: the paper's AUTO tree sized for one
+    /// core (`NamedTree::Auto { gamma: 2.0, ncores: 1 }`), automatic
+    /// algorithm selection (Chan's rule), sequential execution, dqds, no
+    /// direct-path crossover.
+    ///
+    /// The AUTO rule (Section V) grows the FLATTS domains of a panel while
+    /// `ceil(rows/a) * trailing >= gamma * ncores` holds.  At one core that
+    /// is one FLATTS domain — a single chain of TS kernels — on every panel
+    /// with two or more trailing tile columns, and two or three domains
+    /// joined by TT kernels on the last two panels.  It is the cheaper tree
+    /// here for the paper's reason: TS kernels do more work per call at a
+    /// better rate than TT kernels.  Per Table I weight unit at `nb = 64`
+    /// (the `table1_kernel_weights` binary prints the column): TSMQR and
+    /// TSMLQ 2.8 µs, TSQRT 4.3 against UNMQR 3.6, TTMQR 4.1, GEQRT 5.6 and
+    /// TTQRT 9.5.
+    ///
+    /// `ncores` is the constant 1, not [`threads`](Self::threads): a tree
+    /// sized from the thread count would make
+    /// [`with_threads`](Self::with_threads) change the arithmetic and break
+    /// the "thread count never changes the result" contract.  On many
+    /// cores, where one chain of TS kernels per panel starves the workers,
+    /// pass `with_tree(NamedTree::Auto { gamma: 2.0, ncores })` (or
+    /// `NamedTree::Greedy`) explicitly.
     pub fn new(nb: usize) -> Self {
         Self {
             nb,
-            tree: NamedTree::Greedy,
+            tree: NamedTree::Auto {
+                gamma: 2.0,
+                ncores: 1,
+            },
             algorithm: AlgorithmChoice::Auto,
             threads: 1,
             bd2val: Bd2ValOptions::default(),
@@ -533,7 +565,10 @@ mod tests {
             let blocked_opts = Ge2Options::new(64).with_threads(1);
             let direct_opts = blocked_opts.with_direct_crossover(n);
             let time = |opts: &Ge2Options| {
-                let _ = ge2val(&a, opts); // warm
+                // The first calls of a fresh process fault the heap in.
+                for _ in 0..20 {
+                    let _ = ge2val(&a, opts);
+                }
                 let mut best = f64::INFINITY;
                 for _ in 0..5 {
                     let t0 = std::time::Instant::now();

@@ -1275,6 +1275,20 @@ mod tests {
     use bidiag_matrix::gen::random_gaussian;
 
     #[test]
+    fn workspace_tiles_start_on_a_cache_line() {
+        // A cold workspace grows both tiles inside its first TSLQT.
+        let mut cold = Workspace::new();
+        let (mut l1, mut a2) = (random_gaussian(5, 5, 1), random_gaussian(5, 7, 2));
+        crate::lq::tslqt(&mut l1, &mut a2, &mut cold);
+        for mut ws in [cold, Workspace::for_tile(5), Workspace::for_tile(64)] {
+            for t in ws.transposed() {
+                assert!(!t.data().is_empty());
+                assert!((t.data().as_ptr() as usize).is_multiple_of(64));
+            }
+        }
+    }
+
+    #[test]
     fn appended_t_matches_explicit_product() {
         // Two reflectors with hand-picked vectors: check
         // H0 H1 = I - V T V^T entry-wise.

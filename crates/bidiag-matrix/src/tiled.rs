@@ -39,6 +39,24 @@ pub struct TiledMatrix {
 impl TiledMatrix {
     /// Create a zero tiled matrix of element size `m x n` with tile size `nb`.
     pub fn zeros(m: usize, n: usize, nb: usize) -> Self {
+        Self::from_tiles(m, n, nb, |_, _, tm, tn| Matrix::zeros(tm, tn))
+    }
+
+    /// Partition a dense matrix into tiles.
+    pub fn from_dense(a: &Matrix, nb: usize) -> Self {
+        Self::from_tiles(a.rows(), a.cols(), nb, |i, j, tm, tn| {
+            a.block(i * nb, j * nb, tm, tn)
+        })
+    }
+
+    /// Build the grid with `tile(i, j, tile_rows, tile_cols)` supplying each
+    /// tile exactly once, in storage order.
+    fn from_tiles(
+        m: usize,
+        n: usize,
+        nb: usize,
+        mut tile: impl FnMut(usize, usize, usize, usize) -> Matrix,
+    ) -> Self {
         assert!(nb > 0, "tile size must be positive");
         assert!(m > 0 && n > 0, "matrix dimensions must be positive");
         let p = m.div_ceil(nb);
@@ -46,9 +64,7 @@ impl TiledMatrix {
         let mut tiles = Vec::with_capacity(p * q);
         for j in 0..q {
             for i in 0..p {
-                let tm = tile_dim(m, nb, i);
-                let tn = tile_dim(n, nb, j);
-                tiles.push(Matrix::zeros(tm, tn));
+                tiles.push(tile(i, j, tile_dim(m, nb, i), tile_dim(n, nb, j)));
             }
         }
         Self {
@@ -59,23 +75,6 @@ impl TiledMatrix {
             q,
             tiles,
         }
-    }
-
-    /// Partition a dense matrix into tiles.
-    pub fn from_dense(a: &Matrix, nb: usize) -> Self {
-        let mut t = Self::zeros(a.rows(), a.cols(), nb);
-        for i in 0..t.p {
-            for j in 0..t.q {
-                let block = a.block(
-                    i * nb,
-                    j * nb,
-                    tile_dim(a.rows(), nb, i),
-                    tile_dim(a.cols(), nb, j),
-                );
-                *t.tile_mut(i, j) = block;
-            }
-        }
-        t
     }
 
     /// Reassemble the dense matrix.
@@ -252,6 +251,21 @@ mod tests {
         assert_eq!(t.tile(2, 1).rows(), 1);
         assert_eq!(t.tile(2, 1).cols(), 2);
         assert_eq!(t.to_dense(), a);
+    }
+
+    #[test]
+    fn every_tile_starts_on_a_cache_line() {
+        // 7 x 5 with nb = 3: 1 x 2, 3 x 2 and 1 x 3 edge tiles included.
+        let a = Matrix::from_fn(7, 5, |i, j| (i * 5 + j) as f64);
+        let from_dense = TiledMatrix::from_dense(&a, 3);
+        for t in [TiledMatrix::zeros(7, 5, 3), from_dense.clone(), from_dense] {
+            for i in 0..t.tile_rows() {
+                for j in 0..t.tile_cols() {
+                    let ptr = t.tile(i, j).data().as_ptr();
+                    assert!((ptr as usize).is_multiple_of(64), "tile ({i}, {j})");
+                }
+            }
+        }
     }
 
     #[test]

@@ -84,6 +84,21 @@ mod tests {
     }
 
     #[test]
+    fn one_core_is_one_domain_until_the_last_two_panels() {
+        // What `Ge2Options::new` relies on: at gamma * ncores = 2 the rule
+        // gives one whole-panel FLATTS domain whenever two trailing columns
+        // supply the parallelism, and halves the panel only when they don't.
+        for rows in 2..=130usize {
+            for trailing in 2..=12usize {
+                assert_eq!(auto_domain_size(rows, trailing, 2.0, 1), rows);
+            }
+            for trailing in [0usize, 1] {
+                assert_eq!(auto_domain_size(rows, trailing, 2.0, 1), rows / 2);
+            }
+        }
+    }
+
+    #[test]
     fn more_cores_means_smaller_domains() {
         let a_small = auto_domain_size(128, 8, 2.0, 4);
         let a_large = auto_domain_size(128, 8, 2.0, 64);

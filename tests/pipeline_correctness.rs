@@ -75,6 +75,102 @@ fn every_tree_and_thread_count_gives_identical_results() {
     }
 }
 
+/// The differential matrix for the reduction trees.  Only FLATTS and
+/// AUTO's domains (the default is AUTO at one core) run the TS kernels, so
+/// this is their end-to-end cover: every algorithm x tree x shape x
+/// spectrum must recover the prescribed LATMS spectrum and agree with
+/// GREEDY, which shares no elimination kernel with FLATTS.
+#[test]
+fn every_algorithm_tree_shape_and_spectrum_recovers_the_prescribed_values() {
+    const NB: usize = 8;
+    let shapes = [
+        ("square", 40usize, 40usize),
+        ("tall 8:1", 128, 16),
+        ("wide m < n", 18, 44),
+        ("one tile column", 50, 7),
+        ("ragged", 45, 29),
+    ];
+    let scaled = |k: usize, scale: f64| {
+        let base = SpectrumKind::Geometric { cond: 1.0e4 }.values(k);
+        SpectrumKind::Explicit(base.iter().map(|s| s * scale).collect())
+    };
+    let clustered = |k: usize| {
+        SpectrumKind::Explicit((0..k).map(|i| [1.0, 1.0e-2, 1.0e-5][3 * i / k]).collect())
+    };
+    let trees = [
+        ("default", None),
+        ("FlatTs", Some(NamedTree::FlatTs)),
+        ("FlatTt", Some(NamedTree::FlatTt)),
+        (
+            "Auto{2,4}",
+            Some(NamedTree::Auto {
+                gamma: 2.0,
+                ncores: 4,
+            }),
+        ),
+    ];
+    for (shape, m, n) in shapes {
+        let k = m.min(n);
+        let spectra = [
+            ("geometric 1e12", SpectrumKind::Geometric { cond: 1.0e12 }),
+            ("clustered", clustered(k)),
+            ("scaled 1e+150", scaled(k, 1.0e150)),
+            ("scaled 1e-150", scaled(k, 1.0e-150)),
+        ];
+        for (seed, (spectrum, kind)) in spectra.iter().enumerate() {
+            let (a, sigma) = latms(m, n, kind, 40 + seed as u64);
+            for alg in [AlgorithmChoice::Bidiag, AlgorithmChoice::RBidiag] {
+                let run = |tree: Option<NamedTree>| {
+                    let opts = Ge2Options::new(NB).with_algorithm(alg);
+                    ge2val(&a, &tree.map_or(opts, |t| opts.with_tree(t))).singular_values
+                };
+                let greedy = run(Some(NamedTree::Greedy));
+                let case = format!("{shape} {m}x{n}, {spectrum}, {alg:?}");
+                assert!(
+                    singular_values_match(&sigma, &greedy, 1e-10),
+                    "{case}, Greedy: lost the prescribed spectrum"
+                );
+                for (name, tree) in trees {
+                    let sv = run(tree);
+                    assert!(
+                        singular_values_match(&sigma, &sv, 1e-10),
+                        "{case}, {name}: lost the prescribed spectrum"
+                    );
+                    assert!(
+                        singular_values_match(&greedy, &sv, 1e-12),
+                        "{case}, {name}: diverged from Greedy"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The default tree is AUTO sized for one core whatever the thread count:
+/// sizing it from `threads` would make `with_threads` change the arithmetic.
+#[test]
+fn the_default_tree_is_auto_at_one_core_and_threads_never_change_the_result() {
+    let auto_1 = NamedTree::Auto {
+        gamma: 2.0,
+        ncores: 1,
+    };
+    assert_eq!(Ge2Options::new(8).tree, auto_1);
+    assert_eq!(Ge2Options::new(8).with_threads(4).tree, auto_1);
+    // Ragged in both dimensions; TS chains share one pivot tile per panel,
+    // so any write-ordering slip in the task graph shows up bitwise here.
+    let (a, _) = latms(75, 29, &SpectrumKind::Geometric { cond: 1.0e6 }, 17);
+    for alg in [AlgorithmChoice::Bidiag, AlgorithmChoice::RBidiag] {
+        let run = |threads: usize| {
+            let opts = Ge2Options::new(8).with_algorithm(alg).with_threads(threads);
+            ge2val(&a, &opts).singular_values
+        };
+        let sequential = run(1);
+        for threads in [2usize, 4] {
+            assert_eq!(sequential, run(threads), "{alg:?} at {threads} threads");
+        }
+    }
+}
+
 #[test]
 fn band_output_has_the_expected_structure() {
     let (a, _) = latms(48, 32, &SpectrumKind::Uniform, 5);
