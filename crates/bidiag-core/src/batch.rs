@@ -1,11 +1,11 @@
 //! The batched SVD runtime service: one persistent pool, many problems.
 //!
-//! [`crate::pipeline::ge2val`] is shaped for one large factorization — it
-//! spins up a thread team, allocates fresh kernel scratch, runs one DAG,
-//! and tears everything down.  The ROADMAP's serving scenario (millions of
-//! small/medium spectra: per-user embedding blocks, per-request
-//! covariances) inverts the cost profile: the matrices are tiny and the
-//! per-call setup dominates.  [`SvdSession`] amortizes all of it:
+//! [`crate::pipeline::ge2val`] is shaped for one large factorization — each
+//! threaded stage builds a pool, allocates fresh kernel scratch, runs one
+//! DAG, and tears everything down.  The ROADMAP's serving scenario
+//! (millions of small/medium spectra: per-user embedding blocks,
+//! per-request covariances) inverts the cost profile: the matrices are tiny
+//! and the per-call setup dominates.  [`SvdSession`] amortizes all of it:
 //!
 //! * **One pool for the session's lifetime.**  A
 //!   [`TaskPool`] of workers spawned once;
@@ -64,12 +64,12 @@
 
 use crate::drivers::GenConfig;
 use crate::error::{validate_finite, SvdError};
-use crate::exec::build_graph;
-use crate::ops::{KernelScratch, TauTable};
+use crate::exec::lower_parallel;
+use crate::ops::KernelScratch;
 use crate::pipeline::{Ge2Options, DIRECT_CROSSOVER};
 use bidiag_kernels::band::BandMatrix;
 use bidiag_kernels::gebd2::{gebd2_with, Bidiagonal};
-use bidiag_matrix::{BlockCyclic, Matrix, TiledMatrix};
+use bidiag_matrix::{Matrix, TiledMatrix};
 use bidiag_obs as obs;
 use bidiag_runtime::{
     AccessMode, JobError, JobHandle, PoolConfig, SubmitError, TaskBodyWith, TaskGraph, TaskPool,
@@ -502,16 +502,7 @@ impl SvdSession {
                 direct_spectrum(&a, &bd2val, &mut s.direct, &mut sv);
                 slot.set(sv).expect("direct task ran twice");
             })];
-        let handle = if block {
-            self.pool.submit(g, bodies)
-        } else {
-            self.pool.try_submit(g, bodies)
-        }
-        .map_err(submit_error)?;
-        Ok(SvdJob {
-            handle: Some(handle),
-            result,
-        })
+        self.enqueue(g, bodies, block, result)
     }
 
     /// Blocked path: the GE2BND tile DAG plus one *sink* task running the
@@ -533,21 +524,10 @@ impl SvdSession {
         let cfg = GenConfig::shared(self.opts.tree);
         let ops = crate::drivers::ge2bnd_ops(p, q, algorithm, &cfg);
 
-        // Move the tiles into shared per-tile locks (row-major i * q + j),
-        // leaving the TiledMatrix shell to be refilled by the sink.
-        let mut shared: Vec<parking_lot::RwLock<Matrix>> = Vec::with_capacity(p * q);
-        for i in 0..p {
-            for j in 0..q {
-                shared.push(parking_lot::RwLock::new(std::mem::replace(
-                    tiled.tile_mut(i, j),
-                    Matrix::zeros(0, 0),
-                )));
-            }
-        }
-        let shared = Arc::new(shared);
-        let taus = Arc::new(TauTable::for_ops(&ops));
-
-        let mut graph = build_graph(&ops, q, &BlockCyclic::single_node());
+        // The tile DAG over shared per-tile locks; the TiledMatrix shell is
+        // refilled by the sink.
+        let (mut graph, mut bodies, restore) =
+            lower_parallel(&ops, &mut tiled, |s: &mut SessionScratch| &mut s.kernel);
         // The sink declares a write on every data key any op touches, so
         // it depends (transitively) on the completion of the whole DAG.
         let mut keys: Vec<u64> = ops
@@ -561,42 +541,34 @@ impl SvdSession {
         graph.add_task(1.0, 0, obs::KIND_SINK, &sink_accesses);
 
         let result: Arc<OnceLock<Vec<f64>>> = Arc::new(OnceLock::new());
-        let mut bodies: Vec<TaskBodyWith<SessionScratch>> = ops
-            .iter()
-            .enumerate()
-            .map(|(op_id, &op)| {
-                let shared = Arc::clone(&shared);
-                let taus = Arc::clone(&taus);
-                Box::new(move |s: &mut SessionScratch| {
-                    op.execute_shared(op_id, &shared, q, &taus, &mut s.kernel);
-                }) as TaskBodyWith<SessionScratch>
-            })
-            .collect();
-        {
-            let shared = Arc::clone(&shared);
-            let slot = Arc::clone(&result);
-            let bd2val = self.opts.bd2val;
-            let mut tiled = tiled;
-            bodies.push(Box::new(move |_s: &mut SessionScratch| {
-                for i in 0..p {
-                    for j in 0..q {
-                        *tiled.tile_mut(i, j) =
-                            std::mem::replace(&mut *shared[i * q + j].write(), Matrix::zeros(0, 0));
-                    }
-                }
-                // Identical to ge2bnd + the sequential BND2BD / BD2VAL
-                // stages of ge2val — same arithmetic, same sort.
-                let bw = nb.min(n.saturating_sub(1)).max(1);
-                let mut band = BandMatrix::from_tiled(&tiled, bw);
-                let bidiag = band.reduce_to_bidiagonal();
-                let mut sv = singular_values_with(&bidiag.diag, &bidiag.superdiag, &bd2val);
-                // total_cmp: identical order on finite spectra, no panic on
-                // an injected-NaN one (which wait() then reports as a
-                // SolverFailure instead of a dead job).
-                sv.sort_by(|x, y| y.total_cmp(x));
-                slot.set(sv).expect("sink ran twice");
-            }) as TaskBodyWith<SessionScratch>);
-        }
+        let slot = Arc::clone(&result);
+        let bd2val = self.opts.bd2val;
+        bodies.push(Box::new(move |_s: &mut SessionScratch| {
+            restore(&mut tiled);
+            // Identical to ge2bnd + the sequential BND2BD / BD2VAL
+            // stages of ge2val — same arithmetic, same sort.
+            let bw = nb.min(n.saturating_sub(1)).max(1);
+            let mut band = BandMatrix::from_tiled(&tiled, bw);
+            let bidiag = band.reduce_to_bidiagonal();
+            let mut sv = singular_values_with(&bidiag.diag, &bidiag.superdiag, &bd2val);
+            // total_cmp: identical order on finite spectra, no panic on
+            // an injected-NaN one (which wait() then reports as a
+            // SolverFailure instead of a dead job).
+            sv.sort_by(|x, y| y.total_cmp(x));
+            slot.set(sv).expect("sink ran twice");
+        }));
+        self.enqueue(graph, bodies, block, result)
+    }
+
+    /// Hand a lowered problem to the pool under the chosen admission mode;
+    /// its last body fills `result`.
+    fn enqueue(
+        &self,
+        graph: TaskGraph,
+        bodies: Vec<TaskBodyWith<SessionScratch>>,
+        block: bool,
+        result: Arc<OnceLock<Vec<f64>>>,
+    ) -> Result<SvdJob, SvdError> {
         let handle = if block {
             self.pool.submit(graph, bodies)
         } else {
@@ -853,9 +825,12 @@ mod tests {
     fn generous_deadlines_return_the_spectrum() {
         let session = SvdSession::new(2);
         let a = random_gaussian(24, 24, 5);
-        let job = session.submit(&a).unwrap();
-        let sv = job.wait_timeout(Duration::from_secs(60)).unwrap();
-        assert_eq!(ge2val(&a, session.options()).singular_values, sv);
+        // `Duration::MAX` overflows `Instant`: no deadline, not an expired one.
+        for deadline in [Duration::from_secs(60), Duration::MAX] {
+            let job = session.submit(&a).unwrap();
+            let sv = job.wait_timeout(deadline).unwrap();
+            assert_eq!(ge2val(&a, session.options()).singular_values, sv);
+        }
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //!   measurements and machine simulation,
 //! * [`bnd2bd_on_runtime`] / [`bd2val_on_runtime`] — run the second and
 //!   third pipeline stages through the same runtime, so every stage of
-//!   GE2VAL is scheduled by one executor.  BND2BD runs its sequential bulge
-//!   chase as a single task; BD2VAL fans out one task per *spectrum
-//!   interval* (Sturm-count slicing from `bidiag-svd`), or runs the serial
-//!   dqds fast path as a single task — see [`bd2val_task_count`].
+//!   GE2VAL is a submission on one scheduler.  BND2BD runs its sequential
+//!   bulge chase as a single task; BD2VAL fans out one task per *spectrum
+//!   interval* (Sturm-count slicing from `bidiag-svd`), or runs dqds or the
+//!   bisection oracle as a single task — see [`bd2val_task_count`].
 //!
 //! # Parallel data plane
 //!
@@ -41,7 +41,9 @@ use bidiag_runtime::{
     execute_parallel as runtime_execute, execute_parallel_with as runtime_execute_with, AccessMode,
     TaskBody, TaskBodyWith, TaskGraph,
 };
-use bidiag_svd::{slice_spectrum, solve_slice, Bd2ValOptions, GkBisection, GkSturm, SvdSolver};
+use bidiag_svd::{
+    singular_values_with, slice_spectrum, solve_slice, Bd2ValOptions, GkSturm, SvdSolver,
+};
 use parking_lot::RwLock;
 use std::sync::Arc;
 
@@ -56,52 +58,60 @@ pub fn execute_sequential(ops: &[TileOp], a: &mut TiledMatrix) {
     }
 }
 
+/// Lower an operation list to what the runtime executes: the data-flow
+/// graph and one body per op, over the tiles of `a` *moved* into shared
+/// per-tile locks (`a` keeps empty placeholders) and a fresh [`TauTable`].
+/// The returned closure moves the tiles back once every body ran.
+/// `kernel_scratch` picks the [`KernelScratch`] out of the pool's
+/// per-worker scratch `S`.
+pub(crate) fn lower_parallel<S: 'static>(
+    ops: &[TileOp],
+    a: &mut TiledMatrix,
+    kernel_scratch: fn(&mut S) -> &mut KernelScratch,
+) -> (
+    TaskGraph,
+    Vec<TaskBodyWith<S>>,
+    impl FnOnce(&mut TiledMatrix) + Send + 'static,
+) {
+    // The shared vector is indexed row-major: (i, j) -> i * q + j.
+    let (p, q) = (a.tile_rows(), a.tile_cols());
+    let tiles: Vec<RwLock<Matrix>> = (0..p * q)
+        .map(|idx| std::mem::replace(a.tile_mut(idx / q, idx % q), Matrix::zeros(0, 0)))
+        .map(RwLock::new)
+        .collect();
+    let tiles = Arc::new(tiles);
+    let taus = Arc::new(TauTable::for_ops(ops));
+    let graph = build_graph(ops, q, &BlockCyclic::single_node());
+    let bodies = ops
+        .iter()
+        .enumerate()
+        .map(|(op_id, &op)| {
+            let tiles = Arc::clone(&tiles);
+            let taus = Arc::clone(&taus);
+            Box::new(move |s: &mut S| {
+                op.execute_shared(op_id, &tiles, q, &taus, kernel_scratch(s));
+            }) as TaskBodyWith<S>
+        })
+        .collect();
+    let restore = move |a: &mut TiledMatrix| {
+        for (idx, tile) in tiles.iter().enumerate() {
+            let tile = std::mem::replace(&mut *tile.write(), Matrix::zeros(0, 0));
+            *a.tile_mut(idx / q, idx % q) = tile;
+        }
+    };
+    (graph, bodies, restore)
+}
+
 /// Execute the operations in parallel on `threads` worker threads.
 ///
 /// The numerical result is bitwise identical to [`execute_sequential`]
 /// because every kernel is executed with exactly the same operands; only the
 /// interleaving of independent kernels differs.
 pub fn execute_parallel(ops: &[TileOp], a: &mut TiledMatrix, threads: usize) {
-    if ops.is_empty() {
-        return;
-    }
-    let p = a.tile_rows();
-    let q = a.tile_cols();
-
-    // Move the tiles into shared per-tile locks.
-    let mut shared: Vec<RwLock<Matrix>> = Vec::with_capacity(p * q);
-    for i in 0..p {
-        for j in 0..q {
-            shared.push(RwLock::new(a.tile(i, j).clone()));
-        }
-    }
-    let shared = Arc::new(shared);
-    let taus = Arc::new(TauTable::for_ops(ops));
-
-    let graph = build_graph(ops, q, &BlockCyclic::single_node());
-    let bodies: Vec<TaskBodyWith<KernelScratch>> = ops
-        .iter()
-        .enumerate()
-        .map(|(op_id, &op)| {
-            let shared = Arc::clone(&shared);
-            let taus = Arc::clone(&taus);
-            Box::new(move |scratch: &mut KernelScratch| {
-                // The shared vector is indexed row-major: (i, j) -> i * q + j.
-                op.execute_shared(op_id, &shared, q, &taus, scratch);
-            }) as TaskBodyWith<KernelScratch>
-        })
-        .collect();
     let nb = a.nb();
+    let (graph, bodies, restore) = lower_parallel(ops, a, |s: &mut KernelScratch| s);
     runtime_execute_with(&graph, bodies, threads, move || KernelScratch::for_tile(nb));
-
-    // Copy the tiles back.
-    let shared = Arc::try_unwrap(shared).expect("all workers joined");
-    let mut it = shared.into_iter();
-    for i in 0..p {
-        for j in 0..q {
-            *a.tile_mut(i, j) = it.next().unwrap().into_inner();
-        }
-    }
+    restore(a);
 }
 
 /// Build the data-flow task graph of an operation list for a `p x q` tile
@@ -118,32 +128,39 @@ pub fn build_graph(ops: &[TileOp], q: usize, dist: &BlockCyclic) -> TaskGraph {
     g
 }
 
+/// Run `f` as a single runtime task of kind `kind` and return its value, so
+/// a stage that is one sequential computation still shows up in the
+/// runtime's traces and counters.  One task occupies one worker, whatever
+/// the thread count of the surrounding run.
+fn run_as_task<T: Send + 'static>(kind: u32, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let mut g = TaskGraph::new();
+    g.add_task(1.0, 0, kind, &[]);
+    let (tx, rx) = std::sync::mpsc::channel();
+    let body: TaskBody = Box::new(move || {
+        // The receiver outlives the run, so the send cannot fail.
+        let _ = tx.send(f());
+    });
+    runtime_execute(&g, vec![body], 1);
+    rx.recv().expect("the task ran before the runtime returned")
+}
+
 /// Run the BND2BD stage (band to bidiagonal) through the task runtime as
 /// **one** task running [`BandMatrix::reduce_to_bidiagonal`] — like the
 /// dqds path of [`bd2val_on_runtime`], so the stage shows up in the
 /// runtime's traces and counters and every thread count returns the
-/// sequential result bit for bit.
+/// sequential result bit for bit (`_threads` is not read: one task, one
+/// worker).
 ///
 /// The chase is a chain of ~`n^2 / (2 bw)` block-steps of a few
 /// microseconds each in which step `k + 1` of a sweep needs step `k`;
 /// one task per step costs more in scheduling than the step itself, so the
 /// stage is not split until steps are grouped into coarser tasks.
-pub fn bnd2bd_on_runtime(band: &mut BandMatrix, threads: usize) -> Bidiagonal {
-    let mut g = TaskGraph::new();
-    g.add_task(1.0, 0, obs::KIND_BND2BD, &[(0, AccessMode::Write)]);
-    let result: Arc<std::sync::OnceLock<(BandMatrix, Bidiagonal)>> =
-        Arc::new(std::sync::OnceLock::new());
-    let slot = Arc::clone(&result);
+pub fn bnd2bd_on_runtime(band: &mut BandMatrix, _threads: usize) -> Bidiagonal {
     let mut work = std::mem::replace(band, BandMatrix::zeros(1, 1));
-    let bodies: Vec<TaskBody> = vec![Box::new(move || {
+    let (work, bidiag) = run_as_task(obs::KIND_BND2BD, move || {
         let bidiag = work.reduce_to_bidiagonal();
-        slot.set((work, bidiag)).expect("BND2BD task ran twice");
-    }) as TaskBody];
-    runtime_execute(&g, bodies, threads);
-    let (work, bidiag) = Arc::try_unwrap(result)
-        .expect("all workers joined")
-        .into_inner()
-        .expect("BND2BD task never ran");
+        (work, bidiag)
+    });
     *band = work;
     bidiag
 }
@@ -154,23 +171,20 @@ pub fn bnd2bd_on_runtime(band: &mut BandMatrix, threads: usize) -> Bidiagonal {
 ///
 /// The sliced path spawns one task per [`SpectrumSlice`]
 /// (`~ceil(k / values_per_task)`, fewer when slices merge inside
-/// clusters); dqds runs as a single task; only the explicit
-/// [`SvdSolver::Bisection`] oracle keeps the historical one-task-per-value
-/// fan-out.  Exposed so tests can pin the task-count contract (the old
+/// clusters); dqds and the [`SvdSolver::Bisection`] oracle each run as a
+/// single task.  Exposed so tests can pin the task-count contract (a
 /// per-value fan-out cost 512 task activations on the reference case).
 ///
 /// [`SpectrumSlice`]: bidiag_svd::SpectrumSlice
 pub fn bd2val_task_count(diag: &[f64], superdiag: &[f64], opts: &Bd2ValOptions) -> usize {
-    let k = diag.len();
-    if k == 0 {
+    if diag.is_empty() {
         return 0;
     }
     match opts.solver {
-        SvdSolver::Dqds => 1,
+        SvdSolver::Dqds | SvdSolver::Bisection => 1,
         SvdSolver::SlicedBisection => {
             slice_spectrum(&GkSturm::new(diag, superdiag), opts.values_per_task).len()
         }
-        SvdSolver::Bisection => k,
     }
 }
 
@@ -185,8 +199,8 @@ pub fn bd2val_task_count(diag: &[f64], superdiag: &[f64], opts: &Bd2ValOptions) 
 /// * [`SvdSolver::Dqds`] — the serial fast path, scheduled as a single
 ///   task (at `O(n^2)` with a small constant it is cheaper than any
 ///   fan-out for the sizes this pipeline runs);
-/// * [`SvdSolver::Bisection`] — the oracle: one task per singular value,
-///   kept for reference runs and determinism tests.
+/// * [`SvdSolver::Bisection`] — the oracle, also a single task: it exists
+///   for reference runs and determinism tests, not for speed.
 ///
 /// Returns the singular values in non-increasing order.  For every solver
 /// the slicing/partitioning is independent of `threads`, so the result is
@@ -203,22 +217,11 @@ pub fn bd2val_on_runtime(
         return Vec::new();
     }
     match opts.solver {
-        SvdSolver::Dqds => {
-            let mut g = TaskGraph::new();
-            g.add_task(1.0, 0, obs::KIND_BD2VAL, &[(0, AccessMode::Write)]);
-            let result: Arc<std::sync::OnceLock<Vec<f64>>> = Arc::new(std::sync::OnceLock::new());
-            let d = diag.to_vec();
-            let e = superdiag.to_vec();
-            let slot = Arc::clone(&result);
-            let bodies: Vec<TaskBody> = vec![Box::new(move || {
-                slot.set(bidiag_svd::dqds_singular_values(&d, &e))
-                    .expect("dqds task ran twice");
-            }) as TaskBody];
-            runtime_execute(&g, bodies, threads);
-            Arc::try_unwrap(result)
-                .expect("all workers joined")
-                .into_inner()
-                .expect("dqds task never ran")
+        SvdSolver::Dqds | SvdSolver::Bisection => {
+            let (d, e, opts) = (diag.to_vec(), superdiag.to_vec(), *opts);
+            run_as_task(obs::KIND_BD2VAL, move || {
+                singular_values_with(&d, &e, &opts)
+            })
         }
         SvdSolver::SlicedBisection => {
             let sturm = Arc::new(GkSturm::new(diag, superdiag));
@@ -254,31 +257,6 @@ pub fn bd2val_on_runtime(
             }
             sv.sort_by(|a, b| b.partial_cmp(a).unwrap());
             sv
-        }
-        SvdSolver::Bisection => {
-            let bisect = Arc::new(GkBisection::new(diag, superdiag));
-            let mut g = TaskGraph::new();
-            for j in 0..k {
-                g.add_task(1.0, 0, obs::KIND_BD2VAL, &[(j as u64, AccessMode::Write)]);
-            }
-            let results: Arc<Vec<std::sync::OnceLock<f64>>> =
-                Arc::new((0..k).map(|_| std::sync::OnceLock::new()).collect());
-            let bodies: Vec<TaskBody> = (0..k)
-                .map(|j| {
-                    let bisect = Arc::clone(&bisect);
-                    let results = Arc::clone(&results);
-                    Box::new(move || {
-                        results[j]
-                            .set(bisect.nth_largest(j))
-                            .expect("singular value computed twice");
-                    }) as TaskBody
-                })
-                .collect();
-            runtime_execute(&g, bodies, threads);
-            results
-                .iter()
-                .map(|c| *c.get().expect("singular value never computed"))
-                .collect()
         }
     }
 }

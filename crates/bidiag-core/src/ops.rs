@@ -5,7 +5,7 @@
 //! same list then feeds three back-ends:
 //!
 //! * sequential execution (reference numerics),
-//! * the shared-memory parallel executor of `bidiag-runtime`,
+//! * parallel execution on the work-stealing scheduler of `bidiag-runtime`,
 //! * the task-graph analyses (critical paths) and machine simulations.
 //!
 //! Each operation knows which tiles and reflector-scalar vectors it reads and

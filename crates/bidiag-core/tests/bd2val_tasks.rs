@@ -1,7 +1,7 @@
 //! Task-fan-out coverage of the BD2VAL runtime back-end, in the style of
 //! `bidiag-runtime/tests/scheduler_stress.rs`: the sliced path must spawn
-//! one task per spectrum *interval* — not the historical one task per
-//! singular value (512 task activations on the reference case) — and its
+//! one task per spectrum *interval* — not one task per singular value
+//! (512 task activations on the reference case) — and its
 //! results must be independent of the thread count, including heavy
 //! oversubscription.
 
@@ -35,9 +35,9 @@ fn sliced_bd2val_spawns_one_task_per_interval_at_n_512() {
         "interval fan-out must be far below one-task-per-value ({tasks} vs {n})"
     );
 
-    // The legacy oracle keeps per-value fan-out; dqds is a single task.
+    // The bisection oracle and dqds each run as a single task.
     let oracle_opts = Bd2ValOptions::default().with_solver(SvdSolver::Bisection);
-    assert_eq!(bd2val_task_count(&d, &e, &oracle_opts), n);
+    assert_eq!(bd2val_task_count(&d, &e, &oracle_opts), 1);
     assert_eq!(bd2val_task_count(&d, &e, &Bd2ValOptions::default()), 1);
 
     // And the slices really are the plan the runtime executes: they tile

@@ -7,7 +7,10 @@
 //! failpoint registry is only armed in the dedicated CI leg; within this
 //! binary every test holds the `failpoint::scoped` lock whenever it may run
 //! pool bodies (`scoped(&[])` where it arms nothing), so a `pool::body`
-//! armed by one test cannot fire inside a sibling's pool.
+//! armed by one test cannot fire inside a sibling's pool — a threaded
+//! per-call `ge2val` runs pool bodies too.  (What an injected body panic
+//! does to such a call is checked in `thread_leak.rs`, the one binary that
+//! can also count the threads it leaves behind.)
 
 #![cfg(feature = "failpoints")]
 

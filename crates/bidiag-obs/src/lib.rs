@@ -603,8 +603,13 @@ impl HistogramSnapshot {
 
 /// The process-wide metrics registry. All fields are updated with relaxed
 /// atomics by instrumentation sites; durations are in nanoseconds.
+///
+/// A *submission* is one task graph handed to a `TaskPool`: a problem of an
+/// `SvdSession`, or one `execute_parallel` call — each threaded stage of
+/// `ge2val` is a submission on a pool built for that stage, and counts in
+/// `submissions` and the three per-submission histograms like any other.
 pub struct MetricsRegistry {
-    /// DAG tasks executed (executor + pool bodies).
+    /// DAG tasks executed (pool bodies, run or skipped).
     pub tasks_executed: Counter,
     /// Successful steals from another worker's deque.
     pub steals: Counter,
@@ -612,7 +617,8 @@ pub struct MetricsRegistry {
     pub parks: Counter,
     /// Total nanoseconds workers spent parked.
     pub idle_ns: Counter,
-    /// Submissions accepted by `TaskPool::submit` / `SvdSession`.
+    /// Submissions accepted by `TaskPool::submit` (`SvdSession` problems
+    /// and `execute_parallel` calls alike).
     pub submissions: Counter,
     /// Blocking admissions that had to wait for a slot.
     pub admission_waits: Counter,

@@ -1,350 +1,32 @@
-//! Work-stealing multi-threaded execution of task graphs (the shared-memory
-//! runtime).
+//! One-shot execution of a task graph: the entry points that run one graph
+//! to completion and return.
 //!
-//! This plays the role PaRSEC plays in the paper's implementation: tasks
-//! become ready when their data-flow predecessors complete and are executed
-//! by a pool of worker threads.  Correctness does not depend on scheduling
-//! order — any topological execution yields the same numerical result —
-//! which is asserted by the determinism tests in `bidiag-core` and by the
-//! randomized stress tests in `tests/scheduler_stress.rs`.
-//!
-//! # Scheduler design
-//!
-//! The scheduler is *work-stealing* and *event-driven*; there is no timed
-//! polling anywhere on the execution path.
-//!
-//! * **Per-worker LIFO deques.** Every worker owns a
-//!   [`crossbeam::deque::Worker`] deque.  Tasks a worker makes ready are
-//!   pushed on its own deque, so the successors of a just-finished tile
-//!   kernel — whose operands are hot in that worker's cache — are executed
-//!   by the same worker in depth-first order, exactly like the
-//!   locality-aware queues of PaRSEC.
-//! * **Random stealing.** A worker whose deque drains picks victims in a
-//!   per-worker pseudo-random order and steals the *oldest* entry of a
-//!   victim's deque (the FIFO end), which is the entry the victim would
-//!   touch last.
-//! * **Priorities.** When a finished task releases several successors at
-//!   once, they are pushed in increasing bottom-level order so that the
-//!   LIFO pop picks the successor with the *longest* remaining critical
-//!   path first — the same bottom-level priority the paper's runtime uses.
-//!   The highest-priority successor skips the deque entirely and is
-//!   returned to the worker loop as the next task to run (a work-first
-//!   handoff).  Initial source tasks are dealt round-robin across all
-//!   workers in the same order.
-//! * **Idle protocol.** Workers that find no runnable task block on a
-//!   condition variable guarded by a generation counter (the internal
-//!   `IdleGate`): publishing new tasks bumps the generation and wakes
-//!   sleepers, so a worker only rescans when something actually changed.
-//!   There is no `recv_timeout`/sleep loop; a sleeping worker consumes no
-//!   CPU until a task is published or the graph drains.
-//! * **Completion detection.** A single atomic countdown of unfinished
-//!   tasks; the worker that completes the last task closes the gate and
-//!   every worker exits.  No thread ever waits on a timeout to notice
-//!   termination.
-//!
-//! # Why the once-cell task slots are sound
-//!
-//! Task bodies are stored in [`UnsafeCell`] slots without any lock.  The
-//! dependency protocol guarantees exclusive access:
-//!
-//! 1. a task id becomes *ready* exactly once — only the worker whose
-//!    `fetch_sub` drops the predecessor counter to zero publishes it (and
-//!    source tasks are seeded exactly once before the workers start);
-//! 2. a published id is claimed exactly once — deque ends are
-//!    mutually exclusive, so exactly one worker pops or steals it;
-//! 3. the handoff happens through the deque (or through thread spawn for
-//!    the seeds), which orders the slot write before the slot take.
-//!
-//! Hence each slot is taken exactly once, by exactly one thread, after its
-//! body was written — the invariant the internal `BodySlots::take` relies
-//! on.
+//! [`execute_parallel`] is a submission like any other on the scheduler of
+//! [`crate::pool`]: it builds a [`TaskPool`] for the duration of the call,
+//! submits the graph, waits and drops the pool, so the worker threads live
+//! exactly as long as the call.  [`execute_sequential`] runs the bodies in
+//! insertion order on the calling thread and is the oracle the parallel
+//! runs are tested against.
 
-use crate::graph::{TaskGraph, TaskId};
-use bidiag_obs as obs;
-use crossbeam::deque::{Steal, Stealer, Worker};
-use parking_lot::{Condvar, Mutex};
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use crate::graph::TaskGraph;
+use crate::pool::{TaskBodyWith, TaskPool};
 
 /// A task body: the closure that actually runs the kernel.  Bodies are
-/// indexed by [`TaskId`] and own whatever shared state they need (typically
-/// `Arc`s of per-tile locks).
+/// indexed by [`TaskId`](crate::TaskId) and own whatever shared state they
+/// need (typically `Arc`s of per-tile locks).
 pub type TaskBody = Box<dyn FnOnce() + Send>;
-
-/// A task body that receives the executing worker's private scratch.
-///
-/// This is how the blocked tile kernels run allocation-free: every worker
-/// thread owns one long-lived scratch value (created by the `init` closure
-/// of [`execute_parallel_with`]) and lends it to each body it executes, so
-/// kernel workspaces are reused across all the tasks a worker runs instead
-/// of being reallocated per task.
-pub type TaskBodyWith<S> = Box<dyn FnOnce(&mut S) + Send>;
-
-/// Once-cell storage of the task bodies: each slot is written once before
-/// the workers start and taken exactly once by the worker that claimed the
-/// task (see the module docs for the exclusivity argument).
-pub(crate) struct BodySlots<S>(Vec<UnsafeCell<Option<TaskBodyWith<S>>>>);
-
-// SAFETY: slots are only accessed through `take`, whose per-id exclusivity
-// is guaranteed by the ready/claim protocol described in the module docs.
-unsafe impl<S> Sync for BodySlots<S> {}
-
-impl<S> BodySlots<S> {
-    pub(crate) fn new(bodies: Vec<TaskBodyWith<S>>) -> Self {
-        BodySlots(
-            bodies
-                .into_iter()
-                .map(|b| UnsafeCell::new(Some(b)))
-                .collect(),
-        )
-    }
-
-    /// Take the body of task `id`.
-    ///
-    /// SAFETY contract (upheld by the scheduler): `take(id)` is called at
-    /// most once per id, and the call happens after the constructor's write
-    /// with a synchronization edge in between (deque mutex or thread spawn).
-    pub(crate) fn take(&self, id: TaskId) -> TaskBodyWith<S> {
-        unsafe { (*self.0[id].get()).take().expect("task executed twice") }
-    }
-}
-
-/// The event gate of the idle protocol: a generation counter bumped on every
-/// publication of new work, plus a `done` latch flipped by the completion
-/// countdown.  Workers park on the condition variable when a full scan of
-/// all deques found nothing and the generation has not moved since the scan
-/// started — so a publication between scan and park is never lost.
-pub(crate) struct IdleGate {
-    state: Mutex<GateState>,
-    cv: Condvar,
-}
-
-struct GateState {
-    generation: u64,
-    sleepers: usize,
-    done: bool,
-}
-
-impl IdleGate {
-    pub(crate) fn new() -> Self {
-        IdleGate {
-            state: Mutex::new(GateState {
-                generation: 0,
-                sleepers: 0,
-                done: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Announce that new tasks were pushed on some deque.
-    pub(crate) fn publish(&self) {
-        let mut st = self.state.lock();
-        st.generation += 1;
-        if st.sleepers > 0 {
-            self.cv.notify_all();
-        }
-    }
-
-    /// Announce that every task has completed (executor) or that the pool
-    /// is shutting down ([`crate::pool::TaskPool`]).
-    pub(crate) fn finish(&self) {
-        let mut st = self.state.lock();
-        st.done = true;
-        self.cv.notify_all();
-    }
-
-    /// Park until something changes.  `seen` is the generation the caller's
-    /// last (fruitless) scan started from; returns `true` when the caller
-    /// should rescan for work and `false` when the graph has drained.
-    pub(crate) fn park(&self, seen: &mut u64) -> bool {
-        let mut st = self.state.lock();
-        loop {
-            if st.done {
-                return false;
-            }
-            if st.generation != *seen {
-                *seen = st.generation;
-                return true;
-            }
-            st.sleepers += 1;
-            if obs::enabled() {
-                let reg = obs::registry();
-                reg.parks.incr();
-                let t0 = obs::now_ns();
-                self.cv.wait(&mut st);
-                reg.idle_ns.add(obs::now_ns() - t0);
-            } else {
-                self.cv.wait(&mut st);
-            }
-            st.sleepers -= 1;
-        }
-    }
-}
-
-/// Everything the workers share.
-struct Scheduler<'g, S> {
-    graph: &'g TaskGraph,
-    /// Bottom levels, the scheduling priority (longest path to an exit).
-    priority: Vec<f64>,
-    /// Remaining-predecessor counters; the worker that drops one to zero
-    /// owns the publication of that task.
-    remaining_preds: Vec<AtomicUsize>,
-    /// Countdown of unfinished tasks (completion detection).
-    remaining_tasks: AtomicUsize,
-    slots: BodySlots<S>,
-    stealers: Vec<Stealer<TaskId>>,
-    gate: IdleGate,
-    /// Observability run id for this graph execution; 0 when tracing is off
-    /// at launch, making every per-task tracing branch a single predictable
-    /// integer compare.
-    trace_id: u64,
-}
-
-impl<S> Scheduler<'_, S> {
-    /// Run `id` with the worker's scratch, release its successors, and
-    /// return the highest-priority newly-ready successor for direct
-    /// execution (work-first handoff).
-    ///
-    /// When tracing is on, the span (including its end timestamp) is
-    /// recorded *before* any successor is released: the recorded trace then
-    /// satisfies `end[pred] <= start[succ]` for every DAG edge, which is the
-    /// invariant the critical-path analyzer relies on.
-    fn run_task(
-        &self,
-        id: TaskId,
-        me: usize,
-        local: &Worker<TaskId>,
-        scratch: &mut S,
-    ) -> Option<TaskId> {
-        if self.trace_id != 0 {
-            let start_ns = obs::now_ns();
-            self.slots.take(id)(scratch);
-            obs::record_span(obs::Span {
-                submission: self.trace_id,
-                task: id as u32,
-                kind: self.graph.task(id).tag,
-                worker: me as u32,
-                start_ns,
-                end_ns: obs::now_ns(),
-            });
-            obs::registry().tasks_executed.incr();
-        } else {
-            self.slots.take(id)(scratch);
-        }
-
-        let mut ready: Vec<TaskId> = Vec::new();
-        for &succ in self.graph.successors(id) {
-            if self.remaining_preds[succ].fetch_sub(1, Ordering::AcqRel) == 1 {
-                ready.push(succ);
-            }
-        }
-        // Ascending bottom level: the LIFO pop (and the direct handoff of
-        // the last element) then serves the most critical successor first.
-        ready.sort_by(|&a, &b| {
-            self.priority[a]
-                .partial_cmp(&self.priority[b])
-                .expect("bottom levels are finite")
-        });
-        let next = ready.pop();
-        if !ready.is_empty() {
-            for t in ready {
-                local.push(t);
-            }
-            self.gate.publish();
-        }
-
-        if self.remaining_tasks.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.gate.finish();
-        }
-        next
-    }
-
-    /// One full scan: the local deque first, then every victim in a
-    /// pseudo-random order starting from `rng`'s draw.
-    fn find_task(&self, me: usize, local: &Worker<TaskId>, rng: &mut u64) -> Option<TaskId> {
-        if let Some(id) = local.pop() {
-            return Some(id);
-        }
-        let n = self.stealers.len();
-        if n <= 1 {
-            return None;
-        }
-        let start = (xorshift(rng) as usize) % n;
-        for k in 0..n {
-            let victim = (start + k) % n;
-            if victim == me {
-                continue;
-            }
-            loop {
-                match self.stealers[victim].steal() {
-                    Steal::Success(id) => {
-                        if obs::enabled() {
-                            obs::registry().steals.incr();
-                        }
-                        return Some(id);
-                    }
-                    Steal::Empty => break,
-                    Steal::Retry => continue,
-                }
-            }
-        }
-        None
-    }
-
-    fn worker_loop(&self, me: usize, local: Worker<TaskId>, scratch: &mut S) {
-        // If a task body panics, this worker unwinds without ever reaching
-        // the completion countdown; the drain guard then flips the `done`
-        // latch so the other workers exit instead of parking forever, and
-        // `thread::scope` re-propagates the panic to the caller.
-        struct PanicDrain<'a>(&'a IdleGate);
-        impl Drop for PanicDrain<'_> {
-            fn drop(&mut self) {
-                if std::thread::panicking() {
-                    self.0.finish();
-                }
-            }
-        }
-        let _drain = PanicDrain(&self.gate);
-
-        let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ ((me as u64 + 1) << 17);
-        let mut seen = 0u64;
-        loop {
-            while let Some(id) = self.find_task(me, &local, &mut rng) {
-                let mut current = id;
-                while let Some(next) = self.run_task(current, me, &local, scratch) {
-                    current = next;
-                }
-            }
-            if !self.gate.park(&mut seen) {
-                return;
-            }
-        }
-    }
-}
-
-#[inline]
-pub(crate) fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
 
 /// Execute every task of `graph` on `threads` worker threads, respecting the
 /// data-flow dependencies.  `bodies[i]` is run exactly once for task `i`.
 ///
-/// Workers follow the work-stealing, event-driven protocol described in the
-/// [module docs](self): per-worker LIFO deques, random stealing,
-/// bottom-level priorities, and a condition-variable idle gate instead of
-/// any timed polling.  Any interleaving the scheduler produces is a
-/// topological order of `graph`, so the result equals
+/// Workers follow the work-stealing, event-driven protocol of the
+/// [scheduler docs](crate::pool).  Any interleaving the scheduler produces
+/// is a topological order of `graph`, so the result equals
 /// [`execute_sequential`]'s whenever the bodies only communicate through
 /// data the graph knows about.
 ///
-/// Panics if `bodies.len() != graph.len()`.
+/// Panics if `bodies.len() != graph.len()`, and if a body panics (the
+/// remaining bodies are then skipped).
 ///
 /// # Examples
 ///
@@ -388,81 +70,31 @@ pub fn execute_parallel(graph: &TaskGraph, bodies: Vec<TaskBody>, threads: usize
 /// scratch value created by `init` and passes it to each body it runs.
 ///
 /// This is the entry point of the blocked-kernel data plane: `bidiag-core`
-/// hands a `Workspace`-producing `init` here, so the compact-WY kernels a
-/// worker executes share one growable workspace instead of reallocating
-/// scratch per task.  `init` runs once per worker, on that worker's thread.
-pub fn execute_parallel_with<S>(
+/// hands a `KernelScratch`-producing `init` here, so the compact-WY kernels
+/// a worker executes share one workspace instead of reallocating scratch
+/// per task.  `init` runs once per worker, on that worker's thread.
+pub fn execute_parallel_with<S: Send + 'static>(
     graph: &TaskGraph,
     bodies: Vec<TaskBodyWith<S>>,
     threads: usize,
-    init: impl Fn() -> S + Sync,
+    init: impl Fn() -> S + Send + Sync + 'static,
 ) {
-    let n = graph.len();
-    assert_eq!(bodies.len(), n, "one body per task is required");
-    if n == 0 {
+    assert_eq!(bodies.len(), graph.len(), "one body per task is required");
+    if graph.is_empty() {
         return;
     }
-    let threads = threads.max(1).min(n);
-
-    let scheduler = Scheduler {
-        graph,
-        priority: graph.bottom_levels(),
-        remaining_preds: (0..n)
-            .map(|i| AtomicUsize::new(graph.predecessors(i).len()))
-            .collect(),
-        remaining_tasks: AtomicUsize::new(n),
-        slots: BodySlots::new(bodies),
-        stealers: Vec::new(),
-        gate: IdleGate::new(),
-        trace_id: if obs::enabled() {
-            obs::next_submission_id()
-        } else {
-            0
-        },
-    };
-
-    let workers: Vec<Worker<TaskId>> = (0..threads).map(|_| Worker::new_lifo()).collect();
-    let mut scheduler = scheduler;
-    scheduler.stealers = workers.iter().map(Worker::stealer).collect();
-    let scheduler = scheduler;
-
-    // Seed the source tasks round-robin, highest bottom level first; within
-    // one deque the seeds are pushed in ascending priority so the LIFO pop
-    // serves the most critical one first.
-    let mut sources: Vec<TaskId> = (0..n)
-        .filter(|&i| graph.predecessors(i).is_empty())
-        .collect();
-    sources.sort_by(|&a, &b| {
-        scheduler.priority[b]
-            .partial_cmp(&scheduler.priority[a])
-            .expect("bottom levels are finite")
-    });
-    let mut per_worker: Vec<Vec<TaskId>> = (0..threads).map(|_| Vec::new()).collect();
-    for (rank, id) in sources.into_iter().enumerate() {
-        per_worker[rank % threads].push(id);
+    let pool = TaskPool::new(threads.clamp(1, graph.len()), init);
+    let outcome = pool
+        .submit_ref(graph, bodies, true)
+        .expect("a pool nobody closed admits")
+        .wait();
+    // Join the workers before reporting: no thread outlives the call.
+    drop(pool);
+    if let Err(e) = outcome {
+        // The pool contains a body panic as a value; a one-shot caller has
+        // no handle to inspect, so the panic resumes here with its message.
+        panic!("{e}");
     }
-    for (w, seeds) in workers.iter().zip(&per_worker) {
-        for &id in seeds.iter().rev() {
-            w.push(id);
-        }
-    }
-
-    std::thread::scope(|scope| {
-        for (me, local) in workers.into_iter().enumerate() {
-            let scheduler = &scheduler;
-            let init = &init;
-            scope.spawn(move || {
-                let mut scratch = init();
-                scheduler.worker_loop(me, local, &mut scratch)
-            });
-        }
-    });
-
-    assert_eq!(
-        scheduler.remaining_tasks.load(Ordering::Acquire),
-        0,
-        "not every task was executed"
-    );
 }
 
 /// Execute the tasks sequentially in insertion order (which is a topological
@@ -478,7 +110,7 @@ pub fn execute_sequential(graph: &TaskGraph, bodies: Vec<TaskBody>) {
 mod tests {
     use super::*;
     use crate::graph::AccessMode::{Read, Write};
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     /// Build a random-ish layered DAG and check that parallel execution
@@ -613,7 +245,7 @@ mod tests {
     fn panicking_body_propagates_instead_of_deadlocking() {
         // One source panics while an independent chain keeps the other
         // workers busy; the pool must drain (no worker parks forever) and
-        // the panic must reach the caller through thread::scope.
+        // the panic must reach the caller.
         let mut g = TaskGraph::new();
         g.add_task(1.0, 0, 0, &[(1, Write)]); // the panicking source
         for _ in 0..50 {

@@ -5,14 +5,14 @@
 //!
 //! * [`graph::TaskGraph`] — data-flow task graphs built by task insertion
 //!   with automatic RAW/WAR/WAW dependency inference,
-//! * [`executor`] — a work-stealing, event-driven scheduler executing the
-//!   graph on the local machine (shared-memory experiments): per-worker
-//!   LIFO deques with random stealing, bottom-level priorities, and a
-//!   condition-variable idle protocol with no timed polling,
-//! * [`pool::TaskPool`] — the same scheduler made persistent: long-lived
-//!   workers serving a *stream* of independent task graphs (the batched
-//!   SVD session of `bidiag-core` is built on it), parked on the idle
-//!   gate between submissions,
+//! * [`pool`] — the scheduler: a work-stealing, event-driven
+//!   [`pool::TaskPool`] whose workers serve a *stream* of task-graph
+//!   submissions (per-worker LIFO deques with random stealing, bottom-level
+//!   priorities, a condition-variable idle protocol with no timed polling);
+//!   the batched SVD session of `bidiag-core` holds one for its lifetime,
+//! * [`executor`] — the one-shot entry points: [`execute_parallel`] runs one
+//!   graph as a single submission on a pool built for the call
+//!   (shared-memory experiments), [`execute_sequential`] is the oracle,
 //! * [`sim`] — a deterministic list-scheduling simulator with per-node core
 //!   pools and an `alpha/beta` communication model, used for critical-path
 //!   measurements and for the distributed-memory experiments that the paper
@@ -20,7 +20,7 @@
 //!
 //! # Scheduling invariants
 //!
-//! The executor may run independent tasks in any interleaving, yet every
+//! The scheduler may run independent tasks in any interleaving, yet every
 //! algorithm built on it is deterministic: the [`graph::TaskGraph`] encodes
 //! *all* data conflicts of the sequential algorithm as edges (reads and
 //! writes are declared per task, and RAW/WAR/WAW pairs become
@@ -28,8 +28,8 @@
 //! kernels to exactly the same operand values as the sequential order.
 //! Floating-point results are therefore bitwise identical across thread
 //! counts and schedules — the property the randomized stress tests in
-//! `tests/scheduler_stress.rs` exercise.  See the [`executor`] module docs
-//! for the steal protocol and its exclusivity guarantees.
+//! `tests/scheduler_stress.rs` exercise.  See the [`pool`] module docs for
+//! the steal protocol and its exclusivity guarantees.
 
 #![warn(missing_docs)]
 
@@ -39,10 +39,8 @@ pub mod pool;
 pub mod sim;
 pub mod trace;
 
-pub use executor::{
-    execute_parallel, execute_parallel_with, execute_sequential, TaskBody, TaskBodyWith,
-};
+pub use executor::{execute_parallel, execute_parallel_with, execute_sequential, TaskBody};
 pub use graph::{AccessMode, DataKey, TaskGraph, TaskId, TaskNode};
-pub use pool::{JobError, JobHandle, PoolConfig, SubmitError, TaskPool};
+pub use pool::{JobError, JobHandle, PoolConfig, SubmitError, TaskBodyWith, TaskPool};
 pub use sim::{critical_path_via_sim, simulate, MachineModel, SimResult};
 pub use trace::{validate_trace, TraceValidation};

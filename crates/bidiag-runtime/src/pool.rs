@@ -1,27 +1,56 @@
-//! A *persistent* work-stealing pool: the executor's scheduler re-armed for
-//! a stream of independent task graphs instead of one graph per thread team.
+//! The scheduler: one work-stealing pool executing task-graph *submissions*.
 //!
-//! [`crate::execute_parallel_with`] spawns its workers, runs one graph, and
-//! joins — the right shape for one big factorization, but pure overhead when
-//! serving millions of small problems (the batched-SVD scenario of the
-//! ROADMAP).  [`TaskPool`] keeps the same scheduling protocol — per-worker
-//! LIFO deques, random stealing, bottom-level priorities, work-first
-//! handoff, and the condition-variable [`IdleGate`](crate::executor) — but
-//! makes the workers long-lived:
+//! This plays the role PaRSEC plays in the paper's implementation: tasks
+//! become ready when their data-flow predecessors complete and are executed
+//! by a pool of worker threads.  Every parallel run of the library goes
+//! through the one `worker_loop` of this module — a [`TaskPool`] held for a
+//! session's lifetime serves a stream of independent graphs (the batched
+//! SVD service), and [`crate::execute_parallel`] builds one for the
+//! duration of a single graph.  Any schedule is a topological order of the
+//! graph, so results do not depend on it (crate docs, "Scheduling
+//! invariants").
 //!
-//! * **Submissions, not teams.**  [`TaskPool::submit`] packages a
-//!   [`TaskGraph`] plus its bodies into an [`Arc`]'d submission and seeds
-//!   its source tasks into a shared injector queue.  Deque items are
+//! # Scheduler design
+//!
+//! The scheduler is *work-stealing* and *event-driven*; there is no timed
+//! polling anywhere on the execution path.
+//!
+//! * **Submissions, not teams.**  [`TaskPool::submit`] copies what the
+//!   workers read of a [`TaskGraph`] (successor lists, predecessor counts,
+//!   tags, bottom levels), packages it with the bodies into an [`Arc`]'d
+//!   submission and seeds its source tasks, most critical first, into a
+//!   shared FIFO injector queue (callers own no deque).  Deque items are
 //!   `(submission, task id)` pairs, so tasks of *different* submissions
 //!   interleave freely on the same deques — workers never idle while any
 //!   submitted problem has ready tasks (inter-problem parallelism).
+//! * **Per-worker LIFO deques.**  Every worker owns a
+//!   [`crossbeam::deque::Worker`] deque.  Tasks a worker makes ready are
+//!   pushed on its own deque, so the successors of a just-finished tile
+//!   kernel — whose operands are hot in that worker's cache — are executed
+//!   by the same worker in depth-first order, exactly like the
+//!   locality-aware queues of PaRSEC.
+//! * **Random stealing.**  A worker whose deque and the injector are both
+//!   drained picks victims in a per-worker pseudo-random order and steals
+//!   the *oldest* entry of a victim's deque (the FIFO end), which is the
+//!   entry the victim would touch last.
+//! * **Priorities.**  When a finished task releases several successors at
+//!   once, they are pushed in increasing bottom-level order so that the
+//!   LIFO pop picks the successor with the *longest* remaining critical
+//!   path first — the same bottom-level priority the paper's runtime uses.
+//!   The highest-priority successor skips the deque entirely and is
+//!   returned to the worker loop as the next task to run (a work-first
+//!   handoff).
+//! * **Idle protocol.**  Workers that find no runnable task block on a
+//!   condition variable guarded by a generation counter (the internal
+//!   `IdleGate`): publishing new tasks bumps the generation and wakes
+//!   sleepers, so a worker only rescans when something actually changed.
+//!   Between submissions a parked pool consumes no CPU until the next
+//!   `submit` publishes work.
 //! * **Per-worker, per-lifetime scratch.**  Each worker owns one scratch
 //!   value created by the pool's `init` closure at spawn time and lends it
-//!   to every body it ever runs, across all submissions — allocation reuse
-//!   spans the pool's lifetime, not a single graph.
-//! * **Idle = parked.**  Between submissions every worker blocks on the
-//!   idle gate; a parked pool consumes no CPU until the next `submit`
-//!   publishes work.
+//!   to every body it ever runs, across all submissions — this is how the
+//!   blocked tile kernels run allocation-free, and allocation reuse spans
+//!   the pool's lifetime, not a single graph.
 //! * **Bounded admission with backpressure.**  A pool built with
 //!   [`TaskPool::with_config`] caps the number of submissions in flight:
 //!   [`TaskPool::submit`] parks the *caller* on a condition variable until
@@ -33,20 +62,32 @@
 //! * **Per-submission completion and failure containment.**  Each
 //!   submission counts down its own remaining tasks and signals its own
 //!   condition variable; [`JobHandle::wait`] blocks on that, not on the
-//!   pool.  A body panic is caught and *converted to a value*: the
-//!   submission is flagged failed (remaining bodies of *that* submission
-//!   are skipped, its graph still drains so counters stay consistent) and
-//!   `wait` returns [`JobError::Panicked`] carrying the payload message —
-//!   nothing is ever re-thrown across the pool boundary, and other
-//!   submissions are unaffected.  [`JobHandle::cancel`] reuses the same
-//!   drain-as-no-ops machinery for cooperative cancellation, and
+//!   pool, and no thread ever waits on a timeout to notice completion.  A
+//!   body panic is caught and *converted to a value*: the submission is
+//!   flagged failed (remaining bodies of *that* submission are skipped, its
+//!   graph still drains so counters stay consistent) and `wait` returns
+//!   [`JobError::Panicked`] carrying the payload message — nothing is ever
+//!   re-thrown across the pool boundary, and other submissions are
+//!   unaffected.  [`JobHandle::cancel`] reuses the same drain-as-no-ops
+//!   machinery for cooperative cancellation, and
 //!   [`JobHandle::wait_timeout`] bounds how long a caller blocks.
 //!
-//! The once-cell body-slot soundness argument of the executor carries over
-//! verbatim: a task id of a given submission becomes ready exactly once,
-//! is claimed exactly once (deque and injector ends are mutually
-//! exclusive), and the claim is ordered after the slot write by the
-//! injector/deque mutex.
+//! # Why the once-cell task slots are sound
+//!
+//! Task bodies are stored in [`UnsafeCell`] slots without any lock.  The
+//! dependency protocol guarantees exclusive access:
+//!
+//! 1. a task id of a given submission becomes *ready* exactly once — only
+//!    the worker whose `fetch_sub` drops the predecessor counter to zero
+//!    publishes it (and source tasks are seeded exactly once, by `submit`);
+//! 2. a published id is claimed exactly once — deque and injector ends are
+//!    mutually exclusive, so exactly one worker pops or steals it;
+//! 3. the handoff happens through the injector or a deque, whose mutex
+//!    orders the slot write before the slot take.
+//!
+//! Hence each slot is taken exactly once, by exactly one thread, after its
+//! body was written — the invariant the internal `BodySlots::take` relies
+//! on.
 //!
 //! Dropping the pool closes admission, then the gate; each worker drains
 //! every task it can still find (its own deque, the injector, every
@@ -62,17 +103,132 @@
 //! drive every error path deterministically.  Disarmed they cost one
 //! relaxed atomic load.
 
-use crate::executor::{BodySlots, IdleGate, TaskBodyWith};
 use crate::graph::{TaskGraph, TaskId};
 use bidiag_obs as obs;
 use crossbeam::deque::{Steal, Stealer, Worker};
 use parking_lot::{Condvar, Mutex};
+use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// A task body that receives the executing worker's private scratch — the
+/// per-worker, per-lifetime value of the [module docs](self).
+pub type TaskBodyWith<S> = Box<dyn FnOnce(&mut S) + Send>;
+
+/// Once-cell storage of a submission's task bodies: each slot is written
+/// once at submit time and taken exactly once by the worker that claimed
+/// the task (see the module docs for the exclusivity argument).
+struct BodySlots<S>(Vec<UnsafeCell<Option<TaskBodyWith<S>>>>);
+
+// SAFETY: slots are only accessed through `take`, whose per-id exclusivity
+// is guaranteed by the ready/claim protocol described in the module docs.
+unsafe impl<S> Sync for BodySlots<S> {}
+
+impl<S> BodySlots<S> {
+    fn new(bodies: Vec<TaskBodyWith<S>>) -> Self {
+        BodySlots(
+            bodies
+                .into_iter()
+                .map(|b| UnsafeCell::new(Some(b)))
+                .collect(),
+        )
+    }
+
+    /// Take the body of task `id`.
+    ///
+    /// SAFETY contract (upheld by the scheduler): `take(id)` is called at
+    /// most once per id, and the call happens after the constructor's write
+    /// with a synchronization edge in between (the injector mutex or a
+    /// deque handoff).
+    fn take(&self, id: TaskId) -> TaskBodyWith<S> {
+        unsafe { (*self.0[id].get()).take().expect("task executed twice") }
+    }
+}
+
+/// The event gate of the idle protocol: a generation counter bumped on every
+/// publication of new work, plus a `done` latch flipped when the pool shuts
+/// down.  Workers park on the condition variable when a full scan of all
+/// queues found nothing and the generation has not moved since the scan
+/// started — so a publication between scan and park is never lost.
+struct IdleGate {
+    state: Mutex<GateState>,
+    cv: Condvar,
+}
+
+struct GateState {
+    generation: u64,
+    sleepers: usize,
+    done: bool,
+}
+
+impl IdleGate {
+    fn new() -> Self {
+        IdleGate {
+            state: Mutex::new(GateState {
+                generation: 0,
+                sleepers: 0,
+                done: false,
+            }),
+            cv: Condvar::new(),
+        }
+    }
+
+    /// Announce that new tasks were pushed on some queue.
+    fn publish(&self) {
+        let mut st = self.state.lock();
+        st.generation += 1;
+        if st.sleepers > 0 {
+            self.cv.notify_all();
+        }
+    }
+
+    /// Announce that the pool is shutting down.
+    fn finish(&self) {
+        let mut st = self.state.lock();
+        st.done = true;
+        self.cv.notify_all();
+    }
+
+    /// Park until something changes.  `seen` is the generation the caller's
+    /// last (fruitless) scan started from; returns `true` when the caller
+    /// should rescan for work and `false` when the pool is shutting down.
+    fn park(&self, seen: &mut u64) -> bool {
+        let mut st = self.state.lock();
+        loop {
+            if st.done {
+                return false;
+            }
+            if st.generation != *seen {
+                *seen = st.generation;
+                return true;
+            }
+            st.sleepers += 1;
+            let parked_at = obs::enabled().then(|| {
+                obs::registry().parks.incr();
+                obs::now_ns()
+            });
+            self.cv.wait(&mut st);
+            if let Some(t0) = parked_at {
+                obs::registry().idle_ns.add(obs::now_ns() - t0);
+            }
+            st.sleepers -= 1;
+        }
+    }
+}
+
+#[inline]
+fn xorshift(state: &mut u64) -> u64 {
+    let mut x = *state;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    *state = x;
+    x
+}
 
 /// Why a submission finished without producing its results.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -125,40 +281,46 @@ impl std::fmt::Display for SubmitError {
 impl std::error::Error for SubmitError {}
 
 /// Admission configuration of a [`TaskPool`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct PoolConfig {
     /// Maximum number of submissions in flight (submitted, not yet
-    /// finished).  `0` means unbounded — the pre-backpressure behaviour.
+    /// finished).  `0` — the default, matching [`TaskPool::new`] — means
+    /// unbounded, the pre-backpressure behaviour.
     pub max_in_flight: usize,
 }
 
-impl Default for PoolConfig {
-    /// Unbounded admission, matching [`TaskPool::new`].
-    fn default() -> Self {
-        PoolConfig { max_in_flight: 0 }
-    }
+/// What the workers read of one task of a submitted [`TaskGraph`], copied
+/// out at submit time so the graph need not outlive the `submit` call.
+struct TaskState {
+    /// Remaining-predecessor counter; the worker that drops it to zero
+    /// owns the publication of the task.
+    remaining_preds: AtomicUsize,
+    /// Bottom level, the intra-submission scheduling priority.
+    priority: f64,
+    /// The task's [`TaskNode::tag`](crate::TaskNode::tag), recorded as the
+    /// kind of its span.
+    tag: u32,
+    /// End of the task's run in [`Submission::successors`]; the run starts
+    /// where the previous task's ends.
+    succ_end: usize,
 }
 
 /// One submitted task graph with all the scheduler state it travels with.
 struct Submission<S> {
-    graph: TaskGraph,
-    /// Bottom levels, the intra-submission scheduling priority.
-    priority: Vec<f64>,
-    /// Remaining-predecessor counters; the worker that drops one to zero
-    /// owns the publication of that task.
-    remaining_preds: Vec<AtomicUsize>,
+    tasks: Vec<TaskState>,
+    /// The successor lists of all tasks, back to back in task order.
+    successors: Vec<TaskId>,
     /// Countdown of unfinished tasks of this submission.
     remaining_tasks: AtomicUsize,
     slots: BodySlots<S>,
-    /// Set when a body of this submission panicked: the remaining bodies
-    /// of the submission are skipped (its graph still drains).
-    failed: AtomicBool,
-    /// Set by [`JobHandle::cancel`]: remaining bodies are skipped exactly
-    /// like the failure path, but `wait` reports [`JobError::Cancelled`].
-    cancelled: AtomicBool,
+    /// Set when a body of this submission panicked or [`JobHandle::cancel`]
+    /// was called: the remaining bodies of the submission are skipped (its
+    /// graph still drains), and [`JobState::error`] says why.
+    skip: AtomicBool,
     done: Mutex<JobState>,
     done_cv: Condvar,
-    /// Observability run id (0 = tracing was off at submit time).
+    /// Observability run id (0 = tracing was off at submit time), making
+    /// every per-task tracing branch a single predictable integer compare.
     trace_id: u64,
     /// Admission timestamp (ns), valid when `trace_id != 0`.
     submitted_ns: u64,
@@ -167,11 +329,72 @@ struct Submission<S> {
     first_start_ns: AtomicU64,
 }
 
+impl<S> Submission<S> {
+    /// Package `graph` and its bodies.  An empty graph is born finished,
+    /// and is neither counted nor traced: it is never admitted.
+    fn new(graph: &TaskGraph, bodies: Vec<TaskBodyWith<S>>) -> Self {
+        let (trace_id, submitted_ns) = if !graph.is_empty() && obs::enabled() {
+            obs::registry().submissions.incr();
+            (obs::next_submission_id(), obs::now_ns())
+        } else {
+            (0, 0)
+        };
+        let priority = graph.bottom_levels();
+        let mut successors = Vec::new();
+        let tasks = priority
+            .into_iter()
+            .enumerate()
+            .map(|(id, priority)| {
+                successors.extend_from_slice(graph.successors(id));
+                TaskState {
+                    remaining_preds: AtomicUsize::new(graph.predecessors(id).len()),
+                    priority,
+                    tag: graph.task(id).tag,
+                    succ_end: successors.len(),
+                }
+            })
+            .collect();
+        Submission {
+            tasks,
+            successors,
+            remaining_tasks: AtomicUsize::new(graph.len()),
+            slots: BodySlots::new(bodies),
+            skip: AtomicBool::new(false),
+            done: Mutex::new(JobState {
+                finished: graph.is_empty(),
+                error: None,
+            }),
+            done_cv: Condvar::new(),
+            trace_id,
+            submitted_ns,
+            first_start_ns: AtomicU64::new(0),
+        }
+    }
+
+    fn successors(&self, id: TaskId) -> &[TaskId] {
+        let start = if id == 0 {
+            0
+        } else {
+            self.tasks[id - 1].succ_end
+        };
+        &self.successors[start..self.tasks[id].succ_end]
+    }
+
+    /// Order task ids by ascending bottom level.
+    fn by_priority(&self, a: TaskId, b: TaskId) -> std::cmp::Ordering {
+        self.tasks[a]
+            .priority
+            .partial_cmp(&self.tasks[b].priority)
+            .expect("bottom levels are finite")
+    }
+}
+
 struct JobState {
     finished: bool,
-    /// Message of the first body panic (payload converted to a string at
-    /// catch time; the payload itself is dropped, never re-thrown).
-    panic: Option<String>,
+    /// What `wait` reports instead of success: the first body panic
+    /// (payload converted to a string at catch time; the payload itself is
+    /// dropped, never re-thrown), else a cancellation.
+    error: Option<JobError>,
 }
 
 /// Best-effort conversion of a panic payload to its message.
@@ -212,27 +435,34 @@ impl<S> JobHandle<S> {
     /// [`JobError::Panicked`] with the first panic's message if a body
     /// panicked, or [`JobError::Cancelled`] if the job was cancelled.
     pub fn wait(self) -> Result<(), JobError> {
-        let mut st = self.sub.done.lock();
-        while !st.finished {
-            self.sub.done_cv.wait(&mut st);
-        }
-        self.outcome(&st)
+        self.wait_until(None)
+            .expect("a wait without a deadline ends only on completion")
     }
 
     /// Like [`wait`](JobHandle::wait), but give up after `timeout`:
     /// returns `None` if the submission is still running at the deadline
     /// (the handle stays usable — cancel it, keep waiting, or detach).
+    /// A deadline too far off for [`Instant`] to represent
+    /// (`Duration::MAX`, the usual spelling of "no deadline") waits
+    /// without one.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<(), JobError>> {
-        let deadline = Instant::now().checked_add(timeout)?;
+        self.wait_until(Instant::now().checked_add(timeout))
+    }
+
+    fn wait_until(&self, deadline: Option<Instant>) -> Option<Result<(), JobError>> {
         let mut st = self.sub.done.lock();
         while !st.finished {
+            let Some(deadline) = deadline else {
+                self.sub.done_cv.wait(&mut st);
+                continue;
+            };
             let now = Instant::now();
             if now >= deadline {
                 return None;
             }
             self.sub.done_cv.wait_timeout(&mut st, deadline - now);
         }
-        Some(self.outcome(&st))
+        Some(st.error.clone().map_or(Ok(()), Err))
     }
 
     /// Request cooperative cancellation: every body of this submission
@@ -244,25 +474,16 @@ impl<S> JobHandle<S> {
     pub fn cancel(&self) {
         // The lock makes "finished" exact: a job observed complete here is
         // never retroactively marked cancelled.
-        let st = self.sub.done.lock();
+        let mut st = self.sub.done.lock();
         if !st.finished {
-            self.sub.cancelled.store(true, Ordering::Release);
+            st.error.get_or_insert(JobError::Cancelled);
+            self.sub.skip.store(true, Ordering::Release);
         }
     }
 
     /// True once every task of the submission has completed (non-blocking).
     pub fn is_finished(&self) -> bool {
         self.sub.done.lock().finished
-    }
-
-    fn outcome(&self, st: &JobState) -> Result<(), JobError> {
-        if let Some(msg) = &st.panic {
-            Err(JobError::Panicked(msg.clone()))
-        } else if self.sub.cancelled.load(Ordering::Acquire) {
-            Err(JobError::Cancelled)
-        } else {
-            Ok(())
-        }
     }
 }
 
@@ -289,9 +510,9 @@ struct PoolShared<S> {
 }
 
 impl<S> PoolShared<S> {
-    /// Run `id` of `sub`, release its successors, and return the
-    /// highest-priority newly-ready successor for direct execution
-    /// (work-first handoff) — the pool twin of the executor's `run_task`.
+    /// Run `id` of `sub` with the worker's scratch, release its successors,
+    /// and return the highest-priority newly-ready successor for direct
+    /// execution (work-first handoff).
     fn run_item(
         &self,
         sub: &Arc<Submission<S>>,
@@ -301,8 +522,9 @@ impl<S> PoolShared<S> {
         scratch: &mut S,
     ) -> Option<TaskId> {
         // Span timestamps bracket the body (or the skip); the span is
-        // recorded before any successor is released, so recorded traces
-        // satisfy `end[pred] <= start[succ]` on every edge.
+        // recorded *before* any successor is released, so recorded traces
+        // satisfy `end[pred] <= start[succ]` on every DAG edge — the
+        // invariant the critical-path analyzer relies on.
         let start_ns = if sub.trace_id != 0 {
             let t = obs::now_ns();
             let _ = sub
@@ -312,17 +534,17 @@ impl<S> PoolShared<S> {
         } else {
             0
         };
-        if !sub.failed.load(Ordering::Acquire) && !sub.cancelled.load(Ordering::Acquire) {
+        if !sub.skip.load(Ordering::Acquire) {
             let body = sub.slots.take(id);
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 let _ = failpoint::fire("pool::body");
                 body(scratch)
             }));
             if let Err(p) = outcome {
-                sub.failed.store(true, Ordering::Release);
+                sub.skip.store(true, Ordering::Release);
                 let mut st = sub.done.lock();
-                if st.panic.is_none() {
-                    st.panic = Some(panic_message(&*p));
+                if !matches!(st.error, Some(JobError::Panicked(_))) {
+                    st.error = Some(JobError::Panicked(panic_message(&*p)));
                 }
                 // `p` is dropped here: the payload never crosses the pool.
             }
@@ -331,7 +553,7 @@ impl<S> PoolShared<S> {
             obs::record_span(obs::Span {
                 submission: sub.trace_id,
                 task: id as u32,
-                kind: sub.graph.task(id).tag,
+                kind: sub.tasks[id].tag,
                 worker: me as u32,
                 start_ns,
                 end_ns: obs::now_ns(),
@@ -340,16 +562,17 @@ impl<S> PoolShared<S> {
         }
 
         let mut ready: Vec<TaskId> = Vec::new();
-        for &succ in sub.graph.successors(id) {
-            if sub.remaining_preds[succ].fetch_sub(1, Ordering::AcqRel) == 1 {
+        for &succ in sub.successors(id) {
+            let left = sub.tasks[succ]
+                .remaining_preds
+                .fetch_sub(1, Ordering::AcqRel);
+            if left == 1 {
                 ready.push(succ);
             }
         }
-        ready.sort_by(|&a, &b| {
-            sub.priority[a]
-                .partial_cmp(&sub.priority[b])
-                .expect("bottom levels are finite")
-        });
+        // Ascending bottom level: the LIFO pop (and the direct handoff of
+        // the last element) then serves the most critical successor first.
+        ready.sort_by(|&a, &b| sub.by_priority(a, b));
         let next = ready.pop();
         if !ready.is_empty() {
             for t in ready {
@@ -386,7 +609,7 @@ impl<S> PoolShared<S> {
     }
 
     /// One full scan: local deque, then the injector, then every victim in
-    /// a pseudo-random order.
+    /// a pseudo-random order starting from `rng`'s draw.
     fn find_item(
         &self,
         me: usize,
@@ -403,7 +626,7 @@ impl<S> PoolShared<S> {
         if n <= 1 {
             return None;
         }
-        let start = (crate::executor::xorshift(rng) as usize) % n;
+        let start = (xorshift(rng) as usize) % n;
         for k in 0..n {
             let victim = (start + k) % n;
             if victim == me {
@@ -428,6 +651,7 @@ impl<S> PoolShared<S> {
     fn worker_loop(&self, me: usize, local: Worker<PoolItem<S>>, scratch: &mut S) {
         let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ ((me as u64 + 1) << 17);
         let mut seen = 0u64;
+        let mut open = true;
         loop {
             while let Some((sub, id)) = self.find_item(me, &local, &mut rng) {
                 let mut current = id;
@@ -435,25 +659,20 @@ impl<S> PoolShared<S> {
                     current = next;
                 }
             }
-            if !self.gate.park(&mut seen) {
-                break;
+            // Shutdown drain: once the gate is closed, submissions may
+            // still have runnable tasks, so the scan above runs one more
+            // time.  Chains this worker releases land on its own deque and
+            // are drained there too, so no submission is left incomplete.
+            if !open {
+                return;
             }
-        }
-        // Shutdown drain: the gate is closed, but submissions may still
-        // have runnable tasks.  Keep executing everything findable; chains
-        // this worker releases land on its own deque and are drained here
-        // too, so no submission is left incomplete.
-        while let Some((sub, id)) = self.find_item(me, &local, &mut rng) {
-            let mut current = id;
-            while let Some(next) = self.run_item(&sub, current, me, &local, scratch) {
-                current = next;
-            }
+            open = self.gate.park(&mut seen);
         }
     }
 }
 
-/// A persistent work-stealing thread pool executing a stream of
-/// [`TaskGraph`] submissions — see the [module docs](self).
+/// A work-stealing thread pool executing a stream of [`TaskGraph`]
+/// submissions — see the [module docs](self).
 ///
 /// `S` is the per-worker scratch type: one value per worker thread, created
 /// once at spawn time and lent to every task body the worker ever runs.
@@ -490,7 +709,6 @@ impl<S> PoolShared<S> {
 /// ```
 pub struct TaskPool<S: 'static> {
     shared: Arc<PoolShared<S>>,
-    threads: usize,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -536,16 +754,12 @@ impl<S: Send + 'static> TaskPool<S> {
                 })
             })
             .collect();
-        TaskPool {
-            shared,
-            threads,
-            handles,
-        }
+        TaskPool { shared, handles }
     }
 
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.handles.len()
     }
 
     /// The in-flight submission cap (`0` = unbounded).
@@ -579,25 +793,27 @@ impl<S: Send + 'static> TaskPool<S> {
                 return Err(SubmitError::Shutdown);
             }
             let full = self.shared.max_in_flight > 0 && adm.in_flight >= self.shared.max_in_flight;
-            if !full {
-                if !block {
-                    // Injected "momentarily full" admission outcome, so
-                    // load-shedding paths are testable without real
-                    // saturation.  Only the non-blocking path consults it:
-                    // a blocking caller would park forever on a fault that
-                    // no completion ever clears.
-                    if matches!(
-                        failpoint::fire("pool::admission"),
-                        Some(failpoint::FailAction::Trigger)
-                    ) {
-                        if obs::enabled() {
-                            obs::registry().shed_submissions.incr();
-                        }
-                        return Err(SubmitError::QueueFull {
-                            max_in_flight: self.shared.max_in_flight,
-                        });
-                    }
+            // A non-blocking caller is shed when the pool is full — or when
+            // the `pool::admission` failpoint injects a "momentarily full"
+            // outcome, so load-shedding paths are testable without real
+            // saturation.  Only the non-blocking path consults it: a
+            // blocking caller would park forever on a fault that no
+            // completion ever clears.
+            let injected = || {
+                matches!(
+                    failpoint::fire("pool::admission"),
+                    Some(failpoint::FailAction::Trigger)
+                )
+            };
+            if !block && (full || injected()) {
+                if obs::enabled() {
+                    obs::registry().shed_submissions.incr();
                 }
+                return Err(SubmitError::QueueFull {
+                    max_in_flight: self.shared.max_in_flight,
+                });
+            }
+            if !full {
                 adm.in_flight += 1;
                 adm.peak = adm.peak.max(adm.in_flight);
                 if obs::enabled() {
@@ -608,14 +824,6 @@ impl<S: Send + 'static> TaskPool<S> {
                     }
                 }
                 return Ok(());
-            }
-            if !block {
-                if obs::enabled() {
-                    obs::registry().shed_submissions.incr();
-                }
-                return Err(SubmitError::QueueFull {
-                    max_in_flight: self.shared.max_in_flight,
-                });
             }
             if obs::enabled() && wait_from.is_none() {
                 obs::registry().admission_waits.incr();
@@ -638,7 +846,7 @@ impl<S: Send + 'static> TaskPool<S> {
         graph: TaskGraph,
         bodies: Vec<TaskBodyWith<S>>,
     ) -> Result<JobHandle<S>, SubmitError> {
-        self.submit_inner(graph, bodies, true)
+        self.submit_ref(&graph, bodies, true)
     }
 
     /// Non-blocking twin of [`submit`](TaskPool::submit): when the pool is
@@ -649,80 +857,36 @@ impl<S: Send + 'static> TaskPool<S> {
         graph: TaskGraph,
         bodies: Vec<TaskBodyWith<S>>,
     ) -> Result<JobHandle<S>, SubmitError> {
-        self.submit_inner(graph, bodies, false)
+        self.submit_ref(&graph, bodies, false)
     }
 
-    fn submit_inner(
+    /// The pool only reads the graph while submitting, so a caller that
+    /// merely borrows one ([`crate::execute_parallel`]) need not clone it.
+    pub(crate) fn submit_ref(
         &self,
-        graph: TaskGraph,
+        graph: &TaskGraph,
         bodies: Vec<TaskBodyWith<S>>,
         block: bool,
     ) -> Result<JobHandle<S>, SubmitError> {
-        let n = graph.len();
-        assert_eq!(bodies.len(), n, "one body per task is required");
-        if n == 0 {
+        assert_eq!(bodies.len(), graph.len(), "one body per task is required");
+        if graph.is_empty() {
             // Nothing to run: never admitted (no slot to leak), but a
             // closed pool still rejects, so shutdown is observable.
             if self.shared.admission.lock().closed {
                 return Err(SubmitError::Shutdown);
             }
-            return Ok(JobHandle {
-                sub: Arc::new(Submission {
-                    priority: Vec::new(),
-                    remaining_preds: Vec::new(),
-                    remaining_tasks: AtomicUsize::new(0),
-                    slots: BodySlots::new(bodies),
-                    failed: AtomicBool::new(false),
-                    cancelled: AtomicBool::new(false),
-                    done: Mutex::new(JobState {
-                        finished: true,
-                        panic: None,
-                    }),
-                    done_cv: Condvar::new(),
-                    graph,
-                    trace_id: 0,
-                    submitted_ns: 0,
-                    first_start_ns: AtomicU64::new(0),
-                }),
-            });
+            let sub = Arc::new(Submission::new(graph, bodies));
+            return Ok(JobHandle { sub });
         }
         self.admit(block)?;
-        let (trace_id, submitted_ns) = if obs::enabled() {
-            obs::registry().submissions.incr();
-            (obs::next_submission_id(), obs::now_ns())
-        } else {
-            (0, 0)
-        };
-        let sub = Arc::new(Submission {
-            priority: graph.bottom_levels(),
-            remaining_preds: (0..n)
-                .map(|i| AtomicUsize::new(graph.predecessors(i).len()))
-                .collect(),
-            remaining_tasks: AtomicUsize::new(n),
-            slots: BodySlots::new(bodies),
-            failed: AtomicBool::new(false),
-            cancelled: AtomicBool::new(false),
-            done: Mutex::new(JobState {
-                finished: false,
-                panic: None,
-            }),
-            done_cv: Condvar::new(),
-            graph,
-            trace_id,
-            submitted_ns,
-            first_start_ns: AtomicU64::new(0),
-        });
+        let sub = Arc::new(Submission::new(graph, bodies));
 
         // Seed the sources highest bottom level first: the injector is
         // FIFO, so workers pull the most critical source first.
-        let mut sources: Vec<TaskId> = (0..n)
-            .filter(|&i| sub.graph.predecessors(i).is_empty())
+        let mut sources: Vec<TaskId> = (0..graph.len())
+            .filter(|&i| graph.predecessors(i).is_empty())
             .collect();
-        sources.sort_by(|&a, &b| {
-            sub.priority[b]
-                .partial_cmp(&sub.priority[a])
-                .expect("bottom levels are finite")
-        });
+        sources.sort_by(|&a, &b| sub.by_priority(b, a));
         let mut inj = self.shared.injector.lock();
         for id in sources {
             inj.push_back((Arc::clone(&sub), id));
@@ -1083,7 +1247,15 @@ mod tests {
         let release = Arc::new(AtomicBool::new(false));
         let job = parked_job(&pool, &release, 1);
         assert_eq!(job.wait_timeout(Duration::from_millis(30)), None);
-        release.store(true, Ordering::Release);
+        std::thread::scope(|scope| {
+            // `Instant` cannot represent now + `Duration::MAX`: that is a
+            // wait without a deadline, not one that has already expired.
+            let unbounded = scope.spawn(|| job.wait_timeout(Duration::MAX));
+            std::thread::sleep(Duration::from_millis(30));
+            assert!(!unbounded.is_finished(), "gave up on a running job");
+            release.store(true, Ordering::Release);
+            assert_eq!(unbounded.join().unwrap(), Some(Ok(())));
+        });
         // Generous bound: the body exits as soon as it sees the flag.
         assert_eq!(job.wait_timeout(Duration::from_secs(30)), Some(Ok(())));
         job.wait().unwrap();

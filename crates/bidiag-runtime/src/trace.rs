@@ -2,10 +2,10 @@
 //!
 //! The paper's Section IV argument is a closed-form critical-path model of
 //! the tiled GE2BND DAG.  The observability plane lets us check that model
-//! against *measurements*: every task span recorded by the executor carries
+//! against *measurements*: every task span recorded by the scheduler carries
 //! its task id, so a run's spans can be reattached to the [`TaskGraph`] it
 //! executed and the longest dependent chain recomputed from what actually
-//! ran.  Because the executor records a task's span (including its end
+//! ran.  Because the scheduler records a task's span (including its end
 //! timestamp) before releasing any successor, a correct run always satisfies
 //! `end[pred] <= start[succ]` on every DAG edge — making the comparison
 //! deterministic rather than timing-sensitive.

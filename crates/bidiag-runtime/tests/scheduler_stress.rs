@@ -1,7 +1,8 @@
-//! Stress tests of the work-stealing executor: randomized layered DAGs must
-//! produce results identical to sequential execution at every thread count,
-//! and pathological graph shapes must not deadlock even when the thread
-//! count far exceeds the hardware parallelism.
+//! Stress tests of the work-stealing scheduler through its one-shot entry
+//! point: randomized layered DAGs must produce results identical to
+//! sequential execution at every thread count, concurrent one-shot runs must
+//! not disturb one another, and pathological graph shapes must not deadlock
+//! even when the thread count far exceeds the hardware parallelism.
 
 use bidiag_runtime::{execute_parallel, execute_sequential, AccessMode, TaskBody, TaskGraph};
 use rand::{rngs::StdRng, RngCore, SeedableRng};
@@ -64,7 +65,8 @@ fn run_digest(g: &TaskGraph, threads: Option<usize>) -> Vec<u64> {
 
 #[test]
 fn random_layered_dags_match_sequential_at_every_thread_count() {
-    for seed in [1u64, 7, 42, 1234] {
+    const SEEDS: [u64; 4] = [1, 7, 42, 1234];
+    for seed in SEEDS {
         let g = random_layered_graph(12, 9, seed);
         let reference = run_digest(&g, None);
         for threads in [1usize, 2, 4, 8] {
@@ -75,6 +77,27 @@ fn random_layered_dags_match_sequential_at_every_thread_count() {
             );
         }
     }
+    // The same DAGs again, one caller thread each, all at the same time:
+    // every one-shot run builds a pool of its own, and the pools must
+    // neither share nor leak state.
+    let start = std::sync::Barrier::new(SEEDS.len());
+    std::thread::scope(|scope| {
+        for seed in SEEDS {
+            let start = &start;
+            scope.spawn(move || {
+                let g = random_layered_graph(12, 9, seed);
+                let reference = run_digest(&g, None);
+                start.wait();
+                for round in 0..8 {
+                    assert_eq!(
+                        run_digest(&g, Some(2)),
+                        reference,
+                        "seed {seed}, concurrent round {round}: digest diverged"
+                    );
+                }
+            });
+        }
+    });
 }
 
 #[test]

@@ -14,7 +14,7 @@
 //! * [`svd`] — the singular-value solver subsystem (dqds, spectrum
 //!   slicing, bisection oracle) behind the BD2VAL stage,
 //! * [`trees`] — FLATTS/FLATTT/GREEDY/AUTO and hierarchical reduction trees,
-//! * [`runtime`] — task-graph runtime, threaded executor, cluster simulator,
+//! * [`runtime`] — task graphs, the work-stealing scheduler, cluster simulator,
 //! * [`core`] — BIDIAG / R-BIDIAG, critical paths, GE2BND/GE2VAL pipelines,
 //! * [`baselines`] — one-stage GEBRD-class baselines and competitor models,
 //! * [`obs`] — the observability plane: per-worker span rings, metrics
