@@ -519,10 +519,11 @@ struct SimdGflops {
 /// kernels consult [`simd::backend`] as usual), and print GFlop/s against
 /// the nominal FMA peaks.
 fn simd_backend_comparison(h: &mut Harness, peak: &FmaPeak) -> SimdGflops {
-    let mut backends = vec![SimdBackend::Scalar];
-    if simd::avx2_available() {
-        backends.push(SimdBackend::Avx2);
-    } else {
+    // Scalar and, where the CPU has it, the 256-bit backend.
+    let backends: Vec<SimdBackend> = simd::available_backends()
+        .filter(|be| be.lanes() <= 4)
+        .collect();
+    if backends.len() == 1 {
         println!("# AVX2+FMA not available: SIMD comparison covers the scalar backend only");
     }
 

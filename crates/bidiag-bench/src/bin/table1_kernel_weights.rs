@@ -6,7 +6,9 @@
 //! pristine copies outside the timed region, every buffer 64-byte aligned
 //! like the pipeline's tiles — and prints the time per call, the time per
 //! Table I weight unit (`nb^3/3` flops) and the measured weight in units of
-//! the cheapest kernel's per-unit time next to the paper's weight.
+//! the cheapest kernel's per-unit time next to the paper's weight: one
+//! table per vector backend the host supports (256 next to 512 bits), or
+//! the scalar table alone where there is none.
 //!
 //! If the implementation matched the model the per-unit column would be
 //! flat and the two weight columns equal.  It is not: the paper's point —
@@ -21,6 +23,7 @@ use bidiag_kernels::cost::KernelKind;
 use bidiag_kernels::{lq, qr, Trans, Workspace};
 use bidiag_matrix::checks::{lower_triangle_of as lower, upper_triangle_of as upper};
 use bidiag_matrix::gen::random_gaussian;
+use bidiag_matrix::simd::{self, SimdBackend};
 use bidiag_matrix::Matrix;
 use std::hint::black_box;
 use std::time::Instant;
@@ -49,6 +52,19 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(64);
+    let mut backends: Vec<SimdBackend> = simd::available_backends().collect();
+    if backends.len() > 1 {
+        backends.remove(0);
+    }
+    for be in backends {
+        simd::with_forced_backend(be, || table(nb, be));
+    }
+    bidiag_bench::maybe_write_trace();
+}
+
+/// Time the twelve kernels on `nb x nb` tiles and print their table; the
+/// caller has forced `be`.
+fn table(nb: usize, be: SimdBackend) {
     let ws = &mut Workspace::for_tile(nb);
     let tr = Trans::Transpose;
     let a = random_gaussian(nb, nb, 1);
@@ -147,7 +163,7 @@ fn main() {
         &format!(
             "Table I — kernel weights (nb = {nb}, unit = nb^3/3 = {unit_flops:.0} flops, \
              fastest of {REPS} calls, backend {})",
-            bidiag_matrix::simd::backend().name()
+            be.name()
         ),
         &[
             "kernel",
@@ -159,5 +175,4 @@ fn main() {
         ],
         &rows,
     );
-    bidiag_bench::maybe_write_trace();
 }

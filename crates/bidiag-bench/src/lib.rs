@@ -285,7 +285,7 @@ pub struct BackendPoint {
 /// at 1 thread.
 pub fn measure_ge2bnd_backends(m: usize, n: usize, nb: usize, samples: usize) -> Vec<BackendPoint> {
     use bidiag_core::pipeline::{ge2bnd, AlgorithmChoice, Ge2Options};
-    use bidiag_matrix::simd::{self, SimdBackend};
+    use bidiag_matrix::simd;
     let (a, _) = bidiag_matrix::gen::latms(
         m,
         n,
@@ -296,12 +296,9 @@ pub fn measure_ge2bnd_backends(m: usize, n: usize, nb: usize, samples: usize) ->
         .with_tree(NamedTree::Greedy)
         .with_algorithm(AlgorithmChoice::Bidiag)
         .with_threads(1);
-    let mut backends = vec![SimdBackend::Scalar];
-    if simd::avx2_available() {
-        backends.push(SimdBackend::Avx2);
-    }
-    backends
-        .into_iter()
+    // Scalar and, where the CPU has it, the 256-bit backend.
+    simd::available_backends()
+        .filter(|be| be.lanes() <= 4)
         .map(|be| {
             let seconds = simd::with_forced_backend(be, || {
                 let _ = ge2bnd(&a, &opts); // warm caches under this backend

@@ -21,66 +21,70 @@
 //!   off-diagonal blocks are never materialised and the `larft` recurrence
 //!   runs chunk-locally (`O(k * IB)` dots instead of `O(k^2)`).
 //! * the **fused chunk kernel** under the six QR-side tile kernels
-//!   (`factor` and `apply`, columns of `C` as SIMD lanes of the `T`
-//!   product, dot products down the rows), in the style of LAPACK's
+//!   (`factor` and `apply`), in the style of LAPACK's
 //!   triangular-pentagonal `xTPQRT`/`xTPMQRT`.  One `Shape` says which
 //!   rows of the reflector tile are stored (unit-lower trapezoid for
 //!   GEQRT/UNMQR, full columns for TS, upper triangle for TT); for one
 //!   chunk that splits the tile into *dense* rows, read in place, and an
 //!   at most `IB x IB` structured *corner*, densified once per chunk into
-//!   a 64-double stack array so both run through the same vector loops.
-//!   For a block of four `C` columns the kernel then forms `W = V_p^T C`
-//!   as register-blocked dot products straight off the column-major tiles
-//!   (2 reflectors x 4 columns = 8 accumulators, nothing packed or
-//!   transposed), applies the `IB x IB` block of `T`/`T^T` with the four
-//!   columns as SIMD lanes, and updates `C -= V_p W` two columns x four
-//!   reflectors at a time.  The `e_k` heads of the TS/TT reflectors act on
-//!   rows `p..p+IB` of the pivot tile; UNMQR's unit diagonal lives in its
-//!   corner — the three applies differ in nothing else.  The
-//!   factorizations are level 3 the way PLASMA's `CORE_dgeqrt`/
-//!   `CORE_dttqrt` are: an `IB`-wide panel is factored unblocked, its `T`
-//!   block built by the chunk-local `larft` recurrence, and the trailing
-//!   columns updated with the same chunk apply.  Ragged shapes take the
-//!   same arithmetic down slower paths: a last chunk narrower than `IB`,
-//!   a corner clipped by a short tile and the `n mod 4` leftover columns
-//!   go one column at a time; a row count that is not a multiple of the
-//!   vector width ends in a zero-padded vector step or a scalar tail.
+//!   a 64-double stack array.  The kernel is the mirror image of the
+//!   right-sided one below.  For `W = H + V_p^T C` the vector axis is the
+//!   chunk's `IB` *reflectors*: the chunk — dense rows and corner alike —
+//!   is transposed once, with register transposes, into a stack panel
+//!   whose row `i` holds `V[i, p..p+IB]`, and each `C[i, j]` is broadcast
+//!   against it into the `IB / LANES` accumulators of column `j`, several
+//!   columns per pass over the panel.  `W = op(T) W` is the same loop over
+//!   the columns of `op(T)`, and `C -= V_p W` turns the lanes back to the
+//!   rows of `C`: the chunk's reflectors at one group of `LANES` rows sit
+//!   in `IB` registers and each column takes `IB` FMAs against broadcast
+//!   entries of `W`.  Nothing is summed across lanes anywhere.  The `e_k`
+//!   heads of the TS/TT reflectors act on rows `p..p+IB` of the pivot
+//!   tile; UNMQR's unit diagonal lives in its corner — the three applies
+//!   differ in nothing else.  The factorizations are level 3 the way
+//!   PLASMA's `CORE_dgeqrt`/`CORE_dttqrt` are: an `IB`-wide panel is
+//!   factored unblocked, its `T` block built by the chunk-local `larft`
+//!   recurrence, and the trailing columns updated with the same chunk
+//!   apply.  Ragged shapes run the same loops: a last chunk narrower than
+//!   `IB` is zero lanes of the panel and of `op(T)`, a corner clipped by a
+//!   short tile is fewer panel rows, the last pass over the panel repeats
+//!   a column, and the `m mod LANES` leftover rows of `C -= V_p W` go one
+//!   at a time.  Panel and `W` are bounded (64 rows, 64 columns): taller
+//!   or wider operands take more than one block of either.
 //! * its mirror image under the three LQ applies (`apply_right`).  The LQ
 //!   kernels store reflector `k` as *row* `k` of the tile, so the chunk's
 //!   coefficients at one column of `C` — `v[p..p+IB, j]` — are contiguous,
 //!   and for a right-sided apply the natural vector axis is the rows of
 //!   `C`: per chunk and group of `LANES` rows, `W = H + C V_p` is `IB`
 //!   register accumulators fed by one load of `C[i0.., j]` and `IB`
-//!   coefficient broadcasts per column, `W op(T)` the same unrolled
-//!   triangular product with rows instead of columns as lanes, and
-//!   `C[:, j] -= W v[p..p+IB, j]` a second sweep over the row group.  No
-//!   horizontal reductions, and every vector is full whatever the shape.
-//!   The same `Shape` splits the *columns* into dense ones and the corner
-//!   (unit-upper for UNMLQ, lower for TT, absent for TS); a corner clipped
-//!   by a narrow tile is just fewer columns, a last chunk narrower than
-//!   `IB` runs the same body with a runtime width, and the `r mod LANES`
-//!   leftover rows go one at a time.
+//!   coefficient broadcasts per column, `W op(T)` an unrolled triangular
+//!   product with the rows as lanes, and `C[:, j] -= W v[p..p+IB, j]` a
+//!   second sweep over the row group.  No horizontal reductions, and every
+//!   vector is full whatever the shape.  The same `Shape` splits the
+//!   *columns* into dense ones and the corner (unit-upper for UNMLQ, lower
+//!   for TT, absent for TS); a corner clipped by a narrow tile is just
+//!   fewer columns, a last chunk narrower than `IB` runs the same body
+//!   with a runtime width, and the `r mod LANES` leftover rows go one at a
+//!   time.
 //! * [`Workspace`] — the two tiles the LQ *factorizations* transpose their
 //!   operands into, so that in steady state the only allocation any kernel
 //!   makes is the one [`TFactor`] a factorization returns.  Every other
-//!   kernel needs none: `W` and the corner live in registers and on the
-//!   stack.
+//!   kernel needs none: `W`, the panel and the corner live in registers and
+//!   on the stack.
 //!
 //! # SIMD dispatch and safety
 //!
 //! The chunk kernels are written once over [`SimdLane`] and instantiated
-//! twice: for the `BIDIAG_SIMD=scalar` fallback (unfused multiply-adds)
-//! with [`ScalarLane`] — the right kernel with eight of them side by side,
-//! so that a coefficient load feeds eight rows there too — and, behind
-//! **one** `#[target_feature(enable = "avx2,fma")]` shell per tile-kernel
-//! call, with `Avx2Lane`.  The lane bodies are `unsafe fn` for one reason
-//! only — the lane's instruction-set contract, discharged by
-//! [`simd::check_avx2`] at the dispatch in `factor` / `apply` /
-//! `apply_right`.  Every slice they touch is cut with checked range
-//! indexing, and the inner loops that use the lanes' unchecked
-//! `load`/`store` assert first what bounds their operands: one common
-//! length on the left, the column count and leading dimension of the row
-//! group on the right.
+//! per backend: for the `BIDIAG_SIMD=scalar` fallback (unfused
+//! multiply-adds) with eight [`ScalarLane`]s side by side, so that a
+//! coefficient load feeds eight rows there too, and, behind **one** `#[target_feature]` shell per tile-kernel call, with
+//! `Avx2Lane` (4 lanes) and `Avx512Lane` (8 lanes).  The lane bodies are
+//! `unsafe fn` for one reason only — the lane's instruction-set contract,
+//! discharged by [`simd::check_avx2`] / [`simd::check_avx512`] at the
+//! dispatch in `factor` / `apply` / `apply_right`.  Every slice they touch
+//! is cut with checked range indexing, and the inner loops that use the
+//! lanes' unchecked `load`/`store` assert first what bounds their operands;
+//! what the block widths require of a lane (`LANES` divides `IB`) is a
+//! `const` assertion, checked when the body is instantiated.
 
 use crate::householder::{larfg_with_norm, norm2};
 use crate::qr::Trans;
@@ -93,10 +97,10 @@ use std::ops::Range;
 /// block of the full `T` factor.  The diagonal blocks of a forward larft
 /// `T` are exactly the larft factors of the chunk's reflectors alone, so
 /// chunking is an exact regrouping — it cuts the `T`-application overhead
-/// from `k^2 n` to `k * IB * n` flops.  Eight is what the chunk kernel's
-/// register blocking is built around (the `W` block of four columns is
-/// eight vectors, the corner scratch 64 doubles) and divides the reference
-/// `nb = 64` evenly.
+/// from `k^2 n` to `k * IB * n` flops.  Eight is what the chunk kernels'
+/// register blocking is built around (a chunk's reflectors are one 512-bit
+/// or two 256-bit registers, a panel row one cache line, the corner
+/// scratch 64 doubles) and divides the reference `nb = 64` evenly.
 pub(crate) const IB: usize = 8;
 
 /// Iterate the reflector chunks of a `k`-reflector apply in the order the
@@ -115,7 +119,7 @@ pub(crate) fn chunk_order(k: usize, trans: Trans) -> impl Iterator<Item = (usize
 }
 
 // ---------------------------------------------------------------------------
-// The fused chunk kernel of the QR side (left side, dot products down the rows)
+// The fused chunk kernel of the QR side (left side, reflectors as lanes)
 // ---------------------------------------------------------------------------
 
 /// Which rows of the reflector tile hold the stored tail of reflector `k`
@@ -157,46 +161,72 @@ impl Shape {
     }
 }
 
+/// Rows of a chunk that are transposed into the panel at a time.
+const PANEL_ROWS: usize = 64;
+/// Columns of `C` whose `W` a chunk holds at a time (the left apply acts on
+/// every column on its own, so `C` is simply cut into strips).
+const STRIP: usize = 64;
+
+/// The stack scratch of one left-side kernel call: `PANEL_ROWS` rows of a
+/// chunk's reflectors transposed — row `i` at `panel[i * IB..][..IB]`, one
+/// cache line — and `W` for `STRIP` columns of `C`, column `j` at
+/// `w[j * IB..][..IB]`.  Bounded, so any tile height and width runs through
+/// it without touching the heap; the reference tile fits in one piece.
+#[repr(align(64))]
+struct LeftScratch {
+    panel: [f64; PANEL_ROWS * IB],
+    w: [f64; STRIP * IB],
+}
+
+impl LeftScratch {
+    fn new() -> Self {
+        LeftScratch {
+            panel: [0.0; PANEL_ROWS * IB],
+            w: [0.0; STRIP * IB],
+        }
+    }
+}
+
 /// One `IB`-chunk of reflectors, ready to be applied: its dense and
-/// corner rows, the reflectors' dense parts, the densified corner and the
-/// chunk's `T` block.
+/// corner rows, the densified corner and the chunk's `T` block.
 struct Chunk<'a> {
     /// First reflector and width of the chunk.
     p: usize,
     ib: usize,
     dense: Range<usize>,
     corner: Range<usize>,
-    /// Dense rows of reflector `kk`, read in place from the reflector tile
-    /// (empty beyond `ib`).
-    vd: [&'a [f64]; IB],
+    /// The reflector tile, column-major with leading dimension `m`; only
+    /// the `dense` rows of columns `p..p + ib` are read through it.
+    v: &'a [f64],
+    m: usize,
     /// Corner rows of reflector `kk` with the structure made explicit
     /// (zeros, and UNMQR's unit diagonal; rows beyond the corner zero).
     /// Only the stored part of the tile is read to fill it, so whatever
     /// else the tile holds never enters the arithmetic.
     kc: [[f64; IB]; IB],
-    /// The chunk's `IB x ib` block of `T`, column-major, leading dimension `IB`.
-    t: &'a [f64],
-    trans: Trans,
+    /// `-op(T)` of the chunk, zero-padded to `IB x IB`: column `l` at
+    /// `nt[l * IB..][..IB]`, so that `-op(T) w = sum_l nt[:, l] w[l]`.
+    nt: [f64; IB * IB],
 }
 
 impl<'a> Chunk<'a> {
     /// Chunk `p..p+ib` of the reflectors of `shape` stored in the `m`-row
-    /// column-major tile `v` (leading dimension `m`).
+    /// column-major tile `v` (leading dimension `m`), with `t` its `IB x
+    /// ib` block of `T` (column-major, leading dimension `IB`).
     fn new(
         shape: Shape,
         v: &'a [f64],
         m: usize,
         p: usize,
         ib: usize,
-        t: &'a [f64],
+        t: &[f64],
         trans: Trans,
     ) -> Self {
         let (dense, corner) = shape.chunk_split(p, ib, m);
-        let mut vd: [&[f64]; IB] = [&[]; IB];
         let mut kc = [[0.0; IB]; IB];
+        let mut nt = [0.0; IB * IB];
         for kk in 0..ib {
             let vcol = &v[(p + kk) * m..][..m];
-            vd[kk] = &vcol[dense.clone()];
             match shape {
                 Shape::Trapezoid => {
                     kc[kk][kk] = 1.0;
@@ -208,156 +238,233 @@ impl<'a> Chunk<'a> {
                     kc[kk][..stored].copy_from_slice(&vcol[corner.start..][..stored]);
                 }
             }
+            // `T` is upper triangular: column `kk` of `T` is column `kk` of
+            // `op(T) = T` and row `kk` of `op(T) = T^T`.
+            for (l, &tl) in t[kk * IB..][..=kk].iter().enumerate() {
+                match trans {
+                    Trans::NoTranspose => nt[kk * IB + l] = -tl,
+                    Trans::Transpose => nt[l * IB + kk] = -tl,
+                }
+            }
         }
         Chunk {
             p,
             ib,
             dense,
             corner,
-            vd,
+            v,
+            m,
             kc,
-            t,
-            trans,
+            nt,
         }
     }
-}
 
-/// Split the first four columns off a column-major slice.
-#[inline(always)]
-fn four_cols(x: &mut [f64], ld: usize) -> [&mut [f64]; 4] {
-    let (a, x) = x.split_at_mut(ld);
-    let (b, x) = x.split_at_mut(ld);
-    let (c, x) = x.split_at_mut(ld);
-    [a, b, c, &mut x[..ld]]
-}
+    /// The rows of `C` the chunk touches: the corner next to the dense
+    /// rows, in tile order.
+    fn rows(&self) -> Range<usize> {
+        self.dense.start.min(self.corner.start)..self.dense.end.max(self.corner.end)
+    }
 
-/// One vector step of [`vtc`]: `acc[r][j] += v[r][i..] * c[j][i..]`.
-///
-/// # Safety
-/// The lane's ISA contract (see [`SimdLane`]) and `i + LANES <= x.len()`
-/// for every operand `x`.
-#[inline(always)]
-unsafe fn vtc_step<S: SimdLane, const R: usize>(
-    s: S,
-    v: [&[f64]; R],
-    c: [&[f64]; 4],
-    i: usize,
-    mut acc: [[S::V; 4]; R],
-) -> [[S::V; 4]; R] {
-    // SAFETY: forwarded contract.
-    unsafe {
-        let cv = [
-            s.load(c[0], i),
-            s.load(c[1], i),
-            s.load(c[2], i),
-            s.load(c[3], i),
-        ];
-        for r in 0..R {
-            let vv = s.load(v[r], i);
-            for j in 0..4 {
-                acc[r][j] = s.mul_add(vv, cv[j], acc[r][j]);
+    /// The chunk's reflectors as `(columns, rows of C)`: the dense rows
+    /// straight off the tile (empty beyond `ib`), the corner's off `kc`.
+    #[inline(always)]
+    fn parts(&self) -> [([&[f64]; IB], Range<usize>); 2] {
+        let (mut vd, mut vc): ([&[f64]; IB], [&[f64]; IB]) = ([&[]; IB], [&[]; IB]);
+        for kk in 0..IB {
+            if kk < self.ib {
+                vd[kk] = &self.v[(self.p + kk) * self.m..][self.dense.clone()];
+            }
+            vc[kk] = &self.kc[kk][..self.corner.len()];
+        }
+        [(vd, self.dense.clone()), (vc, self.corner.clone())]
+    }
+
+    /// Rows `r0..r0 + nr` of the chunk's reflectors, structure explicit,
+    /// transposed into `panel`: row `i` at `panel[(i - r0) * IB..][..IB]`,
+    /// lanes beyond `ib` zero.  Dense rows of a full chunk go `LANES` at a
+    /// time through register transposes.
+    ///
+    /// # Safety
+    /// The lane's ISA contract (see [`SimdLane`]).
+    #[inline(always)]
+    unsafe fn fill_panel<S: SimdLane>(&self, s: S, r0: usize, nr: usize, panel: &mut [f64]) {
+        const { assert!(IB.is_multiple_of(S::LANES)) };
+        let panel = &mut panel[..nr * IB];
+        let (p, ib, m) = (self.p, self.ib, self.m);
+        let dense = self.dense.start.max(r0)..self.dense.end.min(r0 + nr);
+        let mut i = dense.start;
+        if ib == IB {
+            assert!(dense.end <= m && (p + IB) * m <= self.v.len());
+            while i + S::LANES <= dense.end {
+                for kb in (0..IB).step_by(S::LANES) {
+                    let (src, dst) = (
+                        &self.v[(p + kb) * m + i..],
+                        &mut panel[(i - r0) * IB + kb..],
+                    );
+                    // SAFETY: the caller upholds the lane's ISA contract.
+                    // The block's last vector ends at row `i + LANES <= m`
+                    // of column `p + kb + LANES - 1 < p + IB`, inside `v`
+                    // (asserted above), and at lane `kb + LANES <= IB` of
+                    // panel row `i - r0 + LANES - 1 < nr`, inside `panel`.
+                    unsafe { s.transpose(src, m, dst, IB) };
+                }
+                i += S::LANES;
+            }
+        }
+        for i in i..dense.end {
+            for (kk, x) in panel[(i - r0) * IB..][..IB].iter_mut().enumerate() {
+                *x = if kk < ib {
+                    self.v[(p + kk) * m + i]
+                } else {
+                    0.0
+                };
+            }
+        }
+        for i in self.corner.start.max(r0)..self.corner.end.min(r0 + nr) {
+            for (kk, x) in panel[(i - r0) * IB..][..IB].iter_mut().enumerate() {
+                *x = self.kc[kk][i - self.corner.start];
             }
         }
     }
-    acc
 }
 
-/// `acc[r][j] + v[r] . c[j]` over one row segment: `R` reflectors against
-/// four columns in one pass.  A remainder shorter than a vector is taken
-/// as one more vector step on zero-padded copies, so the partial sums
-/// never leave the accumulators.
+/// The `NC` columns of `W` stored at `w[j * IB..][..IB]`, as `RV` registers
+/// each.
 ///
 /// # Safety
 /// The lane's ISA contract (see [`SimdLane`]).
 #[inline(always)]
-unsafe fn vtc<S: SimdLane, const R: usize>(
+unsafe fn load_w<S: SimdLane, const RV: usize, const NC: usize>(
     s: S,
-    v: [&[f64]; R],
-    c: [&[f64]; 4],
-    mut acc: [[S::V; 4]; R],
-) -> [[S::V; 4]; R] {
-    const PAD: usize = 4;
-    assert!(S::LANES <= PAD);
-    // The length is taken from `v`: where the caller passes whole corner
-    // columns it is the constant `IB` and the loop unrolls.
-    let len = v[0].len();
-    assert!(v.iter().all(|x| x.len() == len) && c.iter().all(|x| x.len() == len));
-    let mut i = 0;
-    // SAFETY: the caller upholds the lane's ISA contract; every operand has
-    // length `len` (asserted above) and `i + LANES <= len` in the loop, and
-    // the padded copies have length `PAD >= LANES`.
+    w: &[f64],
+) -> [[S::V; RV]; NC] {
+    const { assert!(RV * S::LANES == IB) };
+    assert!(w.len() >= NC * IB);
+    // SAFETY: the caller upholds the lane's ISA contract; the last load ends
+    // at `(NC - 1) * IB + RV * LANES = NC * IB <= w.len()`.
     unsafe {
-        while i + S::LANES <= len {
-            acc = vtc_step(s, v, c, i, acc);
-            i += S::LANES;
+        let mut acc = [[s.zero(); RV]; NC];
+        for (j, aj) in acc.iter_mut().enumerate() {
+            for (r, ajr) in aj.iter_mut().enumerate() {
+                *ajr = s.load(w, j * IB + r * S::LANES);
+            }
         }
-        if i < len {
-            let pad = |x: &[f64]| {
-                let mut b = [0.0f64; PAD];
-                b[..len - i].copy_from_slice(&x[i..]);
-                b
-            };
-            let (vp, cp) = (v.map(pad), c.map(pad));
-            let (vp, cp) = (vp.each_ref().map(|b| &b[..]), cp.each_ref().map(|b| &b[..]));
-            acc = vtc_step(s, vp, cp, 0, acc);
-        }
+        acc
     }
-    acc
 }
 
-/// `c[j] += sum_r v[r] * nw[r][j]` over one row segment: `R` reflectors
-/// into two columns in one pass (`nw` holds the negated `W` entries).
+/// The inverse of [`load_w`].
 ///
 /// # Safety
 /// The lane's ISA contract (see [`SimdLane`]).
 #[inline(always)]
-unsafe fn cvw<S: SimdLane, const R: usize>(
+unsafe fn store_w<S: SimdLane, const RV: usize, const NC: usize>(
     s: S,
-    v: [&[f64]; R],
-    nw: [[f64; 2]; R],
-    c: [&mut [f64]; 2],
+    w: &mut [f64],
+    acc: [[S::V; RV]; NC],
 ) {
-    let [ca, cb] = c;
-    // As in `vtc`, a constant where `v` are whole corner columns.
-    let len = v[0].len();
-    assert!(v.iter().all(|x| x.len() == len) && ca.len() == len && cb.len() == len);
-    let mut i = 0;
-    // SAFETY: the caller upholds the lane's ISA contract; every slice has
-    // length `len` (asserted above) and `i + LANES <= len` in the loop.
+    const { assert!(RV * S::LANES == IB) };
+    assert!(w.len() >= NC * IB);
+    // SAFETY: as in `load_w`.
     unsafe {
-        let mut wv = [[s.zero(); 2]; R];
-        for r in 0..R {
-            wv[r] = [s.splat(nw[r][0]), s.splat(nw[r][1])];
-        }
-        while i + S::LANES <= len {
-            let mut a = s.load(ca, i);
-            let mut b = s.load(cb, i);
-            for r in 0..R {
-                let vv = s.load(v[r], i);
-                a = s.mul_add(vv, wv[r][0], a);
-                b = s.mul_add(vv, wv[r][1], b);
+        for (j, aj) in acc.iter().enumerate() {
+            for (r, ajr) in aj.iter().enumerate() {
+                s.store(w, j * IB + r * S::LANES, *ajr);
             }
-            s.store(ca, i, a);
-            s.store(cb, i, b);
-            i += S::LANES;
         }
     }
-    while i < len {
-        for r in 0..R {
-            ca[i] += v[r][i] * nw[r][0];
-            cb[i] += v[r][i] * nw[r][1];
+}
+
+/// `acc[j] + sum_i panel[i, :] c[j][i]`: the reflectors of a chunk are the
+/// vector axis — `RV` registers hold the `IB` of them for one column of `C`
+/// — and the entries of `NC` columns are broadcast against one load of the
+/// panel row, so nothing is ever summed across lanes.  With the rows of the
+/// transposed reflectors as `panel` this accumulates `V_p^T C`, with the
+/// columns of `-op(T)` as `panel` and `W` as `c` it is the `T` product.
+///
+/// # Safety
+/// The lane's ISA contract (see [`SimdLane`]).
+#[inline(always)]
+unsafe fn vtc<S: SimdLane, const RV: usize, const NC: usize>(
+    s: S,
+    panel: &[f64],
+    c: [&[f64]; NC],
+    mut acc: [[S::V; RV]; NC],
+) -> [[S::V; RV]; NC] {
+    const { assert!(RV * S::LANES == IB) };
+    let rows = c[0].len();
+    assert!(panel.len() == rows * IB && c.iter().all(|x| x.len() == rows));
+    // SAFETY: the caller upholds the lane's ISA contract; `i < rows`, the
+    // length of every column (asserted above), and the `RV` loads of panel
+    // row `i` end at `i * IB + RV * LANES = (i + 1) * IB <= panel.len()`.
+    unsafe {
+        for i in 0..rows {
+            let mut pv = [s.zero(); RV];
+            for (r, x) in pv.iter_mut().enumerate() {
+                *x = s.load(panel, i * IB + r * S::LANES);
+            }
+            for (aj, cj) in acc.iter_mut().zip(&c) {
+                let cij = s.splat(*cj.get_unchecked(i));
+                for (ajr, &x) in aj.iter_mut().zip(&pv) {
+                    *ajr = s.mul_add(x, cij, *ajr);
+                }
+            }
         }
-        i += 1;
+    }
+    acc
+}
+
+/// `C[i0..i0 + LANES, j] += sum_kk v[kk][at..at + LANES] nw[j * IB + kk]`
+/// for the `n` columns of `c` (leading dimension `ldc`): the mirror image
+/// of the last sweep of [`right_rows`].  The chunk's reflectors at one
+/// group of `LANES` rows sit in `IB` registers — zero where `v[kk]` is
+/// empty, beyond the chunk's width — and each column of `C` is loaded
+/// once, takes `IB` FMAs against broadcast entries of `-W` (`nw`, column
+/// `j` at `nw[j * IB..][..IB]`) and is stored.
+///
+/// # Safety
+/// The lane's ISA contract (see [`SimdLane`]).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn cvw<S: SimdLane>(
+    s: S,
+    v: &[&[f64]; IB],
+    at: usize,
+    nw: &[f64],
+    c: &mut [f64],
+    ldc: usize,
+    i0: usize,
+    n: usize,
+) {
+    assert!(i0 + S::LANES <= ldc && n * ldc <= c.len() && n * IB <= nw.len());
+    assert!(v.iter().all(|x| x.is_empty() || at + S::LANES <= x.len()));
+    // SAFETY: the caller upholds the lane's ISA contract; the loads of `v`
+    // end at `at + LANES <= v[kk].len()`, those of `nw` at `j * IB + kk <
+    // n * IB <= nw.len()` and the accesses of `c` at `j * ldc + i0 + LANES
+    // <= n * ldc <= c.len()` (all asserted above).
+    unsafe {
+        let mut vr = [s.zero(); IB];
+        for (x, vk) in vr.iter_mut().zip(v) {
+            if !vk.is_empty() {
+                *x = s.load(vk, at);
+            }
+        }
+        for j in 0..n {
+            let mut cj = s.load(c, j * ldc + i0);
+            for (kk, &x) in vr.iter().enumerate() {
+                cj = s.mul_add(x, s.splat(*nw.get_unchecked(j * IB + kk)), cj);
+            }
+            s.store(c, j * ldc + i0, cj);
+        }
     }
 }
 
 /// The `T` product of one chunk with the second index of `W` as SIMD
-/// lanes: `out[i] = sum_l op(T)[i, l] w[l]` for the left kernel (lanes =
-/// columns of `C`), which is also `(W op(T)^T)[:, i]` — what the right
-/// kernel needs, its `Q^T` being `C - (C V) T V^T` (lanes = rows of `C`).
-/// `t` is the chunk's `IB x ib` block, leading dimension `IB`; called with
-/// the constant `ib == IB` the triangular product unrolls into 36
-/// independent-by-row FMAs.
+/// lanes, `W` in registers: `(W op(T)^T)[:, i] = sum_l op(T)[i, l] w[l]` —
+/// what the right kernel needs, its `Q^T` being `C - (C V) T V^T` (lanes =
+/// rows of `C`).  `t` is the chunk's `IB x ib` block, leading dimension
+/// `IB`; called with the constant `ib == IB` the triangular product unrolls
+/// into 36 independent-by-row FMAs.
 ///
 /// # Safety
 /// The lane's ISA contract (see [`SimdLane`]).
@@ -389,211 +496,121 @@ unsafe fn t_product<S: SimdLane>(
     }
 }
 
-/// Apply a full-width chunk (`ib == IB`, corner absent or `IB` rows) to
-/// four columns: `c` are the columns of the tile the reflector tails act
-/// on, `h` rows `p..p+IB` of the matching pivot-tile columns (TS/TT heads;
-/// `None` for the trapezoid, whose unit diagonal is part of the corner).
-///
-/// # Safety
-/// The lane's ISA contract (see [`SimdLane`]).
-#[inline(always)]
-unsafe fn apply_block4<S: SimdLane>(
-    s: S,
-    ch: &Chunk<'_>,
-    mut h: Option<[&mut [f64]; 4]>,
-    c: [&mut [f64]; 4],
-) {
-    let (dense, corner) = (ch.dense.clone(), ch.corner.clone());
-    let has_corner = !corner.is_empty();
-    assert!(ch.ib == IB && (!has_corner || corner.len() == IB));
-    let [c0, c1, c2, c3] = c;
-    // W[kk][j], the four columns of one reflector adjacent so that they
-    // form the SIMD lanes of the T product.
-    let mut w = [0.0f64; 4 * IB];
-    if let Some(h) = h.as_ref() {
-        for (j, hj) in h.iter().enumerate() {
-            for kk in 0..IB {
-                w[kk * 4 + j] = hj[kk];
-            }
-        }
-    }
-    // SAFETY (whole body): the caller upholds the lane's ISA contract,
-    // which is all `vtc`/`cvw` and the register ops need; the `load`/
-    // `store` calls on `w` stay below `4 * IB` (`l < IB`, `j + LANES <= 4`).
-    unsafe {
-        // (1) W = H + V_p^T C, two reflectors at a time.
-        {
-            let cd = [
-                &c0[dense.clone()],
-                &c1[dense.clone()],
-                &c2[dense.clone()],
-                &c3[dense.clone()],
-            ];
-            let cc = [
-                &c0[corner.clone()],
-                &c1[corner.clone()],
-                &c2[corner.clone()],
-                &c3[corner.clone()],
-            ];
-            for kk in (0..IB).step_by(2) {
-                let mut acc = vtc(s, [ch.vd[kk], ch.vd[kk + 1]], cd, [[s.zero(); 4]; 2]);
-                if has_corner {
-                    acc = vtc(s, [&ch.kc[kk][..], &ch.kc[kk + 1][..]], cc, acc);
-                }
-                for (r, a) in acc.into_iter().enumerate() {
-                    for (j, aj) in a.into_iter().enumerate() {
-                        w[(kk + r) * 4 + j] += s.reduce_sum(aj);
-                    }
-                }
-            }
-        }
-        // (2) W = op(T) W, in registers.
-        for j in (0..4).step_by(S::LANES) {
-            let mut wv = [s.zero(); IB];
-            for (l, x) in wv.iter_mut().enumerate() {
-                *x = s.load(&w, l * 4 + j);
-            }
-            for (l, x) in t_product(s, ch.t, ch.trans, IB, &wv).iter().enumerate() {
-                s.store(&mut w, l * 4 + j, *x);
-            }
-        }
-        // (3) H -= W;  C -= V_p W, two columns x four reflectors at a time.
-        if let Some(h) = h.as_mut() {
-            for (j, hj) in h.iter_mut().enumerate() {
-                for kk in 0..IB {
-                    hj[kk] -= w[kk * 4 + j];
-                }
-            }
-        }
-        for (j, ca, cb) in [(0, c0, c1), (2, c2, c3)] {
-            for kk in (0..IB).step_by(4) {
-                let mut nw = [[0.0f64; 2]; 4];
-                for (r, x) in nw.iter_mut().enumerate() {
-                    *x = [-w[(kk + r) * 4 + j], -w[(kk + r) * 4 + j + 1]];
-                }
-                cvw(
-                    s,
-                    [ch.vd[kk], ch.vd[kk + 1], ch.vd[kk + 2], ch.vd[kk + 3]],
-                    nw,
-                    [&mut ca[dense.clone()], &mut cb[dense.clone()]],
-                );
-                if has_corner {
-                    cvw(
-                        s,
-                        [
-                            &ch.kc[kk][..],
-                            &ch.kc[kk + 1][..],
-                            &ch.kc[kk + 2][..],
-                            &ch.kc[kk + 3][..],
-                        ],
-                        nw,
-                        [&mut ca[corner.clone()], &mut cb[corner.clone()]],
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Apply a chunk of any width to one column (`c`, and the column's
-/// pivot-tile rows `p..p+ib` in `h`): the path of the ragged last chunk
-/// and of the `n mod 4` columns left over by [`apply_block4`].
-///
-/// # Safety
-/// The lane's ISA contract (see [`SimdLane`]).
-#[inline(always)]
-unsafe fn apply_col<S: SimdLane>(s: S, ch: &Chunk<'_>, mut h: Option<&mut [f64]>, c: &mut [f64]) {
-    let ib = ch.ib;
-    let (dense, corner) = (ch.dense.clone(), ch.corner.clone());
-    let mut w = [0.0f64; IB];
-    for kk in 0..ib {
-        let head = h.as_ref().map_or(0.0, |h| h[kk]);
-        // SAFETY: the caller upholds the lane's ISA contract; `vd` and the
-        // `kc` prefix span the same `dense`/`corner` rows as the `c` operands.
-        w[kk] = head
-            + unsafe {
-                simd::dot_body(s, ch.vd[kk], &c[dense.clone()])
-                    + simd::dot_body(s, &ch.kc[kk][..corner.len()], &c[corner.clone()])
-            };
-    }
-    match ch.trans {
-        Trans::Transpose => {
-            for i in (0..ib).rev() {
-                let tc = &ch.t[i * IB..][..=i];
-                w[i] = tc.iter().zip(&w).map(|(t, w)| t * w).sum();
-            }
-        }
-        Trans::NoTranspose => {
-            for i in 0..ib {
-                w[i] = (i..ib).map(|l| ch.t[l * IB + i] * w[l]).sum();
-            }
-        }
-    }
-    for kk in 0..ib {
-        if let Some(h) = h.as_mut() {
-            h[kk] -= w[kk];
-        }
-        // SAFETY: as above.
-        unsafe {
-            simd::axpy_body(s, &mut c[dense.clone()], -w[kk], ch.vd[kk]);
-            simd::axpy_body(s, &mut c[corner.clone()], -w[kk], &ch.kc[kk]);
-        }
-    }
-}
-
 /// Apply one chunk to the `n` columns of the column-major `c` (leading
 /// dimension `ldc`, as many rows as the reflector tile) and, for TS/TT, to
 /// rows `p..p+ib` of the matching columns of the pivot tile `head`
-/// (`(data, ld)`).
+/// (`(data, ld)`), a strip of columns at a time:
+///
+/// 1. `W = H + V_p^T C` through the transposed panel ([`vtc`], `NC` columns
+///    per pass; the columns of a ragged last pass repeat the strip's last
+///    one and their `W` is never read),
+/// 2. `W = -op(T) W`, the same loop over the columns of `-op(T)`,
+/// 3. `H += W`, `C += V_p W` with the rows of `C` as lanes ([`cvw`]; the
+///    rows left over by the lane width go one at a time).
+///
+/// All three shapes and a last chunk narrower than `IB` (zero lanes) run
+/// the same code.
 ///
 /// # Safety
 /// The lane's ISA contract (see [`SimdLane`]).
 #[inline(always)]
-unsafe fn apply_chunk<S: SimdLane>(
+unsafe fn apply_chunk<S: SimdLane, const RV: usize, const NC: usize>(
     s: S,
     ch: &Chunk<'_>,
+    scratch: &mut LeftScratch,
     mut head: Option<(&mut [f64], usize)>,
     c: &mut [f64],
     ldc: usize,
     n: usize,
 ) {
-    let hrows = ch.p..ch.p + ch.ib;
-    let mut j = 0;
-    if ch.ib == IB && (ch.corner.is_empty() || ch.corner.len() == IB) {
-        while j + 4 <= n {
-            let h = match head.as_mut() {
-                None => None,
+    const { assert!(STRIP.is_multiple_of(NC)) };
+    let LeftScratch { panel, w } = scratch;
+    let (rows, ib) = (ch.rows(), ch.ib);
+    for j0 in (0..n).step_by(STRIP) {
+        let ns = STRIP.min(n - j0);
+        let c = &mut c[j0 * ldc..(j0 + ns) * ldc];
+        for (j, wj) in w.chunks_exact_mut(IB).enumerate().take(ns) {
+            match head.as_ref() {
+                None => wj.fill(0.0),
                 Some((h, ldh)) => {
-                    let [h0, h1, h2, h3] = four_cols(&mut h[j * *ldh..], *ldh);
-                    Some([
-                        &mut h0[hrows.clone()],
-                        &mut h1[hrows.clone()],
-                        &mut h2[hrows.clone()],
-                        &mut h3[hrows.clone()],
-                    ])
+                    let hj = &h[(j0 + j) * ldh + ch.p..];
+                    // A constant length for all but the last chunk.
+                    if ib == IB {
+                        wj.copy_from_slice(&hj[..IB]);
+                    } else {
+                        wj[..ib].copy_from_slice(&hj[..ib]);
+                        wj[ib..].fill(0.0);
+                    }
                 }
-            };
-            // SAFETY: the caller upholds the lane's ISA contract.
-            unsafe { apply_block4(s, ch, h, four_cols(&mut c[j * ldc..], ldc)) };
-            j += 4;
+            }
         }
-    }
-    while j < n {
-        let h = head
-            .as_mut()
-            .map(|(h, ldh)| &mut h[j * *ldh..][hrows.clone()]);
-        // SAFETY: the caller upholds the lane's ISA contract.
-        unsafe { apply_col(s, ch, h, &mut c[j * ldc..][..ldc]) };
-        j += 1;
+        // The spare columns of a ragged last pass start from zero, so what
+        // accumulates in them is the last column's `V_p^T C` (never read)
+        // and not what earlier chunks and strips left there.
+        w[ns * IB..ns.next_multiple_of(NC) * IB].fill(0.0);
+        // SAFETY (all blocks below): the caller upholds the lane's ISA
+        // contract; the scalar lane has none.
+        for r0 in rows.clone().step_by(PANEL_ROWS) {
+            let nr = PANEL_ROWS.min(rows.end - r0);
+            unsafe { ch.fill_panel(s, r0, nr, panel) };
+            for jb in (0..ns).step_by(NC) {
+                let mut cols: [&[f64]; NC] = [&[]; NC];
+                for (j, cj) in cols.iter_mut().enumerate() {
+                    *cj = &c[(jb + j).min(ns - 1) * ldc..][r0..r0 + nr];
+                }
+                let wb = &mut w[jb * IB..][..NC * IB];
+                unsafe {
+                    let acc = vtc::<S, RV, NC>(s, &panel[..nr * IB], cols, load_w(s, wb));
+                    store_w(s, wb, acc);
+                }
+            }
+        }
+        for wb in w[..ns.next_multiple_of(NC) * IB].chunks_exact_mut(NC * IB) {
+            let mut cols: [&[f64]; NC] = [&[]; NC];
+            for (j, cj) in cols.iter_mut().enumerate() {
+                *cj = &wb[j * IB..][..IB];
+            }
+            unsafe {
+                let acc = vtc::<S, RV, NC>(s, &ch.nt, cols, [[s.zero(); RV]; NC]);
+                store_w(s, wb, acc);
+            }
+        }
+        if let Some((h, ldh)) = head.as_mut() {
+            for (j, wj) in w.chunks_exact(IB).enumerate().take(ns) {
+                let hj = &mut h[(j0 + j) * *ldh + ch.p..];
+                // By value, and of constant length for all but the last
+                // chunk: one vector add.
+                let wj: [f64; IB] = wj.try_into().expect("chunks of IB");
+                if ib == IB {
+                    hj[..IB].iter_mut().zip(wj).for_each(|(h, w)| *h += w);
+                } else {
+                    hj[..ib].iter_mut().zip(wj).for_each(|(h, w)| *h += w);
+                }
+            }
+        }
+        for (cols, rows) in ch.parts() {
+            let mut i = 0;
+            unsafe {
+                while i + S::LANES <= rows.len() {
+                    cvw(s, &cols, i, w, c, ldc, rows.start + i, ns);
+                    i += S::LANES;
+                }
+                while i < rows.len() {
+                    cvw(ScalarLane, &cols, i, w, c, ldc, rows.start + i, ns);
+                    i += 1;
+                }
+            }
+        }
     }
 }
 
-/// Lane-generic body of [`apply`].
+/// Lane-generic body of [`apply`]: `RV * LANES == IB`, and `NC` columns of
+/// `C` share one pass over a chunk's panel.
 ///
 /// # Safety
 /// The lane's ISA contract (see [`SimdLane`]).
 #[inline(always)]
-unsafe fn apply_body<S: SimdLane>(
+unsafe fn apply_body<S: SimdLane, const RV: usize, const NC: usize>(
     s: S,
     shape: Shape,
     v: &Matrix,
@@ -603,6 +620,7 @@ unsafe fn apply_body<S: SimdLane>(
     trans: Trans,
 ) {
     let (m, n) = (c.rows(), c.cols());
+    let mut scratch = LeftScratch::new();
     for (p, ib) in chunk_order(tf.len(), trans) {
         let ch = Chunk::new(shape, v.data(), m, p, ib, tf.t_block_data(p), trans);
         let h = head.as_deref_mut().map(|h| {
@@ -610,7 +628,7 @@ unsafe fn apply_body<S: SimdLane>(
             (h.data_mut(), ldh)
         });
         // SAFETY: the caller upholds the lane's ISA contract.
-        unsafe { apply_chunk(s, &ch, h, c.data_mut(), m, n) };
+        unsafe { apply_chunk::<S, RV, NC>(s, &ch, &mut scratch, h, c.data_mut(), m, n) };
     }
 }
 
@@ -642,13 +660,14 @@ fn head_and_tail<'a>(
 /// # Safety
 /// The lane's ISA contract (see [`SimdLane`]).
 #[inline(always)]
-unsafe fn factor_body<S: SimdLane>(
+unsafe fn factor_body<S: SimdLane, const RV: usize, const NC: usize>(
     s: S,
     shape: Shape,
     mut r1: Option<&mut Matrix>,
     a: &mut Matrix,
 ) -> TFactor {
     let (m, n) = (a.rows(), a.cols());
+    let mut scratch = LeftScratch::new();
     let (kmax, ld1) = match &r1 {
         None => (m.min(n), 0),
         Some(r1) => (n.min(r1.rows()), r1.rows()),
@@ -718,7 +737,7 @@ unsafe fn factor_body<S: SimdLane>(
                 .as_deref_mut()
                 .map(|r1| (&mut r1.data_mut()[(p + ib) * ld1..], ld1));
             // SAFETY: the caller upholds the lane's ISA contract.
-            unsafe { apply_chunk(s, &ch, h, trailing, m, n - p - ib) };
+            unsafe { apply_chunk::<S, RV, NC>(s, &ch, &mut scratch, h, trailing, m, n - p - ib) };
         }
     }
     tf
@@ -727,58 +746,6 @@ unsafe fn factor_body<S: SimdLane>(
 // ---------------------------------------------------------------------------
 // The fused chunk kernel of the LQ applies (right side, rows of C as lanes)
 // ---------------------------------------------------------------------------
-
-/// [`ScalarLane`]s side by side: the lane the right-side kernel runs on
-/// under the scalar backend, so that one coefficient load feeds `ROWS` rows
-/// of `C` there as well (unfused multiply-adds, like [`ScalarLane`]).
-/// Eight measured best on the SSE2 baseline: the loop is bound by the
-/// shuffles that broadcast the coefficients, one per reflector and group.
-#[derive(Clone, Copy)]
-struct ScalarRows;
-
-const ROWS: usize = 8;
-
-impl SimdLane for ScalarRows {
-    const LANES: usize = ROWS;
-    type V = [f64; ROWS];
-
-    #[inline(always)]
-    unsafe fn splat(self, x: f64) -> Self::V {
-        [x; ROWS]
-    }
-    #[inline(always)]
-    unsafe fn zero(self) -> Self::V {
-        [0.0; ROWS]
-    }
-    #[inline(always)]
-    unsafe fn load(self, p: &[f64], i: usize) -> Self::V {
-        debug_assert!(i + ROWS <= p.len());
-        // SAFETY: caller guarantees i + LANES <= p.len().
-        unsafe { *p.as_ptr().add(i).cast() }
-    }
-    #[inline(always)]
-    unsafe fn store(self, p: &mut [f64], i: usize, v: Self::V) {
-        debug_assert!(i + ROWS <= p.len());
-        // SAFETY: caller guarantees i + LANES <= p.len().
-        unsafe { *p.as_mut_ptr().add(i).cast() = v }
-    }
-    #[inline(always)]
-    unsafe fn add(self, a: Self::V, b: Self::V) -> Self::V {
-        std::array::from_fn(|l| a[l] + b[l])
-    }
-    #[inline(always)]
-    unsafe fn mul(self, a: Self::V, b: Self::V) -> Self::V {
-        std::array::from_fn(|l| a[l] * b[l])
-    }
-    #[inline(always)]
-    unsafe fn mul_add(self, a: Self::V, b: Self::V, c: Self::V) -> Self::V {
-        std::array::from_fn(|l| a[l] * b[l] + c[l])
-    }
-    #[inline(always)]
-    unsafe fn reduce_sum(self, a: Self::V) -> f64 {
-        a.iter().sum()
-    }
-}
 
 /// One `IB`-chunk of *row-wise* stored reflectors (reflector `k` is row `k`
 /// of the tile), ready to be applied from the right.  The coefficients of
@@ -990,49 +957,150 @@ unsafe fn apply_right_body<S: SimdLane>(
     }
 }
 
+// ---------------------------------------------------------------------------
+// Lanes and dispatch
+// ---------------------------------------------------------------------------
+
+/// [`ScalarLane`]s side by side: the lane both chunk kernels run on under
+/// the scalar backend, so that one coefficient load feeds `ROWS` rows of `C`
+/// — and one load of `C` a whole chunk of reflectors — there as well
+/// (unfused multiply-adds, like [`ScalarLane`]).  Eight measured best on
+/// the SSE2 baseline: the right kernel's loop is bound by the shuffles that
+/// broadcast the coefficients, one per reflector and group, and the left
+/// one reads 79 us per TSMQR with it against 114 us on single
+/// [`ScalarLane`]s, whose row-at-a-time `C -= V_p W` strides across `C`.
+#[derive(Clone, Copy)]
+struct ScalarRows;
+
+const ROWS: usize = 8;
+
+impl SimdLane for ScalarRows {
+    const LANES: usize = ROWS;
+    type V = [f64; ROWS];
+
+    #[inline(always)]
+    unsafe fn splat(self, x: f64) -> Self::V {
+        [x; ROWS]
+    }
+    #[inline(always)]
+    unsafe fn zero(self) -> Self::V {
+        [0.0; ROWS]
+    }
+    #[inline(always)]
+    unsafe fn load(self, p: &[f64], i: usize) -> Self::V {
+        debug_assert!(i + ROWS <= p.len());
+        // SAFETY: caller guarantees i + LANES <= p.len().
+        unsafe { *p.as_ptr().add(i).cast() }
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: &mut [f64], i: usize, v: Self::V) {
+        debug_assert!(i + ROWS <= p.len());
+        // SAFETY: caller guarantees i + LANES <= p.len().
+        unsafe { *p.as_mut_ptr().add(i).cast() = v }
+    }
+    #[inline(always)]
+    unsafe fn add(self, a: Self::V, b: Self::V) -> Self::V {
+        std::array::from_fn(|l| a[l] + b[l])
+    }
+    #[inline(always)]
+    unsafe fn mul(self, a: Self::V, b: Self::V) -> Self::V {
+        std::array::from_fn(|l| a[l] * b[l])
+    }
+    #[inline(always)]
+    unsafe fn mul_add(self, a: Self::V, b: Self::V, c: Self::V) -> Self::V {
+        std::array::from_fn(|l| a[l] * b[l] + c[l])
+    }
+    #[inline(always)]
+    unsafe fn reduce_sum(self, a: Self::V) -> f64 {
+        a.iter().sum()
+    }
+}
+
+/// The `#[target_feature]` shells of one vector lane: the three bodies
+/// instantiated with `$lane`, the left one with `$rv` registers per `IB`
+/// reflectors and `$nc` columns of `C` per pass.
 #[cfg(target_arch = "x86_64")]
-mod avx2_shells {
-    use super::*;
-    use bidiag_matrix::simd::Avx2Lane;
+macro_rules! lane_shells {
+    ($name:ident, $lane:ident, $features:literal, $rv:literal, $nc:literal) => {
+        mod $name {
+            use super::*;
+            use bidiag_matrix::simd::$lane;
 
-    /// # Safety
-    /// Caller must guarantee AVX2+FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn apply(
-        shape: Shape,
-        v: &Matrix,
-        tf: &TFactor,
-        head: Option<&mut Matrix>,
-        c: &mut Matrix,
-        trans: Trans,
-    ) {
-        // SAFETY: inside this target_feature fn AVX2+FMA are enabled, so
-        // constructing the lane token is sound.
-        unsafe { apply_body(Avx2Lane::new_unchecked(), shape, v, tf, head, c, trans) }
-    }
+            /// # Safety
+            /// Caller must guarantee the CPU features of the lane.
+            #[target_feature(enable = $features)]
+            pub(super) unsafe fn apply(
+                shape: Shape,
+                v: &Matrix,
+                tf: &TFactor,
+                head: Option<&mut Matrix>,
+                c: &mut Matrix,
+                trans: Trans,
+            ) {
+                // SAFETY: inside this target_feature fn the lane's features
+                // are enabled, so constructing its token is sound.
+                unsafe {
+                    let s = $lane::new_unchecked();
+                    apply_body::<$lane, $rv, $nc>(s, shape, v, tf, head, c, trans)
+                }
+            }
 
-    /// # Safety
-    /// Caller must guarantee AVX2+FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn apply_right(
-        shape: Shape,
-        v: &Matrix,
-        tf: &TFactor,
-        head: Option<&mut Matrix>,
-        c: &mut Matrix,
-        trans: Trans,
-    ) {
-        // SAFETY: as in `apply`.
-        unsafe { apply_right_body(Avx2Lane::new_unchecked(), shape, v, tf, head, c, trans) }
-    }
+            /// # Safety
+            /// Caller must guarantee the CPU features of the lane.
+            #[target_feature(enable = $features)]
+            pub(super) unsafe fn apply_right(
+                shape: Shape,
+                v: &Matrix,
+                tf: &TFactor,
+                head: Option<&mut Matrix>,
+                c: &mut Matrix,
+                trans: Trans,
+            ) {
+                // SAFETY: as in `apply`.
+                unsafe { apply_right_body($lane::new_unchecked(), shape, v, tf, head, c, trans) }
+            }
 
-    /// # Safety
-    /// Caller must guarantee AVX2+FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn factor(shape: Shape, r1: Option<&mut Matrix>, a: &mut Matrix) -> TFactor {
-        // SAFETY: as in `apply`.
-        unsafe { factor_body(Avx2Lane::new_unchecked(), shape, r1, a) }
-    }
+            /// # Safety
+            /// Caller must guarantee the CPU features of the lane.
+            #[target_feature(enable = $features)]
+            pub(super) unsafe fn factor(
+                shape: Shape,
+                r1: Option<&mut Matrix>,
+                a: &mut Matrix,
+            ) -> TFactor {
+                // SAFETY: as in `apply`.
+                unsafe { factor_body::<$lane, $rv, $nc>($lane::new_unchecked(), shape, r1, a) }
+            }
+        }
+    };
+}
+
+#[cfg(target_arch = "x86_64")]
+lane_shells!(avx2_shells, Avx2Lane, "avx2,fma", 2, 4);
+#[cfg(target_arch = "x86_64")]
+lane_shells!(avx512_shells, Avx512Lane, "avx512f,avx2,fma", 1, 8);
+
+/// Run `$kernel` of this module on the process-wide backend: the scalar
+/// body `$scalar`, or the shell of the backend's lane behind its guard.
+macro_rules! dispatch {
+    ($scalar:expr, $kernel:ident($($arg:expr),*)) => {
+        match simd::backend() {
+            // SAFETY: the scalar lanes have no ISA requirements.
+            SimdBackend::Scalar => unsafe { $scalar },
+            #[cfg(target_arch = "x86_64")]
+            SimdBackend::Avx2 => {
+                simd::check_avx2();
+                // SAFETY: check_avx2 verified AVX2+FMA.
+                unsafe { avx2_shells::$kernel($($arg),*) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            SimdBackend::Avx512 => {
+                simd::check_avx512();
+                // SAFETY: check_avx512 verified AVX-512F on top of AVX2+FMA.
+                unsafe { avx512_shells::$kernel($($arg),*) }
+            }
+        }
+    };
 }
 
 /// Apply the `tf.len()` reflectors of `shape` stored in `v` from the left:
@@ -1051,21 +1119,10 @@ pub(crate) fn apply(
     trans: Trans,
 ) {
     debug_assert_eq!(shape == Shape::Trapezoid, head.is_none());
-    match simd::backend() {
-        // SAFETY: the scalar lane has no ISA requirements.
-        SimdBackend::Scalar => unsafe { apply_body(ScalarLane, shape, v, tf, head, c, trans) },
-        #[cfg(target_arch = "x86_64")]
-        SimdBackend::Avx2 => {
-            simd::check_avx2();
-            // SAFETY: check_avx2 verified AVX2+FMA.
-            unsafe { avx2_shells::apply(shape, v, tf, head, c, trans) }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        SimdBackend::Avx2 => {
-            simd::check_avx2();
-            unreachable!()
-        }
-    }
+    dispatch!(
+        apply_body::<ScalarRows, 1, 2>(ScalarRows, shape, v, tf, head, c, trans),
+        apply(shape, v, tf, head, c, trans)
+    )
 }
 
 /// Apply the `tf.len()` *row-wise* stored reflectors of `shape` in `v` from
@@ -1083,23 +1140,10 @@ pub(crate) fn apply_right(
     trans: Trans,
 ) {
     debug_assert_eq!(shape == Shape::Trapezoid, head.is_none());
-    match simd::backend() {
-        // SAFETY: the scalar lanes have no ISA requirements.
-        SimdBackend::Scalar => unsafe {
-            apply_right_body(ScalarRows, shape, v, tf, head, c, trans)
-        },
-        #[cfg(target_arch = "x86_64")]
-        SimdBackend::Avx2 => {
-            simd::check_avx2();
-            // SAFETY: check_avx2 verified AVX2+FMA.
-            unsafe { avx2_shells::apply_right(shape, v, tf, head, c, trans) }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        SimdBackend::Avx2 => {
-            simd::check_avx2();
-            unreachable!()
-        }
-    }
+    dispatch!(
+        apply_right_body(ScalarRows, shape, v, tf, head, c, trans),
+        apply_right(shape, v, tf, head, c, trans)
+    )
 }
 
 /// Factor `a` in place into reflectors of `shape` — on its own
@@ -1108,21 +1152,10 @@ pub(crate) fn apply_right(
 /// return their [`TFactor`].  One backend dispatch per call.
 pub(crate) fn factor(shape: Shape, r1: Option<&mut Matrix>, a: &mut Matrix) -> TFactor {
     debug_assert_eq!(shape == Shape::Trapezoid, r1.is_none());
-    match simd::backend() {
-        // SAFETY: the scalar lane has no ISA requirements.
-        SimdBackend::Scalar => unsafe { factor_body(ScalarLane, shape, r1, a) },
-        #[cfg(target_arch = "x86_64")]
-        SimdBackend::Avx2 => {
-            simd::check_avx2();
-            // SAFETY: check_avx2 verified AVX2+FMA.
-            unsafe { avx2_shells::factor(shape, r1, a) }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        SimdBackend::Avx2 => {
-            simd::check_avx2();
-            unreachable!()
-        }
-    }
+    dispatch!(
+        factor_body::<ScalarRows, 1, 2>(ScalarRows, shape, r1, a),
+        factor(shape, r1, a)
+    )
 }
 
 // ---------------------------------------------------------------------------

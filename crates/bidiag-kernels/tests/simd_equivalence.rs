@@ -4,9 +4,9 @@
 //! LQ factorizations reach it through transposes), the LQ applies its
 //! right-sided mirror image, and the band bulge chase applies its
 //! reflectors through one lane-generic body of its own. This suite pins
-//! the scalar and AVX2 backends to each other through the *real*
-//! dispatch path ([`simd::with_forced_backend`] + [`simd::backend`]), at
-//! two levels:
+//! every vector backend of the host (AVX2; AVX-512, which widens the chunk
+//! kernels only) to the scalar one through the *real* dispatch path
+//! ([`simd::with_forced_backend`] + [`simd::backend`]), at two levels:
 //!
 //! * **Tile kernels** — outputs compared normwise at `1e-13`: a composite
 //!   kernel runs thousands of fused-vs-unfused multiply-adds through
@@ -21,7 +21,8 @@
 //!   pinned. The spectra are extracted with the bisection oracle, which
 //!   has no SIMD dispatch of its own.
 //!
-//! On a host without AVX2+FMA every test short-circuits to a skip.
+//! On a host without AVX2+FMA there is nothing to compare and every test
+//! passes trivially.
 
 use bidiag_kernels::band::BandMatrix;
 use bidiag_kernels::lq::{gelqt, tslqt, tsmlq, ttlqt, ttmlq, unmlq};
@@ -30,22 +31,13 @@ use bidiag_kernels::svd::bidiagonal_singular_values;
 use bidiag_kernels::{Trans, Workspace};
 use bidiag_matrix::checks::{lower_triangle_of, relative_error, upper_triangle_of};
 use bidiag_matrix::gen::random_gaussian;
-use bidiag_matrix::simd::{self, SimdBackend};
+use bidiag_matrix::simd;
 
 /// Cross-backend tolerance for composite tile kernels (see module docs).
 const TOL: f64 = 1e-13;
-/// Tile sizes straddling the `IB = 8` chunk boundary and the 4-lane steps.
+/// Tile sizes straddling the `IB = 8` chunk boundary and the 4- and 8-lane
+/// steps.
 const NBS: [usize; 5] = [5, 8, 9, 17, 33];
-
-fn under_both<R>(f: impl Fn() -> R) -> Option<(R, R)> {
-    if !simd::avx2_available() {
-        eprintln!("skipping cross-backend test: AVX2+FMA not available");
-        return None;
-    }
-    let s = simd::with_forced_backend(SimdBackend::Scalar, &f);
-    let v = simd::with_forced_backend(SimdBackend::Avx2, &f);
-    Some((s, v))
-}
 
 fn assert_taus_close(s: &[f64], v: &[f64], what: &str) {
     assert_eq!(s.len(), v.len());
@@ -64,7 +56,7 @@ fn qr_tile_kernels_agree_across_backends() {
         let a0 = random_gaussian(m, nb, (m * 311 + nb) as u64);
         let c0 = random_gaussian(m, nb + 3, (m * 313) as u64);
 
-        let Some((s, v)) = under_both(|| {
+        let results = simd::on_each_backend(|| {
             let mut ws = Workspace::new();
             let mut a = a0.clone();
             let tf = geqrt(&mut a, &mut ws);
@@ -73,13 +65,15 @@ fn qr_tile_kernels_agree_across_backends() {
             let mut cn = c0.clone();
             unmqr(&a, &tf, &mut cn, Trans::NoTranspose, &mut ws);
             (a, tf.taus().to_vec(), ct, cn)
-        }) else {
-            return;
-        };
-        assert!(relative_error(&s.0, &v.0) < TOL, "GEQRT factor nb={nb}");
-        assert_taus_close(&s.1, &v.1, "GEQRT");
-        assert!(relative_error(&s.2, &v.2) < TOL, "UNMQR^T nb={nb}");
-        assert!(relative_error(&s.3, &v.3) < TOL, "UNMQR nb={nb}");
+        });
+        let (_, s) = &results[0];
+        for (be, v) in &results[1..] {
+            let on = format!("nb={nb} {be:?}");
+            assert!(relative_error(&s.0, &v.0) < TOL, "GEQRT factor {on}");
+            assert_taus_close(&s.1, &v.1, "GEQRT");
+            assert!(relative_error(&s.2, &v.2) < TOL, "UNMQR^T {on}");
+            assert!(relative_error(&s.3, &v.3) < TOL, "UNMQR {on}");
+        }
     }
 }
 
@@ -92,7 +86,7 @@ fn ts_and_tt_qr_kernels_agree_across_backends() {
             let c1_0 = random_gaussian(nb, nb, 41);
             let c2_0 = random_gaussian(m2, nb, 43);
 
-            let Some((s, v)) = under_both(|| {
+            let results = simd::on_each_backend(|| {
                 let mut ws = Workspace::new();
                 let mut r1 = r1_0.clone();
                 let mut a2 = a2_0.clone();
@@ -101,18 +95,20 @@ fn ts_and_tt_qr_kernels_agree_across_backends() {
                 let mut b2 = c2_0.clone();
                 tsmqr(&mut b1, &mut b2, &a2, &tf, Trans::Transpose, &mut ws);
                 (r1, a2, b1, b2)
-            }) else {
-                return;
-            };
-            assert!(relative_error(&s.0, &v.0) < TOL, "TSQRT R1 nb={nb} m2={m2}");
-            assert!(relative_error(&s.1, &v.1) < TOL, "TSQRT V2 nb={nb} m2={m2}");
-            assert!(relative_error(&s.2, &v.2) < TOL, "TSMQR C1 nb={nb} m2={m2}");
-            assert!(relative_error(&s.3, &v.3) < TOL, "TSMQR C2 nb={nb} m2={m2}");
+            });
+            let (_, s) = &results[0];
+            for (be, v) in &results[1..] {
+                let on = format!("nb={nb} m2={m2} {be:?}");
+                assert!(relative_error(&s.0, &v.0) < TOL, "TSQRT R1 {on}");
+                assert!(relative_error(&s.1, &v.1) < TOL, "TSQRT V2 {on}");
+                assert!(relative_error(&s.2, &v.2) < TOL, "TSMQR C1 {on}");
+                assert!(relative_error(&s.3, &v.3) < TOL, "TSMQR C2 {on}");
+            }
 
             // TT variants: the triangle-on-triangle kernels exercise the
             // clipped upper-triangular corner of the chunk kernel.
             let r2_0 = upper_triangle_of(&random_gaussian(m2.min(nb), nb, (nb * 347) as u64));
-            let Some((s, v)) = under_both(|| {
+            let results = simd::on_each_backend(|| {
                 let mut ws = Workspace::new();
                 let mut r1 = r1_0.clone();
                 let mut r2 = r2_0.clone();
@@ -121,13 +117,15 @@ fn ts_and_tt_qr_kernels_agree_across_backends() {
                 let mut b2 = random_gaussian(r2_0.rows(), nb, 47);
                 ttmqr(&mut b1, &mut b2, &r2, &tf, Trans::Transpose, &mut ws);
                 (r1, r2, b1, b2)
-            }) else {
-                return;
-            };
-            assert!(relative_error(&s.0, &v.0) < TOL, "TTQRT R1 nb={nb} m2={m2}");
-            assert!(relative_error(&s.1, &v.1) < TOL, "TTQRT V2 nb={nb} m2={m2}");
-            assert!(relative_error(&s.2, &v.2) < TOL, "TTMQR C1 nb={nb} m2={m2}");
-            assert!(relative_error(&s.3, &v.3) < TOL, "TTMQR C2 nb={nb} m2={m2}");
+            });
+            let (_, s) = &results[0];
+            for (be, v) in &results[1..] {
+                let on = format!("nb={nb} m2={m2} {be:?}");
+                assert!(relative_error(&s.0, &v.0) < TOL, "TTQRT R1 {on}");
+                assert!(relative_error(&s.1, &v.1) < TOL, "TTQRT V2 {on}");
+                assert!(relative_error(&s.2, &v.2) < TOL, "TTMQR C1 {on}");
+                assert!(relative_error(&s.3, &v.3) < TOL, "TTMQR C2 {on}");
+            }
         }
     }
 }
@@ -139,7 +137,7 @@ fn lq_tile_kernels_agree_across_backends() {
         let a0 = random_gaussian(nb, n, (n * 353 + nb) as u64);
         let c0 = random_gaussian(nb + 3, n, (n * 359) as u64);
 
-        let Some((s, v)) = under_both(|| {
+        let results = simd::on_each_backend(|| {
             let mut ws = Workspace::new();
             let mut a = a0.clone();
             let tf = gelqt(&mut a, &mut ws);
@@ -148,13 +146,15 @@ fn lq_tile_kernels_agree_across_backends() {
             let mut cn = c0.clone();
             unmlq(&a, &tf, &mut cn, Trans::NoTranspose, &mut ws);
             (a, tf.taus().to_vec(), ct, cn)
-        }) else {
-            return;
-        };
-        assert!(relative_error(&s.0, &v.0) < TOL, "GELQT factor nb={nb}");
-        assert_taus_close(&s.1, &v.1, "GELQT");
-        assert!(relative_error(&s.2, &v.2) < TOL, "UNMLQ^T nb={nb}");
-        assert!(relative_error(&s.3, &v.3) < TOL, "UNMLQ nb={nb}");
+        });
+        let (_, s) = &results[0];
+        for (be, v) in &results[1..] {
+            let on = format!("nb={nb} {be:?}");
+            assert!(relative_error(&s.0, &v.0) < TOL, "GELQT factor {on}");
+            assert_taus_close(&s.1, &v.1, "GELQT");
+            assert!(relative_error(&s.2, &v.2) < TOL, "UNMLQ^T {on}");
+            assert!(relative_error(&s.3, &v.3) < TOL, "UNMLQ {on}");
+        }
 
         for n2 in [nb, nb.div_ceil(2)] {
             let l1_0 = lower_triangle_of(&random_gaussian(nb, nb, (nb * 367 + n2) as u64));
@@ -166,7 +166,7 @@ fn lq_tile_kernels_agree_across_backends() {
             let c2_0 = random_gaussian(nb + 2, n2, 59);
 
             for trans in [Trans::Transpose, Trans::NoTranspose] {
-                let Some((s, v)) = under_both(|| {
+                let results = simd::on_each_backend(|| {
                     let mut ws = Workspace::new();
                     let mut l1 = l1_0.clone();
                     let mut a2 = a2_0.clone();
@@ -182,18 +182,19 @@ fn lq_tile_kernels_agree_across_backends() {
                     let mut d2 = c2_0.clone();
                     ttmlq(&mut d1, &mut d2, &t2, &tg, trans, &mut ws);
                     [l1, a2, b1, b2, t1, t2, d1, d2]
-                }) else {
-                    return;
-                };
-                let names = [
-                    "TSLQT L1", "TSLQT V2", "TSMLQ C1", "TSMLQ C2", "TTLQT L1", "TTLQT V2",
-                    "TTMLQ C1", "TTMLQ C2",
-                ];
-                for ((s, v), name) in s.iter().zip(&v).zip(names) {
-                    assert!(
-                        relative_error(s, v) < TOL,
-                        "{name} nb={nb} n2={n2} {trans:?}"
-                    );
+                });
+                let (_, s) = &results[0];
+                for (be, v) in &results[1..] {
+                    let names = [
+                        "TSLQT L1", "TSLQT V2", "TSMLQ C1", "TSMLQ C2", "TTLQT L1", "TTLQT V2",
+                        "TTMLQ C1", "TTMLQ C2",
+                    ];
+                    for ((s, v), name) in s.iter().zip(v).zip(names) {
+                        assert!(
+                            relative_error(s, v) < TOL,
+                            "{name} nb={nb} n2={n2} {trans:?} {be:?}"
+                        );
+                    }
                 }
             }
         }
@@ -224,13 +225,14 @@ fn spectra_close(s: &[f64], v: &[f64], tol: f64, what: &str) {
 fn bnd2bd_spectra_agree_across_backends() {
     for &(n, bw) in &[(24usize, 3usize), (40, 5), (64, 8), (33, 2), (150, 37)] {
         let band0 = random_band(n, bw, (n * 389 + bw) as u64);
-        let Some((s, v)) = under_both(|| {
+        let results = simd::on_each_backend(|| {
             let mut band = band0.clone();
             let bd = band.reduce_to_bidiagonal();
             bidiagonal_singular_values(&bd.diag, &bd.superdiag)
-        }) else {
-            return;
-        };
-        spectra_close(&s, &v, 1e-12, &format!("BND2BD n={n} bw={bw}"));
+        });
+        let (_, s) = &results[0];
+        for (be, v) in &results[1..] {
+            spectra_close(s, v, 1e-12, &format!("BND2BD n={n} bw={bw} {be:?}"));
+        }
     }
 }

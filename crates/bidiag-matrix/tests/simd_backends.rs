@@ -1,20 +1,22 @@
 //! Forced-backend equivalence matrix for the SIMD layer.
 //!
 //! Every kernel routed through `bidiag_matrix::simd` must produce the same
-//! answer under the scalar and AVX2 backends, exercised through the *real*
+//! answer under every backend of the host, exercised through the *real*
 //! dispatch path: [`simd::with_forced_backend`] pins the process-global
 //! backend, then the public entry points (`simd::axpy`, `gemm_nn`, ...)
 //! consult [`simd::backend`] exactly as production code does.
 //!
 //! Tolerances follow the module's numerical contract: the scalar backend
-//! is unfused, AVX2 fuses multiply-adds, so the backends agree to ~1 ulp
+//! is unfused, the vector ones fuse multiply-adds, so they agree to ~1 ulp
 //! per operation — a flat `1e-15` for element-wise kernels, `1e-15 *
 //! sqrt(n)` for length-`n` accumulations, and a backward-style normwise
 //! `1e-15 * sqrt(k)` for GEMM.
 //!
-//! On a host without AVX2+FMA the cross-backend half of each test is
-//! skipped (the suite then only pins scalar-vs-scalar determinism, and the
-//! `BIDIAG_SIMD=scalar` CI leg still runs everything).
+//! Each test splits [`simd::on_each_backend`]'s results into the scalar one
+//! and the rest.  On a host without AVX2+FMA there is no second backend to
+//! compare with (the `BIDIAG_SIMD=scalar` CI leg still runs everything);
+//! under AVX-512 the kernels of this crate run their AVX2 shells, so that
+//! backend pins the dispatch arm.
 
 use bidiag_matrix::gemm::{gemm_nn, gemm_nn_packed, gemm_nt, gemm_tn, GemmScratch};
 use bidiag_matrix::gen::random_gaussian;
@@ -44,14 +46,6 @@ fn acc_tol(n: usize) -> f64 {
     1e-15 * (n as f64).sqrt().max(1.0)
 }
 
-/// Run `f` once under each backend; returns `None` for the AVX2 result on
-/// hosts without AVX2+FMA.
-fn under_both<R>(f: impl Fn() -> R) -> (R, Option<R>) {
-    let scalar = simd::with_forced_backend(SimdBackend::Scalar, &f);
-    let avx2 = simd::avx2_available().then(|| simd::with_forced_backend(SimdBackend::Avx2, &f));
-    (scalar, avx2)
-}
-
 #[test]
 fn primitive_kernels_agree_across_backends_on_size_ladder() {
     for &n in &SIZES {
@@ -59,32 +53,30 @@ fn primitive_kernels_agree_across_backends_on_size_ladder() {
         let x1 = test_vec(n, 2 + n as u64);
         let y0 = test_vec(n, 5 + n as u64);
 
-        let (s, v) = under_both(|| {
+        let results = simd::on_each_backend(|| {
             let be = simd::backend();
             let mut y = y0.clone();
             simd::axpy(be, &mut y, 0.37, &x0);
             let d = simd::dot(be, &x0, &x1);
             (y, d)
         });
-        let Some(v) = v else {
-            eprintln!("skipping AVX2 half: not available on this host");
-            return;
-        };
-
-        for i in 0..n {
+        let (_, s) = &results[0];
+        for (be, v) in &results[1..] {
+            for i in 0..n {
+                assert!(
+                    (s.0[i] - v.0[i]).abs() <= 1e-15 * s.0[i].abs().max(1.0),
+                    "{be:?} axpy n={n} i={i}: {} vs {}",
+                    s.0[i],
+                    v.0[i]
+                );
+            }
             assert!(
-                (s.0[i] - v.0[i]).abs() <= 1e-15 * s.0[i].abs().max(1.0),
-                "axpy n={n} i={i}: {} vs {}",
-                s.0[i],
-                v.0[i]
+                (s.1 - v.1).abs() <= acc_tol(n) * s.1.abs().max(1.0),
+                "{be:?} dot n={n}: {} vs {}",
+                s.1,
+                v.1
             );
         }
-        assert!(
-            (s.1 - v.1).abs() <= acc_tol(n) * s.1.abs().max(1.0),
-            "dot n={n}: {} vs {}",
-            s.1,
-            v.1
-        );
     }
 }
 
@@ -93,19 +85,19 @@ fn microkernel_agrees_across_backends_on_size_ladder() {
     for &kc in &SIZES {
         let ap = test_vec(kc * simd::MR, 11 + kc as u64);
         let bp = test_vec(kc * simd::NR, 13 + kc as u64);
-        let (s, v) = under_both(|| simd::microkernel_8x4(simd::backend(), kc, &ap, &bp));
-        let Some(v) = v else {
-            eprintln!("skipping AVX2 half: not available on this host");
-            return;
-        };
-        for j in 0..simd::NR {
-            for i in 0..simd::MR {
-                assert!(
-                    (s[j][i] - v[j][i]).abs() <= acc_tol(kc) * s[j][i].abs().max(1.0),
-                    "microkernel kc={kc} i={i} j={j}: {} vs {}",
-                    s[j][i],
-                    v[j][i]
-                );
+        let results =
+            simd::on_each_backend(|| simd::microkernel_8x4(simd::backend(), kc, &ap, &bp));
+        let (_, s) = &results[0];
+        for (be, v) in &results[1..] {
+            for j in 0..simd::NR {
+                for i in 0..simd::MR {
+                    assert!(
+                        (s[j][i] - v[j][i]).abs() <= acc_tol(kc) * s[j][i].abs().max(1.0),
+                        "{be:?} microkernel kc={kc} i={i} j={j}: {} vs {}",
+                        s[j][i],
+                        v[j][i]
+                    );
+                }
             }
         }
     }
@@ -131,20 +123,19 @@ fn gemm_dispatch_agrees_across_backends_on_size_ladder() {
                 let a = random_gaussian(m, k, (m * 211 + k) as u64);
                 let b = random_gaussian(k, n, (n * 223 + k) as u64);
                 let c0 = random_gaussian(m, n, (m * 227 + n) as u64);
-                let (s, v) = under_both(|| {
+                let results = simd::on_each_backend(|| {
                     let mut c = c0.clone();
                     gemm_nn(&mut c.as_view_mut(), 1.25, a.as_view(), b.as_view());
                     c
                 });
-                let Some(v) = v else {
-                    eprintln!("skipping AVX2 half: not available on this host");
-                    return;
-                };
-                assert!(
-                    gemm_gap(&s, &v, &a, &b) <= acc_tol(k.max(1)),
-                    "gemm_nn {m}x{n}x{k}: gap {}",
-                    gemm_gap(&s, &v, &a, &b)
-                );
+                let (_, s) = &results[0];
+                for (be, v) in &results[1..] {
+                    assert!(
+                        gemm_gap(s, v, &a, &b) <= acc_tol(k.max(1)),
+                        "{be:?} gemm_nn {m}x{n}x{k}: gap {}",
+                        gemm_gap(s, v, &a, &b)
+                    );
+                }
             }
         }
     }
@@ -164,25 +155,24 @@ fn gemm_transposed_variants_agree_across_backends() {
         let b = random_gaussian(k, n, (n * 241 + k) as u64);
         let c0 = random_gaussian(m, n, (m * 251 + n) as u64);
 
-        let (s, v) = under_both(|| {
+        let results = simd::on_each_backend(|| {
             let mut ctn = c0.clone();
             gemm_tn(&mut ctn.as_view_mut(), -0.5, at.as_view(), b.as_view());
             let mut cnt = c0.clone();
             gemm_nt(&mut cnt.as_view_mut(), 2.0, a.as_view(), bt.as_view());
             (ctn, cnt)
         });
-        let Some(v) = v else {
-            eprintln!("skipping AVX2 half: not available on this host");
-            return;
-        };
-        assert!(
-            gemm_gap(&s.0, &v.0, &at, &b) <= acc_tol(k),
-            "gemm_tn {m}x{n}x{k}"
-        );
-        assert!(
-            gemm_gap(&s.1, &v.1, &a, &bt) <= acc_tol(k),
-            "gemm_nt {m}x{n}x{k}"
-        );
+        let (_, s) = &results[0];
+        for (be, v) in &results[1..] {
+            assert!(
+                gemm_gap(&s.0, &v.0, &at, &b) <= acc_tol(k),
+                "{be:?} gemm_tn {m}x{n}x{k}"
+            );
+            assert!(
+                gemm_gap(&s.1, &v.1, &a, &bt) <= acc_tol(k),
+                "{be:?} gemm_nt {m}x{n}x{k}"
+            );
+        }
     }
 }
 
@@ -201,7 +191,7 @@ fn gemm_on_ld_subviews_agrees_across_backends() {
         let c0 = random_gaussian(m, n, (ro * 257 + co) as u64);
         let a = big_a.block(ro, co, m, k);
         let b = big_b.block(co, ro, k, n);
-        let (s, v) = under_both(|| {
+        let results = simd::on_each_backend(|| {
             let mut scratch = GemmScratch::new();
             let mut c = c0.clone();
             gemm_nn_packed(
@@ -213,14 +203,13 @@ fn gemm_on_ld_subviews_agrees_across_backends() {
             );
             c
         });
-        let Some(v) = v else {
-            eprintln!("skipping AVX2 half: not available on this host");
-            return;
-        };
-        assert!(
-            gemm_gap(&s, &v, &a, &b) <= acc_tol(k),
-            "subview gemm {m}x{n}x{k} @({ro},{co})"
-        );
+        let (_, s) = &results[0];
+        for (be, v) in &results[1..] {
+            assert!(
+                gemm_gap(s, v, &a, &b) <= acc_tol(k),
+                "{be:?} subview gemm {m}x{n}x{k} @({ro},{co})"
+            );
+        }
     }
 }
 
@@ -236,11 +225,11 @@ fn env_override_is_respected_at_process_startup() {
         return;
     }
     let exe = std::env::current_exe().unwrap();
-    let mut cases = vec![("scalar", "scalar")];
-    if simd::avx2_available() {
-        cases.push(("avx2", "avx2"));
-        cases.push(("auto", "avx2"));
-    }
+    // Every backend the host supports can be named, and `auto` (like an
+    // unset variable) is the widest of them.
+    let available: Vec<SimdBackend> = simd::available_backends().collect();
+    let mut cases: Vec<(&str, &str)> = available.iter().map(|be| (be.name(), be.name())).collect();
+    cases.push(("auto", available.last().unwrap().name()));
     for (env_val, expect) in cases {
         let out = std::process::Command::new(&exe)
             .args([
@@ -258,22 +247,25 @@ fn env_override_is_respected_at_process_startup() {
             "BIDIAG_SIMD={env_val}: expected {expect}, child said:\n{stdout}"
         );
     }
-    // An unrecognized value must abort startup with a diagnostic, not
-    // silently fall back.
-    let out = std::process::Command::new(&exe)
-        .args([
-            "env_override_is_respected_at_process_startup",
-            "--exact",
-            "--nocapture",
-        ])
-        .env("BIDIAG_SIMD", "sse9000")
-        .env("SIMD_BACKENDS_CHILD", "1")
-        .output()
-        .expect("re-exec test binary");
-    assert!(
-        !out.status.success(),
-        "BIDIAG_SIMD=sse9000 should fail the child process"
-    );
+    // An unrecognized value, or a backend the host lacks, must abort startup
+    // with a diagnostic, not silently fall back.
+    let unsupported = SimdBackend::ALL.iter().filter(|be| !be.available());
+    for env_val in unsupported.map(|be| be.name()).chain(["sse9000"]) {
+        let out = std::process::Command::new(&exe)
+            .args([
+                "env_override_is_respected_at_process_startup",
+                "--exact",
+                "--nocapture",
+            ])
+            .env("BIDIAG_SIMD", env_val)
+            .env("SIMD_BACKENDS_CHILD", "1")
+            .output()
+            .expect("re-exec test binary");
+        assert!(
+            !out.status.success(),
+            "BIDIAG_SIMD={env_val} should fail the child process"
+        );
+    }
 }
 
 proptest! {
@@ -291,15 +283,16 @@ proptest! {
         let a = random_gaussian(m, k, seed.wrapping_mul(3).wrapping_add(1));
         let b = random_gaussian(k, n, seed.wrapping_mul(5).wrapping_add(2));
         let c0 = random_gaussian(m, n, seed.wrapping_mul(7).wrapping_add(3));
-        let (s, v) = under_both(|| {
+        let results = simd::on_each_backend(|| {
             let mut c = c0.clone();
             gemm_nn(&mut c.as_view_mut(), 1.0, a.as_view(), b.as_view());
             c
         });
-        if let Some(v) = v {
+        let (_, s) = &results[0];
+        for (_, v) in &results[1..] {
             prop_assert!(
-                gemm_gap(&s, &v, &a, &b) <= acc_tol(k),
-                "gemm {}x{}x{} seed {}: gap {}", m, n, k, seed, gemm_gap(&s, &v, &a, &b)
+                gemm_gap(s, v, &a, &b) <= acc_tol(k),
+                "gemm {}x{}x{} seed {}: gap {}", m, n, k, seed, gemm_gap(s, v, &a, &b)
             );
         }
     }
@@ -313,13 +306,14 @@ proptest! {
     ) {
         let x = test_vec(n, seed.wrapping_add(11));
         let y0 = test_vec(n, seed.wrapping_add(13));
-        let (s, v) = under_both(|| {
+        let results = simd::on_each_backend(|| {
             let be = simd::backend();
             let mut y = y0.clone();
             simd::axpy(be, &mut y, -0.91, &x);
             (y, simd::dot(be, &x, &y0))
         });
-        if let Some(v) = v {
+        let (_, s) = &results[0];
+        for (_, v) in &results[1..] {
             for i in 0..n {
                 prop_assert!((s.0[i] - v.0[i]).abs() <= 1e-15 * s.0[i].abs().max(1.0));
             }

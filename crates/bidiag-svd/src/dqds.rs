@@ -464,25 +464,28 @@ fn iterate_segment(
 /// Dispatches on [`bidiag_matrix::simd::backend`] like the other hot
 /// loops, but the recurrence is a serial `d`-chain (each `d_{i+1}` needs
 /// the division from step `i`), so the AVX2 shell only recompiles the
-/// same body under `target_feature` — no reassociation, no fusion.  Both
+/// same body under `target_feature` — no reassociation, no fusion.  All
 /// backends therefore produce **bitwise-identical** output; the dispatch
 /// exists so the forced-backend equivalence suite covers this kernel and
 /// so a future vectorized variant (e.g. a speculative two-pass scheme)
 /// has its slot ready.
 fn dqds_pass(q: &[f64], e: &[f64], s: f64, qh: &mut [f64], eh: &mut [f64]) -> f64 {
     match simd::backend() {
+        simd::SimdBackend::Scalar => dqds_pass_body(q, e, s, qh, eh),
+        // No 512-bit shell: the d-chain is serial, wider lanes have nothing
+        // to fill.  Every backend is named so that a new one cannot fall
+        // through to the baseline-compiled body unnoticed.
         #[cfg(target_arch = "x86_64")]
-        simd::SimdBackend::Avx2 => {
+        simd::SimdBackend::Avx2 | simd::SimdBackend::Avx512 => {
             simd::check_avx2();
             // SAFETY: `check_avx2` above verified AVX2+FMA are available
             // on this CPU, which is the only precondition of the shell.
             unsafe { dqds_pass_avx2(q, e, s, qh, eh) }
         }
-        _ => dqds_pass_body(q, e, s, qh, eh),
     }
 }
 
-/// The dqds recurrence itself, shared verbatim by both backends.
+/// The dqds recurrence itself, shared verbatim by every backend.
 #[inline(always)]
 fn dqds_pass_body(q: &[f64], e: &[f64], s: f64, qh: &mut [f64], eh: &mut [f64]) -> f64 {
     let m = q.len();

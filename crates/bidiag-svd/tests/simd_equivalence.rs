@@ -2,12 +2,13 @@
 //!
 //! The dqds pass dispatches on `bidiag_matrix::simd::backend()` like every
 //! other hot loop, but its recurrence is a serial `d`-chain, so the AVX2
-//! shell is the *same body* recompiled under `target_feature` — no
-//! reassociation, no fusion. The contract is therefore stronger than for
-//! the other kernels: both backends must produce **bitwise-identical**
-//! singular values, and this suite pins exact equality (not a tolerance).
+//! shell (which the AVX-512 backend runs as well) is the *same body*
+//! recompiled under `target_feature` — no reassociation, no fusion. The
+//! contract is therefore stronger than for the other kernels: every
+//! backend must produce **bitwise-identical** singular values, and this
+//! suite pins exact equality (not a tolerance).
 
-use bidiag_matrix::simd::{self, SimdBackend};
+use bidiag_matrix::simd;
 use bidiag_svd::dqds_singular_values;
 
 /// Deterministic LCG test data.
@@ -25,32 +26,26 @@ fn lcg(n: usize, seed: u64) -> Vec<f64> {
 
 #[test]
 fn dqds_is_bitwise_identical_across_backends() {
-    if !simd::avx2_available() {
-        eprintln!("skipping cross-backend test: AVX2+FMA not available");
-        return;
-    }
     for n in [1usize, 2, 3, 5, 8, 17, 33, 64, 129] {
         let d: Vec<f64> = lcg(n, n as u64).iter().map(|v| v * 3.0).collect();
         let e = lcg(n.saturating_sub(1), 7 + n as u64);
-        let s = simd::with_forced_backend(SimdBackend::Scalar, || dqds_singular_values(&d, &e));
-        let v = simd::with_forced_backend(SimdBackend::Avx2, || dqds_singular_values(&d, &e));
-        assert_eq!(s.len(), v.len());
-        for (i, (a, b)) in s.iter().zip(&v).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "dqds n={n} sv[{i}] diverged across backends: {a} vs {b}"
-            );
+        let results = simd::on_each_backend(|| dqds_singular_values(&d, &e));
+        let (_, s) = &results[0];
+        for (be, v) in &results[1..] {
+            assert_eq!(s.len(), v.len());
+            for (i, (a, b)) in s.iter().zip(v).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "dqds n={n} sv[{i}] diverged from scalar under {be:?}: {a} vs {b}"
+                );
+            }
         }
     }
 }
 
 #[test]
 fn dqds_graded_and_clustered_spectra_are_bitwise_identical() {
-    if !simd::avx2_available() {
-        eprintln!("skipping cross-backend test: AVX2+FMA not available");
-        return;
-    }
     // Graded diagonal (stresses flips + aggressive deflation) and a
     // clustered one (stresses shift rejection): the backend switch must not
     // change a single branch decision anywhere in the driver.
@@ -59,10 +54,12 @@ fn dqds_graded_and_clustered_spectra_are_bitwise_identical() {
     let clustered: Vec<f64> = (0..n).map(|i| 1.0 + 1e-10 * (i as f64)).collect();
     let e: Vec<f64> = lcg(n - 1, 99).iter().map(|v| 0.3 * v).collect();
     for d in [graded, clustered] {
-        let s = simd::with_forced_backend(SimdBackend::Scalar, || dqds_singular_values(&d, &e));
-        let v = simd::with_forced_backend(SimdBackend::Avx2, || dqds_singular_values(&d, &e));
-        for (a, b) in s.iter().zip(&v) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        let results = simd::on_each_backend(|| dqds_singular_values(&d, &e));
+        let (_, s) = &results[0];
+        for (be, v) in &results[1..] {
+            for (a, b) in s.iter().zip(v) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{be:?}");
+            }
         }
     }
 }

@@ -89,6 +89,7 @@ fn every_algorithm_tree_shape_and_spectrum_recovers_the_prescribed_values() {
         ("wide m < n", 18, 44),
         ("one tile column", 50, 7),
         ("ragged", 45, 29),
+        ("n = 1", 37, 1),
     ];
     let scaled = |k: usize, scale: f64| {
         let base = SpectrumKind::Geometric { cond: 1.0e4 }.values(k);
@@ -97,6 +98,15 @@ fn every_algorithm_tree_shape_and_spectrum_recovers_the_prescribed_values() {
     let clustered = |k: usize| {
         SpectrumKind::Explicit((0..k).map(|i| [1.0, 1.0e-2, 1.0e-5][3 * i / k]).collect())
     };
+    // The trailing half exactly zero.
+    let rank_deficient = |k: usize| {
+        let rank = k.div_ceil(2);
+        let mut s = SpectrumKind::Geometric { cond: 1.0e3 }.values(rank);
+        s.resize(k, 0.0);
+        SpectrumKind::Explicit(s)
+    };
+    // A factor of two per value whatever `k` is.
+    let graded = |k: usize| SpectrumKind::Explicit((0..k).map(|i| 0.5f64.powi(i as i32)).collect());
     let trees = [
         ("default", None),
         ("FlatTs", Some(NamedTree::FlatTs)),
@@ -116,6 +126,9 @@ fn every_algorithm_tree_shape_and_spectrum_recovers_the_prescribed_values() {
             ("clustered", clustered(k)),
             ("scaled 1e+150", scaled(k, 1.0e150)),
             ("scaled 1e-150", scaled(k, 1.0e-150)),
+            ("geometric 1e15", SpectrumKind::Geometric { cond: 1.0e15 }),
+            ("rank-deficient", rank_deficient(k)),
+            ("graded", graded(k)),
         ];
         for (seed, (spectrum, kind)) in spectra.iter().enumerate() {
             let (a, sigma) = latms(m, n, kind, 40 + seed as u64);

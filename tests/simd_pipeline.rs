@@ -1,30 +1,19 @@
 //! Full-pipeline forced-backend equivalence: GE2VAL (GE2BND bulge-chased to
-//! bidiagonal, then BD2VAL) run end-to-end under the scalar and AVX2 SIMD
-//! backends must recover the same spectrum.
+//! bidiagonal, then BD2VAL) run end-to-end under every SIMD backend the
+//! host supports (scalar, AVX2, AVX-512) must recover the same spectrum.
 //!
 //! Two pins per case:
 //!
-//! * both backends match the *prescribed* LATMS spectrum to `1e-10` (the
+//! * every backend matches the *prescribed* LATMS spectrum to `1e-10` (the
 //!   pipeline's own accuracy contract — a backend must not merely be
 //!   self-consistent, it must be right), and
-//! * the two backends match *each other* to `1e-12`: tighter than the
-//!   accuracy bound, because the only divergence is fused-vs-unfused
-//!   multiply-adds propagated through orthogonal transforms, which are
-//!   norm-preserving and cannot amplify the gap.
+//! * the backends match *each other*, pairwise, to `1e-12`: tighter than
+//!   the accuracy bound, because the only divergence is fused-vs-unfused
+//!   multiply-adds and summation order propagated through orthogonal
+//!   transforms, which are norm-preserving and cannot amplify the gap.
 
-use bidiag_matrix::simd::{self, SimdBackend};
+use bidiag_matrix::simd;
 use bidiag_repro::prelude::*;
-
-fn under_both(f: impl Fn() -> Vec<f64>) -> Option<(Vec<f64>, Vec<f64>)> {
-    if !simd::avx2_available() {
-        eprintln!("skipping cross-backend test: AVX2+FMA not available");
-        return None;
-    }
-    Some((
-        simd::with_forced_backend(SimdBackend::Scalar, &f),
-        simd::with_forced_backend(SimdBackend::Avx2, &f),
-    ))
-}
 
 #[test]
 fn ge2val_spectra_agree_across_backends() {
@@ -35,26 +24,23 @@ fn ge2val_spectra_agree_across_backends() {
     ] {
         let (a, sigma) = latms(m, n, &SpectrumKind::Geometric { cond }, seed);
         for alg in [AlgorithmChoice::Bidiag, AlgorithmChoice::RBidiag] {
-            let Some((s, v)) =
-                under_both(|| ge2val(&a, &Ge2Options::new(nb).with_algorithm(alg)).singular_values)
-            else {
-                return;
-            };
-            assert!(
-                singular_values_match(&s, &sigma, 1.0e-10),
-                "{alg:?} scalar backend lost the spectrum: {:e}",
-                singular_value_error(&s, &sigma)
-            );
-            assert!(
-                singular_values_match(&v, &sigma, 1.0e-10),
-                "{alg:?} avx2 backend lost the spectrum: {:e}",
-                singular_value_error(&v, &sigma)
-            );
-            assert!(
-                singular_values_match(&s, &v, 1.0e-12),
-                "{alg:?} backends diverged: {:e} ({m}x{n} nb={nb})",
-                singular_value_error(&s, &v)
-            );
+            let results = simd::on_each_backend(|| {
+                ge2val(&a, &Ge2Options::new(nb).with_algorithm(alg)).singular_values
+            });
+            for (i, (be, sv)) in results.iter().enumerate() {
+                assert!(
+                    singular_values_match(sv, &sigma, 1.0e-10),
+                    "{alg:?} {be:?} backend lost the spectrum: {:e}",
+                    singular_value_error(sv, &sigma)
+                );
+                for (other, theirs) in &results[..i] {
+                    assert!(
+                        singular_values_match(theirs, sv, 1.0e-12),
+                        "{alg:?} {other:?} and {be:?} diverged: {:e} ({m}x{n} nb={nb})",
+                        singular_value_error(theirs, sv)
+                    );
+                }
+            }
         }
     }
 }
