@@ -9,7 +9,6 @@
 use bidiag_kernels::gebd2::gebd2;
 use bidiag_kernels::qr::geqrt;
 use bidiag_kernels::svd::singular_values;
-use bidiag_kernels::Workspace;
 use bidiag_matrix::Matrix;
 
 /// Singular values of `a` via Chan's algorithm (QR + one-stage
@@ -22,7 +21,7 @@ pub fn chan_singular_values(a: &Matrix) -> Vec<f64> {
     };
     let n = w.cols();
     // Dense Householder QR (blocked); keep only the R factor.
-    let _tf = geqrt(&mut w, &mut Workspace::new());
+    let _tf = geqrt(&mut w);
     let mut r = Matrix::zeros(n, n);
     for j in 0..n {
         for i in 0..=j.min(w.rows() - 1) {

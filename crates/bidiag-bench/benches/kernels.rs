@@ -130,16 +130,16 @@ fn bench_tile_size(h: &mut Harness, nb: usize) {
 
     // Shared factored operands.
     let mut v = a.clone();
-    let tf = qr::geqrt(&mut v, &mut Workspace::new());
+    let tf = qr::geqrt(&mut v);
     let taus = tf.taus().to_vec();
     let r1 = upper_triangle_of(&v);
     let mut rts = r1.clone();
     let mut vts = b.clone();
-    let tf_ts = qr::tsqrt(&mut rts, &mut vts, &mut Workspace::new());
+    let tf_ts = qr::tsqrt(&mut rts, &mut vts);
     let r2 = upper_triangle_of(&random_gaussian(nb, nb, 4));
     let mut rtt = r1.clone();
     let mut vtt = r2.clone();
-    let tf_tt = qr::ttqrt(&mut rtt, &mut vtt, &mut Workspace::new());
+    let tf_tt = qr::ttqrt(&mut rtt, &mut vtt);
     let mut vl = a.clone();
     let tf_l = lq::gelqt(&mut vl, &mut Workspace::new());
     let l1 = lower_triangle_of(&vl);
@@ -158,7 +158,7 @@ fn bench_tile_size(h: &mut Harness, nb: usize) {
 
     h.bench("geqrt", KernelKind::Geqrt.flops(nb), nb, "blocked", || {
         w1.copy_from(&a);
-        let _ = qr::geqrt(&mut w1, &mut ws);
+        let _ = qr::geqrt(&mut w1);
     });
     h.bench(
         "geqrt",
@@ -172,7 +172,7 @@ fn bench_tile_size(h: &mut Harness, nb: usize) {
     );
     h.bench("unmqr", KernelKind::Unmqr.flops(nb), nb, "blocked", || {
         w1.copy_from(&b);
-        qr::unmqr(&v, &tf, &mut w1, Trans::Transpose, &mut ws);
+        qr::unmqr(&v, &tf, &mut w1, Trans::Transpose);
     });
     h.bench(
         "unmqr",
@@ -187,7 +187,7 @@ fn bench_tile_size(h: &mut Harness, nb: usize) {
     h.bench("tsqrt", KernelKind::Tsqrt.flops(nb), nb, "blocked", || {
         w1.copy_from(&r1);
         w2.copy_from(&b);
-        let _ = qr::tsqrt(&mut w1, &mut w2, &mut ws);
+        let _ = qr::tsqrt(&mut w1, &mut w2);
     });
     h.bench(
         "tsqrt",
@@ -203,7 +203,7 @@ fn bench_tile_size(h: &mut Harness, nb: usize) {
     h.bench("tsmqr", KernelKind::Tsmqr.flops(nb), nb, "blocked", || {
         w1.copy_from(&b);
         w2.copy_from(&c);
-        qr::tsmqr(&mut w1, &mut w2, &vts, &tf_ts, Trans::Transpose, &mut ws);
+        qr::tsmqr(&mut w1, &mut w2, &vts, &tf_ts, Trans::Transpose);
     });
     h.bench(
         "tsmqr",
@@ -219,7 +219,7 @@ fn bench_tile_size(h: &mut Harness, nb: usize) {
     h.bench("ttqrt", KernelKind::Ttqrt.flops(nb), nb, "blocked", || {
         w1.copy_from(&r1);
         w2.copy_from(&r2);
-        let _ = qr::ttqrt(&mut w1, &mut w2, &mut ws);
+        let _ = qr::ttqrt(&mut w1, &mut w2);
     });
     h.bench(
         "ttqrt",
@@ -235,7 +235,7 @@ fn bench_tile_size(h: &mut Harness, nb: usize) {
     h.bench("ttmqr", KernelKind::Ttmqr.flops(nb), nb, "blocked", || {
         w1.copy_from(&b);
         w2.copy_from(&c);
-        qr::ttmqr(&mut w1, &mut w2, &vtt, &tf_tt, Trans::Transpose, &mut ws);
+        qr::ttmqr(&mut w1, &mut w2, &vtt, &tf_tt, Trans::Transpose);
     });
     h.bench(
         "ttmqr",
@@ -266,7 +266,7 @@ fn bench_tile_size(h: &mut Harness, nb: usize) {
     );
     h.bench("unmlq", KernelKind::Unmlq.flops(nb), nb, "blocked", || {
         w1.copy_from(&b);
-        lq::unmlq(&vl, &tf_l, &mut w1, Trans::Transpose, &mut ws);
+        lq::unmlq(&vl, &tf_l, &mut w1, Trans::Transpose);
     });
     h.bench(
         "unmlq",
@@ -297,7 +297,7 @@ fn bench_tile_size(h: &mut Harness, nb: usize) {
     h.bench("tsmlq", KernelKind::Tsmlq.flops(nb), nb, "blocked", || {
         w1.copy_from(&b);
         w2.copy_from(&c);
-        lq::tsmlq(&mut w1, &mut w2, &vlts, &tf_lts, Trans::Transpose, &mut ws);
+        lq::tsmlq(&mut w1, &mut w2, &vlts, &tf_lts, Trans::Transpose);
     });
     h.bench(
         "tsmlq",
@@ -329,7 +329,7 @@ fn bench_tile_size(h: &mut Harness, nb: usize) {
     h.bench("ttmlq", KernelKind::Ttmlq.flops(nb), nb, "blocked", || {
         w1.copy_from(&b);
         w2.copy_from(&c);
-        lq::ttmlq(&mut w1, &mut w2, &vltt, &tf_ltt, Trans::Transpose, &mut ws);
+        lq::ttmlq(&mut w1, &mut w2, &vltt, &tf_ltt, Trans::Transpose);
     });
     h.bench(
         "ttmlq",
@@ -425,11 +425,7 @@ fn bd2val_comparison(h: &mut Harness, samples: usize) -> bidiag_bench::Bd2ValTim
         t.n
     );
     println!("solver\ttime_ms\tspeedup_vs_bisection");
-    for (name, secs) in [
-        ("bisection", t.bisection),
-        ("sliced", t.sliced),
-        ("dqds", t.dqds),
-    ] {
+    for (name, secs) in [("bisection", t.bisection), ("dqds", t.dqds)] {
         println!("{name}\t{:.2}\t{:.2}x", secs * 1.0e3, t.bisection / secs);
         h.records.push(Record {
             name: "bd2val_n512",
@@ -534,7 +530,7 @@ fn simd_backend_comparison(h: &mut Harness, peak: &FmaPeak) -> SimdGflops {
     let nb = 64;
     let cq = random_gaussian(nb, nb, 23);
     let mut v = random_gaussian(nb, nb, 24);
-    let tf = qr::geqrt(&mut v, &mut Workspace::new());
+    let tf = qr::geqrt(&mut v);
     let unmqr_flops = KernelKind::Unmqr.flops(nb);
 
     let mut out = SimdGflops {
@@ -554,11 +550,10 @@ fn simd_backend_comparison(h: &mut Harness, peak: &FmaPeak) -> SimdGflops {
                     &mut scratch,
                 );
             });
-            let mut ws = Workspace::new();
             let mut w = cq.clone();
             h.bench("unmqr_simd", unmqr_flops, nb, be.name(), || {
                 w.copy_from(&cq);
-                qr::unmqr(&v, &tf, &mut w, Trans::Transpose, &mut ws);
+                qr::unmqr(&v, &tf, &mut w, Trans::Transpose);
             });
         });
         let gf = |name: &str| {
@@ -830,7 +825,7 @@ fn write_top_level_bench(
             None,
         ),
         (
-            "PR 5: bidiag-svd subsystem (dqds + spectrum slicing)",
+            "PR 5: bidiag-svd subsystem (dqds)",
             69.6,
             Some(6.1),
             Some(101.3),
@@ -1014,7 +1009,6 @@ fn write_top_level_bench(
   "bd2val_solvers": {{
     "n": {bn},
     "bisection_ms": {bb:.2},
-    "sliced_ms": {bs:.2},
     "dqds_ms": {bq:.2},
     "dqds_speedup_vs_bisection": {bx:.2}
   }},
@@ -1033,7 +1027,6 @@ fn write_top_level_bench(
         s3 = stages.bd2val * 1.0e3,
         bn = bd2val.n,
         bb = bd2val.bisection * 1.0e3,
-        bs = bd2val.sliced * 1.0e3,
         bq = bd2val.dqds * 1.0e3,
         bx = bd2val.bisection / bd2val.dqds,
     );

@@ -75,11 +75,11 @@ fn table(nb: usize, be: SimdBackend) {
 
     // Reflector tiles and T factors for the six applies.
     let mut v_ge = a.clone();
-    let tf_ge = qr::geqrt(&mut v_ge, ws);
+    let tf_ge = qr::geqrt(&mut v_ge);
     let mut v_ts = b.clone();
-    let tf_ts = qr::tsqrt(&mut r1.clone(), &mut v_ts, ws);
+    let tf_ts = qr::tsqrt(&mut r1.clone(), &mut v_ts);
     let mut v_tt = r2.clone();
-    let tf_tt = qr::ttqrt(&mut r1.clone(), &mut v_tt, ws);
+    let tf_tt = qr::ttqrt(&mut r1.clone(), &mut v_tt);
     let mut w_ge = a.clone();
     let tf_gel = lq::gelqt(&mut w_ge, ws);
     let mut w_ts = b.clone();
@@ -89,45 +89,36 @@ fn table(nb: usize, be: SimdBackend) {
 
     use KernelKind::*;
     let results = [
-        (
-            Geqrt,
-            fastest([&a], |[x]| drop(black_box(qr::geqrt(x, ws)))),
-        ),
-        (
-            Unmqr,
-            fastest([&b], |[x]| qr::unmqr(&v_ge, &tf_ge, x, tr, ws)),
-        ),
+        (Geqrt, fastest([&a], |[x]| drop(black_box(qr::geqrt(x))))),
+        (Unmqr, fastest([&b], |[x]| qr::unmqr(&v_ge, &tf_ge, x, tr))),
         (
             Tsqrt,
-            fastest([&r1, &b], |[r, x]| drop(black_box(qr::tsqrt(r, x, ws)))),
+            fastest([&r1, &b], |[r, x]| drop(black_box(qr::tsqrt(r, x)))),
         ),
         (
             Tsmqr,
-            fastest([&b, &c], |[x, y]| qr::tsmqr(x, y, &v_ts, &tf_ts, tr, ws)),
+            fastest([&b, &c], |[x, y]| qr::tsmqr(x, y, &v_ts, &tf_ts, tr)),
         ),
         (
             Ttqrt,
-            fastest([&r1, &r2], |[r, x]| drop(black_box(qr::ttqrt(r, x, ws)))),
+            fastest([&r1, &r2], |[r, x]| drop(black_box(qr::ttqrt(r, x)))),
         ),
         (
             Ttmqr,
-            fastest([&b, &c], |[x, y]| qr::ttmqr(x, y, &v_tt, &tf_tt, tr, ws)),
+            fastest([&b, &c], |[x, y]| qr::ttmqr(x, y, &v_tt, &tf_tt, tr)),
         ),
         (
             Gelqt,
             fastest([&a], |[x]| drop(black_box(lq::gelqt(x, ws)))),
         ),
-        (
-            Unmlq,
-            fastest([&b], |[x]| lq::unmlq(&w_ge, &tf_gel, x, tr, ws)),
-        ),
+        (Unmlq, fastest([&b], |[x]| lq::unmlq(&w_ge, &tf_gel, x, tr))),
         (
             Tslqt,
             fastest([&l1, &b], |[l, x]| drop(black_box(lq::tslqt(l, x, ws)))),
         ),
         (
             Tsmlq,
-            fastest([&b, &c], |[x, y]| lq::tsmlq(x, y, &w_ts, &tf_tsl, tr, ws)),
+            fastest([&b, &c], |[x, y]| lq::tsmlq(x, y, &w_ts, &tf_tsl, tr)),
         ),
         (
             Ttlqt,
@@ -135,7 +126,7 @@ fn table(nb: usize, be: SimdBackend) {
         ),
         (
             Ttmlq,
-            fastest([&b, &c], |[x, y]| lq::ttmlq(x, y, &w_tt, &tf_ttl, tr, ws)),
+            fastest([&b, &c], |[x, y]| lq::ttmlq(x, y, &w_tt, &tf_ttl, tr)),
         ),
     ];
 

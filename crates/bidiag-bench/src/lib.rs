@@ -403,7 +403,7 @@ pub fn measure_ge2val_stages(m: usize, n: usize, nb: usize, samples: usize) -> S
     best
 }
 
-/// Best-of-`samples` wall times (seconds) of the three BD2VAL solvers on
+/// Best-of-`samples` wall times (seconds) of the two BD2VAL solvers on
 /// one bidiagonal, plus the dqds iteration counters.
 #[derive(Clone, Copy, Debug)]
 pub struct Bd2ValTimings {
@@ -411,20 +411,18 @@ pub struct Bd2ValTimings {
     pub n: usize,
     /// Per-value bisection (the oracle — the pre-subsystem production path).
     pub bisection: f64,
-    /// Sturm spectrum slicing with the batched Newton front.
-    pub sliced: f64,
     /// The dqds fast path.
     pub dqds: f64,
     /// dqds iteration counters of the last run.
     pub dqds_stats: bidiag_svd::DqdsStats,
 }
 
-/// Measure all three BD2VAL solvers on the bidiagonal produced by the
+/// Measure both BD2VAL solvers on the bidiagonal produced by the
 /// first two pipeline stages of the reference input (latms, geometric
 /// spectrum cond 1e4, seed 7 — the same matrix every other measurement in
 /// this crate uses).  Each solver is timed best-of-`samples` on identical
-/// input; the results are cross-checked against each other (sigma_max
-/// relative 1e-12) so a solver can never "win" by being wrong.
+/// input; dqds is cross-checked against the oracle (sigma_max relative
+/// 1e-12) so it can never "win" by being wrong.
 pub fn measure_bd2val_solvers(m: usize, n: usize, nb: usize, samples: usize) -> Bd2ValTimings {
     use bidiag_core::pipeline::{ge2bnd, AlgorithmChoice, Ge2Options};
     use bidiag_svd::{singular_values_with, Bd2ValOptions, SvdSolver};
@@ -457,24 +455,20 @@ pub fn measure_bd2val_solvers(m: usize, n: usize, nb: usize, samples: usize) -> 
         (best, sv)
     };
     let (t_bis, sv_bis) = time_solver(SvdSolver::Bisection);
-    let (t_sliced, sv_sliced) = time_solver(SvdSolver::SlicedBisection);
     let (t_dqds, sv_dqds) = time_solver(SvdSolver::Dqds);
 
     let smax = sv_bis.first().copied().unwrap_or(0.0);
-    for (name, sv) in [("sliced", &sv_sliced), ("dqds", &sv_dqds)] {
-        for (j, (s, o)) in sv.iter().zip(&sv_bis).enumerate() {
-            assert!(
-                (s - o).abs() <= 1e-12 * smax,
-                "{name} disagrees with the oracle at value {j}: {s} vs {o}"
-            );
-        }
+    for (j, (s, o)) in sv_dqds.iter().zip(&sv_bis).enumerate() {
+        assert!(
+            (s - o).abs() <= 1e-12 * smax,
+            "dqds disagrees with the oracle at value {j}: {s} vs {o}"
+        );
     }
     let (_, dqds_stats) = bidiag_svd::dqds_singular_values_with_stats(&bd.diag, &bd.superdiag);
 
     Bd2ValTimings {
         n: k,
         bisection: t_bis,
-        sliced: t_sliced,
         dqds: t_dqds,
         dqds_stats,
     }

@@ -202,8 +202,8 @@ pub struct SessionScratch {
 /// link bitwise-identical to its allocating twin, so the result equals the
 /// [`ge2val`](crate::pipeline::ge2val) direct path bit for bit.  With the default
 /// [`SvdSolver::Dqds`] the steady-state call performs **zero heap
-/// allocations**; the other solvers go through their allocating entry
-/// points (they exist for cross-checking, not for throughput).
+/// allocations**; the bisection oracle goes through its allocating entry
+/// point (it exists for cross-checking, not for throughput).
 fn direct_spectrum(
     a: &Matrix,
     bd2val: &Bd2ValOptions,
@@ -223,7 +223,7 @@ fn direct_spectrum(
             // stable sort is an identity on this output.
             dqds_singular_values_into(&b.diag, &b.superdiag, &mut scratch.dqds, out);
         }
-        _ => {
+        SvdSolver::Bisection => {
             out.clear();
             out.extend(singular_values_with(&b.diag, &b.superdiag, bd2val));
             // total_cmp: bitwise-identical to partial_cmp on the

@@ -7,10 +7,8 @@
 //!   measurements and machine simulation,
 //! * [`bnd2bd_on_runtime`] / [`bd2val_on_runtime`] — run the second and
 //!   third pipeline stages through the same runtime, so every stage of
-//!   GE2VAL is a submission on one scheduler.  BND2BD runs its sequential
-//!   bulge chase as a single task; BD2VAL fans out one task per *spectrum
-//!   interval* (Sturm-count slicing from `bidiag-svd`), or runs dqds or the
-//!   bisection oracle as a single task — see [`bd2val_task_count`].
+//!   GE2VAL is a submission on one scheduler.  Each is one task: BND2BD
+//!   its sequential bulge chase, BD2VAL dqds or the bisection oracle.
 //!
 //! # Parallel data plane
 //!
@@ -38,12 +36,10 @@ use bidiag_kernels::gebd2::Bidiagonal;
 use bidiag_matrix::{BlockCyclic, Matrix, TiledMatrix};
 use bidiag_obs as obs;
 use bidiag_runtime::{
-    execute_parallel as runtime_execute, execute_parallel_with as runtime_execute_with, AccessMode,
-    TaskBody, TaskBodyWith, TaskGraph,
+    execute_parallel as runtime_execute, execute_parallel_with as runtime_execute_with, TaskBody,
+    TaskBodyWith, TaskGraph,
 };
-use bidiag_svd::{
-    singular_values_with, slice_spectrum, solve_slice, Bd2ValOptions, GkSturm, SvdSolver,
-};
+use bidiag_svd::{singular_values_with, Bd2ValOptions};
 use parking_lot::RwLock;
 use std::sync::Arc;
 
@@ -145,8 +141,8 @@ fn run_as_task<T: Send + 'static>(kind: u32, f: impl FnOnce() -> T + Send + 'sta
 }
 
 /// Run the BND2BD stage (band to bidiagonal) through the task runtime as
-/// **one** task running [`BandMatrix::reduce_to_bidiagonal`] — like the
-/// dqds path of [`bd2val_on_runtime`], so the stage shows up in the
+/// **one** task running [`BandMatrix::reduce_to_bidiagonal`] — like
+/// [`bd2val_on_runtime`], so the stage shows up in the
 /// runtime's traces and counters and every thread count returns the
 /// sequential result bit for bit (`_threads` is not read: one task, one
 /// worker).
@@ -165,100 +161,30 @@ pub fn bnd2bd_on_runtime(band: &mut BandMatrix, _threads: usize) -> Bidiagonal {
     bidiag
 }
 
-/// Number of runtime tasks [`bd2val_on_runtime`] fans out for this
-/// bidiagonal under these options — the *interval* count, not the value
-/// count.
-///
-/// The sliced path spawns one task per [`SpectrumSlice`]
-/// (`~ceil(k / values_per_task)`, fewer when slices merge inside
-/// clusters); dqds and the [`SvdSolver::Bisection`] oracle each run as a
-/// single task.  Exposed so tests can pin the task-count contract (a
-/// per-value fan-out cost 512 task activations on the reference case).
-///
-/// [`SpectrumSlice`]: bidiag_svd::SpectrumSlice
-pub fn bd2val_task_count(diag: &[f64], superdiag: &[f64], opts: &Bd2ValOptions) -> usize {
-    if diag.is_empty() {
-        return 0;
-    }
-    match opts.solver {
-        SvdSolver::Dqds | SvdSolver::Bisection => 1,
-        SvdSolver::SlicedBisection => {
-            slice_spectrum(&GkSturm::new(diag, superdiag), opts.values_per_task).len()
-        }
-    }
-}
-
 /// Run the BD2VAL stage (singular values of the bidiagonal) through the
-/// task runtime, with the solver selected by `opts`:
+/// task runtime as **one** task running
+/// [`bidiag_svd::singular_values_with`] with the solver selected by `opts`
+/// — dqds (at `O(n^2)` with a small constant it is a fraction of the
+/// other two stages for the sizes this pipeline runs) or the bisection
+/// oracle, which exists for reference runs and determinism tests, not for
+/// speed.
 ///
-/// * [`SvdSolver::SlicedBisection`] — the parallel path: the spectrum is
-///   partitioned by Sturm counts into disjoint multi-value intervals and
-///   the runtime schedules **one task per interval** (not per value — see
-///   [`bd2val_task_count`]), each resolving its whole bracket with a
-///   batched Newton/bisection front;
-/// * [`SvdSolver::Dqds`] — the serial fast path, scheduled as a single
-///   task (at `O(n^2)` with a small constant it is cheaper than any
-///   fan-out for the sizes this pipeline runs);
-/// * [`SvdSolver::Bisection`] — the oracle, also a single task: it exists
-///   for reference runs and determinism tests, not for speed.
-///
-/// Returns the singular values in non-increasing order.  For every solver
-/// the slicing/partitioning is independent of `threads`, so the result is
-/// bitwise identical to the sequential path of the same solver
-/// ([`bidiag_svd::singular_values_with`]) at every thread count.
+/// Returns the singular values in non-increasing order, bitwise identical
+/// to the sequential call at every thread count (`_threads` is not read:
+/// one task, one worker).
 pub fn bd2val_on_runtime(
     diag: &[f64],
     superdiag: &[f64],
-    threads: usize,
+    _threads: usize,
     opts: &Bd2ValOptions,
 ) -> Vec<f64> {
-    let k = diag.len();
-    if k == 0 {
+    if diag.is_empty() {
         return Vec::new();
     }
-    match opts.solver {
-        SvdSolver::Dqds | SvdSolver::Bisection => {
-            let (d, e, opts) = (diag.to_vec(), superdiag.to_vec(), *opts);
-            run_as_task(obs::KIND_BD2VAL, move || {
-                singular_values_with(&d, &e, &opts)
-            })
-        }
-        SvdSolver::SlicedBisection => {
-            let sturm = Arc::new(GkSturm::new(diag, superdiag));
-            let slices = slice_spectrum(&sturm, opts.values_per_task);
-            let rel_tol = opts.rel_tol;
-            let mut g = TaskGraph::new();
-            for (i, _) in slices.iter().enumerate() {
-                // Independent intervals: each writes its own result slot.
-                g.add_task(1.0, 0, obs::KIND_BD2VAL, &[(i as u64, AccessMode::Write)]);
-            }
-            type SliceOut = std::sync::OnceLock<Vec<(usize, f64)>>;
-            let results: Arc<Vec<SliceOut>> =
-                Arc::new((0..slices.len()).map(|_| SliceOut::new()).collect());
-            let bodies: Vec<TaskBody> = slices
-                .iter()
-                .enumerate()
-                .map(|(i, &slice)| {
-                    let sturm = Arc::clone(&sturm);
-                    let results = Arc::clone(&results);
-                    Box::new(move || {
-                        results[i]
-                            .set(solve_slice(&sturm, &slice, rel_tol))
-                            .expect("interval solved twice");
-                    }) as TaskBody
-                })
-                .collect();
-            runtime_execute(&g, bodies, threads);
-            let mut sv = vec![0.0f64; k];
-            for cell in results.iter() {
-                for &(j, v) in cell.get().expect("interval never solved") {
-                    sv[j] = v;
-                }
-            }
-            sv.sort_by(|a, b| b.partial_cmp(a).unwrap());
-            sv
-        }
-    }
+    let (d, e, opts) = (diag.to_vec(), superdiag.to_vec(), *opts);
+    run_as_task(obs::KIND_BD2VAL, move || {
+        singular_values_with(&d, &e, &opts)
+    })
 }
 
 #[cfg(test)]
@@ -267,6 +193,7 @@ mod tests {
     use crate::drivers::{bidiag_ops, rbidiag_ops, GenConfig};
     use bidiag_kernels::svd::bidiagonal_singular_values;
     use bidiag_matrix::gen::random_gaussian;
+    use bidiag_svd::SvdSolver;
     use bidiag_trees::NamedTree;
 
     /// GREEDY pairs tiles off with TT kernels; FLATTS chains every TS
@@ -418,39 +345,13 @@ mod tests {
     fn bd2val_on_runtime_every_solver_matches_its_sequential_path() {
         let d = vec![4.0, -3.0, 2.5, 1.0, 0.5, 0.25, 2.0, 1.5];
         let e = vec![0.7, -0.3, 0.2, 0.1, 0.4, -0.6, 0.05];
-        for solver in [
-            SvdSolver::Dqds,
-            SvdSolver::SlicedBisection,
-            SvdSolver::Bisection,
-        ] {
-            let opts = Bd2ValOptions::default()
-                .with_solver(solver)
-                .with_values_per_task(3);
+        for solver in [SvdSolver::Dqds, SvdSolver::Bisection] {
+            let opts = Bd2ValOptions::default().with_solver(solver);
             let seq = bidiag_svd::singular_values_with(&d, &e, &opts);
             for threads in [1usize, 2, 4] {
                 let par = bd2val_on_runtime(&d, &e, threads, &opts);
                 assert_eq!(seq, par, "{solver:?} @ {threads} threads");
             }
         }
-    }
-
-    #[test]
-    fn bd2val_fans_out_intervals_not_values() {
-        let n = 64;
-        let g = random_gaussian(n, 2, 5);
-        let d: Vec<f64> = (0..n).map(|i| g.get(i, 0)).collect();
-        let e: Vec<f64> = (0..n - 1).map(|i| g.get(i, 1)).collect();
-        let opts = Bd2ValOptions::default().with_solver(SvdSolver::SlicedBisection);
-        let tasks = bd2val_task_count(&d, &e, &opts);
-        assert!(tasks >= 1);
-        assert!(
-            tasks <= n.div_ceil(opts.values_per_task) + 1,
-            "sliced path must fan out per interval, got {tasks} tasks for {n} values"
-        );
-        assert_eq!(
-            bd2val_task_count(&d, &e, &Bd2ValOptions::default()),
-            1,
-            "dqds runs as a single task"
-        );
     }
 }

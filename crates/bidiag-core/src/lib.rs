@@ -50,8 +50,7 @@ pub use drivers::{
 };
 pub use error::{validate_finite, SvdError};
 pub use exec::{
-    bd2val_on_runtime, bd2val_task_count, bnd2bd_on_runtime, build_graph, execute_parallel,
-    execute_sequential,
+    bd2val_on_runtime, bnd2bd_on_runtime, build_graph, execute_parallel, execute_sequential,
 };
 pub use ops::{ops_flops, KernelScratch, TauTable, TileOp};
 pub use pipeline::{

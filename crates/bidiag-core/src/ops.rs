@@ -180,7 +180,7 @@ fn tau_key(class: TauClass, k: usize, idx: usize) -> TauKey {
 /// kernel execution allocates.
 #[derive(Debug)]
 pub struct KernelScratch {
-    /// Compact-WY workspace handed to every blocked kernel.
+    /// Compact-WY workspace of the LQ factorization kernels.
     pub ws: Workspace,
     /// Snapshot buffer for read-only reflector tiles (parallel back-end).
     vbuf: Matrix,
@@ -509,62 +509,7 @@ impl TileOp {
         taus: &TauTable,
         scratch: &mut KernelScratch,
     ) {
-        let ws = &mut scratch.ws;
-        match *self {
-            TileOp::ZeroLower { i, j, whole } => zero_lower(a.tile_mut(i, j), whole),
-            TileOp::Geqrt { k, i } => {
-                let tf = qr::geqrt(a.tile_mut(i, k), ws);
-                taus.put(op_id, tf);
-            }
-            TileOp::Unmqr { k, i, j } => {
-                let (v, c) = a.tile_and_tile_mut((i, k), (i, j));
-                qr::unmqr(v, taus.get(op_id), c, Trans::Transpose, ws);
-            }
-            TileOp::Tsqrt { k, piv, i } => {
-                let (r1, a2) = a.two_tiles_mut((piv, k), (i, k));
-                let tf = qr::tsqrt(r1, a2, ws);
-                taus.put(op_id, tf);
-            }
-            TileOp::Tsmqr { k, piv, i, j } => {
-                let (v2, a1, a2) = a.tile_and_two_tiles_mut((i, k), (piv, j), (i, j));
-                qr::tsmqr(a1, a2, v2, taus.get(op_id), Trans::Transpose, ws);
-            }
-            TileOp::Ttqrt { k, piv, i } => {
-                let (r1, r2) = a.two_tiles_mut((piv, k), (i, k));
-                let tf = qr::ttqrt(r1, r2, ws);
-                taus.put(op_id, tf);
-            }
-            TileOp::Ttmqr { k, piv, i, j } => {
-                let (v2, a1, a2) = a.tile_and_two_tiles_mut((i, k), (piv, j), (i, j));
-                qr::ttmqr(a1, a2, v2, taus.get(op_id), Trans::Transpose, ws);
-            }
-            TileOp::Gelqt { k, j } => {
-                let tf = lq::gelqt(a.tile_mut(k, j), ws);
-                taus.put(op_id, tf);
-            }
-            TileOp::Unmlq { k, j, i } => {
-                let (v, c) = a.tile_and_tile_mut((k, j), (i, j));
-                lq::unmlq(v, taus.get(op_id), c, Trans::Transpose, ws);
-            }
-            TileOp::Tslqt { k, piv, j } => {
-                let (l1, a2) = a.two_tiles_mut((k, piv), (k, j));
-                let tf = lq::tslqt(l1, a2, ws);
-                taus.put(op_id, tf);
-            }
-            TileOp::Tsmlq { k, piv, j, i } => {
-                let (v2, c1, c2) = a.tile_and_two_tiles_mut((k, j), (i, piv), (i, j));
-                lq::tsmlq(c1, c2, v2, taus.get(op_id), Trans::Transpose, ws);
-            }
-            TileOp::Ttlqt { k, piv, j } => {
-                let (l1, l2) = a.two_tiles_mut((k, piv), (k, j));
-                let tf = lq::ttlqt(l1, l2, ws);
-                taus.put(op_id, tf);
-            }
-            TileOp::Ttmlq { k, piv, j, i } => {
-                let (v2, c1, c2) = a.tile_and_two_tiles_mut((k, j), (i, piv), (i, j));
-                lq::ttmlq(c1, c2, v2, taus.get(op_id), Trans::Transpose, ws);
-            }
-        }
+        self.run(op_id, a, taus, &mut scratch.ws);
     }
 
     /// Execute the operation against tiles shared behind per-tile locks
@@ -594,103 +539,129 @@ impl TileOp {
         taus: &TauTable,
         scratch: &mut KernelScratch,
     ) {
-        let idx = |r: usize, c: usize| r * q + c;
         let KernelScratch { ws, vbuf } = scratch;
+        self.run(op_id, &mut SharedTiles { tiles, q, vbuf }, taus, ws);
+    }
+
+    /// The op → kernel match of both back-ends, over whichever way `a`
+    /// hands out tiles.
+    fn run<A: TileAccess>(&self, op_id: usize, a: &mut A, taus: &TauTable, ws: &mut Workspace) {
+        const T: Trans = Trans::Transpose;
+        type PairKernel = fn(&mut Matrix, &mut Matrix, &Matrix, &TFactor, Trans);
+        let put = |tf| taus.put(op_id, tf);
+        let apply = |a: &mut A, v, c, kernel: fn(&Matrix, &TFactor, &mut Matrix, Trans)| {
+            a.refl_one(v, c, |v, c| kernel(v, taus.get(op_id), c, T));
+        };
+        let apply_pair = |a: &mut A, v, c1, c2, kernel: PairKernel| {
+            a.refl_two(v, c1, c2, |v, c1, c2| kernel(c1, c2, v, taus.get(op_id), T));
+        };
         match *self {
-            TileOp::ZeroLower { i, j, whole } => {
-                zero_lower(&mut tiles[idx(i, j)].write(), whole);
-            }
-            TileOp::Geqrt { k, i } => {
-                let tf = qr::geqrt(&mut tiles[idx(i, k)].write(), ws);
-                taus.put(op_id, tf);
-            }
-            TileOp::Unmqr { k, i, j } => {
-                vbuf.copy_from(&tiles[idx(i, k)].read());
-                let tf = taus.get(op_id);
-                qr::unmqr(
-                    vbuf,
-                    tf,
-                    &mut tiles[idx(i, j)].write(),
-                    Trans::Transpose,
-                    ws,
-                );
-            }
-            TileOp::Tsqrt { k, piv, i } => {
-                debug_assert!(idx(piv, k) < idx(i, k));
-                let mut r1 = tiles[idx(piv, k)].write();
-                let mut a2 = tiles[idx(i, k)].write();
-                let tf = qr::tsqrt(&mut r1, &mut a2, ws);
-                taus.put(op_id, tf);
-            }
-            TileOp::Tsmqr { k, piv, i, j } => {
-                vbuf.copy_from(&tiles[idx(i, k)].read());
-                let tf = taus.get(op_id);
-                debug_assert!(idx(piv, j) < idx(i, j));
-                let mut a1 = tiles[idx(piv, j)].write();
-                let mut a2 = tiles[idx(i, j)].write();
-                qr::tsmqr(&mut a1, &mut a2, vbuf, tf, Trans::Transpose, ws);
-            }
-            TileOp::Ttqrt { k, piv, i } => {
-                debug_assert!(idx(piv, k) < idx(i, k));
-                let mut r1 = tiles[idx(piv, k)].write();
-                let mut r2 = tiles[idx(i, k)].write();
-                let tf = qr::ttqrt(&mut r1, &mut r2, ws);
-                taus.put(op_id, tf);
-            }
-            TileOp::Ttmqr { k, piv, i, j } => {
-                vbuf.copy_from(&tiles[idx(i, k)].read());
-                let tf = taus.get(op_id);
-                debug_assert!(idx(piv, j) < idx(i, j));
-                let mut a1 = tiles[idx(piv, j)].write();
-                let mut a2 = tiles[idx(i, j)].write();
-                qr::ttmqr(&mut a1, &mut a2, vbuf, tf, Trans::Transpose, ws);
-            }
-            TileOp::Gelqt { k, j } => {
-                let tf = lq::gelqt(&mut tiles[idx(k, j)].write(), ws);
-                taus.put(op_id, tf);
-            }
-            TileOp::Unmlq { k, j, i } => {
-                vbuf.copy_from(&tiles[idx(k, j)].read());
-                let tf = taus.get(op_id);
-                lq::unmlq(
-                    vbuf,
-                    tf,
-                    &mut tiles[idx(i, j)].write(),
-                    Trans::Transpose,
-                    ws,
-                );
-            }
-            TileOp::Tslqt { k, piv, j } => {
-                debug_assert!(idx(k, piv) < idx(k, j));
-                let mut l1 = tiles[idx(k, piv)].write();
-                let mut a2 = tiles[idx(k, j)].write();
-                let tf = lq::tslqt(&mut l1, &mut a2, ws);
-                taus.put(op_id, tf);
-            }
-            TileOp::Tsmlq { k, piv, j, i } => {
-                vbuf.copy_from(&tiles[idx(k, j)].read());
-                let tf = taus.get(op_id);
-                debug_assert!(idx(i, piv) < idx(i, j));
-                let mut c1 = tiles[idx(i, piv)].write();
-                let mut c2 = tiles[idx(i, j)].write();
-                lq::tsmlq(&mut c1, &mut c2, vbuf, tf, Trans::Transpose, ws);
-            }
-            TileOp::Ttlqt { k, piv, j } => {
-                debug_assert!(idx(k, piv) < idx(k, j));
-                let mut l1 = tiles[idx(k, piv)].write();
-                let mut l2 = tiles[idx(k, j)].write();
-                let tf = lq::ttlqt(&mut l1, &mut l2, ws);
-                taus.put(op_id, tf);
-            }
-            TileOp::Ttmlq { k, piv, j, i } => {
-                vbuf.copy_from(&tiles[idx(k, j)].read());
-                let tf = taus.get(op_id);
-                debug_assert!(idx(i, piv) < idx(i, j));
-                let mut c1 = tiles[idx(i, piv)].write();
-                let mut c2 = tiles[idx(i, j)].write();
-                lq::ttmlq(&mut c1, &mut c2, vbuf, tf, Trans::Transpose, ws);
-            }
+            TileOp::ZeroLower { i, j, whole } => a.one((i, j), |t| zero_lower(t, whole)),
+            TileOp::Geqrt { k, i } => put(a.one((i, k), qr::geqrt)),
+            TileOp::Unmqr { k, i, j } => apply(a, (i, k), (i, j), qr::unmqr),
+            TileOp::Tsqrt { k, piv, i } => put(a.two((piv, k), (i, k), qr::tsqrt)),
+            TileOp::Tsmqr { k, piv, i, j } => apply_pair(a, (i, k), (piv, j), (i, j), qr::tsmqr),
+            TileOp::Ttqrt { k, piv, i } => put(a.two((piv, k), (i, k), qr::ttqrt)),
+            TileOp::Ttmqr { k, piv, i, j } => apply_pair(a, (i, k), (piv, j), (i, j), qr::ttmqr),
+            TileOp::Gelqt { k, j } => put(a.one((k, j), |t| lq::gelqt(t, ws))),
+            TileOp::Unmlq { k, j, i } => apply(a, (k, j), (i, j), lq::unmlq),
+            TileOp::Tslqt { k, piv, j } => put(a.two((k, piv), (k, j), |x, y| lq::tslqt(x, y, ws))),
+            TileOp::Tsmlq { k, piv, j, i } => apply_pair(a, (k, j), (i, piv), (i, j), lq::tsmlq),
+            TileOp::Ttlqt { k, piv, j } => put(a.two((k, piv), (k, j), |x, y| lq::ttlqt(x, y, ws))),
+            TileOp::Ttmlq { k, piv, j, i } => apply_pair(a, (k, j), (i, piv), (i, j), lq::ttmlq),
         }
+    }
+}
+
+/// Tile coordinates `(row, column)`.
+type Tile = (usize, usize);
+
+/// The four operand patterns of the tile kernels, as handed out by a
+/// back-end's tile store: one or two tiles written, with or without a
+/// reflector tile `v` that is only read.
+trait TileAccess {
+    fn one<R>(&mut self, t: Tile, f: impl FnOnce(&mut Matrix) -> R) -> R;
+    fn refl_one(&mut self, v: Tile, c: Tile, f: impl FnOnce(&Matrix, &mut Matrix));
+    fn two<R>(&mut self, a: Tile, b: Tile, f: impl FnOnce(&mut Matrix, &mut Matrix) -> R) -> R;
+    fn refl_two(
+        &mut self,
+        v: Tile,
+        a: Tile,
+        b: Tile,
+        f: impl FnOnce(&Matrix, &mut Matrix, &mut Matrix),
+    );
+}
+
+/// Exclusive access (sequential driver): disjoint borrows, nothing copied.
+impl TileAccess for TiledMatrix {
+    fn one<R>(&mut self, (i, j): Tile, f: impl FnOnce(&mut Matrix) -> R) -> R {
+        f(self.tile_mut(i, j))
+    }
+    fn refl_one(&mut self, v: Tile, c: Tile, f: impl FnOnce(&Matrix, &mut Matrix)) {
+        let (v, c) = self.tile_and_tile_mut(v, c);
+        f(v, c)
+    }
+    fn two<R>(&mut self, a: Tile, b: Tile, f: impl FnOnce(&mut Matrix, &mut Matrix) -> R) -> R {
+        let (a, b) = self.two_tiles_mut(a, b);
+        f(a, b)
+    }
+    fn refl_two(
+        &mut self,
+        v: Tile,
+        a: Tile,
+        b: Tile,
+        f: impl FnOnce(&Matrix, &mut Matrix, &mut Matrix),
+    ) {
+        let (v, a, b) = self.tile_and_two_tiles_mut(v, a, b);
+        f(v, a, b)
+    }
+}
+
+/// The parallel back-end's tiles: `tiles[r * q + c]` guards tile `(r, c)`,
+/// `vbuf` is the executing worker's snapshot buffer.  See
+/// [`TileOp::execute_shared`] for the locking discipline.
+struct SharedTiles<'a> {
+    tiles: &'a [parking_lot::RwLock<Matrix>],
+    q: usize,
+    vbuf: &'a mut Matrix,
+}
+
+impl SharedTiles<'_> {
+    fn idx(&self, (r, c): Tile) -> usize {
+        r * self.q + c
+    }
+
+    /// Write-lock two tiles, the lower tile index first.
+    fn write_pair(&self, a: Tile, b: Tile) -> [parking_lot::RwLockWriteGuard<'_, Matrix>; 2] {
+        debug_assert!(self.idx(a) < self.idx(b));
+        let ta = self.tiles[self.idx(a)].write();
+        let tb = self.tiles[self.idx(b)].write();
+        [ta, tb]
+    }
+}
+
+impl TileAccess for SharedTiles<'_> {
+    fn one<R>(&mut self, t: Tile, f: impl FnOnce(&mut Matrix) -> R) -> R {
+        f(&mut self.tiles[self.idx(t)].write())
+    }
+    fn refl_one(&mut self, v: Tile, c: Tile, f: impl FnOnce(&Matrix, &mut Matrix)) {
+        self.vbuf.copy_from(&self.tiles[self.idx(v)].read());
+        f(self.vbuf, &mut self.tiles[self.idx(c)].write())
+    }
+    fn two<R>(&mut self, a: Tile, b: Tile, f: impl FnOnce(&mut Matrix, &mut Matrix) -> R) -> R {
+        let [mut ta, mut tb] = self.write_pair(a, b);
+        f(&mut ta, &mut tb)
+    }
+    fn refl_two(
+        &mut self,
+        v: Tile,
+        a: Tile,
+        b: Tile,
+        f: impl FnOnce(&Matrix, &mut Matrix, &mut Matrix),
+    ) {
+        self.vbuf.copy_from(&self.tiles[self.idx(v)].read());
+        let [mut ta, mut tb] = self.write_pair(a, b);
+        f(self.vbuf, &mut ta, &mut tb)
     }
 }
 

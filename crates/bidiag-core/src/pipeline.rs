@@ -11,13 +11,11 @@
 //! `bidiag-runtime`: GE2BND as the tile-kernel DAG, BND2BD as a single
 //! task running the sequential Householder bulge chase (the paper delegates
 //! this stage to PLASMA's bulge-chasing kernel; this one does not scale
-//! with threads), and BD2VAL through the `bidiag-svd` solver subsystem —
-//! the dqds fast path as a single task, or Sturm spectrum slicing as one
-//! task per multi-value interval ([`Bd2ValOptions`] selects).  The thread count
-//! never changes the numerical result — the task graphs encode every data
-//! conflict of the sequential order and the spectrum slicing is
-//! thread-count independent, so any schedule executes the same arithmetic
-//! (see the `bidiag-runtime` crate docs).
+//! with threads), and BD2VAL as a single task running the `bidiag-svd`
+//! solver [`Bd2ValOptions`] selects — dqds, or the bisection oracle.  The
+//! thread count never changes the numerical result — the task graph
+//! encodes every data conflict of the sequential order, so any schedule
+//! executes the same arithmetic (see the `bidiag-runtime` crate docs).
 
 use crate::drivers::{ge2bnd_ops, Algorithm, GenConfig};
 use crate::error::{validate_finite, SvdError};
@@ -78,8 +76,8 @@ pub struct Ge2Options {
     pub algorithm: AlgorithmChoice,
     /// Number of worker threads (1 runs the reference sequential path).
     pub threads: usize,
-    /// BD2VAL stage options: singular-value solver choice and tolerances
-    /// (defaults to the dqds fast path).
+    /// BD2VAL stage options: singular-value solver choice (defaults to
+    /// dqds).
     pub bd2val: Bd2ValOptions,
     /// Small-size crossover: when `max(m, n) <= direct_crossover`,
     /// [`ge2val`] skips the tiled pipeline entirely and runs the scalar
@@ -100,10 +98,11 @@ impl Ge2Options {
     /// with two or more trailing tile columns, and two or three domains
     /// joined by TT kernels on the last two panels.  It is the cheaper tree
     /// here for the paper's reason: TS kernels do more work per call at a
-    /// better rate than TT kernels.  Per Table I weight unit at `nb = 64`
-    /// (the `table1_kernel_weights` binary prints the column): TSMQR and
-    /// TSMLQ 2.8 µs, TSQRT 4.3 against UNMQR 3.6, TTMQR 4.1, GEQRT 5.6 and
-    /// TTQRT 9.5.
+    /// better rate than TT kernels.  Per Table I weight unit at `nb = 64`,
+    /// 512-bit backend (256-bit in parentheses; the `table1_kernel_weights`
+    /// binary prints both columns on a host that has both): TSMQR and TSMLQ
+    /// 1.6–1.7 µs (2.8), TSQRT 3.0 (4.1) against UNMQR 2.15 (3.3), TTMQR
+    /// 2.3 (3.5), GEQRT 4.5 (5.1) and TTQRT 7.2 (7.5).
     ///
     /// `ncores` is the constant 1, not [`threads`](Self::threads): a tree
     /// sized from the thread count would make
@@ -141,12 +140,6 @@ impl Ge2Options {
     /// Builder-style: set the number of worker threads.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Builder-style: set the full BD2VAL option block.
-    pub fn with_bd2val(mut self, bd2val: Bd2ValOptions) -> Self {
-        self.bd2val = bd2val;
         self
     }
 
@@ -321,9 +314,8 @@ pub fn ge2val(a: &Matrix, opts: &Ge2Options) -> Ge2ValResult {
         band.reduce_to_bidiagonal()
     };
     stage_span(1, obs::KIND_STAGE_BND2BD, t1);
-    // BD2VAL: the solver picked in the options — dqds fast path by
-    // default, or Sturm spectrum slicing (one task per interval when
-    // threaded), or the per-value bisection oracle.
+    // BD2VAL: the solver picked in the options — dqds by default, or the
+    // per-value bisection oracle.
     let t2 = if run_id != 0 { obs::now_ns() } else { 0 };
     let mut sv = if opts.threads > 1 {
         bd2val_on_runtime(&bidiag.diag, &bidiag.superdiag, opts.threads, &opts.bd2val)
@@ -488,11 +480,7 @@ mod tests {
     #[test]
     fn every_svd_solver_recovers_the_spectrum_at_every_thread_count() {
         let (a, sigma) = latms(26, 17, &SpectrumKind::Geometric { cond: 1e6 }, 19);
-        for solver in [
-            SvdSolver::Dqds,
-            SvdSolver::SlicedBisection,
-            SvdSolver::Bisection,
-        ] {
+        for solver in [SvdSolver::Dqds, SvdSolver::Bisection] {
             let opts = |t: usize| Ge2Options::new(4).with_svd_solver(solver).with_threads(t);
             let seq = ge2val(&a, &opts(1));
             let par = ge2val(&a, &opts(4));

@@ -18,8 +18,7 @@
 //! * [`band`] — packed band storage and the Householder bulge-chasing
 //!   band-to-bidiagonal reduction (the BND2BD stage),
 //! * [`svd`] — the BD2VAL stage: the `bidiag-svd` solver subsystem (dqds
-//!   fast path, Sturm spectrum slicing, bisection oracle) re-exported at
-//!   the kernel level,
+//!   production path, bisection oracle) re-exported at the kernel level,
 //! * [`jacobi`] — a one-sided Jacobi SVD used as an independent test oracle,
 //! * [`cost`] — the Table I kernel cost model driving critical paths and the
 //!   machine simulations.

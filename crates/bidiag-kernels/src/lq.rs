@@ -20,8 +20,7 @@
 //! only in the `Shape` of the row-wise stored reflectors: unit-upper
 //! trapezoid in the tile itself (UNMLQ), full rows of the second tile (TS),
 //! lower triangle of the second tile (TT).  Nothing is packed, transposed
-//! or allocated, the SIMD backend is dispatched once per kernel call, and
-//! the [`Workspace`] they take for call compatibility is never touched.
+//! or allocated, and the SIMD backend is dispatched once per kernel call.
 //!
 //! The unblocked `*_unblocked` references mirror LAPACK via transposition of
 //! the unblocked QR kernels and remain the oracle for the property tests.
@@ -62,7 +61,7 @@ pub fn gelqt_unblocked(a: &mut Matrix) -> Vec<f64> {
 /// `v` is the factored tile (Householder vectors row-wise in its strictly
 /// upper part — its lower triangle, `L`, is never read), `tf` the factor
 /// returned by [`gelqt`].
-pub fn unmlq(v: &Matrix, tf: &TFactor, c: &mut Matrix, trans: Trans, _ws: &mut Workspace) {
+pub fn unmlq(v: &Matrix, tf: &TFactor, c: &mut Matrix, trans: Trans) {
     assert_eq!(v.cols(), c.cols(), "UNMLQ: V and C column mismatch");
     assert!(
         v.rows() >= tf.len(),
@@ -107,14 +106,7 @@ pub fn tslqt_unblocked(l1: &mut Matrix, a2: &mut Matrix) -> Vec<f64> {
 ///
 /// Like its QR twin this is the heaviest kernel of the factorization
 /// (Table I weight 12).
-pub fn tsmlq(
-    c1: &mut Matrix,
-    c2: &mut Matrix,
-    v2: &Matrix,
-    tf: &TFactor,
-    trans: Trans,
-    _ws: &mut Workspace,
-) {
+pub fn tsmlq(c1: &mut Matrix, c2: &mut Matrix, v2: &Matrix, tf: &TFactor, trans: Trans) {
     check_pair("TSMLQ", c1, c2, v2, tf);
     wy::apply_right(Shape::Square, v2, tf, Some(c1), c2, trans);
 }
@@ -172,14 +164,7 @@ pub fn ttlqt_unblocked(l1: &mut Matrix, l2: &mut Matrix) -> Vec<f64> {
 /// `c1` and columns `0..=k` of `c2`; the triangular structure of `v2` is
 /// respected, so whatever its strictly upper part holds (typically the
 /// row-wise vectors of an earlier GELQT) is never read.
-pub fn ttmlq(
-    c1: &mut Matrix,
-    c2: &mut Matrix,
-    v2: &Matrix,
-    tf: &TFactor,
-    trans: Trans,
-    _ws: &mut Workspace,
-) {
+pub fn ttmlq(c1: &mut Matrix, c2: &mut Matrix, v2: &Matrix, tf: &TFactor, trans: Trans) {
     check_pair("TTMLQ", c1, c2, v2, tf);
     wy::apply_right(Shape::Triangle, v2, tf, Some(c1), c2, trans);
 }
@@ -248,7 +233,7 @@ mod tests {
             let c0 = random_gaussian(r, n, 61);
             for trans in [Trans::Transpose, Trans::NoTranspose] {
                 let mut cb = c0.clone();
-                unmlq(&v, &tf, &mut cb, trans, &mut ws);
+                unmlq(&v, &tf, &mut cb, trans);
                 let mut cu = c0.clone();
                 unmlq_unblocked(&v, tf.taus(), &mut cu, trans);
                 assert!(
@@ -266,8 +251,8 @@ mod tests {
         let tf = gelqt(&mut v, &mut ws);
         let c0 = random_gaussian(3, 5, 61);
         let mut c = c0.clone();
-        unmlq(&v, &tf, &mut c, Trans::Transpose, &mut ws);
-        unmlq(&v, &tf, &mut c, Trans::NoTranspose, &mut ws);
+        unmlq(&v, &tf, &mut c, Trans::Transpose);
+        unmlq(&v, &tf, &mut c, Trans::NoTranspose);
         assert!(relative_error(&c0, &c) < 1e-12);
     }
 
@@ -308,14 +293,7 @@ mod tests {
         let mut q = Matrix::identity(2 * nb);
         let mut q_left = q.block(0, 0, 2 * nb, nb);
         let mut q_right = q.block(0, nb, 2 * nb, nb);
-        tsmlq(
-            &mut q_left,
-            &mut q_right,
-            &a2,
-            &tf,
-            Trans::NoTranspose,
-            &mut ws,
-        );
+        tsmlq(&mut q_left, &mut q_right, &a2, &tf, Trans::NoTranspose);
         q.copy_block(0, 0, &q_left);
         q.copy_block(0, nb, &q_right);
         assert!(orthogonality_error(&q) < 1e-12);
@@ -340,7 +318,7 @@ mod tests {
         for trans in [Trans::Transpose, Trans::NoTranspose] {
             let mut b1 = c1_0.clone();
             let mut b2 = c2_0.clone();
-            tsmlq(&mut b1, &mut b2, &v2, &tf, trans, &mut ws);
+            tsmlq(&mut b1, &mut b2, &v2, &tf, trans);
             let mut u1 = c1_0.clone();
             let mut u2 = c2_0.clone();
             tsmlq_unblocked(&mut u1, &mut u2, &v2, tf.taus(), trans);
@@ -360,8 +338,8 @@ mod tests {
         let c2_0 = random_gaussian(3, nb, 83);
         let mut c1 = c1_0.clone();
         let mut c2 = c2_0.clone();
-        tsmlq(&mut c1, &mut c2, &v2, &tf, Trans::Transpose, &mut ws);
-        tsmlq(&mut c1, &mut c2, &v2, &tf, Trans::NoTranspose, &mut ws);
+        tsmlq(&mut c1, &mut c2, &v2, &tf, Trans::Transpose);
+        tsmlq(&mut c1, &mut c2, &v2, &tf, Trans::NoTranspose);
         assert!(relative_error(&c1_0, &c1) < 1e-12);
         assert!(relative_error(&c2_0, &c2) < 1e-12);
     }
@@ -379,14 +357,7 @@ mod tests {
         let mut q = Matrix::identity(2 * nb);
         let mut q_left = q.block(0, 0, 2 * nb, nb);
         let mut q_right = q.block(0, nb, 2 * nb, nb);
-        ttmlq(
-            &mut q_left,
-            &mut q_right,
-            &l2,
-            &tf,
-            Trans::NoTranspose,
-            &mut ws,
-        );
+        ttmlq(&mut q_left, &mut q_right, &l2, &tf, Trans::NoTranspose);
         q.copy_block(0, 0, &q_left);
         q.copy_block(0, nb, &q_right);
         assert!(orthogonality_error(&q) < 1e-12);
@@ -406,8 +377,8 @@ mod tests {
         let c2_0 = random_gaussian(3, nb, 93);
         let mut c1 = c1_0.clone();
         let mut c2 = c2_0.clone();
-        ttmlq(&mut c1, &mut c2, &l2, &tf, Trans::Transpose, &mut ws);
-        ttmlq(&mut c1, &mut c2, &l2, &tf, Trans::NoTranspose, &mut ws);
+        ttmlq(&mut c1, &mut c2, &l2, &tf, Trans::Transpose);
+        ttmlq(&mut c1, &mut c2, &l2, &tf, Trans::NoTranspose);
         assert!(relative_error(&c1_0, &c1) < 1e-12);
         assert!(relative_error(&c2_0, &c2) < 1e-12);
     }
@@ -429,7 +400,7 @@ mod tests {
         let c2_0 = random_gaussian(3, nb, 93);
         let mut b1 = c1_0.clone();
         let mut b2 = c2_0.clone();
-        ttmlq(&mut b1, &mut b2, &poisoned, &tf, Trans::Transpose, &mut ws);
+        ttmlq(&mut b1, &mut b2, &poisoned, &tf, Trans::Transpose);
         let mut u1 = c1_0.clone();
         let mut u2 = c2_0.clone();
         ttmlq_unblocked(&mut u1, &mut u2, &l2, tf.taus(), Trans::Transpose);

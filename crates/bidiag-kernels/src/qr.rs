@@ -35,12 +35,9 @@
 //!   convention both share: `R` in the upper triangle, Householder vectors
 //!   below (GEQRT), dense vectors in the second tile (TSQRT), triangular
 //!   vectors in the second tile (TTQRT).
-//!
-//! The blocked kernels take a [`Workspace`] so that all twelve tile kernels
-//! are called alike; only the LQ factorizations use it.
 
 use crate::householder::larfg;
-use crate::wy::{self, Shape, TFactor, Workspace};
+use crate::wy::{self, Shape, TFactor};
 use bidiag_matrix::Matrix;
 
 /// Whether an apply kernel applies `Q^T` (used by factorizations) or `Q`
@@ -60,7 +57,7 @@ pub enum Trans {
 /// holds the Householder vectors (unit diagonal implicit).  Returns the
 /// [`TFactor`] (`tau` scalars + upper-triangular `T` blocks) consumed by
 /// [`unmqr`].
-pub fn geqrt(a: &mut Matrix, _ws: &mut Workspace) -> TFactor {
+pub fn geqrt(a: &mut Matrix) -> TFactor {
     wy::factor(Shape::Trapezoid, None, a)
 }
 
@@ -70,7 +67,7 @@ pub fn geqrt(a: &mut Matrix, _ws: &mut Workspace) -> TFactor {
 /// `v` is the factored tile (Householder vectors in its strictly lower
 /// part — its upper triangle, `R`, is never read), `tf` the factor returned
 /// by [`geqrt`].
-pub fn unmqr(v: &Matrix, tf: &TFactor, c: &mut Matrix, trans: Trans, _ws: &mut Workspace) {
+pub fn unmqr(v: &Matrix, tf: &TFactor, c: &mut Matrix, trans: Trans) {
     assert_eq!(v.rows(), c.rows(), "UNMQR: V and C row mismatch");
     wy::apply(Shape::Trapezoid, v, tf, None, c, trans);
 }
@@ -81,7 +78,7 @@ pub fn unmqr(v: &Matrix, tf: &TFactor, c: &mut Matrix, trans: Trans, _ws: &mut W
 /// `r1` is an upper-triangular tile (the current `R` of the pivot row) and
 /// `a2` a full tile below it.  On exit `r1` holds the updated `R` and `a2`
 /// holds the (dense) Householder vectors.  Returns the [`TFactor`].
-pub fn tsqrt(r1: &mut Matrix, a2: &mut Matrix, _ws: &mut Workspace) -> TFactor {
+pub fn tsqrt(r1: &mut Matrix, a2: &mut Matrix) -> TFactor {
     assert_eq!(a2.cols(), r1.cols(), "TSQRT: column mismatch");
     wy::factor(Shape::Square, Some(r1), a2)
 }
@@ -92,14 +89,7 @@ pub fn tsqrt(r1: &mut Matrix, a2: &mut Matrix, _ws: &mut Workspace) -> TFactor {
 /// vectors (the `a2` output of [`tsqrt`]).
 ///
 /// This is the heaviest kernel of the factorization (Table I weight 12).
-pub fn tsmqr(
-    a1: &mut Matrix,
-    a2: &mut Matrix,
-    v2: &Matrix,
-    tf: &TFactor,
-    trans: Trans,
-    _ws: &mut Workspace,
-) {
+pub fn tsmqr(a1: &mut Matrix, a2: &mut Matrix, v2: &Matrix, tf: &TFactor, trans: Trans) {
     assert_eq!(a2.cols(), a1.cols(), "TSMQR: column mismatch");
     assert_eq!(v2.rows(), a2.rows(), "TSMQR: V2 row mismatch");
     assert!(
@@ -116,7 +106,7 @@ pub fn tsmqr(
 /// combined `R` and `r2` holds the Householder vectors (column `k` has
 /// non-zeros only in rows `0..=k`, preserving the triangular storage — the
 /// strictly lower part of `r2` is neither read nor written).
-pub fn ttqrt(r1: &mut Matrix, r2: &mut Matrix, _ws: &mut Workspace) -> TFactor {
+pub fn ttqrt(r1: &mut Matrix, r2: &mut Matrix) -> TFactor {
     assert_eq!(r2.cols(), r1.cols(), "TTQRT: column mismatch");
     wy::factor(Shape::Triangle, Some(r1), r2)
 }
@@ -126,14 +116,7 @@ pub fn ttqrt(r1: &mut Matrix, r2: &mut Matrix, _ws: &mut Workspace) -> TFactor {
 /// and rows `0..=k` of `a2`; the triangular structure of `v2` is respected,
 /// so whatever the strictly lower part of the `v2` tile holds (typically the
 /// Householder vectors of an earlier GEQRT) is never read.
-pub fn ttmqr(
-    a1: &mut Matrix,
-    a2: &mut Matrix,
-    v2: &Matrix,
-    tf: &TFactor,
-    trans: Trans,
-    _ws: &mut Workspace,
-) {
+pub fn ttmqr(a1: &mut Matrix, a2: &mut Matrix, v2: &Matrix, tf: &TFactor, trans: Trans) {
     assert_eq!(a2.cols(), a1.cols(), "TTMQR: column mismatch");
     assert_eq!(v2.rows(), a2.rows(), "TTMQR: V2 row mismatch");
     assert!(
@@ -366,9 +349,8 @@ mod tests {
     #[test]
     fn geqrt_factors_square_tile() {
         let a0 = random_gaussian(8, 8, 1);
-        let mut ws = Workspace::new();
         let mut a = a0.clone();
-        let tf = geqrt(&mut a, &mut ws);
+        let tf = geqrt(&mut a);
         let r = upper_triangle_of(&a);
         let q = build_q(&a, tf.taus());
         assert!(orthogonality_error(&q) < 1e-13);
@@ -383,9 +365,8 @@ mod tests {
         // the T factor is extra information.
         for (m, n) in [(10, 4), (4, 10), (7, 7), (1, 5), (5, 1)] {
             let a0 = random_gaussian(m, n, (m * 100 + n) as u64);
-            let mut ws = Workspace::new();
             let mut ab = a0.clone();
-            let tf = geqrt(&mut ab, &mut ws);
+            let tf = geqrt(&mut ab);
             let mut au = a0.clone();
             let taus = geqrt_unblocked(&mut au);
             assert!(
@@ -405,12 +386,11 @@ mod tests {
     fn factorizations_survive_extreme_scales() {
         // The panel takes reflector norms from a plain sum of squares and
         // falls back to the scaled norm when that leaves the safe range.
-        let mut ws = Workspace::new();
         for scale in [1e150, 1e-150] {
             let mut a0 = random_gaussian(12, 9, 5);
             a0.scale(scale);
             let mut ab = a0.clone();
-            let tf = geqrt(&mut ab, &mut ws);
+            let tf = geqrt(&mut ab);
             let mut au = a0.clone();
             let taus = geqrt_unblocked(&mut au);
             assert!(relative_error(&au, &ab) < 1e-13, "scale {scale:e}");
@@ -420,7 +400,7 @@ mod tests {
             let mut r2_0 = upper_triangle_of(&random_gaussian(9, 9, 6));
             r2_0.scale(scale);
             let (mut r1b, mut r2b) = (r1_0.clone(), r2_0.clone());
-            let tf = ttqrt(&mut r1b, &mut r2b, &mut ws);
+            let tf = ttqrt(&mut r1b, &mut r2b);
             let (mut r1u, mut r2u) = (r1_0.clone(), r2_0.clone());
             let taus = ttqrt_unblocked(&mut r1u, &mut r2u);
             assert!(relative_error(&r1u, &r1b) < 1e-13, "scale {scale:e}");
@@ -431,14 +411,13 @@ mod tests {
 
     #[test]
     fn unmqr_matches_unblocked_reference() {
-        let mut ws = Workspace::new();
         for (m, n) in [(6, 4), (9, 3), (5, 5), (7, 1)] {
             let mut v = random_gaussian(m, m.min(5), 3);
-            let tf = geqrt(&mut v, &mut ws);
+            let tf = geqrt(&mut v);
             let c0 = random_gaussian(m, n, 4);
             for trans in [Trans::Transpose, Trans::NoTranspose] {
                 let mut cb = c0.clone();
-                unmqr(&v, &tf, &mut cb, trans, &mut ws);
+                unmqr(&v, &tf, &mut cb, trans);
                 let mut cu = c0.clone();
                 unmqr_unblocked(&v, tf.taus(), &mut cu, trans);
                 assert!(
@@ -451,28 +430,26 @@ mod tests {
 
     #[test]
     fn unmqr_transpose_then_notranspose_is_identity() {
-        let mut ws = Workspace::new();
         let mut v = random_gaussian(6, 6, 3);
-        let tf = geqrt(&mut v, &mut ws);
+        let tf = geqrt(&mut v);
         let c0 = random_gaussian(6, 4, 4);
         let mut c = c0.clone();
-        unmqr(&v, &tf, &mut c, Trans::Transpose, &mut ws);
-        unmqr(&v, &tf, &mut c, Trans::NoTranspose, &mut ws);
+        unmqr(&v, &tf, &mut c, Trans::Transpose);
+        unmqr(&v, &tf, &mut c, Trans::NoTranspose);
         assert!(relative_error(&c0, &c) < 1e-13);
     }
 
     #[test]
     fn tsqrt_zeroes_bottom_tile_and_preserves_factorization() {
         let nb = 6;
-        let mut ws = Workspace::new();
         let a_top0 = random_gaussian(nb, nb, 10);
         let a_bot0 = random_gaussian(nb, nb, 11);
         // Start from a GEQRT'd top tile so that r1 is upper triangular.
         let mut top = a_top0.clone();
-        let _ = geqrt(&mut top, &mut ws);
+        let _ = geqrt(&mut top);
         let mut r1 = upper_triangle_of(&top);
         let mut a2 = a_bot0.clone();
-        let tf = tsqrt(&mut r1, &mut a2, &mut ws);
+        let tf = tsqrt(&mut r1, &mut a2);
 
         // The stacked matrix [R1_old; A2_old] must equal Q * [R1_new; 0].
         let mut stacked = Matrix::zeros(2 * nb, nb);
@@ -483,14 +460,7 @@ mod tests {
         let mut q = Matrix::identity(2 * nb);
         let mut q_top = q.block(0, 0, nb, 2 * nb);
         let mut q_bot = q.block(nb, 0, nb, 2 * nb);
-        tsmqr(
-            &mut q_top,
-            &mut q_bot,
-            &a2,
-            &tf,
-            Trans::NoTranspose,
-            &mut ws,
-        );
+        tsmqr(&mut q_top, &mut q_bot, &a2, &tf, Trans::NoTranspose);
         q.copy_block(0, 0, &q_top);
         q.copy_block(nb, 0, &q_bot);
 
@@ -503,16 +473,15 @@ mod tests {
     #[test]
     fn tsmqr_matches_unblocked_reference() {
         let nb = 5;
-        let mut ws = Workspace::new();
         let mut r1 = upper_triangle_of(&random_gaussian(nb, nb, 20));
         let mut v2 = random_gaussian(nb, nb, 21);
-        let tf = tsqrt(&mut r1, &mut v2, &mut ws);
+        let tf = tsqrt(&mut r1, &mut v2);
         let c1_0 = random_gaussian(nb, 3, 22);
         let c2_0 = random_gaussian(nb, 3, 23);
         for trans in [Trans::Transpose, Trans::NoTranspose] {
             let mut b1 = c1_0.clone();
             let mut b2 = c2_0.clone();
-            tsmqr(&mut b1, &mut b2, &v2, &tf, trans, &mut ws);
+            tsmqr(&mut b1, &mut b2, &v2, &tf, trans);
             let mut u1 = c1_0.clone();
             let mut u2 = c2_0.clone();
             tsmqr_unblocked(&mut u1, &mut u2, &v2, tf.taus(), trans);
@@ -524,16 +493,15 @@ mod tests {
     #[test]
     fn tsmqr_round_trip() {
         let nb = 5;
-        let mut ws = Workspace::new();
         let mut r1 = upper_triangle_of(&random_gaussian(nb, nb, 20));
         let mut v2 = random_gaussian(nb, nb, 21);
-        let tf = tsqrt(&mut r1, &mut v2, &mut ws);
+        let tf = tsqrt(&mut r1, &mut v2);
         let c1_0 = random_gaussian(nb, 3, 22);
         let c2_0 = random_gaussian(nb, 3, 23);
         let mut c1 = c1_0.clone();
         let mut c2 = c2_0.clone();
-        tsmqr(&mut c1, &mut c2, &v2, &tf, Trans::Transpose, &mut ws);
-        tsmqr(&mut c1, &mut c2, &v2, &tf, Trans::NoTranspose, &mut ws);
+        tsmqr(&mut c1, &mut c2, &v2, &tf, Trans::Transpose);
+        tsmqr(&mut c1, &mut c2, &v2, &tf, Trans::NoTranspose);
         assert!(relative_error(&c1_0, &c1) < 1e-12);
         assert!(relative_error(&c2_0, &c2) < 1e-12);
     }
@@ -541,28 +509,20 @@ mod tests {
     #[test]
     fn ttqrt_zeroes_second_triangle() {
         let nb = 6;
-        let mut ws = Workspace::new();
         let mut top = random_gaussian(nb, nb, 30);
         let mut bot = random_gaussian(nb, nb, 31);
-        let _ = geqrt(&mut top, &mut ws);
-        let _ = geqrt(&mut bot, &mut ws);
+        let _ = geqrt(&mut top);
+        let _ = geqrt(&mut bot);
         let r1_0 = upper_triangle_of(&top);
         let r2_0 = upper_triangle_of(&bot);
         let mut r1 = r1_0.clone();
         let mut r2 = r2_0.clone();
-        let tf = ttqrt(&mut r1, &mut r2, &mut ws);
+        let tf = ttqrt(&mut r1, &mut r2);
 
         let mut q = Matrix::identity(2 * nb);
         let mut q_top = q.block(0, 0, nb, 2 * nb);
         let mut q_bot = q.block(nb, 0, nb, 2 * nb);
-        ttmqr(
-            &mut q_top,
-            &mut q_bot,
-            &r2,
-            &tf,
-            Trans::NoTranspose,
-            &mut ws,
-        );
+        ttmqr(&mut q_top, &mut q_bot, &r2, &tf, Trans::NoTranspose);
         q.copy_block(0, 0, &q_top);
         q.copy_block(nb, 0, &q_bot);
 
@@ -581,10 +541,9 @@ mod tests {
         // the Householder vectors of an earlier GEQRT; the triangular TTMQR
         // must never read them.
         let nb = 5;
-        let mut ws = Workspace::new();
         let mut r1 = upper_triangle_of(&random_gaussian(nb, nb, 40));
         let mut r2 = upper_triangle_of(&random_gaussian(nb, nb, 41));
-        let tf = ttqrt(&mut r1, &mut r2, &mut ws);
+        let tf = ttqrt(&mut r1, &mut r2);
         // Poison the strictly lower part of the V tile.
         let mut poisoned = r2.clone();
         for j in 0..nb {
@@ -596,7 +555,7 @@ mod tests {
         let c2_0 = random_gaussian(nb, nb, 43);
         let mut a1 = c1_0.clone();
         let mut a2 = c2_0.clone();
-        ttmqr(&mut a1, &mut a2, &poisoned, &tf, Trans::Transpose, &mut ws);
+        ttmqr(&mut a1, &mut a2, &poisoned, &tf, Trans::Transpose);
         let mut u1 = c1_0.clone();
         let mut u2 = c2_0.clone();
         ttmqr_unblocked(&mut u1, &mut u2, &r2, tf.taus(), Trans::Transpose);
@@ -607,16 +566,15 @@ mod tests {
     #[test]
     fn ttmqr_round_trip() {
         let nb = 4;
-        let mut ws = Workspace::new();
         let mut r1 = upper_triangle_of(&random_gaussian(nb, nb, 40));
         let mut r2 = upper_triangle_of(&random_gaussian(nb, nb, 41));
-        let tf = ttqrt(&mut r1, &mut r2, &mut ws);
+        let tf = ttqrt(&mut r1, &mut r2);
         let c1_0 = random_gaussian(nb, nb, 42);
         let c2_0 = random_gaussian(nb, nb, 43);
         let mut c1 = c1_0.clone();
         let mut c2 = c2_0.clone();
-        ttmqr(&mut c1, &mut c2, &r2, &tf, Trans::Transpose, &mut ws);
-        ttmqr(&mut c1, &mut c2, &r2, &tf, Trans::NoTranspose, &mut ws);
+        ttmqr(&mut c1, &mut c2, &r2, &tf, Trans::Transpose);
+        ttmqr(&mut c1, &mut c2, &r2, &tf, Trans::NoTranspose);
         assert!(relative_error(&c1_0, &c1) < 1e-12);
         assert!(relative_error(&c2_0, &c2) < 1e-12);
     }
@@ -625,18 +583,17 @@ mod tests {
     fn ragged_tiles_are_supported() {
         // Bottom tile with fewer rows than the tile size (last tile row).
         let nb = 5;
-        let mut ws = Workspace::new();
         let mut r1 = upper_triangle_of(&random_gaussian(nb, nb, 50));
         let mut a2 = random_gaussian(3, nb, 51);
-        let tf = tsqrt(&mut r1, &mut a2, &mut ws);
+        let tf = tsqrt(&mut r1, &mut a2);
         assert_eq!(tf.len(), nb);
         assert!(r1.is_upper_triangular(1e-12));
 
         let mut rr1 = upper_triangle_of(&random_gaussian(nb, nb, 52));
         let mut bot = random_gaussian(3, nb, 53);
-        let _ = geqrt(&mut bot, &mut ws);
+        let _ = geqrt(&mut bot);
         let mut rr2 = upper_triangle_of(&bot);
-        let tf2 = ttqrt(&mut rr1, &mut rr2, &mut ws);
+        let tf2 = ttqrt(&mut rr1, &mut rr2);
         assert_eq!(tf2.len(), nb);
     }
 }

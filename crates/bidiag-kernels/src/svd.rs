@@ -1,9 +1,9 @@
 //! Singular values of a bidiagonal matrix (`BD2VAL`).
 //!
 //! The solvers themselves live in the dedicated [`bidiag_svd`] subsystem
-//! crate — a dqds fast path, a spectrum-slicing parallel path and the
-//! per-value bisection oracle behind one [`bidiag_svd::Bd2ValOptions`]
-//! switch; this module re-exports them and keeps the historical
+//! crate — the dqds production path and the per-value bisection oracle
+//! behind one [`bidiag_svd::Bd2ValOptions`] switch; this module
+//! re-exports them and keeps the historical
 //! kernel-level entry points:
 //!
 //! * [`bidiagonal_singular_values`] — the *bisection oracle* (unchanged
@@ -14,7 +14,7 @@
 //!
 //! Production callers pick their algorithm through
 //! [`bidiag_svd::singular_values_with`] (the GE2VAL pipeline defaults to
-//! dqds); see the `bidiag-svd` crate docs for the algorithm menu.
+//! dqds); see the `bidiag-svd` crate docs for the two algorithms.
 
 use crate::gebd2::Bidiagonal;
 
@@ -113,16 +113,13 @@ mod tests {
     }
 
     #[test]
-    fn production_solvers_agree_with_oracle_through_gebd2() {
+    fn dqds_agrees_with_oracle_through_gebd2() {
         let (a, sigma) = latms(24, 12, &SpectrumKind::Geometric { cond: 1.0e6 }, 9);
         let mut w = a.clone();
         let bd = gebd2(&mut w);
         let oracle = singular_values(&bd);
-        for solver in [SvdSolver::Dqds, SvdSolver::SlicedBisection] {
-            let opts = Bd2ValOptions::default().with_solver(solver);
-            let s = singular_values_with(&bd.diag, &bd.superdiag, &opts);
-            assert!(singular_values_match(&s, &oracle, 1e-13), "{solver:?}");
-            assert!(singular_values_match(&s, &sigma, 1e-12), "{solver:?}");
-        }
+        let s = singular_values_with(&bd.diag, &bd.superdiag, &Bd2ValOptions::default());
+        assert!(singular_values_match(&s, &oracle, 1e-13));
+        assert!(singular_values_match(&s, &sigma, 1e-12));
     }
 }

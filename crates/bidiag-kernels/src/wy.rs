@@ -1267,9 +1267,8 @@ impl TFactor {
 /// `gelqt`/`tslqt`/`ttlqt` transpose their operands into.  The tiles grow
 /// on first use and are reused afterwards, so a long-lived workspace — one
 /// per runtime worker — makes those kernels allocation-free in steady
-/// state.  The apply kernels of both sides and the QR factorizations take
-/// one for call compatibility and never touch it: their `W` block and
-/// corner live in registers and on the stack.
+/// state.  The apply kernels of both sides and the QR factorizations need
+/// none: their `W` block and corner live in registers and on the stack.
 #[derive(Debug)]
 pub struct Workspace {
     transposed: [Matrix; 2],

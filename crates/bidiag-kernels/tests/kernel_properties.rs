@@ -51,8 +51,7 @@ const DIMS: [usize; 13] = [1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65];
 /// Reflector-tile widths straddling one and two chunks.
 const KS: [usize; 5] = [7, 8, 9, 15, 17];
 /// Signature shared by `tsmqr`, `ttmqr`, `tsmlq` and `ttmlq`.
-type ApplyPair =
-    fn(&mut Matrix, &mut Matrix, &Matrix, &bidiag_kernels::TFactor, Trans, &mut Workspace);
+type ApplyPair = fn(&mut Matrix, &mut Matrix, &Matrix, &bidiag_kernels::TFactor, Trans);
 /// Matching tolerance (relative) between blocked and unblocked results.
 const TOL: f64 = 1e-13;
 
@@ -128,12 +127,11 @@ fn as_column(x: &[f64]) -> Matrix {
 
 #[test]
 fn blocked_geqrt_and_unmqr_match_unblocked() {
-    let mut ws = Workspace::new();
     for &nb in &NBS {
         for &(m, n) in &shapes(nb) {
             let a0 = random_gaussian(m, n, (m * 1000 + n) as u64);
             let mut ab = a0.clone();
-            let tf = geqrt(&mut ab, &mut ws);
+            let tf = geqrt(&mut ab);
             let mut au = a0.clone();
             let taus = geqrt_unblocked(&mut au);
             assert!(
@@ -150,7 +148,7 @@ fn blocked_geqrt_and_unmqr_match_unblocked() {
                 let c0 = random_gaussian(m, nc, (m * 7 + nc) as u64);
                 for trans in [Trans::Transpose, Trans::NoTranspose] {
                     let mut cb = c0.clone();
-                    unmqr(&ab, &tf, &mut cb, trans, &mut ws);
+                    unmqr(&ab, &tf, &mut cb, trans);
                     let mut cu = c0.clone();
                     unmqr_unblocked(&au, &taus, &mut cu, trans);
                     assert!(
@@ -165,7 +163,6 @@ fn blocked_geqrt_and_unmqr_match_unblocked() {
 
 #[test]
 fn blocked_tsqrt_and_tsmqr_match_unblocked() {
-    let mut ws = Workspace::new();
     for &nb in &NBS {
         // Second-tile row counts: full tile and ragged last tile.
         for m2 in [nb, nb.div_ceil(2)] {
@@ -174,7 +171,7 @@ fn blocked_tsqrt_and_tsmqr_match_unblocked() {
 
             let mut r1b = r1_0.clone();
             let mut a2b = a2_0.clone();
-            let tf = tsqrt(&mut r1b, &mut a2b, &mut ws);
+            let tf = tsqrt(&mut r1b, &mut a2b);
             let mut r1u = r1_0.clone();
             let mut a2u = a2_0.clone();
             let taus = tsqrt_unblocked(&mut r1u, &mut a2u);
@@ -194,7 +191,7 @@ fn blocked_tsqrt_and_tsmqr_match_unblocked() {
                 for trans in [Trans::Transpose, Trans::NoTranspose] {
                     let mut b1 = c1_0.clone();
                     let mut b2 = c2_0.clone();
-                    tsmqr(&mut b1, &mut b2, &a2b, &tf, trans, &mut ws);
+                    tsmqr(&mut b1, &mut b2, &a2b, &tf, trans);
                     let mut u1 = c1_0.clone();
                     let mut u2 = c2_0.clone();
                     tsmqr_unblocked(&mut u1, &mut u2, &a2u, &taus, trans);
@@ -210,7 +207,6 @@ fn blocked_tsqrt_and_tsmqr_match_unblocked() {
 
 #[test]
 fn blocked_ttqrt_and_ttmqr_match_unblocked() {
-    let mut ws = Workspace::new();
     for &nb in &NBS {
         for m2 in [nb, nb.div_ceil(2)] {
             let r1_0 = upper_triangle_of(&random_gaussian(nb, nb, (nb * 41 + m2) as u64));
@@ -218,7 +214,7 @@ fn blocked_ttqrt_and_ttmqr_match_unblocked() {
 
             let mut r1b = r1_0.clone();
             let mut r2b = r2_0.clone();
-            let tf = ttqrt(&mut r1b, &mut r2b, &mut ws);
+            let tf = ttqrt(&mut r1b, &mut r2b);
             let mut r1u = r1_0.clone();
             let mut r2u = r2_0.clone();
             let taus = ttqrt_unblocked(&mut r1u, &mut r2u);
@@ -238,7 +234,7 @@ fn blocked_ttqrt_and_ttmqr_match_unblocked() {
                 for trans in [Trans::Transpose, Trans::NoTranspose] {
                     let mut b1 = c1_0.clone();
                     let mut b2 = c2_0.clone();
-                    ttmqr(&mut b1, &mut b2, &r2b, &tf, trans, &mut ws);
+                    ttmqr(&mut b1, &mut b2, &r2b, &tf, trans);
                     let mut u1 = c1_0.clone();
                     let mut u2 = c2_0.clone();
                     ttmqr_unblocked(&mut u1, &mut u2, &r2u, &taus, trans);
@@ -258,7 +254,6 @@ fn qr_side_kernels_match_unblocked_on_ragged_shapes() {
     // the TS/TT tiles and taus against the oracle; then apply all three
     // shapes to every column count n in both directions, and check that Q^T
     // followed by Q restores C.
-    let mut ws = Workspace::new();
     for &m in &DIMS {
         for &k in &KS {
             let seed = (m * 100 + k) as u64;
@@ -278,7 +273,7 @@ fn qr_side_kernels_match_unblocked_on_ragged_shapes() {
                 &[&s1u, &s2u, &as_column(&ts_taus)],
                 || {
                     let (mut r1, mut a2) = (r1_0.clone(), a2_0.clone());
-                    let tf = tsqrt(&mut r1, &mut a2, &mut Workspace::new());
+                    let tf = tsqrt(&mut r1, &mut a2);
                     vec![r1, a2, as_column(tf.taus())]
                 },
             );
@@ -289,17 +284,17 @@ fn qr_side_kernels_match_unblocked_on_ragged_shapes() {
                 &[&t1u, &t2u, &as_column(&tt_taus)],
                 || {
                     let (mut r1, mut r2) = (r1_0.clone(), t2_0.clone());
-                    let tf = ttqrt(&mut r1, &mut r2, &mut Workspace::new());
+                    let tf = ttqrt(&mut r1, &mut r2);
                     vec![r1, r2, as_column(tf.taus())]
                 },
             );
 
             let mut vb = a0.clone();
-            let tf = geqrt(&mut vb, &mut ws);
+            let tf = geqrt(&mut vb);
             let (mut s1b, mut s2b) = (r1_0.clone(), a2_0.clone());
-            let ts_tf = tsqrt(&mut s1b, &mut s2b, &mut ws);
+            let ts_tf = tsqrt(&mut s1b, &mut s2b);
             let (mut t1b, mut t2b) = (r1_0.clone(), t2_0.clone());
-            let tt_tf = ttqrt(&mut t1b, &mut t2b, &mut ws);
+            let tt_tf = ttqrt(&mut t1b, &mut t2b);
             for &n in &DIMS {
                 let c0 = random_gaussian(m, n, seed + 3);
                 let h0 = random_gaussian(k, n, seed + 4);
@@ -309,29 +304,29 @@ fn qr_side_kernels_match_unblocked_on_ragged_shapes() {
                     unmqr_unblocked(&vu, &taus, &mut cu, trans);
                     check_on_backends(&format!("UNMQR {what}"), &[&cu], || {
                         let mut c = c0.clone();
-                        unmqr(&vb, &tf, &mut c, trans, &mut Workspace::new());
+                        unmqr(&vb, &tf, &mut c, trans);
                         vec![c]
                     });
                     let (mut h, mut c) = (h0.clone(), c0.clone());
                     tsmqr_unblocked(&mut h, &mut c, &s2u, &ts_taus, trans);
                     check_on_backends(&format!("TSMQR {what}"), &[&h, &c], || {
                         let (mut h, mut c) = (h0.clone(), c0.clone());
-                        tsmqr(&mut h, &mut c, &s2b, &ts_tf, trans, &mut Workspace::new());
+                        tsmqr(&mut h, &mut c, &s2b, &ts_tf, trans);
                         vec![h, c]
                     });
                     let (mut h, mut c) = (h0.clone(), c0.clone());
                     ttmqr_unblocked(&mut h, &mut c, &t2u, &tt_taus, trans);
                     check_on_backends(&format!("TTMQR {what}"), &[&h, &c], || {
                         let (mut h, mut c) = (h0.clone(), c0.clone());
-                        ttmqr(&mut h, &mut c, &t2b, &tt_tf, trans, &mut Workspace::new());
+                        ttmqr(&mut h, &mut c, &t2b, &tt_tf, trans);
                         vec![h, c]
                     });
                 }
 
                 // Q^T then Q is the identity.
                 let mut c = c0.clone();
-                unmqr(&vb, &tf, &mut c, Trans::Transpose, &mut ws);
-                unmqr(&vb, &tf, &mut c, Trans::NoTranspose, &mut ws);
+                unmqr(&vb, &tf, &mut c, Trans::Transpose);
+                unmqr(&vb, &tf, &mut c, Trans::NoTranspose);
                 assert!(
                     relative_error(&c0, &c) < TOL,
                     "UNMQR round trip m={m} k={k} n={n}"
@@ -341,8 +336,8 @@ fn qr_side_kernels_match_unblocked_on_ragged_shapes() {
                     ("TTMQR", ttmqr as ApplyPair, &t2b, &tt_tf),
                 ] {
                     let (mut h, mut c) = (h0.clone(), c0.clone());
-                    apply(&mut h, &mut c, v2, tf2, Trans::Transpose, &mut ws);
-                    apply(&mut h, &mut c, v2, tf2, Trans::NoTranspose, &mut ws);
+                    apply(&mut h, &mut c, v2, tf2, Trans::Transpose);
+                    apply(&mut h, &mut c, v2, tf2, Trans::NoTranspose);
                     assert!(
                         relative_error(&h0, &h) < TOL && relative_error(&c0, &c) < TOL,
                         "{name} round trip m={m} k={k} n={n}"
@@ -390,29 +385,29 @@ fn lq_side_applies_match_unblocked_on_ragged_shapes() {
                     unmlq_unblocked(&vu, &taus, &mut cu, trans);
                     check_on_backends(&format!("UNMLQ {what}"), &[&cu], || {
                         let mut c = c0.clone();
-                        unmlq(&vb, &tf, &mut c, trans, &mut Workspace::new());
+                        unmlq(&vb, &tf, &mut c, trans);
                         vec![c]
                     });
                     let (mut h, mut c) = (h0.clone(), c0.clone());
                     tsmlq_unblocked(&mut h, &mut c, &s2u, &ts_taus, trans);
                     check_on_backends(&format!("TSMLQ {what}"), &[&h, &c], || {
                         let (mut h, mut c) = (h0.clone(), c0.clone());
-                        tsmlq(&mut h, &mut c, &s2b, &ts_tf, trans, &mut Workspace::new());
+                        tsmlq(&mut h, &mut c, &s2b, &ts_tf, trans);
                         vec![h, c]
                     });
                     let (mut h, mut c) = (h0.clone(), c0.clone());
                     ttmlq_unblocked(&mut h, &mut c, &t2u, &tt_taus, trans);
                     check_on_backends(&format!("TTMLQ {what}"), &[&h, &c], || {
                         let (mut h, mut c) = (h0.clone(), c0.clone());
-                        ttmlq(&mut h, &mut c, &t2b, &tt_tf, trans, &mut Workspace::new());
+                        ttmlq(&mut h, &mut c, &t2b, &tt_tf, trans);
                         vec![h, c]
                     });
                 }
 
                 // Q^T then Q is the identity.
                 let mut c = c0.clone();
-                unmlq(&vb, &tf, &mut c, Trans::Transpose, &mut ws);
-                unmlq(&vb, &tf, &mut c, Trans::NoTranspose, &mut ws);
+                unmlq(&vb, &tf, &mut c, Trans::Transpose);
+                unmlq(&vb, &tf, &mut c, Trans::NoTranspose);
                 assert!(
                     relative_error(&c0, &c) < TOL,
                     "UNMLQ round trip n={n} k={k} r={r}"
@@ -422,8 +417,8 @@ fn lq_side_applies_match_unblocked_on_ragged_shapes() {
                     ("TTMLQ", ttmlq as ApplyPair, &t2b, &tt_tf),
                 ] {
                     let (mut h, mut c) = (h0.clone(), c0.clone());
-                    apply(&mut h, &mut c, v2, tf2, Trans::Transpose, &mut ws);
-                    apply(&mut h, &mut c, v2, tf2, Trans::NoTranspose, &mut ws);
+                    apply(&mut h, &mut c, v2, tf2, Trans::Transpose);
+                    apply(&mut h, &mut c, v2, tf2, Trans::NoTranspose);
                     assert!(
                         relative_error(&h0, &h) < TOL && relative_error(&c0, &c) < TOL,
                         "{name} round trip n={n} k={k} r={r}"
@@ -443,7 +438,7 @@ fn geqrt_matches_unblocked_on_every_shape_pair() {
             let taus = geqrt_unblocked(&mut au);
             check_on_backends(&format!("GEQRT {m}x{n}"), &[&au, &as_column(&taus)], || {
                 let mut a = a0.clone();
-                let tf = geqrt(&mut a, &mut Workspace::new());
+                let tf = geqrt(&mut a);
                 vec![a, as_column(tf.taus())]
             });
         }
@@ -476,27 +471,27 @@ fn nan_poisoned_tiles_give_identical_output() {
     ] {
         let kk = m.min(k);
         let mut v = random_gaussian(m, k, 7);
-        let tf = geqrt(&mut v, &mut ws);
+        let tf = geqrt(&mut v);
         let poisoned_v = Matrix::from_fn(m, k, |i, j| if i <= j { f64::NAN } else { v.get(i, j) });
         let mut r1 = upper_triangle_of(&random_gaussian(k, k, 8));
         let mut v2 = upper_triangle_of(&random_gaussian(m, k, 9));
-        let tt_tf = ttqrt(&mut r1, &mut v2, &mut ws);
+        let tt_tf = ttqrt(&mut r1, &mut v2);
         let poisoned_v2 = Matrix::from_fn(m, k, |i, j| if i > j { f64::NAN } else { v2.get(i, j) });
         for n in [1usize, 4, 7, 64] {
             let c0 = random_gaussian(m, n, 10);
             let h0 = random_gaussian(k, n, 11);
             for trans in [Trans::Transpose, Trans::NoTranspose] {
                 let mut clean = c0.clone();
-                unmqr(&v, &tf, &mut clean, trans, &mut ws);
+                unmqr(&v, &tf, &mut clean, trans);
                 let mut c = c0.clone();
-                unmqr(&poisoned_v, &tf, &mut c, trans, &mut ws);
+                unmqr(&poisoned_v, &tf, &mut c, trans);
                 assert!(c.data().iter().all(|x| x.is_finite()));
                 assert_eq!(c, clean, "UNMQR read R, {m}x{k} ({kk} reflectors) n={n}");
 
                 let (mut h_clean, mut c_clean) = (h0.clone(), c0.clone());
-                ttmqr(&mut h_clean, &mut c_clean, &v2, &tt_tf, trans, &mut ws);
+                ttmqr(&mut h_clean, &mut c_clean, &v2, &tt_tf, trans);
                 let (mut h, mut c) = (h0.clone(), c0.clone());
-                ttmqr(&mut h, &mut c, &poisoned_v2, &tt_tf, trans, &mut ws);
+                ttmqr(&mut h, &mut c, &poisoned_v2, &tt_tf, trans);
                 assert!(h.data().iter().chain(c.data()).all(|x| x.is_finite()));
                 assert!(
                     h == h_clean && c == c_clean,
@@ -521,16 +516,16 @@ fn nan_poisoned_tiles_give_identical_output() {
             let h0 = random_gaussian(r, k, 16);
             for trans in [Trans::Transpose, Trans::NoTranspose] {
                 let mut clean = c0.clone();
-                unmlq(&v, &tf, &mut clean, trans, &mut ws);
+                unmlq(&v, &tf, &mut clean, trans);
                 let mut c = c0.clone();
-                unmlq(&poisoned_v, &tf, &mut c, trans, &mut ws);
+                unmlq(&poisoned_v, &tf, &mut c, trans);
                 assert!(c.data().iter().all(|x| x.is_finite()));
                 assert_eq!(c, clean, "UNMLQ read L, {k}x{n} r={r}");
 
                 let (mut h_clean, mut c_clean) = (h0.clone(), c0.clone());
-                ttmlq(&mut h_clean, &mut c_clean, &v2, &tt_tf, trans, &mut ws);
+                ttmlq(&mut h_clean, &mut c_clean, &v2, &tt_tf, trans);
                 let (mut h, mut c) = (h0.clone(), c0.clone());
-                ttmlq(&mut h, &mut c, &poisoned_v2, &tt_tf, trans, &mut ws);
+                ttmlq(&mut h, &mut c, &poisoned_v2, &tt_tf, trans);
                 assert!(h.data().iter().chain(c.data()).all(|x| x.is_finite()));
                 assert!(
                     h == h_clean && c == c_clean,
@@ -564,7 +559,6 @@ fn chunk_larft(v: &Matrix, taus: &[f64], p: usize, ib: usize) -> Matrix {
 
 #[test]
 fn t_blocks_are_the_chunk_local_larft_of_the_unblocked_vectors() {
-    let mut ws = Workspace::new();
     let check = |what: &str, tf: &bidiag_kernels::TFactor, v: &Matrix, taus: &[f64]| {
         assert!(taus_close(tf.taus(), taus), "{what}: taus");
         for p in (0..taus.len()).step_by(8) {
@@ -586,7 +580,7 @@ fn t_blocks_are_the_chunk_local_larft_of_the_unblocked_vectors() {
         // GEQRT: vectors are the unit-lower trapezoid of the factored tile.
         let a0 = random_gaussian(m, n, (m * 10 + n) as u64);
         let mut ab = a0.clone();
-        let tf = geqrt(&mut ab, &mut ws);
+        let tf = geqrt(&mut ab);
         let mut au = a0.clone();
         let taus = geqrt_unblocked(&mut au);
         assert!(
@@ -604,7 +598,7 @@ fn t_blocks_are_the_chunk_local_larft_of_the_unblocked_vectors() {
         let r1_0 = upper_triangle_of(&random_gaussian(n, n, 3));
         let r2_0 = upper_triangle_of(&random_gaussian(m, n, 4));
         let (mut r1b, mut r2b) = (r1_0.clone(), r2_0.clone());
-        let tf = ttqrt(&mut r1b, &mut r2b, &mut ws);
+        let tf = ttqrt(&mut r1b, &mut r2b);
         let (mut r1u, mut r2u) = (r1_0.clone(), r2_0.clone());
         let taus = ttqrt_unblocked(&mut r1u, &mut r2u);
         assert!(
@@ -646,7 +640,7 @@ fn blocked_lq_kernels_match_unblocked() {
                 let c0 = random_gaussian(rc, n, (rc * 3 + n) as u64);
                 for trans in [Trans::Transpose, Trans::NoTranspose] {
                     let mut cb = c0.clone();
-                    unmlq(&ab, &tf, &mut cb, trans, &mut ws);
+                    unmlq(&ab, &tf, &mut cb, trans);
                     let mut cu = c0.clone();
                     unmlq_unblocked(&au, &taus, &mut cu, trans);
                     assert!(
@@ -683,7 +677,7 @@ fn blocked_lq_kernels_match_unblocked() {
                 for trans in [Trans::Transpose, Trans::NoTranspose] {
                     let mut b1 = c1_0.clone();
                     let mut b2 = c2_0.clone();
-                    tsmlq(&mut b1, &mut b2, &a2b, &tf, trans, &mut ws);
+                    tsmlq(&mut b1, &mut b2, &a2b, &tf, trans);
                     let mut u1 = c1_0.clone();
                     let mut u2 = c2_0.clone();
                     tsmlq_unblocked(&mut u1, &mut u2, &a2u, &taus, trans);
@@ -717,7 +711,7 @@ fn blocked_lq_kernels_match_unblocked() {
                 for trans in [Trans::Transpose, Trans::NoTranspose] {
                     let mut b1 = c1_0.clone();
                     let mut b2 = c2_0.clone();
-                    ttmlq(&mut b1, &mut b2, &t2b, &tf, trans, &mut ws);
+                    ttmlq(&mut b1, &mut b2, &t2b, &tf, trans);
                     let mut u1 = c1_0.clone();
                     let mut u2 = c2_0.clone();
                     ttmlq_unblocked(&mut u1, &mut u2, &t2u, &taus, trans);
@@ -764,10 +758,9 @@ proptest! {
     /// orthogonal and reproduces the input.
     #[test]
     fn accumulated_q_is_orthogonal(m in 1usize..24, n in 1usize..24, seed in 0u64..1000) {
-        let mut ws = Workspace::new();
         let a0 = random_gaussian(m, n, seed);
         let mut a = a0.clone();
-        let tf = geqrt(&mut a, &mut ws);
+        let tf = geqrt(&mut a);
         let q = build_q(&a, tf.taus());
         prop_assert!(orthogonality_error(&q) < 1e-12, "||Q^T Q - I|| too large");
         let r = upper_triangle_of(&a);
@@ -778,10 +771,9 @@ proptest! {
     /// UNMQR undoes itself.
     #[test]
     fn blocked_kernels_match_on_random_shapes(m in 1usize..20, n in 1usize..20, seed in 0u64..500) {
-        let mut ws = Workspace::new();
         let a0 = random_gaussian(m, n, seed);
         let mut ab = a0.clone();
-        let tf = geqrt(&mut ab, &mut ws);
+        let tf = geqrt(&mut ab);
         let mut au = a0.clone();
         let taus = geqrt_unblocked(&mut au);
         prop_assert!(relative_error(&au, &ab) < 1e-13);
@@ -789,8 +781,8 @@ proptest! {
 
         let c0 = random_gaussian(m, n, seed + 1);
         let mut c = c0.clone();
-        unmqr(&ab, &tf, &mut c, Trans::Transpose, &mut ws);
-        unmqr(&ab, &tf, &mut c, Trans::NoTranspose, &mut ws);
+        unmqr(&ab, &tf, &mut c, Trans::Transpose);
+        unmqr(&ab, &tf, &mut c, Trans::NoTranspose);
         prop_assert!(relative_error(&c0, &c) < 1e-12);
     }
 

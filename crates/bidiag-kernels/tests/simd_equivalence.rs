@@ -57,13 +57,12 @@ fn qr_tile_kernels_agree_across_backends() {
         let c0 = random_gaussian(m, nb + 3, (m * 313) as u64);
 
         let results = simd::on_each_backend(|| {
-            let mut ws = Workspace::new();
             let mut a = a0.clone();
-            let tf = geqrt(&mut a, &mut ws);
+            let tf = geqrt(&mut a);
             let mut ct = c0.clone();
-            unmqr(&a, &tf, &mut ct, Trans::Transpose, &mut ws);
+            unmqr(&a, &tf, &mut ct, Trans::Transpose);
             let mut cn = c0.clone();
-            unmqr(&a, &tf, &mut cn, Trans::NoTranspose, &mut ws);
+            unmqr(&a, &tf, &mut cn, Trans::NoTranspose);
             (a, tf.taus().to_vec(), ct, cn)
         });
         let (_, s) = &results[0];
@@ -87,13 +86,12 @@ fn ts_and_tt_qr_kernels_agree_across_backends() {
             let c2_0 = random_gaussian(m2, nb, 43);
 
             let results = simd::on_each_backend(|| {
-                let mut ws = Workspace::new();
                 let mut r1 = r1_0.clone();
                 let mut a2 = a2_0.clone();
-                let tf = tsqrt(&mut r1, &mut a2, &mut ws);
+                let tf = tsqrt(&mut r1, &mut a2);
                 let mut b1 = c1_0.clone();
                 let mut b2 = c2_0.clone();
-                tsmqr(&mut b1, &mut b2, &a2, &tf, Trans::Transpose, &mut ws);
+                tsmqr(&mut b1, &mut b2, &a2, &tf, Trans::Transpose);
                 (r1, a2, b1, b2)
             });
             let (_, s) = &results[0];
@@ -109,13 +107,12 @@ fn ts_and_tt_qr_kernels_agree_across_backends() {
             // clipped upper-triangular corner of the chunk kernel.
             let r2_0 = upper_triangle_of(&random_gaussian(m2.min(nb), nb, (nb * 347) as u64));
             let results = simd::on_each_backend(|| {
-                let mut ws = Workspace::new();
                 let mut r1 = r1_0.clone();
                 let mut r2 = r2_0.clone();
-                let tf = ttqrt(&mut r1, &mut r2, &mut ws);
+                let tf = ttqrt(&mut r1, &mut r2);
                 let mut b1 = c1_0.clone();
                 let mut b2 = random_gaussian(r2_0.rows(), nb, 47);
-                ttmqr(&mut b1, &mut b2, &r2, &tf, Trans::Transpose, &mut ws);
+                ttmqr(&mut b1, &mut b2, &r2, &tf, Trans::Transpose);
                 (r1, r2, b1, b2)
             });
             let (_, s) = &results[0];
@@ -142,9 +139,9 @@ fn lq_tile_kernels_agree_across_backends() {
             let mut a = a0.clone();
             let tf = gelqt(&mut a, &mut ws);
             let mut ct = c0.clone();
-            unmlq(&a, &tf, &mut ct, Trans::Transpose, &mut ws);
+            unmlq(&a, &tf, &mut ct, Trans::Transpose);
             let mut cn = c0.clone();
-            unmlq(&a, &tf, &mut cn, Trans::NoTranspose, &mut ws);
+            unmlq(&a, &tf, &mut cn, Trans::NoTranspose);
             (a, tf.taus().to_vec(), ct, cn)
         });
         let (_, s) = &results[0];
@@ -173,14 +170,14 @@ fn lq_tile_kernels_agree_across_backends() {
                     let tf = tslqt(&mut l1, &mut a2, &mut ws);
                     let mut b1 = c1_0.clone();
                     let mut b2 = c2_0.clone();
-                    tsmlq(&mut b1, &mut b2, &a2, &tf, trans, &mut ws);
+                    tsmlq(&mut b1, &mut b2, &a2, &tf, trans);
 
                     let mut t1 = l1_0.clone();
                     let mut t2 = t2_0.clone();
                     let tg = ttlqt(&mut t1, &mut t2, &mut ws);
                     let mut d1 = c1_0.clone();
                     let mut d2 = c2_0.clone();
-                    ttmlq(&mut d1, &mut d2, &t2, &tg, trans, &mut ws);
+                    ttmlq(&mut d1, &mut d2, &t2, &tg, trans);
                     [l1, a2, b1, b2, t1, t2, d1, d2]
                 });
                 let (_, s) = &results[0];

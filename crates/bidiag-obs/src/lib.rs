@@ -160,7 +160,7 @@ pub const KERNEL_KIND_NAMES: [&str; 13] = [
 
 /// The BND2BD bulge-chasing task.
 pub const KIND_BND2BD: u32 = 16;
-/// One BD2VAL solver task (dqds / sliced dqds / bisection).
+/// The BD2VAL solver task (dqds or the bisection oracle).
 pub const KIND_BD2VAL: u32 = 17;
 /// A direct-path (small-size crossover) SVD solve inside `SvdSession`.
 pub const KIND_DIRECT: u32 = 18;
@@ -634,8 +634,6 @@ pub struct MetricsRegistry {
     pub dqds_segments: Counter,
     /// Singular values that fell back to bisection.
     pub dqds_fallback_values: Counter,
-    /// Singular values solved on the sliced-dqds rung.
-    pub dqds_sliced_values: Counter,
     /// Non-finite values detected and repaired by the dqds driver.
     pub dqds_poisoned_values: Counter,
     /// qd-array flips performed by the dqds driver.
@@ -664,7 +662,6 @@ impl MetricsRegistry {
             dqds_passes: Counter(AtomicU64::new(0)),
             dqds_segments: Counter(AtomicU64::new(0)),
             dqds_fallback_values: Counter(AtomicU64::new(0)),
-            dqds_sliced_values: Counter(AtomicU64::new(0)),
             dqds_poisoned_values: Counter(AtomicU64::new(0)),
             dqds_flips: Counter(AtomicU64::new(0)),
             queue_wait: Histogram::new(),
@@ -698,7 +695,6 @@ impl MetricsRegistry {
             dqds_passes: self.dqds_passes.get(),
             dqds_segments: self.dqds_segments.get(),
             dqds_fallback_values: self.dqds_fallback_values.get(),
-            dqds_sliced_values: self.dqds_sliced_values.get(),
             dqds_poisoned_values: self.dqds_poisoned_values.get(),
             dqds_flips: self.dqds_flips.get(),
             queue_wait: self.queue_wait.snapshot(),
@@ -723,7 +719,6 @@ impl MetricsRegistry {
         self.dqds_passes.reset();
         self.dqds_segments.reset();
         self.dqds_fallback_values.reset();
-        self.dqds_sliced_values.reset();
         self.dqds_poisoned_values.reset();
         self.dqds_flips.reset();
         self.queue_wait.reset();
@@ -767,8 +762,6 @@ pub struct MetricsSnapshot {
     pub dqds_segments: u64,
     /// See [`MetricsRegistry::dqds_fallback_values`].
     pub dqds_fallback_values: u64,
-    /// See [`MetricsRegistry::dqds_sliced_values`].
-    pub dqds_sliced_values: u64,
     /// See [`MetricsRegistry::dqds_poisoned_values`].
     pub dqds_poisoned_values: u64,
     /// See [`MetricsRegistry::dqds_flips`].
@@ -821,11 +814,10 @@ impl std::fmt::Display for MetricsSnapshot {
         writeln!(f, "  {:<18} {}", "in_flight_peak", self.in_flight_peak)?;
         writeln!(
             f,
-            "  {:<18} passes={} segments={} sliced={} fallback={} poisoned={} flips={}",
+            "  {:<18} passes={} segments={} fallback={} poisoned={} flips={}",
             "dqds",
             self.dqds_passes,
             self.dqds_segments,
-            self.dqds_sliced_values,
             self.dqds_fallback_values,
             self.dqds_poisoned_values,
             self.dqds_flips
@@ -863,8 +855,8 @@ impl MetricsSnapshot {
                 "{{\"meta\":{meta},\"tasks_executed\":{te},\"steals\":{st},\"parks\":{pk},",
                 "\"idle_ns\":{idle},\"submissions\":{sub},\"admission_waits\":{aw},",
                 "\"admission_wait_ns\":{awn},\"shed_submissions\":{shed},\"in_flight_peak\":{peak},",
-                "\"dqds\":{{\"passes\":{dp},\"segments\":{dseg},\"sliced_values\":{dsl},",
-                "\"fallback_values\":{dfb},\"poisoned_values\":{dpo},\"flips\":{dfl}}},",
+                "\"dqds\":{{\"passes\":{dp},\"segments\":{dseg},\"fallback_values\":{dfb},",
+                "\"poisoned_values\":{dpo},\"flips\":{dfl}}},",
                 "\"queue_wait\":{qw},\"compute\":{cp},\"latency\":{lat}}}"
             ),
             meta = meta,
@@ -879,7 +871,6 @@ impl MetricsSnapshot {
             peak = self.in_flight_peak,
             dp = self.dqds_passes,
             dseg = self.dqds_segments,
-            dsl = self.dqds_sliced_values,
             dfb = self.dqds_fallback_values,
             dpo = self.dqds_poisoned_values,
             dfl = self.dqds_flips,

@@ -27,30 +27,25 @@
 //! segment that refuses to converge — robustness never depends on the qd
 //! iteration.
 //!
-//! The ladder (`ladder_fallback`) escalates per segment:
+//! The ladder (`ladder_fallback`) has two rungs per segment:
 //!
 //! 1. **Non-finite data** (a NaN/Inf that crept into the qd arrays, e.g.
-//!    via fault injection) cannot be solved by any rung: the segment's
+//!    via fault injection) cannot be solved by any iteration: the segment's
 //!    values are emitted as NaN and counted in
 //!    [`DqdsStats::poisoned_values`], so callers detect the poisoning at
 //!    the output instead of hanging or panicking inside an iteration.
-//! 2. **Spectrum slicing** ([`crate::slice::sliced_singular_values`]):
-//!    batched Sturm bisection/Newton, much cheaper than per-value
-//!    bisection; its output is validated (length and finiteness) before
-//!    being trusted.  Counted in [`DqdsStats::sliced_values`].
-//! 3. **Per-value bisection oracle** ([`GkBisection`]): maximally robust,
-//!    always correct.  Counted in [`DqdsStats::fallback_values`].
+//! 2. **Per-value bisection oracle** ([`GkBisection`]): maximally robust,
+//!    always correct.  Counted in [`DqdsStats::fallback_values`], which is
+//!    therefore every value the qd iteration did not produce itself.
 //!
-//! The failpoints `svd::segment` (PoisonNan corrupts the segment's leading
-//! `q`, Trigger forces the ladder without a real convergence failure) and
-//! `svd::sliced-rung` (Trigger skips rung 2) let the robustness suite
-//! exercise every rung deterministically.
+//! The failpoint `svd::segment` (PoisonNan corrupts the segment's leading
+//! `q`, Trigger forces the ladder without a real convergence failure) lets
+//! the robustness suite exercise both rungs deterministically.
 //!
 //! Computing all `n` values costs `O(n)` passes of `O(m)` work each —
 //! `O(n^2)` total with a small constant, versus the `O(n^2 log(1/eps))`
 //! of per-value bisection with its ~50 full Sturm passes per value.
 
-use crate::slice::sliced_singular_values;
 use crate::sturm::GkBisection;
 use bidiag_matrix::simd;
 use bidiag_obs as obs;
@@ -80,12 +75,9 @@ pub struct DqdsStats {
     /// driver split off at deflation-induced zeros.
     pub segments: usize,
     /// Number of singular values that were computed by the per-value
-    /// bisection oracle (the last rung of the fallback ladder).
+    /// bisection oracle (the fallback ladder, on a segment with finite
+    /// data that the qd iteration gave up on).
     pub fallback_values: usize,
-    /// Number of singular values that were computed by the spectrum-slicing
-    /// rung of the fallback ladder (cheaper than the oracle; tried first
-    /// when qd iteration gives up on a segment with finite data).
-    pub sliced_values: usize,
     /// Number of singular values emitted as NaN because their segment's qd
     /// data was non-finite (poisoned input or injected fault) — the ladder
     /// refuses to iterate on NaN/Inf and surfaces the damage at the output.
@@ -280,7 +272,6 @@ pub fn dqds_singular_values_into(
         reg.dqds_passes.add(stats.passes as u64);
         reg.dqds_segments.add(stats.segments as u64);
         reg.dqds_fallback_values.add(stats.fallback_values as u64);
-        reg.dqds_sliced_values.add(stats.sliced_values as u64);
         reg.dqds_poisoned_values.add(stats.poisoned_values as u64);
         reg.dqds_flips.add(stats.flips as u64);
     }
@@ -535,14 +526,6 @@ fn two_by_two(q0: f64, q1: f64, e0: f64) -> (f64, f64) {
     (big, small)
 }
 
-/// Slicing granularity of the ladder's spectrum-slicing rung (the
-/// default `Bd2ValOptions::values_per_task`).
-const LADDER_VALUES_PER_SLICE: usize = 32;
-
-/// Bracket tolerance of the spectrum-slicing rung (the default
-/// `Bd2ValOptions::rel_tol`).
-const LADDER_REL_TOL: f64 = 1.0e-14;
-
 /// Robust finish for a segment the qd iteration could not close out — the
 /// escalation ladder of the module docs.  Works on the segment's
 /// bidiagonal (`sqrt` of the qd arrays — the signs are irrelevant to
@@ -550,8 +533,7 @@ const LADDER_REL_TOL: f64 = 1.0e-14;
 /// eigenvalue coordinates:
 ///
 /// 1. non-finite qd data → one NaN per value (`poisoned_values`);
-/// 2. spectrum slicing, output validated (`sliced_values`);
-/// 3. per-value bisection oracle (`fallback_values`).
+/// 2. per-value bisection oracle (`fallback_values`).
 fn ladder_fallback(
     q: &[f64],
     e: &[f64],
@@ -569,21 +551,6 @@ fn ladder_fallback(
     }
     let d: Vec<f64> = q.iter().map(|&v| v.max(0.0).sqrt()).collect();
     let ee: Vec<f64> = e.iter().map(|&v| v.max(0.0).sqrt()).collect();
-
-    let skip_sliced = matches!(
-        failpoint::fire("svd::sliced-rung"),
-        Some(failpoint::FailAction::Trigger)
-    );
-    if !skip_sliced {
-        let sliced = sliced_singular_values(&d, &ee, LADDER_VALUES_PER_SLICE, LADDER_REL_TOL);
-        // Trust the rung only after validation: exactly one value per
-        // input row and every value finite.
-        if sliced.len() == m && sliced.iter().all(|v| v.is_finite()) {
-            lambdas.extend(sliced.iter().map(|&s| s * s + sigma));
-            stats.sliced_values += m;
-            return;
-        }
-    }
 
     let b = GkBisection::new(&d, &ee);
     for j in 0..b.num_values() {
@@ -708,26 +675,27 @@ mod tests {
     }
 
     #[test]
-    fn ladder_takes_the_slicing_rung_on_finite_segments() {
+    fn ladder_takes_the_oracle_on_finite_segments_and_shifts_back() {
         // Drive the ladder directly (as budget exhaustion would) on a
-        // healthy segment: rung 2 must fire and match the oracle.
+        // healthy segment with a non-zero accumulated shift: every value
+        // is the oracle's, squared and moved back by sigma.
         let q = [4.0, 2.25, 1.0, 0.25];
         let e = [0.09, 0.04, 0.01];
         let mut lambdas = Vec::new();
         let mut stats = DqdsStats::default();
         ladder_fallback(&q, &e, 0.5, &mut lambdas, &mut stats);
-        assert_eq!(stats.sliced_values, 4);
-        assert_eq!(stats.fallback_values, 0);
-        let mut oracle = Vec::new();
+        assert_eq!(stats.fallback_values, 4);
+        assert_eq!(stats.poisoned_values, 0);
         let d: Vec<f64> = q.iter().map(|&v| v.sqrt()).collect();
         let ee: Vec<f64> = e.iter().map(|&v| v.sqrt()).collect();
         let b = GkBisection::new(&d, &ee);
-        for j in 0..4 {
-            let s = b.nth_largest(j);
-            oracle.push(s * s + 0.5);
-        }
-        lambdas.sort_by(|a, b| b.total_cmp(a));
-        assert_close(&lambdas, &oracle, 1e-12);
+        let oracle: Vec<f64> = (0..4)
+            .map(|j| {
+                let s = b.nth_largest(j);
+                s * s + 0.5
+            })
+            .collect();
+        assert_eq!(lambdas, oracle);
     }
 
     #[test]
@@ -740,7 +708,6 @@ mod tests {
         assert_eq!(lambdas.len(), 3);
         assert!(lambdas.iter().all(|v| v.is_nan()));
         assert_eq!(stats.poisoned_values, 3);
-        assert_eq!(stats.sliced_values, 0);
         assert_eq!(stats.fallback_values, 0);
     }
 }

@@ -3,81 +3,62 @@
 //! The singular-value solver subsystem of the reproduction: everything
 //! that turns a proper bidiagonal matrix (diagonal `d`, superdiagonal `e`)
 //! into its singular values — the BD2VAL stage the paper delegates to
-//! LAPACK `xBDSQR`.  Three algorithms live behind one option struct:
+//! LAPACK `xBDSQR`.  One solver and one oracle live behind one option
+//! struct:
 //!
-//! * [`SvdSolver::Dqds`] — the production fast path: Fernando–Parlett
+//! * [`SvdSolver::Dqds`] — the production path: Fernando–Parlett
 //!   differential quotient-difference with shifts ([`dqds`], LAPACK
 //!   `dlasq`-style), computing all `n` values in `O(n^2)` with high
 //!   relative accuracy; falls back to bisection per segment if the qd
 //!   iteration ever fails to converge.
-//! * [`SvdSolver::SlicedBisection`] — the parallel path: Sturm-count
-//!   spectrum slicing into disjoint multi-value brackets ([`mod@slice`]), one
-//!   runtime task per *interval* rather than per value, each finished by a
-//!   batched bracketed Newton front.
 //! * [`SvdSolver::Bisection`] — the oracle/fallback: plain per-value
 //!   bisection ([`sturm::GkBisection`]), maximally robust and the
-//!   reference every other path is property-tested against.
+//!   reference dqds is property-tested against.
 //!
-//! All three work on the Golub–Kahan tridiagonal (or its squared qd form)
+//! Both work on the Golub–Kahan tridiagonal (or its squared qd form)
 //! rather than on `BᵀB`, so tiny singular values keep relative accuracy.
 //! `bidiag-kernels` re-exports the crate as its `svd` module and
 //! `bidiag-core` threads [`Bd2ValOptions`] through the GE2VAL pipeline and
 //! the task runtime.
 //!
-//! Robustness: when the dqds iteration gives up on a segment it escalates
-//! through a *fallback ladder* — spectrum slicing, then the bisection
-//! oracle; non-finite segment data is surfaced as NaN output instead of a
-//! panic or a hang (see [`dqds`]).  [`singular_values_with_report`]
-//! returns a [`SolveReport`] describing which rungs fired.
+//! Robustness: when the dqds iteration gives up on a segment it hands the
+//! segment to the bisection oracle; non-finite segment data is surfaced as
+//! NaN output instead of a panic or a hang (see [`dqds`]).
+//! [`dqds_singular_values_with_stats`] returns the [`DqdsStats`] saying
+//! whether either happened.
 
 #![warn(missing_docs)]
 
 pub mod dqds;
-pub mod slice;
 pub mod sturm;
 
 pub use dqds::{
     dqds_singular_values, dqds_singular_values_into, dqds_singular_values_with_stats, DqdsScratch,
     DqdsStats,
 };
-pub use slice::{slice_spectrum, sliced_singular_values, solve_slice, SpectrumSlice};
 pub use sturm::{GkBisection, GkSturm};
 
 /// Which algorithm computes the singular values of the bidiagonal.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SvdSolver {
-    /// dqds with aggressive deflation — the serial fast path (default).
+    /// dqds with aggressive deflation — the production path (default).
     Dqds,
-    /// Sturm spectrum slicing + batched Newton — the parallel path.
-    SlicedBisection,
     /// Per-value bisection — the oracle/fallback reference.
     Bisection,
 }
 
-/// Options of the BD2VAL stage: solver choice and accuracy/granularity
-/// knobs, threaded through `bidiag-core`'s pipeline and runtime back-end.
+/// Options of the BD2VAL stage, threaded through `bidiag-core`'s pipeline
+/// and runtime back-end.
 #[derive(Clone, Copy, Debug)]
 pub struct Bd2ValOptions {
     /// Algorithm selection.
     pub solver: SvdSolver,
-    /// Relative-accuracy tolerance of the iterative (bisection/Newton)
-    /// paths: brackets stop when their width falls below `rel_tol` times
-    /// the value (floored at machine epsilon).  The dqds path always runs
-    /// to full precision and ignores this knob.
-    pub rel_tol: f64,
-    /// Target number of singular values per runtime task (and per
-    /// [`SpectrumSlice`]) on the sliced path.  Deliberately *not* derived
-    /// from the thread count, so the slicing — and therefore every floating
-    /// point operation — is identical at every thread count.
-    pub values_per_task: usize,
 }
 
 impl Default for Bd2ValOptions {
     fn default() -> Self {
         Bd2ValOptions {
             solver: SvdSolver::Dqds,
-            rel_tol: 1.0e-14,
-            values_per_task: 32,
         }
     }
 }
@@ -88,31 +69,6 @@ impl Bd2ValOptions {
         self.solver = solver;
         self
     }
-
-    /// Builder-style: set the relative-accuracy tolerance.
-    pub fn with_rel_tol(mut self, rel_tol: f64) -> Self {
-        self.rel_tol = rel_tol;
-        self
-    }
-
-    /// Builder-style: set the slicing granularity.
-    pub fn with_values_per_task(mut self, values_per_task: usize) -> Self {
-        self.values_per_task = values_per_task.max(1);
-        self
-    }
-}
-
-/// How a BD2VAL solve went: which fallback rungs fired and whether the
-/// output can be trusted.  Returned by [`singular_values_with_report`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SolveReport {
-    /// Iteration/fallback counters of the dqds driver (all zero for the
-    /// non-dqds solvers, which have no ladder).
-    pub dqds: DqdsStats,
-    /// True when every returned singular value is finite.  False means the
-    /// input (or a poisoned segment) contained NaN/Inf and the affected
-    /// values were emitted as NaN — callers should reject the result.
-    pub finite: bool,
 }
 
 /// Singular values of the bidiagonal matrix with main diagonal `d` and
@@ -121,35 +77,12 @@ pub struct SolveReport {
 pub fn singular_values_with(d: &[f64], e: &[f64], opts: &Bd2ValOptions) -> Vec<f64> {
     match opts.solver {
         SvdSolver::Dqds => dqds_singular_values(d, e),
-        SvdSolver::SlicedBisection => {
-            sliced_singular_values(d, e, opts.values_per_task, opts.rel_tol)
-        }
         SvdSolver::Bisection => bisection_singular_values(d, e),
     }
 }
 
-/// [`singular_values_with`] plus a [`SolveReport`]: same values bit for
-/// bit, with the ladder counters and an output-finiteness verdict the
-/// hardened session layer uses to turn poisoned solves into typed errors.
-pub fn singular_values_with_report(
-    d: &[f64],
-    e: &[f64],
-    opts: &Bd2ValOptions,
-) -> (Vec<f64>, SolveReport) {
-    let (sv, dqds) = match opts.solver {
-        SvdSolver::Dqds => dqds_singular_values_with_stats(d, e),
-        SvdSolver::SlicedBisection => (
-            sliced_singular_values(d, e, opts.values_per_task, opts.rel_tol),
-            DqdsStats::default(),
-        ),
-        SvdSolver::Bisection => (bisection_singular_values(d, e), DqdsStats::default()),
-    };
-    let finite = sv.iter().all(|v| v.is_finite());
-    (sv, SolveReport { dqds, finite })
-}
-
 /// Singular values by the per-value bisection oracle, in non-increasing
-/// order — the reference numerics every faster path is tested against.
+/// order — the reference numerics dqds is tested against.
 pub fn bisection_singular_values(d: &[f64], e: &[f64]) -> Vec<f64> {
     let b = GkBisection::new(d, e);
     (0..b.num_values()).map(|j| b.nth_largest(j)).collect()
@@ -160,25 +93,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn all_solvers_agree_on_a_small_matrix() {
+    fn dqds_agrees_with_the_oracle_on_a_small_matrix() {
         let d = [4.0, -3.0, 2.5, 1.0, 0.5];
         let e = [0.7, -0.3, 0.2, 0.1];
         let oracle = bisection_singular_values(&d, &e);
-        for solver in [SvdSolver::Dqds, SvdSolver::SlicedBisection] {
-            let opts = Bd2ValOptions::default().with_solver(solver);
-            let sv = singular_values_with(&d, &e, &opts);
-            assert_eq!(sv.len(), oracle.len());
-            for (s, o) in sv.iter().zip(&oracle) {
-                assert!((s - o).abs() <= 1e-13 * oracle[0], "{solver:?}: {s} vs {o}");
-            }
+        let sv = singular_values_with(&d, &e, &Bd2ValOptions::default());
+        assert_eq!(sv.len(), oracle.len());
+        for (s, o) in sv.iter().zip(&oracle) {
+            assert!((s - o).abs() <= 1e-13 * oracle[0], "{s} vs {o}");
         }
     }
 
     #[test]
     fn default_options_are_the_documented_fast_path() {
-        let opts = Bd2ValOptions::default();
-        assert_eq!(opts.solver, SvdSolver::Dqds);
-        assert!(opts.rel_tol <= 1e-13);
-        assert!(opts.values_per_task >= 1);
+        assert_eq!(Bd2ValOptions::default().solver, SvdSolver::Dqds);
     }
 }

@@ -17,15 +17,14 @@
 //! high *relative* accuracy (Demmel–Kahan).  [`GkSturm`] is the shared
 //! read-only state every solver in this crate leans on: it owns the
 //! off-diagonals, the Gershgorin bound and the underflow-safe pivot
-//! threshold, and evaluates Sturm counts — one shift at a time or batched
-//! across a whole front of shifts in a single pass over the data.
+//! threshold, and evaluates Sturm counts one shift at a time.
 
 /// Shared Sturm-evaluation state for one bidiagonal matrix: the Golub–Kahan
 /// off-diagonals plus the derived bounds and pivot threshold.
 ///
-/// Everything in this crate — the [`GkBisection`] oracle, the spectrum
-/// slicer and the dqds fallback — evaluates counts through this one struct,
-/// so all paths agree on the matrix they are looking at.
+/// Everything in this crate — the [`GkBisection`] oracle and through it
+/// the dqds fallback — evaluates counts through this one struct, so all
+/// paths agree on the matrix they are looking at.
 #[derive(Clone, Debug)]
 pub struct GkSturm {
     /// Off-diagonals of the Golub–Kahan tridiagonal: `d1, e1, d2, ..., dk`
@@ -122,9 +121,7 @@ impl GkSturm {
     /// The clamped LDLᵀ pivot, LAPACK `xSTEBZ` convention: pivots are
     /// clamped *before* the sign test, so an exact-zero pivot (e.g. the
     /// first pivot at shift 0 on this zero-diagonal matrix) counts as
-    /// negative.  Every count evaluator below must go through this one
-    /// function — the oracle and the sliced path only agree on rank
-    /// boundaries because they share the clamp convention bit for bit.
+    /// negative.
     #[inline]
     fn clamped(&self, v: f64) -> f64 {
         if v.abs() < self.pivmin {
@@ -155,73 +152,6 @@ impl GkSturm {
         }
         count
     }
-
-    /// Batched multi-shift Sturm counts: one pass over the off-diagonal
-    /// data evaluating every shift in `xs` simultaneously.
-    ///
-    /// The recurrence per shift is bit-identical to [`GkSturm::count`]; the
-    /// batching buys data reuse — the off-diagonals are streamed once for
-    /// the whole front instead of once per shift, which is what makes wide
-    /// bisection/slicing fronts cheap on long tridiagonals.
-    pub fn count_multi(&self, xs: &[f64], counts: &mut [usize]) {
-        assert_eq!(xs.len(), counts.len());
-        if self.k == 0 || xs.is_empty() {
-            counts.iter_mut().for_each(|c| *c = 0);
-            return;
-        }
-        let m = 2 * self.k;
-        let mut d: Vec<f64> = xs.iter().map(|&x| self.clamped(-x)).collect();
-        for (j, c) in counts.iter_mut().enumerate() {
-            *c = usize::from(d[j] < 0.0);
-        }
-        for i in 1..m {
-            let b2 = self.off[i - 1] * self.off[i - 1];
-            for j in 0..xs.len() {
-                let nd = self.clamped(-xs[j] - b2 / d[j]);
-                d[j] = nd;
-                counts[j] += usize::from(nd < 0.0);
-            }
-        }
-    }
-
-    /// Batched count **and** Newton information at every shift in `xs`.
-    ///
-    /// Alongside the Sturm count, evaluates `omega(x) = f'(x)/f(x) =
-    /// sum_i d_i'(x)/d_i(x)` where `f` is the characteristic polynomial and
-    /// the `d_i` are the LDLᵀ pivots (so no determinant is ever formed and
-    /// nothing overflows).  A Newton step towards the eigenvalue is then
-    /// `x - 1/omega(x)`; the caller safeguards it inside its bracket.  The
-    /// pivot derivative follows the companion recurrence
-    /// `d_i' = -1 + (b^2/d_{i-1}^2) * d_{i-1}'`.
-    pub fn count_and_newton_multi(&self, xs: &[f64], counts: &mut [usize], omega: &mut [f64]) {
-        assert_eq!(xs.len(), counts.len());
-        assert_eq!(xs.len(), omega.len());
-        if self.k == 0 || xs.is_empty() {
-            counts.iter_mut().for_each(|c| *c = 0);
-            omega.iter_mut().for_each(|w| *w = 0.0);
-            return;
-        }
-        let m = 2 * self.k;
-        let mut d: Vec<f64> = xs.iter().map(|&x| self.clamped(-x)).collect();
-        let mut del: Vec<f64> = vec![-1.0; xs.len()];
-        for j in 0..xs.len() {
-            counts[j] = usize::from(d[j] < 0.0);
-            omega[j] = del[j] / d[j];
-        }
-        for i in 1..m {
-            let b2 = self.off[i - 1] * self.off[i - 1];
-            for j in 0..xs.len() {
-                let dd = d[j];
-                let r = b2 / dd;
-                let nd = self.clamped(-xs[j] - r);
-                let ndel = -1.0 + (r / dd) * del[j];
-                d[j] = nd;
-                del[j] = ndel;
-                counts[j] += usize::from(nd < 0.0);
-                omega[j] += ndel / nd;
-            }
-        }
-    }
 }
 
 /// Prepared bisection state for the singular values of one bidiagonal
@@ -231,8 +161,8 @@ impl GkSturm {
 /// bisection, one singular value per call, each value an independent
 /// bracket over shared read-only state — slow but maximally robust, and
 /// running the same arithmetic no matter how calls are distributed over
-/// threads.  The production solvers ([`dqds`](crate::dqds) and the
-/// [sliced](crate::slice) path) are property-tested against it.
+/// threads.  The production solver ([`dqds`](crate::dqds)) is
+/// property-tested against it.
 #[derive(Clone, Debug)]
 pub struct GkBisection {
     sturm: GkSturm,
@@ -318,40 +248,6 @@ mod tests {
             prev = c;
             x += s.bound() / 7.3;
         }
-    }
-
-    #[test]
-    fn batched_counts_match_single_shift_counts() {
-        let s = GkSturm::new(&[1.0, 2.0, 3.0, 4.0, 5.0], &[0.5, 0.5, 0.5, 0.5]);
-        let xs: Vec<f64> = (0..17).map(|i| -1.0 + 0.45 * i as f64).collect();
-        let mut counts = vec![0usize; xs.len()];
-        s.count_multi(&xs, &mut counts);
-        for (x, c) in xs.iter().zip(&counts) {
-            assert_eq!(s.count(*x), *c, "x = {x}");
-        }
-        let mut counts2 = vec![0usize; xs.len()];
-        let mut omega = vec![0.0f64; xs.len()];
-        s.count_and_newton_multi(&xs, &mut counts2, &mut omega);
-        assert_eq!(counts, counts2);
-    }
-
-    #[test]
-    fn newton_step_converges_to_isolated_eigenvalue() {
-        // Diagonal bidiagonal: singular values are just |d|, eigenvalues of
-        // the GK form are {±3, ±2, ±1}. Newton started well inside the
-        // basin of 3 must home in on it quadratically (from farther out an
-        // unguarded step can escape towards another root — which is why
-        // the slice solver brackets every step).
-        let s = GkSturm::new(&[3.0, -1.0, 2.0], &[0.0, 0.0]);
-        let mut x = 2.9_f64;
-        for _ in 0..8 {
-            let mut c = [0usize];
-            let mut w = [0.0f64];
-            s.count_and_newton_multi(&[x], &mut c, &mut w);
-            let step = 1.0 / w[0];
-            x -= step;
-        }
-        assert!((x - 3.0).abs() < 1e-12, "newton ended at {x}");
     }
 
     #[test]

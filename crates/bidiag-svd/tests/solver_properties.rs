@@ -1,6 +1,7 @@
-//! Property tests pinning the production solvers — dqds and sliced
-//! bisection — to the [`GkBisection`] per-value oracle at 1e-13 relative
-//! accuracy, across the spectrum shapes the subsystem must survive:
+//! Property tests pinning the production solver — dqds — to the
+//! [`GkBisection`] per-value oracle at 1e-13 relative accuracy, with the
+//! fallback ladder never firing, across the spectrum shapes the subsystem
+//! must survive:
 //! clustered values, graded spectra (condition 1e12), random signs,
 //! tiny (`1e-8`) values and zero/empty edge cases, both on directly
 //! constructed bidiagonals and on `latms` matrices reduced through
@@ -10,62 +11,36 @@ use bidiag_kernels::gebd2::gebd2;
 use bidiag_matrix::checks::singular_values_match;
 use bidiag_matrix::gen::{latms, random_gaussian, SpectrumKind};
 use bidiag_svd::{
-    dqds_singular_values_with_stats, singular_values_with, Bd2ValOptions, GkBisection, SvdSolver,
+    dqds_singular_values_with_stats, singular_values_with, Bd2ValOptions, GkBisection,
 };
 use proptest::prelude::*;
 
-/// Per-value relative agreement with the oracle: `|a - b| <= tol *
-/// max(|a|, |b|)` with an absolute floor far below any resolvable value
-/// (`1e-18 * sigma_max` — values below the oracle's own zero floor of
-/// `1e-20 * bound` are indistinguishable from exact zeros).
-fn assert_rel_close(got: &[f64], oracle: &[f64], tol: f64, ctx: &str) {
-    assert_eq!(got.len(), oracle.len(), "{ctx}: length mismatch");
-    let smax = oracle.first().copied().unwrap_or(0.0).abs();
-    let floor = 1e-18 * smax;
-    for (i, (a, b)) in got.iter().zip(oracle).enumerate() {
-        assert!(
-            (a - b).abs() <= tol * a.abs().max(b.abs()) + floor,
-            "{ctx}: value {i}: {a} vs oracle {b} (smax {smax})"
-        );
-    }
-}
+mod common;
+use common::{assert_rel_close, graded_bidiagonal};
 
-/// Run both production solvers against the oracle on one bidiagonal.
+/// Run dqds against the oracle on one bidiagonal.
 fn check_against_oracle(d: &[f64], e: &[f64], ctx: &str) {
     let b = GkBisection::new(d, e);
     let oracle: Vec<f64> = (0..b.num_values()).map(|j| b.nth_largest(j)).collect();
 
-    let (dq, _) = dqds_singular_values_with_stats(d, e);
+    let (dq, stats) = dqds_singular_values_with_stats(d, e);
     assert_rel_close(&dq, &oracle, 1e-13, &format!("{ctx} [dqds]"));
-
-    for vps in [4usize, 32] {
-        let opts = Bd2ValOptions::default()
-            .with_solver(SvdSolver::SlicedBisection)
-            .with_values_per_task(vps);
-        let sl = singular_values_with(d, e, &opts);
-        assert_rel_close(&sl, &oracle, 1e-13, &format!("{ctx} [sliced vps={vps}]"));
-    }
+    assert_eq!(stats.fallback_values, 0, "{ctx}: the ladder fired");
 }
 
 /// Reduce a latms matrix with the given spectrum to bidiagonal form and
-/// check all solvers on it (against the oracle at 1e-13 relative, and
-/// against the prescribed spectrum at orthogonal-reduction accuracy).
+/// check dqds on it (against the oracle at 1e-13 relative, and against
+/// the prescribed spectrum at orthogonal-reduction accuracy).
 fn check_latms_spectrum(m: usize, n: usize, spectrum: &SpectrumKind, seed: u64, ctx: &str) {
     let (a, sigma) = latms(m, n, spectrum, seed);
     let mut w = a.clone();
     let bd = gebd2(&mut w);
     check_against_oracle(&bd.diag, &bd.superdiag, ctx);
-    for solver in [SvdSolver::Dqds, SvdSolver::SlicedBisection] {
-        let sv = singular_values_with(
-            &bd.diag,
-            &bd.superdiag,
-            &Bd2ValOptions::default().with_solver(solver),
-        );
-        assert!(
-            singular_values_match(&sv, &sigma, 1e-10),
-            "{ctx} [{solver:?}]: prescribed spectrum not recovered"
-        );
-    }
+    let sv = singular_values_with(&bd.diag, &bd.superdiag, &Bd2ValOptions::default());
+    assert!(
+        singular_values_match(&sv, &sigma, 1e-10),
+        "{ctx}: prescribed spectrum not recovered"
+    );
 }
 
 #[test]
@@ -94,17 +69,7 @@ fn graded_condition_1e12() {
     // ... and directly constructed graded bidiagonals with random signs,
     // where tiny values must keep *relative* accuracy down to 1e-12.
     for (n, seed) in [(12usize, 1u64), (33, 2), (48, 3)] {
-        let g = random_gaussian(n, 2, seed ^ 0xbeef);
-        let cond: f64 = 1e12;
-        let d: Vec<f64> = (0..n)
-            .map(|i| {
-                let mag = cond.powf(-(i as f64) / (n as f64 - 1.0));
-                mag * g.get(i, 0).signum()
-            })
-            .collect();
-        let e: Vec<f64> = (0..n - 1)
-            .map(|i| 0.25 * (d[i].abs() * d[i + 1].abs()).sqrt() * g.get(i, 1).signum())
-            .collect();
+        let (d, e) = graded_bidiagonal(n, seed);
         check_against_oracle(&d, &e, &format!("graded direct n={n}"));
     }
 }
@@ -115,7 +80,7 @@ fn tiny_values_1e_minus_8() {
     check_latms_spectrum(14, 6, &SpectrumKind::Explicit(spec), 5, "tiny latms");
 
     // Direct: an isolated 1e-8 on the diagonal must come back relatively
-    // exact from every solver.
+    // exact.
     let d = [1.0, 1e-8, 1.0, 0.5];
     let e = [0.0, 0.0, 0.0];
     check_against_oracle(&d, &e, "tiny direct");
@@ -130,14 +95,12 @@ fn zero_and_empty_edge_cases() {
     check_against_oracle(&[0.0, 0.0, 0.0], &[0.0, 0.0], "zero matrix");
     check_against_oracle(&[1.0, 0.0, 2.0, 0.0], &[0.5, 0.25, 0.125], "zero diagonals");
     check_against_oracle(&[0.0, 3.0], &[1.0], "leading zero");
-    for solver in [SvdSolver::Dqds, SvdSolver::SlicedBisection] {
-        let opts = Bd2ValOptions::default().with_solver(solver);
-        assert!(singular_values_with(&[], &[], &opts).is_empty());
-        assert_eq!(
-            singular_values_with(&[0.0, 0.0], &[0.0], &opts),
-            vec![0.0, 0.0]
-        );
-    }
+    let opts = Bd2ValOptions::default();
+    assert!(singular_values_with(&[], &[], &opts).is_empty());
+    assert_eq!(
+        singular_values_with(&[0.0, 0.0], &[0.0], &opts),
+        vec![0.0, 0.0]
+    );
 }
 
 #[test]
@@ -156,8 +119,8 @@ fn dqds_fast_path_actually_runs_on_benign_input() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random bidiagonals (random magnitudes *and* signs): dqds and the
-    /// sliced path agree with the oracle at 1e-13 relative.
+    /// Random bidiagonals (random magnitudes *and* signs): dqds agrees
+    /// with the oracle at 1e-13 relative.
     #[test]
     fn random_sign_bidiagonals_match_oracle(n in 1usize..40, seed in 0u64..500) {
         let g = random_gaussian(n.max(1), 2, seed);

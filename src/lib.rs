@@ -11,8 +11,8 @@
 //!
 //! * [`matrix`] — dense/tiled matrices, generators, block-cyclic maps,
 //! * [`kernels`] — Householder/Givens tile kernels, band reduction, SVD,
-//! * [`svd`] — the singular-value solver subsystem (dqds, spectrum
-//!   slicing, bisection oracle) behind the BD2VAL stage,
+//! * [`svd`] — the singular-value solver subsystem (dqds, bisection
+//!   oracle) behind the BD2VAL stage,
 //! * [`trees`] — FLATTS/FLATTT/GREEDY/AUTO and hierarchical reduction trees,
 //! * [`runtime`] — task graphs, the work-stealing scheduler, cluster simulator,
 //! * [`core`] — BIDIAG / R-BIDIAG, critical paths, GE2BND/GE2VAL pipelines,
@@ -56,9 +56,6 @@ pub mod prelude {
     pub use bidiag_matrix::{BlockCyclic, Matrix, TiledMatrix};
     pub use bidiag_obs::{MetricsRegistry, MetricsSnapshot, ScopedObs, Span};
     pub use bidiag_runtime::{simulate, validate_trace, MachineModel, TaskGraph, TraceValidation};
-    pub use bidiag_svd::{
-        dqds_singular_values, singular_values_with, singular_values_with_report, Bd2ValOptions,
-        SolveReport, SvdSolver,
-    };
+    pub use bidiag_svd::{dqds_singular_values, singular_values_with, Bd2ValOptions, SvdSolver};
     pub use bidiag_trees::{HighLevelTree, NamedTree, TreeConfig};
 }
