@@ -20,6 +20,7 @@
 
 use bidiag_bench::print_tsv;
 use bidiag_kernels::cost::KernelKind;
+use bidiag_kernels::gebd2::{gebd2_with, Bidiagonal};
 use bidiag_kernels::{lq, qr, Trans, Workspace};
 use bidiag_matrix::checks::{lower_triangle_of as lower, upper_triangle_of as upper};
 use bidiag_matrix::gen::random_gaussian;
@@ -59,7 +60,37 @@ fn main() {
     for be in backends {
         simd::with_forced_backend(be, || table(nb, be));
     }
+    gebd2_table();
     bidiag_bench::maybe_write_trace();
+}
+
+/// The direct path's kernel, hot (reused buffers), at the orders the
+/// session serves with it: one row per backend the host supports.
+fn gebd2_table() {
+    const ORDERS: [usize; 4] = [16, 32, 48, 64];
+    let mut tail = Vec::new();
+    let mut out = Bidiagonal {
+        diag: Vec::new(),
+        superdiag: Vec::new(),
+    };
+    let rows: Vec<Vec<String>> = simd::available_backends()
+        .map(|be| {
+            let us = ORDERS.map(|n| {
+                let secs = simd::with_forced_backend(be, || {
+                    fastest([&random_gaussian(n, n, 6)], |[x]| {
+                        gebd2_with(x, &mut tail, &mut out)
+                    })
+                });
+                format!("{:.1}", secs * 1.0e6)
+            });
+            std::iter::once(be.name().to_string()).chain(us).collect()
+        })
+        .collect();
+    print_tsv(
+        &format!("gebd2 — us per call on n x n, fastest of {REPS} calls"),
+        &["backend", "n=16", "n=32", "n=48", "n=64"],
+        &rows,
+    );
 }
 
 /// Time the twelve kernels on `nb x nb` tiles and print their table; the

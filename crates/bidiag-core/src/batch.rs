@@ -20,9 +20,10 @@
 //!   there, so steady-state submissions do no hot-path allocation.
 //! * **Small-size crossover.**  Problems whose larger dimension is at most
 //!   [`Ge2Options::direct_crossover`] skip the tiled machinery entirely —
-//!   no tiling, no T-factors, no band stage — and run the scalar `gebd2`
-//!   direct path straight into the dqds solver, reusing the worker's
-//!   arena.  [`SvdSession::new`] arms the bench-picked
+//!   no tiling, no T-factors, no band stage — and run the one-stage
+//!   `gebd2` direct path (the bulge chase's two reflector applies on vector
+//!   lanes) straight into the dqds solver, reusing the worker's arena.
+//!   [`SvdSession::new`] arms the bench-picked
 //!   [`DIRECT_CROSSOVER`]; [`SvdSession::with_options`] honours whatever
 //!   the caller set (including disabled), so a session reproduces
 //!   per-call [`ge2val`](crate::pipeline::ge2val) under the same options **bitwise**.
@@ -143,14 +144,14 @@ fn job_error(e: JobError) -> SvdError {
     }
 }
 
-/// Arena of the scalar direct path: every buffer the
+/// Arena of the direct path: every buffer the
 /// `gebd2 -> dqds` chain needs, owned per worker (and pooled for inline
 /// [`SvdSession::compute_into`] callers), reused across problems.
 #[derive(Debug)]
 struct DirectScratch {
     /// Working copy of the input (transposed when the problem is wide).
     work: Matrix,
-    /// Householder reflector tail shared by every column/row of `gebd2`.
+    /// Row-reflector scratch shared by every step of `gebd2`.
     tail: Vec<f64>,
     /// The bidiagonal factor, cleared and refilled per problem.
     bidiag: Bidiagonal,
@@ -195,7 +196,7 @@ pub struct SessionScratch {
     direct: DirectScratch,
 }
 
-/// Singular values of `a` through the scalar direct path, written into
+/// Singular values of `a` through the direct path, written into
 /// `out` using only `scratch`'s buffers.
 ///
 /// The chain is `copy -> gebd2_with -> dqds_singular_values_into`, each

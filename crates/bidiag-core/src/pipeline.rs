@@ -31,27 +31,34 @@ use bidiag_trees::NamedTree;
 
 /// Default small-size crossover of the *batched* drivers (`SvdSession`,
 /// `ge2val_batch`): problems whose larger dimension is at most this run the
-/// scalar `gebd2` direct path instead of the tiled three-stage pipeline.
+/// one-stage `gebd2` direct path instead of the tiled three-stage pipeline.
 ///
 /// Below some size the blocked machinery (tiling, T-factors, band
 /// extraction, bulge chasing) costs more than it saves.  The committed
 /// sweep (`crossover_sweep_direct_vs_blocked`, run with `--ignored
 /// --nocapture`) times per-call [`ge2val`], single-threaded at `nb = 64`
-/// on the reference container, and now reads the direct path 1.2–1.5x
-/// faster at n = 16 and slower from there up: 0.8–0.95x at n = 32, 0.75x
-/// at n = 48, 0.65–0.75x at n = 64, 0.55–0.6x at n = 96, 0.4–0.55x at
-/// n = 128.
-/// (It read 2.5x at n = 32 and 2.1x at n = 64 when 64 was picked; the
-/// fused compact-WY tile kernels and the Householder bulge chase have
-/// since made the blocked side 3–4x faster and `gebd2` is still scalar.)
-/// The constant stays at 64 all the same: that sweep cannot see what the
-/// direct path saves *in a session* — it allocates nothing, and
-/// `SvdSession::compute_into` runs it inline, without the hand-off to a
-/// pool worker — and no session-level measurement between 33 and 64 has
-/// been made yet (ROADMAP, batched-driver item).  Plain [`ge2val`] keeps
-/// the crossover *disabled* by default (`direct_crossover = 0`) so
-/// existing callers exercise the blocked pipeline at every size; opt in
-/// with [`Ge2Options::with_direct_crossover`].
+/// on the reference container; direct speed-up over blocked at
+/// n = 16 / 32 / 48 / 64 / 96 / 128, three alternating runs of each side:
+///
+/// | `gebd2` | 16 | 32 | 48 | 64 | 96 | 128 |
+/// |---|---|---|---|---|---|---|
+/// | element-wise `get`/`set` loop (before PR 22) | 1.30x | 0.91x | 0.73x | 0.68x | 0.55x | 0.38x |
+/// | on the bulge chase's vector-lane applies | 1.57x | 1.31x | 1.22x | 1.19x | 1.20x | 1.11x |
+///
+/// (It read 2.5x at n = 32 and 2.1x at n = 64 when 64 was picked, before
+/// the fused compact-WY tile kernels and the Householder bulge chase made
+/// the blocked side 3–4x faster.)  The constant is unchanged at 64, and
+/// the sweep now supports it: the direct path wins per call at every order
+/// it serves, by a margin that shrinks towards 128.  What the sweep cannot
+/// see is what the direct path saves *in a session* — it allocates nothing,
+/// and `SvdSession::compute_into` runs it inline, without the hand-off to a
+/// pool worker — so whether the constant should rather go *up* is for a
+/// session-level reading on both sides of it, which is still owed: the
+/// benchmark has no workload between 33 and 128 yet (`batch_mid`, ROADMAP
+/// item 2).  Plain [`ge2val`] keeps the crossover *disabled* by default
+/// (`direct_crossover = 0`) so existing callers exercise the blocked
+/// pipeline at every size; opt in with
+/// [`Ge2Options::with_direct_crossover`].
 pub const DIRECT_CROSSOVER: usize = 64;
 
 /// How the GE2BND algorithm is chosen.
@@ -80,7 +87,7 @@ pub struct Ge2Options {
     /// dqds).
     pub bd2val: Bd2ValOptions,
     /// Small-size crossover: when `max(m, n) <= direct_crossover`,
-    /// [`ge2val`] skips the tiled pipeline entirely and runs the scalar
+    /// [`ge2val`] skips the tiled pipeline entirely and runs the one-stage
     /// `gebd2` + BD2VAL direct path (`0` disables, the default here; the
     /// batched session enables [`DIRECT_CROSSOVER`]).
     pub direct_crossover: usize,
@@ -157,8 +164,8 @@ impl Ge2Options {
         self
     }
 
-    /// True when a problem of the given dimensions takes the scalar direct
-    /// path under these options.
+    /// True when a problem of the given dimensions takes the direct path
+    /// under these options.
     pub fn takes_direct_path(&self, m: usize, n: usize) -> bool {
         self.direct_crossover > 0 && m.max(n) <= self.direct_crossover
     }
@@ -226,7 +233,7 @@ pub struct Ge2ValResult {
     /// Singular values in non-increasing order.
     pub singular_values: Vec<f64>,
     /// The GE2BND stage output — `None` when the small-size crossover
-    /// took the scalar direct path (no tiling, no band stage ran).
+    /// took the direct path (no tiling, no band stage ran).
     pub ge2bnd: Option<Ge2BndResult>,
 }
 
@@ -259,17 +266,15 @@ pub struct Ge2ValResult {
 /// }
 /// ```
 pub fn ge2val(a: &Matrix, opts: &Ge2Options) -> Ge2ValResult {
-    let work;
-    let a_ref = if a.rows() >= a.cols() {
-        a
-    } else {
-        work = a.transpose();
-        &work
-    };
     if opts.takes_direct_path(a.rows(), a.cols()) {
-        // Small-size crossover: scalar Golub–Kahan bidiagonalization
-        // straight to BD2VAL — no tiling, no T-factors, no band stage.
-        let mut w = a_ref.clone();
+        // Small-size crossover: Golub–Kahan bidiagonalization straight to
+        // BD2VAL — no tiling, no T-factors, no band stage.  One copy of the
+        // input, transposed when it is wide, is the work matrix.
+        let mut w = if a.rows() >= a.cols() {
+            a.clone()
+        } else {
+            a.transpose()
+        };
         let bidiag = gebd2(&mut w);
         let mut sv = singular_values_with(&bidiag.diag, &bidiag.superdiag, &opts.bd2val);
         // `total_cmp` orders exactly like `partial_cmp` on the solver's
@@ -281,6 +286,13 @@ pub fn ge2val(a: &Matrix, opts: &Ge2Options) -> Ge2ValResult {
             ge2bnd: None,
         };
     }
+    let work;
+    let a_ref = if a.rows() >= a.cols() {
+        a
+    } else {
+        work = a.transpose();
+        &work
+    };
     // Stage-boundary spans: one run id for the whole pipeline, recorded on
     // the calling thread so the trace shows the coarse GE2BND/BND2BD/BD2VAL
     // phases above the per-task lanes.

@@ -43,7 +43,9 @@
 //! over those segments (`w += col_j * v_j`, then `col_j -= tau * v_j * w`,
 //! in chunks of at most eight registers of rows so `w` never leaves them),
 //! the left apply is a dot product and an axpy per column; both are
-//! unit-stride and written once over [`SimdLane`], with one
+//! unit-stride and live in [`crate::householder`] (`reflector`,
+//! `right_apply`, `left_apply` over [`SimdLane`], on a window with leading
+//! dimension `ldab - 1` here and `m` in [`crate::gebd2`]), with one
 //! `#[target_feature]` shell and one backend read per *reduction*.
 //!
 //! # Scaling
@@ -55,7 +57,7 @@
 //! zero and its reflector skipped.
 
 use crate::gebd2::Bidiagonal;
-use crate::householder::{larfg_with_norm, Reflector};
+use crate::householder::{left_apply, prescale, reflector, right_apply};
 use bidiag_matrix::simd::{self, ScalarLane, SimdBackend, SimdLane};
 use bidiag_matrix::{Matrix, TiledMatrix};
 use std::ops::Range;
@@ -64,13 +66,6 @@ use std::ops::Range;
 /// silently discard (debug builds assert it).
 #[cfg(debug_assertions)]
 const FROM_DENSE_DROP_TOL: f64 = 1e-8;
-
-/// Sum-of-squares threshold below which the tail of a reflector counts as
-/// zero, in the units of the prescaled band (largest entry in `(0.5, 1]`):
-/// such a tail is below `1e-145 * max|B|`, far under any rounding error of
-/// the reduction, while a sum of squares above it keeps full relative
-/// precision (`f64::MIN_POSITIVE / f64::EPSILON` is `1e-292`).
-const NEGLIGIBLE_SS: f64 = 1e-290;
 
 /// The block-steps `(sweep, step)` of the bulge chase of an order-`n` band
 /// of upper bandwidth `bw`, in execution order (see the module docs): sweep
@@ -257,10 +252,7 @@ impl BandMatrix {
         if self.bw < 2 || self.n < 3 || amax == 0.0 {
             return self.bidiagonal_factor();
         }
-        // An exact power of two that brings `amax` into (0.5, 1]; the clamp
-        // keeps the factor itself finite for subnormal or infinite `amax`.
-        let exp = (-amax.log2().ceil()).clamp(-1000.0, 1000.0) as i32;
-        let (scale, unscale) = (2.0f64.powi(exp), 2.0f64.powi(-exp));
+        let (scale, unscale) = prescale(amax);
         for j in 0..self.n {
             let span = self.col_span(j);
             self.data[span].iter_mut().for_each(|v| *v *= scale);
@@ -299,111 +291,6 @@ impl BandMatrix {
             .map(|i| self.get(i, i + 1))
             .collect();
         Bidiagonal { diag, superdiag }
-    }
-}
-
-/// Turn `v = (alpha, x)` into the Householder vector `(1, x / (alpha -
-/// beta))` of the reflector that maps it to `(beta, 0, ..., 0)`; a
-/// negligible `x` (see [`NEGLIGIBLE_SS`]) gives the identity, `tau == 0`.
-///
-/// # Safety
-/// The lane's ISA contract (see [`SimdLane`]).
-#[inline(always)]
-unsafe fn reflector<S: SimdLane>(s: S, v: &mut [f64]) -> Reflector {
-    let (alpha, x) = v.split_first_mut().expect("a block has two columns");
-    // SAFETY: the caller upholds the lane's ISA contract.
-    let ss = unsafe { simd::dot_body(s, x, x) };
-    let r = if ss < NEGLIGIBLE_SS {
-        Reflector {
-            tau: 0.0,
-            beta: *alpha,
-        }
-    } else {
-        larfg_with_norm(*alpha, x, ss.sqrt())
-    };
-    *alpha = 1.0;
-    r
-}
-
-/// `C <- C (I - tau v v^T)` on the rows `i0 .. i0 + R * LANES` of the
-/// column segments `blk[jj * stride ..]`, `jj < v.len()`: the `R` registers
-/// of `w = C v` are accumulated over one pass and subtracted in a second.
-///
-/// # Safety
-/// The lane's ISA contract (see [`SimdLane`]).
-#[inline(always)]
-unsafe fn right_rows<S: SimdLane, const R: usize>(
-    s: S,
-    blk: &mut [f64],
-    stride: usize,
-    i0: usize,
-    v: &[f64],
-    tau: f64,
-) {
-    let rows = R * S::LANES;
-    // SAFETY (whole body): the caller upholds the lane's ISA contract; every
-    // `load`/`store` is at `r * LANES` with `r < R` in a segment that was
-    // sliced to exactly `R * LANES` elements.
-    unsafe {
-        let mut w = [s.zero(); R];
-        for (jj, &vj) in v.iter().enumerate() {
-            let (seg, vj) = (&blk[jj * stride + i0..][..rows], s.splat(vj));
-            for (r, wr) in w.iter_mut().enumerate() {
-                *wr = s.mul_add(s.load(seg, r * S::LANES), vj, *wr);
-            }
-        }
-        let minus_tau = s.splat(-tau);
-        for wr in w.iter_mut() {
-            *wr = s.mul(*wr, minus_tau);
-        }
-        for (jj, &vj) in v.iter().enumerate() {
-            let (seg, vj) = (&mut blk[jj * stride + i0..][..rows], s.splat(vj));
-            for (r, &wr) in w.iter().enumerate() {
-                let c = s.mul_add(wr, vj, s.load(seg, r * S::LANES));
-                s.store(seg, r * S::LANES, c);
-            }
-        }
-    }
-}
-
-/// [`right_rows`] over all `m` rows of the block: chunks of eight
-/// registers, then one chunk each of four, two and one, then single rows.
-///
-/// # Safety
-/// The lane's ISA contract (see [`SimdLane`]).
-#[inline(always)]
-unsafe fn right_apply<S: SimdLane>(
-    s: S,
-    blk: &mut [f64],
-    stride: usize,
-    m: usize,
-    v: &[f64],
-    tau: f64,
-) {
-    let mut i0 = 0;
-    // SAFETY: the caller upholds the lane's ISA contract; the scalar lane
-    // has none.
-    unsafe {
-        while m - i0 >= 8 * S::LANES {
-            right_rows::<S, 8>(s, blk, stride, i0, v, tau);
-            i0 += 8 * S::LANES;
-        }
-        if m - i0 >= 4 * S::LANES {
-            right_rows::<S, 4>(s, blk, stride, i0, v, tau);
-            i0 += 4 * S::LANES;
-        }
-        if m - i0 >= 2 * S::LANES {
-            right_rows::<S, 2>(s, blk, stride, i0, v, tau);
-            i0 += 2 * S::LANES;
-        }
-        if m - i0 >= S::LANES {
-            right_rows::<S, 1>(s, blk, stride, i0, v, tau);
-            i0 += S::LANES;
-        }
-        while i0 < m {
-            right_rows::<ScalarLane, 1>(ScalarLane, blk, stride, i0, v, tau);
-            i0 += 1;
-        }
     }
 }
 
@@ -449,14 +336,9 @@ unsafe fn chase_body<S: SimdLane>(s: S, band: &mut BandMatrix) {
         let r = unsafe { reflector(s, v) };
         band.data[at] = r.beta;
         if r.tau != 0.0 {
-            for jj in 1..=(c1 + bw).min(n - 1) - c0 {
-                let seg = &mut band.data[at + jj * stride..][..v.len()];
-                // SAFETY: as above; `seg` and `v` have the same length.
-                unsafe {
-                    let w = r.tau * simd::dot_body(s, v, seg);
-                    simd::axpy_body(s, seg, -w, v);
-                }
-            }
+            let (right, ncols) = (&mut band.data[at + stride..], (c1 + bw).min(n - 1) - c0);
+            // SAFETY: as above.
+            unsafe { left_apply::<S, false>(s, right, stride, ncols, v, r.tau) };
         }
     }
 }

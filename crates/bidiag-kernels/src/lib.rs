@@ -3,6 +3,8 @@
 //! Pure-Rust numerical kernels for the tiled bidiagonalization reproduction:
 //!
 //! * [`householder`] / [`givens`] — elementary orthogonal transformations,
+//!   and the lane-generic reflector + left/right applies [`gebd2`] and the
+//!   bulge chase of [`band`] share,
 //! * [`qr`] — the six tile kernels of the tiled QR factorization
 //!   (GEQRT/UNMQR/TSQRT/TSMQR/TTQRT/TTMQR, Table I of the paper), each in a
 //!   blocked compact-WY production variant and an unblocked reference
@@ -13,8 +15,9 @@
 //!   (`tau` scalars + the diagonal blocks of `T`) and [`wy::Workspace`]
 //!   (reusable scratch of the LQ side; in steady state a kernel allocates
 //!   nothing but the `TFactor` a factorization returns),
-//! * [`gebd2`] — the scalar (Level-2) Golub–Kahan bidiagonalization used by
-//!   the one-stage baselines,
+//! * [`gebd2`] — the one-stage (Level-2) Golub–Kahan bidiagonalization: the
+//!   direct path of every problem of order at most `DIRECT_CROSSOVER`, and
+//!   the kernel of the one-stage baselines,
 //! * [`band`] — packed band storage and the Householder bulge-chasing
 //!   band-to-bidiagonal reduction (the BND2BD stage),
 //! * [`svd`] — the BD2VAL stage: the `bidiag-svd` solver subsystem (dqds

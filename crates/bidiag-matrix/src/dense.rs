@@ -23,7 +23,7 @@ use std::fmt;
 /// 77 %.
 ///
 /// In a module of its own so that nothing else can touch the fields the
-/// two `unsafe` blocks rely on.
+/// alignment invariant is stated over.
 mod aligned {
     /// Doubles per 64-byte line; one less is the most slack ever needed.
     const LINE: usize = 8;
@@ -113,21 +113,14 @@ mod aligned {
 
         #[inline]
         fn deref(&self) -> &[f64] {
-            // SAFETY: by the invariant this is `&buf[off..]`, the tail of
-            // the vector's initialized elements, borrowed for as long as
-            // `self` is.  Unchecked because single-element accessors come
-            // through here: the checked slice costs `gebd2` 50 % (29 ->
-            // 43 us at 32 x 32).
-            unsafe { std::slice::from_raw_parts(self.buf.as_ptr().add(self.off), self.len) }
+            &self.buf[self.off..]
         }
     }
 
     impl std::ops::DerefMut for AlignedBuf {
         #[inline]
         fn deref_mut(&mut self) -> &mut [f64] {
-            // SAFETY: as in `deref`; `&mut self` makes the slice the only
-            // access path to the elements for its lifetime.
-            unsafe { std::slice::from_raw_parts_mut(self.buf.as_mut_ptr().add(self.off), self.len) }
+            &mut self.buf[self.off..]
         }
     }
 }

@@ -164,8 +164,16 @@ pub fn dqds_singular_values(d: &[f64], e: &[f64]) -> Vec<f64> {
 
 /// [`dqds_singular_values`] plus the [`DqdsStats`] counters (used by the
 /// benches and the property tests to confirm the fast path actually ran).
+///
+/// The scratch is sized for `d.len()` up front, not grown: an empty one
+/// pushes `lambdas` through a `realloc` at every power of two, and glibc
+/// keeps the small pieces those split off in its thread cache, where they
+/// are never coalesced — in a process that solves in a loop they pile up
+/// in front of the heap's largest free block until a matrix that used to
+/// fit there comes from fresh pages (`peak_rss_mib` on `square_1t` read
+/// 17.0 or 21.5 MiB by how many set-ups a run fitted in; CHANGES, PR 22).
 pub fn dqds_singular_values_with_stats(d: &[f64], e: &[f64]) -> (Vec<f64>, DqdsStats) {
-    let mut scratch = DqdsScratch::new();
+    let mut scratch = DqdsScratch::for_len(d.len());
     let mut out = Vec::with_capacity(d.len());
     let stats = dqds_singular_values_into(d, e, &mut scratch, &mut out);
     (out, stats)
