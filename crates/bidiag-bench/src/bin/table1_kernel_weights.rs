@@ -19,13 +19,15 @@
 //! next target.
 
 use bidiag_bench::print_tsv;
+use bidiag_core::pipeline::{ge2bnd, Ge2Options};
 use bidiag_kernels::cost::KernelKind;
-use bidiag_kernels::gebd2::{gebd2_with, Bidiagonal};
+use bidiag_kernels::gebd2::{gebd2, gebd2_with, Bidiagonal};
 use bidiag_kernels::{lq, qr, Trans, Workspace};
 use bidiag_matrix::checks::{lower_triangle_of as lower, upper_triangle_of as upper};
-use bidiag_matrix::gen::random_gaussian;
+use bidiag_matrix::gen::{latms, random_gaussian, SpectrumKind};
 use bidiag_matrix::simd::{self, SimdBackend};
 use bidiag_matrix::Matrix;
+use bidiag_svd::{dqds_singular_values_into, DqdsScratch, DqdsStats};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -61,7 +63,95 @@ fn main() {
         simd::with_forced_backend(be, || table(nb, be));
     }
     gebd2_table();
+    dqds_table();
     bidiag_bench::maybe_write_trace();
+}
+
+/// BD2VAL on the bidiagonals the benchmark's workloads hand it: `gebd2` of
+/// sixteen `latms` matrices of order 32 per `batch_small` spectrum, and the
+/// GE2BND + BND2BD output of `tall_1t` (n = 256) and `square_1t` (n = 768).
+/// A pass runs at the latency of its dependency chain (the ns-per-step
+/// column, flat in n), so what a solve costs is its inner steps: passes,
+/// rejected passes and steps are per singular value.
+fn dqds_table() {
+    let small = |spectrum: SpectrumKind| -> Vec<Bidiagonal> {
+        (0..16)
+            .map(|seed| gebd2(&mut latms(32, 32, &spectrum, seed).0))
+            .collect()
+    };
+    let staged = |m: usize, n: usize| {
+        let (a, _) = latms(m, n, &SpectrumKind::Geometric { cond: 1e6 }, 42);
+        vec![ge2bnd(&a, &Ge2Options::new(64)).band.reduce_to_bidiagonal()]
+    };
+    let inputs = [
+        (
+            "n=32 geometric 1e6",
+            small(SpectrumKind::Geometric { cond: 1e6 }),
+        ),
+        (
+            "n=32 arithmetic 1e3",
+            small(SpectrumKind::Arithmetic { cond: 1e3 }),
+        ),
+        (
+            "n=32 one-large 1e3",
+            small(SpectrumKind::OneLarge { cond: 1e3 }),
+        ),
+        ("n=32 uniform", small(SpectrumKind::Uniform)),
+        ("n=256 tall_1t", staged(8192, 256)),
+        ("n=768 square_1t", staged(768, 768)),
+    ];
+    let rows: Vec<Vec<String>> = inputs
+        .iter()
+        .map(|(name, problems)| {
+            let n = problems[0].diag.len();
+            let mut scratch = DqdsScratch::for_len(n);
+            let mut out = Vec::with_capacity(n);
+            let mut solve_all = || {
+                let mut total = DqdsStats::default();
+                for b in problems {
+                    total +=
+                        dqds_singular_values_into(&b.diag, &b.superdiag, &mut scratch, &mut out);
+                }
+                total
+            };
+            let stats = solve_all();
+            let mut best = f64::INFINITY;
+            for _ in 0..REPS * 32 / (n * problems.len()).max(32) + 20 {
+                let t0 = Instant::now();
+                black_box(solve_all());
+                best = best.min(t0.elapsed().as_secs_f64());
+            }
+            let values = (n * problems.len()) as f64;
+            vec![
+                name.to_string(),
+                format!("{:.2}", stats.passes as f64 / values),
+                format!("{:.3}", stats.rejected_passes as f64 / values),
+                format!("{:.1}", stats.inner_steps as f64 / values),
+                format!("{:.1}", stats.segments as f64 / problems.len() as f64),
+                format!("{}", stats.fallback_values),
+                match stats.inner_steps {
+                    // A uniform spectrum deflates without a pass.
+                    0 => "-".to_string(),
+                    steps => format!("{:.1}", best * 1.0e9 / steps as f64),
+                },
+                format!("{:.1}", best * 1.0e6 / problems.len() as f64),
+            ]
+        })
+        .collect();
+    print_tsv(
+        "dqds — per singular value on the benchmark's bidiagonals, hot, fastest run",
+        &[
+            "input",
+            "passes/value",
+            "rejected/value",
+            "steps/value",
+            "windows/solve",
+            "fallback_values",
+            "ns/step",
+            "us/solve",
+        ],
+        &rows,
+    );
 }
 
 /// The direct path's kernel, hot (reused buffers), at the orders the

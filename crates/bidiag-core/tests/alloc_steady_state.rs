@@ -2,7 +2,8 @@
 //! warm-up, inline direct-path calls through [`SvdSession::compute_into`]
 //! must perform **zero** heap allocations — the gebd2 work/tail buffers,
 //! the dqds qd-array pool and the output vector are all reused from the
-//! session's caller arena.
+//! session's caller arena. And a per-call solve of a long bidiagonal makes
+//! the allocations of its scratch and its result, and none per split.
 //!
 //! The counting allocator makes this binary single-purpose; keep it to one
 //! test so no concurrent test thread pollutes the counter.
@@ -72,5 +73,37 @@ fn warm_direct_path_calls_allocate_nothing() {
         delta, 0,
         "warm compute_into made {delta} heap allocations over 250 calls; \
          the direct path must run entirely from the pooled arenas"
+    );
+
+    per_call_dqds_allocates_its_scratch_and_nothing_per_split();
+}
+
+/// `dqds_singular_values_with_stats` at the order of `square_1t`, on a
+/// bidiagonal whose windows split dozens of times.
+fn per_call_dqds_allocates_its_scratch_and_nothing_per_split() {
+    use bidiag_matrix::gen::random_gaussian;
+    use bidiag_svd::{dqds_singular_values_with_stats, DqdsScratch};
+
+    let n = 768;
+    let g = random_gaussian(n, 2, 7);
+    let d: Vec<f64> = (0..n).map(|i| 1.0 + g.get(i, 0).abs()).collect();
+    let e: Vec<f64> = (0..n - 1).map(|i| g.get(i, 1)).collect();
+
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let scratch = DqdsScratch::for_len(n);
+    let out = Vec::<f64>::with_capacity(n);
+    let fixed = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    drop((scratch, out));
+
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let (sv, stats) = dqds_singular_values_with_stats(&d, &e);
+    let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    assert_eq!(sv.len(), n);
+    assert_eq!(stats.fallback_values, 0);
+    assert!(stats.segments > 20, "wanted a solve that splits: {stats:?}");
+    assert_eq!(
+        delta, fixed,
+        "a per-call dqds solve with {} windows made {delta} allocations, its scratch and result are {fixed}",
+        stats.segments
     );
 }

@@ -628,9 +628,14 @@ pub struct MetricsRegistry {
     pub shed_submissions: Counter,
     /// Peak concurrent in-flight submissions observed.
     pub in_flight_peak: MaxGauge,
-    /// dqds ladder passes across all solves.
+    /// dqds passes across all solves, rejected ones included.
     pub dqds_passes: Counter,
-    /// dqds deflation segments processed.
+    /// dqds passes discarded because the shift overshot.
+    pub dqds_rejected_passes: Counter,
+    /// Inner steps of all dqds passes (sum of window lengths): what the
+    /// solves cost, where `dqds_passes` only counts them.
+    pub dqds_inner_steps: Counter,
+    /// Unreduced dqds windows iterated, the parts of split ones included.
     pub dqds_segments: Counter,
     /// Singular values that fell back to bisection.
     pub dqds_fallback_values: Counter,
@@ -660,6 +665,8 @@ impl MetricsRegistry {
             shed_submissions: Counter(AtomicU64::new(0)),
             in_flight_peak: MaxGauge(AtomicU64::new(0)),
             dqds_passes: Counter(AtomicU64::new(0)),
+            dqds_rejected_passes: Counter(AtomicU64::new(0)),
+            dqds_inner_steps: Counter(AtomicU64::new(0)),
             dqds_segments: Counter(AtomicU64::new(0)),
             dqds_fallback_values: Counter(AtomicU64::new(0)),
             dqds_poisoned_values: Counter(AtomicU64::new(0)),
@@ -693,6 +700,8 @@ impl MetricsRegistry {
             shed_submissions: self.shed_submissions.get(),
             in_flight_peak: self.in_flight_peak.get(),
             dqds_passes: self.dqds_passes.get(),
+            dqds_rejected_passes: self.dqds_rejected_passes.get(),
+            dqds_inner_steps: self.dqds_inner_steps.get(),
             dqds_segments: self.dqds_segments.get(),
             dqds_fallback_values: self.dqds_fallback_values.get(),
             dqds_poisoned_values: self.dqds_poisoned_values.get(),
@@ -717,6 +726,8 @@ impl MetricsRegistry {
         self.shed_submissions.reset();
         self.in_flight_peak.reset();
         self.dqds_passes.reset();
+        self.dqds_rejected_passes.reset();
+        self.dqds_inner_steps.reset();
         self.dqds_segments.reset();
         self.dqds_fallback_values.reset();
         self.dqds_poisoned_values.reset();
@@ -758,6 +769,10 @@ pub struct MetricsSnapshot {
     pub in_flight_peak: u64,
     /// See [`MetricsRegistry::dqds_passes`].
     pub dqds_passes: u64,
+    /// See [`MetricsRegistry::dqds_rejected_passes`].
+    pub dqds_rejected_passes: u64,
+    /// See [`MetricsRegistry::dqds_inner_steps`].
+    pub dqds_inner_steps: u64,
     /// See [`MetricsRegistry::dqds_segments`].
     pub dqds_segments: u64,
     /// See [`MetricsRegistry::dqds_fallback_values`].
@@ -814,9 +829,11 @@ impl std::fmt::Display for MetricsSnapshot {
         writeln!(f, "  {:<18} {}", "in_flight_peak", self.in_flight_peak)?;
         writeln!(
             f,
-            "  {:<18} passes={} segments={} fallback={} poisoned={} flips={}",
+            "  {:<18} passes={} rejected={} inner_steps={} segments={} fallback={} poisoned={} flips={}",
             "dqds",
             self.dqds_passes,
+            self.dqds_rejected_passes,
+            self.dqds_inner_steps,
             self.dqds_segments,
             self.dqds_fallback_values,
             self.dqds_poisoned_values,
@@ -855,7 +872,8 @@ impl MetricsSnapshot {
                 "{{\"meta\":{meta},\"tasks_executed\":{te},\"steals\":{st},\"parks\":{pk},",
                 "\"idle_ns\":{idle},\"submissions\":{sub},\"admission_waits\":{aw},",
                 "\"admission_wait_ns\":{awn},\"shed_submissions\":{shed},\"in_flight_peak\":{peak},",
-                "\"dqds\":{{\"passes\":{dp},\"segments\":{dseg},\"fallback_values\":{dfb},",
+                "\"dqds\":{{\"passes\":{dp},\"rejected_passes\":{drj},\"inner_steps\":{dst},",
+                "\"segments\":{dseg},\"fallback_values\":{dfb},",
                 "\"poisoned_values\":{dpo},\"flips\":{dfl}}},",
                 "\"queue_wait\":{qw},\"compute\":{cp},\"latency\":{lat}}}"
             ),
@@ -870,6 +888,8 @@ impl MetricsSnapshot {
             shed = self.shed_submissions,
             peak = self.in_flight_peak,
             dp = self.dqds_passes,
+            drj = self.dqds_rejected_passes,
+            dst = self.dqds_inner_steps,
             dseg = self.dqds_segments,
             dfb = self.dqds_fallback_values,
             dpo = self.dqds_poisoned_values,

@@ -7,22 +7,24 @@
 //! struct:
 //!
 //! * [`SvdSolver::Dqds`] — the production path: Fernando–Parlett
-//!   differential quotient-difference with shifts ([`dqds`], LAPACK
-//!   `dlasq`-style), computing all `n` values in `O(n^2)` with high
-//!   relative accuracy; falls back to bisection per segment if the qd
+//!   differential quotient-difference with shifts ([`dqds`], with LAPACK
+//!   `dlasq`'s driver), computing all `n` values in `O(n^2)` with high
+//!   relative accuracy; falls back to bisection per window if the qd
 //!   iteration ever fails to converge.
 //! * [`SvdSolver::Bisection`] — the oracle/fallback: plain per-value
 //!   bisection ([`sturm::GkBisection`]), maximally robust and the
 //!   reference dqds is property-tested against.
 //!
 //! Both work on the Golub–Kahan tridiagonal (or its squared qd form)
-//! rather than on `BᵀB`, so tiny singular values keep relative accuracy.
+//! rather than on `BᵀB`, so tiny singular values keep relative accuracy,
+//! and both prescale by an exact power of two, so every finite input is
+//! solved, subnormal or next to overflow.
 //! `bidiag-kernels` re-exports the crate as its `svd` module and
 //! `bidiag-core` threads [`Bd2ValOptions`] through the GE2VAL pipeline and
 //! the task runtime.
 //!
-//! Robustness: when the dqds iteration gives up on a segment it hands the
-//! segment to the bisection oracle; non-finite segment data is surfaced as
+//! Robustness: when the dqds iteration gives up on a window it hands the
+//! window to the bisection oracle; non-finite window data is surfaced as
 //! NaN output instead of a panic or a hang (see [`dqds`]).
 //! [`dqds_singular_values_with_stats`] returns the [`DqdsStats`] saying
 //! whether either happened.
@@ -37,6 +39,51 @@ pub use dqds::{
     DqdsStats,
 };
 pub use sturm::{GkBisection, GkSturm};
+
+/// The exact power of two that brings the largest entry `amax` of a
+/// bidiagonal into `(0.5, 1]`, and its inverse: what both solvers apply
+/// before they square anything. Each factor is kept as two halves applied
+/// one after the other, because `2^k` itself is not a finite `f64` for a
+/// subnormal `amax` (`k` up to 1074) and `2^-k` is not for `amax >= 2^1023`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Pow2Scale {
+    down: [f64; 2],
+    up: [f64; 2],
+}
+
+impl Pow2Scale {
+    /// No scaling: what the zero matrix gets.
+    pub(crate) const IDENTITY: Pow2Scale = Pow2Scale {
+        down: [1.0; 2],
+        up: [1.0; 2],
+    };
+
+    /// The scaling for the bidiagonal with diagonal `d` and superdiagonal
+    /// `e`; `None` if every entry is zero.
+    pub(crate) fn for_bidiagonal(d: &[f64], e: &[f64]) -> Option<Self> {
+        let amax = d.iter().chain(e).fold(0.0_f64, |acc, &v| acc.max(v.abs()));
+        if amax == 0.0 {
+            return None;
+        }
+        let k = -(amax.log2().ceil() as i32);
+        let halves = |k: i32| [2.0_f64.powi(k / 2), 2.0_f64.powi(k - k / 2)];
+        Some(Pow2Scale {
+            down: halves(k),
+            up: halves(-k),
+        })
+    }
+
+    /// `v` in scaled units (exact, unless it underflows).
+    pub(crate) fn down(&self, v: f64) -> f64 {
+        v * self.down[0] * self.down[1]
+    }
+
+    /// `v` back in the caller's units (exact, unless the result is
+    /// subnormal or overflows — as the true value then does).
+    pub(crate) fn up(&self, v: f64) -> f64 {
+        v * self.up[0] * self.up[1]
+    }
+}
 
 /// Which algorithm computes the singular values of the bidiagonal.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -16,27 +16,48 @@
 //! avoids forming `BᵀB` and therefore resolves even tiny singular values to
 //! high *relative* accuracy (Demmel–Kahan).  [`GkSturm`] is the shared
 //! read-only state every solver in this crate leans on: it owns the
-//! off-diagonals, the Gershgorin bound and the underflow-safe pivot
-//! threshold, and evaluates Sturm counts one shift at a time.
+//! off-diagonals (prescaled by a power of two) and the Gershgorin bound,
+//! and evaluates Sturm counts one shift at a time.
+
+use crate::Pow2Scale;
 
 /// Shared Sturm-evaluation state for one bidiagonal matrix: the Golub–Kahan
-/// off-diagonals plus the derived bounds and pivot threshold.
+/// off-diagonals plus the derived bound.
 ///
 /// Everything in this crate — the [`GkBisection`] oracle and through it
 /// the dqds fallback — evaluates counts through this one struct, so all
 /// paths agree on the matrix they are looking at.
+///
+/// The off-diagonals are held scaled by an exact power of two that puts the
+/// largest in `(0.5, 1]` (as dqds does): the count recurrence squares them,
+/// which for entries outside about `[1e-154, 1e154]` would overflow or
+/// underflow and count a different matrix. Arguments and results of the
+/// public methods are in the caller's units.
 #[derive(Clone, Debug)]
 pub struct GkSturm {
-    /// Off-diagonals of the Golub–Kahan tridiagonal: `d1, e1, d2, ..., dk`
-    /// (length `2k - 1`; empty when `k == 0`).
+    /// Off-diagonals of the Golub–Kahan tridiagonal, scaled: `d1, e1, d2,
+    /// ..., dk` (length `2k - 1`; empty when `k == 0`).
     off: Vec<f64>,
     /// Number of singular values `k`.
     k: usize,
-    /// Gershgorin bound on `|lambda|` (zero diagonal, so the max row sum).
+    /// Gershgorin bound on `|lambda|` (zero diagonal, so the max row sum),
+    /// in scaled units: at most 2.
     bound: f64,
-    /// Minimum pivot magnitude, LAPACK `xLAEBZ`/`xSTEBZ`-style.
-    pivmin: f64,
+    /// The scaling applied to `off` (none for the zero matrix).
+    scale: Pow2Scale,
 }
+
+/// Minimum pivot magnitude, LAPACK `xLAEBZ`/`xSTEBZ`-style: `safmin *
+/// max(1, max_i b_i^2)`, which for the scaled off-diagonals is `safmin`.
+/// The Sturm recurrence divides by the previous pivot; clamping pivots at
+/// this magnitude guarantees `b_i^2 / pivot` cannot overflow, while the
+/// clamp itself only ever fires for pivots at the underflow scale of the
+/// recurrence, far below one ulp of any representable eigenvalue of the
+/// matrix.  That is the property underwriting the relative-accuracy claim
+/// of GK bisection: counts are *exact* for every shift whose pivots stay
+/// representable, so each bracket converges to the true sigma with relative
+/// error governed only by the stopping width, never by the pivot guard.
+const PIVMIN: f64 = f64::MIN_POSITIVE;
 
 impl GkSturm {
     /// Prepare the Sturm state for the bidiagonal matrix with main diagonal
@@ -48,17 +69,18 @@ impl GkSturm {
                 off: Vec::new(),
                 k: 0,
                 bound: 0.0,
-                pivmin: f64::MIN_POSITIVE,
+                scale: Pow2Scale::IDENTITY,
             };
         }
         assert_eq!(e.len(), k - 1, "superdiagonal must have length n-1");
+        let scale = Pow2Scale::for_bidiagonal(d, e).unwrap_or(Pow2Scale::IDENTITY);
 
         // Interleave into the GK off-diagonal sequence d1, e1, d2, ..., dk.
         let mut off = Vec::with_capacity(2 * k - 1);
         for i in 0..k {
-            off.push(d[i]);
+            off.push(scale.down(d[i]));
             if i + 1 < k {
-                off.push(e[i]);
+                off.push(scale.down(e[i]));
             }
         }
 
@@ -71,28 +93,11 @@ impl GkSturm {
             bound = bound.max(left + right);
         }
 
-        // Pivot threshold, derived LAPACK `xSTEBZ`-style from safe-minimum
-        // scaling: `pivmin = safmin * max(1, max_i b_i^2)`.  The Sturm
-        // recurrence divides by the previous pivot; clamping pivots at this
-        // magnitude guarantees `b_i^2 / pivot` cannot overflow, while the
-        // clamp itself only ever fires for pivots below `safmin * b_max^2` —
-        // a perturbation at the underflow scale of the recurrence, far below
-        // one ulp of any representable eigenvalue of the matrix.  That is
-        // the property underwriting the relative-accuracy claim of GK
-        // bisection: counts are *exact* for every shift whose pivots stay
-        // representable, so each bracket converges to the true sigma with
-        // relative error governed only by the stopping width, never by the
-        // pivot guard.  (The previous ad-hoc `eps * bound^2 * 1e-3` value
-        // was ~1e150 times larger on well-scaled data and tied the guard to
-        // the matrix *norm* rather than to underflow.)
-        let bmax2 = off.iter().fold(0.0_f64, |acc, &b| acc.max(b * b));
-        let pivmin = f64::MIN_POSITIVE * bmax2.max(1.0);
-
         GkSturm {
             off,
             k,
             bound,
-            pivmin,
+            scale,
         }
     }
 
@@ -103,18 +108,23 @@ impl GkSturm {
 
     /// Gershgorin bound on the spectrum radius of the GK tridiagonal.
     pub fn bound(&self) -> f64 {
-        self.bound
+        self.scale.up(self.bound)
     }
 
-    /// The pivot clamp threshold (see [`GkSturm::new`]).
+    /// The pivot clamp threshold of the count recurrence, in the scaled
+    /// units it runs in (largest off-diagonal in `(0.5, 1]`).
     pub fn pivmin(&self) -> f64 {
-        self.pivmin
+        PIVMIN
     }
 
     /// Absolute floor below which an eigenvalue bracket is declared zero:
     /// values this far below the spectrum radius are indistinguishable from
     /// an exact zero singular value at any useful relative accuracy.
     pub fn zero_floor(&self) -> f64 {
+        self.scale.up(self.scaled_zero_floor())
+    }
+
+    fn scaled_zero_floor(&self) -> f64 {
         self.bound * 1.0e-20
     }
 
@@ -123,9 +133,9 @@ impl GkSturm {
     /// first pivot at shift 0 on this zero-diagonal matrix) counts as
     /// negative.
     #[inline]
-    fn clamped(&self, v: f64) -> f64 {
-        if v.abs() < self.pivmin {
-            -self.pivmin
+    fn clamped(v: f64) -> f64 {
+        if v.abs() < PIVMIN {
+            -PIVMIN
         } else {
             v
         }
@@ -134,21 +144,19 @@ impl GkSturm {
     /// Number of eigenvalues of the GK tridiagonal strictly smaller than
     /// `x` (non-pivoting LDLᵀ sign count).
     pub fn count(&self, x: f64) -> usize {
+        self.count_scaled(self.scale.down(x))
+    }
+
+    /// [`count`](Self::count) with `x` in scaled units.
+    fn count_scaled(&self, x: f64) -> usize {
         if self.k == 0 {
             return 0;
         }
-        let m = 2 * self.k;
-        let mut count = 0usize;
-        let mut d = self.clamped(-x);
-        if d < 0.0 {
-            count += 1;
-        }
-        for i in 1..m {
-            let b = self.off[i - 1];
-            d = self.clamped(-x - b * b / d);
-            if d < 0.0 {
-                count += 1;
-            }
+        let mut d = Self::clamped(-x);
+        let mut count = usize::from(d < 0.0);
+        for b in &self.off {
+            d = Self::clamped(-x - b * b / d);
+            count += usize::from(d < 0.0);
         }
         count
     }
@@ -203,12 +211,13 @@ impl GkBisection {
     pub fn nth_largest(&self, j: usize) -> f64 {
         let k = self.sturm.num_values();
         assert!(j < k, "value index out of range");
-        let bound = self.sturm.bound();
+        // Bisect in the scaled units of the count recurrence.
+        let bound = self.sturm.bound;
         if bound == 0.0 {
             return 0.0;
         }
         let target = 2 * k - j - 1;
-        let floor = self.sturm.zero_floor();
+        let floor = self.sturm.scaled_zero_floor();
         let mut lo = 0.0_f64;
         let mut hi = bound * (1.0 + 4.0 * f64::EPSILON);
         // Bracket halving: ~52 + log2(sigma_max / sigma) iterations to
@@ -219,13 +228,13 @@ impl GkBisection {
                 break;
             }
             let mid = 0.5 * (lo + hi);
-            if self.sturm.count(mid) > target {
+            if self.sturm.count_scaled(mid) > target {
                 hi = mid;
             } else {
                 lo = mid;
             }
         }
-        0.5 * (lo + hi)
+        self.sturm.scale.up(0.5 * (lo + hi))
     }
 }
 

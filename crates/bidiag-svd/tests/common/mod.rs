@@ -5,11 +5,12 @@ use bidiag_matrix::gen::random_gaussian;
 /// Per-value relative agreement with the oracle: `|a - b| <= tol *
 /// max(|a|, |b|)` with an absolute floor far below any resolvable value
 /// (`1e-18 * sigma_max` — values below the oracle's own zero floor of
-/// `1e-20 * bound` are indistinguishable from exact zeros).
+/// `1e-20 * bound` are indistinguishable from exact zeros — and the two
+/// roundings of a subnormal result).
 pub fn assert_rel_close(got: &[f64], oracle: &[f64], tol: f64, ctx: &str) {
     assert_eq!(got.len(), oracle.len(), "{ctx}: length mismatch");
     let smax = oracle.first().copied().unwrap_or(0.0).abs();
-    let floor = 1e-18 * smax;
+    let floor = 1e-18 * smax + 1e-323;
     for (i, (a, b)) in got.iter().zip(oracle).enumerate() {
         assert!(
             (a - b).abs() <= tol * a.abs().max(b.abs()) + floor,

@@ -310,6 +310,10 @@ fn session_metrics_wire_queue_wait_latency_and_dqds_signals() {
     // per-solve `DqdsStats` must have been aggregated into the registry.
     assert!(snap.dqds_passes > 0, "dqds passes not recorded");
     assert!(snap.dqds_segments > 0, "dqds segments not recorded");
+    assert!(
+        snap.dqds_inner_steps >= snap.dqds_passes && snap.dqds_rejected_passes < snap.dqds_passes,
+        "a pass has at least one inner step, and not every pass is rejected"
+    );
     // Histogram sanity: latency >= compute on every submission, so the
     // means must be ordered too.
     assert!(snap.latency.mean() >= snap.compute.mean());
@@ -318,4 +322,5 @@ fn session_metrics_wire_queue_wait_latency_and_dqds_signals() {
     assert!(text.contains("submissions"));
     let json = snap.to_json();
     assert!(json.contains(&format!("\"submissions\":{requests}")));
+    assert!(json.contains(&format!("\"inner_steps\":{}", snap.dqds_inner_steps)));
 }
