@@ -8,7 +8,9 @@
 //! Table I weight unit (`nb^3/3` flops) and the measured weight in units of
 //! the cheapest kernel's per-unit time next to the paper's weight: one
 //! table per vector backend the host supports (256 next to 512 bits), or
-//! the scalar table alone where there is none.
+//! the scalar table alone where there is none.  Three blocks follow, one
+//! row per backend: `gebd2` at the direct path's orders, the bulge chase on
+//! the benchmark's band, and dqds on the benchmark's bidiagonals.
 //!
 //! If the implementation matched the model the per-unit column would be
 //! flat and the two weight columns equal.  It is not: the paper's point —
@@ -20,6 +22,7 @@
 
 use bidiag_bench::print_tsv;
 use bidiag_core::pipeline::{ge2bnd, Ge2Options};
+use bidiag_kernels::band::{bnd2bd_flops, bulge_wavefronts, BandMatrix};
 use bidiag_kernels::cost::KernelKind;
 use bidiag_kernels::gebd2::{gebd2, gebd2_with, Bidiagonal};
 use bidiag_kernels::{lq, qr, Trans, Workspace};
@@ -63,25 +66,63 @@ fn main() {
         simd::with_forced_backend(be, || table(nb, be));
     }
     gebd2_table();
-    dqds_table();
+    let square = staged_band(768, 768, 64);
+    bnd2bd_table(&[&square, &staged_band(768, 768, 128)]);
+    dqds_table(&square);
     bidiag_bench::maybe_write_trace();
+}
+
+/// The band GE2BND hands to BND2BD on the benchmark's `m x n` input (`latms`,
+/// geometric spectrum, condition 1e6, seed 42) at tile size `nb`.
+fn staged_band(m: usize, n: usize, nb: usize) -> BandMatrix {
+    let (a, _) = latms(m, n, &SpectrumKind::Geometric { cond: 1e6 }, 42);
+    ge2bnd(&a, &Ge2Options::new(nb)).band
+}
+
+/// BND2BD, the stage that is a third of `square_1t`: the bulge chase on the
+/// benchmark's own band and on the same input at `nb = 128`, per backend
+/// the host supports — fastest of ten reductions, each on a fresh copy.
+fn bnd2bd_table(bands: &[&BandMatrix]) {
+    let mut rows = Vec::new();
+    for be in simd::available_backends() {
+        for band in bands {
+            let (n, bw) = (band.order(), band.bandwidth());
+            let mut best = f64::INFINITY;
+            for _ in 0..10 {
+                let mut work = (*band).clone();
+                let t0 = Instant::now();
+                black_box(simd::with_forced_backend(be, || {
+                    work.reduce_to_bidiagonal()
+                }));
+                best = best.min(t0.elapsed().as_secs_f64());
+            }
+            rows.push(vec![
+                be.name().to_string(),
+                format!("{n}/{bw}"),
+                format!("{:.2}", best * 1.0e3),
+                format!("{:.1}", bnd2bd_flops(n, bw) / best / 1.0e9),
+                format!("{:.2}", best * 1.0e6 / bulge_wavefronts(n, bw).len() as f64),
+            ]);
+        }
+    }
+    print_tsv(
+        "reduce_to_bidiagonal — the bulge chase on GE2BND's band, fastest of 10 reductions",
+        &["backend", "n/bw", "ms", "GFlop/s", "us_per_block_step"],
+        &rows,
+    );
 }
 
 /// BD2VAL on the bidiagonals the benchmark's workloads hand it: `gebd2` of
 /// sixteen `latms` matrices of order 32 per `batch_small` spectrum, and the
-/// GE2BND + BND2BD output of `tall_1t` (n = 256) and `square_1t` (n = 768).
-/// A pass runs at the latency of its dependency chain (the ns-per-step
-/// column, flat in n), so what a solve costs is its inner steps: passes,
-/// rejected passes and steps are per singular value.
-fn dqds_table() {
+/// GE2BND + BND2BD output of `tall_1t` (n = 256) and `square_1t` (n = 768,
+/// from its band `square`).  A pass runs at the latency of its dependency
+/// chain (the ns-per-step column, flat in n), so what a solve costs is its
+/// inner steps: passes, rejected passes and steps are per singular value.
+fn dqds_table(square: &BandMatrix) {
     let small = |spectrum: SpectrumKind| -> Vec<Bidiagonal> {
         (0..16)
             .map(|seed| gebd2(&mut latms(32, 32, &spectrum, seed).0))
             .collect()
-    };
-    let staged = |m: usize, n: usize| {
-        let (a, _) = latms(m, n, &SpectrumKind::Geometric { cond: 1e6 }, 42);
-        vec![ge2bnd(&a, &Ge2Options::new(64)).band.reduce_to_bidiagonal()]
     };
     let inputs = [
         (
@@ -97,8 +138,14 @@ fn dqds_table() {
             small(SpectrumKind::OneLarge { cond: 1e3 }),
         ),
         ("n=32 uniform", small(SpectrumKind::Uniform)),
-        ("n=256 tall_1t", staged(8192, 256)),
-        ("n=768 square_1t", staged(768, 768)),
+        (
+            "n=256 tall_1t",
+            vec![staged_band(8192, 256, 64).reduce_to_bidiagonal()],
+        ),
+        (
+            "n=768 square_1t",
+            vec![square.clone().reduce_to_bidiagonal()],
+        ),
     ];
     let rows: Vec<Vec<String>> = inputs
         .iter()

@@ -43,13 +43,16 @@ use bidiag_trees::NamedTree;
 /// | `gebd2` | 16 | 32 | 48 | 64 | 96 | 128 |
 /// |---|---|---|---|---|---|---|
 /// | element-wise `get`/`set` loop (before PR 22) | 1.30x | 0.91x | 0.73x | 0.68x | 0.55x | 0.38x |
-/// | on the bulge chase's vector-lane applies | 1.57x | 1.31x | 1.22x | 1.19x | 1.20x | 1.11x |
+/// | on the bulge chase's vector-lane applies (PR 22) | 1.57x | 1.31x | 1.22x | 1.19x | 1.20x | 1.11x |
+/// | eight lanes, masked tails, resident left apply (PR 24) | 1.59x | 1.39x | 1.29x | 1.28x | 1.44x | 1.18x |
 ///
 /// (It read 2.5x at n = 32 and 2.1x at n = 64 when 64 was picked, before
 /// the fused compact-WY tile kernels and the Householder bulge chase made
 /// the blocked side 3–4x faster.)  The constant is unchanged at 64, and
 /// the sweep now supports it: the direct path wins per call at every order
-/// it serves, by a margin that shrinks towards 128.  What the sweep cannot
+/// it serves, by a margin that shrinks towards 128 (the last row is the
+/// median of three runs; both sides moved with it, since the blocked path's
+/// BND2BD runs the same applies).  What the sweep cannot
 /// see is what the direct path saves *in a session* — it allocates nothing,
 /// and `SvdSession::compute_into` runs it inline, without the hand-off to a
 /// pool worker — so whether the constant should rather go *up* is for a

@@ -41,12 +41,22 @@
 //! every block the chase touches is a run of *contiguous column segments*
 //! whose starts are `ldab - 1` apart.  The right apply runs rows-as-lanes
 //! over those segments (`w += col_j * v_j`, then `col_j -= tau * v_j * w`,
-//! in chunks of at most eight registers of rows so `w` never leaves them),
-//! the left apply is a dot product and an axpy per column; both are
-//! unit-stride and live in [`crate::householder`] (`reflector`,
-//! `right_apply`, `left_apply` over [`SimdLane`], on a window with leading
-//! dimension `ldab - 1` here and `m` in [`crate::gebd2`]), with one
-//! `#[target_feature]` shell and one backend read per *reduction*.
+//! in chunks of at most eight registers of rows so `w` never leaves them;
+//! the rows left over are one more chunk of as many registers as they need,
+//! the last one masked, so a 127-row block costs two chunks and no row goes
+//! element by element).  The left apply keeps `v` in registers for the whole
+//! call — up to sixteen of them, 64 rows on four lanes and 128 on eight, the
+//! last one masked — and loads, reduces, updates and stores each column
+//! once; a longer `v` (`bw > 128` on eight lanes) is a dot product and an
+//! axpy per column.  Both are unit-stride and live in [`crate::householder`]
+//! (`reflector`, `right_apply`, `left_apply` over [`SimdLane`], on a window
+//! with leading dimension `ldab - 1` here and `m` in [`crate::gebd2`]), with
+//! one backend read per *reduction* and one `#[target_feature]` shell per
+//! vector backend: `Avx2` runs the chase on four lanes, `Avx512` on eight.
+//!
+//! At `bw = 64` the chase's right apply now runs at the rate its ≈ 65 KB
+//! block streams between L1 and L2 (2.2 cycles per 32 bytes against 1.25
+//! for a block that stays in L1), which is what is left to take.
 //!
 //! # Scaling
 //!
@@ -260,14 +270,25 @@ impl BandMatrix {
         match simd::backend() {
             // SAFETY: the scalar lane has no ISA requirements.
             SimdBackend::Scalar => unsafe { chase_body(ScalarLane, self) },
-            // No 512-bit shell: the chase streams two ~65 KB blocks per step
-            // out of L2, and eight lanes measured flat (`core.bnd2bd_s`
-            // 21.0/22.2/21.6 -> 21.4/20.1/21.0 ms on `square_1t`).
+            // Each vector backend runs its own lane.  On `square_1t`'s band
+            // (768 / 64, ms per reduction, `table1_kernel_weights`): 19.8 on
+            // the 256-bit lane, which both backends shared while a 127-row
+            // block ended in a 16 / 8 / 4-row ladder and single rows and the
+            // left apply reloaded `v` per column ("eight lanes measured
+            // flat": its ladder was 32 / 16 / 8 rows plus seven single
+            // ones); with the masked tail and `v` resident, 18.0–18.8 on
+            // four lanes and 14.2 on eight.
             #[cfg(target_arch = "x86_64")]
-            SimdBackend::Avx2 | SimdBackend::Avx512 => {
+            SimdBackend::Avx2 => {
                 simd::check_avx2();
                 // SAFETY: check_avx2 verified AVX2+FMA.
                 unsafe { chase_avx2(self) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            SimdBackend::Avx512 => {
+                simd::check_avx512();
+                // SAFETY: check_avx512 verified AVX-512F on top of AVX2+FMA.
+                unsafe { chase_avx512(self) }
             }
         }
         // Everything off the two diagonals is exactly zero now.
@@ -338,7 +359,7 @@ unsafe fn chase_body<S: SimdLane>(s: S, band: &mut BandMatrix) {
         if r.tau != 0.0 {
             let (right, ncols) = (&mut band.data[at + stride..], (c1 + bw).min(n - 1) - c0);
             // SAFETY: as above.
-            unsafe { left_apply::<S, false>(s, right, stride, ncols, v, r.tau) };
+            unsafe { left_apply(s, right, stride, ncols, v, r.tau) };
         }
     }
 }
@@ -351,6 +372,16 @@ unsafe fn chase_avx2(band: &mut BandMatrix) {
     // SAFETY: inside this target_feature fn AVX2+FMA are enabled, so
     // constructing the lane token is sound.
     unsafe { chase_body(simd::Avx2Lane::new_unchecked(), band) }
+}
+
+/// # Safety
+/// Caller must guarantee AVX-512F on top of AVX2+FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+unsafe fn chase_avx512(band: &mut BandMatrix) {
+    // SAFETY: inside this target_feature fn AVX-512F is enabled, so
+    // constructing the lane token is sound.
+    unsafe { chase_body(simd::Avx512Lane::new_unchecked(), band) }
 }
 
 /// Flop count of the band-to-bidiagonal reduction of an order-`n` band of
@@ -462,8 +493,10 @@ mod tests {
 
     /// The shapes the chase has to get right: `n` not a multiple of `bw`,
     /// `bw = n - 1` (one step per sweep), a last block of one column (`n - 2`
-    /// a multiple of `bw`), and the reference bandwidth.
-    const SHAPES: [(usize, usize); 7] = [
+    /// a multiple of `bw`), the reference bandwidth, and the two sides of the
+    /// left apply's register budget on eight lanes (sixteen registers at
+    /// `bw = 128`, the column-by-column fallback at 130).
+    const SHAPES: [(usize, usize); 9] = [
         (3, 2),
         (9, 8),
         (33, 2),
@@ -471,6 +504,8 @@ mod tests {
         (64, 16),
         (200, 12),
         (257, 64),
+        (300, 128),
+        (300, 130),
     ];
 
     #[test]

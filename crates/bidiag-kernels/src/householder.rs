@@ -6,9 +6,21 @@
 //! The crate-private half is the reflector plane [`crate::gebd2`] and the
 //! bulge chase of [`crate::band`] share: `reflector` on a prescaled vector
 //! and the two applies on a column-major window with a leading dimension,
-//! lane-generic, compiled inside the caller's `#[target_feature]` shell.
+//! lane-generic, compiled inside the caller's `#[target_feature]` shells
+//! (one per vector backend: four lanes under `Avx2`, eight under `Avx512`).
+//!
+//! Neither apply has an element-by-element tail.  `right_apply` takes its
+//! rows in chunks of eight registers; the rows left over are one more chunk
+//! of `ceil(rest / LANES)` registers whose last one is loaded and stored
+//! through [`SimdLane::load_head`] / [`SimdLane::store_head`], so a tail
+//! costs what a chunk of its register count costs.  `left_apply` keeps `v`
+//! in up to sixteen registers (64 rows of four lanes, 128 of eight; the last
+//! one masked) for the whole call and touches each column once; only a
+//! longer `v` falls back to a dot product and an axpy per column.  On the
+//! scalar lane a register is one element and a mask is never partial, so
+//! its results do not depend on any of this.
 
-use bidiag_matrix::simd::{self, ScalarLane, SimdLane};
+use bidiag_matrix::simd::{self, SimdLane};
 
 /// Result of generating a Householder reflector.
 #[derive(Clone, Debug)]
@@ -100,32 +112,39 @@ pub(crate) unsafe fn reflector<S: SimdLane>(s: S, v: &mut [f64]) -> Reflector {
     r
 }
 
-/// `C <- C (I - tau v v^T)` on the rows `i0 .. i0 + R * LANES` of the
-/// column segments `blk[jj * ld ..]`, `jj < v.len()`: the `R` registers of
+/// `C <- C (I - tau v v^T)` on the rows `i0 .. i0 + rows` of the column
+/// segments `blk[jj * ld ..]`, `jj < v.len()`, in `R` registers of rows the
+/// last of which holds `rows - (R - 1) * LANES` live ones: the registers of
 /// `w = C v` are accumulated over one pass and subtracted in a second.
 ///
 /// # Safety
-/// The lane's ISA contract (see [`SimdLane`]).
+/// The lane's ISA contract (see [`SimdLane`]) and
+/// `(R - 1) * LANES < rows <= R * LANES`.
 #[inline(always)]
 unsafe fn right_rows<S: SimdLane, const R: usize>(
     s: S,
     blk: &mut [f64],
     ld: usize,
     i0: usize,
+    rows: usize,
     v: &[f64],
     tau: f64,
 ) {
-    let rows = R * S::LANES;
+    let (last, k) = ((R - 1) * S::LANES, rows - (R - 1) * S::LANES);
+    debug_assert!((1..=S::LANES).contains(&k));
     // SAFETY (whole body): the caller upholds the lane's ISA contract; every
-    // `load`/`store` is at `r * LANES` with `r < R` in a segment that was
-    // sliced to exactly `R * LANES` elements.
+    // segment is sliced to exactly `rows` elements, each `load`/`store` is at
+    // `r * LANES` with `r < R - 1`, so it ends at or before `last < rows`,
+    // and the masked pair is at `last` with `1 <= k <= LANES` by the
+    // caller's bound on `rows` and `last + k == rows`.
     unsafe {
         let mut w = [s.zero(); R];
         for (jj, &vj) in v.iter().enumerate() {
             let (seg, vj) = (&blk[jj * ld + i0..][..rows], s.splat(vj));
-            for (r, wr) in w.iter_mut().enumerate() {
+            for (r, wr) in w[..R - 1].iter_mut().enumerate() {
                 *wr = s.mul_add(s.load(seg, r * S::LANES), vj, *wr);
             }
+            w[R - 1] = s.mul_add(s.load_head(seg, last, k), vj, w[R - 1]);
         }
         let minus_tau = s.splat(-tau);
         for wr in w.iter_mut() {
@@ -133,18 +152,32 @@ unsafe fn right_rows<S: SimdLane, const R: usize>(
         }
         for (jj, &vj) in v.iter().enumerate() {
             let (seg, vj) = (&mut blk[jj * ld + i0..][..rows], s.splat(vj));
-            for (r, &wr) in w.iter().enumerate() {
+            for (r, &wr) in w[..R - 1].iter().enumerate() {
                 let c = s.mul_add(wr, vj, s.load(seg, r * S::LANES));
                 s.store(seg, r * S::LANES, c);
             }
+            let c = s.mul_add(w[R - 1], vj, s.load_head(seg, last, k));
+            s.store_head(seg, last, k, c);
         }
     }
 }
 
+/// `$kernel::<S, N>$args` with the const `N` equal to the register count
+/// `$n`, one arm per listed count; `$more` for any other.
+macro_rules! with_regs {
+    ($n:expr, $kernel:ident $args:tt, [$($N:literal)*], $more:expr) => {
+        match $n {
+            $($N => $kernel::<S, $N> $args,)*
+            _ => $more,
+        }
+    };
+}
+
 /// `C <- C (I - tau v v^T)` on the `m x v.len()` column-major window `blk`
 /// of leading dimension `ld`, rows as lanes: [`right_rows`] in chunks of
-/// eight registers, then one chunk each of four, two and one, then single
-/// rows.
+/// eight registers, the last chunk in as many registers as the rows left
+/// over need, its last register masked — every row is fused, and a tail
+/// costs what a chunk of its register count costs.
 ///
 /// # Safety
 /// The lane's ISA contract (see [`SimdLane`]).
@@ -157,44 +190,34 @@ pub(crate) unsafe fn right_apply<S: SimdLane>(
     v: &[f64],
     tau: f64,
 ) {
-    let mut i0 = 0;
-    // SAFETY: the caller upholds the lane's ISA contract; the scalar lane
-    // has none.
-    unsafe {
-        while m - i0 >= 8 * S::LANES {
-            right_rows::<S, 8>(s, blk, ld, i0, v, tau);
-            i0 += 8 * S::LANES;
-        }
-        if m - i0 >= 4 * S::LANES {
-            right_rows::<S, 4>(s, blk, ld, i0, v, tau);
-            i0 += 4 * S::LANES;
-        }
-        if m - i0 >= 2 * S::LANES {
-            right_rows::<S, 2>(s, blk, ld, i0, v, tau);
-            i0 += 2 * S::LANES;
-        }
-        if m - i0 >= S::LANES {
-            right_rows::<S, 1>(s, blk, ld, i0, v, tau);
-            i0 += S::LANES;
-        }
-        while i0 < m {
-            right_rows::<ScalarLane, 1>(ScalarLane, blk, ld, i0, v, tau);
-            i0 += 1;
+    for i0 in (0..m).step_by(8 * S::LANES) {
+        let rows = (m - i0).min(8 * S::LANES);
+        // SAFETY: the caller upholds the lane's ISA contract, and
+        // `1 <= rows <= 8 * LANES` is covered by `ceil(rows / LANES)`
+        // registers, the last one not empty.
+        unsafe {
+            with_regs!(
+                rows.div_ceil(S::LANES),
+                right_rows(s, blk, ld, i0, rows, v, tau),
+                [1 2 3 4 5 6 7 8],
+                unreachable!("a chunk is at most eight registers")
+            )
         }
     }
 }
 
-/// `C <- (I - tau v v^T) C` on the `ncols` columns of the column-major
-/// window `blk` (`v.len()` rows, leading dimension `ld`): a dot product and
-/// an axpy down each column.  With `BY_FOUR`, four columns at a time while
-/// there are four, so that each register of `v` is loaded once per four
-/// columns in both passes (one accumulator per column: those sums round
-/// differently from the single columns').
+/// [`left_apply`] with `v` in `NV` registers, the last of which holds
+/// `v.len() - (NV - 1) * LANES` live rows: `v` is loaded once per call and
+/// each column once — multiplied, reduced, updated and stored from
+/// registers.  The sum runs in [`simd::dot_body`]'s order and the update is
+/// [`simd::axpy_body`]'s expression, so where `v` fills its registers (on
+/// the scalar lane: always) the result is bitwise the fallback's.
 ///
 /// # Safety
-/// The lane's ISA contract (see [`SimdLane`]).
+/// The lane's ISA contract (see [`SimdLane`]) and
+/// `(NV - 1) * LANES < v.len() <= NV * LANES`.
 #[inline(always)]
-pub(crate) unsafe fn left_apply<S: SimdLane, const BY_FOUR: bool>(
+unsafe fn left_cols<S: SimdLane, const NV: usize>(
     s: S,
     blk: &mut [f64],
     ld: usize,
@@ -202,53 +225,90 @@ pub(crate) unsafe fn left_apply<S: SimdLane, const BY_FOUR: bool>(
     v: &[f64],
     tau: f64,
 ) {
-    let (len, whole) = (v.len(), v.len() - v.len() % S::LANES);
-    let fours = if BY_FOUR { ncols - ncols % 4 } else { 0 };
-    for j0 in (0..fours).step_by(4) {
-        let cols = &mut blk[j0 * ld..][..3 * ld + len];
-        // SAFETY: the caller upholds the lane's ISA contract; every
-        // `load`/`store` is at `i` in `v` or at `c * ld + i` in `cols` with
-        // `c < 4` and `i + LANES <= whole <= len`, inside both by the
-        // slicing above.
-        unsafe {
+    let (len, last) = (v.len(), (NV - 1) * S::LANES);
+    let k = len - last;
+    debug_assert!((1..=S::LANES).contains(&k));
+    // SAFETY (whole body): the caller upholds the lane's ISA contract; `v`
+    // and every column segment have exactly `len` elements, each
+    // `load`/`store` is at `r * LANES` with `r < NV - 1`, so it ends at or
+    // before `last < len`, and the masked ones are at `last` with
+    // `1 <= k <= LANES` by the caller's bound on `v.len()` and
+    // `last + k == len`.
+    unsafe {
+        let mut vr = [s.zero(); NV];
+        for (r, x) in vr[..NV - 1].iter_mut().enumerate() {
+            *x = s.load(v, r * S::LANES);
+        }
+        vr[NV - 1] = s.load_head(v, last, k);
+        for jj in 0..ncols {
+            let seg = &mut blk[jj * ld..][..len];
+            let mut c = [s.zero(); NV];
+            for (r, x) in c[..NV - 1].iter_mut().enumerate() {
+                *x = s.load(seg, r * S::LANES);
+            }
+            c[NV - 1] = s.load_head(seg, last, k);
+            // Four accumulators over the whole groups of four registers,
+            // the rest onto the first.
             let mut acc = [s.zero(); 4];
-            for i in (0..whole).step_by(S::LANES) {
-                let vi = s.load(v, i);
-                for (c, a) in acc.iter_mut().enumerate() {
-                    *a = s.mul_add(s.load(cols, c * ld + i), vi, *a);
-                }
+            for (r, (&vx, &cx)) in vr.iter().zip(&c).enumerate() {
+                let a = if r < NV - NV % 4 { r % 4 } else { 0 };
+                acc[a] = s.mul_add(vx, cx, acc[a]);
             }
-            let mut w = [0.0f64; 4];
-            for (c, wc) in w.iter_mut().enumerate() {
-                let rest: f64 = (whole..len).map(|i| cols[c * ld + i] * v[i]).sum();
-                *wc = -tau * (s.reduce_sum(acc[c]) + rest);
+            let dot = s.reduce_sum(s.add(s.add(acc[0], acc[1]), s.add(acc[2], acc[3])));
+            let minus_w = s.splat(-(tau * dot));
+            for (r, (&vx, &cx)) in vr[..NV - 1].iter().zip(&c).enumerate() {
+                s.store(seg, r * S::LANES, s.mul_add(vx, minus_w, cx));
             }
-            for i in (0..whole).step_by(S::LANES) {
-                let vi = s.load(v, i);
-                for (c, &wc) in w.iter().enumerate() {
-                    let x = s.mul_add(s.splat(wc), vi, s.load(cols, c * ld + i));
-                    s.store(cols, c * ld + i, x);
-                }
-            }
-            for (c, i) in (0..4).flat_map(|c| (whole..len).map(move |i| (c, i))) {
-                cols[c * ld + i] += w[c] * v[i];
-            }
+            let x = s.mul_add(vr[NV - 1], minus_w, c[NV - 1]);
+            s.store_head(seg, last, k, x);
         }
     }
-    for jj in fours..ncols {
-        let seg = &mut blk[jj * ld..][..len];
-        // SAFETY: the caller upholds the lane's ISA contract; `seg` and `v`
-        // have the same length.
-        unsafe {
-            let w = tau * simd::dot_body(s, v, seg);
-            simd::axpy_body(s, seg, -w, v);
-        }
+}
+
+/// `C <- (I - tau v v^T) C` on the `ncols` columns of the column-major
+/// window `blk` (`v.len()` rows, leading dimension `ld`): [`left_cols`]
+/// while `v` fits sixteen registers — 64 rows of four lanes, 128 of eight;
+/// the count is dispatched once per call — and a dot product and an axpy
+/// down each column beyond.  Sixteen for `v` and as many for the column is
+/// what the 32 registers of AVX-512 hold; the 256-bit lane has sixteen in
+/// all and spills part of `v` to the stack, which still reads it and the
+/// column once per column instead of twice.
+///
+/// # Safety
+/// The lane's ISA contract (see [`SimdLane`]).
+#[inline(always)]
+pub(crate) unsafe fn left_apply<S: SimdLane>(
+    s: S,
+    blk: &mut [f64],
+    ld: usize,
+    ncols: usize,
+    v: &[f64],
+    tau: f64,
+) {
+    // SAFETY: the caller upholds the lane's ISA contract; `left_cols` gets
+    // `ceil(v.len() / LANES)` registers for a `v` that is not empty, and in
+    // the fallback `seg` and `v` have the same length.
+    unsafe {
+        with_regs!(
+            v.len().div_ceil(S::LANES),
+            left_cols(s, blk, ld, ncols, v, tau),
+            [1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16],
+            for jj in 0..ncols {
+                let seg = &mut blk[jj * ld..][..v.len()];
+                let w = tau * simd::dot_body(s, v, seg);
+                simd::axpy_body(s, seg, -w, v);
+            }
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bidiag_matrix::gen::random_gaussian;
+    use bidiag_matrix::simd::ScalarLane;
+    #[cfg(target_arch = "x86_64")]
+    use bidiag_matrix::simd::{Avx2Lane, Avx512Lane, SimdBackend};
 
     fn dot(a: &[f64], b: &[f64]) -> f64 {
         a.iter().zip(b).map(|(x, y)| x * y).sum()
@@ -300,6 +360,169 @@ mod tests {
         v.extend_from_slice(&tail);
         let vv = dot(&v, &v);
         assert!((r.tau * vv - 2.0).abs() < 1e-12);
+    }
+
+    /// A `rows x cols` window of leading dimension `ld > rows` in a buffer
+    /// that ends with its last entry; the gap rows are NaN.
+    fn poisoned_window(rows: usize, cols: usize, ld: usize, seed: u64) -> Vec<f64> {
+        let values = random_gaussian(rows, cols, seed);
+        let mut buf = vec![f64::NAN; (cols - 1) * ld + rows];
+        for j in 0..cols {
+            buf[j * ld..][..rows].copy_from_slice(values.col(j));
+        }
+        buf
+    }
+
+    /// `(1 + tau v^T v) max|C|`: the size of the terms of a rank-one update
+    /// of the window `blk` by the reflector `(tau, v)`, the unit of the
+    /// oracle comparisons' `1e-14`.
+    fn update_scale(blk: &[f64], v: &[f64], tau: f64) -> f64 {
+        let cmax = blk
+            .iter()
+            .filter(|x| !x.is_nan())
+            .fold(0.0f64, |m, x| m.max(x.abs()));
+        (1.0 + tau * dot(v, v)) * cmax
+    }
+
+    /// `got` holds `want` (column-major, `rows` per column) to `1e-14 scale`
+    /// and NaN in every gap row.
+    fn assert_window(
+        got: &[f64],
+        want: &[f64],
+        (rows, ld): (usize, usize),
+        scale: f64,
+        what: &str,
+    ) {
+        for (at, x) in got.iter().enumerate() {
+            let (j, i) = (at / ld, at % ld);
+            if i < rows {
+                let y = want[j * rows + i];
+                assert!(
+                    (x - y).abs() <= 1e-14 * scale,
+                    "{what} ({i}, {j}): {x} vs {y}"
+                );
+            } else {
+                assert!(x.is_nan(), "{what}: gap row {i} of column {j} written");
+            }
+        }
+    }
+
+    /// [`right_apply`] against `C - tau (C v) v^T` for every row count up to
+    /// two chunks and one row, so that every register count of the last
+    /// chunk and every mask is hit.
+    ///
+    /// # Safety
+    /// The lane's ISA contract.
+    #[inline(always)]
+    unsafe fn check_right_apply<S: SimdLane>(s: S) {
+        let tau = 1.3;
+        for m in 1..=2 * 8 * S::LANES + 1 {
+            for n in [1usize, 2, 3, 7, 64] {
+                let (ld, v) = (m + 3, random_gaussian(n, 1, (m * 67 + n) as u64));
+                let v = v.data();
+                let mut blk = poisoned_window(m, n, ld, (m * 71 + n) as u64);
+                let c = |i: usize, j: usize| blk[j * ld + i];
+                let mut want = vec![0.0; m * n];
+                for i in 0..m {
+                    let w: f64 = (0..n).map(|j| c(i, j) * v[j]).sum();
+                    for j in 0..n {
+                        want[j * m + i] = c(i, j) - tau * w * v[j];
+                    }
+                }
+                let scale = update_scale(&blk, v, tau);
+                // SAFETY: the caller upholds the lane's ISA contract.
+                unsafe { right_apply(s, &mut blk, ld, m, v, tau) };
+                let what = format!("right_apply {m} x {n} on {} lanes", S::LANES);
+                assert_window(&blk, &want, (m, ld), scale, &what);
+            }
+        }
+    }
+
+    /// [`left_apply`] against `C - tau v (v^T C)` for every length of `v` up
+    /// to seventeen registers: one to sixteen resident ones, every mask, and
+    /// the fallback — whose bits the resident form must reproduce whenever
+    /// `v` fills its registers.
+    ///
+    /// # Safety
+    /// The lane's ISA contract.
+    #[inline(always)]
+    unsafe fn check_left_apply<S: SimdLane>(s: S) {
+        let tau = 1.7;
+        for m in 1..=17 * S::LANES {
+            for n in [1usize, 4, 5, 127] {
+                let (ld, v) = (m + 3, random_gaussian(m, 1, (m * 73 + n) as u64));
+                let v = v.data();
+                let mut blk = poisoned_window(m, n, ld, (m * 79 + n) as u64);
+                let c = |i: usize, j: usize| blk[j * ld + i];
+                let mut want = vec![0.0; m * n];
+                for j in 0..n {
+                    let w: f64 = (0..m).map(|i| v[i] * c(i, j)).sum();
+                    for i in 0..m {
+                        want[j * m + i] = c(i, j) - tau * v[i] * w;
+                    }
+                }
+                let scale = update_scale(&blk, v, tau);
+                // What the chase ran before `v` stayed in registers, and the
+                // scalar backend's bits: a dot and an axpy per column.
+                let mut by_column = blk.clone();
+                for seg in by_column.chunks_mut(ld) {
+                    // SAFETY: the caller upholds the lane's ISA contract;
+                    // `seg` and `v` have the same length.
+                    unsafe {
+                        let w = tau * simd::dot_body(s, v, &seg[..m]);
+                        simd::axpy_body(s, &mut seg[..m], -w, v);
+                    }
+                }
+                // SAFETY: the caller upholds the lane's ISA contract.
+                unsafe { left_apply(s, &mut blk, ld, n, v, tau) };
+                let what = format!("left_apply {m} x {n} on {} lanes", S::LANES);
+                assert_window(&blk, &want, (m, ld), scale, &what);
+                if m % S::LANES == 0 {
+                    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&blk), bits(&by_column), "{what} vs dot + axpy");
+                }
+            }
+        }
+    }
+
+    /// Run the lane-generic `$check` on the scalar lane and, inside their
+    /// `#[target_feature]` shells, on every vector lane the CPU has.
+    macro_rules! on_each_lane {
+        ($check:ident) => {{
+            // SAFETY: the scalar lane has no ISA requirements.
+            unsafe { $check(ScalarLane) };
+            #[cfg(target_arch = "x86_64")]
+            {
+                #[target_feature(enable = "avx2,fma")]
+                unsafe fn avx2() {
+                    // SAFETY: AVX2+FMA are enabled here.
+                    unsafe { $check(Avx2Lane::new_unchecked()) }
+                }
+                #[target_feature(enable = "avx512f,avx2,fma")]
+                unsafe fn avx512() {
+                    // SAFETY: AVX-512F is enabled here.
+                    unsafe { $check(Avx512Lane::new_unchecked()) }
+                }
+                if SimdBackend::Avx2.available() {
+                    // SAFETY: availability checked.
+                    unsafe { avx2() };
+                }
+                if SimdBackend::Avx512.available() {
+                    // SAFETY: availability checked.
+                    unsafe { avx512() };
+                }
+            }
+        }};
+    }
+
+    #[test]
+    fn right_apply_matches_the_plain_oracle_on_every_lane() {
+        on_each_lane!(check_right_apply);
+    }
+
+    #[test]
+    fn left_apply_matches_the_plain_oracle_on_every_lane() {
+        on_each_lane!(check_left_apply);
     }
 
     #[test]

@@ -999,6 +999,18 @@ impl SimdLane for ScalarRows {
         unsafe { *p.as_mut_ptr().add(i).cast() = v }
     }
     #[inline(always)]
+    unsafe fn load_head(self, p: &[f64], i: usize, k: usize) -> Self::V {
+        debug_assert!((1..=ROWS).contains(&k) && i + k <= p.len());
+        let mut v = [0.0; ROWS];
+        v[..k].copy_from_slice(&p[i..i + k]);
+        v
+    }
+    #[inline(always)]
+    unsafe fn store_head(self, p: &mut [f64], i: usize, k: usize, v: Self::V) {
+        debug_assert!((1..=ROWS).contains(&k) && i + k <= p.len());
+        p[i..i + k].copy_from_slice(&v[..k]);
+    }
+    #[inline(always)]
     unsafe fn add(self, a: Self::V, b: Self::V) -> Self::V {
         std::array::from_fn(|l| a[l] + b[l])
     }
@@ -1317,6 +1329,24 @@ mod tests {
                 assert!(!t.data().is_empty());
                 assert!((t.data().as_ptr() as usize).is_multiple_of(64));
             }
+        }
+    }
+
+    #[test]
+    fn scalar_rows_heads_touch_exactly_their_lanes() {
+        // On slices that end at `i + k`: one lane more would be out of bounds.
+        let src: Vec<f64> = (1..=ROWS + 1).map(|x| x as f64).collect();
+        for k in 1..=ROWS {
+            // SAFETY (both): `1 <= k <= ROWS` and the slices hold `1 + k` values.
+            let head = unsafe { ScalarRows.load_head(&src[..1 + k], 1, k) };
+            assert_eq!(head[..k], src[1..1 + k]);
+            assert!(head[k..].iter().all(|x| x.to_bits() == 0), "k={k}");
+            let mut dst = vec![f64::NAN; 1 + k];
+            unsafe { ScalarRows.store_head(&mut dst, 1, k, [7.0; ROWS]) };
+            assert!(
+                dst[0].is_nan() && dst[1..].iter().all(|&x| x == 7.0),
+                "k={k}"
+            );
         }
     }
 

@@ -15,9 +15,17 @@
 //! * with [`Avx512Lane`] (`LANES = 8`, `__m512d`) inside a
 //!   `#[target_feature(enable = "avx512f,avx2,fma")]` shell — only where
 //!   eight lanes were measured to pay: the three compact-WY chunk kernels of
-//!   `bidiag_kernels::wy`.  The kernels of this module, the band chase and
-//!   the dqds pass have no 512-bit body and run their AVX2 shell under
+//!   `bidiag_kernels::wy` and the reflector plane of
+//!   `bidiag_kernels::householder` under `gebd2` and the bulge chase.  The
+//!   kernels of this module (`axpy`, `dot`, the GEMM microkernel) and the
+//!   dqds pass have no 512-bit body and run their AVX2 shell under
 //!   [`SimdBackend::Avx512`].
+//!
+//! A run of values that does not fill its last register needs no scalar
+//! tail: [`SimdLane::load_head`] / [`SimdLane::store_head`] move the first
+//! `k` lanes of a register and touch nothing past them (`vmaskmovpd` with a
+//! sliding mask on 256 bits, a `__mmask8` on 512, the element itself on
+//! [`ScalarLane`]).
 //!
 //! # Dispatch
 //!
@@ -60,7 +68,7 @@
 //! # Adding a kernel
 //!
 //! Write one `#[inline(always)] unsafe fn foo_body<S: SimdLane>(...)`
-//! using only lane ops plus a scalar tail, add a
+//! using only lane ops plus a scalar tail (or a masked last register), add a
 //! `#[target_feature(enable = "avx2,fma")] unsafe fn foo_avx2` shell that
 //! calls it with [`Avx2Lane`], and a safe `pub fn foo(be: SimdBackend, ...)`
 //! that asserts lengths and matches on the backend (`Avx2 | Avx512` on one
@@ -87,7 +95,8 @@ pub enum SimdBackend {
     #[cfg(target_arch = "x86_64")]
     Avx2,
     /// AVX-512F on top of AVX2 + FMA (`__m512d`, 8 × f64 lanes) under the
-    /// compact-WY chunk kernels; every other kernel runs its AVX2 shell.
+    /// compact-WY chunk kernels, `gebd2` and the bulge chase; every other
+    /// kernel runs its AVX2 shell.
     #[cfg(target_arch = "x86_64")]
     Avx512,
 }
@@ -297,8 +306,10 @@ pub fn on_each_backend<R>(f: impl Fn() -> R) -> Vec<(SimdBackend, R)> {
 ///   [`ScalarLane`]; AVX2+FMA for [`Avx2Lane`], AVX-512F on top for
 ///   [`Avx512Lane`] — guaranteed by constructing them only inside
 ///   `#[target_feature]` wrappers that enable those features), and
-/// * for `load`/`store`, `i + Self::LANES <= p.len()`; for `transpose`,
-///   the same for the last vector of the block on either side.
+/// * for `load`/`store`, `i + Self::LANES <= p.len()`; for
+///   `load_head`/`store_head` of `k` lanes, `1 <= k <= Self::LANES` and
+///   `i + k <= p.len()`; for `transpose`, the bound of `load`/`store` for
+///   the last vector of the block on either side.
 pub trait SimdLane: Copy {
     /// Number of `f64` lanes per register.
     const LANES: usize;
@@ -325,6 +336,21 @@ pub trait SimdLane: Copy {
     /// # Safety
     /// See the trait-level contract; requires `i + LANES <= p.len()`.
     unsafe fn store(self, p: &mut [f64], i: usize, v: Self::V);
+    /// Load the `k` values `p[i..i + k]` into the first `k` lanes and zero
+    /// into the others: the last register of a run that does not fill it.
+    /// Nothing at or past `p[i + k]` is read, so `p` may end there.
+    ///
+    /// # Safety
+    /// See the trait-level contract; requires `1 <= k <= LANES` and
+    /// `i + k <= p.len()`.
+    unsafe fn load_head(self, p: &[f64], i: usize, k: usize) -> Self::V;
+    /// Store the first `k` lanes of `v` to `p[i..i + k]`; nothing at or past
+    /// `p[i + k]` is written (or read).
+    ///
+    /// # Safety
+    /// See the trait-level contract; requires `1 <= k <= LANES` and
+    /// `i + k <= p.len()`.
+    unsafe fn store_head(self, p: &mut [f64], i: usize, k: usize, v: Self::V);
     /// Lane-wise `a + b`.
     ///
     /// # Safety
@@ -398,6 +424,18 @@ impl SimdLane for ScalarLane {
         }
     }
     #[inline(always)]
+    unsafe fn load_head(self, p: &[f64], i: usize, k: usize) -> f64 {
+        debug_assert!(k == 1 && i < p.len());
+        // SAFETY: one lane, so the head is the register: `i + 1 <= p.len()`.
+        unsafe { self.load(p, i) }
+    }
+    #[inline(always)]
+    unsafe fn store_head(self, p: &mut [f64], i: usize, k: usize, v: f64) {
+        debug_assert!(k == 1 && i < p.len());
+        // SAFETY: one lane, so the head is the register: `i + 1 <= p.len()`.
+        unsafe { self.store(p, i, v) }
+    }
+    #[inline(always)]
     unsafe fn add(self, a: f64, b: f64) -> f64 {
         a + b
     }
@@ -439,6 +477,20 @@ impl Avx2Lane {
     pub unsafe fn new_unchecked() -> Self {
         Avx2Lane(())
     }
+
+    /// The `vmaskmovpd` mask of the first `k` lanes: a window of four into
+    /// a table of four set and four clear sign bits, sliding with `k`.
+    ///
+    /// # Safety
+    /// AVX2 (asserted by the lane token) and `k <= 4`.
+    #[inline(always)]
+    unsafe fn head_mask(k: usize) -> core::arch::x86_64::__m256i {
+        const TABLE: [i64; 8] = [-1, -1, -1, -1, 0, 0, 0, 0];
+        debug_assert!(k <= 4);
+        // SAFETY: `4 - k + 4 <= 8` for `k <= 4`, so the unaligned 32-byte
+        // load stays inside the table.
+        unsafe { core::arch::x86_64::_mm256_loadu_si256(TABLE.as_ptr().add(4 - k).cast()) }
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -469,6 +521,22 @@ impl SimdLane for Avx2Lane {
         // SAFETY: caller guarantees i + LANES (= 4) <= p.len(); storeu has no
         // alignment requirement; AVX2 support is asserted by the lane token.
         unsafe { core::arch::x86_64::_mm256_storeu_pd(p.as_mut_ptr().add(i), v) }
+    }
+    #[inline(always)]
+    unsafe fn load_head(self, p: &[f64], i: usize, k: usize) -> Self::V {
+        debug_assert!((1..=4).contains(&k) && i + k <= p.len());
+        // SAFETY: caller guarantees 1 <= k <= 4 and i + k <= p.len();
+        // `vmaskmovpd` neither reads nor faults on the lanes its mask clears,
+        // and the mask sets the first k; AVX2 is asserted by the lane token.
+        unsafe { core::arch::x86_64::_mm256_maskload_pd(p.as_ptr().add(i), Self::head_mask(k)) }
+    }
+    #[inline(always)]
+    unsafe fn store_head(self, p: &mut [f64], i: usize, k: usize, v: Self::V) {
+        debug_assert!((1..=4).contains(&k) && i + k <= p.len());
+        // SAFETY: as in `load_head`; the cleared lanes are not written.
+        unsafe {
+            core::arch::x86_64::_mm256_maskstore_pd(p.as_mut_ptr().add(i), Self::head_mask(k), v)
+        }
     }
     #[inline(always)]
     unsafe fn add(self, a: Self::V, b: Self::V) -> Self::V {
@@ -539,6 +607,13 @@ impl Avx512Lane {
     pub unsafe fn new_unchecked() -> Self {
         Avx512Lane(())
     }
+
+    /// The `__mmask8` of the first `k <= 8` lanes.
+    #[inline(always)]
+    fn head_mask(k: usize) -> u8 {
+        debug_assert!(k <= 8);
+        ((1u32 << k) - 1) as u8
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -569,6 +644,23 @@ impl SimdLane for Avx512Lane {
         // SAFETY: caller guarantees i + LANES (= 8) <= p.len(); storeu has no
         // alignment requirement; AVX-512F is asserted by the lane token.
         unsafe { core::arch::x86_64::_mm512_storeu_pd(p.as_mut_ptr().add(i), v) }
+    }
+    #[inline(always)]
+    unsafe fn load_head(self, p: &[f64], i: usize, k: usize) -> Self::V {
+        debug_assert!((1..=8).contains(&k) && i + k <= p.len());
+        // SAFETY: caller guarantees 1 <= k <= 8 and i + k <= p.len(); a
+        // masked `vmovupd` neither reads nor faults on the lanes its
+        // `__mmask8` clears, and the mask sets the first k; AVX-512F is
+        // asserted by the lane token.
+        unsafe { core::arch::x86_64::_mm512_maskz_loadu_pd(Self::head_mask(k), p.as_ptr().add(i)) }
+    }
+    #[inline(always)]
+    unsafe fn store_head(self, p: &mut [f64], i: usize, k: usize, v: Self::V) {
+        debug_assert!((1..=8).contains(&k) && i + k <= p.len());
+        // SAFETY: as in `load_head`; the cleared lanes are not written.
+        unsafe {
+            core::arch::x86_64::_mm512_mask_storeu_pd(p.as_mut_ptr().add(i), Self::head_mask(k), v)
+        }
     }
     #[inline(always)]
     unsafe fn add(self, a: Self::V, b: Self::V) -> Self::V {

@@ -16,11 +16,13 @@
 //! and the rest.  On a host without AVX2+FMA there is no second backend to
 //! compare with (the `BIDIAG_SIMD=scalar` CI leg still runs everything);
 //! under AVX-512 the kernels of this crate run their AVX2 shells, so that
-//! backend pins the dispatch arm.
+//! backend pins the dispatch arm.  The lanes' masked `load_head` /
+//! `store_head`, which only other crates' kernels use, are checked lane by
+//! lane, each inside its own `#[target_feature]` shell.
 
 use bidiag_matrix::gemm::{gemm_nn, gemm_nn_packed, gemm_nt, gemm_tn, GemmScratch};
 use bidiag_matrix::gen::random_gaussian;
-use bidiag_matrix::simd::{self, SimdBackend};
+use bidiag_matrix::simd::{self, ScalarLane, SimdBackend, SimdLane};
 use bidiag_matrix::Matrix;
 use proptest::prelude::*;
 
@@ -101,6 +103,66 @@ fn microkernel_agrees_across_backends_on_size_ladder() {
             }
         }
     }
+}
+
+/// `load_head` / `store_head` of lane `S` for every live-lane count `k`, at
+/// a few offsets: on a slice that **ends** at `i + k` (a lane that touched
+/// the element after it would trip the scalar lanes' bounds check, or
+/// AddressSanitizer under the vector ones) the load returns the `k` values
+/// and zeros; the store into a NaN-poisoned buffer — one that ends at
+/// `i + k`, one that goes on — changes exactly those `k` slots.
+///
+/// # Safety
+/// The lane's ISA contract.
+#[inline(always)]
+unsafe fn check_heads<S: SimdLane>(s: S) {
+    for k in 1..=S::LANES {
+        for i in [0usize, 1, 5] {
+            let src = test_vec(i + k, 3 + k as u64);
+            let mut lanes = vec![f64::NAN; S::LANES];
+            // SAFETY: `1 <= k <= LANES`, `src` holds `i + k` values and
+            // `lanes` one register.
+            unsafe { s.store(&mut lanes, 0, s.load_head(&src, i, k)) };
+            assert_eq!(lanes[..k], src[i..], "lanes={} k={k} i={i}", S::LANES);
+            assert!(lanes[k..].iter().all(|x| x.to_bits() == 0), "k={k} i={i}");
+
+            let full = test_vec(S::LANES, 9 + k as u64);
+            for pad in [0, S::LANES + 1] {
+                let mut dst = vec![f64::NAN; i + k + pad];
+                // SAFETY: `full` holds one register; `1 <= k <= LANES` and
+                // `dst` holds at least `i + k` values.
+                unsafe { s.store_head(&mut dst, i, k, s.load(&full, 0)) };
+                assert_eq!(dst[i..i + k], full[..k], "lanes={} k={k} i={i}", S::LANES);
+                let rest = dst[..i].iter().chain(&dst[i + k..]);
+                assert!(rest.clone().all(|x| x.is_nan()), "k={k} i={i} pad={pad}");
+            }
+        }
+    }
+}
+
+#[test]
+fn masked_heads_touch_exactly_their_lanes_on_every_backend() {
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn avx2() {
+        // SAFETY: AVX2+FMA are enabled here.
+        unsafe { check_heads(simd::Avx2Lane::new_unchecked()) }
+    }
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    unsafe fn avx512() {
+        // SAFETY: AVX-512F is enabled here.
+        unsafe { check_heads(simd::Avx512Lane::new_unchecked()) }
+    }
+    simd::on_each_backend(|| match simd::backend() {
+        // SAFETY: the scalar lane has no ISA requirements.
+        SimdBackend::Scalar => unsafe { check_heads(ScalarLane) },
+        // SAFETY (both): `on_each_backend` forces only backends the CPU has.
+        #[cfg(target_arch = "x86_64")]
+        SimdBackend::Avx2 => unsafe { avx2() },
+        #[cfg(target_arch = "x86_64")]
+        SimdBackend::Avx512 => unsafe { avx512() },
+    });
 }
 
 /// Backward-style normwise gap between two GEMM results sharing the same
