@@ -268,58 +268,6 @@ pub fn measure_ge2bnd_scaling(
     points
 }
 
-/// One GE2BND timing under a forced SIMD backend.
-#[derive(Clone, Copy, Debug)]
-pub struct BackendPoint {
-    /// Backend name (`"scalar"` / `"avx2"`).
-    pub backend: &'static str,
-    /// Best-of-`samples` wall time in seconds.
-    pub seconds: f64,
-}
-
-/// Time GE2BND on the reference input under each available SIMD backend
-/// (scalar always; AVX2 when the host supports it), via
-/// [`bidiag_matrix::simd::with_forced_backend`] — so the comparison is
-/// independent of `BIDIAG_SIMD` and of whatever the process has already
-/// auto-selected.  Same input and options as [`measure_ge2bnd_scaling`]
-/// at 1 thread.
-pub fn measure_ge2bnd_backends(m: usize, n: usize, nb: usize, samples: usize) -> Vec<BackendPoint> {
-    use bidiag_core::pipeline::{ge2bnd, AlgorithmChoice, Ge2Options};
-    use bidiag_matrix::simd;
-    let (a, _) = bidiag_matrix::gen::latms(
-        m,
-        n,
-        &bidiag_matrix::gen::SpectrumKind::Geometric { cond: 1.0e4 },
-        7,
-    );
-    let opts = Ge2Options::new(nb)
-        .with_tree(NamedTree::Greedy)
-        .with_algorithm(AlgorithmChoice::Bidiag)
-        .with_threads(1);
-    // Scalar and, where the CPU has it, the 256-bit backend.
-    simd::available_backends()
-        .filter(|be| be.lanes() <= 4)
-        .map(|be| {
-            let seconds = simd::with_forced_backend(be, || {
-                let _ = ge2bnd(&a, &opts); // warm caches under this backend
-                let mut best = f64::INFINITY;
-                for _ in 0..samples.max(1) {
-                    let start = std::time::Instant::now();
-                    let r = ge2bnd(&a, &opts);
-                    let dt = start.elapsed().as_secs_f64();
-                    assert!(r.num_tasks > 0);
-                    best = best.min(dt);
-                }
-                best
-            });
-            BackendPoint {
-                backend: be.name(),
-                seconds,
-            }
-        })
-        .collect()
-}
-
 /// Wall-time split of one measured GE2VAL run (seconds per stage).
 #[derive(Clone, Copy, Debug)]
 pub struct StageTimes {
@@ -327,7 +275,7 @@ pub struct StageTimes {
     pub ge2bnd: f64,
     /// BND2BD: band to bidiagonal (bulge chasing).
     pub bnd2bd: f64,
-    /// BD2VAL: singular values of the bidiagonal (bisection).
+    /// BD2VAL: singular values of the bidiagonal (dqds).
     pub bd2val: f64,
 }
 
@@ -350,8 +298,7 @@ impl StageTimes {
 /// the three numbers are a consistent snapshot of one run rather than a mix
 /// of per-stage minima.  BD2VAL runs the *production* solver (the
 /// [`bidiag_svd::Bd2ValOptions`] default, i.e. dqds), exactly what
-/// `ge2val` executes — solver-vs-solver comparisons live in
-/// [`measure_bd2val_solvers`].
+/// `ge2val` executes.
 ///
 /// This is the breakdown that picks the next perf target.
 pub fn measure_ge2val_stages(m: usize, n: usize, nb: usize, samples: usize) -> StageTimes {
@@ -401,198 +348,6 @@ pub fn measure_ge2val_stages(m: usize, n: usize, nb: usize, samples: usize) -> S
         }
     }
     best
-}
-
-/// Best-of-`samples` wall times (seconds) of the two BD2VAL solvers on
-/// one bidiagonal, plus the dqds iteration counters.
-#[derive(Clone, Copy, Debug)]
-pub struct Bd2ValTimings {
-    /// Order of the bidiagonal (number of singular values).
-    pub n: usize,
-    /// Per-value bisection (the oracle — the pre-subsystem production path).
-    pub bisection: f64,
-    /// The dqds fast path.
-    pub dqds: f64,
-    /// dqds iteration counters of the last run.
-    pub dqds_stats: bidiag_svd::DqdsStats,
-}
-
-/// Measure both BD2VAL solvers on the bidiagonal produced by the
-/// first two pipeline stages of the reference input (latms, geometric
-/// spectrum cond 1e4, seed 7 — the same matrix every other measurement in
-/// this crate uses).  Each solver is timed best-of-`samples` on identical
-/// input; dqds is cross-checked against the oracle (sigma_max relative
-/// 1e-12) so it can never "win" by being wrong.
-pub fn measure_bd2val_solvers(m: usize, n: usize, nb: usize, samples: usize) -> Bd2ValTimings {
-    use bidiag_core::pipeline::{ge2bnd, AlgorithmChoice, Ge2Options};
-    use bidiag_svd::{singular_values_with, Bd2ValOptions, SvdSolver};
-    use std::time::Instant;
-
-    let (a, _) = bidiag_matrix::gen::latms(
-        m,
-        n,
-        &bidiag_matrix::gen::SpectrumKind::Geometric { cond: 1.0e4 },
-        7,
-    );
-    let opts = Ge2Options::new(nb)
-        .with_tree(NamedTree::Greedy)
-        .with_algorithm(AlgorithmChoice::Bidiag);
-    let r = ge2bnd(&a, &opts);
-    let mut band = r.band;
-    let bd = band.reduce_to_bidiagonal();
-    let k = bd.diag.len();
-
-    let time_solver = |solver: SvdSolver| -> (f64, Vec<f64>) {
-        let o = Bd2ValOptions::default().with_solver(solver);
-        let mut best = f64::INFINITY;
-        let mut sv = Vec::new();
-        for _ in 0..samples.max(1) {
-            let t0 = Instant::now();
-            sv = singular_values_with(&bd.diag, &bd.superdiag, &o);
-            best = best.min(t0.elapsed().as_secs_f64());
-            assert_eq!(sv.len(), k);
-        }
-        (best, sv)
-    };
-    let (t_bis, sv_bis) = time_solver(SvdSolver::Bisection);
-    let (t_dqds, sv_dqds) = time_solver(SvdSolver::Dqds);
-
-    let smax = sv_bis.first().copied().unwrap_or(0.0);
-    for (j, (s, o)) in sv_dqds.iter().zip(&sv_bis).enumerate() {
-        assert!(
-            (s - o).abs() <= 1e-12 * smax,
-            "dqds disagrees with the oracle at value {j}: {s} vs {o}"
-        );
-    }
-    let (_, dqds_stats) = bidiag_svd::dqds_singular_values_with_stats(&bd.diag, &bd.superdiag);
-
-    Bd2ValTimings {
-        n: k,
-        bisection: t_bis,
-        dqds: t_dqds,
-        dqds_stats,
-    }
-}
-
-/// Best-of-`samples` wall times (seconds) of one batched-throughput size
-/// point: a stream of `batch` problems of order `n` pushed through a
-/// persistent [`bidiag_core::batch::SvdSession`] versus calling
-/// [`bidiag_core::pipeline::ge2val`] once per problem.
-#[derive(Clone, Copy, Debug)]
-pub struct BatchThroughputPoint {
-    /// Problem order (the problems are `n x n`).
-    pub n: usize,
-    /// Number of problems pushed through each path.
-    pub batch: usize,
-    /// Worker threads of the session (the per-call path gets the same).
-    pub threads: usize,
-    /// Best-of-samples seconds for the whole batch through the session.
-    pub session_seconds: f64,
-    /// Best-of-samples seconds for the whole batch through per-call ge2val.
-    pub per_call_seconds: f64,
-}
-
-impl BatchThroughputPoint {
-    /// Problems per second through the persistent session.
-    pub fn session_problems_per_sec(&self) -> f64 {
-        self.batch as f64 / self.session_seconds.max(1e-12)
-    }
-
-    /// Problems per second through per-call `ge2val`.
-    pub fn per_call_problems_per_sec(&self) -> f64 {
-        self.batch as f64 / self.per_call_seconds.max(1e-12)
-    }
-
-    /// Session throughput over per-call throughput.
-    pub fn speedup(&self) -> f64 {
-        self.per_call_seconds / self.session_seconds.max(1e-12)
-    }
-}
-
-/// Measure batched-SVD throughput at one size: `batch` Gaussian `n x n`
-/// problems (16 distinct matrices cycled, so the generator cost stays out
-/// of the loop) pushed through one persistent
-/// [`SvdSession`](bidiag_core::batch::SvdSession) — submitted in bounded
-/// windows so thousands of problems never sit in flight at once — against
-/// the per-call baseline, [`ge2val`](bidiag_core::pipeline::ge2val) once
-/// per problem with the small-size crossover disabled (the pre-session
-/// production path: fresh executor and scratch per call).  Both paths use
-/// `threads` workers and `nb = 64`.  Before any timing, the session's
-/// spectra are cross-checked against the per-call path on every distinct
-/// problem (1e-10 relative on sigma_max) so the fast path can never "win"
-/// by being wrong.
-pub fn measure_batch_throughput(
-    n: usize,
-    batch: usize,
-    threads: usize,
-    samples: usize,
-) -> BatchThroughputPoint {
-    use bidiag_core::batch::SvdSession;
-    use bidiag_core::pipeline::{ge2val, Ge2Options};
-    use bidiag_matrix::checks::singular_values_match;
-    use std::time::Instant;
-
-    let distinct = 16.min(batch.max(1));
-    let problems: Vec<bidiag_matrix::Matrix> = (0..distinct)
-        .map(|i| bidiag_matrix::gen::random_gaussian(n, n, 900 + i as u64))
-        .collect();
-    let per_call_opts = Ge2Options::new(64).with_threads(threads);
-    let session = SvdSession::new(threads);
-
-    // Correctness cross-check before any timing.  The session runs the
-    // hardened defaults (bounded blocking admission, input validation), so
-    // the timed loop below measures the production service path.
-    for (i, a) in problems.iter().enumerate() {
-        let sv_session = session.submit(a).unwrap().wait().unwrap();
-        let sv_per_call = ge2val(a, &per_call_opts).singular_values;
-        assert!(
-            singular_values_match(&sv_session, &sv_per_call, 1.0e-10),
-            "session spectrum disagrees with per-call ge2val on problem {i} (n = {n})"
-        );
-    }
-
-    // Keep a bounded window of problems in flight: enough to saturate the
-    // pool and overlap independent DAGs, without materialising `batch`
-    // task graphs at once.
-    let window = (4 * threads).clamp(16, batch.max(1));
-    let run_session = || {
-        let mut jobs = Vec::with_capacity(window);
-        let mut done = 0usize;
-        let start = Instant::now();
-        while done < batch {
-            let take = window.min(batch - done);
-            for j in 0..take {
-                jobs.push(session.submit(&problems[(done + j) % distinct]).unwrap());
-            }
-            for job in jobs.drain(..) {
-                assert_eq!(job.wait().unwrap().len(), n);
-            }
-            done += take;
-        }
-        start.elapsed().as_secs_f64()
-    };
-    let run_per_call = || {
-        let start = Instant::now();
-        for i in 0..batch {
-            let r = ge2val(&problems[i % distinct], &per_call_opts);
-            assert_eq!(r.singular_values.len(), n);
-        }
-        start.elapsed().as_secs_f64()
-    };
-
-    let mut session_seconds = f64::INFINITY;
-    let mut per_call_seconds = f64::INFINITY;
-    for _ in 0..samples.max(1) {
-        session_seconds = session_seconds.min(run_session());
-        per_call_seconds = per_call_seconds.min(run_per_call());
-    }
-    BatchThroughputPoint {
-        n,
-        batch,
-        threads,
-        session_seconds,
-        per_call_seconds,
-    }
 }
 
 /// Print a measured thread-scaling sweep as a TSV table.

@@ -1315,8 +1315,11 @@ impl Default for Workspace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bidiag_matrix::gemm::dot as fdot;
     use bidiag_matrix::gen::random_gaussian;
+
+    fn fdot(x: &[f64], y: &[f64]) -> f64 {
+        x.iter().zip(y).map(|(a, b)| a * b).sum()
+    }
 
     #[test]
     fn workspace_tiles_start_on_a_cache_line() {

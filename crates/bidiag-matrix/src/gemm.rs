@@ -1,40 +1,27 @@
 //! Packed, cache-blocked GEMM on column-major views.
 //!
-//! The Level-3 building blocks of the workspace.  Among the tile kernels of
-//! `bidiag-kernels` only `TSMLQ` is built on them (its two `r x IB` panel
-//! products); the QR-side kernels read their operands in place through the
-//! fused chunk kernel of `bidiag_kernels::wy` and never pack.  All three
-//! variants compute `C += alpha * op(A) * op(B)` in place:
+//! The Level-3 building blocks of the workspace.  No pipeline stage calls
+//! them: the tile kernels of `bidiag-kernels` read their operands in place
+//! through the fused chunk kernels of `bidiag_kernels::wy`, and `latms`
+//! forms its products with [`Matrix::matmul_nt`](crate::Matrix::matmul_nt).
+//! `ge2val-bench` times them as a layer of their own.  All three variants
+//! compute `C += alpha * op(A) * op(B)` in place:
 //!
 //! * [`gemm_nn`] — `C += alpha * A * B`,
 //! * [`gemm_tn`] — `C += alpha * A^T * B` (no transpose is formed),
 //! * [`gemm_nt`] — `C += alpha * A * B^T` (no transpose is formed).
 //!
-//! Two implementations live behind one dispatching API:
-//!
-//! * The **unpacked** path streams the operands in place: the innermost
-//!   loop always runs down a *contiguous* column slice, and the middle loop
-//!   is unrolled by four so each pass over an output column folds four
-//!   rank-one (or dot-product) contributions.  No scratch, no copies — the
-//!   right trade below the crossover, where the operands fit in cache and
-//!   packing would cost more than it saves.
-//! * The **packed** path is the classic BLIS/GotoBLAS three-level blocked
-//!   algorithm: `KC x NC` panels of `op(B)` and `MC x KC` panels of `op(A)`
-//!   are packed into contiguous, microkernel-ordered buffers (reused across
-//!   calls via [`GemmScratch`]), and the `MR x NR` register microkernel from
-//!   [`crate::simd`] (broadcast-FMA on AVX2, rank-1 scalar fallback; backend
-//!   fetched once per call) runs over the packed panels.
-//!   Packing makes every microkernel read stride-1 regardless of the
-//!   transpose variant or the leading dimension, so the O(mnk) inner loop
-//!   never touches strided memory; the O(mk + kn) packing cost is amortized
-//!   `NC`-fold (A panels) and `MC`-fold (B panels).
-//!
-//! The dispatch crossover ([`PACK_CROSSOVER_MNK`]) was picked by the
-//! packed-vs-unpacked sweep in the `kernels` bench (`--gemm-sweep`) plus a
-//! thin-shape sweep: on the reference host the packed path wins from `8^3`
-//! multiply-adds up — including `IB`-thin panel products like `TSMLQ`'s
-//! (1.2x–2.8x) — so only tiny products (where the pack setup dominates)
-//! take the unpacked path.
+//! There is one path, the classic BLIS/GotoBLAS three-level blocked
+//! algorithm: `KC x NC` panels of `op(B)` and `MC x KC` panels of `op(A)` are
+//! packed into contiguous, microkernel-ordered buffers (reused across calls
+//! via [`GemmScratch`]), and the `MR x NR` register microkernel from
+//! [`crate::simd`] (broadcast-FMA on the vector backends, rank-1 scalar
+//! fallback; backend fetched once per call) runs over the packed panels.
+//! Packing makes every microkernel read stride-1 regardless of the transpose
+//! variant or the leading dimension, so the O(mnk) inner loop never touches
+//! strided memory; the O(mk + kn) packing cost is amortized `NC`-fold
+//! (A panels) and `MC`-fold (B panels), and the pack buffers are sized to
+//! the block extents, so a tiny product packs a tiny panel.
 
 use crate::simd::{self, SimdBackend};
 use crate::view::{MatrixView, MatrixViewMut};
@@ -48,15 +35,6 @@ const MC: usize = 128;
 /// Cache-block width of the packed `op(B)` panel.
 const NC: usize = 512;
 
-/// Dispatch crossover in multiply-adds (`m * n * k`): below this the
-/// unpacked in-place path wins (no packing traffic), above it the packed
-/// path wins (stride-1 microkernel reads).  Picked by the `--gemm-sweep`
-/// mode of the `kernels` bench plus a thin-shape sweep on the reference
-/// host: the packed path wins from `8^3` up — including `IB`-thin panel
-/// products (1.2x–2.8x) — and only loses on tiny products (`5^3` ran at
-/// 0.7x) where the pack setup dominates (see BENCHMARKING.md).
-pub const PACK_CROSSOVER_MNK: usize = 8 * 8 * 8;
-
 /// Reusable pack buffers of the packed GEMM path.  One long-lived scratch
 /// per caller makes every call allocation-free in steady state; buffers
 /// grow to `(MC + MR) * KC` and `(NC + NR) * KC` doubles and are then
@@ -68,100 +46,34 @@ pub struct GemmScratch {
 }
 
 impl GemmScratch {
-    /// Empty scratch; the pack buffers grow on first packed call.
+    /// Empty scratch; the pack buffers grow on first call.
     pub fn new() -> Self {
         Self::default()
     }
 }
 
-/// Dot product with four independent partial sums, so the reduction has no
-/// serial dependency chain and the compiler can keep each lane in one SIMD
-/// register.  The summation order differs from a plain left-to-right dot —
-/// callers on bit-exactness-critical paths (reflector generation) must use
-/// an order-exact dot instead.
-#[inline]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0.0f64; 4];
-    let a4 = a.chunks_exact(4);
-    let b4 = b.chunks_exact(4);
-    let (ra, rb) = (a4.remainder(), b4.remainder());
-    for (xa, xb) in a4.zip(b4) {
-        for t in 0..4 {
-            acc[t] += xa[t] * xb[t];
-        }
-    }
-    let mut s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for (x, y) in ra.iter().zip(rb) {
-        s += x * y;
-    }
-    s
-}
-
-/// Four simultaneous dot products of `v` against `c0..c3`, each with
-/// four-lane partial sums (see [`dot`]).  This is the inner kernel of the
-/// transposed panel products `W = V^T C`: one pass over `v` feeds four
-/// output columns.
-#[inline]
-pub fn dot4(v: &[f64], c0: &[f64], c1: &[f64], c2: &[f64], c3: &[f64]) -> (f64, f64, f64, f64) {
-    let n = v.len();
-    debug_assert!(c0.len() == n && c1.len() == n && c2.len() == n && c3.len() == n);
-    let mut a0 = [0.0f64; 4];
-    let mut a1 = [0.0f64; 4];
-    let mut a2 = [0.0f64; 4];
-    let mut a3 = [0.0f64; 4];
-    let v4 = v.chunks_exact(4);
-    let n4 = v.len() - v4.remainder().len();
-    for (i4, xv) in v4.enumerate() {
-        let x0 = &c0[i4 * 4..i4 * 4 + 4];
-        let x1 = &c1[i4 * 4..i4 * 4 + 4];
-        let x2 = &c2[i4 * 4..i4 * 4 + 4];
-        let x3 = &c3[i4 * 4..i4 * 4 + 4];
-        for t in 0..4 {
-            let vi = xv[t];
-            a0[t] += vi * x0[t];
-            a1[t] += vi * x1[t];
-            a2[t] += vi * x2[t];
-            a3[t] += vi * x3[t];
-        }
-    }
-    let mut s0 = (a0[0] + a0[1]) + (a0[2] + a0[3]);
-    let mut s1 = (a1[0] + a1[1]) + (a1[2] + a1[3]);
-    let mut s2 = (a2[0] + a2[1]) + (a2[2] + a2[3]);
-    let mut s3 = (a3[0] + a3[1]) + (a3[2] + a3[3]);
-    for i in n4..n {
-        let vi = v[i];
-        s0 += vi * c0[i];
-        s1 += vi * c1[i];
-        s2 += vi * c2[i];
-        s3 += vi * c3[i];
-    }
-    (s0, s1, s2, s3)
-}
-
 /// `C += alpha * A * B` with `A: m x k`, `B: k x n`, `C: m x n`.
 ///
-/// Dispatches between the unpacked and packed paths (see the module docs);
-/// an internal scratch is used above the crossover.  Callers with a
-/// long-lived [`GemmScratch`] should prefer [`gemm_nn_scratch`].
+/// Uses a scratch of its own; callers with a long-lived [`GemmScratch`]
+/// should prefer [`gemm_nn_scratch`].
 pub fn gemm_nn(c: &mut MatrixViewMut<'_>, alpha: f64, a: MatrixView<'_>, b: MatrixView<'_>) {
     gemm_nn_scratch(c, alpha, a, b, &mut GemmScratch::new());
 }
 
 /// `C += alpha * A^T * B` with `A: m x p`, `B: m x n`, `C: p x n`.
-/// See [`gemm_nn`] for the dispatch behaviour.
+/// See [`gemm_nn`].
 pub fn gemm_tn(c: &mut MatrixViewMut<'_>, alpha: f64, a: MatrixView<'_>, b: MatrixView<'_>) {
     gemm_tn_scratch(c, alpha, a, b, &mut GemmScratch::new());
 }
 
 /// `C += alpha * A * B^T` with `A: m x k`, `B: n x k`, `C: m x n`.
-/// See [`gemm_nn`] for the dispatch behaviour.
+/// See [`gemm_nn`].
 pub fn gemm_nt(c: &mut MatrixViewMut<'_>, alpha: f64, a: MatrixView<'_>, b: MatrixView<'_>) {
     gemm_nt_scratch(c, alpha, a, b, &mut GemmScratch::new());
 }
 
 /// [`gemm_nn`] with a caller-provided pack scratch (allocation-free in
-/// steady state above the crossover).
+/// steady state).
 pub fn gemm_nn_scratch(
     c: &mut MatrixViewMut<'_>,
     alpha: f64,
@@ -176,165 +88,6 @@ pub fn gemm_nn_scratch(
     if m == 0 || n == 0 || k == 0 || alpha == 0.0 {
         return;
     }
-    if m * n * k < PACK_CROSSOVER_MNK {
-        gemm_nn_unpacked(c, alpha, a, b);
-    } else {
-        gemm_nn_packed(c, alpha, a, b, scratch);
-    }
-}
-
-/// [`gemm_tn`] with a caller-provided pack scratch.
-pub fn gemm_tn_scratch(
-    c: &mut MatrixViewMut<'_>,
-    alpha: f64,
-    a: MatrixView<'_>,
-    b: MatrixView<'_>,
-    scratch: &mut GemmScratch,
-) {
-    let (p, n, m) = (c.rows(), c.cols(), a.rows());
-    assert_eq!(a.cols(), p, "gemm_tn: A cols mismatch");
-    assert_eq!(b.rows(), m, "gemm_tn: B rows mismatch");
-    assert_eq!(b.cols(), n, "gemm_tn: B cols mismatch");
-    if p == 0 || n == 0 || alpha == 0.0 {
-        return;
-    }
-    if p * n * m < PACK_CROSSOVER_MNK {
-        gemm_tn_unpacked(c, alpha, a, b);
-    } else {
-        gemm_tn_packed(c, alpha, a, b, scratch);
-    }
-}
-
-/// [`gemm_nt`] with a caller-provided pack scratch.
-pub fn gemm_nt_scratch(
-    c: &mut MatrixViewMut<'_>,
-    alpha: f64,
-    a: MatrixView<'_>,
-    b: MatrixView<'_>,
-    scratch: &mut GemmScratch,
-) {
-    let (m, n, k) = (c.rows(), c.cols(), a.cols());
-    assert_eq!(a.rows(), m, "gemm_nt: A rows mismatch");
-    assert_eq!(b.rows(), n, "gemm_nt: B rows mismatch");
-    assert_eq!(b.cols(), k, "gemm_nt: B cols mismatch");
-    if m == 0 || n == 0 || k == 0 || alpha == 0.0 {
-        return;
-    }
-    if m * n * k < PACK_CROSSOVER_MNK {
-        gemm_nt_unpacked(c, alpha, a, b);
-    } else {
-        gemm_nt_packed(c, alpha, a, b, scratch);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Unpacked path (small-size fallback): in-place column streaming.
-// ---------------------------------------------------------------------------
-
-/// Unpacked `C += alpha * A * B` (exposed so the bench sweep and the
-/// property tests can pin each path independently of the crossover).
-pub fn gemm_nn_unpacked(
-    c: &mut MatrixViewMut<'_>,
-    alpha: f64,
-    a: MatrixView<'_>,
-    b: MatrixView<'_>,
-) {
-    let k = a.cols();
-    for (j, ccol) in c.cols_mut().enumerate() {
-        let bcol = b.col(j);
-        rank_k_column(ccol, alpha, &a, |kk| bcol[kk], k);
-    }
-}
-
-/// Unpacked `C += alpha * A^T * B` (see [`gemm_nn_unpacked`]).
-pub fn gemm_tn_unpacked(
-    c: &mut MatrixViewMut<'_>,
-    alpha: f64,
-    a: MatrixView<'_>,
-    b: MatrixView<'_>,
-) {
-    let p = c.rows();
-    for (j, ccol) in c.cols_mut().enumerate() {
-        let bcol = b.col(j);
-        let mut i = 0;
-        while i + 4 <= p {
-            let (s0, s1, s2, s3) = dot4(bcol, a.col(i), a.col(i + 1), a.col(i + 2), a.col(i + 3));
-            ccol[i] += alpha * s0;
-            ccol[i + 1] += alpha * s1;
-            ccol[i + 2] += alpha * s2;
-            ccol[i + 3] += alpha * s3;
-            i += 4;
-        }
-        while i < p {
-            ccol[i] += alpha * dot(a.col(i), bcol);
-            i += 1;
-        }
-    }
-}
-
-/// Unpacked `C += alpha * A * B^T` (see [`gemm_nn_unpacked`]).
-pub fn gemm_nt_unpacked(
-    c: &mut MatrixViewMut<'_>,
-    alpha: f64,
-    a: MatrixView<'_>,
-    b: MatrixView<'_>,
-) {
-    let k = a.cols();
-    for (j, ccol) in c.cols_mut().enumerate() {
-        rank_k_column(ccol, alpha, &a, |kk| b.get(j, kk), k);
-    }
-}
-
-/// `ccol += alpha * sum_kk a[:, kk] * scale(kk)`, the shared rank-k update
-/// of one output column, unrolled four columns of `A` at a time.
-#[inline]
-fn rank_k_column(
-    ccol: &mut [f64],
-    alpha: f64,
-    a: &MatrixView<'_>,
-    scale: impl Fn(usize) -> f64,
-    k: usize,
-) {
-    let m = ccol.len();
-    let mut kk = 0;
-    while kk + 4 <= k {
-        let s0 = alpha * scale(kk);
-        let s1 = alpha * scale(kk + 1);
-        let s2 = alpha * scale(kk + 2);
-        let s3 = alpha * scale(kk + 3);
-        let a0 = a.col(kk);
-        let a1 = a.col(kk + 1);
-        let a2 = a.col(kk + 2);
-        let a3 = a.col(kk + 3);
-        for i in 0..m {
-            ccol[i] += a0[i] * s0 + a1[i] * s1 + a2[i] * s2 + a3[i] * s3;
-        }
-        kk += 4;
-    }
-    while kk < k {
-        let s = alpha * scale(kk);
-        let acol = a.col(kk);
-        for i in 0..m {
-            ccol[i] += acol[i] * s;
-        }
-        kk += 1;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Packed path: three-level cache blocking around an MR x NR microkernel.
-// ---------------------------------------------------------------------------
-
-/// Packed `C += alpha * A * B` (exposed for the bench sweep and tests; the
-/// dispatching [`gemm_nn`] is the normal entry point).
-pub fn gemm_nn_packed(
-    c: &mut MatrixViewMut<'_>,
-    alpha: f64,
-    a: MatrixView<'_>,
-    b: MatrixView<'_>,
-    scratch: &mut GemmScratch,
-) {
-    let k = a.cols();
     packed_loop(
         c,
         alpha,
@@ -359,15 +112,21 @@ pub fn gemm_nn_packed(
     );
 }
 
-/// Packed `C += alpha * A^T * B` (see [`gemm_nn_packed`]).
-pub fn gemm_tn_packed(
+/// [`gemm_tn`] with a caller-provided pack scratch.
+pub fn gemm_tn_scratch(
     c: &mut MatrixViewMut<'_>,
     alpha: f64,
     a: MatrixView<'_>,
     b: MatrixView<'_>,
     scratch: &mut GemmScratch,
 ) {
-    let k = a.rows();
+    let (p, n, k) = (c.rows(), c.cols(), a.rows());
+    assert_eq!(a.cols(), p, "gemm_tn: A cols mismatch");
+    assert_eq!(b.rows(), k, "gemm_tn: B rows mismatch");
+    assert_eq!(b.cols(), n, "gemm_tn: B cols mismatch");
+    if p == 0 || n == 0 || k == 0 || alpha == 0.0 {
+        return;
+    }
     packed_loop(
         c,
         alpha,
@@ -394,15 +153,21 @@ pub fn gemm_tn_packed(
     );
 }
 
-/// Packed `C += alpha * A * B^T` (see [`gemm_nn_packed`]).
-pub fn gemm_nt_packed(
+/// [`gemm_nt`] with a caller-provided pack scratch.
+pub fn gemm_nt_scratch(
     c: &mut MatrixViewMut<'_>,
     alpha: f64,
     a: MatrixView<'_>,
     b: MatrixView<'_>,
     scratch: &mut GemmScratch,
 ) {
-    let k = a.cols();
+    let (m, n, k) = (c.rows(), c.cols(), a.cols());
+    assert_eq!(a.rows(), m, "gemm_nt: A rows mismatch");
+    assert_eq!(b.rows(), n, "gemm_nt: B rows mismatch");
+    assert_eq!(b.cols(), k, "gemm_nt: B cols mismatch");
+    if m == 0 || n == 0 || k == 0 || alpha == 0.0 {
+        return;
+    }
     packed_loop(
         c,
         alpha,
@@ -523,7 +288,7 @@ fn pack_b_rows(
     }
 }
 
-/// The three-level loop nest shared by the packed variants: NC columns of
+/// The three-level loop nest shared by the three variants: NC columns of
 /// packed `op(B)`, KC depths, MC rows of packed `op(A)`, then the
 /// `MR x NR` macro-kernel sweep.  The two closures pack one cache block of
 /// `op(A)` / `op(B)` into the scratch buffers (`(dst, ic, pc, mc, kc)` and
@@ -540,8 +305,8 @@ fn packed_loop(
     let m = c.rows();
     let n = c.cols();
     // Size the pack buffers to the actual block extents, so a small product
-    // dispatched here without a long-lived scratch allocates proportionally
-    // to the problem, not to the MC/KC/NC maxima.
+    // without a long-lived scratch allocates proportionally to the problem,
+    // not to the MC/KC/NC maxima.
     let apack_len = MC.min(m).div_ceil(MR) * MR * KC.min(k);
     let bpack_len = NC.min(n).div_ceil(NR) * NR * KC.min(k);
     if scratch.apack.len() < apack_len {
@@ -694,8 +459,9 @@ mod tests {
     }
 
     #[test]
-    fn unroll_remainders_are_exact() {
-        // Sizes chosen to hit every remainder path (k % 4 in 1..=3).
+    fn tiny_products_are_exact() {
+        // Every depth up to 9 on a 5 x 5 output: products of a few hundred
+        // multiply-adds, one partial microkernel panel each.
         for k in 1..=9 {
             let a = random_gaussian(5, k, 20 + k as u64);
             let b = random_gaussian(k, 5, 30 + k as u64);
@@ -706,9 +472,10 @@ mod tests {
     }
 
     #[test]
-    fn packed_paths_match_unpacked_on_microkernel_edges() {
-        // Shapes straddling the MR/NR panel edges and the KC boundary; the
-        // broad shape sweep lives in tests/packed_gemm.rs.
+    fn microkernel_and_cache_block_edges_match_matmul() {
+        // Shapes straddling the MR/NR panel edges and the MC/KC boundaries,
+        // through one long-lived scratch; the broad shape sweep lives in
+        // tests/packed_gemm.rs.
         let mut scratch = GemmScratch::new();
         for &(m, n, k) in &[
             (MR, NR, 3usize),
@@ -719,43 +486,44 @@ mod tests {
         ] {
             let a = random_gaussian(m, k, (m * 31 + k) as u64);
             let b = random_gaussian(k, n, (n * 37 + k) as u64);
-            let mut cp = random_gaussian(m, n, 40);
-            let mut cu = cp.clone();
-            gemm_nn_packed(
-                &mut cp.as_view_mut(),
+            let c0 = random_gaussian(m, n, 40);
+            let want = |alpha: f64, product: Matrix| {
+                let mut e = c0.clone();
+                e.axpy(alpha, &product);
+                e
+            };
+
+            let mut c = c0.clone();
+            gemm_nn_scratch(
+                &mut c.as_view_mut(),
                 1.25,
                 a.as_view(),
                 b.as_view(),
                 &mut scratch,
             );
-            gemm_nn_unpacked(&mut cu.as_view_mut(), 1.25, a.as_view(), b.as_view());
-            assert!(close(&cp, &cu), "nn {m}x{n}x{k}");
+            assert!(close(&c, &want(1.25, a.matmul(&b))), "nn {m}x{n}x{k}");
 
             let at = a.transpose();
-            let mut cp = random_gaussian(m, n, 41);
-            let mut cu = cp.clone();
-            gemm_tn_packed(
-                &mut cp.as_view_mut(),
+            let mut c = c0.clone();
+            gemm_tn_scratch(
+                &mut c.as_view_mut(),
                 -0.75,
                 at.as_view(),
                 b.as_view(),
                 &mut scratch,
             );
-            gemm_tn_unpacked(&mut cu.as_view_mut(), -0.75, at.as_view(), b.as_view());
-            assert!(close(&cp, &cu), "tn {m}x{n}x{k}");
+            assert!(close(&c, &want(-0.75, a.matmul(&b))), "tn {m}x{n}x{k}");
 
             let bt = b.transpose();
-            let mut cp = random_gaussian(m, n, 42);
-            let mut cu = cp.clone();
-            gemm_nt_packed(
-                &mut cp.as_view_mut(),
+            let mut c = c0.clone();
+            gemm_nt_scratch(
+                &mut c.as_view_mut(),
                 2.0,
                 a.as_view(),
                 bt.as_view(),
                 &mut scratch,
             );
-            gemm_nt_unpacked(&mut cu.as_view_mut(), 2.0, a.as_view(), bt.as_view());
-            assert!(close(&cp, &cu), "nt {m}x{n}x{k}");
+            assert!(close(&c, &want(2.0, a.matmul(&b))), "nt {m}x{n}x{k}");
         }
     }
 }

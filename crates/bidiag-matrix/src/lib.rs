@@ -9,10 +9,8 @@
 //!   views (offset + leading dimension) that the blocked kernels address
 //!   tiles and workspace panels through without copying,
 //! * [`gemm`] — packed, cache-blocked `C += alpha * op(A) * op(B)` kernels
-//!   (`NN`/`TN`/`NT`): a BLIS-style three-level blocked path over an
-//!   `MR x NR` register microkernel above a size crossover, an in-place
-//!   register-blocked path below it — the Level-3 substrate of the
-//!   compact-WY apply kernels,
+//!   (`NN`/`TN`/`NT`): one BLIS-style three-level blocked path over an
+//!   `MR x NR` register microkernel, at every size,
 //! * [`tiled::TiledMatrix`] — the `p x q` grid of `nb x nb` tiles on which the
 //!   tiled algorithms operate,
 //! * [`gen`] — LATMS-style generators of matrices with prescribed singular
@@ -36,7 +34,6 @@ pub mod view;
 
 pub use dense::Matrix;
 pub use dist::BlockCyclic;
-pub use gemm::{dot as fast_dot, dot4 as fast_dot4};
 pub use gemm::{gemm_nn, gemm_nt, gemm_tn, GemmScratch};
 pub use simd::{backend as simd_backend, SimdBackend};
 pub use tiled::{TileCoord, TiledMatrix};

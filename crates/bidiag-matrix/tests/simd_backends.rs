@@ -20,7 +20,7 @@
 //! `store_head`, which only other crates' kernels use, are checked lane by
 //! lane, each inside its own `#[target_feature]` shell.
 
-use bidiag_matrix::gemm::{gemm_nn, gemm_nn_packed, gemm_nt, gemm_tn, GemmScratch};
+use bidiag_matrix::gemm::{gemm_nn, gemm_nn_scratch, gemm_nt, gemm_tn, GemmScratch};
 use bidiag_matrix::gen::random_gaussian;
 use bidiag_matrix::simd::{self, ScalarLane, SimdBackend, SimdLane};
 use bidiag_matrix::Matrix;
@@ -240,8 +240,8 @@ fn gemm_transposed_variants_agree_across_backends() {
 
 #[test]
 fn gemm_on_ld_subviews_agrees_across_backends() {
-    // Windows of a larger buffer (leading dimension > rows): the packed
-    // path's pack routines and the AVX2 microkernel must agree on strided
+    // Windows of a larger buffer (leading dimension > rows): the GEMM's
+    // pack routines and the vector microkernels must agree on strided
     // inputs exactly as on contiguous ones.
     let big_a = random_gaussian(120, 120, 17);
     let big_b = random_gaussian(120, 120, 18);
@@ -256,7 +256,7 @@ fn gemm_on_ld_subviews_agrees_across_backends() {
         let results = simd::on_each_backend(|| {
             let mut scratch = GemmScratch::new();
             let mut c = c0.clone();
-            gemm_nn_packed(
+            gemm_nn_scratch(
                 &mut c.as_view_mut(),
                 1.0,
                 big_a.as_view().submatrix(ro, co, m, k),
