@@ -15,14 +15,22 @@
 //!   problem has ready tasks.
 //! * **Per-worker, per-lifetime scratch arenas.**  Each worker owns one
 //!   [`SessionScratch`] (blocked-kernel workspace + direct-path arena)
-//!   created at spawn and lent to every task body it ever runs; buffer
-//!   capacities grow to the high-water mark across problems and stay
-//!   there, so steady-state submissions do no hot-path allocation.
-//! * **Small-size crossover.**  Problems whose larger dimension is at most
-//!   [`Ge2Options::direct_crossover`] skip the tiled machinery entirely —
-//!   no tiling, no T-factors, no band stage — and run the one-stage
-//!   `gebd2` direct path (the bulge chase's two reflector applies on vector
-//!   lanes) straight into the dqds solver, reusing the worker's arena.
+//!   created at spawn and lent to everything it ever runs; buffer
+//!   capacities are pre-sized or grow to the high-water mark across
+//!   problems and stay there, so steady-state submissions do no hot-path
+//!   allocation.
+//! * **Small problems in gangs.**  Problems whose larger dimension is at
+//!   most [`Ge2Options::direct_crossover`] skip the tiled machinery
+//!   entirely — no tiling, no T-factors, no band stage, no task graph.
+//!   Such a submission is one job on the pool's graph-free job lane: the
+//!   input snapshot and a completion cell.  A worker takes the jobs queued
+//!   behind it in gangs of up to [`GANG`], runs the one-stage `gebd2`
+//!   (the bulge chase's two reflector applies on vector lanes) on each
+//!   through one shared work matrix, then solves all their bidiagonals in
+//!   one [`dqds_gang_into`] call, whose divisions run four problems at a
+//!   time.  A problem's spectrum is bitwise what it is alone, so a busy
+//!   session solves small problems faster than per-call
+//!   [`ge2val`](crate::pipeline::ge2val) by design.
 //!   [`SvdSession::new`] arms the bench-picked
 //!   [`DIRECT_CROSSOVER`]; [`SvdSession::with_options`] honours whatever
 //!   the caller set (including disabled), so a session reproduces
@@ -44,10 +52,11 @@
 //!   a slot frees (backpressure), [`AdmissionPolicy::Reject`] — or
 //!   [`SvdSession::try_submit`] under either policy — sheds load with
 //!   [`SvdError::QueueFull`].  A million-problem burst therefore never
-//!   holds more than `max_in_flight` live job graphs.
+//!   holds more than `max_in_flight` live jobs.
 //! * **Cancellation and deadlines.**  [`SvdJob::cancel`] drains a job's
-//!   remaining work as no-ops; [`SvdJob::wait_timeout`] bounds the wait
-//!   and cancels on expiry ([`SvdError::TimedOut`]).
+//!   remaining work as no-ops (a direct-path job is skipped when its gang
+//!   forms); [`SvdJob::wait_timeout`] bounds the wait and cancels on
+//!   expiry ([`SvdError::TimedOut`]).
 //!
 //! ```
 //! use bidiag_core::batch::SvdSession;
@@ -73,10 +82,11 @@ use bidiag_kernels::gebd2::{gebd2_with, Bidiagonal};
 use bidiag_matrix::{Matrix, TiledMatrix};
 use bidiag_obs as obs;
 use bidiag_runtime::{
-    AccessMode, JobError, JobHandle, PoolConfig, SubmitError, TaskBodyWith, TaskGraph, TaskPool,
+    AccessMode, JobError, JobHandle, JobTicket, PoolConfig, SubmitError, TaskBodyWith, TaskGraph,
+    TaskPool, GANG,
 };
 use bidiag_svd::{
-    dqds_singular_values_into, singular_values_with, Bd2ValOptions, DqdsScratch, SvdSolver,
+    dqds_gang_into, singular_values_with, Bd2ValOptions, DqdsScratch, SvdSolver, LANES,
 };
 use parking_lot::Mutex;
 use std::sync::{Arc, OnceLock};
@@ -90,7 +100,7 @@ const DEFAULT_NB: usize = 64;
 /// Default in-flight cap of [`SessionConfig::default`]: generous enough to
 /// keep every worker saturated with inter-problem parallelism, small
 /// enough that a runaway burst of submissions holds a bounded number of
-/// live job graphs (each pinning its input snapshot).
+/// live jobs (each pinning its input snapshot until it runs).
 const DEFAULT_MAX_IN_FLIGHT: usize = 256;
 
 /// What a full session does with the next submission.
@@ -144,45 +154,99 @@ fn job_error(e: JobError) -> SvdError {
     }
 }
 
-/// Arena of the direct path: every buffer the
-/// `gebd2 -> dqds` chain needs, owned per worker (and pooled for inline
-/// [`SvdSession::compute_into`] callers), reused across problems.
+/// Arena of the direct path: every buffer the `gebd2 -> dqds` chain of a
+/// gang of problems needs, owned per worker (and pooled, a gang of one at
+/// a time, for inline [`SvdSession::compute_into`] callers), reused across
+/// gangs.
 #[derive(Debug)]
 struct DirectScratch {
-    /// Working copy of the input (transposed when the problem is wide).
+    /// Working copy of one input at a time (transposed when it is wide).
     work: Matrix,
     /// Row-reflector scratch shared by every step of `gebd2`.
     tail: Vec<f64>,
-    /// The bidiagonal factor, cleared and refilled per problem.
-    bidiag: Bidiagonal,
-    /// Buffer pool of the dqds solver.
-    dqds: DqdsScratch,
+    /// The bidiagonal factors of a gang, cleared and refilled per problem.
+    bidiag: Vec<Bidiagonal>,
+    /// The lanes of the dqds solver.
+    dqds: Vec<DqdsScratch>,
 }
 
 impl DirectScratch {
+    /// An arena for gangs of one, whose buffers grow on first use.
     fn new() -> Self {
-        DirectScratch {
-            work: Matrix::zeros(0, 0),
-            tail: Vec::new(),
-            bidiag: Bidiagonal {
-                diag: Vec::new(),
-                superdiag: Vec::new(),
-            },
-            dqds: DqdsScratch::new(),
-        }
+        Self::for_gang(0, 1, 1)
     }
 
-    /// Arena pre-sized for problems up to `dim x dim`, so even a worker's
-    /// first direct problem allocates nothing (beyond the result vector).
-    fn for_dim(dim: usize) -> Self {
+    /// An arena pre-sized for gangs of up to `gang` problems up to
+    /// `dim x dim`, solved on `lanes` dqds lanes, so even a worker's first
+    /// gang allocates nothing (beyond the result vectors).
+    fn for_gang(dim: usize, gang: usize, lanes: usize) -> Self {
+        let bidiagonal = || Bidiagonal {
+            diag: Vec::with_capacity(dim),
+            superdiag: Vec::with_capacity(dim.saturating_sub(1)),
+        };
         DirectScratch {
             work: Matrix::zeros(dim, dim),
             tail: Vec::with_capacity(dim.saturating_sub(1)),
-            bidiag: Bidiagonal {
-                diag: Vec::with_capacity(dim),
-                superdiag: Vec::with_capacity(dim.saturating_sub(1)),
-            },
-            dqds: DqdsScratch::for_len(dim),
+            bidiag: (0..gang).map(|_| bidiagonal()).collect(),
+            dqds: (0..lanes).map(|_| DqdsScratch::for_len(dim)).collect(),
+        }
+    }
+
+    /// Singular values of each of `problems` (at most [`GANG`]) through the
+    /// direct path, each written into its output in non-increasing order,
+    /// using only this arena's buffers.
+    ///
+    /// The chain is `copy -> gebd2_with` per problem into the gang's
+    /// bidiagonals, then one `dqds_gang_into` for all of them, each link
+    /// bitwise-identical to its allocating twin, so every result equals
+    /// the [`ge2val`](crate::pipeline::ge2val) direct path bit for bit.
+    /// With the default [`SvdSolver::Dqds`] a warm arena performs **zero
+    /// heap allocations**; the bisection oracle goes through its allocating
+    /// entry point (it exists for cross-checking, not for throughput).
+    fn spectra<'a>(
+        &mut self,
+        problems: impl ExactSizeIterator<Item = (&'a Matrix, &'a mut Vec<f64>)>,
+        bd2val: &Bd2ValOptions,
+    ) {
+        let DirectScratch {
+            work,
+            tail,
+            bidiag,
+            dqds,
+        } = self;
+        assert!(problems.len() <= bidiag.len(), "a gang fits its arena");
+        // The outputs wait here while every input is reduced.
+        let mut outs = [const { None }; GANG];
+        for (k, ((a, out), b)) in problems.zip(bidiag.iter_mut()).enumerate() {
+            if a.rows() >= a.cols() {
+                work.copy_from(a);
+            } else {
+                work.copy_transposed_from(a);
+            }
+            gebd2_with(work, tail, b);
+            outs[k] = Some(out);
+        }
+        let solved = bidiag.iter().zip(outs.iter_mut().map_while(Option::take));
+        match bd2val.solver {
+            SvdSolver::Dqds => {
+                // Already sorted non-increasing by the solver — ge2val's
+                // extra stable sort is an identity on this output.
+                dqds_gang_into(
+                    solved.map(|(b, out)| (&b.diag[..], &b.superdiag[..], out)),
+                    dqds,
+                );
+            }
+            SvdSolver::Bisection => {
+                for (b, out) in solved {
+                    out.clear();
+                    out.extend(singular_values_with(&b.diag, &b.superdiag, bd2val));
+                    // total_cmp: bitwise-identical to partial_cmp on the
+                    // non-negative finite values the solvers emit, but a
+                    // poisoned (injected-NaN) spectrum sorts instead of
+                    // panicking.
+                    out.sort_by(|x, y| y.total_cmp(x));
+                }
+            }
         }
     }
 }
@@ -196,43 +260,11 @@ pub struct SessionScratch {
     direct: DirectScratch,
 }
 
-/// Singular values of `a` through the direct path, written into
-/// `out` using only `scratch`'s buffers.
-///
-/// The chain is `copy -> gebd2_with -> dqds_singular_values_into`, each
-/// link bitwise-identical to its allocating twin, so the result equals the
-/// [`ge2val`](crate::pipeline::ge2val) direct path bit for bit.  With the default
-/// [`SvdSolver::Dqds`] the steady-state call performs **zero heap
-/// allocations**; the bisection oracle goes through its allocating entry
-/// point (it exists for cross-checking, not for throughput).
-fn direct_spectrum(
-    a: &Matrix,
-    bd2val: &Bd2ValOptions,
-    scratch: &mut DirectScratch,
-    out: &mut Vec<f64>,
-) {
-    if a.rows() >= a.cols() {
-        scratch.work.copy_from(a);
-    } else {
-        scratch.work.copy_transposed_from(a);
-    }
-    gebd2_with(&mut scratch.work, &mut scratch.tail, &mut scratch.bidiag);
-    let b = &scratch.bidiag;
-    match bd2val.solver {
-        SvdSolver::Dqds => {
-            // Already sorted non-increasing by the solver — ge2val's extra
-            // stable sort is an identity on this output.
-            dqds_singular_values_into(&b.diag, &b.superdiag, &mut scratch.dqds, out);
-        }
-        SvdSolver::Bisection => {
-            out.clear();
-            out.extend(singular_values_with(&b.diag, &b.superdiag, bd2val));
-            // total_cmp: bitwise-identical to partial_cmp on the
-            // non-negative finite values the solvers emit, but a poisoned
-            // (injected-NaN) spectrum sorts instead of panicking.
-            out.sort_by(|x, y| y.total_cmp(x));
-        }
-    }
+/// One direct-path problem on the pool's job lane: its input snapshot
+/// until its gang has run, and the singular values the gang leaves.
+struct DirectJob {
+    a: Option<Matrix>,
+    sv: Vec<f64>,
 }
 
 /// Completion handle of one submitted problem: [`wait`](SvdJob::wait)
@@ -240,9 +272,20 @@ fn direct_spectrum(
 /// failure.
 #[must_use = "wait() on the job to obtain the singular values"]
 pub struct SvdJob {
-    /// `None` for problems resolved at submit time (empty inputs).
-    handle: Option<JobHandle<SessionScratch>>,
-    result: Arc<OnceLock<Vec<f64>>>,
+    pending: Pending,
+}
+
+/// Where a submitted problem is being solved.
+enum Pending {
+    /// Resolved at submit time (empty inputs).
+    Done(Vec<f64>),
+    /// A job on the pool's job lane (the direct path).
+    Direct(JobTicket<DirectJob>),
+    /// A tile DAG whose sink fills `result` (the blocked path).
+    Graph {
+        handle: JobHandle<SessionScratch>,
+        result: Arc<OnceLock<Vec<f64>>>,
+    },
 }
 
 impl SvdJob {
@@ -255,10 +298,15 @@ impl SvdJob {
     /// [`SvdError::Cancelled`]; non-finite solver output (unreachable from
     /// validated input, but injectable) is [`SvdError::SolverFailure`].
     pub fn wait(self) -> Result<Vec<f64>, SvdError> {
-        if let Some(handle) = self.handle {
-            handle.wait().map_err(job_error)?;
-        }
-        Self::extract(self.result)
+        let sv = match self.pending {
+            Pending::Done(sv) => sv,
+            Pending::Direct(ticket) => ticket.wait().map_err(job_error)?.sv,
+            Pending::Graph { handle, result } => {
+                handle.wait().map_err(job_error)?;
+                Self::extract(result)
+            }
+        };
+        Self::checked(sv)
     }
 
     /// Like [`wait`](SvdJob::wait), but give up at the deadline: a job
@@ -267,40 +315,61 @@ impl SvdJob {
     /// loop.  (The cancelled job still drains as no-ops in the background;
     /// its admission slot frees when it does.)
     pub fn wait_timeout(self, timeout: Duration) -> Result<Vec<f64>, SvdError> {
-        if let Some(handle) = &self.handle {
-            match handle.wait_timeout(timeout) {
-                None => {
-                    handle.cancel();
+        let sv = match self.pending {
+            Pending::Done(sv) => sv,
+            Pending::Direct(ticket) => match ticket.wait_timeout(timeout) {
+                Ok(outcome) => outcome.map_err(job_error)?.sv,
+                Err(ticket) => {
+                    ticket.cancel();
                     return Err(SvdError::TimedOut);
                 }
-                Some(outcome) => outcome.map_err(job_error)?,
+            },
+            Pending::Graph { handle, result } => {
+                match handle.wait_timeout(timeout) {
+                    None => {
+                        handle.cancel();
+                        return Err(SvdError::TimedOut);
+                    }
+                    Some(outcome) => outcome.map_err(job_error)?,
+                }
+                Self::extract(result)
             }
-        }
-        Self::extract(self.result)
+        };
+        Self::checked(sv)
     }
 
-    /// Request cooperative cancellation: kernel bodies that have not
-    /// started are skipped (the job's graph still drains, so counters and
-    /// the admission slot are released normally) and
-    /// [`wait`](SvdJob::wait) reports [`SvdError::Cancelled`].
-    /// Best-effort and idempotent; a job that already finished is
-    /// unaffected.
+    /// Request cooperative cancellation: work that has not started is
+    /// skipped (a blocked job's graph still drains, so counters and the
+    /// admission slot are released normally) and [`wait`](SvdJob::wait)
+    /// reports [`SvdError::Cancelled`].  Best-effort and idempotent; a job
+    /// that already finished is unaffected.
     pub fn cancel(&self) {
-        if let Some(handle) = &self.handle {
-            handle.cancel();
+        match &self.pending {
+            Pending::Done(_) => {}
+            Pending::Direct(ticket) => ticket.cancel(),
+            Pending::Graph { handle, .. } => handle.cancel(),
         }
     }
 
     /// True once the job has completed (non-blocking).
     pub fn is_finished(&self) -> bool {
-        self.handle.as_ref().is_none_or(JobHandle::is_finished)
+        match &self.pending {
+            Pending::Done(_) => true,
+            Pending::Direct(ticket) => ticket.is_finished(),
+            Pending::Graph { handle, .. } => handle.is_finished(),
+        }
     }
 
-    fn extract(result: Arc<OnceLock<Vec<f64>>>) -> Result<Vec<f64>, SvdError> {
-        let sv = match Arc::try_unwrap(result) {
+    fn extract(result: Arc<OnceLock<Vec<f64>>>) -> Vec<f64> {
+        match Arc::try_unwrap(result) {
             Ok(cell) => cell.into_inner().expect("job finished without a result"),
             Err(shared) => shared.get().expect("job finished without a result").clone(),
-        };
+        }
+    }
+
+    /// Non-finite solver output (unreachable from validated input, but
+    /// injectable) is a [`SvdError::SolverFailure`].
+    fn checked(sv: Vec<f64>) -> Result<Vec<f64>, SvdError> {
         if let Some(&bad) = sv.iter().find(|v| !v.is_finite()) {
             return Err(SvdError::SolverFailure(format!(
                 "solver produced non-finite singular value {bad}"
@@ -308,26 +377,18 @@ impl SvdJob {
         }
         Ok(sv)
     }
-
-    fn finished(sv: Vec<f64>) -> Self {
-        let result = Arc::new(OnceLock::new());
-        result.set(sv).expect("fresh OnceLock");
-        SvdJob {
-            handle: None,
-            result,
-        }
-    }
 }
 
 /// A persistent batched-SVD service — see the [module docs](self).
 ///
-/// Cheap problems run as a single direct-path task; larger ones submit
-/// their full tile DAG (plus a band/solve sink task).  Either way, tasks of
-/// all in-flight problems share the same work-stealing deques and the same
-/// per-worker scratch arenas.  Dropping the session parks nothing halfway:
-/// the pool drains every submitted problem before its threads exit.
+/// Cheap problems are jobs on the pool's job lane, solved in gangs; larger
+/// ones submit their full tile DAG (plus a band/solve sink task).  Either
+/// way, the work of all in-flight problems shares the same workers and the
+/// same per-worker scratch arenas.  Dropping the session parks nothing
+/// halfway: the pool drains every submitted problem before its threads
+/// exit.
 pub struct SvdSession {
-    pool: TaskPool<SessionScratch>,
+    pool: TaskPool<SessionScratch, DirectJob>,
     opts: Ge2Options,
     admission: AdmissionPolicy,
     /// Arena pool for inline [`compute_into`](SvdSession::compute_into)
@@ -363,14 +424,27 @@ impl SvdSession {
     pub fn with_config(opts: Ge2Options, config: SessionConfig) -> Self {
         let nb = opts.nb;
         let direct_dim = opts.direct_crossover;
-        let pool = TaskPool::with_config(
+        let bd2val = opts.bd2val;
+        let pool = TaskPool::with_lane(
             opts.threads,
             PoolConfig {
                 max_in_flight: config.max_in_flight,
             },
             move || SessionScratch {
                 kernel: KernelScratch::for_tile(nb),
-                direct: DirectScratch::for_dim(direct_dim),
+                direct: DirectScratch::for_gang(direct_dim, GANG, LANES),
+            },
+            move |s: &mut SessionScratch, gang: &mut [DirectJob]| {
+                let problems = gang.iter_mut().map(|job| {
+                    let a = job.a.as_ref().expect("a job runs once");
+                    (a, &mut job.sv)
+                });
+                s.direct.spectra(problems, &bd2val);
+                // Free the inputs now, not whenever their clients wait: a
+                // burst of finished jobs would hold every one of them.
+                for job in gang {
+                    job.a = None;
+                }
             },
         );
         SvdSession {
@@ -436,7 +510,9 @@ impl SvdSession {
     fn submit_with(&self, a: &Matrix, block: bool) -> Result<SvdJob, SvdError> {
         validate_finite(a)?;
         if a.rows().min(a.cols()) == 0 {
-            return Ok(SvdJob::finished(Vec::new()));
+            return Ok(SvdJob {
+                pending: Pending::Done(Vec::new()),
+            });
         }
         if self.opts.takes_direct_path(a.rows(), a.cols()) {
             self.submit_direct(a.clone(), block)
@@ -457,10 +533,10 @@ impl SvdSession {
     /// problems are submitted to the pool and waited on.
     ///
     /// This is the steady-state zero-allocation entry point: direct-path
-    /// calls draw a pooled arena, so with the default dqds solver a warm
-    /// session performs no heap allocation here at all (the allocation
-    /// counter test pins this).  Inline solves bypass admission — they
-    /// consume the *caller's* CPU, not a pool slot.
+    /// calls draw a pooled arena and solve a gang of one, so with the
+    /// default dqds solver a warm session performs no heap allocation here
+    /// at all (the allocation counter test pins this).  Inline solves
+    /// bypass admission — they consume the *caller's* CPU, not a pool slot.
     pub fn compute_into(&self, a: &Matrix, out: &mut Vec<f64>) -> Result<(), SvdError> {
         validate_finite(a)?;
         if a.rows().min(a.cols()) == 0 {
@@ -473,7 +549,7 @@ impl SvdSession {
                 .lock()
                 .pop()
                 .unwrap_or_else(DirectScratch::new);
-            direct_spectrum(a, &self.opts.bd2val, &mut scratch, out);
+            scratch.spectra(std::iter::once((a, &mut *out)), &self.opts.bd2val);
             self.caller_scratch.lock().push(scratch);
             if let Some(&bad) = out.iter().find(|v| !v.is_finite()) {
                 return Err(SvdError::SolverFailure(format!(
@@ -489,21 +565,22 @@ impl SvdSession {
         }
     }
 
-    /// Direct path as a single pool task using the worker's arena.
+    /// Direct path: one job on the pool's job lane, solved in the gang of
+    /// whichever worker takes it, with that worker's arena.
     fn submit_direct(&self, a: Matrix, block: bool) -> Result<SvdJob, SvdError> {
-        let bd2val = self.opts.bd2val;
-        let mut g = TaskGraph::new();
-        g.add_task(1.0, 0, obs::KIND_DIRECT, &[(0, AccessMode::Write)]);
-        let result: Arc<OnceLock<Vec<f64>>> = Arc::new(OnceLock::new());
-        let slot = Arc::clone(&result);
-        let k = a.rows().min(a.cols());
-        let bodies: Vec<TaskBodyWith<SessionScratch>> =
-            vec![Box::new(move |s: &mut SessionScratch| {
-                let mut sv = Vec::with_capacity(k);
-                direct_spectrum(&a, &bd2val, &mut s.direct, &mut sv);
-                slot.set(sv).expect("direct task ran twice");
-            })];
-        self.enqueue(g, bodies, block, result)
+        let job = DirectJob {
+            a: Some(a),
+            sv: Vec::new(),
+        };
+        let ticket = if block {
+            self.pool.submit_job(job)
+        } else {
+            self.pool.try_submit_job(job)
+        }
+        .map_err(submit_error)?;
+        Ok(SvdJob {
+            pending: Pending::Direct(ticket),
+        })
     }
 
     /// Blocked path: the GE2BND tile DAG plus one *sink* task running the
@@ -577,8 +654,7 @@ impl SvdSession {
         }
         .map_err(submit_error)?;
         Ok(SvdJob {
-            handle: Some(handle),
-            result,
+            pending: Pending::Graph { handle, result },
         })
     }
 }

@@ -2,8 +2,10 @@
 //! warm-up, inline direct-path calls through [`SvdSession::compute_into`]
 //! must perform **zero** heap allocations — the gebd2 work/tail buffers,
 //! the dqds qd-array pool and the output vector are all reused from the
-//! session's caller arena. And a per-call solve of a long bidiagonal makes
-//! the allocations of its scratch and its result, and none per split.
+//! session's caller arena. A submitted direct-path problem makes exactly
+//! three: its input snapshot, its completion cell and its result. And a
+//! per-call solve of a long bidiagonal makes the allocations of its scratch
+//! and its result, and none per split.
 //!
 //! The counting allocator makes this binary single-purpose; keep it to one
 //! test so no concurrent test thread pollutes the counter.
@@ -75,7 +77,33 @@ fn warm_direct_path_calls_allocate_nothing() {
          the direct path must run entirely from the pooled arenas"
     );
 
+    warm_submit_wait_round_allocates_its_snapshot_cell_and_result();
     per_call_dqds_allocates_its_scratch_and_nothing_per_split();
+}
+
+/// A submit -> wait round of a 32x32 problem on a warm one-worker session:
+/// the input snapshot, the completion cell on the job lane and the result
+/// vector, counted on both threads. With a one-task graph, a boxed body and
+/// a result cell it was 17.
+fn warm_submit_wait_round_allocates_its_snapshot_cell_and_result() {
+    use bidiag_core::batch::SvdSession;
+    use bidiag_matrix::gen::random_gaussian;
+
+    let session = SvdSession::new(1);
+    let a = random_gaussian(32, 32, 5);
+    for _ in 0..20 {
+        session.submit(&a).unwrap().wait().unwrap();
+    }
+    for _ in 0..5 {
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        let sv = session.submit(&a).unwrap().wait().unwrap();
+        let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
+        assert_eq!(sv.len(), 32);
+        assert_eq!(
+            delta, 3,
+            "a warm submit -> wait round made {delta} allocations"
+        );
+    }
 }
 
 /// `dqds_singular_values_with_stats` at the order of `square_1t`, on a

@@ -1,7 +1,8 @@
 //! Fault-injection coverage of the hardened service plane: every
 //! [`SvdError`] variant is produced by at least one test here, driven by
 //! the `failpoint` shim's named sites in the runtime (`pool::body`,
-//! `pool::admission`) or by malformed inputs at the boundary.
+//! `pool::admission`) and in the solver (`svd::segment`), or by malformed
+//! inputs at the boundary.
 //!
 //! Gated behind the `failpoints` cargo feature so the process-global
 //! failpoint registry is only armed in the dedicated CI leg; within this
@@ -17,7 +18,9 @@
 use bidiag_core::batch::{AdmissionPolicy, SessionConfig, SvdSession};
 use bidiag_core::pipeline::{ge2val, try_ge2bnd, try_ge2val, Ge2Options, DIRECT_CROSSOVER};
 use bidiag_core::SvdError;
+use bidiag_kernels::gebd2::gebd2;
 use bidiag_matrix::gen::random_gaussian;
+use bidiag_matrix::Matrix;
 use failpoint::FailAction;
 use std::time::Duration;
 
@@ -209,6 +212,34 @@ fn poison_panic_and_cancel_never_change_subsequent_arithmetic() {
             ge2val(&a, session.options()).singular_values,
             session.submit(&a).unwrap().wait().unwrap(),
             "n={n}"
+        );
+    }
+}
+
+#[test]
+fn a_panic_mid_solve_leaves_nothing_behind_for_the_next_job() {
+    // Block diagonal: the bidiagonal has an exact zero, so its problem
+    // splits as its first window opens and the panic at that window's
+    // failpoint leaves the sibling window on the worker's dqds lane.
+    let (g1, g2) = (random_gaussian(12, 12, 30), random_gaussian(12, 12, 31));
+    let blocks = Matrix::from_fn(24, 24, |i, j| match (i < 12, j < 12) {
+        (true, true) => g1.get(i, j),
+        (false, false) => g2.get(i - 12, j - 12),
+        _ => 0.0,
+    });
+    assert!(gebd2(&mut blocks.clone()).superdiag.contains(&0.0));
+    let session = small_session(1);
+    {
+        let _guard = failpoint::scoped(&[("svd::segment", FailAction::Panic("mid-solve".into()))]);
+        let job = session.submit(&blocks).expect("finite input admits");
+        assert!(matches!(job.wait(), Err(SvdError::SolverFailure(_))));
+    }
+    // The next jobs on that worker are bitwise per-call ge2val.
+    let _quiet = failpoint::scoped(&[]);
+    for b in [random_gaussian(3, 3, 32), blocks] {
+        assert_eq!(
+            ge2val(&b, session.options()).singular_values,
+            session.submit(&b).unwrap().wait().unwrap()
         );
     }
 }

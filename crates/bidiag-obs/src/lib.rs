@@ -162,7 +162,8 @@ pub const KERNEL_KIND_NAMES: [&str; 13] = [
 pub const KIND_BND2BD: u32 = 16;
 /// The BD2VAL solver task (dqds or the bisection oracle).
 pub const KIND_BD2VAL: u32 = 17;
-/// A direct-path (small-size crossover) SVD solve inside `SvdSession`.
+/// A gang of direct-path (small-size crossover) SVD solves inside
+/// `SvdSession`: one span per gang the pool's job lane runs.
 pub const KIND_DIRECT: u32 = 18;
 /// The band-extraction sink task of a blocked `SvdSession` submission.
 pub const KIND_SINK: u32 = 19;
@@ -179,7 +180,7 @@ pub fn kind_name(kind: u32) -> &'static str {
         0..=12 => KERNEL_KIND_NAMES[kind as usize],
         KIND_BND2BD => "BND2BD",
         KIND_BD2VAL => "BD2VAL",
-        KIND_DIRECT => "DIRECT_SVD",
+        KIND_DIRECT => "DIRECT_GANG",
         KIND_SINK => "BAND_SINK",
         KIND_STAGE_GE2BND => "stage:GE2BND",
         KIND_STAGE_BND2BD => "stage:BND2BD",
@@ -643,6 +644,10 @@ pub struct MetricsRegistry {
     pub dqds_poisoned_values: Counter,
     /// qd-array flips performed by the dqds driver.
     pub dqds_flips: Counter,
+    /// Gangs run by a pool's job lane (`SvdSession`'s direct-path problems).
+    pub direct_gangs: Counter,
+    /// Jobs in those gangs: over `direct_gangs`, the mean gang size.
+    pub direct_gang_jobs: Counter,
     /// Per-submission wait between submit and first task start (ns).
     pub queue_wait: Histogram,
     /// Per-submission first-task-start to last-task-end (ns).
@@ -671,6 +676,8 @@ impl MetricsRegistry {
             dqds_fallback_values: Counter(AtomicU64::new(0)),
             dqds_poisoned_values: Counter(AtomicU64::new(0)),
             dqds_flips: Counter(AtomicU64::new(0)),
+            direct_gangs: Counter(AtomicU64::new(0)),
+            direct_gang_jobs: Counter(AtomicU64::new(0)),
             queue_wait: Histogram::new(),
             compute: Histogram::new(),
             latency: Histogram::new(),
@@ -706,6 +713,8 @@ impl MetricsRegistry {
             dqds_fallback_values: self.dqds_fallback_values.get(),
             dqds_poisoned_values: self.dqds_poisoned_values.get(),
             dqds_flips: self.dqds_flips.get(),
+            direct_gangs: self.direct_gangs.get(),
+            direct_gang_jobs: self.direct_gang_jobs.get(),
             queue_wait: self.queue_wait.snapshot(),
             compute: self.compute.snapshot(),
             latency: self.latency.snapshot(),
@@ -732,6 +741,8 @@ impl MetricsRegistry {
         self.dqds_fallback_values.reset();
         self.dqds_poisoned_values.reset();
         self.dqds_flips.reset();
+        self.direct_gangs.reset();
+        self.direct_gang_jobs.reset();
         self.queue_wait.reset();
         self.compute.reset();
         self.latency.reset();
@@ -781,6 +792,10 @@ pub struct MetricsSnapshot {
     pub dqds_poisoned_values: u64,
     /// See [`MetricsRegistry::dqds_flips`].
     pub dqds_flips: u64,
+    /// See [`MetricsRegistry::direct_gangs`].
+    pub direct_gangs: u64,
+    /// See [`MetricsRegistry::direct_gang_jobs`].
+    pub direct_gang_jobs: u64,
     /// See [`MetricsRegistry::queue_wait`].
     pub queue_wait: HistogramSnapshot,
     /// See [`MetricsRegistry::compute`].
@@ -839,6 +854,11 @@ impl std::fmt::Display for MetricsSnapshot {
             self.dqds_poisoned_values,
             self.dqds_flips
         )?;
+        writeln!(
+            f,
+            "  {:<18} gangs={} jobs={}",
+            "direct", self.direct_gangs, self.direct_gang_jobs
+        )?;
         fmt_hist(f, "queue_wait", &self.queue_wait)?;
         fmt_hist(f, "compute", &self.compute)?;
         fmt_hist(f, "latency", &self.latency)?;
@@ -875,6 +895,7 @@ impl MetricsSnapshot {
                 "\"dqds\":{{\"passes\":{dp},\"rejected_passes\":{drj},\"inner_steps\":{dst},",
                 "\"segments\":{dseg},\"fallback_values\":{dfb},",
                 "\"poisoned_values\":{dpo},\"flips\":{dfl}}},",
+                "\"direct_gangs\":{dg},\"direct_gang_jobs\":{dgj},",
                 "\"queue_wait\":{qw},\"compute\":{cp},\"latency\":{lat}}}"
             ),
             meta = meta,
@@ -894,6 +915,8 @@ impl MetricsSnapshot {
             dfb = self.dqds_fallback_values,
             dpo = self.dqds_poisoned_values,
             dfl = self.dqds_flips,
+            dg = self.direct_gangs,
+            dgj = self.direct_gang_jobs,
             qw = hist(&self.queue_wait),
             cp = hist(&self.compute),
             lat = hist(&self.latency),

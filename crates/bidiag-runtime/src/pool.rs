@@ -71,6 +71,18 @@
 //!   unaffected.  [`JobHandle::cancel`] reuses the same drain-as-no-ops
 //!   machinery for cooperative cancellation, and
 //!   [`JobHandle::wait_timeout`] bounds how long a caller blocks.
+//! * **A graph-free job lane.**  A pool built with [`TaskPool::with_lane`]
+//!   also takes plain jobs ([`TaskPool::submit_job`]): one admission slot
+//!   each, queued FIFO in one `Mutex<VecDeque>` and published through the
+//!   same idle gate, no graph built.  A worker whose own deque is empty
+//!   takes `min(GANG, ⌈queued / threads⌉)` of them at once — a *gang*, so
+//!   the jobs that queue behind a busy worker are the ones run together —
+//!   and hands them to the runner given at construction, which gets the
+//!   worker's scratch and the whole gang.  Each job completes through its
+//!   own mutex and condition variable ([`JobTicket`]).  Cancellation is
+//!   honoured when the gang forms; a runner panic fails every job of its
+//!   gang with [`JobError::Panicked`]; `close` and drop drain the lane as
+//!   they drain the injector.
 //!
 //! # Why the once-cell task slots are sound
 //!
@@ -97,8 +109,8 @@
 //! exiting.
 //!
 //! Fault injection: the failpoints `pool::body` (inside the per-body
-//! `catch_unwind`, so an injected panic exercises the real containment
-//! path) and `pool::admission` (in the non-blocking admission check;
+//! `catch_unwind` — once per gang on the job lane — so an injected panic
+//! exercises the real containment path) and `pool::admission` (in the non-blocking admission check;
 //! `Trigger` forces a [`SubmitError::QueueFull`]) let the robustness suite
 //! drive every error path deterministically.  Disarmed they cost one
 //! relaxed atomic load.
@@ -118,6 +130,40 @@ use std::time::{Duration, Instant};
 /// A task body that receives the executing worker's private scratch — the
 /// per-worker, per-lifetime value of the [module docs](self).
 pub type TaskBodyWith<S> = Box<dyn FnOnce(&mut S) + Send>;
+
+/// Most jobs a worker takes off the job lane at once: the largest gang.
+pub const GANG: usize = 16;
+
+/// The runner of a pool's job lane: runs one gang of jobs with the
+/// worker's scratch, leaving each job's result in the job.
+type GangRunner<S, J> = Box<dyn Fn(&mut S, &mut [J]) + Send + Sync>;
+
+/// One job of the lane and its completion, shared by the queue, the worker
+/// that runs it and the client's [`JobTicket`].
+struct LaneCell<J> {
+    state: Mutex<LaneState<J>>,
+    done_cv: Condvar,
+    /// Admission timestamp (ns), 0 when tracing was off at submit time.
+    submitted_ns: u64,
+}
+
+struct LaneState<J> {
+    /// The job: here while it queues and once it has run, with the worker
+    /// in between.
+    job: Option<J>,
+    finished: bool,
+    /// What `wait` reports instead of the job: a panic of its gang's
+    /// runner, else a cancellation.
+    error: Option<JobError>,
+    /// A client is parked on `done_cv`; completion notifies only then.
+    waiting: bool,
+}
+
+/// The graph-free job lane of a pool built with [`TaskPool::with_lane`].
+struct JobLane<S, J> {
+    queue: Mutex<VecDeque<Arc<LaneCell<J>>>>,
+    runner: GangRunner<S, J>,
+}
 
 /// Once-cell storage of a submission's task bodies: each slot is written
 /// once at submit time and taken exactly once by the worker that claimed
@@ -487,6 +533,78 @@ impl<S> JobHandle<S> {
     }
 }
 
+/// Completion handle of one [`TaskPool::submit_job`] call: [`wait`]
+/// returns the job as the runner left it.
+///
+/// Detaching (dropping the ticket) is allowed: the job still runs.
+///
+/// [`wait`]: JobTicket::wait
+#[must_use = "dropping the ticket detaches the job; call wait() to get it back"]
+pub struct JobTicket<J> {
+    cell: Arc<LaneCell<J>>,
+}
+
+impl<J> std::fmt::Debug for JobTicket<J> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("JobTicket")
+            .field("finished", &self.is_finished())
+            .finish_non_exhaustive()
+    }
+}
+
+impl<J> JobTicket<J> {
+    /// Block until the job's gang has run and return the job, or
+    /// [`JobError::Panicked`] with the message if the runner panicked on
+    /// its gang, or [`JobError::Cancelled`].
+    pub fn wait(self) -> Result<J, JobError> {
+        match self.wait_timeout(Duration::MAX) {
+            Ok(outcome) => outcome,
+            Err(_) => unreachable!("a wait without a deadline ends only on completion"),
+        }
+    }
+
+    /// Like [`wait`](JobTicket::wait), but give up after `timeout`,
+    /// handing the ticket back (cancel it, keep waiting, or detach). A
+    /// deadline too far off for [`Instant`] to represent (`Duration::MAX`)
+    /// waits without one.
+    pub fn wait_timeout(self, timeout: Duration) -> Result<Result<J, JobError>, Self> {
+        let deadline = Instant::now().checked_add(timeout);
+        let mut st = self.cell.state.lock();
+        while !st.finished {
+            st.waiting = true;
+            let Some(deadline) = deadline else {
+                self.cell.done_cv.wait(&mut st);
+                continue;
+            };
+            let now = Instant::now();
+            if now >= deadline {
+                drop(st);
+                return Err(self);
+            }
+            self.cell.done_cv.wait_timeout(&mut st, deadline - now);
+        }
+        Ok(match st.error.take() {
+            Some(e) => Err(e),
+            None => Ok(st.job.take().expect("a finished job is handed out once")),
+        })
+    }
+
+    /// Request cancellation: a job whose gang has not formed yet is skipped,
+    /// and [`wait`](JobTicket::wait) reports [`JobError::Cancelled`] unless
+    /// the job had already finished. Idempotent.
+    pub fn cancel(&self) {
+        let mut st = self.cell.state.lock();
+        if !st.finished {
+            st.error.get_or_insert(JobError::Cancelled);
+        }
+    }
+
+    /// True once the job's gang has run (or skipped it), non-blocking.
+    pub fn is_finished(&self) -> bool {
+        self.cell.state.lock().finished
+    }
+}
+
 /// In-flight submission accounting, shared by admission and completion.
 struct AdmissionState {
     in_flight: usize,
@@ -497,10 +615,12 @@ struct AdmissionState {
 }
 
 /// State shared by every worker of the pool.
-struct PoolShared<S> {
+struct PoolShared<S, J> {
     /// Overflow/entry queue: `submit` seeds source tasks here (callers do
     /// not own a deque); workers pull from it when their deque drains.
     injector: Mutex<VecDeque<PoolItem<S>>>,
+    /// `None` unless the pool was built [`TaskPool::with_lane`].
+    lane: Option<JobLane<S, J>>,
     stealers: Vec<Stealer<PoolItem<S>>>,
     gate: IdleGate,
     admission: Mutex<AdmissionState>,
@@ -509,7 +629,7 @@ struct PoolShared<S> {
     max_in_flight: usize,
 }
 
-impl<S> PoolShared<S> {
+impl<S, J> PoolShared<S, J> {
     /// Run `id` of `sub` with the worker's scratch, release its successors,
     /// and return the highest-priority newly-ready successor for direct
     /// execution (work-first handoff).
@@ -608,17 +728,10 @@ impl<S> PoolShared<S> {
         next
     }
 
-    /// One full scan: local deque, then the injector, then every victim in
-    /// a pseudo-random order starting from `rng`'s draw.
-    fn find_item(
-        &self,
-        me: usize,
-        local: &Worker<PoolItem<S>>,
-        rng: &mut u64,
-    ) -> Option<PoolItem<S>> {
-        if let Some(item) = local.pop() {
-            return Some(item);
-        }
+    /// The rest of a scan once the worker's own deque and the job lane are
+    /// empty: the injector, then every victim in a pseudo-random order
+    /// starting from `rng`'s draw.
+    fn find_shared(&self, me: usize, rng: &mut u64) -> Option<PoolItem<S>> {
         if let Some(item) = self.injector.lock().pop_front() {
             return Some(item);
         }
@@ -648,12 +761,149 @@ impl<S> PoolShared<S> {
         None
     }
 
+    /// Take a gang off the job lane and run it; false when the lane is
+    /// empty (or the pool has none). `cells` and `gang` are the worker's
+    /// buffers for the gang's completions and jobs, empty between gangs.
+    fn run_gang(
+        &self,
+        me: usize,
+        scratch: &mut S,
+        cells: &mut Vec<Arc<LaneCell<J>>>,
+        gang: &mut Vec<J>,
+    ) -> bool {
+        let Some(lane) = &self.lane else {
+            return false;
+        };
+        {
+            let mut queue = lane.queue.lock();
+            if queue.is_empty() {
+                return false;
+            }
+            let take = GANG.min(queue.len().div_ceil(self.stealers.len()));
+            cells.extend(queue.drain(..take));
+        }
+        let start_ns = if obs::enabled() { obs::now_ns() } else { 0 };
+        // Cancellation is honoured here, as the gang forms: a job cancelled
+        // while it queued completes as it stands, and nothing runs it.
+        let mut i = 0;
+        while i < cells.len() {
+            let job = {
+                let mut st = cells[i].state.lock();
+                if st.error.is_some() {
+                    None
+                } else {
+                    st.job.take()
+                }
+            };
+            match job {
+                Some(job) => {
+                    gang.push(job);
+                    i += 1;
+                }
+                None => {
+                    let cell = cells.remove(i);
+                    self.complete(&cell, None, (start_ns, start_ns));
+                    self.release(1);
+                }
+            }
+        }
+        if gang.is_empty() {
+            return true;
+        }
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let _ = failpoint::fire("pool::body");
+            (lane.runner)(scratch, gang)
+        }));
+        let end_ns = if start_ns != 0 { obs::now_ns() } else { 0 };
+        if start_ns != 0 {
+            obs::record_span(obs::Span {
+                submission: obs::next_submission_id(),
+                task: 0,
+                kind: obs::KIND_DIRECT,
+                worker: me as u32,
+                start_ns,
+                end_ns,
+            });
+            let reg = obs::registry();
+            reg.direct_gangs.incr();
+            reg.direct_gang_jobs.add(gang.len() as u64);
+        }
+        match outcome {
+            Ok(()) => {
+                for (cell, job) in cells.iter().zip(gang.drain(..)) {
+                    self.complete(cell, Some(Ok(job)), (start_ns, end_ns));
+                }
+            }
+            Err(p) => {
+                // Every job of the gang fails: the runner's state when it
+                // unwound says nothing about which of them it finished.
+                let error = JobError::Panicked(panic_message(&*p));
+                gang.clear();
+                for cell in cells.iter() {
+                    self.complete(cell, Some(Err(error.clone())), (start_ns, end_ns));
+                }
+            }
+        }
+        self.release(cells.len());
+        cells.clear();
+        true
+    }
+
+    /// Publish the completion of one lane job: `outcome` is what its gang
+    /// left (`None` when it was skipped), `(start_ns, end_ns)` the gang's
+    /// span (zero when tracing was off as it formed).
+    fn complete(&self, cell: &LaneCell<J>, outcome: Option<Result<J, JobError>>, span: (u64, u64)) {
+        if obs::enabled() {
+            obs::registry().tasks_executed.incr();
+            if cell.submitted_ns != 0 && span.0 != 0 {
+                let reg = obs::registry();
+                reg.queue_wait
+                    .record(span.0.saturating_sub(cell.submitted_ns));
+                reg.compute.record(span.1.saturating_sub(span.0));
+                reg.latency.record(span.1.saturating_sub(cell.submitted_ns));
+            }
+        }
+        let mut st = cell.state.lock();
+        match outcome {
+            Some(Ok(job)) => st.job = Some(job),
+            Some(Err(e)) => st.error = Some(e),
+            None => {}
+        }
+        st.finished = true;
+        if st.waiting {
+            cell.done_cv.notify_all();
+        }
+    }
+
+    /// Give back the admission slots of `jobs` finished submissions — only
+    /// after their completion is published, so `in_flight` never
+    /// under-counts live work.
+    fn release(&self, jobs: usize) {
+        let mut adm = self.admission.lock();
+        adm.in_flight -= jobs;
+        drop(adm);
+        self.admission_cv.notify_all();
+    }
+
     fn worker_loop(&self, me: usize, local: Worker<PoolItem<S>>, scratch: &mut S) {
         let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ ((me as u64 + 1) << 17);
         let mut seen = 0u64;
         let mut open = true;
+        // Pre-sized at spawn, so a gang allocates nothing.
+        let room = if self.lane.is_some() { GANG } else { 0 };
+        let (mut cells, mut gang) = (Vec::with_capacity(room), Vec::with_capacity(room));
         loop {
-            while let Some((sub, id)) = self.find_item(me, &local, &mut rng) {
+            // A worker whose own deque is empty serves the job lane before
+            // the injector and the other deques.
+            loop {
+                let item = match local.pop() {
+                    Some(item) => Some(item),
+                    None if self.run_gang(me, scratch, &mut cells, &mut gang) => continue,
+                    None => self.find_shared(me, &mut rng),
+                };
+                let Some((sub, id)) = item else {
+                    break;
+                };
                 let mut current = id;
                 while let Some(next) = self.run_item(&sub, current, me, &local, scratch) {
                     current = next;
@@ -676,6 +926,8 @@ impl<S> PoolShared<S> {
 ///
 /// `S` is the per-worker scratch type: one value per worker thread, created
 /// once at spawn time and lent to every task body the worker ever runs.
+/// `J` is the job type of the lane of a pool built
+/// [`with_lane`](TaskPool::with_lane) (none otherwise).
 ///
 /// # Examples
 ///
@@ -707,8 +959,8 @@ impl<S> PoolShared<S> {
 /// }
 /// assert_eq!(acc.load(Ordering::SeqCst), 16);
 /// ```
-pub struct TaskPool<S: 'static> {
-    shared: Arc<PoolShared<S>>,
+pub struct TaskPool<S: 'static, J: 'static = ()> {
+    shared: Arc<PoolShared<S, J>>,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -727,10 +979,39 @@ impl<S: Send + 'static> TaskPool<S> {
         config: PoolConfig,
         init: impl Fn() -> S + Send + Sync + 'static,
     ) -> Self {
+        Self::spawn(threads, config, init, None)
+    }
+}
+
+impl<S: Send + 'static, J: Send + 'static> TaskPool<S, J> {
+    /// Spawn a pool like [`with_config`](TaskPool::with_config) that also
+    /// serves a graph-free job lane ([`submit_job`](TaskPool::submit_job)):
+    /// `runner` runs each gang of jobs a worker takes, with that worker's
+    /// scratch, and leaves each job's result in the job.
+    pub fn with_lane(
+        threads: usize,
+        config: PoolConfig,
+        init: impl Fn() -> S + Send + Sync + 'static,
+        runner: impl Fn(&mut S, &mut [J]) + Send + Sync + 'static,
+    ) -> Self {
+        let lane = JobLane {
+            queue: Mutex::new(VecDeque::new()),
+            runner: Box::new(runner),
+        };
+        Self::spawn(threads, config, init, Some(lane))
+    }
+
+    fn spawn(
+        threads: usize,
+        config: PoolConfig,
+        init: impl Fn() -> S + Send + Sync + 'static,
+        lane: Option<JobLane<S, J>>,
+    ) -> Self {
         let threads = threads.max(1);
         let workers: Vec<Worker<PoolItem<S>>> = (0..threads).map(|_| Worker::new_lifo()).collect();
         let shared = Arc::new(PoolShared {
             injector: Mutex::new(VecDeque::new()),
+            lane,
             stealers: workers.iter().map(Worker::stealer).collect(),
             gate: IdleGate::new(),
             admission: Mutex::new(AdmissionState {
@@ -895,9 +1176,53 @@ impl<S: Send + 'static> TaskPool<S> {
         self.shared.gate.publish();
         Ok(JobHandle { sub })
     }
+
+    /// Submit one job to the lane; it runs, in some gang, on some worker.
+    ///
+    /// Takes one admission slot like a graph submission: on a bounded pool
+    /// this **blocks** while `max_in_flight` submissions are in flight, and
+    /// returns [`SubmitError::Shutdown`] once the pool is closed. Panics if
+    /// the pool was not built [`with_lane`](TaskPool::with_lane).
+    pub fn submit_job(&self, job: J) -> Result<JobTicket<J>, SubmitError> {
+        self.enqueue_job(job, true)
+    }
+
+    /// Non-blocking twin of [`submit_job`](TaskPool::submit_job): sheds
+    /// with [`SubmitError::QueueFull`] when the pool is full.
+    pub fn try_submit_job(&self, job: J) -> Result<JobTicket<J>, SubmitError> {
+        self.enqueue_job(job, false)
+    }
+
+    fn enqueue_job(&self, job: J, block: bool) -> Result<JobTicket<J>, SubmitError> {
+        let lane = self
+            .shared
+            .lane
+            .as_ref()
+            .expect("jobs go to a pool built with `with_lane`");
+        self.admit(block)?;
+        let submitted_ns = if obs::enabled() {
+            obs::registry().submissions.incr();
+            obs::now_ns()
+        } else {
+            0
+        };
+        let cell = Arc::new(LaneCell {
+            state: Mutex::new(LaneState {
+                job: Some(job),
+                finished: false,
+                error: None,
+                waiting: false,
+            }),
+            done_cv: Condvar::new(),
+            submitted_ns,
+        });
+        lane.queue.lock().push_back(Arc::clone(&cell));
+        self.shared.gate.publish();
+        Ok(JobTicket { cell })
+    }
 }
 
-impl<S: 'static> TaskPool<S> {
+impl<S: 'static, J: 'static> TaskPool<S, J> {
     /// Close admission: every subsequent `submit`/`try_submit` (and every
     /// caller currently parked in a blocking `submit`) gets
     /// [`SubmitError::Shutdown`].  Work already admitted still drains.
@@ -910,7 +1235,7 @@ impl<S: 'static> TaskPool<S> {
     }
 }
 
-impl<S: 'static> Drop for TaskPool<S> {
+impl<S: 'static, J: 'static> Drop for TaskPool<S, J> {
     fn drop(&mut self) {
         self.close();
         self.shared.gate.finish();
@@ -1123,16 +1448,51 @@ mod tests {
 
     /// A submission whose single body parks until released, so tests can
     /// hold the pool provably busy without timing assumptions.
-    fn parked_job(pool: &TaskPool<u64>, release: &Arc<AtomicBool>, key: u64) -> JobHandle<u64> {
+    fn parked_job<J: Send>(
+        pool: &TaskPool<u64, J>,
+        release: &Arc<AtomicBool>,
+        key: u64,
+    ) -> JobHandle<u64> {
+        parked_job_flagging(pool, release, key, Arc::new(AtomicBool::new(false)))
+    }
+
+    /// [`parked_job`] whose body raises `started` as it begins.
+    fn parked_job_flagging<J: Send>(
+        pool: &TaskPool<u64, J>,
+        release: &Arc<AtomicBool>,
+        key: u64,
+        started: Arc<AtomicBool>,
+    ) -> JobHandle<u64> {
         let mut g = TaskGraph::new();
         g.add_task(1.0, 0, 0, &[(key, Write)]);
         let release = Arc::clone(release);
         let bodies: Vec<TaskBodyWith<u64>> = vec![Box::new(move |_: &mut u64| {
+            started.store(true, Ordering::Release);
             while !release.load(Ordering::Acquire) {
                 std::thread::yield_now();
             }
         })];
         pool.submit(g, bodies).expect("pool is open")
+    }
+
+    /// A [`parked_job`] for each of the pool's workers, returned once every
+    /// worker is in one: nothing else runs until `release`.
+    fn park_every_worker<J: Send>(
+        pool: &TaskPool<u64, J>,
+        release: &Arc<AtomicBool>,
+    ) -> Vec<JobHandle<u64>> {
+        let started: Vec<_> = (0..pool.threads())
+            .map(|_| Arc::new(AtomicBool::new(false)))
+            .collect();
+        let jobs = started
+            .iter()
+            .enumerate()
+            .map(|(k, flag)| parked_job_flagging(pool, release, k as u64, Arc::clone(flag)))
+            .collect();
+        while !started.iter().all(|f| f.load(Ordering::Acquire)) {
+            std::thread::yield_now();
+        }
+        jobs
     }
 
     #[test]
@@ -1312,5 +1672,123 @@ mod tests {
         assert_eq!(waiter.join().unwrap().unwrap_err(), SubmitError::Shutdown);
         release.store(true, Ordering::Release);
         blocker.wait().unwrap();
+    }
+
+    /// Every admission slot is given back — after the completions it
+    /// follows, so a client that has just been woken may see it late.
+    fn slots_come_back<J: Send>(pool: &TaskPool<u64, J>) {
+        let t0 = Instant::now();
+        while pool.in_flight() > 0 {
+            assert!(t0.elapsed() < Duration::from_secs(10), "a slot leaked");
+            std::thread::yield_now();
+        }
+    }
+
+    /// A pool with a job lane whose runner doubles every job of a gang,
+    /// records the gang's size in `gangs`, and panics on a 7.
+    fn lane_pool(
+        threads: usize,
+        max_in_flight: usize,
+        gangs: &Arc<Mutex<Vec<usize>>>,
+    ) -> TaskPool<u64, u64> {
+        let gangs = Arc::clone(gangs);
+        TaskPool::with_lane(
+            threads,
+            PoolConfig { max_in_flight },
+            || 0,
+            move |runs: &mut u64, gang: &mut [u64]| {
+                *runs += 1;
+                gangs.lock().push(gang.len());
+                for job in gang.iter_mut() {
+                    assert_ne!(*job, 7, "runner failure");
+                    *job *= 2;
+                }
+            },
+        )
+    }
+
+    #[test]
+    fn lane_jobs_queued_behind_a_busy_worker_run_in_gangs() {
+        let gangs = Arc::new(Mutex::new(Vec::new()));
+        let pool = lane_pool(1, 0, &gangs);
+        let release = Arc::new(AtomicBool::new(false));
+        let blockers = park_every_worker(&pool, &release);
+        let tickets: Vec<_> = (0..40u64)
+            .map(|j| pool.submit_job(100 + j).unwrap())
+            .collect();
+        release.store(true, Ordering::Release);
+        blockers.into_iter().for_each(|b| b.wait().unwrap());
+        for (j, t) in tickets.into_iter().enumerate() {
+            assert_eq!(t.wait(), Ok(2 * (100 + j as u64)));
+        }
+        // One worker, 40 queued: gangs of `GANG` while there are as many.
+        assert_eq!(*gangs.lock(), [GANG, GANG, 40 - 2 * GANG]);
+        slots_come_back(&pool);
+    }
+
+    #[test]
+    fn a_runner_panic_fails_its_whole_gang_and_the_lane_keeps_serving() {
+        let gangs = Arc::new(Mutex::new(Vec::new()));
+        let pool = lane_pool(1, 0, &gangs);
+        let release = Arc::new(AtomicBool::new(false));
+        let blockers = park_every_worker(&pool, &release);
+        let tickets: Vec<_> = [1, 2, 7, 3].map(|j| pool.submit_job(j).unwrap()).into();
+        release.store(true, Ordering::Release);
+        blockers.into_iter().for_each(|b| b.wait().unwrap());
+        for t in tickets {
+            match t.wait() {
+                Err(JobError::Panicked(msg)) => assert!(msg.contains("runner failure"), "{msg}"),
+                other => panic!("expected Panicked, got {other:?}"),
+            }
+        }
+        assert_eq!(pool.submit_job(5).unwrap().wait(), Ok(10));
+        slots_come_back(&pool);
+    }
+
+    #[test]
+    fn a_lane_job_cancelled_before_its_gang_forms_is_skipped_and_frees_its_slot() {
+        let gangs = Arc::new(Mutex::new(Vec::new()));
+        let pool = lane_pool(1, 3, &gangs);
+        let release = Arc::new(AtomicBool::new(false));
+        let blockers = park_every_worker(&pool, &release);
+        let (kept, victim) = (pool.submit_job(1).unwrap(), pool.submit_job(2).unwrap());
+        victim.cancel();
+        assert!(matches!(
+            pool.try_submit_job(3),
+            Err(SubmitError::QueueFull { max_in_flight: 3 })
+        ));
+        release.store(true, Ordering::Release);
+        blockers.into_iter().for_each(|b| b.wait().unwrap());
+        assert_eq!(victim.wait(), Err(JobError::Cancelled));
+        assert_eq!(kept.wait(), Ok(2));
+        assert_eq!(*gangs.lock(), [1], "the cancelled job ran");
+        slots_come_back(&pool);
+        assert_eq!(pool.try_submit_job(3).unwrap().wait(), Ok(6));
+    }
+
+    #[test]
+    fn lane_tickets_time_out_while_the_job_waits_and_close_drains_the_lane() {
+        let gangs = Arc::new(Mutex::new(Vec::new()));
+        let pool = lane_pool(2, 0, &gangs);
+        let release = Arc::new(AtomicBool::new(false));
+        // Both workers busy: the job stays queued past its deadline.
+        let blockers = park_every_worker(&pool, &release);
+        let ticket = pool.submit_job(4).unwrap();
+        let ticket = match ticket.wait_timeout(Duration::from_millis(20)) {
+            Err(ticket) => ticket,
+            Ok(outcome) => panic!("finished behind two busy workers: {outcome:?}"),
+        };
+        let detached: Vec<_> = (10..20).map(|j| pool.submit_job(j).unwrap()).collect();
+        pool.close();
+        assert_eq!(pool.submit_job(1).unwrap_err(), SubmitError::Shutdown);
+        release.store(true, Ordering::Release);
+        drop(detached);
+        drop(pool);
+        // The pool drained the lane before its workers exited.
+        assert_eq!(ticket.wait_timeout(Duration::MAX).unwrap(), Ok(8));
+        assert_eq!(gangs.lock().iter().sum::<usize>(), 11);
+        for b in blockers {
+            b.wait().unwrap();
+        }
     }
 }

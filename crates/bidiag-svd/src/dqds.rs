@@ -32,7 +32,8 @@
 //! whose eigenvalues are those of its qd arrays plus `sigma`; a pass reads
 //! the window on one side and writes it on the other, so a rejected pass
 //! costs nothing to undo, and no window is ever copied. Per window, until
-//! it is used up (`solve_window`):
+//! it is used up (steps 1–3 in `next_pass`, step 4 in `judge`, step 5 in
+//! both):
 //!
 //! 1. **Deflate at the bottom**, one value or two (criteria below); windows
 //!    of order 1 and 2 finish in closed form.
@@ -123,6 +124,48 @@
 //! Computing all `n` values costs `O(n)` passes of `O(m)` work each —
 //! `O(n^2)` total with a small constant, versus the `O(n^2 log(1/eps))`
 //! of per-value bisection with its ~50 full Sturm passes per value.
+//!
+//! # Gangs
+//!
+//! One pass keeps the divider busy about a quarter of the time, and the
+//! independent chains that could fill the rest are other *problems*: within
+//! one solve the windows come one after another (splits come late and peel
+//! off small windows — replaying `square_1t`'s 768-order bidiagonal through
+//! two or four lanes saves 0.3 %). So [`dqds_gang_into`] solves a gang of
+//! problems on up to [`LANES`] *lanes*, one problem per lane:
+//!
+//! * A lane's [`DqdsScratch`] holds its problem's whole state between
+//!   passes — the arrays, the window stack, the window being iterated
+//!   (`Iterating`), the shared pass budget, the counters. The driver is cut
+//!   at the pass: `next_pass` runs everything before one (deflation, flip,
+//!   `choose_shift`), `judge` everything after (accept or retry, the
+//!   `sigma` update, the split).
+//! * One loop (`run`, monomorphized per number of live lanes) advances the
+//!   pass of every live lane by one step per iteration, up to the nearest
+//!   end of a pass. That lane's driver then judges the pass and arms its
+//!   problem's next one — or, its problem done, the lane takes the gang's
+//!   next problem — and the loop goes on with the other lanes where they
+//!   were. What a pass reports about its last two steps (`dlasq5`'s
+//!   `dn1`, `dn2` and the minima before them) is taken as those steps
+//!   start, so no lane stops for them.
+//! * A problem's windows run in the order a solve on its own runs them, on
+//!   the same arrays, with the same shifts, so its output and its
+//!   [`DqdsStats`] are those of [`dqds_singular_values_into`] bit for bit;
+//!   only the order of independent work moves. That entry point *is* a
+//!   gang of one.
+//! * Taking a problem resets all of the lane's state, so a lane reused
+//!   after a panic mid-solve (a session worker contains those) carries
+//!   nothing over.
+//!
+//! Four chains finish in about the time one takes (a model of the pass
+//! loop at m = 768 reads 7.06 / 3.59 / 1.85 / 1.37 ns per chain-step at 1 /
+//! 2 / 4 / 8 lanes), but only while the lanes' running values stay in
+//! registers; so `run` holds each live pass as a `Run` of raw pointers and
+//! scalars, reloaded from its lane only when that lane's driver has run,
+//! and four is where the lanes stop. On the benchmark's 32x32 bidiagonals
+//! (gangs of 16, one 2.0 GHz-TSC Xeon core) a problem costs 8.8 µs in a
+//! gang against 13.7 µs on its own; the rest of the time of a gang is
+//! the drivers, which run one after another.
 
 use crate::sturm::GkBisection;
 use crate::Pow2Scale;
@@ -143,7 +186,7 @@ const TOL2: f64 = TOL * TOL;
 const CBIAS: f64 = 1.5;
 
 /// Counters describing how a [`dqds_singular_values_with_stats`] run went.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DqdsStats {
     /// Total dqds passes executed (including rejected shift attempts).
     pub passes: usize,
@@ -182,6 +225,10 @@ impl std::ops::AddAssign for DqdsStats {
     }
 }
 
+/// How many problems' passes one loop of [`dqds_gang_into`] advances: the
+/// lanes of the module docs' "Gangs" section.
+pub const LANES: usize = 4;
+
 /// An unreduced stretch `lo..hi` of the qd arrays on `side`: its
 /// eigenvalues are those of `(q[lo..hi], e[lo..hi - 1])` plus `sigma`.
 #[derive(Clone, Copy, Debug)]
@@ -197,21 +244,144 @@ struct Window {
 /// One `(q, e)` array pair over the whole problem, `e` one shorter.
 type QdArrays = (Vec<f64>, Vec<f64>);
 
-/// Reusable scratch of the dqds driver: the two `(q, e)` array pairs a pass
-/// reads from and writes to, the stack of windows still to solve, and the
-/// eigenvalue accumulator.
+/// The window being iterated, between two of its passes: `dlasq2`'s
+/// per-window loop state, kept in the lane so the driver can leave the
+/// window for the length of a pass.
+#[derive(Clone, Copy, Debug)]
+struct Iterating {
+    lo: usize,
+    /// Shrinks as values deflate at the bottom.
+    hi: usize,
+    sigma: f64,
+    /// Low-order part of `sigma` (the shifts are summed with compensation).
+    desig: f64,
+    side: usize,
+    /// What the last accepted pass reported. A negative `dmin` asks
+    /// `choose_shift` for exactly that shift.
+    last: PassMinima,
+    /// Values deflated since that pass.
+    deflated: usize,
+    choice: ShiftChoice,
+    /// Shift of the pass in flight, and how often the window's current
+    /// shift was rejected.
+    tau: f64,
+    failures: u32,
+}
+
+impl Iterating {
+    /// Start iterating on the unreduced window `w` from the one-off bound
+    /// `first_shift` of [`open_window`].
+    fn open(w: Window, first_shift: f64) -> Self {
+        Iterating {
+            lo: w.lo,
+            hi: w.hi,
+            sigma: w.sigma,
+            desig: 0.0,
+            side: w.side,
+            last: PassMinima {
+                dmin: -first_shift,
+                ..PassMinima::default()
+            },
+            deflated: 0,
+            choice: ShiftChoice::default(),
+            tau: 0.0,
+            failures: 0,
+        }
+    }
+
+    /// Deflate at the bottom of the window, one value or two at a time,
+    /// pushing the eigenvalues into `lambdas`; windows of order 1 and 2
+    /// finish in closed form. True when the window is used up.
+    fn deflate(&mut self, q: &[f64], e: &[f64], lambdas: &mut Vec<f64>) -> bool {
+        let (lo, sigma) = (self.lo, self.sigma);
+        loop {
+            let hi = self.hi;
+            match hi - lo {
+                1 => {
+                    lambdas.push(q[lo] + sigma);
+                    return true;
+                }
+                2 => {
+                    let (big, small) = two_by_two(q[lo], q[lo + 1], e[lo]);
+                    lambdas.extend([big + sigma, small + sigma]);
+                    return true;
+                }
+                _ => {}
+            }
+            if e[hi - 2] <= TOL2 * (sigma + q[hi - 1]) {
+                lambdas.push(q[hi - 1] + sigma);
+                self.hi -= 1;
+                self.deflated += 1;
+            } else if e[hi - 3] <= TOL2 * sigma {
+                let (big, small) = two_by_two(q[hi - 2], q[hi - 1], e[hi - 2]);
+                lambdas.extend([big + sigma, small + sigma]);
+                self.hi -= 2;
+                self.deflated += 2;
+            } else {
+                return false;
+            }
+        }
+    }
+}
+
+/// A pass in flight: it has run the steps of rows up to `at` (an index
+/// into the whole arrays) and ends at `end`; `d` and the running minima are
+/// where the recurrence stands. What the pass reports about its last two
+/// steps is taken as they start: `dn2`, `dmin2` and `emin2` (the minimum of
+/// the new `e`s, which leaves those two out) two steps from the end, `dn1`
+/// and `dmin1` one step from it.
+#[derive(Clone, Copy, Debug, Default)]
+struct Cursor {
+    at: usize,
+    end: usize,
+    d: f64,
+    dmin: f64,
+    emin: f64,
+    dn2: f64,
+    dmin2: f64,
+    emin2: f64,
+    dn1: f64,
+    dmin1: f64,
+}
+
+/// The arrays of `sides` a pass reads (the window's `side`) and writes.
+fn split(sides: &mut [QdArrays; 2], side: usize) -> (&QdArrays, &mut QdArrays) {
+    let [a, b] = sides;
+    if side == 0 {
+        (a, b)
+    } else {
+        (b, a)
+    }
+}
+
+/// Reusable scratch of the dqds driver, and the state of one lane of a
+/// gang: the two `(q, e)` array pairs a pass reads from and writes to, the
+/// stack of windows still to solve, the eigenvalue accumulator, and where
+/// the lane's problem stands between two passes.
 ///
 /// After a warm-up call, [`dqds_singular_values_into`] with the same (or a
 /// smaller) problem size performs **zero heap allocations** outside the
 /// rare bisection-fallback path, however often the problem splits — buffer
 /// capacities grow to the high-water mark and stay there.  One scratch per
-/// long-lived worker is the intended usage (the batched SVD session owns
-/// one per worker).
+/// long-lived worker (one per lane for [`dqds_gang_into`]) is the intended
+/// usage (the batched SVD session owns them per worker).
 #[derive(Debug, Default)]
 pub struct DqdsScratch {
     sides: [QdArrays; 2],
     stack: Vec<Window>,
     lambdas: Vec<f64>,
+    /// Order of the problem, and its scaling (`None` when every entry is
+    /// zero, or there is none).
+    n: usize,
+    scale: Option<Pow2Scale>,
+    /// Passes the problem may still take, shared by all of its windows:
+    /// dqds needs a handful per eigenvalue, and a problem that exhausts
+    /// the budget is pathological and goes to bisection.
+    budget: usize,
+    stats: DqdsStats,
+    /// `None` between windows.
+    window: Option<Iterating>,
+    cursor: Cursor,
 }
 
 impl DqdsScratch {
@@ -230,7 +400,316 @@ impl DqdsScratch {
             sides: [pair(), pair()],
             stack: Vec::with_capacity(n.max(1).ilog2() as usize + 2),
             lambdas: Vec::with_capacity(n),
+            ..Self::default()
         }
+    }
+
+    /// Take up the problem `(d, e)` in place of whatever this lane held —
+    /// every field is reset here, including a window stack a panic may have
+    /// left behind — and run the driver up to its first pass. False when
+    /// the problem needs none: it is then solved.
+    fn take(&mut self, d: &[f64], e: &[f64]) -> bool {
+        let n = d.len();
+        self.n = n;
+        self.scale = None;
+        self.stack.clear();
+        self.lambdas.clear();
+        self.stats = DqdsStats::default();
+        self.window = None;
+        if n == 0 {
+            return false;
+        }
+        assert_eq!(e.len(), n - 1, "superdiagonal must have length n-1");
+
+        // Scale by a power of two so the largest entry is in (0.5, 1]:
+        // exact (no rounding) and keeps all squares far from
+        // overflow/underflow.
+        let Some(scale) = Pow2Scale::for_bidiagonal(d, e) else {
+            return false;
+        };
+        self.scale = Some(scale);
+        // The squared, scaled qd arrays. Squaring underflows only for
+        // entries below ~1e-154 * amax, and an underflowed e^2 == 0 simply
+        // becomes a split point (a relative perturbation far below eps on
+        // any sigma).
+        let square = |&v: &f64| {
+            let v = scale.down(v);
+            v * v
+        };
+        let [(q0, e0), (q1, e1)] = &mut self.sides;
+        q0.clear();
+        q0.extend(d.iter().map(square));
+        e0.clear();
+        e0.extend(e.iter().map(square));
+        for (other, len) in [(q1, n), (e1, n - 1)] {
+            other.clear();
+            other.resize(len, 0.0);
+        }
+
+        // One window over everything; opening it finds the input's exact
+        // zeros.
+        self.stack.push(Window {
+            lo: 0,
+            hi: n,
+            sigma: 0.0,
+            side: 0,
+        });
+        self.budget = 30 * n + 100;
+        self.next_pass()
+    }
+
+    /// Write the solved problem's singular values into `out` in
+    /// non-increasing order, and add its counters to `total`.
+    fn finish(&mut self, out: &mut Vec<f64>, total: &mut DqdsStats) {
+        out.clear();
+        match self.scale {
+            None => out.resize(self.n, 0.0),
+            Some(scale) => {
+                debug_assert_eq!(self.lambdas.len(), self.n);
+                // NaN lambdas (poisoned windows) must survive to the output
+                // — `f64::max(NaN, 0.0)` would silently launder them into
+                // zeros.
+                out.extend(self.lambdas.iter().map(|&l| {
+                    if l.is_nan() {
+                        f64::NAN
+                    } else {
+                        scale.up(l.max(0.0).sqrt())
+                    }
+                }));
+                // In-place unstable sort: elements comparing equal here are
+                // bitwise identical (all outputs are non-negative with +0.0
+                // zeros), so the result is byte-for-byte the same as a
+                // stable sort — without the stable sort's temporary
+                // allocation.  `total_cmp` orders exactly like `partial_cmp`
+                // on these values and stays a total order (no panic) when
+                // poisoned NaNs pass through.
+                out.sort_unstable_by(|a, b| b.total_cmp(a));
+            }
+        }
+        *total += self.stats;
+    }
+
+    /// The half of the driver before a pass: deflate at the bottom of the
+    /// window being iterated, flip it, choose the shift and arm the pass —
+    /// opening the next window off the stack whenever one is used up, split
+    /// or handed to the ladder. False when the problem has no window left.
+    fn next_pass(&mut self) -> bool {
+        let DqdsScratch {
+            sides,
+            stack,
+            lambdas,
+            budget,
+            stats,
+            window,
+            cursor,
+            ..
+        } = self;
+        loop {
+            let w = match window {
+                Some(w) => w,
+                None => {
+                    let Some(next) = stack.pop() else {
+                        return false;
+                    };
+                    let Some(first_shift) = open_window(next, sides, stack) else {
+                        continue;
+                    };
+                    stats.segments += 1;
+                    let Window {
+                        lo,
+                        hi,
+                        sigma,
+                        side,
+                    } = next;
+                    match failpoint::fire("svd::segment") {
+                        Some(failpoint::FailAction::PoisonNan) => sides[side].0[lo] = f64::NAN,
+                        Some(failpoint::FailAction::Trigger) => {
+                            let (q, e) = &sides[side];
+                            ladder_fallback(&q[lo..hi], &e[lo..hi - 1], sigma, lambdas, stats);
+                            continue;
+                        }
+                        _ => {}
+                    }
+                    window.insert(Iterating::open(next, first_shift))
+                }
+            };
+            let (lo, sigma) = (w.lo, w.sigma);
+            let [(q0, e0), (q1, e1)] = &mut *sides;
+            let ((q, e), (q_old, e_old)) = if w.side == 0 {
+                ((q0, e0), (q1, e1))
+            } else {
+                ((q1, e1), (q0, e0))
+            };
+
+            if w.deflate(q, e, lambdas) {
+                *window = None;
+                continue;
+            }
+            let hi = w.hi;
+
+            // --- budget exhausted: hand the window to the ladder ---------
+            if *budget == 0 {
+                ladder_fallback(&q[lo..hi], &e[lo..hi - 1], sigma, lambdas, stats);
+                *window = None;
+                continue;
+            }
+
+            // --- flip so the (expected) small end sits at the bottom; only
+            //     worth looking at when the bottom just changed -----------
+            if (w.last.dmin <= 0.0 || w.deflated > 0) && CBIAS * q[lo] < q[hi - 1] {
+                q[lo..hi].reverse();
+                e[lo..hi - 1].reverse();
+                stats.flips += 1;
+                w.last.dmin = 0.0;
+                w.deflated = 0;
+            }
+
+            w.tau = choose_shift(
+                (&q[lo..hi], &e[lo..hi - 1]),
+                (&q_old[lo..hi], &e_old[lo..hi - 1]),
+                &w.last,
+                w.deflated,
+                &mut w.choice,
+            );
+            w.failures = 0;
+            *cursor = arm(w, q, budget, stats);
+            return true;
+        }
+    }
+
+    /// The half of the driver after a pass: accept it (on `dmin >= 0`, or
+    /// with convergence hidden by a negative `dn`), update `sigma` and push
+    /// the window back on the stack if the pass says it splits; or retry it
+    /// with a smaller shift (`dlasq3`'s ladder of shifts: late failure, early
+    /// failure, unshifted), which re-arms the pass and returns true; or,
+    /// when that is over, hand the window to the bisection ladder.
+    fn judge(&mut self, now: PassMinima) -> bool {
+        let DqdsScratch {
+            sides,
+            stack,
+            lambdas,
+            budget,
+            stats,
+            window,
+            cursor,
+            ..
+        } = self;
+        let w = window.as_mut().expect("a pass is in flight");
+        let (lo, hi, sigma) = (w.lo, w.hi, w.sigma);
+        let (src, dst) = split(sides, w.side);
+        let now = if now.dmin >= 0.0 {
+            now
+        } else if now.dmin < 0.0
+            && now.dmin1 > 0.0
+            && dst.1[hi - 2] < TOL * (sigma + now.dn1)
+            && now.dn.abs() < TOL * sigma
+        {
+            // Convergence hidden by a negative `dn`.
+            dst.0[hi - 1] = 0.0;
+            PassMinima { dmin: 0.0, ..now }
+        } else {
+            let (q, e) = src;
+            if w.tau == 0.0 {
+                // An unshifted pass can only fail through over/underflow
+                // pathologies (or non-finite data); the ladder takes over.
+                ladder_fallback(&q[lo..hi], &e[lo..hi - 1], sigma, lambdas, stats);
+                *window = None;
+                return false;
+            }
+            stats.rejected_passes += 1;
+            w.failures += 1;
+            w.tau = if w.failures >= 2 || now.dmin.is_nan() {
+                0.0
+            } else if now.dmin1 > 0.0 {
+                // Late failure: only the last `d` went negative.
+                w.choice.ttype -= 11;
+                (w.tau + now.dmin) * (1.0 - 2.0 * f64::EPSILON)
+            } else {
+                // Early failure.
+                w.choice.ttype -= 12;
+                0.25 * w.tau
+            };
+            if *budget == 0 {
+                ladder_fallback(&q[lo..hi], &e[lo..hi - 1], sigma, lambdas, stats);
+                *window = None;
+                return false;
+            }
+            *cursor = arm(w, q, budget, stats);
+            return true;
+        };
+        w.last = now;
+        w.deflated = 0;
+        w.side ^= 1;
+        let tau = w.tau;
+        if tau < w.sigma {
+            w.desig += tau;
+            let t = w.sigma + w.desig;
+            w.desig -= t - w.sigma;
+            w.sigma = t;
+        } else {
+            let t = w.sigma + tau;
+            w.desig += w.sigma - (t - tau);
+            w.sigma = t;
+        }
+
+        // --- the pass drove an interior `e` below the split threshold -----
+        if now.emin <= TOL2 * w.sigma {
+            stack.push(Window {
+                lo,
+                hi,
+                sigma: w.sigma,
+                side: w.side,
+            });
+            *window = None;
+        }
+        false
+    }
+
+    /// End the pass that has run its last step, judge it, and arm the next
+    /// one. False when the problem is solved.
+    ///
+    /// Inlined into `run`: called out of line it cost a gang of one 1.3 %
+    /// on the benchmark's 32x32 bidiagonals against the loop it replaced.
+    #[inline(always)]
+    fn finish_pass(&mut self) -> bool {
+        let now = self.report();
+        self.judge(now) || self.next_pass()
+    }
+
+    /// What the pass that has run its last step reports (LAPACK `dlasq5`'s
+    /// outputs), and its last `d`, which is the new bottom `q`.
+    fn report(&mut self) -> PassMinima {
+        let w = self.window.as_ref().expect("a pass is in flight");
+        let c = self.cursor;
+        debug_assert_eq!(c.at, c.end);
+        let dn = c.d;
+        split(&mut self.sides, w.side).1 .0[w.hi - 1] = dn;
+        PassMinima {
+            dmin: if dn.is_finite() { c.dmin } else { f64::NAN },
+            dmin1: c.dmin1,
+            dmin2: c.dmin2,
+            dn,
+            dn1: c.dn1,
+            dn2: c.dn2,
+            emin: c.emin2,
+        }
+    }
+}
+
+/// Start a pass with the shift `w.tau` on the window `w` of the arrays `q`
+/// it reads, charging it to the problem's budget and counters.
+fn arm(w: &Iterating, q: &[f64], budget: &mut usize, stats: &mut DqdsStats) -> Cursor {
+    *budget = budget.saturating_sub(1);
+    stats.passes += 1;
+    stats.inner_steps += w.hi - w.lo;
+    let d = q[w.lo] - w.tau;
+    Cursor {
+        at: w.lo,
+        end: w.hi - 1,
+        d,
+        dmin: d,
+        emin: f64::INFINITY,
+        ..Cursor::default()
     }
 }
 
@@ -269,82 +748,57 @@ pub fn dqds_singular_values_with_stats(d: &[f64], e: &[f64]) -> (Vec<f64>, DqdsS
 /// pass reads is left over from an earlier call — so the results are
 /// **bitwise equal**; in steady state (same problem size, warm scratch)
 /// the call performs no heap allocation unless a window falls back to
-/// bisection (see [`DqdsScratch`]).
+/// bisection (see [`DqdsScratch`]). A gang of one of [`dqds_gang_into`].
 pub fn dqds_singular_values_into(
     d: &[f64],
     e: &[f64],
     scratch: &mut DqdsScratch,
     out: &mut Vec<f64>,
 ) -> DqdsStats {
-    let n = d.len();
-    let mut stats = DqdsStats::default();
-    out.clear();
-    if n == 0 {
-        return stats;
-    }
-    assert_eq!(e.len(), n - 1, "superdiagonal must have length n-1");
+    dqds_gang_into([(d, e, out)], std::slice::from_mut(scratch))
+}
 
-    // Scale by a power of two so the largest entry is in (0.5, 1]: exact
-    // (no rounding) and keeps all squares far from overflow/underflow.
-    let Some(scale) = Pow2Scale::for_bidiagonal(d, e) else {
-        out.resize(n, 0.0);
-        return stats;
-    };
-
-    let DqdsScratch {
-        sides,
-        stack,
-        lambdas,
-    } = scratch;
-    debug_assert!(stack.is_empty());
-    lambdas.clear();
-
-    // The squared, scaled qd arrays. Squaring underflows only for entries
-    // below ~1e-154 * amax, and an underflowed e^2 == 0 simply becomes a
-    // split point (a relative perturbation far below eps on any sigma).
-    let square = |&v: &f64| {
-        let v = scale.down(v);
-        v * v
-    };
-    let [(q0, e0), (q1, e1)] = sides;
-    q0.clear();
-    q0.extend(d.iter().map(square));
-    e0.clear();
-    e0.extend(e.iter().map(square));
-    for (other, len) in [(q1, n), (e1, n - 1)] {
-        other.clear();
-        other.resize(len, 0.0);
-    }
-
-    // One window over everything; opening it finds the input's exact zeros.
-    stack.push(Window {
-        lo: 0,
-        hi: n,
-        sigma: 0.0,
-        side: 0,
-    });
-    solve_stack(sides, stack, lambdas, &mut stats);
-    debug_assert_eq!(lambdas.len(), n);
-
-    // NaN lambdas (poisoned windows) must survive to the output —
-    // `f64::max(NaN, 0.0)` would silently launder them into zeros.
-    out.extend(lambdas.iter().map(|&l| {
-        if l.is_nan() {
-            f64::NAN
-        } else {
-            scale.up(l.max(0.0).sqrt())
+/// Singular values of a gang of bidiagonals `(d, e, out)`, each written
+/// into its `out` in non-increasing order, on `min(LANES, scratch.len())`
+/// lanes (see "Gangs" in the module docs); returns the [`DqdsStats`] of
+/// all of them, summed.
+///
+/// Every problem's output and counters are **bitwise** what
+/// [`dqds_singular_values_into`] gives it alone, whatever the gang: lanes
+/// share no data, each problem's windows run in the same order, and no
+/// operation is fused or reassociated. Problems are taken in order, one
+/// per lane, each as the previous occupant of a lane finishes.
+///
+/// # Panics
+///
+/// If `scratch` is empty, or a superdiagonal is not one shorter than its
+/// diagonal.
+pub fn dqds_gang_into<'a, I>(problems: I, scratch: &mut [DqdsScratch]) -> DqdsStats
+where
+    I: IntoIterator<Item = (&'a [f64], &'a [f64], &'a mut Vec<f64>)>,
+{
+    assert!(!scratch.is_empty(), "a gang needs at least one lane");
+    let problems = problems.into_iter();
+    let count = scratch.len().min(LANES);
+    let lanes = &mut scratch[..count];
+    // Every backend runs the same body: the `d`-chain has nothing for wider
+    // lanes to fill, and the AVX2 shell only recompiles it under
+    // `target_feature` — no reassociation, no fusion, so all backends are
+    // bitwise identical. Every backend is named so that a new one cannot
+    // fall through to the baseline-compiled body unnoticed.
+    let stats = match simd::backend() {
+        simd::SimdBackend::Scalar => gang_body(problems, lanes),
+        #[cfg(target_arch = "x86_64")]
+        simd::SimdBackend::Avx2 | simd::SimdBackend::Avx512 => {
+            simd::check_avx2();
+            // SAFETY: `check_avx2` above verified AVX2+FMA are available
+            // on this CPU, which is the only precondition of the shell.
+            unsafe { gang_avx2(problems, lanes) }
         }
-    }));
-    // In-place unstable sort: elements comparing equal here are bitwise
-    // identical (all outputs are non-negative with +0.0 zeros), so the
-    // result is byte-for-byte the same as a stable sort — without the
-    // stable sort's temporary allocation.  `total_cmp` orders exactly like
-    // `partial_cmp` on these values and stays a total order (no panic)
-    // when poisoned NaNs pass through.
-    out.sort_unstable_by(|a, b| b.total_cmp(a));
+    };
     if obs::enabled() {
-        // Aggregate the per-solve counters into the process-wide registry;
-        // the caller still gets the exact per-solve stats.
+        // Aggregate the gang's counters into the process-wide registry; the
+        // caller still gets them exactly.
         let reg = obs::registry();
         reg.dqds_passes.add(stats.passes as u64);
         reg.dqds_rejected_passes.add(stats.rejected_passes as u64);
@@ -357,22 +811,271 @@ pub fn dqds_singular_values_into(
     stats
 }
 
-/// Solve every window on `stack`, and those they split into, pushing the
-/// eigenvalues into `lambdas`.
-fn solve_stack(
-    sides: &mut [QdArrays; 2],
-    stack: &mut Vec<Window>,
-    lambdas: &mut Vec<f64>,
-    stats: &mut DqdsStats,
-) {
-    // Shared pass budget: dqds needs a handful of passes per eigenvalue;
-    // anything beyond this bound is pathological and goes to bisection.
-    let n: usize = stack.iter().map(|w| w.hi - w.lo).sum();
-    let mut budget = 30 * n + 100;
-    while let Some(w) = stack.pop() {
-        if let Some(first_shift) = open_window(w, sides, stack) {
-            stats.segments += 1;
-            solve_window(w, first_shift, sides, stack, lambdas, &mut budget, stats);
+/// [`gang_body`] compiled with AVX2+FMA enabled (VEX encodings).
+///
+/// # Safety
+///
+/// The caller must ensure the CPU supports AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn gang_avx2<'a>(
+    problems: impl Iterator<Item = (&'a [f64], &'a [f64], &'a mut Vec<f64>)>,
+    lanes: &mut [DqdsScratch],
+) -> DqdsStats {
+    gang_body(problems, lanes)
+}
+
+/// The gang driver of [`dqds_gang_into`], shared verbatim by every backend:
+/// the live lanes are `lanes[..live]`, each with a pass in flight, and
+/// `outs[k]` is where lane `k`'s problem goes.
+#[inline(always)]
+fn gang_body<'a>(
+    mut problems: impl Iterator<Item = (&'a [f64], &'a [f64], &'a mut Vec<f64>)>,
+    lanes: &mut [DqdsScratch],
+) -> DqdsStats {
+    let mut total = DqdsStats::default();
+    let mut outs: [Option<&'a mut Vec<f64>>; LANES] = [const { None }; LANES];
+    let mut live = 0;
+    while live < lanes.len() {
+        let Some(out) = feed(&mut problems, &mut lanes[live], &mut total) else {
+            break;
+        };
+        outs[live] = Some(out);
+        live += 1;
+    }
+    while live > 0 {
+        // Lane `k`'s problem is solved: hand it its next one, if any.
+        let refill = |k: usize, lane: &mut DqdsScratch| {
+            lane.finish(
+                outs[k].take().expect("a live lane has an output"),
+                &mut total,
+            );
+            feed(&mut problems, lane, &mut total)
+                .map(|out| outs[k] = Some(out))
+                .is_some()
+        };
+        let done = match live {
+            1 => run::<1>(first_lanes(lanes), refill),
+            2 => run::<2>(first_lanes(lanes), refill),
+            3 => run::<3>(first_lanes(lanes), refill),
+            _ => run::<LANES>(first_lanes(lanes), refill),
+        };
+        // The last live lane takes the place of the one that ran dry.
+        live -= 1;
+        lanes.swap(done, live);
+        outs.swap(done, live);
+    }
+    total
+}
+
+/// The first `K` lanes.
+#[inline(always)]
+fn first_lanes<const K: usize>(lanes: &mut [DqdsScratch]) -> &mut [DqdsScratch; K] {
+    lanes.first_chunk_mut().expect("as many lanes as are live")
+}
+
+/// Put the next problem of the gang that needs a pass on `lane`, finishing
+/// the ones that need none on the way; `None` when the gang has no problem
+/// left.
+fn feed<'a>(
+    problems: &mut impl Iterator<Item = (&'a [f64], &'a [f64], &'a mut Vec<f64>)>,
+    lane: &mut DqdsScratch,
+    total: &mut DqdsStats,
+) -> Option<&'a mut Vec<f64>> {
+    for (d, e, out) in problems {
+        if lane.take(d, e) {
+            return Some(out);
+        }
+        lane.finish(out, total);
+    }
+    None
+}
+
+/// Run the passes of `K` lanes, each with one in flight, one step of every
+/// lane per iteration (`K` independent `d`-chains), up to the nearest end
+/// of a pass; that lane's driver judges it and arms the next, or `refill`
+/// gives the lane a new problem, and the loop goes on — until `refill` has
+/// none. Returns that lane's index, with every other lane's pass back in
+/// its cursor.
+#[inline(always)]
+fn run<const K: usize>(
+    lanes: &mut [DqdsScratch; K],
+    mut refill: impl FnMut(usize, &mut DqdsScratch) -> bool,
+) -> usize {
+    let mut runs: [Run; K] = std::array::from_fn(|k| Run::load(&mut lanes[k]));
+    loop {
+        let n = runs.iter().map(|r| r.left).min().expect("a lane is live");
+        advance(&mut runs, n);
+        // The lanes whose pass ended, as bits: which lane that is, is
+        // anybody's guess, so it is found without a branch on each.
+        let mut ended = (0..K).fold(0u32, |m, k| m | u32::from(runs[k].left == 0) << k);
+        while ended != 0 {
+            let k = ended.trailing_zeros() as usize;
+            ended &= ended - 1;
+            let lane = &mut lanes[k];
+            runs[k].store(lane);
+            if !lane.finish_pass() && !refill(k, lane) {
+                for (j, r) in runs.iter().enumerate() {
+                    if j != k {
+                        r.store(&mut lanes[j]);
+                    }
+                }
+                return k;
+            }
+            runs[k] = Run::load(lane);
+        }
+    }
+}
+
+/// A pass in flight as [`run`] holds it: pointers into its lane's arrays at
+/// the cursor, the steps it has left, its shift and a copy of the cursor —
+/// all of it in registers for as long as the pass runs.
+///
+/// The pointers stand for the slices [`Run::load`] cut: `q` to `left + 1`
+/// values, the others to `left`, and `advance` moves them on with the
+/// cursor. Between `load` and `store` nothing else touches the lane's
+/// arrays: only the lane's own driver does, and it runs after `store`.
+#[derive(Clone, Copy)]
+struct Run {
+    q: *const f64,
+    e: *const f64,
+    qh: *mut f64,
+    eh: *mut f64,
+    left: usize,
+    s: f64,
+    c: Cursor,
+}
+
+impl Run {
+    /// The pass in flight on `lane`, from its cursor on.
+    #[inline(always)]
+    fn load(lane: &mut DqdsScratch) -> Run {
+        let w = lane.window.as_ref().expect("a pass is in flight");
+        let c = lane.cursor;
+        let (src, dst) = split(&mut lane.sides, w.side);
+        let (q, e) = (&src.0[c.at..=c.end], &src.1[c.at..c.end]);
+        let (qh, eh) = (&mut dst.0[c.at..c.end], &mut dst.1[c.at..c.end]);
+        Run {
+            q: q.as_ptr(),
+            e: e.as_ptr(),
+            qh: qh.as_mut_ptr(),
+            eh: eh.as_mut_ptr(),
+            left: e.len(),
+            s: w.tau,
+            c,
+        }
+    }
+
+    /// Put the pass back in `lane`'s cursor.
+    #[inline(always)]
+    fn store(&self, lane: &mut DqdsScratch) {
+        lane.cursor = Cursor {
+            at: self.c.end - self.left,
+            ..self.c
+        };
+    }
+}
+
+/// Advance the passes of `K` lanes by `n` steps each, one step of every
+/// lane per iteration. Each lane's arithmetic is its pass's on its own, and
+/// `n` is at most what any of them has left.
+///
+/// What a step touches is copied out of `runs` into arrays indexed only by
+/// constants once the lane loops unroll, so that it lives in registers.
+#[inline(always)]
+fn advance<const K: usize>(runs: &mut [Run; K], n: usize) {
+    assert!(runs.iter().all(|r| r.left >= n));
+    let mut lanes = Lanes {
+        q: runs.each_ref().map(|r| r.q),
+        e: runs.each_ref().map(|r| r.e),
+        qh: runs.each_ref().map(|r| r.qh),
+        eh: runs.each_ref().map(|r| r.eh),
+        s: runs.each_ref().map(|r| r.s),
+        d: runs.each_ref().map(|r| r.c.d),
+        dmin: runs.each_ref().map(|r| r.c.dmin),
+        emin: runs.each_ref().map(|r| r.c.emin),
+    };
+    // A lane takes the snapshots of its last two steps as they start, which
+    // is in the last two iterations at the earliest: every lane has at
+    // least `n` steps left.
+    let bulk = n.saturating_sub(2);
+    for j in 0..bulk {
+        // SAFETY: `j < n`, and every lane has at least `n` left (asserted
+        // above).
+        unsafe { lanes.step(j) };
+    }
+    for j in bulk..n {
+        for (k, r) in runs.iter_mut().enumerate() {
+            let c = &mut r.c;
+            match r.left - j {
+                2 => (c.dn2, c.dmin2, c.emin2) = (lanes.d[k], lanes.dmin[k], lanes.emin[k]),
+                1 => (c.dn1, c.dmin1) = (lanes.d[k], lanes.dmin[k]),
+                _ => {}
+            }
+        }
+        // SAFETY: as above.
+        unsafe { lanes.step(j) };
+    }
+    for (k, r) in runs.iter_mut().enumerate() {
+        (r.c.d, r.c.dmin, r.c.emin) = (lanes.d[k], lanes.dmin[k], lanes.emin[k]);
+        r.q = r.q.wrapping_add(n);
+        r.e = r.e.wrapping_add(n);
+        r.qh = r.qh.wrapping_add(n);
+        r.eh = r.eh.wrapping_add(n);
+        r.left -= n;
+    }
+}
+
+/// The part of `K` [`Run`]s one step reads and writes, lane by lane.
+struct Lanes<const K: usize> {
+    q: [*const f64; K],
+    e: [*const f64; K],
+    qh: [*mut f64; K],
+    eh: [*mut f64; K],
+    s: [f64; K],
+    d: [f64; K],
+    dmin: [f64; K],
+    emin: [f64; K],
+}
+
+impl<const K: usize> Lanes<K> {
+    /// One step of every lane, `j` rows on from its pointers: the dqds
+    /// recurrence
+    ///
+    /// ```text
+    /// qhat_i = d_i + e_i;   t = q_{i+1} / qhat_i;   ehat_i = e_i t;   d_{i+1} = d_i t - s
+    /// ```
+    ///
+    /// and the running minima of the `d`s and of the new `e`s.
+    ///
+    /// # Safety
+    ///
+    /// Every lane's [`Run`] has more than `j` steps left.
+    #[inline(always)]
+    unsafe fn step(&mut self, j: usize) {
+        for k in 0..K {
+            // SAFETY: `q` points at `left + 1` values and the others at
+            // `left` (`Run::load`, moved on with `left` by `advance`),
+            // nothing else accesses them while the pass runs (see `Run`),
+            // and the caller guarantees `j < left`.
+            unsafe {
+                let e = *self.e[k].add(j);
+                let qhat = self.d[k] + e;
+                *self.qh[k].add(j) = qhat;
+                let t = *self.q[k].add(j + 1) / qhat;
+                let ehat = e * t;
+                *self.eh[k].add(j) = ehat;
+                let d = self.d[k] * t - self.s[k];
+                self.d[k] = d;
+                if d < self.dmin[k] {
+                    self.dmin[k] = d;
+                }
+                // `min`, not the `if` above, which it matches but for the
+                // sign of a zero (and `emin` is only ever compared): two
+                // alike updates make LLVM pair them in one register and
+                // route `d`'s chain through a shuffle, 6 % slower.
+                self.emin[k] = self.emin[k].min(ehat);
+            }
         }
     }
 }
@@ -408,176 +1111,6 @@ fn open_window(w: Window, sides: &[QdArrays; 2], stack: &mut Vec<Window>) -> Opt
         emax = emax.max(e[i]);
     }
     Some((qmin - 2.0 * qmin.sqrt() * emax.sqrt()).max(0.0))
-}
-
-/// Iterate the unreduced window `w` until it is used up, pushing its
-/// eigenvalues (`qd eigenvalue + sigma`) into `lambdas`, or until a pass
-/// says it splits, in which case it goes back on `stack` for
-/// [`open_window`] to take apart.
-fn solve_window(
-    w: Window,
-    first_shift: f64,
-    sides: &mut [QdArrays; 2],
-    stack: &mut Vec<Window>,
-    lambdas: &mut Vec<f64>,
-    budget: &mut usize,
-    stats: &mut DqdsStats,
-) {
-    let Window {
-        lo,
-        mut hi,
-        mut sigma,
-        mut side,
-    } = w;
-    match failpoint::fire("svd::segment") {
-        Some(failpoint::FailAction::PoisonNan) => sides[side].0[lo] = f64::NAN,
-        Some(failpoint::FailAction::Trigger) => {
-            let (q, e) = &sides[side];
-            return ladder_fallback(&q[lo..hi], &e[lo..hi - 1], sigma, lambdas, stats);
-        }
-        _ => {}
-    }
-
-    // What the last pass reported, and how many values were deflated
-    // since. A negative `dmin` asks `choose_shift` for exactly that shift.
-    let mut last = PassMinima {
-        dmin: -first_shift,
-        ..PassMinima::default()
-    };
-    let mut deflated = 0usize;
-    let mut choice = ShiftChoice::default();
-    // Low-order part of `sigma` (the shifts are summed with compensation).
-    let mut desig = 0.0_f64;
-
-    loop {
-        let (src, dst) = {
-            let (a, b) = sides.split_at_mut(1);
-            if side == 0 {
-                (&mut a[0], &mut b[0])
-            } else {
-                (&mut b[0], &mut a[0])
-            }
-        };
-        let (q, e) = (&mut src.0, &mut src.1);
-
-        // --- deflation at the bottom + tiny closed forms -----------------
-        loop {
-            match hi - lo {
-                1 => return lambdas.push(q[lo] + sigma),
-                2 => {
-                    let (big, small) = two_by_two(q[lo], q[lo + 1], e[lo]);
-                    return lambdas.extend([big + sigma, small + sigma]);
-                }
-                _ => {}
-            }
-            if e[hi - 2] <= TOL2 * (sigma + q[hi - 1]) {
-                lambdas.push(q[hi - 1] + sigma);
-                hi -= 1;
-                deflated += 1;
-            } else if e[hi - 3] <= TOL2 * sigma {
-                let (big, small) = two_by_two(q[hi - 2], q[hi - 1], e[hi - 2]);
-                lambdas.extend([big + sigma, small + sigma]);
-                hi -= 2;
-                deflated += 2;
-            } else {
-                break;
-            }
-        }
-
-        // --- budget exhausted: hand the window to the ladder -------------
-        if *budget == 0 {
-            return ladder_fallback(&q[lo..hi], &e[lo..hi - 1], sigma, lambdas, stats);
-        }
-
-        // --- flip so the (expected) small end sits at the bottom; only
-        //     worth looking at when the bottom just changed ---------------
-        if (last.dmin <= 0.0 || deflated > 0) && CBIAS * q[lo] < q[hi - 1] {
-            q[lo..hi].reverse();
-            e[lo..hi - 1].reverse();
-            stats.flips += 1;
-            last.dmin = 0.0;
-            deflated = 0;
-        }
-
-        let mut tau = choose_shift(
-            (&q[lo..hi], &e[lo..hi - 1]),
-            (&dst.0[lo..hi], &dst.1[lo..hi - 1]),
-            &last,
-            deflated,
-            &mut choice,
-        );
-
-        // --- one dqds pass, with shift rejection --------------------------
-        let mut failures = 0;
-        let now = loop {
-            *budget = budget.saturating_sub(1);
-            stats.passes += 1;
-            stats.inner_steps += hi - lo;
-            let now = dqds_pass(
-                &q[lo..hi],
-                &e[lo..hi - 1],
-                tau,
-                &mut dst.0[lo..hi],
-                &mut dst.1[lo..hi - 1],
-            );
-            if now.dmin >= 0.0 {
-                break now;
-            }
-            if now.dmin < 0.0
-                && now.dmin1 > 0.0
-                && dst.1[hi - 2] < TOL * (sigma + now.dn1)
-                && now.dn.abs() < TOL * sigma
-            {
-                // Convergence hidden by a negative `dn`.
-                dst.0[hi - 1] = 0.0;
-                break PassMinima { dmin: 0.0, ..now };
-            }
-            if tau == 0.0 {
-                // An unshifted pass can only fail through over/underflow
-                // pathologies (or non-finite data); the ladder takes over.
-                return ladder_fallback(&q[lo..hi], &e[lo..hi - 1], sigma, lambdas, stats);
-            }
-            stats.rejected_passes += 1;
-            failures += 1;
-            tau = if failures >= 2 || now.dmin.is_nan() {
-                0.0
-            } else if now.dmin1 > 0.0 {
-                // Late failure: only the last `d` went negative.
-                choice.ttype -= 11;
-                (tau + now.dmin) * (1.0 - 2.0 * f64::EPSILON)
-            } else {
-                // Early failure.
-                choice.ttype -= 12;
-                0.25 * tau
-            };
-            if *budget == 0 {
-                return ladder_fallback(&q[lo..hi], &e[lo..hi - 1], sigma, lambdas, stats);
-            }
-        };
-        last = now;
-        deflated = 0;
-        side ^= 1;
-        if tau < sigma {
-            desig += tau;
-            let t = sigma + desig;
-            desig -= t - sigma;
-            sigma = t;
-        } else {
-            let t = sigma + tau;
-            desig += sigma - (t - tau);
-            sigma = t;
-        }
-
-        // --- the pass drove an interior `e` below the split threshold -----
-        if now.emin <= TOL2 * sigma {
-            return stack.push(Window {
-                lo,
-                hi,
-                sigma,
-                side,
-            });
-        }
-    }
 }
 
 /// What one dqds pass reports besides the transformed arrays (LAPACK
@@ -822,93 +1355,6 @@ fn choose_shift(
     }
 }
 
-/// One dqds transform: reads `(q, e)`, writes `(qh, eh)`, returns the
-/// [`PassMinima`] — `dmin` non-negative iff the shift was admissible.
-///
-/// Dispatches on [`bidiag_matrix::simd::backend`] like the other hot
-/// loops, but the recurrence is a serial `d`-chain (each `d_{i+1}` needs
-/// the division from step `i`), so the AVX2 shell only recompiles the
-/// same body under `target_feature` — no reassociation, no fusion.  All
-/// backends therefore produce **bitwise-identical** output; the dispatch
-/// exists so the forced-backend equivalence suite covers this kernel.
-fn dqds_pass(q: &[f64], e: &[f64], s: f64, qh: &mut [f64], eh: &mut [f64]) -> PassMinima {
-    match simd::backend() {
-        simd::SimdBackend::Scalar => dqds_pass_body(q, e, s, qh, eh),
-        // No 512-bit shell: the d-chain is serial, wider lanes have nothing
-        // to fill.  Every backend is named so that a new one cannot fall
-        // through to the baseline-compiled body unnoticed.
-        #[cfg(target_arch = "x86_64")]
-        simd::SimdBackend::Avx2 | simd::SimdBackend::Avx512 => {
-            simd::check_avx2();
-            // SAFETY: `check_avx2` above verified AVX2+FMA are available
-            // on this CPU, which is the only precondition of the shell.
-            unsafe { dqds_pass_avx2(q, e, s, qh, eh) }
-        }
-    }
-}
-
-/// The dqds recurrence itself, shared verbatim by every backend, on a
-/// window of order `m >= 3`. The last two steps are peeled off the loop so
-/// that the minima before them cost a register copy and nothing on the
-/// `d`-chain.
-#[inline(always)]
-fn dqds_pass_body(q: &[f64], e: &[f64], s: f64, qh: &mut [f64], eh: &mut [f64]) -> PassMinima {
-    let m = q.len();
-    let (e, qh, eh) = (&e[..m - 1], &mut qh[..m], &mut eh[..m - 1]);
-    let mut d = q[0] - s;
-    let mut dmin = d;
-    let mut emin = f64::INFINITY;
-    // One step: writes `qh[i]`, `eh[i]`, returns the next `d` and `eh[i]`.
-    let mut step = |i: usize, d: f64| {
-        qh[i] = d + e[i];
-        let t = q[i + 1] / qh[i];
-        eh[i] = e[i] * t;
-        (d * t - s, eh[i])
-    };
-    for i in 0..m - 3 {
-        let ehat;
-        (d, ehat) = step(i, d);
-        if d < dmin {
-            dmin = d;
-        }
-        if ehat < emin {
-            emin = ehat;
-        }
-    }
-    let (dn2, dmin2) = (d, dmin);
-    let (dn1, _) = step(m - 3, dn2);
-    let dmin1 = if dn1 < dmin2 { dn1 } else { dmin2 };
-    let (dn, _) = step(m - 2, dn1);
-    let dmin = if dn < dmin1 { dn } else { dmin1 };
-    qh[m - 1] = dn;
-    PassMinima {
-        dmin: if dn.is_finite() { dmin } else { f64::NAN },
-        dmin1,
-        dmin2,
-        dn,
-        dn1,
-        dn2,
-        emin,
-    }
-}
-
-/// [`dqds_pass_body`] compiled with AVX2+FMA enabled (VEX encodings).
-///
-/// # Safety
-///
-/// The caller must ensure the CPU supports AVX2 and FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn dqds_pass_avx2(
-    q: &[f64],
-    e: &[f64],
-    s: f64,
-    qh: &mut [f64],
-    eh: &mut [f64],
-) -> PassMinima {
-    dqds_pass_body(q, e, s, qh, eh)
-}
-
 /// Eigenvalues of the order-2 qd window `(q0, q1, e0)` — i.e. of the
 /// 2x2 symmetric tridiagonal `[[q0, c], [c, q1 + e0]]` with `c^2 = q0 e0`
 /// — via the stable trace/determinant formulas: the discriminant is the
@@ -995,9 +1441,15 @@ mod tests {
             .collect()
     }
 
-    /// Two array pairs of order `q.len()` with `(q, e)` on `side` and NaN
-    /// everywhere a pass must not read before it has written.
-    fn sides_with(q: &[f64], e: &[f64], side: usize) -> [QdArrays; 2] {
+    /// A lane holding `(q, e)` on `side`, NaN everywhere a pass must not
+    /// read before it has written, with `windows` on its stack and the
+    /// budget of a problem of their order.
+    fn lane_with(
+        q: &[f64],
+        e: &[f64],
+        side: usize,
+        windows: &[(usize, usize, f64)],
+    ) -> DqdsScratch {
         let n = q.len();
         let mut sides = [
             (vec![f64::NAN; n], vec![f64::NAN; n - 1]),
@@ -1005,7 +1457,29 @@ mod tests {
         ];
         sides[side].0.copy_from_slice(q);
         sides[side].1.copy_from_slice(e);
-        sides
+        let stack: Vec<Window> = windows
+            .iter()
+            .map(|&(lo, hi, sigma)| Window {
+                lo,
+                hi,
+                sigma,
+                side,
+            })
+            .collect();
+        let order: usize = stack.iter().map(|w| w.hi - w.lo).sum();
+        DqdsScratch {
+            sides,
+            stack,
+            budget: 30 * order + 100,
+            ..DqdsScratch::default()
+        }
+    }
+
+    /// Run the lane's driver to the end, on its own.
+    fn drain(lane: &mut DqdsScratch) {
+        if lane.next_pass() {
+            run(std::array::from_mut(lane), |_, _| false);
+        }
     }
 
     /// Run the driver on the given windows of `(q, e)` held on `side`;
@@ -1016,20 +1490,22 @@ mod tests {
         side: usize,
         windows: &[(usize, usize, f64)],
     ) -> (Vec<f64>, DqdsStats) {
-        let mut sides = sides_with(q, e, side);
-        let mut stack: Vec<Window> = windows
-            .iter()
-            .map(|&(lo, hi, sigma)| Window {
-                lo,
-                hi,
-                sigma,
-                side,
-            })
-            .collect();
-        let (mut lambdas, mut stats) = (Vec::new(), DqdsStats::default());
-        solve_stack(&mut sides, &mut stack, &mut lambdas, &mut stats);
-        lambdas.sort_by(|a, b| b.total_cmp(a));
-        (lambdas, stats)
+        let mut lane = lane_with(q, e, side, windows);
+        drain(&mut lane);
+        lane.lambdas.sort_by(|a, b| b.total_cmp(a));
+        (lane.lambdas, lane.stats)
+    }
+
+    /// Iterate on the unreduced window `w` of `(q, e)` from `first_shift`
+    /// on, with a budget of 100 passes, as the driver does once
+    /// `open_window` has looked it over; eigenvalues in the order they
+    /// were found.
+    fn iterate(q: &[f64], e: &[f64], w: Window, first_shift: f64) -> (Vec<f64>, DqdsStats) {
+        let mut lane = lane_with(q, e, w.side, &[]);
+        lane.budget = 100;
+        lane.window = Some(Iterating::open(w, first_shift));
+        drain(&mut lane);
+        (lane.lambdas, lane.stats)
     }
 
     #[test]
@@ -1205,23 +1681,13 @@ mod tests {
         // the rest does, and no pass runs.
         let (q, e, sigma) = ([4.0, 3.0, 2.0, 1.0], [0.5, 1e-29, 0.3], 1.0);
         assert!(e[1] <= TOL2 * sigma && e[2] > TOL2 * (sigma + q[3]));
-        let mut sides = sides_with(&q, &e, 0);
-        let (mut lambdas, mut stats) = (Vec::new(), DqdsStats::default());
         let w = Window {
             lo: 0,
             hi: 4,
             sigma,
             side: 0,
         };
-        solve_window(
-            w,
-            0.0,
-            &mut sides,
-            &mut Vec::new(),
-            &mut lambdas,
-            &mut 100,
-            &mut stats,
-        );
+        let (mut lambdas, stats) = iterate(&q, &e, w, 0.0);
         let (b_big, b_small) = two_by_two(q[2], q[3], e[2]);
         let (t_big, t_small) = two_by_two(q[0], q[1], e[0]);
         assert_eq!(
@@ -1269,19 +1735,9 @@ mod tests {
         assert_eq!(on_side_0, on_side_1);
         // And a child in the middle of longer arrays leaves its neighbours
         // alone.
-        let mut sides = sides_with(&SPLIT_Q, &SPLIT_E, 1);
-        let mut stack = vec![Window {
-            lo: 4,
-            hi: 7,
-            sigma: SPLIT_SIGMA,
-            side: 1,
-        }];
-        solve_stack(
-            &mut sides,
-            &mut stack,
-            &mut Vec::new(),
-            &mut DqdsStats::default(),
-        );
+        let mut lane = lane_with(&SPLIT_Q, &SPLIT_E, 1, &[(4, 7, SPLIT_SIGMA)]);
+        drain(&mut lane);
+        let sides = lane.sides;
         for side in &sides {
             assert!(side.0[..4]
                 .iter()
@@ -1300,23 +1756,13 @@ mod tests {
         let (q, e, sigma) = ([2.0, 1.0, 1e-3], [0.1, 1e-20], 1.0);
         let tau = 1e-3 + 1e-17;
         assert!(tau > q[2] && e[1] > TOL2 * (sigma + q[2]));
-        let mut sides = sides_with(&q, &e, 0);
-        let (mut lambdas, mut stats) = (Vec::new(), DqdsStats::default());
         let w = Window {
             lo: 0,
             hi: 3,
             sigma,
             side: 0,
         };
-        solve_window(
-            w,
-            tau,
-            &mut sides,
-            &mut Vec::new(),
-            &mut lambdas,
-            &mut 100,
-            &mut stats,
-        );
+        let (mut lambdas, stats) = iterate(&q, &e, w, tau);
         assert_eq!(stats.rejected_passes, 0, "{stats:?}");
         assert_eq!(stats.fallback_values, 0);
         assert!(stats.passes >= 1);
@@ -1327,23 +1773,13 @@ mod tests {
     #[test]
     fn an_overshooting_shift_is_rejected_and_retried() {
         let (q, e) = ([2.0, 1.0, 0.5, 0.25], [0.1, 0.1, 0.1]);
-        let mut sides = sides_with(&q, &e, 0);
-        let (mut lambdas, mut stats) = (Vec::new(), DqdsStats::default());
         let w = Window {
             lo: 0,
             hi: 4,
             sigma: 0.0,
             side: 0,
         };
-        solve_window(
-            w,
-            0.3,
-            &mut sides,
-            &mut Vec::new(),
-            &mut lambdas,
-            &mut 100,
-            &mut stats,
-        );
+        let (mut lambdas, stats) = iterate(&q, &e, w, 0.3);
         assert!(stats.rejected_passes >= 1, "{stats:?}");
         assert!(stats.inner_steps >= stats.passes);
         lambdas.sort_by(|a, b| b.total_cmp(a));
@@ -1392,10 +1828,18 @@ mod tests {
             exps in proptest::collection::vec(-150.0f64..150.0, 80),
         ) {
             let pos: Vec<f64> = exps.iter().map(|x| 10f64.powf(*x)).collect();
-            let (mut qh, mut eh) = (vec![0.0; m], vec![0.0; m - 1]);
-            let r = dqds_pass(&pos[..m], &pos[40..40 + m - 1], 0.0, &mut qh, &mut eh);
+            let q = &pos[..m];
+            let mut lane = lane_with(q, &pos[40..40 + m - 1], 0, &[]);
+            let w = Iterating::open(Window { lo: 0, hi: m, sigma: 0.0, side: 0 }, 0.0);
+            lane.cursor = arm(&w, q, &mut lane.budget, &mut lane.stats);
+            lane.window = Some(w);
+            let mut runs = [Run::load(&mut lane)];
+            advance(&mut runs, m - 1);
+            runs[0].store(&mut lane);
+            let r = lane.report();
+            let (qh, eh) = &lane.sides[1];
             prop_assert!(r.dmin >= 0.0, "{r:?}");
-            prop_assert!(qh.iter().chain(&eh).all(|v| *v >= 0.0 && v.is_finite()));
+            prop_assert!(qh.iter().chain(eh).all(|v| *v >= 0.0 && v.is_finite()));
         }
     }
 

@@ -35,8 +35,8 @@ pub mod dqds;
 pub mod sturm;
 
 pub use dqds::{
-    dqds_singular_values, dqds_singular_values_into, dqds_singular_values_with_stats, DqdsScratch,
-    DqdsStats,
+    dqds_gang_into, dqds_singular_values, dqds_singular_values_into,
+    dqds_singular_values_with_stats, DqdsScratch, DqdsStats, LANES,
 };
 pub use sturm::{GkBisection, GkSturm};
 

@@ -9,7 +9,10 @@
 
 use bidiag_kernels::gebd2::gebd2;
 use bidiag_matrix::gen::{latms, random_gaussian, SpectrumKind};
-use bidiag_svd::{bisection_singular_values, dqds_singular_values_with_stats};
+use bidiag_svd::{
+    bisection_singular_values, dqds_gang_into, dqds_singular_values, dqds_singular_values_into,
+    dqds_singular_values_with_stats, DqdsScratch, DqdsStats, LANES,
+};
 use failpoint::FailAction;
 
 mod common;
@@ -100,4 +103,87 @@ fn forced_ladder_takes_the_oracle_and_stays_correct() {
         assert_rel_close(&sv, &bisection_singular_values(&d, &e), 1e-13, ctx);
     }
     assert!(failpoint::hits("svd::segment") > 0, "site never fired");
+}
+
+#[test]
+fn a_scratch_reused_after_a_panic_mid_solve_carries_nothing_over() {
+    // The exact zero splits the problem as its window opens, so the panic
+    // at the first window's failpoint leaves the sibling on the stack.
+    let mut scratch = DqdsScratch::new();
+    let mut out = Vec::new();
+    {
+        let _guard = failpoint::scoped(&[("svd::segment", FailAction::Panic("mid-solve".into()))]);
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            dqds_singular_values_into(
+                &[4.0, 3.0, 2.0, 1.0],
+                &[0.5, 0.0, 0.3],
+                &mut scratch,
+                &mut out,
+            )
+        }));
+        assert!(died.is_err(), "the failpoint never fired");
+    }
+    let _guard = failpoint::scoped(&[]);
+    let (d, e) = ([1.0, 2.0, 3.0], [0.1, 0.2]);
+    dqds_singular_values_into(&d, &e, &mut scratch, &mut out);
+    assert_eq!(out, dqds_singular_values(&d, &e));
+}
+
+/// A gang's outputs bit for bit (NaN included) and its summed counters.
+fn gang(problems: &[Bidiag]) -> (Vec<Vec<u64>>, DqdsStats) {
+    let mut outs = vec![Vec::new(); problems.len()];
+    let mut lanes: Vec<DqdsScratch> = (0..LANES).map(|_| DqdsScratch::new()).collect();
+    let stats = dqds_gang_into(
+        problems
+            .iter()
+            .zip(&mut outs)
+            .map(|((d, e), out)| (&d[..], &e[..], out)),
+        &mut lanes,
+    );
+    let bits = outs
+        .iter()
+        .map(|sv| sv.iter().map(|v| v.to_bits()).collect())
+        .collect();
+    (bits, stats)
+}
+
+/// The same problems solved one at a time.
+fn alone(problems: &[Bidiag]) -> (Vec<Vec<u64>>, DqdsStats) {
+    let mut total = DqdsStats::default();
+    let bits = problems
+        .iter()
+        .map(|(d, e)| {
+            let (sv, stats) = dqds_singular_values_with_stats(d, e);
+            total += stats;
+            sv.iter().map(|v| v.to_bits()).collect()
+        })
+        .collect();
+    (bits, total)
+}
+
+#[test]
+fn poison_in_a_gang_stays_in_its_own_problem() {
+    let classes: Vec<Bidiag> = spectrum_classes().into_iter().map(|(_, p)| p).collect();
+    {
+        // Every window the failpoint sees is poisoned, in a gang as alone:
+        // each problem comes out of the gang as it does on its own.
+        let _guard = failpoint::scoped(&[("svd::segment", FailAction::PoisonNan)]);
+        let (in_gang, stats) = gang(&classes);
+        let (one_by_one, alone_stats) = alone(&classes);
+        assert_eq!(in_gang, one_by_one);
+        assert_eq!(stats, alone_stats);
+        assert!(stats.poisoned_values > 0, "{stats:?}");
+    }
+    // A problem poisoned at its input, between clean ones: the clean ones
+    // are bitwise what they are alone, finite, and the poison stays put.
+    let _guard = failpoint::scoped(&[]);
+    let mut mixed = classes.clone();
+    mixed.insert(3, (vec![1.0, f64::NAN, 2.0, 0.5], vec![0.5, 0.25, 0.75]));
+    let (in_gang, stats) = gang(&mixed);
+    assert_eq!(in_gang, alone(&mixed).0);
+    assert_eq!(stats.poisoned_values, 4, "{stats:?}");
+    for (k, sv) in in_gang.iter().enumerate() {
+        let finite = sv.iter().all(|b| f64::from_bits(*b).is_finite());
+        assert_eq!(finite, k != 3, "problem {k}");
+    }
 }

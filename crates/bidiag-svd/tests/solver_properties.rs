@@ -6,15 +6,16 @@
 //! tiny (`1e-8`) values and zero/empty edge cases, both on directly
 //! constructed bidiagonals and on `latms` matrices reduced through
 //! `gebd2`; an adversarial sweep of six families up to order 152, where
-//! windows are long enough to split, flip and deflate two at a time; and
-//! pins on the number of passes the driver takes on the benchmark's inputs.
+//! windows are long enough to split, flip and deflate two at a time; pins
+//! on the number of passes the driver takes on the benchmark's inputs; and
+//! gangs of problems, which must be solved bitwise as one at a time.
 
 use bidiag_kernels::gebd2::gebd2;
 use bidiag_matrix::checks::singular_values_match;
 use bidiag_matrix::gen::{latms, random_gaussian, SpectrumKind};
 use bidiag_svd::{
-    bisection_singular_values, dqds_singular_values_with_stats, singular_values_with,
-    Bd2ValOptions, DqdsStats,
+    bisection_singular_values, dqds_gang_into, dqds_singular_values_with_stats,
+    singular_values_with, Bd2ValOptions, DqdsScratch, DqdsStats,
 };
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
@@ -267,8 +268,119 @@ fn ends_of_the_exponent_range_match_oracle() {
     }
 }
 
+/// The spectrum classes of the tests above, as a bidiagonal of order `n`
+/// (any order, 0 and 1 included): graded, clustered, zero, tiny, splitting
+/// late, flipping, and Wilkinson-like with its rejected passes.
+fn class_bidiagonal(class: usize, n: usize, rng: &mut StdRng) -> Bidiag {
+    if n < 2 {
+        return ((0..n).map(|_| 2.0 * rng.gen_f64() - 1.0).collect(), vec![]);
+    }
+    match class {
+        0 => graded_bidiagonal(n, rng.next_u64()),
+        1 => adversarial(3, n, rng),
+        2 => adversarial(4, n, rng),
+        3 => (
+            (0..n)
+                .map(|i| {
+                    if i % 3 == 1 {
+                        1e-8
+                    } else {
+                        1.0 + rng.gen_f64()
+                    }
+                })
+                .collect(),
+            (1..n).map(|_| 1e-3 * rng.gen_f64()).collect(),
+        ),
+        4 => {
+            // Blocks of eight whose couplings fall below the split threshold
+            // once the shift has grown, long before the blocks converge.
+            let scale = |i: usize| 1e-3_f64.powi((i / 8) as i32);
+            (
+                (0..n).map(|i| scale(i) * (1.0 + rng.gen_f64())).collect(),
+                (1..n)
+                    .map(|i| {
+                        if i % 8 == 0 {
+                            1e-13 * scale(i)
+                        } else {
+                            0.3 * scale(i) * rng.gen_f64()
+                        }
+                    })
+                    .collect(),
+            )
+        }
+        5 => adversarial(2, n, rng),
+        _ => adversarial(5, n, rng),
+    }
+}
+
+/// Solve `problems` as one gang on `lanes` lanes and one at a time; assert
+/// the outputs are bitwise equal and so are the summed counters, which are
+/// returned.
+fn check_gang(problems: &[Bidiag], lanes: usize, ctx: &str) -> DqdsStats {
+    let mut outs = vec![Vec::new(); problems.len()];
+    let mut scratch: Vec<DqdsScratch> = (0..lanes).map(|_| DqdsScratch::new()).collect();
+    let stats = dqds_gang_into(
+        problems
+            .iter()
+            .zip(&mut outs)
+            .map(|((d, e), out)| (&d[..], &e[..], out)),
+        &mut scratch,
+    );
+    let mut alone = DqdsStats::default();
+    for (k, ((d, e), out)) in problems.iter().zip(&outs).enumerate() {
+        let (sv, one) = dqds_singular_values_with_stats(d, e);
+        assert_eq!(&sv, out, "{ctx}: problem {k} of order {}", d.len());
+        alone += one;
+    }
+    assert_eq!(stats, alone, "{ctx}");
+    stats
+}
+
+#[test]
+fn a_gang_of_every_class_is_one_at_a_time_bitwise() {
+    // Every class at every order of the property test below, on every
+    // number of lanes up to one more than there are: the classes do what
+    // they are named for.
+    let mut rng = StdRng::seed_from_u64(0x9a_46);
+    let problems: Vec<Bidiag> = (0..7)
+        .flat_map(|class| ORDERS.map(|n| (class, n)))
+        .map(|(class, n)| class_bidiagonal(class, n, &mut rng))
+        .collect();
+    for lanes in 1..=5 {
+        let stats = check_gang(&problems, lanes, &format!("{lanes} lanes"));
+        assert!(stats.rejected_passes > 0 && stats.flips > 0, "{stats:?}");
+        assert!(stats.segments > 2 * problems.len(), "{stats:?}");
+        assert_eq!(
+            stats.fallback_values + stats.poisoned_values,
+            0,
+            "{stats:?}"
+        );
+    }
+}
+
+/// The orders gangs are drawn from: the empty and the smallest problems,
+/// the closed forms, the benchmark's 32 and up.
+const ORDERS: [usize; 9] = [0, 1, 2, 3, 5, 17, 32, 64, 200];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Gangs of 1 to 17 problems of any class and order, on 1 to 5 lanes:
+    /// the gang is one-at-a-time solving, bit for bit.
+    #[test]
+    fn gangs_are_one_at_a_time_bitwise(
+        size in 1usize..18,
+        orders in proptest::collection::vec(0usize..9, 17),
+        classes in proptest::collection::vec(0usize..7, 17),
+        lanes in 1usize..6,
+        seed in 0u64..1000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let problems: Vec<Bidiag> = (0..size)
+            .map(|k| class_bidiagonal(classes[k], ORDERS[orders[k]], &mut rng))
+            .collect();
+        check_gang(&problems, lanes, &format!("seed {seed}"));
+    }
 
     /// Random bidiagonals (random magnitudes *and* signs): dqds agrees
     /// with the oracle at 1e-13 relative.

@@ -283,21 +283,25 @@ fn session_metrics_wire_queue_wait_latency_and_dqds_signals() {
     let _scope = ScopedObs::new();
     obs::registry().reset();
 
+    // Eight problems on the direct path (n = 32 with the crossover armed),
+    // then eight through the tile DAG (crossover off): either way one
+    // submission and one latency / queue-wait / compute sample each.
     let requests = 8usize;
-    {
+    let (small, sigma) = latms(32, 32, &SpectrumKind::Geometric { cond: 100.0 }, 3);
+    let solve_all = |opts: Ge2Options| {
         let session = SvdSession::with_config(
-            Ge2Options::new(NB).with_threads(2),
+            opts.with_threads(2),
             SessionConfig {
                 max_in_flight: 2,
                 admission: AdmissionPolicy::Block,
             },
         );
-        let (small, sigma) = latms(32, 32, &SpectrumKind::Geometric { cond: 100.0 }, 3);
         for _ in 0..requests {
             let sv = session.submit(&small).unwrap().wait().unwrap();
             assert!(singular_values_match(&sv, &sigma, 1.0e-8));
         }
-    }
+    };
+    solve_all(Ge2Options::new(NB).with_direct_crossover(DIRECT_CROSSOVER));
 
     let snap = obs::registry().snapshot();
     assert_eq!(snap.submissions, requests as u64);
@@ -305,14 +309,31 @@ fn session_metrics_wire_queue_wait_latency_and_dqds_signals() {
     assert_eq!(snap.queue_wait.count, requests as u64);
     assert_eq!(snap.compute.count, requests as u64);
     assert!(snap.in_flight_peak >= 1 && snap.in_flight_peak <= 2);
-    assert!(snap.tasks_executed >= requests as u64);
-    // n = 32 takes the direct path whose solver is the dqds ladder: the
-    // per-solve `DqdsStats` must have been aggregated into the registry.
+    // One executed task per problem, in gangs the job lane counts: one at
+    // a time here, as each submission is waited for.
+    assert_eq!(snap.tasks_executed, requests as u64);
+    assert_eq!(snap.direct_gang_jobs, requests as u64);
+    assert!(snap.direct_gangs >= 1 && snap.direct_gangs <= snap.direct_gang_jobs);
+    // The direct path's solver is the dqds ladder: the per-solve
+    // `DqdsStats` must have been aggregated into the registry.
     assert!(snap.dqds_passes > 0, "dqds passes not recorded");
     assert!(snap.dqds_segments > 0, "dqds segments not recorded");
     assert!(
         snap.dqds_inner_steps >= snap.dqds_passes && snap.dqds_rejected_passes < snap.dqds_passes,
         "a pass has at least one inner step, and not every pass is rejected"
+    );
+
+    solve_all(Ge2Options::new(NB));
+    let snap = obs::registry().snapshot();
+    let total = 2 * requests as u64;
+    assert_eq!(snap.submissions, total);
+    assert_eq!(snap.latency.count, total);
+    assert_eq!(snap.queue_wait.count, total);
+    assert_eq!(snap.compute.count, total);
+    assert!(snap.tasks_executed >= total);
+    assert_eq!(
+        snap.direct_gang_jobs, requests as u64,
+        "the tile DAG is not a gang"
     );
     // Histogram sanity: latency >= compute on every submission, so the
     // means must be ordered too.
@@ -320,7 +341,10 @@ fn session_metrics_wire_queue_wait_latency_and_dqds_signals() {
     // Both renderings carry the counters.
     let text = format!("{snap}");
     assert!(text.contains("submissions"));
+    assert!(text.contains(&format!("jobs={requests}")));
     let json = snap.to_json();
-    assert!(json.contains(&format!("\"submissions\":{requests}")));
+    assert!(json.contains(&format!("\"submissions\":{total}")));
     assert!(json.contains(&format!("\"inner_steps\":{}", snap.dqds_inner_steps)));
+    assert!(json.contains(&format!("\"direct_gangs\":{}", snap.direct_gangs)));
+    assert!(json.contains(&format!("\"direct_gang_jobs\":{requests}")));
 }
