@@ -2,14 +2,13 @@
 //!
 //! Top row — GE2BND GFlop/s of the four tree variants: square matrices with
 //! BIDIAG (sqrt(N) x sqrt(N) process grids) and tall-skinny matrices with
-//! R-BIDIAG (N x 1 grids).  Bottom row — GE2VAL against the competitor
-//! models, including the serial BND2BD+BD2VAL upper bound of the paper.
+//! R-BIDIAG (N x 1 grids).  Bottom row — GE2VAL and the serial
+//! BND2BD+BD2VAL upper bound of the paper.  Every rate is simulated.
 //!
 //! Sizes are scaled down from the paper (20000/30000 square, 2M x 2000 and
 //! 1M x 10000 tall-skinny) so the harness runs in minutes; pass `--full`
 //! for larger sizes.
 
-use bidiag_baselines::CompetitorClass;
 use bidiag_bench::*;
 use bidiag_core::drivers::Algorithm;
 use bidiag_matrix::BlockCyclic;
@@ -79,26 +78,16 @@ fn ge2val_panel(
             ncores: CORES_PER_NODE,
         };
         let ours = ge2val_sim_gflops(m, n, nb, auto, algorithm, nodes, grid);
-        let ele = competitor_gflops(CompetitorClass::ElementalLike, m, n, nodes);
-        let sca = competitor_gflops(CompetitorClass::ScalapackLike, m, n, nodes);
         let ub = ge2val_upper_bound_gflops(m, n, nb);
         rows.push(vec![
             nodes.to_string(),
             format!("{ours:.0}"),
-            format!("{ele:.0}"),
-            format!("{sca:.0}"),
             format!("{ub:.0}"),
         ]);
     }
     print_tsv(
         &format!("{title} (M={m}, N={n}, {})", algorithm.name()),
-        &[
-            "nodes",
-            "DPLASMA(ours)",
-            "Elemental",
-            "Scalapack",
-            "UpperBound(BND2VAL)",
-        ],
+        &["nodes", "DPLASMA(ours)", "UpperBound(BND2VAL)"],
         &rows,
     );
 }

@@ -2,12 +2,11 @@
 //!
 //! Row 1: matrices of size `(base1 * nodes) x 2000`; row 2: `(base2 * nodes)
 //! x wide_n`.  Columns: GE2BND GFlop/s per tree (R-BIDIAG), GE2VAL GFlop/s
-//! vs the competitor models, and GE2VAL parallel efficiency.
+//! and its parallel efficiency.  Every rate is simulated.
 //!
 //! Paper sizes are `80000 * nodes x 2000` and `100000 * nodes x 10000`; the
 //! default here is scaled down (pass `--full` for the paper's sizes).
 
-use bidiag_baselines::CompetitorClass;
 use bidiag_bench::*;
 use bidiag_core::drivers::Algorithm;
 use bidiag_matrix::BlockCyclic;
@@ -16,7 +15,6 @@ use bidiag_trees::NamedTree;
 fn weak_row(title: &str, base_m: usize, n: usize, nodes_list: &[usize], nb: usize) {
     let mut rows_bnd = Vec::new();
     let mut rows_val = Vec::new();
-    let mut eff_rows = Vec::new();
     let mut ours_single = None;
     for &nodes in nodes_list {
         let m = base_m * nodes;
@@ -33,32 +31,11 @@ fn weak_row(title: &str, base_m: usize, n: usize, nodes_list: &[usize], nb: usiz
             ncores: CORES_PER_NODE,
         };
         let ours = ge2val_sim_gflops(m, n, nb, auto, Algorithm::RBidiag, nodes, grid);
-        let ele = competitor_gflops(CompetitorClass::ElementalLike, m, n, nodes);
-        let sca = competitor_gflops(CompetitorClass::ScalapackLike, m, n, nodes);
+        let base = *ours_single.get_or_insert(ours / nodes as f64);
         rows_val.push(vec![
             nodes.to_string(),
             format!("{ours:.0}"),
-            format!("{ele:.0}"),
-            format!("{sca:.0}"),
-        ]);
-
-        if nodes == nodes_list[0] {
-            ours_single = Some(ours / nodes as f64);
-        }
-        let base = ours_single.unwrap();
-        eff_rows.push(vec![
-            nodes.to_string(),
             format!("{:.3}", ours / (base * nodes as f64)),
-            format!(
-                "{:.3}",
-                ele / (competitor_gflops(CompetitorClass::ElementalLike, base_m, n, 1)
-                    * nodes as f64)
-            ),
-            format!(
-                "{:.3}",
-                sca / (competitor_gflops(CompetitorClass::ScalapackLike, base_m, n, 1)
-                    * nodes as f64)
-            ),
         ]);
     }
     print_tsv(
@@ -68,13 +45,8 @@ fn weak_row(title: &str, base_m: usize, n: usize, nodes_list: &[usize], nb: usiz
     );
     print_tsv(
         &format!("{title}: GE2VAL"),
-        &["nodes", "DPLASMA(ours)", "Elemental", "Scalapack"],
+        &["nodes", "DPLASMA(ours)", "efficiency"],
         &rows_val,
-    );
-    print_tsv(
-        &format!("{title}: GE2VAL efficiency"),
-        &["nodes", "DPLASMA(ours)", "Elemental", "Scalapack"],
-        &eff_rows,
     );
 }
 

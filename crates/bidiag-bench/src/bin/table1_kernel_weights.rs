@@ -3,17 +3,17 @@
 //!
 //! Runs each of the twelve tile kernels on `nb x nb` tiles (`nb = 64`, the
 //! tile size of the benchmark workloads, unless given as the first
-//! argument), blocked and its unblocked reference, keeps the fastest of
-//! `REPS` calls (a quarter as many for the reference) — operands restored
-//! from pristine copies outside the timed region, every buffer 64-byte
-//! aligned like the pipeline's tiles — and prints the time per call, the
-//! time per Table I weight unit (`nb^3/3` flops), the measured weight in
-//! units of the cheapest kernel's per-unit time next to the paper's weight,
-//! and the speedup over the reference: one table per backend the host
-//! supports (scalar, then 256 and 512 bits).  Then come the two GE2BND
-//! gates below, and three blocks, one row per backend: `gebd2` at the
-//! direct path's orders, the bulge chase on the benchmark's band, and dqds
-//! on the benchmark's bidiagonals.
+//! argument), blocked and its unblocked reference (`bidiag-oracles`), keeps
+//! the fastest of `REPS` calls (a quarter as many for the reference) —
+//! operands restored from pristine copies outside the timed region, every
+//! buffer 64-byte aligned like the pipeline's tiles — and prints the time
+//! per call, the time per Table I weight unit (`nb^3/3` flops), the
+//! measured weight in units of the cheapest kernel's per-unit time next to
+//! the paper's weight, and the speedup over the reference: one table per
+//! backend the host supports (scalar, then 256 and 512 bits).  Then come
+//! the two GE2BND gates below, and three blocks, one row per backend:
+//! `gebd2` at the direct path's orders, the bulge chase on the benchmark's
+//! band, and dqds on the benchmark's bidiagonals.
 //!
 //! If the implementation matched the model the per-unit column would be
 //! flat and the two weight columns equal.  It is not: the paper's point —
@@ -45,6 +45,7 @@ use bidiag_matrix::checks::{lower_triangle_of as lower, upper_triangle_of as upp
 use bidiag_matrix::gen::{latms, random_gaussian, SpectrumKind};
 use bidiag_matrix::simd::{self, SimdBackend};
 use bidiag_matrix::Matrix;
+use bidiag_oracles::{lq as lq_ref, qr as qr_ref};
 use bidiag_svd::{dqds_singular_values_into, DqdsScratch, DqdsStats};
 use std::hint::black_box;
 use std::time::Instant;
@@ -367,56 +368,56 @@ fn kernel_times(nb: usize, reps: usize) -> [(KernelKind, f64, f64); 12] {
             Geqrt,
             fastest(reps, [&a], |[x]| drop(black_box(qr::geqrt(x)))),
             fastest(ref_reps, [&a], |[x]| {
-                drop(black_box(qr::geqrt_unblocked(x)))
+                drop(black_box(qr_ref::geqrt_unblocked(x)))
             }),
         ),
         (
             Unmqr,
             fastest(reps, [&b], |[x]| qr::unmqr(&v_ge, &tf_ge, x, tr)),
             fastest(ref_reps, [&b], |[x]| {
-                qr::unmqr_unblocked(&v_ge, tf_ge.taus(), x, tr)
+                qr_ref::unmqr_unblocked(&v_ge, tf_ge.taus(), x, tr)
             }),
         ),
         (
             Tsqrt,
             fastest(reps, [&r1, &b], |[r, x]| drop(black_box(qr::tsqrt(r, x)))),
             fastest(ref_reps, [&r1, &b], |[r, x]| {
-                drop(black_box(qr::tsqrt_unblocked(r, x)))
+                drop(black_box(qr_ref::tsqrt_unblocked(r, x)))
             }),
         ),
         (
             Tsmqr,
             fastest(reps, [&b, &c], |[x, y]| qr::tsmqr(x, y, &v_ts, &tf_ts, tr)),
             fastest(ref_reps, [&b, &c], |[x, y]| {
-                qr::tsmqr_unblocked(x, y, &v_ts, tf_ts.taus(), tr)
+                qr_ref::tsmqr_unblocked(x, y, &v_ts, tf_ts.taus(), tr)
             }),
         ),
         (
             Ttqrt,
             fastest(reps, [&r1, &r2], |[r, x]| drop(black_box(qr::ttqrt(r, x)))),
             fastest(ref_reps, [&r1, &r2], |[r, x]| {
-                drop(black_box(qr::ttqrt_unblocked(r, x)))
+                drop(black_box(qr_ref::ttqrt_unblocked(r, x)))
             }),
         ),
         (
             Ttmqr,
             fastest(reps, [&b, &c], |[x, y]| qr::ttmqr(x, y, &v_tt, &tf_tt, tr)),
             fastest(ref_reps, [&b, &c], |[x, y]| {
-                qr::ttmqr_unblocked(x, y, &v_tt, tf_tt.taus(), tr)
+                qr_ref::ttmqr_unblocked(x, y, &v_tt, tf_tt.taus(), tr)
             }),
         ),
         (
             Gelqt,
             fastest(reps, [&a], |[x]| drop(black_box(lq::gelqt(x, ws)))),
             fastest(ref_reps, [&a], |[x]| {
-                drop(black_box(lq::gelqt_unblocked(x)))
+                drop(black_box(lq_ref::gelqt_unblocked(x)))
             }),
         ),
         (
             Unmlq,
             fastest(reps, [&b], |[x]| lq::unmlq(&w_ge, &tf_gel, x, tr)),
             fastest(ref_reps, [&b], |[x]| {
-                lq::unmlq_unblocked(&w_ge, tf_gel.taus(), x, tr)
+                lq_ref::unmlq_unblocked(&w_ge, tf_gel.taus(), x, tr)
             }),
         ),
         (
@@ -425,14 +426,14 @@ fn kernel_times(nb: usize, reps: usize) -> [(KernelKind, f64, f64); 12] {
                 drop(black_box(lq::tslqt(l, x, ws)))
             }),
             fastest(ref_reps, [&l1, &b], |[l, x]| {
-                drop(black_box(lq::tslqt_unblocked(l, x)))
+                drop(black_box(lq_ref::tslqt_unblocked(l, x)))
             }),
         ),
         (
             Tsmlq,
             fastest(reps, [&b, &c], |[x, y]| lq::tsmlq(x, y, &w_ts, &tf_tsl, tr)),
             fastest(ref_reps, [&b, &c], |[x, y]| {
-                lq::tsmlq_unblocked(x, y, &w_ts, tf_tsl.taus(), tr)
+                lq_ref::tsmlq_unblocked(x, y, &w_ts, tf_tsl.taus(), tr)
             }),
         ),
         (
@@ -441,14 +442,14 @@ fn kernel_times(nb: usize, reps: usize) -> [(KernelKind, f64, f64); 12] {
                 drop(black_box(lq::ttlqt(l, x, ws)))
             }),
             fastest(ref_reps, [&l1, &l2], |[l, x]| {
-                drop(black_box(lq::ttlqt_unblocked(l, x)))
+                drop(black_box(lq_ref::ttlqt_unblocked(l, x)))
             }),
         ),
         (
             Ttmlq,
             fastest(reps, [&b, &c], |[x, y]| lq::ttmlq(x, y, &w_tt, &tf_ttl, tr)),
             fastest(ref_reps, [&b, &c], |[x, y]| {
-                lq::ttmlq_unblocked(x, y, &w_tt, tf_ttl.taus(), tr)
+                lq_ref::ttmlq_unblocked(x, y, &w_tt, tf_ttl.taus(), tr)
             }),
         ),
     ]

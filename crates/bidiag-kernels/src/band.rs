@@ -403,11 +403,10 @@ pub fn bnd2bd_flops(n: usize, bw: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::givens::givens;
-    use crate::jacobi::jacobi_singular_values;
     use crate::svd::singular_values;
     use bidiag_matrix::checks::singular_values_match;
     use bidiag_matrix::gen::random_gaussian;
+    use bidiag_oracles::{givens, jacobi_singular_values};
 
     /// The Givens reduction this module used to run (one superdiagonal at a
     /// time, each annihilated entry chased all the way down, plain

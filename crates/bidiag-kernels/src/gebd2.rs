@@ -4,8 +4,9 @@
 //! (from the left) and row reflectors (from the right), one column and one
 //! row at a time.  It serves three roles in the reproduction:
 //!
-//! * as the reference/baseline algorithm class (MKL/ScaLAPACK's `GEBRD` is a
-//!   blocked version of this; see `bidiag-baselines`),
+//! * as the one-stage algorithm class the paper's two-stage reduction is
+//!   measured against (MKL/ScaLAPACK's `GEBRD` is a blocked version of
+//!   this; `fig2_shared_memory` times it next to `ge2val`),
 //! * as the direct path of every problem of order at most
 //!   `DIRECT_CROSSOVER` (the batched session, `ge2val` under a crossover),
 //! * as the final stage applied to small dense matrices in tests.
@@ -194,13 +195,6 @@ unsafe fn gebd2_avx512(a: &mut [f64], m: usize, row: &mut Vec<f64>, out: &mut Bi
     // SAFETY: inside this target_feature fn AVX-512F is enabled, so
     // constructing the lane token is sound.
     unsafe { gebd2_body(simd::Avx512Lane::new_unchecked(), a, m, row, out) }
-}
-
-/// Flop count of the one-stage bidiagonalization of an `m x n` matrix
-/// (`4 m n^2 - 4/3 n^3`, see the paper's related-work section).
-pub fn gebd2_flops(m: usize, n: usize) -> f64 {
-    let (m, n) = (m as f64, n as f64);
-    4.0 * m * n * n - 4.0 / 3.0 * n * n * n
 }
 
 #[cfg(test)]
@@ -471,18 +465,6 @@ mod tests {
         for e in &b.superdiag {
             assert!(e.abs() < 1e-14);
         }
-    }
-
-    #[test]
-    fn gebd2_flop_formula() {
-        assert!((gebd2_flops(1000, 1000) - (4.0e9 - 4.0 / 3.0 * 1.0e9)).abs() < 1.0);
-        // Chan's crossover: preQR+GE2BD(n,n) = 2n^2(m+n) flops is cheaper than
-        // GE2BD(m,n) = 4n^2(m - n/3) when m >= 5n/3.
-        let n = 300.0_f64;
-        let m = 5.0 * n / 3.0;
-        let bidiag = 4.0 * n * n * (m - n / 3.0);
-        let rbidiag = 2.0 * n * n * (m + n);
-        assert!((bidiag - rbidiag).abs() < 1e-6 * bidiag);
     }
 
     #[test]

@@ -21,14 +21,8 @@
 //! trapezoid in the tile itself (UNMLQ), full rows of the second tile (TS),
 //! lower triangle of the second tile (TT).  Nothing is packed, transposed
 //! or allocated, and the SIMD backend is dispatched once per kernel call.
-//!
-//! The unblocked `*_unblocked` references mirror LAPACK via transposition of
-//! the unblocked QR kernels and remain the oracle for the property tests.
 
-use crate::qr::{
-    geqrt_unblocked, tsmqr_unblocked, tsqrt_unblocked, ttmqr_unblocked, ttqrt_unblocked,
-    unmqr_unblocked, Trans,
-};
+use crate::qr::Trans;
 use crate::wy::{self, Shape, TFactor, Workspace};
 use bidiag_matrix::Matrix;
 
@@ -43,14 +37,6 @@ pub fn gelqt(a: &mut Matrix, ws: &mut Workspace) -> TFactor {
     let tf = wy::factor(Shape::Trapezoid, None, at);
     a.copy_transposed_from(at);
     tf
-}
-
-/// GELQT, unblocked reference returning the raw `tau` scalars.
-pub fn gelqt_unblocked(a: &mut Matrix) -> Vec<f64> {
-    let mut at = a.transpose();
-    let taus = geqrt_unblocked(&mut at);
-    *a = at.transpose();
-    taus
 }
 
 /// UNMLQ: apply the orthogonal factor of a GELQT'd tile to `c` from the
@@ -70,14 +56,6 @@ pub fn unmlq(v: &Matrix, tf: &TFactor, c: &mut Matrix, trans: Trans) {
     wy::apply_right(Shape::Trapezoid, v, tf, None, c, trans);
 }
 
-/// UNMLQ, unblocked reference (transpose wrapper over the unblocked UNMQR).
-pub fn unmlq_unblocked(v: &Matrix, taus: &[f64], c: &mut Matrix, trans: Trans) {
-    let vq = v.transpose();
-    let mut ct = c.transpose();
-    unmqr_unblocked(&vq, taus, &mut ct, trans);
-    *c = ct.transpose();
-}
-
 /// TSLQT: LQ reduction of a lower triangle with a full tile to its right.
 ///
 /// `l1` is the lower-triangular pivot tile (tile `(k, piv)`), `a2` the tile
@@ -87,16 +65,6 @@ pub fn unmlq_unblocked(v: &Matrix, taus: &[f64], c: &mut Matrix, trans: Trans) {
 pub fn tslqt(l1: &mut Matrix, a2: &mut Matrix, ws: &mut Workspace) -> TFactor {
     assert_eq!(a2.rows(), l1.rows(), "TSLQT: row mismatch");
     factor_transposed(Shape::Square, l1, a2, ws)
-}
-
-/// TSLQT, unblocked reference.
-pub fn tslqt_unblocked(l1: &mut Matrix, a2: &mut Matrix) -> Vec<f64> {
-    let mut l1t = l1.transpose();
-    let mut a2t = a2.transpose();
-    let taus = tsqrt_unblocked(&mut l1t, &mut a2t);
-    *l1 = l1t.transpose();
-    *a2 = a2t.transpose();
-    taus
 }
 
 /// TSMLQ: apply the reflectors produced by [`tslqt`] to the tile pair
@@ -109,16 +77,6 @@ pub fn tslqt_unblocked(l1: &mut Matrix, a2: &mut Matrix) -> Vec<f64> {
 pub fn tsmlq(c1: &mut Matrix, c2: &mut Matrix, v2: &Matrix, tf: &TFactor, trans: Trans) {
     check_pair("TSMLQ", c1, c2, v2, tf);
     wy::apply_right(Shape::Square, v2, tf, Some(c1), c2, trans);
-}
-
-/// TSMLQ, unblocked reference.
-pub fn tsmlq_unblocked(c1: &mut Matrix, c2: &mut Matrix, v2: &Matrix, taus: &[f64], trans: Trans) {
-    let v2t = v2.transpose();
-    let mut c1t = c1.transpose();
-    let mut c2t = c2.transpose();
-    tsmqr_unblocked(&mut c1t, &mut c2t, &v2t, taus, trans);
-    *c1 = c1t.transpose();
-    *c2 = c2t.transpose();
 }
 
 /// TTLQT: LQ reduction of two lower triangles side by side.
@@ -149,16 +107,6 @@ fn factor_transposed(
     tf
 }
 
-/// TTLQT, unblocked reference.
-pub fn ttlqt_unblocked(l1: &mut Matrix, l2: &mut Matrix) -> Vec<f64> {
-    let mut l1t = l1.transpose();
-    let mut l2t = l2.transpose();
-    let taus = ttqrt_unblocked(&mut l1t, &mut l2t);
-    *l1 = l1t.transpose();
-    *l2 = l2t.transpose();
-    taus
-}
-
 /// TTMLQ: apply the reflectors produced by [`ttlqt`] to the tile pair
 /// `(c1, c2)` from the right.  The k-th reflector touches column `k` of
 /// `c1` and columns `0..=k` of `c2`; the triangular structure of `v2` is
@@ -183,26 +131,6 @@ fn check_pair(name: &str, c1: &Matrix, c2: &Matrix, v2: &Matrix, tf: &TFactor) {
     );
 }
 
-/// TTMLQ, unblocked reference.
-pub fn ttmlq_unblocked(c1: &mut Matrix, c2: &mut Matrix, v2: &Matrix, taus: &[f64], trans: Trans) {
-    let v2t = v2.transpose();
-    let mut c1t = c1.transpose();
-    let mut c2t = c2.transpose();
-    ttmqr_unblocked(&mut c1t, &mut c2t, &v2t, taus, trans);
-    *c1 = c1t.transpose();
-    *c2 = c2t.transpose();
-}
-
-/// Explicitly build the orthogonal factor `Q_lq` (size `n x n`) of a GELQT'd
-/// tile, such that `A = L * Q_lq`.  Test/diagnostic helper.
-pub fn build_q_lq(v: &Matrix, taus: &[f64]) -> Matrix {
-    let n = v.cols();
-    let mut q = Matrix::identity(n);
-    // Q_lq = Q_qr^T, and C <- C * Q_lq with C = I gives Q_lq.
-    unmlq_unblocked(v, taus, &mut q, Trans::NoTranspose);
-    q
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,29 +146,10 @@ mod tests {
             let mut a = a0.clone();
             let tf = gelqt(&mut a, &mut ws);
             let l = lower_triangle_of(&a);
-            let q = build_q_lq(&a, tf.taus());
+            let mut q = Matrix::identity(n);
+            unmlq(&a, &tf, &mut q, Trans::NoTranspose);
             assert!(orthogonality_error(&q) < 1e-13, "{m}x{n}");
             assert!(relative_error(&a0, &l.matmul(&q)) < 1e-13, "{m}x{n}");
-        }
-    }
-
-    #[test]
-    fn unmlq_matches_unblocked_reference() {
-        let mut ws = Workspace::new();
-        for (r, n) in [(3, 5), (5, 5), (1, 6), (7, 4)] {
-            let mut v = random_gaussian(n.min(4), n, 60);
-            let tf = gelqt(&mut v, &mut ws);
-            let c0 = random_gaussian(r, n, 61);
-            for trans in [Trans::Transpose, Trans::NoTranspose] {
-                let mut cb = c0.clone();
-                unmlq(&v, &tf, &mut cb, trans);
-                let mut cu = c0.clone();
-                unmlq_unblocked(&v, tf.taus(), &mut cu, trans);
-                assert!(
-                    relative_error(&cu, &cb) < 1e-13,
-                    "blocked UNMLQ differs, {r}x{n} {trans:?}"
-                );
-            }
         }
     }
 
@@ -265,9 +174,9 @@ mod tests {
         let a1_0 = random_gaussian(nb, nb, 62);
         let mut a1 = a1_0.clone();
         let tf = gelqt(&mut a1, &mut ws);
-        let q = build_q_lq(&a1, tf.taus());
         // A1 = L * Q  =>  A1 * Q^T = L.
-        let l = a1_0.matmul(&q.transpose());
+        let mut l = a1_0.clone();
+        unmlq(&a1, &tf, &mut l, Trans::Transpose);
         for i in 0..nb {
             for j in (i + 1)..nb {
                 assert!(l.get(i, j).abs() < 1e-12, "L not lower triangular");
@@ -304,27 +213,6 @@ mod tests {
         let mut lnew = Matrix::zeros(nb, 2 * nb);
         lnew.copy_block(0, 0, &lower_triangle_of(&l1));
         assert!(relative_error(&lhs, &lnew.matmul(&q)) < 1e-12);
-    }
-
-    #[test]
-    fn tsmlq_matches_unblocked_reference() {
-        let nb = 4;
-        let mut ws = Workspace::new();
-        let mut l1 = lower_triangle_of(&random_gaussian(nb, nb, 80));
-        let mut v2 = random_gaussian(nb, nb, 81);
-        let tf = tslqt(&mut l1, &mut v2, &mut ws);
-        let c1_0 = random_gaussian(3, nb, 82);
-        let c2_0 = random_gaussian(3, nb, 83);
-        for trans in [Trans::Transpose, Trans::NoTranspose] {
-            let mut b1 = c1_0.clone();
-            let mut b2 = c2_0.clone();
-            tsmlq(&mut b1, &mut b2, &v2, &tf, trans);
-            let mut u1 = c1_0.clone();
-            let mut u2 = c2_0.clone();
-            tsmlq_unblocked(&mut u1, &mut u2, &v2, tf.taus(), trans);
-            assert!(relative_error(&u1, &b1) < 1e-13, "{trans:?}");
-            assert!(relative_error(&u2, &b2) < 1e-13, "{trans:?}");
-        }
     }
 
     #[test]
@@ -381,30 +269,5 @@ mod tests {
         ttmlq(&mut c1, &mut c2, &l2, &tf, Trans::NoTranspose);
         assert!(relative_error(&c1_0, &c1) < 1e-12);
         assert!(relative_error(&c2_0, &c2) < 1e-12);
-    }
-
-    #[test]
-    fn ttmlq_ignores_the_strictly_upper_part_of_v2() {
-        let nb = 4;
-        let mut ws = Workspace::new();
-        let mut l1 = lower_triangle_of(&random_gaussian(nb, nb, 90));
-        let mut l2 = lower_triangle_of(&random_gaussian(nb, nb, 91));
-        let tf = ttlqt(&mut l1, &mut l2, &mut ws);
-        let mut poisoned = l2.clone();
-        for j in 0..nb {
-            for i in 0..j {
-                poisoned.set(i, j, f64::NAN);
-            }
-        }
-        let c1_0 = random_gaussian(3, nb, 92);
-        let c2_0 = random_gaussian(3, nb, 93);
-        let mut b1 = c1_0.clone();
-        let mut b2 = c2_0.clone();
-        ttmlq(&mut b1, &mut b2, &poisoned, &tf, Trans::Transpose);
-        let mut u1 = c1_0.clone();
-        let mut u2 = c2_0.clone();
-        ttmlq_unblocked(&mut u1, &mut u2, &l2, tf.taus(), Trans::Transpose);
-        assert!(relative_error(&u1, &b1) < 1e-13);
-        assert!(relative_error(&u2, &b2) < 1e-13);
     }
 }

@@ -12,31 +12,25 @@
 //! | TTQRT   | zero a triangle below a triangle       | 2    |
 //! | TTMQR   | apply the TTQRT reflectors to a pair   | 6    |
 //!
-//! Two implementations live side by side:
+//! The kernels are thin callers of one fused compact-WY chunk kernel
+//! ([`crate::wy`]): they differ only in the `Shape` of the stored reflector
+//! tails — unit-lower trapezoid in the tile itself (GEQRT / UNMQR), full
+//! columns of the second tile (TS), upper triangle of the second tile
+//! (TT).  Factorizations are level 3: an `IB`-wide panel is factored
+//! unblocked on contiguous column slices, its block of the compact-WY `T`
+//! factor built by the chunk-local `xLARFT` recurrence (the only part of
+//! `T` the chunked applies consume — see [`TFactor`]), and the trailing
+//! columns updated by the same chunk apply the apply kernels run,
+//! `W = V_p^T C; W = op(T) W; C -= V_p W`, straight off the column-major
+//! tiles.  Nothing is packed, transposed or allocated besides the returned
+//! [`TFactor`], and the SIMD backend is dispatched once per kernel call.
 //!
-//! * The **blocked** kernels (`geqrt`, `unmqr`, ...) are the production data
-//!   plane, and thin callers of one fused compact-WY chunk kernel
-//!   ([`crate::wy`]): they differ only in the `Shape` of the stored
-//!   reflector tails — unit-lower trapezoid in the tile itself (GEQRT /
-//!   UNMQR), full columns of the second tile (TS), upper triangle of the
-//!   second tile (TT).  Factorizations are level 3: an `IB`-wide panel is
-//!   factored unblocked on contiguous column slices, its block of the
-//!   compact-WY `T` factor built by the chunk-local `xLARFT` recurrence
-//!   (the only part of `T` the chunked applies consume — see [`TFactor`]),
-//!   and the trailing columns updated by the same chunk apply the apply
-//!   kernels run, `W = V_p^T C; W = op(T) W; C -= V_p W`, straight off the
-//!   column-major tiles.  Nothing is packed, transposed or allocated
-//!   besides the returned [`TFactor`], and the SIMD backend is dispatched
-//!   once per kernel call.
-//! * The **unblocked** references (`geqrt_unblocked`, `unmqr_unblocked`, ...)
-//!   apply the Householder reflectors one by one, exactly mirroring LAPACK
-//!   `xGEQRT2`/`xTPQRT2`.  They are the numerical oracle the property tests
-//!   compare the blocked kernels against, and they define the storage
-//!   convention both share: `R` in the upper triangle, Householder vectors
-//!   below (GEQRT), dense vectors in the second tile (TSQRT), triangular
-//!   vectors in the second tile (TTQRT).
+//! The storage convention is LAPACK `xGEQRT`/`xTPQRT`'s: `R` in the upper
+//! triangle, Householder vectors below (GEQRT), dense vectors in the second
+//! tile (TSQRT), triangular vectors in the second tile (TTQRT).  The tests
+//! pin every kernel to an unblocked reference (`bidiag-oracles`) that
+//! applies the reflectors one by one.
 
-use crate::householder::larfg;
 use crate::wy::{self, Shape, TFactor};
 use bidiag_matrix::Matrix;
 
@@ -126,208 +120,6 @@ pub fn ttmqr(a1: &mut Matrix, a2: &mut Matrix, v2: &Matrix, tf: &TFactor, trans:
     wy::apply(Shape::Triangle, v2, tf, Some(a1), a2, trans);
 }
 
-/// GEQRT, unblocked reference: apply the Householder reflectors one by one.
-/// Returns the `tau` scalars, one per reflector.
-pub fn geqrt_unblocked(a: &mut Matrix) -> Vec<f64> {
-    let m = a.rows();
-    let n = a.cols();
-    let kmax = m.min(n);
-    let mut taus = Vec::with_capacity(kmax);
-    for k in 0..kmax {
-        // Generate the reflector for column k, rows k..m.
-        let alpha = a.get(k, k);
-        let mut tail: Vec<f64> = (k + 1..m).map(|i| a.get(i, k)).collect();
-        let r = larfg(alpha, &mut tail);
-        a.set(k, k, r.beta);
-        for (idx, i) in (k + 1..m).enumerate() {
-            a.set(i, k, tail[idx]);
-        }
-        // Apply H_k = I - tau v v^T to the trailing columns k+1..n.
-        if r.tau != 0.0 {
-            for j in (k + 1)..n {
-                let mut w = a.get(k, j);
-                for (idx, i) in (k + 1..m).enumerate() {
-                    w += tail[idx] * a.get(i, j);
-                }
-                w *= r.tau;
-                a.set(k, j, a.get(k, j) - w);
-                for (idx, i) in (k + 1..m).enumerate() {
-                    a.set(i, j, a.get(i, j) - tail[idx] * w);
-                }
-            }
-        }
-        taus.push(r.tau);
-    }
-    taus
-}
-
-/// UNMQR, unblocked reference: apply the reflectors of a GEQRT'd tile one by
-/// one from the left.
-pub fn unmqr_unblocked(v: &Matrix, taus: &[f64], c: &mut Matrix, trans: Trans) {
-    let m = c.rows();
-    assert_eq!(v.rows(), m, "UNMQR: V and C row mismatch");
-    let kmax = taus.len();
-    let order: Vec<usize> = match trans {
-        Trans::Transpose => (0..kmax).collect(),
-        Trans::NoTranspose => (0..kmax).rev().collect(),
-    };
-    let n = c.cols();
-    for &k in &order {
-        let tau = taus[k];
-        if tau == 0.0 {
-            continue;
-        }
-        for j in 0..n {
-            // w = v_k^T * c[:, j]  with v_k = (0..0, 1, v[k+1..m, k]).
-            let mut w = c.get(k, j);
-            for i in (k + 1)..m {
-                w += v.get(i, k) * c.get(i, j);
-            }
-            w *= tau;
-            c.set(k, j, c.get(k, j) - w);
-            for i in (k + 1)..m {
-                c.set(i, j, c.get(i, j) - v.get(i, k) * w);
-            }
-        }
-    }
-}
-
-/// TSQRT, unblocked reference.
-pub fn tsqrt_unblocked(r1: &mut Matrix, a2: &mut Matrix) -> Vec<f64> {
-    let n = r1.cols();
-    assert_eq!(a2.cols(), n, "TSQRT: column mismatch");
-    let m2 = a2.rows();
-    let kmax = n.min(r1.rows());
-    let mut taus = Vec::with_capacity(kmax);
-    for k in 0..kmax {
-        let alpha = r1.get(k, k);
-        let mut tail: Vec<f64> = (0..m2).map(|i| a2.get(i, k)).collect();
-        let r = larfg(alpha, &mut tail);
-        r1.set(k, k, r.beta);
-        for (i, &t) in tail.iter().enumerate() {
-            a2.set(i, k, t);
-        }
-        if r.tau != 0.0 {
-            for j in (k + 1)..n {
-                let mut w = r1.get(k, j);
-                for (i, &t) in tail.iter().enumerate() {
-                    w += t * a2.get(i, j);
-                }
-                w *= r.tau;
-                r1.set(k, j, r1.get(k, j) - w);
-                for (i, &t) in tail.iter().enumerate() {
-                    a2.set(i, j, a2.get(i, j) - t * w);
-                }
-            }
-        }
-        taus.push(r.tau);
-    }
-    taus
-}
-
-/// TSMQR, unblocked reference.
-pub fn tsmqr_unblocked(a1: &mut Matrix, a2: &mut Matrix, v2: &Matrix, taus: &[f64], trans: Trans) {
-    let n = a1.cols();
-    assert_eq!(a2.cols(), n, "TSMQR: column mismatch");
-    let m2 = a2.rows();
-    assert_eq!(v2.rows(), m2, "TSMQR: V2 row mismatch");
-    let kmax = taus.len();
-    let order: Vec<usize> = match trans {
-        Trans::Transpose => (0..kmax).collect(),
-        Trans::NoTranspose => (0..kmax).rev().collect(),
-    };
-    for &k in &order {
-        let tau = taus[k];
-        if tau == 0.0 {
-            continue;
-        }
-        for j in 0..n {
-            let mut w = a1.get(k, j);
-            for i in 0..m2 {
-                w += v2.get(i, k) * a2.get(i, j);
-            }
-            w *= tau;
-            a1.set(k, j, a1.get(k, j) - w);
-            for i in 0..m2 {
-                a2.set(i, j, a2.get(i, j) - v2.get(i, k) * w);
-            }
-        }
-    }
-}
-
-/// TTQRT, unblocked reference.
-pub fn ttqrt_unblocked(r1: &mut Matrix, r2: &mut Matrix) -> Vec<f64> {
-    let n = r1.cols();
-    assert_eq!(r2.cols(), n, "TTQRT: column mismatch");
-    let kmax = n.min(r1.rows());
-    let mut taus = Vec::with_capacity(kmax);
-    for k in 0..kmax {
-        // Rows of r2 involved in the k-th reflector: 0..=min(k, rows-1).
-        let rlen = r2.rows().min(k + 1);
-        let alpha = r1.get(k, k);
-        let mut tail: Vec<f64> = (0..rlen).map(|i| r2.get(i, k)).collect();
-        let r = larfg(alpha, &mut tail);
-        r1.set(k, k, r.beta);
-        for (i, &t) in tail.iter().enumerate() {
-            r2.set(i, k, t);
-        }
-        if r.tau != 0.0 {
-            for j in (k + 1)..n {
-                let mut w = r1.get(k, j);
-                for (i, &t) in tail.iter().enumerate() {
-                    w += t * r2.get(i, j);
-                }
-                w *= r.tau;
-                r1.set(k, j, r1.get(k, j) - w);
-                for (i, &t) in tail.iter().enumerate() {
-                    r2.set(i, j, r2.get(i, j) - t * w);
-                }
-            }
-        }
-        taus.push(r.tau);
-    }
-    taus
-}
-
-/// TTMQR, unblocked reference.
-pub fn ttmqr_unblocked(a1: &mut Matrix, a2: &mut Matrix, v2: &Matrix, taus: &[f64], trans: Trans) {
-    let n = a1.cols();
-    assert_eq!(a2.cols(), n, "TTMQR: column mismatch");
-    let kmax = taus.len();
-    let order: Vec<usize> = match trans {
-        Trans::Transpose => (0..kmax).collect(),
-        Trans::NoTranspose => (0..kmax).rev().collect(),
-    };
-    for &k in &order {
-        let tau = taus[k];
-        if tau == 0.0 {
-            continue;
-        }
-        let rlen = v2.rows().min(k + 1).min(a2.rows());
-        for j in 0..n {
-            let mut w = a1.get(k, j);
-            for i in 0..rlen {
-                w += v2.get(i, k) * a2.get(i, j);
-            }
-            w *= tau;
-            a1.set(k, j, a1.get(k, j) - w);
-            for i in 0..rlen {
-                a2.set(i, j, a2.get(i, j) - v2.get(i, k) * w);
-            }
-        }
-    }
-}
-
-/// Explicitly build the `m x m` orthogonal factor of a GEQRT'd tile.
-/// Only used by tests and small examples (cost `O(m^3)`).
-pub fn build_q(v: &Matrix, taus: &[f64]) -> Matrix {
-    let m = v.rows();
-    let mut q = Matrix::identity(m);
-    // Q = H_1 ... H_k  =>  apply Q (NoTranspose) to the identity.
-    unmqr_unblocked(v, taus, &mut q, Trans::NoTranspose);
-    q
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,97 +127,16 @@ mod tests {
     use bidiag_matrix::checks::{orthogonality_error, relative_error};
     use bidiag_matrix::gen::random_gaussian;
 
-    /// Blocked and unblocked factorizations generate reflectors in the same
-    /// order, but the blocked panel sweep runs through the SIMD layer (fused
-    /// multiply-adds under AVX2), so taus agree to a tight relative
-    /// tolerance rather than bitwise.
-    fn taus_close(a: &[f64], b: &[f64]) -> bool {
-        a.len() == b.len()
-            && a.iter()
-                .zip(b)
-                .all(|(x, y)| (x - y).abs() <= 1e-13 * x.abs().max(y.abs()).max(1.0))
-    }
-
     #[test]
     fn geqrt_factors_square_tile() {
         let a0 = random_gaussian(8, 8, 1);
         let mut a = a0.clone();
         let tf = geqrt(&mut a);
         let r = upper_triangle_of(&a);
-        let q = build_q(&a, tf.taus());
+        let mut q = Matrix::identity(8);
+        unmqr(&a, &tf, &mut q, Trans::NoTranspose);
         assert!(orthogonality_error(&q) < 1e-13);
         assert!(relative_error(&a0, &q.matmul(&r)) < 1e-13);
-    }
-
-    #[test]
-    fn blocked_geqrt_matches_unblocked() {
-        // Same reflector generation in the same order, so the factored tile
-        // and tau scalars agree to the last few ulps (the blocked panel sweep
-        // runs through the SIMD layer, whose AVX2 lanes fuse multiply-adds);
-        // the T factor is extra information.
-        for (m, n) in [(10, 4), (4, 10), (7, 7), (1, 5), (5, 1)] {
-            let a0 = random_gaussian(m, n, (m * 100 + n) as u64);
-            let mut ab = a0.clone();
-            let tf = geqrt(&mut ab);
-            let mut au = a0.clone();
-            let taus = geqrt_unblocked(&mut au);
-            assert!(
-                relative_error(&au, &ab) < 1e-13,
-                "factored tile differs for {m}x{n}"
-            );
-            assert!(
-                taus_close(tf.taus(), &taus),
-                "taus differ for {m}x{n}: {:?} vs {:?}",
-                tf.taus(),
-                taus
-            );
-        }
-    }
-
-    #[test]
-    fn factorizations_survive_extreme_scales() {
-        // The panel takes reflector norms from a plain sum of squares and
-        // falls back to the scaled norm when that leaves the safe range.
-        for scale in [1e150, 1e-150] {
-            let mut a0 = random_gaussian(12, 9, 5);
-            a0.scale(scale);
-            let mut ab = a0.clone();
-            let tf = geqrt(&mut ab);
-            let mut au = a0.clone();
-            let taus = geqrt_unblocked(&mut au);
-            assert!(relative_error(&au, &ab) < 1e-13, "scale {scale:e}");
-            assert!(taus_close(tf.taus(), &taus), "scale {scale:e}");
-
-            let r1_0 = upper_triangle_of(&ab);
-            let mut r2_0 = upper_triangle_of(&random_gaussian(9, 9, 6));
-            r2_0.scale(scale);
-            let (mut r1b, mut r2b) = (r1_0.clone(), r2_0.clone());
-            let tf = ttqrt(&mut r1b, &mut r2b);
-            let (mut r1u, mut r2u) = (r1_0.clone(), r2_0.clone());
-            let taus = ttqrt_unblocked(&mut r1u, &mut r2u);
-            assert!(relative_error(&r1u, &r1b) < 1e-13, "scale {scale:e}");
-            assert!(relative_error(&r2u, &r2b) < 1e-13, "scale {scale:e}");
-            assert!(taus_close(tf.taus(), &taus), "scale {scale:e}");
-        }
-    }
-
-    #[test]
-    fn unmqr_matches_unblocked_reference() {
-        for (m, n) in [(6, 4), (9, 3), (5, 5), (7, 1)] {
-            let mut v = random_gaussian(m, m.min(5), 3);
-            let tf = geqrt(&mut v);
-            let c0 = random_gaussian(m, n, 4);
-            for trans in [Trans::Transpose, Trans::NoTranspose] {
-                let mut cb = c0.clone();
-                unmqr(&v, &tf, &mut cb, trans);
-                let mut cu = c0.clone();
-                unmqr_unblocked(&v, tf.taus(), &mut cu, trans);
-                assert!(
-                    relative_error(&cu, &cb) < 1e-13,
-                    "blocked UNMQR differs, {m}x{n} {trans:?}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -471,26 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn tsmqr_matches_unblocked_reference() {
-        let nb = 5;
-        let mut r1 = upper_triangle_of(&random_gaussian(nb, nb, 20));
-        let mut v2 = random_gaussian(nb, nb, 21);
-        let tf = tsqrt(&mut r1, &mut v2);
-        let c1_0 = random_gaussian(nb, 3, 22);
-        let c2_0 = random_gaussian(nb, 3, 23);
-        for trans in [Trans::Transpose, Trans::NoTranspose] {
-            let mut b1 = c1_0.clone();
-            let mut b2 = c2_0.clone();
-            tsmqr(&mut b1, &mut b2, &v2, &tf, trans);
-            let mut u1 = c1_0.clone();
-            let mut u2 = c2_0.clone();
-            tsmqr_unblocked(&mut u1, &mut u2, &v2, tf.taus(), trans);
-            assert!(relative_error(&u1, &b1) < 1e-13, "{trans:?}");
-            assert!(relative_error(&u2, &b2) < 1e-13, "{trans:?}");
-        }
-    }
-
-    #[test]
     fn tsmqr_round_trip() {
         let nb = 5;
         let mut r1 = upper_triangle_of(&random_gaussian(nb, nb, 20));
@@ -533,34 +224,6 @@ mod tests {
         rnew.copy_block(0, 0, &upper_triangle_of(&r1));
         assert!(orthogonality_error(&q) < 1e-12);
         assert!(relative_error(&stacked, &q.matmul(&rnew)) < 1e-12);
-    }
-
-    #[test]
-    fn ttmqr_ignores_the_strictly_lower_part_of_v2() {
-        // In the real algorithm the strictly lower part of the V2 tile holds
-        // the Householder vectors of an earlier GEQRT; the triangular TTMQR
-        // must never read them.
-        let nb = 5;
-        let mut r1 = upper_triangle_of(&random_gaussian(nb, nb, 40));
-        let mut r2 = upper_triangle_of(&random_gaussian(nb, nb, 41));
-        let tf = ttqrt(&mut r1, &mut r2);
-        // Poison the strictly lower part of the V tile.
-        let mut poisoned = r2.clone();
-        for j in 0..nb {
-            for i in (j + 1)..nb {
-                poisoned.set(i, j, 1e30);
-            }
-        }
-        let c1_0 = random_gaussian(nb, nb, 42);
-        let c2_0 = random_gaussian(nb, nb, 43);
-        let mut a1 = c1_0.clone();
-        let mut a2 = c2_0.clone();
-        ttmqr(&mut a1, &mut a2, &poisoned, &tf, Trans::Transpose);
-        let mut u1 = c1_0.clone();
-        let mut u2 = c2_0.clone();
-        ttmqr_unblocked(&mut u1, &mut u2, &r2, tf.taus(), Trans::Transpose);
-        assert!(relative_error(&u1, &a1) < 1e-13);
-        assert!(relative_error(&u2, &a2) < 1e-13);
     }
 
     #[test]

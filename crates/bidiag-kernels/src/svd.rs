@@ -8,8 +8,7 @@
 //!
 //! * [`bidiagonal_singular_values`] — the *bisection oracle* (unchanged
 //!   numerics contract: maximally robust, one independent bracket per
-//!   value), used by the baselines and as the reference of every property
-//!   test,
+//!   value), the reference of every property test,
 //! * [`singular_values`] — the same oracle over a [`Bidiagonal`] factor.
 //!
 //! Production callers pick their algorithm through
@@ -43,10 +42,10 @@ pub fn singular_values(b: &Bidiagonal) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::gebd2::gebd2;
-    use crate::jacobi::jacobi_singular_values;
     use bidiag_matrix::checks::singular_values_match;
     use bidiag_matrix::gen::{latms, random_gaussian, SpectrumKind};
     use bidiag_matrix::Matrix;
+    use bidiag_oracles::jacobi_singular_values;
 
     #[test]
     fn diagonal_matrix_singular_values() {

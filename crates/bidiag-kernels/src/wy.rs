@@ -1189,8 +1189,8 @@ pub(crate) fn factor(shape: Shape, r1: Option<&mut Matrix>, a: &mut Matrix) -> T
 /// factorization for the whole DAG.
 ///
 /// `tau[i]` is the diagonal of `T`; the scalars are kept alongside so the
-/// unblocked reference kernels (and diagnostics like
-/// [`build_q`](crate::qr::build_q)) can consume the same object.
+/// unblocked reference kernels of `bidiag-oracles` can consume the same
+/// object.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TFactor {
     /// `kmax` taus, then the `IB x kmax` block array (column `k` of `T`,

@@ -2,11 +2,12 @@
 //!
 //! Two families:
 //!
-//! * proptest checks of the elementary orthogonal transformations
-//!   (Householder reflector orthogonality, Givens determinant / norm
-//!   preservation) on random inputs;
+//! * proptest checks of the Householder reflector (orthogonality,
+//!   annihilation) and of the accumulated `Q` of a tile QR on random inputs;
 //! * exhaustive blocked-vs-unblocked equivalence: every blocked compact-WY
-//!   tile kernel must match its unblocked reference to `1e-13` (relative).
+//!   tile kernel must match its unblocked reference (`bidiag-oracles`) to
+//!   `1e-13` (relative), the six factorizations also on inputs scaled to
+//!   `1e±150`.
 //!   The QR side — one fused chunk kernel under six tile kernels — and the
 //!   three LQ applies — its right-sided mirror image — are swept over every
 //!   pair of row and column counts around the vector steps (4 and 8), the
@@ -21,23 +22,25 @@
 //!   reflector tiles from one reflector to more rows and columns than the
 //!   left kernel's bounded panel and `W` strip hold at a time.
 
-use bidiag_kernels::givens::givens;
 use bidiag_kernels::householder::larfg;
-use bidiag_kernels::lq::{
-    gelqt, gelqt_unblocked, tslqt, tslqt_unblocked, tsmlq, tsmlq_unblocked, ttlqt, ttlqt_unblocked,
-    ttmlq, ttmlq_unblocked, unmlq, unmlq_unblocked,
-};
-use bidiag_kernels::qr::{
-    build_q, geqrt, geqrt_unblocked, tsmqr, tsmqr_unblocked, tsqrt, tsqrt_unblocked, ttmqr,
-    ttmqr_unblocked, ttqrt, ttqrt_unblocked, unmqr, unmqr_unblocked,
-};
-use bidiag_kernels::{Trans, Workspace};
+use bidiag_kernels::lq::{gelqt, tslqt, tsmlq, ttlqt, ttmlq, unmlq};
+use bidiag_kernels::qr::{geqrt, tsmqr, tsqrt, ttmqr, ttqrt, unmqr};
+use bidiag_kernels::{TFactor, Trans, Workspace};
 use bidiag_matrix::checks::{
     lower_triangle_of, orthogonality_error, relative_error, upper_triangle_of,
 };
 use bidiag_matrix::gen::random_gaussian;
 use bidiag_matrix::simd;
 use bidiag_matrix::Matrix;
+use bidiag_oracles::build_q;
+use bidiag_oracles::lq::{
+    gelqt_unblocked, tslqt_unblocked, tsmlq_unblocked, ttlqt_unblocked, ttmlq_unblocked,
+    unmlq_unblocked,
+};
+use bidiag_oracles::qr::{
+    geqrt_unblocked, tsmqr_unblocked, tsqrt_unblocked, ttmqr_unblocked, ttqrt_unblocked,
+    unmqr_unblocked,
+};
 use proptest::prelude::*;
 
 /// Tile sizes exercised by the per-tile-size blocked-vs-unblocked sweeps:
@@ -51,7 +54,7 @@ const DIMS: [usize; 13] = [1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65];
 /// Reflector-tile widths straddling one and two chunks.
 const KS: [usize; 5] = [7, 8, 9, 15, 17];
 /// Signature shared by `tsmqr`, `ttmqr`, `tsmlq` and `ttmlq`.
-type ApplyPair = fn(&mut Matrix, &mut Matrix, &Matrix, &bidiag_kernels::TFactor, Trans);
+type ApplyPair = fn(&mut Matrix, &mut Matrix, &Matrix, &TFactor, Trans);
 /// Matching tolerance (relative) between blocked and unblocked results.
 const TOL: f64 = 1e-13;
 
@@ -445,6 +448,88 @@ fn geqrt_matches_unblocked_on_every_shape_pair() {
     }
 }
 
+/// Check a factorization of the tiles `inputs` against its unblocked
+/// reference under every backend: the factored tiles and the taus.
+fn check_factorization<const N: usize>(
+    what: &str,
+    inputs: [&Matrix; N],
+    unblocked: impl Fn(&mut [Matrix; N]) -> Vec<f64>,
+    blocked: impl Fn(&mut [Matrix; N]) -> TFactor,
+) {
+    let mut want = inputs.map(Matrix::clone);
+    let taus = as_column(&unblocked(&mut want));
+    let oracle: Vec<&Matrix> = want.iter().chain([&taus]).collect();
+    check_on_backends(what, &oracle, || {
+        let mut got = inputs.map(Matrix::clone);
+        let tf = blocked(&mut got);
+        got.into_iter().chain([as_column(tf.taus())]).collect()
+    });
+}
+
+#[test]
+fn factorizations_survive_extreme_scales() {
+    // The panel takes reflector norms from a plain sum of squares and falls
+    // back to the scaled norm when that leaves the safe range.
+    for scale in [1e150, 1e-150] {
+        let scaled = |m, n, seed| {
+            let mut a = random_gaussian(m, n, seed);
+            a.scale(scale);
+            a
+        };
+        let what = |kernel: &str| format!("{kernel} at scale {scale:e}");
+        // One tile, and a triangle on top of (QR) or left of (LQ) a full
+        // tile or a triangle.
+        let a = scaled(12, 9, 5);
+        let r1 = upper_triangle_of(&scaled(9, 9, 6));
+        let a2 = scaled(12, 9, 7);
+        let r2 = upper_triangle_of(&a2);
+        let (at, l1, b2, l2) = (
+            a.transpose(),
+            r1.transpose(),
+            a2.transpose(),
+            r2.transpose(),
+        );
+        let ws = || Workspace::new();
+
+        check_factorization(
+            &what("GEQRT"),
+            [&a],
+            |[a]| geqrt_unblocked(a),
+            |[a]| geqrt(a),
+        );
+        check_factorization(
+            &what("TSQRT"),
+            [&r1, &a2],
+            |[r, a]| tsqrt_unblocked(r, a),
+            |[r, a]| tsqrt(r, a),
+        );
+        check_factorization(
+            &what("TTQRT"),
+            [&r1, &r2],
+            |[r, a]| ttqrt_unblocked(r, a),
+            |[r, a]| ttqrt(r, a),
+        );
+        check_factorization(
+            &what("GELQT"),
+            [&at],
+            |[a]| gelqt_unblocked(a),
+            |[a]| gelqt(a, &mut ws()),
+        );
+        check_factorization(
+            &what("TSLQT"),
+            [&l1, &b2],
+            |[l, a]| tslqt_unblocked(l, a),
+            |[l, a]| tslqt(l, a, &mut ws()),
+        );
+        check_factorization(
+            &what("TTLQT"),
+            [&l1, &l2],
+            |[l, a]| ttlqt_unblocked(l, a),
+            |[l, a]| ttlqt(l, a, &mut ws()),
+        );
+    }
+}
+
 #[test]
 fn never_read_parts_of_the_reflector_tile_may_hold_nan() {
     // Clean and poisoned runs are compared bitwise, so each backend is
@@ -559,7 +644,7 @@ fn chunk_larft(v: &Matrix, taus: &[f64], p: usize, ib: usize) -> Matrix {
 
 #[test]
 fn t_blocks_are_the_chunk_local_larft_of_the_unblocked_vectors() {
-    let check = |what: &str, tf: &bidiag_kernels::TFactor, v: &Matrix, taus: &[f64]| {
+    let check = |what: &str, tf: &TFactor, v: &Matrix, taus: &[f64]| {
         assert!(taus_close(tf.taus(), taus), "{what}: taus");
         for p in (0..taus.len()).step_by(8) {
             let tb = tf.t_block(p);
@@ -784,29 +869,5 @@ proptest! {
         unmqr(&ab, &tf, &mut c, Trans::Transpose);
         unmqr(&ab, &tf, &mut c, Trans::NoTranspose);
         prop_assert!(relative_error(&c0, &c) < 1e-12);
-    }
-
-    /// A Givens rotation `G = [[c, s], [-s, c]]` has determinant 1, preserves
-    /// the Euclidean norm of every pair it is applied to, and zeroes the
-    /// second component of the pair it was generated from.
-    #[test]
-    fn givens_rotation_preserves_norm_and_determinant(
-        f in -10.0f64..10.0,
-        g in -10.0f64..10.0,
-        x in -10.0f64..10.0,
-        y in -10.0f64..10.0,
-    ) {
-        let rot = givens(f, g);
-        let det = rot.c * rot.c + rot.s * rot.s;
-        prop_assert!((det - 1.0).abs() < 1e-14, "det(G) = {det}");
-
-        let (xr, yr) = rot.apply(x, y);
-        let before = x.hypot(y);
-        let after = xr.hypot(yr);
-        prop_assert!((before - after).abs() < 1e-12 * (1.0 + before), "norm not preserved");
-
-        let (r, zero) = rot.apply(f, g);
-        prop_assert!(zero.abs() < 1e-12 * (1.0 + f.hypot(g)), "g not annihilated");
-        prop_assert!((r.abs() - f.hypot(g)).abs() < 1e-12 * (1.0 + f.hypot(g)));
     }
 }

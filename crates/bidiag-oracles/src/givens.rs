@@ -1,7 +1,7 @@
 //! Givens (plane) rotations.
 //!
-//! Used by the band-to-bidiagonal bulge-chasing stage (`BND2BD`) and by the
-//! implicit-shift bidiagonal QR singular value iteration.
+//! The arithmetic of the single-bulge Givens chase that `bidiag-kernels`'
+//! band tests compare the Householder bulge chase against.
 
 /// A Givens rotation `G = [[c, s], [-s, c]]` chosen so that
 /// `G^T * [f, g]^T = [r, 0]^T`.
@@ -99,13 +99,6 @@ mod tests {
         assert_eq!(givens(0.0, -5.0).r, -5.0);
     }
 
-    #[test]
-    fn apply_preserves_norm() {
-        let rot = givens(1.5, -2.5);
-        let (a, b) = rot.apply(0.3, 0.7);
-        assert!((a.hypot(b) - 0.3_f64.hypot(0.7)).abs() < 1e-14);
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -131,6 +124,30 @@ mod tests {
                 // Larger-magnitude component dictates the sign: c >= 0.
                 prop_assert!(rot.c >= 0.0, "c = {} for ({f}, {g})", rot.c);
             }
+        }
+
+        /// A Givens rotation `G = [[c, s], [-s, c]]` has determinant 1,
+        /// preserves the Euclidean norm of every pair it is applied to, and
+        /// zeroes the second component of the pair it was generated from.
+        #[test]
+        fn givens_rotation_preserves_norm_and_determinant(
+            f in -10.0f64..10.0,
+            g in -10.0f64..10.0,
+            x in -10.0f64..10.0,
+            y in -10.0f64..10.0,
+        ) {
+            let rot = givens(f, g);
+            let det = rot.c * rot.c + rot.s * rot.s;
+            prop_assert!((det - 1.0).abs() < 1e-14, "det(G) = {det}");
+
+            let (xr, yr) = rot.apply(x, y);
+            let before = x.hypot(y);
+            let after = xr.hypot(yr);
+            prop_assert!((before - after).abs() < 1e-12 * (1.0 + before), "norm not preserved");
+
+            let (r, zero) = rot.apply(f, g);
+            prop_assert!(zero.abs() < 1e-12 * (1.0 + f.hypot(g)), "g not annihilated");
+            prop_assert!((r.abs() - f.hypot(g)).abs() < 1e-12 * (1.0 + f.hypot(g)));
         }
     }
 }

@@ -10,15 +10,18 @@
 //! crate:
 //!
 //! * [`matrix`] — dense/tiled matrices, generators, block-cyclic maps,
-//! * [`kernels`] — Householder/Givens tile kernels, band reduction, SVD,
+//! * [`kernels`] — Householder tile kernels, band reduction, SVD,
 //! * [`svd`] — the singular-value solver subsystem (dqds, bisection
 //!   oracle) behind the BD2VAL stage,
 //! * [`trees`] — FLATTS/FLATTT/GREEDY/AUTO and hierarchical reduction trees,
 //! * [`runtime`] — task graphs, the work-stealing scheduler, cluster simulator,
 //! * [`core`] — BIDIAG / R-BIDIAG, critical paths, GE2BND/GE2VAL pipelines,
-//! * [`baselines`] — one-stage GEBRD-class baselines and competitor models,
 //! * [`obs`] — the observability plane: per-worker span rings, metrics
 //!   registry, Chrome-trace/Perfetto export (`BIDIAG_TRACE=path`).
+//!
+//! The references the integration tests compare against (one-sided Jacobi,
+//! the one-stage and Chan bidiagonalizations, the unblocked tile kernels)
+//! are in the dev-only `bidiag-oracles` crate, not re-exported here.
 //!
 //! ```
 //! use bidiag_repro::prelude::*;
@@ -28,7 +31,6 @@
 //! assert!(singular_values_match(&result.singular_values, &sigma, 1.0e-10));
 //! ```
 
-pub use bidiag_baselines as baselines;
 pub use bidiag_core as core;
 pub use bidiag_kernels as kernels;
 pub use bidiag_matrix as matrix;

@@ -1,9 +1,9 @@
 //! Property-based tests of the numerical kernels and of the full pipeline on
 //! randomly generated spectra and shapes.
 
-use bidiag_kernels::jacobi::jacobi_singular_values;
-use bidiag_kernels::qr::{build_q, geqrt};
+use bidiag_kernels::qr::geqrt;
 use bidiag_matrix::checks::{orthogonality_error, relative_error};
+use bidiag_oracles::{build_q, jacobi_singular_values};
 use bidiag_repro::prelude::*;
 use proptest::prelude::*;
 

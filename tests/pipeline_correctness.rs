@@ -1,10 +1,10 @@
 //! End-to-end integration tests of the full GE2BND -> BND2BD -> BD2VAL
 //! pipeline across algorithms, trees, shapes and execution back-ends,
 //! cross-validated against the one-sided Jacobi oracle and the one-stage
-//! baselines (which share no code with the tiled pipeline).
+//! baselines of `bidiag-oracles` (which share no code with the tiled
+//! pipeline).
 
-use bidiag_baselines::{chan_singular_values, one_stage_singular_values};
-use bidiag_kernels::jacobi::jacobi_singular_values;
+use bidiag_oracles::{chan_singular_values, jacobi_singular_values, one_stage_singular_values};
 use bidiag_repro::prelude::*;
 
 #[test]
