@@ -14,7 +14,7 @@
 //!   same work-stealing deques — workers never idle while *any* submitted
 //!   problem has ready tasks.
 //! * **Per-worker, per-lifetime scratch arenas.**  Each worker owns one
-//!   [`SessionScratch`] (blocked-kernel workspace + direct-path arena)
+//!   `SessionScratch` (blocked-kernel workspace + direct-path arena)
 //!   created at spawn and lent to everything it ever runs; buffer
 //!   capacities are pre-sized or grow to the high-water mark across
 //!   problems and stay there, so steady-state submissions do no hot-path
@@ -48,15 +48,15 @@
 //!   pool keeps serving (subsequent submissions are bitwise what a fresh
 //!   session computes).
 //! * **Bounded admission.**  [`SessionConfig`] caps the submissions in
-//!   flight; [`AdmissionPolicy::Block`] parks the submitting thread until
-//!   a slot frees (backpressure), [`AdmissionPolicy::Reject`] — or
-//!   [`SvdSession::try_submit`] under either policy — sheds load with
+//!   flight; [`SvdSession::submit`] parks the submitting thread until a
+//!   slot frees (backpressure), [`SvdSession::try_submit`] sheds load with
 //!   [`SvdError::QueueFull`].  A million-problem burst therefore never
 //!   holds more than `max_in_flight` live jobs.
 //! * **Cancellation and deadlines.**  [`SvdJob::cancel`] drains a job's
 //!   remaining work as no-ops (a direct-path job is skipped when its gang
 //!   forms); [`SvdJob::wait_timeout`] bounds the wait and cancels on
-//!   expiry ([`SvdError::TimedOut`]).
+//!   expiry ([`SvdError::TimedOut`]).  Both kinds of job settle through
+//!   the pool's one completion ticket.
 //!
 //! ```
 //! use bidiag_core::batch::SvdSession;
@@ -82,8 +82,8 @@ use bidiag_kernels::gebd2::{gebd2_with, Bidiagonal};
 use bidiag_matrix::{Matrix, TiledMatrix};
 use bidiag_obs as obs;
 use bidiag_runtime::{
-    AccessMode, JobError, JobHandle, JobTicket, PoolConfig, SubmitError, TaskBodyWith, TaskGraph,
-    TaskPool, GANG,
+    AccessMode, JobError, JobTicket, PoolConfig, SubmitError, TaskBodyWith, TaskGraph, TaskPool,
+    GANG,
 };
 use bidiag_svd::{
     dqds_gang_into, singular_values_with, Bd2ValOptions, DqdsScratch, SvdSolver, LANES,
@@ -103,37 +103,22 @@ const DEFAULT_NB: usize = 64;
 /// live jobs (each pinning its input snapshot until it runs).
 const DEFAULT_MAX_IN_FLIGHT: usize = 256;
 
-/// What a full session does with the next submission.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AdmissionPolicy {
-    /// Backpressure: [`SvdSession::submit`] parks the calling thread until
-    /// an in-flight slot frees.
-    Block,
-    /// Load shedding: [`SvdSession::submit`] returns
-    /// [`SvdError::QueueFull`] immediately.
-    Reject,
-}
-
 /// Admission configuration of a [`SvdSession`].
 #[derive(Clone, Copy, Debug)]
 pub struct SessionConfig {
     /// Maximum number of submissions in flight (submitted, not yet
     /// finished).  `0` disables the bound (the pre-backpressure
-    /// behaviour).
+    /// behaviour).  When the cap is reached, [`SvdSession::submit`] parks
+    /// the caller and [`SvdSession::try_submit`] sheds.
     pub max_in_flight: usize,
-    /// What [`SvdSession::submit`] does when the cap is reached.
-    /// [`SvdSession::try_submit`] always sheds, regardless of this policy.
-    pub admission: AdmissionPolicy,
 }
 
 impl Default for SessionConfig {
-    /// Bounded (256 in flight), blocking admission —
-    /// the hardened defaults every session runs under unless configured
-    /// otherwise.
+    /// Bounded (256 in flight) — the hardened default every session runs
+    /// under unless configured otherwise.
     fn default() -> Self {
         SessionConfig {
             max_in_flight: DEFAULT_MAX_IN_FLIGHT,
-            admission: AdmissionPolicy::Block,
         }
     }
 }
@@ -146,11 +131,19 @@ fn submit_error(e: SubmitError) -> SvdError {
     }
 }
 
-/// Map a runtime job outcome into the service taxonomy.
-fn job_error(e: JobError) -> SvdError {
-    match e {
-        JobError::Panicked(msg) => SvdError::SolverFailure(msg),
-        JobError::Cancelled => SvdError::Cancelled,
+/// Wait on either kind of job's ticket for at most `timeout`, mapping its
+/// outcome into the service taxonomy; a job still running at the deadline
+/// is cancelled and reported as [`SvdError::TimedOut`].
+fn settle<J>(ticket: JobTicket<J>, timeout: Duration) -> Result<J, SvdError> {
+    match ticket.wait_timeout(timeout) {
+        Ok(outcome) => outcome.map_err(|e| match e {
+            JobError::Panicked(msg) => SvdError::SolverFailure(msg),
+            JobError::Cancelled => SvdError::Cancelled,
+        }),
+        Err(ticket) => {
+            ticket.cancel();
+            Err(SvdError::TimedOut)
+        }
     }
 }
 
@@ -255,7 +248,7 @@ impl DirectScratch {
 /// (the transposed tiles of the LQ factorizations, operand snapshots) plus
 /// the direct-path arena, both living as long as the worker does.
 #[derive(Debug)]
-pub struct SessionScratch {
+struct SessionScratch {
     kernel: KernelScratch,
     direct: DirectScratch,
 }
@@ -283,7 +276,7 @@ enum Pending {
     Direct(JobTicket<DirectJob>),
     /// A tile DAG whose sink fills `result` (the blocked path).
     Graph {
-        handle: JobHandle<SessionScratch>,
+        ticket: JobTicket<()>,
         result: Arc<OnceLock<Vec<f64>>>,
     },
 }
@@ -298,40 +291,21 @@ impl SvdJob {
     /// [`SvdError::Cancelled`]; non-finite solver output (unreachable from
     /// validated input, but injectable) is [`SvdError::SolverFailure`].
     pub fn wait(self) -> Result<Vec<f64>, SvdError> {
-        let sv = match self.pending {
-            Pending::Done(sv) => sv,
-            Pending::Direct(ticket) => ticket.wait().map_err(job_error)?.sv,
-            Pending::Graph { handle, result } => {
-                handle.wait().map_err(job_error)?;
-                Self::extract(result)
-            }
-        };
-        Self::checked(sv)
+        self.wait_timeout(Duration::MAX)
     }
 
     /// Like [`wait`](SvdJob::wait), but give up at the deadline: a job
     /// still running after `timeout` is cancelled and reported as
     /// [`SvdError::TimedOut`] — the per-request deadline of a service
     /// loop.  (The cancelled job still drains as no-ops in the background;
-    /// its admission slot frees when it does.)
+    /// its admission slot frees when it does.)  `Duration::MAX` waits
+    /// without a deadline.
     pub fn wait_timeout(self, timeout: Duration) -> Result<Vec<f64>, SvdError> {
         let sv = match self.pending {
             Pending::Done(sv) => sv,
-            Pending::Direct(ticket) => match ticket.wait_timeout(timeout) {
-                Ok(outcome) => outcome.map_err(job_error)?.sv,
-                Err(ticket) => {
-                    ticket.cancel();
-                    return Err(SvdError::TimedOut);
-                }
-            },
-            Pending::Graph { handle, result } => {
-                match handle.wait_timeout(timeout) {
-                    None => {
-                        handle.cancel();
-                        return Err(SvdError::TimedOut);
-                    }
-                    Some(outcome) => outcome.map_err(job_error)?,
-                }
+            Pending::Direct(ticket) => settle(ticket, timeout)?.sv,
+            Pending::Graph { ticket, result } => {
+                settle(ticket, timeout)?;
                 Self::extract(result)
             }
         };
@@ -347,7 +321,7 @@ impl SvdJob {
         match &self.pending {
             Pending::Done(_) => {}
             Pending::Direct(ticket) => ticket.cancel(),
-            Pending::Graph { handle, .. } => handle.cancel(),
+            Pending::Graph { ticket, .. } => ticket.cancel(),
         }
     }
 
@@ -356,7 +330,7 @@ impl SvdJob {
         match &self.pending {
             Pending::Done(_) => true,
             Pending::Direct(ticket) => ticket.is_finished(),
-            Pending::Graph { handle, .. } => handle.is_finished(),
+            Pending::Graph { ticket, .. } => ticket.is_finished(),
         }
     }
 
@@ -390,7 +364,6 @@ impl SvdJob {
 pub struct SvdSession {
     pool: TaskPool<SessionScratch, DirectJob>,
     opts: Ge2Options,
-    admission: AdmissionPolicy,
     /// Arena pool for inline [`compute_into`](SvdSession::compute_into)
     /// callers (which run on *caller* threads, not pool workers).
     caller_scratch: Mutex<Vec<DirectScratch>>,
@@ -419,8 +392,8 @@ impl SvdSession {
 
     /// Session with explicit admission configuration — see
     /// [`SessionConfig`].  Admission never changes the arithmetic: it only
-    /// decides *when* (Block) or *whether* (Reject) a problem enters the
-    /// pool.
+    /// decides *when* ([`submit`](SvdSession::submit)) or *whether*
+    /// ([`try_submit`](SvdSession::try_submit)) a problem enters the pool.
     pub fn with_config(opts: Ge2Options, config: SessionConfig) -> Self {
         let nb = opts.nb;
         let direct_dim = opts.direct_crossover;
@@ -450,7 +423,6 @@ impl SvdSession {
         SvdSession {
             pool,
             opts,
-            admission: config.admission,
             caller_scratch: Mutex::new(Vec::new()),
         }
     }
@@ -490,19 +462,17 @@ impl SvdSession {
     /// The input is validated (finiteness) *before* admission, so a
     /// poisoned request is rejected with [`SvdError::NonFiniteInput`]
     /// without consuming a slot or touching the pool.  When the session is
-    /// full, the configured [`AdmissionPolicy`] decides between parking
-    /// this thread and [`SvdError::QueueFull`].
+    /// full, this thread parks until a slot frees (backpressure).
     ///
     /// The input is snapshot (one clone) so the caller may reuse `a` right
     /// away; everything downstream draws from the worker arenas.
     pub fn submit(&self, a: &Matrix) -> Result<SvdJob, SvdError> {
-        self.submit_with(a, self.admission == AdmissionPolicy::Block)
+        self.submit_with(a, true)
     }
 
-    /// Non-blocking twin of [`submit`](SvdSession::submit): always sheds
-    /// with [`SvdError::QueueFull`] when the session is full, regardless
-    /// of the configured policy — the entry point of load-shedding
-    /// service loops.
+    /// Non-blocking twin of [`submit`](SvdSession::submit): sheds with
+    /// [`SvdError::QueueFull`] when the session is full — the entry point
+    /// of load-shedding service loops.
     pub fn try_submit(&self, a: &Matrix) -> Result<SvdJob, SvdError> {
         self.submit_with(a, false)
     }
@@ -647,14 +617,14 @@ impl SvdSession {
         block: bool,
         result: Arc<OnceLock<Vec<f64>>>,
     ) -> Result<SvdJob, SvdError> {
-        let handle = if block {
+        let ticket = if block {
             self.pool.submit(graph, bodies)
         } else {
             self.pool.try_submit(graph, bodies)
         }
         .map_err(submit_error)?;
         Ok(SvdJob {
-            pending: Pending::Graph { handle, result },
+            pending: Pending::Graph { ticket, result },
         })
     }
 }
@@ -871,13 +841,7 @@ mod tests {
         let opts = Ge2Options::new(16)
             .with_threads(2)
             .with_direct_crossover(DIRECT_CROSSOVER);
-        let session = SvdSession::with_config(
-            opts,
-            SessionConfig {
-                max_in_flight: 4,
-                admission: AdmissionPolicy::Block,
-            },
-        );
+        let session = SvdSession::with_config(opts, SessionConfig { max_in_flight: 4 });
         assert_eq!(session.max_in_flight(), 4);
         let mut jobs = Vec::new();
         for i in 0..64u64 {
@@ -901,27 +865,31 @@ mod tests {
     #[test]
     fn generous_deadlines_return_the_spectrum() {
         let session = SvdSession::new(2);
-        let a = random_gaussian(24, 24, 5);
-        // `Duration::MAX` overflows `Instant`: no deadline, not an expired one.
-        for deadline in [Duration::from_secs(60), Duration::MAX] {
-            let job = session.submit(&a).unwrap();
-            let sv = job.wait_timeout(deadline).unwrap();
-            assert_eq!(ge2val(&a, session.options()).singular_values, sv);
+        // A direct-path job, and a blocked one just above the crossover.
+        for a in [random_gaussian(24, 24, 5), random_gaussian(65, 65, 5)] {
+            // `Duration::MAX` overflows `Instant`: no deadline, not an expired one.
+            for deadline in [Duration::from_secs(60), Duration::MAX] {
+                let job = session.submit(&a).unwrap();
+                let sv = job.wait_timeout(deadline).unwrap();
+                assert_eq!(ge2val(&a, session.options()).singular_values, sv);
+            }
         }
     }
 
     #[test]
     fn cancelling_a_finished_job_keeps_its_result() {
         let session = SvdSession::new(2);
-        let a = random_gaussian(16, 16, 6);
-        let job = session.submit(&a).unwrap();
-        while !job.is_finished() {
-            std::thread::yield_now();
+        // A direct-path job, and a blocked one just above the crossover.
+        for a in [random_gaussian(16, 16, 6), random_gaussian(65, 65, 6)] {
+            let job = session.submit(&a).unwrap();
+            while !job.is_finished() {
+                std::thread::yield_now();
+            }
+            job.cancel(); // no-op: completion already published
+            assert_eq!(
+                ge2val(&a, session.options()).singular_values,
+                job.wait().unwrap()
+            );
         }
-        job.cancel(); // no-op: completion already published
-        assert_eq!(
-            ge2val(&a, session.options()).singular_values,
-            job.wait().unwrap()
-        );
     }
 }

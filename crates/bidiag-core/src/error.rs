@@ -56,8 +56,8 @@ pub enum SvdError {
     /// the service boundary) or a numerical path produced non-finite
     /// output that every fallback rung refused to repair.
     SolverFailure(String),
-    /// The session's admission queue is full and the policy is
-    /// load-shedding ([`crate::batch::AdmissionPolicy::Reject`]).
+    /// The session's admission queue is full and the caller asked to shed
+    /// load ([`crate::batch::SvdSession::try_submit`]).
     QueueFull {
         /// The in-flight cap at the time of rejection.
         max_in_flight: usize,

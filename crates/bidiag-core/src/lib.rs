@@ -43,7 +43,7 @@ pub mod flops;
 pub mod ops;
 pub mod pipeline;
 
-pub use batch::{ge2val_batch, AdmissionPolicy, SessionConfig, SessionScratch, SvdJob, SvdSession};
+pub use batch::{ge2val_batch, SessionConfig, SvdJob, SvdSession};
 pub use drivers::{
     bidiag_ops, ge2bnd_ops, qr_factorization_ops, rbidiag_ops, try_bidiag_ops, try_rbidiag_ops,
     Algorithm, GenConfig,

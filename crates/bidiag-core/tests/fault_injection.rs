@@ -15,7 +15,7 @@
 
 #![cfg(feature = "failpoints")]
 
-use bidiag_core::batch::{AdmissionPolicy, SessionConfig, SvdSession};
+use bidiag_core::batch::{SessionConfig, SvdJob, SvdSession};
 use bidiag_core::pipeline::{ge2val, try_ge2bnd, try_ge2val, Ge2Options, DIRECT_CROSSOVER};
 use bidiag_core::SvdError;
 use bidiag_kernels::gebd2::gebd2;
@@ -24,12 +24,11 @@ use bidiag_matrix::Matrix;
 use failpoint::FailAction;
 use std::time::Duration;
 
-fn small_session(threads: usize) -> SvdSession {
-    SvdSession::with_options(
-        Ge2Options::new(16)
-            .with_threads(threads)
-            .with_direct_crossover(DIRECT_CROSSOVER),
-    )
+/// An input just above the crossover: at the sessions' nb = 64 its tile
+/// DAG is 2 x 2 tiles, a handful of bodies, so a `pool::body` delay armed
+/// on it stays short.
+fn blocked_input(seed: u64) -> Matrix {
+    random_gaussian(DIRECT_CROSSOVER + 1, DIRECT_CROSSOVER + 1, seed)
 }
 
 #[test]
@@ -42,7 +41,7 @@ fn non_finite_input_is_rejected_at_every_entry_point() {
         try_ge2val(&a, &opts),
         Err(SvdError::NonFiniteInput { row: 5, col: 1, .. })
     ));
-    let session = small_session(1);
+    let session = SvdSession::new(1);
     assert!(matches!(
         session.submit(&a),
         Err(SvdError::NonFiniteInput { row: 5, col: 1, .. })
@@ -67,20 +66,21 @@ fn dimension_mismatch_names_the_violated_contract() {
 
 #[test]
 fn injected_body_panic_surfaces_as_solver_failure_and_the_pool_survives() {
-    let session = small_session(2);
-    let a = random_gaussian(12, 12, 3);
+    let session = SvdSession::new(2);
 
     {
         let _guard = failpoint::scoped(&[(
             "pool::body",
             FailAction::Panic("injected kernel panic".into()),
         )]);
-        let job = session.submit(&a).expect("finite input admits");
-        match job.wait() {
-            Err(SvdError::SolverFailure(msg)) => {
-                assert!(msg.contains("injected kernel panic"), "{msg}");
+        for a in [random_gaussian(12, 12, 3), blocked_input(3)] {
+            let job = session.submit(&a).expect("finite input admits");
+            match job.wait() {
+                Err(SvdError::SolverFailure(msg)) => {
+                    assert!(msg.contains("injected kernel panic"), "{msg}");
+                }
+                other => panic!("expected SolverFailure, got {:?}", other.map(|_| ())),
             }
-            other => panic!("expected SolverFailure, got {:?}", other.map(|_| ())),
         }
         assert!(failpoint::hits("pool::body") > 0, "site never fired");
     }
@@ -101,13 +101,10 @@ fn injected_body_panic_surfaces_as_solver_failure_and_the_pool_survives() {
 #[test]
 fn full_bounded_session_sheds_with_queue_full() {
     let session = SvdSession::with_config(
-        Ge2Options::new(16)
+        Ge2Options::new(64)
             .with_threads(1)
             .with_direct_crossover(DIRECT_CROSSOVER),
-        SessionConfig {
-            max_in_flight: 1,
-            admission: AdmissionPolicy::Reject,
-        },
+        SessionConfig { max_in_flight: 1 },
     );
     let a = random_gaussian(8, 8, 10);
     let _guard =
@@ -115,13 +112,14 @@ fn full_bounded_session_sheds_with_queue_full() {
     // The first job is admitted and holds the only slot while its body
     // sleeps at the injected delay.
     let first = session.submit(&a).expect("slot was free");
-    match session.try_submit(&a) {
-        Err(SvdError::QueueFull { max_in_flight: 1 }) => {}
-        other => panic!("expected QueueFull, got {:?}", other.map(|_| ())),
+    for b in [a.clone(), blocked_input(10)] {
+        match session.try_submit(&b) {
+            Err(SvdError::QueueFull { max_in_flight: 1 }) => {}
+            other => panic!("expected QueueFull, got {:?}", other.map(|_| ())),
+        }
     }
-    // Blocking submit (the configured policy is Reject, so go through the
-    // pool-level guarantee instead): once the delayed job drains, the slot
-    // frees and submissions are accepted again.
+    // Once the delayed job drains, the slot frees and submissions are
+    // accepted again.
     first.wait().expect("delayed job still completes");
     let second = session.try_submit(&a).expect("slot freed after drain");
     second.wait().expect("second job completes");
@@ -129,7 +127,7 @@ fn full_bounded_session_sheds_with_queue_full() {
 
 #[test]
 fn admission_failpoint_forces_queue_full_without_load() {
-    let session = small_session(1);
+    let session = SvdSession::new(1);
     let a = random_gaussian(8, 8, 11);
     let _guard = failpoint::scoped(&[("pool::admission", FailAction::Trigger)]);
     assert!(matches!(
@@ -141,16 +139,18 @@ fn admission_failpoint_forces_queue_full_without_load() {
 
 #[test]
 fn cancelled_queued_job_reports_cancelled_and_frees_its_slot() {
-    // One worker held busy by an injected delay; the job queued behind it
-    // is cancelled before any of its bodies run.
-    let session = small_session(1);
+    // One worker held busy by an injected delay; the jobs queued behind it
+    // are cancelled before any of their bodies run.
+    let session = SvdSession::new(1);
     let a = random_gaussian(8, 8, 12);
     let _guard =
         failpoint::scoped(&[("pool::body", FailAction::Delay(Duration::from_millis(400)))]);
     let blocker = session.submit(&a).unwrap();
-    let victim = session.submit(&a).unwrap();
-    victim.cancel();
-    assert!(matches!(victim.wait(), Err(SvdError::Cancelled)));
+    let victims = [a.clone(), blocked_input(12)].map(|v| session.submit(&v).unwrap());
+    victims.iter().for_each(SvdJob::cancel);
+    for victim in victims {
+        assert!(matches!(victim.wait(), Err(SvdError::Cancelled)));
+    }
     blocker.wait().expect("the blocker was never cancelled");
     // Slots drained: a fresh submission runs normally.
     session.submit(&a).unwrap().wait().expect("pool healthy");
@@ -158,21 +158,22 @@ fn cancelled_queued_job_reports_cancelled_and_frees_its_slot() {
 
 #[test]
 fn expired_deadline_reports_timed_out() {
-    let session = small_session(1);
-    let a = random_gaussian(8, 8, 13);
+    let session = SvdSession::new(1);
     let _guard =
         failpoint::scoped(&[("pool::body", FailAction::Delay(Duration::from_millis(400)))]);
-    let job = session.submit(&a).unwrap();
-    match job.wait_timeout(Duration::from_millis(20)) {
-        Err(SvdError::TimedOut) => {}
-        other => panic!("expected TimedOut, got {:?}", other.map(|_| ())),
+    for a in [random_gaussian(8, 8, 13), blocked_input(13)] {
+        let job = session.submit(&a).unwrap();
+        match job.wait_timeout(Duration::from_millis(20)) {
+            Err(SvdError::TimedOut) => {}
+            other => panic!("expected TimedOut, got {:?}", other.map(|_| ())),
+        }
     }
 }
 
 #[test]
 fn closed_session_reports_pool_shutdown() {
     let _quiet = failpoint::scoped(&[]);
-    let session = small_session(1);
+    let session = SvdSession::new(1);
     session.close();
     let a = random_gaussian(8, 8, 14);
     assert!(matches!(session.submit(&a), Err(SvdError::PoolShutdown)));
@@ -183,7 +184,7 @@ fn poison_panic_and_cancel_never_change_subsequent_arithmetic() {
     // The acceptance scenario end to end: a NaN request, an injected
     // panic and a cancellation hit the same session back to back; the
     // spectra it serves afterwards are bitwise per-call ge2val.
-    let session = small_session(2);
+    let session = SvdSession::new(2);
     let mut poison = random_gaussian(10, 10, 20);
     poison.set(0, 0, f64::NAN);
     {
@@ -228,7 +229,7 @@ fn a_panic_mid_solve_leaves_nothing_behind_for_the_next_job() {
         _ => 0.0,
     });
     assert!(gebd2(&mut blocks.clone()).superdiag.contains(&0.0));
-    let session = small_session(1);
+    let session = SvdSession::new(1);
     {
         let _guard = failpoint::scoped(&[("svd::segment", FailAction::Panic("mid-solve".into()))]);
         let job = session.submit(&blocks).expect("finite input admits");

@@ -9,8 +9,10 @@
 //!   [`pool::TaskPool`] whose workers serve a *stream* of task-graph
 //!   submissions (per-worker LIFO deques with random stealing, bottom-level
 //!   priorities, a condition-variable idle protocol with no timed polling),
-//!   plus a graph-free job lane whose jobs a worker runs in gangs;
-//!   the batched SVD session of `bidiag-core` holds one for its lifetime,
+//!   plus a graph-free job lane whose jobs a worker runs in gangs; a graph
+//!   and a lane job both finish through one completion protocol, the
+//!   client's [`pool::JobTicket`]; the batched SVD session of
+//!   `bidiag-core` holds one for its lifetime,
 //! * [`executor`] — the one-shot entry points: [`execute_parallel`] runs one
 //!   graph as a single submission on a pool built for the call
 //!   (shared-memory experiments), [`execute_sequential`] is the oracle,
@@ -42,8 +44,6 @@ pub mod trace;
 
 pub use executor::{execute_parallel, execute_parallel_with, execute_sequential, TaskBody};
 pub use graph::{AccessMode, DataKey, TaskGraph, TaskId, TaskNode};
-pub use pool::{
-    JobError, JobHandle, JobTicket, PoolConfig, SubmitError, TaskBodyWith, TaskPool, GANG,
-};
+pub use pool::{JobError, JobTicket, PoolConfig, SubmitError, TaskBodyWith, TaskPool, GANG};
 pub use sim::{critical_path_via_sim, simulate, MachineModel, SimResult};
 pub use trace::{validate_trace, TraceValidation};

@@ -59,18 +59,22 @@
 //!   returning [`SubmitError::QueueFull`].  [`TaskPool::close`] rejects
 //!   all further submissions ([`SubmitError::Shutdown`]) while everything
 //!   already admitted still drains.
-//! * **Per-submission completion and failure containment.**  Each
-//!   submission counts down its own remaining tasks and signals its own
-//!   condition variable; [`JobHandle::wait`] blocks on that, not on the
-//!   pool, and no thread ever waits on a timeout to notice completion.  A
-//!   body panic is caught and *converted to a value*: the submission is
-//!   flagged failed (remaining bodies of *that* submission are skipped, its
-//!   graph still drains so counters stay consistent) and `wait` returns
-//!   [`JobError::Panicked`] carrying the payload message — nothing is ever
+//! * **One completion protocol and failure containment.**  Every
+//!   submission — a graph or a lane job — finishes through one completion
+//!   cell (its mutex, condition variable and `cancelled` flag), which the
+//!   client holds as a [`JobTicket`]: the worker that finishes the
+//!   submission publishes the outcome there and notifies only when a
+//!   client waits, then gives back the admission slot; no thread ever
+//!   waits on a timeout to notice completion.  A graph's tasks count down
+//!   its remaining tasks, and the one that reaches zero completes it.  A
+//!   body panic is caught and *converted to a value*: the cell records
+//!   [`JobError::Panicked`] with the payload message and raises the flag,
+//!   so the remaining bodies of *that* submission are skipped (its graph
+//!   still drains so counters stay consistent) — nothing is ever
 //!   re-thrown across the pool boundary, and other submissions are
-//!   unaffected.  [`JobHandle::cancel`] reuses the same drain-as-no-ops
-//!   machinery for cooperative cancellation, and
-//!   [`JobHandle::wait_timeout`] bounds how long a caller blocks.
+//!   unaffected.  [`JobTicket::cancel`] raises the same flag for
+//!   cooperative cancellation (a first panic still wins), and
+//!   [`JobTicket::wait_timeout`] bounds how long a caller blocks.
 //! * **A graph-free job lane.**  A pool built with [`TaskPool::with_lane`]
 //!   also takes plain jobs ([`TaskPool::submit_job`]): one admission slot
 //!   each, queued FIFO in one `Mutex<VecDeque>` and published through the
@@ -78,11 +82,10 @@
 //!   takes `min(GANG, ⌈queued / threads⌉)` of them at once — a *gang*, so
 //!   the jobs that queue behind a busy worker are the ones run together —
 //!   and hands them to the runner given at construction, which gets the
-//!   worker's scratch and the whole gang.  Each job completes through its
-//!   own mutex and condition variable ([`JobTicket`]).  Cancellation is
-//!   honoured when the gang forms; a runner panic fails every job of its
-//!   gang with [`JobError::Panicked`]; `close` and drop drain the lane as
-//!   they drain the injector.
+//!   worker's scratch and the whole gang.  Cancellation is honoured when
+//!   the gang forms; a runner panic fails every job of its gang with
+//!   [`JobError::Panicked`]; `close` and drop drain the lane as they drain
+//!   the injector.
 //!
 //! # Why the once-cell task slots are sound
 //!
@@ -138,30 +141,75 @@ pub const GANG: usize = 16;
 /// worker's scratch, leaving each job's result in the job.
 type GangRunner<S, J> = Box<dyn Fn(&mut S, &mut [J]) + Send + Sync>;
 
-/// One job of the lane and its completion, shared by the queue, the worker
-/// that runs it and the client's [`JobTicket`].
-struct LaneCell<J> {
-    state: Mutex<LaneState<J>>,
+/// The completion of one submission, shared by the pool and the client's
+/// [`JobTicket`]: a lane job with its job (`J`), or a graph (`J = ()`).
+struct Completion<J> {
+    state: Mutex<CompletionState<J>>,
     done_cv: Condvar,
     /// Admission timestamp (ns), 0 when tracing was off at submit time.
     submitted_ns: u64,
+    /// Raised by a cancel or a body panic: a graph's workers skip the
+    /// bodies that have not started, and a lane job's gang skips the job.
+    /// Only ever raised under `state`'s lock, before `finished`.
+    cancelled: AtomicBool,
 }
 
-struct LaneState<J> {
+struct CompletionState<J> {
     /// The job: here while it queues and once it has run, with the worker
-    /// in between.
+    /// in between (a graph's `()` stays here throughout).
     job: Option<J>,
     finished: bool,
-    /// What `wait` reports instead of the job: a panic of its gang's
-    /// runner, else a cancellation.
+    /// What `wait` reports instead of the job: the first panic (payload
+    /// converted to a string at catch time; the payload itself is dropped,
+    /// never re-thrown), else a cancellation.
     error: Option<JobError>,
     /// A client is parked on `done_cv`; completion notifies only then.
     waiting: bool,
 }
 
+impl<J> Completion<J> {
+    fn new(job: J, finished: bool, submitted_ns: u64) -> Self {
+        Completion {
+            state: Mutex::new(CompletionState {
+                job: Some(job),
+                finished,
+                error: None,
+                waiting: false,
+            }),
+            done_cv: Condvar::new(),
+            submitted_ns,
+            cancelled: AtomicBool::new(false),
+        }
+    }
+
+    /// Publish the submission's completion: `outcome` is what a lane job's
+    /// gang left (`None` for a graph, or a skipped job, which both keep
+    /// what the cell holds), `(start_ns, end_ns)` the span the queue-wait,
+    /// compute and latency samples split at (zero when tracing was off).
+    fn complete(&self, outcome: Option<Result<J, JobError>>, span: (u64, u64)) {
+        if self.submitted_ns != 0 && span.0 != 0 {
+            let reg = obs::registry();
+            reg.queue_wait
+                .record(span.0.saturating_sub(self.submitted_ns));
+            reg.compute.record(span.1.saturating_sub(span.0));
+            reg.latency.record(span.1.saturating_sub(self.submitted_ns));
+        }
+        let mut st = self.state.lock();
+        match outcome {
+            Some(Ok(job)) => st.job = Some(job),
+            Some(Err(e)) => st.error = Some(e),
+            None => {}
+        }
+        st.finished = true;
+        if st.waiting {
+            self.done_cv.notify_all();
+        }
+    }
+}
+
 /// The graph-free job lane of a pool built with [`TaskPool::with_lane`].
 struct JobLane<S, J> {
-    queue: Mutex<VecDeque<Arc<LaneCell<J>>>>,
+    queue: Mutex<VecDeque<Arc<Completion<J>>>>,
     runner: GangRunner<S, J>,
 }
 
@@ -283,7 +331,7 @@ pub enum JobError {
     /// skipped and its graph drained.  Carries the panic payload message
     /// (the pool never re-throws a payload across `wait`).
     Panicked(String),
-    /// The submission was cancelled via [`JobHandle::cancel`] before it
+    /// The submission was cancelled via [`JobTicket::cancel`] before it
     /// finished; bodies that had not started were skipped.
     Cancelled,
 }
@@ -359,32 +407,21 @@ struct Submission<S> {
     /// Countdown of unfinished tasks of this submission.
     remaining_tasks: AtomicUsize,
     slots: BodySlots<S>,
-    /// Set when a body of this submission panicked or [`JobHandle::cancel`]
-    /// was called: the remaining bodies of the submission are skipped (its
-    /// graph still drains), and [`JobState::error`] says why.
-    skip: AtomicBool,
-    done: Mutex<JobState>,
-    done_cv: Condvar,
+    /// Completed by the task that drops `remaining_tasks` to zero; its
+    /// `cancelled` flag makes the remaining bodies no-ops.
+    completion: Arc<Completion<()>>,
     /// Observability run id (0 = tracing was off at submit time), making
     /// every per-task tracing branch a single predictable integer compare.
     trace_id: u64,
-    /// Admission timestamp (ns), valid when `trace_id != 0`.
-    submitted_ns: u64,
     /// First body start (ns), CAS'd from 0 by the first worker to touch the
     /// submission; splits end-to-end latency into queue wait vs compute.
     first_start_ns: AtomicU64,
 }
 
 impl<S> Submission<S> {
-    /// Package `graph` and its bodies.  An empty graph is born finished,
-    /// and is neither counted nor traced: it is never admitted.
-    fn new(graph: &TaskGraph, bodies: Vec<TaskBodyWith<S>>) -> Self {
-        let (trace_id, submitted_ns) = if !graph.is_empty() && obs::enabled() {
-            obs::registry().submissions.incr();
-            (obs::next_submission_id(), obs::now_ns())
-        } else {
-            (0, 0)
-        };
+    /// Package a non-empty `graph` and its bodies, admitted at
+    /// `submitted_ns` (0 when tracing is off).
+    fn new(graph: &TaskGraph, bodies: Vec<TaskBodyWith<S>>, submitted_ns: u64) -> Self {
         let priority = graph.bottom_levels();
         let mut successors = Vec::new();
         let tasks = priority
@@ -405,14 +442,12 @@ impl<S> Submission<S> {
             successors,
             remaining_tasks: AtomicUsize::new(graph.len()),
             slots: BodySlots::new(bodies),
-            skip: AtomicBool::new(false),
-            done: Mutex::new(JobState {
-                finished: graph.is_empty(),
-                error: None,
-            }),
-            done_cv: Condvar::new(),
-            trace_id,
-            submitted_ns,
+            completion: Arc::new(Completion::new((), false, submitted_ns)),
+            trace_id: if submitted_ns != 0 {
+                obs::next_submission_id()
+            } else {
+                0
+            },
             first_start_ns: AtomicU64::new(0),
         }
     }
@@ -435,14 +470,6 @@ impl<S> Submission<S> {
     }
 }
 
-struct JobState {
-    finished: bool,
-    /// What `wait` reports instead of success: the first body panic
-    /// (payload converted to a string at catch time; the payload itself is
-    /// dropped, never re-thrown), else a cancellation.
-    error: Option<JobError>,
-}
-
 /// Best-effort conversion of a panic payload to its message.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -457,91 +484,17 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// A deque/injector item: one ready task of one submission.
 type PoolItem<S> = (Arc<Submission<S>>, TaskId);
 
-/// Completion handle of one [`TaskPool::submit`] call.
-///
-/// Detaching (dropping without [`wait`](JobHandle::wait)) is allowed: the
-/// submission keeps itself alive through the `Arc`s on the deques and runs
-/// to completion regardless.
-#[must_use = "dropping the handle detaches the job; call wait() to block on completion"]
-pub struct JobHandle<S> {
-    sub: Arc<Submission<S>>,
-}
-
-impl<S> std::fmt::Debug for JobHandle<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JobHandle")
-            .field("finished", &self.is_finished())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<S> JobHandle<S> {
-    /// Block until every task of the submission has completed (bodies run
-    /// or skipped).  Returns `Ok(())` on clean completion,
-    /// [`JobError::Panicked`] with the first panic's message if a body
-    /// panicked, or [`JobError::Cancelled`] if the job was cancelled.
-    pub fn wait(self) -> Result<(), JobError> {
-        self.wait_until(None)
-            .expect("a wait without a deadline ends only on completion")
-    }
-
-    /// Like [`wait`](JobHandle::wait), but give up after `timeout`:
-    /// returns `None` if the submission is still running at the deadline
-    /// (the handle stays usable — cancel it, keep waiting, or detach).
-    /// A deadline too far off for [`Instant`] to represent
-    /// (`Duration::MAX`, the usual spelling of "no deadline") waits
-    /// without one.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<(), JobError>> {
-        self.wait_until(Instant::now().checked_add(timeout))
-    }
-
-    fn wait_until(&self, deadline: Option<Instant>) -> Option<Result<(), JobError>> {
-        let mut st = self.sub.done.lock();
-        while !st.finished {
-            let Some(deadline) = deadline else {
-                self.sub.done_cv.wait(&mut st);
-                continue;
-            };
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            self.sub.done_cv.wait_timeout(&mut st, deadline - now);
-        }
-        Some(st.error.clone().map_or(Ok(()), Err))
-    }
-
-    /// Request cooperative cancellation: every body of this submission
-    /// that has not started yet is skipped (the graph still drains, so
-    /// counters and dependent bookkeeping stay consistent), and `wait`
-    /// reports [`JobError::Cancelled`].  Best-effort: bodies already
-    /// executing run to completion, and a submission that finishes before
-    /// the flag lands is unaffected.  Idempotent.
-    pub fn cancel(&self) {
-        // The lock makes "finished" exact: a job observed complete here is
-        // never retroactively marked cancelled.
-        let mut st = self.sub.done.lock();
-        if !st.finished {
-            st.error.get_or_insert(JobError::Cancelled);
-            self.sub.skip.store(true, Ordering::Release);
-        }
-    }
-
-    /// True once every task of the submission has completed (non-blocking).
-    pub fn is_finished(&self) -> bool {
-        self.sub.done.lock().finished
-    }
-}
-
-/// Completion handle of one [`TaskPool::submit_job`] call: [`wait`]
+/// Completion handle of one submission: a graph ([`TaskPool::submit`],
+/// `J = ()`) or a lane job ([`TaskPool::submit_job`]), whose [`wait`]
 /// returns the job as the runner left it.
 ///
-/// Detaching (dropping the ticket) is allowed: the job still runs.
+/// Detaching (dropping the ticket) is allowed: the submission still runs
+/// to completion.
 ///
 /// [`wait`]: JobTicket::wait
 #[must_use = "dropping the ticket detaches the job; call wait() to get it back"]
 pub struct JobTicket<J> {
-    cell: Arc<LaneCell<J>>,
+    cell: Arc<Completion<J>>,
 }
 
 impl<J> std::fmt::Debug for JobTicket<J> {
@@ -553,9 +506,10 @@ impl<J> std::fmt::Debug for JobTicket<J> {
 }
 
 impl<J> JobTicket<J> {
-    /// Block until the job's gang has run and return the job, or
-    /// [`JobError::Panicked`] with the message if the runner panicked on
-    /// its gang, or [`JobError::Cancelled`].
+    /// Block until the submission has finished — every task of a graph run
+    /// or skipped, a lane job's gang run — and return the job, or
+    /// [`JobError::Panicked`] with the first panic's message, or
+    /// [`JobError::Cancelled`].
     pub fn wait(self) -> Result<J, JobError> {
         match self.wait_timeout(Duration::MAX) {
             Ok(outcome) => outcome,
@@ -589,17 +543,23 @@ impl<J> JobTicket<J> {
         })
     }
 
-    /// Request cancellation: a job whose gang has not formed yet is skipped,
-    /// and [`wait`](JobTicket::wait) reports [`JobError::Cancelled`] unless
-    /// the job had already finished. Idempotent.
+    /// Request cooperative cancellation: a graph's bodies that have not
+    /// started are skipped (the graph still drains, so counters and the
+    /// admission slot are released normally), a lane job whose gang has
+    /// not formed is skipped, and [`wait`](JobTicket::wait) reports
+    /// [`JobError::Cancelled`] — unless the submission had already
+    /// finished, or a body had already panicked. Idempotent.
     pub fn cancel(&self) {
+        // The lock makes "finished" exact: a job observed complete here is
+        // never retroactively marked cancelled.
         let mut st = self.cell.state.lock();
         if !st.finished {
             st.error.get_or_insert(JobError::Cancelled);
+            self.cell.cancelled.store(true, Ordering::Release);
         }
     }
 
-    /// True once the job's gang has run (or skipped it), non-blocking.
+    /// True once the submission has finished, non-blocking.
     pub fn is_finished(&self) -> bool {
         self.cell.state.lock().finished
     }
@@ -654,18 +614,19 @@ impl<S, J> PoolShared<S, J> {
         } else {
             0
         };
-        if !sub.skip.load(Ordering::Acquire) {
+        let completion = &sub.completion;
+        if !completion.cancelled.load(Ordering::Acquire) {
             let body = sub.slots.take(id);
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 let _ = failpoint::fire("pool::body");
                 body(scratch)
             }));
             if let Err(p) = outcome {
-                sub.skip.store(true, Ordering::Release);
-                let mut st = sub.done.lock();
+                let mut st = completion.state.lock();
                 if !matches!(st.error, Some(JobError::Panicked(_))) {
                     st.error = Some(JobError::Panicked(panic_message(&*p)));
                 }
+                completion.cancelled.store(true, Ordering::Release);
                 // `p` is dropped here: the payload never crosses the pool.
             }
         }
@@ -702,28 +663,14 @@ impl<S, J> PoolShared<S, J> {
         }
 
         if sub.remaining_tasks.fetch_sub(1, Ordering::AcqRel) == 1 {
-            if sub.trace_id != 0 {
-                // Split the submission's end-to-end latency at its first
-                // body start: before = queue wait, after = compute.
-                let end = obs::now_ns();
-                let first = sub.first_start_ns.load(Ordering::Relaxed);
-                let reg = obs::registry();
-                reg.queue_wait
-                    .record(first.saturating_sub(sub.submitted_ns));
-                reg.compute.record(end.saturating_sub(first));
-                reg.latency.record(end.saturating_sub(sub.submitted_ns));
-            }
-            {
-                let mut st = sub.done.lock();
-                st.finished = true;
-                sub.done_cv.notify_all();
-            }
-            // Release the admission slot only after completion is
-            // published, so `in_flight` never under-counts live jobs.
-            let mut adm = self.admission.lock();
-            adm.in_flight -= 1;
-            drop(adm);
-            self.admission_cv.notify_one();
+            // The graph's span runs from its first body start.
+            let span = if sub.trace_id != 0 {
+                (sub.first_start_ns.load(Ordering::Relaxed), obs::now_ns())
+            } else {
+                (0, 0)
+            };
+            completion.complete(None, span);
+            self.release(1);
         }
         next
     }
@@ -768,7 +715,7 @@ impl<S, J> PoolShared<S, J> {
         &self,
         me: usize,
         scratch: &mut S,
-        cells: &mut Vec<Arc<LaneCell<J>>>,
+        cells: &mut Vec<Arc<Completion<J>>>,
         gang: &mut Vec<J>,
     ) -> bool {
         let Some(lane) = &self.lane else {
@@ -782,14 +729,20 @@ impl<S, J> PoolShared<S, J> {
             let take = GANG.min(queue.len().div_ceil(self.stealers.len()));
             cells.extend(queue.drain(..take));
         }
-        let start_ns = if obs::enabled() { obs::now_ns() } else { 0 };
+        let start_ns = if obs::enabled() {
+            obs::registry().tasks_executed.add(cells.len() as u64);
+            obs::now_ns()
+        } else {
+            0
+        };
         // Cancellation is honoured here, as the gang forms: a job cancelled
         // while it queued completes as it stands, and nothing runs it.
         let mut i = 0;
         while i < cells.len() {
             let job = {
-                let mut st = cells[i].state.lock();
-                if st.error.is_some() {
+                let cell = &cells[i];
+                let mut st = cell.state.lock();
+                if cell.cancelled.load(Ordering::Relaxed) {
                     None
                 } else {
                     st.job.take()
@@ -801,8 +754,7 @@ impl<S, J> PoolShared<S, J> {
                     i += 1;
                 }
                 None => {
-                    let cell = cells.remove(i);
-                    self.complete(&cell, None, (start_ns, start_ns));
+                    cells.remove(i).complete(None, (start_ns, start_ns));
                     self.release(1);
                 }
             }
@@ -831,7 +783,7 @@ impl<S, J> PoolShared<S, J> {
         match outcome {
             Ok(()) => {
                 for (cell, job) in cells.iter().zip(gang.drain(..)) {
-                    self.complete(cell, Some(Ok(job)), (start_ns, end_ns));
+                    cell.complete(Some(Ok(job)), (start_ns, end_ns));
                 }
             }
             Err(p) => {
@@ -840,7 +792,7 @@ impl<S, J> PoolShared<S, J> {
                 let error = JobError::Panicked(panic_message(&*p));
                 gang.clear();
                 for cell in cells.iter() {
-                    self.complete(cell, Some(Err(error.clone())), (start_ns, end_ns));
+                    cell.complete(Some(Err(error.clone())), (start_ns, end_ns));
                 }
             }
         }
@@ -849,35 +801,10 @@ impl<S, J> PoolShared<S, J> {
         true
     }
 
-    /// Publish the completion of one lane job: `outcome` is what its gang
-    /// left (`None` when it was skipped), `(start_ns, end_ns)` the gang's
-    /// span (zero when tracing was off as it formed).
-    fn complete(&self, cell: &LaneCell<J>, outcome: Option<Result<J, JobError>>, span: (u64, u64)) {
-        if obs::enabled() {
-            obs::registry().tasks_executed.incr();
-            if cell.submitted_ns != 0 && span.0 != 0 {
-                let reg = obs::registry();
-                reg.queue_wait
-                    .record(span.0.saturating_sub(cell.submitted_ns));
-                reg.compute.record(span.1.saturating_sub(span.0));
-                reg.latency.record(span.1.saturating_sub(cell.submitted_ns));
-            }
-        }
-        let mut st = cell.state.lock();
-        match outcome {
-            Some(Ok(job)) => st.job = Some(job),
-            Some(Err(e)) => st.error = Some(e),
-            None => {}
-        }
-        st.finished = true;
-        if st.waiting {
-            cell.done_cv.notify_all();
-        }
-    }
-
     /// Give back the admission slots of `jobs` finished submissions — only
-    /// after their completion is published, so `in_flight` never
-    /// under-counts live work.
+    /// after their completions are published, so `in_flight` never
+    /// under-counts live work — and wake every parked submitter: each
+    /// rechecks, and those that find no free slot park again.
     fn release(&self, jobs: usize) {
         let mut adm = self.admission.lock();
         adm.in_flight -= jobs;
@@ -938,7 +865,7 @@ impl<S, J> PoolShared<S, J> {
 ///
 /// let pool: TaskPool<()> = TaskPool::new(4, || ());
 /// let acc = Arc::new(AtomicU64::new(0));
-/// let handles: Vec<_> = (0..8u64)
+/// let tickets: Vec<_> = (0..8u64)
 ///     .map(|p| {
 ///         let mut g = TaskGraph::new();
 ///         g.add_task(1.0, 0, 0, &[(p, AccessMode::Write)]);
@@ -954,8 +881,8 @@ impl<S, J> PoolShared<S, J> {
 ///         pool.submit(g, bodies).expect("pool is open")
 ///     })
 ///     .collect();
-/// for h in handles {
-///     h.wait().expect("no body panicked");
+/// for t in tickets {
+///     t.wait().expect("no body panicked");
 /// }
 /// assert_eq!(acc.load(Ordering::SeqCst), 16);
 /// ```
@@ -1063,8 +990,9 @@ impl<S: Send + 'static, J: Send + 'static> TaskPool<S, J> {
 
     /// Acquire one admission slot.  `block` selects backpressure (park on
     /// the admission condvar until a slot frees) versus load shedding
-    /// (return [`SubmitError::QueueFull`]).
-    fn admit(&self, block: bool) -> Result<(), SubmitError> {
+    /// (return [`SubmitError::QueueFull`]).  Returns the submission's
+    /// admission timestamp (ns), 0 when tracing is off.
+    fn admit(&self, block: bool) -> Result<u64, SubmitError> {
         let mut adm = self.shared.admission.lock();
         // Set when this admission had to park at least once; the wait is
         // charged to the registry on whichever outcome ends it.
@@ -1104,7 +1032,14 @@ impl<S: Send + 'static, J: Send + 'static> TaskPool<S, J> {
                         reg.admission_wait_ns.add(obs::now_ns() - t0);
                     }
                 }
-                return Ok(());
+                drop(adm);
+                // Stamped outside the lock, which a finishing worker takes.
+                return Ok(if obs::enabled() {
+                    obs::registry().submissions.incr();
+                    obs::now_ns()
+                } else {
+                    0
+                });
             }
             if obs::enabled() && wait_from.is_none() {
                 obs::registry().admission_waits.incr();
@@ -1126,7 +1061,7 @@ impl<S: Send + 'static, J: Send + 'static> TaskPool<S, J> {
         &self,
         graph: TaskGraph,
         bodies: Vec<TaskBodyWith<S>>,
-    ) -> Result<JobHandle<S>, SubmitError> {
+    ) -> Result<JobTicket<()>, SubmitError> {
         self.submit_ref(&graph, bodies, true)
     }
 
@@ -1137,7 +1072,7 @@ impl<S: Send + 'static, J: Send + 'static> TaskPool<S, J> {
         &self,
         graph: TaskGraph,
         bodies: Vec<TaskBodyWith<S>>,
-    ) -> Result<JobHandle<S>, SubmitError> {
+    ) -> Result<JobTicket<()>, SubmitError> {
         self.submit_ref(&graph, bodies, false)
     }
 
@@ -1148,7 +1083,7 @@ impl<S: Send + 'static, J: Send + 'static> TaskPool<S, J> {
         graph: &TaskGraph,
         bodies: Vec<TaskBodyWith<S>>,
         block: bool,
-    ) -> Result<JobHandle<S>, SubmitError> {
+    ) -> Result<JobTicket<()>, SubmitError> {
         assert_eq!(bodies.len(), graph.len(), "one body per task is required");
         if graph.is_empty() {
             // Nothing to run: never admitted (no slot to leak), but a
@@ -1156,11 +1091,11 @@ impl<S: Send + 'static, J: Send + 'static> TaskPool<S, J> {
             if self.shared.admission.lock().closed {
                 return Err(SubmitError::Shutdown);
             }
-            let sub = Arc::new(Submission::new(graph, bodies));
-            return Ok(JobHandle { sub });
+            let cell = Arc::new(Completion::new((), true, 0));
+            return Ok(JobTicket { cell });
         }
-        self.admit(block)?;
-        let sub = Arc::new(Submission::new(graph, bodies));
+        let submitted_ns = self.admit(block)?;
+        let sub = Arc::new(Submission::new(graph, bodies, submitted_ns));
 
         // Seed the sources highest bottom level first: the injector is
         // FIFO, so workers pull the most critical source first.
@@ -1174,7 +1109,9 @@ impl<S: Send + 'static, J: Send + 'static> TaskPool<S, J> {
         }
         drop(inj);
         self.shared.gate.publish();
-        Ok(JobHandle { sub })
+        Ok(JobTicket {
+            cell: Arc::clone(&sub.completion),
+        })
     }
 
     /// Submit one job to the lane; it runs, in some gang, on some worker.
@@ -1199,23 +1136,8 @@ impl<S: Send + 'static, J: Send + 'static> TaskPool<S, J> {
             .lane
             .as_ref()
             .expect("jobs go to a pool built with `with_lane`");
-        self.admit(block)?;
-        let submitted_ns = if obs::enabled() {
-            obs::registry().submissions.incr();
-            obs::now_ns()
-        } else {
-            0
-        };
-        let cell = Arc::new(LaneCell {
-            state: Mutex::new(LaneState {
-                job: Some(job),
-                finished: false,
-                error: None,
-                waiting: false,
-            }),
-            done_cv: Condvar::new(),
-            submitted_ns,
-        });
+        let submitted_ns = self.admit(block)?;
+        let cell = Arc::new(Completion::new(job, false, submitted_ns));
         lane.queue.lock().push_back(Arc::clone(&cell));
         self.shared.gate.publish();
         Ok(JobTicket { cell })
@@ -1314,7 +1236,7 @@ mod tests {
         let pool: TaskPool<u64> = TaskPool::new(4, || 0);
         let acc = Arc::new(AtomicU64::new(0));
         let mut expected = 0u64;
-        let handles: Vec<JobHandle<u64>> = (0..50u64)
+        let handles: Vec<JobTicket<()>> = (0..50u64)
             .map(|p| {
                 let len = 1 + (p % 7) as usize;
                 expected += len as u64;
@@ -1452,7 +1374,7 @@ mod tests {
         pool: &TaskPool<u64, J>,
         release: &Arc<AtomicBool>,
         key: u64,
-    ) -> JobHandle<u64> {
+    ) -> JobTicket<()> {
         parked_job_flagging(pool, release, key, Arc::new(AtomicBool::new(false)))
     }
 
@@ -1462,7 +1384,7 @@ mod tests {
         release: &Arc<AtomicBool>,
         key: u64,
         started: Arc<AtomicBool>,
-    ) -> JobHandle<u64> {
+    ) -> JobTicket<()> {
         let mut g = TaskGraph::new();
         g.add_task(1.0, 0, 0, &[(key, Write)]);
         let release = Arc::clone(release);
@@ -1480,7 +1402,7 @@ mod tests {
     fn park_every_worker<J: Send>(
         pool: &TaskPool<u64, J>,
         release: &Arc<AtomicBool>,
-    ) -> Vec<JobHandle<u64>> {
+    ) -> Vec<JobTicket<()>> {
         let started: Vec<_> = (0..pool.threads())
             .map(|_| Arc::new(AtomicBool::new(false)))
             .collect();
@@ -1602,11 +1524,13 @@ mod tests {
     }
 
     #[test]
-    fn wait_timeout_returns_none_while_running_and_some_after() {
+    fn wait_timeout_hands_the_ticket_back_while_running_and_waits_on_it_after() {
         let pool: TaskPool<u64> = TaskPool::new(1, || 0);
         let release = Arc::new(AtomicBool::new(false));
-        let job = parked_job(&pool, &release, 1);
-        assert_eq!(job.wait_timeout(Duration::from_millis(30)), None);
+        let job = match parked_job(&pool, &release, 1).wait_timeout(Duration::from_millis(30)) {
+            Err(job) => job,
+            Ok(outcome) => panic!("finished while parked: {outcome:?}"),
+        };
         std::thread::scope(|scope| {
             // `Instant` cannot represent now + `Duration::MAX`: that is a
             // wait without a deadline, not one that has already expired.
@@ -1614,11 +1538,8 @@ mod tests {
             std::thread::sleep(Duration::from_millis(30));
             assert!(!unbounded.is_finished(), "gave up on a running job");
             release.store(true, Ordering::Release);
-            assert_eq!(unbounded.join().unwrap(), Some(Ok(())));
+            assert_eq!(unbounded.join().unwrap().unwrap(), Ok(()));
         });
-        // Generous bound: the body exits as soon as it sees the flag.
-        assert_eq!(job.wait_timeout(Duration::from_secs(30)), Some(Ok(())));
-        job.wait().unwrap();
     }
 
     #[test]

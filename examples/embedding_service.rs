@@ -42,7 +42,6 @@ fn main() {
             .with_direct_crossover(DIRECT_CROSSOVER),
         SessionConfig {
             max_in_flight: window,
-            admission: AdmissionPolicy::Reject,
         },
     );
 

@@ -41,9 +41,7 @@ pub use bidiag_trees as trees;
 
 /// Convenient glob import for examples and quick experiments.
 pub mod prelude {
-    pub use bidiag_core::batch::{
-        ge2val_batch, AdmissionPolicy, SessionConfig, SvdJob, SvdSession,
-    };
+    pub use bidiag_core::batch::{ge2val_batch, SessionConfig, SvdJob, SvdSession};
     pub use bidiag_core::cp;
     pub use bidiag_core::drivers::{bidiag_ops, ge2bnd_ops, rbidiag_ops, Algorithm, GenConfig};
     pub use bidiag_core::error::{validate_finite, SvdError};

@@ -289,13 +289,8 @@ fn session_metrics_wire_queue_wait_latency_and_dqds_signals() {
     let requests = 8usize;
     let (small, sigma) = latms(32, 32, &SpectrumKind::Geometric { cond: 100.0 }, 3);
     let solve_all = |opts: Ge2Options| {
-        let session = SvdSession::with_config(
-            opts.with_threads(2),
-            SessionConfig {
-                max_in_flight: 2,
-                admission: AdmissionPolicy::Block,
-            },
-        );
+        let session =
+            SvdSession::with_config(opts.with_threads(2), SessionConfig { max_in_flight: 2 });
         for _ in 0..requests {
             let sv = session.submit(&small).unwrap().wait().unwrap();
             assert!(singular_values_match(&sv, &sigma, 1.0e-8));

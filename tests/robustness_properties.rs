@@ -107,7 +107,7 @@ proptest! {
 
 /// The memory-bound guarantee of bounded admission: ten thousand
 /// submissions against a `max_in_flight = 32` session never hold more than
-/// 32 live job graphs — the blocking policy parks the submitter instead.
+/// 32 live job graphs — blocking `submit` parks the submitter instead.
 #[test]
 fn ten_thousand_submissions_never_exceed_the_admission_bound() {
     const CAP: usize = 32;
@@ -115,10 +115,7 @@ fn ten_thousand_submissions_never_exceed_the_admission_bound() {
         Ge2Options::new(16)
             .with_threads(4)
             .with_direct_crossover(DIRECT_CROSSOVER),
-        SessionConfig {
-            max_in_flight: CAP,
-            admission: AdmissionPolicy::Block,
-        },
+        SessionConfig { max_in_flight: CAP },
     );
     let problems: Vec<Matrix> = (0..8u64).map(|i| random_gaussian(8, 8, 60 + i)).collect();
     let expected: Vec<Vec<f64>> = problems
