@@ -294,14 +294,13 @@ impl StageTimes {
 /// with a geometric spectrum, cond 1e4, seed 7).  Runs the full pipeline
 /// `samples` times and returns the split of the run with the best total, so
 /// the three numbers are a consistent snapshot of one run rather than a mix
-/// of per-stage minima.  BD2VAL runs the *production* solver (the
-/// [`bidiag_svd::Bd2ValOptions`] default, i.e. dqds), exactly what
-/// `ge2val` executes.
+/// of per-stage minima.  BD2VAL runs dqds, exactly what `ge2val`
+/// executes.
 ///
 /// This is the breakdown that picks the next perf target.
 pub fn measure_ge2val_stages(m: usize, n: usize, nb: usize, samples: usize) -> StageTimes {
     use bidiag_core::pipeline::{ge2bnd, AlgorithmChoice, Ge2Options};
-    use bidiag_svd::{singular_values_with, Bd2ValOptions};
+    use bidiag_svd::dqds_singular_values;
     use std::time::Instant;
 
     let (a, _) = bidiag_matrix::gen::latms(
@@ -332,7 +331,7 @@ pub fn measure_ge2val_stages(m: usize, n: usize, nb: usize, samples: usize) -> S
         let t_bnd2bd = t1.elapsed().as_secs_f64();
 
         let t2 = Instant::now();
-        let sv = singular_values_with(&bidiag.diag, &bidiag.superdiag, &Bd2ValOptions::default());
+        let sv = dqds_singular_values(&bidiag.diag, &bidiag.superdiag);
         let t_bd2val = t2.elapsed().as_secs_f64();
         assert_eq!(sv.len(), m.min(n));
 

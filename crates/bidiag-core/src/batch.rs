@@ -85,9 +85,7 @@ use bidiag_runtime::{
     AccessMode, JobError, JobTicket, PoolConfig, SubmitError, TaskBodyWith, TaskGraph, TaskPool,
     GANG,
 };
-use bidiag_svd::{
-    dqds_gang_into, singular_values_with, Bd2ValOptions, DqdsScratch, SvdSolver, LANES,
-};
+use bidiag_svd::{dqds_gang_into, dqds_singular_values, DqdsScratch, LANES};
 use parking_lot::Mutex;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -150,56 +148,62 @@ fn settle<J>(ticket: JobTicket<J>, timeout: Duration) -> Result<J, SvdError> {
 /// Arena of the direct path: every buffer the `gebd2 -> dqds` chain of a
 /// gang of problems needs, owned per worker (and pooled, a gang of one at
 /// a time, for inline [`SvdSession::compute_into`] callers), reused across
-/// gangs.
+/// gangs.  Per-call [`ge2val`](crate::pipeline::ge2val) runs its direct
+/// path on one of its own, so every direct-path spectrum comes from
+/// [`spectra`](DirectScratch::spectra).
 #[derive(Debug)]
-struct DirectScratch {
+pub(crate) struct DirectScratch {
     /// Working copy of one input at a time (transposed when it is wide).
     work: Matrix,
     /// Row-reflector scratch shared by every step of `gebd2`.
     tail: Vec<f64>,
     /// The bidiagonal factors of a gang, cleared and refilled per problem.
-    bidiag: Vec<Bidiagonal>,
+    bidiag: [Bidiagonal; GANG],
     /// The lanes of the dqds solver.
-    dqds: Vec<DqdsScratch>,
+    dqds: [DqdsScratch; LANES],
 }
 
 impl DirectScratch {
-    /// An arena for gangs of one, whose buffers grow on first use.
-    fn new() -> Self {
-        Self::for_gang(0, 1, 1)
-    }
-
     /// An arena pre-sized for gangs of up to `gang` problems up to
-    /// `dim x dim`, solved on `lanes` dqds lanes, so even a worker's first
-    /// gang allocates nothing (beyond the result vectors).
-    fn for_gang(dim: usize, gang: usize, lanes: usize) -> Self {
-        let bidiagonal = || Bidiagonal {
-            diag: Vec::with_capacity(dim),
-            superdiag: Vec::with_capacity(dim.saturating_sub(1)),
+    /// `dim x dim`, so even its first gang allocates nothing (beyond the
+    /// result vectors).  Only the `gang` bidiagonals and `min(gang, LANES)`
+    /// dqds lanes a gang that size uses hold buffers; arrays instead of
+    /// vectors keep a gang of one at the allocations of `gebd2` and dqds
+    /// called on their own.
+    pub(crate) fn for_gang(dim: usize, gang: usize) -> Self {
+        let bidiagonal = |k| {
+            let dim = if k < gang { dim } else { 0 };
+            Bidiagonal {
+                diag: Vec::with_capacity(dim),
+                superdiag: Vec::with_capacity(dim.saturating_sub(1)),
+            }
         };
         DirectScratch {
             work: Matrix::zeros(dim, dim),
             tail: Vec::with_capacity(dim.saturating_sub(1)),
-            bidiag: (0..gang).map(|_| bidiagonal()).collect(),
-            dqds: (0..lanes).map(|_| DqdsScratch::for_len(dim)).collect(),
+            bidiag: std::array::from_fn(bidiagonal),
+            dqds: std::array::from_fn(|k| {
+                if k < gang {
+                    DqdsScratch::for_len(dim)
+                } else {
+                    DqdsScratch::new()
+                }
+            }),
         }
     }
 
-    /// Singular values of each of `problems` (at most [`GANG`]) through the
-    /// direct path, each written into its output in non-increasing order,
-    /// using only this arena's buffers.
+    /// Singular values of each of `problems` (at most [`GANG`], none
+    /// empty) through the direct path, each written into its output in
+    /// non-increasing order, using only this arena's buffers.
     ///
     /// The chain is `copy -> gebd2_with` per problem into the gang's
     /// bidiagonals, then one `dqds_gang_into` for all of them, each link
-    /// bitwise-identical to its allocating twin, so every result equals
-    /// the [`ge2val`](crate::pipeline::ge2val) direct path bit for bit.
-    /// With the default [`SvdSolver::Dqds`] a warm arena performs **zero
-    /// heap allocations**; the bisection oracle goes through its allocating
-    /// entry point (it exists for cross-checking, not for throughput).
-    fn spectra<'a>(
+    /// bitwise-identical to its allocating twin, so a problem's spectrum
+    /// is the same bits in any gang.  A warm arena performs **zero heap
+    /// allocations**.
+    pub(crate) fn spectra<'a>(
         &mut self,
         problems: impl ExactSizeIterator<Item = (&'a Matrix, &'a mut Vec<f64>)>,
-        bd2val: &Bd2ValOptions,
     ) {
         let DirectScratch {
             work,
@@ -207,7 +211,7 @@ impl DirectScratch {
             bidiag,
             dqds,
         } = self;
-        assert!(problems.len() <= bidiag.len(), "a gang fits its arena");
+        assert!(problems.len() <= GANG, "a gang fits its arena");
         // The outputs wait here while every input is reduced.
         let mut outs = [const { None }; GANG];
         for (k, ((a, out), b)) in problems.zip(bidiag.iter_mut()).enumerate() {
@@ -220,27 +224,10 @@ impl DirectScratch {
             outs[k] = Some(out);
         }
         let solved = bidiag.iter().zip(outs.iter_mut().map_while(Option::take));
-        match bd2val.solver {
-            SvdSolver::Dqds => {
-                // Already sorted non-increasing by the solver — ge2val's
-                // extra stable sort is an identity on this output.
-                dqds_gang_into(
-                    solved.map(|(b, out)| (&b.diag[..], &b.superdiag[..], out)),
-                    dqds,
-                );
-            }
-            SvdSolver::Bisection => {
-                for (b, out) in solved {
-                    out.clear();
-                    out.extend(singular_values_with(&b.diag, &b.superdiag, bd2val));
-                    // total_cmp: bitwise-identical to partial_cmp on the
-                    // non-negative finite values the solvers emit, but a
-                    // poisoned (injected-NaN) spectrum sorts instead of
-                    // panicking.
-                    out.sort_by(|x, y| y.total_cmp(x));
-                }
-            }
-        }
+        dqds_gang_into(
+            solved.map(|(b, out)| (&b.diag[..], &b.superdiag[..], out)),
+            dqds,
+        );
     }
 }
 
@@ -371,8 +358,8 @@ pub struct SvdSession {
 
 impl SvdSession {
     /// Session with `threads` workers and the recommended batched
-    /// defaults: `nb = 64`, the bench-picked [`DIRECT_CROSSOVER`], dqds,
-    /// bounded blocking admission ([`SessionConfig::default`]).
+    /// defaults: `nb = 64`, the bench-picked [`DIRECT_CROSSOVER`], bounded
+    /// blocking admission ([`SessionConfig::default`]).
     pub fn new(threads: usize) -> Self {
         Self::with_options(
             Ge2Options::new(DEFAULT_NB)
@@ -397,7 +384,6 @@ impl SvdSession {
     pub fn with_config(opts: Ge2Options, config: SessionConfig) -> Self {
         let nb = opts.nb;
         let direct_dim = opts.direct_crossover;
-        let bd2val = opts.bd2val;
         let pool = TaskPool::with_lane(
             opts.threads,
             PoolConfig {
@@ -405,14 +391,14 @@ impl SvdSession {
             },
             move || SessionScratch {
                 kernel: KernelScratch::for_tile(nb),
-                direct: DirectScratch::for_gang(direct_dim, GANG, LANES),
+                direct: DirectScratch::for_gang(direct_dim, GANG),
             },
             move |s: &mut SessionScratch, gang: &mut [DirectJob]| {
                 let problems = gang.iter_mut().map(|job| {
                     let a = job.a.as_ref().expect("a job runs once");
                     (a, &mut job.sv)
                 });
-                s.direct.spectra(problems, &bd2val);
+                s.direct.spectra(problems);
                 // Free the inputs now, not whenever their clients wait: a
                 // burst of finished jobs would hold every one of them.
                 for job in gang {
@@ -503,10 +489,10 @@ impl SvdSession {
     /// problems are submitted to the pool and waited on.
     ///
     /// This is the steady-state zero-allocation entry point: direct-path
-    /// calls draw a pooled arena and solve a gang of one, so with the
-    /// default dqds solver a warm session performs no heap allocation here
-    /// at all (the allocation counter test pins this).  Inline solves
-    /// bypass admission — they consume the *caller's* CPU, not a pool slot.
+    /// calls draw a pooled arena and solve a gang of one, so a warm session
+    /// performs no heap allocation here at all (the allocation counter test
+    /// pins this).  Inline solves bypass admission — they consume the
+    /// *caller's* CPU, not a pool slot.
     pub fn compute_into(&self, a: &Matrix, out: &mut Vec<f64>) -> Result<(), SvdError> {
         validate_finite(a)?;
         if a.rows().min(a.cols()) == 0 {
@@ -518,8 +504,8 @@ impl SvdSession {
                 .caller_scratch
                 .lock()
                 .pop()
-                .unwrap_or_else(DirectScratch::new);
-            scratch.spectra(std::iter::once((a, &mut *out)), &self.opts.bd2val);
+                .unwrap_or_else(|| DirectScratch::for_gang(0, 1));
+            scratch.spectra(std::iter::once((a, &mut *out)));
             self.caller_scratch.lock().push(scratch);
             if let Some(&bad) = out.iter().find(|v| !v.is_finite()) {
                 return Err(SvdError::SolverFailure(format!(
@@ -590,19 +576,14 @@ impl SvdSession {
 
         let result: Arc<OnceLock<Vec<f64>>> = Arc::new(OnceLock::new());
         let slot = Arc::clone(&result);
-        let bd2val = self.opts.bd2val;
         bodies.push(Box::new(move |_s: &mut SessionScratch| {
             restore(&mut tiled);
             // Identical to ge2bnd + the sequential BND2BD / BD2VAL
-            // stages of ge2val — same arithmetic, same sort.
+            // stages of ge2val — same arithmetic.
             let bw = nb.min(n.saturating_sub(1)).max(1);
             let mut band = BandMatrix::from_tiled(&tiled, bw);
             let bidiag = band.reduce_to_bidiagonal();
-            let mut sv = singular_values_with(&bidiag.diag, &bidiag.superdiag, &bd2val);
-            // total_cmp: identical order on finite spectra, no panic on
-            // an injected-NaN one (which wait() then reports as a
-            // SolverFailure instead of a dead job).
-            sv.sort_by(|x, y| y.total_cmp(x));
+            let sv = dqds_singular_values(&bidiag.diag, &bidiag.superdiag);
             slot.set(sv).expect("sink ran twice");
         }));
         self.enqueue(graph, bodies, block, result)

@@ -46,10 +46,9 @@ pub struct GenConfig {
     /// Reduction tree used inside every QR/LQ step.
     pub tree: NamedTree,
     /// Process grid (use [`BlockCyclic::single_node`] for shared memory).
-    pub dist: BlockCyclic,
-    /// High-level (inter-node) tree; `None` selects the DPLASMA default
+    /// On more than one process the inter-node tree is the DPLASMA default
     /// (flat for tall panels, Fibonacci otherwise).
-    pub high: Option<HighLevelTree>,
+    pub dist: BlockCyclic,
 }
 
 impl GenConfig {
@@ -58,17 +57,12 @@ impl GenConfig {
         Self {
             tree,
             dist: BlockCyclic::single_node(),
-            high: None,
         }
     }
 
     /// Distributed configuration with the given tree and process grid.
     pub fn distributed(tree: NamedTree, dist: BlockCyclic) -> Self {
-        Self {
-            tree,
-            dist,
-            high: None,
-        }
+        Self { tree, dist }
     }
 
     fn schedule_for(
@@ -82,9 +76,7 @@ impl GenConfig {
         if self.dist.proc_rows <= 1 {
             panel_schedule(indices, &local)
         } else {
-            let high = self
-                .high
-                .unwrap_or_else(|| HighLevelTree::dplasma_default(p, q));
+            let high = HighLevelTree::dplasma_default(p, q);
             hierarchical_schedule(indices, &self.dist, &HierConfig { local, high })
         }
     }
@@ -103,9 +95,7 @@ impl GenConfig {
             panel_schedule(indices, &local)
         } else {
             let col_dist = BlockCyclic::new(self.dist.proc_cols, self.dist.proc_rows);
-            let high = self
-                .high
-                .unwrap_or_else(|| HighLevelTree::dplasma_default(q, p));
+            let high = HighLevelTree::dplasma_default(q, p);
             hierarchical_schedule(indices, &col_dist, &HierConfig { local, high })
         }
     }

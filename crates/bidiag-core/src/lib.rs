@@ -11,7 +11,7 @@
 //! * [`exec`] — sequential and multi-threaded execution plus task-graph
 //!   construction,
 //! * [`cp`] — critical-path formulas (Section IV) and DAG measurements,
-//! * [`flops`] — operation counts and the Chan/Elemental crossover rules,
+//! * [`flops`] — operation counts and Chan's BIDIAG/R-BIDIAG rule,
 //! * [`pipeline`] — user-facing `GE2BND` and `GE2VAL` entry points,
 //! * [`batch`] — the persistent batched runtime service ([`SvdSession`]):
 //!   one long-lived work-stealing pool serving a stream of independent
@@ -57,6 +57,3 @@ pub use pipeline::{
     ge2bnd, ge2val, try_ge2bnd, try_ge2val, AlgorithmChoice, Ge2BndResult, Ge2Options,
     Ge2ValResult, DIRECT_CROSSOVER,
 };
-// The BD2VAL solver options the pipeline threads through, re-exported so
-// downstream callers need not depend on `bidiag-svd` directly.
-pub use bidiag_svd::{Bd2ValOptions, SvdSolver};

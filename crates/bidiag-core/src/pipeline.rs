@@ -7,26 +7,27 @@
 //! * [`Ge2Options`] — tile size, reduction tree, algorithm selection and
 //!   threading knobs.
 //!
-//! With `threads > 1` every stage runs on the work-stealing task runtime of
-//! `bidiag-runtime`: GE2BND as the tile-kernel DAG, BND2BD as a single
-//! task running the sequential Householder bulge chase (the paper delegates
-//! this stage to PLASMA's bulge-chasing kernel; this one does not scale
-//! with threads), and BD2VAL as a single task running the `bidiag-svd`
-//! solver [`Bd2ValOptions`] selects — dqds, or the bisection oracle.  The
-//! thread count never changes the numerical result — the task graph
-//! encodes every data conflict of the sequential order, so any schedule
-//! executes the same arithmetic (see the `bidiag-runtime` crate docs).
+//! BD2VAL is dqds (`bidiag-svd`) on every path.  With `threads > 1` every
+//! stage runs on the work-stealing task runtime of `bidiag-runtime`:
+//! GE2BND as the tile-kernel DAG, BND2BD as a single task running the
+//! sequential Householder bulge chase (the paper delegates this stage to
+//! PLASMA's bulge-chasing kernel; this one does not scale with threads),
+//! and BD2VAL as a single task running dqds.  The thread count never
+//! changes the numerical result — the task graph encodes every data
+//! conflict of the sequential order, so any schedule executes the same
+//! arithmetic (see the `bidiag-runtime` crate docs).  Below the small-size
+//! crossover, [`ge2val`] runs the session's direct path on a gang of one.
 
+use crate::batch::DirectScratch;
 use crate::drivers::{ge2bnd_ops, Algorithm, GenConfig};
 use crate::error::{validate_finite, SvdError};
 use crate::exec::{bd2val_on_runtime, bnd2bd_on_runtime, execute_parallel, execute_sequential};
 use crate::flops;
 use crate::ops::ops_flops;
 use bidiag_kernels::band::BandMatrix;
-use bidiag_kernels::gebd2::gebd2;
 use bidiag_matrix::{Matrix, TiledMatrix};
 use bidiag_obs as obs;
-use bidiag_svd::{singular_values_with, Bd2ValOptions, SvdSolver};
+use bidiag_svd::{dqds_singular_values, Bd2ValOptions};
 use bidiag_trees::NamedTree;
 
 /// Default small-size crossover of the *batched* drivers (`SvdSession`,
@@ -58,9 +59,9 @@ use bidiag_trees::NamedTree;
 /// pool worker — so whether the constant should rather go *up* is for a
 /// session-level reading on both sides of it, which is still owed: the
 /// benchmark has no workload between 33 and 128 yet (`batch_mid`, ROADMAP
-/// item 2).  Plain [`ge2val`] keeps the crossover *disabled* by default
-/// (`direct_crossover = 0`) so existing callers exercise the blocked
-/// pipeline at every size; opt in with
+/// items 3 and 6).  Plain [`ge2val`] keeps the crossover *disabled* by
+/// default (`direct_crossover = 0`) so existing callers exercise the
+/// blocked pipeline at every size; opt in with
 /// [`Ge2Options::with_direct_crossover`].
 pub const DIRECT_CROSSOVER: usize = 64;
 
@@ -86,12 +87,13 @@ pub struct Ge2Options {
     pub algorithm: AlgorithmChoice,
     /// Number of worker threads (1 runs the reference sequential path).
     pub threads: usize,
-    /// BD2VAL stage options: singular-value solver choice (defaults to
-    /// dqds).
+    /// Carries nothing: BD2VAL is dqds on every path.  Kept only because
+    /// the benchmark's call sites still pass it to
+    /// [`bd2val_on_runtime`] and `singular_values_with`.
     pub bd2val: Bd2ValOptions,
     /// Small-size crossover: when `max(m, n) <= direct_crossover`,
     /// [`ge2val`] skips the tiled pipeline entirely and runs the one-stage
-    /// `gebd2` + BD2VAL direct path (`0` disables, the default here; the
+    /// `gebd2` + dqds direct path (`0` disables, the default here; the
     /// batched session enables [`DIRECT_CROSSOVER`]).
     pub direct_crossover: usize,
 }
@@ -99,7 +101,7 @@ pub struct Ge2Options {
 impl Ge2Options {
     /// Defaults for tile size `nb`: the paper's AUTO tree sized for one
     /// core (`NamedTree::Auto { gamma: 2.0, ncores: 1 }`), automatic
-    /// algorithm selection (Chan's rule), sequential execution, dqds, no
+    /// algorithm selection (Chan's rule), sequential execution, no
     /// direct-path crossover.
     ///
     /// The AUTO rule (Section V) grows the FLATTS domains of a panel while
@@ -130,7 +132,7 @@ impl Ge2Options {
             },
             algorithm: AlgorithmChoice::Auto,
             threads: 1,
-            bd2val: Bd2ValOptions::default(),
+            bd2val: Bd2ValOptions,
             direct_crossover: 0,
         }
     }
@@ -150,12 +152,6 @@ impl Ge2Options {
     /// Builder-style: set the number of worker threads.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Builder-style: select the BD2VAL singular-value solver.
-    pub fn with_svd_solver(mut self, solver: SvdSolver) -> Self {
-        self.bd2val.solver = solver;
         self
     }
 
@@ -197,12 +193,12 @@ pub struct Ge2BndResult {
     pub kernel_flops: f64,
 }
 
-/// Reduce a dense `m x n` matrix (`m >= n`) to band bidiagonal form using
-/// the tiled BIDIAG or R-BIDIAG algorithm.
+/// Reduce a dense `m x n` matrix (`m >= n >= 1`) to band bidiagonal form
+/// using the tiled BIDIAG or R-BIDIAG algorithm.
 pub fn ge2bnd(a: &Matrix, opts: &Ge2Options) -> Ge2BndResult {
     assert!(
-        a.rows() >= a.cols(),
-        "ge2bnd expects m >= n; transpose the input otherwise"
+        a.rows() >= a.cols() && a.cols() > 0,
+        "ge2bnd expects m >= n >= 1; transpose a wide input"
     );
     let algorithm = opts.resolve_algorithm(a.rows(), a.cols());
     if obs::enabled() {
@@ -244,7 +240,8 @@ pub struct Ge2ValResult {
 /// pipeline `GE2BND -> BND2BD -> BD2VAL`.
 ///
 /// Wide matrices (`m < n`) are handled by transposing the input (the
-/// singular values are unchanged).  With `threads > 1` all three stages
+/// singular values are unchanged); an empty one (`min(m, n) == 0`) has an
+/// empty spectrum and runs no stage.  With `threads > 1` all three stages
 /// are scheduled on the work-stealing task runtime; the result is
 /// identical to the sequential path for every thread count.
 ///
@@ -269,21 +266,19 @@ pub struct Ge2ValResult {
 /// }
 /// ```
 pub fn ge2val(a: &Matrix, opts: &Ge2Options) -> Ge2ValResult {
-    if opts.takes_direct_path(a.rows(), a.cols()) {
-        // Small-size crossover: Golub–Kahan bidiagonalization straight to
-        // BD2VAL — no tiling, no T-factors, no band stage.  One copy of the
-        // input, transposed when it is wide, is the work matrix.
-        let mut w = if a.rows() >= a.cols() {
-            a.clone()
-        } else {
-            a.transpose()
+    let (m, n) = (a.rows(), a.cols());
+    if m.min(n) == 0 {
+        return Ge2ValResult {
+            singular_values: Vec::new(),
+            ge2bnd: None,
         };
-        let bidiag = gebd2(&mut w);
-        let mut sv = singular_values_with(&bidiag.diag, &bidiag.superdiag, &opts.bd2val);
-        // `total_cmp` orders exactly like `partial_cmp` on the solver's
-        // non-negative output and cannot panic if poisoned NaNs slip
-        // through (they sort last and stay visible).
-        sv.sort_by(|a, b| b.total_cmp(a));
+    }
+    if opts.takes_direct_path(m, n) {
+        // Small-size crossover: the session's direct path on a gang of one
+        // — Golub–Kahan bidiagonalization straight to dqds, no tiling, no
+        // T-factors, no band stage — in an arena sized for this problem.
+        let mut sv = Vec::new();
+        DirectScratch::for_gang(m.max(n), 1).spectra(std::iter::once((a, &mut sv)));
         return Ge2ValResult {
             singular_values: sv,
             ge2bnd: None,
@@ -329,31 +324,28 @@ pub fn ge2val(a: &Matrix, opts: &Ge2Options) -> Ge2ValResult {
         band.reduce_to_bidiagonal()
     };
     stage_span(1, obs::KIND_STAGE_BND2BD, t1);
-    // BD2VAL: the solver picked in the options — dqds by default, or the
-    // per-value bisection oracle.
+    // BD2VAL: dqds, whose output is already in non-increasing order.
     let t2 = if run_id != 0 { obs::now_ns() } else { 0 };
-    let mut sv = if opts.threads > 1 {
+    let sv = if opts.threads > 1 {
         bd2val_on_runtime(&bidiag.diag, &bidiag.superdiag, opts.threads, &opts.bd2val)
     } else {
-        singular_values_with(&bidiag.diag, &bidiag.superdiag, &opts.bd2val)
+        dqds_singular_values(&bidiag.diag, &bidiag.superdiag)
     };
     stage_span(2, obs::KIND_STAGE_BD2VAL, t2);
-    // See the direct path above: total order, no NaN panic path.
-    sv.sort_by(|a, b| b.total_cmp(a));
     Ge2ValResult {
         singular_values: sv,
         ge2bnd: Some(stage1),
     }
 }
 
-/// Fallible twin of [`ge2bnd`]: rejects wide inputs with
+/// Fallible twin of [`ge2bnd`]: rejects wide and empty inputs with
 /// [`SvdError::DimensionMismatch`] and non-finite entries with
 /// [`SvdError::NonFiniteInput`] instead of asserting or producing NaN
 /// garbage.  On `Ok`, the result is exactly what [`ge2bnd`] returns.
 pub fn try_ge2bnd(a: &Matrix, opts: &Ge2Options) -> Result<Ge2BndResult, SvdError> {
-    if a.rows() < a.cols() {
+    if a.rows() < a.cols() || a.cols() == 0 {
         return Err(SvdError::DimensionMismatch {
-            context: "ge2bnd requires m >= n; transpose the input",
+            context: "ge2bnd requires m >= n >= 1; transpose a wide input",
             rows: a.rows(),
             cols: a.cols(),
         });
@@ -442,6 +434,19 @@ mod tests {
         let (a, sigma) = latms(6, 18, &spectrum(6), 21);
         let r = ge2val(&a, &Ge2Options::new(4));
         assert!(singular_values_match(&r.singular_values, &sigma, 1e-10));
+        // Empty shapes, wide or not: what the session returns, no stage run.
+        let session = crate::batch::SvdSession::new(1);
+        for (m, n) in [(5, 0), (0, 3), (0, 0)] {
+            let a = Matrix::zeros(m, n);
+            let r = try_ge2val(&a, &Ge2Options::new(4)).unwrap();
+            assert!(r.ge2bnd.is_none(), "{m}x{n}");
+            let sv = session.submit(&a).unwrap().wait().unwrap();
+            assert_eq!(r.singular_values, sv, "{m}x{n}");
+            assert!(matches!(
+                try_ge2bnd(&a, &Ge2Options::new(4)),
+                Err(SvdError::DimensionMismatch { .. })
+            ));
+        }
     }
 
     #[test]
@@ -459,11 +464,8 @@ mod tests {
                 .with_threads(4)
                 .with_tree(NamedTree::Greedy),
         );
-        assert!(singular_values_match(
-            &seq.singular_values,
-            &par.singular_values,
-            1e-13
-        ));
+        // Same arithmetic in any schedule: bitwise identical values.
+        assert_eq!(seq.singular_values, par.singular_values);
         assert!(singular_values_match(&seq.singular_values, &sigma, 1e-10));
     }
 
@@ -488,25 +490,6 @@ mod tests {
             assert!(
                 singular_values_match(&r.singular_values, &sigma, 1e-10),
                 "tree {tree:?} changed the singular values"
-            );
-        }
-    }
-
-    #[test]
-    fn every_svd_solver_recovers_the_spectrum_at_every_thread_count() {
-        let (a, sigma) = latms(26, 17, &SpectrumKind::Geometric { cond: 1e6 }, 19);
-        for solver in [SvdSolver::Dqds, SvdSolver::Bisection] {
-            let opts = |t: usize| Ge2Options::new(4).with_svd_solver(solver).with_threads(t);
-            let seq = ge2val(&a, &opts(1));
-            let par = ge2val(&a, &opts(4));
-            // Same solver => bitwise identical values at every thread count.
-            assert_eq!(
-                seq.singular_values, par.singular_values,
-                "{solver:?} diverged across thread counts"
-            );
-            assert!(
-                singular_values_match(&seq.singular_values, &sigma, 1e-10),
-                "{solver:?} missed the spectrum"
             );
         }
     }

@@ -403,7 +403,7 @@ pub fn bnd2bd_flops(n: usize, bw: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::svd::singular_values;
+    use crate::svd::bisection_singular_values;
     use bidiag_matrix::checks::singular_values_match;
     use bidiag_matrix::gen::random_gaussian;
     use bidiag_oracles::{givens, jacobi_singular_values};
@@ -554,12 +554,14 @@ mod tests {
         for (n, bw) in SHAPES {
             let b = random_band(n, bw, (n * 31 + bw) as u64);
             let reference = jacobi_singular_values(&b.to_dense());
-            let reduced = singular_values(&b.clone().reduce_to_bidiagonal());
+            let singular_values =
+                |bd: Bidiagonal| bisection_singular_values(&bd.diag, &bd.superdiag);
+            let reduced = singular_values(b.clone().reduce_to_bidiagonal());
             assert!(
                 singular_values_match(&reference, &reduced, 1e-13),
                 "reflector chase vs dense Jacobi for n={n} bw={bw}"
             );
-            let givens = singular_values(&b.clone().reduce_to_bidiagonal_single_bulge());
+            let givens = singular_values(b.clone().reduce_to_bidiagonal_single_bulge());
             assert!(
                 singular_values_match(&givens, &reduced, 1e-13),
                 "reflector chase vs Givens oracle for n={n} bw={bw}"

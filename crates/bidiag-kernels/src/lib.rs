@@ -18,8 +18,8 @@
 //!   direct path of every problem of order at most `DIRECT_CROSSOVER`,
 //! * [`band`] — packed band storage and the Householder bulge-chasing
 //!   band-to-bidiagonal reduction (the BND2BD stage),
-//! * [`svd`] — the BD2VAL stage: the `bidiag-svd` solver subsystem (dqds
-//!   production path, bisection oracle) re-exported at the kernel level,
+//! * [`svd`] — the BD2VAL stage: the `bidiag-svd` solver (dqds) and its
+//!   bisection reference re-exported at the kernel level,
 //! * [`cost`] — the Table I kernel cost model driving critical paths and the
 //!   machine simulations.
 //!

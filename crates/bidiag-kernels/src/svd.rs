@@ -1,42 +1,12 @@
 //! Singular values of a bidiagonal matrix (`BD2VAL`).
 //!
-//! The solvers themselves live in the dedicated [`bidiag_svd`] subsystem
-//! crate — the dqds production path and the per-value bisection oracle
-//! behind one [`bidiag_svd::Bd2ValOptions`] switch; this module
-//! re-exports them and keeps the historical
-//! kernel-level entry points:
-//!
-//! * [`bidiagonal_singular_values`] — the *bisection oracle* (unchanged
-//!   numerics contract: maximally robust, one independent bracket per
-//!   value), the reference of every property test,
-//! * [`singular_values`] — the same oracle over a [`Bidiagonal`] factor.
-//!
-//! Production callers pick their algorithm through
-//! [`bidiag_svd::singular_values_with`] (the GE2VAL pipeline defaults to
-//! dqds); see the `bidiag-svd` crate docs for the two algorithms.
+//! The solver lives in the dedicated [`bidiag_svd`] subsystem crate; this
+//! module re-exports it at the kernel level: [`dqds_singular_values`], the
+//! one production solver, and [`bisection_singular_values`], the slow
+//! per-value reference every property test compares against (maximally
+//! robust, one independent bracket per value).
 
-use crate::gebd2::Bidiagonal;
-
-pub use bidiag_svd::{
-    bisection_singular_values, dqds_singular_values, singular_values_with, Bd2ValOptions,
-    GkBisection, GkSturm, SvdSolver,
-};
-
-/// Singular values of the bidiagonal matrix with main diagonal `d` and
-/// superdiagonal `e`, returned in non-increasing order.
-///
-/// Runs the per-value bisection oracle to relative accuracy (see
-/// [`GkBisection`]); this is the reference-numerics path — the pipeline's
-/// production solver is selected via [`Bd2ValOptions`] instead.
-pub fn bidiagonal_singular_values(d: &[f64], e: &[f64]) -> Vec<f64> {
-    bisection_singular_values(d, e)
-}
-
-/// Convenience wrapper over [`bidiagonal_singular_values`] for a
-/// [`Bidiagonal`] factor.
-pub fn singular_values(b: &Bidiagonal) -> Vec<f64> {
-    bidiagonal_singular_values(&b.diag, &b.superdiag)
-}
+pub use bidiag_svd::{bisection_singular_values, dqds_singular_values};
 
 #[cfg(test)]
 mod tests {
@@ -51,7 +21,7 @@ mod tests {
     fn diagonal_matrix_singular_values() {
         let d = vec![3.0, -1.0, 2.0];
         let e = vec![0.0, 0.0];
-        let s = bidiagonal_singular_values(&d, &e);
+        let s = bisection_singular_values(&d, &e);
         assert!(singular_values_match(&s, &[3.0, 2.0, 1.0], 1e-14));
     }
 
@@ -59,7 +29,7 @@ mod tests {
     fn two_by_two_known_values() {
         // B = [[1, 1], [0, 1]]: singular values are golden-ratio related:
         // sigma = sqrt((3 +- sqrt(5)) / 2).
-        let s = bidiagonal_singular_values(&[1.0, 1.0], &[1.0]);
+        let s = bisection_singular_values(&[1.0, 1.0], &[1.0]);
         let expected = [
             ((3.0 + 5.0_f64.sqrt()) / 2.0).sqrt(),
             ((3.0 - 5.0_f64.sqrt()) / 2.0).sqrt(),
@@ -80,7 +50,7 @@ mod tests {
                     b[(i, i + 1)] = e[i];
                 }
             }
-            let s_bis = bidiagonal_singular_values(&d, &e);
+            let s_bis = bisection_singular_values(&d, &e);
             let s_jac = jacobi_singular_values(&b);
             assert!(singular_values_match(&s_bis, &s_jac, 1e-11), "n = {n}");
         }
@@ -92,14 +62,14 @@ mod tests {
         let (a, sigma) = latms(20, 8, &SpectrumKind::Explicit(spectrum), 123);
         let mut w = a.clone();
         let bd = gebd2(&mut w);
-        let s = singular_values(&bd);
+        let s = bisection_singular_values(&bd.diag, &bd.superdiag);
         assert!(singular_values_match(&s, &sigma, 1e-12));
     }
 
     #[test]
     fn zero_matrix_and_empty_edge_cases() {
-        assert!(bidiagonal_singular_values(&[], &[]).is_empty());
-        let s = bidiagonal_singular_values(&[0.0, 0.0], &[0.0]);
+        assert!(bisection_singular_values(&[], &[]).is_empty());
+        let s = bisection_singular_values(&[0.0, 0.0], &[0.0]);
         assert!(singular_values_match(&s, &[0.0, 0.0], 1e-14));
     }
 
@@ -107,7 +77,7 @@ mod tests {
     fn tiny_singular_values_resolved() {
         let d = vec![1.0, 1e-8, 1.0];
         let e = vec![0.0, 0.0];
-        let s = bidiagonal_singular_values(&d, &e);
+        let s = bisection_singular_values(&d, &e);
         assert!((s[2] - 1e-8).abs() < 1e-15, "tiny value lost: {}", s[2]);
     }
 
@@ -116,8 +86,8 @@ mod tests {
         let (a, sigma) = latms(24, 12, &SpectrumKind::Geometric { cond: 1.0e6 }, 9);
         let mut w = a.clone();
         let bd = gebd2(&mut w);
-        let oracle = singular_values(&bd);
-        let s = singular_values_with(&bd.diag, &bd.superdiag, &Bd2ValOptions::default());
+        let oracle = bisection_singular_values(&bd.diag, &bd.superdiag);
+        let s = dqds_singular_values(&bd.diag, &bd.superdiag);
         assert!(singular_values_match(&s, &oracle, 1e-13));
         assert!(singular_values_match(&s, &sigma, 1e-12));
     }

@@ -27,7 +27,7 @@
 use bidiag_kernels::band::BandMatrix;
 use bidiag_kernels::lq::{gelqt, tslqt, tsmlq, ttlqt, ttmlq, unmlq};
 use bidiag_kernels::qr::{geqrt, tsmqr, tsqrt, ttmqr, ttqrt, unmqr};
-use bidiag_kernels::svd::bidiagonal_singular_values;
+use bidiag_kernels::svd::bisection_singular_values;
 use bidiag_kernels::{Trans, Workspace};
 use bidiag_matrix::checks::{lower_triangle_of, relative_error, upper_triangle_of};
 use bidiag_matrix::gen::random_gaussian;
@@ -225,7 +225,7 @@ fn bnd2bd_spectra_agree_across_backends() {
         let results = simd::on_each_backend(|| {
             let mut band = band0.clone();
             let bd = band.reduce_to_bidiagonal();
-            bidiagonal_singular_values(&bd.diag, &bd.superdiag)
+            bisection_singular_values(&bd.diag, &bd.superdiag)
         });
         let (_, s) = &results[0];
         for (be, v) in &results[1..] {

@@ -4,17 +4,17 @@
 //! them: the tile kernels of `bidiag-kernels` read their operands in place
 //! through the fused chunk kernels of `bidiag_kernels::wy`, and `latms`
 //! forms its products with [`Matrix::matmul_nt`](crate::Matrix::matmul_nt).
-//! `ge2val-bench` times them as a layer of their own.  All three variants
-//! compute `C += alpha * op(A) * op(B)` in place:
+//! `ge2val-bench` times them as a layer of their own.  Both variants
+//! compute `C += alpha * op(A) * op(B)` in place, with a caller-provided
+//! [`GemmScratch`]:
 //!
-//! * [`gemm_nn`] — `C += alpha * A * B`,
-//! * [`gemm_tn`] — `C += alpha * A^T * B` (no transpose is formed),
-//! * [`gemm_nt`] — `C += alpha * A * B^T` (no transpose is formed).
+//! * [`gemm_nn_scratch`] — `C += alpha * A * B`,
+//! * [`gemm_tn_scratch`] — `C += alpha * A^T * B` (no transpose is formed).
 //!
 //! There is one path, the classic BLIS/GotoBLAS three-level blocked
 //! algorithm: `KC x NC` panels of `op(B)` and `MC x KC` panels of `op(A)` are
 //! packed into contiguous, microkernel-ordered buffers (reused across calls
-//! via [`GemmScratch`]), and the `MR x NR` register microkernel from
+//! through the scratch), and the `MR x NR` register microkernel from
 //! [`crate::simd`] (broadcast-FMA on the vector backends, rank-1 scalar
 //! fallback; backend fetched once per call) runs over the packed panels.
 //! Packing makes every microkernel read stride-1 regardless of the transpose
@@ -52,28 +52,8 @@ impl GemmScratch {
     }
 }
 
-/// `C += alpha * A * B` with `A: m x k`, `B: k x n`, `C: m x n`.
-///
-/// Uses a scratch of its own; callers with a long-lived [`GemmScratch`]
-/// should prefer [`gemm_nn_scratch`].
-pub fn gemm_nn(c: &mut MatrixViewMut<'_>, alpha: f64, a: MatrixView<'_>, b: MatrixView<'_>) {
-    gemm_nn_scratch(c, alpha, a, b, &mut GemmScratch::new());
-}
-
-/// `C += alpha * A^T * B` with `A: m x p`, `B: m x n`, `C: p x n`.
-/// See [`gemm_nn`].
-pub fn gemm_tn(c: &mut MatrixViewMut<'_>, alpha: f64, a: MatrixView<'_>, b: MatrixView<'_>) {
-    gemm_tn_scratch(c, alpha, a, b, &mut GemmScratch::new());
-}
-
-/// `C += alpha * A * B^T` with `A: m x k`, `B: n x k`, `C: m x n`.
-/// See [`gemm_nn`].
-pub fn gemm_nt(c: &mut MatrixViewMut<'_>, alpha: f64, a: MatrixView<'_>, b: MatrixView<'_>) {
-    gemm_nt_scratch(c, alpha, a, b, &mut GemmScratch::new());
-}
-
-/// [`gemm_nn`] with a caller-provided pack scratch (allocation-free in
-/// steady state).
+/// `C += alpha * A * B` with `A: m x k`, `B: k x n`, `C: m x n`, packing
+/// into `scratch` (allocation-free in steady state).
 pub fn gemm_nn_scratch(
     c: &mut MatrixViewMut<'_>,
     alpha: f64,
@@ -112,7 +92,8 @@ pub fn gemm_nn_scratch(
     );
 }
 
-/// [`gemm_tn`] with a caller-provided pack scratch.
+/// `C += alpha * A^T * B` with `A: m x p`, `B: m x n`, `C: p x n`.  See
+/// [`gemm_nn_scratch`].
 pub fn gemm_tn_scratch(
     c: &mut MatrixViewMut<'_>,
     alpha: f64,
@@ -148,42 +129,6 @@ pub fn gemm_tn_scratch(
                 for (l, &x) in col.iter().enumerate() {
                     out[l * stride] = x;
                 }
-            })
-        },
-    );
-}
-
-/// [`gemm_nt`] with a caller-provided pack scratch.
-pub fn gemm_nt_scratch(
-    c: &mut MatrixViewMut<'_>,
-    alpha: f64,
-    a: MatrixView<'_>,
-    b: MatrixView<'_>,
-    scratch: &mut GemmScratch,
-) {
-    let (m, n, k) = (c.rows(), c.cols(), a.cols());
-    assert_eq!(a.rows(), m, "gemm_nt: A rows mismatch");
-    assert_eq!(b.rows(), n, "gemm_nt: B rows mismatch");
-    assert_eq!(b.cols(), k, "gemm_nt: B cols mismatch");
-    if m == 0 || n == 0 || k == 0 || alpha == 0.0 {
-        return;
-    }
-    packed_loop(
-        c,
-        alpha,
-        k,
-        scratch,
-        |dst, ic, pc, mc, kc| {
-            pack_a_panels(dst, mc, kc, |i0, mr, l, out| {
-                let col = &a.col(pc + l)[ic + i0..ic + i0 + mr];
-                out[..mr].copy_from_slice(col);
-            })
-        },
-        |dst, pc, jc, kc, nc| {
-            // op(B)[l, j] = B[jc + j, pc + l]: B columns are contiguous in j.
-            pack_b_rows(dst, kc, nc, |l, j0, nr, out| {
-                let col = &b.col(pc + l)[jc + j0..jc + j0 + nr];
-                out[..nr].copy_from_slice(col);
             })
         },
     );
@@ -239,7 +184,7 @@ fn pack_a_cols(
     }
 }
 
-/// Pack `op(B)` (a `kc x nc` block) into NR-column panels where `op(B)` is
+/// Pack `op(B)` (a `kc x nc` block) into NR-column panels, `op(B)` being
 /// contiguous along the depth axis: `fill(j, kc, NR, out)` scatters column
 /// `j`'s `kc` depths with stride `NR`.
 fn pack_b_panels(
@@ -266,34 +211,12 @@ fn pack_b_panels(
     }
 }
 
-/// Pack `op(B)` one depth at a time where `op(B)` is contiguous along the
-/// column axis (the `B^T` variant): `fill(l, j0, nr, out)` writes the `nr`
-/// valid columns of depth `l`.
-fn pack_b_rows(
-    dst: &mut [f64],
-    kc: usize,
-    nc: usize,
-    mut fill: impl FnMut(usize, usize, usize, &mut [f64]),
-) {
-    let npanels = nc.div_ceil(NR);
-    for pj in 0..npanels {
-        let j0 = pj * NR;
-        let nr = NR.min(nc - j0);
-        let base = pj * NR * kc;
-        for l in 0..kc {
-            let out = &mut dst[base + l * NR..base + (l + 1) * NR];
-            fill(l, j0, nr, out);
-            out[nr..].fill(0.0);
-        }
-    }
-}
-
-/// The three-level loop nest shared by the three variants: NC columns of
+/// The three-level loop nest shared by the two variants: NC columns of
 /// packed `op(B)`, KC depths, MC rows of packed `op(A)`, then the
 /// `MR x NR` macro-kernel sweep.  The two closures pack one cache block of
 /// `op(A)` / `op(B)` into the scratch buffers (`(dst, ic, pc, mc, kc)` and
 /// `(dst, pc, jc, kc, nc)` respectively) — they are the only part that
-/// differs between the transpose variants.
+/// differs between the variants.
 fn packed_loop(
     c: &mut MatrixViewMut<'_>,
     alpha: f64,
@@ -406,7 +329,13 @@ mod tests {
             e.axpy(1.5, &a.matmul(&b));
             e
         };
-        gemm_nn(&mut c.as_view_mut(), 1.5, a.as_view(), b.as_view());
+        gemm_nn_scratch(
+            &mut c.as_view_mut(),
+            1.5,
+            a.as_view(),
+            b.as_view(),
+            &mut GemmScratch::new(),
+        );
         assert!(close(&c, &expect));
     }
 
@@ -420,21 +349,13 @@ mod tests {
             e.axpy(-0.5, &a.matmul_tn(&b));
             e
         };
-        gemm_tn(&mut c.as_view_mut(), -0.5, a.as_view(), b.as_view());
-        assert!(close(&c, &expect));
-    }
-
-    #[test]
-    fn gemm_nt_matches_matmul() {
-        let a = random_gaussian(6, 8, 7);
-        let b = random_gaussian(5, 8, 8);
-        let mut c = random_gaussian(6, 5, 9);
-        let expect = {
-            let mut e = c.clone();
-            e.axpy(2.0, &a.matmul_nt(&b));
-            e
-        };
-        gemm_nt(&mut c.as_view_mut(), 2.0, a.as_view(), b.as_view());
+        gemm_tn_scratch(
+            &mut c.as_view_mut(),
+            -0.5,
+            a.as_view(),
+            b.as_view(),
+            &mut GemmScratch::new(),
+        );
         assert!(close(&c, &expect));
     }
 
@@ -449,7 +370,7 @@ mod tests {
         {
             let mut cv = c.as_view_mut();
             let mut cw = cv.submatrix_mut(2, 2, 3, 3);
-            gemm_nn(&mut cw, 1.0, av, bv);
+            gemm_nn_scratch(&mut cw, 1.0, av, bv, &mut GemmScratch::new());
         }
         let expect = a.block(1, 2, 3, 3).matmul(&b.block(4, 0, 3, 3));
         assert!(close(&c.block(2, 2, 3, 3), &expect));
@@ -466,7 +387,13 @@ mod tests {
             let a = random_gaussian(5, k, 20 + k as u64);
             let b = random_gaussian(k, 5, 30 + k as u64);
             let mut c = Matrix::zeros(5, 5);
-            gemm_nn(&mut c.as_view_mut(), 1.0, a.as_view(), b.as_view());
+            gemm_nn_scratch(
+                &mut c.as_view_mut(),
+                1.0,
+                a.as_view(),
+                b.as_view(),
+                &mut GemmScratch::new(),
+            );
             assert!(close(&c, &a.matmul(&b)), "k = {k}");
         }
     }
@@ -513,17 +440,6 @@ mod tests {
                 &mut scratch,
             );
             assert!(close(&c, &want(-0.75, a.matmul(&b))), "tn {m}x{n}x{k}");
-
-            let bt = b.transpose();
-            let mut c = c0.clone();
-            gemm_nt_scratch(
-                &mut c.as_view_mut(),
-                2.0,
-                a.as_view(),
-                bt.as_view(),
-                &mut scratch,
-            );
-            assert!(close(&c, &want(2.0, a.matmul(&b))), "nt {m}x{n}x{k}");
         }
     }
 }

@@ -9,7 +9,7 @@
 //!   views (offset + leading dimension) that the blocked kernels address
 //!   tiles and workspace panels through without copying,
 //! * [`gemm`] — packed, cache-blocked `C += alpha * op(A) * op(B)` kernels
-//!   (`NN`/`TN`/`NT`): one BLIS-style three-level blocked path over an
+//!   (`NN`/`TN`): one BLIS-style three-level blocked path over an
 //!   `MR x NR` register microkernel, at every size,
 //! * [`tiled::TiledMatrix`] — the `p x q` grid of `nb x nb` tiles on which the
 //!   tiled algorithms operate,
@@ -34,7 +34,6 @@ pub mod view;
 
 pub use dense::Matrix;
 pub use dist::BlockCyclic;
-pub use gemm::{gemm_nn, gemm_nt, gemm_tn, GemmScratch};
 pub use simd::{backend as simd_backend, SimdBackend};
 pub use tiled::{TileCoord, TiledMatrix};
 pub use view::{MatrixView, MatrixViewMut};

@@ -160,7 +160,7 @@ pub const KERNEL_KIND_NAMES: [&str; 13] = [
 
 /// The BND2BD bulge-chasing task.
 pub const KIND_BND2BD: u32 = 16;
-/// The BD2VAL solver task (dqds or the bisection oracle).
+/// The BD2VAL solver task (dqds) of a threaded `ge2val`.
 pub const KIND_BD2VAL: u32 = 17;
 /// A gang of direct-path (small-size crossover) SVD solves inside
 /// `SvdSession`: one span per gang the pool's job lane runs.

@@ -3,25 +3,23 @@
 //! The singular-value solver subsystem of the reproduction: everything
 //! that turns a proper bidiagonal matrix (diagonal `d`, superdiagonal `e`)
 //! into its singular values — the BD2VAL stage the paper delegates to
-//! LAPACK `xBDSQR`.  One solver and one oracle live behind one option
-//! struct:
+//! LAPACK `xBDSQR`.  There is one solver, [`dqds`]: Fernando–Parlett
+//! differential quotient-difference with shifts, with LAPACK `dlasq`'s
+//! driver (Parlett & Marques, LAA 309, 2000), computing all `n` values in
+//! `O(n^2)` with high relative accuracy.  Every caller — per-call `ge2val`,
+//! the session's gangs ([`dqds_gang_into`]), the threaded BD2VAL task —
+//! runs it.
 //!
-//! * [`SvdSolver::Dqds`] — the production path: Fernando–Parlett
-//!   differential quotient-difference with shifts ([`dqds`], with LAPACK
-//!   `dlasq`'s driver), computing all `n` values in `O(n^2)` with high
-//!   relative accuracy; falls back to bisection per window if the qd
-//!   iteration ever fails to converge.
-//! * [`SvdSolver::Bisection`] — the oracle/fallback: plain per-value
-//!   bisection ([`sturm::GkBisection`]), maximally robust and the
-//!   reference dqds is property-tested against.
+//! Per-value bisection ([`sturm::GkBisection`]) stays for two jobs, neither
+//! of them selectable by a caller: it is the bottom rung of dqds' fallback
+//! ladder, and, as [`bisection_singular_values`], the slow reference every
+//! property test compares dqds against.
 //!
 //! Both work on the Golub–Kahan tridiagonal (or its squared qd form)
 //! rather than on `BᵀB`, so tiny singular values keep relative accuracy,
 //! and both prescale by an exact power of two, so every finite input is
 //! solved, subnormal or next to overflow.
-//! `bidiag-kernels` re-exports the crate as its `svd` module and
-//! `bidiag-core` threads [`Bd2ValOptions`] through the GE2VAL pipeline and
-//! the task runtime.
+//! `bidiag-kernels` re-exports dqds and the oracle in its `svd` module.
 //!
 //! Robustness: when the dqds iteration gives up on a window it hands the
 //! window to the bisection oracle; non-finite window data is surfaced as
@@ -85,47 +83,19 @@ impl Pow2Scale {
     }
 }
 
-/// Which algorithm computes the singular values of the bidiagonal.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SvdSolver {
-    /// dqds with aggressive deflation — the production path (default).
-    Dqds,
-    /// Per-value bisection — the oracle/fallback reference.
-    Bisection,
-}
-
-/// Options of the BD2VAL stage, threaded through `bidiag-core`'s pipeline
-/// and runtime back-end.
-#[derive(Clone, Copy, Debug)]
-pub struct Bd2ValOptions {
-    /// Algorithm selection.
-    pub solver: SvdSolver,
-}
-
-impl Default for Bd2ValOptions {
-    fn default() -> Self {
-        Bd2ValOptions {
-            solver: SvdSolver::Dqds,
-        }
-    }
-}
-
-impl Bd2ValOptions {
-    /// Builder-style: select the solver.
-    pub fn with_solver(mut self, solver: SvdSolver) -> Self {
-        self.solver = solver;
-        self
-    }
-}
+/// Options of the BD2VAL stage.  There is one solver, dqds, so this
+/// carries nothing; it is kept only because the benchmark's call sites
+/// (`Ge2Options::bd2val`, [`singular_values_with`], `bd2val_on_runtime`)
+/// still name it.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Bd2ValOptions;
 
 /// Singular values of the bidiagonal matrix with main diagonal `d` and
-/// superdiagonal `e` (`e.len() == d.len() - 1`), in non-increasing order,
-/// computed by the solver selected in `opts`.
-pub fn singular_values_with(d: &[f64], e: &[f64], opts: &Bd2ValOptions) -> Vec<f64> {
-    match opts.solver {
-        SvdSolver::Dqds => dqds_singular_values(d, e),
-        SvdSolver::Bisection => bisection_singular_values(d, e),
-    }
+/// superdiagonal `e` (`e.len() == d.len() - 1`), in non-increasing order:
+/// [`dqds_singular_values`].  `_opts` carries nothing and is kept only for
+/// the benchmark's call sites.
+pub fn singular_values_with(d: &[f64], e: &[f64], _opts: &Bd2ValOptions) -> Vec<f64> {
+    dqds_singular_values(d, e)
 }
 
 /// Singular values by the per-value bisection oracle, in non-increasing
@@ -144,15 +114,10 @@ mod tests {
         let d = [4.0, -3.0, 2.5, 1.0, 0.5];
         let e = [0.7, -0.3, 0.2, 0.1];
         let oracle = bisection_singular_values(&d, &e);
-        let sv = singular_values_with(&d, &e, &Bd2ValOptions::default());
+        let sv = singular_values_with(&d, &e, &Bd2ValOptions);
         assert_eq!(sv.len(), oracle.len());
         for (s, o) in sv.iter().zip(&oracle) {
             assert!((s - o).abs() <= 1e-13 * oracle[0], "{s} vs {o}");
         }
-    }
-
-    #[test]
-    fn default_options_are_the_documented_fast_path() {
-        assert_eq!(Bd2ValOptions::default().solver, SvdSolver::Dqds);
     }
 }

@@ -14,8 +14,8 @@ use bidiag_kernels::gebd2::gebd2;
 use bidiag_matrix::checks::singular_values_match;
 use bidiag_matrix::gen::{latms, random_gaussian, SpectrumKind};
 use bidiag_svd::{
-    bisection_singular_values, dqds_gang_into, dqds_singular_values_with_stats,
-    singular_values_with, Bd2ValOptions, DqdsScratch, DqdsStats,
+    bisection_singular_values, dqds_gang_into, dqds_singular_values,
+    dqds_singular_values_with_stats, DqdsScratch, DqdsStats,
 };
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
@@ -40,7 +40,7 @@ fn check_latms_spectrum(m: usize, n: usize, spectrum: &SpectrumKind, seed: u64, 
     let mut w = a.clone();
     let bd = gebd2(&mut w);
     check_against_oracle(&bd.diag, &bd.superdiag, ctx);
-    let sv = singular_values_with(&bd.diag, &bd.superdiag, &Bd2ValOptions::default());
+    let sv = dqds_singular_values(&bd.diag, &bd.superdiag);
     assert!(
         singular_values_match(&sv, &sigma, 1e-10),
         "{ctx}: prescribed spectrum not recovered"
@@ -99,12 +99,8 @@ fn zero_and_empty_edge_cases() {
     check_against_oracle(&[0.0, 0.0, 0.0], &[0.0, 0.0], "zero matrix");
     check_against_oracle(&[1.0, 0.0, 2.0, 0.0], &[0.5, 0.25, 0.125], "zero diagonals");
     check_against_oracle(&[0.0, 3.0], &[1.0], "leading zero");
-    let opts = Bd2ValOptions::default();
-    assert!(singular_values_with(&[], &[], &opts).is_empty());
-    assert_eq!(
-        singular_values_with(&[0.0, 0.0], &[0.0], &opts),
-        vec![0.0, 0.0]
-    );
+    assert!(dqds_singular_values(&[], &[]).is_empty());
+    assert_eq!(dqds_singular_values(&[0.0, 0.0], &[0.0]), vec![0.0, 0.0]);
 }
 
 #[test]

@@ -11,8 +11,8 @@
 //!
 //! * [`matrix`] — dense/tiled matrices, generators, block-cyclic maps,
 //! * [`kernels`] — Householder tile kernels, band reduction, SVD,
-//! * [`svd`] — the singular-value solver subsystem (dqds, bisection
-//!   oracle) behind the BD2VAL stage,
+//! * [`svd`] — the singular-value solver (dqds) behind the BD2VAL stage,
+//!   and the bisection oracle the tests compare it against,
 //! * [`trees`] — FLATTS/FLATTT/GREEDY/AUTO and hierarchical reduction trees,
 //! * [`runtime`] — task graphs, the work-stealing scheduler, cluster simulator,
 //! * [`core`] — BIDIAG / R-BIDIAG, critical paths, GE2BND/GE2VAL pipelines,
@@ -49,13 +49,12 @@ pub mod prelude {
     pub use bidiag_core::pipeline::{
         ge2bnd, ge2val, try_ge2bnd, try_ge2val, AlgorithmChoice, Ge2Options, DIRECT_CROSSOVER,
     };
-    pub use bidiag_kernels::svd::bidiagonal_singular_values;
     pub use bidiag_kernels::{BandMatrix, Bidiagonal, KernelKind};
     pub use bidiag_matrix::checks::{singular_value_error, singular_values_match};
     pub use bidiag_matrix::gen::{latms, random_gaussian, SpectrumKind};
     pub use bidiag_matrix::{BlockCyclic, Matrix, TiledMatrix};
     pub use bidiag_obs::{MetricsRegistry, MetricsSnapshot, ScopedObs, Span};
     pub use bidiag_runtime::{simulate, validate_trace, MachineModel, TaskGraph, TraceValidation};
-    pub use bidiag_svd::{dqds_singular_values, singular_values_with, Bd2ValOptions, SvdSolver};
+    pub use bidiag_svd::dqds_singular_values;
     pub use bidiag_trees::{HighLevelTree, NamedTree, TreeConfig};
 }

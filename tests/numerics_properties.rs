@@ -5,6 +5,7 @@ use bidiag_kernels::qr::geqrt;
 use bidiag_matrix::checks::{orthogonality_error, relative_error};
 use bidiag_oracles::{build_q, jacobi_singular_values};
 use bidiag_repro::prelude::*;
+use bidiag_repro::svd::bisection_singular_values;
 use proptest::prelude::*;
 
 fn spectrum_strategy(k: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -71,7 +72,7 @@ proptest! {
         let reference = jacobi_singular_values(&band.to_dense());
         let mut work = band.clone();
         let bd = work.reduce_to_bidiagonal();
-        let reduced = bidiagonal_singular_values(&bd.diag, &bd.superdiag);
+        let reduced = bisection_singular_values(&bd.diag, &bd.superdiag);
         prop_assert!(singular_values_match(&reference, &reduced, 1e-9));
     }
 
