@@ -291,17 +291,17 @@ impl StageTimes {
 
 /// Measure the wall-time split of the sequential GE2VAL pipeline
 /// (GE2BND / BND2BD / BD2VAL) on the BENCHMARKING.md reference input (latms
-/// with a geometric spectrum, cond 1e4, seed 7).  Runs the full pipeline
-/// `samples` times and returns the split of the run with the best total, so
-/// the three numbers are a consistent snapshot of one run rather than a mix
-/// of per-stage minima.  BD2VAL runs dqds, exactly what `ge2val`
-/// executes.
+/// with a geometric spectrum, cond 1e4, seed 7).  Each of `samples` runs is
+/// one `ge2val` call under [`ScopedObs`](bidiag_obs::ScopedObs), and its
+/// split is read off the three phase spans the sequential call records, so
+/// the table times exactly what `ge2val` runs.  Returns the split of the
+/// run with the best total, a consistent snapshot of one run rather than a
+/// mix of per-stage minima.
 ///
 /// This is the breakdown that picks the next perf target.
 pub fn measure_ge2val_stages(m: usize, n: usize, nb: usize, samples: usize) -> StageTimes {
-    use bidiag_core::pipeline::{ge2bnd, AlgorithmChoice, Ge2Options};
-    use bidiag_svd::dqds_singular_values;
-    use std::time::Instant;
+    use bidiag_core::pipeline::{ge2val, AlgorithmChoice, Ge2Options};
+    use bidiag_obs as obs;
 
     let (a, _) = bidiag_matrix::gen::latms(
         m,
@@ -313,7 +313,7 @@ pub fn measure_ge2val_stages(m: usize, n: usize, nb: usize, samples: usize) -> S
         .with_tree(NamedTree::Greedy)
         .with_algorithm(AlgorithmChoice::Bidiag);
     // Warm up allocators and caches once before timing anything.
-    let _ = ge2bnd(&a, &opts);
+    let _ = ge2val(&a, &opts);
 
     let mut best = StageTimes {
         ge2bnd: f64::INFINITY,
@@ -321,24 +321,21 @@ pub fn measure_ge2val_stages(m: usize, n: usize, nb: usize, samples: usize) -> S
         bd2val: 0.0,
     };
     for _ in 0..samples.max(1) {
-        let t0 = Instant::now();
-        let r = ge2bnd(&a, &opts);
-        let t_ge2bnd = t0.elapsed().as_secs_f64();
-
-        let mut band = r.band;
-        let t1 = Instant::now();
-        let bidiag = band.reduce_to_bidiagonal();
-        let t_bnd2bd = t1.elapsed().as_secs_f64();
-
-        let t2 = Instant::now();
-        let sv = dqds_singular_values(&bidiag.diag, &bidiag.superdiag);
-        let t_bd2val = t2.elapsed().as_secs_f64();
+        let scope = obs::ScopedObs::new();
+        let sv = ge2val(&a, &opts).singular_values;
+        let phases = scope.spans();
         assert_eq!(sv.len(), m.min(n));
-
+        let seconds = |kind: u32| {
+            let span = phases
+                .iter()
+                .find(|s| s.kind == kind)
+                .expect("a sequential ge2val records its three phases");
+            (span.end_ns - span.start_ns) as f64 * 1.0e-9
+        };
         let split = StageTimes {
-            ge2bnd: t_ge2bnd,
-            bnd2bd: t_bnd2bd,
-            bd2val: t_bd2val,
+            ge2bnd: seconds(obs::KIND_STAGE_GE2BND),
+            bnd2bd: seconds(obs::KIND_BND2BD),
+            bd2val: seconds(obs::KIND_BD2VAL),
         };
         if split.total() < best.total() {
             best = split;

@@ -1,8 +1,8 @@
 //! The batched SVD runtime service: one persistent pool, many problems.
 //!
-//! [`crate::pipeline::ge2val`] is shaped for one large factorization — each
-//! threaded stage builds a pool, allocates fresh kernel scratch, runs one
-//! DAG, and tears everything down.  The ROADMAP's serving scenario
+//! [`crate::pipeline::ge2val`] is shaped for one large factorization — a
+//! threaded call builds a pool, allocates fresh kernel scratch, runs one
+//! task graph, and tears everything down.  The ROADMAP's serving scenario
 //! (millions of small/medium spectra: per-user embedding blocks,
 //! per-request covariances) inverts the cost profile: the matrices are tiny
 //! and the per-call setup dominates.  [`SvdSession`] amortizes all of it:
@@ -35,6 +35,9 @@
 //!   [`DIRECT_CROSSOVER`]; [`SvdSession::with_options`] honours whatever
 //!   the caller set (including disabled), so a session reproduces
 //!   per-call [`ge2val`](crate::pipeline::ge2val) under the same options **bitwise**.
+//! * **Larger problems as one task graph.**  Above the crossover a
+//!   submission is the task graph threaded per-call `ge2val` runs too: the
+//!   GE2BND tile DAG, one task chasing the band, one running dqds.
 //!
 //! ## The hardened service plane
 //!
@@ -72,22 +75,15 @@
 //! }
 //! ```
 
-use crate::drivers::GenConfig;
 use crate::error::{validate_finite, SvdError};
-use crate::exec::lower_parallel;
+use crate::exec::{lower_ge2val, ValuesCell};
 use crate::ops::KernelScratch;
 use crate::pipeline::{Ge2Options, DIRECT_CROSSOVER};
-use bidiag_kernels::band::BandMatrix;
 use bidiag_kernels::gebd2::{gebd2_with, Bidiagonal};
-use bidiag_matrix::{Matrix, TiledMatrix};
-use bidiag_obs as obs;
-use bidiag_runtime::{
-    AccessMode, JobError, JobTicket, PoolConfig, SubmitError, TaskBodyWith, TaskGraph, TaskPool,
-    GANG,
-};
-use bidiag_svd::{dqds_gang_into, dqds_singular_values, DqdsScratch, LANES};
+use bidiag_matrix::Matrix;
+use bidiag_runtime::{JobError, JobTicket, PoolConfig, SubmitError, TaskPool, GANG};
+use bidiag_svd::{dqds_gang_into, DqdsScratch, LANES};
 use parking_lot::Mutex;
-use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Default tile size of [`SvdSession::new`] (the workspace-wide `nb = 64`
@@ -261,10 +257,10 @@ enum Pending {
     Done(Vec<f64>),
     /// A job on the pool's job lane (the direct path).
     Direct(JobTicket<DirectJob>),
-    /// A tile DAG whose sink fills `result` (the blocked path).
+    /// A blocked problem's task graph, whose solver task fills `values`.
     Graph {
         ticket: JobTicket<()>,
-        result: Arc<OnceLock<Vec<f64>>>,
+        values: ValuesCell,
     },
 }
 
@@ -291,9 +287,9 @@ impl SvdJob {
         let sv = match self.pending {
             Pending::Done(sv) => sv,
             Pending::Direct(ticket) => settle(ticket, timeout)?.sv,
-            Pending::Graph { ticket, result } => {
+            Pending::Graph { ticket, values } => {
                 settle(ticket, timeout)?;
-                Self::extract(result)
+                std::mem::take(&mut *values.lock())
             }
         };
         Self::checked(sv)
@@ -321,13 +317,6 @@ impl SvdJob {
         }
     }
 
-    fn extract(result: Arc<OnceLock<Vec<f64>>>) -> Vec<f64> {
-        match Arc::try_unwrap(result) {
-            Ok(cell) => cell.into_inner().expect("job finished without a result"),
-            Err(shared) => shared.get().expect("job finished without a result").clone(),
-        }
-    }
-
     /// Non-finite solver output (unreachable from validated input, but
     /// injectable) is a [`SvdError::SolverFailure`].
     fn checked(sv: Vec<f64>) -> Result<Vec<f64>, SvdError> {
@@ -343,7 +332,7 @@ impl SvdJob {
 /// A persistent batched-SVD service — see the [module docs](self).
 ///
 /// Cheap problems are jobs on the pool's job lane, solved in gangs; larger
-/// ones submit their full tile DAG (plus a band/solve sink task).  Either
+/// ones submit their task graph (the tile DAG, the chase, dqds).  Either
 /// way, the work of all in-flight problems shares the same workers and the
 /// same per-worker scratch arenas.  Dropping the session parks nothing
 /// halfway: the pool drains every submitted problem before its threads
@@ -539,65 +528,13 @@ impl SvdSession {
         })
     }
 
-    /// Blocked path: the GE2BND tile DAG plus one *sink* task running the
-    /// band extraction, BND2BD and BD2VAL stages (sequentially — with many
-    /// problems in flight, inter-problem parallelism keeps the workers
-    /// busier than intra-problem stage fan-out would).
+    /// Blocked path: the problem's one lowering (`exec::lower_ge2val`),
+    /// the same task graph threaded per-call
+    /// [`ge2val`](crate::pipeline::ge2val) runs.
     fn submit_blocked(&self, a: &Matrix, block: bool) -> Result<SvdJob, SvdError> {
-        let a_owned = if a.rows() >= a.cols() {
-            a.clone()
-        } else {
-            a.transpose()
-        };
-        let (m, n) = (a_owned.rows(), a_owned.cols());
-        let nb = self.opts.nb;
-        let algorithm = self.opts.resolve_algorithm(m, n);
-        let mut tiled = TiledMatrix::from_dense(&a_owned, nb);
-        drop(a_owned);
-        let (p, q) = (tiled.tile_rows(), tiled.tile_cols());
-        let cfg = GenConfig::shared(self.opts.tree);
-        let ops = crate::drivers::ge2bnd_ops(p, q, algorithm, &cfg);
-
-        // The tile DAG over shared per-tile locks; the TiledMatrix shell is
-        // refilled by the sink.
-        let (mut graph, mut bodies, restore) =
-            lower_parallel(&ops, &mut tiled, |s: &mut SessionScratch| &mut s.kernel);
-        // The sink declares a write on every data key any op touches, so
-        // it depends (transitively) on the completion of the whole DAG.
-        let mut keys: Vec<u64> = ops
-            .iter()
-            .flat_map(|op| op.accesses(q).into_iter().map(|(k, _)| k))
-            .collect();
-        keys.sort_unstable();
-        keys.dedup();
-        let sink_accesses: Vec<(u64, AccessMode)> =
-            keys.into_iter().map(|k| (k, AccessMode::Write)).collect();
-        graph.add_task(1.0, 0, obs::KIND_SINK, &sink_accesses);
-
-        let result: Arc<OnceLock<Vec<f64>>> = Arc::new(OnceLock::new());
-        let slot = Arc::clone(&result);
-        bodies.push(Box::new(move |_s: &mut SessionScratch| {
-            restore(&mut tiled);
-            // Identical to ge2bnd + the sequential BND2BD / BD2VAL
-            // stages of ge2val — same arithmetic.
-            let bw = nb.min(n.saturating_sub(1)).max(1);
-            let mut band = BandMatrix::from_tiled(&tiled, bw);
-            let bidiag = band.reduce_to_bidiagonal();
-            let sv = dqds_singular_values(&bidiag.diag, &bidiag.superdiag);
-            slot.set(sv).expect("sink ran twice");
-        }));
-        self.enqueue(graph, bodies, block, result)
-    }
-
-    /// Hand a lowered problem to the pool under the chosen admission mode;
-    /// its last body fills `result`.
-    fn enqueue(
-        &self,
-        graph: TaskGraph,
-        bodies: Vec<TaskBodyWith<SessionScratch>>,
-        block: bool,
-        result: Arc<OnceLock<Vec<f64>>>,
-    ) -> Result<SvdJob, SvdError> {
+        self.opts.check_tile_size(a)?;
+        let (graph, bodies, values) =
+            lower_ge2val(a, &self.opts, |s: &mut SessionScratch| &mut s.kernel);
         let ticket = if block {
             self.pool.submit(graph, bodies)
         } else {
@@ -605,7 +542,7 @@ impl SvdSession {
         }
         .map_err(submit_error)?;
         Ok(SvdJob {
-            pending: Pending::Graph { ticket, result },
+            pending: Pending::Graph { ticket, values },
         })
     }
 }
@@ -628,8 +565,11 @@ pub fn ge2val_batch(problems: &[Matrix], opts: &Ge2Options) -> Result<Vec<Vec<f6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::ge2val;
+    use crate::pipeline::{ge2val, AlgorithmChoice};
+    use bidiag_matrix::checks::singular_values_match;
     use bidiag_matrix::gen::{latms, random_gaussian, SpectrumKind};
+    use bidiag_trees::NamedTree;
+    use std::sync::Arc;
 
     /// Sizes straddling the crossover, as the issue prescribes.
     const SIZES: [usize; 6] = [8, 31, 32, 33, 64, 97];
@@ -660,24 +600,42 @@ mod tests {
     }
 
     #[test]
-    fn blocked_only_session_matches_blocked_ge2val() {
-        // Crossover disabled: every size runs the full tile DAG on the
-        // pool and must still be bitwise per-call ge2val.
-        let opts = Ge2Options::new(16).with_threads(3);
-        let session = SvdSession::with_options(opts);
+    fn every_blocked_path_is_bitwise_sequential_ge2val() {
+        // One lowering behind every blocked path: per-call ge2val at 2 and
+        // 4 threads and a crossover-free session at 1 and 3 workers must
+        // return the bits of sequential per-call ge2val.  BIDIAG and
+        // R-BIDIAG, a wide input, ragged tiles, and the sizes straddling
+        // the crossover (which the session must not take here).
+        let geometric = SpectrumKind::Geometric { cond: 1e4 };
+        let mut cases = vec![(
+            latms(30, 18, &SpectrumKind::Geometric { cond: 100.0 }, 5),
+            Ge2Options::new(5).with_tree(NamedTree::Greedy),
+        )];
         for (i, &n) in SIZES.iter().enumerate() {
-            let (a, _) = latms(
-                n + 5,
-                n,
-                &SpectrumKind::Geometric { cond: 1e4 },
-                200 + i as u64,
-            );
-            let reference = ge2val(&a, &opts);
-            assert_eq!(
-                reference.singular_values,
-                session.submit(&a).unwrap().wait().unwrap(),
-                "n={n}"
-            );
+            cases.push((
+                latms(n + 5, n, &geometric, 200 + i as u64),
+                Ge2Options::new(16),
+            ));
+        }
+        for algorithm in [AlgorithmChoice::Bidiag, AlgorithmChoice::RBidiag] {
+            let opts = Ge2Options::new(4).with_algorithm(algorithm);
+            cases.push((latms(17, 11, &geometric, 31), opts));
+            cases.push((latms(40, 8, &geometric, 13), opts));
+        }
+        cases.push((latms(18, 30, &geometric, 6), Ge2Options::new(5)));
+        for ((a, sigma), opts) in cases {
+            let shape = format!("{}x{} {:?}", a.rows(), a.cols(), opts.algorithm);
+            let reference = ge2val(&a, &opts).singular_values;
+            assert!(singular_values_match(&reference, &sigma, 1e-10), "{shape}");
+            for threads in [2, 4] {
+                let threaded = ge2val(&a, &opts.with_threads(threads)).singular_values;
+                assert_eq!(reference, threaded, "{shape} @ {threads} threads");
+            }
+            for workers in [1, 3] {
+                let session = SvdSession::with_options(opts.with_threads(workers));
+                let sv = session.submit(&a).unwrap().wait().unwrap();
+                assert_eq!(reference, sv, "{shape} on {workers} session workers");
+            }
         }
     }
 

@@ -1,14 +1,17 @@
-//! Execution back-ends for tile-operation lists and pipeline stages.
+//! Execution back-ends for tile-operation lists and for whole blocked
+//! GE2VAL problems.
 //!
 //! * [`execute_sequential`] — run the list in order (reference numerics),
 //! * [`execute_parallel`] — run it on the work-stealing shared-memory task
 //!   runtime of `bidiag-runtime` (dependencies inferred from data accesses),
 //! * [`build_graph`] — lower the list to a [`TaskGraph`] for critical-path
 //!   measurements and machine simulation,
-//! * [`bnd2bd_on_runtime`] / [`bd2val_on_runtime`] — run the second and
-//!   third pipeline stages through the same runtime, so every stage of
-//!   GE2VAL is a submission on one scheduler.  Each is one task: BND2BD
-//!   its sequential bulge chase, BD2VAL dqds.
+//! * `lower_ge2val` — the one lowering of a blocked GE2VAL problem (the
+//!   GE2BND DAG, one chase task, one dqds task), which `SvdSession` and
+//!   threaded per-call `ge2val` submit; sequential `ge2val` runs the same
+//!   stages in the same order on the calling thread,
+//! * [`bnd2bd_on_runtime`] / [`bd2val_on_runtime`] — one stage alone as one
+//!   task; no library path calls them, the benchmark does.
 //!
 //! # Parallel data plane
 //!
@@ -30,17 +33,19 @@
 //!   heap traffic left is the `TFactor` each factorization kernel produces
 //!   into its table slot.
 
+use crate::drivers::{ge2bnd_ops, Algorithm, GenConfig};
 use crate::ops::{KernelScratch, TauTable, TileOp};
+use crate::pipeline::Ge2Options;
 use bidiag_kernels::band::BandMatrix;
 use bidiag_kernels::gebd2::Bidiagonal;
 use bidiag_matrix::{BlockCyclic, Matrix, TiledMatrix};
 use bidiag_obs as obs;
 use bidiag_runtime::{
-    execute_parallel as runtime_execute, execute_parallel_with as runtime_execute_with, TaskBody,
-    TaskBodyWith, TaskGraph,
+    execute_parallel as runtime_execute, execute_parallel_with as runtime_execute_with, AccessMode,
+    DataKey, TaskBody, TaskBodyWith, TaskGraph,
 };
 use bidiag_svd::{dqds_singular_values, Bd2ValOptions};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::sync::Arc;
 
 /// Execute the operations in order on the tiled matrix, sharing the
@@ -124,10 +129,126 @@ pub fn build_graph(ops: &[TileOp], q: usize, dist: &BlockCyclic) -> TaskGraph {
     g
 }
 
-/// Run `f` as a single runtime task of kind `kind` and return its value, so
-/// a stage that is one sequential computation still shows up in the
-/// runtime's traces and counters.  One task occupies one worker, whatever
-/// the thread count of the surrounding run.
+/// Set up a non-empty blocked problem once for every driver (`opts.nb >
+/// 0`): the input tiled (transposed first when it is wide, which leaves
+/// the singular values unchanged), the algorithm picked for its shape, its
+/// GE2BND operation list and the bandwidth of the band GE2BND leaves.
+pub(crate) fn setup_blocked(
+    a: &Matrix,
+    opts: &Ge2Options,
+) -> (TiledMatrix, Algorithm, Vec<TileOp>, usize) {
+    let tiled = if a.rows() >= a.cols() {
+        TiledMatrix::from_dense(a, opts.nb)
+    } else {
+        TiledMatrix::from_dense(&a.transpose(), opts.nb)
+    };
+    let (m, n) = (tiled.rows(), tiled.cols());
+    let algorithm = opts.resolve_algorithm(m, n);
+    let cfg = GenConfig::shared(opts.tree);
+    let ops = ge2bnd_ops(tiled.tile_rows(), tiled.tile_cols(), algorithm, &cfg);
+    let bw = opts.nb.min(n.saturating_sub(1)).max(1);
+    (tiled, algorithm, ops, bw)
+}
+
+/// The cell the solver task of [`lower_ge2val`] fills with the spectrum.
+pub(crate) type ValuesCell = Arc<Mutex<Vec<f64>>>;
+
+/// Data key of the bidiagonal the chase task hands to the solver task; no
+/// tile operation uses it.
+const BIDIAGONAL: DataKey = DataKey::MAX;
+
+/// The one lowering of a blocked GE2VAL problem: the GE2BND tile DAG of
+/// [`lower_parallel`], then a [`KIND_BND2BD`](obs::KIND_BND2BD) task that
+/// writes every key the DAG touches (so it runs after all of it), moves the
+/// tiles back, extracts the band and chases it, then a
+/// [`KIND_BD2VAL`](obs::KIND_BD2VAL) task that runs dqds into the returned
+/// cell.  The tail tasks call what [`ge2val_sequential`] calls, in the
+/// same order.
+pub(crate) fn lower_ge2val<S: 'static>(
+    a: &Matrix,
+    opts: &Ge2Options,
+    kernel_scratch: fn(&mut S) -> &mut KernelScratch,
+) -> (TaskGraph, Vec<TaskBodyWith<S>>, ValuesCell) {
+    let (mut tiled, _, ops, bw) = setup_blocked(a, opts);
+    let q = tiled.tile_cols();
+    let (mut graph, mut bodies, restore) = lower_parallel(&ops, &mut tiled, kernel_scratch);
+    let mut chase: Vec<(DataKey, AccessMode)> = ops
+        .iter()
+        .flat_map(|op| op.accesses(q))
+        .map(|(k, _)| (k, AccessMode::Write))
+        .chain([(BIDIAGONAL, AccessMode::Write)])
+        .collect();
+    chase.sort_unstable_by_key(|&(k, _)| k);
+    chase.dedup_by_key(|&mut (k, _)| k);
+    graph.add_task(1.0, 0, obs::KIND_BND2BD, &chase);
+    graph.add_task(1.0, 0, obs::KIND_BD2VAL, &[(BIDIAGONAL, AccessMode::Read)]);
+
+    let bidiag = Arc::new(Mutex::new(None));
+    let values = ValuesCell::default();
+    let (handoff, slot) = (Arc::clone(&bidiag), Arc::clone(&values));
+    bodies.push(Box::new(move |_: &mut S| {
+        restore(&mut tiled);
+        *handoff.lock() = Some(BandMatrix::from_tiled(&tiled, bw).reduce_to_bidiagonal());
+    }));
+    bodies.push(Box::new(move |_: &mut S| {
+        let b = bidiag.lock().take().expect("the chase ran first");
+        *slot.lock() = dqds_singular_values(&b.diag, &b.superdiag);
+    }));
+    (graph, bodies, values)
+}
+
+/// Blocked GE2VAL of a non-empty `a` on `opts.threads` workers: the
+/// [`lower_ge2val`] graph submitted to one pool built for the call.
+pub(crate) fn ge2val_parallel(a: &Matrix, opts: &Ge2Options) -> Vec<f64> {
+    let nb = opts.nb;
+    let (graph, bodies, values) = lower_ge2val(a, opts, |s: &mut KernelScratch| s);
+    runtime_execute_with(&graph, bodies, opts.threads, move || {
+        KernelScratch::for_tile(nb)
+    });
+    let values = std::mem::take(&mut *values.lock());
+    values
+}
+
+/// Blocked GE2VAL of a non-empty `a` on the calling thread: GE2BND through
+/// [`execute_sequential`] on the exclusive tiles (no tile locks, no operand
+/// snapshots), then what [`lower_ge2val`]'s tail tasks run.  Traced, its
+/// phases are caller-thread spans of one submission, of kind
+/// [`KIND_STAGE_GE2BND`](obs::KIND_STAGE_GE2BND) and the tail tasks' kinds.
+pub(crate) fn ge2val_sequential(a: &Matrix, opts: &Ge2Options) -> Vec<f64> {
+    let run = obs::enabled().then(obs::next_submission_id).unwrap_or(0);
+    let mut start_ns = if run != 0 { obs::now_ns() } else { 0 };
+    let mut phase = |task: u32, kind: u32| {
+        if run != 0 {
+            let end_ns = obs::now_ns();
+            obs::record_span(obs::Span {
+                submission: run,
+                task,
+                kind,
+                worker: obs::WORKER_CALLER,
+                start_ns,
+                end_ns,
+            });
+            start_ns = end_ns;
+        }
+    };
+    let (mut tiled, _, ops, bw) = setup_blocked(a, opts);
+    execute_sequential(&ops, &mut tiled);
+    phase(0, obs::KIND_STAGE_GE2BND);
+    // `ops` outlives the band's allocation and the band the spectrum's, as
+    // in `ge2bnd`: a repeated solve then frees one block (other orders raise
+    // `ge2val-bench`'s `peak_rss_mib` on `square_1t` by 1.4 or 4.5 MiB).
+    let mut band = BandMatrix::from_tiled(&tiled, bw);
+    drop(ops);
+    let b = band.reduce_to_bidiagonal();
+    phase(1, obs::KIND_BND2BD);
+    let values = dqds_singular_values(&b.diag, &b.superdiag);
+    phase(2, obs::KIND_BD2VAL);
+    values
+}
+
+/// Run `f` as a single runtime task of kind `kind` on a one-thread pool
+/// built for it and return its value.  Only [`bnd2bd_on_runtime`] and
+/// [`bd2val_on_runtime`] use it.
 fn run_as_task<T: Send + 'static>(kind: u32, f: impl FnOnce() -> T + Send + 'static) -> T {
     let mut g = TaskGraph::new();
     g.add_task(1.0, 0, kind, &[]);
@@ -140,17 +261,14 @@ fn run_as_task<T: Send + 'static>(kind: u32, f: impl FnOnce() -> T + Send + 'sta
     rx.recv().expect("the task ran before the runtime returned")
 }
 
-/// Run the BND2BD stage (band to bidiagonal) through the task runtime as
-/// **one** task running [`BandMatrix::reduce_to_bidiagonal`] — like
-/// [`bd2val_on_runtime`], so the stage shows up in the
-/// runtime's traces and counters and every thread count returns the
-/// sequential result bit for bit (`_threads` is not read: one task, one
-/// worker).
+/// Run the BND2BD stage (band to bidiagonal) alone through the task
+/// runtime as **one** task running [`BandMatrix::reduce_to_bidiagonal`],
+/// so every thread count returns the sequential result bit for bit
+/// (`_threads` is not read: one task, one worker).
 ///
-/// The chase is a chain of ~`n^2 / (2 bw)` block-steps of a few
-/// microseconds each in which step `k + 1` of a sweep needs step `k`;
-/// one task per step costs more in scheduling than the step itself, so the
-/// stage is not split until steps are grouped into coarser tasks.
+/// No library path calls this: `ge2val` and `SvdSession` chase the band in
+/// the `KIND_BND2BD` tail task of their one lowering.  It stays for the
+/// benchmark's per-stage readings.
 pub fn bnd2bd_on_runtime(band: &mut BandMatrix, _threads: usize) -> Bidiagonal {
     let mut work = std::mem::replace(band, BandMatrix::zeros(1, 1));
     let (work, bidiag) = run_as_task(obs::KIND_BND2BD, move || {
@@ -161,15 +279,14 @@ pub fn bnd2bd_on_runtime(band: &mut BandMatrix, _threads: usize) -> Bidiagonal {
     bidiag
 }
 
-/// Run the BD2VAL stage (singular values of the bidiagonal) through the
-/// task runtime as **one** task running [`dqds_singular_values`] (at
-/// `O(n^2)` with a small constant it is a fraction of the other two stages
-/// for the sizes this pipeline runs).
+/// Run the BD2VAL stage (singular values of the bidiagonal) alone through
+/// the task runtime as **one** task running [`dqds_singular_values`].
 ///
 /// Returns the singular values in non-increasing order, bitwise identical
 /// to the sequential call at every thread count (`_threads` is not read:
-/// one task, one worker).  `_opts` carries nothing and is kept only for
-/// the benchmark's call sites.
+/// one task, one worker).  `_opts` carries nothing.  No library path calls
+/// this: `ge2val` and `SvdSession` run dqds in the `KIND_BD2VAL` tail task
+/// of their one lowering.  It stays for the benchmark's per-stage readings.
 pub fn bd2val_on_runtime(
     diag: &[f64],
     superdiag: &[f64],

@@ -8,8 +8,9 @@
 //! * [`ops`] — the tile-operation IR shared by all back-ends,
 //! * [`drivers`] — lowering of BIDIAG / R-BIDIAG / tiled QR to operation
 //!   lists driven by the reduction trees of `bidiag-trees`,
-//! * [`exec`] — sequential and multi-threaded execution plus task-graph
-//!   construction,
+//! * [`exec`] — sequential and multi-threaded execution, task-graph
+//!   construction, and the one lowering of a blocked GE2VAL problem that
+//!   threaded `ge2val` and the session both run,
 //! * [`cp`] — critical-path formulas (Section IV) and DAG measurements,
 //! * [`flops`] — operation counts and Chan's BIDIAG/R-BIDIAG rule,
 //! * [`pipeline`] — user-facing `GE2BND` and `GE2VAL` entry points,
@@ -49,9 +50,7 @@ pub use drivers::{
     Algorithm, GenConfig,
 };
 pub use error::{validate_finite, SvdError};
-pub use exec::{
-    bd2val_on_runtime, bnd2bd_on_runtime, build_graph, execute_parallel, execute_sequential,
-};
+pub use exec::{build_graph, execute_parallel, execute_sequential};
 pub use ops::{ops_flops, KernelScratch, TauTable, TileOp};
 pub use pipeline::{
     ge2bnd, ge2val, try_ge2bnd, try_ge2val, AlgorithmChoice, Ge2BndResult, Ge2Options,

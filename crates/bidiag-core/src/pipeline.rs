@@ -3,31 +3,35 @@
 //! * [`ge2bnd`] — full matrix to band bidiagonal form (the paper's core
 //!   kernel), returning the factored tiled matrix and the extracted band,
 //! * [`ge2val`] — full matrix to singular values, i.e. the three-stage
-//!   pipeline `GE2BND -> BND2BD -> BD2VAL` used in every GE2VAL experiment,
+//!   pipeline `GE2BND -> BND2BD -> BD2VAL` used in every GE2VAL experiment
+//!   (callers that want the stage-1 output call [`ge2bnd`]),
 //! * [`Ge2Options`] — tile size, reduction tree, algorithm selection and
 //!   threading knobs.
 //!
-//! BD2VAL is dqds (`bidiag-svd`) on every path.  With `threads > 1` every
-//! stage runs on the work-stealing task runtime of `bidiag-runtime`:
-//! GE2BND as the tile-kernel DAG, BND2BD as a single task running the
-//! sequential Householder bulge chase (the paper delegates this stage to
-//! PLASMA's bulge-chasing kernel; this one does not scale with threads),
-//! and BD2VAL as a single task running dqds.  The thread count never
-//! changes the numerical result — the task graph encodes every data
+//! BD2VAL is dqds (`bidiag-svd`) on every path.  With `threads > 1`,
+//! [`ge2val`] runs the task graph `SvdSession` submits for a blocked
+//! problem on one pool built for the call: the GE2BND tile-kernel DAG, one
+//! task running the sequential Householder bulge chase (the paper
+//! delegates this stage to PLASMA's bulge-chasing kernel; this one does not
+//! scale with threads), one task running dqds.  With one thread it runs the
+//! same stages in the same order on the calling thread.  The thread count
+//! never changes the numerical result — the task graph encodes every data
 //! conflict of the sequential order, so any schedule executes the same
 //! arithmetic (see the `bidiag-runtime` crate docs).  Below the small-size
 //! crossover, [`ge2val`] runs the session's direct path on a gang of one.
 
 use crate::batch::DirectScratch;
-use crate::drivers::{ge2bnd_ops, Algorithm, GenConfig};
+use crate::drivers::Algorithm;
 use crate::error::{validate_finite, SvdError};
-use crate::exec::{bd2val_on_runtime, bnd2bd_on_runtime, execute_parallel, execute_sequential};
+use crate::exec::{
+    execute_parallel, execute_sequential, ge2val_parallel, ge2val_sequential, setup_blocked,
+};
 use crate::flops;
 use crate::ops::ops_flops;
 use bidiag_kernels::band::BandMatrix;
 use bidiag_matrix::{Matrix, TiledMatrix};
 use bidiag_obs as obs;
-use bidiag_svd::{dqds_singular_values, Bd2ValOptions};
+use bidiag_svd::Bd2ValOptions;
 use bidiag_trees::NamedTree;
 
 /// Default small-size crossover of the *batched* drivers (`SvdSession`,
@@ -58,8 +62,9 @@ use bidiag_trees::NamedTree;
 /// and `SvdSession::compute_into` runs it inline, without the hand-off to a
 /// pool worker — so whether the constant should rather go *up* is for a
 /// session-level reading on both sides of it, which is still owed: the
-/// benchmark has no workload between 33 and 128 yet (`batch_mid`, ROADMAP
-/// items 3 and 6).  Plain [`ge2val`] keeps the crossover *disabled* by
+/// benchmark has no workload between 33 and 128 yet (`batch_mid`, which
+/// the ROADMAP's benchmark-only PR adds and its small-problem item reads
+/// to re-pick this constant).  Plain [`ge2val`] keeps the crossover *disabled* by
 /// default (`direct_crossover = 0`) so existing callers exercise the
 /// blocked pipeline at every size; opt in with
 /// [`Ge2Options::with_direct_crossover`].
@@ -89,7 +94,8 @@ pub struct Ge2Options {
     pub threads: usize,
     /// Carries nothing: BD2VAL is dqds on every path.  Kept only because
     /// the benchmark's call sites still pass it to
-    /// [`bd2val_on_runtime`] and `singular_values_with`.
+    /// [`bd2val_on_runtime`](crate::exec::bd2val_on_runtime) and
+    /// `singular_values_with`.
     pub bd2val: Bd2ValOptions,
     /// Small-size crossover: when `max(m, n) <= direct_crossover`,
     /// [`ge2val`] skips the tiled pipeline entirely and runs the one-stage
@@ -176,6 +182,27 @@ impl Ge2Options {
             AlgorithmChoice::Auto => flops::select_by_flops(m, n),
         }
     }
+
+    /// A blocked run tiles its input: `nb == 0` is rejected before it
+    /// does, rather than panicking inside the tiling.
+    pub(crate) fn check_tile_size(&self, a: &Matrix) -> Result<(), SvdError> {
+        if self.nb == 0 {
+            return Err(SvdError::DimensionMismatch {
+                context: "the tile size nb must be positive",
+                rows: a.rows(),
+                cols: a.cols(),
+            });
+        }
+        Ok(())
+    }
+}
+
+/// Stamp the trace/snapshot header with the kernel backend a blocked run
+/// dispatches (the choice is otherwise invisible outside benches).
+fn record_backend() {
+    if obs::enabled() {
+        obs::registry().set_meta("simd_backend", bidiag_matrix::simd::backend().name());
+    }
 }
 
 /// Output of [`ge2bnd`].
@@ -200,22 +227,13 @@ pub fn ge2bnd(a: &Matrix, opts: &Ge2Options) -> Ge2BndResult {
         a.rows() >= a.cols() && a.cols() > 0,
         "ge2bnd expects m >= n >= 1; transpose a wide input"
     );
-    let algorithm = opts.resolve_algorithm(a.rows(), a.cols());
-    if obs::enabled() {
-        // Stamp the trace/snapshot header with the kernel backend actually
-        // dispatched for this run (satellite of the SIMD layer: the choice
-        // was previously invisible outside benches).
-        obs::registry().set_meta("simd_backend", bidiag_matrix::simd::backend().name());
-    }
-    let mut tiled = TiledMatrix::from_dense(a, opts.nb);
-    let cfg = GenConfig::shared(opts.tree);
-    let ops = ge2bnd_ops(tiled.tile_rows(), tiled.tile_cols(), algorithm, &cfg);
+    record_backend();
+    let (mut tiled, algorithm, ops, bw) = setup_blocked(a, opts);
     if opts.threads > 1 {
         execute_parallel(&ops, &mut tiled, opts.threads);
     } else {
         execute_sequential(&ops, &mut tiled);
     }
-    let bw = opts.nb.min(a.cols().saturating_sub(1)).max(1);
     let band = BandMatrix::from_tiled(&tiled, bw);
     Ge2BndResult {
         band,
@@ -231,9 +249,6 @@ pub fn ge2bnd(a: &Matrix, opts: &Ge2Options) -> Ge2BndResult {
 pub struct Ge2ValResult {
     /// Singular values in non-increasing order.
     pub singular_values: Vec<f64>,
-    /// The GE2BND stage output — `None` when the small-size crossover
-    /// took the direct path (no tiling, no band stage ran).
-    pub ge2bnd: Option<Ge2BndResult>,
 }
 
 /// Compute all singular values of a dense matrix through the three-stage
@@ -241,9 +256,9 @@ pub struct Ge2ValResult {
 ///
 /// Wide matrices (`m < n`) are handled by transposing the input (the
 /// singular values are unchanged); an empty one (`min(m, n) == 0`) has an
-/// empty spectrum and runs no stage.  With `threads > 1` all three stages
-/// are scheduled on the work-stealing task runtime; the result is
-/// identical to the sequential path for every thread count.
+/// empty spectrum and runs no stage.  With `threads > 1` the three stages
+/// are one task graph on one work-stealing pool built for the call; the
+/// result is identical to the sequential path for every thread count.
 ///
 /// # Examples
 ///
@@ -255,9 +270,9 @@ pub struct Ge2ValResult {
 /// let sigma: Vec<f64> = (1..=16).map(f64::from).rev().collect();
 /// let (a, _) = latms(24, 16, &SpectrumKind::Explicit(sigma.clone()), 7);
 ///
-/// // Multi-threaded run: GE2BND, BND2BD and BD2VAL all execute on the
-/// // work-stealing runtime, and the spectrum comes back bit-identical to
-/// // the sequential result.
+/// // Multi-threaded run: GE2BND, BND2BD and BD2VAL are one task graph on
+/// // the work-stealing runtime, and the spectrum comes back bit-identical
+/// // to the sequential result.
 /// let par = ge2val(&a, &Ge2Options::new(4).with_threads(4));
 /// let seq = ge2val(&a, &Ge2Options::new(4).with_threads(1));
 /// assert_eq!(par.singular_values, seq.singular_values);
@@ -267,79 +282,28 @@ pub struct Ge2ValResult {
 /// ```
 pub fn ge2val(a: &Matrix, opts: &Ge2Options) -> Ge2ValResult {
     let (m, n) = (a.rows(), a.cols());
-    if m.min(n) == 0 {
-        return Ge2ValResult {
-            singular_values: Vec::new(),
-            ge2bnd: None,
-        };
-    }
-    if opts.takes_direct_path(m, n) {
+    let singular_values = if m.min(n) == 0 {
+        Vec::new()
+    } else if opts.takes_direct_path(m, n) {
         // Small-size crossover: the session's direct path on a gang of one
         // — Golub–Kahan bidiagonalization straight to dqds, no tiling, no
         // T-factors, no band stage — in an arena sized for this problem.
         let mut sv = Vec::new();
         DirectScratch::for_gang(m.max(n), 1).spectra(std::iter::once((a, &mut sv)));
-        return Ge2ValResult {
-            singular_values: sv,
-            ge2bnd: None,
-        };
-    }
-    let work;
-    let a_ref = if a.rows() >= a.cols() {
-        a
+        sv
     } else {
-        work = a.transpose();
-        &work
-    };
-    // Stage-boundary spans: one run id for the whole pipeline, recorded on
-    // the calling thread so the trace shows the coarse GE2BND/BND2BD/BD2VAL
-    // phases above the per-task lanes.
-    let run_id = if obs::enabled() {
-        obs::next_submission_id()
-    } else {
-        0
-    };
-    let stage_span = |task: u32, kind: u32, start_ns: u64| {
-        if run_id != 0 {
-            obs::record_span(obs::Span {
-                submission: run_id,
-                task,
-                kind,
-                worker: obs::WORKER_CALLER,
-                start_ns,
-                end_ns: obs::now_ns(),
-            });
+        record_backend();
+        if opts.threads > 1 {
+            ge2val_parallel(a, opts)
+        } else {
+            ge2val_sequential(a, opts)
         }
     };
-    let t0 = if run_id != 0 { obs::now_ns() } else { 0 };
-    let stage1 = ge2bnd(a_ref, opts);
-    stage_span(0, obs::KIND_STAGE_GE2BND, t0);
-    // BND2BD: the sequential bulge chase on the band (as one runtime task
-    // when threaded).
-    let mut band = stage1.band.clone();
-    let t1 = if run_id != 0 { obs::now_ns() } else { 0 };
-    let bidiag = if opts.threads > 1 {
-        bnd2bd_on_runtime(&mut band, opts.threads)
-    } else {
-        band.reduce_to_bidiagonal()
-    };
-    stage_span(1, obs::KIND_STAGE_BND2BD, t1);
-    // BD2VAL: dqds, whose output is already in non-increasing order.
-    let t2 = if run_id != 0 { obs::now_ns() } else { 0 };
-    let sv = if opts.threads > 1 {
-        bd2val_on_runtime(&bidiag.diag, &bidiag.superdiag, opts.threads, &opts.bd2val)
-    } else {
-        dqds_singular_values(&bidiag.diag, &bidiag.superdiag)
-    };
-    stage_span(2, obs::KIND_STAGE_BD2VAL, t2);
-    Ge2ValResult {
-        singular_values: sv,
-        ge2bnd: Some(stage1),
-    }
+    Ge2ValResult { singular_values }
 }
 
-/// Fallible twin of [`ge2bnd`]: rejects wide and empty inputs with
-/// [`SvdError::DimensionMismatch`] and non-finite entries with
+/// Fallible twin of [`ge2bnd`]: rejects wide and empty inputs and a zero
+/// tile size with [`SvdError::DimensionMismatch`] and non-finite entries with
 /// [`SvdError::NonFiniteInput`] instead of asserting or producing NaN
 /// garbage.  On `Ok`, the result is exactly what [`ge2bnd`] returns.
 pub fn try_ge2bnd(a: &Matrix, opts: &Ge2Options) -> Result<Ge2BndResult, SvdError> {
@@ -350,12 +314,15 @@ pub fn try_ge2bnd(a: &Matrix, opts: &Ge2Options) -> Result<Ge2BndResult, SvdErro
             cols: a.cols(),
         });
     }
+    opts.check_tile_size(a)?;
     validate_finite(a)?;
     Ok(ge2bnd(a, opts))
 }
 
 /// Fallible twin of [`ge2val`]: rejects non-finite entries with
-/// [`SvdError::NonFiniteInput`] *before* any factorization work runs, and
+/// [`SvdError::NonFiniteInput`] and, when the blocked path would run, a
+/// zero tile size with [`SvdError::DimensionMismatch`], *before* any
+/// factorization work runs, and
 /// reports a solver that still produced non-finite values (a bug or
 /// injected fault, never reachable from validated input) as
 /// [`SvdError::SolverFailure`].  On `Ok`, the result is **bitwise** what
@@ -363,6 +330,10 @@ pub fn try_ge2bnd(a: &Matrix, opts: &Ge2Options) -> Result<Ge2BndResult, SvdErro
 /// arithmetic.
 pub fn try_ge2val(a: &Matrix, opts: &Ge2Options) -> Result<Ge2ValResult, SvdError> {
     validate_finite(a)?;
+    let (m, n) = (a.rows(), a.cols());
+    if m.min(n) > 0 && !opts.takes_direct_path(m, n) {
+        opts.check_tile_size(a)?;
+    }
     let result = ge2val(a, opts);
     if let Some(&bad) = result.singular_values.iter().find(|v| !v.is_finite()) {
         return Err(SvdError::SolverFailure(format!(
@@ -398,28 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn ge2val_recovers_prescribed_singular_values_bidiag() {
-        let (a, sigma) = latms(20, 12, &SpectrumKind::Geometric { cond: 1e4 }, 11);
-        let r = ge2val(
-            &a,
-            &Ge2Options::new(4).with_algorithm(AlgorithmChoice::Bidiag),
-        );
-        assert!(singular_values_match(&r.singular_values, &sigma, 1e-10));
-    }
-
-    #[test]
-    fn ge2val_recovers_prescribed_singular_values_rbidiag() {
-        let (a, sigma) = latms(40, 8, &spectrum(8), 13);
-        let r = ge2val(
-            &a,
-            &Ge2Options::new(4).with_algorithm(AlgorithmChoice::RBidiag),
-        );
-        let stage1 = r.ge2bnd.as_ref().expect("blocked path ran");
-        assert_eq!(stage1.algorithm, Algorithm::RBidiag);
-        assert!(singular_values_match(&r.singular_values, &sigma, 1e-10));
-    }
-
-    #[test]
     fn auto_choice_follows_chan_rule() {
         let (tall, _) = latms(40, 8, &spectrum(8), 1);
         let (square, _) = latms(12, 12, &spectrum(12), 2);
@@ -427,6 +376,9 @@ mod tests {
         let r_square = ge2bnd(&square, &Ge2Options::new(4));
         assert_eq!(r_tall.algorithm, Algorithm::RBidiag);
         assert_eq!(r_square.algorithm, Algorithm::Bidiag);
+        // A forced choice overrides the rule.
+        let forced = Ge2Options::new(4).with_algorithm(AlgorithmChoice::RBidiag);
+        assert_eq!(ge2bnd(&square, &forced).algorithm, Algorithm::RBidiag);
     }
 
     #[test]
@@ -439,7 +391,7 @@ mod tests {
         for (m, n) in [(5, 0), (0, 3), (0, 0)] {
             let a = Matrix::zeros(m, n);
             let r = try_ge2val(&a, &Ge2Options::new(4)).unwrap();
-            assert!(r.ge2bnd.is_none(), "{m}x{n}");
+            assert!(r.singular_values.is_empty(), "{m}x{n}");
             let sv = session.submit(&a).unwrap().wait().unwrap();
             assert_eq!(r.singular_values, sv, "{m}x{n}");
             assert!(matches!(
@@ -447,26 +399,20 @@ mod tests {
                 Err(SvdError::DimensionMismatch { .. })
             ));
         }
-    }
-
-    #[test]
-    fn parallel_pipeline_matches_sequential() {
-        let (a, sigma) = latms(30, 18, &SpectrumKind::Geometric { cond: 100.0 }, 5);
-        let seq = ge2val(
-            &a,
-            &Ge2Options::new(5)
-                .with_threads(1)
-                .with_tree(NamedTree::Greedy),
-        );
-        let par = ge2val(
-            &a,
-            &Ge2Options::new(5)
-                .with_threads(4)
-                .with_tree(NamedTree::Greedy),
-        );
-        // Same arithmetic in any schedule: bitwise identical values.
-        assert_eq!(seq.singular_values, par.singular_values);
-        assert!(singular_values_match(&seq.singular_values, &sigma, 1e-10));
+        // A zero tile size is an error of every fallible entry point that
+        // would tile the input, not a panic inside the tiling.
+        let a = latms(10, 8, &spectrum(8), 22).0;
+        let zero = Ge2Options::new(0);
+        let names_the_tile_size = |e: Option<SvdError>| {
+            matches!(e, Some(SvdError::DimensionMismatch { context, rows: 10, cols: 8 })
+                if context.contains("tile size"))
+        };
+        assert!(names_the_tile_size(try_ge2val(&a, &zero).err()));
+        assert!(names_the_tile_size(try_ge2bnd(&a, &zero).err()));
+        let zero_session = crate::batch::SvdSession::with_options(zero);
+        assert!(names_the_tile_size(zero_session.submit(&a).err()));
+        // Below an armed crossover nothing is tiled: nb is never read.
+        assert!(try_ge2val(&a, &zero.with_direct_crossover(DIRECT_CROSSOVER)).is_ok());
     }
 
     #[test]
@@ -507,13 +453,11 @@ mod tests {
             (20, 64, 6), // wide: the direct path transposes too
         ] {
             let (a, _) = latms(m, n, &SpectrumKind::Geometric { cond: 1e4 }, seed);
-            let blocked = ge2val(&a, &Ge2Options::new(16));
-            let direct = ge2val(
-                &a,
-                &Ge2Options::new(16).with_direct_crossover(DIRECT_CROSSOVER),
-            );
-            assert!(blocked.ge2bnd.is_some(), "{m}x{n}: blocked path skipped");
-            assert!(direct.ge2bnd.is_none(), "{m}x{n}: direct path skipped");
+            let blocked_opts = Ge2Options::new(16);
+            let direct_opts = blocked_opts.with_direct_crossover(DIRECT_CROSSOVER);
+            assert!(direct_opts.takes_direct_path(m, n), "{m}x{n}");
+            let blocked = ge2val(&a, &blocked_opts);
+            let direct = ge2val(&a, &direct_opts);
             assert!(
                 singular_values_match(&blocked.singular_values, &direct.singular_values, 1e-13),
                 "{m}x{n}: direct path diverged from the blocked pipeline"
@@ -523,13 +467,9 @@ mod tests {
 
     #[test]
     fn crossover_disabled_and_above_threshold_stay_blocked() {
-        let (a, _) = latms(97, 60, &spectrum(60), 9);
         // 97 > 64: even with the crossover armed, the blocked path runs.
-        let r = ge2val(
-            &a,
-            &Ge2Options::new(16).with_direct_crossover(DIRECT_CROSSOVER),
-        );
-        assert!(r.ge2bnd.is_some());
+        let armed = Ge2Options::new(16).with_direct_crossover(DIRECT_CROSSOVER);
+        assert!(!armed.takes_direct_path(97, 60));
         // Default options never take the direct path, at any size.
         let opts = Ge2Options::new(4);
         assert!(!opts.takes_direct_path(8, 8));
@@ -571,19 +511,6 @@ mod tests {
                 blocked * 1.0e6,
                 direct * 1.0e6,
                 blocked / direct
-            );
-        }
-    }
-
-    #[test]
-    fn non_multiple_tile_sizes_are_supported() {
-        // 17 x 11 with nb = 4 exercises ragged tiles everywhere.
-        let (a, sigma) = latms(17, 11, &spectrum(11), 31);
-        for alg in [AlgorithmChoice::Bidiag, AlgorithmChoice::RBidiag] {
-            let r = ge2val(&a, &Ge2Options::new(4).with_algorithm(alg));
-            assert!(
-                singular_values_match(&r.singular_values, &sigma, 1e-10),
-                "{alg:?}"
             );
         }
     }

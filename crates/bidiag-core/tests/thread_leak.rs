@@ -1,5 +1,5 @@
 //! Worker threads do not outlive their [`SvdSession`], nor the threaded
-//! [`ge2val`] call whose stages each run on a pool built for that stage.
+//! [`ge2val`] call whose task graph runs on a pool built for the call.
 //!
 //! The check counts the threads of the whole process in
 //! `/proc/self/status`, so it lives in a binary of its own: keep it to one
@@ -25,8 +25,8 @@ fn session_drop_and_recreate_does_not_leak_threads() {
         let a = random_gaussian(40, 30, round);
         let _ = session.submit(&a).unwrap().wait().unwrap();
         drop(session);
-        // Above the direct crossover (off by default): three one-shot
-        // pools, one per stage, each gone when its stage returns.
+        // Above the direct crossover (off by default): one one-shot pool
+        // for the call's task graph, gone when the call returns.
         let threaded = Ge2Options::new(8).with_threads(3);
         let sv = ge2val(&a, &threaded).singular_values;
         // The same when a body panics (failpoints leg): the pool contains

@@ -254,9 +254,9 @@ impl BandMatrix {
     /// singular values are preserved (the reflectors are not accumulated),
     /// exactly like the singular-value-only path of the paper.
     ///
-    /// Sequential and deterministic: the task-runtime back-end
-    /// (`bidiag_core::exec::bnd2bd_on_runtime`) runs this very function as
-    /// one task.
+    /// Sequential and deterministic: a blocked GE2VAL problem's task graph
+    /// (`bidiag_core::exec`) runs this very function as its one BND2BD
+    /// task.
     pub fn reduce_to_bidiagonal(&mut self) -> Bidiagonal {
         let amax = self.entries().fold(0.0f64, |acc, v| acc.max(v.abs()));
         if self.bw < 2 || self.n < 3 || amax == 0.0 {

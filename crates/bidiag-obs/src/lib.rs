@@ -158,21 +158,17 @@ pub const KERNEL_KIND_NAMES: [&str; 13] = [
     "TTLQT", "TTMLQ", "LASET",
 ];
 
-/// The BND2BD bulge-chasing task.
+/// BND2BD of a blocked GE2VAL problem (band extraction and bulge chase):
+/// the task after its GE2BND kernels, or a sequential `ge2val`'s phase.
 pub const KIND_BND2BD: u32 = 16;
-/// The BD2VAL solver task (dqds) of a threaded `ge2val`.
+/// BD2VAL of a blocked GE2VAL problem (dqds), after its [`KIND_BND2BD`].
 pub const KIND_BD2VAL: u32 = 17;
 /// A gang of direct-path (small-size crossover) SVD solves inside
 /// `SvdSession`: one span per gang the pool's job lane runs.
 pub const KIND_DIRECT: u32 = 18;
-/// The band-extraction sink task of a blocked `SvdSession` submission.
-pub const KIND_SINK: u32 = 19;
-/// Whole GE2BND stage, recorded on the submitting thread.
+/// The whole GE2BND stage of a sequential `ge2val`, recorded on the
+/// calling thread (which records no per-kernel spans).
 pub const KIND_STAGE_GE2BND: u32 = 24;
-/// Whole BND2BD stage, recorded on the submitting thread.
-pub const KIND_STAGE_BND2BD: u32 = 25;
-/// Whole BD2VAL stage, recorded on the submitting thread.
-pub const KIND_STAGE_BD2VAL: u32 = 26;
 
 /// Human-readable name for a span kind (kernel tags and stage markers).
 pub fn kind_name(kind: u32) -> &'static str {
@@ -181,10 +177,7 @@ pub fn kind_name(kind: u32) -> &'static str {
         KIND_BND2BD => "BND2BD",
         KIND_BD2VAL => "BD2VAL",
         KIND_DIRECT => "DIRECT_GANG",
-        KIND_SINK => "BAND_SINK",
         KIND_STAGE_GE2BND => "stage:GE2BND",
-        KIND_STAGE_BND2BD => "stage:BND2BD",
-        KIND_STAGE_BD2VAL => "stage:BD2VAL",
         _ => "TASK",
     }
 }
@@ -1088,7 +1081,7 @@ mod tests {
         assert_eq!(kind_name(0), "GEQRT");
         assert_eq!(kind_name(12), "LASET");
         assert_eq!(kind_name(KIND_BND2BD), "BND2BD");
-        assert_eq!(kind_name(KIND_STAGE_BD2VAL), "stage:BD2VAL");
+        assert_eq!(kind_name(KIND_STAGE_GE2BND), "stage:GE2BND");
         assert_eq!(kind_name(999), "TASK");
     }
 

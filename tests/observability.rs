@@ -244,34 +244,40 @@ fn measured_critical_path_matches_section_iv_model() {
 
 #[test]
 fn threaded_ge2val_records_stage_and_pipeline_spans() {
-    let scope = ScopedObs::new();
     let a = reference_matrix();
-    let result = ge2val(&a, &reference_opts(4));
-    assert!(
-        result.ge2bnd.is_some(),
-        "reference run takes the tiled path"
-    );
-
+    // Threaded: one submission of one task graph, the GE2BND kernels, then
+    // one BND2BD task after the last of them, then one BD2VAL task.
+    let scope = ScopedObs::new();
+    let threaded = ge2val(&a, &reference_opts(4)).singular_values;
     let spans = scope.spans();
-    let count = |kind: u32| spans.iter().filter(|s| s.kind == kind).count();
-    // One span per pipeline stage, on the calling thread.
-    assert_eq!(count(obs::KIND_STAGE_GE2BND), 1);
-    assert_eq!(count(obs::KIND_STAGE_BND2BD), 1);
-    assert_eq!(count(obs::KIND_STAGE_BD2VAL), 1);
-    // The threaded stages also traced their runtime tasks.
-    assert!(
-        count(obs::KIND_BND2BD) >= 1,
-        "no bulge-chasing wavefront spans"
-    );
-    assert!(count(obs::KIND_BD2VAL) >= 1, "no solver task spans");
-    // Stage spans bracket their tasks' spans.
-    let stage = spans
+    drop(scope);
+    let one_run = |s: &Span| s.submission == spans[0].submission;
+    assert!(spans
         .iter()
-        .find(|s| s.kind == obs::KIND_STAGE_BND2BD)
-        .unwrap();
-    for s in spans.iter().filter(|s| s.kind == obs::KIND_BND2BD) {
-        assert!(s.start_ns >= stage.start_ns && s.end_ns <= stage.end_ns);
-    }
+        .all(|s| one_run(s) && s.worker != obs::WORKER_CALLER));
+    let (kernels, tail) = spans.split_at(spans.len() - 2);
+    assert!(kernels.iter().all(|s| s.kind <= 12));
+    assert_eq!(
+        [tail[0].kind, tail[1].kind],
+        [obs::KIND_BND2BD, obs::KIND_BD2VAL]
+    );
+    assert!(kernels.iter().all(|s| s.end_ns <= tail[0].start_ns));
+    assert!(tail[0].end_ns <= tail[1].start_ns);
+
+    // Sequential: the same three stages as caller-thread phases of one
+    // submission, in order.
+    let scope = ScopedObs::new();
+    assert_eq!(ge2val(&a, &reference_opts(1)).singular_values, threaded);
+    let spans = scope.spans();
+    let kinds: Vec<u32> = spans.iter().map(|s| s.kind).collect();
+    assert_eq!(
+        kinds,
+        [obs::KIND_STAGE_GE2BND, obs::KIND_BND2BD, obs::KIND_BD2VAL]
+    );
+    assert!(spans.iter().all(|s| s.submission == spans[0].submission));
+    assert!(spans.iter().all(|s| s.worker == obs::WORKER_CALLER));
+    assert!(spans.windows(2).all(|w| w[0].end_ns <= w[1].start_ns));
+
     // The trace/snapshot header carries the dispatched SIMD backend.
     let snap = obs::registry().snapshot();
     let backend = snap.meta.get("simd_backend").expect("backend recorded");
