@@ -35,36 +35,51 @@
 //!   against it into the `IB / LANES` accumulators of column `j`, several
 //!   columns per pass over the panel.  `W = op(T) W` is the same loop over
 //!   the columns of `op(T)`, and `C -= V_p W` turns the lanes back to the
-//!   rows of `C`: the chunk's reflectors at one group of `LANES` rows sit
-//!   in `IB` registers and each column takes `IB` FMAs against broadcast
-//!   entries of `W`.  Nothing is summed across lanes anywhere.  The `e_k`
-//!   heads of the TS/TT reflectors act on rows `p..p+IB` of the pivot
-//!   tile; UNMQR's unit diagonal lives in its corner — the three applies
-//!   differ in nothing else.  The factorizations are level 3 the way
+//!   rows of `C`: the chunk's reflectors at `G` groups of `LANES` rows sit
+//!   in `G * IB` registers and each column takes `IB` FMAs per group
+//!   against broadcast entries of `W`, one broadcast for all `G` groups.
+//!   Nothing is summed across lanes anywhere.  The `e_k` heads of the
+//!   TS/TT reflectors act on rows `p..p+IB` of the pivot tile; UNMQR's
+//!   unit diagonal lives in its corner — the three applies differ in
+//!   nothing else.  The factorizations are level 3 the way
 //!   PLASMA's `CORE_dgeqrt`/`CORE_dttqrt` are: an `IB`-wide panel is
 //!   factored unblocked, its `T` block built by the chunk-local `larft`
 //!   recurrence, and the trailing columns updated with the same chunk
 //!   apply.  Ragged shapes run the same loops: a last chunk narrower than
 //!   `IB` is zero lanes of the panel and of `op(T)`, a corner clipped by a
 //!   short tile is fewer panel rows, the last pass over the panel repeats
-//!   a column, and the `m mod LANES` leftover rows of `C -= V_p W` go one
-//!   at a time.  Panel and `W` are bounded (64 rows, 64 columns): taller
-//!   or wider operands take more than one block of either.
+//!   a column, and the rows of `C -= V_p W` left over by the `G`-group
+//!   passes go a group, then a row, at a time.  Panel and `W` are bounded
+//!   (64 rows, 64 columns): taller or wider operands take more than one
+//!   block of either.
 //! * its mirror image under the three LQ applies (`apply_right`).  The LQ
 //!   kernels store reflector `k` as *row* `k` of the tile, so the chunk's
 //!   coefficients at one column of `C` — `v[p..p+IB, j]` — are contiguous,
 //!   and for a right-sided apply the natural vector axis is the rows of
-//!   `C`: per chunk and group of `LANES` rows, `W = H + C V_p` is `IB`
-//!   register accumulators fed by one load of `C[i0.., j]` and `IB`
-//!   coefficient broadcasts per column, `W op(T)` an unrolled triangular
-//!   product with the rows as lanes, and `C[:, j] -= W v[p..p+IB, j]` a
-//!   second sweep over the row group.  No horizontal reductions, and every
-//!   vector is full whatever the shape.  The same `Shape` splits the
-//!   *columns* into dense ones and the corner (unit-upper for UNMLQ, lower
-//!   for TT, absent for TS); a corner clipped by a narrow tile is just
-//!   fewer columns, a last chunk narrower than `IB` runs the same body
-//!   with a runtime width, and the `r mod LANES` leftover rows go one at a
-//!   time.
+//!   `C`: per chunk and `G` groups of `LANES` rows, `W = H + C V_p` is
+//!   `G * IB` register accumulators fed by one load of `C[i0.., j]` per
+//!   group and `IB` coefficient broadcasts per column, `W op(T)` an
+//!   unrolled triangular product with the rows as lanes, and `C[:, j] -= W
+//!   v[p..p+IB, j]` a second sweep over the row groups; every broadcast, of
+//!   a coefficient or of an entry of `T`, feeds all `G` groups.  No
+//!   horizontal reductions, and every vector is full whatever the shape.
+//!   The same `Shape` splits the *columns* into dense ones and the corner
+//!   (unit-upper for UNMLQ, lower for TT, absent for TS); a corner clipped
+//!   by a narrow tile is just fewer columns, a last chunk narrower than
+//!   `IB` runs the same body with a runtime width, and the rows left over by the `G`-group passes
+//!   go a group, then a row, at a time.
+//! * **Row groups.**  Both kernels spend one broadcast per FMA at one row
+//!   group per pass; `G` groups make each broadcast feed `G` FMAs, the
+//!   register blocking of Goto and van de Geijn (*Anatomy of
+//!   high-performance matrix multiplication*, ACM TOMS 34(3), 2008).  `G`
+//!   is a compile-time constant per lane and per side (`lane_shells!` and
+//!   the scalar arm of `dispatch!`), picked by a sweep over 1, 2 and 3:
+//!   two on both sides of both vector lanes, where three spills the
+//!   right kernel's `W`; two on the left and one on the right for the
+//!   scalar backend's eight-wide rows, whose right-side `W` at two groups
+//!   no longer fits the SSE2 registers.  Every entry of `C`, `H` and `W`
+//!   takes the same FMAs in the same order whatever `G` is, so every
+//!   output is bitwise what one group per pass gives.
 //! * [`Workspace`] — the two tiles the LQ *factorizations* transpose their
 //!   operands into, so that in steady state the only allocation any kernel
 //!   makes is the one [`TFactor`] a factorization returns.  Every other
@@ -414,19 +429,21 @@ unsafe fn vtc<S: SimdLane, const RV: usize, const NC: usize>(
     acc
 }
 
-/// `C[i0..i0 + LANES, j] += sum_kk v[kk][at..at + LANES] nw[j * IB + kk]`
+/// `C[i0..i0 + G LANES, j] += sum_kk v[kk][at..at + G LANES] nw[j * IB + kk]`
 /// for the `n` columns of `c` (leading dimension `ldc`): the mirror image
-/// of the last sweep of [`right_rows`].  The chunk's reflectors at one
-/// group of `LANES` rows sit in `IB` registers — zero where `v[kk]` is
-/// empty, beyond the chunk's width — and each column of `C` is loaded
-/// once, takes `IB` FMAs against broadcast entries of `-W` (`nw`, column
-/// `j` at `nw[j * IB..][..IB]`) and is stored.
+/// of the last sweep of [`right_rows`].  The chunk's reflectors at `G`
+/// groups of `LANES` rows sit in `G * IB` registers — zero where `v[kk]` is
+/// empty, beyond the chunk's width — and each column of `C` is loaded once
+/// per group, takes `IB` FMAs per group against broadcast entries of `-W`
+/// (`nw`, column `j` at `nw[j * IB..][..IB]`), one broadcast feeding all
+/// `G` groups, and is stored.  Every entry of `C` takes the same FMAs in
+/// the same order whatever `G` is.
 ///
 /// # Safety
 /// The lane's ISA contract (see [`SimdLane`]).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn cvw<S: SimdLane>(
+unsafe fn cvw<S: SimdLane, const G: usize>(
     s: S,
     v: &[&[f64]; IB],
     at: usize,
@@ -436,60 +453,74 @@ unsafe fn cvw<S: SimdLane>(
     i0: usize,
     n: usize,
 ) {
-    assert!(i0 + S::LANES <= ldc && n * ldc <= c.len() && n * IB <= nw.len());
-    assert!(v.iter().all(|x| x.is_empty() || at + S::LANES <= x.len()));
+    let rows = G * S::LANES;
+    assert!(i0 + rows <= ldc && n * ldc <= c.len() && n * IB <= nw.len());
+    assert!(v.iter().all(|x| x.is_empty() || at + rows <= x.len()));
     // SAFETY: the caller upholds the lane's ISA contract; the loads of `v`
-    // end at `at + LANES <= v[kk].len()`, those of `nw` at `j * IB + kk <
-    // n * IB <= nw.len()` and the accesses of `c` at `j * ldc + i0 + LANES
-    // <= n * ldc <= c.len()` (all asserted above).
+    // end at `at + G * LANES <= v[kk].len()`, those of `nw` at `j * IB + kk
+    // < n * IB <= nw.len()` and the accesses of `c` at `j * ldc + i0 + G *
+    // LANES <= n * ldc <= c.len()` (all asserted above).
     unsafe {
-        let mut vr = [s.zero(); IB];
-        for (x, vk) in vr.iter_mut().zip(v) {
-            if !vk.is_empty() {
-                *x = s.load(vk, at);
+        let mut vr = [[s.zero(); IB]; G];
+        for (g, vg) in vr.iter_mut().enumerate() {
+            for (x, vk) in vg.iter_mut().zip(v) {
+                if !vk.is_empty() {
+                    *x = s.load(vk, at + g * S::LANES);
+                }
             }
         }
         for j in 0..n {
-            let mut cj = s.load(c, j * ldc + i0);
-            for (kk, &x) in vr.iter().enumerate() {
-                cj = s.mul_add(x, s.splat(*nw.get_unchecked(j * IB + kk)), cj);
+            let mut cj = [s.zero(); G];
+            for (g, x) in cj.iter_mut().enumerate() {
+                *x = s.load(c, j * ldc + i0 + g * S::LANES);
             }
-            s.store(c, j * ldc + i0, cj);
+            for kk in 0..IB {
+                let w = s.splat(*nw.get_unchecked(j * IB + kk));
+                for (x, vg) in cj.iter_mut().zip(&vr) {
+                    *x = s.mul_add(vg[kk], w, *x);
+                }
+            }
+            for (g, &x) in cj.iter().enumerate() {
+                s.store(c, j * ldc + i0 + g * S::LANES, x);
+            }
         }
     }
 }
 
 /// The `T` product of one chunk with the second index of `W` as SIMD
-/// lanes, `W` in registers: `(W op(T)^T)[:, i] = sum_l op(T)[i, l] w[l]` —
-/// what the right kernel needs, its `Q^T` being `C - (C V) T V^T` (lanes =
-/// rows of `C`).  `t` is the chunk's `IB x ib` block, leading dimension
-/// `IB`; called with the constant `ib == IB` the triangular product unrolls
-/// into 36 independent-by-row FMAs.
+/// lanes, `W` of `G` row groups in registers: `(W op(T)^T)[:, i] = sum_l
+/// op(T)[i, l] w[l]` — what the right kernel needs, its `Q^T` being `C - (C
+/// V) T V^T` (lanes = rows of `C`) — with one broadcast of `op(T)[i, l]`
+/// for all `G` groups.  `t` is the chunk's `IB x ib` block, leading
+/// dimension `IB`; called with the constant `ib == IB` the triangular
+/// product unrolls into 36 independent-by-row FMAs per group.
 ///
 /// # Safety
 /// The lane's ISA contract (see [`SimdLane`]).
 #[inline(always)]
-unsafe fn t_product<S: SimdLane>(
+unsafe fn t_product<S: SimdLane, const G: usize>(
     s: S,
     t: &[f64],
     trans: Trans,
     ib: usize,
-    w: &[S::V; IB],
-) -> [S::V; IB] {
+    w: &[[S::V; IB]; G],
+) -> [[S::V; IB]; G] {
     let t = &t[..IB * ib];
     // SAFETY: the caller upholds the lane's ISA contract (register ops only).
     unsafe {
-        let mut out = [s.zero(); IB];
+        let mut out = [[s.zero(); IB]; G];
         for i in 0..ib {
             for l in 0..ib {
                 // (T^T W)[i] = sum_{l <= i} T[l, i] W[l];
                 // (T W)[i] = sum_{l >= i} T[i, l] W[l].
-                let tij = match trans {
+                let tij = s.splat(match trans {
                     Trans::Transpose if l <= i => t[i * IB + l],
                     Trans::NoTranspose if l >= i => t[l * IB + i],
                     _ => continue,
-                };
-                out[i] = s.mul_add(s.splat(tij), w[l], out[i]);
+                });
+                for (og, wg) in out.iter_mut().zip(w) {
+                    og[i] = s.mul_add(tij, wg[l], og[i]);
+                }
             }
         }
         out
@@ -505,8 +536,9 @@ unsafe fn t_product<S: SimdLane>(
 ///    per pass; the columns of a ragged last pass repeat the strip's last
 ///    one and their `W` is never read),
 /// 2. `W = -op(T) W`, the same loop over the columns of `-op(T)`,
-/// 3. `H += W`, `C += V_p W` with the rows of `C` as lanes ([`cvw`]; the
-///    rows left over by the lane width go one at a time).
+/// 3. `H += W`, `C += V_p W` with the rows of `C` as lanes ([`cvw`], `G`
+///    groups of `LANES` rows per pass; the rows left over go a group at a
+///    time, then one at a time).
 ///
 /// All three shapes and a last chunk narrower than `IB` (zero lanes) run
 /// the same code.
@@ -514,7 +546,7 @@ unsafe fn t_product<S: SimdLane>(
 /// # Safety
 /// The lane's ISA contract (see [`SimdLane`]).
 #[inline(always)]
-unsafe fn apply_chunk<S: SimdLane, const RV: usize, const NC: usize>(
+unsafe fn apply_chunk<S: SimdLane, const RV: usize, const NC: usize, const G: usize>(
     s: S,
     ch: &Chunk<'_>,
     scratch: &mut LeftScratch,
@@ -591,12 +623,16 @@ unsafe fn apply_chunk<S: SimdLane, const RV: usize, const NC: usize>(
         for (cols, rows) in ch.parts() {
             let mut i = 0;
             unsafe {
+                while i + G * S::LANES <= rows.len() {
+                    cvw::<S, G>(s, &cols, i, w, c, ldc, rows.start + i, ns);
+                    i += G * S::LANES;
+                }
                 while i + S::LANES <= rows.len() {
-                    cvw(s, &cols, i, w, c, ldc, rows.start + i, ns);
+                    cvw::<S, 1>(s, &cols, i, w, c, ldc, rows.start + i, ns);
                     i += S::LANES;
                 }
                 while i < rows.len() {
-                    cvw(ScalarLane, &cols, i, w, c, ldc, rows.start + i, ns);
+                    cvw::<_, 1>(ScalarLane, &cols, i, w, c, ldc, rows.start + i, ns);
                     i += 1;
                 }
             }
@@ -604,13 +640,14 @@ unsafe fn apply_chunk<S: SimdLane, const RV: usize, const NC: usize>(
     }
 }
 
-/// Lane-generic body of [`apply`]: `RV * LANES == IB`, and `NC` columns of
-/// `C` share one pass over a chunk's panel.
+/// Lane-generic body of [`apply`]: `RV * LANES == IB`, `NC` columns of `C`
+/// share one pass over a chunk's panel, and `C += V_p W` runs `G` row
+/// groups per pass.
 ///
 /// # Safety
 /// The lane's ISA contract (see [`SimdLane`]).
 #[inline(always)]
-unsafe fn apply_body<S: SimdLane, const RV: usize, const NC: usize>(
+unsafe fn apply_body<S: SimdLane, const RV: usize, const NC: usize, const G: usize>(
     s: S,
     shape: Shape,
     v: &Matrix,
@@ -628,7 +665,7 @@ unsafe fn apply_body<S: SimdLane, const RV: usize, const NC: usize>(
             (h.data_mut(), ldh)
         });
         // SAFETY: the caller upholds the lane's ISA contract.
-        unsafe { apply_chunk::<S, RV, NC>(s, &ch, &mut scratch, h, c.data_mut(), m, n) };
+        unsafe { apply_chunk::<S, RV, NC, G>(s, &ch, &mut scratch, h, c.data_mut(), m, n) };
     }
 }
 
@@ -655,12 +692,13 @@ fn head_and_tail<'a>(
     }
 }
 
-/// Lane-generic body of [`factor`].
+/// Lane-generic body of [`factor`]; the trailing update is [`apply_chunk`]
+/// with the parameters of [`apply_body`].
 ///
 /// # Safety
 /// The lane's ISA contract (see [`SimdLane`]).
 #[inline(always)]
-unsafe fn factor_body<S: SimdLane, const RV: usize, const NC: usize>(
+unsafe fn factor_body<S: SimdLane, const RV: usize, const NC: usize, const G: usize>(
     s: S,
     shape: Shape,
     mut r1: Option<&mut Matrix>,
@@ -737,7 +775,9 @@ unsafe fn factor_body<S: SimdLane, const RV: usize, const NC: usize>(
                 .as_deref_mut()
                 .map(|r1| (&mut r1.data_mut()[(p + ib) * ld1..], ld1));
             // SAFETY: the caller upholds the lane's ISA contract.
-            unsafe { apply_chunk::<S, RV, NC>(s, &ch, &mut scratch, h, trailing, m, n - p - ib) };
+            unsafe {
+                apply_chunk::<S, RV, NC, G>(s, &ch, &mut scratch, h, trailing, m, n - p - ib)
+            };
         }
     }
     tf
@@ -825,18 +865,21 @@ impl<'a> RowChunk<'a> {
     }
 }
 
-/// Apply one chunk to rows `i0..i0+LANES` of `c` (leading dimension `ld`)
-/// and, for TS/TT, of `head` — columns `p..p+ib` of the pivot tile, same
-/// leading dimension.  `W = H + C V_p` accumulates in `ib` registers from
-/// one load of `C[i0.., j]` and `ib` coefficient broadcasts per column,
-/// `W op(T)` is [`t_product`], and `C[:, j] -= W v[p.., j]` re-reads the
-/// row group; `FULL` makes `ib` the constant `IB`, so everything unrolls
-/// and `W` never leaves the registers.
+/// Apply one chunk to rows `i0..i0 + G LANES` of `c` (leading dimension
+/// `ld`) and, for TS/TT, of `head` — columns `p..p+ib` of the pivot tile,
+/// same leading dimension.  `W = H + C V_p` accumulates in `G * ib`
+/// registers from one load of `C[i0.., j]` per group and `ib` coefficient
+/// broadcasts per column, each feeding all `G` groups; `W op(T)` is
+/// [`t_product`], and `C[:, j] -= W v[p.., j]` re-reads the row
+/// groups, again one broadcast per coefficient for all of them.  Every
+/// entry of `C`, `H` and `W` takes the same FMAs in the same order whatever
+/// `G` is.  `FULL` makes `ib` the constant `IB`, so everything unrolls and
+/// `W` never leaves the registers.
 ///
 /// # Safety
 /// The lane's ISA contract (see [`SimdLane`]).
 #[inline(always)]
-unsafe fn right_rows<S: SimdLane, const FULL: bool>(
+unsafe fn right_rows<S: SimdLane, const FULL: bool, const G: usize>(
     s: S,
     ch: &RowChunk<'_>,
     mut head: Option<&mut [f64]>,
@@ -845,57 +888,79 @@ unsafe fn right_rows<S: SimdLane, const FULL: bool>(
     i0: usize,
 ) {
     let ib = if FULL { IB } else { ch.ib };
-    assert!(ib == ch.ib && i0 + S::LANES <= ld);
+    assert!(ib == ch.ib && i0 + G * S::LANES <= ld);
     assert!(ch.dense.end.max(ch.corner.end) * ld <= c.len());
     assert!(head.as_ref().is_none_or(|h| ib * ld <= h.len()));
     // SAFETY (whole body): the caller upholds the lane's ISA contract; every
-    // `load`/`store` is at `j * ld + i0` with `i0 + LANES <= ld` and `j`
-    // below the column count the asserts above checked the slice against.
+    // `load`/`store` is at `j * ld + i0 + g * LANES` with `g < G`, `i0 + G *
+    // LANES <= ld` and `j` below the column count the asserts above checked
+    // the slice against.
     unsafe {
-        let mut w = [s.zero(); IB];
+        let mut w = [[s.zero(); IB]; G];
         if let Some(h) = head.as_ref() {
-            for (kk, wk) in w.iter_mut().enumerate().take(ib) {
-                *wk = s.load(h, kk * ld + i0);
+            for (g, wg) in w.iter_mut().enumerate() {
+                for (kk, wk) in wg.iter_mut().enumerate().take(ib) {
+                    *wk = s.load(h, kk * ld + i0 + g * S::LANES);
+                }
             }
         }
         for (coef, stride, cols) in ch.parts() {
             for (n, j) in cols.enumerate() {
-                let (cj, vj) = (s.load(c, j * ld + i0), &coef[n * stride..][..ib]);
-                for (wk, &v) in w.iter_mut().zip(vj) {
-                    *wk = s.mul_add(cj, s.splat(v), *wk);
+                let mut cj = [s.zero(); G];
+                for (g, x) in cj.iter_mut().enumerate() {
+                    *x = s.load(c, j * ld + i0 + g * S::LANES);
+                }
+                for (kk, &v) in coef[n * stride..][..ib].iter().enumerate() {
+                    let v = s.splat(v);
+                    for (wg, &x) in w.iter_mut().zip(&cj) {
+                        wg[kk] = s.mul_add(x, v, wg[kk]);
+                    }
                 }
             }
         }
         let mut w = t_product(s, ch.t, ch.trans, ib, &w);
         let minus = s.splat(-1.0);
-        for wk in w.iter_mut().take(ib) {
-            *wk = s.mul(*wk, minus);
+        for wg in w.iter_mut() {
+            for wk in wg.iter_mut().take(ib) {
+                *wk = s.mul(*wk, minus);
+            }
         }
         if let Some(h) = head.as_mut() {
-            for (kk, &wk) in w.iter().enumerate().take(ib) {
-                let hk = s.add(s.load(h, kk * ld + i0), wk);
-                s.store(h, kk * ld + i0, hk);
+            for (g, wg) in w.iter().enumerate() {
+                for (kk, &wk) in wg.iter().enumerate().take(ib) {
+                    let at = kk * ld + i0 + g * S::LANES;
+                    s.store(h, at, s.add(s.load(h, at), wk));
+                }
             }
         }
         for (coef, stride, cols) in ch.parts() {
             for (n, j) in cols.enumerate() {
-                let (mut cj, vj) = (s.load(c, j * ld + i0), &coef[n * stride..][..ib]);
-                for (&wk, &v) in w.iter().zip(vj) {
-                    cj = s.mul_add(wk, s.splat(v), cj);
+                let mut cj = [s.zero(); G];
+                for (g, x) in cj.iter_mut().enumerate() {
+                    *x = s.load(c, j * ld + i0 + g * S::LANES);
                 }
-                s.store(c, j * ld + i0, cj);
+                for (kk, &v) in coef[n * stride..][..ib].iter().enumerate() {
+                    let v = s.splat(v);
+                    for (x, wg) in cj.iter_mut().zip(&w) {
+                        *x = s.mul_add(wg[kk], v, *x);
+                    }
+                }
+                for (g, &x) in cj.iter().enumerate() {
+                    s.store(c, j * ld + i0 + g * S::LANES, x);
+                }
             }
         }
     }
 }
 
-/// Apply one chunk to all `r` rows: full lane groups, then the `r mod
-/// LANES` leftover rows one at a time through the same arithmetic.
+/// Apply one chunk to all `r` rows: `G` lane groups at a time, then the
+/// groups left over one at a time, then the `r mod LANES` leftover rows one
+/// at a time, all through the same arithmetic.
 ///
 /// # Safety
 /// The lane's ISA contract (see [`SimdLane`]).
 #[inline(always)]
-unsafe fn right_chunk<S: SimdLane, const FULL: bool>(
+unsafe fn right_chunk<S: SimdLane, const FULL: bool, const G: usize>(
     s: S,
     ch: &RowChunk<'_>,
     mut head: Option<&mut [f64]>,
@@ -906,23 +971,28 @@ unsafe fn right_chunk<S: SimdLane, const FULL: bool>(
     // SAFETY: the caller upholds the lane's ISA contract; the scalar lane
     // has none.
     unsafe {
+        while i0 + G * S::LANES <= r {
+            right_rows::<S, FULL, G>(s, ch, head.as_deref_mut(), c, r, i0);
+            i0 += G * S::LANES;
+        }
         while i0 + S::LANES <= r {
-            right_rows::<S, FULL>(s, ch, head.as_deref_mut(), c, r, i0);
+            right_rows::<S, FULL, 1>(s, ch, head.as_deref_mut(), c, r, i0);
             i0 += S::LANES;
         }
         while i0 < r {
-            right_rows::<ScalarLane, FULL>(ScalarLane, ch, head.as_deref_mut(), c, r, i0);
+            right_rows::<_, FULL, 1>(ScalarLane, ch, head.as_deref_mut(), c, r, i0);
             i0 += 1;
         }
     }
 }
 
-/// Lane-generic body of [`apply_right`].
+/// Lane-generic body of [`apply_right`]: `G` row groups per pass of the
+/// chunk kernel.
 ///
 /// # Safety
 /// The lane's ISA contract (see [`SimdLane`]).
 #[inline(always)]
-unsafe fn apply_right_body<S: SimdLane>(
+unsafe fn apply_right_body<S: SimdLane, const G: usize>(
     s: S,
     shape: Shape,
     v: &Matrix,
@@ -949,9 +1019,9 @@ unsafe fn apply_right_body<S: SimdLane>(
         // SAFETY: the caller upholds the lane's ISA contract.
         unsafe {
             if ib == IB {
-                right_chunk::<S, true>(s, &ch, h, c.data_mut(), r);
+                right_chunk::<S, true, G>(s, &ch, h, c.data_mut(), r);
             } else {
-                right_chunk::<S, false>(s, &ch, h, c.data_mut(), r);
+                right_chunk::<S, false, G>(s, &ch, h, c.data_mut(), r);
             }
         }
     }
@@ -1029,11 +1099,12 @@ impl SimdLane for ScalarRows {
 }
 
 /// The `#[target_feature]` shells of one vector lane: the three bodies
-/// instantiated with `$lane`, the left one with `$rv` registers per `IB`
-/// reflectors and `$nc` columns of `C` per pass.
+/// instantiated with `$lane`, the left ones with `$rv` registers per `IB`
+/// reflectors, `$nc` columns of `C` per pass and `$gl` row groups per pass
+/// of `C += V_p W`, the right one with `$gr` row groups per pass.
 #[cfg(target_arch = "x86_64")]
 macro_rules! lane_shells {
-    ($name:ident, $lane:ident, $features:literal, $rv:literal, $nc:literal) => {
+    ($name:ident, $lane:ident, $features:literal, $rv:literal, $nc:literal, $gl:literal, $gr:literal) => {
         mod $name {
             use super::*;
             use bidiag_matrix::simd::$lane;
@@ -1053,7 +1124,7 @@ macro_rules! lane_shells {
                 // are enabled, so constructing its token is sound.
                 unsafe {
                     let s = $lane::new_unchecked();
-                    apply_body::<$lane, $rv, $nc>(s, shape, v, tf, head, c, trans)
+                    apply_body::<$lane, $rv, $nc, $gl>(s, shape, v, tf, head, c, trans)
                 }
             }
 
@@ -1069,7 +1140,10 @@ macro_rules! lane_shells {
                 trans: Trans,
             ) {
                 // SAFETY: as in `apply`.
-                unsafe { apply_right_body($lane::new_unchecked(), shape, v, tf, head, c, trans) }
+                unsafe {
+                    let s = $lane::new_unchecked();
+                    apply_right_body::<$lane, $gr>(s, shape, v, tf, head, c, trans)
+                }
             }
 
             /// # Safety
@@ -1081,16 +1155,20 @@ macro_rules! lane_shells {
                 a: &mut Matrix,
             ) -> TFactor {
                 // SAFETY: as in `apply`.
-                unsafe { factor_body::<$lane, $rv, $nc>($lane::new_unchecked(), shape, r1, a) }
+                unsafe { factor_body::<$lane, $rv, $nc, $gl>($lane::new_unchecked(), shape, r1, a) }
             }
         }
     };
 }
 
+// Row groups per pass (`$gl`, `$gr`) by a sweep over 1, 2 and 3 at nb = 64
+// and 128: two on both sides of both vector lanes.  Three spills on the
+// right (`W` alone is 24 of 32 registers at 512 bits) and leaves two groups
+// of a 64-row tile over on the left, both slower than two at nb = 64.
 #[cfg(target_arch = "x86_64")]
-lane_shells!(avx2_shells, Avx2Lane, "avx2,fma", 2, 4);
+lane_shells!(avx2_shells, Avx2Lane, "avx2,fma", 2, 4, 2, 2);
 #[cfg(target_arch = "x86_64")]
-lane_shells!(avx512_shells, Avx512Lane, "avx512f,avx2,fma", 1, 8);
+lane_shells!(avx512_shells, Avx512Lane, "avx512f,avx2,fma", 1, 8, 2, 2);
 
 /// Run `$kernel` of this module on the process-wide backend: the scalar
 /// body `$scalar`, or the shell of the backend's lane behind its guard.
@@ -1132,7 +1210,7 @@ pub(crate) fn apply(
 ) {
     debug_assert_eq!(shape == Shape::Trapezoid, head.is_none());
     dispatch!(
-        apply_body::<ScalarRows, 1, 2>(ScalarRows, shape, v, tf, head, c, trans),
+        apply_body::<ScalarRows, 1, 2, 2>(ScalarRows, shape, v, tf, head, c, trans),
         apply(shape, v, tf, head, c, trans)
     )
 }
@@ -1152,8 +1230,10 @@ pub(crate) fn apply_right(
     trans: Trans,
 ) {
     debug_assert_eq!(shape == Shape::Trapezoid, head.is_none());
+    // `ScalarRows` keeps one row group on this side: at two its `W` no
+    // longer fits the SSE2 registers, and TSMLQ reads 1.7x slower.
     dispatch!(
-        apply_right_body(ScalarRows, shape, v, tf, head, c, trans),
+        apply_right_body::<ScalarRows, 1>(ScalarRows, shape, v, tf, head, c, trans),
         apply_right(shape, v, tf, head, c, trans)
     )
 }
@@ -1165,7 +1245,7 @@ pub(crate) fn apply_right(
 pub(crate) fn factor(shape: Shape, r1: Option<&mut Matrix>, a: &mut Matrix) -> TFactor {
     debug_assert_eq!(shape == Shape::Trapezoid, r1.is_none());
     dispatch!(
-        factor_body::<ScalarRows, 1, 2>(ScalarRows, shape, r1, a),
+        factor_body::<ScalarRows, 1, 2, 2>(ScalarRows, shape, r1, a),
         factor(shape, r1, a)
     )
 }
@@ -1350,6 +1430,179 @@ mod tests {
                 dst[0].is_nan() && dst[1..].iter().all(|&x| x == 7.0),
                 "k={k}"
             );
+        }
+    }
+
+    fn bits(a: &Matrix) -> Vec<u64> {
+        a.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A `k`-reflector factor with random `tau`s and `T` blocks: the applies
+    /// only read it, so nothing has to be orthogonal for a bitwise check.
+    fn random_t(k: usize, seed: u64) -> TFactor {
+        let x = random_gaussian(IB + 1, k.max(1), seed);
+        let mut tf = TFactor::with_kmax(k);
+        for kk in 0..k {
+            tf.append(x.get(IB, kk), &x.col(kk)[..kk % IB]);
+        }
+        tf
+    }
+
+    /// The bits of `C` and the pivot tile after [`apply_body`] with `G` row
+    /// groups per pass.
+    ///
+    /// # Safety
+    /// The lane's ISA contract.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn left_bits<S: SimdLane, const RV: usize, const NC: usize, const G: usize>(
+        s: S,
+        shape: Shape,
+        v: &Matrix,
+        tf: &TFactor,
+        head: Option<&Matrix>,
+        c: &Matrix,
+        trans: Trans,
+    ) -> (Vec<u64>, Option<Vec<u64>>) {
+        let (mut head, mut c) = (head.cloned(), c.clone());
+        // SAFETY: the caller upholds the lane's ISA contract.
+        unsafe { apply_body::<S, RV, NC, G>(s, shape, v, tf, head.as_mut(), &mut c, trans) };
+        (bits(&c), head.as_ref().map(bits))
+    }
+
+    /// [`left_bits`] for [`apply_right_body`].
+    ///
+    /// # Safety
+    /// The lane's ISA contract.
+    #[inline(always)]
+    unsafe fn right_bits<S: SimdLane, const G: usize>(
+        s: S,
+        shape: Shape,
+        v: &Matrix,
+        tf: &TFactor,
+        head: Option<&Matrix>,
+        c: &Matrix,
+        trans: Trans,
+    ) -> (Vec<u64>, Option<Vec<u64>>) {
+        let (mut head, mut c) = (head.cloned(), c.clone());
+        // SAFETY: the caller upholds the lane's ISA contract.
+        unsafe { apply_right_body::<S, G>(s, shape, v, tf, head.as_mut(), &mut c, trans) };
+        (bits(&c), head.as_ref().map(bits))
+    }
+
+    /// The bits of the factored tile, the triangle above it and the factor
+    /// after [`factor_body`] with `G` row groups per pass.
+    ///
+    /// # Safety
+    /// The lane's ISA contract.
+    #[inline(always)]
+    unsafe fn factor_bits<S: SimdLane, const RV: usize, const NC: usize, const G: usize>(
+        s: S,
+        shape: Shape,
+        r1: Option<&Matrix>,
+        a: &Matrix,
+    ) -> (Vec<u64>, Option<Vec<u64>>, TFactor) {
+        let (mut r1, mut a) = (r1.cloned(), a.clone());
+        // SAFETY: the caller upholds the lane's ISA contract.
+        let tf = unsafe { factor_body::<S, RV, NC, G>(s, shape, r1.as_mut(), &mut a) };
+        (bits(&a), r1.as_ref().map(bits), tf)
+    }
+
+    /// Row groups change which registers an entry of `C` passes through,
+    /// never its arithmetic: both applies and the factorization at `G` row
+    /// groups per pass give the bits of one group per pass — every shape,
+    /// both directions, a narrow last chunk, and row counts from one up to
+    /// two full passes, a group and a row, so that every mix of full
+    /// passes, leftover groups and leftover rows runs.
+    ///
+    /// # Safety
+    /// The lane's ISA contract.
+    #[inline(always)]
+    unsafe fn check_row_groups<S: SimdLane, const RV: usize, const NC: usize, const G: usize>(
+        s: S,
+    ) {
+        let (n, kmax) = (13, IB + 1);
+        for shape in [Shape::Trapezoid, Shape::Square, Shape::Triangle] {
+            let stacked = shape != Shape::Trapezoid;
+            for m in 1..=(2 * G + 1) * S::LANES + 1 {
+                let seed = (m * 7 + shape as usize) as u64;
+                let what = format!("{shape:?}, {m} rows, {} lanes, G = {G}", S::LANES);
+                // Left: `m x k` reflectors under a `k x n` pivot tile.
+                let k = if stacked { kmax } else { kmax.min(m) };
+                let (v, tf) = (random_gaussian(m, k, seed), random_t(k, seed));
+                let head = stacked.then(|| random_gaussian(k, n, seed + 1));
+                let c = random_gaussian(m, n, seed + 2);
+                // Right: `k x n` row-wise reflectors, `m` rows of `C`.
+                let vr = random_gaussian(kmax, n, seed + 3);
+                let tfr = random_t(kmax, seed + 4);
+                let hr = stacked.then(|| random_gaussian(m, kmax, seed + 5));
+                for trans in [Trans::Transpose, Trans::NoTranspose] {
+                    // SAFETY (all four): the caller upholds the lane's ISA
+                    // contract.
+                    let (left, left1) = unsafe {
+                        (
+                            left_bits::<S, RV, NC, G>(s, shape, &v, &tf, head.as_ref(), &c, trans),
+                            left_bits::<S, RV, NC, 1>(s, shape, &v, &tf, head.as_ref(), &c, trans),
+                        )
+                    };
+                    assert!(left == left1, "apply, {what}, {trans:?}");
+                    let (right, right1) = unsafe {
+                        (
+                            right_bits::<S, G>(s, shape, &vr, &tfr, hr.as_ref(), &c, trans),
+                            right_bits::<S, 1>(s, shape, &vr, &tfr, hr.as_ref(), &c, trans),
+                        )
+                    };
+                    assert!(right == right1, "apply_right, {what}, {trans:?}");
+                }
+                // The factorization's trailing update runs the left kernel.
+                let r1 = stacked.then(|| random_gaussian(n, n, seed + 6));
+                // SAFETY: as above.
+                let (f, f1) = unsafe {
+                    (
+                        factor_bits::<S, RV, NC, G>(s, shape, r1.as_ref(), &c),
+                        factor_bits::<S, RV, NC, 1>(s, shape, r1.as_ref(), &c),
+                    )
+                };
+                assert!(f == f1, "factor, {what}");
+            }
+        }
+    }
+
+    /// [`check_row_groups`] at two and three row groups on `$lane`, its
+    /// `IB / LANES` registers per reflector column and `$nc` columns per
+    /// pass: the sweep's candidates besides one, so whichever a lane runs.
+    macro_rules! check_lane {
+        ($lane:expr, $rv:literal, $nc:literal) => {{
+            // SAFETY: the caller upholds the lane's ISA contract.
+            unsafe {
+                check_row_groups::<_, $rv, $nc, 2>($lane);
+                check_row_groups::<_, $rv, $nc, 3>($lane);
+            }
+        }};
+    }
+
+    #[test]
+    fn row_groups_give_the_bits_of_one_group_on_every_lane() {
+        check_lane!(ScalarRows, 1, 2);
+        #[cfg(target_arch = "x86_64")]
+        {
+            use bidiag_matrix::simd::{Avx2Lane, Avx512Lane};
+            #[target_feature(enable = "avx2,fma")]
+            unsafe fn avx2() {
+                check_lane!(Avx2Lane::new_unchecked(), 2, 4);
+            }
+            #[target_feature(enable = "avx512f,avx2,fma")]
+            unsafe fn avx512() {
+                check_lane!(Avx512Lane::new_unchecked(), 1, 8);
+            }
+            if SimdBackend::Avx2.available() {
+                // SAFETY: availability checked.
+                unsafe { avx2() };
+            }
+            if SimdBackend::Avx512.available() {
+                // SAFETY: availability checked.
+                unsafe { avx512() };
+            }
         }
     }
 

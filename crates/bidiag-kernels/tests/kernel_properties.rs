@@ -43,13 +43,20 @@ use bidiag_oracles::qr::{
 };
 use proptest::prelude::*;
 
-/// Tile sizes exercised by the per-tile-size blocked-vs-unblocked sweeps:
-/// every remainder class of the 8-lane step around the `IB = 8` chunk
-/// boundaries, and 65/100 rows and columns, which the left kernel takes in
-/// more than one panel block and `W` strip.
-const NBS: [usize; 12] = [1, 3, 5, 7, 8, 9, 15, 16, 17, 64, 65, 100];
-/// Row / column counts of the QR-side sweeps: around the 4- and 8-lane
-/// vector steps, the `IB = 8` chunk and the reference tile size.
+/// Tile sizes exercised by the per-tile-size blocked-vs-unblocked sweeps.
+/// The chunk kernels take the rows of `C` in passes of two row groups (16
+/// rows on 8 lanes, 8 on 4), then at most one leftover group, then the
+/// leftover rows one at a time.  The sizes run every mix of the three on
+/// both lane widths — on 8 lanes rows only (1..7), a group (8, 9, 15),
+/// whole passes (16, 17, 64, 65) and a pass plus a group (24, 31); on 4
+/// lanes a pass plus a group at 15 — around the `IB = 8` chunk boundaries,
+/// and 65/100 rows and columns, which the left kernel takes in more than
+/// one panel block and `W` strip.
+const NBS: [usize; 14] = [1, 3, 5, 7, 8, 9, 15, 16, 17, 24, 31, 64, 65, 100];
+/// Row / column counts of the QR- and LQ-side sweeps: around the `IB = 8`
+/// chunk and the reference tile size, and through the same classes of
+/// row-group passes as `NBS` — a pass plus a group and rows at 63 on 8
+/// lanes, at 15 and 63 on 4.
 const DIMS: [usize; 13] = [1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65];
 /// Reflector-tile widths straddling one and two chunks.
 const KS: [usize; 5] = [7, 8, 9, 15, 17];
@@ -646,11 +653,15 @@ fn chunk_larft(v: &Matrix, taus: &[f64], p: usize, ib: usize) -> Matrix {
 fn t_blocks_are_the_chunk_local_larft_of_the_unblocked_vectors() {
     let check = |what: &str, tf: &TFactor, v: &Matrix, taus: &[f64]| {
         assert!(taus_close(tf.taus(), taus), "{what}: taus");
-        for p in (0..taus.len()).step_by(8) {
+        let mut p = 0;
+        while p < taus.len() {
             let tb = tf.t_block(p);
             let want = chunk_larft(v, taus, p, tb.cols());
             let got = Matrix::from_fn(tb.rows(), tb.cols(), |i, j| tb.get(i, j));
             assert!(relative_error(&want, &got) < TOL, "{what}: T block at {p}");
+            // Whatever the chunk width: the next block starts where this
+            // one ends.
+            p += tb.cols();
         }
     };
     for &(m, n) in &[
