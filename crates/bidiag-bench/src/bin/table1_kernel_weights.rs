@@ -40,7 +40,7 @@ use bidiag_core::pipeline::{ge2bnd, Ge2Options};
 use bidiag_kernels::band::{bnd2bd_flops, bulge_wavefronts, BandMatrix};
 use bidiag_kernels::cost::KernelKind;
 use bidiag_kernels::gebd2::{gebd2, gebd2_with, Bidiagonal};
-use bidiag_kernels::{lq, qr, Trans, Workspace};
+use bidiag_kernels::{lq, qr, Trans};
 use bidiag_matrix::checks::{lower_triangle_of as lower, upper_triangle_of as upper};
 use bidiag_matrix::gen::{latms, random_gaussian, SpectrumKind};
 use bidiag_matrix::simd::{self, SimdBackend};
@@ -340,7 +340,6 @@ fn gebd2_table() {
 /// forced the backend.
 fn kernel_times(nb: usize, reps: usize) -> [(KernelKind, f64, f64); 12] {
     let ref_reps = reps / 4;
-    let ws = &mut Workspace::for_tile(nb);
     let tr = Trans::Transpose;
     let a = random_gaussian(nb, nb, 1);
     let b = random_gaussian(nb, nb, 2);
@@ -356,11 +355,11 @@ fn kernel_times(nb: usize, reps: usize) -> [(KernelKind, f64, f64); 12] {
     let mut v_tt = r2.clone();
     let tf_tt = qr::ttqrt(&mut r1.clone(), &mut v_tt);
     let mut w_ge = a.clone();
-    let tf_gel = lq::gelqt(&mut w_ge, ws);
+    let tf_gel = lq::gelqt(&mut w_ge);
     let mut w_ts = b.clone();
-    let tf_tsl = lq::tslqt(&mut l1.clone(), &mut w_ts, ws);
+    let tf_tsl = lq::tslqt(&mut l1.clone(), &mut w_ts);
     let mut w_tt = l2.clone();
-    let tf_ttl = lq::ttlqt(&mut l1.clone(), &mut w_tt, ws);
+    let tf_ttl = lq::ttlqt(&mut l1.clone(), &mut w_tt);
 
     use KernelKind::*;
     [
@@ -408,7 +407,7 @@ fn kernel_times(nb: usize, reps: usize) -> [(KernelKind, f64, f64); 12] {
         ),
         (
             Gelqt,
-            fastest(reps, [&a], |[x]| drop(black_box(lq::gelqt(x, ws)))),
+            fastest(reps, [&a], |[x]| drop(black_box(lq::gelqt(x)))),
             fastest(ref_reps, [&a], |[x]| {
                 drop(black_box(lq_ref::gelqt_unblocked(x)))
             }),
@@ -422,9 +421,7 @@ fn kernel_times(nb: usize, reps: usize) -> [(KernelKind, f64, f64); 12] {
         ),
         (
             Tslqt,
-            fastest(reps, [&l1, &b], |[l, x]| {
-                drop(black_box(lq::tslqt(l, x, ws)))
-            }),
+            fastest(reps, [&l1, &b], |[l, x]| drop(black_box(lq::tslqt(l, x)))),
             fastest(ref_reps, [&l1, &b], |[l, x]| {
                 drop(black_box(lq_ref::tslqt_unblocked(l, x)))
             }),
@@ -438,9 +435,7 @@ fn kernel_times(nb: usize, reps: usize) -> [(KernelKind, f64, f64); 12] {
         ),
         (
             Ttlqt,
-            fastest(reps, [&l1, &l2], |[l, x]| {
-                drop(black_box(lq::ttlqt(l, x, ws)))
-            }),
+            fastest(reps, [&l1, &l2], |[l, x]| drop(black_box(lq::ttlqt(l, x)))),
             fastest(ref_reps, [&l1, &l2], |[l, x]| {
                 drop(black_box(lq_ref::ttlqt_unblocked(l, x)))
             }),

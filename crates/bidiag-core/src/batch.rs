@@ -14,7 +14,7 @@
 //!   same work-stealing deques — workers never idle while *any* submitted
 //!   problem has ready tasks.
 //! * **Per-worker, per-lifetime scratch arenas.**  Each worker owns one
-//!   `SessionScratch` (blocked-kernel workspace + direct-path arena)
+//!   `SessionScratch` (tile snapshot buffer + direct-path arena)
 //!   created at spawn and lent to everything it ever runs; buffer
 //!   capacities are pre-sized or grow to the high-water mark across
 //!   problems and stay there, so steady-state submissions do no hot-path
@@ -227,9 +227,9 @@ impl DirectScratch {
     }
 }
 
-/// Per-worker scratch of the session pool: the blocked-kernel workspace
-/// (the transposed tiles of the LQ factorizations, operand snapshots) plus
-/// the direct-path arena, both living as long as the worker does.
+/// Per-worker scratch of the session pool: the blocked path's operand
+/// snapshot buffer plus the direct-path arena, both living as long as the
+/// worker does.
 #[derive(Debug)]
 struct SessionScratch {
     kernel: KernelScratch,

@@ -26,12 +26,12 @@
 //!   keyed by op id — producers fill their own slot, consumers read the
 //!   slot the DAG ordered before them, and no global map or lock is ever
 //!   contended; the same table backs the sequential driver;
-//! * every worker thread owns a [`KernelScratch`] (kernel workspace +
-//!   operand snapshot buffer) pre-sized for the tile size at spawn and lent
-//!   to each task body it runs, so the kernels' scratch is never
-//!   reallocated — not even on a worker's first task; the only per-task
-//!   heap traffic left is the `TFactor` each factorization kernel produces
-//!   into its table slot.
+//! * every worker thread owns a [`KernelScratch`] (the operand snapshot
+//!   buffer) pre-sized for the tile size at spawn and lent to each task
+//!   body it runs, so it is never reallocated — not even on a worker's
+//!   first task; the kernels need no scratch, and the only per-task heap
+//!   traffic left is the `TFactor` each factorization kernel produces into
+//!   its table slot.
 
 use crate::drivers::{ge2bnd_ops, Algorithm, GenConfig};
 use crate::ops::{KernelScratch, TauTable, TileOp};
@@ -49,13 +49,12 @@ use parking_lot::{Mutex, RwLock};
 use std::sync::Arc;
 
 /// Execute the operations in order on the tiled matrix, sharing the
-/// [`TauTable`] store and the blocked-kernel scratch with the parallel
-/// back-end.
+/// [`TauTable`] store with the parallel back-end.  Nothing is allocated
+/// besides the table and the factors it receives.
 pub fn execute_sequential(ops: &[TileOp], a: &mut TiledMatrix) {
     let taus = TauTable::for_ops(ops);
-    let mut scratch = KernelScratch::for_tile(a.nb());
     for (op_id, op) in ops.iter().enumerate() {
-        op.execute(op_id, a, &taus, &mut scratch);
+        op.execute_exclusive(op_id, a, &taus);
     }
 }
 

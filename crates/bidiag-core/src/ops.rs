@@ -12,7 +12,7 @@
 //! writes, so the data-flow DAG is derived mechanically.
 
 use bidiag_kernels::cost::KernelKind;
-use bidiag_kernels::{lq, qr, TFactor, Trans, Workspace};
+use bidiag_kernels::{lq, qr, TFactor, Trans};
 use bidiag_matrix::{Matrix, TiledMatrix};
 use bidiag_runtime::{AccessMode, DataKey};
 use std::collections::HashMap;
@@ -171,44 +171,26 @@ fn tau_key(class: TauClass, k: usize, idx: usize) -> TauKey {
     TauKey((1u64 << 62) | (c << 40) | ((k as u64) << 20) | idx as u64)
 }
 
-/// Per-worker scratch of the execution back-ends: the compact-WY kernel
-/// [`Workspace`] plus a reusable buffer for snapshotting the read-only `V`
-/// operand of an apply kernel out of its tile lock.
+/// Per-worker scratch of the parallel back-end: a reusable buffer for
+/// snapshotting the read-only `V` operand of an apply kernel out of its
+/// tile lock.  The kernels themselves need none.
 ///
-/// The sequential driver owns one; the parallel runtime creates one per
-/// worker thread (see `exec::execute_parallel`), so in steady state no
-/// kernel execution allocates.
+/// The parallel runtime creates one per worker thread (see
+/// `exec::execute_parallel`), so in steady state the only allocation a
+/// kernel execution makes is the [`TFactor`] a factorization produces.
 #[derive(Debug)]
 pub struct KernelScratch {
-    /// Compact-WY workspace of the LQ factorization kernels.
-    pub ws: Workspace,
-    /// Snapshot buffer for read-only reflector tiles (parallel back-end).
+    /// Snapshot buffer for read-only reflector tiles.
     vbuf: Matrix,
 }
 
 impl KernelScratch {
-    /// Empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        KernelScratch {
-            ws: Workspace::new(),
-            vbuf: Matrix::zeros(0, 0),
-        }
-    }
-
-    /// Scratch pre-sized for `nb x nb` tiles: the kernel workspace's
-    /// transposed tiles and the snapshot buffer are allocated up front, so
-    /// even the first kernel a worker runs is allocation-free.
+    /// Scratch pre-sized for `nb x nb` tiles, so that not even a worker's
+    /// first snapshot grows the buffer.
     pub fn for_tile(nb: usize) -> Self {
         KernelScratch {
-            ws: Workspace::for_tile(nb),
             vbuf: Matrix::zeros(nb, nb),
         }
-    }
-}
-
-impl Default for KernelScratch {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -499,17 +481,24 @@ impl TileOp {
 
     /// Execute the operation on the tiled matrix with the blocked
     /// compact-WY kernels.  `op_id` is this operation's index in the op
-    /// list `taus` was built for; `scratch` provides the kernel workspace.
-    /// Apply kernels borrow the reflector tile in place (no clone) — the
-    /// sequential driver has exclusive access to all tiles.
+    /// list `taus` was built for.  `_scratch` is unused — the kernels need
+    /// no scratch and exclusive tiles no snapshot buffer — and kept so that
+    /// existing callers compile.  Apply kernels borrow the reflector tile in
+    /// place (no clone) — the sequential driver has exclusive access to all
+    /// tiles.
     pub fn execute(
         &self,
         op_id: usize,
         a: &mut TiledMatrix,
         taus: &TauTable,
-        scratch: &mut KernelScratch,
+        _scratch: &mut KernelScratch,
     ) {
-        self.run(op_id, a, taus, &mut scratch.ws);
+        self.run(op_id, a, taus);
+    }
+
+    /// [`TileOp::execute`] without its unused scratch argument.
+    pub(crate) fn execute_exclusive(&self, op_id: usize, a: &mut TiledMatrix, taus: &TauTable) {
+        self.run(op_id, a, taus);
     }
 
     /// Execute the operation against tiles shared behind per-tile locks
@@ -539,13 +528,13 @@ impl TileOp {
         taus: &TauTable,
         scratch: &mut KernelScratch,
     ) {
-        let KernelScratch { ws, vbuf } = scratch;
-        self.run(op_id, &mut SharedTiles { tiles, q, vbuf }, taus, ws);
+        let vbuf = &mut scratch.vbuf;
+        self.run(op_id, &mut SharedTiles { tiles, q, vbuf }, taus);
     }
 
     /// The op → kernel match of both back-ends, over whichever way `a`
     /// hands out tiles.
-    fn run<A: TileAccess>(&self, op_id: usize, a: &mut A, taus: &TauTable, ws: &mut Workspace) {
+    fn run<A: TileAccess>(&self, op_id: usize, a: &mut A, taus: &TauTable) {
         const T: Trans = Trans::Transpose;
         type PairKernel = fn(&mut Matrix, &mut Matrix, &Matrix, &TFactor, Trans);
         let put = |tf| taus.put(op_id, tf);
@@ -563,11 +552,11 @@ impl TileOp {
             TileOp::Tsmqr { k, piv, i, j } => apply_pair(a, (i, k), (piv, j), (i, j), qr::tsmqr),
             TileOp::Ttqrt { k, piv, i } => put(a.two((piv, k), (i, k), qr::ttqrt)),
             TileOp::Ttmqr { k, piv, i, j } => apply_pair(a, (i, k), (piv, j), (i, j), qr::ttmqr),
-            TileOp::Gelqt { k, j } => put(a.one((k, j), |t| lq::gelqt(t, ws))),
+            TileOp::Gelqt { k, j } => put(a.one((k, j), lq::gelqt)),
             TileOp::Unmlq { k, j, i } => apply(a, (k, j), (i, j), lq::unmlq),
-            TileOp::Tslqt { k, piv, j } => put(a.two((k, piv), (k, j), |x, y| lq::tslqt(x, y, ws))),
+            TileOp::Tslqt { k, piv, j } => put(a.two((k, piv), (k, j), lq::tslqt)),
             TileOp::Tsmlq { k, piv, j, i } => apply_pair(a, (k, j), (i, piv), (i, j), lq::tsmlq),
-            TileOp::Ttlqt { k, piv, j } => put(a.two((k, piv), (k, j), |x, y| lq::ttlqt(x, y, ws))),
+            TileOp::Ttlqt { k, piv, j } => put(a.two((k, piv), (k, j), lq::ttlqt)),
             TileOp::Ttmlq { k, piv, j, i } => apply_pair(a, (k, j), (i, piv), (i, j), lq::ttmlq),
         }
     }

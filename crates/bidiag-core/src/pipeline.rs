@@ -118,9 +118,9 @@ impl Ge2Options {
     /// here for the paper's reason: TS kernels do more work per call at a
     /// better rate than TT kernels.  Per Table I weight unit at `nb = 64`,
     /// 512-bit backend (256-bit in parentheses; the `table1_kernel_weights`
-    /// binary prints both columns on a host that has both): TSMQR and TSMLQ
-    /// 1.6–1.7 µs (2.8), TSQRT 3.0 (4.1) against UNMQR 2.15 (3.3), TTMQR
-    /// 2.3 (3.5), GEQRT 4.5 (5.1) and TTQRT 7.2 (7.5).
+    /// binary prints both columns on a host that has both): TSMLQ 1.2 µs
+    /// (2.35) and TSMQR 1.6 (2.6), TSQRT 2.8 (4.1) against UNMQR 1.9 (3.1),
+    /// TTMQR 2.2 (3.3), GEQRT 4.3 (5.0) and TTQRT 7.0 (7.7).
     ///
     /// `ncores` is the constant 1, not [`threads`](Self::threads): a tree
     /// sized from the thread count would make

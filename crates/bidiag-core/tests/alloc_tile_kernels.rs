@@ -1,10 +1,8 @@
-//! Steady-state allocation accounting for the blocked tile kernels: on a
-//! pre-sized [`KernelScratch`], the sequential executor's loop over a
-//! 4x4-tile BIDIAG GREEDY DAG allocates exactly the [`TFactor`]s it files
-//! in the tau table — **one** allocation per factorization op (QR side and
-//! the LQ transpose wrappers alike), **zero** per apply op.  A second pass
-//! on a cold `KernelScratch::new()` pins that the applies of both sides
-//! need no workspace at all: only the LQ factorizations may grow it.
+//! Allocation accounting for the blocked tile kernels: the sequential
+//! executor's loop over a 4x4-tile BIDIAG GREEDY DAG allocates exactly the
+//! [`TFactor`]s it files in the tau table — **one** allocation per
+//! factorization op, QR and LQ side alike, **zero** per apply op.  No
+//! kernel needs scratch, so this holds from the very first call.
 //!
 //! Sibling of `alloc_steady_state.rs`.  Only allocations of the thread
 //! that runs the test are counted: the harness's main thread allocates on
@@ -67,37 +65,22 @@ fn tile_kernels_allocate_only_the_t_factors_they_return() {
     let _ = bidiag_matrix::simd::backend();
     COUNTED.with(|c| c.set(true));
 
-    // Second pass on a cold, never-grown scratch: the LQ factorizations may
-    // grow its two transposed tiles, the applies still allocate nothing.
-    for (mut scratch, presized) in [
-        (KernelScratch::for_tile(nb), true),
-        (KernelScratch::new(), false),
-    ] {
-        // Everything else `execute_sequential` sets up before its loop.
-        let mut a = TiledMatrix::from_dense(&dense, nb);
-        let taus = TauTable::for_ops(&ops);
+    // Everything else `execute_sequential` sets up before its loop.
+    let mut a = TiledMatrix::from_dense(&dense, nb);
+    let taus = TauTable::for_ops(&ops);
+    let mut scratch = KernelScratch::for_tile(nb);
 
-        let (mut factorizations, mut applies) = (0, 0);
-        for (op_id, op) in ops.iter().enumerate() {
-            let before = ALLOCATIONS.load(Ordering::SeqCst);
-            op.execute(op_id, &mut a, &taus, &mut scratch);
-            let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
-            if op.kernel().is_factorization() {
-                factorizations += 1;
-                assert!(
-                    if presized { delta == 1 } else { delta >= 1 },
-                    "{op:?} (op {op_id}, pre-sized: {presized}) made {delta} allocations"
-                );
-            } else {
-                applies += 1;
-                assert_eq!(
-                    delta, 0,
-                    "{op:?} (op {op_id}, pre-sized: {presized}) made {delta} allocations"
-                );
-            }
-        }
-        assert_eq!(factorizations, taus.len());
-        // The DAG exercised both sides: QR and LQ factorizations and applies.
-        assert!(factorizations >= 8 && applies > factorizations);
+    let (mut factorizations, mut applies) = (0, 0);
+    for (op_id, op) in ops.iter().enumerate() {
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        op.execute(op_id, &mut a, &taus, &mut scratch);
+        let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
+        let want = usize::from(op.kernel().is_factorization());
+        factorizations += want;
+        applies += 1 - want;
+        assert_eq!(delta, want, "{op:?} (op {op_id}) made {delta} allocations");
     }
+    assert_eq!(factorizations, taus.len());
+    // The DAG exercised both sides: QR and LQ factorizations and applies.
+    assert!(factorizations >= 8 && applies > factorizations);
 }

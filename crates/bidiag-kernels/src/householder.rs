@@ -37,13 +37,18 @@ pub struct Reflector {
 ///
 /// This mirrors LAPACK `dlarfg`.
 pub fn larfg(alpha: f64, x: &mut [f64]) -> Reflector {
-    let xnorm = norm2(x);
+    let xnorm = norm2(&*x);
     larfg_with_norm(alpha, x, xnorm)
 }
 
 /// [`larfg`] for a caller that already knows `xnorm = ||x||_2` (the tile
-/// factorizations take it from a vectorized sum of squares).
-pub(crate) fn larfg_with_norm(alpha: f64, x: &mut [f64], xnorm: f64) -> Reflector {
+/// factorizations take it from a vectorized sum of squares), on whatever
+/// entries `x` yields (the LQ factorizations' are a row of a tile).
+pub(crate) fn larfg_with_norm<'a>(
+    alpha: f64,
+    x: impl IntoIterator<Item = &'a mut f64>,
+    xnorm: f64,
+) -> Reflector {
     if xnorm == 0.0 {
         // Already in the desired form, H = I.
         return Reflector {
@@ -54,15 +59,17 @@ pub(crate) fn larfg_with_norm(alpha: f64, x: &mut [f64], xnorm: f64) -> Reflecto
     let beta = -alpha.signum() * (alpha * alpha + xnorm * xnorm).sqrt();
     let tau = (beta - alpha) / beta;
     let scale = 1.0 / (alpha - beta);
-    for v in x.iter_mut() {
+    for v in x {
         *v *= scale;
     }
     Reflector { tau, beta }
 }
 
-/// Euclidean norm with scaling to avoid overflow.
-pub fn norm2(x: &[f64]) -> f64 {
-    let amax = x.iter().fold(0.0_f64, |m, &v| m.max(v.abs()));
+/// Euclidean norm with scaling to avoid overflow, of the entries `x` yields
+/// (walked twice).
+pub fn norm2<'a>(x: impl IntoIterator<Item = &'a f64, IntoIter: Clone>) -> f64 {
+    let x = x.into_iter();
+    let amax = x.clone().fold(0.0_f64, |m, &v| m.max(v.abs()));
     if amax == 0.0 {
         return 0.0;
     }

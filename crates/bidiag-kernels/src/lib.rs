@@ -10,10 +10,10 @@
 //!   compact-WY,
 //! * [`lq`] — their LQ duals (GELQT/UNMLQ/TSLQT/TSMLQ/TTLQT/TTMLQ),
 //! * [`wy`] — the compact-WY machinery the blocked kernels share: the
-//!   fused chunk kernel under the six QR-side kernels, [`wy::TFactor`]
-//!   (`tau` scalars + the diagonal blocks of `T`) and [`wy::Workspace`]
-//!   (reusable scratch of the LQ side; in steady state a kernel allocates
-//!   nothing but the `TFactor` a factorization returns),
+//!   fused chunk kernels under the six QR-side kernels (reflectors as
+//!   lanes) and the six LQ-side ones (rows as lanes), and [`wy::TFactor`]
+//!   (`tau` scalars + the diagonal blocks of `T`, the only allocation a
+//!   kernel makes),
 //! * [`gebd2`] — the one-stage (Level-2) Golub–Kahan bidiagonalization: the
 //!   direct path of every problem of order at most `DIRECT_CROSSOVER`,
 //! * [`band`] — packed band storage and the Householder bulge-chasing
@@ -43,4 +43,4 @@ pub use band::BandMatrix;
 pub use cost::KernelKind;
 pub use gebd2::Bidiagonal;
 pub use qr::Trans;
-pub use wy::{TFactor, Workspace};
+pub use wy::TFactor;

@@ -6,24 +6,29 @@
 //! (Table I of the paper): GELQT 4, UNMLQ 6, TSLQT 6, TSMLQ 12, TTLQT 2,
 //! TTMLQ 6 (in units of `nb^3/3`).
 //!
-//! The *factorization* kernels (`gelqt`/`tslqt`/`ttlqt`) are thin transpose
-//! wrappers over the blocked QR factorizations of [`crate::qr`]: the LQ
-//! factorization of `A` is the QR factorization of `A^T`, and the compact-WY
-//! [`TFactor`] carries over unchanged.  The transposes go through two tiles
-//! owned by the [`Workspace`] (no allocation), cost `O(nb^2)` per `O(nb^3)`
-//! kernel and keep one heavily-tested numerical code path.
+//! All six run on the right-sided chunk kernel of [`crate::wy`], with the
+//! rows of the matrix as the SIMD lanes.  The LQ kernels store reflector
+//! `k` as *row* `k` of a tile and differ only in the `Shape` of those rows:
+//! unit-upper trapezoid in the tile itself (GELQT/UNMLQ), full rows of the
+//! second tile (TS), lower triangle of the second tile (TT).
 //!
-//! The *apply* kernels (`unmlq`/`tsmlq`/`ttmlq`) — which run once per
-//! trailing tile and dominate the LQ steps — do **not** transpose.  They
-//! are thin callers of the right-sided chunk kernel of [`crate::wy`],
-//! `C -= (C V) op(T) V^T` with the rows of `C` as SIMD lanes, and differ
-//! only in the `Shape` of the row-wise stored reflectors: unit-upper
-//! trapezoid in the tile itself (UNMLQ), full rows of the second tile (TS),
-//! lower triangle of the second tile (TT).  Nothing is packed, transposed
-//! or allocated, and the SIMD backend is dispatched once per kernel call.
+//! * The *factorizations* (`gelqt`/`tslqt`/`ttlqt`) factor an `IB`-row
+//!   panel at a time with the panel's rows as the lanes — one pass over a
+//!   row's tail gives its sum of squares, the `w` of the rows below and the
+//!   `vdots` of its `T` column — and update the rows below the panel with
+//!   the chunk kernel of the applies, reading the chunk from the tile being
+//!   factored.  Like LAPACK's `xGELQT`/`xTPLQT` they factor the row-stored
+//!   reflectors directly: no tile is transposed.
+//! * The *applies* (`unmlq`/`tsmlq`/`ttmlq`), which run once per trailing
+//!   tile and dominate the LQ steps, compute `C -= (C V) op(T) V^T` a chunk
+//!   at a time, with the rows of `C` as lanes.
+//!
+//! Nothing is packed, transposed or allocated but the [`TFactor`] a
+//! factorization returns, and the SIMD backend is dispatched once per
+//! kernel call.
 
 use crate::qr::Trans;
-use crate::wy::{self, Shape, TFactor, Workspace};
+use crate::wy::{self, Shape, TFactor};
 use bidiag_matrix::Matrix;
 
 /// GELQT: in-place LQ factorization of a tile.
@@ -31,12 +36,8 @@ use bidiag_matrix::Matrix;
 /// On exit the lower triangle of `a` (including the diagonal) holds `L` and
 /// the strictly upper part holds the Householder vectors stored row-wise.
 /// Returns the compact-WY [`TFactor`] consumed by [`unmlq`].
-pub fn gelqt(a: &mut Matrix, ws: &mut Workspace) -> TFactor {
-    let [at, _] = ws.transposed();
-    at.copy_transposed_from(a);
-    let tf = wy::factor(Shape::Trapezoid, None, at);
-    a.copy_transposed_from(at);
-    tf
+pub fn gelqt(a: &mut Matrix) -> TFactor {
+    wy::factor_right(Shape::Trapezoid, None, a)
 }
 
 /// UNMLQ: apply the orthogonal factor of a GELQT'd tile to `c` from the
@@ -62,9 +63,9 @@ pub fn unmlq(v: &Matrix, tf: &TFactor, c: &mut Matrix, trans: Trans) {
 /// being annihilated (tile `(k, j)`).  On exit `l1` holds the updated `L`
 /// and `a2` holds the Householder vectors (row-wise).  Returns the
 /// [`TFactor`].
-pub fn tslqt(l1: &mut Matrix, a2: &mut Matrix, ws: &mut Workspace) -> TFactor {
+pub fn tslqt(l1: &mut Matrix, a2: &mut Matrix) -> TFactor {
     assert_eq!(a2.rows(), l1.rows(), "TSLQT: row mismatch");
-    factor_transposed(Shape::Square, l1, a2, ws)
+    wy::factor_right(Shape::Square, Some(l1), a2)
 }
 
 /// TSMLQ: apply the reflectors produced by [`tslqt`] to the tile pair
@@ -85,26 +86,9 @@ pub fn tsmlq(c1: &mut Matrix, c2: &mut Matrix, v2: &Matrix, tf: &TFactor, trans:
 /// annihilated.  On exit `l1` holds the combined `L` and `l2` the
 /// Householder vectors (row `k` has non-zeros only in columns `0..=k`; the
 /// strictly upper part of `l2` is never touched).  Returns the [`TFactor`].
-pub fn ttlqt(l1: &mut Matrix, l2: &mut Matrix, ws: &mut Workspace) -> TFactor {
+pub fn ttlqt(l1: &mut Matrix, l2: &mut Matrix) -> TFactor {
     assert_eq!(l2.rows(), l1.rows(), "TTLQT: row mismatch");
-    factor_transposed(Shape::Triangle, l1, l2, ws)
-}
-
-/// TSLQT / TTLQT as the QR factorization of the transposed pair, through
-/// the workspace's two transposed tiles.
-fn factor_transposed(
-    shape: Shape,
-    l1: &mut Matrix,
-    a2: &mut Matrix,
-    ws: &mut Workspace,
-) -> TFactor {
-    let [l1t, a2t] = ws.transposed();
-    l1t.copy_transposed_from(l1);
-    a2t.copy_transposed_from(a2);
-    let tf = wy::factor(shape, Some(l1t), a2t);
-    l1.copy_transposed_from(l1t);
-    a2.copy_transposed_from(a2t);
-    tf
+    wy::factor_right(Shape::Triangle, Some(l1), l2)
 }
 
 /// TTMLQ: apply the reflectors produced by [`ttlqt`] to the tile pair
@@ -140,11 +124,10 @@ mod tests {
 
     #[test]
     fn gelqt_factors_tile() {
-        let mut ws = Workspace::new();
         for (m, n) in [(6, 6), (4, 9), (9, 4)] {
             let a0 = random_gaussian(m, n, (m * 10 + n) as u64);
             let mut a = a0.clone();
-            let tf = gelqt(&mut a, &mut ws);
+            let tf = gelqt(&mut a);
             let l = lower_triangle_of(&a);
             let mut q = Matrix::identity(n);
             unmlq(&a, &tf, &mut q, Trans::NoTranspose);
@@ -155,9 +138,8 @@ mod tests {
 
     #[test]
     fn unmlq_round_trip() {
-        let mut ws = Workspace::new();
         let mut v = random_gaussian(5, 5, 60);
-        let tf = gelqt(&mut v, &mut ws);
+        let tf = gelqt(&mut v);
         let c0 = random_gaussian(3, 5, 61);
         let mut c = c0.clone();
         unmlq(&v, &tf, &mut c, Trans::Transpose);
@@ -170,10 +152,9 @@ mod tests {
         // [A1 A2] * Q^T where Q comes from LQ of A1 alone leaves A1 lower
         // triangular; this is what UNMLQ does to the trailing tile rows.
         let nb = 5;
-        let mut ws = Workspace::new();
         let a1_0 = random_gaussian(nb, nb, 62);
         let mut a1 = a1_0.clone();
-        let tf = gelqt(&mut a1, &mut ws);
+        let tf = gelqt(&mut a1);
         // A1 = L * Q  =>  A1 * Q^T = L.
         let mut l = a1_0.clone();
         unmlq(&a1, &tf, &mut l, Trans::Transpose);
@@ -187,15 +168,14 @@ mod tests {
     #[test]
     fn tslqt_factorization_is_consistent() {
         let nb = 5;
-        let mut ws = Workspace::new();
         let mut pivot = random_gaussian(nb, nb, 70);
-        let _ = gelqt(&mut pivot, &mut ws);
+        let _ = gelqt(&mut pivot);
         let l1_0 = lower_triangle_of(&pivot);
         let a2_0 = random_gaussian(nb, nb, 71);
 
         let mut l1 = l1_0.clone();
         let mut a2 = a2_0.clone();
-        let tf = tslqt(&mut l1, &mut a2, &mut ws);
+        let tf = tslqt(&mut l1, &mut a2);
 
         // [L1_0 A2_0] = [L1_new 0] * Q for some orthogonal Q (2nb x 2nb).
         // Rebuild Q by applying the reflectors to the identity from the right.
@@ -218,10 +198,9 @@ mod tests {
     #[test]
     fn tsmlq_round_trip() {
         let nb = 4;
-        let mut ws = Workspace::new();
         let mut l1 = lower_triangle_of(&random_gaussian(nb, nb, 80));
         let mut v2 = random_gaussian(nb, nb, 81);
-        let tf = tslqt(&mut l1, &mut v2, &mut ws);
+        let tf = tslqt(&mut l1, &mut v2);
         let c1_0 = random_gaussian(3, nb, 82);
         let c2_0 = random_gaussian(3, nb, 83);
         let mut c1 = c1_0.clone();
@@ -235,12 +214,11 @@ mod tests {
     #[test]
     fn ttlqt_and_ttmlq_round_trip() {
         let nb = 4;
-        let mut ws = Workspace::new();
         let mut l1 = lower_triangle_of(&random_gaussian(nb, nb, 90));
         let mut l2 = lower_triangle_of(&random_gaussian(nb, nb, 91));
         let l1_0 = l1.clone();
         let l2_0 = l2.clone();
-        let tf = ttlqt(&mut l1, &mut l2, &mut ws);
+        let tf = ttlqt(&mut l1, &mut l2);
 
         let mut q = Matrix::identity(2 * nb);
         let mut q_left = q.block(0, 0, 2 * nb, nb);

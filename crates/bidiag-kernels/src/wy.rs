@@ -14,12 +14,12 @@
 //!
 //! * [`TFactor`] — the `tau` scalars plus the *`IB`-block-diagonal* of `T`
 //!   of one factorization kernel, stored compactly as an `IB x k` array in
-//!   one allocation (what the tau store keeps per factorization).  The
-//!   apply kernels consume `T` exclusively through its `IB x IB` diagonal
-//!   blocks — chunking through the diagonal blocks of a forward `larft`
-//!   factor is an exact regrouping of the reflector product — so the
-//!   off-diagonal blocks are never materialised and the `larft` recurrence
-//!   runs chunk-locally (`O(k * IB)` dots instead of `O(k^2)`).
+//!   one allocation (what the tau store keeps per factorization, and the
+//!   only allocation any kernel makes).  The apply kernels consume `T`
+//!   exclusively through its `IB x IB` diagonal blocks — chunking through
+//!   the diagonal blocks of a forward `larft` factor is an exact regrouping
+//!   of the reflector product — so the off-diagonal blocks are never
+//!   materialised and the `larft` recurrence runs chunk-locally.
 //! * the **fused chunk kernel** under the six QR-side tile kernels
 //!   (`factor` and `apply`), in the style of LAPACK's
 //!   triangular-pentagonal `xTPQRT`/`xTPMQRT`.  One `Shape` says which
@@ -27,75 +27,59 @@
 //!   GEQRT/UNMQR, full columns for TS, upper triangle for TT); for one
 //!   chunk that splits the tile into *dense* rows, read in place, and an
 //!   at most `IB x IB` structured *corner*, densified once per chunk into
-//!   a 64-double stack array.  The kernel is the mirror image of the
-//!   right-sided one below.  For `W = H + V_p^T C` the vector axis is the
-//!   chunk's `IB` *reflectors*: the chunk — dense rows and corner alike —
-//!   is transposed once, with register transposes, into a stack panel
-//!   whose row `i` holds `V[i, p..p+IB]`, and each `C[i, j]` is broadcast
-//!   against it into the `IB / LANES` accumulators of column `j`, several
-//!   columns per pass over the panel.  `W = op(T) W` is the same loop over
-//!   the columns of `op(T)`, and `C -= V_p W` turns the lanes back to the
-//!   rows of `C`: the chunk's reflectors at `G` groups of `LANES` rows sit
-//!   in `G * IB` registers and each column takes `IB` FMAs per group
-//!   against broadcast entries of `W`, one broadcast for all `G` groups.
-//!   Nothing is summed across lanes anywhere.  The `e_k` heads of the
-//!   TS/TT reflectors act on rows `p..p+IB` of the pivot tile; UNMQR's
-//!   unit diagonal lives in its corner — the three applies differ in
-//!   nothing else.  The factorizations are level 3 the way
-//!   PLASMA's `CORE_dgeqrt`/`CORE_dttqrt` are: an `IB`-wide panel is
-//!   factored unblocked, its `T` block built by the chunk-local `larft`
-//!   recurrence, and the trailing columns updated with the same chunk
-//!   apply.  Ragged shapes run the same loops: a last chunk narrower than
-//!   `IB` is zero lanes of the panel and of `op(T)`, a corner clipped by a
-//!   short tile is fewer panel rows, the last pass over the panel repeats
-//!   a column, and the rows of `C -= V_p W` left over by the `G`-group
-//!   passes go a group, then a row, at a time.  Panel and `W` are bounded
-//!   (64 rows, 64 columns): taller or wider operands take more than one
-//!   block of either.
-//! * its mirror image under the three LQ applies (`apply_right`).  The LQ
-//!   kernels store reflector `k` as *row* `k` of the tile, so the chunk's
-//!   coefficients at one column of `C` — `v[p..p+IB, j]` — are contiguous,
-//!   and for a right-sided apply the natural vector axis is the rows of
-//!   `C`: per chunk and `G` groups of `LANES` rows, `W = H + C V_p` is
-//!   `G * IB` register accumulators fed by one load of `C[i0.., j]` per
-//!   group and `IB` coefficient broadcasts per column, `W op(T)` an
-//!   unrolled triangular product with the rows as lanes, and `C[:, j] -= W
-//!   v[p..p+IB, j]` a second sweep over the row groups; every broadcast, of
-//!   a coefficient or of an entry of `T`, feeds all `G` groups.  No
-//!   horizontal reductions, and every vector is full whatever the shape.
-//!   The same `Shape` splits the *columns* into dense ones and the corner
-//!   (unit-upper for UNMLQ, lower for TT, absent for TS); a corner clipped
-//!   by a narrow tile is just fewer columns, a last chunk narrower than
-//!   `IB` runs the same body with a runtime width, and the rows left over by the `G`-group passes
-//!   go a group, then a row, at a time.
-//! * **Row groups.**  Both kernels spend one broadcast per FMA at one row
-//!   group per pass; `G` groups make each broadcast feed `G` FMAs, the
+//!   a stack array.  The QR side stores its reflectors as columns and takes
+//!   them as the vector axis: for `W = H + V_p^T C` the chunk is transposed
+//!   once, with register transposes, into a stack panel whose row `i` holds
+//!   `V[i, p..p+IB]`, and each `C[i, j]` is broadcast against it;
+//!   `W = op(T) W` is the same loop over the columns of `op(T)`, and
+//!   `C -= V_p W` turns the lanes back to the rows of `C`.  The `e_k` heads
+//!   of the TS/TT reflectors act on rows `p..p+IB` of the pivot tile,
+//!   UNMQR's unit diagonal lives in its corner.  The factorizations are
+//!   level 3 the way PLASMA's `CORE_dgeqrt`/`CORE_dttqrt` are: an `IB`-wide
+//!   panel is factored unblocked, its `T` block built by the chunk-local
+//!   `larft` recurrence, and the trailing columns updated with the same
+//!   chunk apply.  Panel and `W` are bounded (64 rows, 64 columns): taller
+//!   or wider operands take more than one block of either.
+//! * its mirror image under the six LQ kernels (`apply_right`,
+//!   `factor_right`).  The LQ side stores reflector `k` as *row* `k` of the
+//!   tile and takes the rows of `C` as the vector axis: per chunk and `G`
+//!   groups of `LANES` rows, `W = H + C V_p` is `G * IB` register
+//!   accumulators fed by one load of `C[i0.., j]` per group and `IB`
+//!   coefficient broadcasts per column (`v[p..p+IB, j]` is contiguous),
+//!   `W op(T)` an unrolled triangular product, and `C[:, j] -= W v[p..p+IB,
+//!   j]` a second sweep.  The same `Shape` splits the *columns* into dense
+//!   ones and the corner (unit-upper for UNMLQ, lower for TT, absent for
+//!   TS).  The factorizations factor an `IB`-row panel with its rows as the
+//!   lanes and update the rows below it with the same chunk apply, which
+//!   reads the chunk from those very columns; nothing is transposed.
+//!
+//!   On both sides ragged shapes run the same loops — a last chunk narrower
+//!   than `IB` is zero lanes or a runtime width, a clipped corner is fewer
+//!   rows or columns — and nothing is summed across lanes.
+//! * **Row groups.**  Both apply kernels spend one broadcast per FMA at one
+//!   row group per pass; `G` groups make each broadcast feed `G` FMAs, the
 //!   register blocking of Goto and van de Geijn (*Anatomy of
 //!   high-performance matrix multiplication*, ACM TOMS 34(3), 2008).  `G`
 //!   is a compile-time constant per lane and per side (`lane_shells!` and
 //!   the scalar arm of `dispatch!`), picked by a sweep over 1, 2 and 3:
-//!   two on both sides of both vector lanes, where three spills the
-//!   right kernel's `W`; two on the left and one on the right for the
-//!   scalar backend's eight-wide rows, whose right-side `W` at two groups
-//!   no longer fits the SSE2 registers.  Every entry of `C`, `H` and `W`
-//!   takes the same FMAs in the same order whatever `G` is, so every
-//!   output is bitwise what one group per pass gives.
-//! * [`Workspace`] — the two tiles the LQ *factorizations* transpose their
-//!   operands into, so that in steady state the only allocation any kernel
-//!   makes is the one [`TFactor`] a factorization returns.  Every other
-//!   kernel needs none: `W`, the panel and the corner live in registers and
-//!   on the stack.
+//!   two on both sides of both vector lanes, where three spills the right
+//!   kernel's `W`; two on the left and one on the right for the scalar
+//!   backend's eight-wide rows, whose right-side `W` at two groups no
+//!   longer fits the SSE2 registers.  Every entry of `C`, `H` and `W` takes
+//!   the same FMAs in the same order whatever `G` is, so every output is
+//!   bitwise what one group per pass gives.
 //!
 //! # SIMD dispatch and safety
 //!
 //! The chunk kernels are written once over [`SimdLane`] and instantiated
 //! per backend: for the `BIDIAG_SIMD=scalar` fallback (unfused
 //! multiply-adds) with eight [`ScalarLane`]s side by side, so that a
-//! coefficient load feeds eight rows there too, and, behind **one** `#[target_feature]` shell per tile-kernel call, with
-//! `Avx2Lane` (4 lanes) and `Avx512Lane` (8 lanes).  The lane bodies are
-//! `unsafe fn` for one reason only — the lane's instruction-set contract,
-//! discharged by [`simd::check_avx2`] / [`simd::check_avx512`] at the
-//! dispatch in `factor` / `apply` / `apply_right`.  Every slice they touch
+//! coefficient load feeds eight rows there too, and, behind **one**
+//! `#[target_feature]` shell per tile-kernel call, with `Avx2Lane` (4
+//! lanes) and `Avx512Lane` (8 lanes).  The lane bodies are `unsafe fn` for
+//! one reason only — the lane's instruction-set contract, discharged by
+//! [`simd::check_avx2`] / [`simd::check_avx512`] at the dispatch in
+//! `factor` / `apply` / `apply_right` / `factor_right`.  Every slice they touch
 //! is cut with checked range indexing, and the inner loops that use the
 //! lanes' unchecked `load`/`store` assert first what bounds their operands;
 //! what the block widths require of a lane (`LANES` divides `IB`) is a
@@ -730,7 +714,7 @@ unsafe fn factor_body<S: SimdLane, const RV: usize, const NC: usize, const G: us
                 let xnorm = if (1e-280..1e280).contains(&ss) {
                     ss.sqrt()
                 } else {
-                    norm2(vk)
+                    norm2(&*vk)
                 };
                 let r = larfg_with_norm(*alpha, vk, xnorm);
                 *alpha = r.beta;
@@ -793,14 +777,16 @@ unsafe fn factor_body<S: SimdLane, const RV: usize, const NC: usize, const G: us
 /// column-major tile, so dense columns are read in place and the corner is
 /// densified per column.
 struct RowChunk<'a> {
-    /// Width of the chunk.
+    /// First reflector and width of the chunk.
+    p: usize,
     ib: usize,
     /// The columns of `C` the chunk touches: the dense ones, which every
     /// reflector of the chunk stores, and the at most `IB` of the corner.
     dense: Range<usize>,
     corner: Range<usize>,
     /// The reflector tile from `v[p, dense.start]` on (empty without dense
-    /// columns) and its leading dimension.
+    /// columns, or when the reflectors are rows `p..p+ib` of `C` itself, in
+    /// a factorization's trailing update) and its leading dimension.
     vd: &'a [f64],
     ldv: usize,
     /// `kc[jj][kk]`: the coefficient of reflector `p + kk` at corner column
@@ -814,11 +800,13 @@ struct RowChunk<'a> {
 
 impl<'a> RowChunk<'a> {
     /// Chunk `p..p+ib` of the reflectors of `shape` stored in the rows of
-    /// the `n`-column column-major tile `v` (leading dimension `ldv`).
+    /// the `n`-column column-major tile `v` (leading dimension `ldv`).  The
+    /// corner is copied out of `v` here; the dense columns are read from
+    /// `C` itself unless the tile is given to [`RowChunk::reading`].
     #[allow(clippy::too_many_arguments)]
     fn new(
         shape: Shape,
-        v: &'a [f64],
+        v: &[f64],
         ldv: usize,
         n: usize,
         p: usize,
@@ -842,8 +830,9 @@ impl<'a> RowChunk<'a> {
             }
         }
         RowChunk {
+            p,
             ib,
-            vd: v.get(dense.start * ldv + p..).unwrap_or(&[]),
+            vd: &[],
             dense,
             corner,
             ldv,
@@ -853,9 +842,17 @@ impl<'a> RowChunk<'a> {
         }
     }
 
+    /// The chunk with its dense columns read from the tile `v` it was made
+    /// from, not from `C`.
+    fn reading(self, v: &'a [f64]) -> Self {
+        let vd = v.get(self.dense.start * self.ldv + self.p..).unwrap_or(&[]);
+        RowChunk { vd, ..self }
+    }
+
     /// The chunk's coefficients as `(array, stride, columns of C)`: those of
     /// the `n`-th column of `columns` are `array[n * stride..][..ib]`.  The
-    /// dense columns come straight off the tile, the corner's off `kc`.
+    /// dense columns come straight off the tile (none without one: see
+    /// [`right_rows`]), the corner's off `kc`.
     #[inline(always)]
     fn parts(&self) -> [(&[f64], usize, Range<usize>); 2] {
         [
@@ -874,12 +871,13 @@ impl<'a> RowChunk<'a> {
 /// groups, again one broadcast per coefficient for all of them.  Every
 /// entry of `C`, `H` and `W` takes the same FMAs in the same order whatever
 /// `G` is.  `FULL` makes `ib` the constant `IB`, so everything unrolls and
-/// `W` never leaves the registers.
+/// `W` never leaves the registers.  `OWN` says the dense coefficients are
+/// rows `p..p+ib` of `c` itself — a factorization's trailing update.
 ///
 /// # Safety
 /// The lane's ISA contract (see [`SimdLane`]).
 #[inline(always)]
-unsafe fn right_rows<S: SimdLane, const FULL: bool, const G: usize>(
+unsafe fn right_rows<S: SimdLane, const FULL: bool, const G: usize, const OWN: bool>(
     s: S,
     ch: &RowChunk<'_>,
     mut head: Option<&mut [f64]>,
@@ -910,7 +908,21 @@ unsafe fn right_rows<S: SimdLane, const FULL: bool, const G: usize>(
                 for (g, x) in cj.iter_mut().enumerate() {
                     *x = s.load(c, j * ld + i0 + g * S::LANES);
                 }
-                for (kk, &v) in coef[n * stride..][..ib].iter().enumerate() {
+                // `OWN`: the dense coefficients are rows `p..p+ib` of `C`,
+                // copied out before `C` is written.
+                let own = &mut [0.0; IB];
+                let coef = if OWN {
+                    let at = if coef.is_empty() {
+                        &c[j * ld + ch.p..]
+                    } else {
+                        &coef[n * stride..]
+                    };
+                    own[..ib].copy_from_slice(&at[..ib]);
+                    &own[..ib]
+                } else {
+                    &coef[n * stride..][..ib]
+                };
+                for (kk, &v) in coef.iter().enumerate() {
                     let v = s.splat(v);
                     for (wg, &x) in w.iter_mut().zip(&cj) {
                         wg[kk] = s.mul_add(x, v, wg[kk]);
@@ -939,7 +951,21 @@ unsafe fn right_rows<S: SimdLane, const FULL: bool, const G: usize>(
                 for (g, x) in cj.iter_mut().enumerate() {
                     *x = s.load(c, j * ld + i0 + g * S::LANES);
                 }
-                for (kk, &v) in coef[n * stride..][..ib].iter().enumerate() {
+                // `OWN`: the dense coefficients are rows `p..p+ib` of `C`,
+                // copied out before `C` is written.
+                let own = &mut [0.0; IB];
+                let coef = if OWN {
+                    let at = if coef.is_empty() {
+                        &c[j * ld + ch.p..]
+                    } else {
+                        &coef[n * stride..]
+                    };
+                    own[..ib].copy_from_slice(&at[..ib]);
+                    &own[..ib]
+                } else {
+                    &coef[n * stride..][..ib]
+                };
+                for (kk, &v) in coef.iter().enumerate() {
                     let v = s.splat(v);
                     for (x, wg) in cj.iter_mut().zip(&w) {
                         *x = s.mul_add(wg[kk], v, *x);
@@ -953,34 +979,36 @@ unsafe fn right_rows<S: SimdLane, const FULL: bool, const G: usize>(
     }
 }
 
-/// Apply one chunk to all `r` rows: `G` lane groups at a time, then the
-/// groups left over one at a time, then the `r mod LANES` leftover rows one
-/// at a time, all through the same arithmetic.
+/// Apply one chunk to the rows `rows` of `c` and `head` (leading dimension
+/// `ld`; `OWN` as for [`right_rows`]): `G` lane groups at a time, then the
+/// groups left over one at a time, then the leftover rows one at a time,
+/// all through the same arithmetic.
 ///
 /// # Safety
 /// The lane's ISA contract (see [`SimdLane`]).
 #[inline(always)]
-unsafe fn right_chunk<S: SimdLane, const FULL: bool, const G: usize>(
+unsafe fn right_chunk<S: SimdLane, const FULL: bool, const G: usize, const OWN: bool>(
     s: S,
     ch: &RowChunk<'_>,
     mut head: Option<&mut [f64]>,
     c: &mut [f64],
-    r: usize,
+    ld: usize,
+    rows: Range<usize>,
 ) {
-    let mut i0 = 0;
+    let mut i0 = rows.start;
     // SAFETY: the caller upholds the lane's ISA contract; the scalar lane
     // has none.
     unsafe {
-        while i0 + G * S::LANES <= r {
-            right_rows::<S, FULL, G>(s, ch, head.as_deref_mut(), c, r, i0);
+        while i0 + G * S::LANES <= rows.end {
+            right_rows::<S, FULL, G, OWN>(s, ch, head.as_deref_mut(), c, ld, i0);
             i0 += G * S::LANES;
         }
-        while i0 + S::LANES <= r {
-            right_rows::<S, FULL, 1>(s, ch, head.as_deref_mut(), c, r, i0);
+        while i0 + S::LANES <= rows.end {
+            right_rows::<S, FULL, 1, OWN>(s, ch, head.as_deref_mut(), c, ld, i0);
             i0 += S::LANES;
         }
-        while i0 < r {
-            right_rows::<_, FULL, 1>(ScalarLane, ch, head.as_deref_mut(), c, r, i0);
+        while i0 < rows.end {
+            right_rows::<_, FULL, 1, OWN>(ScalarLane, ch, head.as_deref_mut(), c, ld, i0);
             i0 += 1;
         }
     }
@@ -1012,19 +1040,233 @@ unsafe fn apply_right_body<S: SimdLane, const G: usize>(
             ib,
             tf.t_block_data(p),
             trans,
-        );
+        )
+        .reading(v.data());
         let h = head
             .as_deref_mut()
             .map(|h| &mut h.data_mut()[p * r..(p + ib) * r]);
         // SAFETY: the caller upholds the lane's ISA contract.
         unsafe {
             if ib == IB {
-                right_chunk::<S, true, G>(s, &ch, h, c.data_mut(), r);
+                right_chunk::<S, true, G, false>(s, &ch, h, c.data_mut(), r, 0..r);
             } else {
-                right_chunk::<S, false, G>(s, &ch, h, c.data_mut(), r);
+                right_chunk::<S, false, G, false>(s, &ch, h, c.data_mut(), r, 0..r);
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The LQ factorizations (right side, panel rows as lanes)
+// ---------------------------------------------------------------------------
+
+/// One `IB`-row panel of an LQ factorization: rows `p..p+ib` of an `m x n`
+/// column-major tile whose reflectors have the shape `shape`.
+#[derive(Clone, Copy)]
+struct RowPanel {
+    shape: Shape,
+    m: usize,
+    n: usize,
+    p: usize,
+    ib: usize,
+}
+
+impl RowPanel {
+    /// The tail of row `p + kk` as `(vec, rest)`: the columns every row of
+    /// a full panel stores, taken `IB` rows at a time, and the others
+    /// (TTLQT's corner, all of a narrow last panel), one entry at a time
+    /// over the rows that store them, so that no unstored entry is read.
+    fn tail(self, kk: usize) -> (Range<usize>, Range<usize>) {
+        let t = self.shape.tail(self.p + kk, self.n);
+        let full = match self.shape {
+            _ if self.ib < IB => 0,
+            Shape::Triangle => self.p.min(self.n),
+            _ => self.n,
+        };
+        let end = t.end.min(full).max(t.start);
+        (t.start..end, end..t.end)
+    }
+
+    /// One pass over the tail of row `p + kk` of `a`, the panel's rows as
+    /// the lanes: `X_j = sv X_j + nw X_j[kk]` lane by lane — the reflector
+    /// of row `p + kk` applied to the rows below it (`nw`, zero from lane
+    /// `kk` up) while that row is scaled (`sv`, one but at lane `kk`) — then
+    /// the sum of `X_j X_j[r]` over the tail of row `p + r`: lane `r` of it
+    /// is that row's sum of squares, the others its dots with the rows
+    /// above and below.  So one pass applies a reflector and takes the next
+    /// one's dots.  Consecutive columns feed `4 / RV` accumulators.
+    ///
+    /// # Safety
+    /// The lane's ISA contract (see [`SimdLane`]).
+    #[inline(always)]
+    unsafe fn pass<S: SimdLane, const RV: usize>(
+        self,
+        s: S,
+        a: &mut [f64],
+        kk: usize,
+        [nw, sv]: [&[f64; IB]; 2],
+        r: usize,
+    ) -> [f64; IB] {
+        let (m, p, ib) = (self.m, self.p, self.ib);
+        let ((cols, rest), (r_cols, r_rest)) = (self.tail(kk), self.tail(r));
+        let lo = |j: usize| match self.shape {
+            Shape::Triangle => j.saturating_sub(p),
+            _ => 0,
+        };
+        assert!(kk < IB && r < IB);
+        let mut out = [0.0; IB];
+        // SAFETY (whole block): the caller upholds the lane's ISA contract,
+        // and every column is cut to `IB` entries with checked indexing.
+        unsafe {
+            // Lane `r` of the updated column, broadcast: taken from the
+            // column before it is stored, by the same lane arithmetic.
+            let (nwr, svr) = (s.splat(nw[r]), s.splat(sv[r]));
+            let [nw, sv] = [load_w::<S, RV, 1>(s, nw)[0], load_w::<S, RV, 1>(s, sv)[0]];
+            let mut acc = [[s.zero(); RV]; 4];
+            for j0 in cols.clone().step_by(4 / RV) {
+                for (u, acc) in acc.iter_mut().enumerate().take(4 / RV) {
+                    let j = j0 + u;
+                    if j >= cols.end {
+                        break;
+                    }
+                    let x: &mut [f64; IB] = (&mut a[j * m + p..][..IB]).try_into().expect("IB");
+                    let (mut v, xk) = (load_w::<S, RV, 1>(s, x)[0], s.splat(x[kk]));
+                    for ((v, nw), sv) in v.iter_mut().zip(nw).zip(sv) {
+                        *v = s.mul_add(nw, xk, s.mul(*v, sv));
+                    }
+                    if j >= r_cols.start {
+                        let xr = s.mul_add(nwr, xk, s.mul(s.splat(x[r]), svr));
+                        for (acc, v) in acc.iter_mut().zip(v) {
+                            *acc = s.mul_add(v, xr, *acc);
+                        }
+                    }
+                    store_w::<S, RV, 1>(s, x, [v]);
+                }
+            }
+            let mut sum = [[s.zero(); RV]];
+            for (r, x) in sum[0].iter_mut().enumerate() {
+                *x = s.add(s.add(acc[0][r], acc[1][r]), s.add(acc[2][r], acc[3][r]));
+            }
+            store_w(s, &mut out, sum);
+        }
+        for j in rest {
+            for i in lo(j).max(kk + 1)..ib {
+                a[j * m + p + i] += nw[i] * a[j * m + p + kk];
+            }
+            a[j * m + p + kk] *= sv[kk];
+        }
+        for j in r_rest {
+            for i in lo(j)..ib {
+                out[i] += a[j * m + p + i] * a[j * m + p + r];
+            }
+        }
+        out
+    }
+}
+
+/// Entry `at` of the tile holding the reflectors' heads: `l1` (leading
+/// dimension `m`, like `a`), or `a` itself for GELQT.
+fn head<'h>(l1: &'h mut Option<&mut [f64]>, a: &'h mut [f64], at: usize) -> &'h mut f64 {
+    match l1 {
+        Some(l1) => &mut l1[at],
+        None => &mut a[at],
+    }
+}
+
+/// Lane-generic body of [`factor_right`], the mirror image of
+/// [`factor_body`]: an `IB`-row panel is factored unblocked with its rows
+/// as the lanes — each reflector's sum of squares, the `w` of the rows
+/// below it and the `vdots` of its `T` column come from one
+/// [`RowPanel::pass`], the one that applied the reflector before — then
+/// the rows below the panel are updated with [`right_chunk`] at `G` row
+/// groups, reading the chunk from those very columns.
+///
+/// # Safety
+/// The lane's ISA contract (see [`SimdLane`]).
+#[inline(always)]
+unsafe fn factor_right_body<S: SimdLane, const RV: usize, const G: usize>(
+    s: S,
+    shape: Shape,
+    mut l1: Option<&mut Matrix>,
+    a: &mut Matrix,
+) -> TFactor {
+    let (m, n) = (a.rows(), a.cols());
+    let kmax = l1.as_ref().map_or(n, |l1| l1.cols()).min(m);
+    let mut tf = TFactor::with_kmax(kmax);
+    for p in (0..kmax).step_by(IB) {
+        let ib = IB.min(kmax - p);
+        let pan = RowPanel { shape, m, n, p, ib };
+        let (data, mut heads) = (a.data_mut(), l1.as_deref_mut().map(|l1| l1.data_mut()));
+        let mut next = None;
+        for (kk, k) in (p..p + ib).enumerate() {
+            // SAFETY (all blocks): the caller upholds the lane's ISA contract.
+            let same = [&[0.0; IB], &[1.0; IB]];
+            let mut dots = match next.take() {
+                Some(dots) => dots,
+                None => unsafe { pan.pass::<S, RV>(s, data, kk, same, kk) },
+            };
+            let (ss, tail) = (dots[kk], shape.tail(k, n));
+            let fast = (1e-280..1e280).contains(&ss) && dots[..ib].iter().all(|d| d.is_finite());
+            let row = data[k..]
+                .iter()
+                .step_by(m)
+                .skip(tail.start)
+                .take(tail.len());
+            let xnorm = if fast { ss.sqrt() } else { norm2(row) };
+            // The fast path scales the row in the update pass, the other
+            // here, and takes its dots again.
+            let alpha = *head(&mut heads, data, k * m + k);
+            let row = data[k..].iter_mut().step_by(m).skip(tail.start);
+            let r = larfg_with_norm(alpha, row.take(if fast { 0 } else { tail.len() }), xnorm);
+            *head(&mut heads, data, k * m + k) = r.beta;
+            let vs = if fast {
+                1.0 / (alpha - r.beta)
+            } else {
+                dots = unsafe { pan.pass::<S, RV>(s, data, kk, same, kk) };
+                1.0
+            };
+            let (mut nw, mut sv) = ([0.0; IB], [1.0; IB]);
+            sv[kk] = vs;
+            for i in kk + 1..ib {
+                let h = head(&mut heads, data, k * m + p + i);
+                let w = r.tau * (*h + vs * dots[i]);
+                *h -= w;
+                nw[i] = -w * vs;
+            }
+            // Column k of the chunk's T block: v_l^T v_k over the columns
+            // both reflectors store, and GELQT's `e_k` meeting column k of v_l.
+            let mut vdots = [0.0; IB];
+            for (l, v) in vdots[..kk].iter_mut().enumerate() {
+                let e = if shape == Shape::Trapezoid {
+                    data[k * m + p + l]
+                } else {
+                    0.0
+                };
+                *v = vs * dots[l] + e;
+            }
+            if r.tau != 0.0 {
+                let d = unsafe { pan.pass::<S, RV>(s, data, kk, [&nw, &sv], (kk + 1).min(ib - 1)) };
+                next = (kk + 1 < ib).then_some(d);
+            }
+            tf.append(r.tau, &vdots[..kk]);
+        }
+        if p + ib < m {
+            let t = tf.t_block_data(p);
+            let ch = RowChunk::new(shape, a.data(), m, n, p, ib, t, Trans::Transpose);
+            let h = l1
+                .as_deref_mut()
+                .map(|l1| &mut l1.data_mut()[p * m..(p + ib) * m]);
+            let below = p + ib..m;
+            unsafe {
+                if ib == IB {
+                    right_chunk::<S, true, G, true>(s, &ch, h, a.data_mut(), m, below);
+                } else {
+                    right_chunk::<S, false, G, true>(s, &ch, h, a.data_mut(), m, below);
+                }
+            }
+        }
+    }
+    tf
 }
 
 // ---------------------------------------------------------------------------
@@ -1098,10 +1340,11 @@ impl SimdLane for ScalarRows {
     }
 }
 
-/// The `#[target_feature]` shells of one vector lane: the three bodies
+/// The `#[target_feature]` shells of one vector lane: the four bodies
 /// instantiated with `$lane`, the left ones with `$rv` registers per `IB`
 /// reflectors, `$nc` columns of `C` per pass and `$gl` row groups per pass
-/// of `C += V_p W`, the right one with `$gr` row groups per pass.
+/// of `C += V_p W`, the right ones with `$rv` registers per `IB` panel rows
+/// and `$gr` row groups per pass.
 #[cfg(target_arch = "x86_64")]
 macro_rules! lane_shells {
     ($name:ident, $lane:ident, $features:literal, $rv:literal, $nc:literal, $gl:literal, $gr:literal) => {
@@ -1156,6 +1399,20 @@ macro_rules! lane_shells {
             ) -> TFactor {
                 // SAFETY: as in `apply`.
                 unsafe { factor_body::<$lane, $rv, $nc, $gl>($lane::new_unchecked(), shape, r1, a) }
+            }
+
+            /// # Safety
+            /// Caller must guarantee the CPU features of the lane.
+            #[target_feature(enable = $features)]
+            pub(super) unsafe fn factor_right(
+                shape: Shape,
+                l1: Option<&mut Matrix>,
+                a: &mut Matrix,
+            ) -> TFactor {
+                // SAFETY: as in `apply`.
+                unsafe {
+                    factor_right_body::<$lane, $rv, $gr>($lane::new_unchecked(), shape, l1, a)
+                }
             }
         }
     };
@@ -1250,8 +1507,20 @@ pub(crate) fn factor(shape: Shape, r1: Option<&mut Matrix>, a: &mut Matrix) -> T
     )
 }
 
+/// Factor `a` in place into *row-wise* stored reflectors of `shape` — on
+/// its own ([`Shape::Trapezoid`], `l1 == None`) or right of the lower
+/// triangle `l1` (as many rows as `a`, checked by the callers) — and return
+/// their [`TFactor`].  One backend dispatch per call.
+pub(crate) fn factor_right(shape: Shape, l1: Option<&mut Matrix>, a: &mut Matrix) -> TFactor {
+    debug_assert_eq!(shape == Shape::Trapezoid, l1.is_none());
+    dispatch!(
+        factor_right_body::<ScalarRows, 1, 1>(ScalarRows, shape, l1, a),
+        factor_right(shape, l1, a)
+    )
+}
+
 // ---------------------------------------------------------------------------
-// T factor and workspace
+// T factor
 // ---------------------------------------------------------------------------
 
 /// The compact-WY representation of one factorization kernel's reflectors:
@@ -1355,43 +1624,6 @@ impl TFactor {
     }
 }
 
-/// Reusable scratch of the blocked LQ factorizations: the two tiles
-/// `gelqt`/`tslqt`/`ttlqt` transpose their operands into.  The tiles grow
-/// on first use and are reused afterwards, so a long-lived workspace — one
-/// per runtime worker — makes those kernels allocation-free in steady
-/// state.  The apply kernels of both sides and the QR factorizations need
-/// none: their `W` block and corner live in registers and on the stack.
-#[derive(Debug)]
-pub struct Workspace {
-    transposed: [Matrix; 2],
-}
-
-impl Workspace {
-    /// Empty workspace (the tiles grow on the first LQ factorization).
-    pub fn new() -> Self {
-        Self::for_tile(0)
-    }
-
-    /// Workspace pre-sized for tiles up to `nb x nb`, so the first kernel
-    /// call is as allocation-free as the steady state.
-    pub fn for_tile(nb: usize) -> Self {
-        Workspace {
-            transposed: [Matrix::zeros(nb, nb), Matrix::zeros(nb, nb)],
-        }
-    }
-
-    /// The two tiles the LQ factorizations transpose their operands into.
-    pub(crate) fn transposed(&mut self) -> &mut [Matrix; 2] {
-        &mut self.transposed
-    }
-}
-
-impl Default for Workspace {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1399,20 +1631,6 @@ mod tests {
 
     fn fdot(x: &[f64], y: &[f64]) -> f64 {
         x.iter().zip(y).map(|(a, b)| a * b).sum()
-    }
-
-    #[test]
-    fn workspace_tiles_start_on_a_cache_line() {
-        // A cold workspace grows both tiles inside its first TSLQT.
-        let mut cold = Workspace::new();
-        let (mut l1, mut a2) = (random_gaussian(5, 5, 1), random_gaussian(5, 7, 2));
-        crate::lq::tslqt(&mut l1, &mut a2, &mut cold);
-        for mut ws in [cold, Workspace::for_tile(5), Workspace::for_tile(64)] {
-            for t in ws.transposed() {
-                assert!(!t.data().is_empty());
-                assert!((t.data().as_ptr() as usize).is_multiple_of(64));
-            }
-        }
     }
 
     #[test]
@@ -1449,11 +1667,13 @@ mod tests {
     }
 
     /// The bits of `C` and the pivot tile after [`apply_body`] with `G` row
-    /// groups per pass.
+    /// groups per pass.  This and the three below are frames of their own:
+    /// inlined into one, the bodies of a lane take more than a test
+    /// thread's stack in a debug build under AddressSanitizer.
     ///
     /// # Safety
     /// The lane's ISA contract.
-    #[inline(always)]
+    #[inline(never)]
     #[allow(clippy::too_many_arguments)]
     unsafe fn left_bits<S: SimdLane, const RV: usize, const NC: usize, const G: usize>(
         s: S,
@@ -1474,7 +1694,7 @@ mod tests {
     ///
     /// # Safety
     /// The lane's ISA contract.
-    #[inline(always)]
+    #[inline(never)]
     unsafe fn right_bits<S: SimdLane, const G: usize>(
         s: S,
         shape: Shape,
@@ -1495,7 +1715,7 @@ mod tests {
     ///
     /// # Safety
     /// The lane's ISA contract.
-    #[inline(always)]
+    #[inline(never)]
     unsafe fn factor_bits<S: SimdLane, const RV: usize, const NC: usize, const G: usize>(
         s: S,
         shape: Shape,
@@ -1508,8 +1728,26 @@ mod tests {
         (bits(&a), r1.as_ref().map(bits), tf)
     }
 
+    /// [`factor_bits`] for [`factor_right_body`], `l1` the triangle left
+    /// of `a`.
+    ///
+    /// # Safety
+    /// The lane's ISA contract.
+    #[inline(never)]
+    unsafe fn factor_right_bits<S: SimdLane, const RV: usize, const G: usize>(
+        s: S,
+        shape: Shape,
+        l1: Option<&Matrix>,
+        a: &Matrix,
+    ) -> (Vec<u64>, Option<Vec<u64>>, TFactor) {
+        let (mut l1, mut a) = (l1.cloned(), a.clone());
+        // SAFETY: the caller upholds the lane's ISA contract.
+        let tf = unsafe { factor_right_body::<S, RV, G>(s, shape, l1.as_mut(), &mut a) };
+        (bits(&a), l1.as_ref().map(bits), tf)
+    }
+
     /// Row groups change which registers an entry of `C` passes through,
-    /// never its arithmetic: both applies and the factorization at `G` row
+    /// never its arithmetic: both applies and both factorizations at `G` row
     /// groups per pass give the bits of one group per pass — every shape,
     /// both directions, a narrow last chunk, and row counts from one up to
     /// two full passes, a group and a row, so that every mix of full
@@ -1564,6 +1802,20 @@ mod tests {
                     )
                 };
                 assert!(f == f1, "factor, {what}");
+                // The LQ factorization's runs the right one on the rows below
+                // each panel: `m` of them below the first, `IB + 1` rows of
+                // reflectors (a narrow last chunk) when there are enough
+                // columns.
+                let a = random_gaussian(m + IB, n, seed + 7);
+                let l1 = stacked.then(|| random_gaussian(m + IB, kmax, seed + 8));
+                // SAFETY: as above.
+                let (f, f1) = unsafe {
+                    (
+                        factor_right_bits::<S, RV, G>(s, shape, l1.as_ref(), &a),
+                        factor_right_bits::<S, RV, 1>(s, shape, l1.as_ref(), &a),
+                    )
+                };
+                assert!(f == f1, "factor_right, {what}");
             }
         }
     }

@@ -25,7 +25,7 @@
 use bidiag_kernels::householder::larfg;
 use bidiag_kernels::lq::{gelqt, tslqt, tsmlq, ttlqt, ttmlq, unmlq};
 use bidiag_kernels::qr::{geqrt, tsmqr, tsqrt, ttmqr, ttqrt, unmqr};
-use bidiag_kernels::{TFactor, Trans, Workspace};
+use bidiag_kernels::{TFactor, Trans};
 use bidiag_matrix::checks::{
     lower_triangle_of, orthogonality_error, relative_error, upper_triangle_of,
 };
@@ -364,7 +364,6 @@ fn lq_side_applies_match_unblocked_on_ragged_shapes() {
     // factor k rows (k straddling IB), then apply all three shapes from the
     // right to every row count r in both directions, and check that Q^T
     // followed by Q restores C.
-    let mut ws = Workspace::new();
     for &n in &DIMS {
         for &k in &KS {
             let seed = (n * 100 + k) as u64;
@@ -372,7 +371,7 @@ fn lq_side_applies_match_unblocked_on_ragged_shapes() {
             let mut vu = random_gaussian(k, n, seed);
             let mut vb = vu.clone();
             let taus = gelqt_unblocked(&mut vu);
-            let tf = gelqt(&mut vb, &mut ws);
+            let tf = gelqt(&mut vb);
             // TSLQT / TTLQT: a k x k triangle next to an n-column tile.
             let l1_0 = lower_triangle_of(&random_gaussian(k, k, seed + 1));
             let a2_0 = random_gaussian(k, n, seed + 2);
@@ -380,11 +379,11 @@ fn lq_side_applies_match_unblocked_on_ragged_shapes() {
             let (mut s1u, mut s2u) = (l1_0.clone(), a2_0.clone());
             let ts_taus = tslqt_unblocked(&mut s1u, &mut s2u);
             let (mut s1b, mut s2b) = (l1_0.clone(), a2_0.clone());
-            let ts_tf = tslqt(&mut s1b, &mut s2b, &mut ws);
+            let ts_tf = tslqt(&mut s1b, &mut s2b);
             let (mut t1u, mut t2u) = (l1_0.clone(), t2_0.clone());
             let tt_taus = ttlqt_unblocked(&mut t1u, &mut t2u);
             let (mut t1b, mut t2b) = (l1_0.clone(), t2_0.clone());
-            let tt_tf = ttlqt(&mut t1b, &mut t2b, &mut ws);
+            let tt_tf = ttlqt(&mut t1b, &mut t2b);
 
             for &r in &DIMS {
                 let c0 = random_gaussian(r, n, seed + 3);
@@ -496,7 +495,6 @@ fn factorizations_survive_extreme_scales() {
             a2.transpose(),
             r2.transpose(),
         );
-        let ws = || Workspace::new();
 
         check_factorization(
             &what("GEQRT"),
@@ -520,19 +518,19 @@ fn factorizations_survive_extreme_scales() {
             &what("GELQT"),
             [&at],
             |[a]| gelqt_unblocked(a),
-            |[a]| gelqt(a, &mut ws()),
+            |[a]| gelqt(a),
         );
         check_factorization(
             &what("TSLQT"),
             [&l1, &b2],
             |[l, a]| tslqt_unblocked(l, a),
-            |[l, a]| tslqt(l, a, &mut ws()),
+            |[l, a]| tslqt(l, a),
         );
         check_factorization(
             &what("TTLQT"),
             [&l1, &l2],
             |[l, a]| ttlqt_unblocked(l, a),
-            |[l, a]| ttlqt(l, a, &mut ws()),
+            |[l, a]| ttlqt(l, a),
         );
     }
 }
@@ -552,7 +550,6 @@ fn nan_poisoned_tiles_give_identical_output() {
     // vectors, the upper triangle of an UNMQR `v` tile holds `R`: neither
     // belongs to the reflectors, so NaNs there must not reach the output.
     // Likewise for the transposed storage of the LQ side.
-    let mut ws = Workspace::new();
     for &(m, k) in &[
         (5usize, 7usize),
         (8, 8),
@@ -597,11 +594,11 @@ fn nan_poisoned_tiles_give_identical_output() {
         // of a TTMLQ `v2` tile an earlier GELQT's vectors.
         let n = m;
         let mut v = random_gaussian(k, n, 12);
-        let tf = gelqt(&mut v, &mut ws);
+        let tf = gelqt(&mut v);
         let poisoned_v = Matrix::from_fn(k, n, |i, j| if i >= j { f64::NAN } else { v.get(i, j) });
         let mut l1 = lower_triangle_of(&random_gaussian(k, k, 13));
         let mut v2 = lower_triangle_of(&random_gaussian(k, n, 14));
-        let tt_tf = ttlqt(&mut l1, &mut v2, &mut ws);
+        let tt_tf = ttlqt(&mut l1, &mut v2);
         let poisoned_v2 = Matrix::from_fn(k, n, |i, j| if i < j { f64::NAN } else { v2.get(i, j) });
         for r in [1usize, 4, 7, 64] {
             let c0 = random_gaussian(r, n, 15);
@@ -624,6 +621,100 @@ fn nan_poisoned_tiles_give_identical_output() {
                     "TTMLQ read above the triangle, {k}x{n} r={r}"
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn factorizations_neither_read_nor_write_outside_their_regions() {
+    // `TileOp::accesses` gives a TS/TT factorization the pivot tile's
+    // triangle only — the other side holds an earlier GEQRT's / GELQT's
+    // reflectors, which the apply kernels of that step read concurrently —
+    // and TTQRT / TTLQT the triangle of the second tile only.  NaNs there
+    // must neither reach the outputs nor lose a bit; GEQRT / GELQT own their
+    // whole tile.  Bitwise, so each backend is forced for the comparison.
+    for be in simd::available_backends() {
+        simd::with_forced_backend(be, factorizations_keep_to_their_regions);
+    }
+}
+
+/// A NaN with a payload, so that a kernel that rewrote one is caught.
+const POISON: u64 = 0x7ff8_dead_beef_0001;
+
+/// Factor `tiles` clean, then with the entries `poison(t, i, j)` of tile `t`
+/// set to [`POISON`]: the factors and every other entry agree bitwise, and
+/// the poisoned entries keep their bits.
+fn check_regions<const N: usize>(
+    what: &str,
+    tiles: [Matrix; N],
+    poison: impl Fn(usize, usize, usize) -> bool,
+    factor: impl Fn(&mut [Matrix; N]) -> TFactor,
+) {
+    let mut clean = tiles.clone();
+    let tf_clean = factor(&mut clean);
+    let mut dirty = tiles;
+    for (t, x) in dirty.iter_mut().enumerate() {
+        *x = Matrix::from_fn(x.rows(), x.cols(), |i, j| {
+            if poison(t, i, j) {
+                f64::from_bits(POISON)
+            } else {
+                x.get(i, j)
+            }
+        });
+    }
+    let tf = factor(&mut dirty);
+    assert_eq!(format!("{tf:?}"), format!("{tf_clean:?}"), "{what}: factor");
+    for (t, (x, y)) in dirty.iter().zip(&clean).enumerate() {
+        for j in 0..x.cols() {
+            for i in 0..x.rows() {
+                let want = if poison(t, i, j) {
+                    POISON
+                } else {
+                    y.get(i, j).to_bits()
+                };
+                assert_eq!(x.get(i, j).to_bits(), want, "{what}: tile {t} ({i}, {j})");
+            }
+        }
+    }
+}
+
+fn factorizations_keep_to_their_regions() {
+    for nb in [24usize, 31, 64, 65] {
+        // Square second tiles, and ragged ones (a last tile row or column).
+        for k2 in [nb, nb.div_ceil(2)] {
+            let what = |kernel: &str| format!("{kernel} nb={nb} second tile {k2}");
+            let seed = (nb * 7 + k2) as u64;
+            let (r1, l1) = (
+                random_gaussian(nb, nb, seed),
+                random_gaussian(nb, nb, seed + 1),
+            );
+            let (a2, b2) = (
+                random_gaussian(k2, nb, seed + 2),
+                random_gaussian(nb, k2, seed + 3),
+            );
+            let below = |_: usize, i: usize, j: usize| i > j;
+            let above = |_: usize, i: usize, j: usize| i < j;
+            let nothing = |_: usize, _: usize, _: usize| false;
+            check_regions(&what("GEQRT"), [a2.clone()], nothing, |[a]| geqrt(a));
+            check_regions(&what("GELQT"), [b2.clone()], nothing, |[a]| gelqt(a));
+            let pivot_below = |t: usize, i: usize, j: usize| t == 0 && i > j;
+            let pivot_above = |t: usize, i: usize, j: usize| t == 0 && i < j;
+            check_regions(
+                &what("TSQRT"),
+                [r1.clone(), a2.clone()],
+                pivot_below,
+                |[r, a]| tsqrt(r, a),
+            );
+            check_regions(&what("TTQRT"), [r1.clone(), a2], below, |[r, a]| {
+                ttqrt(r, a)
+            });
+            check_regions(
+                &what("TSLQT"),
+                [l1.clone(), b2.clone()],
+                pivot_above,
+                |[l, a]| tslqt(l, a),
+            );
+            check_regions(&what("TTLQT"), [l1, b2], above, |[l, a]| ttlqt(l, a));
         }
     }
 }
@@ -720,13 +811,12 @@ fn t_blocks_are_the_chunk_local_larft_of_the_unblocked_vectors() {
 
 #[test]
 fn blocked_lq_kernels_match_unblocked() {
-    let mut ws = Workspace::new();
     for &nb in &NBS {
         // GELQT / UNMLQ over the shape sweep.
         for &(m, n) in &shapes(nb) {
             let a0 = random_gaussian(m, n, (m * 53 + n) as u64);
             let mut ab = a0.clone();
-            let tf = gelqt(&mut ab, &mut ws);
+            let tf = gelqt(&mut ab);
             let mut au = a0.clone();
             let taus = gelqt_unblocked(&mut au);
             assert!(relative_error(&au, &ab) < TOL, "GELQT tile, {m}x{n}");
@@ -753,7 +843,7 @@ fn blocked_lq_kernels_match_unblocked() {
             let a2_0 = random_gaussian(nb, n2, (nb * 61 + n2) as u64);
             let mut l1b = l1_0.clone();
             let mut a2b = a2_0.clone();
-            let tf = tslqt(&mut l1b, &mut a2b, &mut ws);
+            let tf = tslqt(&mut l1b, &mut a2b);
             let mut l1u = l1_0.clone();
             let mut a2u = a2_0.clone();
             let taus = tslqt_unblocked(&mut l1u, &mut a2u);
@@ -787,7 +877,7 @@ fn blocked_lq_kernels_match_unblocked() {
             let t2_0 = lower_triangle_of(&random_gaussian(nb, n2, (nb * 67 + n2) as u64));
             let mut t1b = l1_0.clone();
             let mut t2b = t2_0.clone();
-            let tf = ttlqt(&mut t1b, &mut t2b, &mut ws);
+            let tf = ttlqt(&mut t1b, &mut t2b);
             let mut t1u = l1_0.clone();
             let mut t2u = t2_0.clone();
             let taus = ttlqt_unblocked(&mut t1u, &mut t2u);

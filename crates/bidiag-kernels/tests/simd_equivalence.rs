@@ -28,7 +28,7 @@ use bidiag_kernels::band::BandMatrix;
 use bidiag_kernels::lq::{gelqt, tslqt, tsmlq, ttlqt, ttmlq, unmlq};
 use bidiag_kernels::qr::{geqrt, tsmqr, tsqrt, ttmqr, ttqrt, unmqr};
 use bidiag_kernels::svd::bisection_singular_values;
-use bidiag_kernels::{Trans, Workspace};
+use bidiag_kernels::Trans;
 use bidiag_matrix::checks::{lower_triangle_of, relative_error, upper_triangle_of};
 use bidiag_matrix::gen::random_gaussian;
 use bidiag_matrix::simd;
@@ -135,9 +135,8 @@ fn lq_tile_kernels_agree_across_backends() {
         let c0 = random_gaussian(nb + 3, n, (n * 359) as u64);
 
         let results = simd::on_each_backend(|| {
-            let mut ws = Workspace::new();
             let mut a = a0.clone();
-            let tf = gelqt(&mut a, &mut ws);
+            let tf = gelqt(&mut a);
             let mut ct = c0.clone();
             unmlq(&a, &tf, &mut ct, Trans::Transpose);
             let mut cn = c0.clone();
@@ -164,17 +163,16 @@ fn lq_tile_kernels_agree_across_backends() {
 
             for trans in [Trans::Transpose, Trans::NoTranspose] {
                 let results = simd::on_each_backend(|| {
-                    let mut ws = Workspace::new();
                     let mut l1 = l1_0.clone();
                     let mut a2 = a2_0.clone();
-                    let tf = tslqt(&mut l1, &mut a2, &mut ws);
+                    let tf = tslqt(&mut l1, &mut a2);
                     let mut b1 = c1_0.clone();
                     let mut b2 = c2_0.clone();
                     tsmlq(&mut b1, &mut b2, &a2, &tf, trans);
 
                     let mut t1 = l1_0.clone();
                     let mut t2 = t2_0.clone();
-                    let tg = ttlqt(&mut t1, &mut t2, &mut ws);
+                    let tg = ttlqt(&mut t1, &mut t2);
                     let mut d1 = c1_0.clone();
                     let mut d2 = c2_0.clone();
                     ttmlq(&mut d1, &mut d2, &t2, &tg, trans);

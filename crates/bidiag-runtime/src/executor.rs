@@ -70,9 +70,10 @@ pub fn execute_parallel(graph: &TaskGraph, bodies: Vec<TaskBody>, threads: usize
 /// scratch value created by `init` and passes it to each body it runs.
 ///
 /// This is the entry point of the blocked-kernel data plane: `bidiag-core`
-/// hands a `KernelScratch`-producing `init` here, so the compact-WY kernels
-/// a worker executes share one workspace instead of reallocating scratch
-/// per task.  `init` runs once per worker, on that worker's thread.
+/// hands a `KernelScratch`-producing `init` here, so the tile kernels a
+/// worker executes share one operand snapshot buffer instead of
+/// reallocating it per task.  `init` runs once per worker, on that worker's
+/// thread.
 pub fn execute_parallel_with<S: Send + 'static>(
     graph: &TaskGraph,
     bodies: Vec<TaskBodyWith<S>>,
