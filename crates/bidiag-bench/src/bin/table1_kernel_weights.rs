@@ -40,7 +40,7 @@ use bidiag_core::pipeline::{ge2bnd, Ge2Options};
 use bidiag_kernels::band::{bnd2bd_flops, bulge_wavefronts, BandMatrix};
 use bidiag_kernels::cost::KernelKind;
 use bidiag_kernels::gebd2::{gebd2, gebd2_with, Bidiagonal};
-use bidiag_kernels::{lq, qr, Trans};
+use bidiag_kernels::{lq, qr};
 use bidiag_matrix::checks::{lower_triangle_of as lower, upper_triangle_of as upper};
 use bidiag_matrix::gen::{latms, random_gaussian, SpectrumKind};
 use bidiag_matrix::simd::{self, SimdBackend};
@@ -340,7 +340,6 @@ fn gebd2_table() {
 /// forced the backend.
 fn kernel_times(nb: usize, reps: usize) -> [(KernelKind, f64, f64); 12] {
     let ref_reps = reps / 4;
-    let tr = Trans::Transpose;
     let a = random_gaussian(nb, nb, 1);
     let b = random_gaussian(nb, nb, 2);
     let c = random_gaussian(nb, nb, 3);
@@ -372,9 +371,9 @@ fn kernel_times(nb: usize, reps: usize) -> [(KernelKind, f64, f64); 12] {
         ),
         (
             Unmqr,
-            fastest(reps, [&b], |[x]| qr::unmqr(&v_ge, &tf_ge, x, tr)),
+            fastest(reps, [&b], |[x]| qr::unmqr(&v_ge, &tf_ge, x)),
             fastest(ref_reps, [&b], |[x]| {
-                qr_ref::unmqr_unblocked(&v_ge, tf_ge.taus(), x, tr)
+                qr_ref::unmqr_unblocked(&v_ge, tf_ge.taus(), x)
             }),
         ),
         (
@@ -386,9 +385,9 @@ fn kernel_times(nb: usize, reps: usize) -> [(KernelKind, f64, f64); 12] {
         ),
         (
             Tsmqr,
-            fastest(reps, [&b, &c], |[x, y]| qr::tsmqr(x, y, &v_ts, &tf_ts, tr)),
+            fastest(reps, [&b, &c], |[x, y]| qr::tsmqr(x, y, &v_ts, &tf_ts)),
             fastest(ref_reps, [&b, &c], |[x, y]| {
-                qr_ref::tsmqr_unblocked(x, y, &v_ts, tf_ts.taus(), tr)
+                qr_ref::tsmqr_unblocked(x, y, &v_ts, tf_ts.taus())
             }),
         ),
         (
@@ -400,9 +399,9 @@ fn kernel_times(nb: usize, reps: usize) -> [(KernelKind, f64, f64); 12] {
         ),
         (
             Ttmqr,
-            fastest(reps, [&b, &c], |[x, y]| qr::ttmqr(x, y, &v_tt, &tf_tt, tr)),
+            fastest(reps, [&b, &c], |[x, y]| qr::ttmqr(x, y, &v_tt, &tf_tt)),
             fastest(ref_reps, [&b, &c], |[x, y]| {
-                qr_ref::ttmqr_unblocked(x, y, &v_tt, tf_tt.taus(), tr)
+                qr_ref::ttmqr_unblocked(x, y, &v_tt, tf_tt.taus())
             }),
         ),
         (
@@ -414,9 +413,9 @@ fn kernel_times(nb: usize, reps: usize) -> [(KernelKind, f64, f64); 12] {
         ),
         (
             Unmlq,
-            fastest(reps, [&b], |[x]| lq::unmlq(&w_ge, &tf_gel, x, tr)),
+            fastest(reps, [&b], |[x]| lq::unmlq(&w_ge, &tf_gel, x)),
             fastest(ref_reps, [&b], |[x]| {
-                lq_ref::unmlq_unblocked(&w_ge, tf_gel.taus(), x, tr)
+                lq_ref::unmlq_unblocked(&w_ge, tf_gel.taus(), x)
             }),
         ),
         (
@@ -428,9 +427,9 @@ fn kernel_times(nb: usize, reps: usize) -> [(KernelKind, f64, f64); 12] {
         ),
         (
             Tsmlq,
-            fastest(reps, [&b, &c], |[x, y]| lq::tsmlq(x, y, &w_ts, &tf_tsl, tr)),
+            fastest(reps, [&b, &c], |[x, y]| lq::tsmlq(x, y, &w_ts, &tf_tsl)),
             fastest(ref_reps, [&b, &c], |[x, y]| {
-                lq_ref::tsmlq_unblocked(x, y, &w_ts, tf_tsl.taus(), tr)
+                lq_ref::tsmlq_unblocked(x, y, &w_ts, tf_tsl.taus())
             }),
         ),
         (
@@ -442,9 +441,9 @@ fn kernel_times(nb: usize, reps: usize) -> [(KernelKind, f64, f64); 12] {
         ),
         (
             Ttmlq,
-            fastest(reps, [&b, &c], |[x, y]| lq::ttmlq(x, y, &w_tt, &tf_ttl, tr)),
+            fastest(reps, [&b, &c], |[x, y]| lq::ttmlq(x, y, &w_tt, &tf_ttl)),
             fastest(ref_reps, [&b, &c], |[x, y]| {
-                lq_ref::ttmlq_unblocked(x, y, &w_tt, tf_ttl.taus(), tr)
+                lq_ref::ttmlq_unblocked(x, y, &w_tt, tf_ttl.taus())
             }),
         ),
     ]

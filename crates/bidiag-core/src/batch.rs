@@ -75,7 +75,7 @@
 //! }
 //! ```
 
-use crate::error::{validate_finite, SvdError};
+use crate::error::{check_spectrum, validate_finite, SvdError};
 use crate::exec::{lower_ge2val, ValuesCell};
 use crate::ops::KernelScratch;
 use crate::pipeline::{Ge2Options, DIRECT_CROSSOVER};
@@ -320,12 +320,7 @@ impl SvdJob {
     /// Non-finite solver output (unreachable from validated input, but
     /// injectable) is a [`SvdError::SolverFailure`].
     fn checked(sv: Vec<f64>) -> Result<Vec<f64>, SvdError> {
-        if let Some(&bad) = sv.iter().find(|v| !v.is_finite()) {
-            return Err(SvdError::SolverFailure(format!(
-                "solver produced non-finite singular value {bad}"
-            )));
-        }
-        Ok(sv)
+        check_spectrum(&sv).map(|()| sv)
     }
 }
 
@@ -496,12 +491,7 @@ impl SvdSession {
                 .unwrap_or_else(|| DirectScratch::for_gang(0, 1));
             scratch.spectra(std::iter::once((a, &mut *out)));
             self.caller_scratch.lock().push(scratch);
-            if let Some(&bad) = out.iter().find(|v| !v.is_finite()) {
-                return Err(SvdError::SolverFailure(format!(
-                    "solver produced non-finite singular value {bad}"
-                )));
-            }
-            Ok(())
+            check_spectrum(out)
         } else {
             let sv = self.submit(a)?.wait()?;
             out.clear();

@@ -113,6 +113,18 @@ pub fn validate_finite(a: &Matrix) -> Result<(), SvdError> {
     Ok(())
 }
 
+/// [`SvdError::SolverFailure`] naming the first non-finite value of a
+/// solver's output: a bug or injected fault, never reachable from validated
+/// input.
+pub(crate) fn check_spectrum(sv: &[f64]) -> Result<(), SvdError> {
+    match sv.iter().find(|v| !v.is_finite()) {
+        Some(bad) => Err(SvdError::SolverFailure(format!(
+            "solver produced non-finite singular value {bad} from finite input"
+        ))),
+        None => Ok(()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

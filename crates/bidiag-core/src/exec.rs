@@ -319,6 +319,23 @@ mod tests {
         },
     ];
 
+    /// A tile task's tag is its `KernelKind` discriminant, and the
+    /// observability plane names spans by that tag: its table must list the
+    /// kinds in declaration order.
+    #[test]
+    fn span_names_follow_the_kernel_kinds() {
+        use bidiag_kernels::KernelKind::*;
+        let kinds = [
+            Geqrt, Unmqr, Tsqrt, Tsmqr, Ttqrt, Ttmqr, Gelqt, Unmlq, Tslqt, Tsmlq, Ttlqt, Ttmlq,
+            Laset,
+        ];
+        assert_eq!(kinds.len(), obs::KERNEL_KIND_NAMES.len());
+        for k in kinds {
+            assert_eq!(obs::KERNEL_KIND_NAMES[k as usize], k.name());
+            assert_eq!(obs::kind_name(k as u32), k.name());
+        }
+    }
+
     fn assert_parallel_matches_sequential(ops: &[TileOp], a0: &Matrix, nb: usize) {
         let mut seq = TiledMatrix::from_dense(a0, nb);
         execute_sequential(ops, &mut seq);

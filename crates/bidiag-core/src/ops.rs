@@ -12,7 +12,7 @@
 //! writes, so the data-flow DAG is derived mechanically.
 
 use bidiag_kernels::cost::KernelKind;
-use bidiag_kernels::{lq, qr, TFactor, Trans};
+use bidiag_kernels::{lq, qr, TFactor};
 use bidiag_matrix::{Matrix, TiledMatrix};
 use bidiag_runtime::{AccessMode, DataKey};
 use std::collections::HashMap;
@@ -535,14 +535,13 @@ impl TileOp {
     /// The op → kernel match of both back-ends, over whichever way `a`
     /// hands out tiles.
     fn run<A: TileAccess>(&self, op_id: usize, a: &mut A, taus: &TauTable) {
-        const T: Trans = Trans::Transpose;
-        type PairKernel = fn(&mut Matrix, &mut Matrix, &Matrix, &TFactor, Trans);
+        type PairKernel = fn(&mut Matrix, &mut Matrix, &Matrix, &TFactor);
         let put = |tf| taus.put(op_id, tf);
-        let apply = |a: &mut A, v, c, kernel: fn(&Matrix, &TFactor, &mut Matrix, Trans)| {
-            a.refl_one(v, c, |v, c| kernel(v, taus.get(op_id), c, T));
+        let apply = |a: &mut A, v, c, kernel: fn(&Matrix, &TFactor, &mut Matrix)| {
+            a.refl_one(v, c, |v, c| kernel(v, taus.get(op_id), c));
         };
         let apply_pair = |a: &mut A, v, c1, c2, kernel: PairKernel| {
-            a.refl_two(v, c1, c2, |v, c1, c2| kernel(c1, c2, v, taus.get(op_id), T));
+            a.refl_two(v, c1, c2, |v, c1, c2| kernel(c1, c2, v, taus.get(op_id)));
         };
         match *self {
             TileOp::ZeroLower { i, j, whole } => a.one((i, j), |t| zero_lower(t, whole)),

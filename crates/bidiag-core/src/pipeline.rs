@@ -22,7 +22,7 @@
 
 use crate::batch::DirectScratch;
 use crate::drivers::Algorithm;
-use crate::error::{validate_finite, SvdError};
+use crate::error::{check_spectrum, validate_finite, SvdError};
 use crate::exec::{
     execute_parallel, execute_sequential, ge2val_parallel, ge2val_sequential, setup_blocked,
 };
@@ -335,12 +335,7 @@ pub fn try_ge2val(a: &Matrix, opts: &Ge2Options) -> Result<Ge2ValResult, SvdErro
         opts.check_tile_size(a)?;
     }
     let result = ge2val(a, opts);
-    if let Some(&bad) = result.singular_values.iter().find(|v| !v.is_finite()) {
-        return Err(SvdError::SolverFailure(format!(
-            "solver produced non-finite singular value {bad} from finite input"
-        )));
-    }
-    Ok(result)
+    check_spectrum(&result.singular_values).map(|()| result)
 }
 
 #[cfg(test)]

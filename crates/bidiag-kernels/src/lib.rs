@@ -7,8 +7,9 @@
 //!   [`band`] share,
 //! * [`qr`] — the six tile kernels of the tiled QR factorization
 //!   (GEQRT/UNMQR/TSQRT/TSMQR/TTQRT/TTMQR, Table I of the paper), blocked
-//!   compact-WY,
-//! * [`lq`] — their LQ duals (GELQT/UNMLQ/TSLQT/TSMLQ/TTLQT/TTMLQ),
+//!   compact-WY; the applies compute `Q^T C`, the one product GE2BND uses,
+//! * [`lq`] — their LQ duals (GELQT/UNMLQ/TSLQT/TSMLQ/TTLQT/TTMLQ), whose
+//!   applies compute `C Q_lq^T`,
 //! * [`wy`] — the compact-WY machinery the blocked kernels share: the
 //!   fused chunk kernels under the six QR-side kernels (reflectors as
 //!   lanes) and the six LQ-side ones (rows as lanes), and [`wy::TFactor`]
@@ -42,5 +43,4 @@ pub mod wy;
 pub use band::BandMatrix;
 pub use cost::KernelKind;
 pub use gebd2::Bidiagonal;
-pub use qr::Trans;
 pub use wy::TFactor;

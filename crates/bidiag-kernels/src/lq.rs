@@ -20,14 +20,14 @@
 //!   factored.  Like LAPACK's `xGELQT`/`xTPLQT` they factor the row-stored
 //!   reflectors directly: no tile is transposed.
 //! * The *applies* (`unmlq`/`tsmlq`/`ttmlq`), which run once per trailing
-//!   tile and dominate the LQ steps, compute `C -= (C V) op(T) V^T` a chunk
-//!   at a time, with the rows of `C` as lanes.
+//!   tile and dominate the LQ steps, compute `C Q_lq^T = C - (C V) T V^T` a
+//!   chunk at a time, with the rows of `C` as lanes — the one product an LQ
+//!   step needs; no stage applies `Q_lq` itself.
 //!
 //! Nothing is packed, transposed or allocated but the [`TFactor`] a
 //! factorization returns, and the SIMD backend is dispatched once per
 //! kernel call.
 
-use crate::qr::Trans;
 use crate::wy::{self, Shape, TFactor};
 use bidiag_matrix::Matrix;
 
@@ -40,21 +40,20 @@ pub fn gelqt(a: &mut Matrix) -> TFactor {
     wy::factor_right(Shape::Trapezoid, None, a)
 }
 
-/// UNMLQ: apply the orthogonal factor of a GELQT'd tile to `c` from the
-/// right.  With [`Trans::Transpose`] this computes `C <- C * Q_lq^T`, which
-/// is the update used by the LQ steps of the bidiagonalization; with
-/// [`Trans::NoTranspose`] it computes `C <- C * Q_lq`.
+/// UNMLQ: apply the transposed orthogonal factor of a GELQT'd tile to `c`
+/// from the right, `C <- C Q_lq^T`: the update of the LQ steps of the
+/// bidiagonalization.
 ///
 /// `v` is the factored tile (Householder vectors row-wise in its strictly
 /// upper part — its lower triangle, `L`, is never read), `tf` the factor
 /// returned by [`gelqt`].
-pub fn unmlq(v: &Matrix, tf: &TFactor, c: &mut Matrix, trans: Trans) {
+pub fn unmlq(v: &Matrix, tf: &TFactor, c: &mut Matrix) {
     assert_eq!(v.cols(), c.cols(), "UNMLQ: V and C column mismatch");
     assert!(
         v.rows() >= tf.len(),
         "UNMLQ: V has fewer rows than reflectors"
     );
-    wy::apply_right(Shape::Trapezoid, v, tf, None, c, trans);
+    wy::apply_right(Shape::Trapezoid, v, tf, None, c);
 }
 
 /// TSLQT: LQ reduction of a lower triangle with a full tile to its right.
@@ -68,16 +67,17 @@ pub fn tslqt(l1: &mut Matrix, a2: &mut Matrix) -> TFactor {
     wy::factor_right(Shape::Square, Some(l1), a2)
 }
 
-/// TSMLQ: apply the reflectors produced by [`tslqt`] to the tile pair
-/// `(c1, c2)` from the right.  `c1` lives in the pivot tile column and `c2`
-/// in the annihilated tile column; `v2` is the tile holding the Householder
-/// vectors (the `a2` output of [`tslqt`]).
+/// TSMLQ: apply the transposed orthogonal factor of [`tslqt`] to the tile
+/// pair `(c1, c2)` from the right, `[C1 C2] <- [C1 C2] Q_lq^T`.  `c1`
+/// lives in the pivot tile column and `c2` in the annihilated tile column;
+/// `v2` is the tile holding the Householder vectors (the `a2` output of
+/// [`tslqt`]).
 ///
 /// Like its QR twin this is the heaviest kernel of the factorization
 /// (Table I weight 12).
-pub fn tsmlq(c1: &mut Matrix, c2: &mut Matrix, v2: &Matrix, tf: &TFactor, trans: Trans) {
+pub fn tsmlq(c1: &mut Matrix, c2: &mut Matrix, v2: &Matrix, tf: &TFactor) {
     check_pair("TSMLQ", c1, c2, v2, tf);
-    wy::apply_right(Shape::Square, v2, tf, Some(c1), c2, trans);
+    wy::apply_right(Shape::Square, v2, tf, Some(c1), c2);
 }
 
 /// TTLQT: LQ reduction of two lower triangles side by side.
@@ -91,14 +91,15 @@ pub fn ttlqt(l1: &mut Matrix, l2: &mut Matrix) -> TFactor {
     wy::factor_right(Shape::Triangle, Some(l1), l2)
 }
 
-/// TTMLQ: apply the reflectors produced by [`ttlqt`] to the tile pair
-/// `(c1, c2)` from the right.  The k-th reflector touches column `k` of
-/// `c1` and columns `0..=k` of `c2`; the triangular structure of `v2` is
-/// respected, so whatever its strictly upper part holds (typically the
-/// row-wise vectors of an earlier GELQT) is never read.
-pub fn ttmlq(c1: &mut Matrix, c2: &mut Matrix, v2: &Matrix, tf: &TFactor, trans: Trans) {
+/// TTMLQ: apply the transposed orthogonal factor of [`ttlqt`] to the tile
+/// pair `(c1, c2)` from the right, `[C1 C2] <- [C1 C2] Q_lq^T`.  The k-th
+/// reflector touches column `k` of `c1` and columns `0..=k` of `c2`; the
+/// triangular structure of `v2` is respected, so whatever its strictly
+/// upper part holds (typically the row-wise vectors of an earlier GELQT) is
+/// never read.
+pub fn ttmlq(c1: &mut Matrix, c2: &mut Matrix, v2: &Matrix, tf: &TFactor) {
     check_pair("TTMLQ", c1, c2, v2, tf);
-    wy::apply_right(Shape::Triangle, v2, tf, Some(c1), c2, trans);
+    wy::apply_right(Shape::Triangle, v2, tf, Some(c1), c2);
 }
 
 /// Operand shapes of TSMLQ / TTMLQ.
@@ -122,6 +123,23 @@ mod tests {
     use bidiag_matrix::checks::{orthogonality_error, relative_error};
     use bidiag_matrix::gen::random_gaussian;
 
+    /// `Q_lq^T` of a TS/TT factorization of an `nb`-row pivot: the apply
+    /// run on the `2 nb` identity split into its left and right columns.
+    fn pair_qt(
+        nb: usize,
+        apply: fn(&mut Matrix, &mut Matrix, &Matrix, &TFactor),
+        v2: &Matrix,
+        tf: &TFactor,
+    ) -> Matrix {
+        let mut qt = Matrix::identity(2 * nb);
+        let mut left = qt.block(0, 0, 2 * nb, nb);
+        let mut right = qt.block(0, nb, 2 * nb, nb);
+        apply(&mut left, &mut right, v2, tf);
+        qt.copy_block(0, 0, &left);
+        qt.copy_block(0, nb, &right);
+        qt
+    }
+
     #[test]
     fn gelqt_factors_tile() {
         for (m, n) in [(6, 6), (4, 9), (9, 4)] {
@@ -129,22 +147,11 @@ mod tests {
             let mut a = a0.clone();
             let tf = gelqt(&mut a);
             let l = lower_triangle_of(&a);
-            let mut q = Matrix::identity(n);
-            unmlq(&a, &tf, &mut q, Trans::NoTranspose);
-            assert!(orthogonality_error(&q) < 1e-13, "{m}x{n}");
-            assert!(relative_error(&a0, &l.matmul(&q)) < 1e-13, "{m}x{n}");
+            let mut qt = Matrix::identity(n);
+            unmlq(&a, &tf, &mut qt);
+            assert!(orthogonality_error(&qt) < 1e-13, "{m}x{n}");
+            assert!(relative_error(&l, &a0.matmul(&qt)) < 1e-13, "{m}x{n}");
         }
-    }
-
-    #[test]
-    fn unmlq_round_trip() {
-        let mut v = random_gaussian(5, 5, 60);
-        let tf = gelqt(&mut v);
-        let c0 = random_gaussian(3, 5, 61);
-        let mut c = c0.clone();
-        unmlq(&v, &tf, &mut c, Trans::Transpose);
-        unmlq(&v, &tf, &mut c, Trans::NoTranspose);
-        assert!(relative_error(&c0, &c) < 1e-12);
     }
 
     #[test]
@@ -157,7 +164,7 @@ mod tests {
         let tf = gelqt(&mut a1);
         // A1 = L * Q  =>  A1 * Q^T = L.
         let mut l = a1_0.clone();
-        unmlq(&a1, &tf, &mut l, Trans::Transpose);
+        unmlq(&a1, &tf, &mut l);
         for i in 0..nb {
             for j in (i + 1)..nb {
                 assert!(l.get(i, j).abs() < 1e-12, "L not lower triangular");
@@ -177,75 +184,34 @@ mod tests {
         let mut a2 = a2_0.clone();
         let tf = tslqt(&mut l1, &mut a2);
 
-        // [L1_0 A2_0] = [L1_new 0] * Q for some orthogonal Q (2nb x 2nb).
-        // Rebuild Q by applying the reflectors to the identity from the right.
-        let mut q = Matrix::identity(2 * nb);
-        let mut q_left = q.block(0, 0, 2 * nb, nb);
-        let mut q_right = q.block(0, nb, 2 * nb, nb);
-        tsmlq(&mut q_left, &mut q_right, &a2, &tf, Trans::NoTranspose);
-        q.copy_block(0, 0, &q_left);
-        q.copy_block(0, nb, &q_right);
-        assert!(orthogonality_error(&q) < 1e-12);
+        // [L1_0 A2_0] Q^T = [L1_new 0] for some orthogonal Q (2nb x 2nb).
+        let qt = pair_qt(nb, tsmlq, &a2, &tf);
+        assert!(orthogonality_error(&qt) < 1e-12);
 
         let mut lhs = Matrix::zeros(nb, 2 * nb);
         lhs.copy_block(0, 0, &l1_0);
         lhs.copy_block(0, nb, &a2_0);
         let mut lnew = Matrix::zeros(nb, 2 * nb);
         lnew.copy_block(0, 0, &lower_triangle_of(&l1));
-        assert!(relative_error(&lhs, &lnew.matmul(&q)) < 1e-12);
+        assert!(relative_error(&lnew, &lhs.matmul(&qt)) < 1e-12);
     }
 
     #[test]
-    fn tsmlq_round_trip() {
-        let nb = 4;
-        let mut l1 = lower_triangle_of(&random_gaussian(nb, nb, 80));
-        let mut v2 = random_gaussian(nb, nb, 81);
-        let tf = tslqt(&mut l1, &mut v2);
-        let c1_0 = random_gaussian(3, nb, 82);
-        let c2_0 = random_gaussian(3, nb, 83);
-        let mut c1 = c1_0.clone();
-        let mut c2 = c2_0.clone();
-        tsmlq(&mut c1, &mut c2, &v2, &tf, Trans::Transpose);
-        tsmlq(&mut c1, &mut c2, &v2, &tf, Trans::NoTranspose);
-        assert!(relative_error(&c1_0, &c1) < 1e-12);
-        assert!(relative_error(&c2_0, &c2) < 1e-12);
-    }
-
-    #[test]
-    fn ttlqt_and_ttmlq_round_trip() {
+    fn ttlqt_factorization_is_consistent() {
         let nb = 4;
         let mut l1 = lower_triangle_of(&random_gaussian(nb, nb, 90));
         let mut l2 = lower_triangle_of(&random_gaussian(nb, nb, 91));
         let l1_0 = l1.clone();
         let l2_0 = l2.clone();
         let tf = ttlqt(&mut l1, &mut l2);
-
-        let mut q = Matrix::identity(2 * nb);
-        let mut q_left = q.block(0, 0, 2 * nb, nb);
-        let mut q_right = q.block(0, nb, 2 * nb, nb);
-        ttmlq(&mut q_left, &mut q_right, &l2, &tf, Trans::NoTranspose);
-        q.copy_block(0, 0, &q_left);
-        q.copy_block(0, nb, &q_right);
-        assert!(orthogonality_error(&q) < 1e-12);
+        let qt = pair_qt(nb, ttmlq, &l2, &tf);
+        assert!(orthogonality_error(&qt) < 1e-12);
 
         let mut lhs = Matrix::zeros(nb, 2 * nb);
         lhs.copy_block(0, 0, &l1_0);
         lhs.copy_block(0, nb, &l2_0);
         let mut lnew = Matrix::zeros(nb, 2 * nb);
-        lnew.copy_block(
-            0,
-            0,
-            &Matrix::from_fn(nb, nb, |i, j| if j <= i { l1.get(i, j) } else { 0.0 }),
-        );
-        assert!(relative_error(&lhs, &lnew.matmul(&q)) < 1e-12);
-
-        let c1_0 = random_gaussian(3, nb, 92);
-        let c2_0 = random_gaussian(3, nb, 93);
-        let mut c1 = c1_0.clone();
-        let mut c2 = c2_0.clone();
-        ttmlq(&mut c1, &mut c2, &l2, &tf, Trans::Transpose);
-        ttmlq(&mut c1, &mut c2, &l2, &tf, Trans::NoTranspose);
-        assert!(relative_error(&c1_0, &c1) < 1e-12);
-        assert!(relative_error(&c2_0, &c2) < 1e-12);
+        lnew.copy_block(0, 0, &lower_triangle_of(&l1));
+        assert!(relative_error(&lnew, &lhs.matmul(&qt)) < 1e-12);
     }
 }

@@ -21,9 +21,11 @@
 //! factor built by the chunk-local `xLARFT` recurrence (the only part of
 //! `T` the chunked applies consume — see [`TFactor`]), and the trailing
 //! columns updated by the same chunk apply the apply kernels run,
-//! `W = V_p^T C; W = op(T) W; C -= V_p W`, straight off the column-major
-//! tiles.  Nothing is packed, transposed or allocated besides the returned
-//! [`TFactor`], and the SIMD backend is dispatched once per kernel call.
+//! `W = V_p^T C; W = T^T W; C -= V_p W`, straight off the column-major
+//! tiles.  The applies compute `Q^T C` only: that is the one product a
+//! factorization step needs, and no stage forms or applies `Q`.  Nothing
+//! is packed, transposed or allocated besides the returned [`TFactor`], and
+//! the SIMD backend is dispatched once per kernel call.
 //!
 //! The storage convention is LAPACK `xGEQRT`/`xTPQRT`'s: `R` in the upper
 //! triangle, Householder vectors below (GEQRT), dense vectors in the second
@@ -33,16 +35,6 @@
 
 use crate::wy::{self, Shape, TFactor};
 use bidiag_matrix::Matrix;
-
-/// Whether an apply kernel applies `Q^T` (used by factorizations) or `Q`
-/// (used when reconstructing / applying backward transformations).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Trans {
-    /// Apply `Q^T` (reflectors in forward order).
-    Transpose,
-    /// Apply `Q` (reflectors in reverse order).
-    NoTranspose,
-}
 
 /// GEQRT: in-place Householder QR of a tile, with the compact-WY `T` factor
 /// built alongside.
@@ -55,15 +47,16 @@ pub fn geqrt(a: &mut Matrix) -> TFactor {
     wy::factor(Shape::Trapezoid, None, a)
 }
 
-/// UNMQR: apply the orthogonal factor of a GEQRT'd tile to `c` from the left
-/// as the chunked compact-WY product `C -= V op(T) (V^T C)`.
+/// UNMQR: apply the transposed orthogonal factor of a GEQRT'd tile to `c`
+/// from the left, `C <- Q^T C`, as the chunked compact-WY product
+/// `C -= V T^T (V^T C)`.
 ///
 /// `v` is the factored tile (Householder vectors in its strictly lower
 /// part — its upper triangle, `R`, is never read), `tf` the factor returned
 /// by [`geqrt`].
-pub fn unmqr(v: &Matrix, tf: &TFactor, c: &mut Matrix, trans: Trans) {
+pub fn unmqr(v: &Matrix, tf: &TFactor, c: &mut Matrix) {
     assert_eq!(v.rows(), c.rows(), "UNMQR: V and C row mismatch");
-    wy::apply(Shape::Trapezoid, v, tf, None, c, trans);
+    wy::apply(Shape::Trapezoid, v, tf, None, c);
 }
 
 /// TSQRT: QR of a triangle stacked on top of a square tile, with the
@@ -77,20 +70,21 @@ pub fn tsqrt(r1: &mut Matrix, a2: &mut Matrix) -> TFactor {
     wy::factor(Shape::Square, Some(r1), a2)
 }
 
-/// TSMQR: apply the reflectors produced by [`tsqrt`] to the tile pair
-/// `(a1, a2)` from the left.  `a1` lives in the pivot tile row and `a2` in
-/// the eliminated tile row; `v2` is the tile holding the dense Householder
-/// vectors (the `a2` output of [`tsqrt`]).
+/// TSMQR: apply the transposed orthogonal factor of [`tsqrt`] to the tile
+/// pair `(a1, a2)` from the left, `[A1; A2] <- Q^T [A1; A2]`.  `a1` lives
+/// in the pivot tile row and `a2` in the eliminated tile row; `v2` is the
+/// tile holding the dense Householder vectors (the `a2` output of
+/// [`tsqrt`]).
 ///
 /// This is the heaviest kernel of the factorization (Table I weight 12).
-pub fn tsmqr(a1: &mut Matrix, a2: &mut Matrix, v2: &Matrix, tf: &TFactor, trans: Trans) {
+pub fn tsmqr(a1: &mut Matrix, a2: &mut Matrix, v2: &Matrix, tf: &TFactor) {
     assert_eq!(a2.cols(), a1.cols(), "TSMQR: column mismatch");
     assert_eq!(v2.rows(), a2.rows(), "TSMQR: V2 row mismatch");
     assert!(
         a1.rows() >= tf.len(),
         "TSMQR: A1 has fewer rows than reflectors"
     );
-    wy::apply(Shape::Square, v2, tf, Some(a1), a2, trans);
+    wy::apply(Shape::Square, v2, tf, Some(a1), a2);
 }
 
 /// TTQRT: QR of a triangle stacked on top of another triangle, with the
@@ -105,19 +99,20 @@ pub fn ttqrt(r1: &mut Matrix, r2: &mut Matrix) -> TFactor {
     wy::factor(Shape::Triangle, Some(r1), r2)
 }
 
-/// TTMQR: apply the reflectors produced by [`ttqrt`] to the tile pair
-/// `(a1, a2)` from the left.  The k-th reflector touches row `k` of `a1`
-/// and rows `0..=k` of `a2`; the triangular structure of `v2` is respected,
-/// so whatever the strictly lower part of the `v2` tile holds (typically the
-/// Householder vectors of an earlier GEQRT) is never read.
-pub fn ttmqr(a1: &mut Matrix, a2: &mut Matrix, v2: &Matrix, tf: &TFactor, trans: Trans) {
+/// TTMQR: apply the transposed orthogonal factor of [`ttqrt`] to the tile
+/// pair `(a1, a2)` from the left, `[A1; A2] <- Q^T [A1; A2]`.  The k-th
+/// reflector touches row `k` of `a1` and rows `0..=k` of `a2`; the
+/// triangular structure of `v2` is respected, so whatever the strictly
+/// lower part of the `v2` tile holds (typically the Householder vectors of
+/// an earlier GEQRT) is never read.
+pub fn ttmqr(a1: &mut Matrix, a2: &mut Matrix, v2: &Matrix, tf: &TFactor) {
     assert_eq!(a2.cols(), a1.cols(), "TTMQR: column mismatch");
     assert_eq!(v2.rows(), a2.rows(), "TTMQR: V2 row mismatch");
     assert!(
         a1.rows() >= tf.len(),
         "TTMQR: A1 has fewer rows than reflectors"
     );
-    wy::apply(Shape::Triangle, v2, tf, Some(a1), a2, trans);
+    wy::apply(Shape::Triangle, v2, tf, Some(a1), a2);
 }
 
 #[cfg(test)]
@@ -127,27 +122,33 @@ mod tests {
     use bidiag_matrix::checks::{orthogonality_error, relative_error};
     use bidiag_matrix::gen::random_gaussian;
 
+    /// `Q^T` of a TS/TT factorization of an `nb`-column pivot: the apply
+    /// run on the `2 nb` identity split into its top and bottom rows.
+    fn pair_qt(
+        nb: usize,
+        apply: fn(&mut Matrix, &mut Matrix, &Matrix, &TFactor),
+        v2: &Matrix,
+        tf: &TFactor,
+    ) -> Matrix {
+        let mut qt = Matrix::identity(2 * nb);
+        let mut top = qt.block(0, 0, nb, 2 * nb);
+        let mut bot = qt.block(nb, 0, nb, 2 * nb);
+        apply(&mut top, &mut bot, v2, tf);
+        qt.copy_block(0, 0, &top);
+        qt.copy_block(nb, 0, &bot);
+        qt
+    }
+
     #[test]
     fn geqrt_factors_square_tile() {
         let a0 = random_gaussian(8, 8, 1);
         let mut a = a0.clone();
         let tf = geqrt(&mut a);
         let r = upper_triangle_of(&a);
-        let mut q = Matrix::identity(8);
-        unmqr(&a, &tf, &mut q, Trans::NoTranspose);
-        assert!(orthogonality_error(&q) < 1e-13);
-        assert!(relative_error(&a0, &q.matmul(&r)) < 1e-13);
-    }
-
-    #[test]
-    fn unmqr_transpose_then_notranspose_is_identity() {
-        let mut v = random_gaussian(6, 6, 3);
-        let tf = geqrt(&mut v);
-        let c0 = random_gaussian(6, 4, 4);
-        let mut c = c0.clone();
-        unmqr(&v, &tf, &mut c, Trans::Transpose);
-        unmqr(&v, &tf, &mut c, Trans::NoTranspose);
-        assert!(relative_error(&c0, &c) < 1e-13);
+        let mut qt = Matrix::identity(8);
+        unmqr(&a, &tf, &mut qt);
+        assert!(orthogonality_error(&qt) < 1e-13);
+        assert!(relative_error(&r, &qt.matmul(&a0)) < 1e-13);
     }
 
     #[test]
@@ -162,39 +163,16 @@ mod tests {
         let mut a2 = a_bot0.clone();
         let tf = tsqrt(&mut r1, &mut a2);
 
-        // The stacked matrix [R1_old; A2_old] must equal Q * [R1_new; 0].
+        // Q^T [R1_old; A2_old] must equal [R1_new; 0].
         let mut stacked = Matrix::zeros(2 * nb, nb);
         stacked.copy_block(0, 0, &upper_triangle_of(&top));
         stacked.copy_block(nb, 0, &a_bot0);
-
-        // Rebuild Q by applying the TS reflectors to the identity.
-        let mut q = Matrix::identity(2 * nb);
-        let mut q_top = q.block(0, 0, nb, 2 * nb);
-        let mut q_bot = q.block(nb, 0, nb, 2 * nb);
-        tsmqr(&mut q_top, &mut q_bot, &a2, &tf, Trans::NoTranspose);
-        q.copy_block(0, 0, &q_top);
-        q.copy_block(nb, 0, &q_bot);
+        let qt = pair_qt(nb, tsmqr, &a2, &tf);
 
         let mut rnew = Matrix::zeros(2 * nb, nb);
         rnew.copy_block(0, 0, &upper_triangle_of(&r1));
-        assert!(orthogonality_error(&q) < 1e-12);
-        assert!(relative_error(&stacked, &q.matmul(&rnew)) < 1e-12);
-    }
-
-    #[test]
-    fn tsmqr_round_trip() {
-        let nb = 5;
-        let mut r1 = upper_triangle_of(&random_gaussian(nb, nb, 20));
-        let mut v2 = random_gaussian(nb, nb, 21);
-        let tf = tsqrt(&mut r1, &mut v2);
-        let c1_0 = random_gaussian(nb, 3, 22);
-        let c2_0 = random_gaussian(nb, 3, 23);
-        let mut c1 = c1_0.clone();
-        let mut c2 = c2_0.clone();
-        tsmqr(&mut c1, &mut c2, &v2, &tf, Trans::Transpose);
-        tsmqr(&mut c1, &mut c2, &v2, &tf, Trans::NoTranspose);
-        assert!(relative_error(&c1_0, &c1) < 1e-12);
-        assert!(relative_error(&c2_0, &c2) < 1e-12);
+        assert!(orthogonality_error(&qt) < 1e-12);
+        assert!(relative_error(&rnew, &qt.matmul(&stacked)) < 1e-12);
     }
 
     #[test]
@@ -209,37 +187,15 @@ mod tests {
         let mut r1 = r1_0.clone();
         let mut r2 = r2_0.clone();
         let tf = ttqrt(&mut r1, &mut r2);
-
-        let mut q = Matrix::identity(2 * nb);
-        let mut q_top = q.block(0, 0, nb, 2 * nb);
-        let mut q_bot = q.block(nb, 0, nb, 2 * nb);
-        ttmqr(&mut q_top, &mut q_bot, &r2, &tf, Trans::NoTranspose);
-        q.copy_block(0, 0, &q_top);
-        q.copy_block(nb, 0, &q_bot);
+        let qt = pair_qt(nb, ttmqr, &r2, &tf);
 
         let mut stacked = Matrix::zeros(2 * nb, nb);
         stacked.copy_block(0, 0, &r1_0);
         stacked.copy_block(nb, 0, &r2_0);
         let mut rnew = Matrix::zeros(2 * nb, nb);
         rnew.copy_block(0, 0, &upper_triangle_of(&r1));
-        assert!(orthogonality_error(&q) < 1e-12);
-        assert!(relative_error(&stacked, &q.matmul(&rnew)) < 1e-12);
-    }
-
-    #[test]
-    fn ttmqr_round_trip() {
-        let nb = 4;
-        let mut r1 = upper_triangle_of(&random_gaussian(nb, nb, 40));
-        let mut r2 = upper_triangle_of(&random_gaussian(nb, nb, 41));
-        let tf = ttqrt(&mut r1, &mut r2);
-        let c1_0 = random_gaussian(nb, nb, 42);
-        let c2_0 = random_gaussian(nb, nb, 43);
-        let mut c1 = c1_0.clone();
-        let mut c2 = c2_0.clone();
-        ttmqr(&mut c1, &mut c2, &r2, &tf, Trans::Transpose);
-        ttmqr(&mut c1, &mut c2, &r2, &tf, Trans::NoTranspose);
-        assert!(relative_error(&c1_0, &c1) < 1e-12);
-        assert!(relative_error(&c2_0, &c2) < 1e-12);
+        assert!(orthogonality_error(&qt) < 1e-12);
+        assert!(relative_error(&rnew, &qt.matmul(&stacked)) < 1e-12);
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! a block of reflectors is applied as
 //!
 //! ```text
-//! W = V^T C;   W = op(T) W;   C -= V W
+//! W = V^T C;   W = T^T W;   C -= V W
 //! ```
 //!
-//! instead of `k` rank-one updates.  Reflectors are processed in chunks of
-//! `IB`; this module provides:
+//! instead of `k` rank-one updates — `C <- Q^T C`, the one product a
+//! factorization step applies.  Reflectors are processed in chunks of
+//! `IB`, first to last; this module provides:
 //!
 //! * [`TFactor`] — the `tau` scalars plus the *`IB`-block-diagonal* of `T`
 //!   of one factorization kernel, stored compactly as an `IB x k` array in
@@ -31,7 +32,7 @@
 //!   them as the vector axis: for `W = H + V_p^T C` the chunk is transposed
 //!   once, with register transposes, into a stack panel whose row `i` holds
 //!   `V[i, p..p+IB]`, and each `C[i, j]` is broadcast against it;
-//!   `W = op(T) W` is the same loop over the columns of `op(T)`, and
+//!   `W = T^T W` is the same loop over the columns of `T^T`, and
 //!   `C -= V_p W` turns the lanes back to the rows of `C`.  The `e_k` heads
 //!   of the TS/TT reflectors act on rows `p..p+IB` of the pivot tile,
 //!   UNMQR's unit diagonal lives in its corner.  The factorizations are
@@ -46,7 +47,7 @@
 //!   groups of `LANES` rows, `W = H + C V_p` is `G * IB` register
 //!   accumulators fed by one load of `C[i0.., j]` per group and `IB`
 //!   coefficient broadcasts per column (`v[p..p+IB, j]` is contiguous),
-//!   `W op(T)` an unrolled triangular product, and `C[:, j] -= W v[p..p+IB,
+//!   `W T` an unrolled triangular product, and `C[:, j] -= W v[p..p+IB,
 //!   j]` a second sweep.  The same `Shape` splits the *columns* into dense
 //!   ones and the corner (unit-upper for UNMLQ, lower for TT, absent for
 //!   TS).  The factorizations factor an `IB`-row panel with its rows as the
@@ -86,7 +87,6 @@
 //! `const` assertion, checked when the body is instantiated.
 
 use crate::householder::{larfg_with_norm, norm2};
-use crate::qr::Trans;
 use bidiag_matrix::simd::{self, ScalarLane, SimdBackend, SimdLane};
 use bidiag_matrix::{Matrix, MatrixView};
 use std::ops::Range;
@@ -102,19 +102,11 @@ use std::ops::Range;
 /// scratch 64 doubles) and divides the reference `nb = 64` evenly.
 pub(crate) const IB: usize = 8;
 
-/// Iterate the reflector chunks of a `k`-reflector apply in the order the
-/// given direction requires (forward for `Q^T`, backward for `Q`),
-/// yielding `(chunk start, chunk width)` without allocating.
-pub(crate) fn chunk_order(k: usize, trans: Trans) -> impl Iterator<Item = (usize, usize)> {
-    let nchunks = k.div_ceil(IB);
-    (0..nchunks).map(move |ci| {
-        let c = match trans {
-            Trans::Transpose => ci,
-            Trans::NoTranspose => nchunks - 1 - ci,
-        };
-        let p = c * IB;
-        (p, IB.min(k - p))
-    })
+/// The reflector chunks of `k` reflectors, first to last, as `(chunk
+/// start, chunk width)`: the order both factorizations generate them in
+/// and `Q^T` applies them in.
+fn chunks(k: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..k).step_by(IB).map(move |p| (p, IB.min(k - p)))
 }
 
 // ---------------------------------------------------------------------------
@@ -203,8 +195,8 @@ struct Chunk<'a> {
     /// Only the stored part of the tile is read to fill it, so whatever
     /// else the tile holds never enters the arithmetic.
     kc: [[f64; IB]; IB],
-    /// `-op(T)` of the chunk, zero-padded to `IB x IB`: column `l` at
-    /// `nt[l * IB..][..IB]`, so that `-op(T) w = sum_l nt[:, l] w[l]`.
+    /// `-T^T` of the chunk, zero-padded to `IB x IB`: column `l` at
+    /// `nt[l * IB..][..IB]`, so that `-T^T w = sum_l nt[:, l] w[l]`.
     nt: [f64; IB * IB],
 }
 
@@ -212,15 +204,7 @@ impl<'a> Chunk<'a> {
     /// Chunk `p..p+ib` of the reflectors of `shape` stored in the `m`-row
     /// column-major tile `v` (leading dimension `m`), with `t` its `IB x
     /// ib` block of `T` (column-major, leading dimension `IB`).
-    fn new(
-        shape: Shape,
-        v: &'a [f64],
-        m: usize,
-        p: usize,
-        ib: usize,
-        t: &[f64],
-        trans: Trans,
-    ) -> Self {
+    fn new(shape: Shape, v: &'a [f64], m: usize, p: usize, ib: usize, t: &[f64]) -> Self {
         let (dense, corner) = shape.chunk_split(p, ib, m);
         let mut kc = [[0.0; IB]; IB];
         let mut nt = [0.0; IB * IB];
@@ -237,13 +221,9 @@ impl<'a> Chunk<'a> {
                     kc[kk][..stored].copy_from_slice(&vcol[corner.start..][..stored]);
                 }
             }
-            // `T` is upper triangular: column `kk` of `T` is column `kk` of
-            // `op(T) = T` and row `kk` of `op(T) = T^T`.
+            // `T` is upper triangular: column `kk` of `T` is row `kk` of `T^T`.
             for (l, &tl) in t[kk * IB..][..=kk].iter().enumerate() {
-                match trans {
-                    Trans::NoTranspose => nt[kk * IB + l] = -tl,
-                    Trans::Transpose => nt[l * IB + kk] = -tl,
-                }
+                nt[l * IB + kk] = -tl;
             }
         }
         Chunk {
@@ -379,7 +359,7 @@ unsafe fn store_w<S: SimdLane, const RV: usize, const NC: usize>(
 /// — and the entries of `NC` columns are broadcast against one load of the
 /// panel row, so nothing is ever summed across lanes.  With the rows of the
 /// transposed reflectors as `panel` this accumulates `V_p^T C`, with the
-/// columns of `-op(T)` as `panel` and `W` as `c` it is the `T` product.
+/// columns of `-T^T` as `panel` and `W` as `c` it is the `T` product.
 ///
 /// # Safety
 /// The lane's ISA contract (see [`SimdLane`]).
@@ -472,12 +452,12 @@ unsafe fn cvw<S: SimdLane, const G: usize>(
 }
 
 /// The `T` product of one chunk with the second index of `W` as SIMD
-/// lanes, `W` of `G` row groups in registers: `(W op(T)^T)[:, i] = sum_l
-/// op(T)[i, l] w[l]` — what the right kernel needs, its `Q^T` being `C - (C
-/// V) T V^T` (lanes = rows of `C`) — with one broadcast of `op(T)[i, l]`
-/// for all `G` groups.  `t` is the chunk's `IB x ib` block, leading
-/// dimension `IB`; called with the constant `ib == IB` the triangular
-/// product unrolls into 36 independent-by-row FMAs per group.
+/// lanes, `W` of `G` row groups in registers: `(W T)[:, i] = sum_{l <= i}
+/// T[l, i] w[l]` — what the right kernel needs, its `Q^T` being `C - (C
+/// V) T V^T` (lanes = rows of `C`) — with one broadcast of `T[l, i]` for
+/// all `G` groups.  `t` is the chunk's `IB x ib` block, leading dimension
+/// `IB`; called with the constant `ib == IB` the triangular product
+/// unrolls into 36 independent-by-row FMAs per group.
 ///
 /// # Safety
 /// The lane's ISA contract (see [`SimdLane`]).
@@ -485,7 +465,6 @@ unsafe fn cvw<S: SimdLane, const G: usize>(
 unsafe fn t_product<S: SimdLane, const G: usize>(
     s: S,
     t: &[f64],
-    trans: Trans,
     ib: usize,
     w: &[[S::V; IB]; G],
 ) -> [[S::V; IB]; G] {
@@ -494,14 +473,14 @@ unsafe fn t_product<S: SimdLane, const G: usize>(
     unsafe {
         let mut out = [[s.zero(); IB]; G];
         for i in 0..ib {
+            // A square loop that skips `l > i`: the triangular `0..=i`
+            // unrolls worse on 256 bits, and the LQ factorizations read
+            // 4-10 % slower with it.
             for l in 0..ib {
-                // (T^T W)[i] = sum_{l <= i} T[l, i] W[l];
-                // (T W)[i] = sum_{l >= i} T[i, l] W[l].
-                let tij = s.splat(match trans {
-                    Trans::Transpose if l <= i => t[i * IB + l],
-                    Trans::NoTranspose if l >= i => t[l * IB + i],
-                    _ => continue,
-                });
+                if l > i {
+                    continue;
+                }
+                let tij = s.splat(t[i * IB + l]);
                 for (og, wg) in out.iter_mut().zip(w) {
                     og[i] = s.mul_add(tij, wg[l], og[i]);
                 }
@@ -519,7 +498,7 @@ unsafe fn t_product<S: SimdLane, const G: usize>(
 /// 1. `W = H + V_p^T C` through the transposed panel ([`vtc`], `NC` columns
 ///    per pass; the columns of a ragged last pass repeat the strip's last
 ///    one and their `W` is never read),
-/// 2. `W = -op(T) W`, the same loop over the columns of `-op(T)`,
+/// 2. `W = -T^T W`, the same loop over the columns of `-T^T`,
 /// 3. `H += W`, `C += V_p W` with the rows of `C` as lanes ([`cvw`], `G`
 ///    groups of `LANES` rows per pass; the rows left over go a group at a
 ///    time, then one at a time).
@@ -638,12 +617,11 @@ unsafe fn apply_body<S: SimdLane, const RV: usize, const NC: usize, const G: usi
     tf: &TFactor,
     mut head: Option<&mut Matrix>,
     c: &mut Matrix,
-    trans: Trans,
 ) {
     let (m, n) = (c.rows(), c.cols());
     let mut scratch = LeftScratch::new();
-    for (p, ib) in chunk_order(tf.len(), trans) {
-        let ch = Chunk::new(shape, v.data(), m, p, ib, tf.t_block_data(p), trans);
+    for (p, ib) in chunks(tf.len()) {
+        let ch = Chunk::new(shape, v.data(), m, p, ib, tf.t_block_data(p));
         let h = head.as_deref_mut().map(|h| {
             let ldh = h.rows();
             (h.data_mut(), ldh)
@@ -695,8 +673,7 @@ unsafe fn factor_body<S: SimdLane, const RV: usize, const NC: usize, const G: us
         Some(r1) => (n.min(r1.rows()), r1.rows()),
     };
     let mut tf = TFactor::with_kmax(kmax);
-    for p in (0..kmax).step_by(IB) {
-        let ib = IB.min(kmax - p);
+    for (p, ib) in chunks(kmax) {
         // Unblocked factorization of the panel `p..p+ib`.
         for k in p..p + ib {
             let tail = shape.tail(k, m);
@@ -754,7 +731,7 @@ unsafe fn factor_body<S: SimdLane, const RV: usize, const NC: usize, const G: us
         // Level-3 update of the trailing columns with the panel's chunk.
         if p + ib < n {
             let (panel, trailing) = a.data_mut().split_at_mut((p + ib) * m);
-            let ch = Chunk::new(shape, panel, m, p, ib, tf.t_block_data(p), Trans::Transpose);
+            let ch = Chunk::new(shape, panel, m, p, ib, tf.t_block_data(p));
             let h = r1
                 .as_deref_mut()
                 .map(|r1| (&mut r1.data_mut()[(p + ib) * ld1..], ld1));
@@ -795,7 +772,6 @@ struct RowChunk<'a> {
     kc: [[f64; IB]; IB],
     /// The chunk's `IB x ib` block of `T`, column-major, leading dimension `IB`.
     t: &'a [f64],
-    trans: Trans,
 }
 
 impl<'a> RowChunk<'a> {
@@ -803,7 +779,6 @@ impl<'a> RowChunk<'a> {
     /// the `n`-column column-major tile `v` (leading dimension `ldv`).  The
     /// corner is copied out of `v` here; the dense columns are read from
     /// `C` itself unless the tile is given to [`RowChunk::reading`].
-    #[allow(clippy::too_many_arguments)]
     fn new(
         shape: Shape,
         v: &[f64],
@@ -812,7 +787,6 @@ impl<'a> RowChunk<'a> {
         p: usize,
         ib: usize,
         t: &'a [f64],
-        trans: Trans,
     ) -> Self {
         let (dense, corner) = shape.chunk_split(p, ib, n);
         let mut kc = [[0.0; IB]; IB];
@@ -838,7 +812,6 @@ impl<'a> RowChunk<'a> {
             ldv,
             kc,
             t,
-            trans,
         }
     }
 
@@ -862,11 +835,36 @@ impl<'a> RowChunk<'a> {
     }
 }
 
+/// The `ib` coefficients at `coef[at..]` of one column of `C`.  `OWN`: the
+/// dense coefficients are rows `p..p+ib` of `C` itself, at `c[c_at..]` when
+/// `coef` is empty, and are copied into `own` before `C` is written.
+#[inline(always)]
+fn coefs<'a, const OWN: bool>(
+    coef: &'a [f64],
+    at: usize,
+    c: &[f64],
+    c_at: usize,
+    ib: usize,
+    own: &'a mut [f64; IB],
+) -> &'a [f64] {
+    if OWN {
+        let src = if coef.is_empty() {
+            &c[c_at..]
+        } else {
+            &coef[at..]
+        };
+        own[..ib].copy_from_slice(&src[..ib]);
+        &own[..ib]
+    } else {
+        &coef[at..][..ib]
+    }
+}
+
 /// Apply one chunk to rows `i0..i0 + G LANES` of `c` (leading dimension
 /// `ld`) and, for TS/TT, of `head` — columns `p..p+ib` of the pivot tile,
 /// same leading dimension.  `W = H + C V_p` accumulates in `G * ib`
 /// registers from one load of `C[i0.., j]` per group and `ib` coefficient
-/// broadcasts per column, each feeding all `G` groups; `W op(T)` is
+/// broadcasts per column, each feeding all `G` groups; `W T` is
 /// [`t_product`], and `C[:, j] -= W v[p.., j]` re-reads the row
 /// groups, again one broadcast per coefficient for all of them.  Every
 /// entry of `C`, `H` and `W` takes the same FMAs in the same order whatever
@@ -908,20 +906,8 @@ unsafe fn right_rows<S: SimdLane, const FULL: bool, const G: usize, const OWN: b
                 for (g, x) in cj.iter_mut().enumerate() {
                     *x = s.load(c, j * ld + i0 + g * S::LANES);
                 }
-                // `OWN`: the dense coefficients are rows `p..p+ib` of `C`,
-                // copied out before `C` is written.
                 let own = &mut [0.0; IB];
-                let coef = if OWN {
-                    let at = if coef.is_empty() {
-                        &c[j * ld + ch.p..]
-                    } else {
-                        &coef[n * stride..]
-                    };
-                    own[..ib].copy_from_slice(&at[..ib]);
-                    &own[..ib]
-                } else {
-                    &coef[n * stride..][..ib]
-                };
+                let coef = coefs::<OWN>(coef, n * stride, c, j * ld + ch.p, ib, own);
                 for (kk, &v) in coef.iter().enumerate() {
                     let v = s.splat(v);
                     for (wg, &x) in w.iter_mut().zip(&cj) {
@@ -930,7 +916,7 @@ unsafe fn right_rows<S: SimdLane, const FULL: bool, const G: usize, const OWN: b
                 }
             }
         }
-        let mut w = t_product(s, ch.t, ch.trans, ib, &w);
+        let mut w = t_product(s, ch.t, ib, &w);
         let minus = s.splat(-1.0);
         for wg in w.iter_mut() {
             for wk in wg.iter_mut().take(ib) {
@@ -951,20 +937,8 @@ unsafe fn right_rows<S: SimdLane, const FULL: bool, const G: usize, const OWN: b
                 for (g, x) in cj.iter_mut().enumerate() {
                     *x = s.load(c, j * ld + i0 + g * S::LANES);
                 }
-                // `OWN`: the dense coefficients are rows `p..p+ib` of `C`,
-                // copied out before `C` is written.
                 let own = &mut [0.0; IB];
-                let coef = if OWN {
-                    let at = if coef.is_empty() {
-                        &c[j * ld + ch.p..]
-                    } else {
-                        &coef[n * stride..]
-                    };
-                    own[..ib].copy_from_slice(&at[..ib]);
-                    &own[..ib]
-                } else {
-                    &coef[n * stride..][..ib]
-                };
+                let coef = coefs::<OWN>(coef, n * stride, c, j * ld + ch.p, ib, own);
                 for (kk, &v) in coef.iter().enumerate() {
                     let v = s.splat(v);
                     for (x, wg) in cj.iter_mut().zip(&w) {
@@ -1027,21 +1001,11 @@ unsafe fn apply_right_body<S: SimdLane, const G: usize>(
     tf: &TFactor,
     mut head: Option<&mut Matrix>,
     c: &mut Matrix,
-    trans: Trans,
 ) {
     let (r, n) = (c.rows(), c.cols());
-    for (p, ib) in chunk_order(tf.len(), trans) {
-        let ch = RowChunk::new(
-            shape,
-            v.data(),
-            v.rows(),
-            n,
-            p,
-            ib,
-            tf.t_block_data(p),
-            trans,
-        )
-        .reading(v.data());
+    for (p, ib) in chunks(tf.len()) {
+        let t = tf.t_block_data(p);
+        let ch = RowChunk::new(shape, v.data(), v.rows(), n, p, ib, t).reading(v.data());
         let h = head
             .as_deref_mut()
             .map(|h| &mut h.data_mut()[p * r..(p + ib) * r]);
@@ -1193,8 +1157,7 @@ unsafe fn factor_right_body<S: SimdLane, const RV: usize, const G: usize>(
     let (m, n) = (a.rows(), a.cols());
     let kmax = l1.as_ref().map_or(n, |l1| l1.cols()).min(m);
     let mut tf = TFactor::with_kmax(kmax);
-    for p in (0..kmax).step_by(IB) {
-        let ib = IB.min(kmax - p);
+    for (p, ib) in chunks(kmax) {
         let pan = RowPanel { shape, m, n, p, ib };
         let (data, mut heads) = (a.data_mut(), l1.as_deref_mut().map(|l1| l1.data_mut()));
         let mut next = None;
@@ -1252,7 +1215,7 @@ unsafe fn factor_right_body<S: SimdLane, const RV: usize, const G: usize>(
         }
         if p + ib < m {
             let t = tf.t_block_data(p);
-            let ch = RowChunk::new(shape, a.data(), m, n, p, ib, t, Trans::Transpose);
+            let ch = RowChunk::new(shape, a.data(), m, n, p, ib, t);
             let h = l1
                 .as_deref_mut()
                 .map(|l1| &mut l1.data_mut()[p * m..(p + ib) * m]);
@@ -1361,13 +1324,12 @@ macro_rules! lane_shells {
                 tf: &TFactor,
                 head: Option<&mut Matrix>,
                 c: &mut Matrix,
-                trans: Trans,
             ) {
                 // SAFETY: inside this target_feature fn the lane's features
                 // are enabled, so constructing its token is sound.
                 unsafe {
                     let s = $lane::new_unchecked();
-                    apply_body::<$lane, $rv, $nc, $gl>(s, shape, v, tf, head, c, trans)
+                    apply_body::<$lane, $rv, $nc, $gl>(s, shape, v, tf, head, c)
                 }
             }
 
@@ -1380,12 +1342,11 @@ macro_rules! lane_shells {
                 tf: &TFactor,
                 head: Option<&mut Matrix>,
                 c: &mut Matrix,
-                trans: Trans,
             ) {
                 // SAFETY: as in `apply`.
                 unsafe {
                     let s = $lane::new_unchecked();
-                    apply_right_body::<$lane, $gr>(s, shape, v, tf, head, c, trans)
+                    apply_right_body::<$lane, $gr>(s, shape, v, tf, head, c)
                 }
             }
 
@@ -1451,47 +1412,43 @@ macro_rules! dispatch {
 }
 
 /// Apply the `tf.len()` reflectors of `shape` stored in `v` from the left:
-/// `Q^T` ([`Trans::Transpose`]) or `Q` to `c` (as many rows as `v`) and,
-/// for the TS/TT shapes, to rows `0..tf.len()` of the pivot tile `head`
-/// (as many columns as `c`; `None` exactly for the trapezoid).  The tile
-/// kernels of [`crate::qr`] check the operand shapes; a mismatch that got
-/// past them would panic in a slice index here.  One backend dispatch per
-/// call.
+/// `Q^T` to `c` (as many rows as `v`) and, for the TS/TT shapes, to rows
+/// `0..tf.len()` of the pivot tile `head` (as many columns as `c`; `None`
+/// exactly for the trapezoid).  The tile kernels of [`crate::qr`] check
+/// the operand shapes; a mismatch that got past them would panic in a
+/// slice index here.  One backend dispatch per call.
 pub(crate) fn apply(
     shape: Shape,
     v: &Matrix,
     tf: &TFactor,
     head: Option<&mut Matrix>,
     c: &mut Matrix,
-    trans: Trans,
 ) {
     debug_assert_eq!(shape == Shape::Trapezoid, head.is_none());
     dispatch!(
-        apply_body::<ScalarRows, 1, 2, 2>(ScalarRows, shape, v, tf, head, c, trans),
-        apply(shape, v, tf, head, c, trans)
+        apply_body::<ScalarRows, 1, 2, 2>(ScalarRows, shape, v, tf, head, c),
+        apply(shape, v, tf, head, c)
     )
 }
 
 /// Apply the `tf.len()` *row-wise* stored reflectors of `shape` in `v` from
-/// the right: `C Q_lq^T` ([`Trans::Transpose`]) or `C Q_lq` to `c` (as many
-/// columns as `v`) and, for the TS/TT shapes, to columns `0..tf.len()` of
-/// the pivot tile `head` (as many rows as `c`; `None` exactly for the
-/// trapezoid).  The tile kernels of [`crate::lq`] check the operand
-/// shapes.  One backend dispatch per call.
+/// the right: `C Q_lq^T` to `c` (as many columns as `v`) and, for the TS/TT
+/// shapes, to columns `0..tf.len()` of the pivot tile `head` (as many rows
+/// as `c`; `None` exactly for the trapezoid).  The tile kernels of
+/// [`crate::lq`] check the operand shapes.  One backend dispatch per call.
 pub(crate) fn apply_right(
     shape: Shape,
     v: &Matrix,
     tf: &TFactor,
     head: Option<&mut Matrix>,
     c: &mut Matrix,
-    trans: Trans,
 ) {
     debug_assert_eq!(shape == Shape::Trapezoid, head.is_none());
     // `ScalarRows` keeps one row group on this side: at two its `W` no
     // longer fits the SSE2 registers, and TSMLQ reads 1.7x slower.
     dispatch!(
-        apply_right_body::<ScalarRows, 1>(ScalarRows, shape, v, tf, head, c, trans),
-        apply_right(shape, v, tf, head, c, trans)
+        apply_right_body::<ScalarRows, 1>(ScalarRows, shape, v, tf, head, c),
+        apply_right(shape, v, tf, head, c)
     )
 }
 
@@ -1674,7 +1631,6 @@ mod tests {
     /// # Safety
     /// The lane's ISA contract.
     #[inline(never)]
-    #[allow(clippy::too_many_arguments)]
     unsafe fn left_bits<S: SimdLane, const RV: usize, const NC: usize, const G: usize>(
         s: S,
         shape: Shape,
@@ -1682,11 +1638,10 @@ mod tests {
         tf: &TFactor,
         head: Option<&Matrix>,
         c: &Matrix,
-        trans: Trans,
     ) -> (Vec<u64>, Option<Vec<u64>>) {
         let (mut head, mut c) = (head.cloned(), c.clone());
         // SAFETY: the caller upholds the lane's ISA contract.
-        unsafe { apply_body::<S, RV, NC, G>(s, shape, v, tf, head.as_mut(), &mut c, trans) };
+        unsafe { apply_body::<S, RV, NC, G>(s, shape, v, tf, head.as_mut(), &mut c) };
         (bits(&c), head.as_ref().map(bits))
     }
 
@@ -1702,11 +1657,10 @@ mod tests {
         tf: &TFactor,
         head: Option<&Matrix>,
         c: &Matrix,
-        trans: Trans,
     ) -> (Vec<u64>, Option<Vec<u64>>) {
         let (mut head, mut c) = (head.cloned(), c.clone());
         // SAFETY: the caller upholds the lane's ISA contract.
-        unsafe { apply_right_body::<S, G>(s, shape, v, tf, head.as_mut(), &mut c, trans) };
+        unsafe { apply_right_body::<S, G>(s, shape, v, tf, head.as_mut(), &mut c) };
         (bits(&c), head.as_ref().map(bits))
     }
 
@@ -1749,7 +1703,7 @@ mod tests {
     /// Row groups change which registers an entry of `C` passes through,
     /// never its arithmetic: both applies and both factorizations at `G` row
     /// groups per pass give the bits of one group per pass — every shape,
-    /// both directions, a narrow last chunk, and row counts from one up to
+    /// a narrow last chunk, and row counts from one up to
     /// two full passes, a group and a row, so that every mix of full
     /// passes, leftover groups and leftover rows runs.
     ///
@@ -1774,24 +1728,22 @@ mod tests {
                 let vr = random_gaussian(kmax, n, seed + 3);
                 let tfr = random_t(kmax, seed + 4);
                 let hr = stacked.then(|| random_gaussian(m, kmax, seed + 5));
-                for trans in [Trans::Transpose, Trans::NoTranspose] {
-                    // SAFETY (all four): the caller upholds the lane's ISA
-                    // contract.
-                    let (left, left1) = unsafe {
-                        (
-                            left_bits::<S, RV, NC, G>(s, shape, &v, &tf, head.as_ref(), &c, trans),
-                            left_bits::<S, RV, NC, 1>(s, shape, &v, &tf, head.as_ref(), &c, trans),
-                        )
-                    };
-                    assert!(left == left1, "apply, {what}, {trans:?}");
-                    let (right, right1) = unsafe {
-                        (
-                            right_bits::<S, G>(s, shape, &vr, &tfr, hr.as_ref(), &c, trans),
-                            right_bits::<S, 1>(s, shape, &vr, &tfr, hr.as_ref(), &c, trans),
-                        )
-                    };
-                    assert!(right == right1, "apply_right, {what}, {trans:?}");
-                }
+                // SAFETY (all four): the caller upholds the lane's ISA
+                // contract.
+                let (left, left1) = unsafe {
+                    (
+                        left_bits::<S, RV, NC, G>(s, shape, &v, &tf, head.as_ref(), &c),
+                        left_bits::<S, RV, NC, 1>(s, shape, &v, &tf, head.as_ref(), &c),
+                    )
+                };
+                assert!(left == left1, "apply, {what}");
+                let (right, right1) = unsafe {
+                    (
+                        right_bits::<S, G>(s, shape, &vr, &tfr, hr.as_ref(), &c),
+                        right_bits::<S, 1>(s, shape, &vr, &tfr, hr.as_ref(), &c),
+                    )
+                };
+                assert!(right == right1, "apply_right, {what}");
                 // The factorization's trailing update runs the left kernel.
                 let r1 = stacked.then(|| random_gaussian(n, n, seed + 6));
                 // SAFETY: as above.

@@ -1,8 +1,7 @@
 //! Forced-backend equivalence of the SIMD-ported kernel layer.
 //!
-//! The QR tile kernels run one lane-generic compact-WY chunk kernel (the
-//! LQ factorizations reach it through transposes), the LQ applies its
-//! right-sided mirror image, and the band bulge chase applies its
+//! The QR tile kernels run one lane-generic compact-WY chunk kernel, the
+//! LQ kernels its right-sided mirror image, and the band bulge chase applies its
 //! reflectors through one lane-generic body of its own. This suite pins
 //! every vector backend of the host (AVX2; AVX-512, which widens the chunk
 //! kernels only) to the scalar one through the *real* dispatch path
@@ -28,7 +27,6 @@ use bidiag_kernels::band::BandMatrix;
 use bidiag_kernels::lq::{gelqt, tslqt, tsmlq, ttlqt, ttmlq, unmlq};
 use bidiag_kernels::qr::{geqrt, tsmqr, tsqrt, ttmqr, ttqrt, unmqr};
 use bidiag_kernels::svd::bisection_singular_values;
-use bidiag_kernels::Trans;
 use bidiag_matrix::checks::{lower_triangle_of, relative_error, upper_triangle_of};
 use bidiag_matrix::gen::random_gaussian;
 use bidiag_matrix::simd;
@@ -59,19 +57,16 @@ fn qr_tile_kernels_agree_across_backends() {
         let results = simd::on_each_backend(|| {
             let mut a = a0.clone();
             let tf = geqrt(&mut a);
-            let mut ct = c0.clone();
-            unmqr(&a, &tf, &mut ct, Trans::Transpose);
-            let mut cn = c0.clone();
-            unmqr(&a, &tf, &mut cn, Trans::NoTranspose);
-            (a, tf.taus().to_vec(), ct, cn)
+            let mut c = c0.clone();
+            unmqr(&a, &tf, &mut c);
+            (a, tf.taus().to_vec(), c)
         });
         let (_, s) = &results[0];
         for (be, v) in &results[1..] {
             let on = format!("nb={nb} {be:?}");
             assert!(relative_error(&s.0, &v.0) < TOL, "GEQRT factor {on}");
             assert_taus_close(&s.1, &v.1, "GEQRT");
-            assert!(relative_error(&s.2, &v.2) < TOL, "UNMQR^T {on}");
-            assert!(relative_error(&s.3, &v.3) < TOL, "UNMQR {on}");
+            assert!(relative_error(&s.2, &v.2) < TOL, "UNMQR {on}");
         }
     }
 }
@@ -91,7 +86,7 @@ fn ts_and_tt_qr_kernels_agree_across_backends() {
                 let tf = tsqrt(&mut r1, &mut a2);
                 let mut b1 = c1_0.clone();
                 let mut b2 = c2_0.clone();
-                tsmqr(&mut b1, &mut b2, &a2, &tf, Trans::Transpose);
+                tsmqr(&mut b1, &mut b2, &a2, &tf);
                 (r1, a2, b1, b2)
             });
             let (_, s) = &results[0];
@@ -112,7 +107,7 @@ fn ts_and_tt_qr_kernels_agree_across_backends() {
                 let tf = ttqrt(&mut r1, &mut r2);
                 let mut b1 = c1_0.clone();
                 let mut b2 = random_gaussian(r2_0.rows(), nb, 47);
-                ttmqr(&mut b1, &mut b2, &r2, &tf, Trans::Transpose);
+                ttmqr(&mut b1, &mut b2, &r2, &tf);
                 (r1, r2, b1, b2)
             });
             let (_, s) = &results[0];
@@ -137,19 +132,16 @@ fn lq_tile_kernels_agree_across_backends() {
         let results = simd::on_each_backend(|| {
             let mut a = a0.clone();
             let tf = gelqt(&mut a);
-            let mut ct = c0.clone();
-            unmlq(&a, &tf, &mut ct, Trans::Transpose);
-            let mut cn = c0.clone();
-            unmlq(&a, &tf, &mut cn, Trans::NoTranspose);
-            (a, tf.taus().to_vec(), ct, cn)
+            let mut c = c0.clone();
+            unmlq(&a, &tf, &mut c);
+            (a, tf.taus().to_vec(), c)
         });
         let (_, s) = &results[0];
         for (be, v) in &results[1..] {
             let on = format!("nb={nb} {be:?}");
             assert!(relative_error(&s.0, &v.0) < TOL, "GELQT factor {on}");
             assert_taus_close(&s.1, &v.1, "GELQT");
-            assert!(relative_error(&s.2, &v.2) < TOL, "UNMLQ^T {on}");
-            assert!(relative_error(&s.3, &v.3) < TOL, "UNMLQ {on}");
+            assert!(relative_error(&s.2, &v.2) < TOL, "UNMLQ {on}");
         }
 
         for n2 in [nb, nb.div_ceil(2)] {
@@ -161,35 +153,30 @@ fn lq_tile_kernels_agree_across_backends() {
             let c1_0 = random_gaussian(nb + 2, nb, 53);
             let c2_0 = random_gaussian(nb + 2, n2, 59);
 
-            for trans in [Trans::Transpose, Trans::NoTranspose] {
-                let results = simd::on_each_backend(|| {
-                    let mut l1 = l1_0.clone();
-                    let mut a2 = a2_0.clone();
-                    let tf = tslqt(&mut l1, &mut a2);
-                    let mut b1 = c1_0.clone();
-                    let mut b2 = c2_0.clone();
-                    tsmlq(&mut b1, &mut b2, &a2, &tf, trans);
+            let results = simd::on_each_backend(|| {
+                let mut l1 = l1_0.clone();
+                let mut a2 = a2_0.clone();
+                let tf = tslqt(&mut l1, &mut a2);
+                let mut b1 = c1_0.clone();
+                let mut b2 = c2_0.clone();
+                tsmlq(&mut b1, &mut b2, &a2, &tf);
 
-                    let mut t1 = l1_0.clone();
-                    let mut t2 = t2_0.clone();
-                    let tg = ttlqt(&mut t1, &mut t2);
-                    let mut d1 = c1_0.clone();
-                    let mut d2 = c2_0.clone();
-                    ttmlq(&mut d1, &mut d2, &t2, &tg, trans);
-                    [l1, a2, b1, b2, t1, t2, d1, d2]
-                });
-                let (_, s) = &results[0];
-                for (be, v) in &results[1..] {
-                    let names = [
-                        "TSLQT L1", "TSLQT V2", "TSMLQ C1", "TSMLQ C2", "TTLQT L1", "TTLQT V2",
-                        "TTMLQ C1", "TTMLQ C2",
-                    ];
-                    for ((s, v), name) in s.iter().zip(v).zip(names) {
-                        assert!(
-                            relative_error(s, v) < TOL,
-                            "{name} nb={nb} n2={n2} {trans:?} {be:?}"
-                        );
-                    }
+                let mut t1 = l1_0.clone();
+                let mut t2 = t2_0.clone();
+                let tg = ttlqt(&mut t1, &mut t2);
+                let mut d1 = c1_0.clone();
+                let mut d2 = c2_0.clone();
+                ttmlq(&mut d1, &mut d2, &t2, &tg);
+                [l1, a2, b1, b2, t1, t2, d1, d2]
+            });
+            let (_, s) = &results[0];
+            for (be, v) in &results[1..] {
+                let names = [
+                    "TSLQT L1", "TSLQT V2", "TSMLQ C1", "TSMLQ C2", "TTLQT L1", "TTLQT V2",
+                    "TTMLQ C1", "TTMLQ C2",
+                ];
+                for ((s, v), name) in s.iter().zip(v).zip(names) {
+                    assert!(relative_error(s, v) < TOL, "{name} nb={nb} n2={n2} {be:?}");
                 }
             }
         }

@@ -91,11 +91,6 @@ impl BlockCyclic {
     pub fn rows_of(&self, p: usize, proc_row: usize) -> Vec<usize> {
         (proc_row..p).step_by(self.proc_rows).collect()
     }
-
-    /// The global tile columns owned by process column `c`, in increasing order.
-    pub fn cols_of(&self, q: usize, proc_col: usize) -> Vec<usize> {
-        (proc_col..q).step_by(self.proc_cols).collect()
-    }
 }
 
 #[cfg(test)]

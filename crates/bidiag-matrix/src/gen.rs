@@ -81,13 +81,6 @@ pub fn random_gaussian(m: usize, n: usize, seed: u64) -> Matrix {
     Matrix::from_fn(m, n, |_, _| normal.sample(&mut rng))
 }
 
-/// Uniform `[-1, 1]` matrix with a deterministic seed.
-pub fn random_uniform(m: usize, n: usize, seed: u64) -> Matrix {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let dist = rand::distributions::Uniform::new_inclusive(-1.0, 1.0);
-    Matrix::from_fn(m, n, |_, _| dist.sample(&mut rng))
-}
-
 /// Box–Muller standard normal sampler (keeps us independent of the
 /// `rand_distr` crate, which is not in the approved dependency list).
 struct NormalBoxMuller;

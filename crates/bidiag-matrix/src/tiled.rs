@@ -177,11 +177,6 @@ impl TiledMatrix {
         (&*tr, t1, t2)
     }
 
-    /// Flat tile index (used by runtimes to name data handles).
-    pub fn tile_index(&self, i: usize, j: usize) -> usize {
-        j * self.p + i
-    }
-
     /// Element access through the tile structure (slow; for tests/checks).
     pub fn get(&self, i: usize, j: usize) -> f64 {
         self.tile(i / self.nb, j / self.nb)
@@ -192,18 +187,6 @@ impl TiledMatrix {
     pub fn set(&mut self, i: usize, j: usize, v: f64) {
         let nb = self.nb;
         self.tile_mut(i / nb, j / nb).set(i % nb, j % nb, v);
-    }
-
-    /// Zero out, in place, all entries strictly below the main (element)
-    /// diagonal of a tile.  Used to discard Householder vectors stored in the
-    /// factored tiles when only the R / band part is wanted.
-    pub fn zero_below_tile_diag(&mut self, i: usize, j: usize) {
-        let t = self.tile_mut(i, j);
-        for c in 0..t.cols() {
-            for r in (c + 1)..t.rows() {
-                t.set(r, c, 0.0);
-            }
-        }
     }
 
     /// Extract the `band` of the matrix as a dense `min(m,n) x min(m,n)`

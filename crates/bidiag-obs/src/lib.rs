@@ -99,11 +99,6 @@ impl ScopedObs {
         }
     }
 
-    /// Timestamp (ns since process epoch) at which this scope started.
-    pub fn since_ns(&self) -> u64 {
-        self.since
-    }
-
     /// All spans recorded since the scope started, sorted by start time.
     pub fn spans(&self) -> Vec<Span> {
         let mut spans: Vec<Span> = snapshot_spans()

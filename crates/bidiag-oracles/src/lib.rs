@@ -10,7 +10,9 @@
 //! * [`qr`] / [`lq`] — the twelve unblocked tile kernels, one Householder
 //!   reflector at a time (LAPACK `xGEQRT2` / `xTPQRT2` and their LQ
 //!   transposes), that the blocked kernels of `bidiag-kernels` are pinned
-//!   to, and [`build_q`], the explicit orthogonal factor of a GEQRT'd tile,
+//!   to — their applies, like the blocked ones, compute `Q^T C` and
+//!   `C Q_lq^T` only — and [`build_q`], the explicit orthogonal factor of a
+//!   GEQRT'd tile,
 //! * [`one_stage`] — the one-stage Golub–Kahan bidiagonalization and Chan's
 //!   QR-first variant, each finished by the bisection oracle.
 //!

@@ -8,10 +8,10 @@
 //! below (GEQRT), dense vectors in the second tile (TSQRT), triangular
 //! vectors in the second tile (TTQRT).  Factorizations return the `tau`
 //! scalars, one per reflector; applies take them (a blocked factor's
-//! [`TFactor::taus`](bidiag_kernels::TFactor::taus) will do).
+//! [`TFactor::taus`](bidiag_kernels::TFactor::taus) will do) and, like the
+//! blocked kernels, apply `Q^T = H_{k-1} ... H_0`: reflector `0` first.
 
 use bidiag_kernels::householder::larfg;
-use bidiag_kernels::Trans;
 use bidiag_matrix::Matrix;
 
 /// GEQRT, unblocked reference: apply the Householder reflectors one by one.
@@ -50,18 +50,12 @@ pub fn geqrt_unblocked(a: &mut Matrix) -> Vec<f64> {
 }
 
 /// UNMQR, unblocked reference: apply the reflectors of a GEQRT'd tile one by
-/// one from the left.
-pub fn unmqr_unblocked(v: &Matrix, taus: &[f64], c: &mut Matrix, trans: Trans) {
+/// one from the left, `C <- Q^T C`.
+pub fn unmqr_unblocked(v: &Matrix, taus: &[f64], c: &mut Matrix) {
     let m = c.rows();
     assert_eq!(v.rows(), m, "UNMQR: V and C row mismatch");
-    let kmax = taus.len();
-    let order: Vec<usize> = match trans {
-        Trans::Transpose => (0..kmax).collect(),
-        Trans::NoTranspose => (0..kmax).rev().collect(),
-    };
     let n = c.cols();
-    for &k in &order {
-        let tau = taus[k];
+    for (k, &tau) in taus.iter().enumerate() {
         if tau == 0.0 {
             continue;
         }
@@ -114,18 +108,12 @@ pub fn tsqrt_unblocked(r1: &mut Matrix, a2: &mut Matrix) -> Vec<f64> {
 }
 
 /// TSMQR, unblocked reference.
-pub fn tsmqr_unblocked(a1: &mut Matrix, a2: &mut Matrix, v2: &Matrix, taus: &[f64], trans: Trans) {
+pub fn tsmqr_unblocked(a1: &mut Matrix, a2: &mut Matrix, v2: &Matrix, taus: &[f64]) {
     let n = a1.cols();
     assert_eq!(a2.cols(), n, "TSMQR: column mismatch");
     let m2 = a2.rows();
     assert_eq!(v2.rows(), m2, "TSMQR: V2 row mismatch");
-    let kmax = taus.len();
-    let order: Vec<usize> = match trans {
-        Trans::Transpose => (0..kmax).collect(),
-        Trans::NoTranspose => (0..kmax).rev().collect(),
-    };
-    for &k in &order {
-        let tau = taus[k];
+    for (k, &tau) in taus.iter().enumerate() {
         if tau == 0.0 {
             continue;
         }
@@ -178,16 +166,10 @@ pub fn ttqrt_unblocked(r1: &mut Matrix, r2: &mut Matrix) -> Vec<f64> {
 }
 
 /// TTMQR, unblocked reference.
-pub fn ttmqr_unblocked(a1: &mut Matrix, a2: &mut Matrix, v2: &Matrix, taus: &[f64], trans: Trans) {
+pub fn ttmqr_unblocked(a1: &mut Matrix, a2: &mut Matrix, v2: &Matrix, taus: &[f64]) {
     let n = a1.cols();
     assert_eq!(a2.cols(), n, "TTMQR: column mismatch");
-    let kmax = taus.len();
-    let order: Vec<usize> = match trans {
-        Trans::Transpose => (0..kmax).collect(),
-        Trans::NoTranspose => (0..kmax).rev().collect(),
-    };
-    for &k in &order {
-        let tau = taus[k];
+    for (k, &tau) in taus.iter().enumerate() {
         if tau == 0.0 {
             continue;
         }
@@ -209,9 +191,8 @@ pub fn ttmqr_unblocked(a1: &mut Matrix, a2: &mut Matrix, v2: &Matrix, taus: &[f6
 /// Explicitly build the `m x m` orthogonal factor of a GEQRT'd tile
 /// (cost `O(m^3)`).
 pub fn build_q(v: &Matrix, taus: &[f64]) -> Matrix {
-    let m = v.rows();
-    let mut q = Matrix::identity(m);
-    // Q = H_1 ... H_k  =>  apply Q (NoTranspose) to the identity.
-    unmqr_unblocked(v, taus, &mut q, Trans::NoTranspose);
-    q
+    let mut qt = Matrix::identity(v.rows());
+    // `Q^T I`, transposed.
+    unmqr_unblocked(v, taus, &mut qt);
+    qt.transpose()
 }

@@ -48,10 +48,6 @@ pub struct TaskGraph {
     predecessors: Vec<Vec<TaskId>>,
     last_writer: HashMap<DataKey, TaskId>,
     readers_since_write: HashMap<DataKey, Vec<TaskId>>,
-    /// For every task, the data it writes (used by the distributed simulator
-    /// to attribute communications).
-    writes: Vec<Vec<DataKey>>,
-    reads: Vec<Vec<DataKey>>,
 }
 
 impl TaskGraph {
@@ -90,16 +86,6 @@ impl TaskGraph {
         &self.predecessors[id]
     }
 
-    /// Data written by a task.
-    pub fn written_data(&self, id: TaskId) -> &[DataKey] {
-        &self.writes[id]
-    }
-
-    /// Data read (but not written) by a task.
-    pub fn read_data(&self, id: TaskId) -> &[DataKey] {
-        &self.reads[id]
-    }
-
     /// Insert a task.  `accesses` lists every piece of data the task touches
     /// together with the access mode; dependencies on previously inserted
     /// tasks are inferred automatically.
@@ -114,8 +100,6 @@ impl TaskGraph {
         self.tasks.push(TaskNode { weight, owner, tag });
         self.successors.push(Vec::new());
         self.predecessors.push(Vec::new());
-        self.writes.push(Vec::new());
-        self.reads.push(Vec::new());
 
         let mut preds: Vec<TaskId> = Vec::new();
         for &(key, mode) in accesses {
@@ -125,7 +109,6 @@ impl TaskGraph {
                         preds.push(w);
                     }
                     self.readers_since_write.entry(key).or_default().push(id);
-                    self.reads[id].push(key);
                 }
                 AccessMode::Write => {
                     // WAR on all readers since the last write, WAW/RAW on the
@@ -138,7 +121,6 @@ impl TaskGraph {
                     }
                     self.readers_since_write.insert(key, Vec::new());
                     self.last_writer.insert(key, id);
-                    self.writes[id].push(key);
                 }
             }
         }
@@ -150,11 +132,6 @@ impl TaskGraph {
             self.predecessors[id].push(p);
         }
         id
-    }
-
-    /// The last task that wrote `key`, if any.
-    pub fn last_writer_of(&self, key: DataKey) -> Option<TaskId> {
-        self.last_writer.get(&key).copied()
     }
 
     /// Length of the critical path (longest weighted path, node weights).

@@ -45,5 +45,5 @@ pub mod trace;
 pub use executor::{execute_parallel, execute_parallel_with, execute_sequential, TaskBody};
 pub use graph::{AccessMode, DataKey, TaskGraph, TaskId, TaskNode};
 pub use pool::{JobError, JobTicket, PoolConfig, SubmitError, TaskBodyWith, TaskPool, GANG};
-pub use sim::{critical_path_via_sim, simulate, MachineModel, SimResult};
+pub use sim::{simulate, MachineModel, SimResult};
 pub use trace::{validate_trace, TraceValidation};

@@ -249,12 +249,6 @@ pub fn simulate(graph: &TaskGraph, machine: &MachineModel) -> SimResult {
     }
 }
 
-/// Convenience: critical path of the graph through the simulator (must agree
-/// with [`TaskGraph::critical_path`]).
-pub fn critical_path_via_sim(graph: &TaskGraph) -> f64 {
-    simulate(graph, &MachineModel::unbounded()).makespan
-}
-
 /// Total-order float wrapper for use inside heaps (simulation times are
 /// always finite).
 #[derive(PartialEq, PartialOrd, Clone, Copy, Debug)]
@@ -286,7 +280,7 @@ mod tests {
     fn unbounded_matches_critical_path() {
         let g = diamond();
         assert_eq!(g.critical_path(), 3.0);
-        assert_eq!(critical_path_via_sim(&g), 3.0);
+        assert_eq!(simulate(&g, &MachineModel::unbounded()).makespan, 3.0);
     }
 
     #[test]
