@@ -115,11 +115,6 @@ pub fn bidiag_cp_asymptotic(alpha: f64, q: usize) -> f64 {
     (12.0 + 6.0 * alpha) * q as f64 * (q as f64).log2()
 }
 
-/// Theorem 1 asymptotic ratio `BIDIAG / R-BIDIAG = 1 + alpha / 2`.
-pub fn asymptotic_ratio(alpha: f64) -> f64 {
-    1.0 + alpha / 2.0
-}
-
 /// Critical path measured on the task DAG generated by the drivers.
 pub fn measured_cp(algorithm: Algorithm, tree: NamedTree, p: usize, q: usize) -> f64 {
     let cfg = GenConfig::shared(tree);
@@ -324,8 +319,6 @@ mod tests {
 
     #[test]
     fn asymptotic_helpers() {
-        assert!((asymptotic_ratio(0.0) - 1.0).abs() < 1e-12);
-        assert!((asymptotic_ratio(1.0) - 1.5).abs() < 1e-12);
         assert!(bidiag_cp_asymptotic(0.0, 1024) > 0.0);
     }
 

@@ -51,8 +51,8 @@
 //! axpy per column.  Both are unit-stride and live in [`crate::householder`]
 //! (`reflector`, `right_apply`, `left_apply` over [`SimdLane`], on a window
 //! with leading dimension `ldab - 1` here and `m` in [`crate::gebd2`]), with
-//! one backend read per *reduction* and one `#[target_feature]` shell per
-//! vector backend: `Avx2` runs the chase on four lanes, `Avx512` on eight.
+//! one [`simd::dispatch`] per *reduction*: `Avx2` runs the chase on four
+//! lanes, `Avx512` on eight.
 //!
 //! At `bw = 64` the chase's right apply now runs at the rate its ≈ 65 KB
 //! block streams between L1 and L2 (2.2 cycles per 32 bytes against 1.25
@@ -68,7 +68,7 @@
 
 use crate::gebd2::Bidiagonal;
 use crate::householder::{left_apply, prescale, reflector, right_apply};
-use bidiag_matrix::simd::{self, ScalarLane, SimdBackend, SimdLane};
+use bidiag_matrix::simd::{self, LaneKernel, SimdLane};
 use bidiag_matrix::{Matrix, TiledMatrix};
 use std::ops::Range;
 
@@ -267,30 +267,15 @@ impl BandMatrix {
             let span = self.col_span(j);
             self.data[span].iter_mut().for_each(|v| *v *= scale);
         }
-        match simd::backend() {
-            // SAFETY: the scalar lane has no ISA requirements.
-            SimdBackend::Scalar => unsafe { chase_body(ScalarLane, self) },
-            // Each vector backend runs its own lane.  On `square_1t`'s band
-            // (768 / 64, ms per reduction, `table1_kernel_weights`): 19.8 on
-            // the 256-bit lane, which both backends shared while a 127-row
-            // block ended in a 16 / 8 / 4-row ladder and single rows and the
-            // left apply reloaded `v` per column ("eight lanes measured
-            // flat": its ladder was 32 / 16 / 8 rows plus seven single
-            // ones); with the masked tail and `v` resident, 18.0–18.8 on
-            // four lanes and 14.2 on eight.
-            #[cfg(target_arch = "x86_64")]
-            SimdBackend::Avx2 => {
-                simd::check_avx2();
-                // SAFETY: check_avx2 verified AVX2+FMA.
-                unsafe { chase_avx2(self) }
-            }
-            #[cfg(target_arch = "x86_64")]
-            SimdBackend::Avx512 => {
-                simd::check_avx512();
-                // SAFETY: check_avx512 verified AVX-512F on top of AVX2+FMA.
-                unsafe { chase_avx512(self) }
-            }
-        }
+        // Each vector backend runs its own lane.  On `square_1t`'s band
+        // (768 / 64, ms per reduction, `table1_kernel_weights`): 19.8 on the
+        // 256-bit lane, which both backends shared while a 127-row block
+        // ended in a 16 / 8 / 4-row ladder and single rows and the left
+        // apply reloaded `v` per column ("eight lanes measured flat": its
+        // ladder was 32 / 16 / 8 rows plus seven single ones); with the
+        // masked tail and `v` resident, 18.0–18.8 on four lanes and 14.2 on
+        // eight.
+        simd::dispatch(Chase(self));
         // Everything off the two diagonals is exactly zero now.
         for i in 0..self.n {
             let at = self.off(i, i);
@@ -312,6 +297,19 @@ impl BandMatrix {
             .map(|i| self.get(i, i + 1))
             .collect();
         Bidiagonal { diag, superdiag }
+    }
+}
+
+/// The argument of [`BandMatrix::reduce_to_bidiagonal`]'s chase.
+struct Chase<'a>(&'a mut BandMatrix);
+
+impl LaneKernel for Chase<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<S: SimdLane>(self, s: S) {
+        // SAFETY: the token `s` proves its lane's ISA.
+        unsafe { chase_body(s, self.0) }
     }
 }
 
@@ -343,7 +341,7 @@ unsafe fn chase_body<S: SimdLane>(s: S, band: &mut BandMatrix) {
         if r.tau != 0.0 {
             let m = c1 - row;
             let blk = &mut band.data[at + 1..at + 1 + (c1 - c0) * stride + m];
-            // SAFETY: as above.
+            // SAFETY: the caller upholds the lane's ISA contract.
             unsafe { right_apply(s, blk, stride, m, v, r.tau) };
         }
 
@@ -353,35 +351,15 @@ unsafe fn chase_body<S: SimdLane>(s: S, band: &mut BandMatrix) {
         let col = &mut band.data[at..at + v.len()];
         v.copy_from_slice(col);
         col.fill(0.0);
-        // SAFETY: as above.
+        // SAFETY: the caller upholds the lane's ISA contract.
         let r = unsafe { reflector(s, v) };
         band.data[at] = r.beta;
         if r.tau != 0.0 {
             let (right, ncols) = (&mut band.data[at + stride..], (c1 + bw).min(n - 1) - c0);
-            // SAFETY: as above.
+            // SAFETY: the caller upholds the lane's ISA contract.
             unsafe { left_apply(s, right, stride, ncols, v, r.tau) };
         }
     }
-}
-
-/// # Safety
-/// Caller must guarantee AVX2+FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn chase_avx2(band: &mut BandMatrix) {
-    // SAFETY: inside this target_feature fn AVX2+FMA are enabled, so
-    // constructing the lane token is sound.
-    unsafe { chase_body(simd::Avx2Lane::new_unchecked(), band) }
-}
-
-/// # Safety
-/// Caller must guarantee AVX-512F on top of AVX2+FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx2,fma")]
-unsafe fn chase_avx512(band: &mut BandMatrix) {
-    // SAFETY: inside this target_feature fn AVX-512F is enabled, so
-    // constructing the lane token is sound.
-    unsafe { chase_body(simd::Avx512Lane::new_unchecked(), band) }
 }
 
 /// Flop count of the band-to-bidiagonal reduction of an order-`n` band of
@@ -597,24 +575,28 @@ mod tests {
     #[test]
     fn chase_reads_only_the_entries_it_owns() {
         // Poison every slot of the packed storage that maps outside the
-        // matrix: the reduction must neither read nor write one.
+        // matrix: the reduction must neither read nor write one.  Clean and
+        // poisoned runs are compared bitwise, so both run in one forced
+        // scope (sibling tests flip the process-wide backend).
         for (n, bw) in SHAPES {
             let clean = random_band(n, bw, (n * 41 + bw) as u64);
-            let mut poisoned = clean.clone();
-            let mut owned = vec![false; poisoned.data.len()];
+            let mut owned = vec![false; clean.data.len()];
             for j in 0..n {
-                owned[poisoned.col_span(j)].fill(true);
+                owned[clean.col_span(j)].fill(true);
             }
-            for (v, _) in poisoned.data.iter_mut().zip(&owned).filter(|(_, o)| !**o) {
-                *v = f64::NAN;
-            }
-            let expect = clean.clone().reduce_to_bidiagonal();
-            let got = poisoned.reduce_to_bidiagonal();
-            assert!(got.diag.iter().chain(&got.superdiag).all(|v| v.is_finite()));
-            assert_eq!((got.diag, got.superdiag), (expect.diag, expect.superdiag));
-            for (v, _) in poisoned.data.iter().zip(&owned).filter(|(_, o)| !**o) {
-                assert!(v.is_nan(), "poison overwritten for n={n} bw={bw}");
-            }
+            simd::on_each_backend(|| {
+                let mut poisoned = clean.clone();
+                for (v, _) in poisoned.data.iter_mut().zip(&owned).filter(|(_, o)| !**o) {
+                    *v = f64::NAN;
+                }
+                let expect = clean.clone().reduce_to_bidiagonal();
+                let got = poisoned.reduce_to_bidiagonal();
+                assert!(got.diag.iter().chain(&got.superdiag).all(|v| v.is_finite()));
+                assert_eq!((got.diag, got.superdiag), (expect.diag, expect.superdiag));
+                for (v, _) in poisoned.data.iter().zip(&owned).filter(|(_, o)| !**o) {
+                    assert!(v.is_nan(), "poison overwritten for n={n} bw={bw}");
+                }
+            });
         }
     }
 

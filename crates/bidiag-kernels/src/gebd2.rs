@@ -24,12 +24,11 @@
 //! so what the plane does with a tail is what the kernel costs: the rows of
 //! a right apply are one chunk of `ceil(rows / LANES)` registers, the last
 //! one masked, and a column reflector of up to sixteen registers (64 rows on
-//! four lanes, 128 on eight) stays in them for its whole left apply.  Each
-//! vector backend has its own `#[target_feature]` shell: `Avx2` runs four
-//! lanes, `Avx512` eight.
+//! four lanes, 128 on eight) stays in them for its whole left apply.  One
+//! [`simd::dispatch`] per call: `Avx2` runs four lanes, `Avx512` eight.
 
 use crate::householder::{left_apply, prescale, reflector, right_apply};
-use bidiag_matrix::simd::{self, ScalarLane, SimdBackend, SimdLane};
+use bidiag_matrix::simd::{self, LaneKernel, SimdLane};
 use bidiag_matrix::Matrix;
 
 /// Result of a bidiagonalization: the main diagonal and super-diagonal of the
@@ -105,31 +104,34 @@ pub fn gebd2_with(a: &mut Matrix, tail: &mut Vec<f64>, out: &mut Bidiagonal) {
     gebd2_window(a.data_mut(), m, tail, out);
 }
 
-/// [`gebd2_with`] on the `m`-row columns of the column-major slice `a`: one
-/// backend read, then the lane's shell.
+/// [`gebd2_with`] on the `m`-row columns of the column-major slice `a`.
 fn gebd2_window(a: &mut [f64], m: usize, row: &mut Vec<f64>, out: &mut Bidiagonal) {
-    match simd::backend() {
-        // SAFETY: the scalar lane has no ISA requirements.
-        SimdBackend::Scalar => unsafe { gebd2_body(ScalarLane, a, m, row, out) },
-        // Each vector backend runs its own lane.  Hot, us per call at
-        // n = 16 / 32 / 48 / 64 (`table1_kernel_weights`): 2.8 / 10.5 / 26.6 /
-        // 54.5 on the 256-bit lane while what did not fill a register went
-        // element by element (eight lanes then read 3.5 / 13.0 / 31.2 / 60.0
-        // and first won at n = 256); with the masked tail and `v` resident
-        // in the left apply, 2.2 / 8.1 / 21.8 / 47.6 on four lanes and
-        // 2.3 / 7.6 / 17.6 / 36.1 on eight.
-        #[cfg(target_arch = "x86_64")]
-        SimdBackend::Avx2 => {
-            simd::check_avx2();
-            // SAFETY: check_avx2 verified AVX2+FMA.
-            unsafe { gebd2_avx2(a, m, row, out) }
-        }
-        #[cfg(target_arch = "x86_64")]
-        SimdBackend::Avx512 => {
-            simd::check_avx512();
-            // SAFETY: check_avx512 verified AVX-512F on top of AVX2+FMA.
-            unsafe { gebd2_avx512(a, m, row, out) }
-        }
+    // Each vector backend runs its own lane.  Hot, us per call at n = 16 /
+    // 32 / 48 / 64 (`table1_kernel_weights`): 2.8 / 10.5 / 26.6 / 54.5 on
+    // the 256-bit lane while what did not fill a register went element by
+    // element (eight lanes then read 3.5 / 13.0 / 31.2 / 60.0 and first won
+    // at n = 256); with the masked tail and `v` resident in the left apply,
+    // 2.2 / 8.1 / 21.8 / 47.6 on four lanes and 2.3 / 7.6 / 17.6 / 36.1 on
+    // eight.
+    simd::dispatch(Gebd2 { a, m, row, out });
+}
+
+/// The arguments of [`gebd2_window`].
+struct Gebd2<'a> {
+    a: &'a mut [f64],
+    m: usize,
+    row: &'a mut Vec<f64>,
+    out: &'a mut Bidiagonal,
+}
+
+impl LaneKernel for Gebd2<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<S: SimdLane>(self, s: S) {
+        let Gebd2 { a, m, row, out } = self;
+        // SAFETY: the token `s` proves its lane's ISA.
+        unsafe { gebd2_body(s, a, m, row, out) }
     }
 }
 
@@ -155,9 +157,10 @@ unsafe fn gebd2_body<S: SimdLane>(
     for k in 0..n {
         let (head, trail) = a.split_at_mut((k + 1) * m);
         let col = &mut head[k * m + k..];
-        // SAFETY (all four calls): the caller upholds the lane's ISA contract.
+        // SAFETY: the caller upholds the lane's ISA contract.
         let r = unsafe { reflector(s, col) };
         if r.tau != 0.0 && k + 1 < n {
+            // SAFETY: the caller upholds the lane's ISA contract.
             unsafe { left_apply(s, &mut trail[k..], m, n - k - 1, col, r.tau) };
         }
         col[0] = r.beta * unscale;
@@ -165,8 +168,10 @@ unsafe fn gebd2_body<S: SimdLane>(
         if k + 1 < n {
             row.clear();
             row.extend(trail[k..].iter().step_by(m));
+            // SAFETY: the caller upholds the lane's ISA contract.
             let r = unsafe { reflector(s, row) };
             if r.tau != 0.0 {
+                // SAFETY: the caller upholds the lane's ISA contract.
                 unsafe { right_apply(s, &mut trail[k + 1..], m, m - k - 1, row, r.tau) };
             }
             row[0] = r.beta * unscale;
@@ -175,26 +180,6 @@ unsafe fn gebd2_body<S: SimdLane>(
             out.superdiag.push(row[0]);
         }
     }
-}
-
-/// # Safety
-/// Caller must guarantee AVX2+FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn gebd2_avx2(a: &mut [f64], m: usize, row: &mut Vec<f64>, out: &mut Bidiagonal) {
-    // SAFETY: inside this target_feature fn AVX2+FMA are enabled, so
-    // constructing the lane token is sound.
-    unsafe { gebd2_body(simd::Avx2Lane::new_unchecked(), a, m, row, out) }
-}
-
-/// # Safety
-/// Caller must guarantee AVX-512F on top of AVX2+FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx2,fma")]
-unsafe fn gebd2_avx512(a: &mut [f64], m: usize, row: &mut Vec<f64>, out: &mut Bidiagonal) {
-    // SAFETY: inside this target_feature fn AVX-512F is enabled, so
-    // constructing the lane token is sound.
-    unsafe { gebd2_body(simd::Avx512Lane::new_unchecked(), a, m, row, out) }
 }
 
 #[cfg(test)]
@@ -471,21 +456,24 @@ mod tests {
     fn gebd2_with_reused_buffers_is_bitwise_identical() {
         // One long-lived scratch set across problems of different shapes:
         // every result must equal the allocating entry point bit for bit.
-        let mut tail = Vec::new();
-        let mut out = Bidiagonal {
-            diag: Vec::new(),
-            superdiag: Vec::new(),
-        };
-        for (m, n, seed) in [(12usize, 8usize, 5u64), (6, 6, 9), (20, 3, 1), (9, 7, 3)] {
-            let a0 = random_gaussian(m, n, seed);
-            let mut a1 = a0.clone();
-            let mut a2 = a0.clone();
-            let reference = gebd2(&mut a1);
-            gebd2_with(&mut a2, &mut tail, &mut out);
-            assert_eq!(reference.diag, out.diag, "{m}x{n}");
-            assert_eq!(reference.superdiag, out.superdiag, "{m}x{n}");
-            assert_eq!(a1, a2, "{m}x{n}: reflector storage diverged");
-        }
+        // Both run in one forced scope (sibling tests flip the backend).
+        simd::on_each_backend(|| {
+            let mut tail = Vec::new();
+            let mut out = Bidiagonal {
+                diag: Vec::new(),
+                superdiag: Vec::new(),
+            };
+            for (m, n, seed) in [(12usize, 8usize, 5u64), (6, 6, 9), (20, 3, 1), (9, 7, 3)] {
+                let a0 = random_gaussian(m, n, seed);
+                let mut a1 = a0.clone();
+                let mut a2 = a0.clone();
+                let reference = gebd2(&mut a1);
+                gebd2_with(&mut a2, &mut tail, &mut out);
+                assert_eq!(reference.diag, out.diag, "{m}x{n}");
+                assert_eq!(reference.superdiag, out.superdiag, "{m}x{n}");
+                assert_eq!(a1, a2, "{m}x{n}: reflector storage diverged");
+            }
+        });
     }
 
     #[test]

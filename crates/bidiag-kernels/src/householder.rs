@@ -6,8 +6,8 @@
 //! The crate-private half is the reflector plane [`crate::gebd2`] and the
 //! bulge chase of [`crate::band`] share: `reflector` on a prescaled vector
 //! and the two applies on a column-major window with a leading dimension,
-//! lane-generic, compiled inside the caller's `#[target_feature]` shells
-//! (one per vector backend: four lanes under `Avx2`, eight under `Avx512`).
+//! lane-generic, run by the callers' kernels through `simd::dispatch` (four
+//! lanes under `Avx2`, eight under `Avx512`).
 //!
 //! Neither apply has an element-by-element tail.  `right_apply` takes its
 //! rows in chunks of eight registers; the rows left over are one more chunk
@@ -139,11 +139,12 @@ unsafe fn right_rows<S: SimdLane, const R: usize>(
 ) {
     let (last, k) = ((R - 1) * S::LANES, rows - (R - 1) * S::LANES);
     debug_assert!((1..=S::LANES).contains(&k));
-    // SAFETY (whole body): the caller upholds the lane's ISA contract; every
-    // segment is sliced to exactly `rows` elements, each `load`/`store` is at
-    // `r * LANES` with `r < R - 1`, so it ends at or before `last < rows`,
-    // and the masked pair is at `last` with `1 <= k <= LANES` by the
-    // caller's bound on `rows` and `last + k == rows`.
+    // SAFETY: for the whole body, the caller upholds the lane's ISA
+    // contract; every segment is sliced to exactly `rows` elements, each
+    // `load`/`store` is at `r * LANES` with `r < R - 1`, so it ends at or
+    // before `last < rows`, and the masked pair is at `last` with
+    // `1 <= k <= LANES` by the caller's bound on `rows` and
+    // `last + k == rows`.
     unsafe {
         let mut w = [s.zero(); R];
         for (jj, &vj) in v.iter().enumerate() {
@@ -235,10 +236,10 @@ unsafe fn left_cols<S: SimdLane, const NV: usize>(
     let (len, last) = (v.len(), (NV - 1) * S::LANES);
     let k = len - last;
     debug_assert!((1..=S::LANES).contains(&k));
-    // SAFETY (whole body): the caller upholds the lane's ISA contract; `v`
-    // and every column segment have exactly `len` elements, each
-    // `load`/`store` is at `r * LANES` with `r < NV - 1`, so it ends at or
-    // before `last < len`, and the masked ones are at `last` with
+    // SAFETY: for the whole body, the caller upholds the lane's ISA
+    // contract; `v` and every column segment have exactly `len` elements,
+    // each `load`/`store` is at `r * LANES` with `r < NV - 1`, so it ends at
+    // or before `last < len`, and the masked ones are at `last` with
     // `1 <= k <= LANES` by the caller's bound on `v.len()` and
     // `last + k == len`.
     unsafe {
@@ -313,9 +314,7 @@ pub(crate) unsafe fn left_apply<S: SimdLane>(
 mod tests {
     use super::*;
     use bidiag_matrix::gen::random_gaussian;
-    use bidiag_matrix::simd::ScalarLane;
-    #[cfg(target_arch = "x86_64")]
-    use bidiag_matrix::simd::{Avx2Lane, Avx512Lane, SimdBackend};
+    use bidiag_matrix::simd::LaneKernel;
 
     fn dot(a: &[f64], b: &[f64]) -> f64 {
         a.iter().zip(b).map(|(x, y)| x * y).sum()
@@ -492,44 +491,40 @@ mod tests {
         }
     }
 
-    /// Run the lane-generic `$check` on the scalar lane and, inside their
-    /// `#[target_feature]` shells, on every vector lane the CPU has.
-    macro_rules! on_each_lane {
-        ($check:ident) => {{
-            // SAFETY: the scalar lane has no ISA requirements.
-            unsafe { $check(ScalarLane) };
-            #[cfg(target_arch = "x86_64")]
-            {
-                #[target_feature(enable = "avx2,fma")]
-                unsafe fn avx2() {
-                    // SAFETY: AVX2+FMA are enabled here.
-                    unsafe { $check(Avx2Lane::new_unchecked()) }
-                }
-                #[target_feature(enable = "avx512f,avx2,fma")]
-                unsafe fn avx512() {
-                    // SAFETY: AVX-512F is enabled here.
-                    unsafe { $check(Avx512Lane::new_unchecked()) }
-                }
-                if SimdBackend::Avx2.available() {
-                    // SAFETY: availability checked.
-                    unsafe { avx2() };
-                }
-                if SimdBackend::Avx512.available() {
-                    // SAFETY: availability checked.
-                    unsafe { avx512() };
-                }
-            }
-        }};
+    /// [`check_right_apply`] on the lane of the backend in force.
+    struct RightApply;
+
+    impl LaneKernel for RightApply {
+        type Output = ();
+
+        #[inline(always)]
+        fn run<S: SimdLane>(self, s: S) {
+            // SAFETY: the token `s` proves its lane's ISA.
+            unsafe { check_right_apply(s) }
+        }
+    }
+
+    /// [`check_left_apply`] on the lane of the backend in force.
+    struct LeftApply;
+
+    impl LaneKernel for LeftApply {
+        type Output = ();
+
+        #[inline(always)]
+        fn run<S: SimdLane>(self, s: S) {
+            // SAFETY: the token `s` proves its lane's ISA.
+            unsafe { check_left_apply(s) }
+        }
     }
 
     #[test]
     fn right_apply_matches_the_plain_oracle_on_every_lane() {
-        on_each_lane!(check_right_apply);
+        simd::on_each_backend(|| simd::dispatch(RightApply));
     }
 
     #[test]
     fn left_apply_matches_the_plain_oracle_on_every_lane() {
-        on_each_lane!(check_left_apply);
+        simd::on_each_backend(|| simd::dispatch(LeftApply));
     }
 
     #[test]

@@ -29,6 +29,7 @@
 //! `bidiag-oracles` crate.
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod band;

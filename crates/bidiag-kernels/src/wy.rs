@@ -61,8 +61,8 @@
 //!   row group per pass; `G` groups make each broadcast feed `G` FMAs, the
 //!   register blocking of Goto and van de Geijn (*Anatomy of
 //!   high-performance matrix multiplication*, ACM TOMS 34(3), 2008).  `G`
-//!   is a compile-time constant per lane and per side (`lane_shells!` and
-//!   the scalar arm of `dispatch!`), picked by a sweep over 1, 2 and 3:
+//!   is a compile-time constant per lane and per side (`Tuned`'s entry
+//!   point for each backend), picked by a sweep over 1, 2 and 3:
 //!   two on both sides of both vector lanes, where three spills the right
 //!   kernel's `W`; two on the left and one on the right for the scalar
 //!   backend's eight-wide rows, whose right-side `W` at two groups no
@@ -72,22 +72,27 @@
 //!
 //! # SIMD dispatch and safety
 //!
-//! The chunk kernels are written once over [`SimdLane`] and instantiated
-//! per backend: for the `BIDIAG_SIMD=scalar` fallback (unfused
-//! multiply-adds) with eight [`ScalarLane`]s side by side, so that a
-//! coefficient load feeds eight rows there too, and, behind **one**
-//! `#[target_feature]` shell per tile-kernel call, with `Avx2Lane` (4
-//! lanes) and `Avx512Lane` (8 lanes).  The lane bodies are `unsafe fn` for
-//! one reason only — the lane's instruction-set contract, discharged by
-//! [`simd::check_avx2`] / [`simd::check_avx512`] at the dispatch in
-//! `factor` / `apply` / `apply_right` / `factor_right`.  Every slice they touch
-//! is cut with checked range indexing, and the inner loops that use the
-//! lanes' unchecked `load`/`store` assert first what bounds their operands;
-//! what the block widths require of a lane (`LANES` divides `IB`) is a
-//! `const` assertion, checked when the body is instantiated.
+//! The chunk kernels are written once over [`SimdLane`] and run through
+//! [`simd::dispatch`], one call per tile kernel: for the
+//! `BIDIAG_SIMD=scalar` fallback (unfused multiply-adds) with eight
+//! [`ScalarLane`]s side by side, so that a coefficient load feeds eight
+//! rows there too, and, inside the dispatcher's instruction-set shells,
+//! with `Avx2Lane` (4 lanes) and `Avx512Lane` (8 lanes).  The register
+//! counts, columns per pass and row groups depend on the lane, so the
+//! kernel value (`Tuned`) names them in one entry point per backend rather
+//! than in one lane-generic `run`; no backend is matched on here.  The lane
+//! bodies are `unsafe fn` for one reason only — the lane's instruction-set
+//! contract, which the lane token each entry point receives proves.  Every
+//! slice they touch is cut with checked range indexing, and the inner loops
+//! that use the lanes' unchecked `load`/`store` assert first what bounds
+//! their operands; what the block widths require of a lane (`LANES`
+//! divides `IB`) is a `const` assertion, checked when the body is
+//! instantiated.
 
 use crate::householder::{larfg_with_norm, norm2};
-use bidiag_matrix::simd::{self, ScalarLane, SimdBackend, SimdLane};
+use bidiag_matrix::simd::{self, LaneKernel, ScalarLane, SimdLane};
+#[cfg(target_arch = "x86_64")]
+use bidiag_matrix::simd::{Avx2Lane, Avx512Lane};
 use bidiag_matrix::{Matrix, MatrixView};
 use std::ops::Range;
 
@@ -344,7 +349,8 @@ unsafe fn store_w<S: SimdLane, const RV: usize, const NC: usize>(
 ) {
     const { assert!(RV * S::LANES == IB) };
     assert!(w.len() >= NC * IB);
-    // SAFETY: as in `load_w`.
+    // SAFETY: the caller upholds the lane's ISA contract; the last store
+    // ends at `(NC - 1) * IB + RV * LANES = NC * IB <= w.len()`.
     unsafe {
         for (j, aj) in acc.iter().enumerate() {
             for (r, ajr) in aj.iter().enumerate() {
@@ -543,10 +549,10 @@ unsafe fn apply_chunk<S: SimdLane, const RV: usize, const NC: usize, const G: us
         // accumulates in them is the last column's `V_p^T C` (never read)
         // and not what earlier chunks and strips left there.
         w[ns * IB..ns.next_multiple_of(NC) * IB].fill(0.0);
-        // SAFETY (all blocks below): the caller upholds the lane's ISA
-        // contract; the scalar lane has none.
         for r0 in rows.clone().step_by(PANEL_ROWS) {
             let nr = PANEL_ROWS.min(rows.end - r0);
+            // SAFETY: the caller upholds the lane's ISA contract; the panel
+            // rows are cut with checked indexing.
             unsafe { ch.fill_panel(s, r0, nr, panel) };
             for jb in (0..ns).step_by(NC) {
                 let mut cols: [&[f64]; NC] = [&[]; NC];
@@ -554,6 +560,8 @@ unsafe fn apply_chunk<S: SimdLane, const RV: usize, const NC: usize, const G: us
                     *cj = &c[(jb + j).min(ns - 1) * ldc..][r0..r0 + nr];
                 }
                 let wb = &mut w[jb * IB..][..NC * IB];
+                // SAFETY: the caller upholds the lane's ISA contract; `wb`
+                // is `NC` columns of `IB`, as `load_w` and `store_w` take.
                 unsafe {
                     let acc = vtc::<S, RV, NC>(s, &panel[..nr * IB], cols, load_w(s, wb));
                     store_w(s, wb, acc);
@@ -565,6 +573,8 @@ unsafe fn apply_chunk<S: SimdLane, const RV: usize, const NC: usize, const G: us
             for (j, cj) in cols.iter_mut().enumerate() {
                 *cj = &wb[j * IB..][..IB];
             }
+            // SAFETY: the caller upholds the lane's ISA contract; `wb` is
+            // `NC` columns of `IB`.
             unsafe {
                 let acc = vtc::<S, RV, NC>(s, &ch.nt, cols, [[s.zero(); RV]; NC]);
                 store_w(s, wb, acc);
@@ -585,6 +595,9 @@ unsafe fn apply_chunk<S: SimdLane, const RV: usize, const NC: usize, const G: us
         }
         for (cols, rows) in ch.parts() {
             let mut i = 0;
+            // SAFETY: the caller upholds the lane's ISA contract (the last
+            // rows run on the scalar lane, which has none); `cvw` asserts
+            // its row and column bounds.
             unsafe {
                 while i + G * S::LANES <= rows.len() {
                     cvw::<S, G>(s, &cols, i, w, c, ldc, rows.start + i, ns);
@@ -719,7 +732,8 @@ unsafe fn factor_body<S: SimdLane, const RV: usize, const NC: usize, const G: us
             for l in p..k {
                 let both = tail.start..tail.end.min(shape.tail(l, m).end);
                 let cl = &done[l * m..][..m];
-                // SAFETY: as above; both operands are cut to `both`.
+                // SAFETY: the caller upholds the lane's ISA contract; both
+                // operands are cut to `both`.
                 let d = unsafe { simd::dot_body(s, &cl[both.clone()], &colk[both]) };
                 vdots[l - p] = match shape {
                     Shape::Trapezoid => cl[k] + d,
@@ -887,10 +901,10 @@ unsafe fn right_rows<S: SimdLane, const FULL: bool, const G: usize, const OWN: b
     assert!(ib == ch.ib && i0 + G * S::LANES <= ld);
     assert!(ch.dense.end.max(ch.corner.end) * ld <= c.len());
     assert!(head.as_ref().is_none_or(|h| ib * ld <= h.len()));
-    // SAFETY (whole body): the caller upholds the lane's ISA contract; every
-    // `load`/`store` is at `j * ld + i0 + g * LANES` with `g < G`, `i0 + G *
-    // LANES <= ld` and `j` below the column count the asserts above checked
-    // the slice against.
+    // SAFETY: for the whole body, the caller upholds the lane's ISA
+    // contract; every `load`/`store` is at `j * ld + i0 + g * LANES` with
+    // `g < G`, `i0 + G * LANES <= ld` and `j` below the column count the
+    // asserts above checked the slice against.
     unsafe {
         let mut w = [[s.zero(); IB]; G];
         if let Some(h) = head.as_ref() {
@@ -1079,8 +1093,9 @@ impl RowPanel {
         };
         assert!(kk < IB && r < IB);
         let mut out = [0.0; IB];
-        // SAFETY (whole block): the caller upholds the lane's ISA contract,
-        // and every column is cut to `IB` entries with checked indexing.
+        // SAFETY: for the whole block, the caller upholds the lane's ISA
+        // contract, and every column is cut to `IB` entries with checked
+        // indexing.
         unsafe {
             // Lane `r` of the updated column, broadcast: taken from the
             // column before it is stored, by the same lane arithmetic.
@@ -1162,10 +1177,10 @@ unsafe fn factor_right_body<S: SimdLane, const RV: usize, const G: usize>(
         let (data, mut heads) = (a.data_mut(), l1.as_deref_mut().map(|l1| l1.data_mut()));
         let mut next = None;
         for (kk, k) in (p..p + ib).enumerate() {
-            // SAFETY (all blocks): the caller upholds the lane's ISA contract.
             let same = [&[0.0; IB], &[1.0; IB]];
             let mut dots = match next.take() {
                 Some(dots) => dots,
+                // SAFETY: the caller upholds the lane's ISA contract.
                 None => unsafe { pan.pass::<S, RV>(s, data, kk, same, kk) },
             };
             let (ss, tail) = (dots[kk], shape.tail(k, n));
@@ -1185,6 +1200,7 @@ unsafe fn factor_right_body<S: SimdLane, const RV: usize, const G: usize>(
             let vs = if fast {
                 1.0 / (alpha - r.beta)
             } else {
+                // SAFETY: the caller upholds the lane's ISA contract.
                 dots = unsafe { pan.pass::<S, RV>(s, data, kk, same, kk) };
                 1.0
             };
@@ -1208,6 +1224,7 @@ unsafe fn factor_right_body<S: SimdLane, const RV: usize, const G: usize>(
                 *v = vs * dots[l] + e;
             }
             if r.tau != 0.0 {
+                // SAFETY: the caller upholds the lane's ISA contract.
                 let d = unsafe { pan.pass::<S, RV>(s, data, kk, [&nw, &sv], (kk + 1).min(ib - 1)) };
                 next = (kk + 1 < ib).then_some(d);
             }
@@ -1220,6 +1237,8 @@ unsafe fn factor_right_body<S: SimdLane, const RV: usize, const G: usize>(
                 .as_deref_mut()
                 .map(|l1| &mut l1.data_mut()[p * m..(p + ib) * m]);
             let below = p + ib..m;
+            // SAFETY: the caller upholds the lane's ISA contract;
+            // `right_chunk` asserts its bounds.
             unsafe {
                 if ib == IB {
                     right_chunk::<S, true, G, true>(s, &ch, h, a.data_mut(), m, below);
@@ -1233,7 +1252,7 @@ unsafe fn factor_right_body<S: SimdLane, const RV: usize, const G: usize>(
 }
 
 // ---------------------------------------------------------------------------
-// Lanes and dispatch
+// The scalar rows and the per-backend constants
 // ---------------------------------------------------------------------------
 
 /// [`ScalarLane`]s side by side: the lane both chunk kernels run on under
@@ -1249,7 +1268,8 @@ struct ScalarRows;
 
 const ROWS: usize = 8;
 
-impl SimdLane for ScalarRows {
+// SAFETY: plain `f64` arithmetic runs on every CPU.
+unsafe impl SimdLane for ScalarRows {
     const LANES: usize = ROWS;
     type V = [f64; ROWS];
 
@@ -1303,112 +1323,114 @@ impl SimdLane for ScalarRows {
     }
 }
 
-/// The `#[target_feature]` shells of one vector lane: the four bodies
-/// instantiated with `$lane`, the left ones with `$rv` registers per `IB`
-/// reflectors, `$nc` columns of `C` per pass and `$gl` row groups per pass
-/// of `C += V_p W`, the right ones with `$rv` registers per `IB` panel rows
-/// and `$gr` row groups per pass.
-#[cfg(target_arch = "x86_64")]
-macro_rules! lane_shells {
-    ($name:ident, $lane:ident, $features:literal, $rv:literal, $nc:literal, $gl:literal, $gr:literal) => {
-        mod $name {
-            use super::*;
-            use bidiag_matrix::simd::$lane;
+/// A call of one of the chunk kernels, generic over the lane and the
+/// constants that depend on it: `RV` registers per `IB` reflectors (or
+/// panel rows), `NC` columns of `C` per pass of the left kernel, and `GL` /
+/// `GR` row groups per pass of the left / right one.  [`Tuned`] picks them.
+trait ChunkCall {
+    type Output;
 
-            /// # Safety
-            /// Caller must guarantee the CPU features of the lane.
-            #[target_feature(enable = $features)]
-            pub(super) unsafe fn apply(
-                shape: Shape,
-                v: &Matrix,
-                tf: &TFactor,
-                head: Option<&mut Matrix>,
-                c: &mut Matrix,
-            ) {
-                // SAFETY: inside this target_feature fn the lane's features
-                // are enabled, so constructing its token is sound.
-                unsafe {
-                    let s = $lane::new_unchecked();
-                    apply_body::<$lane, $rv, $nc, $gl>(s, shape, v, tf, head, c)
-                }
-            }
-
-            /// # Safety
-            /// Caller must guarantee the CPU features of the lane.
-            #[target_feature(enable = $features)]
-            pub(super) unsafe fn apply_right(
-                shape: Shape,
-                v: &Matrix,
-                tf: &TFactor,
-                head: Option<&mut Matrix>,
-                c: &mut Matrix,
-            ) {
-                // SAFETY: as in `apply`.
-                unsafe {
-                    let s = $lane::new_unchecked();
-                    apply_right_body::<$lane, $gr>(s, shape, v, tf, head, c)
-                }
-            }
-
-            /// # Safety
-            /// Caller must guarantee the CPU features of the lane.
-            #[target_feature(enable = $features)]
-            pub(super) unsafe fn factor(
-                shape: Shape,
-                r1: Option<&mut Matrix>,
-                a: &mut Matrix,
-            ) -> TFactor {
-                // SAFETY: as in `apply`.
-                unsafe { factor_body::<$lane, $rv, $nc, $gl>($lane::new_unchecked(), shape, r1, a) }
-            }
-
-            /// # Safety
-            /// Caller must guarantee the CPU features of the lane.
-            #[target_feature(enable = $features)]
-            pub(super) unsafe fn factor_right(
-                shape: Shape,
-                l1: Option<&mut Matrix>,
-                a: &mut Matrix,
-            ) -> TFactor {
-                // SAFETY: as in `apply`.
-                unsafe {
-                    factor_right_body::<$lane, $rv, $gr>($lane::new_unchecked(), shape, l1, a)
-                }
-            }
-        }
-    };
+    /// The call on lane `s`, whose token proves its ISA.
+    fn call<S: SimdLane, const RV: usize, const NC: usize, const GL: usize, const GR: usize>(
+        self,
+        s: S,
+    ) -> Self::Output;
 }
 
-// Row groups per pass (`$gl`, `$gr`) by a sweep over 1, 2 and 3 at nb = 64
-// and 128: two on both sides of both vector lanes.  Three spills on the
-// right (`W` alone is 24 of 32 registers at 512 bits) and leaves two groups
-// of a 64-row tile over on the left, both slower than two at nb = 64.
-#[cfg(target_arch = "x86_64")]
-lane_shells!(avx2_shells, Avx2Lane, "avx2,fma", 2, 4, 2, 2);
-#[cfg(target_arch = "x86_64")]
-lane_shells!(avx512_shells, Avx512Lane, "avx512f,avx2,fma", 1, 8, 2, 2);
+/// A [`ChunkCall`] with each backend's constants.  Stable Rust cannot
+/// compute them from the lane, so this kernel overrides the per-backend
+/// entry points of [`LaneKernel`] instead of writing one `run`.
+///
+/// Row groups per pass (`GL`, `GR`) by a sweep over 1, 2 and 3 at nb = 64
+/// and 128: two on both sides of both vector lanes.  Three spills on the
+/// right (`W` alone is 24 of 32 registers at 512 bits) and leaves two groups
+/// of a 64-row tile over on the left, both slower than two at nb = 64.  The
+/// scalar backend runs eight [`ScalarRows`] side by side with two groups on
+/// the left and one on the right: at two its right-side `W` no longer fits
+/// the SSE2 registers, and TSMLQ reads 1.7x slower.
+struct Tuned<K>(K);
 
-/// Run `$kernel` of this module on the process-wide backend: the scalar
-/// body `$scalar`, or the shell of the backend's lane behind its guard.
-macro_rules! dispatch {
-    ($scalar:expr, $kernel:ident($($arg:expr),*)) => {
-        match simd::backend() {
-            // SAFETY: the scalar lanes have no ISA requirements.
-            SimdBackend::Scalar => unsafe { $scalar },
-            #[cfg(target_arch = "x86_64")]
-            SimdBackend::Avx2 => {
-                simd::check_avx2();
-                // SAFETY: check_avx2 verified AVX2+FMA.
-                unsafe { avx2_shells::$kernel($($arg),*) }
-            }
-            #[cfg(target_arch = "x86_64")]
-            SimdBackend::Avx512 => {
-                simd::check_avx512();
-                // SAFETY: check_avx512 verified AVX-512F on top of AVX2+FMA.
-                unsafe { avx512_shells::$kernel($($arg),*) }
-            }
+impl<K: ChunkCall> LaneKernel for Tuned<K> {
+    type Output = K::Output;
+
+    /// The portable instantiation, on [`ScalarRows`] whatever the lane:
+    /// what the scalar backend runs.
+    #[inline(always)]
+    fn run<S: SimdLane>(self, _: S) -> K::Output {
+        self.0.call::<ScalarRows, 1, 2, 2, 1>(ScalarRows)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    fn avx2(self, s: Avx2Lane) -> K::Output {
+        self.0.call::<_, 2, 4, 2, 2>(s)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    fn avx512(self, s: Avx512Lane) -> K::Output {
+        self.0.call::<_, 1, 8, 2, 2>(s)
+    }
+}
+
+/// The arguments of [`apply`] (`RIGHT = false`) or [`apply_right`].
+struct Apply<'a, const RIGHT: bool> {
+    shape: Shape,
+    v: &'a Matrix,
+    tf: &'a TFactor,
+    head: Option<&'a mut Matrix>,
+    c: &'a mut Matrix,
+}
+
+impl<const RIGHT: bool> ChunkCall for Apply<'_, RIGHT> {
+    type Output = ();
+
+    #[inline(always)]
+    fn call<S: SimdLane, const RV: usize, const NC: usize, const GL: usize, const GR: usize>(
+        self,
+        s: S,
+    ) {
+        let Apply {
+            shape,
+            v,
+            tf,
+            head,
+            c,
+        } = self;
+        if RIGHT {
+            // SAFETY: the token `s` proves its lane's ISA.
+            unsafe { apply_right_body::<S, GR>(s, shape, v, tf, head, c) }
+        } else {
+            // SAFETY: the token `s` proves its lane's ISA.
+            unsafe { apply_body::<S, RV, NC, GL>(s, shape, v, tf, head, c) }
         }
-    };
+    }
+}
+
+/// The arguments of [`factor`] (`RIGHT = false`) or [`factor_right`].
+struct Factor<'a, const RIGHT: bool> {
+    shape: Shape,
+    pivot: Option<&'a mut Matrix>,
+    a: &'a mut Matrix,
+}
+
+impl<const RIGHT: bool> ChunkCall for Factor<'_, RIGHT> {
+    type Output = TFactor;
+
+    #[inline(always)]
+    fn call<S: SimdLane, const RV: usize, const NC: usize, const GL: usize, const GR: usize>(
+        self,
+        s: S,
+    ) -> TFactor {
+        let Factor { shape, pivot, a } = self;
+        if RIGHT {
+            // SAFETY: the token `s` proves its lane's ISA.
+            unsafe { factor_right_body::<S, RV, GR>(s, shape, pivot, a) }
+        } else {
+            // SAFETY: the token `s` proves its lane's ISA.
+            unsafe { factor_body::<S, RV, NC, GL>(s, shape, pivot, a) }
+        }
+    }
 }
 
 /// Apply the `tf.len()` reflectors of `shape` stored in `v` from the left:
@@ -1425,10 +1447,13 @@ pub(crate) fn apply(
     c: &mut Matrix,
 ) {
     debug_assert_eq!(shape == Shape::Trapezoid, head.is_none());
-    dispatch!(
-        apply_body::<ScalarRows, 1, 2, 2>(ScalarRows, shape, v, tf, head, c),
-        apply(shape, v, tf, head, c)
-    )
+    simd::dispatch(Tuned(Apply::<false> {
+        shape,
+        v,
+        tf,
+        head,
+        c,
+    }))
 }
 
 /// Apply the `tf.len()` *row-wise* stored reflectors of `shape` in `v` from
@@ -1444,12 +1469,13 @@ pub(crate) fn apply_right(
     c: &mut Matrix,
 ) {
     debug_assert_eq!(shape == Shape::Trapezoid, head.is_none());
-    // `ScalarRows` keeps one row group on this side: at two its `W` no
-    // longer fits the SSE2 registers, and TSMLQ reads 1.7x slower.
-    dispatch!(
-        apply_right_body::<ScalarRows, 1>(ScalarRows, shape, v, tf, head, c),
-        apply_right(shape, v, tf, head, c)
-    )
+    simd::dispatch(Tuned(Apply::<true> {
+        shape,
+        v,
+        tf,
+        head,
+        c,
+    }))
 }
 
 /// Factor `a` in place into reflectors of `shape` — on its own
@@ -1458,10 +1484,11 @@ pub(crate) fn apply_right(
 /// return their [`TFactor`].  One backend dispatch per call.
 pub(crate) fn factor(shape: Shape, r1: Option<&mut Matrix>, a: &mut Matrix) -> TFactor {
     debug_assert_eq!(shape == Shape::Trapezoid, r1.is_none());
-    dispatch!(
-        factor_body::<ScalarRows, 1, 2, 2>(ScalarRows, shape, r1, a),
-        factor(shape, r1, a)
-    )
+    simd::dispatch(Tuned(Factor::<false> {
+        shape,
+        pivot: r1,
+        a,
+    }))
 }
 
 /// Factor `a` in place into *row-wise* stored reflectors of `shape` — on
@@ -1470,10 +1497,11 @@ pub(crate) fn factor(shape: Shape, r1: Option<&mut Matrix>, a: &mut Matrix) -> T
 /// their [`TFactor`].  One backend dispatch per call.
 pub(crate) fn factor_right(shape: Shape, l1: Option<&mut Matrix>, a: &mut Matrix) -> TFactor {
     debug_assert_eq!(shape == Shape::Trapezoid, l1.is_none());
-    dispatch!(
-        factor_right_body::<ScalarRows, 1, 1>(ScalarRows, shape, l1, a),
-        factor_right(shape, l1, a)
-    )
+    simd::dispatch(Tuned(Factor::<true> {
+        shape,
+        pivot: l1,
+        a,
+    }))
 }
 
 // ---------------------------------------------------------------------------
@@ -1595,11 +1623,12 @@ mod tests {
         // On slices that end at `i + k`: one lane more would be out of bounds.
         let src: Vec<f64> = (1..=ROWS + 1).map(|x| x as f64).collect();
         for k in 1..=ROWS {
-            // SAFETY (both): `1 <= k <= ROWS` and the slices hold `1 + k` values.
+            // SAFETY: `1 <= k <= ROWS` and the slice holds `1 + k` values.
             let head = unsafe { ScalarRows.load_head(&src[..1 + k], 1, k) };
             assert_eq!(head[..k], src[1..1 + k]);
             assert!(head[k..].iter().all(|x| x.to_bits() == 0), "k={k}");
             let mut dst = vec![f64::NAN; 1 + k];
+            // SAFETY: `1 <= k <= ROWS` and `dst` holds `1 + k` values.
             unsafe { ScalarRows.store_head(&mut dst, 1, k, [7.0; ROWS]) };
             assert!(
                 dst[0].is_nan() && dst[1..].iter().all(|&x| x == 7.0),
@@ -1728,8 +1757,7 @@ mod tests {
                 let vr = random_gaussian(kmax, n, seed + 3);
                 let tfr = random_t(kmax, seed + 4);
                 let hr = stacked.then(|| random_gaussian(m, kmax, seed + 5));
-                // SAFETY (all four): the caller upholds the lane's ISA
-                // contract.
+                // SAFETY: the caller upholds the lane's ISA contract.
                 let (left, left1) = unsafe {
                     (
                         left_bits::<S, RV, NC, G>(s, shape, &v, &tf, head.as_ref(), &c),
@@ -1737,6 +1765,7 @@ mod tests {
                     )
                 };
                 assert!(left == left1, "apply, {what}");
+                // SAFETY: the caller upholds the lane's ISA contract.
                 let (right, right1) = unsafe {
                     (
                         right_bits::<S, G>(s, shape, &vr, &tfr, hr.as_ref(), &c),
@@ -1746,7 +1775,7 @@ mod tests {
                 assert!(right == right1, "apply_right, {what}");
                 // The factorization's trailing update runs the left kernel.
                 let r1 = stacked.then(|| random_gaussian(n, n, seed + 6));
-                // SAFETY: as above.
+                // SAFETY: the caller upholds the lane's ISA contract.
                 let (f, f1) = unsafe {
                     (
                         factor_bits::<S, RV, NC, G>(s, shape, r1.as_ref(), &c),
@@ -1760,7 +1789,7 @@ mod tests {
                 // columns.
                 let a = random_gaussian(m + IB, n, seed + 7);
                 let l1 = stacked.then(|| random_gaussian(m + IB, kmax, seed + 8));
-                // SAFETY: as above.
+                // SAFETY: the caller upholds the lane's ISA contract.
                 let (f, f1) = unsafe {
                     (
                         factor_right_bits::<S, RV, G>(s, shape, l1.as_ref(), &a),
@@ -1772,42 +1801,29 @@ mod tests {
         }
     }
 
-    /// [`check_row_groups`] at two and three row groups on `$lane`, its
-    /// `IB / LANES` registers per reflector column and `$nc` columns per
-    /// pass: the sweep's candidates besides one, so whichever a lane runs.
-    macro_rules! check_lane {
-        ($lane:expr, $rv:literal, $nc:literal) => {{
-            // SAFETY: the caller upholds the lane's ISA contract.
-            unsafe {
-                check_row_groups::<_, $rv, $nc, 2>($lane);
-                check_row_groups::<_, $rv, $nc, 3>($lane);
-            }
-        }};
+    /// [`check_row_groups`] at two and three row groups on the lane of the
+    /// backend, its registers per reflector column and columns per pass:
+    /// the sweep's candidates besides one, so whichever a lane runs.
+    struct RowGroups;
+
+    impl ChunkCall for RowGroups {
+        type Output = ();
+
+        #[inline(always)]
+        fn call<S: SimdLane, const RV: usize, const NC: usize, const GL: usize, const GR: usize>(
+            self,
+            s: S,
+        ) {
+            // SAFETY: the token `s` proves its lane's ISA.
+            unsafe { check_row_groups::<S, RV, NC, 2>(s) };
+            // SAFETY: the token `s` proves its lane's ISA.
+            unsafe { check_row_groups::<S, RV, NC, 3>(s) };
+        }
     }
 
     #[test]
     fn row_groups_give_the_bits_of_one_group_on_every_lane() {
-        check_lane!(ScalarRows, 1, 2);
-        #[cfg(target_arch = "x86_64")]
-        {
-            use bidiag_matrix::simd::{Avx2Lane, Avx512Lane};
-            #[target_feature(enable = "avx2,fma")]
-            unsafe fn avx2() {
-                check_lane!(Avx2Lane::new_unchecked(), 2, 4);
-            }
-            #[target_feature(enable = "avx512f,avx2,fma")]
-            unsafe fn avx512() {
-                check_lane!(Avx512Lane::new_unchecked(), 1, 8);
-            }
-            if SimdBackend::Avx2.available() {
-                // SAFETY: availability checked.
-                unsafe { avx2() };
-            }
-            if SimdBackend::Avx512.available() {
-                // SAFETY: availability checked.
-                unsafe { avx512() };
-            }
-        }
+        simd::on_each_backend(|| simd::dispatch(Tuned(RowGroups)));
     }
 
     #[test]

@@ -110,18 +110,6 @@ pub fn lower_triangle_of(a: &Matrix) -> Matrix {
     )
 }
 
-/// Frobenius norm of the strictly-lower-triangular part relative to the
-/// whole matrix: measures "how far from upper triangular".
-pub fn below_diagonal_mass(a: &Matrix) -> f64 {
-    let mut s = 0.0;
-    for j in 0..a.cols() {
-        for i in (j + 1)..a.rows() {
-            s += a.get(i, j).powi(2);
-        }
-    }
-    s.sqrt() / a.norm_fro().max(EPS)
-}
-
 /// Frobenius mass outside the upper bidiagonal band, relative to the matrix
 /// norm: measures "how far from upper bidiagonal".
 pub fn off_bidiagonal_mass(a: &Matrix) -> f64 {
@@ -168,10 +156,8 @@ mod tests {
         for i in 0..4 {
             a[(i, i)] = 1.0;
         }
-        assert_eq!(below_diagonal_mass(&a), 0.0);
         assert_eq!(off_bidiagonal_mass(&a), 0.0);
         a[(3, 0)] = 1.0;
-        assert!(below_diagonal_mass(&a) > 0.1);
         assert!(off_bidiagonal_mass(&a) > 0.1);
     }
 }

@@ -389,13 +389,6 @@ impl Matrix {
         self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
     }
 
-    /// One-norm (maximum absolute column sum).
-    pub fn norm_one(&self) -> f64 {
-        (0..self.cols)
-            .map(|j| self.col(j).iter().map(|x| x.abs()).sum::<f64>())
-            .fold(0.0_f64, f64::max)
-    }
-
     /// Copy a rectangular block of `other` into `self` at offset `(ro, co)`.
     /// Column slices are contiguous in both matrices, so each column is one
     /// `copy_from_slice`.
@@ -577,7 +570,6 @@ mod tests {
         let a = Matrix::from_rows(2, 2, &[3.0, 0.0, 0.0, 4.0]);
         assert!((a.norm_fro() - 5.0).abs() < 1e-15);
         assert_eq!(a.norm_max(), 4.0);
-        assert_eq!(a.norm_one(), 4.0);
     }
 
     #[test]

@@ -70,27 +70,6 @@ impl BlockCyclic {
     pub fn owner(&self, tile_row: usize, tile_col: usize) -> usize {
         self.owner_row(tile_row) * self.proc_cols + self.owner_col(tile_col)
     }
-
-    /// Number of tile rows of a `p`-row matrix owned by process row `r`.
-    pub fn local_tile_rows(&self, p: usize, proc_row: usize) -> usize {
-        if proc_row >= self.proc_rows {
-            return 0;
-        }
-        (p + self.proc_rows - 1 - proc_row) / self.proc_rows
-    }
-
-    /// Number of tile columns of a `q`-column matrix owned by process column `c`.
-    pub fn local_tile_cols(&self, q: usize, proc_col: usize) -> usize {
-        if proc_col >= self.proc_cols {
-            return 0;
-        }
-        (q + self.proc_cols - 1 - proc_col) / self.proc_cols
-    }
-
-    /// The global tile rows owned by process row `r`, in increasing order.
-    pub fn rows_of(&self, p: usize, proc_row: usize) -> Vec<usize> {
-        (proc_row..p).step_by(self.proc_rows).collect()
-    }
 }
 
 #[cfg(test)]
@@ -106,27 +85,6 @@ mod tests {
         assert_eq!(d.owner(0, 1), 1);
         assert_eq!(d.owner(0, 3), 0);
         assert_eq!(d.nodes(), 6);
-    }
-
-    #[test]
-    fn local_counts_add_up() {
-        let d = BlockCyclic::new(3, 2);
-        let p = 10;
-        let q = 7;
-        let rows: usize = (0..3).map(|r| d.local_tile_rows(p, r)).sum();
-        let cols: usize = (0..2).map(|c| d.local_tile_cols(q, c)).sum();
-        assert_eq!(rows, p);
-        assert_eq!(cols, q);
-    }
-
-    #[test]
-    fn rows_of_matches_owner() {
-        let d = BlockCyclic::new(4, 1);
-        for r in 0..4 {
-            for &i in &d.rows_of(13, r) {
-                assert_eq!(d.owner_row(i), r);
-            }
-        }
     }
 
     #[test]

@@ -16,14 +16,15 @@
 //! packed into contiguous, microkernel-ordered buffers (reused across calls
 //! through the scratch), and the `MR x NR` register microkernel from
 //! [`crate::simd`] (broadcast-FMA on the vector backends, rank-1 scalar
-//! fallback; backend fetched once per call) runs over the packed panels.
+//! fallback; one [`simd::dispatch`] per register tile) runs over the packed
+//! panels.
 //! Packing makes every microkernel read stride-1 regardless of the transpose
 //! variant or the leading dimension, so the O(mnk) inner loop never touches
 //! strided memory; the O(mk + kn) packing cost is amortized `NC`-fold
 //! (A panels) and `MC`-fold (B panels), and the pack buffers are sized to
 //! the block extents, so a tiny product packs a tiny panel.
 
-use crate::simd::{self, SimdBackend};
+use crate::simd;
 use crate::view::{MatrixView, MatrixViewMut};
 
 pub use crate::simd::{MR, NR};
@@ -238,9 +239,6 @@ fn packed_loop(
     if scratch.bpack.len() < bpack_len {
         scratch.bpack.resize(bpack_len, 0.0);
     }
-    // One backend load per GEMM call; the microkernel sweep below never
-    // re-detects CPU features.
-    let be = simd::backend();
     let mut jc = 0;
     while jc < n {
         let nc = NC.min(n - jc);
@@ -252,18 +250,7 @@ fn packed_loop(
             while ic < m {
                 let mc = MC.min(m - ic);
                 pack_a(&mut scratch.apack, ic, pc, mc, kc);
-                macro_kernel(
-                    be,
-                    c,
-                    alpha,
-                    ic,
-                    jc,
-                    mc,
-                    nc,
-                    kc,
-                    &scratch.apack,
-                    &scratch.bpack,
-                );
+                macro_kernel(c, alpha, ic, jc, mc, nc, kc, &scratch.apack, &scratch.bpack);
                 ic += MC;
             }
             pc += KC;
@@ -276,7 +263,6 @@ fn packed_loop(
 /// into `C` (`C += alpha * acc`), handling the ragged edge panels.
 #[allow(clippy::too_many_arguments)]
 fn macro_kernel(
-    be: SimdBackend,
     c: &mut MatrixViewMut<'_>,
     alpha: f64,
     ic: usize,
@@ -297,7 +283,7 @@ fn macro_kernel(
             let i0 = pi * MR;
             let mr = MR.min(mc - i0);
             let ap = &apack[pi * MR * kc..];
-            let acc = simd::microkernel_8x4(be, kc, ap, bp);
+            let acc = simd::microkernel_8x4(kc, ap, bp);
             for (jj, accj) in acc.iter().enumerate().take(nr) {
                 let ccol = c.col_mut(jc + j0 + jj);
                 let cc = &mut ccol[ic + i0..ic + i0 + mr];

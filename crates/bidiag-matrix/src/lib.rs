@@ -21,6 +21,7 @@
 //!   throughout the test suites.
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod checks;

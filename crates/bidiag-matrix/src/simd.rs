@@ -1,24 +1,27 @@
 //! Runtime-dispatched SIMD kernel layer.
 //!
 //! This module is the single home of every explicitly vectorized inner loop
-//! in the workspace. It follows the faer-rs pattern: each kernel is written
+//! in the workspace and of the one way a kernel reaches its instruction
+//! set. It follows the faer-rs / pulp pattern: each kernel is written
 //! **once** as a generic body over a [`SimdLane`] (a zero-sized token that
-//! knows how to load/store/FMA one register's worth of `f64`s), and the body
-//! is instantiated once per lane —
+//! knows how to load/store/FMA one register's worth of `f64`s), packaged as
+//! a value implementing [`LaneKernel`] (pulp's `WithSimd`), and handed to
+//! [`dispatch`], which instantiates it with the lane of the backend in force
+//! —
 //!
-//! * with [`ScalarLane`] (`LANES = 1`, plain `f64` arithmetic, no `unsafe`
+//! * [`ScalarLane`] (`LANES = 1`, plain `f64` arithmetic, no `unsafe`
 //!   ISA requirements) — this is the portable fallback and is exactly the
 //!   scalar code the kernels used before this layer existed,
-//! * with [`Avx2Lane`] (`LANES = 4`, `__m256d` + FMA via `core::arch`)
-//!   inside a `#[target_feature(enable = "avx2,fma")]` shell so LLVM emits
+//! * [`Avx2Lane`] (`LANES = 4`, `__m256d` + FMA via `core::arch`) inside
+//!   the `#[target_feature(enable = "avx2,fma")]` shell so LLVM emits
 //!   256-bit FMA instructions for it, and
-//! * with [`Avx512Lane`] (`LANES = 8`, `__m512d`) inside a
+//! * [`Avx512Lane`] (`LANES = 8`, `__m512d`) inside the
 //!   `#[target_feature(enable = "avx512f,avx2,fma")]` shell — only where
-//!   eight lanes were measured to pay: the three compact-WY chunk kernels of
+//!   eight lanes were measured to pay: the compact-WY chunk kernels of
 //!   `bidiag_kernels::wy` and the reflector plane of
 //!   `bidiag_kernels::householder` under `gebd2` and the bulge chase.  The
-//!   kernels of this module (`axpy`, `dot`, the GEMM microkernel) and the
-//!   dqds pass have no 512-bit body and run their AVX2 shell under
+//!   GEMM microkernel of this module and the dqds gang opt out
+//!   ([`LaneKernel::AVX512`]) and run their AVX2 instantiation under
 //!   [`SimdBackend::Avx512`].
 //!
 //! A run of values that does not fill its last register needs no scalar
@@ -34,25 +37,35 @@
 //! variable (`auto` | `scalar` | `avx2` | `avx512`) and
 //! `is_x86_feature_detected!`: `auto` picks the widest backend the CPU
 //! supports, a backend named explicitly that the CPU lacks is an error.
-//! After that, the hot path pays one relaxed atomic load + a predictable
-//! branch per kernel call — never a `cpuid`-backed feature test.
 //! [`selection_count`] exposes the number of detections so tests can pin
 //! the decided-exactly-once property.
 //!
+//! [`dispatch`] is the only reader of the decision on a kernel's path: one
+//! relaxed atomic load and a predictable branch per call — never a
+//! `cpuid`-backed feature test — then [`LaneKernel::scalar`] inline, or one
+//! of the two `#[target_feature]` shells of this module, generic over the
+//! kernel, which calls [`LaneKernel::avx2`] or [`LaneKernel::avx512`].
+//! Those default to [`LaneKernel::run`] with the backend's lane; a kernel
+//! whose compile-time constants depend on the lane (register counts, row
+//! groups, the chunk kernels' eight-wide scalar rows) overrides them
+//! instead.  The kernel's `#[inline(always)]` body is inlined into the
+//! shell, so it is compiled with the shell's features.
+//!
 //! # Safety argument
 //!
-//! All `unsafe` here reduces to two obligations, discharged at the dispatch
-//! boundary:
+//! All `unsafe` here reduces to two obligations:
 //!
 //! 1. **ISA availability** — [`Avx2Lane`] methods require AVX2+FMA,
-//!    [`Avx512Lane`] methods AVX-512F on top. The only paths that construct
-//!    one are the `#[target_feature]` wrappers, and every dispatcher asserts
-//!    [`check_avx2`] / [`check_avx512`] before calling one (so even a
-//!    hand-constructed [`SimdBackend::Avx2`] on a non-AVX2 host panics
-//!    instead of executing illegal instructions).
-//! 2. **Bounds** — lane `load`/`store` use unchecked indexing. Every public
-//!    dispatcher asserts the full slice-length contract up front, and the
-//!    generic bodies only touch indices below those lengths (plain
+//!    [`Avx512Lane`] methods AVX-512F on top.  A lane token is the proof:
+//!    it is minted only by this module's two shells, and [`dispatch`]
+//!    asserts `check_avx2` / `check_avx512` before calling one (so even a
+//!    hand-constructed [`SimdBackend::Avx2`] state on a non-AVX2 host
+//!    panics instead of executing illegal instructions).  Holding a token
+//!    is therefore enough to call a lane-generic body, which is why
+//!    [`LaneKernel::run`] is a safe method.
+//! 2. **Bounds** — lane `load`/`store` use unchecked indexing.  Every
+//!    kernel asserts its slice-length contract before its body runs, and
+//!    the generic bodies only touch indices below those lengths (plain
 //!    `debug_assert!`s re-state the per-access contract).
 //!
 //! # Numerical contract
@@ -68,13 +81,14 @@
 //! # Adding a kernel
 //!
 //! Write one `#[inline(always)] unsafe fn foo_body<S: SimdLane>(...)`
-//! using only lane ops plus a scalar tail (or a masked last register), add a
-//! `#[target_feature(enable = "avx2,fma")] unsafe fn foo_avx2` shell that
-//! calls it with [`Avx2Lane`], and a safe `pub fn foo(be: SimdBackend, ...)`
-//! that asserts lengths and matches on the backend (`Avx2 | Avx512` on one
-//! arm unless a measurement earns the kernel a 512-bit shell of its own).
-//! Then extend the forced-backend equivalence tests with the new kernel;
-//! they run through [`on_each_backend`].
+//! using only lane ops plus a scalar tail (or a masked last register).
+//! Wrap its arguments in a struct, implement [`LaneKernel`] for it with an
+//! `#[inline(always)]` `run` that asserts the lengths the body relies on
+//! and calls it, and call [`dispatch`] with a value of it — no
+//! `#[target_feature]` function, no backend `match`, no lane token of your
+//! own.  Set [`LaneKernel::AVX512`] to `false` unless a measurement earns
+//! the kernel eight lanes.  Then extend the forced-backend equivalence
+//! tests with the new kernel; they run through [`on_each_backend`].
 
 use core::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -95,8 +109,8 @@ pub enum SimdBackend {
     #[cfg(target_arch = "x86_64")]
     Avx2,
     /// AVX-512F on top of AVX2 + FMA (`__m512d`, 8 × f64 lanes) under the
-    /// compact-WY chunk kernels, `gebd2` and the bulge chase; every other
-    /// kernel runs its AVX2 shell.
+    /// compact-WY chunk kernels, `gebd2` and the bulge chase; a kernel that
+    /// opts out ([`LaneKernel::AVX512`]) runs its AVX2 instantiation.
     #[cfg(target_arch = "x86_64")]
     Avx512,
 }
@@ -262,6 +276,12 @@ pub fn selection_count() -> usize {
 /// state afterwards (even on panic). Scopes are serialized by a global lock
 /// so concurrent tests cannot observe each other's forced backend.
 ///
+/// Unforced callers are **not** excluded: a kernel another thread runs
+/// while a scope is open takes the forced backend, so two unforced runs of
+/// one test may run on two backends when a sibling test in the same binary
+/// forces one.  A test that compares runs bitwise runs them all inside one
+/// scope (or one [`on_each_backend`] closure).
+///
 /// Forcing a backend the CPU does not support panics.
 /// This is a test/bench hook; production code selects via [`backend`].
 pub fn with_forced_backend<R>(be: SimdBackend, f: impl FnOnce() -> R) -> R {
@@ -300,17 +320,22 @@ pub fn on_each_backend<R>(f: impl Fn() -> R) -> Vec<(SimdBackend, R)> {
 ///
 /// # Safety
 ///
+/// Implementing the trait promises that a value of the lane type exists
+/// only where the CPU supports its instruction set: a lane with
+/// requirements is not safely constructible ([`Avx2Lane`] and
+/// [`Avx512Lane`] are minted only by [`dispatch`]'s shells), which is what
+/// makes a safe [`LaneKernel::run`] sound.
+///
 /// Every method is `unsafe` under a single contract:
 ///
 /// * the CPU supports the lane's instruction set (trivially true for
 ///   [`ScalarLane`]; AVX2+FMA for [`Avx2Lane`], AVX-512F on top for
-///   [`Avx512Lane`] — guaranteed by constructing them only inside
-///   `#[target_feature]` wrappers that enable those features), and
+///   [`Avx512Lane`] — guaranteed by holding the token), and
 /// * for `load`/`store`, `i + Self::LANES <= p.len()`; for
 ///   `load_head`/`store_head` of `k` lanes, `1 <= k <= Self::LANES` and
 ///   `i + k <= p.len()`; for `transpose`, the bound of `load`/`store` for
 ///   the last vector of the block on either side.
-pub trait SimdLane: Copy {
+pub unsafe trait SimdLane: Copy {
     /// Number of `f64` lanes per register.
     const LANES: usize;
     /// The register type.
@@ -397,7 +422,8 @@ pub trait SimdLane: Copy {
 #[derive(Clone, Copy)]
 pub struct ScalarLane;
 
-impl SimdLane for ScalarLane {
+// SAFETY: plain `f64` arithmetic runs on every CPU.
+unsafe impl SimdLane for ScalarLane {
     const LANES: usize = 1;
     type V = f64;
 
@@ -458,9 +484,9 @@ impl SimdLane for ScalarLane {
 
 /// AVX2+FMA lane: `__m256d`, 4 × f64.
 ///
-/// Constructed only via [`Avx2Lane::new_unchecked`] inside
-/// `#[target_feature(enable = "avx2,fma")]` wrappers, so its methods always
-/// execute with the features they require.
+/// Constructed only by [`dispatch`]'s `#[target_feature(enable =
+/// "avx2,fma")]` shell, so its methods always execute with the features
+/// they require.
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
 pub struct Avx2Lane(());
@@ -470,11 +496,10 @@ impl Avx2Lane {
     /// Construct the AVX2 lane token.
     ///
     /// # Safety
-    /// The caller must guarantee the CPU supports AVX2 and FMA (e.g. by
-    /// being inside a `#[target_feature(enable = "avx2,fma")]` function
-    /// reached through a [`SimdBackend::available`] check).
+    /// The caller must guarantee the CPU supports AVX2 and FMA (the shell
+    /// that calls this is reached only through `check_avx2`).
     #[inline(always)]
-    pub unsafe fn new_unchecked() -> Self {
+    unsafe fn new_unchecked() -> Self {
         Avx2Lane(())
     }
 
@@ -493,8 +518,10 @@ impl Avx2Lane {
     }
 }
 
+// SAFETY: an `Avx2Lane` is minted only by `avx2_shell`, behind
+// `check_avx2`.
 #[cfg(target_arch = "x86_64")]
-impl SimdLane for Avx2Lane {
+unsafe impl SimdLane for Avx2Lane {
     const LANES: usize = 4;
     type V = core::arch::x86_64::__m256d;
 
@@ -533,7 +560,10 @@ impl SimdLane for Avx2Lane {
     #[inline(always)]
     unsafe fn store_head(self, p: &mut [f64], i: usize, k: usize, v: Self::V) {
         debug_assert!((1..=4).contains(&k) && i + k <= p.len());
-        // SAFETY: as in `load_head`; the cleared lanes are not written.
+        // SAFETY: caller guarantees 1 <= k <= 4 and i + k <= p.len();
+        // `vmaskmovpd` neither writes nor faults on the lanes its mask
+        // clears, and the mask sets the first k; AVX2 is asserted by the
+        // lane token.
         unsafe {
             core::arch::x86_64::_mm256_maskstore_pd(p.as_mut_ptr().add(i), Self::head_mask(k), v)
         }
@@ -588,9 +618,9 @@ impl SimdLane for Avx2Lane {
 
 /// AVX-512F lane: `__m512d`, 8 × f64.
 ///
-/// Constructed only via [`Avx512Lane::new_unchecked`] inside
-/// `#[target_feature(enable = "avx512f,avx2,fma")]` wrappers, so its methods
-/// always execute with the features they require.
+/// Constructed only by [`dispatch`]'s `#[target_feature(enable =
+/// "avx512f,avx2,fma")]` shell, so its methods always execute with the
+/// features they require.
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
 pub struct Avx512Lane(());
@@ -600,11 +630,11 @@ impl Avx512Lane {
     /// Construct the AVX-512 lane token.
     ///
     /// # Safety
-    /// The caller must guarantee the CPU supports AVX-512F (e.g. by being
-    /// inside a `#[target_feature(enable = "avx512f,avx2,fma")]` function
-    /// reached through a [`check_avx512`]).
+    /// The caller must guarantee the CPU supports AVX-512F on top of
+    /// AVX2+FMA (the shell that calls this is reached only through
+    /// `check_avx512`).
     #[inline(always)]
-    pub unsafe fn new_unchecked() -> Self {
+    unsafe fn new_unchecked() -> Self {
         Avx512Lane(())
     }
 
@@ -616,8 +646,10 @@ impl Avx512Lane {
     }
 }
 
+// SAFETY: an `Avx512Lane` is minted only by `avx512_shell`, behind
+// `check_avx512`.
 #[cfg(target_arch = "x86_64")]
-impl SimdLane for Avx512Lane {
+unsafe impl SimdLane for Avx512Lane {
     const LANES: usize = 8;
     type V = core::arch::x86_64::__m512d;
 
@@ -657,7 +689,10 @@ impl SimdLane for Avx512Lane {
     #[inline(always)]
     unsafe fn store_head(self, p: &mut [f64], i: usize, k: usize, v: Self::V) {
         debug_assert!((1..=8).contains(&k) && i + k <= p.len());
-        // SAFETY: as in `load_head`; the cleared lanes are not written.
+        // SAFETY: caller guarantees 1 <= k <= 8 and i + k <= p.len(); a
+        // masked `vmovupd` neither writes nor faults on the lanes its
+        // `__mmask8` clears, and the mask sets the first k; AVX-512F is
+        // asserted by the lane token.
         unsafe {
             core::arch::x86_64::_mm512_mask_storeu_pd(p.as_mut_ptr().add(i), Self::head_mask(k), v)
         }
@@ -721,27 +756,25 @@ impl SimdLane for Avx512Lane {
     }
 }
 
-/// Panic unless the AVX2 shells may legally run on this host. Called by
-/// every dispatcher (including downstream crates' own dispatch points,
-/// e.g. the dqds pass in `bidiag-svd`) before entering a
-/// `#[target_feature(enable = "avx2,fma")]` wrapper, which makes the safe
-/// dispatch API sound even against a hand-constructed
-/// [`SimdBackend::Avx2`].
+/// Panic unless the AVX2 shell may legally run on this host: [`dispatch`]
+/// calls it before entering the `#[target_feature(enable = "avx2,fma")]`
+/// shell, which keeps the safe dispatch sound even against a
+/// hand-constructed [`SimdBackend::Avx2`] state.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-pub fn check_avx2() {
+fn check_avx2() {
     assert!(
         SimdBackend::Avx2.available(),
         "an AVX2 kernel was dispatched on a host without AVX2+FMA"
     );
 }
 
-/// Panic unless the AVX-512 shells may legally run on this host; the guard
-/// in front of every `#[target_feature(enable = "avx512f,avx2,fma")]`
-/// wrapper, as [`check_avx2`] is for the 256-bit ones.
+/// Panic unless the AVX-512 shell may legally run on this host; the guard
+/// in front of the `#[target_feature(enable = "avx512f,avx2,fma")]` shell,
+/// as [`check_avx2`] is for the 256-bit one.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-pub fn check_avx512() {
+fn check_avx512() {
     assert!(
         SimdBackend::Avx512.available(),
         "an AVX-512 kernel was dispatched on a host without AVX-512F"
@@ -749,12 +782,111 @@ pub fn check_avx512() {
 }
 
 // ---------------------------------------------------------------------------
+// Dispatch: one trait, one function, two shells
+// ---------------------------------------------------------------------------
+
+/// A kernel: a value holding its operands, with one lane-generic body
+/// ([`LaneKernel::run`]) that [`dispatch`] instantiates with the lane of
+/// the backend in force — the shape of pulp's `WithSimd`.
+///
+/// Implementations mark `run` (and any entry point they override)
+/// `#[inline(always)]`: the body must be inlined into the
+/// `#[target_feature]` shell that calls it to be compiled with the shell's
+/// instruction set.
+pub trait LaneKernel: Sized {
+    /// What the kernel returns.
+    type Output;
+
+    /// Whether the kernel has a 512-bit body.  `false` runs its AVX2 entry
+    /// point under [`SimdBackend::Avx512`] — for a kernel that eight lanes
+    /// were not measured to speed up.
+    const AVX512: bool = true;
+
+    /// The kernel's body on lane `s`.  Safe: a lane token exists only where
+    /// its instruction set is available (see the module's safety argument),
+    /// and the body asserts the bounds it relies on.
+    fn run<S: SimdLane>(self, s: S) -> Self::Output;
+
+    /// The kernel under [`SimdBackend::Scalar`]: `run` on [`ScalarLane`]
+    /// unless the kernel has constants of its own for the scalar backend.
+    #[inline(always)]
+    fn scalar(self) -> Self::Output {
+        self.run(ScalarLane)
+    }
+
+    /// The kernel under [`SimdBackend::Avx2`] (and under
+    /// [`SimdBackend::Avx512`] when it opts out of eight lanes), compiled
+    /// inside the AVX2 shell: `run` on `s` unless the kernel has constants
+    /// of its own for four lanes.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    fn avx2(self, s: Avx2Lane) -> Self::Output {
+        self.run(s)
+    }
+
+    /// The kernel under [`SimdBackend::Avx512`], compiled inside the
+    /// AVX-512 shell: `run` on `s` unless the kernel has constants of its
+    /// own for eight lanes.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    fn avx512(self, s: Avx512Lane) -> Self::Output {
+        self.run(s)
+    }
+}
+
+/// Run `kernel` on the process-wide backend ([`backend`]): its scalar entry
+/// point inline, or, behind the guard of the backend's instruction set, the
+/// `#[target_feature]` shell of its lane.  The one way any kernel of the
+/// workspace reaches a vector lane.
+#[inline]
+pub fn dispatch<K: LaneKernel>(kernel: K) -> K::Output {
+    match backend() {
+        SimdBackend::Scalar => kernel.scalar(),
+        #[cfg(target_arch = "x86_64")]
+        SimdBackend::Avx512 if K::AVX512 => {
+            check_avx512();
+            // SAFETY: check_avx512 verified AVX-512F on top of AVX2+FMA.
+            unsafe { avx512_shell(kernel) }
+        }
+        #[cfg(target_arch = "x86_64")]
+        SimdBackend::Avx2 | SimdBackend::Avx512 => {
+            check_avx2();
+            // SAFETY: check_avx2 verified AVX2+FMA.
+            unsafe { avx2_shell(kernel) }
+        }
+    }
+}
+
+/// `kernel`'s AVX2 entry point compiled with AVX2+FMA enabled.
+///
+/// # Safety
+/// The CPU supports AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn avx2_shell<K: LaneKernel>(kernel: K) -> K::Output {
+    // SAFETY: the caller guarantees AVX2+FMA, all the token asserts.
+    kernel.avx2(unsafe { Avx2Lane::new_unchecked() })
+}
+
+/// `kernel`'s AVX-512 entry point compiled with AVX-512F enabled.
+///
+/// # Safety
+/// The CPU supports AVX-512F, AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+unsafe fn avx512_shell<K: LaneKernel>(kernel: K) -> K::Output {
+    // SAFETY: the caller guarantees AVX-512F on top of AVX2+FMA, all the
+    // token asserts.
+    kernel.avx512(unsafe { Avx512Lane::new_unchecked() })
+}
+
+// ---------------------------------------------------------------------------
 // Generic kernel bodies (one body per kernel, instantiated per lane)
 // ---------------------------------------------------------------------------
 
 /// `y[i] += a * x[i]`, lane-generic body: callable from another crate's
-/// generic kernel body so that it is compiled inside that kernel's own
-/// `#[target_feature]` shell (no dispatch of its own).
+/// generic kernel body so that it is compiled inside the shell that runs
+/// that kernel (no dispatch of its own).
 ///
 /// # Safety
 /// The lane's ISA contract (see [`SimdLane`]) and `x.len() >= y.len()`.
@@ -762,7 +894,7 @@ pub fn check_avx512() {
 pub unsafe fn axpy_body<S: SimdLane>(s: S, y: &mut [f64], a: f64, x: &[f64]) {
     let n = y.len();
     debug_assert!(x.len() >= n);
-    // SAFETY (whole body): caller upholds the lane's ISA contract and
+    // SAFETY: for the whole body, the caller upholds the lane's ISA contract and
     // x.len() >= y.len() = n; every index below is < n.
     unsafe {
         let av = s.splat(a);
@@ -790,7 +922,7 @@ pub unsafe fn axpy_body<S: SimdLane>(s: S, y: &mut [f64], a: f64, x: &[f64]) {
 pub unsafe fn dot_body<S: SimdLane>(s: S, a: &[f64], b: &[f64]) -> f64 {
     let n = a.len();
     debug_assert!(b.len() >= n);
-    // SAFETY (whole body): caller upholds the lane's ISA contract and
+    // SAFETY: for the whole body, the caller upholds the lane's ISA contract and
     // b.len() >= a.len() = n; every index below is < n.
     unsafe {
         let mut acc0 = s.zero();
@@ -839,7 +971,7 @@ unsafe fn microkernel_body<S: SimdLane, const RV: usize>(
 ) -> [[f64; MR]; NR] {
     debug_assert_eq!(RV * S::LANES, MR);
     debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
-    // SAFETY (whole body): caller upholds the lane's ISA contract,
+    // SAFETY: for the whole body, the caller upholds the lane's ISA contract,
     // ap.len() >= kc*MR and bp.len() >= kc*NR; loads read a-panel index
     // l*MR + r*LANES + LANES <= kc*MR and b-panel index l*NR + j < kc*NR;
     // stores write out[j][r*LANES..r*LANES+LANES] within MR.
@@ -867,96 +999,42 @@ unsafe fn microkernel_body<S: SimdLane, const RV: usize>(
     }
 }
 
-// ---------------------------------------------------------------------------
-// AVX2 target_feature shells
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "x86_64")]
-mod avx2_shells {
-    use super::*;
-
-    /// # Safety
-    /// Caller must guarantee AVX2+FMA and `x.len() >= y.len()`.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
-        // SAFETY: inside this target_feature fn AVX2+FMA are enabled, so
-        // constructing the lane token is sound; slice contract forwarded.
-        unsafe { axpy_body(Avx2Lane::new_unchecked(), y, a, x) }
-    }
-
-    /// # Safety
-    /// Caller must guarantee AVX2+FMA and `b.len() >= a.len()`.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn dot(a: &[f64], b: &[f64]) -> f64 {
-        // SAFETY: as in `axpy`.
-        unsafe { dot_body(Avx2Lane::new_unchecked(), a, b) }
-    }
-
-    /// # Safety
-    /// Caller must guarantee AVX2+FMA, `ap.len() >= kc*MR`, `bp.len() >= kc*NR`.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn microkernel(kc: usize, ap: &[f64], bp: &[f64]) -> [[f64; MR]; NR] {
-        // SAFETY: as in `axpy`; MR = 8 = 2 registers * 4 lanes.
-        unsafe { microkernel_body::<Avx2Lane, 2>(Avx2Lane::new_unchecked(), kc, ap, bp) }
-    }
+/// The arguments of [`microkernel_8x4`].  No 512-bit body: `MR` rows are
+/// one register there, and the microkernel was not measured at that width.
+struct Microkernel<'a> {
+    kc: usize,
+    ap: &'a [f64],
+    bp: &'a [f64],
 }
 
-// ---------------------------------------------------------------------------
-// Safe dispatchers
-// ---------------------------------------------------------------------------
+impl LaneKernel for Microkernel<'_> {
+    type Output = [[f64; MR]; NR];
+    const AVX512: bool = false;
 
-/// `y += a * x` over the dispatched backend. Panics unless
-/// `x.len() >= y.len()`.
-#[inline]
-pub fn axpy(be: SimdBackend, y: &mut [f64], a: f64, x: &[f64]) {
-    assert!(x.len() >= y.len());
-    match be {
-        // SAFETY: scalar lane has no ISA requirements; lengths checked above.
-        SimdBackend::Scalar => unsafe { axpy_body(ScalarLane, y, a, x) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: check_avx2 verifies AVX2+FMA; lengths checked above.
-        SimdBackend::Avx2 | SimdBackend::Avx512 => {
-            check_avx2();
-            unsafe { avx2_shells::axpy(y, a, x) }
-        }
-    }
-}
-
-/// Dot product over the dispatched backend. Panics unless
-/// `b.len() >= a.len()`.
-#[inline]
-pub fn dot(be: SimdBackend, a: &[f64], b: &[f64]) -> f64 {
-    assert!(b.len() >= a.len());
-    match be {
-        // SAFETY: scalar lane has no ISA requirements; lengths checked above.
-        SimdBackend::Scalar => unsafe { dot_body(ScalarLane, a, b) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: check_avx2 verifies AVX2+FMA; lengths checked above.
-        SimdBackend::Avx2 | SimdBackend::Avx512 => {
-            check_avx2();
-            unsafe { avx2_shells::dot(a, b) }
+    #[inline(always)]
+    fn run<S: SimdLane>(self, s: S) -> Self::Output {
+        let Microkernel { kc, ap, bp } = self;
+        assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
+        // SAFETY: the token `s` proves its lane's ISA, the lengths are
+        // asserted above, and `RV * LANES == MR` in the arm that runs (the
+        // lane width is a constant, so the others are never reached).
+        unsafe {
+            match S::LANES {
+                1 => microkernel_body::<S, 8>(s, kc, ap, bp),
+                4 => microkernel_body::<S, 2>(s, kc, ap, bp),
+                _ => microkernel_body::<S, 1>(s, kc, ap, bp),
+            }
         }
     }
 }
 
 /// The `MR x NR` packed-GEMM register microkernel:
 /// `out[j][i] = sum_l ap[l*MR + i] * bp[l*NR + j]` (a rank-1 update per
-/// depth step, broadcast-FMA on AVX2). Panics unless `ap.len() >= kc*MR`
-/// and `bp.len() >= kc*NR`.
+/// depth step, broadcast-FMA on the vector backends) on the process-wide
+/// backend. Panics unless `ap.len() >= kc*MR` and `bp.len() >= kc*NR`.
 #[inline]
-pub fn microkernel_8x4(be: SimdBackend, kc: usize, ap: &[f64], bp: &[f64]) -> [[f64; MR]; NR] {
-    assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
-    match be {
-        // SAFETY: scalar lane has no ISA requirements; lengths checked
-        // above; MR = 8 = 8 registers * 1 lane.
-        SimdBackend::Scalar => unsafe { microkernel_body::<ScalarLane, 8>(ScalarLane, kc, ap, bp) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: check_avx2 verifies AVX2+FMA; lengths checked above.
-        SimdBackend::Avx2 | SimdBackend::Avx512 => {
-            check_avx2();
-            unsafe { avx2_shells::microkernel(kc, ap, bp) }
-        }
-    }
+pub fn microkernel_8x4(kc: usize, ap: &[f64], bp: &[f64]) -> [[f64; MR]; NR] {
+    dispatch(Microkernel { kc, ap, bp })
 }
 
 #[cfg(test)]
@@ -965,14 +1043,6 @@ mod tests {
 
     fn rel(a: f64, b: f64) -> f64 {
         (a - b).abs() / b.abs().max(1.0)
-    }
-
-    /// Backend-equivalence tolerance for length-`n` accumulations: the two
-    /// backends differ by ~1 ulp per fused-vs-unfused multiply-add, so the
-    /// normwise gap grows like sqrt(n) * 1e-15 (element-wise kernels with no
-    /// accumulation are pinned at a flat 1e-15).
-    fn acc_tol(n: usize) -> f64 {
-        1e-15 * (n as f64).sqrt().max(1.0)
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -1080,62 +1150,55 @@ mod tests {
     /// Remainder-straddling lengths around the 4-lane and 16-element steps.
     const SIZES: [usize; 13] = [1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 64, 97];
 
+    /// A kernel that reports the width of the lane it runs on; `WIDE =
+    /// false` opts out of the 512-bit lane.
+    struct Lanes<const WIDE: bool>;
+
+    impl<const WIDE: bool> LaneKernel for Lanes<WIDE> {
+        type Output = usize;
+        const AVX512: bool = WIDE;
+
+        #[inline(always)]
+        fn run<S: SimdLane>(self, _: S) -> usize {
+            S::LANES
+        }
+    }
+
+    #[test]
+    fn dispatch_routes_to_the_named_lane() {
+        // Decide the backend outside any forced scope, so that the count
+        // below is the process's one selection.
+        {
+            let _no_forced_scope = FORCE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+            backend();
+        }
+        let widths = |run: &dyn Fn() -> usize| -> Vec<usize> {
+            on_each_backend(run).into_iter().map(|(_, n)| n).collect()
+        };
+        // Scalar, AVX2, AVX-512, as far as the CPU goes.
+        let n = available_backends().count();
+        assert_eq!(widths(&|| dispatch(Lanes::<true>)), [1, 4, 8][..n]);
+        assert_eq!(widths(&|| dispatch(Lanes::<false>)), [1, 4, 4][..n]);
+        assert_eq!(selection_count(), 1, "dispatch must not re-detect");
+    }
+
     #[test]
     fn primitives_scalar_matches_naive() {
         for &n in &SIZES {
             let x = test_vec(n, 1);
             let y0 = test_vec(n, 2);
             let mut y = y0.clone();
-            axpy(SimdBackend::Scalar, &mut y, 0.37, &x);
+            // SAFETY: the scalar lane has no ISA requirements, and `x` is
+            // as long as `y`.
+            unsafe { axpy_body(ScalarLane, &mut y, 0.37, &x) };
             for i in 0..n {
                 assert_eq!(y[i], y0[i] + 0.37 * x[i]);
             }
             let naive: f64 = x.iter().zip(&y0).map(|(a, b)| a * b).sum();
-            assert!(rel(dot(SimdBackend::Scalar, &x, &y0), naive) < 1e-13);
-        }
-    }
-
-    #[test]
-    fn primitives_match_scalar_on_every_backend() {
-        // Under `Avx512` these run the AVX2 shells: the arm is what is pinned.
-        for be in available_backends().skip(1) {
-            for &n in &SIZES {
-                let x = test_vec(n, 3);
-                let y0 = test_vec(n, 7);
-
-                let mut ys = y0.clone();
-                let mut yv = y0.clone();
-                axpy(SimdBackend::Scalar, &mut ys, 0.73, &x);
-                axpy(be, &mut yv, 0.73, &x);
-                for i in 0..n {
-                    assert!(rel(yv[i], ys[i]) < 1e-15, "{be:?} axpy n={n} i={i}");
-                }
-
-                assert!(
-                    rel(dot(be, &x, &y0), dot(SimdBackend::Scalar, &x, &y0)) < acc_tol(n),
-                    "{be:?} dot n={n}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn microkernel_matches_scalar_on_every_backend() {
-        for be in available_backends().skip(1) {
-            for &kc in &SIZES {
-                let ap = test_vec(kc * MR, 8);
-                let bp = test_vec(kc * NR, 9);
-                let cs = microkernel_8x4(SimdBackend::Scalar, kc, &ap, &bp);
-                let cv = microkernel_8x4(be, kc, &ap, &bp);
-                for j in 0..NR {
-                    for i in 0..MR {
-                        assert!(
-                            rel(cv[j][i], cs[j][i]) < acc_tol(kc),
-                            "{be:?} kc={kc} i={i} j={j}"
-                        );
-                    }
-                }
-            }
+            // SAFETY: the scalar lane has no ISA requirements, and `y0` is
+            // as long as `x`.
+            let dot = unsafe { dot_body(ScalarLane, &x, &y0) };
+            assert!(rel(dot, naive) < 1e-13);
         }
     }
 
@@ -1160,31 +1223,22 @@ mod tests {
         }
     }
 
+    /// [`check_transpose`] on the lane of the backend in force.
+    struct Transpose;
+
+    impl LaneKernel for Transpose {
+        type Output = ();
+
+        #[inline(always)]
+        fn run<S: SimdLane>(self, s: S) {
+            // SAFETY: the token `s` proves its lane's ISA.
+            unsafe { check_transpose(s) }
+        }
+    }
+
     #[test]
     fn lane_transposes_are_exact() {
-        // SAFETY: the scalar lane has no ISA requirements.
-        unsafe { check_transpose(ScalarLane) };
-        #[cfg(target_arch = "x86_64")]
-        {
-            #[target_feature(enable = "avx2,fma")]
-            unsafe fn avx2() {
-                // SAFETY: AVX2+FMA are enabled here.
-                unsafe { check_transpose(Avx2Lane::new_unchecked()) }
-            }
-            #[target_feature(enable = "avx512f,avx2,fma")]
-            unsafe fn avx512() {
-                // SAFETY: AVX-512F is enabled here.
-                unsafe { check_transpose(Avx512Lane::new_unchecked()) }
-            }
-            if SimdBackend::Avx2.available() {
-                // SAFETY: availability checked.
-                unsafe { avx2() };
-            }
-            if SimdBackend::Avx512.available() {
-                // SAFETY: availability checked.
-                unsafe { avx512() };
-            }
-        }
+        on_each_backend(|| dispatch(Transpose));
     }
 
     #[test]
@@ -1192,7 +1246,12 @@ mod tests {
         for &kc in &SIZES {
             let ap = test_vec(kc * MR, 10);
             let bp = test_vec(kc * NR, 11);
-            let c = microkernel_8x4(SimdBackend::Scalar, kc, &ap, &bp);
+            let c = Microkernel {
+                kc,
+                ap: &ap,
+                bp: &bp,
+            }
+            .run(ScalarLane);
             for j in 0..NR {
                 for i in 0..MR {
                     let naive: f64 = (0..kc).map(|l| ap[l * MR + i] * bp[l * NR + j]).sum();

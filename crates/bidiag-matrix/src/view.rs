@@ -201,44 +201,6 @@ impl<'a> MatrixViewMut<'a> {
             ld: self.ld,
         }
     }
-
-    /// Split into the columns `0..j` and `j..cols` as two disjoint mutable
-    /// views (the column-major dual of `split_at_mut`).
-    #[inline]
-    pub fn split_cols_at_mut(&mut self, j: usize) -> (MatrixViewMut<'_>, MatrixViewMut<'_>) {
-        assert!(j <= self.cols);
-        let mid = j * self.ld;
-        let mid = mid.min(self.data.len());
-        let (left, right) = self.data.split_at_mut(mid);
-        (
-            MatrixViewMut {
-                data: left,
-                rows: self.rows,
-                cols: j,
-                ld: self.ld,
-            },
-            MatrixViewMut {
-                data: right,
-                rows: self.rows,
-                cols: self.cols - j,
-                ld: self.ld,
-            },
-        )
-    }
-
-    /// Iterate over the columns as disjoint mutable slices of length `rows`.
-    ///
-    /// This is how the GEMM microkernels update several output columns per
-    /// pass without aliasing: `ChunksMut` hands out non-overlapping slices
-    /// with the lifetime of the underlying data.
-    #[inline]
-    pub fn cols_mut(&mut self) -> impl Iterator<Item = &mut [f64]> {
-        let rows = self.rows;
-        self.data
-            .chunks_mut(self.ld.max(1))
-            .take(self.cols)
-            .map(move |c| &mut c[..rows])
-    }
 }
 
 #[cfg(test)]
@@ -255,28 +217,6 @@ mod tests {
         assert_eq!(v.col(1), &[4.0, 5.0, 6.0]);
         let s = v.submatrix(1, 1, 2, 1);
         assert_eq!(s.col(0), &[5.0, 6.0]);
-    }
-
-    #[test]
-    fn mut_view_split_and_cols() {
-        let mut data: Vec<f64> = vec![0.0; 12];
-        let mut v = MatrixViewMut::new(&mut data[..], 4, 3, 4);
-        {
-            let (mut l, mut r) = v.split_cols_at_mut(1);
-            assert_eq!(l.cols(), 1);
-            assert_eq!(r.cols(), 2);
-            l.col_mut(0)[0] = 1.0;
-            r.col_mut(1)[3] = 2.0;
-        }
-        assert_eq!(v.get(0, 0), 1.0);
-        assert_eq!(v.get(3, 2), 2.0);
-        let mut count = 0;
-        for (j, col) in v.cols_mut().enumerate() {
-            col[0] = 10.0 + j as f64;
-            count += 1;
-        }
-        assert_eq!(count, 3);
-        assert_eq!(data[8], 12.0);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! Every kernel routed through `bidiag_matrix::simd` must produce the same
 //! answer under every backend of the host, exercised through the *real*
 //! dispatch path: [`simd::with_forced_backend`] pins the process-global
-//! backend, then the public entry points (`simd::axpy`, `gemm_nn_scratch`, ...)
-//! consult [`simd::backend`] exactly as production code does.
+//! backend, then [`simd::dispatch`] — under the public entry points
+//! (`microkernel_8x4`, `gemm_nn_scratch`, ...) and the kernels below —
+//! consults [`simd::backend`] exactly as production code does.
 //!
 //! Tolerances follow the module's numerical contract: the scalar backend
 //! is unfused, the vector ones fuse multiply-adds, so they agree to ~1 ulp
@@ -15,14 +16,14 @@
 //! Each test splits [`simd::on_each_backend`]'s results into the scalar one
 //! and the rest.  On a host without AVX2+FMA there is no second backend to
 //! compare with (the `BIDIAG_SIMD=scalar` CI leg still runs everything);
-//! under AVX-512 the kernels of this crate run their AVX2 shells, so that
-//! backend pins the dispatch arm.  The lanes' masked `load_head` /
-//! `store_head`, which only other crates' kernels use, are checked lane by
-//! lane, each inside its own `#[target_feature]` shell.
+//! under AVX-512 the GEMM microkernel runs its AVX2 instantiation, so that
+//! backend pins the opt-out.  The `axpy` / `dot` bodies and the lanes'
+//! masked `load_head` / `store_head`, which only other crates' kernels use,
+//! run as kernels of this file on the lane of each backend.
 
 use bidiag_matrix::gemm::{gemm_nn_scratch, gemm_tn_scratch, GemmScratch};
 use bidiag_matrix::gen::random_gaussian;
-use bidiag_matrix::simd::{self, ScalarLane, SimdBackend, SimdLane};
+use bidiag_matrix::simd::{self, LaneKernel, SimdBackend, SimdLane};
 use bidiag_matrix::Matrix;
 use proptest::prelude::*;
 
@@ -48,6 +49,32 @@ fn acc_tol(n: usize) -> f64 {
     1e-15 * (n as f64).sqrt().max(1.0)
 }
 
+/// `y + a x` and `x . z` through the lane-generic bodies other crates'
+/// kernels are built from.
+struct Primitives<'a> {
+    y: &'a [f64],
+    a: f64,
+    x: &'a [f64],
+    z: &'a [f64],
+}
+
+impl LaneKernel for Primitives<'_> {
+    type Output = (Vec<f64>, f64);
+
+    #[inline(always)]
+    fn run<S: SimdLane>(self, s: S) -> Self::Output {
+        let Primitives { y, a, x, z } = self;
+        assert!(x.len() >= y.len() && z.len() >= x.len());
+        let mut y = y.to_vec();
+        // SAFETY: the token proves the lane's ISA, and the lengths are
+        // asserted above.
+        unsafe {
+            simd::axpy_body(s, &mut y, a, x);
+            (y, simd::dot_body(s, x, z))
+        }
+    }
+}
+
 #[test]
 fn primitive_kernels_agree_across_backends_on_size_ladder() {
     for &n in &SIZES {
@@ -56,11 +83,12 @@ fn primitive_kernels_agree_across_backends_on_size_ladder() {
         let y0 = test_vec(n, 5 + n as u64);
 
         let results = simd::on_each_backend(|| {
-            let be = simd::backend();
-            let mut y = y0.clone();
-            simd::axpy(be, &mut y, 0.37, &x0);
-            let d = simd::dot(be, &x0, &x1);
-            (y, d)
+            simd::dispatch(Primitives {
+                y: &y0,
+                a: 0.37,
+                x: &x0,
+                z: &x1,
+            })
         });
         let (_, s) = &results[0];
         for (be, v) in &results[1..] {
@@ -87,8 +115,7 @@ fn microkernel_agrees_across_backends_on_size_ladder() {
     for &kc in &SIZES {
         let ap = test_vec(kc * simd::MR, 11 + kc as u64);
         let bp = test_vec(kc * simd::NR, 13 + kc as u64);
-        let results =
-            simd::on_each_backend(|| simd::microkernel_8x4(simd::backend(), kc, &ap, &bp));
+        let results = simd::on_each_backend(|| simd::microkernel_8x4(kc, &ap, &bp));
         let (_, s) = &results[0];
         for (be, v) in &results[1..] {
             for j in 0..simd::NR {
@@ -140,29 +167,22 @@ unsafe fn check_heads<S: SimdLane>(s: S) {
     }
 }
 
+/// [`check_heads`] on the lane of the backend in force.
+struct Heads;
+
+impl LaneKernel for Heads {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<S: SimdLane>(self, s: S) {
+        // SAFETY: the token `s` proves its lane's ISA.
+        unsafe { check_heads(s) }
+    }
+}
+
 #[test]
 fn masked_heads_touch_exactly_their_lanes_on_every_backend() {
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn avx2() {
-        // SAFETY: AVX2+FMA are enabled here.
-        unsafe { check_heads(simd::Avx2Lane::new_unchecked()) }
-    }
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f,avx2,fma")]
-    unsafe fn avx512() {
-        // SAFETY: AVX-512F is enabled here.
-        unsafe { check_heads(simd::Avx512Lane::new_unchecked()) }
-    }
-    simd::on_each_backend(|| match simd::backend() {
-        // SAFETY: the scalar lane has no ISA requirements.
-        SimdBackend::Scalar => unsafe { check_heads(ScalarLane) },
-        // SAFETY (both): `on_each_backend` forces only backends the CPU has.
-        #[cfg(target_arch = "x86_64")]
-        SimdBackend::Avx2 => unsafe { avx2() },
-        #[cfg(target_arch = "x86_64")]
-        SimdBackend::Avx512 => unsafe { avx512() },
-    });
+    simd::on_each_backend(|| simd::dispatch(Heads));
 }
 
 /// Backward-style normwise gap between two GEMM results sharing the same
@@ -376,10 +396,7 @@ proptest! {
         let x = test_vec(n, seed.wrapping_add(11));
         let y0 = test_vec(n, seed.wrapping_add(13));
         let results = simd::on_each_backend(|| {
-            let be = simd::backend();
-            let mut y = y0.clone();
-            simd::axpy(be, &mut y, -0.91, &x);
-            (y, simd::dot(be, &x, &y0))
+            simd::dispatch(Primitives { y: &y0, a: -0.91, x: &x, z: &y0 })
         });
         let (_, s) = &results[0];
         for (_, v) in &results[1..] {

@@ -190,13 +190,6 @@ impl TaskGraph {
         bl
     }
 
-    /// Number of tasks with no predecessor (initially ready tasks).
-    pub fn num_sources(&self) -> usize {
-        (0..self.len())
-            .filter(|&i| self.predecessors[i].is_empty())
-            .count()
-    }
-
     /// Maximum number of simultaneously runnable tasks under an ASAP
     /// schedule with unbounded resources (a coarse parallelism metric).
     pub fn max_parallelism(&self) -> usize {
@@ -297,7 +290,6 @@ mod tests {
         let bl = g.bottom_levels();
         assert_eq!(bl[0], 15.0);
         assert_eq!(bl[4], 5.0);
-        assert_eq!(g.num_sources(), 1);
         assert_eq!(g.max_parallelism(), 1);
     }
 

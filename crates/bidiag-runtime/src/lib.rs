@@ -35,6 +35,7 @@
 //! the steal protocol and its exclusivity guarantees.
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod executor;
 pub mod graph;

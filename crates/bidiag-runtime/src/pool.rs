@@ -239,6 +239,9 @@ impl<S> BodySlots<S> {
     /// with a synchronization edge in between (the injector mutex or a
     /// deque handoff).
     fn take(&self, id: TaskId) -> TaskBodyWith<S> {
+        // SAFETY: this is the one access to slot `id` (taken at most once),
+        // and it is ordered after the constructor's write by the scheduler's
+        // synchronization edge, so no other reference to the cell is live.
         unsafe { (*self.0[id].get()).take().expect("task executed twice") }
     }
 }

@@ -169,7 +169,7 @@
 
 use crate::sturm::GkBisection;
 use crate::Pow2Scale;
-use bidiag_matrix::simd;
+use bidiag_matrix::simd::{self, LaneKernel, SimdLane};
 use bidiag_obs as obs;
 
 /// LAPACK `dlasq`'s `TOL`: what counts as converged, relative, in the
@@ -781,21 +781,7 @@ where
     let problems = problems.into_iter();
     let count = scratch.len().min(LANES);
     let lanes = &mut scratch[..count];
-    // Every backend runs the same body: the `d`-chain has nothing for wider
-    // lanes to fill, and the AVX2 shell only recompiles it under
-    // `target_feature` — no reassociation, no fusion, so all backends are
-    // bitwise identical. Every backend is named so that a new one cannot
-    // fall through to the baseline-compiled body unnoticed.
-    let stats = match simd::backend() {
-        simd::SimdBackend::Scalar => gang_body(problems, lanes),
-        #[cfg(target_arch = "x86_64")]
-        simd::SimdBackend::Avx2 | simd::SimdBackend::Avx512 => {
-            simd::check_avx2();
-            // SAFETY: `check_avx2` above verified AVX2+FMA are available
-            // on this CPU, which is the only precondition of the shell.
-            unsafe { gang_avx2(problems, lanes) }
-        }
-    };
+    let stats = simd::dispatch(Gang { problems, lanes });
     if obs::enabled() {
         // Aggregate the gang's counters into the process-wide registry; the
         // caller still gets them exactly.
@@ -811,18 +797,27 @@ where
     stats
 }
 
-/// [`gang_body`] compiled with AVX2+FMA enabled (VEX encodings).
-///
-/// # Safety
-///
-/// The caller must ensure the CPU supports AVX2 and FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn gang_avx2<'a>(
-    problems: impl Iterator<Item = (&'a [f64], &'a [f64], &'a mut Vec<f64>)>,
-    lanes: &mut [DqdsScratch],
-) -> DqdsStats {
-    gang_body(problems, lanes)
+/// The kernel of [`dqds_gang_into`].  Every backend runs the same body:
+/// the `d`-chain has nothing for wider lanes to fill, and the vector
+/// backends only recompile it inside the AVX2 shell (VEX encodings) — no
+/// reassociation, no fusion, so all backends are bitwise identical.  No
+/// 512-bit body: the AVX-512 backend runs the AVX2 one.
+struct Gang<'l, I> {
+    problems: I,
+    lanes: &'l mut [DqdsScratch],
+}
+
+impl<'a, I> LaneKernel for Gang<'_, I>
+where
+    I: Iterator<Item = (&'a [f64], &'a [f64], &'a mut Vec<f64>)>,
+{
+    type Output = DqdsStats;
+    const AVX512: bool = false;
+
+    #[inline(always)]
+    fn run<S: SimdLane>(self, _: S) -> DqdsStats {
+        gang_body(self.problems, self.lanes)
+    }
 }
 
 /// The gang driver of [`dqds_gang_into`], shared verbatim by every backend:
@@ -1013,7 +1008,8 @@ fn advance<const K: usize>(runs: &mut [Run; K], n: usize) {
                 _ => {}
             }
         }
-        // SAFETY: as above.
+        // SAFETY: `j < n`, and every lane has at least `n` left (asserted
+        // above).
         unsafe { lanes.step(j) };
     }
     for (k, r) in runs.iter_mut().enumerate() {

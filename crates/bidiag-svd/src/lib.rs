@@ -28,6 +28,7 @@
 //! whether either happened.
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod dqds;
 pub mod sturm;

@@ -111,19 +111,10 @@ impl GkSturm {
         self.scale.up(self.bound)
     }
 
-    /// The pivot clamp threshold of the count recurrence, in the scaled
-    /// units it runs in (largest off-diagonal in `(0.5, 1]`).
-    pub fn pivmin(&self) -> f64 {
-        PIVMIN
-    }
-
-    /// Absolute floor below which an eigenvalue bracket is declared zero:
-    /// values this far below the spectrum radius are indistinguishable from
-    /// an exact zero singular value at any useful relative accuracy.
-    pub fn zero_floor(&self) -> f64 {
-        self.scale.up(self.scaled_zero_floor())
-    }
-
+    /// Floor, in the scaled units of the count recurrence, below which an
+    /// eigenvalue bracket is declared zero: values this far below the
+    /// spectrum radius are indistinguishable from an exact zero singular
+    /// value at any useful relative accuracy.
     fn scaled_zero_floor(&self) -> f64 {
         self.bound * 1.0e-20
     }
@@ -185,11 +176,6 @@ impl GkBisection {
         }
     }
 
-    /// Wrap an already-built [`GkSturm`] state.
-    pub fn from_sturm(sturm: GkSturm) -> Self {
-        GkBisection { sturm }
-    }
-
     /// The underlying Sturm state.
     pub fn sturm(&self) -> &GkSturm {
         &self.sturm
@@ -207,7 +193,7 @@ impl GkBisection {
     /// bisection maintains `count(lo) <= target < count(hi)` for
     /// `target = 2k - j - 1`, and iterates until the bracket is relatively
     /// converged (`hi - lo <= eps * (lo + hi)`) or provably zero
-    /// (`hi` below [`GkSturm::zero_floor`]).
+    /// (`hi` below `1e-20` of the spectrum radius).
     pub fn nth_largest(&self, j: usize) -> f64 {
         let k = self.sturm.num_values();
         assert!(j < k, "value index out of range");
@@ -261,11 +247,10 @@ mod tests {
 
     #[test]
     fn pivmin_is_underflow_scaled_not_norm_scaled() {
-        let s = GkSturm::new(&[1.0, 1.0e-8, 1.0], &[0.0, 0.0]);
         // dlaebz-style: safmin * max(1, b_max^2) — for O(1) data this is
         // safmin itself, not eps * bound^2 * 1e-3 (~1e-19) as before.
-        assert!(s.pivmin() <= 2.0 * f64::MIN_POSITIVE);
-        let b = GkBisection::from_sturm(s);
+        const { assert!(PIVMIN <= 2.0 * f64::MIN_POSITIVE) };
+        let b = GkBisection::new(&[1.0, 1.0e-8, 1.0], &[0.0, 0.0]);
         // ... and tiny singular values are still resolved relatively.
         let tiny = b.nth_largest(2);
         assert!((tiny - 1.0e-8).abs() < 1e-22, "tiny = {tiny}");

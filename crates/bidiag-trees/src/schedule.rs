@@ -102,11 +102,6 @@ impl PanelSchedule {
         self.elims.len()
     }
 
-    /// Number of TT eliminations (the rest are TS).
-    pub fn num_tt(&self) -> usize {
-        self.elims.iter().filter(|e| e.kind == ElimKind::Tt).count()
-    }
-
     /// The depth of the elimination tree in *rounds*, where eliminations that
     /// touch disjoint rows may share a round.  This is the idealised number
     /// of parallel panel stages (it ignores update kernels).
@@ -294,7 +289,7 @@ mod tests {
         let s = panel_schedule(&rows(16), &cfg);
         assert_eq!(s.geqrt_rows, vec![0, 4, 8, 12]);
         let ts = s.elims.iter().filter(|e| e.kind == ElimKind::Ts).count();
-        let tt = s.num_tt();
+        let tt = s.elims.iter().filter(|e| e.kind == ElimKind::Tt).count();
         assert_eq!(ts, 12);
         assert_eq!(tt, 3);
         assert_eq!(s.num_elims(), 15);
