@@ -371,7 +371,7 @@ fn kernel_times(nb: usize, reps: usize) -> [(KernelKind, f64, f64); 12] {
         ),
         (
             Unmqr,
-            fastest(reps, [&b], |[x]| qr::unmqr(&v_ge, &tf_ge, x)),
+            fastest(reps, [&b], |[x]| qr::unmqr(&tf_ge, x)),
             fastest(ref_reps, [&b], |[x]| {
                 qr_ref::unmqr_unblocked(&v_ge, tf_ge.taus(), x)
             }),
@@ -413,7 +413,7 @@ fn kernel_times(nb: usize, reps: usize) -> [(KernelKind, f64, f64); 12] {
         ),
         (
             Unmlq,
-            fastest(reps, [&b], |[x]| lq::unmlq(&w_ge, &tf_gel, x)),
+            fastest(reps, [&b], |[x]| lq::unmlq(&tf_gel, x)),
             fastest(ref_reps, [&b], |[x]| {
                 lq_ref::unmlq_unblocked(&w_ge, tf_gel.taus(), x)
             }),

@@ -1,11 +1,10 @@
 //! The batched SVD runtime service: one persistent pool, many problems.
 //!
 //! [`crate::pipeline::ge2val`] is shaped for one large factorization — a
-//! threaded call builds a pool, allocates fresh kernel scratch, runs one
-//! task graph, and tears everything down.  The ROADMAP's serving scenario
-//! (millions of small/medium spectra: per-user embedding blocks,
-//! per-request covariances) inverts the cost profile: the matrices are tiny
-//! and the per-call setup dominates.  [`SvdSession`] amortizes all of it:
+//! threaded call builds a pool, runs one task graph, and tears everything
+//! down.  The ROADMAP's serving scenario (millions of small/medium spectra:
+//! per-user embedding blocks, per-request covariances) inverts the cost
+//! profile: the matrices are tiny and the per-call setup dominates.  [`SvdSession`] amortizes all of it:
 //!
 //! * **One pool for the session's lifetime.**  A
 //!   [`TaskPool`] of workers spawned once;
@@ -14,11 +13,10 @@
 //!   same work-stealing deques — workers never idle while *any* submitted
 //!   problem has ready tasks.
 //! * **Per-worker, per-lifetime scratch arenas.**  Each worker owns one
-//!   `SessionScratch` (tile snapshot buffer + direct-path arena)
-//!   created at spawn and lent to everything it ever runs; buffer
-//!   capacities are pre-sized or grow to the high-water mark across
-//!   problems and stay there, so steady-state submissions do no hot-path
-//!   allocation.
+//!   direct-path arena (`DirectScratch`) created at spawn and lent to
+//!   every gang it runs; buffer capacities are pre-sized or grow to the
+//!   high-water mark across problems and stay there, so steady-state
+//!   submissions do no hot-path allocation.
 //! * **Small problems in gangs.**  Problems whose larger dimension is at
 //!   most [`Ge2Options::direct_crossover`] skip the tiled machinery
 //!   entirely — no tiling, no T-factors, no band stage, no task graph.
@@ -77,11 +75,10 @@
 
 use crate::error::{check_spectrum, validate_finite, SvdError};
 use crate::exec::{lower_ge2val, ValuesCell};
-use crate::ops::KernelScratch;
 use crate::pipeline::{Ge2Options, DIRECT_CROSSOVER};
 use bidiag_kernels::gebd2::{gebd2_with, Bidiagonal};
 use bidiag_matrix::Matrix;
-use bidiag_runtime::{JobError, JobTicket, PoolConfig, SubmitError, TaskPool, GANG};
+use bidiag_runtime::{JobError, JobTicket, PoolConfig, SubmitError, TaskBodyWith, TaskPool, GANG};
 use bidiag_svd::{dqds_gang_into, DqdsScratch, LANES};
 use parking_lot::Mutex;
 use std::time::Duration;
@@ -227,15 +224,6 @@ impl DirectScratch {
     }
 }
 
-/// Per-worker scratch of the session pool: the blocked path's operand
-/// snapshot buffer plus the direct-path arena, both living as long as the
-/// worker does.
-#[derive(Debug)]
-struct SessionScratch {
-    kernel: KernelScratch,
-    direct: DirectScratch,
-}
-
 /// One direct-path problem on the pool's job lane: its input snapshot
 /// until its gang has run, and the singular values the gang leaves.
 struct DirectJob {
@@ -333,7 +321,7 @@ impl SvdJob {
 /// halfway: the pool drains every submitted problem before its threads
 /// exit.
 pub struct SvdSession {
-    pool: TaskPool<SessionScratch, DirectJob>,
+    pool: TaskPool<DirectScratch, DirectJob>,
     opts: Ge2Options,
     /// Arena pool for inline [`compute_into`](SvdSession::compute_into)
     /// callers (which run on *caller* threads, not pool workers).
@@ -366,23 +354,19 @@ impl SvdSession {
     /// decides *when* ([`submit`](SvdSession::submit)) or *whether*
     /// ([`try_submit`](SvdSession::try_submit)) a problem enters the pool.
     pub fn with_config(opts: Ge2Options, config: SessionConfig) -> Self {
-        let nb = opts.nb;
         let direct_dim = opts.direct_crossover;
         let pool = TaskPool::with_lane(
             opts.threads,
             PoolConfig {
                 max_in_flight: config.max_in_flight,
             },
-            move || SessionScratch {
-                kernel: KernelScratch::for_tile(nb),
-                direct: DirectScratch::for_gang(direct_dim, GANG),
-            },
-            move |s: &mut SessionScratch, gang: &mut [DirectJob]| {
+            move || DirectScratch::for_gang(direct_dim, GANG),
+            move |s: &mut DirectScratch, gang: &mut [DirectJob]| {
                 let problems = gang.iter_mut().map(|job| {
                     let a = job.a.as_ref().expect("a job runs once");
                     (a, &mut job.sv)
                 });
-                s.direct.spectra(problems);
+                s.spectra(problems);
                 // Free the inputs now, not whenever their clients wait: a
                 // burst of finished jobs would hold every one of them.
                 for job in gang {
@@ -523,8 +507,11 @@ impl SvdSession {
     /// [`ge2val`](crate::pipeline::ge2val) runs.
     fn submit_blocked(&self, a: &Matrix, block: bool) -> Result<SvdJob, SvdError> {
         self.opts.check_tile_size(a)?;
-        let (graph, bodies, values) =
-            lower_ge2val(a, &self.opts, |s: &mut SessionScratch| &mut s.kernel);
+        let (graph, bodies, values) = lower_ge2val(a, &self.opts);
+        let bodies = bodies
+            .into_iter()
+            .map(|body| Box::new(move |_: &mut DirectScratch| body()) as TaskBodyWith<_>)
+            .collect();
         let ticket = if block {
             self.pool.submit(graph, bodies)
         } else {

@@ -16,33 +16,31 @@
 //! # Parallel data plane
 //!
 //! The parallel back-end layers its shared state on the DAG's ordering
-//! guarantees instead of global locks:
+//! guarantees instead of locks anyone waits on:
 //!
-//! * tiles live behind *per-tile* `RwLock`s, needed only because the
-//!   region-level dependency keys deliberately let kernels touching
-//!   disjoint regions of one tile overlap (see
-//!   [`TileOp::execute_shared`](crate::ops::TileOp::execute_shared));
-//! * compact-WY tau factors live in a pre-sized [`TauTable`] of once-cells
-//!   keyed by op id — producers fill their own slot, consumers read the
-//!   slot the DAG ordered before them, and no global map or lock is ever
-//!   contended; the same table backs the sequential driver;
-//! * every worker thread owns a [`KernelScratch`] (the operand snapshot
-//!   buffer) pre-sized for the tile size at spawn and lent to each task
-//!   body it runs, so it is never reallocated — not even on a worker's
-//!   first task; the kernels need no scratch, and the only per-task heap
-//!   traffic left is the `TFactor` each factorization kernel produces into
-//!   its table slot.
+//! * the graph orders every two operations that touch one tile, one of
+//!   them writing, so the tiles' per-tile `RwLock`s are only ever *tried*
+//!   and never contended (see
+//!   [`TileOp::execute_shared`](crate::ops::TileOp::execute_shared)); a
+//!   hole in that ordering panics instead of serializing;
+//! * compact-WY tau factors — GEQRT's and GELQT's with their reflectors —
+//!   live in a pre-sized [`TauTable`] of once-cells keyed by op id:
+//!   producers fill their own slot, consumers read the slot the DAG
+//!   ordered before them, and no global map or lock is ever contended; the
+//!   same table backs the sequential driver;
+//! * no operand is copied and the kernels need no scratch: the only
+//!   per-task heap traffic is the `TFactor` each factorization kernel
+//!   produces into its table slot.
 
 use crate::drivers::{ge2bnd_ops, Algorithm, GenConfig};
-use crate::ops::{KernelScratch, TauTable, TileOp};
+use crate::ops::{TauTable, TileOp};
 use crate::pipeline::Ge2Options;
 use bidiag_kernels::band::BandMatrix;
 use bidiag_kernels::gebd2::Bidiagonal;
 use bidiag_matrix::{BlockCyclic, Matrix, TiledMatrix};
 use bidiag_obs as obs;
 use bidiag_runtime::{
-    execute_parallel as runtime_execute, execute_parallel_with as runtime_execute_with, AccessMode,
-    DataKey, TaskBody, TaskBodyWith, TaskGraph,
+    execute_parallel as runtime_execute, AccessMode, DataKey, TaskBody, TaskGraph,
 };
 use bidiag_svd::{dqds_singular_values, Bd2ValOptions};
 use parking_lot::{Mutex, RwLock};
@@ -62,15 +60,12 @@ pub fn execute_sequential(ops: &[TileOp], a: &mut TiledMatrix) {
 /// graph and one body per op, over the tiles of `a` *moved* into shared
 /// per-tile locks (`a` keeps empty placeholders) and a fresh [`TauTable`].
 /// The returned closure moves the tiles back once every body ran.
-/// `kernel_scratch` picks the [`KernelScratch`] out of the pool's
-/// per-worker scratch `S`.
-pub(crate) fn lower_parallel<S: 'static>(
+pub(crate) fn lower_parallel(
     ops: &[TileOp],
     a: &mut TiledMatrix,
-    kernel_scratch: fn(&mut S) -> &mut KernelScratch,
 ) -> (
     TaskGraph,
-    Vec<TaskBodyWith<S>>,
+    Vec<TaskBody>,
     impl FnOnce(&mut TiledMatrix) + Send + 'static,
 ) {
     // The shared vector is indexed row-major: (i, j) -> i * q + j.
@@ -88,14 +83,13 @@ pub(crate) fn lower_parallel<S: 'static>(
         .map(|(op_id, &op)| {
             let tiles = Arc::clone(&tiles);
             let taus = Arc::clone(&taus);
-            Box::new(move |s: &mut S| {
-                op.execute_shared(op_id, &tiles, q, &taus, kernel_scratch(s));
-            }) as TaskBodyWith<S>
+            Box::new(move || op.execute_shared(op_id, &tiles, q, &taus)) as TaskBody
         })
         .collect();
     let restore = move |a: &mut TiledMatrix| {
         for (idx, tile) in tiles.iter().enumerate() {
-            let tile = std::mem::replace(&mut *tile.write(), Matrix::zeros(0, 0));
+            let mut tile = tile.try_write().expect("every tile task ran");
+            let tile = std::mem::replace(&mut *tile, Matrix::zeros(0, 0));
             *a.tile_mut(idx / q, idx % q) = tile;
         }
     };
@@ -108,9 +102,8 @@ pub(crate) fn lower_parallel<S: 'static>(
 /// because every kernel is executed with exactly the same operands; only the
 /// interleaving of independent kernels differs.
 pub fn execute_parallel(ops: &[TileOp], a: &mut TiledMatrix, threads: usize) {
-    let nb = a.nb();
-    let (graph, bodies, restore) = lower_parallel(ops, a, |s: &mut KernelScratch| s);
-    runtime_execute_with(&graph, bodies, threads, move || KernelScratch::for_tile(nb));
+    let (graph, bodies, restore) = lower_parallel(ops, a);
+    runtime_execute(&graph, bodies, threads);
     restore(a);
 }
 
@@ -163,14 +156,13 @@ const BIDIAGONAL: DataKey = DataKey::MAX;
 /// [`KIND_BD2VAL`](obs::KIND_BD2VAL) task that runs dqds into the returned
 /// cell.  The tail tasks call what [`ge2val_sequential`] calls, in the
 /// same order.
-pub(crate) fn lower_ge2val<S: 'static>(
+pub(crate) fn lower_ge2val(
     a: &Matrix,
     opts: &Ge2Options,
-    kernel_scratch: fn(&mut S) -> &mut KernelScratch,
-) -> (TaskGraph, Vec<TaskBodyWith<S>>, ValuesCell) {
+) -> (TaskGraph, Vec<TaskBody>, ValuesCell) {
     let (mut tiled, _, ops, bw) = setup_blocked(a, opts);
     let q = tiled.tile_cols();
-    let (mut graph, mut bodies, restore) = lower_parallel(&ops, &mut tiled, kernel_scratch);
+    let (mut graph, mut bodies, restore) = lower_parallel(&ops, &mut tiled);
     let mut chase: Vec<(DataKey, AccessMode)> = ops
         .iter()
         .flat_map(|op| op.accesses(q))
@@ -185,11 +177,11 @@ pub(crate) fn lower_ge2val<S: 'static>(
     let bidiag = Arc::new(Mutex::new(None));
     let values = ValuesCell::default();
     let (handoff, slot) = (Arc::clone(&bidiag), Arc::clone(&values));
-    bodies.push(Box::new(move |_: &mut S| {
+    bodies.push(Box::new(move || {
         restore(&mut tiled);
         *handoff.lock() = Some(BandMatrix::from_tiled(&tiled, bw).reduce_to_bidiagonal());
     }));
-    bodies.push(Box::new(move |_: &mut S| {
+    bodies.push(Box::new(move || {
         let b = bidiag.lock().take().expect("the chase ran first");
         *slot.lock() = dqds_singular_values(&b.diag, &b.superdiag);
     }));
@@ -199,18 +191,14 @@ pub(crate) fn lower_ge2val<S: 'static>(
 /// Blocked GE2VAL of a non-empty `a` on `opts.threads` workers: the
 /// [`lower_ge2val`] graph submitted to one pool built for the call.
 pub(crate) fn ge2val_parallel(a: &Matrix, opts: &Ge2Options) -> Vec<f64> {
-    let nb = opts.nb;
-    let (graph, bodies, values) = lower_ge2val(a, opts, |s: &mut KernelScratch| s);
-    runtime_execute_with(&graph, bodies, opts.threads, move || {
-        KernelScratch::for_tile(nb)
-    });
+    let (graph, bodies, values) = lower_ge2val(a, opts);
+    runtime_execute(&graph, bodies, opts.threads);
     let values = std::mem::take(&mut *values.lock());
     values
 }
 
 /// Blocked GE2VAL of a non-empty `a` on the calling thread: GE2BND through
-/// [`execute_sequential`] on the exclusive tiles (no tile locks, no operand
-/// snapshots), then what [`lower_ge2val`]'s tail tasks run.  Traced, its
+/// [`execute_sequential`] on the exclusive tiles (no tile locks), then what [`lower_ge2val`]'s tail tasks run.  Traced, its
 /// phases are caller-thread spans of one submission, of kind
 /// [`KIND_STAGE_GE2BND`](obs::KIND_STAGE_GE2BND) and the tail tasks' kinds.
 pub(crate) fn ge2val_sequential(a: &Matrix, opts: &Ge2Options) -> Vec<f64> {
@@ -336,22 +324,32 @@ mod tests {
         }
     }
 
+    /// On 2 and 4 workers: every tile lock is only tried, so a pair of
+    /// tasks the graph leaves unordered on one tile panics here when the
+    /// scheduler happens to overlap them.
     fn assert_parallel_matches_sequential(ops: &[TileOp], a0: &Matrix, nb: usize) {
         let mut seq = TiledMatrix::from_dense(a0, nb);
         execute_sequential(ops, &mut seq);
 
-        let mut par = TiledMatrix::from_dense(a0, nb);
-        execute_parallel(ops, &mut par, 4);
+        for threads in [2, 4] {
+            let mut par = TiledMatrix::from_dense(a0, nb);
+            execute_parallel(ops, &mut par, threads);
 
-        // Same kernels on the same operands: results are bitwise identical.
-        assert_eq!(seq.to_dense(), par.to_dense());
+            // Same kernels on the same operands: results are bitwise identical.
+            assert_eq!(seq.to_dense(), par.to_dense(), "{threads} threads");
+        }
     }
 
     #[test]
     fn parallel_execution_matches_sequential_exactly() {
         let a0 = random_gaussian(18, 12, 77);
-        for tree in TREES {
-            let ops = bidiag_ops(6, 4, &GenConfig::shared(tree));
+        let mut configs = TREES.map(GenConfig::shared).to_vec();
+        configs.push(GenConfig::distributed(
+            NamedTree::Greedy,
+            BlockCyclic::new(2, 2),
+        ));
+        for cfg in &configs {
+            let ops = bidiag_ops(6, 4, cfg);
             assert_parallel_matches_sequential(&ops, &a0, 3);
         }
     }
@@ -363,6 +361,13 @@ mod tests {
         let a0 = random_gaussian(20, 10, 3);
         for tree in TREES {
             let ops = rbidiag_ops(10, 5, &GenConfig::shared(tree));
+            assert_parallel_matches_sequential(&ops, &a0, 2);
+        }
+        // The square Greedy grids whose critical path the UNMQR / UNMLQ
+        // accesses shortened.
+        for q in [6, 10] {
+            let a0 = random_gaussian(2 * q, 2 * q, q as u64);
+            let ops = rbidiag_ops(q, q, &GenConfig::shared(NamedTree::Greedy));
             assert_parallel_matches_sequential(&ops, &a0, 2);
         }
     }

@@ -171,26 +171,18 @@ fn tau_key(class: TauClass, k: usize, idx: usize) -> TauKey {
     TauKey((1u64 << 62) | (c << 40) | ((k as u64) << 20) | idx as u64)
 }
 
-/// Per-worker scratch of the parallel back-end: a reusable buffer for
-/// snapshotting the read-only `V` operand of an apply kernel out of its
-/// tile lock.  The kernels themselves need none.
+/// Nothing: no kernel needs scratch and no back-end copies an operand.
 ///
-/// The parallel runtime creates one per worker thread (see
-/// `exec::execute_parallel`), so in steady state the only allocation a
-/// kernel execution makes is the [`TFactor`] a factorization produces.
+/// It exists only because the benchmark's `kernel_loop` still names it
+/// (through [`TileOp::execute`]); the change that lets the benchmark drop
+/// it (ROADMAP item 11) deletes it.
 #[derive(Debug)]
-pub struct KernelScratch {
-    /// Snapshot buffer for read-only reflector tiles.
-    vbuf: Matrix,
-}
+pub struct KernelScratch;
 
 impl KernelScratch {
-    /// Scratch pre-sized for `nb x nb` tiles, so that not even a worker's
-    /// first snapshot grows the buffer.
-    pub fn for_tile(nb: usize) -> Self {
-        KernelScratch {
-            vbuf: Matrix::zeros(nb, nb),
-        }
+    /// The scratch; `_nb` is not read.
+    pub fn for_tile(_nb: usize) -> Self {
+        KernelScratch
     }
 }
 
@@ -379,14 +371,17 @@ impl TileOp {
     /// Data accesses of the operation for a `p x q` tile grid.
     ///
     /// Every tile is represented by *three* data keys — its diagonal, its
-    /// strictly-upper part and its strictly-lower part.  This region-level
-    /// granularity reproduces the data-flow of the DPLASMA implementation: a
-    /// panel factorization kernel that only rewrites the `R` part
-    /// (diagonal + strictly-upper) of the pivot tile does not conflict with
-    /// update kernels that only read the Householder vectors stored in the
-    /// strictly-lower part, so panel and update kernels overlap exactly as
-    /// assumed by the critical-path formulas of Section IV (and dually for
-    /// the LQ kernels).  Tau vectors use a separate high-bit key space.
+    /// strictly-upper part and its strictly-lower part — and tau factors by
+    /// keys of a separate high-bit space.  UNMQR and UNMLQ read their
+    /// reflectors from the GEQRT/GELQT factor (the tau key), not from the
+    /// tile, so a TS/TT factorization rewriting the `R` part (diagonal +
+    /// strictly-upper) of the pivot tile does not conflict with them, and
+    /// panel and update kernels overlap exactly as assumed by the
+    /// critical-path formulas of Section IV (and dually for the LQ
+    /// kernels).  Yet any two operations that touch one tile, one of them
+    /// writing, are joined by a path of the graph these keys induce
+    /// (`bidiag-core`'s `tile_exclusivity` test), so no task ever waits for
+    /// a tile.
     pub fn accesses(&self, q: usize) -> Vec<(DataKey, AccessMode)> {
         use AccessMode::{Read, Write};
         // Diagonal, strictly-upper and strictly-lower regions of tile (r, c).
@@ -397,20 +392,18 @@ impl TileOp {
         let all =
             |r: usize, c: usize, m: AccessMode| vec![(dg(r, c), m), (up(r, c), m), (lo(r, c), m)];
         match *self {
-            TileOp::ZeroLower { i, j, whole } => {
-                if whole {
-                    all(i, j, Write)
-                } else {
-                    vec![(lo(i, j), Write)]
-                }
-            }
+            // Even the strictly-lower LASET owns its tile: R-BIDIAG's
+            // TS/TT pivot writes of the same step rewrite the other regions
+            // of that `Matrix`.
+            TileOp::ZeroLower { i, j, .. } => all(i, j, Write),
             TileOp::Geqrt { k, i } => {
                 let mut a = all(i, k, Write);
                 a.push((self.tau().0, Write));
                 a
             }
-            TileOp::Unmqr { k, i, j } => {
-                let mut a = vec![(lo(i, k), Read), (self.tau().0, Read)];
+            // The reflectors come with the GEQRT factor: no tile is read.
+            TileOp::Unmqr { i, j, .. } => {
+                let mut a = vec![(self.tau().0, Read)];
                 a.extend(all(i, j, Write));
                 a
             }
@@ -445,8 +438,8 @@ impl TileOp {
                 a.push((self.tau().0, Write));
                 a
             }
-            TileOp::Unmlq { k, j, i } => {
-                let mut a = vec![(up(k, j), Read), (self.tau().0, Read)];
+            TileOp::Unmlq { j, i, .. } => {
+                let mut a = vec![(self.tau().0, Read)];
                 a.extend(all(i, j, Write));
                 a
             }
@@ -481,11 +474,9 @@ impl TileOp {
 
     /// Execute the operation on the tiled matrix with the blocked
     /// compact-WY kernels.  `op_id` is this operation's index in the op
-    /// list `taus` was built for.  `_scratch` is unused — the kernels need
-    /// no scratch and exclusive tiles no snapshot buffer — and kept so that
-    /// existing callers compile.  Apply kernels borrow the reflector tile in
-    /// place (no clone) — the sequential driver has exclusive access to all
-    /// tiles.
+    /// list `taus` was built for.  `_scratch` is not read (see
+    /// [`KernelScratch`]).  TS/TT apply kernels borrow the reflector tile in
+    /// place — the sequential driver has exclusive access to all tiles.
     pub fn execute(
         &self,
         op_id: usize,
@@ -503,33 +494,21 @@ impl TileOp {
 
     /// Execute the operation against tiles shared behind per-tile locks
     /// (parallel back-end).  `tiles[r * q + c]` guards tile `(r, c)`;
-    /// `taus` is the pre-sized per-op tau table, `op_id` this operation's
-    /// index in the op list the table was built for, and `scratch` the
-    /// executing worker's private scratch.
+    /// `taus` is the pre-sized per-op tau table and `op_id` this
+    /// operation's index in the op list the table was built for.
     ///
-    /// The per-tile `RwLock`s are *not* redundant with the DAG: the
-    /// region-level dependency keys deliberately let two kernels touch
-    /// disjoint regions of the same tile concurrently (a panel kernel
-    /// rewriting the `R` part while an update kernel reads the Householder
-    /// vectors below the diagonal), so the lock arbitrates access to the
-    /// shared `Matrix` allocation in exactly those overlaps.
-    ///
-    /// Locking discipline (deadlock freedom): read-only operands are
-    /// snapshot into the worker's scratch buffer under a read lock that is
-    /// released immediately (no allocation in steady state — the buffer is
-    /// reused), and the (at most two) write locks are then acquired in
-    /// increasing tile-index order — which is guaranteed because the pivot
-    /// row/column of an elimination always precedes the eliminated one.
+    /// The task graph orders every two operations that touch one tile, one
+    /// of them writing (see [`accesses`](TileOp::accesses)), so a task
+    /// never waits for a lock: each one is only *tried*, and a lock found
+    /// taken is a hole in that ordering and panics, naming the operation.
     pub fn execute_shared(
         &self,
         op_id: usize,
         tiles: &[parking_lot::RwLock<Matrix>],
         q: usize,
         taus: &TauTable,
-        scratch: &mut KernelScratch,
     ) {
-        let vbuf = &mut scratch.vbuf;
-        self.run(op_id, &mut SharedTiles { tiles, q, vbuf }, taus);
+        self.run(op_id, &mut SharedTiles { tiles, q, op: self }, taus);
     }
 
     /// The op → kernel match of both back-ends, over whichever way `a`
@@ -537,8 +516,8 @@ impl TileOp {
     fn run<A: TileAccess>(&self, op_id: usize, a: &mut A, taus: &TauTable) {
         type PairKernel = fn(&mut Matrix, &mut Matrix, &Matrix, &TFactor);
         let put = |tf| taus.put(op_id, tf);
-        let apply = |a: &mut A, v, c, kernel: fn(&Matrix, &TFactor, &mut Matrix)| {
-            a.refl_one(v, c, |v, c| kernel(v, taus.get(op_id), c));
+        let apply = |a: &mut A, c, kernel: fn(&TFactor, &mut Matrix)| {
+            a.one(c, |c| kernel(taus.get(op_id), c));
         };
         let apply_pair = |a: &mut A, v, c1, c2, kernel: PairKernel| {
             a.refl_two(v, c1, c2, |v, c1, c2| kernel(c1, c2, v, taus.get(op_id)));
@@ -546,13 +525,13 @@ impl TileOp {
         match *self {
             TileOp::ZeroLower { i, j, whole } => a.one((i, j), |t| zero_lower(t, whole)),
             TileOp::Geqrt { k, i } => put(a.one((i, k), qr::geqrt)),
-            TileOp::Unmqr { k, i, j } => apply(a, (i, k), (i, j), qr::unmqr),
+            TileOp::Unmqr { i, j, .. } => apply(a, (i, j), qr::unmqr),
             TileOp::Tsqrt { k, piv, i } => put(a.two((piv, k), (i, k), qr::tsqrt)),
             TileOp::Tsmqr { k, piv, i, j } => apply_pair(a, (i, k), (piv, j), (i, j), qr::tsmqr),
             TileOp::Ttqrt { k, piv, i } => put(a.two((piv, k), (i, k), qr::ttqrt)),
             TileOp::Ttmqr { k, piv, i, j } => apply_pair(a, (i, k), (piv, j), (i, j), qr::ttmqr),
             TileOp::Gelqt { k, j } => put(a.one((k, j), lq::gelqt)),
-            TileOp::Unmlq { k, j, i } => apply(a, (k, j), (i, j), lq::unmlq),
+            TileOp::Unmlq { j, i, .. } => apply(a, (i, j), lq::unmlq),
             TileOp::Tslqt { k, piv, j } => put(a.two((k, piv), (k, j), lq::tslqt)),
             TileOp::Tsmlq { k, piv, j, i } => apply_pair(a, (k, j), (i, piv), (i, j), lq::tsmlq),
             TileOp::Ttlqt { k, piv, j } => put(a.two((k, piv), (k, j), lq::ttlqt)),
@@ -564,12 +543,11 @@ impl TileOp {
 /// Tile coordinates `(row, column)`.
 type Tile = (usize, usize);
 
-/// The four operand patterns of the tile kernels, as handed out by a
-/// back-end's tile store: one or two tiles written, with or without a
-/// reflector tile `v` that is only read.
+/// The three operand patterns of the tile kernels, as handed out by a
+/// back-end's tile store: one or two tiles written, the pair with or
+/// without a TS/TT reflector tile `v` that is only read.
 trait TileAccess {
     fn one<R>(&mut self, t: Tile, f: impl FnOnce(&mut Matrix) -> R) -> R;
-    fn refl_one(&mut self, v: Tile, c: Tile, f: impl FnOnce(&Matrix, &mut Matrix));
     fn two<R>(&mut self, a: Tile, b: Tile, f: impl FnOnce(&mut Matrix, &mut Matrix) -> R) -> R;
     fn refl_two(
         &mut self,
@@ -584,10 +562,6 @@ trait TileAccess {
 impl TileAccess for TiledMatrix {
     fn one<R>(&mut self, (i, j): Tile, f: impl FnOnce(&mut Matrix) -> R) -> R {
         f(self.tile_mut(i, j))
-    }
-    fn refl_one(&mut self, v: Tile, c: Tile, f: impl FnOnce(&Matrix, &mut Matrix)) {
-        let (v, c) = self.tile_and_tile_mut(v, c);
-        f(v, c)
     }
     fn two<R>(&mut self, a: Tile, b: Tile, f: impl FnOnce(&mut Matrix, &mut Matrix) -> R) -> R {
         let (a, b) = self.two_tiles_mut(a, b);
@@ -605,40 +579,44 @@ impl TileAccess for TiledMatrix {
     }
 }
 
-/// The parallel back-end's tiles: `tiles[r * q + c]` guards tile `(r, c)`,
-/// `vbuf` is the executing worker's snapshot buffer.  See
-/// [`TileOp::execute_shared`] for the locking discipline.
+/// The parallel back-end's tiles: `tiles[r * q + c]` guards tile `(r, c)`;
+/// `op` is the operation the tiles are handed to.  See
+/// [`TileOp::execute_shared`].
 struct SharedTiles<'a> {
     tiles: &'a [parking_lot::RwLock<Matrix>],
     q: usize,
-    vbuf: &'a mut Matrix,
+    op: &'a TileOp,
 }
 
 impl SharedTiles<'_> {
-    fn idx(&self, (r, c): Tile) -> usize {
-        r * self.q + c
+    fn lock(&self, (r, c): Tile) -> &parking_lot::RwLock<Matrix> {
+        &self.tiles[r * self.q + c]
     }
 
-    /// Write-lock two tiles, the lower tile index first.
-    fn write_pair(&self, a: Tile, b: Tile) -> [parking_lot::RwLockWriteGuard<'_, Matrix>; 2] {
-        debug_assert!(self.idx(a) < self.idx(b));
-        let ta = self.tiles[self.idx(a)].write();
-        let tb = self.tiles[self.idx(b)].write();
-        [ta, tb]
+    fn read(&self, t: Tile) -> parking_lot::RwLockReadGuard<'_, Matrix> {
+        let guard = self.lock(t).try_read();
+        guard.unwrap_or_else(|| self.unordered(t))
+    }
+
+    fn write(&self, t: Tile) -> parking_lot::RwLockWriteGuard<'_, Matrix> {
+        let guard = self.lock(t).try_write();
+        guard.unwrap_or_else(|| self.unordered(t))
+    }
+
+    fn unordered(&self, (r, c): Tile) -> ! {
+        panic!(
+            "{:?}: tile ({r}, {c}) is in use by a task the graph does not order against it",
+            self.op
+        )
     }
 }
 
 impl TileAccess for SharedTiles<'_> {
     fn one<R>(&mut self, t: Tile, f: impl FnOnce(&mut Matrix) -> R) -> R {
-        f(&mut self.tiles[self.idx(t)].write())
-    }
-    fn refl_one(&mut self, v: Tile, c: Tile, f: impl FnOnce(&Matrix, &mut Matrix)) {
-        self.vbuf.copy_from(&self.tiles[self.idx(v)].read());
-        f(self.vbuf, &mut self.tiles[self.idx(c)].write())
+        f(&mut self.write(t))
     }
     fn two<R>(&mut self, a: Tile, b: Tile, f: impl FnOnce(&mut Matrix, &mut Matrix) -> R) -> R {
-        let [mut ta, mut tb] = self.write_pair(a, b);
-        f(&mut ta, &mut tb)
+        f(&mut self.write(a), &mut self.write(b))
     }
     fn refl_two(
         &mut self,
@@ -647,9 +625,7 @@ impl TileAccess for SharedTiles<'_> {
         b: Tile,
         f: impl FnOnce(&Matrix, &mut Matrix, &mut Matrix),
     ) {
-        self.vbuf.copy_from(&self.tiles[self.idx(v)].read());
-        let [mut ta, mut tb] = self.write_pair(a, b);
-        f(self.vbuf, &mut ta, &mut tb)
+        f(&self.read(v), &mut self.write(a), &mut self.write(b))
     }
 }
 
@@ -716,44 +692,22 @@ mod tests {
 
     #[test]
     fn panel_and_update_kernels_do_not_conflict_on_region_keys() {
-        // UNMQR reads only the strictly-lower region of the pivot tile while
-        // TSQRT writes only its diagonal + strictly-upper regions: the two
-        // tasks must be independent so they can overlap (Section IV formulas).
-        let unmqr = TileOp::Unmqr { k: 0, i: 0, j: 2 };
-        let tsqrt = TileOp::Tsqrt { k: 0, piv: 0, i: 1 };
+        // UNMQR and UNMLQ take their reflectors from the GEQRT / GELQT factor
+        // and read no tile key at all, so the TS/TT factorizations that
+        // rewrite the pivot tile's triangle stay independent of them, as the
+        // Section IV formulas assume.
         let q = 4;
-        let unmqr_reads: Vec<u64> = unmqr
-            .accesses(q)
-            .iter()
-            .filter(|(k, m)| *m == AccessMode::Read && *k < (1 << 62))
-            .map(|(k, _)| *k)
-            .collect();
-        let tsqrt_writes: Vec<u64> = tsqrt
-            .accesses(q)
-            .iter()
-            .filter(|(k, m)| *m == AccessMode::Write && *k < (1 << 62))
-            .map(|(k, _)| *k)
-            .collect();
-        for r in &unmqr_reads {
-            assert!(!tsqrt_writes.contains(r), "false conflict on key {r}");
-        }
-        // Dual check for the LQ kernels.
-        let unmlq = TileOp::Unmlq { k: 0, j: 1, i: 2 };
-        let tslqt = TileOp::Tslqt { k: 0, piv: 1, j: 2 };
-        let unmlq_reads: Vec<u64> = unmlq
-            .accesses(q)
-            .iter()
-            .filter(|(k, m)| *m == AccessMode::Read && *k < (1 << 62))
-            .map(|(k, _)| *k)
-            .collect();
-        let tslqt_writes: Vec<u64> = tslqt
-            .accesses(q)
-            .iter()
-            .filter(|(k, m)| *m == AccessMode::Write && *k < (1 << 62))
-            .map(|(k, _)| *k)
-            .collect();
-        for r in &unmlq_reads {
-            assert!(!tslqt_writes.contains(r), "false LQ conflict on key {r}");
+        for op in [
+            TileOp::Unmqr { k: 0, i: 0, j: 2 },
+            TileOp::Unmlq { k: 0, j: 1, i: 2 },
+        ] {
+            let tile_reads: Vec<u64> = op
+                .accesses(q)
+                .iter()
+                .filter(|(k, m)| *m == AccessMode::Read && *k < (1 << 62))
+                .map(|(k, _)| *k)
+                .collect();
+            assert!(tile_reads.is_empty(), "{op:?} reads {tile_reads:?}");
         }
     }
 

@@ -9,7 +9,8 @@
 //! All six run on the right-sided chunk kernel of [`crate::wy`], with the
 //! rows of the matrix as the SIMD lanes.  The LQ kernels store reflector
 //! `k` as *row* `k` of a tile and differ only in the `Shape` of those rows:
-//! unit-upper trapezoid in the tile itself (GELQT/UNMLQ), full rows of the
+//! unit-upper trapezoid in the tile itself (GELQT/UNMLQ, which reads a copy
+//! of that tile from the factor GELQT returns), full rows of the
 //! second tile (TS), lower triangle of the second tile (TT).
 //!
 //! * The *factorizations* (`gelqt`/`tslqt`/`ttlqt`) factor an `IB`-row
@@ -35,7 +36,8 @@ use bidiag_matrix::Matrix;
 ///
 /// On exit the lower triangle of `a` (including the diagonal) holds `L` and
 /// the strictly upper part holds the Householder vectors stored row-wise.
-/// Returns the compact-WY [`TFactor`] consumed by [`unmlq`].
+/// Returns the compact-WY [`TFactor`] consumed by [`unmlq`], which carries
+/// a copy of the factored tile, so that the apply never reads `a` again.
 pub fn gelqt(a: &mut Matrix) -> TFactor {
     wy::factor_right(Shape::Trapezoid, None, a)
 }
@@ -44,15 +46,12 @@ pub fn gelqt(a: &mut Matrix) -> TFactor {
 /// from the right, `C <- C Q_lq^T`: the update of the LQ steps of the
 /// bidiagonalization.
 ///
-/// `v` is the factored tile (Householder vectors row-wise in its strictly
-/// upper part — its lower triangle, `L`, is never read), `tf` the factor
-/// returned by [`gelqt`].
-pub fn unmlq(v: &Matrix, tf: &TFactor, c: &mut Matrix) {
-    assert_eq!(v.cols(), c.cols(), "UNMLQ: V and C column mismatch");
-    assert!(
-        v.rows() >= tf.len(),
-        "UNMLQ: V has fewer rows than reflectors"
-    );
+/// `tf` is the factor returned by [`gelqt`]; the Householder vectors are
+/// read row-wise from the copy of the factored tile it carries (its
+/// strictly upper part — the lower triangle, `L`, is never read).
+pub fn unmlq(tf: &TFactor, c: &mut Matrix) {
+    let v = tf.reflectors();
+    assert_eq!(v.0.len(), v.1 * c.cols(), "UNMLQ: V and C column mismatch");
     wy::apply_right(Shape::Trapezoid, v, tf, None, c);
 }
 
@@ -77,7 +76,7 @@ pub fn tslqt(l1: &mut Matrix, a2: &mut Matrix) -> TFactor {
 /// (Table I weight 12).
 pub fn tsmlq(c1: &mut Matrix, c2: &mut Matrix, v2: &Matrix, tf: &TFactor) {
     check_pair("TSMLQ", c1, c2, v2, tf);
-    wy::apply_right(Shape::Square, v2, tf, Some(c1), c2);
+    wy::apply_right(Shape::Square, (v2.data(), v2.rows()), tf, Some(c1), c2);
 }
 
 /// TTLQT: LQ reduction of two lower triangles side by side.
@@ -99,7 +98,7 @@ pub fn ttlqt(l1: &mut Matrix, l2: &mut Matrix) -> TFactor {
 /// never read.
 pub fn ttmlq(c1: &mut Matrix, c2: &mut Matrix, v2: &Matrix, tf: &TFactor) {
     check_pair("TTMLQ", c1, c2, v2, tf);
-    wy::apply_right(Shape::Triangle, v2, tf, Some(c1), c2);
+    wy::apply_right(Shape::Triangle, (v2.data(), v2.rows()), tf, Some(c1), c2);
 }
 
 /// Operand shapes of TSMLQ / TTMLQ.
@@ -148,7 +147,7 @@ mod tests {
             let tf = gelqt(&mut a);
             let l = lower_triangle_of(&a);
             let mut qt = Matrix::identity(n);
-            unmlq(&a, &tf, &mut qt);
+            unmlq(&tf, &mut qt);
             assert!(orthogonality_error(&qt) < 1e-13, "{m}x{n}");
             assert!(relative_error(&l, &a0.matmul(&qt)) < 1e-13, "{m}x{n}");
         }
@@ -164,7 +163,7 @@ mod tests {
         let tf = gelqt(&mut a1);
         // A1 = L * Q  =>  A1 * Q^T = L.
         let mut l = a1_0.clone();
-        unmlq(&a1, &tf, &mut l);
+        unmlq(&tf, &mut l);
         for i in 0..nb {
             for j in (i + 1)..nb {
                 assert!(l.get(i, j).abs() < 1e-12, "L not lower triangular");

@@ -14,7 +14,8 @@
 //!
 //! The kernels are thin callers of one fused compact-WY chunk kernel
 //! ([`crate::wy`]): they differ only in the `Shape` of the stored reflector
-//! tails — unit-lower trapezoid in the tile itself (GEQRT / UNMQR), full
+//! tails — unit-lower trapezoid in the tile itself (GEQRT / UNMQR, which
+//! reads a copy of that tile from the factor GEQRT returns), full
 //! columns of the second tile (TS), upper triangle of the second tile
 //! (TT).  Factorizations are level 3: an `IB`-wide panel is factored
 //! unblocked on contiguous column slices, its block of the compact-WY `T`
@@ -41,8 +42,9 @@ use bidiag_matrix::Matrix;
 ///
 /// On exit the upper triangle of `a` holds `R` and the strictly lower part
 /// holds the Householder vectors (unit diagonal implicit).  Returns the
-/// [`TFactor`] (`tau` scalars + upper-triangular `T` blocks) consumed by
-/// [`unmqr`].
+/// [`TFactor`] consumed by [`unmqr`]: the `tau` scalars, the
+/// upper-triangular `T` blocks and a copy of the factored tile, so that
+/// the apply never reads `a` again.
 pub fn geqrt(a: &mut Matrix) -> TFactor {
     wy::factor(Shape::Trapezoid, None, a)
 }
@@ -51,11 +53,12 @@ pub fn geqrt(a: &mut Matrix) -> TFactor {
 /// from the left, `C <- Q^T C`, as the chunked compact-WY product
 /// `C -= V T^T (V^T C)`.
 ///
-/// `v` is the factored tile (Householder vectors in its strictly lower
-/// part — its upper triangle, `R`, is never read), `tf` the factor returned
-/// by [`geqrt`].
-pub fn unmqr(v: &Matrix, tf: &TFactor, c: &mut Matrix) {
-    assert_eq!(v.rows(), c.rows(), "UNMQR: V and C row mismatch");
+/// `tf` is the factor returned by [`geqrt`]; the Householder vectors are
+/// read from the copy of the factored tile it carries (its strictly lower
+/// part — the upper triangle, `R`, is never read).
+pub fn unmqr(tf: &TFactor, c: &mut Matrix) {
+    let v = tf.reflectors();
+    assert_eq!(v.1, c.rows(), "UNMQR: V and C row mismatch");
     wy::apply(Shape::Trapezoid, v, tf, None, c);
 }
 
@@ -84,7 +87,7 @@ pub fn tsmqr(a1: &mut Matrix, a2: &mut Matrix, v2: &Matrix, tf: &TFactor) {
         a1.rows() >= tf.len(),
         "TSMQR: A1 has fewer rows than reflectors"
     );
-    wy::apply(Shape::Square, v2, tf, Some(a1), a2);
+    wy::apply(Shape::Square, (v2.data(), v2.rows()), tf, Some(a1), a2);
 }
 
 /// TTQRT: QR of a triangle stacked on top of another triangle, with the
@@ -112,7 +115,7 @@ pub fn ttmqr(a1: &mut Matrix, a2: &mut Matrix, v2: &Matrix, tf: &TFactor) {
         a1.rows() >= tf.len(),
         "TTMQR: A1 has fewer rows than reflectors"
     );
-    wy::apply(Shape::Triangle, v2, tf, Some(a1), a2);
+    wy::apply(Shape::Triangle, (v2.data(), v2.rows()), tf, Some(a1), a2);
 }
 
 #[cfg(test)]
@@ -146,7 +149,7 @@ mod tests {
         let tf = geqrt(&mut a);
         let r = upper_triangle_of(&a);
         let mut qt = Matrix::identity(8);
-        unmqr(&a, &tf, &mut qt);
+        unmqr(&tf, &mut qt);
         assert!(orthogonality_error(&qt) < 1e-13);
         assert!(relative_error(&r, &qt.matmul(&a0)) < 1e-13);
     }

@@ -14,10 +14,11 @@
 //! `IB`, first to last; this module provides:
 //!
 //! * [`TFactor`] — the `tau` scalars plus the *`IB`-block-diagonal* of `T`
-//!   of one factorization kernel, stored compactly as an `IB x k` array in
-//!   one allocation (what the tau store keeps per factorization, and the
-//!   only allocation any kernel makes).  The apply kernels consume `T`
-//!   exclusively through its `IB x IB` diagonal blocks — chunking through
+//!   of one factorization kernel, stored compactly as an `IB x k` array,
+//!   and for GEQRT/GELQT a copy of the factored tile, in one allocation
+//!   (what the tau store keeps per factorization, and the only allocation
+//!   any kernel makes).  The apply kernels consume `T` exclusively
+//!   through its `IB x IB` diagonal blocks — chunking through
 //!   the diagonal blocks of a forward `larft` factor is an exact regrouping
 //!   of the reflector product — so the off-diagonal blocks are never
 //!   materialised and the `larft` recurrence runs chunk-locally.
@@ -117,6 +118,11 @@ fn chunks(k: usize) -> impl Iterator<Item = (usize, usize)> {
 // ---------------------------------------------------------------------------
 // The fused chunk kernel of the QR side (left side, reflectors as lanes)
 // ---------------------------------------------------------------------------
+
+/// A reflector tile as the applies read it: column-major data and its
+/// leading dimension (its row count).  A TS/TT tile in place, or the copy
+/// of a GEQRT/GELQT tile its [`TFactor`] carries.
+pub(crate) type Refl<'a> = (&'a [f64], usize);
 
 /// Which rows of the reflector tile hold the stored tail of reflector `k`
 /// — the only thing the six QR-side kernels differ in.  The LQ side stores
@@ -626,15 +632,16 @@ unsafe fn apply_chunk<S: SimdLane, const RV: usize, const NC: usize, const G: us
 unsafe fn apply_body<S: SimdLane, const RV: usize, const NC: usize, const G: usize>(
     s: S,
     shape: Shape,
-    v: &Matrix,
+    (v, ldv): Refl<'_>,
     tf: &TFactor,
     mut head: Option<&mut Matrix>,
     c: &mut Matrix,
 ) {
     let (m, n) = (c.rows(), c.cols());
+    debug_assert_eq!(ldv, m);
     let mut scratch = LeftScratch::new();
     for (p, ib) in chunks(tf.len()) {
-        let ch = Chunk::new(shape, v.data(), m, p, ib, tf.t_block_data(p));
+        let ch = Chunk::new(shape, v, m, p, ib, tf.t_block_data(p));
         let h = head.as_deref_mut().map(|h| {
             let ldh = h.rows();
             (h.data_mut(), ldh)
@@ -685,7 +692,7 @@ unsafe fn factor_body<S: SimdLane, const RV: usize, const NC: usize, const G: us
         None => (m.min(n), 0),
         Some(r1) => (n.min(r1.rows()), r1.rows()),
     };
-    let mut tf = TFactor::with_kmax(kmax);
+    let mut tf = TFactor::with_kmax(kmax, (shape == Shape::Trapezoid).then_some(&*a));
     for (p, ib) in chunks(kmax) {
         // Unblocked factorization of the panel `p..p+ib`.
         for k in p..p + ib {
@@ -754,6 +761,9 @@ unsafe fn factor_body<S: SimdLane, const RV: usize, const NC: usize, const G: us
                 apply_chunk::<S, RV, NC, G>(s, &ch, &mut scratch, h, trailing, m, n - p - ib)
             };
         }
+    }
+    if shape == Shape::Trapezoid {
+        tf.keep_reflectors(a);
     }
     tf
 }
@@ -1011,7 +1021,7 @@ unsafe fn right_chunk<S: SimdLane, const FULL: bool, const G: usize, const OWN: 
 unsafe fn apply_right_body<S: SimdLane, const G: usize>(
     s: S,
     shape: Shape,
-    v: &Matrix,
+    (v, ldv): Refl<'_>,
     tf: &TFactor,
     mut head: Option<&mut Matrix>,
     c: &mut Matrix,
@@ -1019,7 +1029,7 @@ unsafe fn apply_right_body<S: SimdLane, const G: usize>(
     let (r, n) = (c.rows(), c.cols());
     for (p, ib) in chunks(tf.len()) {
         let t = tf.t_block_data(p);
-        let ch = RowChunk::new(shape, v.data(), v.rows(), n, p, ib, t).reading(v.data());
+        let ch = RowChunk::new(shape, v, ldv, n, p, ib, t).reading(v);
         let h = head
             .as_deref_mut()
             .map(|h| &mut h.data_mut()[p * r..(p + ib) * r]);
@@ -1171,7 +1181,7 @@ unsafe fn factor_right_body<S: SimdLane, const RV: usize, const G: usize>(
 ) -> TFactor {
     let (m, n) = (a.rows(), a.cols());
     let kmax = l1.as_ref().map_or(n, |l1| l1.cols()).min(m);
-    let mut tf = TFactor::with_kmax(kmax);
+    let mut tf = TFactor::with_kmax(kmax, (shape == Shape::Trapezoid).then_some(&*a));
     for (p, ib) in chunks(kmax) {
         let pan = RowPanel { shape, m, n, p, ib };
         let (data, mut heads) = (a.data_mut(), l1.as_deref_mut().map(|l1| l1.data_mut()));
@@ -1247,6 +1257,9 @@ unsafe fn factor_right_body<S: SimdLane, const RV: usize, const G: usize>(
                 }
             }
         }
+    }
+    if shape == Shape::Trapezoid {
+        tf.keep_reflectors(a);
     }
     tf
 }
@@ -1376,7 +1389,7 @@ impl<K: ChunkCall> LaneKernel for Tuned<K> {
 /// The arguments of [`apply`] (`RIGHT = false`) or [`apply_right`].
 struct Apply<'a, const RIGHT: bool> {
     shape: Shape,
-    v: &'a Matrix,
+    v: Refl<'a>,
     tf: &'a TFactor,
     head: Option<&'a mut Matrix>,
     c: &'a mut Matrix,
@@ -1434,14 +1447,14 @@ impl<const RIGHT: bool> ChunkCall for Factor<'_, RIGHT> {
 }
 
 /// Apply the `tf.len()` reflectors of `shape` stored in `v` from the left:
-/// `Q^T` to `c` (as many rows as `v`) and, for the TS/TT shapes, to rows
+/// `Q^T` to `c` (as many rows as `v` has) and, for the TS/TT shapes, to rows
 /// `0..tf.len()` of the pivot tile `head` (as many columns as `c`; `None`
 /// exactly for the trapezoid).  The tile kernels of [`crate::qr`] check
 /// the operand shapes; a mismatch that got past them would panic in a
 /// slice index here.  One backend dispatch per call.
 pub(crate) fn apply(
     shape: Shape,
-    v: &Matrix,
+    v: Refl<'_>,
     tf: &TFactor,
     head: Option<&mut Matrix>,
     c: &mut Matrix,
@@ -1463,7 +1476,7 @@ pub(crate) fn apply(
 /// [`crate::lq`] check the operand shapes.  One backend dispatch per call.
 pub(crate) fn apply_right(
     shape: Shape,
-    v: &Matrix,
+    v: Refl<'_>,
     tf: &TFactor,
     head: Option<&mut Matrix>,
     c: &mut Matrix,
@@ -1510,7 +1523,8 @@ pub(crate) fn factor_right(shape: Shape, l1: Option<&mut Matrix>, a: &mut Matrix
 
 /// The compact-WY representation of one factorization kernel's reflectors:
 /// the `tau` scalars and the `IB`-block-diagonal of the upper-triangular
-/// `T` such that `H_0 ... H_{k-1} = I - V T V^T`.
+/// `T` such that `H_0 ... H_{k-1} = I - V T V^T` — and, for GEQRT and
+/// GELQT, `V` itself.
 ///
 /// Only the `IB x IB` diagonal blocks of `T` exist, side by side in an
 /// `IB x k` array ([`t_block`](TFactor::t_block)): because `T` is upper
@@ -1518,30 +1532,57 @@ pub(crate) fn factor_right(shape: Shape, l1: Option<&mut Matrix>, a: &mut Matrix
 /// columns `k0..k`, so each diagonal block equals the `larft` factor of
 /// its chunk's reflectors alone — exactly what the `IB`-chunked apply
 /// kernels consume.  Skipping the off-diagonal blocks turns the `O(k^2)`
-/// reflector-dot sweep per column into an `O(IB)` one, and keeps a factor
-/// at `(IB + 1) k` doubles in one allocation — the tau store holds one per
-/// factorization for the whole DAG.
+/// reflector-dot sweep per column into an `O(IB)` one.
+///
+/// GEQRT and GELQT store their reflectors in the tile whose other half the
+/// step's next TS/TT factorization rewrites, so their factor carries a copy
+/// of that tile, taken when the factorization ends, and UNMQR/UNMLQ read
+/// `V` from it: no apply reads a tile another task can be writing.  TS/TT
+/// reflectors stay in their tiles, which nothing writes while their
+/// applies run.  Copy, `tau`s and `T` blocks share one allocation (a
+/// one-column [`Matrix`]), the copy first, 64-byte aligned like its tile.
 ///
 /// `tau[i]` is the diagonal of `T`; the scalars are kept alongside so the
 /// unblocked reference kernels of `bidiag-oracles` can consume the same
 /// object.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TFactor {
-    /// `kmax` taus, then the `IB x kmax` block array (column `k` of `T`,
-    /// rows of its chunk, at `kmax + k * IB`).
-    data: Vec<f64>,
+    /// `refl` doubles of the reflector tile's copy (`refl_rows` rows,
+    /// column-major; none for TS/TT), `kmax` taus, then the `IB x kmax`
+    /// block array (column `k` of `T`, rows of its chunk, at `refl + kmax +
+    /// k * IB`).
+    buf: Matrix,
+    refl: usize,
+    refl_rows: usize,
     kmax: usize,
     len: usize,
 }
 
 impl TFactor {
-    /// An empty factor for up to `kmax` reflectors.
-    pub(crate) fn with_kmax(kmax: usize) -> Self {
+    /// An empty factor for up to `kmax` reflectors, with room for a copy of
+    /// `tile` when the reflectors are stored there (the trapezoid).
+    pub(crate) fn with_kmax(kmax: usize, tile: Option<&Matrix>) -> Self {
+        let (refl, refl_rows) = tile.map_or((0, 0), |t| (t.data().len(), t.rows()));
         TFactor {
-            data: vec![0.0; kmax * (IB + 1)],
+            buf: Matrix::zeros(refl + kmax * (IB + 1), 1),
+            refl,
+            refl_rows,
             kmax,
             len: 0,
         }
+    }
+
+    /// Copy the factored `tile` the reflectors are stored in into the room
+    /// [`with_kmax`](TFactor::with_kmax) made for it.
+    fn keep_reflectors(&mut self, tile: &Matrix) {
+        assert_eq!(self.refl_rows, tile.rows(), "no room for this tile");
+        self.buf.data_mut()[..self.refl].copy_from_slice(tile.data());
+    }
+
+    /// The copy of the factored tile (column-major) and its row count: the
+    /// `V` of UNMQR and UNMLQ.
+    pub(crate) fn reflectors(&self) -> Refl<'_> {
+        (&self.buf.data()[..self.refl], self.refl_rows)
     }
 
     /// Number of reflectors.
@@ -1556,7 +1597,7 @@ impl TFactor {
 
     /// The `tau` scalars (diagonal of `T`).
     pub fn taus(&self) -> &[f64] {
-        &self.data[..self.len]
+        &self.buf.data()[self.refl..][..self.len]
     }
 
     /// The upper-triangular diagonal block of `T` of the chunk starting at
@@ -1574,7 +1615,8 @@ impl TFactor {
             p.is_multiple_of(IB) && p < self.len,
             "no T block starts at {p}"
         );
-        &self.data[self.kmax + p * IB..self.kmax + IB * self.len.min(p + IB)]
+        let t0 = self.refl + self.kmax;
+        &self.buf.data()[t0 + p * IB..t0 + IB * self.len.min(p + IB)]
     }
 
     /// Append a reflector: its `tau` and the dot products
@@ -1591,7 +1633,8 @@ impl TFactor {
         assert!(k < self.kmax, "TFactor is full");
         let kl = k % IB;
         assert_eq!(vdots.len(), kl);
-        let (earlier, tcol) = self.data[self.kmax + (k - kl) * IB..].split_at_mut(kl * IB);
+        let (taus, blocks) = self.buf.data_mut()[self.refl..].split_at_mut(self.kmax);
+        let (earlier, tcol) = blocks[(k - kl) * IB..].split_at_mut(kl * IB);
         let tcol = &mut tcol[..IB];
         tcol[..kl].fill(0.0);
         for (c, &vd) in vdots.iter().enumerate() {
@@ -1604,7 +1647,7 @@ impl TFactor {
             }
         }
         tcol[kl] = tau;
-        self.data[k] = tau;
+        taus[k] = tau;
         self.len += 1;
     }
 }
@@ -1645,7 +1688,7 @@ mod tests {
     /// only read it, so nothing has to be orthogonal for a bitwise check.
     fn random_t(k: usize, seed: u64) -> TFactor {
         let x = random_gaussian(IB + 1, k.max(1), seed);
-        let mut tf = TFactor::with_kmax(k);
+        let mut tf = TFactor::with_kmax(k, None);
         for kk in 0..k {
             tf.append(x.get(IB, kk), &x.col(kk)[..kk % IB]);
         }
@@ -1669,6 +1712,7 @@ mod tests {
         c: &Matrix,
     ) -> (Vec<u64>, Option<Vec<u64>>) {
         let (mut head, mut c) = (head.cloned(), c.clone());
+        let v = (v.data(), v.rows());
         // SAFETY: the caller upholds the lane's ISA contract.
         unsafe { apply_body::<S, RV, NC, G>(s, shape, v, tf, head.as_mut(), &mut c) };
         (bits(&c), head.as_ref().map(bits))
@@ -1688,6 +1732,7 @@ mod tests {
         c: &Matrix,
     ) -> (Vec<u64>, Option<Vec<u64>>) {
         let (mut head, mut c) = (head.cloned(), c.clone());
+        let v = (v.data(), v.rows());
         // SAFETY: the caller upholds the lane's ISA contract.
         unsafe { apply_right_body::<S, G>(s, shape, v, tf, head.as_mut(), &mut c) };
         (bits(&c), head.as_ref().map(bits))
@@ -1839,7 +1884,7 @@ mod tests {
             std::cmp::Ordering::Less => 0.0,
         });
         let (tau0, tau1) = (0.7, 1.2);
-        let mut tf = TFactor::with_kmax(2);
+        let mut tf = TFactor::with_kmax(2, None);
         tf.append(tau0, &[]);
         tf.append(tau1, &[fdot(vm.col(0), vm.col(1))]);
         assert_eq!(tf.taus(), &[tau0, tau1]);
@@ -1891,7 +1936,7 @@ mod tests {
             tfull.set(kk, kk, tau);
         }
 
-        let mut tf = TFactor::with_kmax(k);
+        let mut tf = TFactor::with_kmax(k, None);
         for (kk, &tau) in taus.iter().enumerate() {
             let vd: Vec<f64> = (kk - kk % IB..kk).map(|l| vdot(l, kk)).collect();
             tf.append(tau, &vd);

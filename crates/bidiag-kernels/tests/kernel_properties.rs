@@ -155,7 +155,7 @@ fn blocked_geqrt_and_unmqr_match_unblocked() {
             for nc in [1usize, nb, nb + 3] {
                 let c0 = random_gaussian(m, nc, (m * 7 + nc) as u64);
                 let mut cb = c0.clone();
-                unmqr(&ab, &tf, &mut cb);
+                unmqr(&tf, &mut cb);
                 let mut cu = c0.clone();
                 unmqr_unblocked(&au, &taus, &mut cu);
                 assert!(
@@ -304,7 +304,7 @@ fn qr_side_kernels_match_unblocked_on_ragged_shapes() {
                 unmqr_unblocked(&vu, &taus, &mut cu);
                 check_on_backends(&format!("UNMQR {what}"), &[&cu], || {
                     let mut c = c0.clone();
-                    unmqr(&vb, &tf, &mut c);
+                    unmqr(&tf, &mut c);
                     vec![c]
                 });
                 let (mut h, mut c) = (h0.clone(), c0.clone());
@@ -360,7 +360,7 @@ fn lq_side_applies_match_unblocked_on_ragged_shapes() {
                 unmlq_unblocked(&vu, &taus, &mut cu);
                 check_on_backends(&format!("UNMLQ {what}"), &[&cu], || {
                     let mut c = c0.clone();
-                    unmlq(&vb, &tf, &mut c);
+                    unmlq(&tf, &mut c);
                     vec![c]
                 });
                 let (mut h, mut c) = (h0.clone(), c0.clone());
@@ -491,9 +491,11 @@ fn never_read_parts_of_the_reflector_tile_may_hold_nan() {
 
 fn nan_poisoned_tiles_give_identical_output() {
     // The strictly lower part of a TTMQR `v2` tile holds an earlier GEQRT's
-    // vectors, the upper triangle of an UNMQR `v` tile holds `R`: neither
-    // belongs to the reflectors, so NaNs there must not reach the output.
-    // Likewise for the transposed storage of the LQ side.
+    // vectors: they do not belong to the reflectors, so NaNs there must not
+    // reach the output.  UNMQR reads no tile at all: its reflectors travel
+    // in the GEQRT factor, so a tile poisoned whole after the factorization
+    // leaves its output alone.  Likewise for the transposed storage of the
+    // LQ side.
     for &(m, k) in &[
         (5usize, 7usize),
         (8, 8),
@@ -503,22 +505,32 @@ fn nan_poisoned_tiles_give_identical_output() {
         (9, 15),
     ] {
         let kk = m.min(k);
+        let ns = [1usize, 4, 7, 64];
         let mut v = random_gaussian(m, k, 7);
         let tf = geqrt(&mut v);
-        let poisoned_v = Matrix::from_fn(m, k, |i, j| if i <= j { f64::NAN } else { v.get(i, j) });
+        let cleans: Vec<Matrix> = ns
+            .iter()
+            .map(|&n| {
+                let mut c = random_gaussian(m, n, 10);
+                unmqr(&tf, &mut c);
+                c
+            })
+            .collect();
+        v.data_mut().fill(f64::NAN);
         let mut r1 = upper_triangle_of(&random_gaussian(k, k, 8));
         let mut v2 = upper_triangle_of(&random_gaussian(m, k, 9));
         let tt_tf = ttqrt(&mut r1, &mut v2);
         let poisoned_v2 = Matrix::from_fn(m, k, |i, j| if i > j { f64::NAN } else { v2.get(i, j) });
-        for n in [1usize, 4, 7, 64] {
+        for (&n, clean) in ns.iter().zip(&cleans) {
             let c0 = random_gaussian(m, n, 10);
             let h0 = random_gaussian(k, n, 11);
-            let mut clean = c0.clone();
-            unmqr(&v, &tf, &mut clean);
             let mut c = c0.clone();
-            unmqr(&poisoned_v, &tf, &mut c);
+            unmqr(&tf, &mut c);
             assert!(c.data().iter().all(|x| x.is_finite()));
-            assert_eq!(c, clean, "UNMQR read R, {m}x{k} ({kk} reflectors) n={n}");
+            assert_eq!(
+                &c, clean,
+                "UNMQR read its tile, {m}x{k} ({kk} reflectors) n={n}"
+            );
 
             let (mut h_clean, mut c_clean) = (h0.clone(), c0.clone());
             ttmqr(&mut h_clean, &mut c_clean, &v2, &tt_tf);
@@ -531,26 +543,33 @@ fn nan_poisoned_tiles_give_identical_output() {
             );
         }
 
-        // The LQ side stores the transposes: the lower triangle of an UNMLQ
-        // `v` tile (diagonal included) holds `L`, the strictly upper part
-        // of a TTMLQ `v2` tile an earlier GELQT's vectors.
+        // The LQ side stores the transposes: the strictly upper part of a
+        // TTMLQ `v2` tile holds an earlier GELQT's vectors, and UNMLQ reads
+        // its reflectors from the GELQT factor.
         let n = m;
+        let rs = [1usize, 4, 7, 64];
         let mut v = random_gaussian(k, n, 12);
         let tf = gelqt(&mut v);
-        let poisoned_v = Matrix::from_fn(k, n, |i, j| if i >= j { f64::NAN } else { v.get(i, j) });
+        let cleans: Vec<Matrix> = rs
+            .iter()
+            .map(|&r| {
+                let mut c = random_gaussian(r, n, 15);
+                unmlq(&tf, &mut c);
+                c
+            })
+            .collect();
+        v.data_mut().fill(f64::NAN);
         let mut l1 = lower_triangle_of(&random_gaussian(k, k, 13));
         let mut v2 = lower_triangle_of(&random_gaussian(k, n, 14));
         let tt_tf = ttlqt(&mut l1, &mut v2);
         let poisoned_v2 = Matrix::from_fn(k, n, |i, j| if i < j { f64::NAN } else { v2.get(i, j) });
-        for r in [1usize, 4, 7, 64] {
+        for (&r, clean) in rs.iter().zip(&cleans) {
             let c0 = random_gaussian(r, n, 15);
             let h0 = random_gaussian(r, k, 16);
-            let mut clean = c0.clone();
-            unmlq(&v, &tf, &mut clean);
             let mut c = c0.clone();
-            unmlq(&poisoned_v, &tf, &mut c);
+            unmlq(&tf, &mut c);
             assert!(c.data().iter().all(|x| x.is_finite()));
-            assert_eq!(c, clean, "UNMLQ read L, {k}x{n} r={r}");
+            assert_eq!(&c, clean, "UNMLQ read its tile, {k}x{n} r={r}");
 
             let (mut h_clean, mut c_clean) = (h0.clone(), c0.clone());
             ttmlq(&mut h_clean, &mut c_clean, &v2, &tt_tf);
@@ -569,7 +588,7 @@ fn nan_poisoned_tiles_give_identical_output() {
 fn factorizations_neither_read_nor_write_outside_their_regions() {
     // `TileOp::accesses` gives a TS/TT factorization the pivot tile's
     // triangle only — the other side holds an earlier GEQRT's / GELQT's
-    // reflectors, which the apply kernels of that step read concurrently —
+    // reflectors, whose region key the factorization must leave alone —
     // and TTQRT / TTLQT the triangle of the second tile only.  NaNs there
     // must neither reach the outputs nor lose a bit; GEQRT / GELQT own their
     // whole tile.  Bitwise, so each backend is forced for the comparison.
@@ -765,7 +784,7 @@ fn blocked_lq_kernels_match_unblocked() {
             for rc in [1usize, nb] {
                 let c0 = random_gaussian(rc, n, (rc * 3 + n) as u64);
                 let mut cb = c0.clone();
-                unmlq(&ab, &tf, &mut cb);
+                unmlq(&tf, &mut cb);
                 let mut cu = c0.clone();
                 unmlq_unblocked(&au, &taus, &mut cu);
                 assert!(
@@ -900,7 +919,7 @@ proptest! {
 
         let c0 = random_gaussian(m, n, seed + 1);
         let (mut cb, mut cu) = (c0.clone(), c0);
-        unmqr(&ab, &tf, &mut cb);
+        unmqr(&tf, &mut cb);
         unmqr_unblocked(&au, &taus, &mut cu);
         prop_assert!(relative_error(&cu, &cb) < 1e-12);
     }

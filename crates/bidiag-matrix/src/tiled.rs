@@ -142,22 +142,6 @@ impl TiledMatrix {
         }
     }
 
-    /// Borrow tile `r` immutably together with a distinct tile `w` mutably
-    /// (the shape of an apply kernel: read the reflectors, update a tile).
-    pub fn tile_and_tile_mut(
-        &mut self,
-        r: (usize, usize),
-        w: (usize, usize),
-    ) -> (&Matrix, &mut Matrix) {
-        let ir = r.1 * self.p + r.0;
-        let iw = w.1 * self.p + w.0;
-        let [tr, tw] = self
-            .tiles
-            .get_disjoint_mut([ir, iw])
-            .expect("tile_and_tile_mut requires distinct tiles");
-        (&*tr, tw)
-    }
-
     /// Borrow tile `r` immutably together with two distinct tiles `w1`,
     /// `w2` mutably (the shape of a pair-update kernel: read the
     /// reflectors, update the pivot and target tiles).

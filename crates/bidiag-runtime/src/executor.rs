@@ -59,32 +59,15 @@ pub type TaskBody = Box<dyn FnOnce() + Send>;
 /// assert_eq!(cell.load(Ordering::SeqCst), 42);
 /// ```
 pub fn execute_parallel(graph: &TaskGraph, bodies: Vec<TaskBody>, threads: usize) {
-    let bodies: Vec<TaskBodyWith<()>> = bodies
-        .into_iter()
-        .map(|b| Box::new(move |_: &mut ()| b()) as TaskBodyWith<()>)
-        .collect();
-    execute_parallel_with(graph, bodies, threads, || ());
-}
-
-/// Like [`execute_parallel`], but every worker thread owns a private
-/// scratch value created by `init` and passes it to each body it runs.
-///
-/// This is the entry point of the blocked-kernel data plane: `bidiag-core`
-/// hands a `KernelScratch`-producing `init` here, so the tile kernels a
-/// worker executes share one operand snapshot buffer instead of
-/// reallocating it per task.  `init` runs once per worker, on that worker's
-/// thread.
-pub fn execute_parallel_with<S: Send + 'static>(
-    graph: &TaskGraph,
-    bodies: Vec<TaskBodyWith<S>>,
-    threads: usize,
-    init: impl Fn() -> S + Send + Sync + 'static,
-) {
     assert_eq!(bodies.len(), graph.len(), "one body per task is required");
     if graph.is_empty() {
         return;
     }
-    let pool = TaskPool::new(threads.clamp(1, graph.len()), init);
+    let bodies: Vec<TaskBodyWith<()>> = bodies
+        .into_iter()
+        .map(|b| Box::new(move |_: &mut ()| b()) as TaskBodyWith<()>)
+        .collect();
+    let pool = TaskPool::new(threads.clamp(1, graph.len()), || ());
     let outcome = pool
         .submit_ref(graph, bodies, true)
         .expect("a pool nobody closed admits")

@@ -43,7 +43,7 @@ pub mod pool;
 pub mod sim;
 pub mod trace;
 
-pub use executor::{execute_parallel, execute_parallel_with, execute_sequential, TaskBody};
+pub use executor::{execute_parallel, execute_sequential, TaskBody};
 pub use graph::{AccessMode, DataKey, TaskGraph, TaskId, TaskNode};
 pub use pool::{JobError, JobTicket, PoolConfig, SubmitError, TaskBodyWith, TaskPool, GANG};
 pub use sim::{simulate, MachineModel, SimResult};

@@ -49,8 +49,8 @@
 //! * **Per-worker, per-lifetime scratch.**  Each worker owns one scratch
 //!   value created by the pool's `init` closure at spawn time and lends it
 //!   to every body it ever runs, across all submissions — this is how the
-//!   blocked tile kernels run allocation-free, and allocation reuse spans
-//!   the pool's lifetime, not a single graph.
+//!   session's direct-path gangs run allocation-free, and allocation reuse
+//!   spans the pool's lifetime, not a single graph.
 //! * **Bounded admission with backpressure.**  A pool built with
 //!   [`TaskPool::with_config`] caps the number of submissions in flight:
 //!   [`TaskPool::submit`] parks the *caller* on a condition variable until
