@@ -198,8 +198,9 @@ pub(crate) fn ge2val_parallel(a: &Matrix, opts: &Ge2Options) -> Vec<f64> {
 }
 
 /// Blocked GE2VAL of a non-empty `a` on the calling thread: GE2BND through
-/// [`execute_sequential`] on the exclusive tiles (no tile locks), then what [`lower_ge2val`]'s tail tasks run.  Traced, its
-/// phases are caller-thread spans of one submission, of kind
+/// [`execute_sequential`] on the exclusive tiles (no tile locks), then what
+/// [`lower_ge2val`]'s tail tasks run.  Traced, its phases are caller-thread
+/// spans of one submission, of kind
 /// [`KIND_STAGE_GE2BND`](obs::KIND_STAGE_GE2BND) and the tail tasks' kinds.
 pub(crate) fn ge2val_sequential(a: &Matrix, opts: &Ge2Options) -> Vec<f64> {
     let run = obs::enabled().then(obs::next_submission_id).unwrap_or(0);

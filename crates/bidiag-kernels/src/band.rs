@@ -308,18 +308,14 @@ impl LaneKernel for Chase<'_> {
 
     #[inline(always)]
     fn run<S: SimdLane>(self, s: S) {
-        // SAFETY: the token `s` proves its lane's ISA.
-        unsafe { chase_body(s, self.0) }
+        chase_body(s, self.0)
     }
 }
 
 /// Lane-generic body of [`BandMatrix::reduce_to_bidiagonal`]: every
 /// block-step of [`chase_steps`] on the prescaled band.
-///
-/// # Safety
-/// The lane's ISA contract (see [`SimdLane`]).
 #[inline(always)]
-unsafe fn chase_body<S: SimdLane>(s: S, band: &mut BandMatrix) {
+fn chase_body<S: SimdLane>(s: S, band: &mut BandMatrix) {
     let (n, bw, stride) = (band.n, band.bw, band.ldab - 1);
     let mut v = vec![0.0f64; bw];
     for (sweep, step) in chase_steps(n, bw) {
@@ -335,14 +331,12 @@ unsafe fn chase_body<S: SimdLane>(s: S, band: &mut BandMatrix) {
         for (vj, x) in v.iter_mut().zip(entries) {
             *vj = std::mem::replace(x, 0.0);
         }
-        // SAFETY: the caller upholds the lane's ISA contract.
-        let r = unsafe { reflector(s, v) };
+        let r = reflector(s, v);
         band.data[at] = r.beta;
         if r.tau != 0.0 {
             let m = c1 - row;
             let blk = &mut band.data[at + 1..at + 1 + (c1 - c0) * stride + m];
-            // SAFETY: the caller upholds the lane's ISA contract.
-            unsafe { right_apply(s, blk, stride, m, v, r.tau) };
+            right_apply(s, blk, stride, m, v, r.tau);
         }
 
         // Left reflector: column c0 over rows c0..=c1 (one segment),
@@ -351,13 +345,11 @@ unsafe fn chase_body<S: SimdLane>(s: S, band: &mut BandMatrix) {
         let col = &mut band.data[at..at + v.len()];
         v.copy_from_slice(col);
         col.fill(0.0);
-        // SAFETY: the caller upholds the lane's ISA contract.
-        let r = unsafe { reflector(s, v) };
+        let r = reflector(s, v);
         band.data[at] = r.beta;
         if r.tau != 0.0 {
             let (right, ncols) = (&mut band.data[at + stride..], (c1 + bw).min(n - 1) - c0);
-            // SAFETY: the caller upholds the lane's ISA contract.
-            unsafe { left_apply(s, right, stride, ncols, v, r.tau) };
+            left_apply(s, right, stride, ncols, v, r.tau);
         }
     }
 }

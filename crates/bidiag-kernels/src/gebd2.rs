@@ -130,18 +130,14 @@ impl LaneKernel for Gebd2<'_> {
     #[inline(always)]
     fn run<S: SimdLane>(self, s: S) {
         let Gebd2 { a, m, row, out } = self;
-        // SAFETY: the token `s` proves its lane's ISA.
-        unsafe { gebd2_body(s, a, m, row, out) }
+        gebd2_body(s, a, m, row, out)
     }
 }
 
 /// Lane-generic body of [`gebd2_with`]: prescale, then the steps of the
 /// module docs, scaling each bidiagonal entry back as it is stored.
-///
-/// # Safety
-/// The lane's ISA contract (see [`SimdLane`]).
 #[inline(always)]
-unsafe fn gebd2_body<S: SimdLane>(
+fn gebd2_body<S: SimdLane>(
     s: S,
     a: &mut [f64],
     m: usize,
@@ -157,22 +153,18 @@ unsafe fn gebd2_body<S: SimdLane>(
     for k in 0..n {
         let (head, trail) = a.split_at_mut((k + 1) * m);
         let col = &mut head[k * m + k..];
-        // SAFETY: the caller upholds the lane's ISA contract.
-        let r = unsafe { reflector(s, col) };
+        let r = reflector(s, col);
         if r.tau != 0.0 && k + 1 < n {
-            // SAFETY: the caller upholds the lane's ISA contract.
-            unsafe { left_apply(s, &mut trail[k..], m, n - k - 1, col, r.tau) };
+            left_apply(s, &mut trail[k..], m, n - k - 1, col, r.tau);
         }
         col[0] = r.beta * unscale;
         out.diag.push(col[0]);
         if k + 1 < n {
             row.clear();
             row.extend(trail[k..].iter().step_by(m));
-            // SAFETY: the caller upholds the lane's ISA contract.
-            let r = unsafe { reflector(s, row) };
+            let r = reflector(s, row);
             if r.tau != 0.0 {
-                // SAFETY: the caller upholds the lane's ISA contract.
-                unsafe { right_apply(s, &mut trail[k + 1..], m, m - k - 1, row, r.tau) };
+                right_apply(s, &mut trail[k + 1..], m, m - k - 1, row, r.tau);
             }
             row[0] = r.beta * unscale;
             let row_k = trail[k..].iter_mut().step_by(m);

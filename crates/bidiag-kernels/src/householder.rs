@@ -99,14 +99,10 @@ pub(crate) fn prescale(amax: f64) -> (f64, f64) {
 /// Turn `v = (alpha, x)` into the Householder vector `(1, x / (alpha -
 /// beta))` of the reflector that maps it to `(beta, 0, ..., 0)`; a
 /// negligible `x` (see [`NEGLIGIBLE_SS`]) gives the identity, `tau == 0`.
-///
-/// # Safety
-/// The lane's ISA contract (see [`SimdLane`]).
 #[inline(always)]
-pub(crate) unsafe fn reflector<S: SimdLane>(s: S, v: &mut [f64]) -> Reflector {
+pub(crate) fn reflector<S: SimdLane>(s: S, v: &mut [f64]) -> Reflector {
     let (alpha, x) = v.split_first_mut().expect("a reflector has a head");
-    // SAFETY: the caller upholds the lane's ISA contract.
-    let ss = unsafe { simd::dot_body(s, x, x) };
+    let ss = simd::dot_body(s, x, x);
     let r = if ss < NEGLIGIBLE_SS {
         Reflector {
             tau: 0.0,
@@ -123,12 +119,9 @@ pub(crate) unsafe fn reflector<S: SimdLane>(s: S, v: &mut [f64]) -> Reflector {
 /// segments `blk[jj * ld ..]`, `jj < v.len()`, in `R` registers of rows the
 /// last of which holds `rows - (R - 1) * LANES` live ones: the registers of
 /// `w = C v` are accumulated over one pass and subtracted in a second.
-///
-/// # Safety
-/// The lane's ISA contract (see [`SimdLane`]) and
-/// `(R - 1) * LANES < rows <= R * LANES`.
+/// Panics unless `(R - 1) * LANES < rows <= R * LANES`.
 #[inline(always)]
-unsafe fn right_rows<S: SimdLane, const R: usize>(
+fn right_rows<S: SimdLane, const R: usize>(
     s: S,
     blk: &mut [f64],
     ld: usize,
@@ -139,34 +132,26 @@ unsafe fn right_rows<S: SimdLane, const R: usize>(
 ) {
     let (last, k) = ((R - 1) * S::LANES, rows - (R - 1) * S::LANES);
     debug_assert!((1..=S::LANES).contains(&k));
-    // SAFETY: for the whole body, the caller upholds the lane's ISA
-    // contract; every segment is sliced to exactly `rows` elements, each
-    // `load`/`store` is at `r * LANES` with `r < R - 1`, so it ends at or
-    // before `last < rows`, and the masked pair is at `last` with
-    // `1 <= k <= LANES` by the caller's bound on `rows` and
-    // `last + k == rows`.
-    unsafe {
-        let mut w = [s.zero(); R];
-        for (jj, &vj) in v.iter().enumerate() {
-            let (seg, vj) = (&blk[jj * ld + i0..][..rows], s.splat(vj));
-            for (r, wr) in w[..R - 1].iter_mut().enumerate() {
-                *wr = s.mul_add(s.load(seg, r * S::LANES), vj, *wr);
-            }
-            w[R - 1] = s.mul_add(s.load_head(seg, last, k), vj, w[R - 1]);
+    let mut w = [s.zero(); R];
+    for (jj, &vj) in v.iter().enumerate() {
+        let (seg, vj) = (&blk[jj * ld + i0..][..rows], s.splat(vj));
+        for (r, wr) in w[..R - 1].iter_mut().enumerate() {
+            *wr = s.mul_add(s.load(seg, r * S::LANES), vj, *wr);
         }
-        let minus_tau = s.splat(-tau);
-        for wr in w.iter_mut() {
-            *wr = s.mul(*wr, minus_tau);
+        w[R - 1] = s.mul_add(s.load_head(seg, last, k), vj, w[R - 1]);
+    }
+    let minus_tau = s.splat(-tau);
+    for wr in w.iter_mut() {
+        *wr = s.mul(*wr, minus_tau);
+    }
+    for (jj, &vj) in v.iter().enumerate() {
+        let (seg, vj) = (&mut blk[jj * ld + i0..][..rows], s.splat(vj));
+        for (r, &wr) in w[..R - 1].iter().enumerate() {
+            let c = s.mul_add(wr, vj, s.load(seg, r * S::LANES));
+            s.store(seg, r * S::LANES, c);
         }
-        for (jj, &vj) in v.iter().enumerate() {
-            let (seg, vj) = (&mut blk[jj * ld + i0..][..rows], s.splat(vj));
-            for (r, &wr) in w[..R - 1].iter().enumerate() {
-                let c = s.mul_add(wr, vj, s.load(seg, r * S::LANES));
-                s.store(seg, r * S::LANES, c);
-            }
-            let c = s.mul_add(w[R - 1], vj, s.load_head(seg, last, k));
-            s.store_head(seg, last, k, c);
-        }
+        let c = s.mul_add(w[R - 1], vj, s.load_head(seg, last, k));
+        s.store_head(seg, last, k, c);
     }
 }
 
@@ -186,11 +171,8 @@ macro_rules! with_regs {
 /// eight registers, the last chunk in as many registers as the rows left
 /// over need, its last register masked — every row is fused, and a tail
 /// costs what a chunk of its register count costs.
-///
-/// # Safety
-/// The lane's ISA contract (see [`SimdLane`]).
 #[inline(always)]
-pub(crate) unsafe fn right_apply<S: SimdLane>(
+pub(crate) fn right_apply<S: SimdLane>(
     s: S,
     blk: &mut [f64],
     ld: usize,
@@ -200,17 +182,12 @@ pub(crate) unsafe fn right_apply<S: SimdLane>(
 ) {
     for i0 in (0..m).step_by(8 * S::LANES) {
         let rows = (m - i0).min(8 * S::LANES);
-        // SAFETY: the caller upholds the lane's ISA contract, and
-        // `1 <= rows <= 8 * LANES` is covered by `ceil(rows / LANES)`
-        // registers, the last one not empty.
-        unsafe {
-            with_regs!(
-                rows.div_ceil(S::LANES),
-                right_rows(s, blk, ld, i0, rows, v, tau),
-                [1 2 3 4 5 6 7 8],
-                unreachable!("a chunk is at most eight registers")
-            )
-        }
+        with_regs!(
+            rows.div_ceil(S::LANES),
+            right_rows(s, blk, ld, i0, rows, v, tau),
+            [1 2 3 4 5 6 7 8],
+            unreachable!("a chunk is at most eight registers")
+        )
     }
 }
 
@@ -219,13 +196,10 @@ pub(crate) unsafe fn right_apply<S: SimdLane>(
 /// each column once — multiplied, reduced, updated and stored from
 /// registers.  The sum runs in [`simd::dot_body`]'s order and the update is
 /// [`simd::axpy_body`]'s expression, so where `v` fills its registers (on
-/// the scalar lane: always) the result is bitwise the fallback's.
-///
-/// # Safety
-/// The lane's ISA contract (see [`SimdLane`]) and
-/// `(NV - 1) * LANES < v.len() <= NV * LANES`.
+/// the scalar lane: always) the result is bitwise the fallback's.  Panics
+/// unless `(NV - 1) * LANES < v.len() <= NV * LANES`.
 #[inline(always)]
-unsafe fn left_cols<S: SimdLane, const NV: usize>(
+fn left_cols<S: SimdLane, const NV: usize>(
     s: S,
     blk: &mut [f64],
     ld: usize,
@@ -236,40 +210,32 @@ unsafe fn left_cols<S: SimdLane, const NV: usize>(
     let (len, last) = (v.len(), (NV - 1) * S::LANES);
     let k = len - last;
     debug_assert!((1..=S::LANES).contains(&k));
-    // SAFETY: for the whole body, the caller upholds the lane's ISA
-    // contract; `v` and every column segment have exactly `len` elements,
-    // each `load`/`store` is at `r * LANES` with `r < NV - 1`, so it ends at
-    // or before `last < len`, and the masked ones are at `last` with
-    // `1 <= k <= LANES` by the caller's bound on `v.len()` and
-    // `last + k == len`.
-    unsafe {
-        let mut vr = [s.zero(); NV];
-        for (r, x) in vr[..NV - 1].iter_mut().enumerate() {
-            *x = s.load(v, r * S::LANES);
+    let mut vr = [s.zero(); NV];
+    for (r, x) in vr[..NV - 1].iter_mut().enumerate() {
+        *x = s.load(v, r * S::LANES);
+    }
+    vr[NV - 1] = s.load_head(v, last, k);
+    for jj in 0..ncols {
+        let seg = &mut blk[jj * ld..][..len];
+        let mut c = [s.zero(); NV];
+        for (r, x) in c[..NV - 1].iter_mut().enumerate() {
+            *x = s.load(seg, r * S::LANES);
         }
-        vr[NV - 1] = s.load_head(v, last, k);
-        for jj in 0..ncols {
-            let seg = &mut blk[jj * ld..][..len];
-            let mut c = [s.zero(); NV];
-            for (r, x) in c[..NV - 1].iter_mut().enumerate() {
-                *x = s.load(seg, r * S::LANES);
-            }
-            c[NV - 1] = s.load_head(seg, last, k);
-            // Four accumulators over the whole groups of four registers,
-            // the rest onto the first.
-            let mut acc = [s.zero(); 4];
-            for (r, (&vx, &cx)) in vr.iter().zip(&c).enumerate() {
-                let a = if r < NV - NV % 4 { r % 4 } else { 0 };
-                acc[a] = s.mul_add(vx, cx, acc[a]);
-            }
-            let dot = s.reduce_sum(s.add(s.add(acc[0], acc[1]), s.add(acc[2], acc[3])));
-            let minus_w = s.splat(-(tau * dot));
-            for (r, (&vx, &cx)) in vr[..NV - 1].iter().zip(&c).enumerate() {
-                s.store(seg, r * S::LANES, s.mul_add(vx, minus_w, cx));
-            }
-            let x = s.mul_add(vr[NV - 1], minus_w, c[NV - 1]);
-            s.store_head(seg, last, k, x);
+        c[NV - 1] = s.load_head(seg, last, k);
+        // Four accumulators over the whole groups of four registers,
+        // the rest onto the first.
+        let mut acc = [s.zero(); 4];
+        for (r, (&vx, &cx)) in vr.iter().zip(&c).enumerate() {
+            let a = if r < NV - NV % 4 { r % 4 } else { 0 };
+            acc[a] = s.mul_add(vx, cx, acc[a]);
         }
+        let dot = s.reduce_sum(s.add(s.add(acc[0], acc[1]), s.add(acc[2], acc[3])));
+        let minus_w = s.splat(-(tau * dot));
+        for (r, (&vx, &cx)) in vr[..NV - 1].iter().zip(&c).enumerate() {
+            s.store(seg, r * S::LANES, s.mul_add(vx, minus_w, cx));
+        }
+        let x = s.mul_add(vr[NV - 1], minus_w, c[NV - 1]);
+        s.store_head(seg, last, k, x);
     }
 }
 
@@ -281,11 +247,8 @@ unsafe fn left_cols<S: SimdLane, const NV: usize>(
 /// what the 32 registers of AVX-512 hold; the 256-bit lane has sixteen in
 /// all and spills part of `v` to the stack, which still reads it and the
 /// column once per column instead of twice.
-///
-/// # Safety
-/// The lane's ISA contract (see [`SimdLane`]).
 #[inline(always)]
-pub(crate) unsafe fn left_apply<S: SimdLane>(
+pub(crate) fn left_apply<S: SimdLane>(
     s: S,
     blk: &mut [f64],
     ld: usize,
@@ -293,21 +256,16 @@ pub(crate) unsafe fn left_apply<S: SimdLane>(
     v: &[f64],
     tau: f64,
 ) {
-    // SAFETY: the caller upholds the lane's ISA contract; `left_cols` gets
-    // `ceil(v.len() / LANES)` registers for a `v` that is not empty, and in
-    // the fallback `seg` and `v` have the same length.
-    unsafe {
-        with_regs!(
-            v.len().div_ceil(S::LANES),
-            left_cols(s, blk, ld, ncols, v, tau),
-            [1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16],
-            for jj in 0..ncols {
-                let seg = &mut blk[jj * ld..][..v.len()];
-                let w = tau * simd::dot_body(s, v, seg);
-                simd::axpy_body(s, seg, -w, v);
-            }
-        )
-    }
+    with_regs!(
+        v.len().div_ceil(S::LANES),
+        left_cols(s, blk, ld, ncols, v, tau),
+        [1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16],
+        for jj in 0..ncols {
+            let seg = &mut blk[jj * ld..][..v.len()];
+            let w = tau * simd::dot_body(s, v, seg);
+            simd::axpy_body(s, seg, -w, v);
+        }
+    )
 }
 
 #[cfg(test)]
@@ -416,11 +374,8 @@ mod tests {
     /// [`right_apply`] against `C - tau (C v) v^T` for every row count up to
     /// two chunks and one row, so that every register count of the last
     /// chunk and every mask is hit.
-    ///
-    /// # Safety
-    /// The lane's ISA contract.
     #[inline(always)]
-    unsafe fn check_right_apply<S: SimdLane>(s: S) {
+    fn check_right_apply<S: SimdLane>(s: S) {
         let tau = 1.3;
         for m in 1..=2 * 8 * S::LANES + 1 {
             for n in [1usize, 2, 3, 7, 64] {
@@ -436,8 +391,7 @@ mod tests {
                     }
                 }
                 let scale = update_scale(&blk, v, tau);
-                // SAFETY: the caller upholds the lane's ISA contract.
-                unsafe { right_apply(s, &mut blk, ld, m, v, tau) };
+                right_apply(s, &mut blk, ld, m, v, tau);
                 let what = format!("right_apply {m} x {n} on {} lanes", S::LANES);
                 assert_window(&blk, &want, (m, ld), scale, &what);
             }
@@ -448,11 +402,8 @@ mod tests {
     /// to seventeen registers: one to sixteen resident ones, every mask, and
     /// the fallback — whose bits the resident form must reproduce whenever
     /// `v` fills its registers.
-    ///
-    /// # Safety
-    /// The lane's ISA contract.
     #[inline(always)]
-    unsafe fn check_left_apply<S: SimdLane>(s: S) {
+    fn check_left_apply<S: SimdLane>(s: S) {
         let tau = 1.7;
         for m in 1..=17 * S::LANES {
             for n in [1usize, 4, 5, 127] {
@@ -472,15 +423,10 @@ mod tests {
                 // scalar backend's bits: a dot and an axpy per column.
                 let mut by_column = blk.clone();
                 for seg in by_column.chunks_mut(ld) {
-                    // SAFETY: the caller upholds the lane's ISA contract;
-                    // `seg` and `v` have the same length.
-                    unsafe {
-                        let w = tau * simd::dot_body(s, v, &seg[..m]);
-                        simd::axpy_body(s, &mut seg[..m], -w, v);
-                    }
+                    let w = tau * simd::dot_body(s, v, &seg[..m]);
+                    simd::axpy_body(s, &mut seg[..m], -w, v);
                 }
-                // SAFETY: the caller upholds the lane's ISA contract.
-                unsafe { left_apply(s, &mut blk, ld, n, v, tau) };
+                left_apply(s, &mut blk, ld, n, v, tau);
                 let what = format!("left_apply {m} x {n} on {} lanes", S::LANES);
                 assert_window(&blk, &want, (m, ld), scale, &what);
                 if m % S::LANES == 0 {
@@ -499,8 +445,7 @@ mod tests {
 
         #[inline(always)]
         fn run<S: SimdLane>(self, s: S) {
-            // SAFETY: the token `s` proves its lane's ISA.
-            unsafe { check_right_apply(s) }
+            check_right_apply(s)
         }
     }
 
@@ -512,8 +457,7 @@ mod tests {
 
         #[inline(always)]
         fn run<S: SimdLane>(self, s: S) {
-            // SAFETY: the token `s` proves its lane's ISA.
-            unsafe { check_left_apply(s) }
+            check_left_apply(s)
         }
     }
 

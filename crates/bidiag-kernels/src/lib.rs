@@ -29,8 +29,7 @@
 //! `bidiag-oracles` crate.
 
 #![warn(missing_docs)]
-#![deny(clippy::undocumented_unsafe_blocks)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod band;
 pub mod cost;

@@ -82,11 +82,11 @@
 //! counts, columns per pass and row groups depend on the lane, so the
 //! kernel value (`Tuned`) names them in one entry point per backend rather
 //! than in one lane-generic `run`; no backend is matched on here.  The lane
-//! bodies are `unsafe fn` for one reason only — the lane's instruction-set
-//! contract, which the lane token each entry point receives proves.  Every
-//! slice they touch is cut with checked range indexing, and the inner loops
-//! that use the lanes' unchecked `load`/`store` assert first what bounds
-//! their operands; what the block widths require of a lane (`LANES`
+//! bodies are safe code: the lane token each entry point receives proves
+//! the instruction set, and the lanes' `load`/`store` check their bounds.
+//! Each body asserts its operands' bounds up front or cuts an operand to
+//! the rows it walks, which lets the compiler drop most of those
+//! per-access checks; what the block widths require of a lane (`LANES`
 //! divides `IB`) is a `const` assertion, checked when the body is
 //! instantiated.
 
@@ -170,20 +170,20 @@ const PANEL_ROWS: usize = 64;
 const STRIP: usize = 64;
 
 /// The stack scratch of one left-side kernel call: `PANEL_ROWS` rows of a
-/// chunk's reflectors transposed — row `i` at `panel[i * IB..][..IB]`, one
-/// cache line — and `W` for `STRIP` columns of `C`, column `j` at
+/// chunk's reflectors transposed — row `i` at `panel[i]`, one cache line —
+/// and `W` for `STRIP` columns of `C`, column `j` at
 /// `w[j * IB..][..IB]`.  Bounded, so any tile height and width runs through
 /// it without touching the heap; the reference tile fits in one piece.
 #[repr(align(64))]
 struct LeftScratch {
-    panel: [f64; PANEL_ROWS * IB],
+    panel: [[f64; IB]; PANEL_ROWS],
     w: [f64; STRIP * IB],
 }
 
 impl LeftScratch {
     fn new() -> Self {
         LeftScratch {
-            panel: [0.0; PANEL_ROWS * IB],
+            panel: [[0.0; IB]; PANEL_ROWS],
             w: [0.0; STRIP * IB],
         }
     }
@@ -207,8 +207,8 @@ struct Chunk<'a> {
     /// else the tile holds never enters the arithmetic.
     kc: [[f64; IB]; IB],
     /// `-T^T` of the chunk, zero-padded to `IB x IB`: column `l` at
-    /// `nt[l * IB..][..IB]`, so that `-T^T w = sum_l nt[:, l] w[l]`.
-    nt: [f64; IB * IB],
+    /// `nt[l]`, so that `-T^T w = sum_l nt[:, l] w[l]`.
+    nt: [[f64; IB]; IB],
 }
 
 impl<'a> Chunk<'a> {
@@ -218,7 +218,7 @@ impl<'a> Chunk<'a> {
     fn new(shape: Shape, v: &'a [f64], m: usize, p: usize, ib: usize, t: &[f64]) -> Self {
         let (dense, corner) = shape.chunk_split(p, ib, m);
         let mut kc = [[0.0; IB]; IB];
-        let mut nt = [0.0; IB * IB];
+        let mut nt = [[0.0; IB]; IB];
         for kk in 0..ib {
             let vcol = &v[(p + kk) * m..][..m];
             match shape {
@@ -234,7 +234,7 @@ impl<'a> Chunk<'a> {
             }
             // `T` is upper triangular: column `kk` of `T` is row `kk` of `T^T`.
             for (l, &tl) in t[kk * IB..][..=kk].iter().enumerate() {
-                nt[l * IB + kk] = -tl;
+                nt[l][kk] = -tl;
             }
         }
         Chunk {
@@ -270,16 +270,13 @@ impl<'a> Chunk<'a> {
     }
 
     /// Rows `r0..r0 + nr` of the chunk's reflectors, structure explicit,
-    /// transposed into `panel`: row `i` at `panel[(i - r0) * IB..][..IB]`,
-    /// lanes beyond `ib` zero.  Dense rows of a full chunk go `LANES` at a
+    /// transposed into `panel`: row `i` at `panel[i - r0]`, lanes beyond
+    /// `ib` zero.  Dense rows of a full chunk go `LANES` at a
     /// time through register transposes.
-    ///
-    /// # Safety
-    /// The lane's ISA contract (see [`SimdLane`]).
     #[inline(always)]
-    unsafe fn fill_panel<S: SimdLane>(&self, s: S, r0: usize, nr: usize, panel: &mut [f64]) {
+    fn fill_panel<S: SimdLane>(&self, s: S, r0: usize, nr: usize, panel: &mut [[f64; IB]]) {
         const { assert!(IB.is_multiple_of(S::LANES)) };
-        let panel = &mut panel[..nr * IB];
+        let panel = &mut panel[..nr];
         let (p, ib, m) = (self.p, self.ib, self.m);
         let dense = self.dense.start.max(r0)..self.dense.end.min(r0 + nr);
         let mut i = dense.start;
@@ -289,20 +286,15 @@ impl<'a> Chunk<'a> {
                 for kb in (0..IB).step_by(S::LANES) {
                     let (src, dst) = (
                         &self.v[(p + kb) * m + i..],
-                        &mut panel[(i - r0) * IB + kb..],
+                        &mut panel.as_flattened_mut()[(i - r0) * IB + kb..],
                     );
-                    // SAFETY: the caller upholds the lane's ISA contract.
-                    // The block's last vector ends at row `i + LANES <= m`
-                    // of column `p + kb + LANES - 1 < p + IB`, inside `v`
-                    // (asserted above), and at lane `kb + LANES <= IB` of
-                    // panel row `i - r0 + LANES - 1 < nr`, inside `panel`.
-                    unsafe { s.transpose(src, m, dst, IB) };
+                    s.transpose(src, m, dst, IB);
                 }
                 i += S::LANES;
             }
         }
         for i in i..dense.end {
-            for (kk, x) in panel[(i - r0) * IB..][..IB].iter_mut().enumerate() {
+            for (kk, x) in panel[i - r0].iter_mut().enumerate() {
                 *x = if kk < ib {
                     self.v[(p + kk) * m + i]
                 } else {
@@ -311,7 +303,7 @@ impl<'a> Chunk<'a> {
             }
         }
         for i in self.corner.start.max(r0)..self.corner.end.min(r0 + nr) {
-            for (kk, x) in panel[(i - r0) * IB..][..IB].iter_mut().enumerate() {
+            for (kk, x) in panel[i - r0].iter_mut().enumerate() {
                 *x = self.kc[kk][i - self.corner.start];
             }
         }
@@ -320,48 +312,31 @@ impl<'a> Chunk<'a> {
 
 /// The `NC` columns of `W` stored at `w[j * IB..][..IB]`, as `RV` registers
 /// each.
-///
-/// # Safety
-/// The lane's ISA contract (see [`SimdLane`]).
 #[inline(always)]
-unsafe fn load_w<S: SimdLane, const RV: usize, const NC: usize>(
-    s: S,
-    w: &[f64],
-) -> [[S::V; RV]; NC] {
+fn load_w<S: SimdLane, const RV: usize, const NC: usize>(s: S, w: &[f64]) -> [[S::V; RV]; NC] {
     const { assert!(RV * S::LANES == IB) };
     assert!(w.len() >= NC * IB);
-    // SAFETY: the caller upholds the lane's ISA contract; the last load ends
-    // at `(NC - 1) * IB + RV * LANES = NC * IB <= w.len()`.
-    unsafe {
-        let mut acc = [[s.zero(); RV]; NC];
-        for (j, aj) in acc.iter_mut().enumerate() {
-            for (r, ajr) in aj.iter_mut().enumerate() {
-                *ajr = s.load(w, j * IB + r * S::LANES);
-            }
+    let mut acc = [[s.zero(); RV]; NC];
+    for (j, aj) in acc.iter_mut().enumerate() {
+        for (r, ajr) in aj.iter_mut().enumerate() {
+            *ajr = s.load(w, j * IB + r * S::LANES);
         }
-        acc
     }
+    acc
 }
 
 /// The inverse of [`load_w`].
-///
-/// # Safety
-/// The lane's ISA contract (see [`SimdLane`]).
 #[inline(always)]
-unsafe fn store_w<S: SimdLane, const RV: usize, const NC: usize>(
+fn store_w<S: SimdLane, const RV: usize, const NC: usize>(
     s: S,
     w: &mut [f64],
     acc: [[S::V; RV]; NC],
 ) {
     const { assert!(RV * S::LANES == IB) };
     assert!(w.len() >= NC * IB);
-    // SAFETY: the caller upholds the lane's ISA contract; the last store
-    // ends at `(NC - 1) * IB + RV * LANES = NC * IB <= w.len()`.
-    unsafe {
-        for (j, aj) in acc.iter().enumerate() {
-            for (r, ajr) in aj.iter().enumerate() {
-                s.store(w, j * IB + r * S::LANES, *ajr);
-            }
+    for (j, aj) in acc.iter().enumerate() {
+        for (r, ajr) in aj.iter().enumerate() {
+            s.store(w, j * IB + r * S::LANES, *ajr);
         }
     }
 }
@@ -372,33 +347,25 @@ unsafe fn store_w<S: SimdLane, const RV: usize, const NC: usize>(
 /// panel row, so nothing is ever summed across lanes.  With the rows of the
 /// transposed reflectors as `panel` this accumulates `V_p^T C`, with the
 /// columns of `-T^T` as `panel` and `W` as `c` it is the `T` product.
-///
-/// # Safety
-/// The lane's ISA contract (see [`SimdLane`]).
 #[inline(always)]
-unsafe fn vtc<S: SimdLane, const RV: usize, const NC: usize>(
+fn vtc<S: SimdLane, const RV: usize, const NC: usize>(
     s: S,
-    panel: &[f64],
+    panel: &[[f64; IB]],
     c: [&[f64]; NC],
     mut acc: [[S::V; RV]; NC],
 ) -> [[S::V; RV]; NC] {
     const { assert!(RV * S::LANES == IB) };
-    let rows = c[0].len();
-    assert!(panel.len() == rows * IB && c.iter().all(|x| x.len() == rows));
-    // SAFETY: the caller upholds the lane's ISA contract; `i < rows`, the
-    // length of every column (asserted above), and the `RV` loads of panel
-    // row `i` end at `i * IB + RV * LANES = (i + 1) * IB <= panel.len()`.
-    unsafe {
-        for i in 0..rows {
-            let mut pv = [s.zero(); RV];
-            for (r, x) in pv.iter_mut().enumerate() {
-                *x = s.load(panel, i * IB + r * S::LANES);
-            }
-            for (aj, cj) in acc.iter_mut().zip(&c) {
-                let cij = s.splat(*cj.get_unchecked(i));
-                for (ajr, &x) in aj.iter_mut().zip(&pv) {
-                    *ajr = s.mul_add(x, cij, *ajr);
-                }
+    assert!(c.iter().all(|x| x.len() == panel.len()));
+    for i in 0..panel.len() {
+        let row = &panel[i];
+        let mut pv = [s.zero(); RV];
+        for (r, x) in pv.iter_mut().enumerate() {
+            *x = s.load(row, r * S::LANES);
+        }
+        for (aj, cj) in acc.iter_mut().zip(&c) {
+            let cij = s.splat(cj[i]);
+            for (ajr, &x) in aj.iter_mut().zip(&pv) {
+                *ajr = s.mul_add(x, cij, *ajr);
             }
         }
     }
@@ -414,12 +381,9 @@ unsafe fn vtc<S: SimdLane, const RV: usize, const NC: usize>(
 /// (`nw`, column `j` at `nw[j * IB..][..IB]`), one broadcast feeding all
 /// `G` groups, and is stored.  Every entry of `C` takes the same FMAs in
 /// the same order whatever `G` is.
-///
-/// # Safety
-/// The lane's ISA contract (see [`SimdLane`]).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn cvw<S: SimdLane, const G: usize>(
+fn cvw<S: SimdLane, const G: usize>(
     s: S,
     v: &[&[f64]; IB],
     at: usize,
@@ -430,35 +394,31 @@ unsafe fn cvw<S: SimdLane, const G: usize>(
     n: usize,
 ) {
     let rows = G * S::LANES;
-    assert!(i0 + rows <= ldc && n * ldc <= c.len() && n * IB <= nw.len());
+    assert!(i0 <= ldc && rows <= ldc - i0 && n * IB <= nw.len());
     assert!(v.iter().all(|x| x.is_empty() || at + rows <= x.len()));
-    // SAFETY: the caller upholds the lane's ISA contract; the loads of `v`
-    // end at `at + G * LANES <= v[kk].len()`, those of `nw` at `j * IB + kk
-    // < n * IB <= nw.len()` and the accesses of `c` at `j * ldc + i0 + G *
-    // LANES <= n * ldc <= c.len()` (all asserted above).
-    unsafe {
-        let mut vr = [[s.zero(); IB]; G];
-        for (g, vg) in vr.iter_mut().enumerate() {
-            for (x, vk) in vg.iter_mut().zip(v) {
-                if !vk.is_empty() {
-                    *x = s.load(vk, at + g * S::LANES);
-                }
+    let mut vr = [[s.zero(); IB]; G];
+    for (g, vg) in vr.iter_mut().enumerate() {
+        for (x, vk) in vg.iter_mut().zip(v) {
+            if !vk.is_empty() {
+                *x = s.load(vk, at + g * S::LANES);
             }
         }
-        for j in 0..n {
-            let mut cj = [s.zero(); G];
-            for (g, x) in cj.iter_mut().enumerate() {
-                *x = s.load(c, j * ldc + i0 + g * S::LANES);
+    }
+    // Whole columns, so that the assert above is the check of every cut.
+    for (col, nwj) in c[..n * ldc].chunks_exact_mut(ldc).zip(nw.chunks_exact(IB)) {
+        let col = &mut col[i0..][..rows];
+        let mut cj = [s.zero(); G];
+        for (g, x) in cj.iter_mut().enumerate() {
+            *x = s.load(col, g * S::LANES);
+        }
+        for (kk, &w) in nwj.iter().enumerate() {
+            let w = s.splat(w);
+            for (x, vg) in cj.iter_mut().zip(&vr) {
+                *x = s.mul_add(vg[kk], w, *x);
             }
-            for kk in 0..IB {
-                let w = s.splat(*nw.get_unchecked(j * IB + kk));
-                for (x, vg) in cj.iter_mut().zip(&vr) {
-                    *x = s.mul_add(vg[kk], w, *x);
-                }
-            }
-            for (g, &x) in cj.iter().enumerate() {
-                s.store(c, j * ldc + i0 + g * S::LANES, x);
-            }
+        }
+        for (g, &x) in cj.iter().enumerate() {
+            s.store(col, g * S::LANES, x);
         }
     }
 }
@@ -470,36 +430,30 @@ unsafe fn cvw<S: SimdLane, const G: usize>(
 /// all `G` groups.  `t` is the chunk's `IB x ib` block, leading dimension
 /// `IB`; called with the constant `ib == IB` the triangular product
 /// unrolls into 36 independent-by-row FMAs per group.
-///
-/// # Safety
-/// The lane's ISA contract (see [`SimdLane`]).
 #[inline(always)]
-unsafe fn t_product<S: SimdLane, const G: usize>(
+fn t_product<S: SimdLane, const G: usize>(
     s: S,
     t: &[f64],
     ib: usize,
     w: &[[S::V; IB]; G],
 ) -> [[S::V; IB]; G] {
     let t = &t[..IB * ib];
-    // SAFETY: the caller upholds the lane's ISA contract (register ops only).
-    unsafe {
-        let mut out = [[s.zero(); IB]; G];
-        for i in 0..ib {
-            // A square loop that skips `l > i`: the triangular `0..=i`
-            // unrolls worse on 256 bits, and the LQ factorizations read
-            // 4-10 % slower with it.
-            for l in 0..ib {
-                if l > i {
-                    continue;
-                }
-                let tij = s.splat(t[i * IB + l]);
-                for (og, wg) in out.iter_mut().zip(w) {
-                    og[i] = s.mul_add(tij, wg[l], og[i]);
-                }
+    let mut out = [[s.zero(); IB]; G];
+    for i in 0..ib {
+        // A square loop that skips `l > i`: the triangular `0..=i`
+        // unrolls worse on 256 bits, and the LQ factorizations read
+        // 4-10 % slower with it.
+        for l in 0..ib {
+            if l > i {
+                continue;
+            }
+            let tij = s.splat(t[i * IB + l]);
+            for (og, wg) in out.iter_mut().zip(w) {
+                og[i] = s.mul_add(tij, wg[l], og[i]);
             }
         }
-        out
     }
+    out
 }
 
 /// Apply one chunk to the `n` columns of the column-major `c` (leading
@@ -517,11 +471,8 @@ unsafe fn t_product<S: SimdLane, const G: usize>(
 ///
 /// All three shapes and a last chunk narrower than `IB` (zero lanes) run
 /// the same code.
-///
-/// # Safety
-/// The lane's ISA contract (see [`SimdLane`]).
 #[inline(always)]
-unsafe fn apply_chunk<S: SimdLane, const RV: usize, const NC: usize, const G: usize>(
+fn apply_chunk<S: SimdLane, const RV: usize, const NC: usize, const G: usize>(
     s: S,
     ch: &Chunk<'_>,
     scratch: &mut LeftScratch,
@@ -557,21 +508,15 @@ unsafe fn apply_chunk<S: SimdLane, const RV: usize, const NC: usize, const G: us
         w[ns * IB..ns.next_multiple_of(NC) * IB].fill(0.0);
         for r0 in rows.clone().step_by(PANEL_ROWS) {
             let nr = PANEL_ROWS.min(rows.end - r0);
-            // SAFETY: the caller upholds the lane's ISA contract; the panel
-            // rows are cut with checked indexing.
-            unsafe { ch.fill_panel(s, r0, nr, panel) };
+            ch.fill_panel(s, r0, nr, panel);
             for jb in (0..ns).step_by(NC) {
                 let mut cols: [&[f64]; NC] = [&[]; NC];
                 for (j, cj) in cols.iter_mut().enumerate() {
                     *cj = &c[(jb + j).min(ns - 1) * ldc..][r0..r0 + nr];
                 }
                 let wb = &mut w[jb * IB..][..NC * IB];
-                // SAFETY: the caller upholds the lane's ISA contract; `wb`
-                // is `NC` columns of `IB`, as `load_w` and `store_w` take.
-                unsafe {
-                    let acc = vtc::<S, RV, NC>(s, &panel[..nr * IB], cols, load_w(s, wb));
-                    store_w(s, wb, acc);
-                }
+                let acc = vtc::<S, RV, NC>(s, &panel[..nr], cols, load_w(s, wb));
+                store_w(s, wb, acc);
             }
         }
         for wb in w[..ns.next_multiple_of(NC) * IB].chunks_exact_mut(NC * IB) {
@@ -579,12 +524,8 @@ unsafe fn apply_chunk<S: SimdLane, const RV: usize, const NC: usize, const G: us
             for (j, cj) in cols.iter_mut().enumerate() {
                 *cj = &wb[j * IB..][..IB];
             }
-            // SAFETY: the caller upholds the lane's ISA contract; `wb` is
-            // `NC` columns of `IB`.
-            unsafe {
-                let acc = vtc::<S, RV, NC>(s, &ch.nt, cols, [[s.zero(); RV]; NC]);
-                store_w(s, wb, acc);
-            }
+            let acc = vtc::<S, RV, NC>(s, &ch.nt, cols, [[s.zero(); RV]; NC]);
+            store_w(s, wb, acc);
         }
         if let Some((h, ldh)) = head.as_mut() {
             for (j, wj) in w.chunks_exact(IB).enumerate().take(ns) {
@@ -601,22 +542,17 @@ unsafe fn apply_chunk<S: SimdLane, const RV: usize, const NC: usize, const G: us
         }
         for (cols, rows) in ch.parts() {
             let mut i = 0;
-            // SAFETY: the caller upholds the lane's ISA contract (the last
-            // rows run on the scalar lane, which has none); `cvw` asserts
-            // its row and column bounds.
-            unsafe {
-                while i + G * S::LANES <= rows.len() {
-                    cvw::<S, G>(s, &cols, i, w, c, ldc, rows.start + i, ns);
-                    i += G * S::LANES;
-                }
-                while i + S::LANES <= rows.len() {
-                    cvw::<S, 1>(s, &cols, i, w, c, ldc, rows.start + i, ns);
-                    i += S::LANES;
-                }
-                while i < rows.len() {
-                    cvw::<_, 1>(ScalarLane, &cols, i, w, c, ldc, rows.start + i, ns);
-                    i += 1;
-                }
+            while i + G * S::LANES <= rows.len() {
+                cvw::<S, G>(s, &cols, i, w, c, ldc, rows.start + i, ns);
+                i += G * S::LANES;
+            }
+            while i + S::LANES <= rows.len() {
+                cvw::<S, 1>(s, &cols, i, w, c, ldc, rows.start + i, ns);
+                i += S::LANES;
+            }
+            while i < rows.len() {
+                cvw::<_, 1>(ScalarLane, &cols, i, w, c, ldc, rows.start + i, ns);
+                i += 1;
             }
         }
     }
@@ -625,11 +561,8 @@ unsafe fn apply_chunk<S: SimdLane, const RV: usize, const NC: usize, const G: us
 /// Lane-generic body of [`apply`]: `RV * LANES == IB`, `NC` columns of `C`
 /// share one pass over a chunk's panel, and `C += V_p W` runs `G` row
 /// groups per pass.
-///
-/// # Safety
-/// The lane's ISA contract (see [`SimdLane`]).
 #[inline(always)]
-unsafe fn apply_body<S: SimdLane, const RV: usize, const NC: usize, const G: usize>(
+fn apply_body<S: SimdLane, const RV: usize, const NC: usize, const G: usize>(
     s: S,
     shape: Shape,
     (v, ldv): Refl<'_>,
@@ -646,8 +579,7 @@ unsafe fn apply_body<S: SimdLane, const RV: usize, const NC: usize, const G: usi
             let ldh = h.rows();
             (h.data_mut(), ldh)
         });
-        // SAFETY: the caller upholds the lane's ISA contract.
-        unsafe { apply_chunk::<S, RV, NC, G>(s, &ch, &mut scratch, h, c.data_mut(), m, n) };
+        apply_chunk::<S, RV, NC, G>(s, &ch, &mut scratch, h, c.data_mut(), m, n);
     }
 }
 
@@ -676,11 +608,8 @@ fn head_and_tail<'a>(
 
 /// Lane-generic body of [`factor`]; the trailing update is [`apply_chunk`]
 /// with the parameters of [`apply_body`].
-///
-/// # Safety
-/// The lane's ISA contract (see [`SimdLane`]).
 #[inline(always)]
-unsafe fn factor_body<S: SimdLane, const RV: usize, const NC: usize, const G: usize>(
+fn factor_body<S: SimdLane, const RV: usize, const NC: usize, const G: usize>(
     s: S,
     shape: Shape,
     mut r1: Option<&mut Matrix>,
@@ -701,8 +630,7 @@ unsafe fn factor_body<S: SimdLane, const RV: usize, const NC: usize, const G: us
             let (done, colk) = left.split_at_mut(k * m);
             let tau = {
                 let (alpha, vk) = head_and_tail(r1.as_deref_mut(), colk, k, k, tail.clone());
-                // SAFETY: the caller upholds the lane's ISA contract.
-                let ss = unsafe { simd::dot_body(s, vk, vk) };
+                let ss = simd::dot_body(s, vk, vk);
                 // A sum of squares in this range neither overflowed nor
                 // lost anything to underflow that matters at working
                 // precision; anything else takes the scaled norm, whose
@@ -722,13 +650,9 @@ unsafe fn factor_body<S: SimdLane, const RV: usize, const NC: usize, const G: us
                 for j in k + 1..p + ib {
                     let cj = &mut right[(j - k - 1) * m..][..m];
                     let (head, ct) = head_and_tail(r1.as_deref_mut(), cj, k, j, tail.clone());
-                    // SAFETY: the caller upholds the lane's ISA contract;
-                    // `ct` and `vk` are the same `tail` rows of two columns.
-                    unsafe {
-                        let w = tau * (*head + simd::dot_body(s, vk, ct));
-                        *head -= w;
-                        simd::axpy_body(s, ct, -w, vk);
-                    }
+                    let w = tau * (*head + simd::dot_body(s, vk, ct));
+                    *head -= w;
+                    simd::axpy_body(s, ct, -w, vk);
                 }
             }
             // Column k of the chunk's T block: vdots[l - p] = v_l^T v_k over
@@ -739,9 +663,7 @@ unsafe fn factor_body<S: SimdLane, const RV: usize, const NC: usize, const G: us
             for l in p..k {
                 let both = tail.start..tail.end.min(shape.tail(l, m).end);
                 let cl = &done[l * m..][..m];
-                // SAFETY: the caller upholds the lane's ISA contract; both
-                // operands are cut to `both`.
-                let d = unsafe { simd::dot_body(s, &cl[both.clone()], &colk[both]) };
+                let d = simd::dot_body(s, &cl[both.clone()], &colk[both]);
                 vdots[l - p] = match shape {
                     Shape::Trapezoid => cl[k] + d,
                     Shape::Square | Shape::Triangle => d,
@@ -756,10 +678,7 @@ unsafe fn factor_body<S: SimdLane, const RV: usize, const NC: usize, const G: us
             let h = r1
                 .as_deref_mut()
                 .map(|r1| (&mut r1.data_mut()[(p + ib) * ld1..], ld1));
-            // SAFETY: the caller upholds the lane's ISA contract.
-            unsafe {
-                apply_chunk::<S, RV, NC, G>(s, &ch, &mut scratch, h, trailing, m, n - p - ib)
-            };
+            apply_chunk::<S, RV, NC, G>(s, &ch, &mut scratch, h, trailing, m, n - p - ib)
         }
     }
     if shape == Shape::Trapezoid {
@@ -895,11 +814,8 @@ fn coefs<'a, const OWN: bool>(
 /// `G` is.  `FULL` makes `ib` the constant `IB`, so everything unrolls and
 /// `W` never leaves the registers.  `OWN` says the dense coefficients are
 /// rows `p..p+ib` of `c` itself — a factorization's trailing update.
-///
-/// # Safety
-/// The lane's ISA contract (see [`SimdLane`]).
 #[inline(always)]
-unsafe fn right_rows<S: SimdLane, const FULL: bool, const G: usize, const OWN: bool>(
+fn right_rows<S: SimdLane, const FULL: bool, const G: usize, const OWN: bool>(
     s: S,
     ch: &RowChunk<'_>,
     mut head: Option<&mut [f64]>,
@@ -907,71 +823,75 @@ unsafe fn right_rows<S: SimdLane, const FULL: bool, const G: usize, const OWN: b
     ld: usize,
     i0: usize,
 ) {
-    let ib = if FULL { IB } else { ch.ib };
-    assert!(ib == ch.ib && i0 + G * S::LANES <= ld);
-    assert!(ch.dense.end.max(ch.corner.end) * ld <= c.len());
+    let (ib, rows) = (if FULL { IB } else { ch.ib }, G * S::LANES);
+    // Columns are cut whole (`chunks_exact(ld)`), so that this is the check
+    // of every cut of rows `i0..i0 + rows` out of one.
+    assert!(ib == ch.ib && i0 <= ld && rows <= ld - i0);
     assert!(head.as_ref().is_none_or(|h| ib * ld <= h.len()));
-    // SAFETY: for the whole body, the caller upholds the lane's ISA
-    // contract; every `load`/`store` is at `j * ld + i0 + g * LANES` with
-    // `g < G`, `i0 + G * LANES <= ld` and `j` below the column count the
-    // asserts above checked the slice against.
-    unsafe {
-        let mut w = [[s.zero(); IB]; G];
-        if let Some(h) = head.as_ref() {
+    let mut w = [[s.zero(); IB]; G];
+    if let Some(h) = head.as_ref() {
+        for (kk, hk) in h.chunks_exact(ld).take(ib).enumerate() {
+            let hk = &hk[i0..][..rows];
             for (g, wg) in w.iter_mut().enumerate() {
-                for (kk, wk) in wg.iter_mut().enumerate().take(ib) {
-                    *wk = s.load(h, kk * ld + i0 + g * S::LANES);
+                wg[kk] = s.load(hk, g * S::LANES);
+            }
+        }
+    }
+    for (coef, stride, cols) in ch.parts() {
+        for (n, col) in c[cols.start * ld..cols.end * ld]
+            .chunks_exact(ld)
+            .enumerate()
+        {
+            let cr = &col[i0..][..rows];
+            let mut cj = [s.zero(); G];
+            for (g, x) in cj.iter_mut().enumerate() {
+                *x = s.load(cr, g * S::LANES);
+            }
+            let own = &mut [0.0; IB];
+            let coef = coefs::<OWN>(coef, n * stride, col, ch.p, ib, own);
+            for (kk, &v) in coef.iter().enumerate() {
+                let v = s.splat(v);
+                for (wg, &x) in w.iter_mut().zip(&cj) {
+                    wg[kk] = s.mul_add(x, v, wg[kk]);
                 }
             }
         }
-        for (coef, stride, cols) in ch.parts() {
-            for (n, j) in cols.enumerate() {
-                let mut cj = [s.zero(); G];
-                for (g, x) in cj.iter_mut().enumerate() {
-                    *x = s.load(c, j * ld + i0 + g * S::LANES);
-                }
-                let own = &mut [0.0; IB];
-                let coef = coefs::<OWN>(coef, n * stride, c, j * ld + ch.p, ib, own);
-                for (kk, &v) in coef.iter().enumerate() {
-                    let v = s.splat(v);
-                    for (wg, &x) in w.iter_mut().zip(&cj) {
-                        wg[kk] = s.mul_add(x, v, wg[kk]);
-                    }
-                }
-            }
+    }
+    let mut w = t_product(s, ch.t, ib, &w);
+    let minus = s.splat(-1.0);
+    for wg in w.iter_mut() {
+        for wk in wg.iter_mut().take(ib) {
+            *wk = s.mul(*wk, minus);
         }
-        let mut w = t_product(s, ch.t, ib, &w);
-        let minus = s.splat(-1.0);
-        for wg in w.iter_mut() {
-            for wk in wg.iter_mut().take(ib) {
-                *wk = s.mul(*wk, minus);
-            }
-        }
-        if let Some(h) = head.as_mut() {
+    }
+    if let Some(h) = head.as_mut() {
+        for (kk, hk) in h.chunks_exact_mut(ld).take(ib).enumerate() {
+            let hk = &mut hk[i0..][..rows];
             for (g, wg) in w.iter().enumerate() {
-                for (kk, &wk) in wg.iter().enumerate().take(ib) {
-                    let at = kk * ld + i0 + g * S::LANES;
-                    s.store(h, at, s.add(s.load(h, at), wk));
-                }
+                s.store(hk, g * S::LANES, s.add(s.load(hk, g * S::LANES), wg[kk]));
             }
         }
-        for (coef, stride, cols) in ch.parts() {
-            for (n, j) in cols.enumerate() {
-                let mut cj = [s.zero(); G];
-                for (g, x) in cj.iter_mut().enumerate() {
-                    *x = s.load(c, j * ld + i0 + g * S::LANES);
+    }
+    for (coef, stride, cols) in ch.parts() {
+        for (n, col) in c[cols.start * ld..cols.end * ld]
+            .chunks_exact_mut(ld)
+            .enumerate()
+        {
+            let mut cj = [s.zero(); G];
+            for (g, x) in cj.iter_mut().enumerate() {
+                *x = s.load(&col[i0..][..rows], g * S::LANES);
+            }
+            let own = &mut [0.0; IB];
+            let coef = coefs::<OWN>(coef, n * stride, col, ch.p, ib, own);
+            for (kk, &v) in coef.iter().enumerate() {
+                let v = s.splat(v);
+                for (x, wg) in cj.iter_mut().zip(&w) {
+                    *x = s.mul_add(wg[kk], v, *x);
                 }
-                let own = &mut [0.0; IB];
-                let coef = coefs::<OWN>(coef, n * stride, c, j * ld + ch.p, ib, own);
-                for (kk, &v) in coef.iter().enumerate() {
-                    let v = s.splat(v);
-                    for (x, wg) in cj.iter_mut().zip(&w) {
-                        *x = s.mul_add(wg[kk], v, *x);
-                    }
-                }
-                for (g, &x) in cj.iter().enumerate() {
-                    s.store(c, j * ld + i0 + g * S::LANES, x);
-                }
+            }
+            let cr = &mut col[i0..][..rows];
+            for (g, &x) in cj.iter().enumerate() {
+                s.store(cr, g * S::LANES, x);
             }
         }
     }
@@ -981,11 +901,8 @@ unsafe fn right_rows<S: SimdLane, const FULL: bool, const G: usize, const OWN: b
 /// `ld`; `OWN` as for [`right_rows`]): `G` lane groups at a time, then the
 /// groups left over one at a time, then the leftover rows one at a time,
 /// all through the same arithmetic.
-///
-/// # Safety
-/// The lane's ISA contract (see [`SimdLane`]).
 #[inline(always)]
-unsafe fn right_chunk<S: SimdLane, const FULL: bool, const G: usize, const OWN: bool>(
+fn right_chunk<S: SimdLane, const FULL: bool, const G: usize, const OWN: bool>(
     s: S,
     ch: &RowChunk<'_>,
     mut head: Option<&mut [f64]>,
@@ -994,31 +911,24 @@ unsafe fn right_chunk<S: SimdLane, const FULL: bool, const G: usize, const OWN: 
     rows: Range<usize>,
 ) {
     let mut i0 = rows.start;
-    // SAFETY: the caller upholds the lane's ISA contract; the scalar lane
-    // has none.
-    unsafe {
-        while i0 + G * S::LANES <= rows.end {
-            right_rows::<S, FULL, G, OWN>(s, ch, head.as_deref_mut(), c, ld, i0);
-            i0 += G * S::LANES;
-        }
-        while i0 + S::LANES <= rows.end {
-            right_rows::<S, FULL, 1, OWN>(s, ch, head.as_deref_mut(), c, ld, i0);
-            i0 += S::LANES;
-        }
-        while i0 < rows.end {
-            right_rows::<_, FULL, 1, OWN>(ScalarLane, ch, head.as_deref_mut(), c, ld, i0);
-            i0 += 1;
-        }
+    while i0 + G * S::LANES <= rows.end {
+        right_rows::<S, FULL, G, OWN>(s, ch, head.as_deref_mut(), c, ld, i0);
+        i0 += G * S::LANES;
+    }
+    while i0 + S::LANES <= rows.end {
+        right_rows::<S, FULL, 1, OWN>(s, ch, head.as_deref_mut(), c, ld, i0);
+        i0 += S::LANES;
+    }
+    while i0 < rows.end {
+        right_rows::<_, FULL, 1, OWN>(ScalarLane, ch, head.as_deref_mut(), c, ld, i0);
+        i0 += 1;
     }
 }
 
 /// Lane-generic body of [`apply_right`]: `G` row groups per pass of the
 /// chunk kernel.
-///
-/// # Safety
-/// The lane's ISA contract (see [`SimdLane`]).
 #[inline(always)]
-unsafe fn apply_right_body<S: SimdLane, const G: usize>(
+fn apply_right_body<S: SimdLane, const G: usize>(
     s: S,
     shape: Shape,
     (v, ldv): Refl<'_>,
@@ -1033,13 +943,10 @@ unsafe fn apply_right_body<S: SimdLane, const G: usize>(
         let h = head
             .as_deref_mut()
             .map(|h| &mut h.data_mut()[p * r..(p + ib) * r]);
-        // SAFETY: the caller upholds the lane's ISA contract.
-        unsafe {
-            if ib == IB {
-                right_chunk::<S, true, G, false>(s, &ch, h, c.data_mut(), r, 0..r);
-            } else {
-                right_chunk::<S, false, G, false>(s, &ch, h, c.data_mut(), r, 0..r);
-            }
+        if ib == IB {
+            right_chunk::<S, true, G, false>(s, &ch, h, c.data_mut(), r, 0..r);
+        } else {
+            right_chunk::<S, false, G, false>(s, &ch, h, c.data_mut(), r, 0..r);
         }
     }
 }
@@ -1083,11 +990,8 @@ impl RowPanel {
     /// is that row's sum of squares, the others its dots with the rows
     /// above and below.  So one pass applies a reflector and takes the next
     /// one's dots.  Consecutive columns feed `4 / RV` accumulators.
-    ///
-    /// # Safety
-    /// The lane's ISA contract (see [`SimdLane`]).
     #[inline(always)]
-    unsafe fn pass<S: SimdLane, const RV: usize>(
+    fn pass<S: SimdLane, const RV: usize>(
         self,
         s: S,
         a: &mut [f64],
@@ -1103,41 +1007,36 @@ impl RowPanel {
         };
         assert!(kk < IB && r < IB);
         let mut out = [0.0; IB];
-        // SAFETY: for the whole block, the caller upholds the lane's ISA
-        // contract, and every column is cut to `IB` entries with checked
-        // indexing.
-        unsafe {
-            // Lane `r` of the updated column, broadcast: taken from the
-            // column before it is stored, by the same lane arithmetic.
-            let (nwr, svr) = (s.splat(nw[r]), s.splat(sv[r]));
-            let [nw, sv] = [load_w::<S, RV, 1>(s, nw)[0], load_w::<S, RV, 1>(s, sv)[0]];
-            let mut acc = [[s.zero(); RV]; 4];
-            for j0 in cols.clone().step_by(4 / RV) {
-                for (u, acc) in acc.iter_mut().enumerate().take(4 / RV) {
-                    let j = j0 + u;
-                    if j >= cols.end {
-                        break;
-                    }
-                    let x: &mut [f64; IB] = (&mut a[j * m + p..][..IB]).try_into().expect("IB");
-                    let (mut v, xk) = (load_w::<S, RV, 1>(s, x)[0], s.splat(x[kk]));
-                    for ((v, nw), sv) in v.iter_mut().zip(nw).zip(sv) {
-                        *v = s.mul_add(nw, xk, s.mul(*v, sv));
-                    }
-                    if j >= r_cols.start {
-                        let xr = s.mul_add(nwr, xk, s.mul(s.splat(x[r]), svr));
-                        for (acc, v) in acc.iter_mut().zip(v) {
-                            *acc = s.mul_add(v, xr, *acc);
-                        }
-                    }
-                    store_w::<S, RV, 1>(s, x, [v]);
+        // Lane `r` of the updated column, broadcast: taken from the
+        // column before it is stored, by the same lane arithmetic.
+        let (nwr, svr) = (s.splat(nw[r]), s.splat(sv[r]));
+        let [nwv, svv] = [load_w::<S, RV, 1>(s, nw)[0], load_w::<S, RV, 1>(s, sv)[0]];
+        let mut acc = [[s.zero(); RV]; 4];
+        for j0 in cols.clone().step_by(4 / RV) {
+            for (u, acc) in acc.iter_mut().enumerate().take(4 / RV) {
+                let j = j0 + u;
+                if j >= cols.end {
+                    break;
                 }
+                let x: &mut [f64; IB] = (&mut a[j * m + p..][..IB]).try_into().expect("IB");
+                let (mut v, xk) = (load_w::<S, RV, 1>(s, x)[0], s.splat(x[kk]));
+                for ((v, nw), sv) in v.iter_mut().zip(nwv).zip(svv) {
+                    *v = s.mul_add(nw, xk, s.mul(*v, sv));
+                }
+                if j >= r_cols.start {
+                    let xr = s.mul_add(nwr, xk, s.mul(s.splat(x[r]), svr));
+                    for (acc, v) in acc.iter_mut().zip(v) {
+                        *acc = s.mul_add(v, xr, *acc);
+                    }
+                }
+                store_w::<S, RV, 1>(s, x, [v]);
             }
-            let mut sum = [[s.zero(); RV]];
-            for (r, x) in sum[0].iter_mut().enumerate() {
-                *x = s.add(s.add(acc[0][r], acc[1][r]), s.add(acc[2][r], acc[3][r]));
-            }
-            store_w(s, &mut out, sum);
         }
+        let mut sum = [[s.zero(); RV]];
+        for (r, x) in sum[0].iter_mut().enumerate() {
+            *x = s.add(s.add(acc[0][r], acc[1][r]), s.add(acc[2][r], acc[3][r]));
+        }
+        store_w(s, &mut out, sum);
         for j in rest {
             for i in lo(j).max(kk + 1)..ib {
                 a[j * m + p + i] += nw[i] * a[j * m + p + kk];
@@ -1169,11 +1068,8 @@ fn head<'h>(l1: &'h mut Option<&mut [f64]>, a: &'h mut [f64], at: usize) -> &'h 
 /// [`RowPanel::pass`], the one that applied the reflector before — then
 /// the rows below the panel are updated with [`right_chunk`] at `G` row
 /// groups, reading the chunk from those very columns.
-///
-/// # Safety
-/// The lane's ISA contract (see [`SimdLane`]).
 #[inline(always)]
-unsafe fn factor_right_body<S: SimdLane, const RV: usize, const G: usize>(
+fn factor_right_body<S: SimdLane, const RV: usize, const G: usize>(
     s: S,
     shape: Shape,
     mut l1: Option<&mut Matrix>,
@@ -1190,8 +1086,7 @@ unsafe fn factor_right_body<S: SimdLane, const RV: usize, const G: usize>(
             let same = [&[0.0; IB], &[1.0; IB]];
             let mut dots = match next.take() {
                 Some(dots) => dots,
-                // SAFETY: the caller upholds the lane's ISA contract.
-                None => unsafe { pan.pass::<S, RV>(s, data, kk, same, kk) },
+                None => pan.pass::<S, RV>(s, data, kk, same, kk),
             };
             let (ss, tail) = (dots[kk], shape.tail(k, n));
             let fast = (1e-280..1e280).contains(&ss) && dots[..ib].iter().all(|d| d.is_finite());
@@ -1210,8 +1105,7 @@ unsafe fn factor_right_body<S: SimdLane, const RV: usize, const G: usize>(
             let vs = if fast {
                 1.0 / (alpha - r.beta)
             } else {
-                // SAFETY: the caller upholds the lane's ISA contract.
-                dots = unsafe { pan.pass::<S, RV>(s, data, kk, same, kk) };
+                dots = pan.pass::<S, RV>(s, data, kk, same, kk);
                 1.0
             };
             let (mut nw, mut sv) = ([0.0; IB], [1.0; IB]);
@@ -1234,8 +1128,7 @@ unsafe fn factor_right_body<S: SimdLane, const RV: usize, const G: usize>(
                 *v = vs * dots[l] + e;
             }
             if r.tau != 0.0 {
-                // SAFETY: the caller upholds the lane's ISA contract.
-                let d = unsafe { pan.pass::<S, RV>(s, data, kk, [&nw, &sv], (kk + 1).min(ib - 1)) };
+                let d = pan.pass::<S, RV>(s, data, kk, [&nw, &sv], (kk + 1).min(ib - 1));
                 next = (kk + 1 < ib).then_some(d);
             }
             tf.append(r.tau, &vdots[..kk]);
@@ -1247,14 +1140,10 @@ unsafe fn factor_right_body<S: SimdLane, const RV: usize, const G: usize>(
                 .as_deref_mut()
                 .map(|l1| &mut l1.data_mut()[p * m..(p + ib) * m]);
             let below = p + ib..m;
-            // SAFETY: the caller upholds the lane's ISA contract;
-            // `right_chunk` asserts its bounds.
-            unsafe {
-                if ib == IB {
-                    right_chunk::<S, true, G, true>(s, &ch, h, a.data_mut(), m, below);
-                } else {
-                    right_chunk::<S, false, G, true>(s, &ch, h, a.data_mut(), m, below);
-                }
+            if ib == IB {
+                right_chunk::<S, true, G, true>(s, &ch, h, a.data_mut(), m, below);
+            } else {
+                right_chunk::<S, false, G, true>(s, &ch, h, a.data_mut(), m, below);
             }
         }
     }
@@ -1281,57 +1170,52 @@ struct ScalarRows;
 
 const ROWS: usize = 8;
 
-// SAFETY: plain `f64` arithmetic runs on every CPU.
-unsafe impl SimdLane for ScalarRows {
+impl SimdLane for ScalarRows {
     const LANES: usize = ROWS;
     type V = [f64; ROWS];
 
     #[inline(always)]
-    unsafe fn splat(self, x: f64) -> Self::V {
+    fn splat(self, x: f64) -> Self::V {
         [x; ROWS]
     }
     #[inline(always)]
-    unsafe fn zero(self) -> Self::V {
+    fn zero(self) -> Self::V {
         [0.0; ROWS]
     }
     #[inline(always)]
-    unsafe fn load(self, p: &[f64], i: usize) -> Self::V {
-        debug_assert!(i + ROWS <= p.len());
-        // SAFETY: caller guarantees i + LANES <= p.len().
-        unsafe { *p.as_ptr().add(i).cast() }
+    fn load(self, p: &[f64], i: usize) -> Self::V {
+        p[i..i + ROWS].try_into().expect("ROWS values")
     }
     #[inline(always)]
-    unsafe fn store(self, p: &mut [f64], i: usize, v: Self::V) {
-        debug_assert!(i + ROWS <= p.len());
-        // SAFETY: caller guarantees i + LANES <= p.len().
-        unsafe { *p.as_mut_ptr().add(i).cast() = v }
+    fn store(self, p: &mut [f64], i: usize, v: Self::V) {
+        p[i..i + ROWS].copy_from_slice(&v);
     }
     #[inline(always)]
-    unsafe fn load_head(self, p: &[f64], i: usize, k: usize) -> Self::V {
-        debug_assert!((1..=ROWS).contains(&k) && i + k <= p.len());
+    fn load_head(self, p: &[f64], i: usize, k: usize) -> Self::V {
+        assert!((1..=ROWS).contains(&k), "a head of {k} rows");
         let mut v = [0.0; ROWS];
         v[..k].copy_from_slice(&p[i..i + k]);
         v
     }
     #[inline(always)]
-    unsafe fn store_head(self, p: &mut [f64], i: usize, k: usize, v: Self::V) {
-        debug_assert!((1..=ROWS).contains(&k) && i + k <= p.len());
+    fn store_head(self, p: &mut [f64], i: usize, k: usize, v: Self::V) {
+        assert!((1..=ROWS).contains(&k), "a head of {k} rows");
         p[i..i + k].copy_from_slice(&v[..k]);
     }
     #[inline(always)]
-    unsafe fn add(self, a: Self::V, b: Self::V) -> Self::V {
+    fn add(self, a: Self::V, b: Self::V) -> Self::V {
         std::array::from_fn(|l| a[l] + b[l])
     }
     #[inline(always)]
-    unsafe fn mul(self, a: Self::V, b: Self::V) -> Self::V {
+    fn mul(self, a: Self::V, b: Self::V) -> Self::V {
         std::array::from_fn(|l| a[l] * b[l])
     }
     #[inline(always)]
-    unsafe fn mul_add(self, a: Self::V, b: Self::V, c: Self::V) -> Self::V {
+    fn mul_add(self, a: Self::V, b: Self::V, c: Self::V) -> Self::V {
         std::array::from_fn(|l| a[l] * b[l] + c[l])
     }
     #[inline(always)]
-    unsafe fn reduce_sum(self, a: Self::V) -> f64 {
+    fn reduce_sum(self, a: Self::V) -> f64 {
         a.iter().sum()
     }
 }
@@ -1411,11 +1295,9 @@ impl<const RIGHT: bool> ChunkCall for Apply<'_, RIGHT> {
             c,
         } = self;
         if RIGHT {
-            // SAFETY: the token `s` proves its lane's ISA.
-            unsafe { apply_right_body::<S, GR>(s, shape, v, tf, head, c) }
+            apply_right_body::<S, GR>(s, shape, v, tf, head, c)
         } else {
-            // SAFETY: the token `s` proves its lane's ISA.
-            unsafe { apply_body::<S, RV, NC, GL>(s, shape, v, tf, head, c) }
+            apply_body::<S, RV, NC, GL>(s, shape, v, tf, head, c)
         }
     }
 }
@@ -1437,11 +1319,9 @@ impl<const RIGHT: bool> ChunkCall for Factor<'_, RIGHT> {
     ) -> TFactor {
         let Factor { shape, pivot, a } = self;
         if RIGHT {
-            // SAFETY: the token `s` proves its lane's ISA.
-            unsafe { factor_right_body::<S, RV, GR>(s, shape, pivot, a) }
+            factor_right_body::<S, RV, GR>(s, shape, pivot, a)
         } else {
-            // SAFETY: the token `s` proves its lane's ISA.
-            unsafe { factor_body::<S, RV, NC, GL>(s, shape, pivot, a) }
+            factor_body::<S, RV, NC, GL>(s, shape, pivot, a)
         }
     }
 }
@@ -1666,13 +1546,11 @@ mod tests {
         // On slices that end at `i + k`: one lane more would be out of bounds.
         let src: Vec<f64> = (1..=ROWS + 1).map(|x| x as f64).collect();
         for k in 1..=ROWS {
-            // SAFETY: `1 <= k <= ROWS` and the slice holds `1 + k` values.
-            let head = unsafe { ScalarRows.load_head(&src[..1 + k], 1, k) };
+            let head = ScalarRows.load_head(&src[..1 + k], 1, k);
             assert_eq!(head[..k], src[1..1 + k]);
             assert!(head[k..].iter().all(|x| x.to_bits() == 0), "k={k}");
             let mut dst = vec![f64::NAN; 1 + k];
-            // SAFETY: `1 <= k <= ROWS` and `dst` holds `1 + k` values.
-            unsafe { ScalarRows.store_head(&mut dst, 1, k, [7.0; ROWS]) };
+            ScalarRows.store_head(&mut dst, 1, k, [7.0; ROWS]);
             assert!(
                 dst[0].is_nan() && dst[1..].iter().all(|&x| x == 7.0),
                 "k={k}"
@@ -1699,11 +1577,8 @@ mod tests {
     /// groups per pass.  This and the three below are frames of their own:
     /// inlined into one, the bodies of a lane take more than a test
     /// thread's stack in a debug build under AddressSanitizer.
-    ///
-    /// # Safety
-    /// The lane's ISA contract.
     #[inline(never)]
-    unsafe fn left_bits<S: SimdLane, const RV: usize, const NC: usize, const G: usize>(
+    fn left_bits<S: SimdLane, const RV: usize, const NC: usize, const G: usize>(
         s: S,
         shape: Shape,
         v: &Matrix,
@@ -1713,17 +1588,13 @@ mod tests {
     ) -> (Vec<u64>, Option<Vec<u64>>) {
         let (mut head, mut c) = (head.cloned(), c.clone());
         let v = (v.data(), v.rows());
-        // SAFETY: the caller upholds the lane's ISA contract.
-        unsafe { apply_body::<S, RV, NC, G>(s, shape, v, tf, head.as_mut(), &mut c) };
+        apply_body::<S, RV, NC, G>(s, shape, v, tf, head.as_mut(), &mut c);
         (bits(&c), head.as_ref().map(bits))
     }
 
     /// [`left_bits`] for [`apply_right_body`].
-    ///
-    /// # Safety
-    /// The lane's ISA contract.
     #[inline(never)]
-    unsafe fn right_bits<S: SimdLane, const G: usize>(
+    fn right_bits<S: SimdLane, const G: usize>(
         s: S,
         shape: Shape,
         v: &Matrix,
@@ -1733,44 +1604,35 @@ mod tests {
     ) -> (Vec<u64>, Option<Vec<u64>>) {
         let (mut head, mut c) = (head.cloned(), c.clone());
         let v = (v.data(), v.rows());
-        // SAFETY: the caller upholds the lane's ISA contract.
-        unsafe { apply_right_body::<S, G>(s, shape, v, tf, head.as_mut(), &mut c) };
+        apply_right_body::<S, G>(s, shape, v, tf, head.as_mut(), &mut c);
         (bits(&c), head.as_ref().map(bits))
     }
 
     /// The bits of the factored tile, the triangle above it and the factor
     /// after [`factor_body`] with `G` row groups per pass.
-    ///
-    /// # Safety
-    /// The lane's ISA contract.
     #[inline(never)]
-    unsafe fn factor_bits<S: SimdLane, const RV: usize, const NC: usize, const G: usize>(
+    fn factor_bits<S: SimdLane, const RV: usize, const NC: usize, const G: usize>(
         s: S,
         shape: Shape,
         r1: Option<&Matrix>,
         a: &Matrix,
     ) -> (Vec<u64>, Option<Vec<u64>>, TFactor) {
         let (mut r1, mut a) = (r1.cloned(), a.clone());
-        // SAFETY: the caller upholds the lane's ISA contract.
-        let tf = unsafe { factor_body::<S, RV, NC, G>(s, shape, r1.as_mut(), &mut a) };
+        let tf = factor_body::<S, RV, NC, G>(s, shape, r1.as_mut(), &mut a);
         (bits(&a), r1.as_ref().map(bits), tf)
     }
 
     /// [`factor_bits`] for [`factor_right_body`], `l1` the triangle left
     /// of `a`.
-    ///
-    /// # Safety
-    /// The lane's ISA contract.
     #[inline(never)]
-    unsafe fn factor_right_bits<S: SimdLane, const RV: usize, const G: usize>(
+    fn factor_right_bits<S: SimdLane, const RV: usize, const G: usize>(
         s: S,
         shape: Shape,
         l1: Option<&Matrix>,
         a: &Matrix,
     ) -> (Vec<u64>, Option<Vec<u64>>, TFactor) {
         let (mut l1, mut a) = (l1.cloned(), a.clone());
-        // SAFETY: the caller upholds the lane's ISA contract.
-        let tf = unsafe { factor_right_body::<S, RV, G>(s, shape, l1.as_mut(), &mut a) };
+        let tf = factor_right_body::<S, RV, G>(s, shape, l1.as_mut(), &mut a);
         (bits(&a), l1.as_ref().map(bits), tf)
     }
 
@@ -1780,13 +1642,8 @@ mod tests {
     /// a narrow last chunk, and row counts from one up to
     /// two full passes, a group and a row, so that every mix of full
     /// passes, leftover groups and leftover rows runs.
-    ///
-    /// # Safety
-    /// The lane's ISA contract.
     #[inline(always)]
-    unsafe fn check_row_groups<S: SimdLane, const RV: usize, const NC: usize, const G: usize>(
-        s: S,
-    ) {
+    fn check_row_groups<S: SimdLane, const RV: usize, const NC: usize, const G: usize>(s: S) {
         let (n, kmax) = (13, IB + 1);
         for shape in [Shape::Trapezoid, Shape::Square, Shape::Triangle] {
             let stacked = shape != Shape::Trapezoid;
@@ -1802,31 +1659,16 @@ mod tests {
                 let vr = random_gaussian(kmax, n, seed + 3);
                 let tfr = random_t(kmax, seed + 4);
                 let hr = stacked.then(|| random_gaussian(m, kmax, seed + 5));
-                // SAFETY: the caller upholds the lane's ISA contract.
-                let (left, left1) = unsafe {
-                    (
-                        left_bits::<S, RV, NC, G>(s, shape, &v, &tf, head.as_ref(), &c),
-                        left_bits::<S, RV, NC, 1>(s, shape, &v, &tf, head.as_ref(), &c),
-                    )
-                };
+                let left = left_bits::<S, RV, NC, G>(s, shape, &v, &tf, head.as_ref(), &c);
+                let left1 = left_bits::<S, RV, NC, 1>(s, shape, &v, &tf, head.as_ref(), &c);
                 assert!(left == left1, "apply, {what}");
-                // SAFETY: the caller upholds the lane's ISA contract.
-                let (right, right1) = unsafe {
-                    (
-                        right_bits::<S, G>(s, shape, &vr, &tfr, hr.as_ref(), &c),
-                        right_bits::<S, 1>(s, shape, &vr, &tfr, hr.as_ref(), &c),
-                    )
-                };
+                let right = right_bits::<S, G>(s, shape, &vr, &tfr, hr.as_ref(), &c);
+                let right1 = right_bits::<S, 1>(s, shape, &vr, &tfr, hr.as_ref(), &c);
                 assert!(right == right1, "apply_right, {what}");
                 // The factorization's trailing update runs the left kernel.
                 let r1 = stacked.then(|| random_gaussian(n, n, seed + 6));
-                // SAFETY: the caller upholds the lane's ISA contract.
-                let (f, f1) = unsafe {
-                    (
-                        factor_bits::<S, RV, NC, G>(s, shape, r1.as_ref(), &c),
-                        factor_bits::<S, RV, NC, 1>(s, shape, r1.as_ref(), &c),
-                    )
-                };
+                let f = factor_bits::<S, RV, NC, G>(s, shape, r1.as_ref(), &c);
+                let f1 = factor_bits::<S, RV, NC, 1>(s, shape, r1.as_ref(), &c);
                 assert!(f == f1, "factor, {what}");
                 // The LQ factorization's runs the right one on the rows below
                 // each panel: `m` of them below the first, `IB + 1` rows of
@@ -1834,13 +1676,8 @@ mod tests {
                 // columns.
                 let a = random_gaussian(m + IB, n, seed + 7);
                 let l1 = stacked.then(|| random_gaussian(m + IB, kmax, seed + 8));
-                // SAFETY: the caller upholds the lane's ISA contract.
-                let (f, f1) = unsafe {
-                    (
-                        factor_right_bits::<S, RV, G>(s, shape, l1.as_ref(), &a),
-                        factor_right_bits::<S, RV, 1>(s, shape, l1.as_ref(), &a),
-                    )
-                };
+                let f = factor_right_bits::<S, RV, G>(s, shape, l1.as_ref(), &a);
+                let f1 = factor_right_bits::<S, RV, 1>(s, shape, l1.as_ref(), &a);
                 assert!(f == f1, "factor_right, {what}");
             }
         }
@@ -1859,10 +1696,8 @@ mod tests {
             self,
             s: S,
         ) {
-            // SAFETY: the token `s` proves its lane's ISA.
-            unsafe { check_row_groups::<S, RV, NC, 2>(s) };
-            // SAFETY: the token `s` proves its lane's ISA.
-            unsafe { check_row_groups::<S, RV, NC, 3>(s) };
+            check_row_groups::<S, RV, NC, 2>(s);
+            check_row_groups::<S, RV, NC, 3>(s);
         }
     }
 

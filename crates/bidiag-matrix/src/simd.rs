@@ -9,8 +9,8 @@
 //! [`dispatch`], which instantiates it with the lane of the backend in force
 //! —
 //!
-//! * [`ScalarLane`] (`LANES = 1`, plain `f64` arithmetic, no `unsafe`
-//!   ISA requirements) — this is the portable fallback and is exactly the
+//! * [`ScalarLane`] (`LANES = 1`, plain `f64` arithmetic, no ISA
+//!   requirements) — this is the portable fallback and is exactly the
 //!   scalar code the kernels used before this layer existed,
 //! * [`Avx2Lane`] (`LANES = 4`, `__m256d` + FMA via `core::arch`) inside
 //!   the `#[target_feature(enable = "avx2,fma")]` shell so LLVM emits
@@ -53,20 +53,17 @@
 //!
 //! # Safety argument
 //!
-//! All `unsafe` here reduces to two obligations:
-//!
-//! 1. **ISA availability** — [`Avx2Lane`] methods require AVX2+FMA,
-//!    [`Avx512Lane`] methods AVX-512F on top.  A lane token is the proof:
-//!    it is minted only by this module's two shells, and [`dispatch`]
-//!    asserts `check_avx2` / `check_avx512` before calling one (so even a
-//!    hand-constructed [`SimdBackend::Avx2`] state on a non-AVX2 host
-//!    panics instead of executing illegal instructions).  Holding a token
-//!    is therefore enough to call a lane-generic body, which is why
-//!    [`LaneKernel::run`] is a safe method.
-//! 2. **Bounds** — lane `load`/`store` use unchecked indexing.  Every
-//!    kernel asserts its slice-length contract before its body runs, and
-//!    the generic bodies only touch indices below those lengths (plain
-//!    `debug_assert!`s re-state the per-access contract).
+//! [`SimdLane`] is a safe trait of safe methods, and every `unsafe` of the
+//! workspace's kernels is in this module, down to one obligation: **ISA
+//! availability**.  [`Avx2Lane`] methods require AVX2+FMA, [`Avx512Lane`]
+//! methods AVX-512F on top.  A lane token is the proof: it is minted only
+//! by this module's two shells, and [`dispatch`] asserts `check_avx2` /
+//! `check_avx512` before calling one (so even a hand-constructed
+//! [`SimdBackend::Avx2`] state on a non-AVX2 host panics instead of
+//! executing illegal instructions).  Holding a token is therefore enough
+//! to call a lane method.  Bounds are no obligation of the caller: the
+//! lanes' memory methods cut the slice they touch with checked indexing
+//! and panic outside it, so a kernel body is plain safe code.
 //!
 //! # Numerical contract
 //!
@@ -80,11 +77,12 @@
 //!
 //! # Adding a kernel
 //!
-//! Write one `#[inline(always)] unsafe fn foo_body<S: SimdLane>(...)`
-//! using only lane ops plus a scalar tail (or a masked last register).
-//! Wrap its arguments in a struct, implement [`LaneKernel`] for it with an
-//! `#[inline(always)]` `run` that asserts the lengths the body relies on
-//! and calls it, and call [`dispatch`] with a value of it — no
+//! Write one safe `#[inline(always)] fn foo_body<S: SimdLane>(...)` using
+//! only lane ops plus a scalar tail (or a masked last register); cutting
+//! its operands to the lengths it walks lets the compiler drop the lanes'
+//! per-access checks.  Wrap its arguments in a struct, implement
+//! [`LaneKernel`] for it with an `#[inline(always)]` `run` that calls it,
+//! and call [`dispatch`] with a value of it — no `unsafe`, no
 //! `#[target_feature]` function, no backend `match`, no lane token of your
 //! own.  Set [`LaneKernel::AVX512`] to `false` unless a measurement earns
 //! the kernel eight lanes.  Then extend the forced-backend equivalence
@@ -318,96 +316,65 @@ pub fn on_each_backend<R>(f: impl Fn() -> R) -> Vec<(SimdBackend, R)> {
 /// One register's worth of `f64` arithmetic: the abstraction each generic
 /// kernel body is written against.
 ///
-/// # Safety
-///
-/// Implementing the trait promises that a value of the lane type exists
-/// only where the CPU supports its instruction set: a lane with
-/// requirements is not safely constructible ([`Avx2Lane`] and
-/// [`Avx512Lane`] are minted only by [`dispatch`]'s shells), which is what
-/// makes a safe [`LaneKernel::run`] sound.
-///
-/// Every method is `unsafe` under a single contract:
-///
-/// * the CPU supports the lane's instruction set (trivially true for
-///   [`ScalarLane`]; AVX2+FMA for [`Avx2Lane`], AVX-512F on top for
-///   [`Avx512Lane`] — guaranteed by holding the token), and
-/// * for `load`/`store`, `i + Self::LANES <= p.len()`; for
-///   `load_head`/`store_head` of `k` lanes, `1 <= k <= Self::LANES` and
-///   `i + k <= p.len()`; for `transpose`, the bound of `load`/`store` for
-///   the last vector of the block on either side.
-pub unsafe trait SimdLane: Copy {
+/// Every method is safe.  The arithmetic needs nothing but the token: a
+/// lane with instruction-set requirements is not constructible outside
+/// this module ([`Avx2Lane`] and [`Avx512Lane`] are minted only by
+/// [`dispatch`]'s shells, behind the guard of their instruction set), so
+/// holding one proves the CPU runs it.  The memory methods check their
+/// bounds and panic instead of touching memory outside the slice; see each
+/// method's `# Panics`.
+pub trait SimdLane: Copy {
     /// Number of `f64` lanes per register.
     const LANES: usize;
     /// The register type.
     type V: Copy;
 
     /// Broadcast `x` into all lanes.
-    ///
-    /// # Safety
-    /// See the trait-level contract.
-    unsafe fn splat(self, x: f64) -> Self::V;
+    fn splat(self, x: f64) -> Self::V;
     /// All-zero register.
-    ///
-    /// # Safety
-    /// See the trait-level contract.
-    unsafe fn zero(self) -> Self::V;
+    fn zero(self) -> Self::V;
     /// Load `LANES` values from `p[i..]`.
     ///
-    /// # Safety
-    /// See the trait-level contract; requires `i + LANES <= p.len()`.
-    unsafe fn load(self, p: &[f64], i: usize) -> Self::V;
+    /// # Panics
+    /// Unless `i + LANES <= p.len()`.
+    fn load(self, p: &[f64], i: usize) -> Self::V;
     /// Store `LANES` values to `p[i..]`.
     ///
-    /// # Safety
-    /// See the trait-level contract; requires `i + LANES <= p.len()`.
-    unsafe fn store(self, p: &mut [f64], i: usize, v: Self::V);
+    /// # Panics
+    /// Unless `i + LANES <= p.len()`.
+    fn store(self, p: &mut [f64], i: usize, v: Self::V);
     /// Load the `k` values `p[i..i + k]` into the first `k` lanes and zero
     /// into the others: the last register of a run that does not fill it.
     /// Nothing at or past `p[i + k]` is read, so `p` may end there.
     ///
-    /// # Safety
-    /// See the trait-level contract; requires `1 <= k <= LANES` and
-    /// `i + k <= p.len()`.
-    unsafe fn load_head(self, p: &[f64], i: usize, k: usize) -> Self::V;
+    /// # Panics
+    /// Unless `1 <= k <= LANES` and `i + k <= p.len()`.
+    fn load_head(self, p: &[f64], i: usize, k: usize) -> Self::V;
     /// Store the first `k` lanes of `v` to `p[i..i + k]`; nothing at or past
     /// `p[i + k]` is written (or read).
     ///
-    /// # Safety
-    /// See the trait-level contract; requires `1 <= k <= LANES` and
-    /// `i + k <= p.len()`.
-    unsafe fn store_head(self, p: &mut [f64], i: usize, k: usize, v: Self::V);
+    /// # Panics
+    /// Unless `1 <= k <= LANES` and `i + k <= p.len()`.
+    fn store_head(self, p: &mut [f64], i: usize, k: usize, v: Self::V);
     /// Lane-wise `a + b`.
-    ///
-    /// # Safety
-    /// See the trait-level contract.
-    unsafe fn add(self, a: Self::V, b: Self::V) -> Self::V;
+    fn add(self, a: Self::V, b: Self::V) -> Self::V;
     /// Lane-wise `a * b`.
-    ///
-    /// # Safety
-    /// See the trait-level contract.
-    unsafe fn mul(self, a: Self::V, b: Self::V) -> Self::V;
+    fn mul(self, a: Self::V, b: Self::V) -> Self::V;
     /// Lane-wise `a * b + c` — **fused** on AVX2, **unfused** on scalar
     /// (see the module-level numerical contract).
-    ///
-    /// # Safety
-    /// See the trait-level contract.
-    unsafe fn mul_add(self, a: Self::V, b: Self::V, c: Self::V) -> Self::V;
+    fn mul_add(self, a: Self::V, b: Self::V, c: Self::V) -> Self::V;
     /// Horizontal sum of all lanes.
-    ///
-    /// # Safety
-    /// See the trait-level contract.
-    unsafe fn reduce_sum(self, a: Self::V) -> f64;
+    fn reduce_sum(self, a: Self::V) -> f64;
     /// Transpose one `LANES x LANES` block: column `c` of the block is
     /// `src[c * lds..][..LANES]`, and row `r` of it is written to
     /// `dst[r * ldd..][..LANES]`.  Element by element here; the vector
     /// lanes do it in registers.
     ///
-    /// # Safety
-    /// See the trait-level contract; requires
-    /// `(LANES - 1) * lds + LANES <= src.len()` and
+    /// # Panics
+    /// Unless `(LANES - 1) * lds + LANES <= src.len()` and
     /// `(LANES - 1) * ldd + LANES <= dst.len()`.
     #[inline(always)]
-    unsafe fn transpose(self, src: &[f64], lds: usize, dst: &mut [f64], ldd: usize) {
+    fn transpose(self, src: &[f64], lds: usize, dst: &mut [f64], ldd: usize) {
         for c in 0..Self::LANES {
             for r in 0..Self::LANES {
                 dst[r * ldd + c] = src[c * lds + r];
@@ -416,68 +383,80 @@ pub unsafe trait SimdLane: Copy {
     }
 }
 
+/// Panic unless `1 <= k <= lanes`: the head of a register is neither empty
+/// nor wider than the register.
+#[inline(always)]
+fn check_head(k: usize, lanes: usize) {
+    assert!(
+        (1..=lanes).contains(&k),
+        "a head of {k} lanes on a {lanes}-lane register"
+    );
+}
+
+/// How many values a `lanes x lanes` block spans in a slice whose vectors
+/// start `ld` apart: `(lanes - 1) * ld + lanes`.  The vector lanes'
+/// transposes cut both sides to it once and then touch nothing past it.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn block_len(ld: usize, lanes: usize) -> usize {
+    ld.checked_mul(lanes - 1)
+        .and_then(|n| n.checked_add(lanes))
+        .expect("a block that fits in memory")
+}
+
 /// `LANES = 1` lane: plain `f64` arithmetic, no ISA requirements. The
 /// generic bodies instantiated with this lane are the portable fallback
 /// kernels (and match the pre-SIMD scalar code bit-for-bit).
 #[derive(Clone, Copy)]
 pub struct ScalarLane;
 
-// SAFETY: plain `f64` arithmetic runs on every CPU.
-unsafe impl SimdLane for ScalarLane {
+impl SimdLane for ScalarLane {
     const LANES: usize = 1;
     type V = f64;
 
     #[inline(always)]
-    unsafe fn splat(self, x: f64) -> f64 {
+    fn splat(self, x: f64) -> f64 {
         x
     }
     #[inline(always)]
-    unsafe fn zero(self) -> f64 {
+    fn zero(self) -> f64 {
         0.0
     }
     #[inline(always)]
-    unsafe fn load(self, p: &[f64], i: usize) -> f64 {
-        debug_assert!(i < p.len());
-        // SAFETY: caller guarantees i + LANES (= 1) <= p.len().
-        unsafe { *p.get_unchecked(i) }
+    fn load(self, p: &[f64], i: usize) -> f64 {
+        p[i]
     }
     #[inline(always)]
-    unsafe fn store(self, p: &mut [f64], i: usize, v: f64) {
-        debug_assert!(i < p.len());
-        // SAFETY: caller guarantees i + LANES (= 1) <= p.len().
-        unsafe {
-            *p.get_unchecked_mut(i) = v;
-        }
+    fn store(self, p: &mut [f64], i: usize, v: f64) {
+        p[i] = v;
     }
     #[inline(always)]
-    unsafe fn load_head(self, p: &[f64], i: usize, k: usize) -> f64 {
-        debug_assert!(k == 1 && i < p.len());
-        // SAFETY: one lane, so the head is the register: `i + 1 <= p.len()`.
-        unsafe { self.load(p, i) }
+    fn load_head(self, p: &[f64], i: usize, k: usize) -> f64 {
+        check_head(k, 1);
+        p[i]
     }
     #[inline(always)]
-    unsafe fn store_head(self, p: &mut [f64], i: usize, k: usize, v: f64) {
-        debug_assert!(k == 1 && i < p.len());
-        // SAFETY: one lane, so the head is the register: `i + 1 <= p.len()`.
-        unsafe { self.store(p, i, v) }
+    fn store_head(self, p: &mut [f64], i: usize, k: usize, v: f64) {
+        check_head(k, 1);
+        p[i] = v;
     }
     #[inline(always)]
-    unsafe fn add(self, a: f64, b: f64) -> f64 {
+    fn add(self, a: f64, b: f64) -> f64 {
         a + b
     }
     #[inline(always)]
-    unsafe fn mul(self, a: f64, b: f64) -> f64 {
+    fn mul(self, a: f64, b: f64) -> f64 {
         a * b
     }
     #[inline(always)]
-    unsafe fn mul_add(self, a: f64, b: f64, c: f64) -> f64 {
+    fn mul_add(self, a: f64, b: f64, c: f64) -> f64 {
         // Deliberately unfused: keeps the fallback free of soft-float fma
         // on hosts without the instruction, and bit-identical to the
         // pre-SIMD kernel bodies.
         a * b + c
     }
     #[inline(always)]
-    unsafe fn reduce_sum(self, a: f64) -> f64 {
+    fn reduce_sum(self, a: f64) -> f64 {
         a
     }
 }
@@ -486,7 +465,18 @@ unsafe impl SimdLane for ScalarLane {
 ///
 /// Constructed only by [`dispatch`]'s `#[target_feature(enable =
 /// "avx2,fma")]` shell, so its methods always execute with the features
-/// they require.
+/// they require.  Nothing else can make one — no public field, constructor
+/// or `Default`:
+///
+/// ```compile_fail
+/// let _ = bidiag_matrix::simd::Avx2Lane(());
+/// ```
+/// ```compile_fail
+/// let _ = unsafe { bidiag_matrix::simd::Avx2Lane::new_unchecked() };
+/// ```
+/// ```compile_fail
+/// let _: bidiag_matrix::simd::Avx2Lane = Default::default();
+/// ```
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
 pub struct Avx2Lane(());
@@ -505,89 +495,84 @@ impl Avx2Lane {
 
     /// The `vmaskmovpd` mask of the first `k` lanes: a window of four into
     /// a table of four set and four clear sign bits, sliding with `k`.
-    ///
-    /// # Safety
-    /// AVX2 (asserted by the lane token) and `k <= 4`.
+    /// Panics unless `k <= 4`.
     #[inline(always)]
-    unsafe fn head_mask(k: usize) -> core::arch::x86_64::__m256i {
+    fn head_mask(self, k: usize) -> core::arch::x86_64::__m256i {
         const TABLE: [i64; 8] = [-1, -1, -1, -1, 0, 0, 0, 0];
-        debug_assert!(k <= 4);
-        // SAFETY: `4 - k + 4 <= 8` for `k <= 4`, so the unaligned 32-byte
-        // load stays inside the table.
-        unsafe { core::arch::x86_64::_mm256_loadu_si256(TABLE.as_ptr().add(4 - k).cast()) }
+        let window = &TABLE[4 - k..][..4];
+        // SAFETY: `window` is four `i64`s, the 32 bytes the unaligned load
+        // reads; AVX2 is proven by the lane token.
+        unsafe { core::arch::x86_64::_mm256_loadu_si256(window.as_ptr().cast()) }
     }
 }
 
-// SAFETY: an `Avx2Lane` is minted only by `avx2_shell`, behind
-// `check_avx2`.
 #[cfg(target_arch = "x86_64")]
-unsafe impl SimdLane for Avx2Lane {
+impl SimdLane for Avx2Lane {
     const LANES: usize = 4;
     type V = core::arch::x86_64::__m256d;
 
     #[inline(always)]
-    unsafe fn splat(self, x: f64) -> Self::V {
-        // SAFETY: constructing an Avx2Lane asserts AVX2 support.
+    fn splat(self, x: f64) -> Self::V {
+        // SAFETY: the lane token proves AVX2.
         unsafe { core::arch::x86_64::_mm256_set1_pd(x) }
     }
     #[inline(always)]
-    unsafe fn zero(self) -> Self::V {
-        // SAFETY: constructing an Avx2Lane asserts AVX2 support.
+    fn zero(self) -> Self::V {
+        // SAFETY: the lane token proves AVX2.
         unsafe { core::arch::x86_64::_mm256_setzero_pd() }
     }
     #[inline(always)]
-    unsafe fn load(self, p: &[f64], i: usize) -> Self::V {
-        debug_assert!(i + 4 <= p.len());
-        // SAFETY: caller guarantees i + LANES (= 4) <= p.len(); loadu has no
-        // alignment requirement; AVX2 support is asserted by the lane token.
-        unsafe { core::arch::x86_64::_mm256_loadu_pd(p.as_ptr().add(i)) }
+    fn load(self, p: &[f64], i: usize) -> Self::V {
+        let p = &p[i..i + 4];
+        // SAFETY: `p` is the four values read; loadu has no alignment
+        // requirement; the lane token proves AVX2.
+        unsafe { core::arch::x86_64::_mm256_loadu_pd(p.as_ptr()) }
     }
     #[inline(always)]
-    unsafe fn store(self, p: &mut [f64], i: usize, v: Self::V) {
-        debug_assert!(i + 4 <= p.len());
-        // SAFETY: caller guarantees i + LANES (= 4) <= p.len(); storeu has no
-        // alignment requirement; AVX2 support is asserted by the lane token.
-        unsafe { core::arch::x86_64::_mm256_storeu_pd(p.as_mut_ptr().add(i), v) }
+    fn store(self, p: &mut [f64], i: usize, v: Self::V) {
+        let p = &mut p[i..i + 4];
+        // SAFETY: `p` is the four values written; storeu has no alignment
+        // requirement; the lane token proves AVX2.
+        unsafe { core::arch::x86_64::_mm256_storeu_pd(p.as_mut_ptr(), v) }
     }
     #[inline(always)]
-    unsafe fn load_head(self, p: &[f64], i: usize, k: usize) -> Self::V {
-        debug_assert!((1..=4).contains(&k) && i + k <= p.len());
-        // SAFETY: caller guarantees 1 <= k <= 4 and i + k <= p.len();
-        // `vmaskmovpd` neither reads nor faults on the lanes its mask clears,
-        // and the mask sets the first k; AVX2 is asserted by the lane token.
-        unsafe { core::arch::x86_64::_mm256_maskload_pd(p.as_ptr().add(i), Self::head_mask(k)) }
+    fn load_head(self, p: &[f64], i: usize, k: usize) -> Self::V {
+        check_head(k, 4);
+        let p = &p[i..i + k];
+        // SAFETY: `vmaskmovpd` neither reads nor faults on the lanes its
+        // mask clears, and the mask sets the first `k`, the length of `p`;
+        // the lane token proves AVX2.
+        unsafe { core::arch::x86_64::_mm256_maskload_pd(p.as_ptr(), self.head_mask(k)) }
     }
     #[inline(always)]
-    unsafe fn store_head(self, p: &mut [f64], i: usize, k: usize, v: Self::V) {
-        debug_assert!((1..=4).contains(&k) && i + k <= p.len());
-        // SAFETY: caller guarantees 1 <= k <= 4 and i + k <= p.len();
-        // `vmaskmovpd` neither writes nor faults on the lanes its mask
-        // clears, and the mask sets the first k; AVX2 is asserted by the
-        // lane token.
-        unsafe {
-            core::arch::x86_64::_mm256_maskstore_pd(p.as_mut_ptr().add(i), Self::head_mask(k), v)
-        }
+    fn store_head(self, p: &mut [f64], i: usize, k: usize, v: Self::V) {
+        check_head(k, 4);
+        let p = &mut p[i..i + k];
+        // SAFETY: `vmaskmovpd` neither writes nor faults on the lanes its
+        // mask clears, and the mask sets the first `k`, the length of `p`;
+        // the lane token proves AVX2.
+        unsafe { core::arch::x86_64::_mm256_maskstore_pd(p.as_mut_ptr(), self.head_mask(k), v) }
     }
     #[inline(always)]
-    unsafe fn add(self, a: Self::V, b: Self::V) -> Self::V {
-        // SAFETY: constructing an Avx2Lane asserts AVX2 support.
+    fn add(self, a: Self::V, b: Self::V) -> Self::V {
+        // SAFETY: the lane token proves AVX2.
         unsafe { core::arch::x86_64::_mm256_add_pd(a, b) }
     }
     #[inline(always)]
-    unsafe fn mul(self, a: Self::V, b: Self::V) -> Self::V {
-        // SAFETY: constructing an Avx2Lane asserts AVX2 support.
+    fn mul(self, a: Self::V, b: Self::V) -> Self::V {
+        // SAFETY: the lane token proves AVX2.
         unsafe { core::arch::x86_64::_mm256_mul_pd(a, b) }
     }
     #[inline(always)]
-    unsafe fn mul_add(self, a: Self::V, b: Self::V, c: Self::V) -> Self::V {
-        // SAFETY: constructing an Avx2Lane asserts AVX2+FMA support.
+    fn mul_add(self, a: Self::V, b: Self::V, c: Self::V) -> Self::V {
+        // SAFETY: the lane token proves AVX2+FMA.
         unsafe { core::arch::x86_64::_mm256_fmadd_pd(a, b, c) }
     }
     #[inline(always)]
-    unsafe fn reduce_sum(self, a: Self::V) -> f64 {
+    fn reduce_sum(self, a: Self::V) -> f64 {
         use core::arch::x86_64::*;
-        // SAFETY: constructing an Avx2Lane asserts AVX2 support (the SSE2
-        // ops below are a strict subset).
+        // SAFETY: the lane token proves AVX2 (the SSE2 ops below are a
+        // strict subset).
         unsafe {
             let lo = _mm256_castpd256_pd128(a);
             let hi = _mm256_extractf128_pd::<1>(a);
@@ -597,21 +582,26 @@ unsafe impl SimdLane for Avx2Lane {
         }
     }
     #[inline(always)]
-    unsafe fn transpose(self, src: &[f64], lds: usize, dst: &mut [f64], ldd: usize) {
+    fn transpose(self, src: &[f64], lds: usize, dst: &mut [f64], ldd: usize) {
         use core::arch::x86_64::*;
-        // SAFETY: the caller guarantees that the four vectors `lds` apart
-        // lie inside `src` and the four `ldd` apart inside `dst`; AVX2
-        // support is asserted by the lane token.
+        let (src, dst) = (&src[..block_len(lds, 4)], &mut dst[..block_len(ldd, 4)]);
+        let (s, d) = (src.as_ptr(), dst.as_mut_ptr());
+        // SAFETY: vector `k < 4` of either side is the four values from
+        // `k * ld` on, which end at or before `3 * ld + 4`, the length both
+        // sides are cut to; the lane token proves AVX2.
         unsafe {
-            let (c0, c1) = (self.load(src, 0), self.load(src, lds));
-            let (c2, c3) = (self.load(src, 2 * lds), self.load(src, 3 * lds));
+            let (c0, c1) = (_mm256_loadu_pd(s), _mm256_loadu_pd(s.add(lds)));
+            let (c2, c3) = (
+                _mm256_loadu_pd(s.add(2 * lds)),
+                _mm256_loadu_pd(s.add(3 * lds)),
+            );
             // 64-bit interleave inside each 128-bit half, then pair halves.
             let (e0, o0) = (_mm256_unpacklo_pd(c0, c1), _mm256_unpackhi_pd(c0, c1));
             let (e1, o1) = (_mm256_unpacklo_pd(c2, c3), _mm256_unpackhi_pd(c2, c3));
-            self.store(dst, 0, _mm256_permute2f128_pd::<0x20>(e0, e1));
-            self.store(dst, ldd, _mm256_permute2f128_pd::<0x20>(o0, o1));
-            self.store(dst, 2 * ldd, _mm256_permute2f128_pd::<0x31>(e0, e1));
-            self.store(dst, 3 * ldd, _mm256_permute2f128_pd::<0x31>(o0, o1));
+            _mm256_storeu_pd(d, _mm256_permute2f128_pd::<0x20>(e0, e1));
+            _mm256_storeu_pd(d.add(ldd), _mm256_permute2f128_pd::<0x20>(o0, o1));
+            _mm256_storeu_pd(d.add(2 * ldd), _mm256_permute2f128_pd::<0x31>(e0, e1));
+            _mm256_storeu_pd(d.add(3 * ldd), _mm256_permute2f128_pd::<0x31>(o0, o1));
         }
     }
 }
@@ -620,7 +610,18 @@ unsafe impl SimdLane for Avx2Lane {
 ///
 /// Constructed only by [`dispatch`]'s `#[target_feature(enable =
 /// "avx512f,avx2,fma")]` shell, so its methods always execute with the
-/// features they require.
+/// features they require.  Nothing else can make one — no public field,
+/// constructor or `Default`:
+///
+/// ```compile_fail
+/// let _ = bidiag_matrix::simd::Avx512Lane(());
+/// ```
+/// ```compile_fail
+/// let _ = unsafe { bidiag_matrix::simd::Avx512Lane::new_unchecked() };
+/// ```
+/// ```compile_fail
+/// let _: bidiag_matrix::simd::Avx512Lane = Default::default();
+/// ```
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
 pub struct Avx512Lane(());
@@ -641,88 +642,85 @@ impl Avx512Lane {
     /// The `__mmask8` of the first `k <= 8` lanes.
     #[inline(always)]
     fn head_mask(k: usize) -> u8 {
-        debug_assert!(k <= 8);
         ((1u32 << k) - 1) as u8
     }
 }
 
-// SAFETY: an `Avx512Lane` is minted only by `avx512_shell`, behind
-// `check_avx512`.
 #[cfg(target_arch = "x86_64")]
-unsafe impl SimdLane for Avx512Lane {
+impl SimdLane for Avx512Lane {
     const LANES: usize = 8;
     type V = core::arch::x86_64::__m512d;
 
     #[inline(always)]
-    unsafe fn splat(self, x: f64) -> Self::V {
-        // SAFETY: constructing an Avx512Lane asserts AVX-512F support.
+    fn splat(self, x: f64) -> Self::V {
+        // SAFETY: the lane token proves AVX-512F.
         unsafe { core::arch::x86_64::_mm512_set1_pd(x) }
     }
     #[inline(always)]
-    unsafe fn zero(self) -> Self::V {
-        // SAFETY: constructing an Avx512Lane asserts AVX-512F support.
+    fn zero(self) -> Self::V {
+        // SAFETY: the lane token proves AVX-512F.
         unsafe { core::arch::x86_64::_mm512_setzero_pd() }
     }
     #[inline(always)]
-    unsafe fn load(self, p: &[f64], i: usize) -> Self::V {
-        debug_assert!(i + 8 <= p.len());
-        // SAFETY: caller guarantees i + LANES (= 8) <= p.len(); loadu has no
-        // alignment requirement; AVX-512F is asserted by the lane token.
-        unsafe { core::arch::x86_64::_mm512_loadu_pd(p.as_ptr().add(i)) }
+    fn load(self, p: &[f64], i: usize) -> Self::V {
+        let p = &p[i..i + 8];
+        // SAFETY: `p` is the eight values read; loadu has no alignment
+        // requirement; the lane token proves AVX-512F.
+        unsafe { core::arch::x86_64::_mm512_loadu_pd(p.as_ptr()) }
     }
     #[inline(always)]
-    unsafe fn store(self, p: &mut [f64], i: usize, v: Self::V) {
-        debug_assert!(i + 8 <= p.len());
-        // SAFETY: caller guarantees i + LANES (= 8) <= p.len(); storeu has no
-        // alignment requirement; AVX-512F is asserted by the lane token.
-        unsafe { core::arch::x86_64::_mm512_storeu_pd(p.as_mut_ptr().add(i), v) }
+    fn store(self, p: &mut [f64], i: usize, v: Self::V) {
+        let p = &mut p[i..i + 8];
+        // SAFETY: `p` is the eight values written; storeu has no alignment
+        // requirement; the lane token proves AVX-512F.
+        unsafe { core::arch::x86_64::_mm512_storeu_pd(p.as_mut_ptr(), v) }
     }
     #[inline(always)]
-    unsafe fn load_head(self, p: &[f64], i: usize, k: usize) -> Self::V {
-        debug_assert!((1..=8).contains(&k) && i + k <= p.len());
-        // SAFETY: caller guarantees 1 <= k <= 8 and i + k <= p.len(); a
-        // masked `vmovupd` neither reads nor faults on the lanes its
-        // `__mmask8` clears, and the mask sets the first k; AVX-512F is
-        // asserted by the lane token.
-        unsafe { core::arch::x86_64::_mm512_maskz_loadu_pd(Self::head_mask(k), p.as_ptr().add(i)) }
+    fn load_head(self, p: &[f64], i: usize, k: usize) -> Self::V {
+        check_head(k, 8);
+        let p = &p[i..i + k];
+        // SAFETY: a masked `vmovupd` neither reads nor faults on the lanes
+        // its `__mmask8` clears, and the mask sets the first `k`, the length
+        // of `p`; the lane token proves AVX-512F.
+        unsafe { core::arch::x86_64::_mm512_maskz_loadu_pd(Self::head_mask(k), p.as_ptr()) }
     }
     #[inline(always)]
-    unsafe fn store_head(self, p: &mut [f64], i: usize, k: usize, v: Self::V) {
-        debug_assert!((1..=8).contains(&k) && i + k <= p.len());
-        // SAFETY: caller guarantees 1 <= k <= 8 and i + k <= p.len(); a
-        // masked `vmovupd` neither writes nor faults on the lanes its
-        // `__mmask8` clears, and the mask sets the first k; AVX-512F is
-        // asserted by the lane token.
-        unsafe {
-            core::arch::x86_64::_mm512_mask_storeu_pd(p.as_mut_ptr().add(i), Self::head_mask(k), v)
-        }
+    fn store_head(self, p: &mut [f64], i: usize, k: usize, v: Self::V) {
+        check_head(k, 8);
+        let p = &mut p[i..i + k];
+        // SAFETY: a masked `vmovupd` neither writes nor faults on the lanes
+        // its `__mmask8` clears, and the mask sets the first `k`, the length
+        // of `p`; the lane token proves AVX-512F.
+        unsafe { core::arch::x86_64::_mm512_mask_storeu_pd(p.as_mut_ptr(), Self::head_mask(k), v) }
     }
     #[inline(always)]
-    unsafe fn add(self, a: Self::V, b: Self::V) -> Self::V {
-        // SAFETY: constructing an Avx512Lane asserts AVX-512F support.
+    fn add(self, a: Self::V, b: Self::V) -> Self::V {
+        // SAFETY: the lane token proves AVX-512F.
         unsafe { core::arch::x86_64::_mm512_add_pd(a, b) }
     }
     #[inline(always)]
-    unsafe fn mul(self, a: Self::V, b: Self::V) -> Self::V {
-        // SAFETY: constructing an Avx512Lane asserts AVX-512F support.
+    fn mul(self, a: Self::V, b: Self::V) -> Self::V {
+        // SAFETY: the lane token proves AVX-512F.
         unsafe { core::arch::x86_64::_mm512_mul_pd(a, b) }
     }
     #[inline(always)]
-    unsafe fn mul_add(self, a: Self::V, b: Self::V, c: Self::V) -> Self::V {
-        // SAFETY: constructing an Avx512Lane asserts AVX-512F support.
+    fn mul_add(self, a: Self::V, b: Self::V, c: Self::V) -> Self::V {
+        // SAFETY: the lane token proves AVX-512F.
         unsafe { core::arch::x86_64::_mm512_fmadd_pd(a, b, c) }
     }
     #[inline(always)]
-    unsafe fn reduce_sum(self, a: Self::V) -> f64 {
-        // SAFETY: constructing an Avx512Lane asserts AVX-512F support.
+    fn reduce_sum(self, a: Self::V) -> f64 {
+        // SAFETY: the lane token proves AVX-512F.
         unsafe { core::arch::x86_64::_mm512_reduce_add_pd(a) }
     }
     #[inline(always)]
-    unsafe fn transpose(self, src: &[f64], lds: usize, dst: &mut [f64], ldd: usize) {
+    fn transpose(self, src: &[f64], lds: usize, dst: &mut [f64], ldd: usize) {
         use core::arch::x86_64::*;
-        // SAFETY: the caller guarantees that the eight vectors `lds` apart
-        // lie inside `src` and the eight `ldd` apart inside `dst`; AVX-512F
-        // support is asserted by the lane token.
+        let (src, dst) = (&src[..block_len(lds, 8)], &mut dst[..block_len(ldd, 8)]);
+        let (s, d) = (src.as_ptr(), dst.as_mut_ptr());
+        // SAFETY: vector `k < 8` of either side is the eight values from
+        // `k * ld` on, which end at or before `7 * ld + 8`, the length both
+        // sides are cut to; the lane token proves AVX-512F.
         unsafe {
             // 64-bit interleave inside each 128-bit quarter: quarter `q` of
             // `i[2 * k + h]` holds rows `2 * q + h` of columns `2 * k` and
@@ -730,8 +728,8 @@ unsafe impl SimdLane for Avx512Lane {
             let mut i = [self.zero(); 8];
             for k in 0..4 {
                 let (a, b) = (
-                    self.load(src, 2 * k * lds),
-                    self.load(src, (2 * k + 1) * lds),
+                    _mm512_loadu_pd(s.add(2 * k * lds)),
+                    _mm512_loadu_pd(s.add((2 * k + 1) * lds)),
                 );
                 i[2 * k] = _mm512_unpacklo_pd(a, b);
                 i[2 * k + 1] = _mm512_unpackhi_pd(a, b);
@@ -747,10 +745,10 @@ unsafe impl SimdLane for Avx512Lane {
             }
             for h in 0..2 {
                 let (l, u) = ((lo[h], lo[h + 2]), (hi[h], hi[h + 2]));
-                self.store(dst, h * ldd, _mm512_shuffle_f64x2::<0x88>(l.0, l.1));
-                self.store(dst, (h + 2) * ldd, _mm512_shuffle_f64x2::<0x88>(u.0, u.1));
-                self.store(dst, (h + 4) * ldd, _mm512_shuffle_f64x2::<0xdd>(l.0, l.1));
-                self.store(dst, (h + 6) * ldd, _mm512_shuffle_f64x2::<0xdd>(u.0, u.1));
+                _mm512_storeu_pd(d.add(h * ldd), _mm512_shuffle_f64x2::<0x88>(l.0, l.1));
+                _mm512_storeu_pd(d.add((h + 2) * ldd), _mm512_shuffle_f64x2::<0x88>(u.0, u.1));
+                _mm512_storeu_pd(d.add((h + 4) * ldd), _mm512_shuffle_f64x2::<0xdd>(l.0, l.1));
+                _mm512_storeu_pd(d.add((h + 6) * ldd), _mm512_shuffle_f64x2::<0xdd>(u.0, u.1));
             }
         }
     }
@@ -802,9 +800,8 @@ pub trait LaneKernel: Sized {
     /// were not measured to speed up.
     const AVX512: bool = true;
 
-    /// The kernel's body on lane `s`.  Safe: a lane token exists only where
-    /// its instruction set is available (see the module's safety argument),
-    /// and the body asserts the bounds it relies on.
+    /// The kernel's body on lane `s`.  A lane token exists only where its
+    /// instruction set is available (see the module's safety argument).
     fn run<S: SimdLane>(self, s: S) -> Self::Output;
 
     /// The kernel under [`SimdBackend::Scalar`]: `run` on [`ScalarLane`]
@@ -886,117 +883,89 @@ unsafe fn avx512_shell<K: LaneKernel>(kernel: K) -> K::Output {
 
 /// `y[i] += a * x[i]`, lane-generic body: callable from another crate's
 /// generic kernel body so that it is compiled inside the shell that runs
-/// that kernel (no dispatch of its own).
-///
-/// # Safety
-/// The lane's ISA contract (see [`SimdLane`]) and `x.len() >= y.len()`.
+/// that kernel (no dispatch of its own).  Panics unless
+/// `x.len() >= y.len()`.
 #[inline(always)]
-pub unsafe fn axpy_body<S: SimdLane>(s: S, y: &mut [f64], a: f64, x: &[f64]) {
-    let n = y.len();
-    debug_assert!(x.len() >= n);
-    // SAFETY: for the whole body, the caller upholds the lane's ISA contract and
-    // x.len() >= y.len() = n; every index below is < n.
-    unsafe {
-        let av = s.splat(a);
-        let mut i = 0;
-        while i + S::LANES <= n {
-            let yv = s.mul_add(s.load(x, i), av, s.load(y, i));
-            s.store(y, i, yv);
-            i += S::LANES;
-        }
-        while i < n {
-            y[i] += a * x[i];
-            i += 1;
-        }
+pub fn axpy_body<S: SimdLane>(s: S, y: &mut [f64], a: f64, x: &[f64]) {
+    let x = &x[..y.len()];
+    let av = s.splat(a);
+    // Whole registers as chunks, so that no load or store checks a bound.
+    let (mut ys, mut xs) = (y.chunks_exact_mut(S::LANES), x.chunks_exact(S::LANES));
+    for (yc, xc) in (&mut ys).zip(&mut xs) {
+        let yv = s.mul_add(s.load(xc, 0), av, s.load(yc, 0));
+        s.store(yc, 0, yv);
+    }
+    for (y, x) in ys.into_remainder().iter_mut().zip(xs.remainder()) {
+        *y += a * x;
     }
 }
 
 /// Dot product with 4 independent accumulators (ILP), reduced as
 /// `(a0 + a1) + (a2 + a3)`, then one vector at a time into the first
 /// accumulator and a sequential tail shorter than a vector; lane-generic
-/// body, public for the same reason as [`axpy_body`].
-///
-/// # Safety
-/// The lane's ISA contract (see [`SimdLane`]) and `b.len() >= a.len()`.
+/// body, public for the same reason as [`axpy_body`].  Panics unless
+/// `b.len() >= a.len()`.
 #[inline(always)]
-pub unsafe fn dot_body<S: SimdLane>(s: S, a: &[f64], b: &[f64]) -> f64 {
-    let n = a.len();
-    debug_assert!(b.len() >= n);
-    // SAFETY: for the whole body, the caller upholds the lane's ISA contract and
-    // b.len() >= a.len() = n; every index below is < n.
-    unsafe {
-        let mut acc0 = s.zero();
-        let mut acc1 = s.zero();
-        let mut acc2 = s.zero();
-        let mut acc3 = s.zero();
-        let step = 4 * S::LANES;
-        let mut i = 0;
-        while i + step <= n {
-            acc0 = s.mul_add(s.load(a, i), s.load(b, i), acc0);
-            acc1 = s.mul_add(s.load(a, i + S::LANES), s.load(b, i + S::LANES), acc1);
-            acc2 = s.mul_add(
-                s.load(a, i + 2 * S::LANES),
-                s.load(b, i + 2 * S::LANES),
-                acc2,
-            );
-            acc3 = s.mul_add(
-                s.load(a, i + 3 * S::LANES),
-                s.load(b, i + 3 * S::LANES),
-                acc3,
-            );
-            i += step;
+pub fn dot_body<S: SimdLane>(s: S, a: &[f64], b: &[f64]) -> f64 {
+    let b = &b[..a.len()];
+    let mut acc = [s.zero(); 4];
+    // Whole groups of four registers, then whole registers, as chunks, so
+    // that no load checks a bound.
+    let (mut a4, mut b4) = (a.chunks_exact(4 * S::LANES), b.chunks_exact(4 * S::LANES));
+    for (x, y) in (&mut a4).zip(&mut b4) {
+        for (r, acc) in acc.iter_mut().enumerate() {
+            let at = r * S::LANES;
+            *acc = s.mul_add(s.load(x, at), s.load(y, at), *acc);
         }
-        while i + S::LANES <= n {
-            acc0 = s.mul_add(s.load(a, i), s.load(b, i), acc0);
-            i += S::LANES;
-        }
-        let mut sum = s.reduce_sum(s.add(s.add(acc0, acc1), s.add(acc2, acc3)));
-        while i < n {
-            sum += a[i] * b[i];
-            i += 1;
-        }
-        sum
     }
+    let (mut a1, mut b1) = (
+        a4.remainder().chunks_exact(S::LANES),
+        b4.remainder().chunks_exact(S::LANES),
+    );
+    for (x, y) in (&mut a1).zip(&mut b1) {
+        acc[0] = s.mul_add(s.load(x, 0), s.load(y, 0), acc[0]);
+    }
+    let mut sum = s.reduce_sum(s.add(s.add(acc[0], acc[1]), s.add(acc[2], acc[3])));
+    for (x, y) in a1.remainder().iter().zip(b1.remainder()) {
+        sum += x * y;
+    }
+    sum
 }
 
 /// The packed-GEMM register microkernel: `RV` registers of `S::LANES` rows
 /// cover the `MR`-row tile; `NR` broadcast-FMA columns. `RV * LANES == MR`.
 /// Contract: `ap.len() >= kc * MR`, `bp.len() >= kc * NR`.
 #[inline(always)]
-unsafe fn microkernel_body<S: SimdLane, const RV: usize>(
+fn microkernel_body<S: SimdLane, const RV: usize>(
     s: S,
     kc: usize,
     ap: &[f64],
     bp: &[f64],
 ) -> [[f64; MR]; NR] {
     debug_assert_eq!(RV * S::LANES, MR);
-    debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
-    // SAFETY: for the whole body, the caller upholds the lane's ISA contract,
-    // ap.len() >= kc*MR and bp.len() >= kc*NR; loads read a-panel index
-    // l*MR + r*LANES + LANES <= kc*MR and b-panel index l*NR + j < kc*NR;
-    // stores write out[j][r*LANES..r*LANES+LANES] within MR.
-    unsafe {
-        let mut acc = [[s.zero(); RV]; NR];
-        for l in 0..kc {
-            let mut av = [s.zero(); RV];
-            for (r, avr) in av.iter_mut().enumerate() {
-                *avr = s.load(ap, l * MR + r * S::LANES);
-            }
-            for (j, accj) in acc.iter_mut().enumerate() {
-                let bj = s.splat(*bp.get_unchecked(l * NR + j));
-                for (r, accjr) in accj.iter_mut().enumerate() {
-                    *accjr = s.mul_add(av[r], bj, *accjr);
-                }
+    let mut acc = [[s.zero(); RV]; NR];
+    let depth = ap[..kc * MR]
+        .chunks_exact(MR)
+        .zip(bp[..kc * NR].chunks_exact(NR));
+    for (a, b) in depth {
+        let mut av = [s.zero(); RV];
+        for (r, avr) in av.iter_mut().enumerate() {
+            *avr = s.load(a, r * S::LANES);
+        }
+        for (accj, &bj) in acc.iter_mut().zip(b) {
+            let bj = s.splat(bj);
+            for (r, accjr) in accj.iter_mut().enumerate() {
+                *accjr = s.mul_add(av[r], bj, *accjr);
             }
         }
-        let mut out = [[0.0f64; MR]; NR];
-        for (outj, accj) in out.iter_mut().zip(&acc) {
-            for (r, accjr) in accj.iter().enumerate() {
-                s.store(outj, r * S::LANES, *accjr);
-            }
-        }
-        out
     }
+    let mut out = [[0.0f64; MR]; NR];
+    for (outj, accj) in out.iter_mut().zip(&acc) {
+        for (r, accjr) in accj.iter().enumerate() {
+            s.store(outj, r * S::LANES, *accjr);
+        }
+    }
+    out
 }
 
 /// The arguments of [`microkernel_8x4`].  No 512-bit body: `MR` rows are
@@ -1014,16 +983,12 @@ impl LaneKernel for Microkernel<'_> {
     #[inline(always)]
     fn run<S: SimdLane>(self, s: S) -> Self::Output {
         let Microkernel { kc, ap, bp } = self;
-        assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
-        // SAFETY: the token `s` proves its lane's ISA, the lengths are
-        // asserted above, and `RV * LANES == MR` in the arm that runs (the
-        // lane width is a constant, so the others are never reached).
-        unsafe {
-            match S::LANES {
-                1 => microkernel_body::<S, 8>(s, kc, ap, bp),
-                4 => microkernel_body::<S, 2>(s, kc, ap, bp),
-                _ => microkernel_body::<S, 1>(s, kc, ap, bp),
-            }
+        // `RV * LANES == MR` in the arm that runs (the lane width is a
+        // constant, so the others are never reached).
+        match S::LANES {
+            1 => microkernel_body::<S, 8>(s, kc, ap, bp),
+            4 => microkernel_body::<S, 2>(s, kc, ap, bp),
+            _ => microkernel_body::<S, 1>(s, kc, ap, bp),
         }
     }
 }
@@ -1188,32 +1153,24 @@ mod tests {
             let x = test_vec(n, 1);
             let y0 = test_vec(n, 2);
             let mut y = y0.clone();
-            // SAFETY: the scalar lane has no ISA requirements, and `x` is
-            // as long as `y`.
-            unsafe { axpy_body(ScalarLane, &mut y, 0.37, &x) };
+            axpy_body(ScalarLane, &mut y, 0.37, &x);
             for i in 0..n {
                 assert_eq!(y[i], y0[i] + 0.37 * x[i]);
             }
             let naive: f64 = x.iter().zip(&y0).map(|(a, b)| a * b).sum();
-            // SAFETY: the scalar lane has no ISA requirements, and `y0` is
-            // as long as `x`.
-            let dot = unsafe { dot_body(ScalarLane, &x, &y0) };
+            let dot = dot_body(ScalarLane, &x, &y0);
             assert!(rel(dot, naive) < 1e-13);
         }
     }
 
     /// `S::transpose` on a block cut out of larger arrays, checked entry by
     /// entry (and that nothing outside the block's rows is written).
-    ///
-    /// # Safety
-    /// The lane's ISA contract.
     #[inline(always)]
-    unsafe fn check_transpose<S: SimdLane>(s: S) {
+    fn check_transpose<S: SimdLane>(s: S) {
         let (lds, ldd) = (S::LANES + 3, S::LANES + 5);
         let src = test_vec(S::LANES * lds, 21);
         let mut dst = vec![-7.0; S::LANES * ldd];
-        // SAFETY: both arrays hold LANES vectors at their leading dimension.
-        unsafe { s.transpose(&src[1..], lds, &mut dst[2..], ldd) };
+        s.transpose(&src[1..], lds, &mut dst[2..], ldd);
         for (at, &x) in dst.iter().enumerate() {
             let want = match at.checked_sub(2).map(|k| (k / ldd, k % ldd)) {
                 Some((r, c)) if c < S::LANES => src[1 + c * lds + r],
@@ -1231,8 +1188,7 @@ mod tests {
 
         #[inline(always)]
         fn run<S: SimdLane>(self, s: S) {
-            // SAFETY: the token `s` proves its lane's ISA.
-            unsafe { check_transpose(s) }
+            check_transpose(s)
         }
     }
 

@@ -19,7 +19,8 @@
 //! under AVX-512 the GEMM microkernel runs its AVX2 instantiation, so that
 //! backend pins the opt-out.  The `axpy` / `dot` bodies and the lanes'
 //! masked `load_head` / `store_head`, which only other crates' kernels use,
-//! run as kernels of this file on the lane of each backend.
+//! run as kernels of this file on the lane of each backend, and so do the
+//! bounds checks that make the lanes' memory methods safe.
 
 use bidiag_matrix::gemm::{gemm_nn_scratch, gemm_tn_scratch, GemmScratch};
 use bidiag_matrix::gen::random_gaussian;
@@ -66,12 +67,8 @@ impl LaneKernel for Primitives<'_> {
         let Primitives { y, a, x, z } = self;
         assert!(x.len() >= y.len() && z.len() >= x.len());
         let mut y = y.to_vec();
-        // SAFETY: the token proves the lane's ISA, and the lengths are
-        // asserted above.
-        unsafe {
-            simd::axpy_body(s, &mut y, a, x);
-            (y, simd::dot_body(s, x, z))
-        }
+        simd::axpy_body(s, &mut y, a, x);
+        (y, simd::dot_body(s, x, z))
     }
 }
 
@@ -138,27 +135,20 @@ fn microkernel_agrees_across_backends_on_size_ladder() {
 /// AddressSanitizer under the vector ones) the load returns the `k` values
 /// and zeros; the store into a NaN-poisoned buffer — one that ends at
 /// `i + k`, one that goes on — changes exactly those `k` slots.
-///
-/// # Safety
-/// The lane's ISA contract.
 #[inline(always)]
-unsafe fn check_heads<S: SimdLane>(s: S) {
+fn check_heads<S: SimdLane>(s: S) {
     for k in 1..=S::LANES {
         for i in [0usize, 1, 5] {
             let src = test_vec(i + k, 3 + k as u64);
             let mut lanes = vec![f64::NAN; S::LANES];
-            // SAFETY: `1 <= k <= LANES`, `src` holds `i + k` values and
-            // `lanes` one register.
-            unsafe { s.store(&mut lanes, 0, s.load_head(&src, i, k)) };
+            s.store(&mut lanes, 0, s.load_head(&src, i, k));
             assert_eq!(lanes[..k], src[i..], "lanes={} k={k} i={i}", S::LANES);
             assert!(lanes[k..].iter().all(|x| x.to_bits() == 0), "k={k} i={i}");
 
             let full = test_vec(S::LANES, 9 + k as u64);
             for pad in [0, S::LANES + 1] {
                 let mut dst = vec![f64::NAN; i + k + pad];
-                // SAFETY: `full` holds one register; `1 <= k <= LANES` and
-                // `dst` holds at least `i + k` values.
-                unsafe { s.store_head(&mut dst, i, k, s.load(&full, 0)) };
+                s.store_head(&mut dst, i, k, s.load(&full, 0));
                 assert_eq!(dst[i..i + k], full[..k], "lanes={} k={k} i={i}", S::LANES);
                 let rest = dst[..i].iter().chain(&dst[i + k..]);
                 assert!(rest.clone().all(|x| x.is_nan()), "k={k} i={i} pad={pad}");
@@ -175,14 +165,79 @@ impl LaneKernel for Heads {
 
     #[inline(always)]
     fn run<S: SimdLane>(self, s: S) {
-        // SAFETY: the token `s` proves its lane's ISA.
-        unsafe { check_heads(s) }
+        check_heads(s)
     }
 }
 
 #[test]
 fn masked_heads_touch_exactly_their_lanes_on_every_backend() {
     simd::on_each_backend(|| simd::dispatch(Heads));
+}
+
+/// The bounds the memory methods of lane `S` check, each one value (or one
+/// lane) past its edge: `load` / `store` one value short, `load_head` /
+/// `store_head` with no lane, with one lane more than the register and one
+/// value short, `transpose` one vector short on either side.  Each must
+/// panic; the exact fits beside them must not.
+#[inline(always)]
+fn check_bounds<S: SimdLane>(s: S) {
+    let n = S::LANES;
+    let panics = |what: String, f: &mut dyn FnMut()| {
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+        assert!(caught.is_err(), "{what} on {n} lanes did not panic");
+    };
+    let p = test_vec(2 * n + 1, 17);
+    let mut q = p.clone();
+    let len = p.len();
+    s.store(&mut q, len - n, s.load(&p, len - n));
+    panics("load".into(), &mut || {
+        let _ = s.load(&p, len - n + 1);
+    });
+    panics("store".into(), &mut || {
+        s.store(&mut q, len - n + 1, s.zero())
+    });
+    let mut bad = vec![(0, 0), (0, n + 1)];
+    for k in 1..=n {
+        s.store_head(&mut q, len - k, k, s.load_head(&p, len - k, k));
+        bad.push((len + 1 - k, k));
+    }
+    for (i, k) in bad {
+        let at = format!("i = {i}, k = {k}");
+        panics(format!("load_head {at}"), &mut || {
+            let _ = s.load_head(&p, i, k);
+        });
+        panics(format!("store_head {at}"), &mut || {
+            s.store_head(&mut q, i, k, s.zero())
+        });
+    }
+    assert_eq!(q, p, "lanes={n}: the exact fits move the values they read");
+    let ld = n + 1;
+    let block = (n - 1) * ld + n;
+    let (src, mut dst) = (test_vec(block, 19), vec![0.0; block]);
+    s.transpose(&src, ld, &mut dst, ld);
+    panics("transpose of a short source".into(), &mut || {
+        s.transpose(&src[..block - 1], ld, &mut dst, ld)
+    });
+    panics("transpose into a short destination".into(), &mut || {
+        s.transpose(&src, ld, &mut dst[..block - 1], ld)
+    });
+}
+
+/// [`check_bounds`] on the lane of the backend in force.
+struct Bounds;
+
+impl LaneKernel for Bounds {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<S: SimdLane>(self, s: S) {
+        check_bounds(s)
+    }
+}
+
+#[test]
+fn lane_memory_methods_panic_out_of_bounds_on_every_backend() {
+    simd::on_each_backend(|| simd::dispatch(Bounds));
 }
 
 /// Backward-style normwise gap between two GEMM results sharing the same

@@ -160,9 +160,10 @@
 //! Four chains finish in about the time one takes (a model of the pass
 //! loop at m = 768 reads 7.06 / 3.59 / 1.85 / 1.37 ns per chain-step at 1 /
 //! 2 / 4 / 8 lanes), but only while the lanes' running values stay in
-//! registers; so `run` holds each live pass as a `Run` of raw pointers and
+//! registers; so `run` holds each live pass as a `Run` of its position and
 //! scalars, reloaded from its lane only when that lane's driver has run,
-//! and four is where the lanes stop. On the benchmark's 32x32 bidiagonals
+//! `advance` cuts the rows a stretch of steps touches once, and four is
+//! where the lanes stop. On the benchmark's 32x32 bidiagonals
 //! (gangs of 16, one 2.0 GHz-TSC Xeon core) a problem costs 8.8 µs in a
 //! gang against 13.7 µs on its own; the rest of the time of a gang is
 //! the drivers, which run one after another.
@@ -897,10 +898,10 @@ fn run<const K: usize>(
     lanes: &mut [DqdsScratch; K],
     mut refill: impl FnMut(usize, &mut DqdsScratch) -> bool,
 ) -> usize {
-    let mut runs: [Run; K] = std::array::from_fn(|k| Run::load(&mut lanes[k]));
+    let mut runs: [Run; K] = std::array::from_fn(|k| Run::load(&lanes[k]));
     loop {
         let n = runs.iter().map(|r| r.left).min().expect("a lane is live");
-        advance(&mut runs, n);
+        advance(lanes, &mut runs, n);
         // The lanes whose pass ended, as bits: which lane that is, is
         // anybody's guess, so it is found without a branch on each.
         let mut ended = (0..K).fold(0u32, |m, k| m | u32::from(runs[k].left == 0) << k);
@@ -922,20 +923,13 @@ fn run<const K: usize>(
     }
 }
 
-/// A pass in flight as [`run`] holds it: pointers into its lane's arrays at
-/// the cursor, the steps it has left, its shift and a copy of the cursor —
-/// all of it in registers for as long as the pass runs.
-///
-/// The pointers stand for the slices [`Run::load`] cut: `q` to `left + 1`
-/// values, the others to `left`, and `advance` moves them on with the
-/// cursor. Between `load` and `store` nothing else touches the lane's
-/// arrays: only the lane's own driver does, and it runs after `store`.
+/// A pass in flight as [`run`] holds it: the side of its lane's arrays it
+/// reads, the steps it has left, its shift and a copy of the cursor — all
+/// of it in registers for as long as the pass runs.  Its next step is row
+/// `c.end - left`.
 #[derive(Clone, Copy)]
 struct Run {
-    q: *const f64,
-    e: *const f64,
-    qh: *mut f64,
-    eh: *mut f64,
+    side: usize,
     left: usize,
     s: f64,
     c: Cursor,
@@ -944,18 +938,12 @@ struct Run {
 impl Run {
     /// The pass in flight on `lane`, from its cursor on.
     #[inline(always)]
-    fn load(lane: &mut DqdsScratch) -> Run {
+    fn load(lane: &DqdsScratch) -> Run {
         let w = lane.window.as_ref().expect("a pass is in flight");
         let c = lane.cursor;
-        let (src, dst) = split(&mut lane.sides, w.side);
-        let (q, e) = (&src.0[c.at..=c.end], &src.1[c.at..c.end]);
-        let (qh, eh) = (&mut dst.0[c.at..c.end], &mut dst.1[c.at..c.end]);
         Run {
-            q: q.as_ptr(),
-            e: e.as_ptr(),
-            qh: qh.as_mut_ptr(),
-            eh: eh.as_mut_ptr(),
-            left: e.len(),
+            side: w.side,
+            left: c.end - c.at,
             s: w.tau,
             c,
         }
@@ -971,33 +959,42 @@ impl Run {
     }
 }
 
-/// Advance the passes of `K` lanes by `n` steps each, one step of every
-/// lane per iteration. Each lane's arithmetic is its pass's on its own, and
-/// `n` is at most what any of them has left.
+/// Advance the passes `runs` of the `K` lanes `scratch` by `n` steps each,
+/// one step of every lane per iteration. Each lane's arithmetic is its
+/// pass's on its own, and `n` is at most what any of them has left.
 ///
 /// What a step touches is copied out of `runs` into arrays indexed only by
-/// constants once the lane loops unroll, so that it lives in registers.
+/// constants once the lane loops unroll, so that it lives in registers:
+/// the running values, and the `n` rows of each lane's arrays from its
+/// cursor on, cut once per call.
 #[inline(always)]
-fn advance<const K: usize>(runs: &mut [Run; K], n: usize) {
+fn advance<const K: usize>(scratch: &mut [DqdsScratch; K], runs: &mut [Run; K], n: usize) {
     assert!(runs.iter().all(|r| r.left >= n));
     let mut lanes = Lanes {
-        q: runs.each_ref().map(|r| r.q),
-        e: runs.each_ref().map(|r| r.e),
-        qh: runs.each_ref().map(|r| r.qh),
-        eh: runs.each_ref().map(|r| r.eh),
+        rows: std::array::from_fn(|_| Rows::default()),
         s: runs.each_ref().map(|r| r.s),
         d: runs.each_ref().map(|r| r.c.d),
         dmin: runs.each_ref().map(|r| r.c.dmin),
         emin: runs.each_ref().map(|r| r.c.emin),
     };
+    // Cut in a plain loop: cut inside a closure of `from_fn`, the lengths
+    // stay in memory, and every step checks its accesses against them.
+    for ((rows, lane), r) in lanes.rows.iter_mut().zip(scratch).zip(runs.iter()) {
+        let at = r.c.end - r.left;
+        let (src, dst) = split(&mut lane.sides, r.side);
+        *rows = Rows {
+            q: &src.0[at + 1..=at + n],
+            e: &src.1[at..at + n],
+            qh: &mut dst.0[at..at + n],
+            eh: &mut dst.1[at..at + n],
+        };
+    }
     // A lane takes the snapshots of its last two steps as they start, which
     // is in the last two iterations at the earliest: every lane has at
     // least `n` steps left.
     let bulk = n.saturating_sub(2);
     for j in 0..bulk {
-        // SAFETY: `j < n`, and every lane has at least `n` left (asserted
-        // above).
-        unsafe { lanes.step(j) };
+        lanes.step(j);
     }
     for j in bulk..n {
         for (k, r) in runs.iter_mut().enumerate() {
@@ -1008,34 +1005,37 @@ fn advance<const K: usize>(runs: &mut [Run; K], n: usize) {
                 _ => {}
             }
         }
-        // SAFETY: `j < n`, and every lane has at least `n` left (asserted
-        // above).
-        unsafe { lanes.step(j) };
+        lanes.step(j);
     }
     for (k, r) in runs.iter_mut().enumerate() {
         (r.c.d, r.c.dmin, r.c.emin) = (lanes.d[k], lanes.dmin[k], lanes.emin[k]);
-        r.q = r.q.wrapping_add(n);
-        r.e = r.e.wrapping_add(n);
-        r.qh = r.qh.wrapping_add(n);
-        r.eh = r.eh.wrapping_add(n);
         r.left -= n;
     }
 }
 
+/// The rows of one lane's arrays that [`advance`] steps through, all `n`
+/// long: `q` from one row past the cursor (step `j` reads `q_{i+1}`), so
+/// that every access of a step is below the one length the loop runs to
+/// and no step checks a bound.
+#[derive(Default)]
+struct Rows<'a> {
+    q: &'a [f64],
+    e: &'a [f64],
+    qh: &'a mut [f64],
+    eh: &'a mut [f64],
+}
+
 /// The part of `K` [`Run`]s one step reads and writes, lane by lane.
-struct Lanes<const K: usize> {
-    q: [*const f64; K],
-    e: [*const f64; K],
-    qh: [*mut f64; K],
-    eh: [*mut f64; K],
+struct Lanes<'a, const K: usize> {
+    rows: [Rows<'a>; K],
     s: [f64; K],
     d: [f64; K],
     dmin: [f64; K],
     emin: [f64; K],
 }
 
-impl<const K: usize> Lanes<K> {
-    /// One step of every lane, `j` rows on from its pointers: the dqds
+impl<const K: usize> Lanes<'_, K> {
+    /// One step of every lane, at row `j` of its [`Rows`]: the dqds
     /// recurrence
     ///
     /// ```text
@@ -1043,35 +1043,25 @@ impl<const K: usize> Lanes<K> {
     /// ```
     ///
     /// and the running minima of the `d`s and of the new `e`s.
-    ///
-    /// # Safety
-    ///
-    /// Every lane's [`Run`] has more than `j` steps left.
     #[inline(always)]
-    unsafe fn step(&mut self, j: usize) {
-        for k in 0..K {
-            // SAFETY: `q` points at `left + 1` values and the others at
-            // `left` (`Run::load`, moved on with `left` by `advance`),
-            // nothing else accesses them while the pass runs (see `Run`),
-            // and the caller guarantees `j < left`.
-            unsafe {
-                let e = *self.e[k].add(j);
-                let qhat = self.d[k] + e;
-                *self.qh[k].add(j) = qhat;
-                let t = *self.q[k].add(j + 1) / qhat;
-                let ehat = e * t;
-                *self.eh[k].add(j) = ehat;
-                let d = self.d[k] * t - self.s[k];
-                self.d[k] = d;
-                if d < self.dmin[k] {
-                    self.dmin[k] = d;
-                }
-                // `min`, not the `if` above, which it matches but for the
-                // sign of a zero (and `emin` is only ever compared): two
-                // alike updates make LLVM pair them in one register and
-                // route `d`'s chain through a shuffle, 6 % slower.
-                self.emin[k] = self.emin[k].min(ehat);
+    fn step(&mut self, j: usize) {
+        for (k, rows) in self.rows.iter_mut().enumerate() {
+            let e = rows.e[j];
+            let qhat = self.d[k] + e;
+            rows.qh[j] = qhat;
+            let t = rows.q[j] / qhat;
+            let ehat = e * t;
+            rows.eh[j] = ehat;
+            let d = self.d[k] * t - self.s[k];
+            self.d[k] = d;
+            if d < self.dmin[k] {
+                self.dmin[k] = d;
             }
+            // `min`, not the `if` above, which it matches but for the sign
+            // of a zero (and `emin` is only ever compared): two alike
+            // updates make LLVM pair them in one register and route `d`'s
+            // chain through a shuffle, 6 % slower.
+            self.emin[k] = self.emin[k].min(ehat);
         }
     }
 }
@@ -1829,8 +1819,8 @@ mod tests {
             let w = Iterating::open(Window { lo: 0, hi: m, sigma: 0.0, side: 0 }, 0.0);
             lane.cursor = arm(&w, q, &mut lane.budget, &mut lane.stats);
             lane.window = Some(w);
-            let mut runs = [Run::load(&mut lane)];
-            advance(&mut runs, m - 1);
+            let mut runs = [Run::load(&lane)];
+            advance(std::array::from_mut(&mut lane), &mut runs, m - 1);
             runs[0].store(&mut lane);
             let r = lane.report();
             let (qh, eh) = &lane.sides[1];

@@ -28,7 +28,7 @@
 //! whether either happened.
 
 #![warn(missing_docs)]
-#![deny(clippy::undocumented_unsafe_blocks)]
+#![forbid(unsafe_code)]
 
 pub mod dqds;
 pub mod sturm;
