@@ -81,7 +81,9 @@ fn main() {
         // Update the logical structure.
         match *op {
             TileOp::Geqrt { k, i } => state[i][k] = S::UpperTri,
-            TileOp::Tsqrt { k, i, .. } | TileOp::Ttqrt { k, i, .. } => state[i][k] = S::Zeroed,
+            TileOp::Tsqrt { k, i, .. } | TileOp::Ttqrt { k, i, .. } => {
+                (i..i + op.height()).for_each(|r| state[r][k] = S::Zeroed)
+            }
             TileOp::Gelqt { k, j } => state[k][j] = S::LowerTri,
             TileOp::Tslqt { k, j, .. } | TileOp::Ttlqt { k, j, .. } => state[k][j] = S::Zeroed,
             TileOp::Unmqr { .. }

@@ -30,7 +30,10 @@
 //! * GE2BND on `square_1t`'s input (768 x 768, `nb = 64`, one thread) runs
 //!   at least 1.3x faster under every vector backend than under scalar;
 //! * the observability plane, force-enabled, costs at most 2 % on that
-//!   GE2BND at two threads.
+//!   GE2BND at two threads;
+//! * a TSQRT / TSMQR stack of `qr::STACK` tiles costs no more per tile than
+//!   the kernel on one tile, on every backend (each backend's table is
+//!   followed by the per-tile times at stacks of 1, 2 and 4).
 //!
 //! A first miss is measured once more, slower, and that reading decides; the
 //! binary exits non-zero if any gate misses both times.
@@ -512,6 +515,82 @@ fn table(nb: usize, be: SimdBackend, failed: &mut Vec<String>) {
                 times[i]
             };
             (format!("{:.2}x", unblocked / blocked), blocked <= unblocked)
+        });
+    }
+    println!();
+    stack_table(nb, be, failed);
+}
+
+/// Stack heights of the TS table: one tile, and the heights AUTO's
+/// domains run at.
+const HEIGHTS: [usize; 3] = [1, 2, qr::STACK];
+
+/// Seconds per tile of TSQRT and TSMQR on a stack of `d` `nb x nb` tiles,
+/// the fastest of `reps` calls each (operands restored outside the timed
+/// region).  The caller has forced the backend.
+fn stack_times(nb: usize, d: usize, reps: usize) -> [f64; 2] {
+    let r1 = upper(&random_gaussian(nb, nb, 1));
+    let tiles: Vec<Matrix> = (0..d)
+        .map(|t| random_gaussian(nb, nb, 10 + t as u64))
+        .collect();
+    let mut v = tiles.clone();
+    let tf = qr::tsqrt_stack(&mut r1.clone(), &mut v);
+    let (mut r, mut a) = (r1.clone(), tiles.clone());
+    let mut best = [f64::INFINITY; 2];
+    for _ in 0..reps {
+        for (kernel, best) in best.iter_mut().enumerate() {
+            r.copy_from(&r1);
+            a.iter_mut().zip(&tiles).for_each(|(w, t)| w.copy_from(t));
+            let t0 = Instant::now();
+            if kernel == 0 {
+                drop(black_box(qr::tsqrt_stack(&mut r, &mut a)));
+            } else {
+                qr::tsmqr_stack(&mut r, &mut a, &v, &tf);
+            }
+            *best = best.min(t0.elapsed().as_secs_f64());
+        }
+    }
+    best.map(|secs| secs / d as f64)
+}
+
+/// TSQRT and TSMQR per tile of `nb` rows on stacks of [`HEIGHTS`] tiles,
+/// and the gate that a stack of [`qr::STACK`] costs no more per tile than
+/// one tile; the caller has forced `be`.
+fn stack_table(nb: usize, be: SimdBackend, failed: &mut Vec<String>) {
+    let times = HEIGHTS.map(|d| stack_times(nb, d, REPS));
+    let rows: Vec<Vec<String>> = ["TSQRT", "TSMQR"]
+        .iter()
+        .enumerate()
+        .map(|(k, name)| {
+            let mut row = vec![name.to_string()];
+            row.extend(times.iter().map(|t| format!("{:.2}", t[k] * 1e6)));
+            row.push(format!("{:.3}", times[2][k] / times[0][k]));
+            row
+        })
+        .collect();
+    print_tsv(
+        &format!(
+            "TS stacks — us per {nb}-row tile, fastest of {REPS} calls, backend {}",
+            be.name()
+        ),
+        &["kernel", "stack_1", "stack_2", "stack_4", "stack_4/stack_1"],
+        &rows,
+    );
+    let mut retimed = None;
+    for (k, name) in ["TSQRT", "TSMQR"].iter().enumerate() {
+        let what = format!(
+            "{name} stack of {} <= stack of 1 per tile, nb = {nb}, {}",
+            qr::STACK,
+            be.name()
+        );
+        gate(failed, &what, |retry| {
+            let [one, _, stack] = if retry {
+                *retimed.get_or_insert_with(|| HEIGHTS.map(|d| stack_times(nb, d, 5 * REPS)))
+            } else {
+                times
+            };
+            let ratio = stack[k] / one[k];
+            (format!("{ratio:.3}x"), ratio <= 1.0)
         });
     }
     println!();

@@ -14,6 +14,7 @@
 
 use crate::error::SvdError;
 use crate::ops::TileOp;
+use bidiag_kernels::qr;
 use bidiag_matrix::BlockCyclic;
 use bidiag_trees::{
     hierarchical_schedule, panel_schedule, ElimKind, HierConfig, HighLevelTree, NamedTree,
@@ -110,7 +111,18 @@ fn qr_step_ops(k: usize, row_end: usize, col_end: usize, cfg: &GenConfig, out: &
     }
     let trailing = col_end.saturating_sub(k + 1);
     let sched = cfg.schedule_for(&rows, trailing, row_end - k, col_end - k);
-    emit_qr_step_from_schedule(k, col_end, &sched, out);
+    emit_qr_step_from_schedule(k, col_end, &sched, stack_height(cfg.tree), out);
+}
+
+/// The most tiles one TS elimination of `tree` stacks under its pivot.
+/// AUTO's FLATTS domains run as stacks of up to [`qr::STACK`] tiles, one
+/// TSQRT / TSMQR call each; the trees Section IV analyses keep one tile per
+/// call, so their op lists and critical paths are the paper's.
+fn stack_height(tree: NamedTree) -> usize {
+    match tree {
+        NamedTree::Auto { .. } => qr::STACK,
+        NamedTree::FlatTs | NamedTree::FlatTt | NamedTree::Greedy => 1,
+    }
 }
 
 /// Emit the operations of LQ step `k` applied to tile columns `k+1..col_end`
@@ -213,7 +225,7 @@ pub fn qr_factorization_ops(p: usize, q: usize, cfg: &GenConfig) -> Vec<TileOp> 
     if shared_memory && matches!(cfg.tree, NamedTree::Greedy) {
         let schedules = bidiag_trees::greedy_qr_schedules(p, q);
         for (k, sched) in schedules.iter().enumerate() {
-            emit_qr_step_from_schedule(k, q, sched, &mut ops);
+            emit_qr_step_from_schedule(k, q, sched, 1, &mut ops);
         }
         return ops;
     }
@@ -224,11 +236,14 @@ pub fn qr_factorization_ops(p: usize, q: usize, cfg: &GenConfig) -> Vec<TileOp> 
 }
 
 /// Emit the operations of QR step `k` (trailing columns `k+1..col_end`) from
-/// an explicit panel schedule.
+/// an explicit panel schedule.  Consecutive TS eliminations of consecutive
+/// rows onto one pivot — a FLATTS chain — are emitted as stacks of up to
+/// `stack` tiles.
 fn emit_qr_step_from_schedule(
     k: usize,
     col_end: usize,
     sched: &PanelSchedule,
+    stack: usize,
     out: &mut Vec<TileOp>,
 ) {
     for &i in &sched.geqrt_rows {
@@ -237,21 +252,22 @@ fn emit_qr_step_from_schedule(
             out.push(TileOp::Unmqr { k, i, j });
         }
     }
-    for e in &sched.elims {
+    let mut elims = sched.elims.iter().peekable();
+    while let Some(e) = elims.next() {
         match e.kind {
             ElimKind::Ts => {
-                out.push(TileOp::Tsqrt {
-                    k,
-                    piv: e.piv,
-                    i: e.row,
-                });
+                let (piv, i) = (e.piv, e.row);
+                let mut d = 1;
+                while d < stack
+                    && elims
+                        .next_if(|n| n.kind == ElimKind::Ts && n.piv == piv && n.row == i + d)
+                        .is_some()
+                {
+                    d += 1;
+                }
+                out.push(TileOp::Tsqrt { k, piv, i, d });
                 for j in (k + 1)..col_end {
-                    out.push(TileOp::Tsmqr {
-                        k,
-                        piv: e.piv,
-                        i: e.row,
-                        j,
-                    });
+                    out.push(TileOp::Tsmqr { k, piv, i, d, j });
                 }
             }
             ElimKind::Tt => {
@@ -479,14 +495,51 @@ mod tests {
         );
         assert!(!ops.is_empty());
         // Mixture of TS and TT eliminations is allowed; just check every
-        // QR step still eliminates each subdiagonal tile once.
-        let elim_rows_step0: HashSet<usize> = ops
+        // QR step still eliminates each subdiagonal tile once, a TS stack
+        // of height `d` the tiles `i..i + d`.
+        let elim_rows_step0: Vec<usize> = ops
+            .iter()
+            .flat_map(|o| match *o {
+                TileOp::Tsqrt { k: 0, i, .. } | TileOp::Ttqrt { k: 0, i, .. } => i..i + o.height(),
+                _ => 0..0,
+            })
+            .collect();
+        assert_eq!(elim_rows_step0.len(), 9);
+        assert_eq!(
+            elim_rows_step0.into_iter().collect::<HashSet<_>>(),
+            (1..10).collect::<HashSet<_>>()
+        );
+    }
+
+    #[test]
+    fn auto_domains_run_as_stacks_and_the_other_trees_do_not() {
+        // One core: one FLATTS domain per panel but the last two, so the
+        // 127 TS eliminations of the first panel of a 128 x 4 grid are 31
+        // stacks of four and one of three, each with its three TSMQRs.
+        let auto = shared(NamedTree::Auto {
+            gamma: 2.0,
+            ncores: 1,
+        });
+        let ops = qr_factorization_ops(128, 4, &auto);
+        let heights: Vec<usize> = ops
             .iter()
             .filter_map(|o| match *o {
-                TileOp::Tsqrt { k: 0, i, .. } | TileOp::Ttqrt { k: 0, i, .. } => Some(i),
+                TileOp::Tsqrt { k: 0, d, .. } => Some(d),
                 _ => None,
             })
             .collect();
-        assert_eq!(elim_rows_step0, (1..10).collect::<HashSet<_>>());
+        assert_eq!(heights.len(), 32);
+        assert_eq!(heights.iter().sum::<usize>(), 127);
+        assert!(heights[..31].iter().all(|&d| d == qr::STACK) && heights[31] == 3);
+        let tsmqr = |ops: &[TileOp]| {
+            ops.iter()
+                .filter(|o| matches!(o, TileOp::Tsmqr { k: 0, .. }))
+                .count()
+        };
+        assert_eq!(tsmqr(&ops), 3 * 32);
+        for tree in [NamedTree::FlatTs, NamedTree::FlatTt, NamedTree::Greedy] {
+            let ops = bidiag_ops(9, 4, &shared(tree));
+            assert!(ops.iter().all(|o| o.height() == 1), "{tree:?}");
+        }
     }
 }

@@ -16,6 +16,7 @@ use bidiag_kernels::{lq, qr, TFactor};
 use bidiag_matrix::{Matrix, TiledMatrix};
 use bidiag_runtime::{AccessMode, DataKey};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// One tile operation of a tiled algorithm.  All indices are tile indices;
 /// `k` is the step (panel index).
@@ -37,23 +38,29 @@ pub enum TileOp {
         /// Trailing tile column being updated.
         j: usize,
     },
-    /// Eliminate the square tile `(i, k)` against the triangle `(piv, k)`.
+    /// Eliminate the square tiles `(i..i + d, k)`, a stack of `d` (at most
+    /// [`qr::STACK`]), against the triangle `(piv, k)` in one call.
     Tsqrt {
         /// Panel index.
         k: usize,
         /// Pivot tile row.
         piv: usize,
-        /// Eliminated tile row.
+        /// First eliminated tile row.
         i: usize,
+        /// Stack height: tile rows `i..i + d` are eliminated.
+        d: usize,
     },
-    /// Apply the reflectors of `Tsqrt { k, piv, i }` to tiles `(piv, j)` and `(i, j)`.
+    /// Apply the reflectors of `Tsqrt { k, piv, i, d }` to tiles `(piv, j)`
+    /// and `(i..i + d, j)`.
     Tsmqr {
         /// Panel index.
         k: usize,
         /// Pivot tile row.
         piv: usize,
-        /// Eliminated tile row.
+        /// First eliminated tile row.
         i: usize,
+        /// Stack height of the elimination.
+        d: usize,
         /// Trailing tile column being updated.
         j: usize,
     },
@@ -304,9 +311,24 @@ impl TileOp {
         }
     }
 
-    /// Cost weight of the operation (Table I, units of `nb^3/3`).
+    /// Tiles the operation eliminates, or updates below its pivot, at once:
+    /// the stack height of a TSQRT / TSMQR, one for every other operation.
+    pub fn height(&self) -> usize {
+        match *self {
+            TileOp::Tsqrt { d, .. } | TileOp::Tsmqr { d, .. } => d,
+            _ => 1,
+        }
+    }
+
+    /// Cost weight of the operation (Table I, units of `nb^3/3`): a stack of
+    /// `d` tiles weighs what `d` calls on one tile do.
     pub fn weight(&self) -> f64 {
-        self.kernel().weight()
+        self.kernel().weight() * self.height() as f64
+    }
+
+    /// Approximate flop count of the operation for tile size `nb`.
+    pub fn flops(&self, nb: usize) -> f64 {
+        self.kernel().flops(nb) * self.height() as f64
     }
 
     /// The tile that is considered "owned" output of the operation; the
@@ -407,17 +429,17 @@ impl TileOp {
                 a.extend(all(i, j, Write));
                 a
             }
-            TileOp::Tsqrt { k, piv, i } => {
+            TileOp::Tsqrt { k, piv, i, d } => {
                 let mut a = vec![(dg(piv, k), Write), (up(piv, k), Write)];
-                a.extend(all(i, k, Write));
+                a.extend((i..i + d).flat_map(|r| all(r, k, Write)));
                 a.push((self.tau().0, Write));
                 a
             }
-            TileOp::Tsmqr { k, piv, i, j } => {
-                let mut a = all(i, k, Read);
+            TileOp::Tsmqr { k, piv, i, d, j } => {
+                let mut a: Vec<_> = (i..i + d).flat_map(|r| all(r, k, Read)).collect();
                 a.push((self.tau().0, Read));
                 a.extend(all(piv, j, Write));
-                a.extend(all(i, j, Write));
+                a.extend((i..i + d).flat_map(|r| all(r, j, Write)));
                 a
             }
             TileOp::Ttqrt { k, piv, i } => vec![
@@ -526,8 +548,15 @@ impl TileOp {
             TileOp::ZeroLower { i, j, whole } => a.one((i, j), |t| zero_lower(t, whole)),
             TileOp::Geqrt { k, i } => put(a.one((i, k), qr::geqrt)),
             TileOp::Unmqr { i, j, .. } => apply(a, (i, j), qr::unmqr),
-            TileOp::Tsqrt { k, piv, i } => put(a.two((piv, k), (i, k), qr::tsqrt)),
-            TileOp::Tsmqr { k, piv, i, j } => apply_pair(a, (i, k), (piv, j), (i, j), qr::tsmqr),
+            TileOp::Tsqrt { k, piv, i, d } => {
+                put(a.stack((piv, k), k, i..i + d, |r1, a| qr::tsqrt_stack(r1, a)))
+            }
+            TileOp::Tsmqr { k, piv, i, d, j } => {
+                let tf = taus.get(op_id);
+                a.refl_stack(k, (piv, j), j, i..i + d, |v, c1, c| {
+                    qr::tsmqr_stack(c1, c, v, tf)
+                })
+            }
             TileOp::Ttqrt { k, piv, i } => put(a.two((piv, k), (i, k), qr::ttqrt)),
             TileOp::Ttmqr { k, piv, i, j } => apply_pair(a, (i, k), (piv, j), (i, j), qr::ttmqr),
             TileOp::Gelqt { k, j } => put(a.one((k, j), lq::gelqt)),
@@ -543,9 +572,14 @@ impl TileOp {
 /// Tile coordinates `(row, column)`.
 type Tile = (usize, usize);
 
-/// The three operand patterns of the tile kernels, as handed out by a
-/// back-end's tile store: one or two tiles written, the pair with or
-/// without a TS/TT reflector tile `v` that is only read.
+/// The tiles of a TS stack as a kernel takes them.
+type Stack<'s, 't> = &'s mut dyn Iterator<Item = &'t mut Matrix>;
+
+/// The operand patterns of the tile kernels, as handed out by a back-end's
+/// tile store: one or two tiles written, the pair with or without a TT
+/// (or LQ-side TS) reflector tile `v` that is only read, and a TS stack —
+/// tiles `rows` of one tile column under a pivot tile, with or without
+/// the stack's reflector tiles `rows` of another column.
 trait TileAccess {
     fn one<R>(&mut self, t: Tile, f: impl FnOnce(&mut Matrix) -> R) -> R;
     fn two<R>(&mut self, a: Tile, b: Tile, f: impl FnOnce(&mut Matrix, &mut Matrix) -> R) -> R;
@@ -556,6 +590,26 @@ trait TileAccess {
         b: Tile,
         f: impl FnOnce(&Matrix, &mut Matrix, &mut Matrix),
     );
+    fn stack<R>(
+        &mut self,
+        piv: Tile,
+        col: usize,
+        rows: Range<usize>,
+        f: impl FnOnce(&mut Matrix, Stack<'_, '_>) -> R,
+    ) -> R;
+    fn refl_stack(
+        &mut self,
+        vcol: usize,
+        piv: Tile,
+        col: usize,
+        rows: Range<usize>,
+        f: impl FnOnce(&mut dyn Iterator<Item = &Matrix>, &mut Matrix, Stack<'_, '_>),
+    );
+}
+
+/// A run of one tile.
+fn run((i, j): Tile) -> (Range<usize>, usize) {
+    (i..i + 1, j)
 }
 
 /// Exclusive access (sequential driver): disjoint borrows, nothing copied.
@@ -564,8 +618,8 @@ impl TileAccess for TiledMatrix {
         f(self.tile_mut(i, j))
     }
     fn two<R>(&mut self, a: Tile, b: Tile, f: impl FnOnce(&mut Matrix, &mut Matrix) -> R) -> R {
-        let (a, b) = self.two_tiles_mut(a, b);
-        f(a, b)
+        let [a, b] = self.tile_runs_mut([run(a), run(b)]);
+        f(&mut a[0], &mut b[0])
     }
     fn refl_two(
         &mut self,
@@ -574,8 +628,29 @@ impl TileAccess for TiledMatrix {
         b: Tile,
         f: impl FnOnce(&Matrix, &mut Matrix, &mut Matrix),
     ) {
-        let (v, a, b) = self.tile_and_two_tiles_mut(v, a, b);
-        f(v, a, b)
+        let [v, a, b] = self.tile_runs_mut([run(v), run(a), run(b)]);
+        f(&v[0], &mut a[0], &mut b[0])
+    }
+    fn stack<R>(
+        &mut self,
+        piv: Tile,
+        col: usize,
+        rows: Range<usize>,
+        f: impl FnOnce(&mut Matrix, Stack<'_, '_>) -> R,
+    ) -> R {
+        let [piv, tiles] = self.tile_runs_mut([run(piv), (rows, col)]);
+        f(&mut piv[0], &mut tiles.iter_mut())
+    }
+    fn refl_stack(
+        &mut self,
+        vcol: usize,
+        piv: Tile,
+        col: usize,
+        rows: Range<usize>,
+        f: impl FnOnce(&mut dyn Iterator<Item = &Matrix>, &mut Matrix, Stack<'_, '_>),
+    ) {
+        let [v, piv, tiles] = self.tile_runs_mut([(rows.clone(), vcol), run(piv), (rows, col)]);
+        f(&mut v.iter(), &mut piv[0], &mut tiles.iter_mut())
     }
 }
 
@@ -603,6 +678,23 @@ impl SharedTiles<'_> {
         guard.unwrap_or_else(|| self.unordered(t))
     }
 
+    /// `lock` of the tiles `rows` of column `col`, a stack of at most
+    /// [`qr::STACK`], in the first `rows.len()` entries.
+    fn stack_of<G>(
+        &self,
+        col: usize,
+        rows: Range<usize>,
+        lock: impl Fn(Tile) -> G,
+    ) -> [Option<G>; qr::STACK] {
+        assert!(
+            rows.len() <= qr::STACK,
+            "{:?}: a stack of {} tiles",
+            self.op,
+            rows.len()
+        );
+        std::array::from_fn(|t| (t < rows.len()).then(|| lock((rows.start + t, col))))
+    }
+
     fn unordered(&self, (r, c): Tile) -> ! {
         panic!(
             "{:?}: tile ({r}, {c}) is in use by a task the graph does not order against it",
@@ -627,6 +719,31 @@ impl TileAccess for SharedTiles<'_> {
     ) {
         f(&self.read(v), &mut self.write(a), &mut self.write(b))
     }
+    fn stack<R>(
+        &mut self,
+        piv: Tile,
+        col: usize,
+        rows: Range<usize>,
+        f: impl FnOnce(&mut Matrix, Stack<'_, '_>) -> R,
+    ) -> R {
+        let mut tiles = self.stack_of(col, rows, |t| self.write(t));
+        let tiles = tiles.iter_mut().flatten().map(|g| &mut **g);
+        f(&mut self.write(piv), &mut { tiles })
+    }
+    fn refl_stack(
+        &mut self,
+        vcol: usize,
+        piv: Tile,
+        col: usize,
+        rows: Range<usize>,
+        f: impl FnOnce(&mut dyn Iterator<Item = &Matrix>, &mut Matrix, Stack<'_, '_>),
+    ) {
+        let v = self.stack_of(vcol, rows.clone(), |t| self.read(t));
+        let mut tiles = self.stack_of(col, rows, |t| self.write(t));
+        let mut v = v.iter().flatten().map(|g| &**g);
+        let mut tiles = tiles.iter_mut().flatten().map(|g| &mut **g);
+        f(&mut v, &mut self.write(piv), &mut tiles)
+    }
 }
 
 /// Zero a whole tile or its strictly-lower part in place (LAPACK `xLASET`),
@@ -646,7 +763,7 @@ fn zero_lower(t: &mut Matrix, whole: bool) {
 
 /// Total flop count of an operation list for tile size `nb`.
 pub fn ops_flops(ops: &[TileOp], nb: usize) -> f64 {
-    ops.iter().map(|o| o.kernel().flops(nb)).sum()
+    ops.iter().map(|o| o.flops(nb)).sum()
 }
 
 #[cfg(test)]
@@ -662,10 +779,22 @@ mod tests {
                 k: 0,
                 piv: 0,
                 i: 1,
+                d: 1,
                 j: 1
             }
             .weight(),
             12.0
+        );
+        // A stack weighs what its tiles do one call each.
+        assert_eq!(
+            TileOp::Tsqrt {
+                k: 0,
+                piv: 0,
+                i: 1,
+                d: 3
+            }
+            .weight(),
+            18.0
         );
         assert_eq!(TileOp::Ttlqt { k: 0, piv: 1, j: 2 }.weight(), 2.0);
     }
@@ -676,6 +805,7 @@ mod tests {
             k: 0,
             piv: 0,
             i: 2,
+            d: 1,
             j: 3,
         };
         let acc = op.accesses(5);
@@ -688,6 +818,18 @@ mod tests {
             .collect();
         assert_eq!(reads.len(), 4);
         assert_eq!(writes.len(), 6);
+        // A stack of three reads three reflector tiles and writes the pivot
+        // tile and three more.
+        let op = TileOp::Tsmqr {
+            k: 0,
+            piv: 0,
+            i: 2,
+            d: 3,
+            j: 3,
+        };
+        let acc = op.accesses(5);
+        let reads = acc.iter().filter(|(_, m)| *m == AccessMode::Read).count();
+        assert_eq!((reads, acc.len() - reads), (10, 12));
     }
 
     #[test]
@@ -741,6 +883,7 @@ mod tests {
                 k: 0,
                 piv: 0,
                 i: 2,
+                d: 2,
                 j: 3
             }
             .output_tile(),

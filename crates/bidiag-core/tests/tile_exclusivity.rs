@@ -7,7 +7,7 @@
 //! touches are derived here from the operands its kernel is handed, not
 //! from [`TileOp::accesses`]' region keys, whose graph is what is checked.
 //!
-//! The matrix is every tree the drivers take — shared memory and two
+//! The matrix is every tree the drivers take — shared memory and three
 //! process grids — times 14 tile grids from 1x1 to 128x4, for BIDIAG and
 //! R-BIDIAG.
 
@@ -19,23 +19,30 @@ use std::collections::HashMap;
 
 type Tile = (usize, usize);
 
-/// The tile `op`'s kernel only reads (a TS/TT apply's reflectors) and the
+/// The tiles `op`'s kernel only reads (a TS/TT apply's reflectors) and the
 /// tiles it writes.  UNMQR and UNMLQ read their reflectors from the factor
-/// of their GEQRT / GELQT, not from a tile.
-fn touches(op: &TileOp) -> (Option<Tile>, Vec<Tile>) {
+/// of their GEQRT / GELQT, not from a tile; a TS stack of height `d`
+/// touches `d` tiles of each of its tile columns below the pivot.
+fn touches(op: &TileOp) -> (Vec<Tile>, Vec<Tile>) {
+    let stack = |i: usize, c: usize| (i..i + op.height()).map(move |r| (r, c));
     match *op {
-        TileOp::ZeroLower { i, j, .. } => (None, vec![(i, j)]),
-        TileOp::Geqrt { k, i } => (None, vec![(i, k)]),
-        TileOp::Unmqr { i, j, .. } => (None, vec![(i, j)]),
-        TileOp::Tsqrt { k, piv, i } | TileOp::Ttqrt { k, piv, i } => (None, vec![(piv, k), (i, k)]),
-        TileOp::Tsmqr { k, piv, i, j } | TileOp::Ttmqr { k, piv, i, j } => {
-            (Some((i, k)), vec![(piv, j), (i, j)])
+        TileOp::ZeroLower { i, j, .. } => (vec![], vec![(i, j)]),
+        TileOp::Geqrt { k, i } => (vec![], vec![(i, k)]),
+        TileOp::Unmqr { i, j, .. } => (vec![], vec![(i, j)]),
+        TileOp::Tsqrt { k, piv, i, .. } | TileOp::Ttqrt { k, piv, i } => {
+            (vec![], [(piv, k)].into_iter().chain(stack(i, k)).collect())
         }
-        TileOp::Gelqt { k, j } => (None, vec![(k, j)]),
-        TileOp::Unmlq { j, i, .. } => (None, vec![(i, j)]),
-        TileOp::Tslqt { k, piv, j } | TileOp::Ttlqt { k, piv, j } => (None, vec![(k, piv), (k, j)]),
+        TileOp::Tsmqr { k, piv, i, j, .. } | TileOp::Ttmqr { k, piv, i, j } => (
+            stack(i, k).collect(),
+            [(piv, j)].into_iter().chain(stack(i, j)).collect(),
+        ),
+        TileOp::Gelqt { k, j } => (vec![], vec![(k, j)]),
+        TileOp::Unmlq { j, i, .. } => (vec![], vec![(i, j)]),
+        TileOp::Tslqt { k, piv, j } | TileOp::Ttlqt { k, piv, j } => {
+            (vec![], vec![(k, piv), (k, j)])
+        }
         TileOp::Tsmlq { k, piv, j, i } | TileOp::Ttmlq { k, piv, j, i } => {
-            (Some((k, j)), vec![(i, piv), (i, j)])
+            (vec![(k, j)], vec![(i, piv), (i, j)])
         }
     }
 }
@@ -75,8 +82,8 @@ fn unordered_pairs(ops: &[TileOp], g: &TaskGraph) -> Vec<(usize, usize)> {
     let mut reads: HashMap<Tile, Vec<usize>> = HashMap::new();
     let mut holes = Vec::new();
     for (b, op) in ops.iter().enumerate() {
-        let (read, writes) = touches(op);
-        if let Some(t) = read {
+        let (reads_of_op, writes) = touches(op);
+        for t in reads_of_op {
             holes.extend(
                 last_write
                     .get(&t)
@@ -118,6 +125,9 @@ fn every_two_operations_on_one_tile_are_ordered_by_the_graph() {
             configs.push(GenConfig::distributed(tree, dist));
         }
     }
+    // One process row: the QR steps' AUTO domains are consecutive tile
+    // rows, so they run as TS stacks beside a hierarchical LQ side.
+    configs.push(GenConfig::distributed(auto(2.0, 1), BlockCyclic::new(1, 2)));
     let grids = [
         (1, 1),
         (2, 1),
@@ -156,5 +166,5 @@ fn every_two_operations_on_one_tile_are_ordered_by_the_graph() {
             }
         }
     }
-    assert_eq!(cells, 336);
+    assert_eq!(cells, 364);
 }

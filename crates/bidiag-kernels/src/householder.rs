@@ -49,20 +49,30 @@ pub(crate) fn larfg_with_norm<'a>(
     x: impl IntoIterator<Item = &'a mut f64>,
     xnorm: f64,
 ) -> Reflector {
+    let (r, scale) = larfg_scale(alpha, xnorm);
+    if let Some(scale) = scale {
+        for v in x {
+            *v *= scale;
+        }
+    }
+    r
+}
+
+/// [`larfg_with_norm`] for an `x` the caller scales itself (a TS stack's
+/// tail, one tile at a time): the reflector and the factor every entry of
+/// `x` is to be multiplied by, `None` when `H = I` and `x` stays.
+pub(crate) fn larfg_scale(alpha: f64, xnorm: f64) -> (Reflector, Option<f64>) {
     if xnorm == 0.0 {
         // Already in the desired form, H = I.
-        return Reflector {
+        let r = Reflector {
             tau: 0.0,
             beta: alpha,
         };
+        return (r, None);
     }
     let beta = -alpha.signum() * (alpha * alpha + xnorm * xnorm).sqrt();
     let tau = (beta - alpha) / beta;
-    let scale = 1.0 / (alpha - beta);
-    for v in x {
-        *v *= scale;
-    }
-    Reflector { tau, beta }
+    (Reflector { tau, beta }, Some(1.0 / (alpha - beta)))
 }
 
 /// Euclidean norm with scaling to avoid overflow, of the entries `x` yields

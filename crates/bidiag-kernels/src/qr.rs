@@ -34,8 +34,16 @@
 //! pin every kernel to an unblocked reference (`bidiag-oracles`) that
 //! applies the reflectors one by one.
 
-use crate::wy::{self, Shape, TFactor};
+use crate::wy::{self, Refl, Rows, Shape, TFactor};
 use bidiag_matrix::Matrix;
+
+pub use crate::wy::STACK;
+
+/// A tile as the chunk kernels write it.
+fn rows(a: &mut Matrix) -> Rows<'_> {
+    let m = a.rows();
+    (a.data_mut(), m)
+}
 
 /// GEQRT: in-place Householder QR of a tile, with the compact-WY `T` factor
 /// built alongside.
@@ -46,7 +54,8 @@ use bidiag_matrix::Matrix;
 /// upper-triangular `T` blocks and a copy of the factored tile, so that
 /// the apply never reads `a` again.
 pub fn geqrt(a: &mut Matrix) -> TFactor {
-    wy::factor(Shape::Trapezoid, None, a)
+    let n = a.cols();
+    wy::factor(Shape::Trapezoid, None, &mut [rows(a)], n)
 }
 
 /// UNMQR: apply the transposed orthogonal factor of a GEQRT'd tile to `c`
@@ -59,7 +68,8 @@ pub fn geqrt(a: &mut Matrix) -> TFactor {
 pub fn unmqr(tf: &TFactor, c: &mut Matrix) {
     let v = tf.reflectors();
     assert_eq!(v.1, c.rows(), "UNMQR: V and C row mismatch");
-    wy::apply(Shape::Trapezoid, v, tf, None, c);
+    let n = c.cols();
+    wy::apply(Shape::Trapezoid, &[v], tf, None, &mut [rows(c)], n);
 }
 
 /// TSQRT: QR of a triangle stacked on top of a square tile, with the
@@ -67,10 +77,31 @@ pub fn unmqr(tf: &TFactor, c: &mut Matrix) {
 ///
 /// `r1` is an upper-triangular tile (the current `R` of the pivot row) and
 /// `a2` a full tile below it.  On exit `r1` holds the updated `R` and `a2`
-/// holds the (dense) Householder vectors.  Returns the [`TFactor`].
+/// holds the (dense) Householder vectors.  Returns the [`TFactor`].  The
+/// same call as [`tsqrt_stack`] on a stack of one tile.
 pub fn tsqrt(r1: &mut Matrix, a2: &mut Matrix) -> TFactor {
-    assert_eq!(a2.cols(), r1.cols(), "TSQRT: column mismatch");
-    wy::factor(Shape::Square, Some(r1), a2)
+    tsqrt_stack(r1, [a2])
+}
+
+/// TSQRT of a stack: QR of the triangle `r1` on top of the tiles `a`, one
+/// under the other (at least one, at most [`STACK`]; every tile has the
+/// columns of `r1`, the last may have fewer rows), in one call.  Each
+/// reflector's tail runs down all of them, so `larfg` sees `d nb + 1` rows
+/// and the result is one [`TFactor`], which [`tsmqr_stack`] applies to the
+/// matching stack of a trailing tile column.  On exit `r1` holds the
+/// updated `R` and the tiles hold the Householder vectors.
+pub fn tsqrt_stack<'a>(r1: &mut Matrix, a: impl IntoIterator<Item = &'a mut Matrix>) -> TFactor {
+    let n = r1.cols();
+    let mut tiles: [Rows<'a>; STACK] = Default::default();
+    let mut d = 0;
+    for t in a {
+        assert!(d < STACK, "TSQRT: more than {STACK} tiles in one stack");
+        assert_eq!(t.cols(), n, "TSQRT: column mismatch");
+        tiles[d] = rows(t);
+        d += 1;
+    }
+    assert!(d > 0, "TSQRT: no tile to eliminate");
+    wy::factor(Shape::Square, Some(r1), &mut tiles[..d], n)
 }
 
 /// TSMQR: apply the transposed orthogonal factor of [`tsqrt`] to the tile
@@ -80,14 +111,41 @@ pub fn tsqrt(r1: &mut Matrix, a2: &mut Matrix) -> TFactor {
 /// [`tsqrt`]).
 ///
 /// This is the heaviest kernel of the factorization (Table I weight 12).
+/// The same call as [`tsmqr_stack`] on a stack of one tile.
 pub fn tsmqr(a1: &mut Matrix, a2: &mut Matrix, v2: &Matrix, tf: &TFactor) {
-    assert_eq!(a2.cols(), a1.cols(), "TSMQR: column mismatch");
-    assert_eq!(v2.rows(), a2.rows(), "TSMQR: V2 row mismatch");
+    tsmqr_stack(a1, [a2], [v2], tf);
+}
+
+/// TSMQR of a stack: apply the factor of [`tsqrt_stack`] to `a1` and the
+/// tiles `a` under it, `[A1; A_0; ...] <- Q^T [A1; A_0; ...]`; `v` are the
+/// stack's reflector tiles, one per tile of `a` and with its rows.  `W =
+/// A1 + sum_i V_i^T A_i` is formed once, `T` applied once, then `A1 += W`
+/// and every `A_i += V_i W`.
+pub fn tsmqr_stack<'a, 'v>(
+    a1: &mut Matrix,
+    a: impl IntoIterator<Item = &'a mut Matrix>,
+    v: impl IntoIterator<Item = &'v Matrix>,
+    tf: &TFactor,
+) {
+    let n = a1.cols();
     assert!(
         a1.rows() >= tf.len(),
         "TSMQR: A1 has fewer rows than reflectors"
     );
-    wy::apply(Shape::Square, (v2.data(), v2.rows()), tf, Some(a1), a2);
+    let mut tiles: [Rows<'a>; STACK] = Default::default();
+    let mut refl: [Refl<'v>; STACK] = Default::default();
+    let (mut d, mut v) = (0, v.into_iter());
+    for t in a {
+        assert!(d < STACK, "TSMQR: more than {STACK} tiles in one stack");
+        assert_eq!(t.cols(), n, "TSMQR: column mismatch");
+        let vt = v.next().expect("TSMQR: fewer reflector tiles than tiles");
+        assert_eq!(vt.rows(), t.rows(), "TSMQR: V2 row mismatch");
+        (refl[d], tiles[d]) = ((vt.data(), vt.rows()), rows(t));
+        d += 1;
+    }
+    assert!(d > 0, "TSMQR: no tile to update");
+    assert!(v.next().is_none(), "TSMQR: more reflector tiles than tiles");
+    wy::apply(Shape::Square, &refl[..d], tf, Some(a1), &mut tiles[..d], n);
 }
 
 /// TTQRT: QR of a triangle stacked on top of another triangle, with the
@@ -98,8 +156,9 @@ pub fn tsmqr(a1: &mut Matrix, a2: &mut Matrix, v2: &Matrix, tf: &TFactor) {
 /// non-zeros only in rows `0..=k`, preserving the triangular storage — the
 /// strictly lower part of `r2` is neither read nor written).
 pub fn ttqrt(r1: &mut Matrix, r2: &mut Matrix) -> TFactor {
-    assert_eq!(r2.cols(), r1.cols(), "TTQRT: column mismatch");
-    wy::factor(Shape::Triangle, Some(r1), r2)
+    let n = r1.cols();
+    assert_eq!(r2.cols(), n, "TTQRT: column mismatch");
+    wy::factor(Shape::Triangle, Some(r1), &mut [rows(r2)], n)
 }
 
 /// TTMQR: apply the transposed orthogonal factor of [`ttqrt`] to the tile
@@ -109,13 +168,15 @@ pub fn ttqrt(r1: &mut Matrix, r2: &mut Matrix) -> TFactor {
 /// lower part of the `v2` tile holds (typically the Householder vectors of
 /// an earlier GEQRT) is never read.
 pub fn ttmqr(a1: &mut Matrix, a2: &mut Matrix, v2: &Matrix, tf: &TFactor) {
-    assert_eq!(a2.cols(), a1.cols(), "TTMQR: column mismatch");
+    let n = a1.cols();
+    assert_eq!(a2.cols(), n, "TTMQR: column mismatch");
     assert_eq!(v2.rows(), a2.rows(), "TTMQR: V2 row mismatch");
     assert!(
         a1.rows() >= tf.len(),
         "TTMQR: A1 has fewer rows than reflectors"
     );
-    wy::apply(Shape::Triangle, (v2.data(), v2.rows()), tf, Some(a1), a2);
+    let v = [(v2.data(), v2.rows())];
+    wy::apply(Shape::Triangle, &v, tf, Some(a1), &mut [rows(a2)], n);
 }
 
 #[cfg(test)]

@@ -58,6 +58,15 @@
 //!   On both sides ragged shapes run the same loops — a last chunk narrower
 //!   than `IB` is zero lanes or a runtime width, a clipped corner is fewer
 //!   rows or columns — and nothing is summed across lanes.
+//! * **TS stacks.**  The left kernel's dense rows may come from a list of
+//!   up to [`STACK`] tiles of one tile column (square shape only): a TSQRT
+//!   of `[R; A_0; ...; A_{d-1}]` or its TSMQR in one call.  `fill_panel`
+//!   and [`vtc`] walk each tile in 64-row blocks and `cvw` its row groups,
+//!   while `W`, the `T` product and the pivot's head rows are touched once
+//!   per chunk and strip for the whole stack; the unblocked panel
+//!   (`panel`, its height a constant) sums its dots over the tiles into
+//!   one set of accumulators.  Nothing is copied, and a stack of one tile
+//!   runs exactly the one-tile arithmetic.
 //! * **Row groups.**  Both apply kernels spend one broadcast per FMA at one
 //!   row group per pass; `G` groups make each broadcast feed `G` FMAs, the
 //!   register blocking of Goto and van de Geijn (*Anatomy of
@@ -90,7 +99,7 @@
 //! divides `IB`) is a `const` assertion, checked when the body is
 //! instantiated.
 
-use crate::householder::{larfg_with_norm, norm2};
+use crate::householder::{larfg_scale, larfg_with_norm, norm2};
 use bidiag_matrix::simd::{self, LaneKernel, ScalarLane, SimdLane};
 #[cfg(target_arch = "x86_64")]
 use bidiag_matrix::simd::{Avx2Lane, Avx512Lane};
@@ -123,6 +132,19 @@ fn chunks(k: usize) -> impl Iterator<Item = (usize, usize)> {
 /// leading dimension (its row count).  A TS/TT tile in place, or the copy
 /// of a GEQRT/GELQT tile its [`TFactor`] carries.
 pub(crate) type Refl<'a> = (&'a [f64], usize);
+
+/// A tile the left kernels write: column-major data and its row count (its
+/// leading dimension).
+pub(crate) type Rows<'a> = (&'a mut [f64], usize);
+
+/// The most tiles one TS elimination stacks under its pivot: a TSQRT of
+/// `d <= STACK` tiles factors `[R; A_0; ...; A_{d-1}]` in one call, and its
+/// TSMQR applies the result to the matching stack of a trailing column.
+/// Each call pays a fixed cost that does not depend on its height, so a
+/// stack costs less per tile than calls on one tile (at `nb = 64`, 512
+/// bits: TSQRT ≈ 22 → 17 us per tile at four, TSMQR ≈ 22 → 18); beyond
+/// four tiles TSMQR slows down again.
+pub const STACK: usize = 4;
 
 /// Which rows of the reflector tile hold the stored tail of reflector `k`
 /// — the only thing the six QR-side kernels differ in.  The LQ side stores
@@ -189,18 +211,20 @@ impl LeftScratch {
     }
 }
 
-/// One `IB`-chunk of reflectors, ready to be applied: its dense and
-/// corner rows, the densified corner and the chunk's `T` block.
+/// One `IB`-chunk of reflectors, ready to be applied: the tiles its
+/// reflectors are stored in, the densified corner and the chunk's `T`
+/// block.
 struct Chunk<'a> {
+    shape: Shape,
     /// First reflector and width of the chunk.
     p: usize,
     ib: usize,
-    dense: Range<usize>,
+    /// The reflector tiles, top to bottom (more than one only for a TS
+    /// stack), each column-major with its row count as leading dimension;
+    /// only the dense rows of columns `p..p + ib` are read through them.
+    v: &'a [Refl<'a>],
+    /// The corner rows, of the first tile (a TS stack has none).
     corner: Range<usize>,
-    /// The reflector tile, column-major with leading dimension `m`; only
-    /// the `dense` rows of columns `p..p + ib` are read through it.
-    v: &'a [f64],
-    m: usize,
     /// Corner rows of reflector `kk` with the structure made explicit
     /// (zeros, and UNMQR's unit diagonal; rows beyond the corner zero).
     /// Only the stored part of the tile is read to fill it, so whatever
@@ -212,15 +236,17 @@ struct Chunk<'a> {
 }
 
 impl<'a> Chunk<'a> {
-    /// Chunk `p..p+ib` of the reflectors of `shape` stored in the `m`-row
-    /// column-major tile `v` (leading dimension `m`), with `t` its `IB x
-    /// ib` block of `T` (column-major, leading dimension `IB`).
-    fn new(shape: Shape, v: &'a [f64], m: usize, p: usize, ib: usize, t: &[f64]) -> Self {
-        let (dense, corner) = shape.chunk_split(p, ib, m);
+    /// Chunk `p..p+ib` of the reflectors of `shape` stored in the tiles `v`
+    /// (one, or a TS stack of up to [`STACK`]), with `t` its `IB x ib` block
+    /// of `T` (column-major, leading dimension `IB`).
+    fn new(shape: Shape, v: &'a [Refl<'a>], p: usize, ib: usize, t: &[f64]) -> Self {
+        let (v0, m) = v[0];
+        let (_, corner) = shape.chunk_split(p, ib, m);
+        debug_assert!(v.len() == 1 || (shape == Shape::Square && v.len() <= STACK));
         let mut kc = [[0.0; IB]; IB];
         let mut nt = [[0.0; IB]; IB];
         for kk in 0..ib {
-            let vcol = &v[(p + kk) * m..][..m];
+            let vcol = &v0[(p + kk) * m..][..m];
             match shape {
                 Shape::Trapezoid => {
                     kc[kk][kk] = 1.0;
@@ -238,54 +264,70 @@ impl<'a> Chunk<'a> {
             }
         }
         Chunk {
+            shape,
             p,
             ib,
-            dense,
-            corner,
             v,
-            m,
+            corner,
             kc,
             nt,
         }
     }
 
-    /// The rows of `C` the chunk touches: the corner next to the dense
-    /// rows, in tile order.
-    fn rows(&self) -> Range<usize> {
-        self.dense.start.min(self.corner.start)..self.dense.end.max(self.corner.end)
+    /// The dense rows of tile `t`: those every reflector of the chunk stores.
+    fn dense(&self, t: usize) -> Range<usize> {
+        self.shape.chunk_split(self.p, self.ib, self.v[t].1).0
     }
 
-    /// The chunk's reflectors as `(columns, rows of C)`: the dense rows
-    /// straight off the tile (empty beyond `ib`), the corner's off `kc`.
+    /// The rows of tile `t` of `C` the chunk touches: the corner next to
+    /// the dense rows, in tile order.
+    fn rows(&self, t: usize) -> Range<usize> {
+        let dense = self.dense(t);
+        dense.start.min(self.corner.start)..dense.end.max(self.corner.end)
+    }
+
+    /// The chunk's reflectors in tile `t` as `(columns, rows of C)`: the
+    /// dense rows straight off the tile (empty beyond `ib`), the corner's
+    /// off `kc`.
     #[inline(always)]
-    fn parts(&self) -> [([&[f64]; IB], Range<usize>); 2] {
+    fn parts(&self, t: usize) -> [([&[f64]; IB], Range<usize>); 2] {
+        let (v, m) = self.v[t];
+        let dense = self.dense(t);
         let (mut vd, mut vc): ([&[f64]; IB], [&[f64]; IB]) = ([&[]; IB], [&[]; IB]);
         for kk in 0..IB {
             if kk < self.ib {
-                vd[kk] = &self.v[(self.p + kk) * self.m..][self.dense.clone()];
+                vd[kk] = &v[(self.p + kk) * m..][dense.clone()];
             }
             vc[kk] = &self.kc[kk][..self.corner.len()];
         }
-        [(vd, self.dense.clone()), (vc, self.corner.clone())]
+        [(vd, dense), (vc, self.corner.clone())]
     }
 
-    /// Rows `r0..r0 + nr` of the chunk's reflectors, structure explicit,
-    /// transposed into `panel`: row `i` at `panel[i - r0]`, lanes beyond
-    /// `ib` zero.  Dense rows of a full chunk go `LANES` at a
-    /// time through register transposes.
+    /// Rows `r0..r0 + nr` of the chunk's reflectors in tile `t`, structure
+    /// explicit, transposed into `panel`: row `i` at `panel[i - r0]`, lanes
+    /// beyond `ib` zero.  Dense rows of a full chunk go `LANES` at a time
+    /// through register transposes.
     #[inline(always)]
-    fn fill_panel<S: SimdLane>(&self, s: S, r0: usize, nr: usize, panel: &mut [[f64; IB]]) {
+    fn fill_panel<S: SimdLane>(
+        &self,
+        s: S,
+        t: usize,
+        r0: usize,
+        nr: usize,
+        panel: &mut [[f64; IB]],
+    ) {
         const { assert!(IB.is_multiple_of(S::LANES)) };
         let panel = &mut panel[..nr];
-        let (p, ib, m) = (self.p, self.ib, self.m);
-        let dense = self.dense.start.max(r0)..self.dense.end.min(r0 + nr);
+        let ((v, m), p, ib) = (self.v[t], self.p, self.ib);
+        let dense = self.dense(t);
+        let dense = dense.start.max(r0)..dense.end.min(r0 + nr);
         let mut i = dense.start;
         if ib == IB {
-            assert!(dense.end <= m && (p + IB) * m <= self.v.len());
+            assert!(dense.end <= m && (p + IB) * m <= v.len());
             while i + S::LANES <= dense.end {
                 for kb in (0..IB).step_by(S::LANES) {
                     let (src, dst) = (
-                        &self.v[(p + kb) * m + i..],
+                        &v[(p + kb) * m + i..],
                         &mut panel.as_flattened_mut()[(i - r0) * IB + kb..],
                     );
                     s.transpose(src, m, dst, IB);
@@ -295,11 +337,7 @@ impl<'a> Chunk<'a> {
         }
         for i in i..dense.end {
             for (kk, x) in panel[i - r0].iter_mut().enumerate() {
-                *x = if kk < ib {
-                    self.v[(p + kk) * m + i]
-                } else {
-                    0.0
-                };
+                *x = if kk < ib { v[(p + kk) * m + i] } else { 0.0 };
             }
         }
         for i in self.corner.start.max(r0)..self.corner.end.min(r0 + nr) {
@@ -347,6 +385,12 @@ fn store_w<S: SimdLane, const RV: usize, const NC: usize>(
 /// panel row, so nothing is ever summed across lanes.  With the rows of the
 /// transposed reflectors as `panel` this accumulates `V_p^T C`, with the
 /// columns of `-T^T` as `panel` and `W` as `c` it is the `T` product.
+///
+/// A whole 64-row panel block (every full tile of a TS stack) goes through
+/// [`vtc_rows`], as does the `T` product's `IB` rows: the row count is a
+/// constant there, and no access in the loop checks a bound.  Shorter
+/// blocks (most trapezoid and triangle chunks, ragged tiles) check one per
+/// row.
 #[inline(always)]
 fn vtc<S: SimdLane, const RV: usize, const NC: usize>(
     s: S,
@@ -354,10 +398,43 @@ fn vtc<S: SimdLane, const RV: usize, const NC: usize>(
     c: [&[f64]; NC],
     mut acc: [[S::V; RV]; NC],
 ) -> [[S::V; RV]; NC] {
+    if let Ok(block) = <&[[f64; IB]; PANEL_ROWS]>::try_from(panel) {
+        return vtc_rows(
+            s,
+            block,
+            c.map(|x| x.try_into().expect("as long as the panel")),
+            acc,
+        );
+    }
     const { assert!(RV * S::LANES == IB) };
     assert!(c.iter().all(|x| x.len() == panel.len()));
     for i in 0..panel.len() {
         let row = &panel[i];
+        let mut pv = [s.zero(); RV];
+        for (r, x) in pv.iter_mut().enumerate() {
+            *x = s.load(row, r * S::LANES);
+        }
+        for (aj, cj) in acc.iter_mut().zip(&c) {
+            let cij = s.splat(cj[i]);
+            for (ajr, &x) in aj.iter_mut().zip(&pv) {
+                *ajr = s.mul_add(x, cij, *ajr);
+            }
+        }
+    }
+    acc
+}
+
+/// [`vtc`] on `N` rows, `N` a constant: the columns are arrays of `N`
+/// entries, so the row index is in bounds by its type.
+#[inline(always)]
+fn vtc_rows<S: SimdLane, const RV: usize, const NC: usize, const N: usize>(
+    s: S,
+    panel: &[[f64; IB]; N],
+    c: [&[f64; N]; NC],
+    mut acc: [[S::V; RV]; NC],
+) -> [[S::V; RV]; NC] {
+    const { assert!(RV * S::LANES == IB) };
+    for (i, row) in panel.iter().enumerate() {
         let mut pv = [s.zero(); RV];
         for (r, x) in pv.iter_mut().enumerate() {
             *x = s.load(row, r * S::LANES);
@@ -456,37 +533,36 @@ fn t_product<S: SimdLane, const G: usize>(
     out
 }
 
-/// Apply one chunk to the `n` columns of the column-major `c` (leading
-/// dimension `ldc`, as many rows as the reflector tile) and, for TS/TT, to
-/// rows `p..p+ib` of the matching columns of the pivot tile `head`
-/// (`(data, ld)`), a strip of columns at a time:
+/// Apply one chunk to the `n` columns of the tiles `c` — as many as the
+/// chunk has reflector tiles, each with as many rows as its reflector tile
+/// — and, for TS/TT, to rows `p..p+ib` of the matching columns of the
+/// pivot tile `head` (`(data, ld)`), a strip of columns at a time:
 ///
 /// 1. `W = H + V_p^T C` through the transposed panel ([`vtc`], `NC` columns
-///    per pass; the columns of a ragged last pass repeat the strip's last
-///    one and their `W` is never read),
+///    per pass, tile after tile; the columns of a ragged last pass repeat
+///    the strip's last one and their `W` is never read),
 /// 2. `W = -T^T W`, the same loop over the columns of `-T^T`,
-/// 3. `H += W`, `C += V_p W` with the rows of `C` as lanes ([`cvw`], `G`
-///    groups of `LANES` rows per pass; the rows left over go a group at a
-///    time, then one at a time).
+/// 3. `H += W`, `C += V_p W` with the rows of each tile as lanes ([`cvw`],
+///    `G` groups of `LANES` rows per pass; the rows left over go a group at
+///    a time, then one at a time).
 ///
-/// All three shapes and a last chunk narrower than `IB` (zero lanes) run
-/// the same code.
+/// All three shapes, stacks of TS tiles and a last chunk narrower than `IB`
+/// (zero lanes) run the same code; `W` and `T` are touched once per strip
+/// whatever the height of the stack.
 #[inline(always)]
 fn apply_chunk<S: SimdLane, const RV: usize, const NC: usize, const G: usize>(
     s: S,
     ch: &Chunk<'_>,
     scratch: &mut LeftScratch,
     mut head: Option<(&mut [f64], usize)>,
-    c: &mut [f64],
-    ldc: usize,
+    c: &mut [Rows<'_>],
     n: usize,
 ) {
     const { assert!(STRIP.is_multiple_of(NC)) };
     let LeftScratch { panel, w } = scratch;
-    let (rows, ib) = (ch.rows(), ch.ib);
+    let ib = ch.ib;
     for j0 in (0..n).step_by(STRIP) {
         let ns = STRIP.min(n - j0);
-        let c = &mut c[j0 * ldc..(j0 + ns) * ldc];
         for (j, wj) in w.chunks_exact_mut(IB).enumerate().take(ns) {
             match head.as_ref() {
                 None => wj.fill(0.0),
@@ -506,25 +582,27 @@ fn apply_chunk<S: SimdLane, const RV: usize, const NC: usize, const G: usize>(
         // accumulates in them is the last column's `V_p^T C` (never read)
         // and not what earlier chunks and strips left there.
         w[ns * IB..ns.next_multiple_of(NC) * IB].fill(0.0);
-        for r0 in rows.clone().step_by(PANEL_ROWS) {
-            let nr = PANEL_ROWS.min(rows.end - r0);
-            ch.fill_panel(s, r0, nr, panel);
-            for jb in (0..ns).step_by(NC) {
-                let mut cols: [&[f64]; NC] = [&[]; NC];
-                for (j, cj) in cols.iter_mut().enumerate() {
-                    *cj = &c[(jb + j).min(ns - 1) * ldc..][r0..r0 + nr];
+        for (t, (ct, ldc)) in c.iter().enumerate() {
+            let (ct, ldc) = (&ct[j0 * *ldc..(j0 + ns) * *ldc], *ldc);
+            let rows = ch.rows(t);
+            for r0 in rows.clone().step_by(PANEL_ROWS) {
+                let nr = PANEL_ROWS.min(rows.end - r0);
+                ch.fill_panel(s, t, r0, nr, panel);
+                for jb in (0..ns).step_by(NC) {
+                    let mut cols: [&[f64]; NC] = [&[]; NC];
+                    for (j, cj) in cols.iter_mut().enumerate() {
+                        *cj = &ct[(jb + j).min(ns - 1) * ldc..][r0..r0 + nr];
+                    }
+                    let wb = &mut w[jb * IB..][..NC * IB];
+                    let acc = vtc::<S, RV, NC>(s, &panel[..nr], cols, load_w(s, wb));
+                    store_w(s, wb, acc);
                 }
-                let wb = &mut w[jb * IB..][..NC * IB];
-                let acc = vtc::<S, RV, NC>(s, &panel[..nr], cols, load_w(s, wb));
-                store_w(s, wb, acc);
             }
         }
         for wb in w[..ns.next_multiple_of(NC) * IB].chunks_exact_mut(NC * IB) {
-            let mut cols: [&[f64]; NC] = [&[]; NC];
-            for (j, cj) in cols.iter_mut().enumerate() {
-                *cj = &wb[j * IB..][..IB];
-            }
-            let acc = vtc::<S, RV, NC>(s, &ch.nt, cols, [[s.zero(); RV]; NC]);
+            let (cols, _) = wb.as_chunks::<IB>();
+            let cols: [&[f64; IB]; NC] = std::array::from_fn(|j| &cols[j]);
+            let acc = vtc_rows::<S, RV, NC, IB>(s, &ch.nt, cols, [[s.zero(); RV]; NC]);
             store_w(s, wb, acc);
         }
         if let Some((h, ldh)) = head.as_mut() {
@@ -540,19 +618,22 @@ fn apply_chunk<S: SimdLane, const RV: usize, const NC: usize, const G: usize>(
                 }
             }
         }
-        for (cols, rows) in ch.parts() {
-            let mut i = 0;
-            while i + G * S::LANES <= rows.len() {
-                cvw::<S, G>(s, &cols, i, w, c, ldc, rows.start + i, ns);
-                i += G * S::LANES;
-            }
-            while i + S::LANES <= rows.len() {
-                cvw::<S, 1>(s, &cols, i, w, c, ldc, rows.start + i, ns);
-                i += S::LANES;
-            }
-            while i < rows.len() {
-                cvw::<_, 1>(ScalarLane, &cols, i, w, c, ldc, rows.start + i, ns);
-                i += 1;
+        for (t, (ct, ldc)) in c.iter_mut().enumerate() {
+            let (ct, ldc) = (&mut ct[j0 * *ldc..(j0 + ns) * *ldc], *ldc);
+            for (cols, rows) in ch.parts(t) {
+                let mut i = 0;
+                while i + G * S::LANES <= rows.len() {
+                    cvw::<S, G>(s, &cols, i, w, ct, ldc, rows.start + i, ns);
+                    i += G * S::LANES;
+                }
+                while i + S::LANES <= rows.len() {
+                    cvw::<S, 1>(s, &cols, i, w, ct, ldc, rows.start + i, ns);
+                    i += S::LANES;
+                }
+                while i < rows.len() {
+                    cvw::<_, 1>(ScalarLane, &cols, i, w, ct, ldc, rows.start + i, ns);
+                    i += 1;
+                }
             }
         }
     }
@@ -565,124 +646,202 @@ fn apply_chunk<S: SimdLane, const RV: usize, const NC: usize, const G: usize>(
 fn apply_body<S: SimdLane, const RV: usize, const NC: usize, const G: usize>(
     s: S,
     shape: Shape,
-    (v, ldv): Refl<'_>,
+    v: &[Refl<'_>],
     tf: &TFactor,
     mut head: Option<&mut Matrix>,
-    c: &mut Matrix,
+    c: &mut [Rows<'_>],
+    n: usize,
 ) {
-    let (m, n) = (c.rows(), c.cols());
-    debug_assert_eq!(ldv, m);
     let mut scratch = LeftScratch::new();
     for (p, ib) in chunks(tf.len()) {
-        let ch = Chunk::new(shape, v, m, p, ib, tf.t_block_data(p));
+        let ch = Chunk::new(shape, v, p, ib, tf.t_block_data(p));
         let h = head.as_deref_mut().map(|h| {
             let ldh = h.rows();
             (h.data_mut(), ldh)
         });
-        apply_chunk::<S, RV, NC, G>(s, &ch, &mut scratch, h, c.data_mut(), m, n);
+        apply_chunk::<S, RV, NC, G>(s, &ch, &mut scratch, h, c, n);
     }
 }
 
-/// The entry the `e_k` head of reflector `k` meets in column `j`, and the
-/// rows of that column (`col`, of the reflector tile) its tail meets: row
-/// `k` of the column itself and what lies below it for the trapezoid
-/// (`r1 == None`), entry `(k, j)` of the pivot tile and `tail` otherwise.
-fn head_and_tail<'a>(
-    r1: Option<&'a mut Matrix>,
-    col: &'a mut [f64],
-    k: usize,
-    j: usize,
-    tail: Range<usize>,
-) -> (&'a mut f64, &'a mut [f64]) {
-    match r1 {
-        None => {
-            let (head, below) = col.split_at_mut(k + 1);
-            (&mut head[k], below)
+/// The unblocked factorization of the panel `cols` of the stack `a`, the
+/// reflectors' heads in `heads` (leading dimension `ld`; `None`: the first
+/// tile itself), the panel's `T` block appended to `tf`.  The height of the
+/// stack is a constant, so that its loops over the tiles unroll: a stack of
+/// one runs the code of one tile.
+#[inline(always)]
+fn panel<S: SimdLane, const D: usize>(
+    s: S,
+    shape: Shape,
+    (heads, ld): (&mut Option<&mut [f64]>, usize),
+    a: &mut [Rows<'_>; D],
+    cols: Range<usize>,
+    tf: &mut TFactor,
+) {
+    let (p, end, m0) = (cols.start, cols.end, a[0].1);
+    for k in cols {
+        let ss = dot_tiles(
+            s,
+            a.each_ref().map(|(x, m)| {
+                let v = &x[k * m..][shape.tail(k, *m)];
+                (v, v)
+            }),
+        );
+        // A sum of squares in this range neither overflowed nor lost
+        // anything to underflow that matters at working precision;
+        // anything else takes the scaled norm, whose per-element
+        // division would otherwise be a fifth of the factorization.
+        let xnorm = if (1e-280..1e280).contains(&ss) {
+            ss.sqrt()
+        } else {
+            norm2(a.iter().flat_map(|(x, m)| &x[k * m..][shape.tail(k, *m)]))
+        };
+        let alpha = head(heads, a[0].0, k * ld + k);
+        let (r, scale) = larfg_scale(*alpha, xnorm);
+        *alpha = r.beta;
+        if let Some(scale) = scale {
+            for (x, m) in a.iter_mut() {
+                x[k * *m..][shape.tail(k, *m)]
+                    .iter_mut()
+                    .for_each(|v| *v *= scale);
+            }
         }
-        Some(r1) => {
-            let ld = r1.rows();
-            (&mut r1.data_mut()[j * ld + k], &mut col[tail])
+        let tau = r.tau;
+        if tau != 0.0 {
+            for j in k + 1..end {
+                let dots = dot_tiles(
+                    s,
+                    a.each_ref().map(|(x, m)| {
+                        let tail = shape.tail(k, *m);
+                        (&x[k * m..][tail.clone()], &x[j * m..][tail])
+                    }),
+                );
+                let h = head(heads, a[0].0, j * ld + k);
+                let w = tau * (*h + dots);
+                *h -= w;
+                for (x, m) in a.iter_mut() {
+                    let tail = shape.tail(k, *m);
+                    let (left, right) = x.split_at_mut(j * *m);
+                    simd::axpy_body(s, &mut right[tail.clone()], -w, &left[k * *m..][tail]);
+                }
+            }
+        }
+        // Column k of the chunk's T block: vdots[l - p] = v_l^T v_k over
+        // the rows both reflectors store (the `e` heads of two TS/TT
+        // reflectors are orthogonal; the trapezoid's `e_k` meets row
+        // `k` of `v_l`).
+        let mut vdots = [0.0f64; IB];
+        for l in p..k {
+            let dl = dot_tiles(
+                s,
+                a.each_ref().map(|(x, m)| {
+                    let tail = shape.tail(k, *m);
+                    let both = tail.start..tail.end.min(shape.tail(l, *m).end);
+                    (&x[l * m..][both.clone()], &x[k * m..][both])
+                }),
+            );
+            vdots[l - p] = match shape {
+                Shape::Trapezoid => a[0].0[l * m0 + k] + dl,
+                Shape::Square | Shape::Triangle => dl,
+            };
+        }
+        tf.append(tau, &vdots[..k - p]);
+    }
+}
+
+/// `sum_t a_t^T b_t` over the `D` tiles of a stack: [`simd::dot_body`]'s
+/// four accumulators run on through all the tiles and are reduced once,
+/// then the tiles' sequential tails shorter than a vector are added in
+/// order, so that one tile gives `dot_body`'s bits.  One reduction per
+/// stack, not per tile: the unblocked panel's dots are short (one tile
+/// column each) and their reductions would otherwise cost a TS stack most
+/// of what it saves.
+#[inline(always)]
+fn dot_tiles<S: SimdLane, const D: usize>(s: S, pairs: [(&[f64], &[f64]); D]) -> f64 {
+    let mut acc = [s.zero(); 4];
+    let mut tails: [(&[f64], &[f64]); D] = [(&[], &[]); D];
+    for ((a, b), tail) in pairs.into_iter().zip(&mut tails) {
+        let b = &b[..a.len()];
+        let (mut a4, mut b4) = (a.chunks_exact(4 * S::LANES), b.chunks_exact(4 * S::LANES));
+        for (x, y) in (&mut a4).zip(&mut b4) {
+            for (r, acc) in acc.iter_mut().enumerate() {
+                let at = r * S::LANES;
+                *acc = s.mul_add(s.load(x, at), s.load(y, at), *acc);
+            }
+        }
+        let (mut a1, mut b1) = (
+            a4.remainder().chunks_exact(S::LANES),
+            b4.remainder().chunks_exact(S::LANES),
+        );
+        for (x, y) in (&mut a1).zip(&mut b1) {
+            acc[0] = s.mul_add(s.load(x, 0), s.load(y, 0), acc[0]);
+        }
+        *tail = (a1.remainder(), b1.remainder());
+    }
+    let mut sum = s.reduce_sum(s.add(s.add(acc[0], acc[1]), s.add(acc[2], acc[3])));
+    for (a, b) in tails {
+        for (x, y) in a.iter().zip(b) {
+            sum += x * y;
         }
     }
+    sum
+}
+
+/// `a` as the array of its tiles (the caller matched its length).
+fn tiles<'s, 'a, const D: usize>(a: &'s mut [Rows<'a>]) -> &'s mut [Rows<'a>; D] {
+    a.try_into().expect("a stack of D tiles")
 }
 
 /// Lane-generic body of [`factor`]; the trailing update is [`apply_chunk`]
-/// with the parameters of [`apply_body`].
+/// with the parameters of [`apply_body`].  A TS stack is one column of
+/// tiles under `r1`: each reflector's tail runs down all of them, and every
+/// sum over the tiles starts from the first tile's term, so that a stack of
+/// one computes what one tile does.  (No closure here calls a lane method:
+/// a closure is compiled outside the instruction-set shell.)
 #[inline(always)]
 fn factor_body<S: SimdLane, const RV: usize, const NC: usize, const G: usize>(
     s: S,
     shape: Shape,
-    mut r1: Option<&mut Matrix>,
-    a: &mut Matrix,
+    r1: Option<&mut Matrix>,
+    a: &mut [Rows<'_>],
+    n: usize,
 ) -> TFactor {
-    let (m, n) = (a.rows(), a.cols());
+    let (d, m0) = (a.len(), a[0].1);
+    assert!(d <= STACK && (d == 1 || shape == Shape::Square));
     let mut scratch = LeftScratch::new();
     let (kmax, ld1) = match &r1 {
-        None => (m.min(n), 0),
+        None => (m0.min(n), 0),
         Some(r1) => (n.min(r1.rows()), r1.rows()),
     };
-    let mut tf = TFactor::with_kmax(kmax, (shape == Shape::Trapezoid).then_some(&*a));
+    let refl = (shape == Shape::Trapezoid).then(|| (a[0].0.len(), m0));
+    let mut tf = TFactor::with_kmax(kmax, refl);
+    // The `e_k` head of reflector `k` meets row `k` of the tile itself for
+    // the trapezoid, of the pivot tile `r1` otherwise.
+    let ld = if r1.is_some() { ld1 } else { m0 };
+    let mut heads = r1.map(|r1| r1.data_mut());
     for (p, ib) in chunks(kmax) {
-        // Unblocked factorization of the panel `p..p+ib`.
-        for k in p..p + ib {
-            let tail = shape.tail(k, m);
-            let (left, right) = a.data_mut().split_at_mut((k + 1) * m);
-            let (done, colk) = left.split_at_mut(k * m);
-            let tau = {
-                let (alpha, vk) = head_and_tail(r1.as_deref_mut(), colk, k, k, tail.clone());
-                let ss = simd::dot_body(s, vk, vk);
-                // A sum of squares in this range neither overflowed nor
-                // lost anything to underflow that matters at working
-                // precision; anything else takes the scaled norm, whose
-                // per-element division would otherwise be a fifth of the
-                // factorization.
-                let xnorm = if (1e-280..1e280).contains(&ss) {
-                    ss.sqrt()
-                } else {
-                    norm2(&*vk)
-                };
-                let r = larfg_with_norm(*alpha, vk, xnorm);
-                *alpha = r.beta;
-                r.tau
-            };
-            let vk = &colk[tail.clone()];
-            if tau != 0.0 {
-                for j in k + 1..p + ib {
-                    let cj = &mut right[(j - k - 1) * m..][..m];
-                    let (head, ct) = head_and_tail(r1.as_deref_mut(), cj, k, j, tail.clone());
-                    let w = tau * (*head + simd::dot_body(s, vk, ct));
-                    *head -= w;
-                    simd::axpy_body(s, ct, -w, vk);
-                }
-            }
-            // Column k of the chunk's T block: vdots[l - p] = v_l^T v_k over
-            // the rows both reflectors store (the `e` heads of two TS/TT
-            // reflectors are orthogonal; the trapezoid's `e_k` meets row
-            // `k` of `v_l`).
-            let mut vdots = [0.0f64; IB];
-            for l in p..k {
-                let both = tail.start..tail.end.min(shape.tail(l, m).end);
-                let cl = &done[l * m..][..m];
-                let d = simd::dot_body(s, &cl[both.clone()], &colk[both]);
-                vdots[l - p] = match shape {
-                    Shape::Trapezoid => cl[k] + d,
-                    Shape::Square | Shape::Triangle => d,
-                };
-            }
-            tf.append(tau, &vdots[..k - p]);
+        match a.len() {
+            1 => panel::<S, 1>(s, shape, (&mut heads, ld), tiles(a), p..p + ib, &mut tf),
+            2 => panel::<S, 2>(s, shape, (&mut heads, ld), tiles(a), p..p + ib, &mut tf),
+            3 => panel::<S, 3>(s, shape, (&mut heads, ld), tiles(a), p..p + ib, &mut tf),
+            _ => panel::<S, STACK>(s, shape, (&mut heads, ld), tiles(a), p..p + ib, &mut tf),
         }
         // Level-3 update of the trailing columns with the panel's chunk.
         if p + ib < n {
-            let (panel, trailing) = a.data_mut().split_at_mut((p + ib) * m);
-            let ch = Chunk::new(shape, panel, m, p, ib, tf.t_block_data(p));
-            let h = r1
+            let mut panels: [Refl<'_>; STACK] = [(&[], 0); STACK];
+            let mut trailing: [Rows<'_>; STACK] = Default::default();
+            for ((x, m), (v, c)) in a.iter_mut().zip(panels.iter_mut().zip(&mut trailing)) {
+                let (panel, rest) = x.split_at_mut((p + ib) * *m);
+                (*v, *c) = ((&*panel, *m), (rest, *m));
+            }
+            let ch = Chunk::new(shape, &panels[..d], p, ib, tf.t_block_data(p));
+            let h = heads
                 .as_deref_mut()
-                .map(|r1| (&mut r1.data_mut()[(p + ib) * ld1..], ld1));
-            apply_chunk::<S, RV, NC, G>(s, &ch, &mut scratch, h, trailing, m, n - p - ib)
+                .map(|r1| (&mut r1[(p + ib) * ld1..], ld1));
+            apply_chunk::<S, RV, NC, G>(s, &ch, &mut scratch, h, &mut trailing[..d], n - p - ib)
         }
     }
     if shape == Shape::Trapezoid {
-        tf.keep_reflectors(a);
+        tf.keep_reflectors(&*a[0].0);
     }
     tf
 }
@@ -1052,8 +1211,9 @@ impl RowPanel {
     }
 }
 
-/// Entry `at` of the tile holding the reflectors' heads: `l1` (leading
-/// dimension `m`, like `a`), or `a` itself for GELQT.
+/// Entry `at` of the tile holding the reflectors' heads: the pivot tile
+/// (`r1` / `l1`), or for GEQRT / GELQT the factored tile `a` itself.
+#[inline(always)]
 fn head<'h>(l1: &'h mut Option<&mut [f64]>, a: &'h mut [f64], at: usize) -> &'h mut f64 {
     match l1 {
         Some(l1) => &mut l1[at],
@@ -1077,7 +1237,8 @@ fn factor_right_body<S: SimdLane, const RV: usize, const G: usize>(
 ) -> TFactor {
     let (m, n) = (a.rows(), a.cols());
     let kmax = l1.as_ref().map_or(n, |l1| l1.cols()).min(m);
-    let mut tf = TFactor::with_kmax(kmax, (shape == Shape::Trapezoid).then_some(&*a));
+    let refl = (shape == Shape::Trapezoid).then(|| (a.data().len(), m));
+    let mut tf = TFactor::with_kmax(kmax, refl);
     for (p, ib) in chunks(kmax) {
         let pan = RowPanel { shape, m, n, p, ib };
         let (data, mut heads) = (a.data_mut(), l1.as_deref_mut().map(|l1| l1.data_mut()));
@@ -1148,7 +1309,7 @@ fn factor_right_body<S: SimdLane, const RV: usize, const G: usize>(
         }
     }
     if shape == Shape::Trapezoid {
-        tf.keep_reflectors(a);
+        tf.keep_reflectors(a.data());
     }
     tf
 }
@@ -1270,16 +1431,17 @@ impl<K: ChunkCall> LaneKernel for Tuned<K> {
     }
 }
 
-/// The arguments of [`apply`] (`RIGHT = false`) or [`apply_right`].
-struct Apply<'a, const RIGHT: bool> {
+/// The arguments of [`apply`].
+struct Apply<'a, 'b> {
     shape: Shape,
-    v: Refl<'a>,
+    v: &'a [Refl<'a>],
     tf: &'a TFactor,
     head: Option<&'a mut Matrix>,
-    c: &'a mut Matrix,
+    c: &'a mut [Rows<'b>],
+    n: usize,
 }
 
-impl<const RIGHT: bool> ChunkCall for Apply<'_, RIGHT> {
+impl ChunkCall for Apply<'_, '_> {
     type Output = ();
 
     #[inline(always)]
@@ -1293,23 +1455,49 @@ impl<const RIGHT: bool> ChunkCall for Apply<'_, RIGHT> {
             tf,
             head,
             c,
+            n,
         } = self;
-        if RIGHT {
-            apply_right_body::<S, GR>(s, shape, v, tf, head, c)
-        } else {
-            apply_body::<S, RV, NC, GL>(s, shape, v, tf, head, c)
-        }
+        apply_body::<S, RV, NC, GL>(s, shape, v, tf, head, c, n)
     }
 }
 
-/// The arguments of [`factor`] (`RIGHT = false`) or [`factor_right`].
-struct Factor<'a, const RIGHT: bool> {
+/// The arguments of [`apply_right`].
+struct ApplyRight<'a> {
     shape: Shape,
-    pivot: Option<&'a mut Matrix>,
-    a: &'a mut Matrix,
+    v: Refl<'a>,
+    tf: &'a TFactor,
+    head: Option<&'a mut Matrix>,
+    c: &'a mut Matrix,
 }
 
-impl<const RIGHT: bool> ChunkCall for Factor<'_, RIGHT> {
+impl ChunkCall for ApplyRight<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn call<S: SimdLane, const RV: usize, const NC: usize, const GL: usize, const GR: usize>(
+        self,
+        s: S,
+    ) {
+        let ApplyRight {
+            shape,
+            v,
+            tf,
+            head,
+            c,
+        } = self;
+        apply_right_body::<S, GR>(s, shape, v, tf, head, c)
+    }
+}
+
+/// The arguments of [`factor`].
+struct Factor<'a, 'b> {
+    shape: Shape,
+    pivot: Option<&'a mut Matrix>,
+    a: &'a mut [Rows<'b>],
+    n: usize,
+}
+
+impl ChunkCall for Factor<'_, '_> {
     type Output = TFactor;
 
     #[inline(always)]
@@ -1317,35 +1505,56 @@ impl<const RIGHT: bool> ChunkCall for Factor<'_, RIGHT> {
         self,
         s: S,
     ) -> TFactor {
-        let Factor { shape, pivot, a } = self;
-        if RIGHT {
-            factor_right_body::<S, RV, GR>(s, shape, pivot, a)
-        } else {
-            factor_body::<S, RV, NC, GL>(s, shape, pivot, a)
-        }
+        let Factor { shape, pivot, a, n } = self;
+        factor_body::<S, RV, NC, GL>(s, shape, pivot, a, n)
     }
 }
 
-/// Apply the `tf.len()` reflectors of `shape` stored in `v` from the left:
-/// `Q^T` to `c` (as many rows as `v` has) and, for the TS/TT shapes, to rows
-/// `0..tf.len()` of the pivot tile `head` (as many columns as `c`; `None`
-/// exactly for the trapezoid).  The tile kernels of [`crate::qr`] check
-/// the operand shapes; a mismatch that got past them would panic in a
-/// slice index here.  One backend dispatch per call.
+/// The arguments of [`factor_right`].
+struct FactorRight<'a> {
+    shape: Shape,
+    pivot: Option<&'a mut Matrix>,
+    a: &'a mut Matrix,
+}
+
+impl ChunkCall for FactorRight<'_> {
+    type Output = TFactor;
+
+    #[inline(always)]
+    fn call<S: SimdLane, const RV: usize, const NC: usize, const GL: usize, const GR: usize>(
+        self,
+        s: S,
+    ) -> TFactor {
+        let FactorRight { shape, pivot, a } = self;
+        factor_right_body::<S, RV, GR>(s, shape, pivot, a)
+    }
+}
+
+/// Apply the `tf.len()` reflectors of `shape` stored in the tiles `v` from
+/// the left: `Q^T` to the `n` columns of the tiles `c` (one per reflector
+/// tile, as many rows as it) and, for the TS/TT shapes, to rows
+/// `0..tf.len()` of the pivot tile `head` (`n` columns; `None` exactly for
+/// the trapezoid).  Only a TS stack has more than one tile.  The tile
+/// kernels of [`crate::qr`] check the operand shapes; a mismatch that got
+/// past them would panic in a slice index here.  One backend dispatch per
+/// call.
 pub(crate) fn apply(
     shape: Shape,
-    v: Refl<'_>,
+    v: &[Refl<'_>],
     tf: &TFactor,
     head: Option<&mut Matrix>,
-    c: &mut Matrix,
+    c: &mut [Rows<'_>],
+    n: usize,
 ) {
     debug_assert_eq!(shape == Shape::Trapezoid, head.is_none());
-    simd::dispatch(Tuned(Apply::<false> {
+    debug_assert!(v.len() == c.len() && v.iter().zip(&*c).all(|(v, c)| v.1 == c.1));
+    simd::dispatch(Tuned(Apply {
         shape,
         v,
         tf,
         head,
         c,
+        n,
     }))
 }
 
@@ -1362,7 +1571,7 @@ pub(crate) fn apply_right(
     c: &mut Matrix,
 ) {
     debug_assert_eq!(shape == Shape::Trapezoid, head.is_none());
-    simd::dispatch(Tuned(Apply::<true> {
+    simd::dispatch(Tuned(ApplyRight {
         shape,
         v,
         tf,
@@ -1371,16 +1580,23 @@ pub(crate) fn apply_right(
     }))
 }
 
-/// Factor `a` in place into reflectors of `shape` — on its own
-/// ([`Shape::Trapezoid`], `r1 == None`) or stacked under the upper
-/// triangle `r1` (as many columns as `a`, checked by the callers) — and
-/// return their [`TFactor`].  One backend dispatch per call.
-pub(crate) fn factor(shape: Shape, r1: Option<&mut Matrix>, a: &mut Matrix) -> TFactor {
+/// Factor the `n`-column tiles `a` in place into reflectors of `shape` — a
+/// tile on its own ([`Shape::Trapezoid`], `r1 == None`), or stacked under
+/// the upper triangle `r1` (`n` columns, checked by the callers): one tile
+/// for TT, up to [`STACK`] for TS — and return their [`TFactor`].  One
+/// backend dispatch per call.
+pub(crate) fn factor(
+    shape: Shape,
+    r1: Option<&mut Matrix>,
+    a: &mut [Rows<'_>],
+    n: usize,
+) -> TFactor {
     debug_assert_eq!(shape == Shape::Trapezoid, r1.is_none());
-    simd::dispatch(Tuned(Factor::<false> {
+    simd::dispatch(Tuned(Factor {
         shape,
         pivot: r1,
         a,
+        n,
     }))
 }
 
@@ -1390,7 +1606,7 @@ pub(crate) fn factor(shape: Shape, r1: Option<&mut Matrix>, a: &mut Matrix) -> T
 /// their [`TFactor`].  One backend dispatch per call.
 pub(crate) fn factor_right(shape: Shape, l1: Option<&mut Matrix>, a: &mut Matrix) -> TFactor {
     debug_assert_eq!(shape == Shape::Trapezoid, l1.is_none());
-    simd::dispatch(Tuned(Factor::<true> {
+    simd::dispatch(Tuned(FactorRight {
         shape,
         pivot: l1,
         a,
@@ -1440,9 +1656,10 @@ pub struct TFactor {
 
 impl TFactor {
     /// An empty factor for up to `kmax` reflectors, with room for a copy of
-    /// `tile` when the reflectors are stored there (the trapezoid).
-    pub(crate) fn with_kmax(kmax: usize, tile: Option<&Matrix>) -> Self {
-        let (refl, refl_rows) = tile.map_or((0, 0), |t| (t.data().len(), t.rows()));
+    /// the tile they are stored in when they are (the trapezoid): `tile` is
+    /// its length and its row count.
+    pub(crate) fn with_kmax(kmax: usize, tile: Option<(usize, usize)>) -> Self {
+        let (refl, refl_rows) = tile.unwrap_or((0, 0));
         TFactor {
             buf: Matrix::zeros(refl + kmax * (IB + 1), 1),
             refl,
@@ -1452,11 +1669,11 @@ impl TFactor {
         }
     }
 
-    /// Copy the factored `tile` the reflectors are stored in into the room
-    /// [`with_kmax`](TFactor::with_kmax) made for it.
-    fn keep_reflectors(&mut self, tile: &Matrix) {
-        assert_eq!(self.refl_rows, tile.rows(), "no room for this tile");
-        self.buf.data_mut()[..self.refl].copy_from_slice(tile.data());
+    /// Copy the factored tile the reflectors are stored in (its data) into
+    /// the room [`with_kmax`](TFactor::with_kmax) made for it.
+    fn keep_reflectors(&mut self, tile: &[f64]) {
+        assert_eq!(self.refl, tile.len(), "no room for this tile");
+        self.buf.data_mut()[..self.refl].copy_from_slice(tile);
     }
 
     /// The copy of the factored tile (column-major) and its row count: the
@@ -1587,8 +1804,8 @@ mod tests {
         c: &Matrix,
     ) -> (Vec<u64>, Option<Vec<u64>>) {
         let (mut head, mut c) = (head.cloned(), c.clone());
-        let v = (v.data(), v.rows());
-        apply_body::<S, RV, NC, G>(s, shape, v, tf, head.as_mut(), &mut c);
+        let (v, (m, n)) = ([(v.data(), v.rows())], (c.rows(), c.cols()));
+        apply_body::<S, RV, NC, G>(s, shape, &v, tf, head.as_mut(), &mut [(c.data_mut(), m)], n);
         (bits(&c), head.as_ref().map(bits))
     }
 
@@ -1618,7 +1835,8 @@ mod tests {
         a: &Matrix,
     ) -> (Vec<u64>, Option<Vec<u64>>, TFactor) {
         let (mut r1, mut a) = (r1.cloned(), a.clone());
-        let tf = factor_body::<S, RV, NC, G>(s, shape, r1.as_mut(), &mut a);
+        let (m, n) = (a.rows(), a.cols());
+        let tf = factor_body::<S, RV, NC, G>(s, shape, r1.as_mut(), &mut [(a.data_mut(), m)], n);
         (bits(&a), r1.as_ref().map(bits), tf)
     }
 

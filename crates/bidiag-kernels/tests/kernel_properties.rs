@@ -24,7 +24,9 @@
 
 use bidiag_kernels::householder::larfg;
 use bidiag_kernels::lq::{gelqt, tslqt, tsmlq, ttlqt, ttmlq, unmlq};
-use bidiag_kernels::qr::{geqrt, tsmqr, tsqrt, ttmqr, ttqrt, unmqr};
+use bidiag_kernels::qr::{
+    geqrt, tsmqr, tsmqr_stack, tsqrt, tsqrt_stack, ttmqr, ttqrt, unmqr, STACK,
+};
 use bidiag_kernels::TFactor;
 use bidiag_matrix::checks::{
     lower_triangle_of, orthogonality_error, relative_error, upper_triangle_of,
@@ -38,8 +40,8 @@ use bidiag_oracles::lq::{
     unmlq_unblocked,
 };
 use bidiag_oracles::qr::{
-    geqrt_unblocked, tsmqr_unblocked, tsqrt_unblocked, ttmqr_unblocked, ttqrt_unblocked,
-    unmqr_unblocked,
+    geqrt_unblocked, tsmqr_stack_unblocked, tsmqr_unblocked, tsqrt_stack_unblocked,
+    tsqrt_unblocked, ttmqr_unblocked, ttqrt_unblocked, unmqr_unblocked,
 };
 use proptest::prelude::*;
 
@@ -206,6 +208,98 @@ fn blocked_tsqrt_and_tsmqr_match_unblocked() {
                 );
             }
         }
+    }
+}
+
+/// The tiles one under the other, as one matrix: a stack's outputs are
+/// compared as one operand, whose norm is the scale a tile's error is
+/// relative to (one tile of `Q^T C` can be small by cancellation).
+fn stacked(tiles: &[Matrix]) -> Matrix {
+    let mut s = Matrix::zeros(tiles.iter().map(Matrix::rows).sum(), tiles[0].cols());
+    let mut r = 0;
+    for t in tiles {
+        s.copy_block(r, 0, t);
+        r += t.rows();
+    }
+    s
+}
+
+/// `d` tiles of `nb` columns, the last with `last` rows and the others
+/// with `nb`.
+fn tile_stack(d: usize, nb: usize, last: usize, seed: u64) -> Vec<Matrix> {
+    (0..d)
+        .map(|t| random_gaussian(if t + 1 == d { last } else { nb }, nb, seed + t as u64))
+        .collect()
+}
+
+#[test]
+fn stacked_tsqrt_and_tsmqr_match_unblocked() {
+    // Stacks of one to `STACK` tiles under an `nb x nb` triangle, the last
+    // tile full or ragged, applied to trailing columns of 1, nb and 70
+    // columns (more than one `W` strip): against the unblocked Householder
+    // QR of the tiles stacked into one matrix, on every backend.
+    for d in 1..=STACK {
+        for nb in [1usize, 5, 8, 9, 17, 64, 65] {
+            for last in [nb, nb.div_ceil(2)] {
+                let seed = (d * 1000 + nb * 10 + last) as u64;
+                let what = format!("d={d} nb={nb} last={last}");
+                let r1_0 = upper_triangle_of(&random_gaussian(nb, nb, seed));
+                let a0 = tile_stack(d, nb, last, seed + 1);
+                let (mut r1u, mut au) = (r1_0.clone(), a0.clone());
+                let taus = tsqrt_stack_unblocked(&mut r1u, &mut au);
+                let want = [&r1u, &stacked(&au), &as_column(&taus)];
+                check_on_backends(&format!("TSQRT stack {what}"), &want, || {
+                    let (mut r1, mut a) = (r1_0.clone(), a0.clone());
+                    let tf = tsqrt_stack(&mut r1, a.iter_mut());
+                    vec![r1, stacked(&a), as_column(tf.taus())]
+                });
+
+                let (mut r1b, mut ab) = (r1_0.clone(), a0.clone());
+                let tf = tsqrt_stack(&mut r1b, ab.iter_mut());
+                for nc in [1usize, nb, 70] {
+                    let h0 = random_gaussian(nb, nc, seed + 7);
+                    let c0: Vec<Matrix> = a0
+                        .iter()
+                        .enumerate()
+                        .map(|(t, a)| random_gaussian(a.rows(), nc, seed + 8 + t as u64))
+                        .collect();
+                    let (mut hu, mut cu) = (h0.clone(), c0.clone());
+                    tsmqr_stack_unblocked(&mut hu, &mut cu, &au, &taus);
+                    cu.insert(0, hu);
+                    let want = [&stacked(&cu)];
+                    check_on_backends(&format!("TSMQR stack {what} nc={nc}"), &want, || {
+                        let (mut h, mut c) = (h0.clone(), c0.clone());
+                        tsmqr_stack(&mut h, c.iter_mut(), &ab, &tf);
+                        c.insert(0, h);
+                        vec![stacked(&c)]
+                    });
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_stack_of_one_tile_is_the_one_tile_call() {
+    // Bitwise, so each backend is forced for the comparison.
+    for be in simd::available_backends() {
+        simd::with_forced_backend(be, || {
+            for (nb, m2) in [(8usize, 8usize), (17, 9), (64, 64), (64, 32)] {
+                let r1_0 = upper_triangle_of(&random_gaussian(nb, nb, 1));
+                let a0 = random_gaussian(m2, nb, 2);
+                let (mut r1, mut a) = (r1_0.clone(), a0.clone());
+                let tf = tsqrt(&mut r1, &mut a);
+                let (mut r1s, mut a_s) = (r1_0, [a0]);
+                let tfs = tsqrt_stack(&mut r1s, &mut a_s);
+                assert!(tf == tfs && r1 == r1s && a == a_s[0], "TSQRT {nb} {m2}");
+                let (h0, c0) = (random_gaussian(nb, 70, 3), random_gaussian(m2, 70, 4));
+                let (mut h, mut c) = (h0.clone(), c0.clone());
+                tsmqr(&mut h, &mut c, &a, &tf);
+                let (mut hs, mut cs) = (h0, [c0]);
+                tsmqr_stack(&mut hs, &mut cs, [&a], &tf);
+                assert!(h == hs && c == cs[0], "TSMQR {nb} {m2}");
+            }
+        });
     }
 }
 
@@ -452,6 +546,13 @@ fn factorizations_survive_extreme_scales() {
             |[r, a]| tsqrt_unblocked(r, a),
             |[r, a]| tsqrt(r, a),
         );
+        let (a3, a4) = (scaled(12, 9, 8), scaled(5, 9, 9));
+        check_factorization(
+            &what("TSQRT stack"),
+            [&r1, &a2, &a3, &a4],
+            |[r, a @ ..]| tsqrt_stack_unblocked(r, a),
+            |[r, a @ ..]| tsqrt_stack(r, a),
+        );
         check_factorization(
             &what("TTQRT"),
             [&r1, &r2],
@@ -664,6 +765,10 @@ fn factorizations_keep_to_their_regions() {
                 pivot_below,
                 |[r, a]| tsqrt(r, a),
             );
+            let stack = [r1.clone(), random_gaussian(nb, nb, seed + 4), a2.clone()];
+            check_regions(&what("TSQRT stack"), stack, pivot_below, |[r, a @ ..]| {
+                tsqrt_stack(r, a)
+            });
             check_regions(&what("TTQRT"), [r1.clone(), a2], below, |[r, a]| {
                 ttqrt(r, a)
             });

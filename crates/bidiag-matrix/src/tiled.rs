@@ -8,6 +8,7 @@
 //! of data-flow, exactly as PLASMA/DPLASMA do.
 
 use crate::dense::Matrix;
+use std::ops::Range;
 
 /// Coordinates of a tile inside the tile grid.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -123,42 +124,23 @@ impl TiledMatrix {
         &mut self.tiles[j * self.p + i]
     }
 
-    /// Mutably borrow two distinct tiles at once (needed by elimination
-    /// kernels that update a pivot tile and a target tile together).
-    pub fn two_tiles_mut(
+    /// Mutably borrow `N` runs of consecutive tiles at once, run `(rows, j)`
+    /// being tiles `(rows, j)` of tile column `j` (consecutive in storage):
+    /// the operands of a kernel that writes more than one tile, or reads
+    /// reflector tiles while it writes others.  Panics when two runs
+    /// overlap or one leaves the grid.
+    pub fn tile_runs_mut<const N: usize>(
         &mut self,
-        a: (usize, usize),
-        b: (usize, usize),
-    ) -> (&mut Matrix, &mut Matrix) {
-        let ia = a.1 * self.p + a.0;
-        let ib = b.1 * self.p + b.0;
-        assert_ne!(ia, ib, "two_tiles_mut requires distinct tiles");
-        if ia < ib {
-            let (lo, hi) = self.tiles.split_at_mut(ib);
-            (&mut lo[ia], &mut hi[0])
-        } else {
-            let (lo, hi) = self.tiles.split_at_mut(ia);
-            (&mut hi[0], &mut lo[ib])
-        }
-    }
-
-    /// Borrow tile `r` immutably together with two distinct tiles `w1`,
-    /// `w2` mutably (the shape of a pair-update kernel: read the
-    /// reflectors, update the pivot and target tiles).
-    pub fn tile_and_two_tiles_mut(
-        &mut self,
-        r: (usize, usize),
-        w1: (usize, usize),
-        w2: (usize, usize),
-    ) -> (&Matrix, &mut Matrix, &mut Matrix) {
-        let ir = r.1 * self.p + r.0;
-        let i1 = w1.1 * self.p + w1.0;
-        let i2 = w2.1 * self.p + w2.0;
-        let [tr, t1, t2] = self
-            .tiles
-            .get_disjoint_mut([ir, i1, i2])
-            .expect("tile_and_two_tiles_mut requires distinct tiles");
-        (&*tr, t1, t2)
+        runs: [(Range<usize>, usize); N],
+    ) -> [&mut [Matrix]; N] {
+        let p = self.p;
+        let runs = runs.map(|(rows, j)| {
+            assert!(rows.end <= p, "tile rows {rows:?} leave the grid");
+            j * p + rows.start..j * p + rows.end
+        });
+        self.tiles
+            .get_disjoint_mut(runs)
+            .expect("tile runs overlap")
     }
 
     /// Element access through the tile structure (slow; for tests/checks).
@@ -247,22 +229,22 @@ mod tests {
     }
 
     #[test]
-    fn two_tiles_mut_returns_distinct() {
-        let mut t = TiledMatrix::zeros(4, 4, 2);
+    fn tile_runs_mut_returns_distinct_runs() {
+        let mut t = TiledMatrix::zeros(6, 4, 2);
         {
-            let (a, b) = t.two_tiles_mut((0, 0), (1, 1));
-            a.set(0, 0, 1.0);
-            b.set(1, 1, 2.0);
+            let [a, b] = t.tile_runs_mut([(0..1, 0), (1..3, 1)]);
+            a[0].set(0, 0, 1.0);
+            b[1].set(1, 1, 2.0);
         }
         assert_eq!(t.tile(0, 0).get(0, 0), 1.0);
-        assert_eq!(t.tile(1, 1).get(1, 1), 2.0);
+        assert_eq!(t.tile(2, 1).get(1, 1), 2.0);
     }
 
     #[test]
-    #[should_panic]
-    fn two_tiles_mut_same_tile_panics() {
-        let mut t = TiledMatrix::zeros(4, 4, 2);
-        let _ = t.two_tiles_mut((0, 0), (0, 0));
+    #[should_panic(expected = "tile runs overlap")]
+    fn overlapping_tile_runs_panic() {
+        let mut t = TiledMatrix::zeros(6, 4, 2);
+        let _ = t.tile_runs_mut([(0..2, 0), (1..2, 0)]);
     }
 
     #[test]

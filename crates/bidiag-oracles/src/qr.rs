@@ -131,6 +131,46 @@ pub fn tsmqr_unblocked(a1: &mut Matrix, a2: &mut Matrix, v2: &Matrix, taus: &[f6
     }
 }
 
+/// The tiles one under the other, as one matrix.
+fn stacked(tiles: &[Matrix]) -> Matrix {
+    let rows = tiles.iter().map(Matrix::rows).sum();
+    let mut s = Matrix::zeros(rows, tiles.first().map_or(0, Matrix::cols));
+    let mut r = 0;
+    for t in tiles {
+        s.copy_block(r, 0, t);
+        r += t.rows();
+    }
+    s
+}
+
+/// Cut `s` back into the tiles it was [`stacked`] from.
+fn unstack(s: &Matrix, tiles: &mut [Matrix]) {
+    let mut r = 0;
+    for t in tiles {
+        *t = s.block(r, 0, t.rows(), t.cols());
+        r += t.rows();
+    }
+}
+
+/// TSQRT of a stack, unblocked reference: the Householder QR of `r1` on top
+/// of the tiles `a`, one under the other — [`tsqrt_unblocked`] of the tiles
+/// stacked into one matrix, cut back into them.
+pub fn tsqrt_stack_unblocked(r1: &mut Matrix, a: &mut [Matrix]) -> Vec<f64> {
+    let mut s = stacked(a);
+    let taus = tsqrt_unblocked(r1, &mut s);
+    unstack(&s, a);
+    taus
+}
+
+/// TSMQR of a stack, unblocked reference: [`tsmqr_unblocked`] of `a1` on
+/// top of the tiles `a`, with the reflector tiles `v` (one per tile of
+/// `a`), each stacked into one matrix.
+pub fn tsmqr_stack_unblocked(a1: &mut Matrix, a: &mut [Matrix], v: &[Matrix], taus: &[f64]) {
+    let mut s = stacked(a);
+    tsmqr_unblocked(a1, &mut s, &stacked(v), taus);
+    unstack(&s, a);
+}
+
 /// TTQRT, unblocked reference.
 pub fn ttqrt_unblocked(r1: &mut Matrix, r2: &mut Matrix) -> Vec<f64> {
     let n = r1.cols();
