@@ -30,7 +30,8 @@
 //! * GE2BND on `square_1t`'s input (768 x 768, `nb = 64`, one thread) runs
 //!   at least 1.3x faster under every vector backend than under scalar;
 //! * the observability plane, force-enabled, costs at most 2 % on that
-//!   GE2BND at two threads;
+//!   GE2BND at one thread (task spans recorded on the calling thread) and
+//!   at two (on the pool's workers);
 //! * a TSQRT / TSMQR stack of `qr::STACK` tiles costs no more per tile than
 //!   the kernel on one tile, on every backend (each backend's table is
 //!   followed by the per-tile times at stacks of 1, 2 and 4).
@@ -126,9 +127,9 @@ fn staged_band(a: &Matrix, nb: usize) -> BandMatrix {
     ge2bnd(a, &Ge2Options::new(nb)).band
 }
 
-/// The two end-to-end gates on `square_1t`'s input `a` at `nb = 64`: GE2BND
+/// The end-to-end gates on `square_1t`'s input `a` at `nb = 64`: GE2BND
 /// under every vector backend against scalar at one thread, and the cost of
-/// force-enabled tracing at two threads.
+/// force-enabled tracing at one and two threads.
 fn ge2bnd_gates(a: &Matrix, failed: &mut Vec<String>) {
     let opts = Ge2Options::new(64);
     // The fastest of `reps` runs after one warm-up, under backend `be`.
@@ -152,12 +153,11 @@ fn ge2bnd_gates(a: &Matrix, failed: &mut Vec<String>) {
         });
     }
 
-    let opts = opts.with_threads(2);
     let was_enabled = bidiag_obs::enabled();
-    gate(
-        failed,
-        "ge2bnd tracing overhead <= 2 %, 768 x 768, 2 threads",
-        |retry| {
+    for threads in [1, 2] {
+        let opts = opts.with_threads(threads);
+        let what = format!("ge2bnd tracing overhead <= 2 %, 768 x 768, {threads} thread(s)");
+        gate(failed, &what, |retry| {
             // Disabled and force-enabled runs alternate, and so does which of
             // the two goes first in a round: drift and position effects (clock
             // ramps, a neighbour's burst) then hit both sides alike.
@@ -179,8 +179,8 @@ fn ge2bnd_gates(a: &Matrix, failed: &mut Vec<String>) {
                 best[1] * 1e3
             );
             (reading, pct <= 2.0)
-        },
-    );
+        });
+    }
     bidiag_obs::set_enabled(was_enabled);
     println!();
 }

@@ -293,8 +293,10 @@ impl StageTimes {
 /// (GE2BND / BND2BD / BD2VAL) on the BENCHMARKING.md reference input (latms
 /// with a geometric spectrum, cond 1e4, seed 7).  Each of `samples` runs is
 /// one `ge2val` call under [`ScopedObs`](bidiag_obs::ScopedObs), and its
-/// split is read off the three phase spans the sequential call records, so
-/// the table times exactly what `ge2val` runs.  Returns the split of the
+/// split is read off the task spans the one-thread call records: GE2BND
+/// from the first kernel's start to the last kernel's end, then the
+/// BND2BD and BD2VAL tasks, so the table times exactly what `ge2val` runs.
+/// Returns the split of the
 /// run with the best total, a consistent snapshot of one run rather than a
 /// mix of per-stage minima.
 ///
@@ -323,19 +325,19 @@ pub fn measure_ge2val_stages(m: usize, n: usize, nb: usize, samples: usize) -> S
     for _ in 0..samples.max(1) {
         let scope = obs::ScopedObs::new();
         let sv = ge2val(&a, &opts).singular_values;
-        let phases = scope.spans();
+        // In task order: the kernels, then the chase, then dqds.
+        let spans = scope.spans();
         assert_eq!(sv.len(), m.min(n));
-        let seconds = |kind: u32| {
-            let span = phases
-                .iter()
-                .find(|s| s.kind == kind)
-                .expect("a sequential ge2val records its three phases");
-            (span.end_ns - span.start_ns) as f64 * 1.0e-9
+        let [first, .., last, chase, solve] = spans[..] else {
+            panic!("a traced ge2val records every task")
         };
+        let tails = [chase.kind, solve.kind];
+        assert_eq!(tails, [obs::KIND_BND2BD, obs::KIND_BD2VAL]);
+        let seconds = |start: u64, end: u64| (end - start) as f64 * 1.0e-9;
         let split = StageTimes {
-            ge2bnd: seconds(obs::KIND_STAGE_GE2BND),
-            bnd2bd: seconds(obs::KIND_BND2BD),
-            bd2val: seconds(obs::KIND_BD2VAL),
+            ge2bnd: seconds(first.start_ns, last.end_ns),
+            bnd2bd: seconds(chase.start_ns, chase.end_ns),
+            bd2val: seconds(solve.start_ns, solve.end_ns),
         };
         if split.total() < best.total() {
             best = split;

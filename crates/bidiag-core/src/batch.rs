@@ -34,8 +34,9 @@
 //!   the caller set (including disabled), so a session reproduces
 //!   per-call [`ge2val`](crate::pipeline::ge2val) under the same options **bitwise**.
 //! * **Larger problems as one task graph.**  Above the crossover a
-//!   submission is the task graph threaded per-call `ge2val` runs too: the
-//!   GE2BND tile DAG, one task chasing the band, one running dqds.
+//!   submission is the one lowering per-call `ge2val` runs too, at every
+//!   thread count: the GE2BND tile DAG, one task chasing the band, one
+//!   running dqds.
 //!
 //! ## The hardened service plane
 //!
@@ -78,7 +79,7 @@ use crate::exec::{lower_ge2val, ValuesCell};
 use crate::pipeline::{Ge2Options, DIRECT_CROSSOVER};
 use bidiag_kernels::gebd2::{gebd2_with, Bidiagonal};
 use bidiag_matrix::Matrix;
-use bidiag_runtime::{JobError, JobTicket, PoolConfig, SubmitError, TaskBodyWith, TaskPool, GANG};
+use bidiag_runtime::{JobError, JobTicket, PoolConfig, SubmitError, TaskPool, GANG};
 use bidiag_svd::{dqds_gang_into, DqdsScratch, LANES};
 use parking_lot::Mutex;
 use std::time::Duration;
@@ -316,12 +317,12 @@ impl SvdJob {
 ///
 /// Cheap problems are jobs on the pool's job lane, solved in gangs; larger
 /// ones submit their task graph (the tile DAG, the chase, dqds).  Either
-/// way, the work of all in-flight problems shares the same workers and the
-/// same per-worker scratch arenas.  Dropping the session parks nothing
-/// halfway: the pool drains every submitted problem before its threads
-/// exit.
+/// way, the work of all in-flight problems shares the same workers; the
+/// gangs also share the per-worker scratch arenas.  Dropping the session
+/// parks nothing halfway: the pool drains every submitted problem before
+/// its threads exit.
 pub struct SvdSession {
-    pool: TaskPool<DirectScratch, DirectJob>,
+    pool: TaskPool<DirectJob>,
     opts: Ge2Options,
     /// Arena pool for inline [`compute_into`](SvdSession::compute_into)
     /// callers (which run on *caller* threads, not pool workers).
@@ -507,11 +508,7 @@ impl SvdSession {
     /// [`ge2val`](crate::pipeline::ge2val) runs.
     fn submit_blocked(&self, a: &Matrix, block: bool) -> Result<SvdJob, SvdError> {
         self.opts.check_tile_size(a)?;
-        let (graph, bodies, values) = lower_ge2val(a, &self.opts);
-        let bodies = bodies
-            .into_iter()
-            .map(|body| Box::new(move |_: &mut DirectScratch| body()) as TaskBodyWith<_>)
-            .collect();
+        let (graph, bodies, values) = lower_ge2val(a, &self.opts).submission();
         let ticket = if block {
             self.pool.submit(graph, bodies)
         } else {

@@ -2,10 +2,11 @@
 //!
 //! Every algorithm of the paper (BIDIAG, R-BIDIAG, plain tiled QR) is first
 //! lowered to a flat list of [`TileOp`]s in a valid sequential order.  The
-//! same list then feeds three back-ends:
+//! same list then feeds two back-ends:
 //!
-//! * sequential execution (reference numerics),
-//! * parallel execution on the work-stealing scheduler of `bidiag-runtime`,
+//! * execution (`crate::exec`): one lowering, run on the work-stealing
+//!   scheduler of `bidiag-runtime` or, at one thread, in list order on the
+//!   calling thread,
 //! * the task-graph analyses (critical paths) and machine simulations.
 //!
 //! Each operation knows which tiles and reflector-scalar vectors it reads and
@@ -195,7 +196,7 @@ impl KernelScratch {
 
 /// Lock-free storage of the [`TFactor`]s (reflector scalars + compact-WY
 /// `T` matrices) produced by factorization kernels — the *single* tau store
-/// shared by the sequential driver and the parallel runtime: one pre-sized
+/// of every execution, on a pool or on the calling thread: one pre-sized
 /// [`OnceLock`] slot per *producing* operation, resolved at build time from
 /// the sequential op order.
 ///
@@ -498,7 +499,8 @@ impl TileOp {
     /// compact-WY kernels.  `op_id` is this operation's index in the op
     /// list `taus` was built for.  `_scratch` is not read (see
     /// [`KernelScratch`]).  TS/TT apply kernels borrow the reflector tile in
-    /// place — the sequential driver has exclusive access to all tiles.
+    /// place.  No library path calls this (every blocked solve runs
+    /// [`execute_shared`](TileOp::execute_shared)); the benchmark does.
     pub fn execute(
         &self,
         op_id: usize,
@@ -509,13 +511,9 @@ impl TileOp {
         self.run(op_id, a, taus);
     }
 
-    /// [`TileOp::execute`] without its unused scratch argument.
-    pub(crate) fn execute_exclusive(&self, op_id: usize, a: &mut TiledMatrix, taus: &TauTable) {
-        self.run(op_id, a, taus);
-    }
-
     /// Execute the operation against tiles shared behind per-tile locks
-    /// (parallel back-end).  `tiles[r * q + c]` guards tile `(r, c)`;
+    /// (every blocked solve, on a pool or in order on the calling thread).
+    /// `tiles[r * q + c]` guards tile `(r, c)`;
     /// `taus` is the pre-sized per-op tau table and `op_id` this
     /// operation's index in the op list the table was built for.
     ///
@@ -533,7 +531,7 @@ impl TileOp {
         self.run(op_id, &mut SharedTiles { tiles, q, op: self }, taus);
     }
 
-    /// The op → kernel match of both back-ends, over whichever way `a`
+    /// The op → kernel match of both tile stores, over whichever way `a`
     /// hands out tiles.
     fn run<A: TileAccess>(&self, op_id: usize, a: &mut A, taus: &TauTable) {
         type PairKernel = fn(&mut Matrix, &mut Matrix, &Matrix, &TFactor);
@@ -612,7 +610,7 @@ fn run((i, j): Tile) -> (Range<usize>, usize) {
     (i..i + 1, j)
 }
 
-/// Exclusive access (sequential driver): disjoint borrows, nothing copied.
+/// Exclusive access ([`TileOp::execute`]): disjoint borrows, nothing copied.
 impl TileAccess for TiledMatrix {
     fn one<R>(&mut self, (i, j): Tile, f: impl FnOnce(&mut Matrix) -> R) -> R {
         f(self.tile_mut(i, j))
@@ -654,7 +652,7 @@ impl TileAccess for TiledMatrix {
     }
 }
 
-/// The parallel back-end's tiles: `tiles[r * q + c]` guards tile `(r, c)`;
+/// The lowering's tiles: `tiles[r * q + c]` guards tile `(r, c)`;
 /// `op` is the operation the tiles are handed to.  See
 /// [`TileOp::execute_shared`].
 struct SharedTiles<'a> {

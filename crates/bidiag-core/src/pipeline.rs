@@ -8,24 +8,24 @@
 //! * [`Ge2Options`] — tile size, reduction tree, algorithm selection and
 //!   threading knobs.
 //!
-//! BD2VAL is dqds (`bidiag-svd`) on every path.  With `threads > 1`,
-//! [`ge2val`] runs the task graph `SvdSession` submits for a blocked
-//! problem on one pool built for the call: the GE2BND tile-kernel DAG, one
-//! task running the sequential Householder bulge chase (the paper
-//! delegates this stage to PLASMA's bulge-chasing kernel; this one does not
-//! scale with threads), one task running dqds.  With one thread it runs the
-//! same stages in the same order on the calling thread.  The thread count
-//! never changes the numerical result — the task graph encodes every data
-//! conflict of the sequential order, so any schedule executes the same
-//! arithmetic (see the `bidiag-runtime` crate docs).  Below the small-size
-//! crossover, [`ge2val`] runs the session's direct path on a gang of one.
+//! BD2VAL is dqds (`bidiag-svd`) on every path.  A blocked [`ge2val`] runs
+//! the one lowering `SvdSession` submits for a blocked problem
+//! (`exec::lower_ge2val`): the GE2BND tile-kernel DAG, one task running the
+//! sequential Householder bulge chase (the paper delegates this stage to
+//! PLASMA's bulge-chasing kernel; this one does not scale with threads),
+//! one task running dqds.  With `threads > 1` the tasks run on one pool
+//! built for the call; with one thread, task by task in list order on the
+//! calling thread.  [`ge2bnd`] runs the GE2BND tasks alone, the same two
+//! ways.  The thread count never changes the numerical result — the task
+//! graph encodes every data conflict of the sequential order, so any
+//! schedule executes the same arithmetic (see the `bidiag-runtime` crate
+//! docs).  Below the small-size crossover, [`ge2val`] runs the session's
+//! direct path on a gang of one.
 
 use crate::batch::DirectScratch;
 use crate::drivers::Algorithm;
 use crate::error::{check_spectrum, validate_finite, SvdError};
-use crate::exec::{
-    execute_parallel, execute_sequential, ge2val_parallel, ge2val_sequential, setup_blocked,
-};
+use crate::exec::{execute_parallel, lower_ge2val, setup_blocked};
 use crate::flops;
 use crate::ops::ops_flops;
 use bidiag_kernels::band::BandMatrix;
@@ -90,7 +90,8 @@ pub struct Ge2Options {
     pub tree: NamedTree,
     /// BIDIAG vs R-BIDIAG selection.
     pub algorithm: AlgorithmChoice,
-    /// Number of worker threads (1 runs the reference sequential path).
+    /// Number of worker threads (1 runs every task in order on the calling
+    /// thread).
     pub threads: usize,
     /// Carries nothing: BD2VAL is dqds on every path.  Kept only because
     /// the benchmark's call sites still pass it to
@@ -229,11 +230,7 @@ pub fn ge2bnd(a: &Matrix, opts: &Ge2Options) -> Ge2BndResult {
     );
     record_backend();
     let (mut tiled, algorithm, ops, bw) = setup_blocked(a, opts);
-    if opts.threads > 1 {
-        execute_parallel(&ops, &mut tiled, opts.threads);
-    } else {
-        execute_sequential(&ops, &mut tiled);
-    }
+    execute_parallel(&ops, &mut tiled, opts.threads);
     let band = BandMatrix::from_tiled(&tiled, bw);
     Ge2BndResult {
         band,
@@ -256,9 +253,10 @@ pub struct Ge2ValResult {
 ///
 /// Wide matrices (`m < n`) are handled by transposing the input (the
 /// singular values are unchanged); an empty one (`min(m, n) == 0`) has an
-/// empty spectrum and runs no stage.  With `threads > 1` the three stages
-/// are one task graph on one work-stealing pool built for the call; the
-/// result is identical to the sequential path for every thread count.
+/// empty spectrum and runs no stage.  The three stages are one task graph:
+/// with `threads > 1` on one work-stealing pool built for the call, with
+/// one thread task by task on the calling thread; the result is identical
+/// at every thread count.
 ///
 /// # Examples
 ///
@@ -293,11 +291,7 @@ pub fn ge2val(a: &Matrix, opts: &Ge2Options) -> Ge2ValResult {
         sv
     } else {
         record_backend();
-        if opts.threads > 1 {
-            ge2val_parallel(a, opts)
-        } else {
-            ge2val_sequential(a, opts)
-        }
+        lower_ge2val(a, opts).solve(opts.threads)
     };
     Ge2ValResult { singular_values }
 }

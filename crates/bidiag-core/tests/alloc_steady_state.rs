@@ -7,8 +7,9 @@
 //! per-call solve of a long bidiagonal makes the allocations of its scratch
 //! and its result, and none per split.
 //!
-//! The counting allocator makes this binary single-purpose; keep it to one
-//! test so no concurrent test thread pollutes the counter.
+//! The counting allocator makes this binary single-purpose: it runs its
+//! checks from its own `main` (no libtest harness, `harness = false` in the
+//! manifest), so no thread but the session's pollutes the counter.
 //!
 //! [`SvdSession::compute_into`]: bidiag_core::batch::SvdSession::compute_into
 
@@ -40,7 +41,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-#[test]
+fn main() {
+    warm_direct_path_calls_allocate_nothing();
+    warm_submit_wait_round_allocates_its_snapshot_cell_and_result();
+    per_call_dqds_allocates_its_scratch_and_nothing_per_split();
+}
+
 fn warm_direct_path_calls_allocate_nothing() {
     use bidiag_core::batch::SvdSession;
     use bidiag_matrix::gen::random_gaussian;
@@ -49,6 +55,12 @@ fn warm_direct_path_calls_allocate_nothing() {
     let problems: Vec<_> = (0..4).map(|i| random_gaussian(32, 32, 40 + i)).collect();
     let wide = random_gaussian(24, 48, 99); // exercises the transposed copy
     let mut out = Vec::new();
+
+    // The worker builds its arena (`DirectScratch::for_gang(64, GANG)`, 58
+    // allocations) on its own thread after spawn, and nothing else waits
+    // for it: a job it has run proves it done, so it cannot land in the
+    // measured window.
+    session.submit(&problems[0]).unwrap().wait().unwrap();
 
     // Warm-up: the first calls grow the caller arena (work matrix, gebd2
     // tail, dqds pair pool) and `out` to their steady-state capacities.
@@ -76,9 +88,6 @@ fn warm_direct_path_calls_allocate_nothing() {
         "warm compute_into made {delta} heap allocations over 250 calls; \
          the direct path must run entirely from the pooled arenas"
     );
-
-    warm_submit_wait_round_allocates_its_snapshot_cell_and_result();
-    per_call_dqds_allocates_its_scratch_and_nothing_per_split();
 }
 
 /// A submit -> wait round of a 32x32 problem on a warm one-worker session:

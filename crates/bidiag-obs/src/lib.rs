@@ -154,16 +154,13 @@ pub const KERNEL_KIND_NAMES: [&str; 13] = [
 ];
 
 /// BND2BD of a blocked GE2VAL problem (band extraction and bulge chase):
-/// the task after its GE2BND kernels, or a sequential `ge2val`'s phase.
+/// the task after its GE2BND kernels.
 pub const KIND_BND2BD: u32 = 16;
 /// BD2VAL of a blocked GE2VAL problem (dqds), after its [`KIND_BND2BD`].
 pub const KIND_BD2VAL: u32 = 17;
 /// A gang of direct-path (small-size crossover) SVD solves inside
 /// `SvdSession`: one span per gang the pool's job lane runs.
 pub const KIND_DIRECT: u32 = 18;
-/// The whole GE2BND stage of a sequential `ge2val`, recorded on the
-/// calling thread (which records no per-kernel spans).
-pub const KIND_STAGE_GE2BND: u32 = 24;
 
 /// Human-readable name for a span kind (kernel tags and stage markers).
 pub fn kind_name(kind: u32) -> &'static str {
@@ -172,7 +169,6 @@ pub fn kind_name(kind: u32) -> &'static str {
         KIND_BND2BD => "BND2BD",
         KIND_BD2VAL => "BD2VAL",
         KIND_DIRECT => "DIRECT_GANG",
-        KIND_STAGE_GE2BND => "stage:GE2BND",
         _ => "TASK",
     }
 }
@@ -400,6 +396,23 @@ pub fn record_span(span: Span) {
     let _ = RING.try_with(|h| h.ring.push(span));
 }
 
+/// Record the span of task `task` (of kind `kind`) of traced submission
+/// `submission`, run by `worker` from `start_ns` until now, and count it in
+/// [`MetricsRegistry::tasks_executed`]: what a pool worker records per
+/// task, and a one-thread blocked solve on its caller ([`WORKER_CALLER`]).
+pub fn record_task(submission: u64, task: usize, kind: u32, worker: u32, start_ns: u64) {
+    let end_ns = now_ns();
+    record_span(Span {
+        submission,
+        task: task as u32,
+        kind,
+        worker,
+        start_ns,
+        end_ns,
+    });
+    registry().tasks_executed.incr();
+}
+
 /// Snapshot all spans from all rings, in (track, span) form. Track ids are
 /// stable per ring and become Chrome-trace `tid`s.
 pub fn snapshot_tracks() -> Vec<(usize, Vec<Span>)> {
@@ -594,11 +607,12 @@ impl HistogramSnapshot {
 /// atomics by instrumentation sites; durations are in nanoseconds.
 ///
 /// A *submission* is one task graph handed to a `TaskPool`: a problem of an
-/// `SvdSession`, or one `execute_parallel` call — each threaded stage of
-/// `ge2val` is a submission on a pool built for that stage, and counts in
+/// `SvdSession`, or one `execute_parallel` call — a threaded `ge2val` is
+/// one submission on a pool built for the call, and counts in
 /// `submissions` and the three per-submission histograms like any other.
 pub struct MetricsRegistry {
-    /// DAG tasks executed (pool bodies, run or skipped).
+    /// DAG tasks executed: pool bodies, run or skipped, and the tasks a
+    /// one-thread blocked solve runs in order on its calling thread.
     pub tasks_executed: Counter,
     /// Successful steals from another worker's deque.
     pub steals: Counter,
@@ -1076,7 +1090,6 @@ mod tests {
         assert_eq!(kind_name(0), "GEQRT");
         assert_eq!(kind_name(12), "LASET");
         assert_eq!(kind_name(KIND_BND2BD), "BND2BD");
-        assert_eq!(kind_name(KIND_STAGE_GE2BND), "stage:GE2BND");
         assert_eq!(kind_name(999), "TASK");
     }
 

@@ -9,12 +9,7 @@
 //! runs are tested against.
 
 use crate::graph::TaskGraph;
-use crate::pool::{TaskBodyWith, TaskPool};
-
-/// A task body: the closure that actually runs the kernel.  Bodies are
-/// indexed by [`TaskId`](crate::TaskId) and own whatever shared state they
-/// need (typically `Arc`s of per-tile locks).
-pub type TaskBody = Box<dyn FnOnce() + Send>;
+use crate::pool::{TaskBody, TaskPool};
 
 /// Execute every task of `graph` on `threads` worker threads, respecting the
 /// data-flow dependencies.  `bodies[i]` is run exactly once for task `i`.
@@ -63,11 +58,7 @@ pub fn execute_parallel(graph: &TaskGraph, bodies: Vec<TaskBody>, threads: usize
     if graph.is_empty() {
         return;
     }
-    let bodies: Vec<TaskBodyWith<()>> = bodies
-        .into_iter()
-        .map(|b| Box::new(move |_: &mut ()| b()) as TaskBodyWith<()>)
-        .collect();
-    let pool = TaskPool::new(threads.clamp(1, graph.len()), || ());
+    let pool = TaskPool::new(threads.clamp(1, graph.len()));
     let outcome = pool
         .submit_ref(graph, bodies, true)
         .expect("a pool nobody closed admits")

@@ -43,8 +43,8 @@ pub mod pool;
 pub mod sim;
 pub mod trace;
 
-pub use executor::{execute_parallel, execute_sequential, TaskBody};
+pub use executor::{execute_parallel, execute_sequential};
 pub use graph::{AccessMode, DataKey, TaskGraph, TaskId, TaskNode};
-pub use pool::{JobError, JobTicket, PoolConfig, SubmitError, TaskBodyWith, TaskPool, GANG};
+pub use pool::{JobError, JobTicket, PoolConfig, SubmitError, TaskBody, TaskPool, GANG};
 pub use sim::{simulate, MachineModel, SimResult};
 pub use trace::{validate_trace, TraceValidation};

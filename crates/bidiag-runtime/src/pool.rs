@@ -46,11 +46,6 @@
 //!   sleepers, so a worker only rescans when something actually changed.
 //!   Between submissions a parked pool consumes no CPU until the next
 //!   `submit` publishes work.
-//! * **Per-worker, per-lifetime scratch.**  Each worker owns one scratch
-//!   value created by the pool's `init` closure at spawn time and lends it
-//!   to every body it ever runs, across all submissions — this is how the
-//!   session's direct-path gangs run allocation-free, and allocation reuse
-//!   spans the pool's lifetime, not a single graph.
 //! * **Bounded admission with backpressure.**  A pool built with
 //!   [`TaskPool::with_config`] caps the number of submissions in flight:
 //!   [`TaskPool::submit`] parks the *caller* on a condition variable until
@@ -81,11 +76,13 @@
 //!   same idle gate, no graph built.  A worker whose own deque is empty
 //!   takes `min(GANG, ⌈queued / threads⌉)` of them at once — a *gang*, so
 //!   the jobs that queue behind a busy worker are the ones run together —
-//!   and hands them to the runner given at construction, which gets the
-//!   worker's scratch and the whole gang.  Cancellation is honoured when
-//!   the gang forms; a runner panic fails every job of its gang with
-//!   [`JobError::Panicked`]; `close` and drop drain the lane as they drain
-//!   the injector.
+//!   and hands them to the runner given at construction with the
+//!   worker's scratch: one value per worker, created at spawn and lent to
+//!   every gang it ever runs, which is how the session's direct-path gangs
+//!   run allocation-free (graph bodies take none: they own what they
+//!   touch).  Cancellation is honoured when the gang forms; a runner panic
+//!   fails every job of its gang with [`JobError::Panicked`]; `close` and
+//!   drop drain the lane as they drain the injector.
 //!
 //! # Why the once-cell task slots are sound
 //!
@@ -130,16 +127,18 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// A task body that receives the executing worker's private scratch — the
-/// per-worker, per-lifetime value of the [module docs](self).
-pub type TaskBodyWith<S> = Box<dyn FnOnce(&mut S) + Send>;
+/// A task body: the closure that actually runs the kernel.  Bodies are
+/// indexed by [`TaskId`] and own whatever shared state they need
+/// (typically `Arc`s of per-tile locks).
+pub type TaskBody = Box<dyn FnOnce() + Send>;
 
 /// Most jobs a worker takes off the job lane at once: the largest gang.
 pub const GANG: usize = 16;
 
-/// The runner of a pool's job lane: runs one gang of jobs with the
-/// worker's scratch, leaving each job's result in the job.
-type GangRunner<S, J> = Box<dyn Fn(&mut S, &mut [J]) + Send + Sync>;
+/// A worker's runner of the job lane, built on the worker's thread: runs
+/// one gang of jobs with the scratch it owns, leaving each job's result in
+/// the job.
+type GangRunner<J> = Box<dyn FnMut(&mut [J])>;
 
 /// The completion of one submission, shared by the pool and the client's
 /// [`JobTicket`]: a lane job with its job (`J`), or a graph (`J = ()`).
@@ -208,22 +207,23 @@ impl<J> Completion<J> {
 }
 
 /// The graph-free job lane of a pool built with [`TaskPool::with_lane`].
-struct JobLane<S, J> {
+struct JobLane<J> {
     queue: Mutex<VecDeque<Arc<Completion<J>>>>,
-    runner: GangRunner<S, J>,
+    /// Builds each worker's runner, with its scratch.
+    new_runner: Box<dyn Fn() -> GangRunner<J> + Send + Sync>,
 }
 
 /// Once-cell storage of a submission's task bodies: each slot is written
 /// once at submit time and taken exactly once by the worker that claimed
 /// the task (see the module docs for the exclusivity argument).
-struct BodySlots<S>(Vec<UnsafeCell<Option<TaskBodyWith<S>>>>);
+struct BodySlots(Vec<UnsafeCell<Option<TaskBody>>>);
 
 // SAFETY: slots are only accessed through `take`, whose per-id exclusivity
 // is guaranteed by the ready/claim protocol described in the module docs.
-unsafe impl<S> Sync for BodySlots<S> {}
+unsafe impl Sync for BodySlots {}
 
-impl<S> BodySlots<S> {
-    fn new(bodies: Vec<TaskBodyWith<S>>) -> Self {
+impl BodySlots {
+    fn new(bodies: Vec<TaskBody>) -> Self {
         BodySlots(
             bodies
                 .into_iter()
@@ -238,7 +238,7 @@ impl<S> BodySlots<S> {
     /// most once per id, and the call happens after the constructor's write
     /// with a synchronization edge in between (the injector mutex or a
     /// deque handoff).
-    fn take(&self, id: TaskId) -> TaskBodyWith<S> {
+    fn take(&self, id: TaskId) -> TaskBody {
         // SAFETY: this is the one access to slot `id` (taken at most once),
         // and it is ordered after the constructor's write by the scheduler's
         // synchronization edge, so no other reference to the cell is live.
@@ -403,13 +403,13 @@ struct TaskState {
 }
 
 /// One submitted task graph with all the scheduler state it travels with.
-struct Submission<S> {
+struct Submission {
     tasks: Vec<TaskState>,
     /// The successor lists of all tasks, back to back in task order.
     successors: Vec<TaskId>,
     /// Countdown of unfinished tasks of this submission.
     remaining_tasks: AtomicUsize,
-    slots: BodySlots<S>,
+    slots: BodySlots,
     /// Completed by the task that drops `remaining_tasks` to zero; its
     /// `cancelled` flag makes the remaining bodies no-ops.
     completion: Arc<Completion<()>>,
@@ -421,10 +421,10 @@ struct Submission<S> {
     first_start_ns: AtomicU64,
 }
 
-impl<S> Submission<S> {
+impl Submission {
     /// Package a non-empty `graph` and its bodies, admitted at
     /// `submitted_ns` (0 when tracing is off).
-    fn new(graph: &TaskGraph, bodies: Vec<TaskBodyWith<S>>, submitted_ns: u64) -> Self {
+    fn new(graph: &TaskGraph, bodies: Vec<TaskBody>, submitted_ns: u64) -> Self {
         let priority = graph.bottom_levels();
         let mut successors = Vec::new();
         let tasks = priority
@@ -485,7 +485,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// A deque/injector item: one ready task of one submission.
-type PoolItem<S> = (Arc<Submission<S>>, TaskId);
+type PoolItem = (Arc<Submission>, TaskId);
 
 /// Completion handle of one submission: a graph ([`TaskPool::submit`],
 /// `J = ()`) or a lane job ([`TaskPool::submit_job`]), whose [`wait`]
@@ -578,13 +578,13 @@ struct AdmissionState {
 }
 
 /// State shared by every worker of the pool.
-struct PoolShared<S, J> {
+struct PoolShared<J> {
     /// Overflow/entry queue: `submit` seeds source tasks here (callers do
     /// not own a deque); workers pull from it when their deque drains.
-    injector: Mutex<VecDeque<PoolItem<S>>>,
+    injector: Mutex<VecDeque<PoolItem>>,
     /// `None` unless the pool was built [`TaskPool::with_lane`].
-    lane: Option<JobLane<S, J>>,
-    stealers: Vec<Stealer<PoolItem<S>>>,
+    lane: Option<JobLane<J>>,
+    stealers: Vec<Stealer<PoolItem>>,
     gate: IdleGate,
     admission: Mutex<AdmissionState>,
     admission_cv: Condvar,
@@ -592,17 +592,16 @@ struct PoolShared<S, J> {
     max_in_flight: usize,
 }
 
-impl<S, J> PoolShared<S, J> {
-    /// Run `id` of `sub` with the worker's scratch, release its successors,
-    /// and return the highest-priority newly-ready successor for direct
-    /// execution (work-first handoff).
+impl<J> PoolShared<J> {
+    /// Run `id` of `sub`, release its successors, and return the
+    /// highest-priority newly-ready successor for direct execution
+    /// (work-first handoff).
     fn run_item(
         &self,
-        sub: &Arc<Submission<S>>,
+        sub: &Arc<Submission>,
         id: TaskId,
         me: usize,
-        local: &Worker<PoolItem<S>>,
-        scratch: &mut S,
+        local: &Worker<PoolItem>,
     ) -> Option<TaskId> {
         // Span timestamps bracket the body (or the skip); the span is
         // recorded *before* any successor is released, so recorded traces
@@ -622,7 +621,7 @@ impl<S, J> PoolShared<S, J> {
             let body = sub.slots.take(id);
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 let _ = failpoint::fire("pool::body");
-                body(scratch)
+                body()
             }));
             if let Err(p) = outcome {
                 let mut st = completion.state.lock();
@@ -634,15 +633,7 @@ impl<S, J> PoolShared<S, J> {
             }
         }
         if sub.trace_id != 0 {
-            obs::record_span(obs::Span {
-                submission: sub.trace_id,
-                task: id as u32,
-                kind: sub.tasks[id].tag,
-                worker: me as u32,
-                start_ns,
-                end_ns: obs::now_ns(),
-            });
-            obs::registry().tasks_executed.incr();
+            obs::record_task(sub.trace_id, id, sub.tasks[id].tag, me as u32, start_ns);
         }
 
         let mut ready: Vec<TaskId> = Vec::new();
@@ -681,7 +672,7 @@ impl<S, J> PoolShared<S, J> {
     /// The rest of a scan once the worker's own deque and the job lane are
     /// empty: the injector, then every victim in a pseudo-random order
     /// starting from `rng`'s draw.
-    fn find_shared(&self, me: usize, rng: &mut u64) -> Option<PoolItem<S>> {
+    fn find_shared(&self, me: usize, rng: &mut u64) -> Option<PoolItem> {
         if let Some(item) = self.injector.lock().pop_front() {
             return Some(item);
         }
@@ -711,17 +702,18 @@ impl<S, J> PoolShared<S, J> {
         None
     }
 
-    /// Take a gang off the job lane and run it; false when the lane is
-    /// empty (or the pool has none). `cells` and `gang` are the worker's
-    /// buffers for the gang's completions and jobs, empty between gangs.
+    /// Take a gang off the job lane and run it with the worker's `runner`;
+    /// false when the lane is empty (or the pool has none). `cells` and
+    /// `gang` are the worker's buffers for the gang's completions and jobs,
+    /// empty between gangs.
     fn run_gang(
         &self,
         me: usize,
-        scratch: &mut S,
+        runner: &mut Option<GangRunner<J>>,
         cells: &mut Vec<Arc<Completion<J>>>,
         gang: &mut Vec<J>,
     ) -> bool {
-        let Some(lane) = &self.lane else {
+        let (Some(lane), Some(runner)) = (&self.lane, runner) else {
             return false;
         };
         {
@@ -767,7 +759,7 @@ impl<S, J> PoolShared<S, J> {
         }
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let _ = failpoint::fire("pool::body");
-            (lane.runner)(scratch, gang)
+            runner(gang)
         }));
         let end_ns = if start_ns != 0 { obs::now_ns() } else { 0 };
         if start_ns != 0 {
@@ -815,11 +807,13 @@ impl<S, J> PoolShared<S, J> {
         self.admission_cv.notify_all();
     }
 
-    fn worker_loop(&self, me: usize, local: Worker<PoolItem<S>>, scratch: &mut S) {
+    fn worker_loop(&self, me: usize, local: Worker<PoolItem>) {
         let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ ((me as u64 + 1) << 17);
         let mut seen = 0u64;
         let mut open = true;
-        // Pre-sized at spawn, so a gang allocates nothing.
+        // Built at spawn, with its scratch; pre-sized, so a gang allocates
+        // nothing.
+        let mut runner = self.lane.as_ref().map(|lane| (lane.new_runner)());
         let room = if self.lane.is_some() { GANG } else { 0 };
         let (mut cells, mut gang) = (Vec::with_capacity(room), Vec::with_capacity(room));
         loop {
@@ -828,14 +822,14 @@ impl<S, J> PoolShared<S, J> {
             loop {
                 let item = match local.pop() {
                     Some(item) => Some(item),
-                    None if self.run_gang(me, scratch, &mut cells, &mut gang) => continue,
+                    None if self.run_gang(me, &mut runner, &mut cells, &mut gang) => continue,
                     None => self.find_shared(me, &mut rng),
                 };
                 let Some((sub, id)) = item else {
                     break;
                 };
                 let mut current = id;
-                while let Some(next) = self.run_item(&sub, current, me, &local, scratch) {
+                while let Some(next) = self.run_item(&sub, current, me, &local) {
                     current = next;
                 }
             }
@@ -854,31 +848,29 @@ impl<S, J> PoolShared<S, J> {
 /// A work-stealing thread pool executing a stream of [`TaskGraph`]
 /// submissions — see the [module docs](self).
 ///
-/// `S` is the per-worker scratch type: one value per worker thread, created
-/// once at spawn time and lent to every task body the worker ever runs.
 /// `J` is the job type of the lane of a pool built
 /// [`with_lane`](TaskPool::with_lane) (none otherwise).
 ///
 /// # Examples
 ///
 /// ```
-/// use bidiag_runtime::{AccessMode, TaskBodyWith, TaskGraph, TaskPool};
+/// use bidiag_runtime::{AccessMode, TaskBody, TaskGraph, TaskPool};
 /// use std::sync::atomic::{AtomicU64, Ordering};
 /// use std::sync::Arc;
 ///
-/// let pool: TaskPool<()> = TaskPool::new(4, || ());
+/// let pool = TaskPool::new(4);
 /// let acc = Arc::new(AtomicU64::new(0));
 /// let tickets: Vec<_> = (0..8u64)
 ///     .map(|p| {
 ///         let mut g = TaskGraph::new();
 ///         g.add_task(1.0, 0, 0, &[(p, AccessMode::Write)]);
 ///         g.add_task(1.0, 0, 0, &[(p, AccessMode::Write)]);
-///         let bodies: Vec<TaskBodyWith<()>> = (0..2)
+///         let bodies: Vec<TaskBody> = (0..2)
 ///             .map(|_| {
 ///                 let acc = Arc::clone(&acc);
-///                 Box::new(move |_: &mut ()| {
+///                 Box::new(move || {
 ///                     acc.fetch_add(1, Ordering::SeqCst);
-///                 }) as TaskBodyWith<()>
+///                 }) as TaskBody
 ///             })
 ///             .collect();
 ///         pool.submit(g, bodies).expect("pool is open")
@@ -889,56 +881,51 @@ impl<S, J> PoolShared<S, J> {
 /// }
 /// assert_eq!(acc.load(Ordering::SeqCst), 16);
 /// ```
-pub struct TaskPool<S: 'static, J: 'static = ()> {
-    shared: Arc<PoolShared<S, J>>,
+pub struct TaskPool<J: 'static = ()> {
+    shared: Arc<PoolShared<J>>,
     handles: Vec<JoinHandle<()>>,
 }
 
-impl<S: Send + 'static> TaskPool<S> {
+impl TaskPool {
     /// Spawn a pool of `threads` workers (at least one) with unbounded
-    /// admission, each worker owning one scratch value created by `init`
-    /// on that worker's thread.
-    pub fn new(threads: usize, init: impl Fn() -> S + Send + Sync + 'static) -> Self {
-        Self::with_config(threads, PoolConfig::default(), init)
+    /// admission.
+    pub fn new(threads: usize) -> Self {
+        Self::with_config(threads, PoolConfig::default())
     }
 
     /// Spawn a pool with explicit admission configuration — see
     /// [`PoolConfig`].
-    pub fn with_config(
-        threads: usize,
-        config: PoolConfig,
-        init: impl Fn() -> S + Send + Sync + 'static,
-    ) -> Self {
-        Self::spawn(threads, config, init, None)
+    pub fn with_config(threads: usize, config: PoolConfig) -> Self {
+        Self::spawn(threads, config, None)
     }
 }
 
-impl<S: Send + 'static, J: Send + 'static> TaskPool<S, J> {
+impl<J: Send + 'static> TaskPool<J> {
     /// Spawn a pool like [`with_config`](TaskPool::with_config) that also
     /// serves a graph-free job lane ([`submit_job`](TaskPool::submit_job)):
-    /// `runner` runs each gang of jobs a worker takes, with that worker's
-    /// scratch, and leaves each job's result in the job.
-    pub fn with_lane(
+    /// each worker owns one scratch value, created by `init` on that
+    /// worker's thread, and `runner` runs each gang of jobs the worker
+    /// takes with it, leaving each job's result in the job.
+    pub fn with_lane<S: 'static>(
         threads: usize,
         config: PoolConfig,
         init: impl Fn() -> S + Send + Sync + 'static,
         runner: impl Fn(&mut S, &mut [J]) + Send + Sync + 'static,
     ) -> Self {
+        let runner = Arc::new(runner);
         let lane = JobLane {
             queue: Mutex::new(VecDeque::new()),
-            runner: Box::new(runner),
+            new_runner: Box::new(move || {
+                let (mut scratch, runner) = (init(), Arc::clone(&runner));
+                Box::new(move |gang: &mut [J]| runner(&mut scratch, gang))
+            }),
         };
-        Self::spawn(threads, config, init, Some(lane))
+        Self::spawn(threads, config, Some(lane))
     }
 
-    fn spawn(
-        threads: usize,
-        config: PoolConfig,
-        init: impl Fn() -> S + Send + Sync + 'static,
-        lane: Option<JobLane<S, J>>,
-    ) -> Self {
+    fn spawn(threads: usize, config: PoolConfig, lane: Option<JobLane<J>>) -> Self {
         let threads = threads.max(1);
-        let workers: Vec<Worker<PoolItem<S>>> = (0..threads).map(|_| Worker::new_lifo()).collect();
+        let workers: Vec<Worker<PoolItem>> = (0..threads).map(|_| Worker::new_lifo()).collect();
         let shared = Arc::new(PoolShared {
             injector: Mutex::new(VecDeque::new()),
             lane,
@@ -952,17 +939,12 @@ impl<S: Send + 'static, J: Send + 'static> TaskPool<S, J> {
             admission_cv: Condvar::new(),
             max_in_flight: config.max_in_flight,
         });
-        let init = Arc::new(init);
         let handles = workers
             .into_iter()
             .enumerate()
             .map(|(me, local)| {
                 let shared = Arc::clone(&shared);
-                let init = Arc::clone(&init);
-                std::thread::spawn(move || {
-                    let mut scratch = init();
-                    shared.worker_loop(me, local, &mut scratch);
-                })
+                std::thread::spawn(move || shared.worker_loop(me, local))
             })
             .collect();
         TaskPool { shared, handles }
@@ -1053,7 +1035,7 @@ impl<S: Send + 'static, J: Send + 'static> TaskPool<S, J> {
     }
 
     /// Submit one task graph for execution; `bodies[i]` runs exactly once
-    /// for task `i`, on some worker, with that worker's scratch.
+    /// for task `i`, on some worker.
     ///
     /// On a bounded pool this **blocks** while `max_in_flight` submissions
     /// are in flight (backpressure), waking when a slot frees.  Returns
@@ -1063,7 +1045,7 @@ impl<S: Send + 'static, J: Send + 'static> TaskPool<S, J> {
     pub fn submit(
         &self,
         graph: TaskGraph,
-        bodies: Vec<TaskBodyWith<S>>,
+        bodies: Vec<TaskBody>,
     ) -> Result<JobTicket<()>, SubmitError> {
         self.submit_ref(&graph, bodies, true)
     }
@@ -1074,7 +1056,7 @@ impl<S: Send + 'static, J: Send + 'static> TaskPool<S, J> {
     pub fn try_submit(
         &self,
         graph: TaskGraph,
-        bodies: Vec<TaskBodyWith<S>>,
+        bodies: Vec<TaskBody>,
     ) -> Result<JobTicket<()>, SubmitError> {
         self.submit_ref(&graph, bodies, false)
     }
@@ -1084,7 +1066,7 @@ impl<S: Send + 'static, J: Send + 'static> TaskPool<S, J> {
     pub(crate) fn submit_ref(
         &self,
         graph: &TaskGraph,
-        bodies: Vec<TaskBodyWith<S>>,
+        bodies: Vec<TaskBody>,
         block: bool,
     ) -> Result<JobTicket<()>, SubmitError> {
         assert_eq!(bodies.len(), graph.len(), "one body per task is required");
@@ -1147,7 +1129,7 @@ impl<S: Send + 'static, J: Send + 'static> TaskPool<S, J> {
     }
 }
 
-impl<S: 'static, J: 'static> TaskPool<S, J> {
+impl<J: 'static> TaskPool<J> {
     /// Close admission: every subsequent `submit`/`try_submit` (and every
     /// caller currently parked in a blocking `submit`) gets
     /// [`SubmitError::Shutdown`].  Work already admitted still drains.
@@ -1160,7 +1142,7 @@ impl<S: 'static, J: 'static> TaskPool<S, J> {
     }
 }
 
-impl<S: 'static, J: 'static> Drop for TaskPool<S, J> {
+impl<J: 'static> Drop for TaskPool<J> {
     fn drop(&mut self) {
         self.close();
         self.shared.gate.finish();
@@ -1182,21 +1164,20 @@ mod tests {
     use crate::graph::AccessMode::{Read, Write};
     use std::sync::atomic::AtomicU64;
 
-    fn counting_bodies(n: usize, acc: &Arc<AtomicU64>) -> Vec<TaskBodyWith<u64>> {
+    fn counting_bodies(n: usize, acc: &Arc<AtomicU64>) -> Vec<TaskBody> {
         (0..n)
             .map(|_| {
                 let acc = Arc::clone(acc);
-                Box::new(move |s: &mut u64| {
-                    *s += 1; // exercise the per-worker scratch
+                Box::new(move || {
                     acc.fetch_add(1, Ordering::SeqCst);
-                }) as TaskBodyWith<u64>
+                }) as TaskBody
             })
             .collect()
     }
 
     #[test]
     fn submissions_respect_dependencies() {
-        let pool: TaskPool<u64> = TaskPool::new(4, || 0);
+        let pool = TaskPool::new(4);
         let mut g = TaskGraph::new();
         g.add_task(1.0, 0, 0, &[(9, Write)]);
         for c in 0..3u64 {
@@ -1211,13 +1192,13 @@ mod tests {
         let n = g.len();
         let stamp = Arc::new(AtomicU64::new(1));
         let order: Arc<Vec<AtomicU64>> = Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
-        let bodies: Vec<TaskBodyWith<u64>> = (0..n)
+        let bodies: Vec<TaskBody> = (0..n)
             .map(|i| {
                 let stamp = Arc::clone(&stamp);
                 let order = Arc::clone(&order);
-                Box::new(move |_: &mut u64| {
+                Box::new(move || {
                     order[i].store(stamp.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
-                }) as TaskBodyWith<u64>
+                }) as TaskBody
             })
             .collect();
         let graph = g.clone();
@@ -1236,7 +1217,7 @@ mod tests {
 
     #[test]
     fn many_interleaved_submissions_all_complete() {
-        let pool: TaskPool<u64> = TaskPool::new(4, || 0);
+        let pool = TaskPool::new(4);
         let acc = Arc::new(AtomicU64::new(0));
         let mut expected = 0u64;
         let handles: Vec<JobTicket<()>> = (0..50u64)
@@ -1258,7 +1239,7 @@ mod tests {
 
     #[test]
     fn empty_submission_finishes_immediately() {
-        let pool: TaskPool<u64> = TaskPool::new(2, || 0);
+        let pool = TaskPool::new(2);
         let h = pool.submit(TaskGraph::new(), Vec::new()).unwrap();
         assert!(h.is_finished());
         h.wait().unwrap();
@@ -1268,17 +1249,17 @@ mod tests {
 
     #[test]
     fn panic_in_one_submission_does_not_poison_the_pool() {
-        let pool: TaskPool<u64> = TaskPool::new(4, || 0);
+        let pool = TaskPool::new(4);
         let mut g = TaskGraph::new();
         g.add_task(1.0, 0, 0, &[(1, Write)]);
         g.add_task(1.0, 0, 0, &[(1, Write)]); // skipped after the panic
-        let bodies: Vec<TaskBodyWith<u64>> = (0..2)
+        let bodies: Vec<TaskBody> = (0..2)
             .map(|i| {
-                Box::new(move |_: &mut u64| {
+                Box::new(move || {
                     if i == 0 {
                         panic!("kernel failure");
                     }
-                }) as TaskBodyWith<u64>
+                }) as TaskBody
             })
             .collect();
         let bad = pool.submit(g, bodies).unwrap();
@@ -1304,7 +1285,7 @@ mod tests {
 
     #[test]
     fn submit_from_many_threads_is_safe() {
-        let pool: Arc<TaskPool<u64>> = Arc::new(TaskPool::new(3, || 0));
+        let pool = Arc::new(TaskPool::new(3));
         let acc = Arc::new(AtomicU64::new(0));
         std::thread::scope(|scope| {
             for _ in 0..8 {
@@ -1331,7 +1312,7 @@ mod tests {
     fn detached_submissions_finish_before_drop_returns() {
         let acc = Arc::new(AtomicU64::new(0));
         {
-            let pool: TaskPool<u64> = TaskPool::new(2, || 0);
+            let pool = TaskPool::new(2);
             for p in 0..10u64 {
                 let mut g = TaskGraph::new();
                 for _ in 0..5 {
@@ -1345,36 +1326,27 @@ mod tests {
     }
 
     #[test]
-    fn worker_scratch_persists_across_submissions() {
-        // Each worker counts the tasks it ran in its scratch; the total
-        // across workers must equal the total submitted, proving scratch
-        // values survive from one submission to the next.
-        let total = Arc::new(AtomicU64::new(0));
-        {
-            let total = Arc::clone(&total);
-            let pool: TaskPool<Tally> = TaskPool::new(3, move || Tally(0, Arc::clone(&total)));
-            for p in 0..30u64 {
-                let mut g = TaskGraph::new();
-                g.add_task(1.0, 0, 0, &[(p, Write)]);
-                let bodies: Vec<TaskBodyWith<Tally>> =
-                    vec![Box::new(move |s: &mut Tally| s.0 += 1)];
-                pool.submit(g, bodies).unwrap().wait().unwrap();
+    fn worker_scratch_persists_across_gangs() {
+        // The worker counts the lane jobs it ran in its scratch and hands
+        // each job the count so far.  One job at a time, each waited on, is
+        // one gang each: the counts run 1..=30 only if the scratch survives
+        // from one gang to the next.
+        let count = |n: &mut u64, gang: &mut [u64]| {
+            for job in gang {
+                *n += 1;
+                *job = *n;
             }
-        }
-        assert_eq!(total.load(Ordering::SeqCst), 30);
-    }
-
-    struct Tally(u64, Arc<AtomicU64>);
-    impl Drop for Tally {
-        fn drop(&mut self) {
-            self.1.fetch_add(self.0, Ordering::SeqCst);
+        };
+        let pool = TaskPool::with_lane(1, PoolConfig::default(), || 0, count);
+        for n in 1..=30 {
+            assert_eq!(pool.submit_job(0).unwrap().wait(), Ok(n));
         }
     }
 
     /// A submission whose single body parks until released, so tests can
     /// hold the pool provably busy without timing assumptions.
     fn parked_job<J: Send>(
-        pool: &TaskPool<u64, J>,
+        pool: &TaskPool<J>,
         release: &Arc<AtomicBool>,
         key: u64,
     ) -> JobTicket<()> {
@@ -1383,7 +1355,7 @@ mod tests {
 
     /// [`parked_job`] whose body raises `started` as it begins.
     fn parked_job_flagging<J: Send>(
-        pool: &TaskPool<u64, J>,
+        pool: &TaskPool<J>,
         release: &Arc<AtomicBool>,
         key: u64,
         started: Arc<AtomicBool>,
@@ -1391,7 +1363,7 @@ mod tests {
         let mut g = TaskGraph::new();
         g.add_task(1.0, 0, 0, &[(key, Write)]);
         let release = Arc::clone(release);
-        let bodies: Vec<TaskBodyWith<u64>> = vec![Box::new(move |_: &mut u64| {
+        let bodies: Vec<TaskBody> = vec![Box::new(move || {
             started.store(true, Ordering::Release);
             while !release.load(Ordering::Acquire) {
                 std::thread::yield_now();
@@ -1403,7 +1375,7 @@ mod tests {
     /// A [`parked_job`] for each of the pool's workers, returned once every
     /// worker is in one: nothing else runs until `release`.
     fn park_every_worker<J: Send>(
-        pool: &TaskPool<u64, J>,
+        pool: &TaskPool<J>,
         release: &Arc<AtomicBool>,
     ) -> Vec<JobTicket<()>> {
         let started: Vec<_> = (0..pool.threads())
@@ -1422,7 +1394,7 @@ mod tests {
 
     #[test]
     fn try_submit_sheds_load_when_full_and_recovers() {
-        let pool: TaskPool<u64> = TaskPool::with_config(1, PoolConfig { max_in_flight: 2 }, || 0);
+        let pool = TaskPool::with_config(1, PoolConfig { max_in_flight: 2 });
         let release = Arc::new(AtomicBool::new(false));
         let a = parked_job(&pool, &release, 1);
         let b = parked_job(&pool, &release, 2);
@@ -1449,11 +1421,7 @@ mod tests {
 
     #[test]
     fn blocking_submit_parks_until_a_slot_frees() {
-        let pool: Arc<TaskPool<u64>> = Arc::new(TaskPool::with_config(
-            1,
-            PoolConfig { max_in_flight: 1 },
-            || 0,
-        ));
+        let pool = Arc::new(TaskPool::with_config(1, PoolConfig { max_in_flight: 1 }));
         let release = Arc::new(AtomicBool::new(false));
         let first = parked_job(&pool, &release, 1);
         let acc = Arc::new(AtomicU64::new(0));
@@ -1485,7 +1453,7 @@ mod tests {
 
     #[test]
     fn cancel_skips_unstarted_bodies_and_reports_cancelled() {
-        let pool: TaskPool<u64> = TaskPool::new(1, || 0);
+        let pool = TaskPool::new(1);
         let release = Arc::new(AtomicBool::new(false));
         let blocker = parked_job(&pool, &release, 1);
         // A second submission queued behind the blocker: cancel it before
@@ -1514,7 +1482,7 @@ mod tests {
 
     #[test]
     fn cancel_after_completion_is_a_no_op() {
-        let pool: TaskPool<u64> = TaskPool::new(2, || 0);
+        let pool = TaskPool::new(2);
         let acc = Arc::new(AtomicU64::new(0));
         let mut g = TaskGraph::new();
         g.add_task(1.0, 0, 0, &[(1, Write)]);
@@ -1528,7 +1496,7 @@ mod tests {
 
     #[test]
     fn wait_timeout_hands_the_ticket_back_while_running_and_waits_on_it_after() {
-        let pool: TaskPool<u64> = TaskPool::new(1, || 0);
+        let pool = TaskPool::new(1);
         let release = Arc::new(AtomicBool::new(false));
         let job = match parked_job(&pool, &release, 1).wait_timeout(Duration::from_millis(30)) {
             Err(job) => job,
@@ -1547,7 +1515,7 @@ mod tests {
 
     #[test]
     fn closed_pool_rejects_submissions_but_drains_admitted_work() {
-        let pool: TaskPool<u64> = TaskPool::new(2, || 0);
+        let pool = TaskPool::new(2);
         let acc = Arc::new(AtomicU64::new(0));
         let mut g = TaskGraph::new();
         for _ in 0..5 {
@@ -1575,11 +1543,7 @@ mod tests {
 
     #[test]
     fn close_wakes_blocked_submitters_with_shutdown() {
-        let pool: Arc<TaskPool<u64>> = Arc::new(TaskPool::with_config(
-            1,
-            PoolConfig { max_in_flight: 1 },
-            || 0,
-        ));
+        let pool = Arc::new(TaskPool::with_config(1, PoolConfig { max_in_flight: 1 }));
         let release = Arc::new(AtomicBool::new(false));
         let blocker = parked_job(&pool, &release, 1);
         let waiter = {
@@ -1587,7 +1551,7 @@ mod tests {
             std::thread::spawn(move || {
                 let mut g = TaskGraph::new();
                 g.add_task(1.0, 0, 0, &[(2, Write)]);
-                let bodies: Vec<TaskBodyWith<u64>> = vec![Box::new(|_: &mut u64| {})];
+                let bodies: Vec<TaskBody> = vec![Box::new(|| {})];
                 pool.submit(g, bodies)
             })
         };
@@ -1600,7 +1564,7 @@ mod tests {
 
     /// Every admission slot is given back — after the completions it
     /// follows, so a client that has just been woken may see it late.
-    fn slots_come_back<J: Send>(pool: &TaskPool<u64, J>) {
+    fn slots_come_back<J: Send>(pool: &TaskPool<J>) {
         let t0 = Instant::now();
         while pool.in_flight() > 0 {
             assert!(t0.elapsed() < Duration::from_secs(10), "a slot leaked");
@@ -1614,7 +1578,7 @@ mod tests {
         threads: usize,
         max_in_flight: usize,
         gangs: &Arc<Mutex<Vec<usize>>>,
-    ) -> TaskPool<u64, u64> {
+    ) -> TaskPool<u64> {
         let gangs = Arc::clone(gangs);
         TaskPool::with_lane(
             threads,

@@ -187,9 +187,16 @@ fn ge2bnd_spans_are_complete_and_well_nested_per_worker() {
 
 #[test]
 fn measured_critical_path_matches_section_iv_model() {
+    // On a pool of four, and task by task on the calling thread.
+    for threads in [4, 1] {
+        measured_critical_path_matches_section_iv_model_at(threads);
+    }
+}
+
+fn measured_critical_path_matches_section_iv_model_at(threads: usize) {
     let scope = ScopedObs::new();
     let a = reference_matrix();
-    let result = ge2bnd(&a, &reference_opts(4));
+    let result = ge2bnd(&a, &reference_opts(threads));
     assert_eq!(result.algorithm, Algorithm::Bidiag);
 
     // Rebuild the exact DAG the run executed (same ops, same tile grid).
@@ -210,7 +217,11 @@ fn measured_critical_path_matches_section_iv_model() {
     // deterministic: completeness, edge consistency, and the chain's task
     // count must all match the model.
     let v = validate_trace(&graph, &kernel_spans(&scope));
-    assert_eq!(v.tasks_recorded, graph.len(), "incomplete trace");
+    assert_eq!(
+        v.tasks_recorded,
+        graph.len(),
+        "incomplete trace at {threads}"
+    );
     assert_eq!(
         v.edge_violations, 0,
         "a successor started before its predecessor ended"
@@ -245,38 +256,47 @@ fn measured_critical_path_matches_section_iv_model() {
 #[test]
 fn threaded_ge2val_records_stage_and_pipeline_spans() {
     let a = reference_matrix();
-    // Threaded: one submission of one task graph, the GE2BND kernels, then
+    let ops = ge2bnd_ops(
+        P,
+        Q,
+        Algorithm::Bidiag,
+        &GenConfig::shared(NamedTree::Greedy),
+    );
+    // One submission of one task graph: one span per GE2BND kernel, then
     // one BND2BD task after the last of them, then one BD2VAL task.
-    let scope = ScopedObs::new();
-    let threaded = ge2val(&a, &reference_opts(4)).singular_values;
-    let spans = scope.spans();
-    drop(scope);
-    let one_run = |s: &Span| s.submission == spans[0].submission;
-    assert!(spans
-        .iter()
-        .all(|s| one_run(s) && s.worker != obs::WORKER_CALLER));
-    let (kernels, tail) = spans.split_at(spans.len() - 2);
-    assert!(kernels.iter().all(|s| s.kind <= 12));
-    assert_eq!(
-        [tail[0].kind, tail[1].kind],
-        [obs::KIND_BND2BD, obs::KIND_BD2VAL]
-    );
-    assert!(kernels.iter().all(|s| s.end_ns <= tail[0].start_ns));
-    assert!(tail[0].end_ns <= tail[1].start_ns);
+    let pipeline_spans = |threads: usize| {
+        let scope = ScopedObs::new();
+        let sv = ge2val(&a, &reference_opts(threads)).singular_values;
+        let spans = scope.spans();
+        assert!(spans.iter().all(|s| s.submission == spans[0].submission));
+        let (kernels, tail) = spans.split_at(spans.len() - 2);
+        assert_eq!(kernels.len(), ops.len(), "one span per op at {threads}");
+        assert!(kernels.iter().all(|s| s.kind <= 12));
+        assert_eq!(
+            [tail[0].kind, tail[1].kind],
+            [obs::KIND_BND2BD, obs::KIND_BD2VAL]
+        );
+        assert!(kernels.iter().all(|s| s.end_ns <= tail[0].start_ns));
+        assert!(tail[0].end_ns <= tail[1].start_ns);
+        (sv, spans)
+    };
+    let kinds = |spans: &[Span]| {
+        let mut kinds: Vec<u32> = spans.iter().map(|s| s.kind).collect();
+        kinds.sort_unstable();
+        kinds
+    };
+    // On a pool of four workers.
+    let (threaded, pool) = pipeline_spans(4);
+    assert!(pool.iter().all(|s| s.worker != obs::WORKER_CALLER));
 
-    // Sequential: the same three stages as caller-thread phases of one
-    // submission, in order.
-    let scope = ScopedObs::new();
-    assert_eq!(ge2val(&a, &reference_opts(1)).singular_values, threaded);
-    let spans = scope.spans();
-    let kinds: Vec<u32> = spans.iter().map(|s| s.kind).collect();
-    assert_eq!(
-        kinds,
-        [obs::KIND_STAGE_GE2BND, obs::KIND_BND2BD, obs::KIND_BD2VAL]
-    );
-    assert!(spans.iter().all(|s| s.submission == spans[0].submission));
-    assert!(spans.iter().all(|s| s.worker == obs::WORKER_CALLER));
-    assert!(spans.windows(2).all(|w| w[0].end_ns <= w[1].start_ns));
+    // At one thread: the same tasks on the calling thread, in list order,
+    // with the same multiset of kinds.
+    let (sequential, caller) = pipeline_spans(1);
+    assert_eq!(sequential, threaded);
+    assert!(caller.iter().all(|s| s.worker == obs::WORKER_CALLER));
+    assert!(caller.iter().enumerate().all(|(t, s)| s.task as usize == t));
+    assert!(caller.windows(2).all(|w| w[0].end_ns <= w[1].start_ns));
+    assert_eq!(kinds(&caller), kinds(&pool));
 
     // The trace/snapshot header carries the dispatched SIMD backend.
     let snap = obs::registry().snapshot();
