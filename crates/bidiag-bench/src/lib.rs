@@ -296,9 +296,8 @@ impl StageTimes {
 /// split is read off the task spans the one-thread call records: GE2BND
 /// from the first kernel's start to the last kernel's end, then the
 /// BND2BD and BD2VAL tasks, so the table times exactly what `ge2val` runs.
-/// Returns the split of the
-/// run with the best total, a consistent snapshot of one run rather than a
-/// mix of per-stage minima.
+/// Returns the split of the run with the best total, a consistent snapshot
+/// of one run rather than a mix of per-stage minima.
 ///
 /// This is the breakdown that picks the next perf target.
 pub fn measure_ge2val_stages(m: usize, n: usize, nb: usize, samples: usize) -> StageTimes {

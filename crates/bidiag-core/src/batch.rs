@@ -504,8 +504,7 @@ impl SvdSession {
     }
 
     /// Blocked path: the problem's one lowering (`exec::lower_ge2val`),
-    /// the same task graph threaded per-call
-    /// [`ge2val`](crate::pipeline::ge2val) runs.
+    /// which per-call [`ge2val`](crate::pipeline::ge2val) runs too.
     fn submit_blocked(&self, a: &Matrix, block: bool) -> Result<SvdJob, SvdError> {
         self.opts.check_tile_size(a)?;
         let (graph, bodies, values) = lower_ge2val(a, &self.opts).submission();

@@ -50,13 +50,27 @@ pub fn execute_sequential(ops: &[TileOp], a: &mut TiledMatrix) {
 /// sees the same operands either way, so the result is bitwise the same.
 pub fn execute_parallel(ops: &[TileOp], a: &mut TiledMatrix, threads: usize) {
     let dag = TileDag::new(ops, a);
-    if threads > 1 {
-        let (graph, bodies) = dag.submission(ops);
-        runtime_execute(&graph, bodies, threads);
-    } else {
-        dag.run_in_order(ops, CallerRun::new());
-    }
+    let pool = |dag: &TileDag| (dag.submission(ops), || ());
+    let in_order = |dag: &TileDag| dag.run_in_order(ops, caller_run());
+    run(&dag, threads, pool, in_order);
     dag.restore(a);
+}
+
+/// Run a lowering `l` in the form `threads` picks: on a pool of `threads`
+/// workers built for the call, as `pool`'s graph and bodies and then its
+/// read-out, or, at one thread, as `in_order` on the calling thread.
+fn run<L, T, R: FnOnce() -> T>(
+    l: L,
+    threads: usize,
+    pool: impl FnOnce(L) -> ((TaskGraph, Vec<TaskBody>), R),
+    in_order: impl FnOnce(L) -> T,
+) -> T {
+    if threads <= 1 {
+        return in_order(l);
+    }
+    let ((graph, bodies), read) = pool(l);
+    runtime_execute(&graph, bodies, threads);
+    read()
 }
 
 /// Build the data-flow task graph of an operation list for a `p x q` tile
@@ -112,10 +126,10 @@ impl TileDag {
     }
 
     /// The one-thread form: `ops` in list order, as tasks `0..ops.len()` of
-    /// `run`.
-    fn run_in_order(&self, ops: &[TileOp], run: CallerRun) {
+    /// caller run `run` (from [`caller_run`]).
+    fn run_in_order(&self, ops: &[TileOp], run: u64) {
         for (op_id, op) in ops.iter().enumerate() {
-            run.task(op_id, op.kernel() as u32, || {
+            caller_task(run, op_id, op.kernel() as u32, || {
                 op.execute_shared(op_id, &self.tiles, self.q, &self.taus)
             });
         }
@@ -131,27 +145,21 @@ impl TileDag {
     }
 }
 
-/// A submission run task by task on the calling thread: its trace id, or
-/// 0 when tracing was off as it began.
-#[derive(Clone, Copy)]
-struct CallerRun(u64);
+/// Begin a submission run task by task on the calling thread: its trace
+/// id, or 0 when tracing is off.
+fn caller_run() -> u64 {
+    obs::enabled().then(obs::next_submission_id).unwrap_or(0)
+}
 
-impl CallerRun {
-    fn new() -> Self {
-        CallerRun(obs::enabled().then(obs::next_submission_id).unwrap_or(0))
+/// Run task `task` of kind `kind` of caller run `run` as `f`, recording the
+/// span a pool worker records for it.
+fn caller_task<T>(run: u64, task: usize, kind: u32, f: impl FnOnce() -> T) -> T {
+    let start_ns = if run != 0 { obs::now_ns() } else { 0 };
+    let value = f();
+    if run != 0 {
+        obs::record_task(run, task, kind, obs::WORKER_CALLER, start_ns);
     }
-
-    /// Run task `task` of kind `kind` as `f`, recording the span a pool
-    /// worker records for it.
-    fn task<T>(self, task: usize, kind: u32, f: impl FnOnce() -> T) -> T {
-        if self.0 == 0 {
-            return f();
-        }
-        let start_ns = obs::now_ns();
-        let value = f();
-        obs::record_task(self.0, task, kind, obs::WORKER_CALLER, start_ns);
-        value
-    }
+    value
 }
 
 /// Set up a non-empty blocked problem once for every driver (`opts.nb >
@@ -204,10 +212,9 @@ pub(crate) struct Lowering {
 /// Lower a non-empty blocked GE2VAL problem.
 pub(crate) fn lower_ge2val(a: &Matrix, opts: &Ge2Options) -> Lowering {
     let (mut tiled, _, ops, bw) = setup_blocked(a, opts);
-    let dag = TileDag::new(&ops, &mut tiled);
     Lowering {
+        dag: TileDag::new(&ops, &mut tiled),
         ops,
-        dag,
         tiled,
         bw,
     }
@@ -217,13 +224,11 @@ impl Lowering {
     /// The spectrum, on a pool of `threads` workers built for the call or,
     /// at one thread, on the calling thread.
     pub(crate) fn solve(self, threads: usize) -> Vec<f64> {
-        if threads <= 1 {
-            return self.run_in_order();
-        }
-        let (graph, bodies, values) = self.submission();
-        runtime_execute(&graph, bodies, threads);
-        let values = std::mem::take(&mut *values.lock());
-        values
+        let pool = |l: Self| {
+            let (graph, bodies, values) = l.submission();
+            ((graph, bodies), move || std::mem::take(&mut *values.lock()))
+        };
+        run(self, threads, pool, Self::run_in_order)
     }
 
     /// The pool form: the tile DAG, then a [`KIND_BND2BD`](obs::KIND_BND2BD)
@@ -235,8 +240,7 @@ impl Lowering {
         let (mut graph, mut bodies) = self.dag.submission(&self.ops);
         // A tile's regions are keys `4t`, `4t + 1` and `4t + 2` (see
         // `TileOp::accesses`), in ascending order here.
-        let tiles = self.tiled.tile_rows() * self.tiled.tile_cols();
-        let chase: Vec<(DataKey, AccessMode)> = (0..3 * tiles)
+        let chase: Vec<(DataKey, AccessMode)> = (0..3 * self.dag.tiles.len())
             .map(|r| ((r / 3 * 4 + r % 3) as DataKey, AccessMode::Write))
             .chain([(BIDIAGONAL, AccessMode::Write)])
             .collect();
@@ -257,11 +261,10 @@ impl Lowering {
     /// The one-thread form: the tile ops in list order, then the chase,
     /// then dqds, each recorded as the pool form's task of the same id.
     fn run_in_order(self) -> Vec<f64> {
-        let run = CallerRun::new();
-        let tasks = self.ops.len();
+        let (run, tasks) = (caller_run(), self.ops.len());
         self.dag.run_in_order(&self.ops, run);
-        let chased = run.task(tasks, obs::KIND_BND2BD, || self.chase());
-        run.task(tasks + 1, obs::KIND_BD2VAL, || bd2val(&chased))
+        let chased = caller_task(run, tasks, obs::KIND_BND2BD, || self.chase());
+        caller_task(run, tasks + 1, obs::KIND_BD2VAL, || bd2val(&chased))
     }
 
     /// BND2BD, once every tile op ran: the tiles moved back, the band
@@ -483,6 +486,16 @@ mod tests {
             }
         }
         b
+    }
+
+    #[test]
+    fn bnd2bd_on_runtime_matches_direct_reduction() {
+        let mut b1 = random_band(30, 5, 11);
+        let mut b2 = b1.clone();
+        let direct = b1.reduce_to_bidiagonal();
+        let threaded = bnd2bd_on_runtime(&mut b2, 4);
+        assert_eq!(direct.diag, threaded.diag);
+        assert_eq!(direct.superdiag, threaded.superdiag);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!
 //! The counting allocator makes this binary single-purpose: it runs its
 //! checks from its own `main` (no libtest harness, `harness = false` in the
-//! manifest), so no thread but the session's pollutes the counter.
+//! manifest), so no thread but the session's pollutes the counter.  It
+//! prints each check's name as it passes; `--list` and name filters do not
+//! apply.
 //!
 //! [`SvdSession::compute_into`]: bidiag_core::batch::SvdSession::compute_into
 
@@ -42,9 +44,26 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn main() {
-    warm_direct_path_calls_allocate_nothing();
-    warm_submit_wait_round_allocates_its_snapshot_cell_and_result();
-    per_call_dqds_allocates_its_scratch_and_nothing_per_split();
+    let checks: [(&str, fn()); 3] = [
+        (
+            "warm_direct_path_calls_allocate_nothing",
+            warm_direct_path_calls_allocate_nothing,
+        ),
+        (
+            "warm_submit_wait_round_allocates_its_snapshot_cell_and_result",
+            warm_submit_wait_round_allocates_its_snapshot_cell_and_result,
+        ),
+        (
+            "per_call_dqds_allocates_its_scratch_and_nothing_per_split",
+            per_call_dqds_allocates_its_scratch_and_nothing_per_split,
+        ),
+    ];
+    // A failed check panics, which fails the run; each passed one is
+    // reported by name, between the counted windows.
+    for (name, check) in checks {
+        check();
+        println!("test {name} ... ok");
+    }
 }
 
 fn warm_direct_path_calls_allocate_nothing() {

@@ -401,14 +401,13 @@ pub fn record_span(span: Span) {
 /// [`MetricsRegistry::tasks_executed`]: what a pool worker records per
 /// task, and a one-thread blocked solve on its caller ([`WORKER_CALLER`]).
 pub fn record_task(submission: u64, task: usize, kind: u32, worker: u32, start_ns: u64) {
-    let end_ns = now_ns();
     record_span(Span {
         submission,
         task: task as u32,
         kind,
         worker,
         start_ns,
-        end_ns,
+        end_ns: now_ns(),
     });
     registry().tasks_executed.incr();
 }

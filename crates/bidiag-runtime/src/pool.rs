@@ -135,10 +135,19 @@ pub type TaskBody = Box<dyn FnOnce() + Send>;
 /// Most jobs a worker takes off the job lane at once: the largest gang.
 pub const GANG: usize = 16;
 
-/// A worker's runner of the job lane, built on the worker's thread: runs
-/// one gang of jobs with the scratch it owns, leaving each job's result in
-/// the job.
+/// A worker's runner of the job lane: runs one gang of jobs with the
+/// scratch it owns, leaving each job's result in the job.
 type GangRunner<J> = Box<dyn FnMut(&mut [J])>;
+
+/// A worker's share of the job lane, built on its thread at spawn: its
+/// runner, and its buffers for one gang's completions and jobs, pre-sized
+/// so a gang allocates nothing.
+struct LaneWorker<'a, J> {
+    lane: &'a JobLane<J>,
+    runner: GangRunner<J>,
+    cells: Vec<Arc<Completion<J>>>,
+    gang: Vec<J>,
+}
 
 /// The completion of one submission, shared by the pool and the client's
 /// [`JobTicket`]: a lane job with its job (`J`), or a graph (`J = ()`).
@@ -702,30 +711,19 @@ impl<J> PoolShared<J> {
         None
     }
 
-    /// Take a gang off the job lane and run it with the worker's `runner`;
-    /// false when the lane is empty (or the pool has none). `cells` and
-    /// `gang` are the worker's buffers for the gang's completions and jobs,
-    /// empty between gangs.
-    fn run_gang(
-        &self,
-        me: usize,
-        runner: &mut Option<GangRunner<J>>,
-        cells: &mut Vec<Arc<Completion<J>>>,
-        gang: &mut Vec<J>,
-    ) -> bool {
-        let (Some(lane), Some(runner)) = (&self.lane, runner) else {
-            return false;
-        };
+    /// Take a gang off the job lane and run it with worker `me`'s share of
+    /// the lane; false when the lane is empty.
+    fn run_gang(&self, me: usize, w: &mut LaneWorker<'_, J>) -> bool {
         {
-            let mut queue = lane.queue.lock();
+            let mut queue = w.lane.queue.lock();
             if queue.is_empty() {
                 return false;
             }
             let take = GANG.min(queue.len().div_ceil(self.stealers.len()));
-            cells.extend(queue.drain(..take));
+            w.cells.extend(queue.drain(..take));
         }
         let start_ns = if obs::enabled() {
-            obs::registry().tasks_executed.add(cells.len() as u64);
+            obs::registry().tasks_executed.add(w.cells.len() as u64);
             obs::now_ns()
         } else {
             0
@@ -733,9 +731,9 @@ impl<J> PoolShared<J> {
         // Cancellation is honoured here, as the gang forms: a job cancelled
         // while it queued completes as it stands, and nothing runs it.
         let mut i = 0;
-        while i < cells.len() {
+        while i < w.cells.len() {
             let job = {
-                let cell = &cells[i];
+                let cell = &w.cells[i];
                 let mut st = cell.state.lock();
                 if cell.cancelled.load(Ordering::Relaxed) {
                     None
@@ -745,21 +743,21 @@ impl<J> PoolShared<J> {
             };
             match job {
                 Some(job) => {
-                    gang.push(job);
+                    w.gang.push(job);
                     i += 1;
                 }
                 None => {
-                    cells.remove(i).complete(None, (start_ns, start_ns));
+                    w.cells.remove(i).complete(None, (start_ns, start_ns));
                     self.release(1);
                 }
             }
         }
-        if gang.is_empty() {
+        if w.gang.is_empty() {
             return true;
         }
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let _ = failpoint::fire("pool::body");
-            runner(gang)
+            (w.runner)(&mut w.gang)
         }));
         let end_ns = if start_ns != 0 { obs::now_ns() } else { 0 };
         if start_ns != 0 {
@@ -773,11 +771,11 @@ impl<J> PoolShared<J> {
             });
             let reg = obs::registry();
             reg.direct_gangs.incr();
-            reg.direct_gang_jobs.add(gang.len() as u64);
+            reg.direct_gang_jobs.add(w.gang.len() as u64);
         }
         match outcome {
             Ok(()) => {
-                for (cell, job) in cells.iter().zip(gang.drain(..)) {
+                for (cell, job) in w.cells.iter().zip(w.gang.drain(..)) {
                     cell.complete(Some(Ok(job)), (start_ns, end_ns));
                 }
             }
@@ -785,14 +783,14 @@ impl<J> PoolShared<J> {
                 // Every job of the gang fails: the runner's state when it
                 // unwound says nothing about which of them it finished.
                 let error = JobError::Panicked(panic_message(&*p));
-                gang.clear();
-                for cell in cells.iter() {
+                w.gang.clear();
+                for cell in w.cells.iter() {
                     cell.complete(Some(Err(error.clone())), (start_ns, end_ns));
                 }
             }
         }
-        self.release(cells.len());
-        cells.clear();
+        self.release(w.cells.len());
+        w.cells.clear();
         true
     }
 
@@ -811,18 +809,19 @@ impl<J> PoolShared<J> {
         let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ ((me as u64 + 1) << 17);
         let mut seen = 0u64;
         let mut open = true;
-        // Built at spawn, with its scratch; pre-sized, so a gang allocates
-        // nothing.
-        let mut runner = self.lane.as_ref().map(|lane| (lane.new_runner)());
-        let room = if self.lane.is_some() { GANG } else { 0 };
-        let (mut cells, mut gang) = (Vec::with_capacity(room), Vec::with_capacity(room));
+        let mut lane = self.lane.as_ref().map(|lane| LaneWorker {
+            lane,
+            runner: (lane.new_runner)(),
+            cells: Vec::with_capacity(GANG),
+            gang: Vec::with_capacity(GANG),
+        });
         loop {
             // A worker whose own deque is empty serves the job lane before
             // the injector and the other deques.
             loop {
                 let item = match local.pop() {
                     Some(item) => Some(item),
-                    None if self.run_gang(me, &mut runner, &mut cells, &mut gang) => continue,
+                    None if lane.as_mut().is_some_and(|w| self.run_gang(me, w)) => continue,
                     None => self.find_shared(me, &mut rng),
                 };
                 let Some((sub, id)) = item else {
