@@ -61,7 +61,7 @@
 //! * **TS stacks.**  The left kernel's dense rows may come from a list of
 //!   up to [`STACK`] tiles of one tile column (square shape only): a TSQRT
 //!   of `[R; A_0; ...; A_{d-1}]` or its TSMQR in one call.  `fill_panel`
-//!   and [`vtc`] walk each tile in 64-row blocks and `cvw` its row groups,
+//!   and `vtc` walk each tile in 64-row blocks and `cvw` its row groups,
 //!   while `W`, the `T` product and the pivot's head rows are touched once
 //!   per chunk and strip for the whole stack; the unblocked panel
 //!   (`panel`, its height a constant) sums its dots over the tiles into

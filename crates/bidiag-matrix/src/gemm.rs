@@ -2,9 +2,10 @@
 //!
 //! The Level-3 building blocks of the workspace.  No pipeline stage calls
 //! them: the tile kernels of `bidiag-kernels` read their operands in place
-//! through the fused chunk kernels of `bidiag_kernels::wy`, and `latms`
-//! forms its products with [`Matrix::matmul_nt`](crate::Matrix::matmul_nt).
-//! `ge2val-bench` times them as a layer of their own.  Both variants
+//! through the fused chunk kernels of `bidiag_kernels::wy`.  Their library
+//! caller is [`crate::gen`]: `random_orthonormal`'s block Gram–Schmidt
+//! projections and `latms`' in-place product `U (diag(sigma) V^T)`.
+//! `ge2val-bench` also times them as a layer of their own.  Both variants
 //! compute `C += alpha * op(A) * op(B)` in place, with a caller-provided
 //! [`GemmScratch`]:
 //!

@@ -5,6 +5,9 @@
 //! crate's API:
 //!
 //! * [`givens`](mod@givens) — `dlartg`-convention plane rotations,
+//! * [`gram_schmidt`] — element-wise modified Gram–Schmidt run twice, the
+//!   reference for the blocked orthonormalization of `latms`' random
+//!   factors,
 //! * [`jacobi`] — a one-sided Jacobi SVD that shares no code with the
 //!   bidiagonalization pipeline,
 //! * [`qr`] / [`lq`] — the twelve unblocked tile kernels, one Householder
@@ -23,12 +26,14 @@
 #![warn(missing_docs)]
 
 pub mod givens;
+pub mod gram_schmidt;
 pub mod jacobi;
 pub mod lq;
 pub mod one_stage;
 pub mod qr;
 
 pub use givens::givens;
+pub use gram_schmidt::orthonormal_columns;
 pub use jacobi::jacobi_singular_values;
 pub use one_stage::{chan_singular_values, one_stage_singular_values};
 pub use qr::build_q;
