@@ -75,13 +75,14 @@
 //! ```
 
 use crate::error::{check_spectrum, validate_finite, SvdError};
-use crate::exec::{lower_ge2val, ValuesCell};
+use crate::exec::{lower_ge2val, Lowered, Lowering};
 use crate::pipeline::{Ge2Options, DIRECT_CROSSOVER};
 use bidiag_kernels::gebd2::{gebd2_with, Bidiagonal};
 use bidiag_matrix::Matrix;
 use bidiag_runtime::{JobError, JobTicket, PoolConfig, SubmitError, TaskPool, GANG};
 use bidiag_svd::{dqds_gang_into, DqdsScratch, LANES};
 use parking_lot::Mutex;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Default tile size of [`SvdSession::new`] (the workspace-wide `nb = 64`
@@ -246,10 +247,11 @@ enum Pending {
     Done(Vec<f64>),
     /// A job on the pool's job lane (the direct path).
     Direct(JobTicket<DirectJob>),
-    /// A blocked problem's task graph, whose solver task fills `values`.
+    /// A blocked problem's task graph, whose solver task fills the
+    /// lowering's `values`.
     Graph {
         ticket: JobTicket<()>,
-        values: ValuesCell,
+        lowering: Arc<Lowering>,
     },
 }
 
@@ -276,9 +278,9 @@ impl SvdJob {
         let sv = match self.pending {
             Pending::Done(sv) => sv,
             Pending::Direct(ticket) => settle(ticket, timeout)?.sv,
-            Pending::Graph { ticket, values } => {
+            Pending::Graph { ticket, lowering } => {
                 settle(ticket, timeout)?;
-                std::mem::take(&mut *values.lock())
+                std::mem::take(&mut *lowering.values.lock())
             }
         };
         Self::checked(sv)
@@ -507,15 +509,16 @@ impl SvdSession {
     /// which per-call [`ge2val`](crate::pipeline::ge2val) runs too.
     fn submit_blocked(&self, a: &Matrix, block: bool) -> Result<SvdJob, SvdError> {
         self.opts.check_tile_size(a)?;
-        let (graph, bodies, values) = lower_ge2val(a, &self.opts).submission();
+        let lowering = Arc::new(lower_ge2val(a, &self.opts));
+        let (graph, l) = (lowering.graph(), Arc::clone(&lowering));
         let ticket = if block {
-            self.pool.submit(graph, bodies)
+            self.pool.submit(&graph, move |id| l.task(id))
         } else {
-            self.pool.try_submit(graph, bodies)
+            self.pool.try_submit(&graph, move |id| l.task(id))
         }
         .map_err(submit_error)?;
         Ok(SvdJob {
-            pending: Pending::Graph { ticket, values },
+            pending: Pending::Graph { ticket, lowering },
         })
     }
 }

@@ -1,19 +1,21 @@
 //! Execution of tile-operation lists and of whole blocked GE2VAL problems.
 //!
 //! Every blocked solve has one lowering: the op list over the matrix's
-//! tiles moved into per-tile locks and a fresh [`TauTable`], and, for a
-//! whole GE2VAL problem (`lower_ge2val`), a chase task and a dqds task
-//! after the tile operations.  It runs in one of two forms, through the
-//! same [`TileOp::execute_shared`] calls and the same tail functions:
+//! tiles moved into per-tile locks and a fresh [`TauTable`] (a `TileDag`),
+//! and, for a whole GE2VAL problem (`lower_ge2val`), a chase task and a
+//! dqds task after the tile operations.  A lowering is tasks `0..n` and
+//! one function, its `task(id)`, that runs any of them: a tile op's
+//! [`TileOp::execute_shared`], the chase or dqds.  It runs in one of two
+//! forms, and both call that function:
 //!
-//! * on a pool, as [`build_graph`]'s task graph and one boxed body per task
-//!   — `SvdSession`'s blocked problems, and threaded `ge2val`, `ge2bnd` and
-//!   [`execute_parallel`] on a pool built for the call;
-//! * at one thread, task by task in list order on the calling thread, with
-//!   no graph and no boxed body — one-thread `ge2val`, `ge2bnd` and
-//!   [`execute_sequential`].  Traced, each task records the span a pool
-//!   worker would (same submission, task id and kind) on
-//!   [`obs::WORKER_CALLER`].
+//! * on a pool, as [`build_graph`]'s task graph with `move |id| l.task(id)`
+//!   as the submission's one body — `SvdSession`'s blocked problems, and
+//!   threaded `ge2val`, `ge2bnd` and [`execute_parallel`] on a pool built
+//!   for the call;
+//! * at one thread, `for id in 0..n` on the calling thread, with no graph
+//!   — one-thread `ge2val`, `ge2bnd` and [`execute_sequential`].  Traced,
+//!   each task records the span a pool worker would (same submission, task
+//!   id and kind) on [`obs::WORKER_CALLER`].
 //!
 //! Nothing waits on a lock: the graph orders every two operations that
 //! touch one tile, one of them writing, so the tile locks are only *tried*
@@ -32,9 +34,7 @@ use bidiag_kernels::band::BandMatrix;
 use bidiag_kernels::gebd2::Bidiagonal;
 use bidiag_matrix::{BlockCyclic, Matrix, TiledMatrix};
 use bidiag_obs as obs;
-use bidiag_runtime::{
-    execute_parallel as runtime_execute, AccessMode, DataKey, TaskBody, TaskGraph,
-};
+use bidiag_runtime::{execute_graph, AccessMode, DataKey, TaskGraph, TaskId};
 use bidiag_svd::{dqds_singular_values, Bd2ValOptions};
 use parking_lot::{Mutex, RwLock};
 use std::sync::Arc;
@@ -49,28 +49,43 @@ pub fn execute_sequential(ops: &[TileOp], a: &mut TiledMatrix) {
 /// call, or, at one thread, in order on the calling thread.  Every kernel
 /// sees the same operands either way, so the result is bitwise the same.
 pub fn execute_parallel(ops: &[TileOp], a: &mut TiledMatrix, threads: usize) {
-    let dag = TileDag::new(ops, a);
-    let pool = |dag: &TileDag| (dag.submission(ops), || ());
-    let in_order = |dag: &TileDag| dag.run_in_order(ops, caller_run());
-    run(&dag, threads, pool, in_order);
-    dag.restore(a);
+    let dag = run(TileDag::new(ops.to_vec(), a), threads);
+    restore(dag.tiles, dag.q, a);
 }
 
-/// Run a lowering `l` in the form `threads` picks: on a pool of `threads`
-/// workers built for the call, as `pool`'s graph and bodies and then its
-/// read-out, or, at one thread, as `in_order` on the calling thread.
-fn run<L, T, R: FnOnce() -> T>(
-    l: L,
-    threads: usize,
-    pool: impl FnOnce(L) -> ((TaskGraph, Vec<TaskBody>), R),
-    in_order: impl FnOnce(L) -> T,
-) -> T {
+/// A blocked solve lowered to tasks `0..tasks()`, all run by one function.
+pub(crate) trait Lowered: Send + Sync + 'static {
+    /// The graph that orders the tasks (built by the pool form only).
+    fn graph(&self) -> TaskGraph;
+    /// How many tasks there are.
+    fn tasks(&self) -> usize;
+    /// The kind task `id`'s span is recorded as (its graph tag).
+    fn kind(&self, id: TaskId) -> u32;
+    /// Run task `id`.
+    fn task(&self, id: TaskId);
+}
+
+/// Run lowering `l` in the form `threads` picks and hand it back: on a
+/// pool of `threads` workers built for the call, as its graph's tasks, or,
+/// at one thread, in order on the calling thread, each recorded as the
+/// pool form's task of the same id.
+fn run<L: Lowered>(l: L, threads: usize) -> L {
     if threads <= 1 {
-        return in_order(l);
+        let run = obs::enabled().then(obs::next_submission_id).unwrap_or(0);
+        for id in 0..l.tasks() {
+            let start_ns = if run != 0 { obs::now_ns() } else { 0 };
+            l.task(id);
+            if run != 0 {
+                obs::record_task(run, id, l.kind(id), obs::WORKER_CALLER, start_ns);
+            }
+        }
+        return l;
     }
-    let ((graph, bodies), read) = pool(l);
-    runtime_execute(&graph, bodies, threads);
-    read()
+    let graph = l.graph();
+    let l = Arc::new(l);
+    let body = Arc::clone(&l);
+    execute_graph(&graph, move |id| body.task(id), threads);
+    Arc::into_inner(l).expect("a one-shot run drops its body before it returns")
 }
 
 /// Build the data-flow task graph of an operation list for a `p x q` tile
@@ -87,79 +102,56 @@ pub fn build_graph(ops: &[TileOp], q: usize, dist: &BlockCyclic) -> TaskGraph {
     g
 }
 
-/// An operation list's tiles: those of a matrix *moved* into shared
-/// per-tile locks (the matrix keeps empty placeholders until
-/// [`restore`](Self::restore)), and a fresh [`TauTable`] for the list.
+/// An operation list over a matrix's tiles, *moved* into shared per-tile
+/// locks (the matrix keeps empty placeholders until [`restore`]), and a
+/// fresh [`TauTable`] for the list: task `id` is op `id`.
 struct TileDag {
+    ops: Vec<TileOp>,
     /// Row-major: `tiles[i * q + j]` guards tile `(i, j)`.
-    tiles: Arc<Vec<RwLock<Matrix>>>,
-    taus: Arc<TauTable>,
+    tiles: Vec<RwLock<Matrix>>,
+    taus: TauTable,
     q: usize,
 }
 
 impl TileDag {
-    fn new(ops: &[TileOp], a: &mut TiledMatrix) -> Self {
+    fn new(ops: Vec<TileOp>, a: &mut TiledMatrix) -> Self {
         let (p, q) = (a.tile_rows(), a.tile_cols());
-        let tiles: Vec<RwLock<Matrix>> = (0..p * q)
+        let tiles = (0..p * q)
             .map(|idx| std::mem::replace(a.tile_mut(idx / q, idx % q), Matrix::zeros(0, 0)))
             .map(RwLock::new)
             .collect();
         TileDag {
-            tiles: Arc::new(tiles),
-            taus: Arc::new(TauTable::for_ops(ops)),
+            taus: TauTable::for_ops(&ops),
+            ops,
+            tiles,
             q,
         }
     }
+}
 
-    /// The pool form: the graph of `ops` and one body per op.
-    fn submission(&self, ops: &[TileOp]) -> (TaskGraph, Vec<TaskBody>) {
-        let graph = build_graph(ops, self.q, &BlockCyclic::single_node());
-        let bodies = ops
-            .iter()
-            .enumerate()
-            .map(|(op_id, &op)| {
-                let (tiles, taus, q) = (Arc::clone(&self.tiles), Arc::clone(&self.taus), self.q);
-                Box::new(move || op.execute_shared(op_id, &tiles, q, &taus)) as TaskBody
-            })
-            .collect();
-        (graph, bodies)
+impl Lowered for TileDag {
+    fn graph(&self) -> TaskGraph {
+        build_graph(&self.ops, self.q, &BlockCyclic::single_node())
     }
 
-    /// The one-thread form: `ops` in list order, as tasks `0..ops.len()` of
-    /// caller run `run` (from [`caller_run`]).
-    fn run_in_order(&self, ops: &[TileOp], run: u64) {
-        for (op_id, op) in ops.iter().enumerate() {
-            caller_task(run, op_id, op.kernel() as u32, || {
-                op.execute_shared(op_id, &self.tiles, self.q, &self.taus)
-            });
-        }
+    fn tasks(&self) -> usize {
+        self.ops.len()
     }
 
-    /// Move the tiles back into `a` once every op ran.
-    fn restore(&self, a: &mut TiledMatrix) {
-        for (idx, tile) in self.tiles.iter().enumerate() {
-            let mut tile = tile.try_write().expect("every tile task ran");
-            *a.tile_mut(idx / self.q, idx % self.q) =
-                std::mem::replace(&mut *tile, Matrix::zeros(0, 0));
-        }
+    fn kind(&self, id: TaskId) -> u32 {
+        self.ops[id].kernel() as u32
+    }
+
+    fn task(&self, id: TaskId) {
+        self.ops[id].execute_shared(id, &self.tiles, self.q, &self.taus)
     }
 }
 
-/// Begin a submission run task by task on the calling thread: its trace
-/// id, or 0 when tracing is off.
-fn caller_run() -> u64 {
-    obs::enabled().then(obs::next_submission_id).unwrap_or(0)
-}
-
-/// Run task `task` of kind `kind` of caller run `run` as `f`, recording the
-/// span a pool worker records for it.
-fn caller_task<T>(run: u64, task: usize, kind: u32, f: impl FnOnce() -> T) -> T {
-    let start_ns = if run != 0 { obs::now_ns() } else { 0 };
-    let value = f();
-    if run != 0 {
-        obs::record_task(run, task, kind, obs::WORKER_CALLER, start_ns);
+/// Move a [`TileDag`]'s tiles back into `a` once every op ran.
+fn restore(tiles: Vec<RwLock<Matrix>>, q: usize, a: &mut TiledMatrix) {
+    for (idx, tile) in tiles.into_iter().enumerate() {
+        *a.tile_mut(idx / q, idx % q) = tile.into_inner();
     }
-    value
 }
 
 /// Set up a non-empty blocked problem once for every driver (`opts.nb >
@@ -178,45 +170,49 @@ pub(crate) fn setup_blocked(
     let (m, n) = (tiled.rows(), tiled.cols());
     let algorithm = opts.resolve_algorithm(m, n);
     let cfg = GenConfig::shared(opts.tree);
-    let mut ops = ge2bnd_ops(tiled.tile_rows(), tiled.tile_cols(), algorithm, &cfg);
-    // The list keeps the block the one-tile schedule's list grew to (a TS
-    // stack of `d` tiles is one op where that schedule has `d`): which
-    // blocks a repeated solve frees decides whether the next input fits
-    // the heap block its tiles left (see `Lowering::chase`).  With the
-    // stacks' shorter list `ge2val-bench`'s `peak_rss_mib` on `tall_1t`
-    // reads 52.3 MiB instead of 37.5.
-    let one_tile: usize = ops.iter().map(TileOp::height).sum();
-    ops.reserve_exact(one_tile.next_power_of_two() - ops.len());
+    let ops = ge2bnd_ops(tiled.tile_rows(), tiled.tile_cols(), algorithm, &cfg);
     let bw = opts.nb.min(n.saturating_sub(1)).max(1);
     (tiled, algorithm, ops, bw)
 }
-
-/// The cell the dqds task of a [`Lowering`] fills with the spectrum.
-pub(crate) type ValuesCell = Arc<Mutex<Vec<f64>>>;
 
 /// Data key of the bidiagonal the chase task hands to the solver task; no
 /// tile operation uses it.
 const BIDIAGONAL: DataKey = DataKey::MAX;
 
-/// The one lowering of a blocked GE2VAL problem: its GE2BND op list over
-/// a [`TileDag`] (`tiled` holds placeholders until the chase moves the
-/// tiles back), then two tails, BND2BD ([`chase`](Self::chase)) and
-/// BD2VAL ([`bd2val`]).
+/// The one lowering of a blocked GE2VAL problem: tasks `0..ops` are its
+/// GE2BND op list over a [`TileDag`], task `ops` is BND2BD
+/// ([`chase`](Self::chase)) and task `ops + 1` is BD2VAL, dqds into
+/// [`values`](Self::values).
 pub(crate) struct Lowering {
-    ops: Vec<TileOp>,
+    /// GE2BND's state until the chase takes it.  Tile tasks only try to
+    /// read it and the chase only tries to take it: the graph orders the
+    /// chase after every tile task, so no try fails.
+    tiles: RwLock<Option<TilePhase>>,
+    /// Length of the op list.
+    ops: usize,
+    bw: usize,
+    chased: Mutex<Option<Chased>>,
+    /// The spectrum, once dqds ran.
+    pub(crate) values: Mutex<Vec<f64>>,
+}
+
+/// GE2BND's share of a [`Lowering`]: the op list over its tiles, and the
+/// matrix that holds placeholders until the chase moves the tiles back.
+struct TilePhase {
     dag: TileDag,
     tiled: TiledMatrix,
-    bw: usize,
 }
 
 /// Lower a non-empty blocked GE2VAL problem.
 pub(crate) fn lower_ge2val(a: &Matrix, opts: &Ge2Options) -> Lowering {
     let (mut tiled, _, ops, bw) = setup_blocked(a, opts);
+    let dag = TileDag::new(ops, &mut tiled);
     Lowering {
-        dag: TileDag::new(&ops, &mut tiled),
-        ops,
-        tiled,
+        ops: dag.ops.len(),
+        tiles: RwLock::new(Some(TilePhase { dag, tiled })),
         bw,
+        chased: Mutex::new(None),
+        values: Mutex::new(Vec::new()),
     }
 }
 
@@ -224,65 +220,89 @@ impl Lowering {
     /// The spectrum, on a pool of `threads` workers built for the call or,
     /// at one thread, on the calling thread.
     pub(crate) fn solve(self, threads: usize) -> Vec<f64> {
-        let pool = |l: Self| {
-            let (graph, bodies, values) = l.submission();
-            ((graph, bodies), move || std::mem::take(&mut *values.lock()))
-        };
-        run(self, threads, pool, Self::run_in_order)
+        run(self, threads).values.into_inner()
     }
 
-    /// The pool form: the tile DAG, then a [`KIND_BND2BD`](obs::KIND_BND2BD)
-    /// task that writes every tile-region key (every op writes at least
-    /// one, so the task runs after all of them) and runs
-    /// [`chase`](Self::chase), then a [`KIND_BD2VAL`](obs::KIND_BD2VAL)
-    /// task that runs dqds into the returned cell.
-    pub(crate) fn submission(self) -> (TaskGraph, Vec<TaskBody>, ValuesCell) {
-        let (mut graph, mut bodies) = self.dag.submission(&self.ops);
+    /// `f` of the tile DAG, which tile tasks and the graph only read.
+    fn dag<T>(&self, f: impl FnOnce(&TileDag) -> T) -> T {
+        let tiles = self
+            .tiles
+            .try_read()
+            .expect("tile tasks run before the chase");
+        f(&tiles.as_ref().expect("tile tasks run before the chase").dag)
+    }
+
+    /// BND2BD, once every tile op ran: the tiles moved back, the band
+    /// extracted and chased.  The tile locks and the tau table go before
+    /// the band is allocated, the op list after, and the band and the
+    /// tiles outlive the spectrum's allocation (see [`Chased`]): a
+    /// repeated solve then frees in an order that keeps
+    /// `ge2val-bench`'s `peak_rss_mib` down (40 s runs, glibc malloc):
+    /// keeping the tau table and the op list until the lowering is dropped
+    /// reads `square_1t` at 19.8–19.9 MiB against 15.0–15.2, and `tall_1t`
+    /// at 37.6–38.1 against 37.2–37.4.
+    fn chase(&self) {
+        let TilePhase { dag, mut tiled } = self
+            .tiles
+            .try_write()
+            .expect("the chase runs after every tile task")
+            .take()
+            .expect("the chase runs once");
+        restore(dag.tiles, dag.q, &mut tiled);
+        drop(dag.taus);
+        let mut band = BandMatrix::from_tiled(&tiled, self.bw);
+        drop(dag.ops);
+        *self.chased.lock() = Some((band.reduce_to_bidiagonal(), band, tiled));
+    }
+}
+
+impl Lowered for Lowering {
+    /// The tile DAG, then a [`KIND_BND2BD`](obs::KIND_BND2BD) task that
+    /// writes every tile-region key (every op writes at least one, so the
+    /// task runs after all of them), then a
+    /// [`KIND_BD2VAL`](obs::KIND_BD2VAL) task after it.
+    fn graph(&self) -> TaskGraph {
+        let (mut graph, tiles) = self.dag(|dag| (dag.graph(), dag.tiles.len()));
         // A tile's regions are keys `4t`, `4t + 1` and `4t + 2` (see
         // `TileOp::accesses`), in ascending order here.
-        let chase: Vec<(DataKey, AccessMode)> = (0..3 * self.dag.tiles.len())
+        let chase: Vec<(DataKey, AccessMode)> = (0..3 * tiles)
             .map(|r| ((r / 3 * 4 + r % 3) as DataKey, AccessMode::Write))
             .chain([(BIDIAGONAL, AccessMode::Write)])
             .collect();
         graph.add_task(1.0, 0, obs::KIND_BND2BD, &chase);
         graph.add_task(1.0, 0, obs::KIND_BD2VAL, &[(BIDIAGONAL, AccessMode::Read)]);
-
-        let chased = Arc::new(Mutex::new(None));
-        let values = ValuesCell::default();
-        let (handoff, slot) = (Arc::clone(&chased), Arc::clone(&values));
-        bodies.push(Box::new(move || *handoff.lock() = Some(self.chase())));
-        bodies.push(Box::new(move || {
-            let chased = chased.lock().take().expect("the chase ran first");
-            *slot.lock() = bd2val(&chased);
-        }));
-        (graph, bodies, values)
+        graph
     }
 
-    /// The one-thread form: the tile ops in list order, then the chase,
-    /// then dqds, each recorded as the pool form's task of the same id.
-    fn run_in_order(self) -> Vec<f64> {
-        let (run, tasks) = (caller_run(), self.ops.len());
-        self.dag.run_in_order(&self.ops, run);
-        let chased = caller_task(run, tasks, obs::KIND_BND2BD, || self.chase());
-        caller_task(run, tasks + 1, obs::KIND_BD2VAL, || bd2val(&chased))
+    fn tasks(&self) -> usize {
+        self.ops + 2
     }
 
-    /// BND2BD, once every tile op ran: the tiles moved back, the band
-    /// extracted and chased.  `ops` outlives the band's allocation, and
-    /// the band and the tiles outlive the spectrum's (see [`Chased`]): a
-    /// repeated solve then frees one block (other orders raise
-    /// `ge2val-bench`'s `peak_rss_mib` on `square_1t` by 1.4 or 4.5 MiB).
-    fn chase(mut self) -> Chased {
-        self.dag.restore(&mut self.tiled);
-        drop(self.dag);
-        let mut band = BandMatrix::from_tiled(&self.tiled, self.bw);
-        drop(self.ops);
-        (band.reduce_to_bidiagonal(), band, self.tiled)
+    fn kind(&self, id: TaskId) -> u32 {
+        match id.checked_sub(self.ops) {
+            None => self.dag(|dag| dag.kind(id)),
+            Some(0) => obs::KIND_BND2BD,
+            Some(_) => obs::KIND_BD2VAL,
+        }
+    }
+
+    fn task(&self, id: TaskId) {
+        match id.checked_sub(self.ops) {
+            None => self.dag(|dag| dag.task(id)),
+            Some(0) => self.chase(),
+            Some(_) => {
+                let chased = self.chased.lock().take().expect("the chase ran first");
+                *self.values.lock() = bd2val(&chased);
+            }
+        }
     }
 }
 
 /// What the chase hands to dqds: the bidiagonal, then the band and the
 /// factored tiles, dropped with it once the spectrum is allocated.
+/// Freeing the band and the tiles in the chase instead reads
+/// `ge2val-bench`'s `peak_rss_mib` on `square_1t` at 17.3–17.5 MiB against
+/// 15.0–15.2.
 type Chased = (Bidiagonal, BandMatrix, TiledMatrix);
 
 /// BD2VAL: the singular values of the chased bidiagonal.
@@ -296,13 +316,11 @@ fn bd2val((b, ..): &Chased) -> Vec<f64> {
 fn run_as_task<T: Send + 'static>(kind: u32, f: impl FnOnce() -> T + Send + 'static) -> T {
     let mut g = TaskGraph::new();
     g.add_task(1.0, 0, kind, &[]);
-    let (tx, rx) = std::sync::mpsc::channel();
-    let body: TaskBody = Box::new(move || {
-        // The receiver outlives the run, so the send cannot fail.
-        let _ = tx.send(f());
-    });
-    runtime_execute(&g, vec![body], 1);
-    rx.recv().expect("the task ran before the runtime returned")
+    let (f, value) = (Mutex::new(Some(f)), Arc::new(Mutex::new(None)));
+    let out = Arc::clone(&value);
+    execute_graph(&g, move |_| *out.lock() = f.lock().take().map(|f| f()), 1);
+    let value = value.lock().take();
+    value.expect("the task ran before the runtime returned")
 }
 
 /// Run the BND2BD stage (band to bidiagonal) alone through the task

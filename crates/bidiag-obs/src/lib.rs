@@ -22,6 +22,7 @@
 //! `BIDIAG_OBS=1`, or programmatically via [`set_enabled`] / [`ScopedObs`].
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::collections::BTreeMap;
 use std::io::Write as _;

@@ -1,66 +1,60 @@
 //! One-shot execution of a task graph: the entry points that run one graph
 //! to completion and return.
 //!
-//! [`execute_parallel`] is a submission like any other on the scheduler of
+//! [`execute_graph`] is a submission like any other on the scheduler of
 //! [`crate::pool`]: it builds a [`TaskPool`] for the duration of the call,
-//! submits the graph, waits and drops the pool, so the worker threads live
-//! exactly as long as the call.  [`execute_sequential`] runs the bodies in
-//! insertion order on the calling thread and is the oracle the parallel
-//! runs are tested against.
+//! submits the graph with its one body, waits and drops the pool, so the
+//! worker threads live exactly as long as the call.
+//! [`execute_parallel`] runs one boxed body per task through it, and
+//! [`execute_sequential`] runs those bodies in insertion order on the
+//! calling thread, the oracle the parallel runs are tested against.
 
-use crate::graph::TaskGraph;
+use crate::graph::{TaskGraph, TaskId};
 use crate::pool::{TaskBody, TaskPool};
+use parking_lot::Mutex;
 
-/// Execute every task of `graph` on `threads` worker threads, respecting the
-/// data-flow dependencies.  `bodies[i]` is run exactly once for task `i`.
+/// Execute every task of `graph` on `threads` worker threads, respecting
+/// the data-flow dependencies: `body(i)` runs exactly once for task `i`,
+/// after `body` of each of its predecessors returned.
 ///
-/// Workers follow the work-stealing, event-driven protocol of the
-/// [scheduler docs](crate::pool).  Any interleaving the scheduler produces
-/// is a topological order of `graph`, so the result equals
-/// [`execute_sequential`]'s whenever the bodies only communicate through
-/// data the graph knows about.
+/// The pool is built for the call and joined before it returns, so `body`
+/// has been dropped by then.  Any interleaving the scheduler produces is a
+/// topological order of `graph` (see the [scheduler docs](crate::pool)).
 ///
-/// Panics if `bodies.len() != graph.len()`, and if a body panics (the
-/// remaining bodies are then skipped).
+/// Panics if a body panics (the remaining tasks are then skipped).
 ///
 /// # Examples
 ///
 /// ```
-/// use bidiag_runtime::{execute_parallel, AccessMode, TaskBody, TaskGraph};
+/// use bidiag_runtime::{execute_graph, AccessMode, TaskGraph};
 /// use std::sync::atomic::{AtomicU64, Ordering};
 /// use std::sync::Arc;
 ///
 /// // a -> b and a -> c: both updates read the value task `a` wrote.
 /// let mut g = TaskGraph::new();
-/// let data = 7u64; // opaque data key chosen by the caller
-/// g.add_task(1.0, 0, 0, &[(data, AccessMode::Write)]);
-/// g.add_task(1.0, 0, 0, &[(data, AccessMode::Read)]);
-/// g.add_task(1.0, 0, 0, &[(data, AccessMode::Read)]);
-///
+/// for mode in [AccessMode::Write, AccessMode::Read, AccessMode::Read] {
+///     g.add_task(1.0, 0, 0, &[(7, mode)]); // 7: a data key of the caller's
+/// }
 /// let cell = Arc::new(AtomicU64::new(0));
-/// let bodies: Vec<TaskBody> = (0..3)
-///     .map(|i| {
-///         let cell = Arc::clone(&cell);
-///         Box::new(move || {
-///             if i == 0 {
-///                 cell.store(40, Ordering::SeqCst); // the write
-///             } else {
-///                 cell.fetch_add(1, Ordering::SeqCst); // runs after it
-///             }
-///         }) as TaskBody
-///     })
-///     .collect();
-/// execute_parallel(&g, bodies, 4);
+/// let c = Arc::clone(&cell);
+/// let body = move |id| match id {
+///     0 => c.store(40, Ordering::SeqCst), // the write
+///     _ => _ = c.fetch_add(1, Ordering::SeqCst), // runs after it
+/// };
+/// execute_graph(&g, body, 4);
 /// assert_eq!(cell.load(Ordering::SeqCst), 42);
 /// ```
-pub fn execute_parallel(graph: &TaskGraph, bodies: Vec<TaskBody>, threads: usize) {
-    assert_eq!(bodies.len(), graph.len(), "one body per task is required");
+pub fn execute_graph(
+    graph: &TaskGraph,
+    body: impl Fn(TaskId) + Send + Sync + 'static,
+    threads: usize,
+) {
     if graph.is_empty() {
         return;
     }
     let pool = TaskPool::new(threads.clamp(1, graph.len()));
     let outcome = pool
-        .submit_ref(graph, bodies, true)
+        .submit(graph, body)
         .expect("a pool nobody closed admits")
         .wait();
     // Join the workers before reporting: no thread outlives the call.
@@ -70,6 +64,23 @@ pub fn execute_parallel(graph: &TaskGraph, bodies: Vec<TaskBody>, threads: usize
         // no handle to inspect, so the panic resumes here with its message.
         panic!("{e}");
     }
+}
+
+/// Execute every task of `graph` on `threads` worker threads, respecting the
+/// data-flow dependencies.  `bodies[i]` is run exactly once for task `i`.
+///
+/// An adapter onto [`execute_graph`] for callers that hold one boxed body
+/// per task; it goes with ROADMAP item 11, which moves its last callers to
+/// [`execute_graph`].  The result equals [`execute_sequential`]'s whenever
+/// the bodies only communicate through data the graph knows about.
+///
+/// Panics if `bodies.len() != graph.len()`, and if a body panics (the
+/// remaining bodies are then skipped).
+pub fn execute_parallel(graph: &TaskGraph, bodies: Vec<TaskBody>, threads: usize) {
+    assert_eq!(bodies.len(), graph.len(), "one body per task is required");
+    let slots: Vec<_> = bodies.into_iter().map(|b| Mutex::new(Some(b))).collect();
+    let take = move |id: TaskId| slots[id].lock().take().expect("task executed twice");
+    execute_graph(graph, move |id| take(id)(), threads);
 }
 
 /// Execute the tasks sequentially in insertion order (which is a topological

@@ -13,9 +13,10 @@
 //!   and a lane job both finish through one completion protocol, the
 //!   client's [`pool::JobTicket`]; the batched SVD session of
 //!   `bidiag-core` holds one for its lifetime,
-//! * [`executor`] — the one-shot entry points: [`execute_parallel`] runs one
-//!   graph as a single submission on a pool built for the call
-//!   (shared-memory experiments), [`execute_sequential`] is the oracle,
+//! * [`executor`] — the one-shot entry points: [`execute_graph`] runs one
+//!   graph and its one body as a single submission on a pool built for the
+//!   call, [`execute_parallel`] adapts one boxed body per task onto it, and
+//!   [`execute_sequential`] runs those bodies in order, the oracle,
 //! * [`sim`] — a deterministic list-scheduling simulator with per-node core
 //!   pools and an `alpha/beta` communication model, used for critical-path
 //!   measurements and for the distributed-memory experiments that the paper
@@ -35,7 +36,7 @@
 //! the steal protocol and its exclusivity guarantees.
 
 #![warn(missing_docs)]
-#![deny(clippy::undocumented_unsafe_blocks)]
+#![forbid(unsafe_code)]
 
 pub mod executor;
 pub mod graph;
@@ -43,7 +44,7 @@ pub mod pool;
 pub mod sim;
 pub mod trace;
 
-pub use executor::{execute_parallel, execute_sequential};
+pub use executor::{execute_graph, execute_parallel, execute_sequential};
 pub use graph::{AccessMode, DataKey, TaskGraph, TaskId, TaskNode};
 pub use pool::{JobError, JobTicket, PoolConfig, SubmitError, TaskBody, TaskPool, GANG};
 pub use sim::{simulate, MachineModel, SimResult};

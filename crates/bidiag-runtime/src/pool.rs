@@ -17,7 +17,7 @@
 //!
 //! * **Submissions, not teams.**  [`TaskPool::submit`] copies what the
 //!   workers read of a [`TaskGraph`] (successor lists, predecessor counts,
-//!   tags, bottom levels), packages it with the bodies into an [`Arc`]'d
+//!   tags, bottom levels), packages it with the one body into an [`Arc`]'d
 //!   submission and seeds its source tasks, most critical first, into a
 //!   shared FIFO injector queue (callers own no deque).  Deque items are
 //!   `(submission, task id)` pairs, so tasks of *different* submissions
@@ -64,7 +64,7 @@
 //!   its remaining tasks, and the one that reaches zero completes it.  A
 //!   body panic is caught and *converted to a value*: the cell records
 //!   [`JobError::Panicked`] with the payload message and raises the flag,
-//!   so the remaining bodies of *that* submission are skipped (its graph
+//!   so the remaining tasks of *that* submission are skipped (its graph
 //!   still drains so counters stay consistent) — nothing is ever
 //!   re-thrown across the pool boundary, and other submissions are
 //!   unaffected.  [`JobTicket::cancel`] raises the same flag for
@@ -84,22 +84,15 @@
 //!   fails every job of its gang with [`JobError::Panicked`]; `close` and
 //!   drop drain the lane as they drain the injector.
 //!
-//! # Why the once-cell task slots are sound
+//! # Who guards what a body touches
 //!
-//! Task bodies are stored in [`UnsafeCell`] slots without any lock.  The
-//! dependency protocol guarantees exclusive access:
-//!
-//! 1. a task id of a given submission becomes *ready* exactly once — only
-//!    the worker whose `fetch_sub` drops the predecessor counter to zero
-//!    publishes it (and source tasks are seeded exactly once, by `submit`);
-//! 2. a published id is claimed exactly once — deque and injector ends are
-//!    mutually exclusive, so exactly one worker pops or steals it;
-//! 3. the handoff happens through the injector or a deque, whose mutex
-//!    orders the slot write before the slot take.
-//!
-//! Hence each slot is taken exactly once, by exactly one thread, after its
-//! body was written — the invariant the internal `BodySlots::take` relies
-//! on.
+//! A submission carries **one** body, a shared `Fn(TaskId)` that every
+//! worker calls with the ids it claims.  A task becomes ready exactly once
+//! (only the worker whose `fetch_sub` drops its predecessor counter to
+//! zero publishes it) and is claimed exactly once (queue ends are mutually
+//! exclusive), so each id runs once, but the pool guards none of the
+//! body's data: task bodies get their exclusivity from their own tile
+//! try-locks, which the graph's ordering guarantees are free.
 //!
 //! Dropping the pool closes admission, then the gate; each worker drains
 //! every task it can still find (its own deque, the injector, every
@@ -108,7 +101,7 @@
 //! anything it releases lands on its own deque, which it drains before
 //! exiting.
 //!
-//! Fault injection: the failpoints `pool::body` (inside the per-body
+//! Fault injection: the failpoints `pool::body` (inside the per-task
 //! `catch_unwind` — once per gang on the job lane — so an injected panic
 //! exercises the real containment path) and `pool::admission` (in the non-blocking admission check;
 //! `Trigger` forces a [`SubmitError::QueueFull`]) let the robustness suite
@@ -119,7 +112,6 @@ use crate::graph::{TaskGraph, TaskId};
 use bidiag_obs as obs;
 use crossbeam::deque::{Steal, Stealer, Worker};
 use parking_lot::{Condvar, Mutex};
-use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -127,10 +119,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// A task body: the closure that actually runs the kernel.  Bodies are
-/// indexed by [`TaskId`] and own whatever shared state they need
-/// (typically `Arc`s of per-tile locks).
+/// One task's own body, for [`crate::execute_parallel`] and
+/// [`crate::execute_sequential`], which take one per task.
 pub type TaskBody = Box<dyn FnOnce() + Send>;
+
+/// The body of a whole submission: runs the task of the id it is given.
+type GraphBody = Box<dyn Fn(TaskId) + Send + Sync>;
 
 /// Most jobs a worker takes off the job lane at once: the largest gang.
 pub const GANG: usize = 16;
@@ -157,7 +151,7 @@ struct Completion<J> {
     /// Admission timestamp (ns), 0 when tracing was off at submit time.
     submitted_ns: u64,
     /// Raised by a cancel or a body panic: a graph's workers skip the
-    /// bodies that have not started, and a lane job's gang skips the job.
+    /// tasks that have not started, and a lane job's gang skips the job.
     /// Only ever raised under `state`'s lock, before `finished`.
     cancelled: AtomicBool,
 }
@@ -220,39 +214,6 @@ struct JobLane<J> {
     queue: Mutex<VecDeque<Arc<Completion<J>>>>,
     /// Builds each worker's runner, with its scratch.
     new_runner: Box<dyn Fn() -> GangRunner<J> + Send + Sync>,
-}
-
-/// Once-cell storage of a submission's task bodies: each slot is written
-/// once at submit time and taken exactly once by the worker that claimed
-/// the task (see the module docs for the exclusivity argument).
-struct BodySlots(Vec<UnsafeCell<Option<TaskBody>>>);
-
-// SAFETY: slots are only accessed through `take`, whose per-id exclusivity
-// is guaranteed by the ready/claim protocol described in the module docs.
-unsafe impl Sync for BodySlots {}
-
-impl BodySlots {
-    fn new(bodies: Vec<TaskBody>) -> Self {
-        BodySlots(
-            bodies
-                .into_iter()
-                .map(|b| UnsafeCell::new(Some(b)))
-                .collect(),
-        )
-    }
-
-    /// Take the body of task `id`.
-    ///
-    /// SAFETY contract (upheld by the scheduler): `take(id)` is called at
-    /// most once per id, and the call happens after the constructor's write
-    /// with a synchronization edge in between (the injector mutex or a
-    /// deque handoff).
-    fn take(&self, id: TaskId) -> TaskBody {
-        // SAFETY: this is the one access to slot `id` (taken at most once),
-        // and it is ordered after the constructor's write by the scheduler's
-        // synchronization edge, so no other reference to the cell is live.
-        unsafe { (*self.0[id].get()).take().expect("task executed twice") }
-    }
 }
 
 /// The event gate of the idle protocol: a generation counter bumped on every
@@ -339,12 +300,12 @@ fn xorshift(state: &mut u64) -> u64 {
 /// Why a submission finished without producing its results.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JobError {
-    /// A task body panicked; the submission's remaining bodies were
+    /// A task body panicked; the submission's remaining tasks were
     /// skipped and its graph drained.  Carries the panic payload message
     /// (the pool never re-throws a payload across `wait`).
     Panicked(String),
     /// The submission was cancelled via [`JobTicket::cancel`] before it
-    /// finished; bodies that had not started were skipped.
+    /// finished; tasks that had not started were skipped.
     Cancelled,
 }
 
@@ -418,9 +379,9 @@ struct Submission {
     successors: Vec<TaskId>,
     /// Countdown of unfinished tasks of this submission.
     remaining_tasks: AtomicUsize,
-    slots: BodySlots,
+    body: GraphBody,
     /// Completed by the task that drops `remaining_tasks` to zero; its
-    /// `cancelled` flag makes the remaining bodies no-ops.
+    /// `cancelled` flag makes the remaining tasks no-ops.
     completion: Arc<Completion<()>>,
     /// Observability run id (0 = tracing was off at submit time), making
     /// every per-task tracing branch a single predictable integer compare.
@@ -431,9 +392,9 @@ struct Submission {
 }
 
 impl Submission {
-    /// Package a non-empty `graph` and its bodies, admitted at
+    /// Package a non-empty `graph` and its body, admitted at
     /// `submitted_ns` (0 when tracing is off).
-    fn new(graph: &TaskGraph, bodies: Vec<TaskBody>, submitted_ns: u64) -> Self {
+    fn new(graph: &TaskGraph, body: GraphBody, submitted_ns: u64) -> Self {
         let priority = graph.bottom_levels();
         let mut successors = Vec::new();
         let tasks = priority
@@ -453,7 +414,7 @@ impl Submission {
             tasks,
             successors,
             remaining_tasks: AtomicUsize::new(graph.len()),
-            slots: BodySlots::new(bodies),
+            body,
             completion: Arc::new(Completion::new((), false, submitted_ns)),
             trace_id: if submitted_ns != 0 {
                 obs::next_submission_id()
@@ -555,7 +516,7 @@ impl<J> JobTicket<J> {
         })
     }
 
-    /// Request cooperative cancellation: a graph's bodies that have not
+    /// Request cooperative cancellation: a graph's tasks that have not
     /// started are skipped (the graph still drains, so counters and the
     /// admission slot are released normally), a lane job whose gang has
     /// not formed is skipped, and [`wait`](JobTicket::wait) reports
@@ -627,10 +588,9 @@ impl<J> PoolShared<J> {
         };
         let completion = &sub.completion;
         if !completion.cancelled.load(Ordering::Acquire) {
-            let body = sub.slots.take(id);
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 let _ = failpoint::fire("pool::body");
-                body()
+                (sub.body)(id)
             }));
             if let Err(p) = outcome {
                 let mut st = completion.state.lock();
@@ -853,7 +813,7 @@ impl<J> PoolShared<J> {
 /// # Examples
 ///
 /// ```
-/// use bidiag_runtime::{AccessMode, TaskBody, TaskGraph, TaskPool};
+/// use bidiag_runtime::{AccessMode, TaskGraph, TaskPool};
 /// use std::sync::atomic::{AtomicU64, Ordering};
 /// use std::sync::Arc;
 ///
@@ -864,15 +824,12 @@ impl<J> PoolShared<J> {
 ///         let mut g = TaskGraph::new();
 ///         g.add_task(1.0, 0, 0, &[(p, AccessMode::Write)]);
 ///         g.add_task(1.0, 0, 0, &[(p, AccessMode::Write)]);
-///         let bodies: Vec<TaskBody> = (0..2)
-///             .map(|_| {
-///                 let acc = Arc::clone(&acc);
-///                 Box::new(move || {
-///                     acc.fetch_add(1, Ordering::SeqCst);
-///                 }) as TaskBody
-///             })
-///             .collect();
-///         pool.submit(g, bodies).expect("pool is open")
+///         // One body for the whole graph, called once per task id.
+///         let acc = Arc::clone(&acc);
+///         let body = move |_id| {
+///             acc.fetch_add(1, Ordering::SeqCst);
+///         };
+///         pool.submit(&g, body).expect("pool is open")
 ///     })
 ///     .collect();
 /// for t in tickets {
@@ -1033,20 +990,20 @@ impl<J: Send + 'static> TaskPool<J> {
         }
     }
 
-    /// Submit one task graph for execution; `bodies[i]` runs exactly once
-    /// for task `i`, on some worker.
+    /// Submit one task graph for execution: `body(i)` runs exactly once
+    /// for task `i`, on some worker, after `body` of each of its
+    /// predecessors returned.
     ///
-    /// On a bounded pool this **blocks** while `max_in_flight` submissions
-    /// are in flight (backpressure), waking when a slot frees.  Returns
-    /// [`SubmitError::Shutdown`] if the pool was closed.  Panics if
-    /// `bodies.len() != graph.len()` (an internal-invariant breach of the
-    /// caller, not a runtime condition).
+    /// The pool copies what it needs of `graph` before returning.  On a
+    /// bounded pool this **blocks** while `max_in_flight` submissions are in
+    /// flight (backpressure), waking when a slot frees.  Returns
+    /// [`SubmitError::Shutdown`] if the pool was closed.
     pub fn submit(
         &self,
-        graph: TaskGraph,
-        bodies: Vec<TaskBody>,
+        graph: &TaskGraph,
+        body: impl Fn(TaskId) + Send + Sync + 'static,
     ) -> Result<JobTicket<()>, SubmitError> {
-        self.submit_ref(&graph, bodies, true)
+        self.submit_graph(graph, Box::new(body), true)
     }
 
     /// Non-blocking twin of [`submit`](TaskPool::submit): when the pool is
@@ -1054,21 +1011,18 @@ impl<J: Send + 'static> TaskPool<J> {
     /// parking the caller — the load-shedding admission policy.
     pub fn try_submit(
         &self,
-        graph: TaskGraph,
-        bodies: Vec<TaskBody>,
+        graph: &TaskGraph,
+        body: impl Fn(TaskId) + Send + Sync + 'static,
     ) -> Result<JobTicket<()>, SubmitError> {
-        self.submit_ref(&graph, bodies, false)
+        self.submit_graph(graph, Box::new(body), false)
     }
 
-    /// The pool only reads the graph while submitting, so a caller that
-    /// merely borrows one ([`crate::execute_parallel`]) need not clone it.
-    pub(crate) fn submit_ref(
+    fn submit_graph(
         &self,
         graph: &TaskGraph,
-        bodies: Vec<TaskBody>,
+        body: GraphBody,
         block: bool,
     ) -> Result<JobTicket<()>, SubmitError> {
-        assert_eq!(bodies.len(), graph.len(), "one body per task is required");
         if graph.is_empty() {
             // Nothing to run: never admitted (no slot to leak), but a
             // closed pool still rejects, so shutdown is observable.
@@ -1079,7 +1033,7 @@ impl<J: Send + 'static> TaskPool<J> {
             return Ok(JobTicket { cell });
         }
         let submitted_ns = self.admit(block)?;
-        let sub = Arc::new(Submission::new(graph, bodies, submitted_ns));
+        let sub = Arc::new(Submission::new(graph, body, submitted_ns));
 
         // Seed the sources highest bottom level first: the injector is
         // FIFO, so workers pull the most critical source first.
@@ -1163,15 +1117,12 @@ mod tests {
     use crate::graph::AccessMode::{Read, Write};
     use std::sync::atomic::AtomicU64;
 
-    fn counting_bodies(n: usize, acc: &Arc<AtomicU64>) -> Vec<TaskBody> {
-        (0..n)
-            .map(|_| {
-                let acc = Arc::clone(acc);
-                Box::new(move || {
-                    acc.fetch_add(1, Ordering::SeqCst);
-                }) as TaskBody
-            })
-            .collect()
+    /// A body that counts every task it runs in `acc`.
+    fn counting_body(acc: &Arc<AtomicU64>) -> impl Fn(TaskId) + Send + Sync + 'static {
+        let acc = Arc::clone(acc);
+        move |_| {
+            acc.fetch_add(1, Ordering::SeqCst);
+        }
     }
 
     #[test]
@@ -1189,23 +1140,19 @@ mod tests {
             }
         }
         let n = g.len();
-        let stamp = Arc::new(AtomicU64::new(1));
+        let stamp = AtomicU64::new(1);
         let order: Arc<Vec<AtomicU64>> = Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
-        let bodies: Vec<TaskBody> = (0..n)
-            .map(|i| {
-                let stamp = Arc::clone(&stamp);
-                let order = Arc::clone(&order);
-                Box::new(move || {
-                    order[i].store(stamp.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
-                }) as TaskBody
-            })
-            .collect();
-        let graph = g.clone();
-        pool.submit(g, bodies).unwrap().wait().unwrap();
+        let body = {
+            let order = Arc::clone(&order);
+            move |i: TaskId| {
+                order[i].store(stamp.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
+            }
+        };
+        pool.submit(&g, body).unwrap().wait().unwrap();
         for id in 0..n {
             let t = order[id].load(Ordering::SeqCst);
             assert!(t > 0, "task {id} never ran");
-            for &p in graph.predecessors(id) {
+            for &p in g.predecessors(id) {
                 assert!(
                     order[p].load(Ordering::SeqCst) < t,
                     "task {id} ran before its predecessor {p}"
@@ -1227,7 +1174,7 @@ mod tests {
                 for _ in 0..len {
                     g.add_task(1.0, 0, 0, &[(p, Write)]);
                 }
-                pool.submit(g, counting_bodies(len, &acc)).unwrap()
+                pool.submit(&g, counting_body(&acc)).unwrap()
             })
             .collect();
         for h in handles {
@@ -1239,7 +1186,7 @@ mod tests {
     #[test]
     fn empty_submission_finishes_immediately() {
         let pool = TaskPool::new(2);
-        let h = pool.submit(TaskGraph::new(), Vec::new()).unwrap();
+        let h = pool.submit(&TaskGraph::new(), |_| {}).unwrap();
         assert!(h.is_finished());
         h.wait().unwrap();
         // Empty submissions are never admitted, so they cannot leak slots.
@@ -1252,16 +1199,12 @@ mod tests {
         let mut g = TaskGraph::new();
         g.add_task(1.0, 0, 0, &[(1, Write)]);
         g.add_task(1.0, 0, 0, &[(1, Write)]); // skipped after the panic
-        let bodies: Vec<TaskBody> = (0..2)
-            .map(|i| {
-                Box::new(move || {
-                    if i == 0 {
-                        panic!("kernel failure");
-                    }
-                }) as TaskBody
-            })
-            .collect();
-        let bad = pool.submit(g, bodies).unwrap();
+        let body = |i: TaskId| {
+            if i == 0 {
+                panic!("kernel failure");
+            }
+        };
+        let bad = pool.submit(&g, body).unwrap();
         // The panic arrives as a *value* carrying the payload message —
         // nothing unwinds across wait().
         match bad.wait() {
@@ -1275,7 +1218,7 @@ mod tests {
         for _ in 0..10 {
             g.add_task(1.0, 0, 0, &[(2, Write)]);
         }
-        pool.submit(g, counting_bodies(10, &acc))
+        pool.submit(&g, counting_body(&acc))
             .unwrap()
             .wait()
             .unwrap();
@@ -1296,7 +1239,7 @@ mod tests {
                         g.add_task(1.0, 0, 0, &[(p, Write)]);
                         g.add_task(1.0, 0, 0, &[(p, Read)]);
                         g.add_task(1.0, 0, 0, &[(p, Read)]);
-                        pool.submit(g, counting_bodies(3, &acc))
+                        pool.submit(&g, counting_body(&acc))
                             .unwrap()
                             .wait()
                             .unwrap();
@@ -1317,7 +1260,7 @@ mod tests {
                 for _ in 0..5 {
                     g.add_task(1.0, 0, 0, &[(p, Write)]);
                 }
-                let _detached = pool.submit(g, counting_bodies(5, &acc)).unwrap();
+                let _detached = pool.submit(&g, counting_body(&acc)).unwrap();
             }
             // Drop without waiting: the shutdown drain must run them all.
         }
@@ -1362,13 +1305,13 @@ mod tests {
         let mut g = TaskGraph::new();
         g.add_task(1.0, 0, 0, &[(key, Write)]);
         let release = Arc::clone(release);
-        let bodies: Vec<TaskBody> = vec![Box::new(move || {
+        let body = move |_| {
             started.store(true, Ordering::Release);
             while !release.load(Ordering::Acquire) {
                 std::thread::yield_now();
             }
-        })];
-        pool.submit(g, bodies).expect("pool is open")
+        };
+        pool.submit(&g, body).expect("pool is open")
     }
 
     /// A [`parked_job`] for each of the pool's workers, returned once every
@@ -1401,7 +1344,7 @@ mod tests {
         let mut g = TaskGraph::new();
         g.add_task(1.0, 0, 0, &[(3, Write)]);
         let acc = Arc::new(AtomicU64::new(0));
-        match pool.try_submit(g.clone(), counting_bodies(1, &acc)) {
+        match pool.try_submit(&g, counting_body(&acc)) {
             Err(SubmitError::QueueFull { max_in_flight: 2 }) => {}
             other => panic!("expected QueueFull, got {other:?}"),
         }
@@ -1410,7 +1353,7 @@ mod tests {
         a.wait().unwrap();
         b.wait().unwrap();
         // Slots freed: admission works again.
-        pool.try_submit(g, counting_bodies(1, &acc))
+        pool.try_submit(&g, counting_body(&acc))
             .unwrap()
             .wait()
             .unwrap();
@@ -1433,7 +1376,7 @@ mod tests {
                 let mut g = TaskGraph::new();
                 g.add_task(1.0, 0, 0, &[(2, Write)]);
                 // Blocks here until the parked job finishes.
-                let h = pool.submit(g, counting_bodies(1, &acc)).unwrap();
+                let h = pool.submit(&g, counting_body(&acc)).unwrap();
                 submitted.store(true, Ordering::Release);
                 h.wait().unwrap();
             })
@@ -1462,7 +1405,7 @@ mod tests {
         for _ in 0..4 {
             g.add_task(1.0, 0, 0, &[(2, Write)]);
         }
-        let victim = pool.submit(g, counting_bodies(4, &ran)).unwrap();
+        let victim = pool.submit(&g, counting_body(&ran)).unwrap();
         victim.cancel();
         release.store(true, Ordering::Release);
         blocker.wait().unwrap();
@@ -1472,7 +1415,7 @@ mod tests {
         let acc = Arc::new(AtomicU64::new(0));
         let mut g = TaskGraph::new();
         g.add_task(1.0, 0, 0, &[(3, Write)]);
-        pool.submit(g, counting_bodies(1, &acc))
+        pool.submit(&g, counting_body(&acc))
             .unwrap()
             .wait()
             .unwrap();
@@ -1485,7 +1428,7 @@ mod tests {
         let acc = Arc::new(AtomicU64::new(0));
         let mut g = TaskGraph::new();
         g.add_task(1.0, 0, 0, &[(1, Write)]);
-        let h = pool.submit(g, counting_bodies(1, &acc)).unwrap();
+        let h = pool.submit(&g, counting_body(&acc)).unwrap();
         while !h.is_finished() {
             std::thread::yield_now();
         }
@@ -1520,20 +1463,19 @@ mod tests {
         for _ in 0..5 {
             g.add_task(1.0, 0, 0, &[(1, Write)]);
         }
-        let admitted = pool.submit(g.clone(), counting_bodies(5, &acc)).unwrap();
+        let admitted = pool.submit(&g, counting_body(&acc)).unwrap();
         pool.close();
         assert_eq!(
-            pool.submit(g.clone(), counting_bodies(5, &acc))
-                .unwrap_err(),
+            pool.submit(&g, counting_body(&acc)).unwrap_err(),
             SubmitError::Shutdown
         );
         assert_eq!(
-            pool.try_submit(g, counting_bodies(5, &acc)).unwrap_err(),
+            pool.try_submit(&g, counting_body(&acc)).unwrap_err(),
             SubmitError::Shutdown
         );
         // Empty submissions are also refused after close.
         assert_eq!(
-            pool.submit(TaskGraph::new(), Vec::new()).unwrap_err(),
+            pool.submit(&TaskGraph::new(), |_| {}).unwrap_err(),
             SubmitError::Shutdown
         );
         admitted.wait().unwrap();
@@ -1550,8 +1492,7 @@ mod tests {
             std::thread::spawn(move || {
                 let mut g = TaskGraph::new();
                 g.add_task(1.0, 0, 0, &[(2, Write)]);
-                let bodies: Vec<TaskBody> = vec![Box::new(|| {})];
-                pool.submit(g, bodies)
+                pool.submit(&g, |_| {})
             })
         };
         std::thread::sleep(Duration::from_millis(30));

@@ -28,6 +28,7 @@
 //! high-level tree (flat, greedy or Fibonacci).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod auto;
 pub mod hier;
